@@ -169,52 +169,108 @@ func Candidates(n, maxMult int, pins map[int]bool) []Group {
 // Minimize). objW holds one objective weight per candidate tuple; nil
 // means a zero objective.
 func Relax(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, groups []Group) (*lp.Problem, error) {
+	r, err := newRelaxation(atoms, objW, sense, groups)
+	if err != nil {
+		return nil, err
+	}
+	return r.p, nil
+}
+
+// relaxation is one grouping's LP relaxation together with the
+// reductions it was assembled from, so the pipeline stages that follow
+// the base solve (dual-row selection, multiplier seeding) read them
+// instead of scanning the tuples again.
+type relaxation struct {
+	groups []Group
+	// lo[i][g] and hi[i][g] are the minimum and maximum of atom i's
+	// tuple coefficients over group g.
+	lo, hi [][]float64
+	p      *lp.Problem
+	// row[i] is atom i's first LP row; an equality atom owns two, the ≤
+	// row over lo[i] and then the ≥ row over hi[i].
+	row []int
+}
+
+func newRelaxation(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, groups []Group) (*relaxation, error) {
 	if err := fault.Check("bound.relax"); err != nil {
 		// Every certification stage builds its relaxation here, so this
 		// one site lets the chaos harness fail any bound pass; callers
 		// degrade to an uncertified answer, never a failed query.
 		return nil, err
 	}
-	p := lp.NewProblem(len(groups))
-	obj := make([]float64, len(groups))
+	r := &relaxation{
+		groups: groups,
+		lo:     make([][]float64, len(atoms)),
+		hi:     make([][]float64, len(atoms)),
+		p:      lp.NewProblem(len(groups)),
+		row:    make([]int, len(atoms)),
+	}
 	for g, grp := range groups {
-		if err := p.SetBounds(g, grp.Lo, grp.Hi); err != nil {
+		if err := r.p.SetBounds(g, grp.Lo, grp.Hi); err != nil {
 			return nil, err
 		}
-		obj[g] = groupCoef(objW, grp.Tuples, sense == lp.Maximize)
 	}
-	if err := p.SetObjective(obj, sense); err != nil {
+	objLo, objHi := envelope(objW, groups)
+	if sense == lp.Maximize {
+		objLo = objHi
+	}
+	if err := r.p.SetObjective(objLo, sense); err != nil {
 		return nil, err
 	}
-	for _, at := range atoms {
-		switch at.Op {
-		case lp.LE:
-			addRow(p, at.W, groups, lp.LE, at.RHS, false)
-		case lp.GE:
-			addRow(p, at.W, groups, lp.GE, at.RHS, true)
-		case lp.EQ:
-			// m ≥ 0 makes the min-coefficient sum a lower envelope of
-			// the true row value and the max-coefficient sum an upper
-			// envelope, so an equality is relaxed to the band between
-			// them.
-			addRow(p, at.W, groups, lp.LE, at.RHS, false)
-			addRow(p, at.W, groups, lp.GE, at.RHS, true)
+	coefs := make([]lp.Coef, 0, len(groups))
+	for i, at := range atoms {
+		r.lo[i], r.hi[i] = envelope(at.W, groups)
+		r.row[i] = r.p.NumRows()
+		// m ≥ 0 makes the min-coefficient sum a lower envelope of the
+		// true row value and the max-coefficient sum an upper envelope,
+		// so an equality is relaxed to the band between them.
+		if at.Op != lp.GE {
+			addRow(r.p, coefs, r.lo[i], lp.LE, at.RHS)
+		}
+		if at.Op != lp.LE {
+			addRow(r.p, coefs, r.hi[i], lp.GE, at.RHS)
 		}
 	}
-	return p, nil
+	return r, nil
 }
 
-// addRow appends one relaxed constraint row, reducing each group's
-// tuple coefficients to their maximum (wantMax) or minimum.
-func addRow(p *lp.Problem, w []float64, groups []Group, op lp.Op, rhs float64, wantMax bool) {
-	coefs := make([]lp.Coef, 0, len(groups))
-	for g, grp := range groups {
-		c := groupCoef(w, grp.Tuples, wantMax)
+// addRow appends one relaxed constraint row from its dense per-group
+// coefficients. coefs is scratch; the problem keeps its own copy.
+func addRow(p *lp.Problem, coefs []lp.Coef, dense []float64, op lp.Op, rhs float64) {
+	coefs = coefs[:0]
+	for g, c := range dense {
 		if c != 0 {
 			coefs = append(coefs, lp.Coef{Var: g, Val: c})
 		}
 	}
 	p.AddConstraint(coefs, op, rhs)
+}
+
+// envelope reduces a weight vector over every group's tuples to its
+// minimum and maximum in one pass; an empty group (or an empty vector)
+// contributes zero to both.
+func envelope(w []float64, groups []Group) (lo, hi []float64) {
+	both := make([]float64, 2*len(groups))
+	lo, hi = both[:len(groups):len(groups)], both[len(groups):]
+	if len(w) == 0 {
+		return lo, hi
+	}
+	for g, grp := range groups {
+		if len(grp.Tuples) == 0 {
+			continue
+		}
+		mn := w[grp.Tuples[0]]
+		mx := mn
+		for _, t := range grp.Tuples[1:] {
+			if v := w[t]; v < mn {
+				mn = v
+			} else if v > mx {
+				mx = v
+			}
+		}
+		lo[g], hi[g] = mn, mx
+	}
+	return lo, hi
 }
 
 // groupCoef reduces a weight vector over a group's tuples to its
@@ -233,6 +289,22 @@ func groupCoef(w []float64, tuples []int, wantMax bool) float64 {
 	return c
 }
 
+// cancelOf adapts a context to the simplex's per-iteration poll (nil
+// context = never canceled).
+func cancelOf(ctx context.Context) func() bool {
+	if ctx == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-ctx.Done():
+			return true
+		default:
+			return false
+		}
+	}
+}
+
 // Solve optimizes a relaxation built by Relax and classifies the
 // result. konst is the affine objective constant the relaxation's
 // rows omit (the query objective is konst + Σ w·m); it is added to
@@ -240,22 +312,15 @@ func groupCoef(w []float64, tuples []int, wantMax bool) float64 {
 // solve returns an uncertified outcome — an interrupted simplex
 // proves nothing.
 func Solve(ctx context.Context, p *lp.Problem, konst float64) Outcome {
-	var o lp.Options
-	if ctx != nil {
-		o.Cancel = func() bool {
-			select {
-			case <-ctx.Done():
-				return true
-			default:
-				return false
-			}
-		}
-	}
-	sol := lp.Solve(p, o)
+	return outcomeOf(lp.Solve(p, lp.Options{Cancel: cancelOf(ctx)}), p.Sense(), konst)
+}
+
+// outcomeOf classifies one relaxation solve.
+func outcomeOf(sol *lp.Solution, sense lp.Sense, konst float64) Outcome {
 	out := Outcome{Iterations: sol.Iterations}
 	switch sol.Status {
 	case lp.StatusOptimal:
-		out.Bound = Pad(sol.Objective+konst, p.Sense())
+		out.Bound = Pad(sol.Objective+konst, sense)
 		out.Certified = true
 	case lp.StatusInfeasible:
 		out.Infeasible = true

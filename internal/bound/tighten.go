@@ -43,9 +43,12 @@ package bound
 // bound is individually valid and the pipeline reports the tightest.
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/translate"
@@ -227,11 +230,11 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 			continue
 		}
 		if len(objW) > 0 {
-			sort.SliceStable(kept, func(a, b int) bool {
+			slices.SortStableFunc(kept, func(a, b int) int {
 				if sense == lp.Maximize {
-					return objW[kept[a]] > objW[kept[b]]
+					a, b = b, a
 				}
-				return objW[kept[a]] < objW[kept[b]]
+				return cmp.Compare(objW[a], objW[b])
 			})
 		}
 		parts := segs
@@ -257,6 +260,58 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 // not yet within GapTarget of the incumbent and MaxStage allows them;
 // an uncertified or infeasible base solve short-circuits.
 func RunPipeline(groups []Group, po PipelineOptions) PipelineResult {
+	pl := pipelines.Get().(*pipeline)
+	pl.po, pl.cancel, pl.solves, pl.perTuple = &po, cancelOf(po.Ctx), 0, false
+	pr := pl.run(groups)
+	pl.po, pl.cancel = nil, nil
+	pipelines.Put(pl) // a pass that panicked is simply not recycled
+	return pr
+}
+
+// pipelines recycles the working state between calls: a pass over 50,000
+// tuples sizes some 12 MB of scratch, and a server answers one banded
+// query after another.
+var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
+
+// pipeline is one RunPipeline call's working state: the LP workspace
+// every solve shares and the scratch the Lagrangian rounds reuse. Each
+// grouping is relaxed and solved once; that solve's row prices seed the
+// multipliers and its primal point scores the descent.
+type pipeline struct {
+	po     *PipelineOptions
+	cancel func() bool
+	ws     lp.Workspace
+	solves int // LP solves performed
+
+	perTuple     bool       // tupLo, tupHi hold this call's tuple bounds
+	tupLo, tupHi []float64  // per tuple: PipelineOptions.TupleLo/TupleHi
+	adj          []float64  // per tuple: objective adjusted by the priced rows
+	tuples       []int      // inner segments' tuple lists, back to back
+	inner        []Group    // inner segments of the running round
+	innerLP      lp.Problem // the running round's relaxation
+	dense        []float64  // per inner segment: one row (or the objective)
+	arg          []int      // per inner segment: the tuple attaining dense
+	coefs        []lp.Coef
+}
+
+func (pl *pipeline) solve(p *lp.Problem) *lp.Solution {
+	pl.solves++
+	return pl.ws.Solve(p, lp.Options{Cancel: pl.cancel})
+}
+
+// solveGrouped builds and solves the relaxation of one grouping.
+func (pl *pipeline) solveGrouped(groups []Group) (*relaxation, *lp.Solution, Outcome) {
+	po := pl.po
+	r, err := newRelaxation(po.Atoms, po.ObjW, po.Sense, groups)
+	if err != nil {
+		return nil, nil, Outcome{}
+	}
+	sol := pl.solve(r.p)
+	return r, sol, outcomeOf(sol, po.Sense, po.Konst)
+}
+
+func (pl *pipeline) run(groups []Group) PipelineResult {
+	po := pl.po
 	pr := PipelineResult{Stage: StageTreeLP, Vars: len(groups)}
 	for _, g := range groups {
 		if g.Lo > g.Hi {
@@ -264,87 +319,65 @@ func RunPipeline(groups []Group, po PipelineOptions) PipelineResult {
 			return pr
 		}
 	}
-	out := solveGrouped(po, groups)
+	base, sol, out := pl.solveGrouped(groups)
 	pr.Outcome = out
 	if !out.Certified {
 		return pr
 	}
+	// infeasible folds a later stage's proof that the branch has no
+	// feasible package into the result.
+	infeasible := func() PipelineResult {
+		pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
+		return pr
+	}
 	maxRank := stageRank(po.MaxStage)
 	if maxRank >= stageRank(StageTightened) && po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
-		b, rounds, iters, infeasible := tighten(po, groups)
+		b, rounds, iters, inf := pl.tighten(base, sol.Duals)
 		pr.Rounds += rounds
 		pr.Iterations += iters
-		if infeasible {
-			pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
+		if inf {
 			pr.Stage = StageTightened
-			return pr
+			return infeasible()
 		}
 		if rounds > 0 {
 			pr.Stage = StageTightened
 			pr.Bound = tighter(po.Sense, pr.Bound, b)
 		}
 	}
-	if maxRank >= stageRank(StageDescend) && po.DescendBudget > 0 && !po.withinTarget(pr.Bound) {
-		x := solveGroupedX(po, groups)
-		if x != nil {
-			refined := descendWorst(groups, x, po)
-			if len(refined) > len(groups) {
-				out2 := solveGrouped(po, refined)
-				pr.Iterations += out2.Iterations
-				if out2.Infeasible {
-					// A refined relaxation still contains every feasible
-					// integral package, so its infeasibility is the branch's.
-					pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
-					pr.Stage = StageDescend
-					pr.Vars = len(refined)
-					return pr
-				}
-				if out2.Certified {
-					pr.Stage = StageDescend
-					pr.Vars = len(refined)
-					pr.Bound = tighter(po.Sense, pr.Bound, out2.Bound)
-					if po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
-						b, rounds, iters, infeasible := tighten(po, refined)
-						pr.Rounds += rounds
-						pr.Iterations += iters
-						if infeasible {
-							pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
-							return pr
-						}
-						if rounds > 0 {
-							pr.Bound = tighter(po.Sense, pr.Bound, b)
-						}
-					}
-				}
-			}
+	if maxRank < stageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
+		return pr
+	}
+	refined := descendWorst(groups, sol.X, po)
+	if len(refined) <= len(groups) {
+		return pr
+	}
+	fine, sol2, out2 := pl.solveGrouped(refined)
+	pr.Iterations += out2.Iterations
+	if out2.Infeasible {
+		// A refined relaxation still contains every feasible integral
+		// package, so its infeasibility is the branch's.
+		pr.Stage = StageDescend
+		pr.Vars = len(refined)
+		return infeasible()
+	}
+	if !out2.Certified {
+		return pr
+	}
+	pr.Stage = StageDescend
+	pr.Vars = len(refined)
+	pr.Bound = tighter(po.Sense, pr.Bound, out2.Bound)
+	if po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
+		b, rounds, iters, inf := pl.tighten(fine, sol2.Duals)
+		pr.Rounds += rounds
+		pr.Iterations += iters
+		if inf {
+			return infeasible()
+		}
+		if rounds > 0 {
+			pr.Bound = tighter(po.Sense, pr.Bound, b)
 		}
 	}
 	return pr
-}
-
-// solveGrouped builds and solves the grouped relaxation for the
-// pipeline's atoms over the given groups.
-func solveGrouped(po PipelineOptions, groups []Group) Outcome {
-	p, err := Relax(po.Atoms, po.ObjW, po.Sense, groups)
-	if err != nil {
-		return Outcome{}
-	}
-	return Solve(po.Ctx, p, po.Konst)
-}
-
-// solveGroupedX re-solves the grouped relaxation and returns its primal
-// solution (nil when not optimal) — the group activities stage
-// selection scores against.
-func solveGroupedX(po PipelineOptions, groups []Group) []float64 {
-	p, err := Relax(po.Atoms, po.ObjW, po.Sense, groups)
-	if err != nil {
-		return nil
-	}
-	sol := lp.Solve(p, lpOptions(po))
-	if sol.Status != lp.StatusOptimal {
-		return nil
-	}
-	return sol.X
 }
 
 // descendWorst refines the groups contributing most looseness into
@@ -352,7 +385,7 @@ func solveGroupedX(po PipelineOptions, groups []Group) []float64 {
 // (a group at zero or with uniform coefficients cannot be cheated), and
 // the worst groups are split one level down — for a leaf group, its
 // children are its tuples — until the extra-variable budget runs out.
-func descendWorst(groups []Group, x []float64, po PipelineOptions) []Group {
+func descendWorst(groups []Group, x []float64, po *PipelineOptions) []Group {
 	if len(po.ObjW) == 0 {
 		return groups
 	}
@@ -413,22 +446,44 @@ type dualRow struct {
 	y    float64
 }
 
-// tighten runs the subgradient Lagrangian rounds: pick the rows whose
-// envelope spread lets the grouped LP cheat, dualize them with
-// sign-correct multipliers, and take a few subgradient steps, keeping
-// the best (tightest) of the valid bounds every evaluated multiplier
+// clamp pulls the multiplier back into its valid sign range.
+func (d *dualRow) clamp() {
+	switch d.sign {
+	case 1:
+		d.y = math.Max(0, d.y)
+	case -1:
+		d.y = math.Min(0, d.y)
+	}
+}
+
+// tighten runs the subgradient Lagrangian rounds over one solved
+// relaxation: pick the rows whose envelope spread lets the grouped LP
+// cheat, dualize them with sign-correct multipliers started at the
+// solve's own row prices, and take a few subgradient steps, keeping the
+// best (tightest) of the valid bounds every evaluated multiplier
 // yields. Returns the best bound, the rounds executed, the simplex
 // iterations spent, and whether an inner relaxation proved the branch
 // infeasible.
-func tighten(po PipelineOptions, groups []Group) (best float64, rounds, iters int, infeasible bool) {
+func (pl *pipeline) tighten(r *relaxation, prices []float64) (best float64, rounds, iters int, infeasible bool) {
+	po := pl.po
 	if len(po.ObjW) == 0 {
 		return 0, 0, 0, false
 	}
-	duals, inner := pickDualRows(po, groups)
+	duals, inner := pickDualRows(po, r, prices)
 	if len(duals) == 0 {
 		return 0, 0, 0, false
 	}
-	iters += warmStartDuals(po, groups, duals)
+	if !pl.perTuple {
+		n := len(po.ObjW)
+		if cap(pl.adj) < n {
+			pl.adj, pl.tupLo, pl.tupHi = make([]float64, n), make([]float64, n), make([]float64, n)
+		}
+		pl.adj, pl.tupLo, pl.tupHi = pl.adj[:n], pl.tupLo[:n], pl.tupHi[:n]
+		for t := range pl.adj {
+			pl.tupLo[t], pl.tupHi[t] = po.tupleLo(t), po.tupleHi(t)
+		}
+		pl.perTuple = true
+	}
 	// dir: subgradient direction that improves the bound — minimize L(y)
 	// for a maximization (upper bound shrinks), maximize it for a
 	// minimization.
@@ -438,8 +493,9 @@ func tighten(po PipelineOptions, groups []Group) (best float64, rounds, iters in
 	}
 	haveBest := false
 	step := 1.0
+	act := make([]float64, len(duals))
 	for t := 0; t < po.TightenRounds; t++ {
-		L, act, its, status := lagrangianEval(po, groups, inner, duals)
+		L, its, status := pl.lagrangianEval(r.groups, inner, duals, act)
 		iters += its
 		if status == lp.StatusInfeasible {
 			return 0, rounds, iters, true
@@ -482,79 +538,26 @@ func tighten(po PipelineOptions, groups []Group) (best float64, rounds, iters in
 		for i := range duals {
 			g := duals[i].atom.RHS - act[i]
 			duals[i].y -= dir * s * g
-			switch duals[i].sign {
-			case 1:
-				duals[i].y = math.Max(0, duals[i].y)
-			case -1:
-				duals[i].y = math.Min(0, duals[i].y)
-			}
+			duals[i].clamp()
 		}
 		step *= 0.7
 	}
-	if !haveBest {
-		return 0, rounds, iters, false
-	}
 	return best, rounds, iters, false
-}
-
-// warmStartDuals initializes the multipliers at the grouped LP's dual
-// prices, estimated by finite difference: re-solve the full relaxation
-// with each dualized row's RHS nudged in its relaxing direction and
-// read the price off the objective change. Subgradient descent from a
-// cold y = 0 needs many rounds to find the right scale (the price of a
-// calorie in units of objective, say); starting at the LP's own prices
-// it converges in the few rounds the pipeline budgets. Costs one small
-// LP solve per dualized row. Any estimate is safe — every multiplier
-// with valid signs yields a true bound — so a failed solve just leaves
-// that multiplier at zero. Returns the simplex iterations spent.
-func warmStartDuals(po PipelineOptions, groups []Group, duals []dualRow) (iters int) {
-	base := solveGrouped(po, groups)
-	iters += base.Iterations
-	if !base.Certified {
-		return iters
-	}
-	for i := range duals {
-		at := duals[i].atom
-		delta := 1e-3 * (1 + math.Abs(at.RHS))
-		// Perturb toward feasibility-relaxing so the perturbed LP stays
-		// feasible: ≤ rows up, ≥ rows down, equality bands up.
-		if at.Op == lp.GE {
-			delta = -delta
-		}
-		clone := *at
-		clone.RHS += delta
-		pert := make([]*translate.LinearAtom, len(po.Atoms))
-		for j, a := range po.Atoms {
-			if a == at {
-				pert[j] = &clone
-			} else {
-				pert[j] = a
-			}
-		}
-		ppo := po
-		ppo.Atoms = pert
-		out := solveGrouped(ppo, groups)
-		iters += out.Iterations
-		if !out.Certified {
-			continue
-		}
-		y := (out.Bound - base.Bound) / delta
-		switch duals[i].sign {
-		case 1:
-			y = math.Max(0, y)
-		case -1:
-			y = math.Min(0, y)
-		}
-		duals[i].y = y
-	}
-	return iters
 }
 
 // pickDualRows selects up to maxDualRows atoms worth dualizing — the
 // ones whose per-group coefficient spread gives the grouped relaxation
 // room to cheat, band (equality) rows first — and returns them with
 // their valid multiplier signs plus the remaining (inner) atoms.
-func pickDualRows(po PipelineOptions, groups []Group) ([]dualRow, []*translate.LinearAtom) {
+//
+// Each multiplier starts at the relaxation's own price for its row,
+// ∂bound/∂RHS as the base solve's simplex reports it (an equality
+// atom's two rows move together, so their prices add). Subgradient
+// descent from a cold y = 0 needs many rounds to find the right scale
+// (the price of a calorie in units of objective, say); started at the
+// LP's prices it converges in the few rounds the pipeline budgets. Any
+// start is safe: every multiplier with valid signs yields a true bound.
+func pickDualRows(po *PipelineOptions, r *relaxation, prices []float64) ([]dualRow, []*translate.LinearAtom) {
 	type scored struct {
 		idx    int
 		spread float64
@@ -562,11 +565,8 @@ func pickDualRows(po PipelineOptions, groups []Group) ([]dualRow, []*translate.L
 	var cand []scored
 	for i, at := range po.Atoms {
 		spread := 0.0
-		for _, g := range groups {
-			lo := groupCoef(at.W, g.Tuples, false)
-			hi := groupCoef(at.W, g.Tuples, true)
-			d := hi - lo
-			if d > spread {
+		for g, lo := range r.lo[i] {
+			if d := r.hi[i][g] - lo; d > spread {
 				spread = d
 			}
 		}
@@ -589,17 +589,20 @@ func pickDualRows(po PipelineOptions, groups []Group) ([]dualRow, []*translate.L
 	var duals []dualRow
 	for _, c := range cand {
 		at := po.Atoms[c.idx]
-		sign := 0
+		d := dualRow{atom: at, y: prices[r.row[c.idx]]}
 		switch at.Op {
 		case lp.LE:
-			sign = 1
+			d.sign = 1
 		case lp.GE:
-			sign = -1
+			d.sign = -1
+		case lp.EQ:
+			d.y += prices[r.row[c.idx]+1]
 		}
 		if po.Sense == lp.Minimize {
-			sign = -sign
+			d.sign = -d.sign
 		}
-		duals = append(duals, dualRow{atom: at, sign: sign})
+		d.clamp()
+		duals = append(duals, d)
 		take[c.idx] = true
 	}
 	inner := make([]*translate.LinearAtom, 0, len(po.Atoms)-len(duals))
@@ -621,19 +624,37 @@ func pickDualRows(po PipelineOptions, groups []Group) ([]dualRow, []*translate.L
 // whole group's capacity at the single best tuple's adjusted value.
 // The refinement is a pure sound split (same argument as SplitGroups):
 // every feasible package maps onto the refined columns within their
-// [Σ tupleLo, Σ tupleHi] bounds.
-func innerSegments(po PipelineOptions, groups []Group, adj []float64, wantMax bool) []Group {
-	out := make([]Group, 0, len(groups)*(innerTopK+1))
+// [Σ tupleLo, Σ tupleHi] bounds. The segments live in pl.inner and
+// index into pl.tuples until the next call.
+func (pl *pipeline) innerSegments(groups []Group, wantMax bool) []Group {
+	adj := pl.adj
+	total := 0
 	for _, g := range groups {
-		if len(g.Tuples) <= innerTopK+1 {
-			for _, t := range g.Tuples {
-				out = append(out, Group{Tuples: []int{t}, Lo: po.tupleLo(t), Hi: po.tupleHi(t)})
+		total += len(g.Tuples)
+	}
+	if cap(pl.tuples) < total {
+		pl.tuples = make([]int, total)
+	}
+	if pl.inner == nil {
+		pl.inner = make([]Group, 0, len(groups)*(innerTopK+1))
+	}
+	out := pl.inner[:0]
+	single := func(ts []int) Group {
+		return Group{Tuples: ts, Lo: pl.tupLo[ts[0]], Hi: pl.tupHi[ts[0]]}
+	}
+	next := 0
+	for _, g := range groups {
+		ts := pl.tuples[next : next+len(g.Tuples) : next+len(g.Tuples)]
+		next += len(g.Tuples)
+		copy(ts, g.Tuples)
+		if len(ts) <= innerTopK+1 {
+			for i := range ts {
+				out = append(out, single(ts[i:i+1]))
 			}
 			continue
 		}
 		// Partial selection: innerTopK passes, each pulling the next
 		// extreme tuple to the front.
-		ts := append([]int(nil), g.Tuples...)
 		for k := 0; k < innerTopK; k++ {
 			best := k
 			for j := k + 1; j < len(ts); j++ {
@@ -642,15 +663,16 @@ func innerSegments(po PipelineOptions, groups []Group, adj []float64, wantMax bo
 				}
 			}
 			ts[k], ts[best] = ts[best], ts[k]
-			out = append(out, Group{Tuples: []int{ts[k]}, Lo: po.tupleLo(ts[k]), Hi: po.tupleHi(ts[k])})
+			out = append(out, single(ts[k:k+1]))
 		}
 		rest := Group{Tuples: ts[innerTopK:]}
 		for _, t := range rest.Tuples {
-			rest.Lo += po.tupleLo(t)
-			rest.Hi += po.tupleHi(t)
+			rest.Lo += pl.tupLo[t]
+			rest.Hi += pl.tupHi[t]
 		}
 		out = append(out, rest)
 	}
+	pl.inner = out
 	return out
 }
 
@@ -658,64 +680,68 @@ func innerSegments(po PipelineOptions, groups []Group, adj []float64, wantMax bo
 // non-dualized rows with the per-tuple adjusted objective c − Σ yᵢaᵢ
 // extremized per group (the groups first refined by innerSegments so
 // the extreme tuples' own caps bind). Returns the Lagrangian value
-// L(y) (a valid dual bound before the affine constant), the dualized
-// rows' activities at the inner optimum's implicit tuple choice (the
-// subgradient input), the simplex iterations, and the solve status.
-func lagrangianEval(po PipelineOptions, groups []Group, inner []*translate.LinearAtom, duals []dualRow) (L float64, act []float64, iters int, status lp.Status) {
-	n := len(po.ObjW)
-	adj := make([]float64, n)
+// L(y) (a valid dual bound before the affine constant), the simplex
+// iterations and the solve status; act receives the dualized rows'
+// activities at the inner optimum's implicit tuple choice (the
+// subgradient input).
+func (pl *pipeline) lagrangianEval(groups []Group, inner []*translate.LinearAtom, duals []dualRow, act []float64) (L float64, iters int, status lp.Status) {
+	po, adj := pl.po, pl.adj
 	copy(adj, po.ObjW)
 	konst := 0.0
 	for _, d := range duals {
 		if d.y == 0 {
 			continue
 		}
-		for t := 0; t < n && t < len(d.atom.W); t++ {
-			adj[t] -= d.y * d.atom.W[t]
+		for t, w := range d.atom.W[:min(len(adj), len(d.atom.W))] {
+			adj[t] -= d.y * w
 		}
 		konst += d.y * d.atom.RHS
 	}
-	groups = innerSegments(po, groups, adj, po.Sense == lp.Maximize)
-	p := lp.NewProblem(len(groups))
-	obj := make([]float64, len(groups))
-	arg := make([]int, len(groups))
 	wantMax := po.Sense == lp.Maximize
+	groups = pl.innerSegments(groups, wantMax)
+	if cap(pl.dense) < len(groups) {
+		pl.dense = make([]float64, len(groups))
+		pl.arg = make([]int, len(groups))
+		pl.coefs = make([]lp.Coef, 0, len(groups))
+	}
+	dense, arg := pl.dense[:len(groups)], pl.arg[:len(groups)]
+	p := &pl.innerLP
+	p.Reset(len(groups))
 	for g, grp := range groups {
 		if err := p.SetBounds(g, grp.Lo, grp.Hi); err != nil {
-			return 0, nil, 0, lp.StatusIterLimit
+			return 0, 0, lp.StatusIterLimit
 		}
-		obj[g], arg[g] = extTuple(adj, grp.Tuples, wantMax)
+		dense[g], arg[g] = extTuple(adj, grp.Tuples, wantMax)
 	}
-	if err := p.SetObjective(obj, po.Sense); err != nil {
-		return 0, nil, 0, lp.StatusIterLimit
+	if err := p.SetObjective(dense, po.Sense); err != nil {
+		return 0, 0, lp.StatusIterLimit
 	}
 	for _, at := range inner {
-		switch at.Op {
-		case lp.LE:
-			addRow(p, at.W, groups, lp.LE, at.RHS, false)
-		case lp.GE:
-			addRow(p, at.W, groups, lp.GE, at.RHS, true)
-		case lp.EQ:
-			addRow(p, at.W, groups, lp.LE, at.RHS, false)
-			addRow(p, at.W, groups, lp.GE, at.RHS, true)
-		}
-	}
-	sol := lp.Solve(p, lpOptions(po))
-	if sol.Status != lp.StatusOptimal {
-		return 0, nil, sol.Iterations, sol.Status
-	}
-	act = make([]float64, len(duals))
-	for i, d := range duals {
-		a := 0.0
-		for g := range groups {
-			if sol.X[g] == 0 || arg[g] < 0 {
+		for _, op := range [...]lp.Op{lp.LE, lp.GE} {
+			if at.Op != op && at.Op != lp.EQ {
 				continue
 			}
-			a += d.atom.W[arg[g]] * sol.X[g]
+			for g, grp := range groups {
+				dense[g] = groupCoef(at.W, grp.Tuples, op == lp.GE)
+			}
+			addRow(p, pl.coefs, dense, op, at.RHS)
+		}
+	}
+	sol := pl.solve(p)
+	if sol.Status != lp.StatusOptimal {
+		return 0, sol.Iterations, sol.Status
+	}
+	for i, d := range duals {
+		a := 0.0
+		for g, x := range sol.X {
+			if x == 0 || arg[g] < 0 {
+				continue
+			}
+			a += d.atom.W[arg[g]] * x
 		}
 		act[i] = a
 	}
-	return sol.Objective + konst, act, sol.Iterations, sol.Status
+	return sol.Objective + konst, sol.Iterations, sol.Status
 }
 
 // extTuple returns the extreme value of a dense weight vector over a
@@ -733,21 +759,4 @@ func extTuple(w []float64, tuples []int, wantMax bool) (float64, int) {
 		}
 	}
 	return best, arg
-}
-
-// lpOptions builds the LP solver options for a pipeline solve.
-func lpOptions(po PipelineOptions) lp.Options {
-	var o lp.Options
-	if po.Ctx != nil {
-		ctx := po.Ctx
-		o.Cancel = func() bool {
-			select {
-			case <-ctx.Done():
-				return true
-			default:
-				return false
-			}
-		}
-	}
-	return o
 }

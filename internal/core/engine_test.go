@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/minidb"
 	"repro/internal/value"
 )
@@ -382,5 +384,41 @@ func TestHybridSeedAblation(t *testing.T) {
 	}
 	if math.Abs(with.Packages[0].Objective-without.Packages[0].Objective) > 1e-9 {
 		t.Error("hybrid seeding changed the optimum")
+	}
+}
+
+// TestSolverBudgetOneRoundingOver is the cent-price regression: on these
+// rows the best eight-recipe packages cost exactly 50.00 (49.00 in the
+// second query) on paper, and some of them sum to 50.000000000000007 in
+// floating point. The exact solver took such a relaxation optimum as its
+// incumbent (integral and row-feasible within 1e-6), and the final
+// validator, which compares the sum exactly, then failed the query with
+// "strategy returned an invalid package". Such a point must never be an
+// incumbent: the answer is a package that passes the validator.
+func TestSolverBudgetOneRoundingOver(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 14000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cuisine, mealtype string
+		budget            float64
+	}{{"mexican", "snack", 50}, {"american", "lunch", 49}} {
+		q := fmt.Sprintf(`SELECT PACKAGE(R) AS P FROM recipes R
+			WHERE R.gluten = 'free' AND R.cuisine = '%s' AND R.mealtype = '%s'
+			SUCH THAT COUNT(*) BETWEEN 4 AND 8 AND SUM(P.price) <= %g AND SUM(P.fat) <= 120
+			MAXIMIZE SUM(P.rating)`, c.cuisine, c.mealtype, c.budget)
+		res, err := Evaluate(db, q, Options{Strategy: Solver})
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.cuisine, c.mealtype, err)
+		}
+		if len(res.Packages) != 1 || !res.Stats.Exact {
+			t.Fatalf("%s %s: %d packages, exact=%v; want one proven-optimal package",
+				c.cuisine, c.mealtype, len(res.Packages), res.Stats.Exact)
+		}
+		spent, _ := res.Packages[0].AggValues["SUM(P.price)"].AsFloat()
+		if spent > c.budget {
+			t.Errorf("%s %s: package spends %.17g of a %g budget", c.cuisine, c.mealtype, spent, c.budget)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/minidb"
 	"repro/internal/schema"
@@ -234,18 +235,18 @@ func LoadStocks(db *minidb.DB, table string, cfg StocksConfig) error {
 // WriteCSV renders rows as CSV with a typed header, matching the
 // minidb CSV loader's "name:type" convention.
 func WriteCSV(sc schema.Schema, rows []schema.Row) string {
-	out := ""
+	var out strings.Builder
 	for i, c := range sc.Cols {
 		if i > 0 {
-			out += ","
+			out.WriteByte(',')
 		}
-		out += c.Name + ":" + typeName(c.Type)
+		out.WriteString(c.Name + ":" + typeName(c.Type))
 	}
-	out += "\n"
+	out.WriteByte('\n')
 	for _, r := range rows {
 		for i, v := range r {
 			if i > 0 {
-				out += ","
+				out.WriteByte(',')
 			}
 			if v.IsNull() {
 				continue
@@ -254,11 +255,11 @@ func WriteCSV(sc schema.Schema, rows []schema.Row) string {
 			if v.Kind() == value.KindString {
 				s = csvEscape(s)
 			}
-			out += s
+			out.WriteString(s)
 		}
-		out += "\n"
+		out.WriteByte('\n')
 	}
-	return out
+	return out.String()
 }
 
 func csvEscape(s string) string {

@@ -11,6 +11,12 @@ package lp
 // feasible set. Every solve is additionally checked against weak
 // duality itself: the returned objective may never exceed the
 // certificate value.
+//
+// Every optimal solve's row prices (Solution.Duals) are checked too, by
+// checkDuals: they must be a dual-feasible point that prices the primal
+// optimum exactly. A fourth corpus adds what the constructed cases
+// lack — finite column bounds and mixed row operators, the shape of the
+// certified-bound relaxations.
 
 import (
 	"math"
@@ -96,6 +102,7 @@ func TestPropDualityMaximize(t *testing.T) {
 			t.Fatalf("case %d: status %v, want optimal (constructed feasible+bounded)", k, s.Status)
 		}
 		checkFeasible(t, p, s.X)
+		checkDuals(t, p, s)
 		tol := 1e-6 * (1 + math.Abs(dc.opt))
 		if s.Objective > dc.opt+tol {
 			t.Fatalf("case %d: WEAK DUALITY VIOLATED: objective %g > certificate %g", k, s.Objective, dc.opt)
@@ -119,6 +126,7 @@ func TestPropDualityMinimize(t *testing.T) {
 			t.Fatalf("case %d: status %v, want optimal", k, s.Status)
 		}
 		checkFeasible(t, p, s.X)
+		checkDuals(t, p, s)
 		tol := 1e-6 * (1 + math.Abs(dc.opt))
 		if s.Objective < dc.opt-tol {
 			t.Fatalf("case %d: WEAK DUALITY VIOLATED: objective %g < certificate %g", k, s.Objective, dc.opt)
@@ -163,10 +171,137 @@ func TestPropDualityEquality(t *testing.T) {
 				t.Fatalf("case %d/%v: status %v, want optimal (x* is feasible)", k, sense, s.Status)
 			}
 			checkFeasible(t, p, s.X)
+			checkDuals(t, p, s)
 			tol := 1e-6 * (1 + math.Abs(dc.opt))
 			if math.Abs(s.Objective-dc.opt) > tol {
 				t.Fatalf("case %d/%v: degenerate objective drifted: %g != %g", k, sense, s.Objective, dc.opt)
 			}
 		}
+	}
+}
+
+// checkDuals verifies an optimal solve's row prices against the LP
+// optimality conditions, in the minimization orientation (a maximization
+// negates costs and prices):
+//
+//   - sign: a ≥ row's price is ≥ 0, a ≤ row's ≤ 0, an equality's free;
+//   - complementary slackness: a row with slack prices at 0;
+//   - strong duality: with reduced costs dⱼ = cⱼ − Σᵢ yᵢaᵢⱼ, the dual
+//     value bᵀy + Σⱼ dⱼ·(loⱼ if dⱼ > 0, upⱼ if dⱼ < 0) equals cᵀx.
+//
+// The dual value is a lower bound on the optimum for any sign-feasible
+// y, so meeting cᵀx proves the prices optimal, not merely plausible.
+func checkDuals(t *testing.T, p *Problem, s *Solution) {
+	t.Helper()
+	if len(s.Duals) != p.NumRows() {
+		t.Fatalf("%d duals for %d rows", len(s.Duals), p.NumRows())
+	}
+	orient := 1.0
+	if p.sense == Maximize {
+		orient = -1.0
+	}
+	const tol = 1e-7
+	scale := 1 + math.Abs(s.Objective)
+	d := make([]float64, p.n)
+	for j := range d {
+		d[j] = orient * p.obj[j]
+	}
+	dual := 0.0
+	for i, row := range p.rows {
+		y := orient * s.Duals[i]
+		if row.Op == GE && y < -tol || row.Op == LE && y > tol {
+			t.Errorf("row %d (%v, sense %v): price %g has the wrong sign", i, row.Op, p.sense, s.Duals[i])
+		}
+		lhs := 0.0
+		for _, c := range row.Coefs {
+			lhs += c.Val * s.X[c.Var]
+			d[c.Var] -= y * c.Val
+		}
+		if slack := lhs - row.RHS; math.Abs(y*slack) > 1e-6*scale {
+			t.Errorf("row %d: price %g on slack %g violates complementary slackness", i, s.Duals[i], slack)
+		}
+		dual += y * row.RHS
+	}
+	for j, dj := range d {
+		switch {
+		case dj > tol:
+			dual += dj * p.lo[j]
+		case dj < -tol && p.up[j] == Inf:
+			t.Errorf("column %d: reduced cost %g on an unbounded column is dual infeasible", j, dj)
+		case dj < -tol:
+			dual += dj * p.up[j]
+		default:
+			dual += dj * s.X[j]
+		}
+	}
+	if primal := orient * s.Objective; math.Abs(primal-dual) > 1e-6*scale {
+		t.Errorf("strong duality: primal %g != dual %g", primal, dual)
+	}
+}
+
+// TestPropDualsBoundedColumns: random LPs with finite column bounds,
+// nonzero lower bounds and mixed row operators, built around a known
+// interior point so most are feasible. Nothing fixes the optimum in
+// advance; checkDuals' strong-duality test certifies each one.
+func TestPropDualsBoundedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(811))
+	optimal := 0
+	for k := 0; k < 200; k++ {
+		m, n := 1+rng.Intn(5), 2+rng.Intn(10)
+		p := NewProblem(n)
+		x0 := make([]float64, n)
+		for j := 0; j < n; j++ {
+			lo := float64(rng.Intn(4))
+			up := Inf
+			if rng.Intn(4) > 0 {
+				up = lo + float64(rng.Intn(6))
+			}
+			if err := p.SetBounds(j, lo, up); err != nil {
+				t.Fatal(err)
+			}
+			x0[j] = lo + float64(rng.Intn(3))
+			if x0[j] > up {
+				x0[j] = up
+			}
+			_ = p.SetObjectiveCoef(j, float64(rng.Intn(21)-10))
+		}
+		p.SetSense([]Sense{Minimize, Maximize}[rng.Intn(2)])
+		for i := 0; i < m; i++ {
+			var coefs []Coef
+			at := 0.0
+			for j := 0; j < n; j++ {
+				if v := float64(rng.Intn(9) - 3); v != 0 && rng.Intn(3) > 0 {
+					coefs = append(coefs, Coef{Var: j, Val: v})
+					at += v * x0[j]
+				}
+			}
+			op := []Op{LE, GE, EQ}[rng.Intn(3)]
+			rhs := at
+			switch op {
+			case LE:
+				rhs += float64(rng.Intn(5))
+			case GE:
+				rhs -= float64(rng.Intn(5))
+			}
+			if _, err := p.AddConstraint(coefs, op, rhs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := Solve(p)
+		switch s.Status {
+		case StatusOptimal:
+			optimal++
+			checkFeasible(t, p, s.X)
+			checkDuals(t, p, s)
+		case StatusUnbounded:
+		default:
+			t.Fatalf("case %d: status %v, but x0 is feasible", k, s.Status)
+		}
+		if t.Failed() {
+			t.Fatalf("case %d failed", k)
+		}
+	}
+	if optimal < 100 {
+		t.Fatalf("only %d of 200 cases were bounded; the corpus checks too little", optimal)
 	}
 }

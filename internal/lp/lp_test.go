@@ -252,6 +252,28 @@ func TestObjectiveAPIErrors(t *testing.T) {
 	}
 }
 
+// TestAddConstraintMergesDuplicates: repeated variables are summed in the
+// order given, terms that cancel or are zero are dropped, and the stored
+// row comes out sorted by variable whatever order it went in.
+func TestAddConstraintMergesDuplicates(t *testing.T) {
+	p := NewProblem(5)
+	a, b := 0.1, 0.2 // summed at run time: 0.30000000000000004, not the constant 0.3
+	i, err := p.AddConstraint([]Coef{{3, 2}, {1, a}, {3, -2}, {0, 4}, {1, b}, {4, 0}, {2, 7}}, LE, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Coef{{0, 4}, {1, a + b}, {2, 7}}
+	got := p.Row(i).Coefs
+	if len(got) != len(want) {
+		t.Fatalf("row = %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("coef %d = %v, want %v", k, got[k], want[k])
+		}
+	}
+}
+
 func TestClone(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective([]float64{1, 1}, Maximize)

@@ -1,9 +1,10 @@
-// Package lp implements a dense, bounded-variable, two-phase primal
-// simplex solver for linear programs. It is the foundation of the MILP
+// Package lp implements a bounded-variable, two-phase primal simplex
+// solver for linear programs. It is the foundation of the MILP
 // branch-and-bound in internal/milp, which PackageBuilder uses as its
 // "state-of-the-art constraint solver" substitute: PaQL queries are
 // translated to integer programs whose LP relaxations this package
-// solves.
+// solves, and internal/bound solves the certified-bound relaxations
+// (a handful of rows over thousands of bounded columns) on it.
 //
 // The solver handles
 //
@@ -14,12 +15,27 @@
 // with finite lower bounds (default 0) and optionally infinite upper
 // bounds. Variable bounds are handled natively by the simplex (nonbasic
 // variables sit at either bound and can "bound-flip"), which keeps the
-// tableau small: branch-and-bound tightens bounds without adding rows.
+// working matrix small: branch-and-bound tightens bounds without adding
+// rows.
+//
+// The kernel works on one flat row-major matrix B⁻¹[A | I] held in a
+// Workspace that callers solving many problems reuse: a solve on a
+// workspace that has seen the shape before allocates only its Solution.
+// An iteration prices the carried reduced-cost row (O(n)), runs the
+// ratio test down one column (O(m)), and pivots the matrix and the
+// reduced-cost row together (O(m·n)); basic values move by the step
+// rather than being rebuilt. Reduced costs and basic values are rebuilt
+// from the matrix when a phase starts and again before it declares
+// optimality, so the carried quantities never decide the final answer.
+// Optimal solves report the row prices (Solution.Duals) read off the
+// B⁻¹ block.
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the upper bound meaning "unbounded above".
@@ -69,8 +85,8 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Problem is a linear program under construction. The zero value is not
-// usable; call NewProblem.
+// Problem is a linear program under construction. The zero value has no
+// variables; call NewProblem, or Reset to reuse one.
 type Problem struct {
 	n     int
 	obj   []float64
@@ -83,16 +99,27 @@ type Problem struct {
 // NewProblem creates a problem with n variables, all with bounds
 // [0, +inf) and zero objective coefficients.
 func NewProblem(n int) *Problem {
-	p := &Problem{
-		n:   n,
-		obj: make([]float64, n),
-		lo:  make([]float64, n),
-		up:  make([]float64, n),
-	}
+	p := &Problem{}
+	p.Reset(n)
+	return p
+}
+
+// Reset empties the problem and re-dimensions it to n variables, as
+// NewProblem leaves one, keeping its storage: a caller that assembles a
+// problem of similar shape every round (the Lagrangian rounds of
+// internal/bound) reuses one Problem and allocates nothing. Rows added
+// after a Reset overwrite the old rows' storage, which a Clone taken
+// before it still points into, so such a clone must no longer be used.
+func (p *Problem) Reset(n int) {
+	p.n = n
+	p.obj = resize(p.obj, n)
+	p.lo = resize(p.lo, n)
+	p.up = resize(p.up, n)
 	for j := range p.up {
 		p.up[j] = Inf
 	}
-	return p
+	p.sense = Minimize
+	p.rows = p.rows[:0]
 }
 
 // NumVars returns the number of variables.
@@ -188,19 +215,40 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 }
 
 // AddConstraint appends a constraint row and returns its index.
-// Duplicate variable entries are summed.
+// Duplicate variable entries are summed (in the order given) and zero
+// coefficients dropped; the stored row is sorted by variable.
 func (p *Problem) AddConstraint(coefs []Coef, op Op, rhs float64) (int, error) {
-	merged := map[int]float64{}
-	for _, c := range coefs {
+	sorted := true
+	for i, c := range coefs {
 		if c.Var < 0 || c.Var >= p.n {
 			return 0, fmt.Errorf("lp: constraint references variable %d out of range", c.Var)
 		}
-		merged[c.Var] += c.Val
+		if i > 0 && c.Var <= coefs[i-1].Var {
+			sorted = false
+		}
 	}
 	row := Constraint{Op: op, RHS: rhs}
-	for v, coef := range merged {
-		if coef != 0 {
-			row.Coefs = append(row.Coefs, Coef{Var: v, Val: coef})
+	if i := len(p.rows); i < cap(p.rows) {
+		row.Coefs = p.rows[:i+1][i].Coefs[:0] // a row Reset left behind
+	}
+	row.Coefs = slices.Grow(row.Coefs, len(coefs))
+	if sorted {
+		for _, c := range coefs {
+			if c.Val != 0 {
+				row.Coefs = append(row.Coefs, c)
+			}
+		}
+	} else {
+		byVar := slices.Clone(coefs)
+		slices.SortStableFunc(byVar, func(a, b Coef) int { return cmp.Compare(a.Var, b.Var) })
+		for i := 0; i < len(byVar); {
+			sum := Coef{Var: byVar[i].Var}
+			for ; i < len(byVar) && byVar[i].Var == sum.Var; i++ {
+				sum.Val += byVar[i].Val
+			}
+			if sum.Val != 0 {
+				row.Coefs = append(row.Coefs, sum)
+			}
 		}
 	}
 	p.rows = append(p.rows, row)
@@ -256,8 +304,13 @@ func (s Status) String() string {
 
 // Solution is the result of a solve.
 type Solution struct {
-	Status     Status
-	X          []float64 // variable values (length NumVars), valid when Optimal
-	Objective  float64   // objective value in the problem's sense
+	Status    Status
+	X         []float64 // variable values (length NumVars), valid when Optimal
+	Objective float64   // objective value in the problem's sense
+	// Duals holds one row price per constraint, valid when Optimal:
+	// ∂Objective/∂RHSᵢ in the problem's sense. Minimizing, a ≥ row's
+	// price is ≥ 0 and a ≤ row's ≤ 0; maximizing, the signs mirror;
+	// equality rows are free. A row with slack prices at 0.
+	Duals      []float64
 	Iterations int
 }

@@ -157,20 +157,40 @@ func Solve(p *Problem, opts ...Options) *Solution {
 	}
 
 	n := p.LP.NumVars()
+	// Rows over integer variables are tested exactly: the engine's final
+	// validator compares aggregates without a tolerance, so a sum one
+	// rounding over a budget must not become an incumbent. With a
+	// continuous variable free to move the simplex's own arithmetic is
+	// all there is, and its tolerance applies.
+	rowTol := 0.0
+	for j, isInt := range p.Integer {
+		if lo, up := p.LP.Bounds(j); !isInt && lo < up {
+			rowTol = 1e-6
+			break
+		}
+	}
 	var haveIncumbent bool
 	var incumbent []float64
 	var incObj float64
-	accept := func(x []float64) {
+	// accept takes x, whose integer variables are exact integers, as the
+	// incumbent if it satisfies every row and improves on the current
+	// one. It reports whether x was feasible; a point that is not is
+	// never an incumbent.
+	accept := func(x []float64) bool {
+		if !p.LP.Feasible(x, rowTol) {
+			return false
+		}
 		obj := objective(p.LP, x)
 		if !haveIncumbent || better(obj, incObj) {
-			incumbent = append([]float64(nil), x...)
+			incumbent = x
 			incObj = obj
 			haveIncumbent = true
 			sol.Incumbents++
 		}
+		return true
 	}
-	if opt.InitialIncumbent != nil && integerFeasible(p, opt.InitialIncumbent, opt.IntTol) {
-		accept(opt.InitialIncumbent)
+	if x := opt.InitialIncumbent; len(x) == n && mostFractional(p, x, opt.IntTol) == -1 {
+		accept(snapped(p, x))
 	}
 
 	rootLo := make([]float64, n)
@@ -195,6 +215,7 @@ func Solve(p *Problem, opts ...Options) *Solution {
 	heap.Push(q, &node{lo: rootLo, up: rootUp, bound: infFor(maximize)})
 
 	work := p.LP.Clone()
+	var ws lp.Workspace // one working matrix for every node's relaxation
 	bestBound := infFor(maximize)
 	firstNode := true
 
@@ -222,7 +243,7 @@ func Solve(p *Problem, opts ...Options) *Solution {
 			}
 		}
 		{
-			res := lp.Solve(work, lp.Options{Cancel: cancelPoll})
+			res := ws.Solve(work, lp.Options{Cancel: cancelPoll})
 			sol.LPIters += res.Iterations
 			switch res.Status {
 			case lp.StatusInfeasible:
@@ -244,21 +265,33 @@ func Solve(p *Problem, opts ...Options) *Solution {
 			if haveIncumbent && !better(res.Objective, incObj) {
 				goto nextNode // dominated
 			}
+			// Branch on the most fractional variable: down to ⌊v⌋, up to ⌈v⌉.
 			frac := mostFractional(p, res.X, opt.IntTol)
-			if frac == -1 {
-				accept(res.X)
-				goto nextNode
+			if frac >= 0 {
+				// Rounding heuristic: snap to nearest in-bounds integers.
+				accept(roundCandidate(p, res.X, nd.lo, nd.up, opt.IntTol))
+			} else {
+				if accept(snapped(p, res.X)) {
+					goto nextNode
+				}
+				// Integral within tolerance, yet its exact image breaks a
+				// row: a fraction below the tolerance was holding the row
+				// up, or a sum landed one rounding over its budget. The
+				// point is no incumbent, but the rest of the node may hold
+				// one: branch on what fraction rises above simplex noise,
+				// failing that split the box at the point itself.
+				frac = mostFractional(p, res.X, noiseTol)
 			}
-			// Rounding heuristic: snap to nearest integers and verify.
-			if rounded := roundCandidate(p, res.X, nd.lo, nd.up, opt.IntTol); rounded != nil {
-				accept(rounded)
+			var down, up float64 // the children's new bounds on frac
+			if frac >= 0 {
+				down, up = math.Floor(res.X[frac]), math.Ceil(res.X[frac])
+			} else if frac, down, up = splitAt(p, nd, res.X); frac == -1 {
+				goto nextNode // the box is one point, and it breaks a row
 			}
-			// Branch on the most fractional variable.
-			v := res.X[frac]
 			left := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective}
-			left.up[frac] = math.Floor(v)
+			left.up[frac] = down
 			right := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective}
-			right.lo[frac] = math.Ceil(v)
+			right.lo[frac] = up
 			if left.lo[frac] <= left.up[frac] {
 				heap.Push(q, left)
 			}
@@ -337,8 +370,8 @@ func mostFractional(p *Problem, x []float64, tol float64) int {
 	return best
 }
 
-// roundCandidate snaps integer variables to the nearest in-bounds
-// integer and returns the point if it satisfies every constraint.
+// roundCandidate moves integer variables to the nearest in-bounds
+// integer; whether the point satisfies the rows is the caller's check.
 func roundCandidate(p *Problem, x, lo, up []float64, tol float64) []float64 {
 	out := append([]float64(nil), x...)
 	for j, isInt := range p.Integer {
@@ -354,21 +387,46 @@ func roundCandidate(p *Problem, x, lo, up []float64, tol float64) []float64 {
 		}
 		out[j] = r
 	}
-	if !p.LP.Feasible(out, 1e-6) {
-		return nil
-	}
 	return out
 }
 
-// integerFeasible verifies bounds, constraints and integrality.
-func integerFeasible(p *Problem, x []float64, tol float64) bool {
-	if len(x) != p.LP.NumVars() {
-		return false
-	}
+// noiseTol separates a fraction the relaxation means from the round-off
+// its pivots leave behind.
+const noiseTol = 1e-9
+
+// splitAt splits a node's box at the integral point x when x itself is
+// unusable, returning the variable and the bounds its two children put
+// on it: the first unfixed integer variable x holds above its lower
+// bound (down to x−1, or up from x and so one bound tighter), else the
+// first unfixed one at all (held at x, or up from x+1); -1 when every
+// integer variable is fixed.
+func splitAt(p *Problem, nd *node, x []float64) (j int, down, up float64) {
+	first := -1
 	for j, isInt := range p.Integer {
-		if isInt && math.Abs(x[j]-math.Round(x[j])) > tol {
-			return false
+		if !isInt || nd.lo[j] == nd.up[j] {
+			continue
+		}
+		if v := math.Round(x[j]); v > nd.lo[j] {
+			return j, v - 1, v
+		}
+		if first == -1 {
+			first = j
 		}
 	}
-	return p.LP.Feasible(x, 1e-6)
+	if first == -1 {
+		return -1, 0, 0
+	}
+	return first, nd.lo[first], nd.lo[first] + 1
+}
+
+// snapped returns a copy of x with every integer variable rounded to
+// the exact integer.
+func snapped(p *Problem, x []float64) []float64 {
+	out := append([]float64(nil), x...)
+	for j, isInt := range p.Integer {
+		if isInt {
+			out[j] = math.Round(out[j])
+		}
+	}
+	return out
 }

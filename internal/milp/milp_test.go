@@ -66,6 +66,22 @@ func TestKnapsackSmall(t *testing.T) {
 	}
 }
 
+// TestIncumbentRowsHoldExactly: 0.1 + 0.2 sums to 0.30000000000000004,
+// one rounding over a 0.3 budget. The relaxation's optimum takes both
+// items and is integral, but it is not a solution of the program as the
+// machine adds it up; the search must reject it, keep looking inside the
+// node, and prove the one-item optimum.
+func TestIncumbentRowsHoldExactly(t *testing.T) {
+	mp := buildKnapsack([]float64{1, 1}, []float64{0.1, 0.2}, 0.3)
+	s := Solve(mp, Options{InitialIncumbent: []float64{1, 1}})
+	if s.Status != StatusOptimal || s.Objective != 1 {
+		t.Fatalf("status %v objective %g, want optimal 1", s.Status, s.Objective)
+	}
+	if !mp.LP.Feasible(s.X, 0) {
+		t.Errorf("incumbent %v breaks a row when added up exactly", s.X)
+	}
+}
+
 func TestIntegerGapInfeasible(t *testing.T) {
 	// 0.4 <= x <= 0.6 with x integer: no integer point.
 	p := lp.NewProblem(1)

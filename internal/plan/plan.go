@@ -397,7 +397,7 @@ func (c CostModel) SketchCost(n, tau, branches int, warm bool) float64 {
 // they scale with the same variables the real allocations do, which is
 // what admission control needs:
 //
-//   - solver: one dense simplex tableau of (atoms+2)·n float64 cells
+//   - solver: one flat simplex working matrix of (atoms+2)·n float64 cells
 //     plus branch-and-bound node state (~48 bytes/candidate of bound
 //     vectors and incumbents);
 //   - sketch-refine: the partition tree stores every tuple index once
