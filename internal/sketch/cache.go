@@ -65,10 +65,12 @@ func CombineRowHashes(hs []uint64) uint64 {
 }
 
 // Fingerprint hashes the candidate rows (order-sensitive, every cell)
-// into the cache key. It is linear in the data but orders of magnitude
-// cheaper than partitioning, which is what a cache hit skips; callers
-// on the warm path avoid even this by memoizing RowHash per row and
-// recombining (see core's fingerprint memo).
+// into the cache key. It is linear in the data and not cheap beside the
+// build a cache hit skips — byte-serial FNV-1a over every cell's key
+// encoding runs at under 4M rows/s on 11-column rows, half the time of
+// the columnar tree build over the same candidates — so callers on the
+// warm path avoid it by memoizing RowHash per row and recombining (see
+// core's fingerprint memo), and only a never-seen WHERE pays it in full.
 func Fingerprint(rows []schema.Row) uint64 {
 	fp, _ := fingerprintCtx(nil, rows)
 	return fp

@@ -2,9 +2,11 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/schema"
+	"repro/internal/search"
 	"repro/internal/value"
 )
 
@@ -173,6 +175,11 @@ type patcher struct {
 	// internal node at level l, in ascending order; parent tuple lists
 	// are rebuilt as remap(old)+pend without any sorting.
 	pend []map[int][]int
+	// splitAttrs is the build's seed-shuffled attribute order, drawn on
+	// the first resplit (seeding the shuffle costs more than splitting a
+	// leaf).
+	splitAttrs []int
+	modes      modeScratch // resplit's mode counter
 }
 
 func (p *patcher) fanLimits() {
@@ -288,80 +295,110 @@ func (p *patcher) nearest(nodes []Node, idxs []int, j int) int {
 // refreshed — exactly rescanned where deletions changed membership or
 // a split regrouped it, incrementally extended where the only change
 // was appended inserts (the common case, and exact for envelopes).
+//
+// The leaves that need an exact rescan are lowered together, their
+// tuple lists back to back: one columnar view per patch over just
+// those tuples — patching one leaf of a large table must not pay for
+// the table — in which every leaf is a run of positions that ascend
+// with its tuple indexes, so the splitter's index tie-breaks fall as
+// they would over the candidates at large.
 func (p *patcher) repairLeaves() {
 	t := p.tree
 	ll := t.Depth - 1
-	attrs := shuffledAttrs(t.Attrs, p.opts.Seed)
-	n0 := len(p.levels[ll]) // split-born leaves are refreshed at creation
+	var exact, tuples []int // leaves to rescan; their tuple lists, concatenated
+	n0 := len(p.levels[ll]) // split-born leaves are fully formed at creation
 	for i := 0; i < n0; i++ {
 		if !p.dirty[ll][i] || p.dead[ll][i] {
 			continue
 		}
-		if len(p.levels[ll][i].Tuples) == 0 {
+		leaf := &p.levels[ll][i]
+		if len(leaf.Tuples) == 0 {
 			p.dead[ll][i] = true
 			continue
 		}
-		if len(p.levels[ll][i].Tuples) > t.Tau {
-			groups := medianSplit(p.rows, append([]int(nil), p.levels[ll][i].Tuples...), attrs, t.Tau, 1, nil)
-			p.levels[ll][i].Tuples = groups[0]
-			for _, g := range groups[1:] {
-				p.addLeaf(g, i)
-			}
-			p.refreshLeaf(i)
+		// Tuples at or above firstNew are this patch's inserts; only a leaf
+		// that keeps its whole prior membership and gains some can be
+		// extended in place.
+		survivors := sort.SearchInts(leaf.Tuples, p.firstNew)
+		if len(leaf.Tuples) > t.Tau || p.delDirty[i] || survivors == 0 || survivors == len(leaf.Tuples) {
+			exact = append(exact, i)
+			tuples = append(tuples, leaf.Tuples...)
 			continue
 		}
-		if p.delDirty[i] {
-			p.refreshLeaf(i)
-		} else {
-			p.refreshLeafIncremental(i)
+		p.extendLeaf(leaf, survivors)
+	}
+	if len(exact) == 0 {
+		return
+	}
+	cols := search.Lower(p.rows, tuples, nil)
+	lo := 0
+	for _, i := range exact {
+		hi := lo + len(p.levels[ll][i].Tuples)
+		leaves := p.resplit(cols, tuples, lo, hi) // a single leaf unless it outgrew τ
+		p.levels[ll][i] = leaves[0]
+		for _, leaf := range leaves[1:] {
+			p.addLeaf(leaf, i)
 		}
+		lo = hi
 	}
 }
 
-// addLeaf appends a fully-formed new leaf covering g, attached to the
-// same parent as sibling (when the tree is hierarchical).
-func (p *patcher) addLeaf(g []int, sibling int) int {
-	t := p.tree
-	ll := t.Depth - 1
-	idx := len(p.levels[ll])
-	p.levels[ll] = append(p.levels[ll], Node{Tuples: g})
-	p.dead[ll] = append(p.dead[ll], false)
-	p.dirty[ll] = append(p.dirty[ll], true)
-	p.delDirty = append(p.delDirty, true) // mixed regrouping: exact refresh only
-	p.refreshLeaf(idx)
-	if t.Depth >= 2 {
+// addLeaf appends a fully-formed new leaf, attached to the same parent
+// as sibling (when the tree is hierarchical).
+func (p *patcher) addLeaf(leaf Node, sibling int) {
+	idx := p.appendLeaf(leaf)
+	if p.tree.Depth >= 2 {
 		parent := p.parentOf[sibling]
 		p.parentOf = append(p.parentOf, parent)
 		p.newByParent[parent] = append(p.newByParent[parent], idx)
 	}
-	return idx
 }
 
-// refreshLeaf recomputes a leaf's representative and envelope exactly.
-func (p *patcher) refreshLeaf(i int) {
+// appendLeaf adds a fully-formed leaf to the working leaf level and
+// returns its index.
+func (p *patcher) appendLeaf(leaf Node) int {
 	ll := p.tree.Depth - 1
-	leaf := &p.levels[ll][i]
-	leaf.Rep = representative(p.rows, leaf.Tuples)
-	leaf.Lo, leaf.Hi, leaf.NonNull = envelope(p.rows, leaf.Tuples, p.tree.Attrs)
+	p.levels[ll] = append(p.levels[ll], leaf)
+	p.dead[ll] = append(p.dead[ll], false)
+	p.dirty[ll] = append(p.dirty[ll], true)
+	p.delDirty = append(p.delDirty, true) // mixed regrouping: exact refresh only
+	return len(p.levels[ll]) - 1
 }
 
-// refreshLeafIncremental extends an insert-only leaf without rescanning
-// it: the envelope grows by exactly the inserted values (no deletions
-// means no shrink — the result is identical to a full rescan) and the
-// representative's numeric means fold the inserts in, weighted by the
-// prior tuple count. Mode (categorical) columns keep their prior value;
-// like the merged internal representatives, that is a steering
-// approximation the fuzz harness holds to rebuilt-tree standards.
-func (p *patcher) refreshLeafIncremental(i int) {
-	ll := p.tree.Depth - 1
-	leaf := &p.levels[ll][i]
-	split := sort.SearchInts(leaf.Tuples, p.firstNew)
-	ins := leaf.Tuples[split:]
-	if split == 0 || len(ins) == 0 {
-		p.refreshLeaf(i)
-		return
+// resplit forms τ-bounded leaves, from scratch, over the tuple set at
+// positions lo … hi-1 of cols, a lowering in which position j is
+// candidate tuples[j]: median splits as in the offline build, and each
+// leaf's representative and envelope from a full scan.
+func (p *patcher) resplit(cols *search.Columns, tuples []int, lo, hi int) []Node {
+	t := p.tree
+	if p.splitAttrs == nil {
+		p.splitAttrs = shuffledAttrs(t.Attrs, p.opts.Seed)
 	}
-	leaf.Rep = insertedRepresentative(p.rows, leaf.Rep, split, ins)
+	groups := medianSplit(cols, lo, hi, p.splitAttrs, t.Tau, 1, nil)
+	leaves := make([]Node, len(groups))
+	for gi, g := range groups {
+		leaf := Node{Tuples: make([]int, len(g)), Rep: representative(cols, g, &p.modes)}
+		for j, q := range g {
+			leaf.Tuples[j] = tuples[q]
+		}
+		leaf.Lo, leaf.Hi, leaf.NonNull = envelope(cols, g, t.Attrs)
+		leaves[gi] = leaf
+	}
+	return leaves
+}
+
+// extendLeaf extends an insert-only leaf without rescanning it — its
+// first survivors tuples are the prior membership, the rest this
+// patch's inserts: the envelope grows by exactly the inserted values
+// (no deletions means no shrink — the result is identical to a full
+// rescan) and the representative's numeric means fold the inserts in,
+// weighted by the prior tuple count. Mode (categorical) columns keep
+// their prior value; like the merged internal representatives, that is
+// a steering approximation the fuzz harness holds to rebuilt-tree
+// standards.
+func (p *patcher) extendLeaf(leaf *Node, survivors int) {
+	ins := leaf.Tuples[survivors:]
+	leaf.Rep = insertedRepresentative(p.rows, leaf.Rep, survivors, ins)
 	lo := append([]float64(nil), leaf.Lo...)
 	hi := append([]float64(nil), leaf.Hi...)
 	nn := append([]int(nil), leaf.NonNull...)
@@ -499,22 +536,15 @@ func (p *patcher) remapWithInserts(old, ins []int, renumber bool) []int {
 // this subtree's tuples — restoring the build-time shape without
 // touching the rest of the tree. Returns the new child indexes.
 func (p *patcher) rebuildLeafGroup(children []int) []int {
-	t := p.tree
-	ll := t.Depth - 1
+	ll := p.tree.Depth - 1
 	tuples := mergeChildTuples(p.levels[ll], children)
 	for _, ci := range children {
 		p.dead[ll][ci] = true
 	}
-	groups := medianSplit(p.rows, tuples, shuffledAttrs(t.Attrs, p.opts.Seed), t.Tau, 1, nil)
-	out := make([]int, 0, len(groups))
-	for _, g := range groups {
-		idx := len(p.levels[ll])
-		p.levels[ll] = append(p.levels[ll], Node{Tuples: g})
-		p.dead[ll] = append(p.dead[ll], false)
-		p.dirty[ll] = append(p.dirty[ll], true)
-		p.delDirty = append(p.delDirty, true)
-		p.refreshLeaf(idx)
-		out = append(out, idx)
+	leaves := p.resplit(search.Lower(p.rows, tuples, nil), tuples, 0, len(tuples))
+	out := make([]int, len(leaves))
+	for i, leaf := range leaves {
+		out[i] = p.appendLeaf(leaf)
 	}
 	return out
 }
@@ -567,7 +597,7 @@ func mergeChildTuples(children []Node, group []int) []int {
 	for _, ci := range group {
 		out = append(out, children[ci].Tuples...)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -607,22 +637,33 @@ func mergedRepresentative(children []Node, group []int) schema.Row {
 }
 
 // childModeValue picks the subtree-size-weighted most frequent child
-// representative value, ties toward the SortLess-smallest.
+// representative value, ties toward the SortLess-smallest. Values are
+// told apart by identity (kind and payload), never by how they print:
+// NULL and the string 'NULL' are two values.
 func childModeValue(children []Node, group []int, c int) value.V {
-	counts := map[string]int{}
-	byKey := map[string]value.V{}
+	type tally struct {
+		v value.V
+		n int
+	}
+	// A node has a few dozen children at most, so a linear scan finds a
+	// value's tally faster than a map would — and keeps the tallies in
+	// first-seen order, so ties SortLess cannot order resolve the same
+	// way every run.
+	tallies := make([]tally, 0, len(group))
 	for _, ci := range group {
 		v := children[ci].Rep[c]
-		k := v.String()
-		counts[k] += len(children[ci].Tuples)
-		byKey[k] = v
+		ti := slices.IndexFunc(tallies, func(t tally) bool { return t.v.Identical(v) })
+		if ti < 0 {
+			ti = len(tallies)
+			tallies = append(tallies, tally{v: v})
+		}
+		tallies[ti].n += len(children[ci].Tuples)
 	}
 	var best value.V
 	bestN := -1
-	for k, n := range counts {
-		v := byKey[k]
-		if n > bestN || (n == bestN && v.SortLess(best)) {
-			best, bestN = v, n
+	for _, t := range tallies {
+		if t.n > bestN || (t.n == bestN && t.v.SortLess(best)) {
+			best, bestN = t.v, t.n
 		}
 	}
 	return best

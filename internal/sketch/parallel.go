@@ -30,12 +30,19 @@ func (o Options) workers() int {
 // byte-for-byte identical to the concurrent schedule — parallelism is a
 // scheduling choice, never an algorithmic one.
 func parallelFor(workers, n int, fn func(i int)) {
+	parallelForWorker(workers, n, func(_, i int) { fn(i) })
+}
+
+// parallelForWorker is parallelFor for callers that keep one scratch per
+// worker: worker, in [0, max(workers, 1)), names the goroutine making
+// the call.
+func parallelForWorker(workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -50,7 +57,7 @@ func parallelFor(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/expr"
@@ -44,27 +45,30 @@ func effectiveTau(n int, opts Options) int {
 // columns, the mode for categorical ones. The procedure is
 // deterministic under a fixed seed and any Options.Parallelism: the
 // workers only divide the splits and representative scans, never the
-// outcome.
+// outcome. When Options.Ctx is canceled mid-way the result has no
+// groups at all.
 func Partition(inst *search.Instance, opts Options) *Partitioning {
+	return partition(inst, search.Lower(inst.Rows, nil, opts.stopHook()), opts)
+}
+
+// partition is Partition over an existing lowering of inst.Rows (nil
+// when the lowering was canceled).
+func partition(inst *search.Instance, cols *search.Columns, opts Options) *Partitioning {
 	n := len(inst.Rows)
 	part := &Partitioning{Attrs: partitionAttrs(inst), Tau: effectiveTau(n, opts)}
-	if n == 0 {
+	if n == 0 || cols == nil {
 		return part
 	}
-	attrs := shuffledAttrs(part.Attrs, opts.Seed)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
 	w := opts.workers()
-	var stop func() bool
-	if opts.Ctx != nil {
-		stop = opts.stopped
+	groups := medianSplit(cols, 0, n, shuffledAttrs(part.Attrs, opts.Seed), part.Tau, w, opts.stopHook())
+	if opts.stopped() {
+		return part
 	}
-	part.Groups = medianSplit(inst.Rows, all, attrs, part.Tau, w, stop)
-	part.Reps = make([]schema.Row, len(part.Groups))
-	parallelFor(w, len(part.Groups), func(i int) {
-		part.Reps[i] = representative(inst.Rows, part.Groups[i])
+	part.Groups = groups
+	part.Reps = make([]schema.Row, len(groups))
+	modes := make([]modeScratch, max(w, 1))
+	parallelForWorker(w, len(groups), func(wi, i int) {
+		part.Reps[i] = representative(cols, groups[i], &modes[wi])
 	})
 	return part
 }
@@ -80,13 +84,20 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 	return out
 }
 
-// medianSplit splits the index set over rows into groups of at most tau
-// elements by recursive median splits on attrs (the attribute with the
-// widest normalized spread within the group is split first). The
-// returned groups are each sorted ascending and appear in in-order
-// traversal order. The partitioner uses it over the candidate tuples;
-// the tree builder reuses it over the representative rows of a whole
-// level.
+// medianSplit splits positions lo … hi-1 of cols into groups of at
+// most tau elements by recursive median splits on attrs (the attribute
+// with the widest normalized spread within the group is split first). The returned groups are each sorted ascending and appear in
+// in-order traversal order. The partitioner uses it over the candidate
+// tuples; the tree builder reuses it over the representative rows of a
+// whole level.
+//
+// A split does not sort its group. The elements are (value, index)
+// pairs under a strict total order, so the lower half is one fixed set
+// however it is found: an in-place selection (selectSmallest) moves it
+// to the front in O(n) per level where a sort pays O(n log n), and
+// since every leaf is index-sorted on the way out, the partitioning is
+// the one a full sort at every level would have produced. All levels
+// share one pair buffer, allocated here.
 //
 // With workers > 1 the two halves of a split recurse concurrently
 // (bounded by a semaphore, staying serial below parallelSplitMin) —
@@ -94,62 +105,119 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 // concatenated in traversal order, so the result is identical at any
 // worker count.
 //
-// stop, when non-nil, is the cooperative-cancellation poll: once it
-// returns true the recursion unwinds immediately, returning each
-// remaining group unsplit (and unsorted) as a single oversized leaf.
-// The output is then structurally a partitioning but not THE
-// partitioning — callers on the cancellation path discard it.
-func medianSplit(rows []schema.Row, all []int, attrs []int, tau, workers int, stop func() bool) [][]int {
-	return splitRec(rows, all, attrs, tau, newLimiter(workers), stop)
+// stop, when non-nil, is the cooperative-cancellation poll, consulted
+// at least once per pollRows rows of any pass: once it returns true the
+// recursion unwinds immediately, returning each remaining group unsplit
+// (and unsorted) as a single oversized leaf. The output is then
+// structurally a partitioning but not THE partitioning — callers on the
+// cancellation path discard it.
+func medianSplit(cols *search.Columns, lo, hi int, attrs []int, tau, workers int, stop func() bool) [][]int {
+	s := &splitter{attrs: make([][]float64, len(attrs)), tau: tau, lim: newLimiter(workers), stop: stop}
+	for ai, a := range attrs {
+		s.attrs[ai] = cols.Cols[a].Num
+	}
+	g := make([]keyed, hi-lo)
+	for j := range g {
+		g[j].i = lo + j
+	}
+	return s.split(g)
 }
 
-// splitRec is medianSplit's recursion; it returns the subtree's groups
-// in traversal order so concurrent halves merge deterministically.
-func splitRec(rows []schema.Row, g []int, attrs []int, tau int, lim limiter, stop func() bool) [][]int {
-	if stop != nil && stop() {
-		return [][]int{append([]int(nil), g...)}
+// splitter is the state one medianSplit recursion shares.
+type splitter struct {
+	attrs [][]float64 // the split attributes' columns, in tie-break order
+	tau   int
+	lim   limiter
+	stop  func() bool
+}
+
+func (s *splitter) stopped() bool { return s.stop != nil && s.stop() }
+
+// indexes copies the group's candidate indexes out of the pair buffer.
+func indexes(g []keyed) []int {
+	out := make([]int, len(g))
+	for j := range g {
+		out[j] = g[j].i
 	}
-	if len(g) <= tau {
-		gg := append([]int(nil), g...)
-		sort.Ints(gg)
-		return [][]int{gg}
+	return out
+}
+
+// split returns the subtree's groups in traversal order so concurrent
+// halves merge deterministically.
+func (s *splitter) split(g []keyed) [][]int {
+	if s.stopped() {
+		return [][]int{indexes(g)}
 	}
-	a := widestAttr(rows, g, attrs)
-	if a < 0 {
-		// No attribute separates the group (all values equal):
-		// chop it by index.
+	if len(g) <= s.tau {
+		leaf := indexes(g)
+		slices.Sort(leaf)
+		return [][]int{leaf}
+	}
+	col, ok := s.widest(g)
+	if !ok {
+		return [][]int{indexes(g)}
+	}
+	if col == nil {
+		// No attribute separates the group (all values equal): chop it
+		// by index. This is the one place the order inside a group
+		// shows, so put it in index order first.
+		slices.SortFunc(g, func(a, b keyed) int { return a.i - b.i })
 		var groups [][]int
-		for s := 0; s < len(g); s += tau {
-			e := min(s+tau, len(g))
-			groups = append(groups, splitRec(rows, g[s:e], attrs, tau, lim, stop)...)
+		for lo := 0; lo < len(g); lo += s.tau {
+			groups = append(groups, s.split(g[lo:min(lo+s.tau, len(g))])...)
 		}
 		return groups
 	}
-	// The comparator is a strict total order (ties break on index), so
-	// an unstable sort yields the exact sequence a stable one would —
-	// at a fraction of the cost on the hot path.
-	sort.Slice(g, func(i, j int) bool {
-		vi, vj := numAt(rows[g[i]], a), numAt(rows[g[j]], a)
-		if vi != vj {
-			return vi < vj
-		}
-		return g[i] < g[j]
-	})
+	for j := range g {
+		g[j].v = col[g[j].i]
+	}
 	mid := len(g) / 2
+	if !selectSmallest(g, mid, s.stop) {
+		return [][]int{indexes(g)}
+	}
 	left, right := g[:mid], g[mid:]
-	if len(g) >= parallelSplitMin && lim.tryAcquire() {
+	if len(g) >= parallelSplitMin && s.lim.tryAcquire() {
 		var lg [][]int
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			defer lim.release()
-			lg = splitRec(rows, left, attrs, tau, lim, stop)
+			defer s.lim.release()
+			lg = s.split(left)
 		}()
-		rg := splitRec(rows, right, attrs, tau, lim, stop)
+		rg := s.split(right)
 		<-done
 		return append(lg, rg...)
 	}
-	return append(splitRec(rows, left, attrs, tau, lim, stop), splitRec(rows, right, attrs, tau, lim, stop)...)
+	return append(s.split(left), s.split(right)...)
+}
+
+// widest picks the attribute column with the largest normalized spread
+// within the group — one min/max pass per attribute — or nil when every
+// attribute is constant. ok is false when stop fired mid-pass.
+func (s *splitter) widest(g []keyed) (best []float64, ok bool) {
+	bestSpread := 0.0
+	for _, col := range s.attrs {
+		lo, hi := col[g[0].i], col[g[0].i]
+		for w := 0; w < len(g); w += pollRows {
+			if w > 0 && s.stopped() {
+				return nil, false
+			}
+			for _, e := range g[w:min(w+pollRows, len(g))] {
+				v := col[e.i]
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
+			}
+		}
+		scale := 1 + abs(lo) + abs(hi)
+		if spread := (hi - lo) / scale; spread > bestSpread {
+			bestSpread, best = spread, col
+		}
+	}
+	return best, true
 }
 
 // partitionAttrs collects the numeric columns referenced by the query's
@@ -220,77 +288,94 @@ func numAt(row schema.Row, idx int) float64 {
 	return f
 }
 
-// widestAttr picks the attribute with the largest normalized spread
-// within the group; -1 when every attribute is constant.
-func widestAttr(rows []schema.Row, g []int, attrs []int) int {
-	best, bestSpread := -1, 0.0
-	for _, a := range attrs {
-		lo, hi := numAt(rows[g[0]], a), numAt(rows[g[0]], a)
-		for _, i := range g[1:] {
-			v := numAt(rows[i], a)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		scale := 1 + abs(lo) + abs(hi)
-		if spread := (hi - lo) / scale; spread > bestSpread {
-			bestSpread, best = spread, a
-		}
-	}
-	return best
-}
-
-// representative builds a group's representative tuple: numeric columns
-// take the group mean, other columns the group mode (ties break toward
-// the smallest value, keeping the construction deterministic).
-func representative(rows []schema.Row, g []int) schema.Row {
-	width := len(rows[g[0]])
-	rep := make(schema.Row, width)
-	for c := 0; c < width; c++ {
-		sum, cnt := 0.0, 0
-		numeric := true
-		for _, i := range g {
-			v := rows[i][c]
-			if v.IsNull() {
-				continue
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				numeric = false
-				break
-			}
-			sum += f
-			cnt++
-		}
-		if numeric && cnt > 0 {
-			rep[c] = value.Float(sum / float64(cnt))
+// representative builds a group's representative tuple from the
+// lowered columns: numeric columns take the group mean — summed in the
+// group's ascending index order, so the float is the one a row-by-row
+// scan yields — other columns the group mode (ties break toward the
+// SortLess-smallest value, keeping the construction deterministic),
+// counted in sc, the caller's scratch.
+func representative(cols *search.Columns, g []int, sc *modeScratch) schema.Row {
+	rep := make(schema.Row, len(cols.Cols))
+	for c := range cols.Cols {
+		col := &cols.Cols[c]
+		if mean, ok := groupMean(col, g); ok {
+			rep[c] = value.Float(mean)
 			continue
 		}
-		rep[c] = modeValue(rows, g, c)
+		if col.Codes == nil {
+			continue // no non-NULL cell in the group: the mode is NULL
+		}
+		rep[c] = sc.mode(col, g)
 	}
 	return rep
 }
 
-// modeValue returns the most frequent value in the column across the
-// group, preferring the SortLess-smallest on ties.
-func modeValue(rows []schema.Row, g []int, c int) value.V {
-	counts := map[string]int{}
-	byKey := map[string]value.V{}
+// groupMean is the mean of the group's non-NULL cells; ok is false when
+// there is none or one of them is not numeric.
+func groupMean(col *search.Column, g []int) (mean float64, ok bool) {
+	sum, cnt := 0.0, 0
+	switch {
+	case col.Codes != nil && !col.DictNumeric:
+		return 0, false // a mean needs a numeric cell
+	case col.Codes != nil:
+		for _, i := range g {
+			d := &col.Dict[col.Codes[i]]
+			if d.IsNull() {
+				continue
+			}
+			if !d.IsNumeric() {
+				return 0, false
+			}
+			sum += col.Num[i]
+			cnt++
+		}
+	case col.Null != nil:
+		for _, i := range g {
+			if !col.IsNull(i) {
+				sum += col.Num[i]
+				cnt++
+			}
+		}
+	default:
+		for _, i := range g {
+			sum += col.Num[i]
+		}
+		cnt = len(g)
+	}
+	return sum / float64(cnt), cnt > 0
+}
+
+// modeScratch counts dictionary codes for one group at a time; the
+// counter is as long as the largest dictionary seen and is left zeroed,
+// so reuse costs nothing per group. A build keeps one per worker and
+// drops them with its columns; the zero value is ready to use.
+type modeScratch struct {
+	counts []uint32
+	seen   []uint32 // codes present in the group, in first-seen order
+}
+
+// mode returns the most frequent datum of a coded column across the
+// group, preferring the SortLess-smallest on ties (and, between datums
+// SortLess cannot order, the one the group meets first).
+func (sc *modeScratch) mode(col *search.Column, g []int) value.V {
+	if len(sc.counts) < len(col.Dict) {
+		sc.counts = make([]uint32, len(col.Dict))
+	}
+	sc.seen = sc.seen[:0]
 	for _, i := range g {
-		v := rows[i][c]
-		k := v.String()
-		counts[k]++
-		byKey[k] = v
+		code := col.Codes[i]
+		if sc.counts[code] == 0 {
+			sc.seen = append(sc.seen, code)
+		}
+		sc.counts[code]++
 	}
 	var best value.V
-	bestN := -1
-	for k, n := range counts {
-		v := byKey[k]
-		if n > bestN || (n == bestN && v.SortLess(best)) {
-			best, bestN = v, n
+	bestN := uint32(0)
+	for _, code := range sc.seen {
+		n := sc.counts[code]
+		sc.counts[code] = 0
+		if v := &col.Dict[code]; n > bestN || (n == bestN && v.SortLess(best)) {
+			best, bestN = *v, n
 		}
 	}
 	return best

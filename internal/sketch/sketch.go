@@ -203,6 +203,15 @@ func (o Options) stopped() bool {
 	}
 }
 
+// stopHook is stopped in the form the build's inner loops take: nil
+// when there is no context, so they skip the poll altogether.
+func (o Options) stopHook() func() bool {
+	if o.Ctx == nil {
+		return nil
+	}
+	return o.stopped
+}
+
 // EffectiveTau resolves the leaf size bound the options imply for an
 // n-candidate instance (exported for callers that perturb it between
 // re-solves, like the engine's multi-package path).

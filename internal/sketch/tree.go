@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -82,17 +81,24 @@ func (t *Tree) leafPartitioning() *Partitioning {
 // same median splitter over the child representatives with a fanout of
 // ceil(P^(1/depth)), shrinking the node count by that factor per level;
 // building stops early once another level could not shrink the top.
+//
+// The candidates are lowered to flat columns once, up front
+// (search.Lower), and every per-row loop of the build — split
+// selection, representatives, envelopes — is a pass over those columns;
+// the lowering is dropped when the build returns.
+//
 // When Options.Ctx is canceled mid-build the function returns early
-// with whatever structure exists so far; such a tree is incomplete and
-// every caller on the cancellation path (acquireTree) discards it
-// before it can reach a cache tier.
+// with whatever levels are complete so far (none, if the leaves were
+// not); such a tree is incomplete and every caller on the cancellation
+// path (acquireTree) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
-	base := Partition(inst, opts)
+	cols := search.Lower(inst.Rows, nil, opts.stopHook())
+	base := partition(inst, cols, opts)
 	t := &Tree{Attrs: base.Attrs, Tau: base.Tau, Depth: 1}
 	leaves := make([]Node, len(base.Groups))
 	parallelFor(opts.workers(), len(base.Groups), func(i int) {
 		leaves[i] = Node{Tuples: base.Groups[i], Rep: base.Reps[i]}
-		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = envelope(inst.Rows, base.Groups[i], base.Attrs)
+		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = envelope(cols, base.Groups[i], base.Attrs)
 	})
 	t.Levels = [][]Node{leaves}
 	depth := opts.depth()
@@ -107,12 +113,11 @@ func BuildTree(inst *search.Instance, opts Options) *Tree {
 	if fanout < 2 {
 		fanout = 2
 	}
-	var stop func() bool
-	if opts.Ctx != nil {
-		stop = opts.stopped
-	}
 	for t.Depth < depth && len(t.Levels[0]) > fanout && !opts.stopped() {
-		parents := groupLevel(inst, t.Levels[0], t.Attrs, fanout, opts.Seed, opts.workers(), stop)
+		parents := groupLevel(cols, t.Levels[0], t.Attrs, fanout, opts)
+		if parents == nil {
+			break // canceled mid-level
+		}
 		t.Levels = append([][]Node{parents}, t.Levels...)
 		t.Depth++
 	}
@@ -125,24 +130,29 @@ func BuildTree(inst *search.Instance, opts Options) *Tree {
 // recomputed over the union of covered tuples (a tuple-weighted mean,
 // more faithful than averaging child representatives). Parents are
 // independent, so their unions and representatives are computed across
-// workers.
-func groupLevel(inst *search.Instance, children []Node, attrs []int, fanout int, seed int64, workers int, stop func() bool) []Node {
+// workers. cols is the lowering of the candidates; nil is returned when
+// the build was canceled.
+func groupLevel(cols *search.Columns, children []Node, attrs []int, fanout int, opts Options) []Node {
 	repRows := make([]schema.Row, len(children))
-	all := make([]int, len(children))
 	for i := range children {
 		repRows[i] = children[i].Rep
-		all[i] = i
 	}
-	groups := medianSplit(repRows, all, shuffledAttrs(attrs, seed), fanout, workers, stop)
+	stop := opts.stopHook()
+	repCols := search.Lower(repRows, nil, stop)
+	if repCols == nil {
+		return nil
+	}
+	workers := opts.workers()
+	groups := medianSplit(repCols, 0, len(children), shuffledAttrs(attrs, opts.Seed), fanout, workers, stop)
+	if opts.stopped() {
+		return nil
+	}
 	parents := make([]Node, len(groups))
-	parallelFor(workers, len(groups), func(pi int) {
+	modes := make([]modeScratch, max(workers, 1))
+	parallelForWorker(workers, len(groups), func(w, pi int) {
 		g := groups[pi]
-		var tuples []int
-		for _, ci := range g {
-			tuples = append(tuples, children[ci].Tuples...)
-		}
-		sort.Ints(tuples)
-		parents[pi] = Node{Children: g, Tuples: tuples, Rep: representative(inst.Rows, tuples)}
+		tuples := mergeChildTuples(children, g)
+		parents[pi] = Node{Children: g, Tuples: tuples, Rep: representative(cols, tuples, &modes[w])}
 		parents[pi].Lo, parents[pi].Hi, parents[pi].NonNull = mergeEnvelopes(children, g, len(attrs))
 	})
 	return parents
@@ -153,16 +163,17 @@ func groupLevel(inst *search.Instance, children []Node, attrs []int, fanout int,
 // among non-NULL cells (non-numeric cells count as 0, matching the
 // selector-atom value lens) and the non-NULL count. Constant (0, 0)
 // bounds mark attributes with no non-NULL value.
-func envelope(rows []schema.Row, tuples, attrs []int) (lo, hi []float64, nonNull []int) {
+func envelope(cols *search.Columns, tuples, attrs []int) (lo, hi []float64, nonNull []int) {
 	lo = make([]float64, len(attrs))
 	hi = make([]float64, len(attrs))
 	nonNull = make([]int, len(attrs))
 	for ai, a := range attrs {
+		col := &cols.Cols[a]
 		for _, i := range tuples {
-			if a >= len(rows[i]) || rows[i][a].IsNull() {
+			if col.IsNull(i) {
 				continue
 			}
-			v, _ := rows[i][a].AsFloat()
+			v := col.Num[i]
 			if nonNull[ai] == 0 || v < lo[ai] {
 				lo[ai] = v
 			}

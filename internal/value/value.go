@@ -8,7 +8,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -177,6 +176,9 @@ func cmpOrdered[T int64 | float64 | Kind](a, b T) int {
 
 // SortLess is a total order for sorting: NULLs first, then by Compare.
 func (v V) SortLess(o V) bool {
+	if v.k == KindString && o.k == KindString {
+		return v.s < o.s // what Compare finds, without the detour
+	}
 	if v.k == KindNull {
 		return o.k != KindNull
 	}
@@ -192,6 +194,28 @@ func (v V) SortLess(o V) bool {
 func (v V) Equal(o V) bool {
 	c, null := v.Compare(o)
 	return !null && c == 0
+}
+
+// Identical reports whether the two datums are the same datum — same
+// kind, same payload bit for bit: the distinction EncodeKey draws.
+// Unlike Equal it holds between two NULLs, tells +0.0 from -0.0, and
+// never equates an integer with a float or a string with anything it
+// merely prints like.
+func (v V) Identical(o V) bool {
+	if v.k != o.k {
+		return false
+	}
+	switch v.k {
+	case KindBool:
+		return v.b == o.b
+	case KindInt:
+		return v.i == o.i
+	case KindFloat:
+		return math.Float64bits(v.f) == math.Float64bits(o.f)
+	case KindString:
+		return v.s == o.s
+	}
+	return true
 }
 
 // arithmetic ------------------------------------------------------------
@@ -449,18 +473,46 @@ func appendUint64(dst []byte, u uint64) []byte {
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
 
-// Hash returns a 64-bit FNV hash of the datum's key encoding. Numeric
-// datums that compare equal across kinds (Int(2) vs Float(2)) hash
-// equal, so hash joins and group-by can mix them safely.
+// Hash returns the 64-bit FNV-1a hash of the datum's key encoding (the
+// bytes EncodeKey appends), computed as straight-line arithmetic: no
+// hash object, no buffer, no allocation — the sketch fingerprint calls
+// it once per candidate cell. Numeric datums that compare equal across
+// kinds (Int(2) vs Float(2)) hash equal, so hash joins and group-by can
+// mix them safely: exact integers are canonicalized to the float
+// encoding first.
 func (v V) Hash() uint64 {
-	h := fnv.New64a()
-	u := v
-	if v.k == KindInt {
-		// Canonicalize exact integers to the float encoding so that
-		// Int(2) and Float(2.0) land in the same hash bucket.
-		u = Float(float64(v.i))
+	switch v.k {
+	case KindBool:
+		h := fnvByte(fnvOffset64, byte(KindBool))
+		if v.b {
+			return fnvByte(h, 1)
+		}
+		return fnvByte(h, 0)
+	case KindInt:
+		return fnvUint64(fnvByte(fnvOffset64, byte(KindFloat)), math.Float64bits(float64(v.i)))
+	case KindFloat:
+		return fnvUint64(fnvByte(fnvOffset64, byte(KindFloat)), math.Float64bits(v.f))
+	case KindString:
+		h := fnvUint64(fnvByte(fnvOffset64, byte(KindString)), uint64(len(v.s)))
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
+		}
+		return h
 	}
-	var buf [32]byte
-	_, _ = h.Write(u.EncodeKey(buf[:0]))
-	return h.Sum64()
+	return fnvByte(fnvOffset64, byte(v.k))
+}
+
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 folds u in big-endian byte order, matching appendUint64.
+func fnvUint64(h, u uint64) uint64 {
+	for s := 56; s >= 0; s -= 8 {
+		h = fnvByte(h, byte(u>>uint(s)))
+	}
+	return h
 }

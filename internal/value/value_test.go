@@ -338,6 +338,58 @@ func TestHashNumericCanonicalization(t *testing.T) {
 	}
 }
 
+// TestHashIsFNV1aOfKeyEncoding pins the straight-line Hash to its
+// definition — FNV-1a over the EncodeKey bytes, exact integers first
+// canonicalized to the float encoding — for every kind, so sketch
+// fingerprints, cache keys and persisted-tree names never move.
+func TestHashIsFNV1aOfKeyEncoding(t *testing.T) {
+	for _, v := range []V{
+		Null(), Bool(false), Bool(true),
+		Int(0), Int(2), Int(-7), Int(math.MinInt64), Int(math.MaxInt64), Int(1<<53 + 1),
+		Float(2), Float(0), Float(math.Copysign(0, -1)), Float(-1.5), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64),
+		Str(""), Str("a"), Str("free"), Str("naïve café ☕"), Str(string(make([]byte, 300))),
+	} {
+		u := v
+		if v.Kind() == KindInt {
+			u = Float(float64(v.IntVal()))
+		}
+		want := uint64(14695981039346656037) // FNV-1a, 64-bit: offset basis …
+		for _, b := range u.EncodeKey(nil) {
+			want = (want ^ uint64(b)) * 1099511628211 // … and prime
+		}
+		if got := v.Hash(); got != want {
+			t.Errorf("%s (%s): Hash = %#x, FNV-1a of its key encoding = %#x", v.SQLString(), v.Kind(), got, want)
+		}
+	}
+	if Int(2).Hash() != Float(2).Hash() {
+		t.Error("Int(2) and Float(2) must hash equal")
+	}
+	if Float(0).Hash() == Float(math.Copysign(0, -1)).Hash() {
+		t.Error("+0.0 and -0.0 encode differently and must hash differently")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = Str("gluten-free pasta #12").Hash() + Float(3.5).Hash() }); allocs != 0 {
+		t.Errorf("Hash allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestIdenticalDrawsTheKeyEncodingLine: two datums are Identical
+// exactly when their key encodings are the same bytes.
+func TestIdenticalDrawsTheKeyEncodingLine(t *testing.T) {
+	vs := []V{
+		Null(), Bool(false), Bool(true), Int(0), Int(1), Float(0), Float(math.Copysign(0, -1)), Float(1),
+		Float(math.NaN()), Str(""), Str("1"), Str("NULL"), Str("true"),
+	}
+	for _, a := range vs {
+		for _, b := range vs {
+			want := string(a.EncodeKey(nil)) == string(b.EncodeKey(nil))
+			if got := a.Identical(b); got != want {
+				t.Errorf("%s (%s) Identical %s (%s) = %v, key encodings equal = %v", a.SQLString(), a.Kind(), b.SQLString(), b.Kind(), got, want)
+			}
+		}
+	}
+}
+
 // --- property-based tests -------------------------------------------------
 
 func TestPropCompareAntisymmetric(t *testing.T) {
