@@ -32,8 +32,9 @@
 //
 // In the REPL, INSERT/DELETE statements between package queries patch
 // the cached partition tree in place instead of forcing a rebuild
-// (-sketch-incr, on by default), and repeat queries over unchanged
-// tables skip candidate fingerprint hashing entirely.
+// (-sketch-incr, on by default; =false forces rebuilds), and repeat
+// queries over unchanged tables skip candidate fingerprint hashing
+// entirely.
 //
 // With no explicit strategy or knob flags, a cost-based planner picks
 // the strategy, partition size, tree depth, parallelism and
@@ -90,21 +91,22 @@ func main() {
 	flag.Var(&gens, "gen", "kind:n:seed synthetic table (kinds: recipes, vacation, stocks)")
 	query := flag.String("q", "", "PaQL query text")
 	file := flag.String("f", "", "file containing the PaQL query")
-	strategy := flag.String("strategy", "auto", "auto | solver | sketch-refine | pruned-enum | local-search | brute-force")
-	limit := flag.Int("limit", 0, "number of packages (overrides query LIMIT)")
-	diverse := flag.Bool("diverse", false, "return diverse packages instead of top-k")
-	seed := flag.Int64("seed", 1, "randomized strategy seed")
-	sketchSize := flag.Int("sketch-size", 0, "sketch-refine partition size bound (0 = default)")
-	sketchParts := flag.Int("sketch-partitions", 0, "sketch-refine partition count target (0 = off)")
-	sketchDepth := flag.Int("sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
-	sketchCache := flag.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
-	sketchPar := flag.Int("sketch-par", 0, "sketch-refine worker count (0 = one per CPU, 1 = serial)")
-	sketchDir := flag.String("sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	sketchIncr := flag.Bool("sketch-incr", true, "patch cached sketch-refine partition trees in place after INSERT/DELETE instead of rebuilding (REPL sessions)")
-	explain := flag.Bool("explain", false, "plan the query — print the strategy and knob decisions — without executing it")
-	timeout := flag.Duration("timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
-	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	maxGap := flag.Float64("max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
+	var cli cliOpts
+	flag.StringVar(&cli.strategy, "strategy", "auto", "auto | solver | sketch-refine | pruned-enum | local-search | brute-force")
+	flag.IntVar(&cli.limit, "limit", 0, "number of packages (overrides query LIMIT)")
+	flag.BoolVar(&cli.diverse, "diverse", false, "return diverse packages instead of top-k")
+	flag.Int64Var(&cli.seed, "seed", 1, "randomized strategy seed")
+	flag.IntVar(&cli.sketchSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
+	flag.IntVar(&cli.sketchParts, "sketch-partitions", 0, "sketch-refine partition count target (0 = off)")
+	flag.IntVar(&cli.sketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
+	flag.BoolVar(&cli.sketchCache, "sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
+	flag.IntVar(&cli.sketchPar, "sketch-par", 0, "sketch-refine worker count (0 = one per CPU, 1 = serial)")
+	flag.StringVar(&cli.sketchDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
+	flag.BoolVar(&cli.sketchIncr, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
+	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
+	flag.DurationVar(&cli.timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
+	flag.Int64Var(&cli.memBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
+	flag.Float64Var(&cli.maxGap, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintln(out, "usage: paql [flags]")
@@ -112,14 +114,6 @@ func main() {
 		fmt.Fprint(out, exitCodeTable)
 	}
 	flag.Parse()
-	// Only an explicit -sketch-incr on the command line forces the
-	// patch-vs-rebuild choice; otherwise the planner decides per query.
-	sketchIncrSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "sketch-incr" {
-			sketchIncrSet = true
-		}
-	})
 
 	sys := pb.New()
 	for _, spec := range csvs {
@@ -139,14 +133,14 @@ func main() {
 		}
 	}
 
-	if *sketchDir != "" {
+	if cli.sketchDir != "" {
 		// Constructing the store sweeps orphaned temp files a crashed
 		// earlier run may have left behind, so they never block saves.
-		st := sketch.NewStore(*sketchDir)
+		st := sketch.NewStore(cli.sketchDir)
 		if n, err := st.SweepResult(); err != nil {
 			fmt.Fprintf(os.Stderr, "paql: sketch-dir sweep: %v\n", err)
 		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "paql: swept %d orphaned temp file(s) from %s\n", n, *sketchDir)
+			fmt.Fprintf(os.Stderr, "paql: swept %d orphaned temp file(s) from %s\n", n, cli.sketchDir)
 		}
 	}
 
@@ -157,14 +151,6 @@ func main() {
 			fail("%v", err)
 		}
 		text = string(raw)
-	}
-	cli := cliOpts{
-		strategy: *strategy, limit: *limit, diverse: *diverse, seed: *seed,
-		sketchSize: *sketchSize, sketchParts: *sketchParts,
-		sketchDepth: *sketchDepth, sketchCache: *sketchCache,
-		sketchPar: *sketchPar, sketchDir: *sketchDir, sketchIncr: *sketchIncr,
-		sketchIncrSet: sketchIncrSet, explain: *explain,
-		timeout: *timeout, memBudget: *memBudget, maxGap: *maxGap,
 	}
 	if text == "" {
 		repl(sys, cli)
@@ -184,24 +170,24 @@ func main() {
 	runQuery(ctx, sys, text, cli)
 }
 
-// cliOpts carries the evaluation flags shared by one-shot and REPL use.
+// cliOpts carries the evaluation flags shared by one-shot and REPL use;
+// main binds each flag straight into its field.
 type cliOpts struct {
-	strategy      string
-	limit         int
-	diverse       bool
-	seed          int64
-	sketchSize    int
-	sketchParts   int
-	sketchDepth   int
-	sketchCache   bool
-	sketchPar     int
-	sketchDir     string
-	sketchIncr    bool
-	sketchIncrSet bool
-	explain       bool
-	timeout       time.Duration
-	memBudget     int64
-	maxGap        float64
+	strategy    string
+	limit       int
+	diverse     bool
+	seed        int64
+	sketchSize  int
+	sketchParts int
+	sketchDepth int
+	sketchCache bool
+	sketchPar   int
+	sketchDir   string
+	sketchIncr  bool
+	explain     bool
+	timeout     time.Duration
+	memBudget   int64
+	maxGap      float64
 }
 
 func runQuery(ctx context.Context, sys *pb.System, text string, cli cliOpts) {
@@ -294,40 +280,16 @@ func buildOpts(cli cliOpts) ([]pb.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := []pb.Option{pb.WithStrategy(st), pb.WithSeed(cli.seed)}
-	if cli.limit > 0 {
-		opts = append(opts, pb.WithLimit(cli.limit))
-	}
+	// Every option reads its zero value as "unset", so the flags pass
+	// through as they are.
+	opts := []pb.Option{pb.WithStrategy(st), pb.WithSeed(cli.seed), pb.WithLimit(cli.limit),
+		pb.WithSketchPartitionSize(cli.sketchSize), pb.WithSketchPartitions(cli.sketchParts),
+		pb.WithSketchDepth(cli.sketchDepth), pb.WithSketchParallelism(cli.sketchPar),
+		pb.WithSketchPersistDir(cli.sketchDir), pb.WithSketchCache(cli.sketchCache),
+		pb.WithSketchIncremental(cli.sketchIncr), pb.WithTimeout(cli.timeout),
+		pb.WithMemoryBudget(cli.memBudget), pb.WithGapTolerance(cli.maxGap)}
 	if cli.diverse {
 		opts = append(opts, pb.WithDiverse())
-	}
-	if cli.sketchSize > 0 {
-		opts = append(opts, pb.WithSketchPartitionSize(cli.sketchSize))
-	}
-	if cli.sketchParts > 0 {
-		opts = append(opts, pb.WithSketchPartitions(cli.sketchParts))
-	}
-	if cli.sketchDepth > 0 {
-		opts = append(opts, pb.WithSketchDepth(cli.sketchDepth))
-	}
-	if cli.sketchPar > 0 {
-		opts = append(opts, pb.WithSketchParallelism(cli.sketchPar))
-	}
-	if cli.sketchDir != "" {
-		opts = append(opts, pb.WithSketchPersistDir(cli.sketchDir))
-	}
-	opts = append(opts, pb.WithSketchCache(cli.sketchCache))
-	if cli.sketchIncrSet {
-		opts = append(opts, pb.WithSketchIncremental(cli.sketchIncr))
-	}
-	if cli.timeout > 0 {
-		opts = append(opts, pb.WithTimeout(cli.timeout))
-	}
-	if cli.memBudget > 0 {
-		opts = append(opts, pb.WithMemoryBudget(cli.memBudget))
-	}
-	if cli.maxGap > 0 {
-		opts = append(opts, pb.WithGapTolerance(cli.maxGap))
 	}
 	return opts, nil
 }

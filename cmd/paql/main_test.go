@@ -113,7 +113,7 @@ func TestReplBudgetErrorLabeled(t *testing.T) {
 func TestRunExplainForcedFlags(t *testing.T) {
 	sys := testSystem(t)
 	cli := cliOpts{strategy: "sketch-refine", seed: 1, sketchSize: 32, sketchDepth: 2,
-		sketchPar: 3, sketchIncr: false, sketchIncrSet: true}
+		sketchPar: 3, sketchIncr: false}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)

@@ -66,8 +66,9 @@ type server struct {
 	// partitioning step. It is a server flag, never request data — a
 	// client must not choose where the server writes.
 	persistDir string
-	// incremental is the -sketch-incr server default; a request's
-	// sketchIncr field can switch tree patching off per query.
+	// incremental is the -sketch-incr server default: true leaves
+	// patch-vs-rebuild to the planner, false forces rebuilds. A
+	// request's sketchIncr field overrides it per query.
 	incremental bool
 	// cat is the table-statistics catalog the cost-based planner reads:
 	// row counts, attribute stats and write rates from the delta log.
@@ -132,6 +133,16 @@ func newServer(db *minidb.DB, persistDir string, incremental bool) *server {
 		adm: lifecycle.NewController(4, 16), health: lifecycle.NewHealth()}
 }
 
+// options returns the server-wide evaluation options every solve starts
+// from: the shared tree tiers and catalog, the -sketch-incr default, and
+// the per-query lifecycle limits (the soft time budget, whose hard ctx
+// deadline trails it, and the memory-admission gate).
+func (s *server) options() core.Options {
+	return core.Options{Seed: 1, SketchCache: s.cache, SketchMemo: s.memo,
+		SketchPersistDir: s.persistDir, SketchIncremental: s.incremental,
+		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget}
+}
+
 // withRequest is the outermost middleware: it mints the request ID,
 // echoes it in the X-Request-Id header, and converts a handler panic
 // into a logged 500 with a typed body instead of a killed connection.
@@ -186,7 +197,7 @@ func main() {
 	n := flag.Int("n", 500, "recipe count")
 	seed := flag.Int64("seed", 42, "dataset seed")
 	sketchDir := flag.String("sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
-	sketchIncr := flag.Bool("sketch-incr", true, "patch cached sketch-refine partition trees in place after writes instead of rebuilding")
+	sketchIncr := flag.Bool("sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after writes; =false forces rebuilds")
 	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
 	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
 	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
@@ -386,20 +397,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.httpErr(w, r, err)
 		return
 	}
-	incremental := s.incremental
+	opts := s.options()
+	opts.SketchDepth, opts.SketchParallelism = req.SketchDepth, req.SketchPar
 	if req.SketchIncr != nil {
-		incremental = *req.SketchIncr
+		opts.SketchIncremental = *req.SketchIncr
 	}
-	opts := core.Options{Seed: 1, SketchCache: s.cache, SketchDepth: req.SketchDepth,
-		SketchParallelism: req.SketchPar, SketchPersistDir: s.persistDir,
-		SketchMemo: s.memo, SketchIncremental: incremental,
-		// Only an explicit request field forces patch-vs-rebuild; the
-		// server default leaves the planner in charge.
-		SketchIncrementalSet: req.SketchIncr != nil,
-		Catalog:              s.cat,
-		// Per-query lifecycle limits: the soft time budget (hard ctx
-		// deadline trails it) and the memory-admission gate.
-		Timeout: s.timeout, MemoryBudget: s.memBudget}
 	if req.Strategy != "" {
 		st, err := core.ParseStrategy(req.Strategy)
 		if err != nil {
@@ -574,9 +576,9 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	// prep.RunContext is a pure read over the prepared query and the
 	// database; it needs no lock, so summaries render concurrently too.
-	res, err := prep.RunContext(r.Context(), core.Options{Limit: 9, Seed: 1, SketchCache: s.cache,
-		SketchPersistDir: s.persistDir, SketchMemo: s.memo, SketchIncremental: s.incremental,
-		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget})
+	opts := s.options()
+	opts.Limit = 9
+	res, err := prep.RunContext(r.Context(), opts)
 	if err != nil {
 		s.httpErr(w, r, err)
 		return

@@ -582,3 +582,48 @@ func TestHealthyRunReportsNotDegraded(t *testing.T) {
 		t.Error("degradedReason present on a healthy run")
 	}
 }
+
+// TestSketchIncrServerDefaultOffForcesRebuild pins the -sketch-incr
+// server flag as an honest switch: with the default off, a query after a
+// write rebuilds its tree and the plan says so as forced; a request's
+// "sketchIncr": true hands patch-vs-rebuild back to the planner.
+func TestSketchIncrServerDefaultOffForcesRebuild(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 400, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(db, "", false)
+	query := func(extra string) map[string]any {
+		t.Helper()
+		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
+		if rec.Code != 200 {
+			t.Fatalf("query status %d: %s", rec.Code, rec.Body)
+		}
+		var stats map[string]any
+		_ = json.Unmarshal(out["stats"], &stats)
+		return stats
+	}
+	insert := func(id int) {
+		t.Helper()
+		if _, err := db.Exec(`INSERT INTO recipes VALUES (` + itoa(id) + `, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)`); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	query("")
+	insert(90001)
+	if stats := query(""); stats["sketchTreePatched"] != false || stats["sketchCacheHit"] != false {
+		t.Errorf("server default off: patched=%v cacheHit=%v after a write, want a rebuild", stats["sketchTreePatched"], stats["sketchCacheHit"])
+	}
+	_, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine", "explain": true}`)
+	var text string
+	_ = json.Unmarshal(out["explain"], &text)
+	if !strings.Contains(text, "maintenance = rebuild  [forced]") {
+		t.Errorf("server default off is not a forced rebuild in the plan:\n%s", text)
+	}
+
+	insert(90002)
+	if stats := query(`, "sketchIncr": true`); stats["sketchTreePatched"] != true {
+		t.Errorf(`"sketchIncr": true did not re-enable patching: patched=%v`, stats["sketchTreePatched"])
+	}
+}

@@ -19,7 +19,7 @@
 //	E13 follow-up  cost-based planner: planner-chosen strategy/knobs vs hand-set defaults
 //	E14 follow-up  query lifecycle under load: QPS and p50/p95/p99 behind admission control
 //	E15 follow-up  certified dual bounds: LP bound-pass overhead + anytime early-exit savings
-//	E16 follow-up  band-aware bound tightening: legacy envelope vs staged pipeline on BETWEEN-heavy queries
+//	E16 follow-up  band-aware bound tightening: stage-1 tree-lp vs the tightened pipeline on BETWEEN-heavy queries
 //
 // Each Run* prints an aligned table to cfg.Out; EXPERIMENTS.md records
 // the measured shapes against the paper's claims.

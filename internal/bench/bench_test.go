@@ -26,7 +26,7 @@ func TestExperimentsQuick(t *testing.T) {
 		{"e12", []string{"incremental tree maintenance", "rebuild", "patch", "speedup"}},
 		{"e13", []string{"cost-based planner", "hand-set", "planner", "speedup-vs-hand-set"}},
 		{"e14", []string{"query lifecycle under load", "clients", "shed", "p99", "sheds instead of queueing"}},
-		{"e16", []string{"band-aware bound tightening", "bound/envelope", "bound/pipeline", "anytime/gap5", "early exit"}},
+		{"e16", []string{"band-aware bound tightening", "bound/tree-lp", "bound/pipeline", "anytime/gap5", "early exit"}},
 	}
 	for _, tc := range cases {
 		tc := tc

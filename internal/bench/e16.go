@@ -2,14 +2,13 @@ package bench
 
 // E16 measures what the staged bound-tightening pipeline buys on
 // BETWEEN-heavy workloads — the band rows (GE/LE pairs over one weight
-// vector) that made the old single-envelope-per-leaf bound uselessly
-// loose:
+// vector) the grouped relaxation is loosest on:
 //
-//   - the "envelope" cells run with BoundMode "envelope" (the legacy
-//     unsegmented per-leaf relaxation) and the "pipeline" cells at the
-//     stage the planner picks for band queries (segmented columns +
-//     Lagrangian tightening rounds); the pipeline must beat the
-//     envelope at every size, reach a ≤5% certified gap at the
+//   - the "tree-lp" cells stop the pipeline at stage 1 (segmented leaf
+//     columns, no tightening) and the "pipeline" cells run the stage
+//     the planner picks for band queries (segmented columns +
+//     Lagrangian tightening rounds); the pipeline must be no looser
+//     than stage 1 at every size, reach a ≤5% certified gap at the
 //     largest full-mode size, and keep the bound pass under 10% of
 //     the solve;
 //   - the "anytime" cells run a disjunctive band query with
@@ -57,8 +56,8 @@ const (
 	e16FullDepth = 2
 )
 
-// RunE16 sweeps the envelope-vs-pipeline and anytime cells. It fails
-// if the pipeline does not beat the envelope everywhere, if the
+// RunE16 sweeps the stage-1-vs-pipeline and anytime cells. It fails
+// if the pipeline is looser than stage 1 anywhere, if the
 // largest full-mode cell misses the ≤5% gap or the <10% bound-share
 // budget, or if no anytime cell exits early — the tightening work's
 // whole claim.
@@ -69,7 +68,7 @@ func RunE16(cfg Config) error {
 		sizes = []int{5000, 20000}
 		full = false
 	}
-	fmt.Fprintln(cfg.Out, "== E16: band-aware bound tightening — envelope vs pipeline ==")
+	fmt.Fprintln(cfg.Out, "== E16: band-aware bound tightening — tree-lp vs pipeline ==")
 	tw := newTable(cfg.Out, "n", "cell", "time", "objective", "bound", "gap", "stage", "rounds", "bound-share", "note")
 	earlyExits := 0
 	for _, n := range sizes {
@@ -93,14 +92,13 @@ func RunE16(cfg Config) error {
 	if earlyExits == 0 {
 		return fmt.Errorf("e16: no anytime cell exited early with a certificate; the tightened bound buys nothing")
 	}
-	fmt.Fprintf(cfg.Out, "(claim check: the staged pipeline beats the legacy envelope bound on every BETWEEN-heavy cell; GapTolerance=5%% exited early on %d of %d cells)\n", earlyExits, len(sizes))
+	fmt.Fprintf(cfg.Out, "(claim check: the staged pipeline is no looser than its stage-1 tree-lp bound on every BETWEEN-heavy cell; GapTolerance=5%% exited early on %d of %d cells)\n", earlyExits, len(sizes))
 	return nil
 }
 
-// runE16Tightening runs the band query twice at one size — legacy
-// envelope bound, then the full pipeline — and enforces the
-// improvement gate (and, when gate is set, the ≤5% gap and <10%
-// bound-share budgets).
+// runE16Tightening runs the band query twice at one size — stage 1
+// alone, then the tightened pipeline — and enforces the no-looser gate
+// (and, when gate is set, the ≤5% gap and <10% bound-share budgets).
 func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n int, full, gate bool) error {
 	db, err := recipesDB(n, cfg.seed())
 	if err != nil {
@@ -133,7 +131,7 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 			100*res.Gap, res.BoundStage, res.BoundRounds, 100*share)
 		return res, elapsed, nil
 	}
-	env, _, err := cell("bound/envelope", sketch.BoundModeEnvelope)
+	stage1, _, err := cell("bound/tree-lp", bound.StageTreeLP)
 	if err != nil {
 		return err
 	}
@@ -144,9 +142,9 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 	if err != nil {
 		return err
 	}
-	if pipe.Gap >= env.Gap {
-		return fmt.Errorf("e16: n=%d: pipeline gap %.2f%% did not beat envelope gap %.2f%%; tightening stages regressed",
-			n, 100*pipe.Gap, 100*env.Gap)
+	if pipe.Gap > stage1.Gap {
+		return fmt.Errorf("e16: n=%d: pipeline gap %.2f%% is looser than the tree-lp gap %.2f%%; tightening stages regressed",
+			n, 100*pipe.Gap, 100*stage1.Gap)
 	}
 	if gate {
 		if pipe.Gap > 0.05 {

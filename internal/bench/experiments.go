@@ -941,10 +941,9 @@ func runE13Point(cfg Config, tw io.Writer, n int, name, query string, writes boo
 			// serial, full rebuild after any write.
 			opts = core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed(),
 				SketchPartitionSize: 64, SketchDepth: 1, SketchParallelism: 1,
-				SketchIncremental: false, SketchIncrementalSet: true,
 				SketchCache: cache, SketchMemo: memo}
 		} else {
-			opts = core.Options{Seed: cfg.seed(),
+			opts = core.Options{Seed: cfg.seed(), SketchIncremental: true,
 				SketchCache: cache, SketchMemo: memo, Catalog: catalog.New(db)}
 		}
 		prep, err := core.Prepare(db, query)

@@ -102,7 +102,8 @@ type Options struct {
 	Strategy Strategy
 	// Planner overrides the cost-based planner Run consults for
 	// strategy and knob defaults (nil = a planner with the stock cost
-	// model). Explicitly-set options always win over its decisions.
+	// model). Explicitly-set options enter its input as forced, so they
+	// always win over its decisions.
 	Planner *plan.Planner
 	// Catalog, when set, feeds the planner per-table statistics (row
 	// counts, write rate, delta fraction). Without one the planner
@@ -122,25 +123,19 @@ type Options struct {
 	MemoryBudget int64
 	// Seed drives the randomized strategies.
 	Seed int64
-	// Restarts and MaxK tune local search.
+	// Restarts tunes local search.
 	Restarts int
-	MaxK     int
 	// Diverse returns a diverse package set (max-min Jaccard greedy)
 	// instead of the top-k by objective (§5 "diverse package results").
 	Diverse bool
 	// OverFetch multiplies the number of packages gathered before
 	// diverse selection (default 4).
 	OverFetch int
-	// SolverNodes caps branch-and-bound nodes (0 = default).
-	SolverNodes int
 	// NoHybridSeed disables warm-starting the solver with a
 	// local-search incumbent (ablation).
 	NoHybridSeed bool
 	// DisablePruning turns off §4.1 bounds in enumeration (ablation).
 	DisablePruning bool
-	// ComputeSpace fills Stats.SpacePruned/SpaceFull (costs a few
-	// binomials; on by default for n ≤ 4096).
-	ComputeSpace bool
 	// SketchPartitionSize bounds SketchRefine partitions (τ; 0 =
 	// default 64).
 	SketchPartitionSize int
@@ -165,20 +160,16 @@ type Options struct {
 	// only the delta is hashed. System and pbserver share one memo
 	// across queries, next to the partition-tree cache.
 	SketchMemo *FingerprintMemo
-	// SketchIncremental enables incremental partition-tree maintenance
+	// SketchIncremental allows incremental partition-tree maintenance
 	// (requires SketchMemo): after writes, the cached tree for the
 	// pre-write data is patched in place via sketch.ApplyDelta —
 	// deletions tombstoned, insertions routed to their leaves,
 	// overgrown leaves split, representatives and envelopes refreshed
 	// bottom-up — instead of rebuilt from scratch, and the persisted
-	// tree is re-saved atomically.
+	// tree is re-saved atomically. True (the System, CLI and server
+	// default) leaves patch-vs-rebuild to the planner; false forces a
+	// rebuild after every write, and the plan records it as forced.
 	SketchIncremental bool
-	// SketchIncrementalSet marks SketchIncremental as explicitly chosen
-	// by the user: the planner's patch-vs-rebuild decision then leaves
-	// it alone and records the value as forced. Callers that default
-	// the knob (packagebuilder, pbserver's server-wide flag) leave this
-	// false so the planner stays in charge.
-	SketchIncrementalSet bool
 	// SketchParallelism caps the workers SketchRefine's offline
 	// partitioning and per-partition solves fan out across: 0 = one per
 	// CPU, 1 = fully serial. Results are identical at every setting.
@@ -324,11 +315,6 @@ func PrepareContext(ctx context.Context, db *minidb.DB, queryText string) (*Prep
 		return nil, err
 	}
 	return PrepareQueryContext(ctx, db, q)
-}
-
-// PrepareQuery is Prepare for an already-parsed query.
-func PrepareQuery(db *minidb.DB, q *paql.Query) (*Prepared, error) {
-	return PrepareQueryContext(context.Background(), db, q)
 }
 
 // PrepareQueryContext is PrepareContext for an already-parsed query.

@@ -214,10 +214,9 @@ func TestIncrementalDisabledRebuilds(t *testing.T) {
 	cache := sketch.NewCache(0)
 	memo := NewFingerprintMemo()
 	opts := incrOptions(cache, memo)
-	// An explicit "off" must survive the planner's patch-vs-rebuild
-	// decision; the Set flag is how the surfaces mark it forced.
+	// "Off" is forced: it must survive the planner's patch-vs-rebuild
+	// decision.
 	opts.SketchIncremental = false
-	opts.SketchIncrementalSet = true
 
 	prep, err := Prepare(db, incrQuery)
 	if err != nil {

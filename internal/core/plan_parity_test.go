@@ -1,0 +1,249 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/fault"
+	"repro/internal/plan"
+	"repro/internal/sketch"
+)
+
+// optionDecision says, for every field of Options, which plan decision
+// setting it forces. The empty string marks what the planner does not
+// decide: the handles an evaluation runs against (Planner, Catalog,
+// SketchCache, SketchMemo, Require, Limit) and the budgets, seeds,
+// ablations and tier settings that pass straight to the runners. A new
+// Options field has to be entered here — and, when it names a decision,
+// in parityCases below — before TestExecutionFollowsPlan passes again.
+var optionDecision = map[string]string{
+	"Strategy":            "strategy",
+	"SketchPartitionSize": "tau",
+	"SketchPartitions":    "tau",
+	"SketchDepth":         "depth",
+	"SketchParallelism":   "parallelism",
+	"SketchIncremental":   "maintenance",
+	"GapTolerance":        "bound",
+
+	"Planner": "", "Catalog": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
+
+	"Timeout": "", "MemoryBudget": "", "Seed": "", "Restarts": "", "Diverse": "", "OverFetch": "",
+	"NoHybridSeed": "", "DisablePruning": "", "SketchNoCache": "", "SketchPersistDir": "",
+}
+
+type parityCase struct {
+	field string
+	set   func(*Options)
+}
+
+// parityCases force one Options field each (none, for the planner's own
+// choices) to a value the planner would not pick over 6,000 candidates
+// (τ 64, depth 2, one worker): 47 partitions is τ = 128 before and after
+// the test's one-row write, so the patched tree's key does not move.
+// SketchIncremental is the one knob whose forcing value is false.
+var parityCases = []parityCase{
+	{"", func(*Options) {}},
+	{"Strategy", func(o *Options) { o.Strategy = SketchRefineStrategy }},
+	{"SketchPartitionSize", func(o *Options) { o.SketchPartitionSize = 40 }},
+	{"SketchPartitions", func(o *Options) { o.SketchPartitions = 47 }},
+	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
+	{"SketchParallelism", func(o *Options) { o.SketchParallelism = 3 }},
+	{"SketchIncremental", func(o *Options) { o.SketchIncremental = false }},
+	{"GapTolerance", func(o *Options) { o.GapTolerance = 0.05 }},
+}
+
+// boundStageOrder ranks the sketch path's bound stages, shallowest first.
+var boundStageOrder = []string{plan.BoundNone, plan.BoundRawLP, plan.BoundTreeLP, plan.BoundTreeLPTighten, plan.BoundDescend1}
+
+// TestExecutionFollowsPlan pins the seam between the options and the
+// strategy runners: whatever the planner chose or the user forced, the
+// values the execution reports are the ones in Stats.Plan, and [forced]
+// marks exactly the decisions the options pinned.
+func TestExecutionFollowsPlan(t *testing.T) {
+	rt := reflect.TypeOf(Options{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		decision, ok := optionDecision[name]
+		if !ok {
+			t.Errorf("Options.%s is not in optionDecision: say which plan decision it forces, or \"\" if the planner does not decide it", name)
+		}
+		if decision != "" && !slices.ContainsFunc(parityCases, func(c parityCase) bool { return c.field == name }) {
+			t.Errorf("Options.%s forces the %q decision but has no parityCases row", name, decision)
+		}
+	}
+	if len(optionDecision) != rt.NumField() {
+		t.Errorf("optionDecision lists %d fields, Options has %d: drop the stale entry", len(optionDecision), rt.NumField())
+	}
+
+	const solverQuery = `
+		SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
+		MAXIMIZE SUM(P.protein)`
+	for _, c := range parityCases {
+		name := c.field
+		if name == "" {
+			name = "planner"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := lcDB(t, 6000)
+			opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
+				SketchMemo: NewFingerprintMemo(), Catalog: catalog.New(db)}
+			c.set(&opts)
+			forced := map[string]bool{}
+			if c.field != "" {
+				forced[optionDecision[c.field]] = true
+			}
+			run := func(shape, query, wantSource string) {
+				t.Helper()
+				prep, err := Prepare(db, query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := prep.Run(opts)
+				if err != nil {
+					t.Fatalf("%s: %v", shape, err)
+				}
+				if len(res.Packages) == 0 {
+					t.Fatalf("%s: no package: %v", shape, res.Stats.Notes)
+				}
+				checkFollowsPlan(t, shape, res, forced, wantSource)
+			}
+			// Under 4,096 candidates the planner answers exactly unless the
+			// strategy is forced; over them it sketches: cold, then warm,
+			// then after a write.
+			run("solver", solverQuery, "")
+			run("sketch-cold", lcQuery, plan.SourceBuild)
+			run("sketch-warm", lcQuery, plan.SourceCache)
+			if _, err := db.Exec("INSERT INTO recipes VALUES (90001, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)"); err != nil {
+				t.Fatal(err)
+			}
+			postWrite := plan.SourcePatch
+			if !opts.SketchIncremental {
+				postWrite = plan.SourceBuild
+			}
+			run("post-write", lcQuery, postWrite)
+		})
+	}
+}
+
+// checkFollowsPlan compares what one evaluation reports having done
+// with the plan it carries.
+func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string]bool, wantSource string) {
+	t.Helper()
+	st, qp := res.Stats, res.Stats.Plan
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Errorf("%s: %s\n%s", shape, fmt.Sprintf(format, args...), qp.Explain())
+	}
+	if st.Strategy.String() != qp.Strategy {
+		fail("ran %s, planned %s", st.Strategy, qp.Strategy)
+	}
+	sketched := qp.Strategy == plan.StrategySketch
+	if wantSource != "" && !sketched {
+		fail("planned %s over %d candidates, want sketch-refine", qp.Strategy, st.Candidates)
+	}
+	var got, want []string
+	for _, d := range qp.Decisions {
+		if d.Forced {
+			got = append(got, d.Name)
+		}
+	}
+	for name := range forced {
+		// Only sketch plans decide maintenance.
+		if name != "maintenance" || sketched {
+			want = append(want, name)
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		fail("forced decisions %v, want %v", got, want)
+	}
+	if !sketched {
+		if st.Partitions != 0 || st.SketchLevels != 0 {
+			fail("sketch stats on a %s run: %d partitions, %d levels", qp.Strategy, st.Partitions, st.SketchLevels)
+		}
+		return
+	}
+	if st.SketchLevels != qp.Depth {
+		fail("descended %d levels, planned depth %d", st.SketchLevels, qp.Depth)
+	}
+	if st.SketchWorkers != qp.Parallelism {
+		fail("%d workers, planned %d", st.SketchWorkers, qp.Parallelism)
+	}
+	// Median splits leave every leaf between τ/2 and τ tuples.
+	if least := (st.Candidates + qp.Tau - 1) / qp.Tau; st.Partitions < least || st.Partitions > 2*least+1 {
+		fail("%d leaf partitions over %d candidates do not fit τ = %d", st.Partitions, st.Candidates, qp.Tau)
+	}
+	if !st.Certified || slices.Index(boundStageOrder, st.BoundStage) > slices.Index(boundStageOrder, qp.Bound) {
+		fail("certified=%v at stage %q, planned %q", st.Certified, st.BoundStage, qp.Bound)
+	}
+	if st.SketchTreePatched && !qp.Incremental {
+		fail("patched a tree under maintenance = %s", qp.Maintenance)
+	}
+	if wantSource == "" {
+		return
+	}
+	source := plan.SourceBuild
+	switch {
+	case st.SketchCacheHit:
+		source = plan.SourceCache
+	case st.SketchTreeLoaded:
+		source = plan.SourceDisk
+	case st.SketchTreePatched:
+		source = plan.SourcePatch
+	}
+	if source != qp.TreeSource || source != wantSource {
+		fail("tree came from %s, planned %s, want %s", source, qp.TreeSource, wantSource)
+	}
+}
+
+// TestSketchLimitKBoundsOnce: the certificate belongs to the first
+// package, so the exclusion-cut re-solves behind LIMIT k run no bound
+// pass — k packages build exactly as many bound relaxations as one —
+// and the packages are the ones the full-pipeline re-solves returned.
+func TestSketchLimitKBoundsOnce(t *testing.T) {
+	db := lcDB(t, 6000)
+	prep, err := Prepare(db, lcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(prep.Instance.Rows); n <= 4096 {
+		t.Fatalf("%d candidates: need > 4096 so the bound takes the tree path", n)
+	}
+	run := func(limit int) (*Result, int64) {
+		t.Helper()
+		// No rules: the injector only counts site visits.
+		inj := fault.NewInjector(1)
+		restore := fault.Enable(inj)
+		defer restore()
+		res, err := prep.Run(Options{Strategy: SketchRefineStrategy, Seed: 1, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, inj.Coverage()["bound.relax"].Visits
+	}
+	one, oneVisits := run(1)
+	five, fiveVisits := run(5)
+	if oneVisits == 0 || fiveVisits != oneVisits {
+		t.Errorf("LIMIT 5 built %d bound relaxations, LIMIT 1 built %d: the re-solves must build none", fiveVisits, oneVisits)
+	}
+	if !five.Stats.Certified || five.Stats.BoundValue != one.Stats.BoundValue || five.Stats.BoundStage != one.Stats.BoundStage {
+		t.Errorf("LIMIT 5 certificate (%v, %v, %s) differs from LIMIT 1's (%v, %v, %s)",
+			five.Stats.Certified, five.Stats.BoundValue, five.Stats.BoundStage,
+			one.Stats.Certified, one.Stats.BoundValue, one.Stats.BoundStage)
+	}
+	// Recorded at the parent commit, where every re-solve ran (and threw
+	// away) a full descend-1 bound pass.
+	golden := [][]int{{2511, 3348, 5112}, {2511, 2800, 3348}, {417, 2511, 3348}, {2511, 3348, 4452}, {1155, 2511, 3348}}
+	var got [][]int
+	for _, p := range five.Packages {
+		got = append(got, p.TupleIDs())
+	}
+	if !reflect.DeepEqual(got, golden) {
+		t.Errorf("LIMIT 5 packages = %v, want %v", got, golden)
+	}
+}

@@ -9,23 +9,26 @@ import (
 	"repro/internal/sketch"
 )
 
-// This file is the bridge between the engine and internal/plan: it
-// snapshots a Prepared query plus its Options into a plan.Input (table
-// statistics from the catalog, atom mix from the query planner, forced
-// knobs from explicit options, cache state from a live probe) and maps
-// the resulting plan back onto the engine's Strategy and sketch knobs.
-// All strategy heuristics formerly in chooseStrategy live in
-// internal/plan now; core only translates.
+// This file is the one resolve step between a query's options and its
+// execution: it snapshots a Prepared query plus its Options into a
+// plan.Input (table statistics from the catalog, atom mix from the query
+// planner, forced knobs from explicit options, cache state from a live
+// probe). The resulting plan.Plan is what the strategy runners execute —
+// decided knobs never travel back into Options.
+
+// planner resolves the cost-based planner an evaluation consults.
+func (o Options) planner() *plan.Planner {
+	if o.Planner != nil {
+		return o.Planner
+	}
+	return plan.NewPlanner()
+}
 
 // Plan runs the cost-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
 // anything. EXPLAIN on every surface bottoms out here.
 func (p *Prepared) Plan(opts Options) *plan.Plan {
-	planner := opts.Planner
-	if planner == nil {
-		planner = plan.NewPlanner()
-	}
-	return planner.Plan(p.planInput(opts))
+	return opts.planner().Plan(p.planInput(opts))
 }
 
 // planInput snapshots everything the execution planner looks at.
@@ -81,11 +84,29 @@ func (p *Prepared) forcedKnobs(opts Options) plan.Forced {
 			NumPartitions:    opts.SketchPartitions,
 		}.EffectiveTau(len(p.Instance.Rows))
 	}
-	if opts.SketchIncrementalSet {
-		inc := opts.SketchIncremental
-		f.Incremental = &inc
+	if !opts.SketchIncremental {
+		f.Incremental = new(bool) // forced off; on leaves the choice to the planner
 	}
 	return f
+}
+
+// sketchTiers resolves the partition-tree cache and fingerprint memo an
+// evaluation uses: the options' own, else the Prepared's defaults, with
+// SketchNoCache suppressing the cache. The cache probe and the sketch
+// runner both resolve through here, so the plan is made against the
+// tiers the execution reads.
+func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
+	cache, memo := opts.SketchCache, opts.SketchMemo
+	if cache == nil {
+		cache = p.SketchCache
+	}
+	if opts.SketchNoCache {
+		cache = nil
+	}
+	if memo == nil {
+		memo = p.SketchMemo
+	}
+	return cache, memo
 }
 
 // cacheProbe builds the planner's cache-state probe: given the (τ,
@@ -95,17 +116,7 @@ func (p *Prepared) forcedKnobs(opts Options) plan.Forced {
 // a memoized fingerprint the probe would cost an O(n) hash, which a
 // plan must never do.
 func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState {
-	cache := opts.SketchCache
-	if cache == nil {
-		cache = p.SketchCache
-	}
-	if opts.SketchNoCache {
-		cache = nil
-	}
-	memo := opts.SketchMemo
-	if memo == nil {
-		memo = p.SketchMemo
-	}
+	cache, memo := p.sketchTiers(opts)
 	if memo == nil || (cache == nil && opts.SketchPersistDir == "") {
 		return nil
 	}
@@ -167,34 +178,4 @@ func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState
 		}
 		return probe(tau, depth)
 	}
-}
-
-// applyPlan maps a plan onto the options: the strategy when the user
-// left it on Auto, and each sketch knob the user did not set
-// explicitly. Forced values pass through untouched — the plan already
-// echoes them.
-func applyPlan(opts *Options, qp *plan.Plan) (Strategy, error) {
-	strat := opts.Strategy
-	if strat == Auto {
-		var err error
-		strat, err = ParseStrategy(qp.Strategy)
-		if err != nil {
-			return Auto, err
-		}
-	}
-	if qp.Strategy == plan.StrategySketch || strat == SketchRefineStrategy {
-		if opts.SketchPartitionSize == 0 && opts.SketchPartitions == 0 && qp.Tau > 0 {
-			opts.SketchPartitionSize = qp.Tau
-		}
-		if opts.SketchDepth == 0 && qp.Depth > 0 {
-			opts.SketchDepth = qp.Depth
-		}
-		if opts.SketchParallelism == 0 && qp.Parallelism > 0 {
-			opts.SketchParallelism = qp.Parallelism
-		}
-		if !opts.SketchIncrementalSet {
-			opts.SketchIncremental = qp.Incremental
-		}
-	}
-	return strat, nil
 }

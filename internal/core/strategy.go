@@ -28,12 +28,10 @@ import (
 // hard cancellation is the backstop for any path that ignores them.
 const timeoutGrace = 250 * time.Millisecond
 
-// Run evaluates the prepared query under the given options. Strategy
-// and sketch-knob defaults come from the cost-based planner
-// (internal/plan); explicitly-set options always win. The thresholds
-// that used to live here as autoThreshold (22) and sketchAutoThreshold
-// (4096) are plan.DefaultCostModel's ExactEnumMax and SketchThreshold
-// now.
+// Run evaluates the prepared query under the given options: the
+// cost-based planner (internal/plan) resolves them into one plan.Plan —
+// explicitly-set options enter as forced and always win — and the
+// strategy runners execute that plan.
 //
 // Run is the legacy surface: it evaluates under context.Background()
 // and keeps the original no-typed-errors contract — a provably
@@ -127,18 +125,16 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		}
 		fetch = limit * over
 	}
-	cost := plan.DefaultCostModel()
-	if opts.Planner != nil {
-		cost = opts.Planner.Cost
-	}
-	if opts.ComputeSpace || len(inst.Rows) <= cost.SketchThreshold {
+	planner := opts.planner()
+	cost := planner.Cost
+	if len(inst.Rows) <= cost.SketchThreshold {
 		pr, full := prune.SpaceSize(len(inst.Rows), inst.Bounds)
 		res.Stats.SpacePruned, res.Stats.SpaceFull = pr, full
 	}
 
 	// Plan first: the trail is reported even when the bounds check below
 	// exits early, so EXPLAIN always has something to show.
-	qplan := p.Plan(opts)
+	qplan := planner.Plan(p.planInput(opts))
 	res.Stats.Plan = qplan
 	res.Stats.MemoryEstimate = qplan.MemoryBytes
 
@@ -151,14 +147,14 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		return res, lifecycle.Infeasible("cardinality bounds are contradictory")
 	}
 
-	strat, err := applyPlan(&opts, qplan)
+	// The plan echoes a forced strategy, so this is the user's choice or
+	// the planner's — either way the one the trail reports.
+	strat, err := ParseStrategy(qplan.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Strategy == Auto {
-		if d := qplan.Decision("strategy"); d != nil {
-			res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
-		}
+	if d := qplan.Decision("strategy"); d != nil && !d.Forced {
+		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
 	}
 	if strat == Solver && !p.Analysis.Linear {
 		res.Stats.Notes = append(res.Stats.Notes,
@@ -210,7 +206,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	case Solver:
 		mults, err = p.runSolver(ctx, res, opts, fetch)
 	case SketchRefineStrategy:
-		mults, err = p.runSketch(ctx, res, opts, fetch)
+		mults, err = p.runSketch(ctx, res, opts, qplan, fetch)
 	default:
 		err = fmt.Errorf("engine: unknown strategy %v", strat)
 	}
@@ -305,7 +301,6 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 		Timeout:  opts.Timeout,
 		Seed:     opts.Seed,
 		Restarts: opts.Restarts,
-		MaxK:     opts.MaxK,
 		Require:  opts.Require,
 	})
 	if err != nil {
@@ -323,15 +318,13 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 	return mults, nil
 }
 
-func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+// runSketch executes a sketch-refine plan: qp carries every decided knob
+// (τ, depth, workers, bound stage, patch-vs-rebuild); opts contributes
+// only what the planner does not decide — seed, budget, pins, gap
+// tolerance and the tree tiers.
+func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, fetch int) ([][]int, error) {
 	start := time.Now()
-	cache := opts.SketchCache
-	if cache == nil {
-		cache = p.SketchCache
-	}
-	if opts.SketchNoCache {
-		cache = nil
-	}
+	cache, memo := p.sketchTiers(opts)
 	if cache == nil && fetch > 1 && p.Instance.MaxMult == 1 {
 		// Evaluation-scoped cache: the exclusion-cut re-solves below
 		// reuse the partition tree instead of re-partitioning per
@@ -339,59 +332,32 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 		// isolation promise holds.
 		cache = sketch.NewCache(2)
 	}
-	// Fingerprint memo: resolve the candidate fingerprint incrementally
-	// (zero hashing on an unchanged table, delta-only after writes) and,
-	// with SketchIncremental, pick up the lineage that lets a stale
-	// cached tree be patched in place instead of rebuilt.
-	memo := opts.SketchMemo
-	if memo == nil {
-		memo = p.SketchMemo
-	}
-	var fpPtr *uint64
-	var patch *sketch.PatchSpec
-	if memo != nil {
-		fp, pspec := memo.Advance(p)
-		fpPtr = &fp
-		if opts.SketchIncremental {
-			patch = pspec
-		}
-	}
-	// Options.Timeout bounds the whole evaluation: the re-solves below
-	// run on whatever budget the earlier solves left over.
-	remaining := func() (time.Duration, bool) {
-		if opts.Timeout <= 0 {
-			return 0, true
-		}
-		left := opts.Timeout - time.Since(start)
-		return left, left > 0
-	}
-	// The planner's bound decision names the pipeline stage to run;
-	// non-sketch values (milp-dual, none) fall through to "" = the
-	// engine's full pipeline.
-	boundMode := ""
-	if res.Stats.Plan != nil {
-		switch res.Stats.Plan.Bound {
-		case plan.BoundRawLP, plan.BoundTreeLP, plan.BoundTreeLPTighten, plan.BoundDescend1:
-			boundMode = res.Stats.Plan.Bound
-		}
-	}
-	sres, err := sketch.Solve(p.Instance, sketch.Options{
+	base := sketch.Options{
 		Ctx:              ctx,
-		MaxPartitionSize: opts.SketchPartitionSize,
-		NumPartitions:    opts.SketchPartitions,
-		Depth:            opts.SketchDepth,
+		MaxPartitionSize: qp.Tau,
+		Depth:            qp.Depth,
+		Parallelism:      qp.Parallelism,
+		BoundMode:        qp.Bound,
 		Seed:             opts.Seed,
 		Timeout:          opts.Timeout,
-		SolverNodes:      opts.SolverNodes,
 		Cache:            cache,
-		Require:          opts.Require,
-		Parallelism:      opts.SketchParallelism,
 		PersistDir:       opts.SketchPersistDir,
-		Fingerprint:      fpPtr,
-		Patch:            patch,
+		Require:          opts.Require,
 		GapTolerance:     opts.GapTolerance,
-		BoundMode:        boundMode,
-	})
+	}
+	// Fingerprint memo: resolve the candidate fingerprint incrementally
+	// (zero hashing on an unchanged table, delta-only after writes) and,
+	// when the plan maintains trees incrementally, pick up the lineage
+	// that lets a stale cached tree be patched in place instead of
+	// rebuilt.
+	if memo != nil {
+		fp, patch := memo.Advance(p)
+		base.Fingerprint = &fp
+		if qp.Incremental {
+			base.Patch = patch
+		}
+	}
+	sres, err := sketch.Solve(p.Instance, base)
 	if err != nil {
 		return nil, err
 	}
@@ -440,107 +406,94 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, fet
 			"sketch-refine found no feasible package (the query may still be feasible; try -strategy solver)")
 		return nil, nil
 	}
-	mults := [][]int{sres.Mult}
-	if fetch > 1 {
-		// One sketch solve yields one deterministic package. Additional
-		// distinct packages (top-k, diverse sets, adaptive exploration's
-		// Replace) come from re-solving with exclusion cuts in sketch
-		// space — the cached partition tree is reused, so each extra
-		// package costs one sketch+refine pass, no re-partitioning.
-		if p.Instance.MaxMult == 1 {
-			exclude := [][]int{sres.Mult}
-			for len(mults) < fetch {
-				left, ok := remaining()
-				if !ok {
-					res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
-					break
-				}
-				alt, err := sketch.Solve(p.Instance, sketch.Options{
-					Ctx:              ctx,
-					MaxPartitionSize: opts.SketchPartitionSize,
-					NumPartitions:    opts.SketchPartitions,
-					Depth:            opts.SketchDepth,
-					Seed:             opts.Seed,
-					Timeout:          left,
-					SolverNodes:      opts.SolverNodes,
-					Cache:            cache,
-					Require:          opts.Require,
-					Exclude:          exclude,
-					Parallelism:      opts.SketchParallelism,
-					PersistDir:       opts.SketchPersistDir,
-					Fingerprint:      fpPtr,
-					Patch:            patch,
-				})
-				if err != nil {
-					res.Stats.Notes = append(res.Stats.Notes,
-						fmt.Sprintf("sketch-refine: exclusion-cut solve failed: %v", err))
-					break
-				}
-				if !alt.Feasible {
-					break // no further distinct package reachable
-				}
-				res.Stats.Nodes += alt.Nodes
-				res.Stats.LPIters += alt.LPIters
-				mults = append(mults, alt.Mult)
-				exclude = append(exclude, alt.Mult)
-			}
-			res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
-				"sketch-refine: %d of %d requested packages via exclusion cuts in sketch space",
-				len(mults), fetch))
-		} else {
-			// REPEAT queries: exclusion cuts need 0/1 multiplicities, so
-			// perturb the partition size and seed instead — moving τ
-			// moves every partition boundary, so the sketch lands
-			// elsewhere.
-			baseTau := sketch.Options{
-				MaxPartitionSize: opts.SketchPartitionSize,
-				NumPartitions:    opts.SketchPartitions,
-			}.EffectiveTau(len(p.Instance.Rows))
-			seen := map[string]bool{MultKey(sres.Mult): true}
-			for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch); attempt++ {
-				left, ok := remaining()
-				if !ok {
-					res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
-					break
-				}
-				// No cache and no persistence: each perturbed (τ, seed)
-				// pair is near single-use — it would evict hot trees
-				// from the shared LRU and litter the store with files
-				// no later run asks for.
-				alt, err := sketch.Solve(p.Instance, sketch.Options{
-					Ctx:              ctx,
-					MaxPartitionSize: baseTau + int(attempt),
-					Depth:            opts.SketchDepth,
-					Seed:             opts.Seed + attempt,
-					Timeout:          left,
-					SolverNodes:      opts.SolverNodes,
-					Require:          opts.Require,
-					Parallelism:      opts.SketchParallelism,
-				})
-				if err != nil {
-					// Deterministic errors would repeat across attempts;
-					// stop instead of re-partitioning 2*fetch times.
-					res.Stats.Notes = append(res.Stats.Notes,
-						fmt.Sprintf("sketch-refine: perturbed solve failed: %v", err))
-					break
-				}
-				if !alt.Feasible {
-					continue
-				}
-				res.Stats.Nodes += alt.Nodes
-				res.Stats.LPIters += alt.LPIters
-				if k := MultKey(alt.Mult); !seen[k] {
-					seen[k] = true
-					mults = append(mults, alt.Mult)
-				}
-			}
-			res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
-				"sketch-refine: %d of %d requested packages via partition perturbation (REPEAT blocks exclusion cuts)",
-				len(mults), fetch))
-		}
-		sortMultsByObjective(p.Instance, mults)
+	if fetch == 1 {
+		return [][]int{sres.Mult}, nil
 	}
-	return mults, nil
+	return p.moreSketchPackages(res, base, start, sres.Mult, fetch), nil
+}
+
+// moreSketchPackages gathers up to fetch distinct packages, best first,
+// starting from the one the base solve found at start. One sketch solve
+// yields one deterministic package; additional ones (top-k, diverse
+// sets, adaptive exploration's Replace) come from re-solving copies of
+// the base options. The certificate belongs to the first package, so
+// the re-solves run no bound pass.
+func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start time.Time, first []int, fetch int) [][]int {
+	mults := [][]int{first}
+	extra := base
+	extra.BoundMode = plan.BoundNone
+	// Options.Timeout bounds the whole evaluation: outOfTime hands the
+	// next re-solve whatever budget the earlier solves left over, and
+	// says so when that is nothing.
+	outOfTime := func() bool {
+		if base.Timeout <= 0 {
+			return false
+		}
+		if extra.Timeout = base.Timeout - time.Since(start); extra.Timeout > 0 {
+			return false
+		}
+		res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
+		return true
+	}
+	if p.Instance.MaxMult == 1 {
+		// Exclusion cuts in sketch space: the cached partition tree is
+		// reused, so each extra package costs one sketch+refine pass, no
+		// re-partitioning.
+		extra.Exclude = [][]int{first}
+		for len(mults) < fetch && !outOfTime() {
+			alt, err := sketch.Solve(p.Instance, extra)
+			if err != nil {
+				res.Stats.Notes = append(res.Stats.Notes,
+					fmt.Sprintf("sketch-refine: exclusion-cut solve failed: %v", err))
+				break
+			}
+			if !alt.Feasible {
+				break // no further distinct package reachable
+			}
+			res.Stats.Nodes += alt.Nodes
+			res.Stats.LPIters += alt.LPIters
+			mults = append(mults, alt.Mult)
+			extra.Exclude = append(extra.Exclude, alt.Mult)
+		}
+		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
+			"sketch-refine: %d of %d requested packages via exclusion cuts in sketch space",
+			len(mults), fetch))
+	} else {
+		// REPEAT queries: exclusion cuts need 0/1 multiplicities, so
+		// perturb the partition size and seed instead — moving τ moves
+		// every partition boundary, so the sketch lands elsewhere. No
+		// cache and no persistence: each perturbed (τ, seed) pair is near
+		// single-use — it would evict hot trees from the shared LRU and
+		// litter the store with files no later run asks for.
+		extra.Cache, extra.PersistDir = nil, ""
+		seen := map[string]bool{MultKey(first): true}
+		for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch) && !outOfTime(); attempt++ {
+			extra.MaxPartitionSize = base.MaxPartitionSize + int(attempt)
+			extra.Seed = base.Seed + attempt
+			alt, err := sketch.Solve(p.Instance, extra)
+			if err != nil {
+				// Deterministic errors would repeat across attempts;
+				// stop instead of re-partitioning 2*fetch times.
+				res.Stats.Notes = append(res.Stats.Notes,
+					fmt.Sprintf("sketch-refine: perturbed solve failed: %v", err))
+				break
+			}
+			if !alt.Feasible {
+				continue
+			}
+			res.Stats.Nodes += alt.Nodes
+			res.Stats.LPIters += alt.LPIters
+			if k := MultKey(alt.Mult); !seen[k] {
+				seen[k] = true
+				mults = append(mults, alt.Mult)
+			}
+		}
+		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
+			"sketch-refine: %d of %d requested packages via partition perturbation (REPEAT blocks exclusion cuts)",
+			len(mults), fetch))
+	}
+	sortMultsByObjective(p.Instance, mults)
+	return mults
 }
 
 // MultKey renders a multiplicity vector as an exact dedup key (no
@@ -614,7 +567,7 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 			return nil, err
 		}
 	}
-	mopts := milp.Options{MaxNodes: opts.SolverNodes, TimeLimit: opts.Timeout, Ctx: ctx}
+	mopts := milp.Options{TimeLimit: opts.Timeout, Ctx: ctx}
 	// Hybrid warm start: hand the solver a local-search incumbent so
 	// bound pruning bites immediately. Only valid when the model has no
 	// indicator variables (their values are not part of a package).

@@ -100,12 +100,8 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		return lp.Inf
 	}
 	stage, rounds, budget := boundStagePlan(opts)
-	if stage != bound.StageTreeLP || opts.BoundMode == bound.StageTreeLP {
-		// Segmented columns are stage-1 tightening: applied for every
-		// tree-path mode except the legacy single-envelope comparison
-		// baseline (BoundMode "envelope", used by benchmarks).
-		groups = bound.SplitGroups(groups, inst.ObjW, sense, maxBoundVars, tupleLo, tupleHi)
-	}
+	// Segmented columns are stage-1 tightening, applied on every tree path.
+	groups = bound.SplitGroups(groups, inst.ObjW, sense, maxBoundVars, tupleLo, tupleHi)
 	return bound.RunPipeline(groups, bound.PipelineOptions{
 		Ctx:           opts.Ctx,
 		Atoms:         atoms,
@@ -123,17 +119,12 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 	}), nil
 }
 
-// BoundModeEnvelope is the legacy pre-pipeline bound for comparison
-// runs: one unsegmented coefficient-range envelope per leaf, no
-// tightening. Benchmarks use it to measure what the pipeline buys.
-const BoundModeEnvelope = "envelope"
-
 // boundStagePlan maps Options.BoundMode (the planner's bound decision)
 // onto the pipeline knobs: the deepest stage allowed, the Lagrangian
 // round budget, and the descent variable budget.
 func boundStagePlan(opts Options) (stage string, rounds, budget int) {
 	switch opts.BoundMode {
-	case BoundModeEnvelope, bound.StageTreeLP, bound.StageRawLP:
+	case bound.StageTreeLP, bound.StageRawLP:
 		return bound.StageTreeLP, 0, 0
 	case bound.StageTightened:
 		return bound.StageTightened, bound.DefaultTightenRounds, 0

@@ -3,13 +3,14 @@ package sketch_test
 // Certified-bound tests for the tree-path pipeline: the exclusion-cut
 // soundness regression (cuts relaxed over leaf segments must never
 // inflate the bound past the true cut optimum) and the band-tightening
-// check (the staged pipeline must beat the legacy per-leaf envelope on
-// BETWEEN-heavy queries, which is the whole point of the stages).
+// check (the staged pipeline must be no looser than its stage-1 tree-lp
+// bound on BETWEEN-heavy queries, which is the whole point of the stages).
 
 import (
 	"sort"
 	"testing"
 
+	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/minidb"
@@ -78,10 +79,10 @@ func TestExclusionCutTreeBoundSound(t *testing.T) {
 }
 
 // TestBetweenBoundTightenedVsEnvelope: on a BETWEEN-heavy query above
-// the raw cap, the staged pipeline (segments + Lagrangian rounds) must
-// produce a certified gap no worse than the legacy single-envelope
-// bound, report the stage and rounds it ran, and stay sound against its
-// own incumbent.
+// the raw cap, the full pipeline (segments + Lagrangian rounds) must
+// produce a certified gap no worse than its own stage 1 (the segmented
+// tree-lp envelope, no tightening), report the stage and rounds it ran,
+// and stay sound against its own incumbent.
 func TestBetweenBoundTightenedVsEnvelope(t *testing.T) {
 	const q = `
 		SELECT PACKAGE(R) AS P
@@ -95,7 +96,7 @@ func TestBetweenBoundTightenedVsEnvelope(t *testing.T) {
 	if len(inst.Rows) <= 4096 {
 		t.Fatalf("%d candidates: need > 4096 so the bound takes the tree path", len(inst.Rows))
 	}
-	env, err := sketch.Solve(inst, sketch.Options{Seed: 1, BoundMode: sketch.BoundModeEnvelope})
+	env, err := sketch.Solve(inst, sketch.Options{Seed: 1, BoundMode: bound.StageTreeLP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestBetweenBoundTightenedVsEnvelope(t *testing.T) {
 	}
 	// Maximize: the dual bound is an upper bound, so tighter = smaller.
 	if tight.Bound > env.Bound+1e-9*(1+env.Bound) {
-		t.Fatalf("pipeline bound %.6f looser than envelope bound %.6f", tight.Bound, env.Bound)
+		t.Fatalf("pipeline bound %.6f looser than tree-lp bound %.6f", tight.Bound, env.Bound)
 	}
 	if tight.Bound < tight.Objective-1e-6*(1+tight.Objective) {
 		t.Fatalf("UNSOUND: bound %.6f below found objective %.6f", tight.Bound, tight.Objective)
@@ -125,9 +126,9 @@ func TestBetweenBoundTightenedVsEnvelope(t *testing.T) {
 	if tight.BoundRounds == 0 {
 		t.Fatalf("no Lagrangian rounds ran (stage %q)", tight.BoundStage)
 	}
-	t.Logf("envelope gap %.4f, pipeline gap %.4f (stage %s, %d rounds)", env.Gap, tight.Gap, tight.BoundStage, tight.BoundRounds)
-	// The gate the legacy envelope fails: on this BETWEEN-heavy instance
-	// its certified gap is tens of percent, the pipeline's must be ≤ 10%.
+	t.Logf("tree-lp gap %.4f, pipeline gap %.4f (stage %s, %d rounds)", env.Gap, tight.Gap, tight.BoundStage, tight.BoundRounds)
+	// On this BETWEEN-heavy instance the pipeline's certified gap must
+	// be ≤ 10%.
 	if tight.Gap > 0.10 {
 		t.Fatalf("pipeline certified gap %.2f%% still above 10%%", 100*tight.Gap)
 	}

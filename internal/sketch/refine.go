@@ -211,7 +211,7 @@ func residualSolve(inst *search.Instance, members []int, bound func(id int) (lo,
 	for j := 0; j < m; j++ {
 		mp.SetInteger(j)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: opts.nodes(), TimeLimit: timeShare(deadline, 4), Ctx: opts.Ctx})
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(deadline, 4), Ctx: opts.Ctx})
 	res.Nodes += int64(sol.Nodes)
 	res.LPIters += sol.LPIters
 	if sol.X == nil || (sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {

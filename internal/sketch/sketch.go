@@ -72,6 +72,7 @@ import (
 	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/paql"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/translate"
@@ -109,8 +110,6 @@ type Options struct {
 	// Timeout bounds the whole evaluation; refine falls back to greedy
 	// repair once it expires.
 	Timeout time.Duration
-	// SolverNodes caps branch-and-bound nodes per sub-MILP (0 = default).
-	SolverNodes int
 	// Cache, when non-nil, caches partition trees across evaluations,
 	// keyed by a fingerprint of the candidate rows plus the
 	// partitioning knobs; a hit skips the offline partitioning step
@@ -170,9 +169,10 @@ type Options struct {
 	// runs on branches above the raw-candidate cap: bound.StageTreeLP
 	// (segmented leaf columns, no tightening), bound.StageTightened
 	// (adds the Lagrangian rounds), bound.StageDescend (adds the
-	// adaptive one-level descent), or BoundModeEnvelope (the legacy
-	// unsegmented per-leaf envelope, kept for comparison runs). Empty
-	// runs the full pipeline. The planner's bound decision feeds this.
+	// adaptive one-level descent), or plan.BoundNone (no bound pass at
+	// all: Certified stays false and BoundTime zero — what re-solves
+	// whose certificate nobody reads ask for). Empty runs the full
+	// pipeline. The planner's bound decision feeds this.
 	BoundMode string
 	// forceRebuild bypasses the cache, store, and patch lookups and
 	// builds fresh, overwriting both tiers. Set internally by Solve's
@@ -182,12 +182,9 @@ type Options struct {
 	forceRebuild bool
 }
 
-func (o Options) nodes() int {
-	if o.SolverNodes > 0 {
-		return o.SolverNodes
-	}
-	return 50000
-}
+// subMILPNodes caps branch-and-bound nodes per descent and refine
+// sub-MILP.
+const subMILPNodes = 50000
 
 // stopped is the non-blocking poll behind every cooperative
 // cancellation checkpoint in the package.
@@ -375,7 +372,7 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 	// merged is the certified dual bound over every DNF branch (the
 	// union's optimum cannot beat the best branch relaxation); it backs
 	// both the reported interval and the anytime early exit.
-	wantBound := inst.Analysis.Query.Objective != nil && inst.ObjW != nil
+	wantBound := inst.Analysis.Query.Objective != nil && inst.ObjW != nil && opts.BoundMode != plan.BoundNone
 	var merged bound.Outcome
 	// recordBound folds a pass's per-branch pipeline results into the
 	// union bound and the Result's stage/round stats (stage keeps the
@@ -1074,7 +1071,7 @@ func rootSolve(inst *search.Instance, nodes []Node, atoms []*translate.LinearAto
 	for g := 0; g < G; g++ {
 		mp.SetInteger(g)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: opts.nodes(), TimeLimit: timeShare(deadline, 2), Ctx: opts.Ctx})
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(deadline, 2), Ctx: opts.Ctx})
 	res.Nodes += int64(sol.Nodes)
 	res.LPIters += sol.LPIters
 	switch sol.Status {

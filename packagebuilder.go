@@ -45,11 +45,12 @@
 // results are identical at any worker count), and
 // WithSketchPersistDir(dir) adds an on-disk tier under the LRU so a new
 // process skips the offline step as well. Both tiers are maintained
-// incrementally (WithSketchIncremental, on by default): a shared
-// fingerprint memo makes warm evaluations over unchanged tables hash
-// zero candidate rows, and after INSERTs or DELETEs the stale tree is
+// incrementally: a shared fingerprint memo makes warm evaluations over
+// unchanged tables hash zero candidate rows, and after INSERTs or
+// DELETEs the planner decides per query whether the stale tree is
 // patched in place — the write batch routed or tombstoned through the
-// existing structure — instead of rebuilt from scratch.
+// existing structure — or rebuilt from scratch
+// (WithSketchIncremental(false) forces the rebuild).
 //
 // SketchRefine covers the full PaQL atom grammar, not just conjunctive
 // SUM/COUNT comparisons: AVG atoms are linearized as SUM − c·COUNT with
@@ -310,19 +311,16 @@ func WithSketchPersistDir(dir string) Option {
 	return func(o *core.Options) { o.SketchPersistDir = dir }
 }
 
-// WithSketchIncremental enables or disables incremental partition-tree
-// maintenance (enabled by default): after INSERTs or DELETEs, the
-// cached tree for the pre-write data is patched in place — deletions
-// tombstoned, insertions routed to their leaves, overgrown leaves
-// split locally — instead of rebuilt from scratch, and warm
+// WithSketchIncremental allows or forbids incremental partition-tree
+// maintenance. Allowed (the default), the planner decides per query
+// whether, after INSERTs or DELETEs, the cached tree for the pre-write
+// data is patched in place — deletions tombstoned, insertions routed to
+// their leaves, overgrown leaves split locally — or rebuilt from
+// scratch. WithSketchIncremental(false) forces the rebuild; EXPLAIN
+// then marks the maintenance decision forced. Either way warm
 // evaluations hash only the written rows rather than every candidate.
 func WithSketchIncremental(enabled bool) Option {
-	return func(o *core.Options) {
-		o.SketchIncremental = enabled
-		// An explicit caller choice is "forced": the planner's
-		// patch-vs-rebuild decision must not override it.
-		o.SketchIncrementalSet = true
-	}
+	return func(o *core.Options) { o.SketchIncremental = enabled }
 }
 
 // Planner is the cost-based query planner: it binds a query against the
@@ -348,8 +346,8 @@ func WithPlanner(pl *Planner) Option {
 }
 
 func (s *System) buildOptions(opts []Option) core.Options {
-	// Incremental maintenance is on by default at the System surface;
-	// WithSketchIncremental(false) opts out per query.
+	// Patch-vs-rebuild is the planner's call by default at the System
+	// surface; WithSketchIncremental(false) forces rebuilds per query.
 	o := core.Options{SketchIncremental: true}
 	for _, fn := range opts {
 		fn(&o)
