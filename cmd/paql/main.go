@@ -92,12 +92,11 @@ func main() {
 	query := flag.String("q", "", "PaQL query text")
 	file := flag.String("f", "", "file containing the PaQL query")
 	var cli cliOpts
-	flag.StringVar(&cli.strategy, "strategy", "auto", "auto | solver | sketch-refine | pruned-enum | local-search | brute-force")
+	flag.StringVar(&cli.strategy, "strategy", "auto", "auto | solver | sketch-refine | pruned-enum | local-search")
 	flag.IntVar(&cli.limit, "limit", 0, "number of packages (overrides query LIMIT)")
 	flag.BoolVar(&cli.diverse, "diverse", false, "return diverse packages instead of top-k")
 	flag.Int64Var(&cli.seed, "seed", 1, "randomized strategy seed")
 	flag.IntVar(&cli.sketchSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
-	flag.IntVar(&cli.sketchParts, "sketch-partitions", 0, "sketch-refine partition count target (0 = off)")
 	flag.IntVar(&cli.sketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
 	flag.BoolVar(&cli.sketchCache, "sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
 	flag.IntVar(&cli.sketchPar, "sketch-par", 0, "sketch-refine worker count (0 = one per CPU, 1 = serial)")
@@ -178,7 +177,6 @@ type cliOpts struct {
 	diverse     bool
 	seed        int64
 	sketchSize  int
-	sketchParts int
 	sketchDepth int
 	sketchCache bool
 	sketchPar   int
@@ -283,11 +281,10 @@ func buildOpts(cli cliOpts) ([]pb.Option, error) {
 	// Every option reads its zero value as "unset", so the flags pass
 	// through as they are.
 	opts := []pb.Option{pb.WithStrategy(st), pb.WithSeed(cli.seed), pb.WithLimit(cli.limit),
-		pb.WithSketchPartitionSize(cli.sketchSize), pb.WithSketchPartitions(cli.sketchParts),
-		pb.WithSketchDepth(cli.sketchDepth), pb.WithSketchParallelism(cli.sketchPar),
-		pb.WithSketchPersistDir(cli.sketchDir), pb.WithSketchCache(cli.sketchCache),
-		pb.WithSketchIncremental(cli.sketchIncr), pb.WithTimeout(cli.timeout),
-		pb.WithMemoryBudget(cli.memBudget), pb.WithGapTolerance(cli.maxGap)}
+		pb.WithSketchPartitionSize(cli.sketchSize), pb.WithSketchDepth(cli.sketchDepth),
+		pb.WithSketchParallelism(cli.sketchPar), pb.WithSketchPersistDir(cli.sketchDir),
+		pb.WithSketchCache(cli.sketchCache), pb.WithSketchIncremental(cli.sketchIncr),
+		pb.WithTimeout(cli.timeout), pb.WithMemoryBudget(cli.memBudget), pb.WithGapTolerance(cli.maxGap)}
 	if cli.diverse {
 		opts = append(opts, pb.WithDiverse())
 	}

@@ -292,6 +292,16 @@ type pkgJSON struct {
 	Pinned    []int             `json:"pinned"`
 }
 
+// pinnedRowIDs reports the session's pins as base-table row ids — what
+// the page and the pin API key on — rather than candidate indexes.
+func pinnedRowIDs(ses *explore.Session) []int {
+	ids, out := ses.Prepared().Instance.IDs, ses.Pinned()
+	for k, i := range out {
+		out[k] = ids[i]
+	}
+	return out
+}
+
 func (s *server) packageJSON(ses *explore.Session, p *core.Package, stats *core.Stats) *pkgJSON {
 	tab, _ := s.db.Table(ses.Query().Table)
 	out := &pkgJSON{Aggs: map[string]string{}, Stats: map[string]any{}}
@@ -310,7 +320,7 @@ func (s *server) packageJSON(ses *explore.Session, p *core.Package, stats *core.
 		out.Aggs[k] = v.String()
 	}
 	out.Objective = p.Objective
-	out.Pinned = ses.Pinned()
+	out.Pinned = pinnedRowIDs(ses)
 	if stats != nil {
 		out.Stats["strategy"] = stats.Strategy.String()
 		out.Stats["exact"] = stats.Exact
@@ -496,7 +506,7 @@ func (s *server) handlePin(w http.ResponseWriter, r *http.Request) {
 		s.httpErr(w, r, err)
 		return
 	}
-	writeJSON(w, map[string]any{"pinned": s.ses.Pinned()})
+	writeJSON(w, map[string]any{"pinned": pinnedRowIDs(s.ses)})
 }
 
 func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
@@ -678,7 +688,7 @@ suggest for column: <input id="scol" size="10" value="fat">
  <h3>Package space</h3><div id="space"></div>
 </div></div>
 <script>
-let pinned = new Set();
+let pinned = new Set(), shown = null;
 async function post(url, body) {
   const r = await fetch(url, {method:'POST', body: JSON.stringify(body||{})});
   const j = await r.json();
@@ -686,11 +696,12 @@ async function post(url, body) {
   return j;
 }
 function render(p) {
+  shown = p;
   pinned = new Set(p.pinned || []);
   let h = '<table><tr>' + p.columns.map(c=>'<th>'+c+'</th>').join('') + '</tr>';
   p.rows.forEach((row, i) => {
     const id = p.rowIds[i];
-    const cls = pinned.size && row && isPinnedId(id, p) ? ' class="pinned"' : '';
+    const cls = pinned.has(id) ? ' class="pinned"' : '';
     h += '<tr'+cls+' onclick="togglePin('+id+')">' + row.map(c=>'<td>'+c+'</td>').join('') + '</tr>';
   });
   h += '</table>';
@@ -726,7 +737,6 @@ function render(p) {
     Object.entries(p.aggregates).map(([k,v])=>k.padEnd(36)+v).join('\n') +
     '\nobjective: ' + p.objective + stats;
 }
-function isPinnedId(id, p) { return false; /* pin state shown after refresh */ }
 async function run() { render(await post('/api/query', {query: document.getElementById('q').value})); }
 async function explainPlan() {
   const j = await post('/api/query', {query: document.getElementById('q').value, explain: true});
@@ -734,9 +744,9 @@ async function explainPlan() {
 }
 async function replacePkg() { render(await post('/api/replace')); }
 async function togglePin(id) {
-  const un = pinned.has(id);
-  await post('/api/pin', {rowId: id, unpin: un});
-  if (un) pinned.delete(id); else pinned.add(id);
+  const j = await post('/api/pin', {rowId: id, unpin: pinned.has(id)});
+  shown.pinned = j.pinned;
+  render(shown);
 }
 async function suggest() {
   const col = document.getElementById('scol').value;

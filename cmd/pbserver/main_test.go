@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,47 @@ func TestHandlePinSuggestSummary(t *testing.T) {
 	s.handleSummary(rec5, req)
 	if rec5.Code != 200 || !strings.Contains(rec5.Body.String(), "points") {
 		t.Errorf("summary: %d %s", rec5.Code, rec5.Body)
+	}
+}
+
+// TestPinnedAreRowIDs: the page keys everything on base-table row ids,
+// so every handler that reports pins must report row ids. Under a WHERE
+// the candidate indexes differ from them.
+func TestPinnedAreRowIDs(t *testing.T) {
+	s := testServer(t)
+	rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`}`)
+	if rec.Code != 200 {
+		t.Fatalf("query: %s", rec.Body)
+	}
+	ints := func(raw json.RawMessage) []int {
+		var v []int
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		return v
+	}
+	// Pin the package row whose candidate index differs most from its
+	// row id: the last one.
+	rowIDs := ints(out["rowIds"])
+	id := rowIDs[len(rowIDs)-1]
+	ses, _ := s.session()
+	if idx := slices.Index(ses.Prepared().Instance.IDs, id); idx == id {
+		t.Fatalf("row %d is candidate %d: the WHERE filtered nothing before it", id, idx)
+	}
+	rec, out = postJSON(t, s.handlePin, `{"rowId": `+itoa(id)+`}`)
+	if got := ints(out["pinned"]); rec.Code != 200 || !slices.Equal(got, []int{id}) {
+		t.Fatalf("pin row %d: status %d, pinned = %v", id, rec.Code, got)
+	}
+	rec, out = postJSON(t, s.handleReplace, `{}`)
+	if got := ints(out["pinned"]); rec.Code != 200 || !slices.Equal(got, []int{id}) {
+		t.Fatalf("replace: status %d, pinned = %v, want [%d]", rec.Code, got, id)
+	}
+	if got := ints(out["rowIds"]); !slices.Contains(got, id) {
+		t.Errorf("replacement package %v lost pinned row %d", got, id)
+	}
+	rec, out = postJSON(t, s.handlePin, `{"rowId": `+itoa(id)+`, "unpin": true}`)
+	if got := ints(out["pinned"]); rec.Code != 200 || len(got) != 0 {
+		t.Fatalf("unpin row %d: status %d, pinned = %v", id, rec.Code, got)
 	}
 }
 

@@ -6,50 +6,63 @@ import (
 	"testing"
 )
 
-// Each experiment must run in quick mode and emit its table header —
-// this is the integration test that keeps cmd/pbench honest.
+// quickWant lists, per experiment id, strings its quick-mode output must
+// contain: the table header and the cells that carry its claim.
+var quickWant = map[string][]string{
+	"f1":  {"Package template", "Suggestions", "Package-space summary", "MINIMIZE SUM(P.fat)"},
+	"e1":  {"pruned-space", "lossless", "true"},
+	"e2":  {"strategy", "brute-force", "solver", "local-search", "skipped: intractable"},
+	"e3":  {"join-width", "2-way", "4-way", "neighbourhood"},
+	"e4":  {"package#", "cumulative", "distinct"},
+	"e5":  {"restarts", "ratio", "solver (exact)"},
+	"e6":  {"REPEAT", "max-mult", "feasible"},
+	"e7":  {"selection", "min-distance", "diverse"},
+	"e10": {"parallel", "speedup-vs-serial", "disk-warm cold start", "loaded"},
+	"e14": {"query lifecycle under load", "clients", "shed", "p99", "1/0", "sheds instead of queueing"},
+	"e16": {"band-aware bound tightening", "bound/tree-lp", "bound/pipeline", "anytime/gap5", "early exit"},
+}
+
+// Every experiment in the table must run in quick mode and emit its
+// claim cells — this is the integration test that keeps cmd/pbench
+// honest. A new table row fails here until quickWant names its strings.
 func TestExperimentsQuick(t *testing.T) {
-	cases := []struct {
-		id   string
-		want []string
-	}{
-		{"f1", []string{"Package template", "Suggestions", "Package-space summary", "MINIMIZE SUM(P.fat)"}},
-		{"e1", []string{"pruned-space", "lossless", "true"}},
-		{"e2", []string{"strategy", "solver", "local-search", "skipped: intractable"}},
-		{"e3", []string{"join-width", "2-way", "4-way", "neighbourhood"}},
-		{"e4", []string{"package#", "cumulative", "distinct"}},
-		{"e5", []string{"restarts", "ratio", "solver (exact)"}},
-		{"e6", []string{"REPEAT", "max-mult", "feasible"}},
-		{"e7", []string{"selection", "min-distance", "diverse"}},
-		{"e9", []string{"hierarchical", "top-vars", "warm cache", "true"}},
-		{"e10", []string{"parallel", "speedup-vs-serial", "disk-warm cold start", "loaded"}},
-		{"e12", []string{"incremental tree maintenance", "rebuild", "patch", "speedup"}},
-		{"e13", []string{"cost-based planner", "hand-set", "planner", "speedup-vs-hand-set"}},
-		{"e14", []string{"query lifecycle under load", "clients", "shed", "p99", "sheds instead of queueing"}},
-		{"e16", []string{"band-aware bound tightening", "bound/tree-lp", "bound/pipeline", "anytime/gap5", "early exit"}},
+	if len(quickWant) != len(experiments) {
+		t.Errorf("quickWant lists %d ids, the table has %d", len(quickWant), len(experiments))
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.id, func(t *testing.T) {
+	for _, e := range experiments {
+		want := quickWant[e.id]
+		t.Run(e.id, func(t *testing.T) {
 			t.Parallel()
+			if len(want) == 0 {
+				t.Fatalf("no quickWant strings for %s", e.id)
+			}
 			var sb strings.Builder
-			if err := Run(tc.id, Config{Out: &sb, Quick: true, Seed: 42}); err != nil {
-				t.Fatalf("%s: %v", tc.id, err)
+			if err := Run(e.id, Config{Out: &sb, Quick: true, Seed: 42}); err != nil {
+				t.Fatalf("%s: %v", e.id, err)
 			}
 			out := sb.String()
-			for _, w := range tc.want {
+			for _, w := range want {
 				if !strings.Contains(out, w) {
-					t.Errorf("%s output missing %q:\n%s", tc.id, w, out)
+					t.Errorf("%s output missing %q:\n%s", e.id, w, out)
 				}
 			}
 		})
 	}
 }
 
+// The unknown-id error lists exactly the table's ids.
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := Run("e99", Config{Out: &sb}); err == nil {
-		t.Error("unknown experiment should fail")
+	err := Run("e99", Config{Out: &sb})
+	if err == nil {
+		t.Fatal("unknown experiment should fail")
+	}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	if want := "(" + strings.Join(ids, ", ") + ", all)"; !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("error %q does not end in %q", err, want)
 	}
 }
 

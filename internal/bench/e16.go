@@ -48,9 +48,9 @@ const E16Disjunctive = `
 	MAXIMIZE SUM(P.protein)`
 
 // e16FullTau and e16FullDepth are the partitioning knobs the full-size
-// cells run under (the E9 scaling convention): τ=256 depth-2 trees keep
-// the per-leaf segments coarse enough that the tightening stages — not
-// sheer variable count — have to close the gap.
+// cells run under (E10's too): τ=256 depth-2 trees keep the per-leaf
+// segments coarse enough that the tightening stages — not sheer
+// variable count — have to close the gap.
 const (
 	e16FullTau   = 256
 	e16FullDepth = 2

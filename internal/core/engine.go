@@ -10,7 +10,6 @@
 //     warm-started with a local-search incumbent (hybrid).
 //   - PrunedEnum: exact enumeration within cardinality bounds (§4.1).
 //   - LocalSearchStrategy: SQL-join k-replacement hill climbing (§4.2).
-//   - BruteForceStrategy: the 2^n baseline, for ground truth.
 //   - SketchRefineStrategy: the follow-up papers' partition-based
 //     SketchRefine (internal/sketch) — solve a small sketch over
 //     partition representatives, then refine per partition; heuristic
@@ -44,8 +43,6 @@ type Strategy int
 const (
 	// Auto lets the engine choose (linearity- and scale-driven).
 	Auto Strategy = iota
-	// BruteForceStrategy enumerates every multiplicity vector.
-	BruteForceStrategy
 	// PrunedEnum enumerates within §4.1 cardinality bounds.
 	PrunedEnum
 	// LocalSearchStrategy is the §4.2 SQL-driven heuristic.
@@ -63,8 +60,6 @@ func (s Strategy) String() string {
 	switch s {
 	case Auto:
 		return "auto"
-	case BruteForceStrategy:
-		return "brute-force"
 	case PrunedEnum:
 		return "pruned-enum"
 	case LocalSearchStrategy:
@@ -83,8 +78,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "auto":
 		return Auto, nil
-	case "brute-force", "brute":
-		return BruteForceStrategy, nil
 	case "pruned-enum", "pruned":
 		return PrunedEnum, nil
 	case "local-search", "local":
@@ -94,7 +87,7 @@ func ParseStrategy(name string) (Strategy, error) {
 	case "sketch-refine", "sketch":
 		return SketchRefineStrategy, nil
 	}
-	return Auto, fmt.Errorf("core: unknown strategy %q (auto, solver, sketch-refine, pruned-enum, local-search, brute-force)", name)
+	return Auto, fmt.Errorf("core: unknown strategy %q (auto, solver, sketch-refine, pruned-enum, local-search)", name)
 }
 
 // Options tunes evaluation.
@@ -103,7 +96,7 @@ type Options struct {
 	// Planner overrides the cost-based planner Run consults for
 	// strategy and knob defaults (nil = a planner with the stock cost
 	// model). Explicitly-set options enter its input as forced, so they
-	// always win over its decisions.
+	// win over its decisions (a strategy the atoms rule out excepted).
 	Planner *plan.Planner
 	// Catalog, when set, feeds the planner per-table statistics (row
 	// counts, write rate, delta fraction). Without one the planner
@@ -125,23 +118,13 @@ type Options struct {
 	Seed int64
 	// Restarts tunes local search.
 	Restarts int
-	// Diverse returns a diverse package set (max-min Jaccard greedy)
-	// instead of the top-k by objective (§5 "diverse package results").
+	// Diverse returns a diverse package set (max-min Jaccard greedy over
+	// diverseOverFetch times the requested packages) instead of the top-k
+	// by objective (§5 "diverse package results").
 	Diverse bool
-	// OverFetch multiplies the number of packages gathered before
-	// diverse selection (default 4).
-	OverFetch int
-	// NoHybridSeed disables warm-starting the solver with a
-	// local-search incumbent (ablation).
-	NoHybridSeed bool
-	// DisablePruning turns off §4.1 bounds in enumeration (ablation).
-	DisablePruning bool
 	// SketchPartitionSize bounds SketchRefine partitions (τ; 0 =
 	// default 64).
 	SketchPartitionSize int
-	// SketchPartitions targets a SketchRefine partition count instead;
-	// the tighter of the two bounds wins.
-	SketchPartitions int
 	// SketchDepth is the SketchRefine partition-tree depth: 0 or 1 =
 	// flat, ≥ 2 recurses the sketch over partitions of partitions so
 	// the top-level MILP stays tiny at any scale.

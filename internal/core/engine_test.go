@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/minidb"
+	"repro/internal/search"
 	"repro/internal/value"
 )
 
@@ -45,8 +47,20 @@ const mealQuery = `
 
 func TestStrategiesAgreeOnOptimum(t *testing.T) {
 	db := testDB(t)
-	var exact float64
-	for i, strat := range []Strategy{Solver, PrunedEnum, BruteForceStrategy} {
+	// Ground truth is the 2^n oracle, called directly.
+	prep, err := Prepare(db, mealQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brute, err := search.BruteForce(prep.Instance, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !brute.Complete || len(brute.Packages) != 1 {
+		t.Fatalf("brute force: complete=%v, %d packages", brute.Complete, len(brute.Packages))
+	}
+	exact := brute.Packages[0].Obj
+	for _, strat := range []Strategy{Solver, PrunedEnum} {
 		res, err := Evaluate(db, mealQuery, Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -57,10 +71,8 @@ func TestStrategiesAgreeOnOptimum(t *testing.T) {
 		if !res.Stats.Exact {
 			t.Errorf("%v should be exact", strat)
 		}
-		if i == 0 {
-			exact = res.Packages[0].Objective
-		} else if math.Abs(res.Packages[0].Objective-exact) > 1e-6 {
-			t.Errorf("%v objective %g != solver %g", strat, res.Packages[0].Objective, exact)
+		if math.Abs(res.Packages[0].Objective-exact) > 1e-6 {
+			t.Errorf("%v objective %g != brute force %g", strat, res.Packages[0].Objective, exact)
 		}
 		if res.Stats.Strategy != strat {
 			t.Errorf("stats.Strategy = %v, want %v", res.Stats.Strategy, strat)
@@ -191,7 +203,7 @@ func TestDiverseSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverse, err := Evaluate(db, q, Options{Strategy: Solver, Diverse: true, OverFetch: 6})
+	diverse, err := Evaluate(db, q, Options{Strategy: Solver, Diverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,18 +384,25 @@ func TestDiverseSelectHelpers(t *testing.T) {
 	}
 }
 
+// TestHybridSeedAblation: the solver's local-search warm start must not
+// change the optimum. The unseeded side of the comparison is exact
+// enumeration, which takes no incumbent at all.
 func TestHybridSeedAblation(t *testing.T) {
 	db := testDB(t)
-	with, err := Evaluate(db, mealQuery, Options{Strategy: Solver})
+	seeded, err := Evaluate(db, mealQuery, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Evaluate(db, mealQuery, Options{Strategy: Solver, NoHybridSeed: true})
+	if !slices.Contains(seeded.Stats.Notes, "solver warm-started with a local-search incumbent") {
+		t.Fatalf("the solver run was not warm-started: %v", seeded.Stats.Notes)
+	}
+	unseeded, err := Evaluate(db, mealQuery, Options{Strategy: PrunedEnum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(with.Packages[0].Objective-without.Packages[0].Objective) > 1e-9 {
-		t.Error("hybrid seeding changed the optimum")
+	if math.Abs(seeded.Packages[0].Objective-unseeded.Packages[0].Objective) > 1e-9 {
+		t.Errorf("warm-started solver optimum %g != pruned enumeration's %g",
+			seeded.Packages[0].Objective, unseeded.Packages[0].Objective)
 	}
 }
 

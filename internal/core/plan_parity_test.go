@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -22,7 +23,6 @@ import (
 var optionDecision = map[string]string{
 	"Strategy":            "strategy",
 	"SketchPartitionSize": "tau",
-	"SketchPartitions":    "tau",
 	"SketchDepth":         "depth",
 	"SketchParallelism":   "parallelism",
 	"SketchIncremental":   "maintenance",
@@ -30,8 +30,8 @@ var optionDecision = map[string]string{
 
 	"Planner": "", "Catalog": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
 
-	"Timeout": "", "MemoryBudget": "", "Seed": "", "Restarts": "", "Diverse": "", "OverFetch": "",
-	"NoHybridSeed": "", "DisablePruning": "", "SketchNoCache": "", "SketchPersistDir": "",
+	"Timeout": "", "MemoryBudget": "", "Seed": "", "Restarts": "", "Diverse": "",
+	"SketchNoCache": "", "SketchPersistDir": "",
 }
 
 type parityCase struct {
@@ -41,18 +41,51 @@ type parityCase struct {
 
 // parityCases force one Options field each (none, for the planner's own
 // choices) to a value the planner would not pick over 6,000 candidates
-// (τ 64, depth 2, one worker): 47 partitions is τ = 128 before and after
-// the test's one-row write, so the patched tree's key does not move.
-// SketchIncremental is the one knob whose forcing value is false.
+// (τ 64, depth 2, one worker). SketchIncremental is the one knob whose
+// forcing value is false.
 var parityCases = []parityCase{
 	{"", func(*Options) {}},
 	{"Strategy", func(o *Options) { o.Strategy = SketchRefineStrategy }},
 	{"SketchPartitionSize", func(o *Options) { o.SketchPartitionSize = 40 }},
-	{"SketchPartitions", func(o *Options) { o.SketchPartitions = 47 }},
 	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
 	{"SketchParallelism", func(o *Options) { o.SketchParallelism = 3 }},
 	{"SketchIncremental", func(o *Options) { o.SketchIncremental = false }},
 	{"GapTolerance", func(o *Options) { o.GapTolerance = 0.05 }},
+}
+
+// ruledOutCases force a strategy the query's atom mix rules out: the
+// plan must already name the strategy that runs, decided as the
+// unforced query would be, with nothing marked forced.
+var ruledOutCases = []struct {
+	name   string
+	forced Strategy
+	rows   int
+	query  string
+	want   Strategy
+	reason []string // fragments the strategy reason must carry
+}{
+	{"solver/non-linear-small", Solver, 10, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 500000
+		MAXIMIZE SUM(P.protein)`,
+		PrunedEnum, []string{"forced solver unavailable (non-linear: "}},
+	{"solver/non-linear-large", Solver, 120, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) * SUM(P.protein) >= 100000
+		MAXIMIZE SUM(P.protein)`,
+		LocalSearchStrategy, []string{"forced solver unavailable (non-linear: "}},
+	{"sketch/12-branch-dnf", SketchRefineStrategy, 25, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT (COUNT(*) = 1 OR COUNT(*) = 2 OR COUNT(*) = 3)
+		      AND (SUM(P.calories) >= 0 OR SUM(P.protein) >= 0)
+		      AND (SUM(P.fat) >= 0 OR SUM(P.carbs) >= 0)
+		MAXIMIZE SUM(P.protein)`,
+		Solver, []string{"forced sketch-refine unavailable; ", "disjunctive branches"}},
+	{"sketch/non-linear", SketchRefineStrategy, 10, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 500000
+		MAXIMIZE SUM(P.protein)`,
+		PrunedEnum, []string{"forced sketch-refine unavailable (non-linear: "}},
 }
 
 // boundStageOrder ranks the sketch path's bound stages, shallowest first.
@@ -125,6 +158,46 @@ func TestExecutionFollowsPlan(t *testing.T) {
 				postWrite = plan.SourceBuild
 			}
 			run("post-write", lcQuery, postWrite)
+		})
+	}
+
+	for _, c := range ruledOutCases {
+		t.Run("ruled-out/"+c.name, func(t *testing.T) {
+			prep, err := Prepare(lcDB(t, c.rows), c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prep.Run(Options{Seed: 3, Strategy: c.forced})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFollowsPlan(t, c.name, res, nil, "")
+			qp := res.Stats.Plan
+			if res.Stats.Strategy != c.want {
+				t.Errorf("ran %s, want %s\n%s", res.Stats.Strategy, c.want, qp.Explain())
+			}
+			for _, frag := range c.reason {
+				if d := qp.Decision("strategy"); !strings.Contains(d.Reason, frag) {
+					t.Errorf("strategy reason %q does not contain %q", d.Reason, frag)
+				}
+			}
+			// Every later decision is made for the strategy that runs:
+			// no sketch knobs, that strategy's bound and memory estimate.
+			for _, name := range []string{"tau", "depth", "parallelism", "maintenance", "tree-source"} {
+				if d := qp.Decision(name); d != nil {
+					t.Errorf("%s plan carries a %s decision (%s)\n%s", qp.Strategy, name, d.Value, qp.Explain())
+				}
+			}
+			wantBound := plan.BoundMILPDual
+			if c.want == LocalSearchStrategy {
+				wantBound = plan.BoundNone
+			}
+			atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
+			wantMem := plan.DefaultCostModel().MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, 0, atoms)
+			if qp.Bound != wantBound || qp.MemoryBytes != wantMem || res.Stats.MemoryEstimate != wantMem {
+				t.Errorf("bound %s, memory %d B (stats %d B); want %s, %d B\n%s",
+					qp.Bound, qp.MemoryBytes, res.Stats.MemoryEstimate, wantBound, wantMem, qp.Explain())
+			}
 		})
 	}
 }

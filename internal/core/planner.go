@@ -38,7 +38,7 @@ func (p *Prepared) planInput(opts Options) plan.Input {
 		MaxMult: p.Instance.MaxMult,
 		Mix:     plan.AnalyzeAtoms(p.Analysis, sketch.Applicable(p.Instance)),
 		Procs:   runtime.GOMAXPROCS(0),
-		Forced:  p.forcedKnobs(opts),
+		Forced:  opts.forcedKnobs(),
 		Probe:   p.cacheProbe(opts),
 	}
 	if p.Query != nil {
@@ -69,22 +69,17 @@ func (p *Prepared) tableStats(opts Options) catalog.TableStats {
 
 // forcedKnobs lifts explicitly-set options into the plan's forced set,
 // so the planner echoes them back marked "forced" instead of deciding.
-func (p *Prepared) forcedKnobs(opts Options) plan.Forced {
+func (o Options) forcedKnobs() plan.Forced {
 	f := plan.Forced{
-		Depth:        opts.SketchDepth,
-		Parallelism:  opts.SketchParallelism,
-		GapTolerance: opts.GapTolerance,
+		Tau:          o.SketchPartitionSize,
+		Depth:        o.SketchDepth,
+		Parallelism:  o.SketchParallelism,
+		GapTolerance: o.GapTolerance,
 	}
-	if opts.Strategy != Auto {
-		f.Strategy = opts.Strategy.String()
+	if o.Strategy != Auto {
+		f.Strategy = o.Strategy.String()
 	}
-	if opts.SketchPartitionSize > 0 || opts.SketchPartitions > 0 {
-		f.Tau = sketch.Options{
-			MaxPartitionSize: opts.SketchPartitionSize,
-			NumPartitions:    opts.SketchPartitions,
-		}.EffectiveTau(len(p.Instance.Rows))
-	}
-	if !opts.SketchIncremental {
+	if !o.SketchIncremental {
 		f.Incremental = new(bool) // forced off; on leaves the choice to the planner
 	}
 	return f

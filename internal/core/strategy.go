@@ -28,10 +28,14 @@ import (
 // hard cancellation is the backstop for any path that ignores them.
 const timeoutGrace = 250 * time.Millisecond
 
+// diverseOverFetch is how many times the requested package count a
+// Diverse evaluation gathers before the max-min selection.
+const diverseOverFetch = 4
+
 // Run evaluates the prepared query under the given options: the
 // cost-based planner (internal/plan) resolves them into one plan.Plan —
-// explicitly-set options enter as forced and always win — and the
-// strategy runners execute that plan.
+// explicitly-set options enter as forced and win, except a strategy the
+// query's atoms rule out — and the strategy runners execute that plan.
 //
 // Run is the legacy surface: it evaluates under context.Background()
 // and keeps the original no-typed-errors contract — a provably
@@ -119,15 +123,10 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	limit := p.limit(opts)
 	fetch := limit
 	if opts.Diverse {
-		over := opts.OverFetch
-		if over <= 0 {
-			over = 4
-		}
-		fetch = limit * over
+		fetch = limit * diverseOverFetch
 	}
 	planner := opts.planner()
-	cost := planner.Cost
-	if len(inst.Rows) <= cost.SketchThreshold {
+	if len(inst.Rows) <= planner.Cost.SketchThreshold {
 		pr, full := prune.SpaceSize(len(inst.Rows), inst.Bounds)
 		res.Stats.SpacePruned, res.Stats.SpaceFull = pr, full
 	}
@@ -147,37 +146,15 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		return res, lifecycle.Infeasible("cardinality bounds are contradictory")
 	}
 
-	// The plan echoes a forced strategy, so this is the user's choice or
-	// the planner's — either way the one the trail reports.
+	// The plan's strategy is the one that runs: a forced strategy is
+	// echoed, and one the atom mix rules out was already decided as the
+	// unforced query would be, with the override in the reason.
 	strat, err := ParseStrategy(qplan.Strategy)
 	if err != nil {
 		return nil, err
 	}
 	if d := qplan.Decision("strategy"); d != nil && !d.Forced {
 		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
-	}
-	if strat == Solver && !p.Analysis.Linear {
-		res.Stats.Notes = append(res.Stats.Notes,
-			fmt.Sprintf("solver unavailable (non-linear: %v); falling back to search", p.Analysis.NonlinearReasons))
-		if len(inst.Rows) <= cost.ExactEnumMax {
-			strat = PrunedEnum
-		} else {
-			strat = LocalSearchStrategy
-		}
-	}
-	if strat == SketchRefineStrategy {
-		if err := sketch.Applicable(inst); err != nil {
-			res.Stats.Notes = append(res.Stats.Notes,
-				fmt.Sprintf("sketch-refine unavailable (%v); falling back", err))
-			switch {
-			case p.Analysis.Linear:
-				strat = Solver
-			case len(inst.Rows) <= cost.ExactEnumMax:
-				strat = PrunedEnum
-			default:
-				strat = LocalSearchStrategy
-			}
-		}
 	}
 	res.Stats.Strategy = strat
 
@@ -197,10 +174,8 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 
 	var mults [][]int
 	switch strat {
-	case BruteForceStrategy:
-		mults, err = p.runEnum(ctx, res, opts, fetch, true)
 	case PrunedEnum:
-		mults, err = p.runEnum(ctx, res, opts, fetch, false)
+		mults, err = p.runEnum(ctx, res, opts, fetch)
 	case LocalSearchStrategy:
 		mults, err = p.runLocal(ctx, res, opts, fetch)
 	case Solver:
@@ -263,22 +238,14 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	return res, nil
 }
 
-func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, fetch int, brute bool) ([][]int, error) {
-	sopt := search.Options{
-		Ctx:            ctx,
-		Limit:          fetch,
-		Timeout:        opts.Timeout,
-		Seed:           opts.Seed,
-		DisablePruning: opts.DisablePruning || brute,
-		Require:        opts.Require,
-	}
-	var sres *search.Result
-	var err error
-	if brute {
-		sres, err = search.BruteForce(p.Instance, sopt)
-	} else {
-		sres, err = search.PrunedEnumerate(p.Instance, sopt)
-	}
+func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+	sres, err := search.PrunedEnumerate(p.Instance, search.Options{
+		Ctx:     ctx,
+		Limit:   fetch,
+		Timeout: opts.Timeout,
+		Seed:    opts.Seed,
+		Require: opts.Require,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +538,7 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 	// Hybrid warm start: hand the solver a local-search incumbent so
 	// bound pruning bites immediately. Only valid when the model has no
 	// indicator variables (their values are not part of a package).
-	if !opts.NoHybridSeed && model.NumIndicators() == 0 && p.Query.Objective != nil && p.Instance.MaxMult > 0 {
+	if model.NumIndicators() == 0 && p.Query.Objective != nil && p.Instance.MaxMult > 0 {
 		ls, err := search.LocalSearch(p.Instance, p.DB, search.Options{
 			Ctx: ctx, Limit: 1, Seed: opts.Seed, Restarts: 2, MaxK: 1,
 			Timeout: 200 * time.Millisecond, Require: opts.Require,

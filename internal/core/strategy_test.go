@@ -11,8 +11,8 @@ import (
 
 func TestStrategyString(t *testing.T) {
 	want := map[Strategy]string{
-		Auto: "auto", BruteForceStrategy: "brute-force", PrunedEnum: "pruned-enum",
-		LocalSearchStrategy: "local-search", Solver: "solver",
+		Auto: "auto", PrunedEnum: "pruned-enum", LocalSearchStrategy: "local-search",
+		Solver: "solver", SketchRefineStrategy: "sketch-refine",
 	}
 	for st, s := range want {
 		if st.String() != s {
@@ -57,17 +57,17 @@ func TestTimeoutIsRespected(t *testing.T) {
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 26, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
-	// A brute-force run with a tiny budget must return promptly and be
+	// An enumeration with a tiny budget must return promptly and be
 	// flagged inexact.
 	res, err := Evaluate(db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 500 AND 5000
-		MAXIMIZE SUM(P.protein)`, Options{Strategy: BruteForceStrategy, Timeout: 1})
+		MAXIMIZE SUM(P.protein)`, Options{Strategy: PrunedEnum, Timeout: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Exact {
-		t.Error("budget-starved brute force must not claim exactness")
+		t.Error("budget-starved enumeration must not claim exactness")
 	}
 }
 
@@ -81,7 +81,6 @@ func TestParseStrategy(t *testing.T) {
 		"Sketch-Refine": SketchRefineStrategy,
 		"pruned":        PrunedEnum,
 		"local-search":  LocalSearchStrategy,
-		"brute":         BruteForceStrategy,
 	}
 	for name, want := range cases {
 		got, err := ParseStrategy(name)

@@ -15,9 +15,11 @@
 //     state — emitting a typed Plan whose every Decision carries a cost
 //     estimate and a human-readable reason.
 //
-// Explicit user knobs always win: they enter as Input.Forced and come
-// back out in the Plan marked forced, so EXPLAIN shows exactly which
-// choices the user pinned and which the planner made.
+// Explicit user knobs win: they enter as Input.Forced and come back out
+// in the Plan marked forced, so EXPLAIN shows exactly which choices the
+// user pinned and which the planner made. The one exception is a forced
+// strategy the query's atoms rule out: the planner decides it as if
+// unforced and the reason says so, because the plan is what runs.
 //
 // The package deliberately does not import internal/core or
 // internal/sketch — core consumes plans, so strategies are named by
@@ -198,10 +200,10 @@ type CacheState struct {
 // Forced carries the knobs the user pinned explicitly; zero values
 // (nil for Incremental) mean "planner's choice".
 type Forced struct {
-	// Strategy is the explicit strategy name, or "".
+	// Strategy is the explicit strategy name, or "". It wins unless the
+	// atom mix rules it out (see Planner.pickStrategy).
 	Strategy string `json:"strategy,omitempty"`
-	// Tau is the explicit leaf-size bound (resolved from either a
-	// partition-size or partition-count flag), or 0.
+	// Tau is the explicit leaf-size bound, or 0.
 	Tau int `json:"tau,omitempty"`
 	// Depth is the explicit tree depth, or 0.
 	Depth int `json:"depth,omitempty"`
@@ -422,7 +424,7 @@ func (c CostModel) MemoryEstimate(strategy string, n, tau, depth, atoms int) int
 			depth = 1
 		}
 		return f*int64(depth)*8 + f*16
-	default: // pruned-enum, brute-force, local-search
+	default: // pruned-enum, local-search
 		return f * 32
 	}
 }

@@ -26,15 +26,22 @@ func baseInput(n int) Input {
 	}
 }
 
+func nonlinearMix() AtomMix {
+	return AtomMix{Linear: false, NonlinearReasons: []string{"objective multiplies aggregates"},
+		SketchErr: "sketch: query is not linear", SumCount: 2, Objective: true}
+}
+
 // TestDecisionMatrix is the satellite's size × atom-mix × write-rate ×
 // cache-state matrix: every input dimension must flip at least one
-// decision relative to its row's neighbor.
+// decision relative to its row's neighbor. The forced/ rows are the
+// strategies the atom mix rules out: each must plan exactly what its
+// unforced neighbor plans, with the override named in the reason.
 func TestDecisionMatrix(t *testing.T) {
 	pl := NewPlanner()
 	cases := []struct {
 		name string
 		in   Input
-		want map[string]string // decision name → value
+		want map[string]string // decision name → value; "" = must be absent
 	}{
 		// --- size axis ---
 		{"size/small-linear", baseInput(100),
@@ -141,12 +148,50 @@ func TestDecisionMatrix(t *testing.T) {
 			}
 			return in
 		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainRebuild}},
+
+		// --- forced strategy × the atom mix that rules it out ---
+		{"forced/solver-nonlinear-small", func() Input {
+			in := baseInput(10)
+			in.Mix = nonlinearMix()
+			in.Forced.Strategy = StrategySolver
+			return in
+		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual}},
+		{"forced/solver-nonlinear-large", func() Input {
+			in := baseInput(1000)
+			in.Mix = nonlinearMix()
+			in.Forced.Strategy = StrategySolver
+			return in
+		}(), map[string]string{"strategy": StrategyLocalSearch, "bound": BoundNone}},
+		{"forced/sketch-inapplicable", func() Input {
+			in := baseInput(100_000)
+			in.Mix.SketchOK = false
+			in.Mix.SketchErr = "subquery atom"
+			in.Forced.Strategy = StrategySketch
+			return in
+		}(), map[string]string{"strategy": StrategySolver, "bound": BoundMILPDual,
+			"tau": "", "depth": "", "parallelism": "", "maintenance": "", "tree-source": ""}},
+		{"forced/sketch-nonlinear", func() Input {
+			in := baseInput(10)
+			in.Mix = nonlinearMix()
+			in.Forced.Strategy = StrategySketch
+			return in
+		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual,
+			"tau": "", "depth": "", "maintenance": "", "tree-source": ""}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := pl.Plan(tc.in)
+			if forced := tc.in.Forced.Strategy; forced != "" && forced != p.Strategy {
+				checkOverride(t, pl, tc.in, p)
+			}
 			for name, want := range tc.want {
 				d := p.Decision(name)
+				if want == "" {
+					if d != nil {
+						t.Fatalf("decision %q = %q, want none; plan:\n%s", name, d.Value, p.Explain())
+					}
+					continue
+				}
 				if d == nil {
 					t.Fatalf("decision %q missing; plan:\n%s", name, p.Explain())
 				}
@@ -158,6 +203,31 @@ func TestDecisionMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkOverride holds a plan whose forced strategy was ruled out to the
+// unforced plan of the same input: the same decisions and the same
+// memory estimate, nothing marked forced, and a strategy reason that is
+// the unforced one behind a clause naming what was overridden.
+func checkOverride(t *testing.T, pl *Planner, in Input, got *Plan) {
+	t.Helper()
+	forced := in.Forced.Strategy
+	in.Forced.Strategy = ""
+	free := pl.Plan(in)
+	if decisionValues(got) != decisionValues(free) || got.MemoryBytes != free.MemoryBytes {
+		t.Fatalf("forced %s planned differently from the unforced query:\n%s\n--- unforced ---\n%s", forced, got.Explain(), free.Explain())
+	}
+	d := got.Decision("strategy")
+	if d.Forced {
+		t.Fatalf("overridden strategy still marked forced:\n%s", got.Explain())
+	}
+	prefix := "forced " + forced + " unavailable"
+	if !in.Mix.Linear {
+		prefix += " (non-linear: " + strings.Join(in.Mix.NonlinearReasons, "; ") + ")"
+	}
+	if want := prefix + "; falling back: " + free.Decision("strategy").Reason; d.Reason != want {
+		t.Fatalf("strategy reason = %q, want %q", d.Reason, want)
 	}
 }
 

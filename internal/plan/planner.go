@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Plan runs the execution planner over one input snapshot and returns
@@ -209,7 +210,7 @@ func (pl *Planner) pickTau(p *Plan, in Input) int {
 	d := Decision{Name: "tau"}
 	if in.Forced.Tau > 0 {
 		d.Value, d.Forced = strconv.Itoa(in.Forced.Tau), true
-		d.Reason = "explicit partition-size/partitions flag"
+		d.Reason = "explicit partition-size flag"
 		p.Decisions = append(p.Decisions, d)
 		return in.Forced.Tau
 	}
@@ -285,21 +286,42 @@ func (pl *Planner) pickParallelism(p *Plan, in Input, procs int) int {
 	return par
 }
 
-// pickStrategy is the cost comparison at the heart of the planner.
+// pickStrategy records the strategy decision. A forced strategy wins
+// unless the atom mix rules it out — the solver on a non-linear query,
+// sketch-refine on a query the sketch compiler cannot lower. Such a
+// query is decided exactly as if nothing had been forced, and the
+// reason names the override, so every later decision (knobs, bound,
+// memory) is made for the strategy that will run.
+func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+	forced := in.Forced.Strategy
+	ruledOut := (forced == StrategySolver && !in.Mix.Linear) || (forced == StrategySketch && !in.Mix.SketchOK)
+	d := Decision{Value: forced, Forced: true, Reason: "explicit strategy flag"}
+	if forced == "" || ruledOut {
+		d = pl.costStrategy(in, tau, cs)
+	}
+	if ruledOut {
+		// A linear query the sketch cannot run names its own obstruction
+		// in the reason costStrategy gives.
+		why := ""
+		if !in.Mix.Linear {
+			why = fmt.Sprintf(" (non-linear: %s)", strings.Join(in.Mix.NonlinearReasons, "; "))
+		}
+		d.Reason = fmt.Sprintf("forced %s unavailable%s; falling back: %s", forced, why, d.Reason)
+	}
+	d.Name = "strategy"
+	p.Decisions = append(p.Decisions, d)
+	return d.Value
+}
+
+// costStrategy is the cost comparison at the heart of the planner.
 // Non-linear queries can only enumerate or local-search; linear ones
 // weigh the exact MILP against SketchRefine — exact wins while its
 // estimate stays under the affordability budget, the cheaper of the two
 // wins beyond it.
-func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
 	cm := pl.Cost
 	n := in.N
-	d := Decision{Name: "strategy"}
-	if in.Forced.Strategy != "" {
-		d.Value, d.Forced = in.Forced.Strategy, true
-		d.Reason = "explicit strategy flag"
-		p.Decisions = append(p.Decisions, d)
-		return in.Forced.Strategy
-	}
+	var d Decision
 	if !in.Mix.Linear {
 		enumC, localC := cm.EnumCost(n), cm.LocalSearchCost(n)
 		if n <= cm.ExactEnumMax && in.MaxMult > 0 {
@@ -315,26 +337,22 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 			d.Reason = fmt.Sprintf("non-linear query (%s): local search is the only tractable option", why)
 			d.Alternatives = []Alternative{{Value: StrategyPrunedEnum, Cost: enumC}}
 		}
-		p.Decisions = append(p.Decisions, d)
-		return d.Value
+		return d
 	}
 	solverC := cm.SolverCost(n)
 	if !in.Mix.SketchOK {
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query but sketch inapplicable (%s): exact MILP", in.Mix.SketchErr)
-		p.Decisions = append(p.Decisions, d)
-		return StrategySolver
+		return d
 	}
 	warm := cs.InCache || cs.OnDisk || cs.Patchable
 	sketchC := cm.SketchCost(n, tau, in.Mix.Branches, warm)
-	if solverC <= cm.ExactBudget() {
+	switch {
+	case solverC <= cm.ExactBudget():
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, cm.SketchThreshold)
 		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
-		p.Decisions = append(p.Decisions, d)
-		return StrategySolver
-	}
-	if sketchC < solverC {
+	case sketchC < solverC:
 		d.Value, d.Cost = StrategySketch, sketchC
 		why := "cold tree priced in"
 		if warm {
@@ -342,14 +360,12 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 		}
 		d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, cm.SketchThreshold, why)
 		d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
-		p.Decisions = append(p.Decisions, d)
-		return StrategySketch
+	default:
+		d.Value, d.Cost = StrategySolver, solverC
+		d.Reason = fmt.Sprintf("linear query: sketch estimate exceeds the exact MILP (%d DNF branches)", in.Mix.Branches)
+		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
 	}
-	d.Value, d.Cost = StrategySolver, solverC
-	d.Reason = fmt.Sprintf("linear query: sketch estimate exceeds the exact MILP (%d DNF branches)", in.Mix.Branches)
-	d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
-	p.Decisions = append(p.Decisions, d)
-	return StrategySolver
+	return d
 }
 
 // pickMaintenance decides patch-vs-rebuild from the catalog's delta

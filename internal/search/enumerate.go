@@ -136,9 +136,6 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 	required := opt.requireSet(n)
 
 	bounds := inst.Bounds
-	if opt.DisablePruning {
-		bounds.Lo, bounds.Hi = 0, n*inst.MaxMult
-	}
 	if bounds.IsInfeasible() {
 		res.Elapsed = time.Since(start)
 		return res, nil // provably empty: zero packages, complete
@@ -149,25 +146,23 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 	nAtoms := len(inst.Atoms)
 	sufMax := make([][]float64, nAtoms)
 	sufMin := make([][]float64, nAtoms)
-	if !opt.DisablePruning {
-		for k, at := range inst.Atoms {
-			sufMax[k] = make([]float64, n+1)
-			sufMin[k] = make([]float64, n+1)
-			for i := n - 1; i >= 0; i-- {
-				w := at.W[i] * float64(inst.MaxMult)
-				sufMax[k][i] = sufMax[k][i+1]
-				sufMin[k][i] = sufMin[k][i+1]
-				if w > 0 {
-					sufMax[k][i] += w
-				} else {
-					sufMin[k][i] += w
-				}
+	for k, at := range inst.Atoms {
+		sufMax[k] = make([]float64, n+1)
+		sufMin[k] = make([]float64, n+1)
+		for i := n - 1; i >= 0; i-- {
+			w := at.W[i] * float64(inst.MaxMult)
+			sufMax[k][i] = sufMax[k][i+1]
+			sufMin[k][i] = sufMin[k][i+1]
+			if w > 0 {
+				sufMax[k][i] += w
+			} else {
+				sufMin[k][i] += w
 			}
 		}
 	}
 	// Objective optimistic suffix (for maximize: positive weights).
 	hasObj := inst.Analysis.Query.Objective != nil
-	useObjBound := hasObj && inst.ObjW != nil && limit == 1 && !opt.NoObjBound && !opt.DisablePruning
+	useObjBound := hasObj && inst.ObjW != nil && limit == 1 && !opt.NoObjBound
 	maximize := hasObj && inst.Analysis.Query.Objective.Sense == paql.Maximize
 	var objSuf []float64
 	if useObjBound {
@@ -208,17 +203,15 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 			return nil
 		}
 		// Atom suffix pruning.
-		if !opt.DisablePruning {
-			for k, at := range inst.Atoms {
-				switch at.Op {
-				case lp.LE:
-					if sums[k]+sufMin[k][i] > at.RHS+tol {
-						return nil
-					}
-				case lp.GE:
-					if sums[k]+sufMax[k][i] < at.RHS-tol {
-						return nil
-					}
+		for k, at := range inst.Atoms {
+			switch at.Op {
+			case lp.LE:
+				if sums[k]+sufMin[k][i] > at.RHS+tol {
+					return nil
+				}
+			case lp.GE:
+				if sums[k]+sufMax[k][i] < at.RHS-tol {
+					return nil
 				}
 			}
 		}

@@ -70,7 +70,7 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		out := bound.Solve(opts.Ctx, p, inst.ObjK)
 		return bound.PipelineResult{Outcome: out, Stage: bound.StageRawLP, Vars: n}, nil
 	}
-	tree, err := trees.get(effectiveTau(n, opts), opts.depth())
+	tree, err := trees.get(opts.tau(), opts.depth())
 	if err != nil {
 		return bound.PipelineResult{}, err
 	}

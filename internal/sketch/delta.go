@@ -32,9 +32,9 @@ import (
 // feasibility and gap standards as rebuilt ones.
 
 // DefaultDeltaMaxFrac is the largest delta (inserts + deletes, as a
-// fraction of the current candidate count) ApplyDelta absorbs when
-// Options.DeltaMaxFrac is unset; beyond it patching would touch most
-// of the tree anyway and a rebuild is both faster and higher-fidelity.
+// fraction of the current candidate count) ApplyDelta absorbs; beyond
+// it patching would touch most of the tree anyway and a rebuild is both
+// faster and higher-fidelity. The planner's PatchMaxFrac mirrors it.
 const DefaultDeltaMaxFrac = 0.25
 
 // PatchSpec relates the current candidate set to the one a cached
@@ -61,18 +61,11 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 	return (len(ps.Remap) - surv) + (n - surv)
 }
 
-func (o Options) deltaMaxFrac() float64 {
-	if o.DeltaMaxFrac > 0 {
-		return o.DeltaMaxFrac
-	}
-	return DefaultDeltaMaxFrac
-}
-
 // ApplyDelta returns a copy of the tree patched to cover rows, the
 // current candidate set, given remap (see PatchSpec.Remap). The
 // original tree is never mutated — cached trees are shared across
 // concurrent evaluations. ok is false when the delta is too large
-// (Options.DeltaMaxFrac), when local repair would break a structural
+// (DefaultDeltaMaxFrac), when local repair would break a structural
 // invariant above the leaf-parent level, or when patching empties the
 // tree; the caller must then rebuild from scratch.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
@@ -88,7 +81,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	}
 	deletes := len(remap) - surv
 	inserts := n - surv
-	if inserts < 0 || float64(inserts+deletes) > t.deltaBudget(n, opts) {
+	if inserts < 0 || float64(inserts+deletes) > DefaultDeltaMaxFrac*float64(n) {
 		return nil, false
 	}
 
@@ -136,11 +129,6 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 		return nil, false
 	}
 	return out, true
-}
-
-// deltaBudget resolves the largest absorbable delta in tuples.
-func (t *Tree) deltaBudget(n int, opts Options) float64 {
-	return opts.deltaMaxFrac() * float64(n)
 }
 
 // patcher carries ApplyDelta's working state: copied levels plus

@@ -219,7 +219,7 @@ func TestApplyDeltaRejectsOversizedDelta(t *testing.T) {
 	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1}
 	base := sketch.BuildTree(prep.Instance, opts)
 	n := len(prep.Instance.Rows)
-	// Delete half the candidates: far past DeltaMaxFrac.
+	// Delete half the candidates: far past DefaultDeltaMaxFrac.
 	rows := prep.Instance.Rows[:n/2]
 	remap := make([]int, n)
 	for i := range remap {
@@ -232,14 +232,6 @@ func TestApplyDeltaRejectsOversizedDelta(t *testing.T) {
 	if _, ok := base.ApplyDelta(rows, remap, opts); ok {
 		t.Fatal("ApplyDelta absorbed a 50% delta; it must rebuild")
 	}
-	// A caller can widen the budget explicitly.
-	wide := opts
-	wide.DeltaMaxFrac = 2
-	patched, ok := base.ApplyDelta(rows, remap, wide)
-	if !ok {
-		t.Fatal("explicit DeltaMaxFrac budget ignored")
-	}
-	checkTree(t, patched, rows)
 }
 
 // TestPatchedProvenanceTriggersRebuildRetry pins the safety net across
@@ -309,7 +301,7 @@ func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
 
 func TestApplyDeltaEmptyingTreeRebuilds(t *testing.T) {
 	_, prep := deltaFixture(t, 50)
-	opts := sketch.Options{MaxPartitionSize: 8, Seed: 1, DeltaMaxFrac: 10}
+	opts := sketch.Options{MaxPartitionSize: 8, Seed: 1}
 	base := sketch.BuildTree(prep.Instance, opts)
 	remap := make([]int, len(prep.Instance.Rows))
 	for i := range remap {

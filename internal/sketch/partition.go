@@ -21,23 +21,6 @@ type Partitioning struct {
 	Tau    int          // effective partition size bound
 }
 
-// effectiveTau resolves the partition size bound from the options: an
-// explicit size wins, a partition-count target divides the input, and
-// the default covers the rest.
-func effectiveTau(n int, opts Options) int {
-	tau := opts.MaxPartitionSize
-	if opts.NumPartitions > 0 {
-		byCount := (n + opts.NumPartitions - 1) / opts.NumPartitions
-		if tau <= 0 || byCount < tau {
-			tau = byCount
-		}
-	}
-	if tau <= 0 {
-		tau = DefaultPartitionSize
-	}
-	return tau
-}
-
 // Partition splits the instance's candidates into groups of at most τ
 // tuples by recursive median splits on the query's numeric attributes
 // (the attribute with the widest normalized spread is split first), and
@@ -55,7 +38,7 @@ func Partition(inst *search.Instance, opts Options) *Partitioning {
 // when the lowering was canceled).
 func partition(inst *search.Instance, cols *search.Columns, opts Options) *Partitioning {
 	n := len(inst.Rows)
-	part := &Partitioning{Attrs: partitionAttrs(inst), Tau: effectiveTau(n, opts)}
+	part := &Partitioning{Attrs: partitionAttrs(inst), Tau: opts.tau()}
 	if n == 0 || cols == nil {
 		return part
 	}

@@ -79,7 +79,7 @@ import (
 )
 
 // DefaultPartitionSize is the partition size bound τ when the caller
-// sets neither MaxPartitionSize nor NumPartitions.
+// sets no MaxPartitionSize.
 const DefaultPartitionSize = 64
 
 // maxDepth caps the partition-tree depth; beyond it extra levels only
@@ -97,9 +97,6 @@ type Options struct {
 	Ctx context.Context
 	// MaxPartitionSize bounds each leaf partition (τ); 0 = default (64).
 	MaxPartitionSize int
-	// NumPartitions targets a leaf count instead; the tighter of the
-	// two bounds wins. 0 = derive from MaxPartitionSize.
-	NumPartitions int
 	// Depth is the number of sketch levels (the partition-tree depth):
 	// 0 or 1 = flat SketchRefine, ≥ 2 recurses the sketch over
 	// partitions of partitions so the top-level MILP stays around the
@@ -154,10 +151,6 @@ type Options struct {
 	// their leaves, re-splitting overgrown leaves — instead of
 	// rebuilding from scratch, and re-persists the patched tree.
 	Patch *PatchSpec
-	// DeltaMaxFrac bounds the delta ApplyDelta absorbs, as a fraction
-	// of the current candidate count (0 = DefaultDeltaMaxFrac); larger
-	// deltas rebuild.
-	DeltaMaxFrac float64
 	// GapTolerance, when positive, switches on the anytime mode: once a
 	// feasible package is provably within this relative gap of the
 	// certified dual bound over every DNF branch, the remaining branch
@@ -209,10 +202,13 @@ func (o Options) stopHook() func() bool {
 	return o.stopped
 }
 
-// EffectiveTau resolves the leaf size bound the options imply for an
-// n-candidate instance (exported for callers that perturb it between
-// re-solves, like the engine's multi-package path).
-func (o Options) EffectiveTau(n int) int { return effectiveTau(n, o) }
+// tau resolves the leaf size bound: MaxPartitionSize, else the default.
+func (o Options) tau() int {
+	if o.MaxPartitionSize > 0 {
+		return o.MaxPartitionSize
+	}
+	return DefaultPartitionSize
+}
 
 func (o Options) depth() int {
 	if o.Depth <= 1 {
@@ -569,7 +565,7 @@ func (ts *treeSource) get(tau, depth int) (*Tree, error) {
 		return t, nil
 	}
 	o := ts.opts
-	o.MaxPartitionSize, o.NumPartitions, o.Depth = tau, 0, depth
+	o.MaxPartitionSize, o.Depth = tau, depth
 	t, err := acquireTree(ts.inst, o, ts.res)
 	if err != nil {
 		return nil, err
@@ -587,7 +583,6 @@ func (ts *treeSource) get(tau, depth int) (*Tree, error) {
 // same leaves, then once more at τ/4, exactly like the conjunctive
 // engine always has.
 func solveBranch(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.LinearAtom, pins map[int]bool, trees *treeSource, opts Options, deadline time.Time, res *Result) error {
-	n := len(inst.Rows)
 	// The working atom set: the branch's tuple-level rows plus one
 	// synthetic atom per exclusion cut. Everything downstream — the
 	// per-level sketch MILPs, the refine residuals, the final check —
@@ -596,7 +591,7 @@ func solveBranch(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 	if len(exAtoms) > 0 {
 		fullAtoms = append(append([]*translate.LinearAtom{}, ba.tuple...), exAtoms...)
 	}
-	tau := effectiveTau(n, opts)
+	tau := opts.tau()
 	depth := opts.depth()
 	reducedTau := false
 	var flatFrom *Tree // a hierarchical tree whose leaves the flat retry reuses
@@ -974,7 +969,7 @@ func keyForCtx(inst *search.Instance, opts Options) (Key, error) {
 	return Key{
 		Fingerprint: fp,
 		Attrs:       attrsKey(partitionAttrs(inst)),
-		Tau:         effectiveTau(len(inst.Rows), opts),
+		Tau:         opts.tau(),
 		Depth:       opts.depth(),
 		Seed:        opts.Seed,
 	}, nil

@@ -74,19 +74,6 @@ func TestPartitionDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestPartitionCountKnob(t *testing.T) {
-	prep := recipesPrep(t, 200)
-	part := sketch.Partition(prep.Instance, sketch.Options{NumPartitions: 8, Seed: 1})
-	n := len(prep.Instance.Rows)
-	want := (n + 7) / 8
-	if part.Tau != want {
-		t.Fatalf("tau = %d, want %d (n=%d)", part.Tau, want, n)
-	}
-	if len(part.Groups) < 8 {
-		t.Fatalf("got %d partitions, want >= 8", len(part.Groups))
-	}
-}
-
 func TestSketchVsExactSmall(t *testing.T) {
 	for _, n := range []int{120, 400} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {

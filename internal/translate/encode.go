@@ -275,7 +275,7 @@ func (m *Model) encodeAvg(a *paql.Agg, op expr.BinOp, c float64, ind int) error 
 }
 
 // encodeMinMax rewrites MIN/MAX comparisons into elimination and
-// at-least-one rows (DESIGN.md, "MIN/MAX global constraints").
+// at-least-one rows (the package comment states the rewrite).
 func (m *Model) encodeMinMax(a *paql.Agg, op expr.BinOp, c float64, ind int) error {
 	// present_i: tuple contributes to the aggregate at all
 	present, err := m.filterPresence(a)

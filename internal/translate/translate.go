@@ -15,7 +15,8 @@
 //   - disjunctions get one 0/1 indicator per atom with big-M linking
 //     and implication rows (OR: y ≤ y_a + y_b; AND: y ≤ y_a, y ≤ y_b),
 //     sound and complete because only the root must hold;
-//   - strict comparisons use a small epsilon, documented in DESIGN.md.
+//   - strict comparisons use a small epsilon scaled to the constant
+//     (eps in encode.go).
 package translate
 
 import (

@@ -33,8 +33,8 @@
 // by partition with tiny sub-MILPs (greedy repair when a partition is
 // infeasible or over budget). Select it with WithStrategy(SketchRefine)
 // or let Auto choose it above a few thousand candidates; tune it with
-// WithSketchPartitionSize / WithSketchPartitions. WithSketchDepth(d)
-// generalizes the partitioning to a partition tree (PVLDB 2023,
+// WithSketchPartitionSize. WithSketchDepth(d) generalizes the
+// partitioning to a partition tree (PVLDB 2023,
 // "Scaling Package Queries to a Billion Tuples"): the sketch recurses
 // level by level so the top MILP stays around the d-th root of the
 // partition count. Partition trees are cached across queries in the
@@ -207,7 +207,6 @@ type Strategy = core.Strategy
 // Evaluation strategies.
 const (
 	Auto         = core.Auto
-	BruteForce   = core.BruteForceStrategy
 	PrunedEnum   = core.PrunedEnum
 	LocalSearch  = core.LocalSearchStrategy
 	Solver       = core.Solver
@@ -274,12 +273,6 @@ func WithRequire(idx ...int) Option { return func(o *core.Options) { o.Require =
 // WithSketchPartitionSize bounds SketchRefine partitions at n tuples.
 func WithSketchPartitionSize(n int) Option {
 	return func(o *core.Options) { o.SketchPartitionSize = n }
-}
-
-// WithSketchPartitions targets a SketchRefine partition count instead
-// of a size bound; the tighter of the two wins.
-func WithSketchPartitions(n int) Option {
-	return func(o *core.Options) { o.SketchPartitions = n }
 }
 
 // WithSketchDepth sets the SketchRefine partition-tree depth: 1 = flat,
