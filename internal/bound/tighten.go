@@ -54,9 +54,9 @@ import (
 	"repro/internal/translate"
 )
 
-// Stage names for the bound pipeline, in tightening order. They double
-// as the planner's bound-decision values, so EXPLAIN and Stats speak
-// the same vocabulary.
+// Stage names for the bound pipeline, in tightening order. The planner
+// declares its bound-decision values as these (plan.BoundRawLP = StageRawLP,
+// …), so EXPLAIN and Stats speak the same vocabulary by construction.
 const (
 	// StageRawLP: exact LP relaxation over the raw candidates (singleton
 	// groups); nothing to tighten, it is the tightest LP bound.
@@ -71,20 +71,12 @@ const (
 	StageDescend = "descend-1"
 )
 
-// stageRank orders the pipeline stages; unknown (or empty) caps mean
-// "run everything".
-func stageRank(stage string) int {
-	switch stage {
-	case StageRawLP:
-		return 0
-	case StageTreeLP:
-		return 1
-	case StageTightened:
-		return 2
-	case StageDescend:
-		return 3
-	}
-	return 3
+// StageRank is a stage's position in tightening order, shallowest
+// first, and -1 for anything that is not a pipeline stage. It is the one
+// stage order: the pipeline caps its depth with it and the sketch engine
+// keeps the deepest stage across DNF branches with it.
+func StageRank(stage string) int {
+	return slices.Index([]string{StageRawLP, StageTreeLP, StageTightened, StageDescend}, stage)
 }
 
 // Pipeline defaults, exported so callers and benchmarks agree on what
@@ -330,8 +322,11 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 		pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
 		return pr
 	}
-	maxRank := stageRank(po.MaxStage)
-	if maxRank >= stageRank(StageTightened) && po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
+	maxRank := StageRank(po.MaxStage)
+	if maxRank < 0 {
+		maxRank = StageRank(StageDescend) // unknown or empty cap: run everything
+	}
+	if maxRank >= StageRank(StageTightened) && po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
 		b, rounds, iters, inf := pl.tighten(base, sol.Duals)
 		pr.Rounds += rounds
 		pr.Iterations += iters
@@ -344,7 +339,7 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 			pr.Bound = tighter(po.Sense, pr.Bound, b)
 		}
 	}
-	if maxRank < stageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
+	if maxRank < StageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
 		return pr
 	}
 	refined := descendWorst(groups, sol.X, po)

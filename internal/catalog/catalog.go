@@ -1,16 +1,12 @@
-// Package catalog maintains per-table statistics for the planner: row
-// counts, per-attribute min/max/null-fraction/distinct estimates, and a
-// write rate derived from minidb's delta log. Statistics are computed by
-// a full scan the first time a table is seen and then kept fresh
-// incrementally — on every probe the catalog asks the table for the
-// delta since the last snapshot and folds appended rows into the
-// accumulators, falling back to a full rescan only when the delta aged
-// out of the bounded log or grew past a fraction of the table.
+// Package catalog keeps what the planner reads about a table without
+// touching its rows: the row count, the delta-log version it was read at,
+// and a write rate derived from how that version moves. A probe costs a
+// length and a version read; there are no per-attribute statistics
+// because no decision reads any.
 //
 // The catalog is the planner's "query planner binds against the
 // catalog" half of a classic planner split: it answers "how big is this
-// table, what do its columns look like, and how hot is it" without the
-// planner ever touching rows itself.
+// table and how hot is it".
 package catalog
 
 import (
@@ -21,45 +17,13 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/minidb"
-	"repro/internal/schema"
 )
-
-// distinctCap bounds the per-attribute distinct-value hash set. Beyond
-// it the estimate stops growing and AttrStats.DistinctCapped reports
-// that the true count is at least the cap.
-const distinctCap = 4096
-
-// rescanFrac is the fraction of the table the accumulated delta may
-// reach before the catalog discards its incremental accumulators and
-// rescans from scratch. Deletes are merged approximately (counts only),
-// so unbounded drift is cut off here.
-const rescanFrac = 0.5
 
 // writeRateWindow bounds how far back the write-rate estimate looks:
 // version observations older than the window are dropped, so a table
 // that went quiet decays toward a zero rate instead of remembering a
 // burst forever.
 const writeRateWindow = 5 * time.Minute
-
-// AttrStats summarizes one column of a table.
-type AttrStats struct {
-	// Name is the unqualified column name.
-	Name string `json:"name"`
-	// Numeric reports whether the column's declared type is INT or FLOAT.
-	Numeric bool `json:"numeric"`
-	// Min and Max bound the non-NULL values seen (numeric columns only;
-	// both zero when the column has no non-NULL numeric value).
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
-	// NullFrac estimates the fraction of rows whose cell is NULL.
-	NullFrac float64 `json:"nullFrac"`
-	// Distinct estimates the number of distinct non-NULL values, capped
-	// at an internal bound.
-	Distinct int `json:"distinct"`
-	// DistinctCapped reports that the estimate hit the cap and the true
-	// count is at least Distinct.
-	DistinctCapped bool `json:"distinctCapped,omitempty"`
-}
 
 // TableStats is one table's statistics snapshot.
 type TableStats struct {
@@ -69,38 +33,16 @@ type TableStats struct {
 	Rows int `json:"rows"`
 	// Version is the table's delta-log version the snapshot describes.
 	Version uint64 `json:"version"`
-	// Attrs holds per-column statistics in schema order.
-	Attrs []AttrStats `json:"attrs,omitempty"`
 	// WriteRate estimates write statements per second over the recent
 	// observation window (0 when the table looks read-only).
 	WriteRate float64 `json:"writeRate"`
-	// DeltaRows counts rows inserted or deleted since the catalog's last
-	// full scan of the table.
-	DeltaRows int `json:"deltaRows"`
-	// DeltaFrac is DeltaRows over the current row count (0 when the
-	// table is empty), the planner's patch-vs-rebuild signal.
-	DeltaFrac float64 `json:"deltaFrac"`
-}
-
-// attrAcc accumulates one column's statistics incrementally.
-type attrAcc struct {
-	name     string
-	numeric  bool
-	min, max float64
-	seenNum  bool // any non-NULL numeric value folded in
-	nulls    int  // NULL cells observed (appends since scan included)
-	observed int  // rows observed (scan + appends; deletes not subtracted)
-	distinct map[uint64]struct{}
-	capped   bool
 }
 
 // entry is the cached per-table state.
 type entry struct {
-	version   uint64 // table version the stats describe
-	rows      int
-	attrs     []attrAcc
-	deltaRows int // inserts+deletes folded in since the last full scan
-	samples   []sample
+	version uint64 // table version the stats describe
+	rows    int
+	samples []sample
 }
 
 // sample is one (time, version) observation for the write-rate estimate.
@@ -133,8 +75,7 @@ func (c *Catalog) SetClock(now func() time.Time) {
 }
 
 // Stats returns a fresh statistics snapshot for the named table
-// (case-insensitive), refreshing incrementally against the table's
-// delta log first. ok is false for unknown tables.
+// (case-insensitive). ok is false for unknown tables.
 func (c *Catalog) Stats(table string) (TableStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -158,11 +99,9 @@ func (c *Catalog) Stats(table string) (TableStats, bool) {
 	}
 	if e == nil {
 		e = &entry{}
-		c.scan(e, t)
 		c.tables[key] = e
-	} else if e.version != t.Version() {
-		c.refresh(e, t)
 	}
+	e.version, e.rows = t.Version(), len(t.Rows)
 	e.observe(c.now())
 	return e.snapshot(t.Name), true
 }
@@ -178,41 +117,6 @@ func (c *Catalog) All() []TableStats {
 		}
 	}
 	return out
-}
-
-// scan recomputes e from a full pass over the table.
-func (c *Catalog) scan(e *entry, t *minidb.Table) {
-	e.version = t.Version()
-	e.rows = len(t.Rows)
-	e.deltaRows = 0
-	e.attrs = newAccs(t.Schema)
-	for _, r := range t.Rows {
-		foldRow(e.attrs, r)
-	}
-}
-
-// refresh folds the table's delta since e.version into the
-// accumulators. Appended rows are scanned and merged exactly; deletes
-// only adjust the row count (min/max/distinct cannot shrink without a
-// rescan), so once the accumulated delta passes rescanFrac of the
-// table, refresh falls back to a full scan.
-func (c *Catalog) refresh(e *entry, t *minidb.Table) {
-	d, ok := t.DeltaSince(e.version)
-	if !ok || len(e.attrs) != t.Schema.Len() {
-		c.scan(e, t)
-		return
-	}
-	appended := len(t.Rows) - d.AppendedStart
-	e.deltaRows += len(d.Deleted) + appended
-	if n := len(t.Rows); n == 0 || float64(e.deltaRows) > rescanFrac*float64(n) {
-		c.scan(e, t)
-		return
-	}
-	for _, r := range t.Rows[d.AppendedStart:] {
-		foldRow(e.attrs, r)
-	}
-	e.version = t.Version()
-	e.rows = len(t.Rows)
 }
 
 // observe appends a (now, version) sample for the write-rate estimate
@@ -248,75 +152,9 @@ func (e *entry) writeRate(now time.Time) float64 {
 
 // snapshot renders the public view of the entry.
 func (e *entry) snapshot(name string) TableStats {
-	ts := TableStats{
-		Table:     name,
-		Rows:      e.rows,
-		Version:   e.version,
-		DeltaRows: e.deltaRows,
-	}
+	ts := TableStats{Table: name, Rows: e.rows, Version: e.version}
 	if n := len(e.samples); n > 0 {
 		ts.WriteRate = e.writeRate(e.samples[n-1].t)
 	}
-	if e.rows > 0 {
-		ts.DeltaFrac = float64(e.deltaRows) / float64(e.rows)
-	}
-	ts.Attrs = make([]AttrStats, len(e.attrs))
-	for i := range e.attrs {
-		a := &e.attrs[i]
-		as := AttrStats{
-			Name:           a.name,
-			Numeric:        a.numeric,
-			Distinct:       len(a.distinct),
-			DistinctCapped: a.capped,
-		}
-		if a.seenNum {
-			as.Min, as.Max = a.min, a.max
-		}
-		if a.observed > 0 {
-			as.NullFrac = float64(a.nulls) / float64(a.observed)
-		}
-		ts.Attrs[i] = as
-	}
 	return ts
-}
-
-// newAccs builds zeroed accumulators for a schema.
-func newAccs(s schema.Schema) []attrAcc {
-	accs := make([]attrAcc, s.Len())
-	for i, col := range s.Cols {
-		accs[i] = attrAcc{
-			name:     col.Name,
-			numeric:  col.Type.Numeric(),
-			distinct: make(map[uint64]struct{}),
-		}
-	}
-	return accs
-}
-
-// foldRow merges one row into the accumulators.
-func foldRow(accs []attrAcc, r schema.Row) {
-	for i := range accs {
-		a := &accs[i]
-		a.observed++
-		if i >= len(r) || r[i].IsNull() {
-			a.nulls++
-			continue
-		}
-		if f, ok := r[i].AsFloat(); ok && a.numeric {
-			if !a.seenNum || f < a.min {
-				a.min = f
-			}
-			if !a.seenNum || f > a.max {
-				a.max = f
-			}
-			a.seenNum = true
-		}
-		if a.capped {
-			continue
-		}
-		a.distinct[r[i].Hash()] = struct{}{}
-		if len(a.distinct) >= distinctCap {
-			a.capped = true
-		}
-	}
 }

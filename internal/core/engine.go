@@ -61,13 +61,13 @@ func (s Strategy) String() string {
 	case Auto:
 		return "auto"
 	case PrunedEnum:
-		return "pruned-enum"
+		return plan.StrategyPrunedEnum
 	case LocalSearchStrategy:
-		return "local-search"
+		return plan.StrategyLocalSearch
 	case Solver:
-		return "solver"
+		return plan.StrategySolver
 	case SketchRefineStrategy:
-		return "sketch-refine"
+		return plan.StrategySketch
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
@@ -93,14 +93,9 @@ func ParseStrategy(name string) (Strategy, error) {
 // Options tunes evaluation.
 type Options struct {
 	Strategy Strategy
-	// Planner overrides the cost-based planner Run consults for
-	// strategy and knob defaults (nil = a planner with the stock cost
-	// model). Explicitly-set options enter its input as forced, so they
-	// win over its decisions (a strategy the atoms rule out excepted).
-	Planner *plan.Planner
-	// Catalog, when set, feeds the planner per-table statistics (row
-	// counts, write rate, delta fraction). Without one the planner
-	// sees a minimal row-count-only snapshot.
+	// Catalog, when set, feeds the planner the table's row count and
+	// write rate. Without one the planner sees a minimal row-count-only
+	// snapshot.
 	Catalog *catalog.Catalog
 	// Limit overrides the query's LIMIT (number of packages).
 	Limit int
@@ -110,7 +105,7 @@ type Options struct {
 	// hard cancellation.
 	Timeout time.Duration
 	// MemoryBudget, when positive, caps the planner-predicted peak
-	// working set (plan.CostModel.MemoryEstimate) a query may allocate:
+	// working set (plan.MemoryEstimate) a query may allocate:
 	// evaluation refuses with lifecycle.ErrBudgetExceeded before
 	// dispatching a strategy whose estimate exceeds it.
 	MemoryBudget int64
@@ -122,8 +117,8 @@ type Options struct {
 	// diverseOverFetch times the requested packages) instead of the top-k
 	// by objective (§5 "diverse package results").
 	Diverse bool
-	// SketchPartitionSize bounds SketchRefine partitions (τ; 0 =
-	// default 64).
+	// SketchPartitionSize bounds SketchRefine partitions (τ; 0 = the
+	// planner sizes it).
 	SketchPartitionSize int
 	// SketchDepth is the SketchRefine partition-tree depth: 0 or 1 =
 	// flat, ≥ 2 recurses the sketch over partitions of partitions so

@@ -2,10 +2,14 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/minidb"
+	"repro/internal/plan"
 	"repro/internal/sketch"
 )
 
@@ -241,5 +245,85 @@ func TestIncrementalDisabledRebuilds(t *testing.T) {
 	}
 	if res.Stats.SketchCacheHit {
 		t.Fatal("stale tree served")
+	}
+}
+
+// writeBatch INSERTs ins fresh recipes (ids from nextID up) and DELETEs
+// the del rows with the smallest ids still in the table, one statement
+// each, the way the benchmark's write-interleaved steps do.
+func writeBatch(t *testing.T, db *minidb.DB, nextID, ins, delFrom, del int) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("INSERT INTO recipes VALUES ")
+	for i := 0; i < ins; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		id := nextID + i
+		fmt.Fprintf(&b, "(%d, 'w%d', 'fusion', 'dinner', 'free', %d, %d, 10, 50, 9.5, 4.5)", id, id, 500+id%400, 10+id%40)
+	}
+	if _, err := db.Exec(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Exec(fmt.Sprintf("DELETE FROM recipes WHERE id >= %d AND id < %d", delFrom, delFrom+del))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Affected != del {
+		t.Fatalf("delete removed %d rows, want %d; fixture broken", res.Affected, del)
+	}
+}
+
+// TestMaintenanceFollowsTreeLineage pins the clock patch-vs-rebuild is
+// decided on: the delta between the stale tree and now, which is what
+// Tree.ApplyDelta enforces — not the writes the table has seen in total.
+// Sixty 1 % write steps (60 % cumulative) each leave the cached tree 1 %
+// stale, so each is planned as a patch and patched; one 30 % batch is
+// past the budget, so it is planned as a rebuild and the engine never
+// reaches the patch path.
+func TestMaintenanceFollowsTreeLineage(t *testing.T) {
+	db := lcDB(t, 6000)
+	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
+		SketchMemo: NewFingerprintMemo(), Catalog: catalog.New(db)}
+	run := func() *Result {
+		t.Helper()
+		res, err := Evaluate(db, lcQuery, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Packages) == 0 {
+			t.Fatalf("no package: %v", res.Stats.Notes)
+		}
+		return res
+	}
+	if cold := run(); cold.Stats.Plan.TreeSource != plan.SourceBuild || cold.Stats.Plan.Maintenance != plan.MaintainNone {
+		t.Fatalf("cold query planned\n%s", cold.Stats.Plan.Explain())
+	}
+	nextID, delFrom := 100_000, 1 // recipe ids start at 1
+	for step := 1; step <= 60; step++ {
+		writeBatch(t, db, nextID, 40, delFrom, 20)
+		nextID, delFrom = nextID+40, delFrom+20
+		res := run()
+		qp := res.Stats.Plan
+		if qp.Maintenance != plan.MaintainPatch || qp.TreeSource != plan.SourcePatch || !res.Stats.SketchTreePatched {
+			t.Fatalf("write step %d (%d rows written in total, this tree 1%% stale): patched=%v, planned\n%s",
+				step, 60*step, res.Stats.SketchTreePatched, qp.Explain())
+		}
+	}
+
+	// One batch of 30 % (2,400 rows against the 8,000 it leaves): past the
+	// budget on the tree's own clock.
+	writeBatch(t, db, nextID, 1600, delFrom, 800)
+	inj := fault.NewInjector(1) // no rules: the injector only counts site visits
+	defer fault.Enable(inj)()
+	res := run()
+	qp := res.Stats.Plan
+	d := qp.Decision("maintenance")
+	if qp.Maintenance != plan.MaintainRebuild || d.Forced || !strings.Contains(d.Reason, "lineage delta 30.0%") ||
+		qp.TreeSource != plan.SourceBuild || res.Stats.SketchTreePatched {
+		t.Fatalf("30%% batch: patched=%v, planned\n%s", res.Stats.SketchTreePatched, qp.Explain())
+	}
+	if v := inj.Coverage()["sketch.tree.patch"].Visits; v != 0 {
+		t.Fatalf("planned a rebuild but the engine visited the patch path %d time(s)", v)
 	}
 }

@@ -15,8 +15,8 @@ import (
 
 // optionDecision says, for every field of Options, which plan decision
 // setting it forces. The empty string marks what the planner does not
-// decide: the handles an evaluation runs against (Planner, Catalog,
-// SketchCache, SketchMemo, Require, Limit) and the budgets, seeds,
+// decide: the handles an evaluation runs against (Catalog, SketchCache,
+// SketchMemo, Require, Limit) and the budgets, seeds,
 // ablations and tier settings that pass straight to the runners. A new
 // Options field has to be entered here — and, when it names a decision,
 // in parityCases below — before TestExecutionFollowsPlan passes again.
@@ -28,7 +28,7 @@ var optionDecision = map[string]string{
 	"SketchIncremental":   "maintenance",
 	"GapTolerance":        "bound",
 
-	"Planner": "", "Catalog": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
+	"Catalog": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
 
 	"Timeout": "", "MemoryBudget": "", "Seed": "", "Restarts": "", "Diverse": "",
 	"SketchNoCache": "", "SketchPersistDir": "",
@@ -146,7 +146,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			}
 			// Under 4,096 candidates the planner answers exactly unless the
 			// strategy is forced; over them it sketches: cold, then warm,
-			// then after a write.
+			// then after a write, then after many.
 			run("solver", solverQuery, "")
 			run("sketch-cold", lcQuery, plan.SourceBuild)
 			run("sketch-warm", lcQuery, plan.SourceCache)
@@ -158,6 +158,12 @@ func TestExecutionFollowsPlan(t *testing.T) {
 				postWrite = plan.SourceBuild
 			}
 			run("post-write", lcQuery, postWrite)
+			// After many writes: three 10 % batches take the table's total
+			// past the patch budget, yet each leaves the tree 10 % stale.
+			for i := 0; i < 3; i++ {
+				writeBatch(t, db, 100_000+400*i, 400, 1+200*i, 200)
+				run(fmt.Sprintf("post-write-after-many-writes/%d", i+1), lcQuery, postWrite)
+			}
 		})
 	}
 
@@ -193,7 +199,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 				wantBound = plan.BoundNone
 			}
 			atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
-			wantMem := plan.DefaultCostModel().MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, 0, atoms)
+			wantMem := plan.MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, 0, atoms)
 			if qp.Bound != wantBound || qp.MemoryBytes != wantMem || res.Stats.MemoryEstimate != wantMem {
 				t.Errorf("bound %s, memory %d B (stats %d B); want %s, %d B\n%s",
 					qp.Bound, qp.MemoryBytes, res.Stats.MemoryEstimate, wantBound, wantMem, qp.Explain())

@@ -16,27 +16,20 @@ import (
 // probe). The resulting plan.Plan is what the strategy runners execute —
 // decided knobs never travel back into Options.
 
-// planner resolves the cost-based planner an evaluation consults.
-func (o Options) planner() *plan.Planner {
-	if o.Planner != nil {
-		return o.Planner
-	}
-	return plan.NewPlanner()
-}
-
 // Plan runs the cost-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
 // anything. EXPLAIN on every surface bottoms out here.
 func (p *Prepared) Plan(opts Options) *plan.Plan {
-	return opts.planner().Plan(p.planInput(opts))
+	return plan.New(p.planInput(opts))
 }
 
 // planInput snapshots everything the execution planner looks at.
 func (p *Prepared) planInput(opts Options) plan.Input {
+	branches, sketchErr := sketch.Applicable(p.Instance)
 	in := plan.Input{
 		N:       len(p.Instance.Rows),
 		MaxMult: p.Instance.MaxMult,
-		Mix:     plan.AnalyzeAtoms(p.Analysis, sketch.Applicable(p.Instance)),
+		Mix:     plan.AnalyzeAtoms(p.Analysis, branches, sketchErr),
 		Procs:   runtime.GOMAXPROCS(0),
 		Forced:  opts.forcedKnobs(),
 		Probe:   p.cacheProbe(opts),

@@ -125,15 +125,14 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	if opts.Diverse {
 		fetch = limit * diverseOverFetch
 	}
-	planner := opts.planner()
-	if len(inst.Rows) <= planner.Cost.SketchThreshold {
+	if len(inst.Rows) <= plan.SketchThreshold {
 		pr, full := prune.SpaceSize(len(inst.Rows), inst.Bounds)
 		res.Stats.SpacePruned, res.Stats.SpaceFull = pr, full
 	}
 
 	// Plan first: the trail is reported even when the bounds check below
 	// exits early, so EXPLAIN always has something to show.
-	qplan := planner.Plan(p.planInput(opts))
+	qplan := p.Plan(opts)
 	res.Stats.Plan = qplan
 	res.Stats.MemoryEstimate = qplan.MemoryBytes
 

@@ -133,7 +133,7 @@ func TestAutoSelectsSketchAboveThreshold(t *testing.T) {
 		t.Skip("builds a >4096-tuple relation")
 	}
 	db := minidb.New()
-	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: plan.DefaultCostModel().SketchThreshold + 500, Seed: 3}); err != nil {
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: plan.SketchThreshold + 500, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	q := `SELECT PACKAGE(R) AS P FROM recipes R

@@ -17,8 +17,7 @@ func (p *Plan) Explain() string {
 	} else {
 		b.WriteString("plan\n")
 	}
-	fmt.Fprintf(&b, "table %s: %d rows, %d attrs, %.2f writes/s, delta %.1f%%\n",
-		p.Table.Table, p.Table.Rows, len(p.Table.Attrs), p.Table.WriteRate, 100*p.Table.DeltaFrac)
+	fmt.Fprintf(&b, "table %s: %d rows, %.2f writes/s\n", p.Table.Table, p.Table.Rows, p.Table.WriteRate)
 	fmt.Fprintf(&b, "atoms: %s\n", p.Mix.describe())
 	for i, d := range p.Decisions {
 		branch, cont := "├─", "│ "

@@ -1,18 +1,17 @@
 // Package plan is the cost-based strategy planner: the single place
-// that turns "what does this query look like and how big/hot is its
-// table" into "which strategy and which knobs". It follows the classic
+// that turns "what does this query look like and how big is its table"
+// into "which strategy and which knobs". It follows the classic
 // query-planner / execution-planner split:
 //
-//   - the query-planner half (AnalyzeAtoms) binds a PaQL analysis
-//     against the catalog and classifies the atom mix — linear, AVG,
-//     MIN/MAX, disjunctive — via the same lowering the sketch engine
-//     uses (internal/translate);
-//   - the execution-planner half (Planner.Plan) costs the alternatives
-//     (exact MILP vs flat vs hierarchical SketchRefine), sizes τ and
-//     tree depth to the table, picks parallelism from size and
-//     GOMAXPROCS, decides patch-vs-rebuild from the delta-log fraction,
-//     and predicts the tree source from the current cache and persist
-//     state — emitting a typed Plan whose every Decision carries a cost
+//   - the query-planner half (AnalyzeAtoms) classifies the atom mix of a
+//     PaQL analysis — linear, AVG, MIN/MAX, disjunctive — given the
+//     sketch engine's applicability verdict and branch count;
+//   - the execution-planner half (New) costs the alternatives (exact
+//     MILP vs flat vs hierarchical SketchRefine), sizes τ and tree depth
+//     to the table, picks parallelism from size and GOMAXPROCS, decides
+//     patch-vs-rebuild from the probed tree's own write lineage, and
+//     predicts the tree source from the current cache and persist state
+//     — emitting a typed Plan whose every Decision carries a cost
 //     estimate and a human-readable reason.
 //
 // Explicit user knobs win: they enter as Input.Forced and come back out
@@ -21,25 +20,72 @@
 // strategy the query's atoms rule out: the planner decides it as if
 // unforced and the reason says so, because the plan is what runs.
 //
-// The package deliberately does not import internal/core or
-// internal/sketch — core consumes plans, so strategies are named by
-// strings core parses, and cache/persist state arrives through an
-// injected probe. That keeps the planner a pure decision function over
-// an Input snapshot, which is what makes the decision matrix testable.
+// The thresholds below are declared here once and read from here by the
+// engines that enforce them (internal/sketch, internal/core), so a plan
+// cannot promise what the execution will not do. The package imports
+// internal/catalog for the table snapshot it echoes and internal/bound
+// for the certified-bound pipeline's stage names and round budget, which
+// the pipeline owns; it imports neither engine, and cache/persist state
+// arrives through an injected probe — so planning stays a pure function
+// of an Input snapshot, which is what makes the decision matrix testable.
 package plan
 
 import (
 	"math"
 
+	"repro/internal/bound"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/paql"
-	"repro/internal/translate"
 )
 
-// Strategy names a plan can choose. They match core.ParseStrategy
-// spellings so core can parse them back without importing this package
-// in reverse.
+// The planner's thresholds. Each is declared here and nowhere else: the
+// sketch engine and core read these constants for the limits they
+// enforce, so a retuned number moves the decision and the execution
+// together.
+const (
+	// ExactEnumMax is the largest candidate count worth exact
+	// enumeration for non-linear queries.
+	ExactEnumMax = 22
+	// SketchThreshold is the candidate count where an exact MILP stops
+	// being affordable and SketchRefine takes over. The sketch engine's
+	// bound pass switches at the same count from the exact LP relaxation
+	// over raw candidates to the tree relaxation — below it the exact
+	// strategy would have run anyway — and core computes the §4.1
+	// search-space size only up to it.
+	SketchThreshold = 4096
+	// DefaultTau and LargeTau are the leaf-size bounds τ for tables at or
+	// below / above LargeTauRows candidates; DefaultTau is also what the
+	// sketch engine uses when handed no τ.
+	DefaultTau   = 64
+	LargeTau     = 256
+	LargeTauRows = 100_000
+	// MaxTopVars caps the top-level sketch MILP size; depth grows until
+	// the root level fits under it.
+	MaxTopVars = 64
+	// MaxDepth caps the partition-tree depth — beyond it extra levels
+	// only add representative error. The sketch engine clamps requested
+	// depths to it and rejects persisted trees deeper than it.
+	MaxDepth = 8
+	// MinMaxDepthCap caps depth for queries with MIN/MAX atoms: the
+	// envelope relaxation loosens per level, so deep trees cost
+	// feasibility more than they save solve time.
+	MinMaxDepthCap = 2
+	// ParallelMinRows is the row count below which fan-out overhead beats
+	// the win: the planner stays serial under it, and so does the tree
+	// builder's median splitter for any group smaller than it.
+	ParallelMinRows = 2048
+	// PatchMaxFrac is the largest delta (inserts + deletes, as a fraction
+	// of the current candidates) worth patching a stale tree for; past it
+	// patching would touch most of the tree anyway and a rebuild is both
+	// faster and higher-fidelity. Tree.ApplyDelta refuses beyond it.
+	PatchMaxFrac = 0.25
+	// DescendBudget is the extra singleton variables the bound pipeline's
+	// adaptive one-level descent may spend re-bounding the loosest leaves.
+	DescendBudget = 4096
+)
+
+// Strategy names a plan can choose (core.ParseStrategy's spellings).
 const (
 	// StrategySolver is the exact MILP over all candidates.
 	StrategySolver = "solver"
@@ -54,8 +100,8 @@ const (
 
 // Maintenance values for the patch-vs-rebuild decision.
 const (
-	// MaintainNone: no writes since the last snapshot — any cached tree
-	// is still exact.
+	// MaintainNone: no stale tree with write lineage — a cached tree, if
+	// there is one, is exact.
 	MaintainNone = "none"
 	// MaintainPatch: the delta is within budget — patch the stale tree
 	// in place instead of rebuilding.
@@ -79,27 +125,28 @@ const (
 )
 
 // Bound values: which dual-bound pass certifies the objective interval
-// the evaluation returns (internal/bound).
+// the evaluation returns. The four pipeline rungs are internal/bound's
+// stage names, so what a plan asks for is what Stats.BoundStage reports.
 const (
 	// BoundRawLP: LP relaxation over the raw candidates — the exact LP
 	// relaxation of the query's MILP, the tightest bound an LP gives.
-	BoundRawLP = "raw-lp"
+	BoundRawLP = bound.StageRawLP
 	// BoundTreeLP: LP relaxation over the partition-tree leaves, each
 	// leaf split into objective-sorted segments (piecewise-linear
 	// columns); a handful of variables per leaf keeps the bound pass
 	// tiny at any scale.
-	BoundTreeLP = "tree-lp"
+	BoundTreeLP = bound.StageTreeLP
 	// BoundTreeLPTighten: the tree relaxation plus a few rounds of
 	// subgradient Lagrangian tightening on the rows the LP leaves tight
 	// or violated — what band (BETWEEN/equality) rows need, since the
 	// grouped envelope is loosest on paired ≤/≥ rows.
-	BoundTreeLPTighten = "tree-lp+tighten"
+	BoundTreeLPTighten = bound.StageTightened
 	// BoundDescend1: the full pipeline — the tightened tree relaxation
 	// plus an adaptive one-level descent that re-bounds the
 	// worst-contributing leaves as singleton columns when the gap is
 	// still too wide. The anytime mode's pick: tightest certificate
 	// short of the raw LP.
-	BoundDescend1 = "descend-1"
+	BoundDescend1 = bound.StageDescend
 	// BoundMILPDual: the exact solver's own branch-and-bound dual bound
 	// (gap 0 when it proves optimality).
 	BoundMILPDual = "milp-dual"
@@ -119,7 +166,7 @@ type AtomMix struct {
 	SketchOK bool `json:"sketchOK"`
 	// SketchErr is the applicability error when it cannot.
 	SketchErr string `json:"sketchErr,omitempty"`
-	// Branches is the DNF branch count the sketch compiler produced
+	// Branches is the number of DNF branches a sketch run will descend
 	// (1 for conjunctive queries, 0 when inapplicable).
 	Branches int `json:"branches"`
 	// SumCount, Avg and MinMax count the distinct aggregates by family.
@@ -137,11 +184,11 @@ type AtomMix struct {
 	Objective bool `json:"objective,omitempty"`
 }
 
-// AnalyzeAtoms binds an analyzed query into an atom mix. sketchErr is
-// the sketch engine's applicability verdict for the same query (nil
-// when the sketch path can run it); it is injected so this package
-// stays independent of internal/sketch.
-func AnalyzeAtoms(a *paql.Analysis, sketchErr error) AtomMix {
+// AnalyzeAtoms binds an analyzed query into an atom mix. branches and
+// sketchErr are the sketch engine's applicability verdict for the same
+// query (sketch.Applicable): the DNF branches it will descend, or why it
+// cannot run the query at all.
+func AnalyzeAtoms(a *paql.Analysis, branches int, sketchErr error) AtomMix {
 	m := AtomMix{Linear: a.Linear, NonlinearReasons: a.NonlinearReasons,
 		Objective: a.Query != nil && a.Query.Objective != nil}
 	if a.Query != nil && a.Query.SuchThat != nil {
@@ -171,10 +218,7 @@ func AnalyzeAtoms(a *paql.Analysis, sketchErr error) AtomMix {
 		return m
 	}
 	m.SketchOK = true
-	m.Branches = 1
-	if br, _, err := translate.CompileSketch(a, translate.DefaultMaxSketchBranches); err == nil && len(br) > 0 {
-		m.Branches = len(br)
-	}
+	m.Branches = branches
 	return m
 }
 
@@ -201,7 +245,7 @@ type CacheState struct {
 // (nil for Incremental) mean "planner's choice".
 type Forced struct {
 	// Strategy is the explicit strategy name, or "". It wins unless the
-	// atom mix rules it out (see Planner.pickStrategy).
+	// atom mix rules it out (see pickStrategy).
 	Strategy string `json:"strategy,omitempty"`
 	// Tau is the explicit leaf-size bound, or 0.
 	Tau int `json:"tau,omitempty"`
@@ -291,7 +335,7 @@ type Plan struct {
 	// TreeSource predicts where the partition tree will come from.
 	TreeSource string `json:"treeSource,omitempty"`
 	// MemoryBytes is the predicted peak working set of the chosen
-	// strategy (CostModel.MemoryEstimate); engines gate admission on it
+	// strategy (MemoryEstimate); engines gate admission on it
 	// against a per-query memory budget.
 	MemoryBytes int64 `json:"memoryBytes,omitempty"`
 	// Bound names the dual-bound pass the evaluation will run to
@@ -314,59 +358,12 @@ func (p *Plan) Decision(name string) *Decision {
 	return nil
 }
 
-// CostModel holds the planner's thresholds and cost formulas. Costs are
-// abstract work units (roughly candidate-cell touches) — only their
-// ratios matter.
-type CostModel struct {
-	// ExactEnumMax is the largest candidate count worth exact
-	// enumeration for non-linear queries.
-	ExactEnumMax int
-	// SketchThreshold is the candidate count where an exact MILP stops
-	// being "affordable" and SketchRefine takes over (the budget below
-	// derives from it).
-	SketchThreshold int
-	// DefaultTau and LargeTau are the leaf-size bounds for tables at or
-	// below / above LargeTauRows candidates.
-	DefaultTau   int
-	LargeTau     int
-	LargeTauRows int
-	// MaxTopVars caps the top-level sketch MILP size; depth grows until
-	// the root level fits under it.
-	MaxTopVars int
-	// MaxDepth caps the tree depth (mirrors the sketch engine's bound).
-	MaxDepth int
-	// MinMaxDepthCap caps depth for queries with MIN/MAX atoms: the
-	// envelope relaxation loosens per level, so deep trees cost
-	// feasibility more than they save solve time.
-	MinMaxDepthCap int
-	// ParallelMinRows is the candidate count below which fan-out
-	// overhead beats the win (mirrors the builder's serial cutoff).
-	ParallelMinRows int
-	// PatchMaxFrac is the largest delta fraction worth patching a stale
-	// tree for; past it the planner schedules a rebuild.
-	PatchMaxFrac float64
-}
-
-// DefaultCostModel returns the stock model. The thresholds previously
-// hard-coded in core.chooseStrategy (22 and 4096) live here now.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ExactEnumMax:    22,
-		SketchThreshold: 4096,
-		DefaultTau:      64,
-		LargeTau:        256,
-		LargeTauRows:    100_000,
-		MaxTopVars:      64,
-		MaxDepth:        8,
-		MinMaxDepthCap:  2,
-		ParallelMinRows: 2048,
-		PatchMaxFrac:    0.25,
-	}
-}
+// The cost formulas. Costs are abstract work units (roughly
+// candidate-cell touches) — only their ratios matter.
 
 // SolverCost estimates an exact MILP over n candidates: n·√n, the
 // empirical super-linear growth of the bounded LP-dive solver.
-func (c CostModel) SolverCost(n int) float64 {
+func SolverCost(n int) float64 {
 	f := float64(n)
 	return f * math.Sqrt(f)
 }
@@ -375,7 +372,7 @@ func (c CostModel) SolverCost(n int) float64 {
 // tau and the given DNF branch count: per branch one descent over the
 // leaves plus a refine pass bounded by n, and — unless a warm tree
 // exists — an offline build at n·(log₂(leaves)+1).
-func (c CostModel) SketchCost(n, tau, branches int, warm bool) float64 {
+func SketchCost(n, tau, branches int, warm bool) float64 {
 	if tau < 1 {
 		tau = 1
 	}
@@ -411,7 +408,7 @@ func (c CostModel) SketchCost(n, tau, branches int, warm bool) float64 {
 //
 // Engines compare the estimate against Options.MemoryBudget before
 // dispatch and refuse with a typed budget error instead of thrashing.
-func (c CostModel) MemoryEstimate(strategy string, n, tau, depth, atoms int) int64 {
+func MemoryEstimate(strategy string, n, tau, depth, atoms int) int64 {
 	if n < 1 {
 		return 0
 	}
@@ -431,7 +428,7 @@ func (c CostModel) MemoryEstimate(strategy string, n, tau, depth, atoms int) int
 
 // EnumCost estimates exact branch-and-bound enumeration: exponential in
 // n, saturating so the estimate stays finite.
-func (c CostModel) EnumCost(n int) float64 {
+func EnumCost(n int) float64 {
 	if n > 40 {
 		n = 40
 	}
@@ -440,21 +437,11 @@ func (c CostModel) EnumCost(n int) float64 {
 
 // LocalSearchCost estimates the greedy + local-search heuristic:
 // linear with a constant for the repair sweeps.
-func (c CostModel) LocalSearchCost(n int) float64 { return float64(n) * 64 }
+func LocalSearchCost(n int) float64 { return float64(n) * 64 }
 
 // ExactBudget is the largest solver cost still considered affordable:
 // below it the planner prefers the exact answer even when the sketch
 // estimate is lower, because exactness is worth the margin. It derives
 // from SketchThreshold so the classic 4096-candidate switchover falls
 // out of the model.
-func (c CostModel) ExactBudget() float64 { return c.SolverCost(c.SketchThreshold) }
-
-// Planner turns an Input into a Plan. The zero value is not usable;
-// call NewPlanner, then override Cost fields if desired.
-type Planner struct {
-	// Cost is the model driving every threshold below.
-	Cost CostModel
-}
-
-// NewPlanner returns a planner with the default cost model.
-func NewPlanner() *Planner { return &Planner{Cost: DefaultCostModel()} }
+func ExactBudget() float64 { return SolverCost(SketchThreshold) }

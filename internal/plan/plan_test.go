@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/paql"
 	"repro/internal/schema"
+	"repro/internal/translate"
 )
 
 func linearMix() AtomMix {
@@ -31,13 +32,12 @@ func nonlinearMix() AtomMix {
 		SketchErr: "sketch: query is not linear", SumCount: 2, Objective: true}
 }
 
-// TestDecisionMatrix is the satellite's size × atom-mix × write-rate ×
+// TestDecisionMatrix is the satellite's size × atom-mix × write-lineage ×
 // cache-state matrix: every input dimension must flip at least one
 // decision relative to its row's neighbor. The forced/ rows are the
 // strategies the atom mix rules out: each must plan exactly what its
 // unforced neighbor plans, with the override named in the reason.
 func TestDecisionMatrix(t *testing.T) {
-	pl := NewPlanner()
 	cases := []struct {
 		name string
 		in   Input
@@ -93,25 +93,33 @@ func TestDecisionMatrix(t *testing.T) {
 			return in
 		}(), map[string]string{"depth": "3"}},
 
-		// --- write-rate axis ---
+		// --- write-lineage axis: the probed tree's own delta, whatever
+		// the table's write rate says ---
 		{"writes/read-only", func() Input {
 			in := baseInput(100_000)
 			return in
 		}(), map[string]string{"maintenance": MaintainNone}},
+		{"writes/hot-table-no-lineage", func() Input {
+			in := baseInput(100_000)
+			in.Table.WriteRate = 50
+			return in
+		}(), map[string]string{"maintenance": MaintainNone}},
 		{"writes/modest", func() Input {
 			in := baseInput(100_000)
-			in.Table.WriteRate = 2.5
-			in.Table.DeltaRows = 1000
-			in.Table.DeltaFrac = 0.01
+			in.Probe = patchable(0.01)
 			return in
 		}(), map[string]string{"maintenance": MaintainPatch}},
 		{"writes/heavy", func() Input {
 			in := baseInput(100_000)
-			in.Table.WriteRate = 50
-			in.Table.DeltaRows = 40_000
-			in.Table.DeltaFrac = 0.4
+			in.Probe = patchable(0.4)
 			return in
 		}(), map[string]string{"maintenance": MaintainRebuild}},
+		{"writes/forced-off", func() Input {
+			in := baseInput(100_000)
+			in.Probe = patchable(0.01)
+			in.Forced.Incremental = new(bool)
+			return in
+		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
 
 		// --- cache-state axis ---
 		{"cache/cold", func() Input {
@@ -130,24 +138,19 @@ func TestDecisionMatrix(t *testing.T) {
 		}(), map[string]string{"tree-source": SourceDisk}},
 		{"cache/patchable", func() Input {
 			in := baseInput(100_000)
-			in.Table.WriteRate = 1
-			in.Table.DeltaRows = 100
-			in.Table.DeltaFrac = 0.001
-			in.Probe = func(tau, depth int) CacheState {
-				return CacheState{Patchable: true, PatchFrac: 0.001}
-			}
+			in.Probe = patchable(0.001)
 			return in
 		}(), map[string]string{"tree-source": SourcePatch, "maintenance": MaintainPatch}},
 		{"cache/patchable-but-rebuilding", func() Input {
 			in := baseInput(100_000)
-			in.Table.WriteRate = 10
-			in.Table.DeltaRows = 50_000
-			in.Table.DeltaFrac = 0.5
-			in.Probe = func(tau, depth int) CacheState {
-				return CacheState{Patchable: true, PatchFrac: 0.5}
-			}
+			in.Probe = patchable(0.5)
 			return in
 		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainRebuild}},
+		{"cache/probe-failed", func() Input {
+			in := baseInput(100_000)
+			in.Probe = func(tau, depth int) CacheState { return CacheState{ProbeFailed: true} }
+			return in
+		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainNone}},
 
 		// --- forced strategy × the atom mix that rules it out ---
 		{"forced/solver-nonlinear-small", func() Input {
@@ -180,9 +183,9 @@ func TestDecisionMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := pl.Plan(tc.in)
+			p := New(tc.in)
 			if forced := tc.in.Forced.Strategy; forced != "" && forced != p.Strategy {
-				checkOverride(t, pl, tc.in, p)
+				checkOverride(t, tc.in, p)
 			}
 			for name, want := range tc.want {
 				d := p.Decision(name)
@@ -210,11 +213,11 @@ func TestDecisionMatrix(t *testing.T) {
 // unforced plan of the same input: the same decisions and the same
 // memory estimate, nothing marked forced, and a strategy reason that is
 // the unforced one behind a clause naming what was overridden.
-func checkOverride(t *testing.T, pl *Planner, in Input, got *Plan) {
+func checkOverride(t *testing.T, in Input, got *Plan) {
 	t.Helper()
 	forced := in.Forced.Strategy
 	in.Forced.Strategy = ""
-	free := pl.Plan(in)
+	free := New(in)
 	if decisionValues(got) != decisionValues(free) || got.MemoryBytes != free.MemoryBytes {
 		t.Fatalf("forced %s planned differently from the unforced query:\n%s\n--- unforced ---\n%s", forced, got.Explain(), free.Explain())
 	}
@@ -235,9 +238,7 @@ func checkOverride(t *testing.T, pl *Planner, in Input, got *Plan) {
 // flipping any one input dimension of a reference cell changes at
 // least one decision value.
 func TestEachInputChangesADecision(t *testing.T) {
-	pl := NewPlanner()
-	ref := baseInput(100_000)
-	refPlan := pl.Plan(ref)
+	refPlan := New(baseInput(100_000))
 	flips := []struct {
 		name string
 		mut  func(*Input)
@@ -246,11 +247,7 @@ func TestEachInputChangesADecision(t *testing.T) {
 		{"atom-mix", func(in *Input) {
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"nonlinear"}}
 		}},
-		{"write-rate", func(in *Input) {
-			in.Table.WriteRate = 50
-			in.Table.DeltaRows = 40_000
-			in.Table.DeltaFrac = 0.4
-		}},
+		{"write-lineage", func(in *Input) { in.Probe = patchable(0.4) }},
 		{"cache-state", func(in *Input) {
 			in.Probe = func(tau, depth int) CacheState { return CacheState{InCache: true} }
 		}},
@@ -259,12 +256,18 @@ func TestEachInputChangesADecision(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			in := baseInput(100_000)
 			f.mut(&in)
-			got := pl.Plan(in)
+			got := New(in)
 			if decisionValues(refPlan) == decisionValues(got) {
 				t.Fatalf("flipping %s changed no decision:\n%s", f.name, got.Explain())
 			}
 		})
 	}
+}
+
+// patchable is the probe of a query whose stale tree sits in the cache
+// with write lineage covering frac of the candidates.
+func patchable(frac float64) func(tau, depth int) CacheState {
+	return func(tau, depth int) CacheState { return CacheState{Patchable: true, PatchFrac: frac} }
 }
 
 func decisionValues(p *Plan) string {
@@ -278,7 +281,6 @@ func decisionValues(p *Plan) string {
 // TestForcedKnobsWin pins the satellite regression: every explicit knob
 // overrides the planner and is marked forced.
 func TestForcedKnobsWin(t *testing.T) {
-	pl := NewPlanner()
 	yes := true
 	in := baseInput(100) // planner alone would pick solver/serial here
 	in.Forced = Forced{
@@ -288,7 +290,7 @@ func TestForcedKnobsWin(t *testing.T) {
 		Parallelism: 3,
 		Incremental: &yes,
 	}
-	p := pl.Plan(in)
+	p := New(in)
 	want := map[string]string{
 		"strategy":    StrategySketch,
 		"tau":         "32",
@@ -314,10 +316,9 @@ func TestForcedKnobsWin(t *testing.T) {
 // TestForcedKnobSurvivesSolverPlan: a forced knob shows up in the trail
 // even when the chosen strategy ignores it.
 func TestForcedKnobSurvivesSolverPlan(t *testing.T) {
-	pl := NewPlanner()
 	in := baseInput(100)
 	in.Forced.Depth = 4
-	p := pl.Plan(in)
+	p := New(in)
 	if p.Strategy != StrategySolver {
 		t.Fatalf("strategy=%s", p.Strategy)
 	}
@@ -332,25 +333,21 @@ func TestForcedKnobSurvivesSolverPlan(t *testing.T) {
 
 // TestGoldenExplain pins the EXPLAIN text format.
 func TestGoldenExplain(t *testing.T) {
-	pl := NewPlanner()
 	in := Input{
-		Query: "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
-		Table: catalog.TableStats{
-			Table: "t", Rows: 100_000, Version: 7,
-			Attrs:     []catalog.AttrStats{{Name: "id"}, {Name: "v"}},
-			WriteRate: 2.5, DeltaRows: 1000, DeltaFrac: 0.01,
-		},
+		Query:   "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
+		Table:   catalog.TableStats{Table: "t", Rows: 100_000, Version: 7, WriteRate: 2.5},
 		N:       100_000,
 		MaxMult: 1,
 		Mix:     linearMix(),
 		Procs:   8,
+		Probe:   patchable(0.01),
 	}
-	got := pl.Plan(in).Explain()
+	got := New(in).Explain()
 	want := `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
-table t: 100000 rows, 2 attrs, 2.50 writes/s, delta 1.0%
+table t: 100000 rows, 2.50 writes/s
 atoms: linear; 2 sum/count; 1 branch
-├─ strategy = sketch-refine  [cost ≈ 1.26e+06]
-│      linear query, 100000 candidates > 4096: partitioned sketch is cheapest (cold tree priced in)
+├─ strategy = sketch-refine  [cost ≈ 1.02e+05]
+│      linear query, 100000 candidates > 4096: partitioned sketch is cheapest (warm tree available)
 │      rejected: solver ≈ 3.16e+07
 ├─ tau = 64
 │      100000 candidates ≤ 100000: default leaf size
@@ -359,9 +356,9 @@ atoms: linear; 2 sum/count; 1 branch
 ├─ parallelism = 8
 │      100000 candidates ≥ 2048: fan out across 8 workers
 ├─ maintenance = patch
-│      delta 1.0% of the table ≤ 25% budget (2.50 writes/s): patch stale trees in place
-├─ tree-source = build
-│      no cached, persisted, or patchable tree: full offline build
+│      lineage delta 1.0% of the candidates ≤ 25% budget: patch the stale tree in place
+├─ tree-source = patch
+│      stale base tree plus write lineage (delta 1.0% of candidates): patch instead of rebuild
 ├─ bound = tree-lp  [cost ≈ 1.56e+03]
 │      LP relaxation over ~1563 partition leaves (objective-sorted segments), 1 branch(es); no band atoms to tighten
 │      rejected: tree-lp+tighten ≈ 7.82e+03
@@ -391,18 +388,28 @@ func TestAnalyzeAtoms(t *testing.T) {
 		}
 		return a
 	}
-	lin := AnalyzeAtoms(parse("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(w)"), nil)
+	// The branch count arrives with the sketch engine's verdict; here the
+	// test lowers the formula the way the engine does.
+	analyze := func(src string, sketchErr error) AtomMix {
+		a := parse(src)
+		br, _, err := translate.CompileSketch(a, translate.DefaultMaxSketchBranches)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		return AnalyzeAtoms(a, len(br), sketchErr)
+	}
+	lin := analyze("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(w)", nil)
 	if !lin.Linear || !lin.SketchOK || lin.SumCount != 2 || lin.Branches != 1 {
 		t.Fatalf("linear mix: %+v", lin)
 	}
-	mixed := AnalyzeAtoms(parse("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT AVG(v) >= 1 AND (MIN(w) >= 0 OR MAX(w) <= 9) MAXIMIZE COUNT(*)"), nil)
+	mixed := analyze("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT AVG(v) >= 1 AND (MIN(w) >= 0 OR MAX(w) <= 9) MAXIMIZE COUNT(*)", nil)
 	if mixed.Avg != 1 || mixed.MinMax != 2 || mixed.SumCount != 1 {
 		t.Fatalf("mixed mix: %+v", mixed)
 	}
 	if mixed.Branches < 2 {
 		t.Fatalf("disjunction should expand branches: %+v", mixed)
 	}
-	inapp := AnalyzeAtoms(parse("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(w)"), errors.New("no dice"))
+	inapp := analyze("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(w)", errors.New("no dice"))
 	if inapp.SketchOK || inapp.SketchErr != "no dice" || inapp.Branches != 0 {
 		t.Fatalf("inapplicable mix: %+v", inapp)
 	}
@@ -411,8 +418,7 @@ func TestAnalyzeAtoms(t *testing.T) {
 // TestPlanJSONRoundTrip: pbserver serves plans as JSON; the typed plan
 // must survive a round trip.
 func TestPlanJSONRoundTrip(t *testing.T) {
-	pl := NewPlanner()
-	p := pl.Plan(baseInput(100_000))
+	p := New(baseInput(100_000))
 	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
@@ -432,20 +438,19 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 // TestCostModelMonotone sanity-checks the cost formulas the decisions
 // rest on.
 func TestCostModelMonotone(t *testing.T) {
-	cm := DefaultCostModel()
-	if cm.SolverCost(1000) >= cm.SolverCost(10_000) {
+	if SolverCost(1000) >= SolverCost(10_000) {
 		t.Fatal("solver cost must grow with n")
 	}
-	if w, c := cm.SketchCost(100_000, 64, 1, true), cm.SketchCost(100_000, 64, 1, false); w >= c {
+	if w, c := SketchCost(100_000, 64, 1, true), SketchCost(100_000, 64, 1, false); w >= c {
 		t.Fatal("warm sketch must be cheaper than cold")
 	}
-	if one, eight := cm.SketchCost(100_000, 64, 1, false), cm.SketchCost(100_000, 64, 8, false); one >= eight {
+	if one, eight := SketchCost(100_000, 64, 1, false), SketchCost(100_000, 64, 8, false); one >= eight {
 		t.Fatal("branches must raise sketch cost")
 	}
-	if cm.EnumCost(50) != cm.EnumCost(41) {
+	if EnumCost(50) != EnumCost(41) {
 		t.Fatal("enum cost must saturate")
 	}
-	if cm.ExactBudget() != cm.SolverCost(cm.SketchThreshold) {
+	if ExactBudget() != SolverCost(SketchThreshold) {
 		t.Fatal("budget must derive from the sketch threshold")
 	}
 }
@@ -454,28 +459,26 @@ func TestCostModelMonotone(t *testing.T) {
 // plan carries a strategy-matched estimate, and the formulas scale with
 // the variables the real allocations depend on.
 func TestMemoryEstimate(t *testing.T) {
-	cm := DefaultCostModel()
-	if got := cm.MemoryEstimate(StrategySolver, 1000, 0, 0, 3); got != 1000*5*16+1000*48 {
+	if got := MemoryEstimate(StrategySolver, 1000, 0, 0, 3); got != 1000*5*16+1000*48 {
 		t.Fatalf("solver estimate = %d", got)
 	}
-	if got := cm.MemoryEstimate(StrategySketch, 1000, 64, 3, 3); got != 1000*3*8+1000*16 {
+	if got := MemoryEstimate(StrategySketch, 1000, 64, 3, 3); got != 1000*3*8+1000*16 {
 		t.Fatalf("sketch estimate = %d", got)
 	}
 	// depth 0 is treated as a flat (depth-1) tree.
-	if cm.MemoryEstimate(StrategySketch, 1000, 64, 0, 3) != cm.MemoryEstimate(StrategySketch, 1000, 64, 1, 3) {
+	if MemoryEstimate(StrategySketch, 1000, 64, 0, 3) != MemoryEstimate(StrategySketch, 1000, 64, 1, 3) {
 		t.Fatal("depth 0 and depth 1 should match")
 	}
-	if got := cm.MemoryEstimate(StrategyLocalSearch, 1000, 0, 0, 3); got != 32000 {
+	if got := MemoryEstimate(StrategyLocalSearch, 1000, 0, 0, 3); got != 32000 {
 		t.Fatalf("linear-strategy estimate = %d", got)
 	}
-	if cm.MemoryEstimate(StrategySolver, 0, 0, 0, 3) != 0 {
+	if MemoryEstimate(StrategySolver, 0, 0, 0, 3) != 0 {
 		t.Fatal("no candidates, no memory")
 	}
 
 	// Every plan, sketch or solver, records the decision and the field.
-	pl := NewPlanner()
 	for _, n := range []int{100, 100_000} {
-		p := pl.Plan(baseInput(n))
+		p := New(baseInput(n))
 		d := p.Decision("memory")
 		if d == nil || p.MemoryBytes <= 0 {
 			t.Fatalf("n=%d: memory decision missing (plan %+v)", n, p)

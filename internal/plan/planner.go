@@ -5,12 +5,14 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/bound"
 )
 
-// Plan runs the execution planner over one input snapshot and returns
+// New runs the execution planner over one input snapshot and returns
 // the decision trail. It is a pure function of the input: same
 // snapshot, same plan.
-func (pl *Planner) Plan(in Input) *Plan {
+func New(in Input) *Plan {
 	n := in.N
 	procs := in.Procs
 	if procs < 1 {
@@ -25,16 +27,16 @@ func (pl *Planner) Plan(in Input) *Plan {
 
 	// Knobs first: τ and depth are functions of size and atom mix
 	// alone, and the cache key the probe needs depends on them.
-	tau := pl.pickTau(p, in)
-	depth := pl.pickDepth(p, in, tau)
-	par := pl.pickParallelism(p, in, procs)
+	tau := pickTau(p, in)
+	depth := pickDepth(p, in, tau)
+	par := pickParallelism(p, in, procs)
 
 	var cs CacheState
 	if in.Probe != nil {
 		cs = in.Probe(tau, depth)
 	}
 
-	strat := pl.pickStrategy(p, in, tau, cs)
+	strat := pickStrategy(p, in, tau, cs)
 	p.Strategy = strat
 
 	sketchy := strat == StrategySketch
@@ -48,8 +50,8 @@ func (pl *Planner) Plan(in Input) *Plan {
 		p.Parallelism = par
 	}
 	if sketchy {
-		pl.pickMaintenance(p, in)
-		pl.pickTreeSource(p, in, cs)
+		pickMaintenance(p, in, cs)
+		pickTreeSource(p, cs)
 	} else {
 		p.Incremental = true
 		// The knob decisions explain values that will not be used; keep
@@ -65,11 +67,11 @@ func (pl *Planner) Plan(in Input) *Plan {
 
 	// Memory is estimated for whatever strategy won (forced ones too):
 	// engines gate admission on it, so every plan must carry it.
-	pl.pickMemory(p, in, strat, tau, depth)
+	pickMemory(p, in, strat, tau, depth)
 
 	// The bound decision also runs after the filter: every strategy's
 	// plan says how (or whether) its objective interval gets certified.
-	pl.pickBound(p, in, strat, tau)
+	pickBound(p, in, strat, tau)
 
 	// The strategy decision reads best first; knob decisions follow in
 	// pick order.
@@ -80,9 +82,9 @@ func (pl *Planner) Plan(in Input) *Plan {
 // pickMemory records the chosen strategy's predicted peak working set.
 // It runs after the solver-plan decision filter so the estimate always
 // survives into the trail — admission control reads it off the plan.
-func (pl *Planner) pickMemory(p *Plan, in Input, strat string, tau, depth int) {
+func pickMemory(p *Plan, in Input, strat string, tau, depth int) {
 	atoms := in.Mix.SumCount + in.Mix.Avg + in.Mix.MinMax
-	est := pl.Cost.MemoryEstimate(strat, in.N, tau, depth, atoms)
+	est := MemoryEstimate(strat, in.N, tau, depth, atoms)
 	p.MemoryBytes = est
 	// Cost stays zero: Decision.Cost is abstract work units and the
 	// trail would render bytes as a solver-cost lookalike.
@@ -111,8 +113,8 @@ func (pl *Planner) pickMemory(p *Plan, in Input, strat string, tau, depth int) {
 // several times the descent and refine it certifies (the benchmark's
 // bound.pass_share on sketch-warm); what it does not do is grow with
 // the table, so the share shrinks as the scan and the tree grow.
-func (pl *Planner) pickBound(p *Plan, in Input, strat string, tau int) {
-	cm := pl.Cost
+func pickBound(p *Plan, in Input, strat string, tau int) {
+	const rounds = bound.DefaultTightenRounds
 	d := Decision{Name: "bound"}
 	branches := in.Mix.Branches
 	if branches < 1 {
@@ -123,8 +125,8 @@ func (pl *Planner) pickBound(p *Plan, in Input, strat string, tau int) {
 	// LP, +1 solve per tightening round, +1 refined solve with the
 	// descent's extra columns.
 	treeC := float64(leaves * branches)
-	tightenC := treeC * float64(1+boundTightenRounds)
-	descendC := tightenC + float64((leaves+boundDescendVars)*branches)
+	tightenC := treeC * float64(1+rounds)
+	descendC := tightenC + float64((leaves+DescendBudget)*branches)
 	switch {
 	case !in.Mix.Objective:
 		d.Value = BoundNone
@@ -135,19 +137,19 @@ func (pl *Planner) pickBound(p *Plan, in Input, strat string, tau int) {
 	case strat != StrategySketch:
 		d.Value = BoundNone
 		d.Reason = fmt.Sprintf("%s has no relaxation to certify against: gap stays unproven", strat)
-	case in.N <= cm.SketchThreshold:
+	case in.N <= SketchThreshold:
 		d.Value = BoundRawLP
 		d.Cost = float64(in.N * branches)
-		d.Reason = fmt.Sprintf("%d candidates ≤ %d: the exact LP relaxation is affordable and tightest", in.N, cm.SketchThreshold)
+		d.Reason = fmt.Sprintf("%d candidates ≤ %d: the exact LP relaxation is affordable and tightest", in.N, SketchThreshold)
 	case in.Forced.GapTolerance > 0:
 		d.Value = BoundDescend1
 		d.Cost = descendC
-		d.Reason = fmt.Sprintf("anytime mode over ~%d leaves: full pipeline (segments, %d Lagrangian rounds, one-level descent) buys the tightest certificate", leaves, boundTightenRounds)
+		d.Reason = fmt.Sprintf("anytime mode over ~%d leaves: full pipeline (segments, %d Lagrangian rounds, one-level descent) buys the tightest certificate", leaves, rounds)
 		d.Alternatives = []Alternative{{Value: BoundTreeLPTighten, Cost: tightenC}, {Value: BoundTreeLP, Cost: treeC}}
 	case in.Mix.Bands > 0:
 		d.Value = BoundTreeLPTighten
 		d.Cost = tightenC
-		d.Reason = fmt.Sprintf("%d band atom(s) (BETWEEN/equality): %d Lagrangian rounds tighten the paired-row envelopes over ~%d leaves", in.Mix.Bands, boundTightenRounds, leaves)
+		d.Reason = fmt.Sprintf("%d band atom(s) (BETWEEN/equality): %d Lagrangian rounds tighten the paired-row envelopes over ~%d leaves", in.Mix.Bands, rounds, leaves)
 		d.Alternatives = []Alternative{{Value: BoundTreeLP, Cost: treeC}, {Value: BoundDescend1, Cost: descendC}}
 	default:
 		d.Value = BoundTreeLP
@@ -162,14 +164,6 @@ func (pl *Planner) pickBound(p *Plan, in Input, strat string, tau int) {
 	p.Bound = d.Value
 	p.Decisions = append(p.Decisions, d)
 }
-
-// boundTightenRounds and boundDescendVars mirror the sketch engine's
-// pipeline budgets (bound.DefaultTightenRounds, its descent variable
-// budget) for costing only — plan deliberately imports neither package.
-const (
-	boundTightenRounds = 4
-	boundDescendVars   = 4096
-)
 
 // formatBytes renders a byte count with a binary-ish unit for the
 // decision trail (the same rendering lifecycle's budget errors use).
@@ -205,8 +199,7 @@ func orderDecisions(p *Plan) {
 // pickTau chooses the leaf-size bound: the default for ordinary tables,
 // quadrupled past LargeTauRows so leaf count — and with it build and
 // descent cost — stays bounded as tables grow.
-func (pl *Planner) pickTau(p *Plan, in Input) int {
-	cm := pl.Cost
+func pickTau(p *Plan, in Input) int {
 	d := Decision{Name: "tau"}
 	if in.Forced.Tau > 0 {
 		d.Value, d.Forced = strconv.Itoa(in.Forced.Tau), true
@@ -214,11 +207,11 @@ func (pl *Planner) pickTau(p *Plan, in Input) int {
 		p.Decisions = append(p.Decisions, d)
 		return in.Forced.Tau
 	}
-	tau := cm.DefaultTau
-	d.Reason = fmt.Sprintf("%d candidates ≤ %d: default leaf size", in.N, cm.LargeTauRows)
-	if in.N > cm.LargeTauRows {
-		tau = cm.LargeTau
-		d.Reason = fmt.Sprintf("%d candidates > %d: larger leaves bound the leaf count", in.N, cm.LargeTauRows)
+	tau := DefaultTau
+	d.Reason = fmt.Sprintf("%d candidates ≤ %d: default leaf size", in.N, LargeTauRows)
+	if in.N > LargeTauRows {
+		tau = LargeTau
+		d.Reason = fmt.Sprintf("%d candidates > %d: larger leaves bound the leaf count", in.N, LargeTauRows)
 	}
 	d.Value = strconv.Itoa(tau)
 	p.Decisions = append(p.Decisions, d)
@@ -230,8 +223,7 @@ func (pl *Planner) pickTau(p *Plan, in Input) int {
 // MIN/MAX atoms cap depth at MinMaxDepthCap — envelope relaxation
 // loosens per level, and feasibility there is worth more than solve
 // time.
-func (pl *Planner) pickDepth(p *Plan, in Input, tau int) int {
-	cm := pl.Cost
+func pickDepth(p *Plan, in Input, tau int) int {
 	d := Decision{Name: "depth"}
 	if in.Forced.Depth > 0 {
 		d.Value, d.Forced = strconv.Itoa(in.Forced.Depth), true
@@ -244,18 +236,18 @@ func (pl *Planner) pickDepth(p *Plan, in Input, tau int) int {
 		leaves = 1
 	}
 	depth := 1
-	if leaves > cm.MaxTopVars {
-		depth = int(math.Ceil(math.Log(float64(leaves)) / math.Log(float64(cm.MaxTopVars))))
-		if depth > cm.MaxDepth {
-			depth = cm.MaxDepth
+	if leaves > MaxTopVars {
+		depth = int(math.Ceil(math.Log(float64(leaves)) / math.Log(MaxTopVars)))
+		if depth > MaxDepth {
+			depth = MaxDepth
 		}
 	}
-	d.Reason = fmt.Sprintf("%d leaves fit a single MILP of ≤ %d vars: flat", leaves, cm.MaxTopVars)
+	d.Reason = fmt.Sprintf("%d leaves fit a single MILP of ≤ %d vars: flat", leaves, MaxTopVars)
 	if depth > 1 {
-		d.Reason = fmt.Sprintf("%d leaves > %d top-level vars: %d levels keep the root small", leaves, cm.MaxTopVars, depth)
+		d.Reason = fmt.Sprintf("%d leaves > %d top-level vars: %d levels keep the root small", leaves, MaxTopVars, depth)
 	}
-	if in.Mix.MinMax > 0 && depth > cm.MinMaxDepthCap {
-		depth = cm.MinMaxDepthCap
+	if in.Mix.MinMax > 0 && depth > MinMaxDepthCap {
+		depth = MinMaxDepthCap
 		d.Reason = fmt.Sprintf("%d leaves, but %d MIN/MAX atom(s): depth capped at %d to keep envelopes tight", leaves, in.Mix.MinMax, depth)
 	}
 	d.Value = strconv.Itoa(depth)
@@ -266,8 +258,7 @@ func (pl *Planner) pickDepth(p *Plan, in Input, tau int) int {
 // pickParallelism fans the build and refine waves across all procs once
 // the table clears the builder's serial cutoff; below it goroutine
 // overhead eats the win.
-func (pl *Planner) pickParallelism(p *Plan, in Input, procs int) int {
-	cm := pl.Cost
+func pickParallelism(p *Plan, in Input, procs int) int {
 	d := Decision{Name: "parallelism"}
 	if in.Forced.Parallelism > 0 {
 		d.Value, d.Forced = strconv.Itoa(in.Forced.Parallelism), true
@@ -276,10 +267,10 @@ func (pl *Planner) pickParallelism(p *Plan, in Input, procs int) int {
 		return in.Forced.Parallelism
 	}
 	par := 1
-	d.Reason = fmt.Sprintf("%d candidates < %d: serial avoids fan-out overhead", in.N, cm.ParallelMinRows)
-	if in.N >= cm.ParallelMinRows {
+	d.Reason = fmt.Sprintf("%d candidates < %d: serial avoids fan-out overhead", in.N, ParallelMinRows)
+	if in.N >= ParallelMinRows {
 		par = procs
-		d.Reason = fmt.Sprintf("%d candidates ≥ %d: fan out across %d workers", in.N, cm.ParallelMinRows, procs)
+		d.Reason = fmt.Sprintf("%d candidates ≥ %d: fan out across %d workers", in.N, ParallelMinRows, procs)
 	}
 	d.Value = strconv.Itoa(par)
 	p.Decisions = append(p.Decisions, d)
@@ -292,12 +283,12 @@ func (pl *Planner) pickParallelism(p *Plan, in Input, procs int) int {
 // query is decided exactly as if nothing had been forced, and the
 // reason names the override, so every later decision (knobs, bound,
 // memory) is made for the strategy that will run.
-func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+func pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
 	forced := in.Forced.Strategy
 	ruledOut := (forced == StrategySolver && !in.Mix.Linear) || (forced == StrategySketch && !in.Mix.SketchOK)
 	d := Decision{Value: forced, Forced: true, Reason: "explicit strategy flag"}
 	if forced == "" || ruledOut {
-		d = pl.costStrategy(in, tau, cs)
+		d = costStrategy(in, tau, cs)
 	}
 	if ruledOut {
 		// A linear query the sketch cannot run names its own obstruction
@@ -318,19 +309,18 @@ func (pl *Planner) pickStrategy(p *Plan, in Input, tau int, cs CacheState) strin
 // weigh the exact MILP against SketchRefine — exact wins while its
 // estimate stays under the affordability budget, the cheaper of the two
 // wins beyond it.
-func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
-	cm := pl.Cost
+func costStrategy(in Input, tau int, cs CacheState) Decision {
 	n := in.N
 	var d Decision
 	if !in.Mix.Linear {
-		enumC, localC := cm.EnumCost(n), cm.LocalSearchCost(n)
-		if n <= cm.ExactEnumMax && in.MaxMult > 0 {
+		enumC, localC := EnumCost(n), LocalSearchCost(n)
+		if n <= ExactEnumMax && in.MaxMult > 0 {
 			d.Value, d.Cost = StrategyPrunedEnum, enumC
-			d.Reason = fmt.Sprintf("non-linear query, %d candidates ≤ %d: exact pruned enumeration is affordable", n, cm.ExactEnumMax)
+			d.Reason = fmt.Sprintf("non-linear query, %d candidates ≤ %d: exact pruned enumeration is affordable", n, ExactEnumMax)
 			d.Alternatives = []Alternative{{Value: StrategyLocalSearch, Cost: localC}}
 		} else {
 			d.Value, d.Cost = StrategyLocalSearch, localC
-			why := fmt.Sprintf("%d candidates > %d", n, cm.ExactEnumMax)
+			why := fmt.Sprintf("%d candidates > %d", n, ExactEnumMax)
 			if in.MaxMult <= 0 {
 				why = "unbounded multiplicity"
 			}
@@ -339,18 +329,18 @@ func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
 		}
 		return d
 	}
-	solverC := cm.SolverCost(n)
+	solverC := SolverCost(n)
 	if !in.Mix.SketchOK {
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query but sketch inapplicable (%s): exact MILP", in.Mix.SketchErr)
 		return d
 	}
 	warm := cs.InCache || cs.OnDisk || cs.Patchable
-	sketchC := cm.SketchCost(n, tau, in.Mix.Branches, warm)
+	sketchC := SketchCost(n, tau, in.Mix.Branches, warm)
 	switch {
-	case solverC <= cm.ExactBudget():
+	case solverC <= ExactBudget():
 		d.Value, d.Cost = StrategySolver, solverC
-		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, cm.SketchThreshold)
+		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, SketchThreshold)
 		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
 	case sketchC < solverC:
 		d.Value, d.Cost = StrategySketch, sketchC
@@ -358,7 +348,7 @@ func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
 		if warm {
 			why = "warm tree available"
 		}
-		d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, cm.SketchThreshold, why)
+		d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, SketchThreshold, why)
 		d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
 	default:
 		d.Value, d.Cost = StrategySolver, solverC
@@ -368,35 +358,31 @@ func (pl *Planner) costStrategy(in Input, tau int, cs CacheState) Decision {
 	return d
 }
 
-// pickMaintenance decides patch-vs-rebuild from the catalog's delta
-// fraction: nothing to do on read-only tables, patch while the delta is
-// within budget, rebuild past it.
-func (pl *Planner) pickMaintenance(p *Plan, in Input) {
-	cm := pl.Cost
+// pickMaintenance decides patch-vs-rebuild on the probed tree's own
+// clock: cs reports the write lineage between the stale tree and now —
+// the same (deleted + appended) / n that Tree.ApplyDelta holds against
+// PatchMaxFrac — so the plan patches exactly when the engine would.
+func pickMaintenance(p *Plan, in Input, cs CacheState) {
 	d := Decision{Name: "maintenance"}
-	if in.Forced.Incremental != nil {
+	switch {
+	case in.Forced.Incremental != nil:
 		d.Forced = true
+		d.Value = MaintainRebuild
 		if *in.Forced.Incremental {
 			d.Value = MaintainPatch
-		} else {
-			d.Value = MaintainRebuild
 		}
 		d.Reason = "explicit incremental flag"
-	} else {
-		frac := in.Table.DeltaFrac
-		switch {
-		case in.Table.DeltaRows == 0 && in.Table.WriteRate == 0:
-			d.Value = MaintainNone
-			d.Reason = "table looks read-only: cached trees stay exact"
-		case frac <= cm.PatchMaxFrac:
-			d.Value = MaintainPatch
-			d.Reason = fmt.Sprintf("delta %.1f%% of the table ≤ %.0f%% budget (%.2f writes/s): patch stale trees in place",
-				100*frac, 100*cm.PatchMaxFrac, in.Table.WriteRate)
-		default:
-			d.Value = MaintainRebuild
-			d.Reason = fmt.Sprintf("delta %.1f%% of the table > %.0f%% budget: rebuilding beats patching",
-				100*frac, 100*cm.PatchMaxFrac)
-		}
+	case !cs.Patchable:
+		d.Value = MaintainNone
+		d.Reason = "no stale tree with write lineage: nothing to patch or rebuild"
+	case cs.PatchFrac <= PatchMaxFrac:
+		d.Value = MaintainPatch
+		d.Reason = fmt.Sprintf("lineage delta %.1f%% of the candidates ≤ %.0f%% budget: patch the stale tree in place",
+			100*cs.PatchFrac, 100*PatchMaxFrac)
+	default:
+		d.Value = MaintainRebuild
+		d.Reason = fmt.Sprintf("lineage delta %.1f%% of the candidates > %.0f%% budget: rebuilding beats patching",
+			100*cs.PatchFrac, 100*PatchMaxFrac)
 	}
 	p.Maintenance = d.Value
 	p.Incremental = d.Value != MaintainRebuild
@@ -406,7 +392,7 @@ func (pl *Planner) pickMaintenance(p *Plan, in Input) {
 // pickTreeSource predicts where the partition tree will come from,
 // mirroring the engine's acquisition order: memory cache, then the
 // on-disk store, then patching a stale base, then a full build.
-func (pl *Planner) pickTreeSource(p *Plan, in Input, cs CacheState) {
+func pickTreeSource(p *Plan, cs CacheState) {
 	d := Decision{Name: "tree-source"}
 	switch {
 	case cs.InCache:

@@ -5,29 +5,17 @@ import (
 
 	"repro/internal/bound"
 	"repro/internal/lp"
+	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/translate"
 )
 
-// rawBoundCap is the candidate count up to which the dual bound is
-// computed over the raw candidates (the exact LP relaxation of the
-// query's MILP — the tightest bound an LP can give). Above it the
-// bound runs over the partition-tree leaves instead, one LP variable
-// per leaf segment with coefficient-range relaxation, so the bound
-// pass stays tiny at any scale. Matches the planner's SketchThreshold:
-// below it the exact strategy would run anyway.
-const rawBoundCap = 4096
-
 // maxBoundVars caps the segmented tree relaxation: SplitGroups spends
 // up to this many variables cutting each leaf into objective-sorted
-// segments (piecewise-linear columns). Twice rawBoundCap so even τ=256
-// leaves at 1M rows get ≥ 2 segments each.
-const maxBoundVars = 2 * rawBoundCap
-
-// boundDescendBudget is the extra singleton variables the adaptive
-// one-level descent (bound.StageDescend) may spend re-bounding the
-// worst-contributing leaves.
-const boundDescendBudget = rawBoundCap
+// segments (piecewise-linear columns). Twice the candidate count at
+// which the bound leaves the raw LP for the tree, so even τ=256 leaves
+// at 1M rows get ≥ 2 segments each.
+const maxBoundVars = 2 * plan.SketchThreshold
 
 // branchBound computes the certified dual bound for one DNF branch via
 // the staged tightening pipeline (internal/bound): the branch's exact
@@ -61,7 +49,12 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 	}
 	n := len(inst.Rows)
 	sense := objSense(inst)
-	if n <= rawBoundCap {
+	if n <= plan.SketchThreshold {
+		// Few enough candidates that the planner would have answered
+		// exactly: bound over the raw candidates, the exact LP relaxation
+		// of the query's MILP and the tightest bound an LP can give. Above
+		// the threshold the bound runs over the partition-tree leaves, one
+		// LP variable per leaf segment, so the pass stays tiny at any scale.
 		groups := bound.Candidates(n, inst.MaxMult, pins)
 		p, err := bound.Relax(atoms, inst.ObjW, sense, groups)
 		if err != nil {
@@ -129,24 +122,8 @@ func boundStagePlan(opts Options) (stage string, rounds, budget int) {
 	case bound.StageTightened:
 		return bound.StageTightened, bound.DefaultTightenRounds, 0
 	default: // bound.StageDescend or "" (auto): the full pipeline
-		return bound.StageDescend, bound.DefaultTightenRounds, boundDescendBudget
+		return bound.StageDescend, bound.DefaultTightenRounds, plan.DescendBudget
 	}
-}
-
-// boundStageRank orders stage names for aggregating the deepest stage
-// across DNF branches into Result.BoundStage.
-func boundStageRank(stage string) int {
-	switch stage {
-	case bound.StageRawLP:
-		return 0
-	case bound.StageTreeLP:
-		return 1
-	case bound.StageTightened:
-		return 2
-	case bound.StageDescend:
-		return 3
-	}
-	return -1
 }
 
 // mergeBranchBounds folds per-branch pipeline results into the solve's
@@ -158,7 +135,7 @@ func mergeBranchBounds(sense lp.Sense, prs []bound.PipelineResult) (bound.Outcom
 	for i, pr := range prs {
 		outs[i] = pr.Outcome
 		rounds += pr.Rounds
-		if boundStageRank(pr.Stage) > boundStageRank(stage) {
+		if bound.StageRank(pr.Stage) > bound.StageRank(stage) {
 			stage = pr.Stage
 		}
 	}

@@ -152,7 +152,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	if err != nil {
 		return false
 	}
-	if !prep.Analysis.Linear || sketch.Applicable(prep.Instance) != nil {
+	if _, err := sketch.Applicable(prep.Instance); err != nil {
 		return false
 	}
 	tau := 4 + g.intn(8)

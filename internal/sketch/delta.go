@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/value"
@@ -30,12 +31,6 @@ import (
 // step keeps its guarantees. The differential fuzz harness
 // (TestIncrementalVsRebuild*) holds patched trees to the same
 // feasibility and gap standards as rebuilt ones.
-
-// DefaultDeltaMaxFrac is the largest delta (inserts + deletes, as a
-// fraction of the current candidate count) ApplyDelta absorbs; beyond
-// it patching would touch most of the tree anyway and a rebuild is both
-// faster and higher-fidelity. The planner's PatchMaxFrac mirrors it.
-const DefaultDeltaMaxFrac = 0.25
 
 // PatchSpec relates the current candidate set to the one a cached
 // partition tree was built over, enabling in-place tree patching after
@@ -65,7 +60,7 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 // current candidate set, given remap (see PatchSpec.Remap). The
 // original tree is never mutated — cached trees are shared across
 // concurrent evaluations. ok is false when the delta is too large
-// (DefaultDeltaMaxFrac), when local repair would break a structural
+// (plan.PatchMaxFrac), when local repair would break a structural
 // invariant above the leaf-parent level, or when patching empties the
 // tree; the caller must then rebuild from scratch.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
@@ -81,7 +76,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	}
 	deletes := len(remap) - surv
 	inserts := n - surv
-	if inserts < 0 || float64(inserts+deletes) > DefaultDeltaMaxFrac*float64(n) {
+	if inserts < 0 || float64(inserts+deletes) > plan.PatchMaxFrac*float64(n) {
 		return nil, false
 	}
 

@@ -219,7 +219,7 @@ func TestApplyDeltaRejectsOversizedDelta(t *testing.T) {
 	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1}
 	base := sketch.BuildTree(prep.Instance, opts)
 	n := len(prep.Instance.Rows)
-	// Delete half the candidates: far past DefaultDeltaMaxFrac.
+	// Delete half the candidates: far past plan.PatchMaxFrac.
 	rows := prep.Instance.Rows[:n/2]
 	remap := make([]int, n)
 	for i := range remap {

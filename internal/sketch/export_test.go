@@ -14,7 +14,7 @@ var ParallelForTest = parallelFor
 
 // RawLPBoundForTest computes the exact LP-relaxation bound over the raw
 // candidates of the instance's first DNF branch, sidestepping
-// rawBoundCap — the tightness yardstick the bound tests compare the
+// plan.SketchThreshold — the tightness yardstick the bound tests compare the
 // tree pipeline against.
 func RawLPBoundForTest(inst *search.Instance) (bound.Outcome, error) {
 	branches, _, err := translate.CompileSketch(inst.Analysis, MaxBranches)

@@ -107,7 +107,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 	if err != nil {
 		return false
 	}
-	if !prep.Analysis.Linear || sketch.Applicable(prep.Instance) != nil {
+	if _, err := sketch.Applicable(prep.Instance); err != nil {
 		return false
 	}
 	tau := 4 + g.intn(8)

@@ -6,12 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// parallelSplitMin is the group size below which the median splitter
-// stays serial: forking a goroutine per tiny subtree costs more in
-// scheduling than the split saves, and small subtrees finish in
-// microseconds anyway.
-const parallelSplitMin = 2048
-
 // workers resolves Options.Parallelism: an explicit positive value
 // wins, 0 means one worker per available CPU (GOMAXPROCS).
 func (o Options) workers() int {

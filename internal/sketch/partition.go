@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/value"
@@ -83,7 +84,7 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 // share one pair buffer, allocated here.
 //
 // With workers > 1 the two halves of a split recurse concurrently
-// (bounded by a semaphore, staying serial below parallelSplitMin) —
+// (bounded by a semaphore, staying serial below plan.ParallelMinRows) —
 // the halves operate on disjoint subslices and their group lists are
 // concatenated in traversal order, so the result is identical at any
 // worker count.
@@ -159,7 +160,9 @@ func (s *splitter) split(g []keyed) [][]int {
 		return [][]int{indexes(g)}
 	}
 	left, right := g[:mid], g[mid:]
-	if len(g) >= parallelSplitMin && s.lim.tryAcquire() {
+	// Below the planner's serial cutoff forking a goroutine per subtree
+	// costs more in scheduling than the split saves.
+	if len(g) >= plan.ParallelMinRows && s.lim.tryAcquire() {
 		var lg [][]int
 		done := make(chan struct{})
 		go func() {

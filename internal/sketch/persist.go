@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -572,7 +573,7 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 		return nil, fmt.Errorf("sketch: persisted tree: %w", err)
 	}
 	t.Depth = int(treeDepth)
-	if t.Depth < 1 || t.Depth > maxDepth {
+	if t.Depth < 1 || t.Depth > plan.MaxDepth {
 		return nil, fmt.Errorf("sketch: persisted tree: implausible depth %d", t.Depth)
 	}
 	patched, err := d.uvarint()

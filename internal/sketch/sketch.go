@@ -78,14 +78,6 @@ import (
 	"repro/internal/translate"
 )
 
-// DefaultPartitionSize is the partition size bound τ when the caller
-// sets no MaxPartitionSize.
-const DefaultPartitionSize = 64
-
-// maxDepth caps the partition-tree depth; beyond it extra levels only
-// add representative error.
-const maxDepth = 8
-
 // Options tunes a SketchRefine evaluation.
 type Options struct {
 	// Ctx, when non-nil, cancels the evaluation cooperatively: the DNF
@@ -95,12 +87,12 @@ type Options struct {
 	// lifecycle.ErrCanceled wrap promptly, discards partial work, and
 	// never publishes a partially-built tree to the cache or the store.
 	Ctx context.Context
-	// MaxPartitionSize bounds each leaf partition (τ); 0 = default (64).
+	// MaxPartitionSize bounds each leaf partition (τ); 0 = plan.DefaultTau.
 	MaxPartitionSize int
 	// Depth is the number of sketch levels (the partition-tree depth):
 	// 0 or 1 = flat SketchRefine, ≥ 2 recurses the sketch over
 	// partitions of partitions so the top-level MILP stays around the
-	// depth-th root of the leaf count (clamped to 8).
+	// depth-th root of the leaf count (clamped to plan.MaxDepth).
 	Depth int
 	// Seed drives partitioning tie-breaks (deterministic per seed).
 	Seed int64
@@ -202,20 +194,21 @@ func (o Options) stopHook() func() bool {
 	return o.stopped
 }
 
-// tau resolves the leaf size bound: MaxPartitionSize, else the default.
+// tau resolves the leaf size bound: MaxPartitionSize, else the planner's
+// default.
 func (o Options) tau() int {
 	if o.MaxPartitionSize > 0 {
 		return o.MaxPartitionSize
 	}
-	return DefaultPartitionSize
+	return plan.DefaultTau
 }
 
 func (o Options) depth() int {
 	if o.Depth <= 1 {
 		return 1
 	}
-	if o.Depth > maxDepth {
-		return maxDepth
+	if o.Depth > plan.MaxDepth {
+		return plan.MaxDepth
 	}
 	return o.Depth
 }
@@ -280,19 +273,29 @@ func (r *Result) degrade(sub, detail string) {
 }
 
 // Applicable reports whether the instance can be evaluated with
-// SketchRefine; the error names the obstruction — for an atom the
-// compiler cannot lower, the message names the offending aggregate.
-func Applicable(inst *search.Instance) error {
+// SketchRefine and, when it can, how many DNF branches Solve will
+// descend; the error names the obstruction — for an atom the compiler
+// cannot lower, the message names the offending aggregate.
+func Applicable(inst *search.Instance) (branches int, err error) {
+	br, _, err := lower(inst)
+	return len(br), err
+}
+
+// lower is the applicability gate: it compiles the SUCH THAT formula
+// into the DNF branches Solve descends (with the count of rewritten
+// AVG/MIN/MAX atoms), or says why SketchRefine cannot run the query.
+func lower(inst *search.Instance) ([]translate.SketchBranch, int, error) {
 	if !inst.Analysis.Linear {
-		return fmt.Errorf("sketch: query is not linear: %v", inst.Analysis.NonlinearReasons)
+		return nil, 0, fmt.Errorf("sketch: query is not linear: %v", inst.Analysis.NonlinearReasons)
 	}
-	if _, _, err := translate.CompileSketch(inst.Analysis, MaxBranches); err != nil {
-		return fmt.Errorf("sketch: %w", err)
+	branches, rewrites, err := translate.CompileSketch(inst.Analysis, MaxBranches)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sketch: %w", err)
 	}
 	if inst.Analysis.Query.Objective != nil && inst.ObjW == nil {
-		return fmt.Errorf("sketch: objective is not affine")
+		return nil, 0, fmt.Errorf("sketch: objective is not affine")
 	}
-	return nil
+	return branches, rewrites, nil
 }
 
 // Solve runs SketchRefine over the full PaQL atom grammar: the SUCH
@@ -306,18 +309,9 @@ func Applicable(inst *search.Instance) error {
 // representatives more faithful) before giving up.
 func Solve(inst *search.Instance, opts Options) (*Result, error) {
 	start := time.Now()
-	// The same gate as Applicable, but compiling the branches exactly
-	// once (Applicable throws its compilation away; callers that probed
-	// it first would otherwise pay for the formula walk twice more).
-	if !inst.Analysis.Linear {
-		return nil, fmt.Errorf("sketch: query is not linear: %v", inst.Analysis.NonlinearReasons)
-	}
-	branches, rewrites, err := translate.CompileSketch(inst.Analysis, MaxBranches)
+	branches, rewrites, err := lower(inst)
 	if err != nil {
-		return nil, fmt.Errorf("sketch: %w", err)
-	}
-	if inst.Analysis.Query.Objective != nil && inst.ObjW == nil {
-		return nil, fmt.Errorf("sketch: objective is not affine")
+		return nil, err
 	}
 	res := &Result{Workers: opts.workers(), AtomRewrites: rewrites}
 	defer func() { res.Elapsed = time.Since(start) }()
@@ -378,7 +372,7 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 		var stage string
 		var rounds int
 		merged, stage, rounds = mergeBranchBounds(objSense(inst), prs)
-		if boundStageRank(stage) > boundStageRank(res.BoundStage) {
+		if bound.StageRank(stage) > bound.StageRank(res.BoundStage) {
 			res.BoundStage = stage
 		}
 		res.BoundRounds += rounds

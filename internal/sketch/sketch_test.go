@@ -172,7 +172,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sketch.Applicable(prep.Instance); err != nil {
+		if _, err := sketch.Applicable(prep.Instance); err != nil {
 			t.Errorf("%s should be sketch-applicable, got: %v", clause, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = sketch.Applicable(prep.Instance)
+		_, err = sketch.Applicable(prep.Instance)
 		if err == nil {
 			t.Errorf("%s should not be sketch-applicable", tc.clause)
 			continue

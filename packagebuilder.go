@@ -93,6 +93,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -158,8 +160,8 @@ func New() *System {
 }
 
 // Catalog exposes the system's table-statistics catalog: per-table row
-// counts, per-attribute min/max/null-fraction/distinct estimates, and
-// write rates derived from the delta log — the planner's input.
+// counts and write rates derived from the delta log — the planner's
+// input.
 func (s *System) Catalog() *catalog.Catalog { return s.catalog }
 
 // SketchCache exposes the system's shared partition-tree cache (for
@@ -316,27 +318,10 @@ func WithSketchIncremental(enabled bool) Option {
 	return func(o *core.Options) { o.SketchIncremental = enabled }
 }
 
-// Planner is the cost-based query planner: it binds a query against the
-// catalog and picks the evaluation strategy and every SketchRefine knob,
-// recording each decision with a cost estimate and reason.
-type Planner = plan.Planner
-
-// CostModel holds the planner's tunable thresholds and cost formulas.
-type CostModel = plan.CostModel
-
-// QueryPlan is a planner decision trail: strategy, knobs, maintenance
-// and tree-source choices, each with alternatives and reasons. Render it
-// with its Explain method.
+// QueryPlan is the cost-based planner's decision trail: strategy, knobs,
+// maintenance and tree-source choices, each with alternatives and
+// reasons. Render it with its Explain method.
 type QueryPlan = plan.Plan
-
-// NewPlanner returns a planner with the default cost model.
-func NewPlanner() *Planner { return plan.NewPlanner() }
-
-// WithPlanner substitutes a custom planner (e.g. a tuned cost model)
-// for the default one.
-func WithPlanner(pl *Planner) Option {
-	return func(o *core.Options) { o.Planner = pl }
-}
 
 func (s *System) buildOptions(opts []Option) core.Options {
 	// Patch-vs-rebuild is the planner's call by default at the System
@@ -465,7 +450,7 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 		fmt.Fprintln(w)
 		r := &minidb.Result{Schema: tab.Schema, Rows: p.Rows}
 		r.Format(w)
-		for _, k := range sortedAggKeys(p) {
+		for _, k := range slices.Sorted(maps.Keys(p.AggValues)) {
 			fmt.Fprintf(w, "  %-40s %s\n", k, p.AggValues[k])
 		}
 		fmt.Fprintln(w)
@@ -498,17 +483,4 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 	for _, n := range st.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
-}
-
-func sortedAggKeys(p *Package) []string {
-	keys := make([]string, 0, len(p.AggValues))
-	for k := range p.AggValues {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }

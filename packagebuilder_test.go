@@ -249,17 +249,6 @@ func TestPublicAPIExplainForcedOptions(t *testing.T) {
 		t.Errorf("WithSketchIncremental(false) not forced: maintenance=%s incremental=%v",
 			qp.Maintenance, qp.Incremental)
 	}
-
-	// A custom planner with a tuned cost model changes the decision.
-	pl := pb.NewPlanner()
-	pl.Cost.SketchThreshold = 100 // 200-row table now clears the sketch bar
-	qp2, err := sys.Explain(mealQuery, pb.WithPlanner(pl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qp2.Strategy != "sketch-refine" {
-		t.Errorf("tuned planner strategy = %s, want sketch-refine", qp2.Strategy)
-	}
 }
 
 func TestFormatResultOutput(t *testing.T) {
