@@ -91,6 +91,71 @@ func TestStrategiesAgreeOnOptimum(t *testing.T) {
 	}
 }
 
+// TestEnumValidatesRelaxedStrictAtoms: 761 + 366 calories is exactly
+// 1127, so the closed row the enumerator prunes with admits a pair the
+// strict comparison excludes. A relaxed atom set is not pure; the
+// enumerator must validate in full and agree with the solver.
+func TestEnumValidatesRelaxedStrictAtoms(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 8, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, atom := range []string{`SUM(P.calories) < 1127`, `NOT (SUM(P.calories) >= 1127)`} {
+		q := `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND ` + atom + ` MAXIMIZE SUM(P.protein)`
+		for _, strat := range []Strategy{Solver, PrunedEnum} {
+			res, err := Evaluate(db, q, Options{Strategy: strat})
+			if err != nil {
+				t.Fatalf("%s under %v: %v", atom, strat, err)
+			}
+			if len(res.Packages) != 1 || res.Packages[0].Objective != 35 || !res.Stats.Exact {
+				t.Errorf("%s under %v: objectives %v, exact=%v; want one package at 35",
+					atom, strat, objectives(res), res.Stats.Exact)
+			}
+		}
+	}
+}
+
+// TestEnumKeepsMultiplicitiesAboveNine: packages that differ only in a
+// multiplicity above 9 are distinct. A clamped dedup key dropped the 10-
+// and 11-copy packages as duplicates of the 9-copy one and certified 216
+// where 264 is feasible.
+func TestEnumKeepsMultiplicitiesAboveNine(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 6, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT PACKAGE(R) AS P FROM recipes R REPEAT 11 WHERE R.id = 2
+		SUCH THAT COUNT(*) <= 11 MAXIMIZE SUM(P.protein)`
+	for _, strat := range []Strategy{Solver, PrunedEnum} {
+		res, err := Evaluate(db, q, Options{Strategy: strat})
+		if err != nil {
+			t.Fatalf("%v: %v", strat, err)
+		}
+		if len(res.Packages) != 1 || res.Packages[0].Objective != 264 || res.Packages[0].Size() != 11 {
+			t.Fatalf("%v: objectives %v; want 11 copies at 264", strat, objectives(res))
+		}
+		if !res.Stats.Exact || !res.Stats.Certified || res.Stats.BoundValue != 264 {
+			t.Errorf("%v: exact=%v certified=%v bound=%g; want a certificate at 264",
+				strat, res.Stats.Exact, res.Stats.Certified, res.Stats.BoundValue)
+		}
+	}
+	res, err := Evaluate(db, q, Options{Strategy: PrunedEnum, Limit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Packages) != 2 || res.Packages[0].Objective != 264 || res.Packages[1].Objective != 240 {
+		t.Errorf("limit 2: objectives %v; want 264 (11 copies) then 240 (10 copies)", objectives(res))
+	}
+}
+
+func objectives(res *Result) []float64 {
+	var out []float64
+	for _, p := range res.Packages {
+		out = append(out, p.Objective)
+	}
+	return out
+}
+
 func TestAutoChoosesSolverForLinear(t *testing.T) {
 	db := testDB(t)
 	res, err := Evaluate(db, mealQuery, Options{})

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bound"
@@ -432,7 +430,7 @@ func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start ti
 		// single-use — it would evict hot trees from the shared LRU and
 		// litter the store with files no later run asks for.
 		extra.Cache, extra.PersistDir = nil, ""
-		seen := map[string]bool{MultKey(first): true}
+		seen := map[string]bool{search.Pkg{Mult: first}.Key(): true}
 		for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch) && !outOfTime(); attempt++ {
 			extra.MaxPartitionSize = base.MaxPartitionSize + int(attempt)
 			extra.Seed = base.Seed + attempt
@@ -449,7 +447,7 @@ func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start ti
 			}
 			res.Stats.Nodes += alt.Nodes
 			res.Stats.LPIters += alt.LPIters
-			if k := MultKey(alt.Mult); !seen[k] {
+			if k := (search.Pkg{Mult: alt.Mult}).Key(); !seen[k] {
 				seen[k] = true
 				mults = append(mults, alt.Mult)
 			}
@@ -460,20 +458,6 @@ func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start ti
 	}
 	sortMultsByObjective(p.Instance, mults)
 	return mults
-}
-
-// MultKey renders a multiplicity vector as an exact dedup key (no
-// clamping: REPEAT multiplicities must not collide). Shared by the
-// engine's multi-package sketch path and explore's Replace history.
-func MultKey(mult []int) string {
-	var b strings.Builder
-	for i, m := range mult {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(m))
-	}
-	return b.String()
 }
 
 // sortMultsByObjective orders packages best-first under the query's

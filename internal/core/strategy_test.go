@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/minidb"
 	"repro/internal/plan"
+	"repro/internal/search"
 )
 
 func TestStrategyString(t *testing.T) {
@@ -187,7 +188,7 @@ func TestSketchMultiplePackages(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i, p := range res.Packages {
-		k := MultKey(p.Mult)
+		k := search.Pkg{Mult: p.Mult}.Key()
 		if seen[k] {
 			t.Fatalf("package %d duplicates an earlier one", i)
 		}
@@ -218,7 +219,7 @@ func TestSketchMultiplePackagesRepeat(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i, p := range res.Packages {
-		k := MultKey(p.Mult)
+		k := search.Pkg{Mult: p.Mult}.Key()
 		if seen[k] {
 			t.Fatalf("package %d duplicates an earlier one", i)
 		}

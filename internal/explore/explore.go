@@ -18,6 +18,7 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/minidb"
 	"repro/internal/paql"
+	"repro/internal/search"
 	"repro/internal/value"
 )
 
@@ -168,10 +169,10 @@ func (s *Session) ReplaceContext(ctx context.Context) (*core.Package, error) {
 	}
 	seen := map[string]bool{}
 	for _, h := range s.history {
-		seen[core.MultKey(h.Mult)] = true
+		seen[search.Pkg{Mult: h.Mult}.Key()] = true
 	}
 	for _, p := range res.Packages {
-		if !seen[core.MultKey(p.Mult)] {
+		if !seen[search.Pkg{Mult: p.Mult}.Key()] {
 			s.current = p
 			s.history = append(s.history, p)
 			return p, nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/minidb"
+	"repro/internal/search"
 )
 
 const mealQuery = `
@@ -52,13 +53,13 @@ func TestReplaceProducesDistinctPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{core.MultKey(first.Mult): true}
+	seen := map[string]bool{search.Pkg{Mult: first.Mult}.Key(): true}
 	for i := 0; i < 3; i++ {
 		next, err := s.Replace()
 		if err != nil {
 			t.Fatalf("replace %d: %v", i, err)
 		}
-		key := core.MultKey(next.Mult)
+		key := search.Pkg{Mult: next.Mult}.Key()
 		if seen[key] {
 			t.Fatalf("replace %d returned a previously shown package", i)
 		}

@@ -14,7 +14,10 @@ package search
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/expr"
@@ -32,7 +35,7 @@ type Instance struct {
 	MaxMult  int          // per-tuple multiplicity cap (≥1 for enumerators)
 
 	Atoms  []*translate.LinearAtom // top-level conjunctive linear atoms
-	Pure   bool                    // Atoms are exactly the formula
+	Pure   bool                    // Atoms are exactly the formula: none missing, none relaxed from a strict comparison
 	ObjW   []float64               // linear objective weights (nil if non-affine)
 	ObjK   float64                 // objective constant term
 	Bounds prune.Bounds            // §4.1 cardinality bounds
@@ -114,13 +117,17 @@ type Pkg struct {
 	Obj  float64
 }
 
-// Key renders the multiplicity vector as a dedup key.
+// Key renders the multiplicity vector as an exact dedup key (no
+// clamping: REPEAT multiplicities must not collide).
 func (p Pkg) Key() string {
-	b := make([]byte, len(p.Mult))
+	var b strings.Builder
 	for i, m := range p.Mult {
-		b[i] = byte('0' + min(m, 9))
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(m))
 	}
-	return string(b)
+	return b.String()
 }
 
 // Size returns the total tuple count.
@@ -148,8 +155,8 @@ func (inst *Instance) Validate(mult []int) (bool, error) {
 	return paql.Satisfies(inst.Analysis.Query.SuchThat, inst.Materialize(mult))
 }
 
-// CheckAtoms evaluates only the conjunctive linear atoms (a necessary
-// condition; sufficient when Pure).
+// CheckAtoms evaluates only the conjunctive linear atoms: a necessary
+// condition always, and the whole formula when Pure.
 func (inst *Instance) CheckAtoms(mult []int) bool {
 	for _, at := range inst.Atoms {
 		if !at.Check(mult) {
@@ -235,9 +242,8 @@ type Result struct {
 // add records a feasible package, deduplicating and keeping the best
 // `limit` under the objective.
 func (r *Result) add(inst *Instance, p Pkg, limit int) {
-	key := p.Key()
 	for _, have := range r.Packages {
-		if have.Key() == key {
+		if slices.Equal(have.Mult, p.Mult) {
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -109,22 +110,35 @@ func TestBruteForceFindsOptimum(t *testing.T) {
 
 func TestPrunedMatchesBruteExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	queries := []string{
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 900 AND 1500 MAXIMIZE SUM(P.protein)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(P.calories) <= 800 MINIMIZE COUNT(*)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) BETWEEN 2 AND 4 AND SUM(P.protein) >= 80 MAXIMIZE SUM(P.protein)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 1 SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 1200 MAXIMIZE SUM(P.protein)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 2 AND (SUM(P.calories) <= 500 OR SUM(P.calories) >= 1200) MAXIMIZE SUM(P.protein)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 2 AND MIN(P.calories) >= 300 MAXIMIZE SUM(P.protein)`,
+	const head = `SELECT PACKAGE(R) AS P FROM Recipes R `
+	queries := []struct {
+		src     string
+		maxRows int  // 0 = the default 5..9 rows
+		oracle  bool // also enumerate with paql.Satisfies, which shares no code with Atoms
+	}{
+		{src: head + `SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 900 AND 1500 MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT SUM(P.calories) <= 800 MINIMIZE COUNT(*)`},
+		{src: head + `SUCH THAT COUNT(*) BETWEEN 2 AND 4 AND SUM(P.protein) >= 80 MAXIMIZE SUM(P.protein)`},
+		{src: head + `REPEAT 1 SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= 1200 MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) = 2 AND (SUM(P.calories) <= 500 OR SUM(P.calories) >= 1200) MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) = 2 AND MIN(P.calories) >= 300 MAXIMIZE SUM(P.protein)`},
+		// Calories are multiples of 100, so both strict bounds are attained.
+		{src: head + `SUCH THAT COUNT(*) = 2 AND SUM(P.calories) > 500 AND NOT (SUM(P.calories) >= 900) MAXIMIZE SUM(P.protein)`, oracle: true},
+		// Multiplicities run to 10: packages that differ only above 9.
+		{src: head + `REPEAT 9 SUCH THAT COUNT(*) BETWEEN 1 AND 10 AND SUM(P.calories) <= 2000 MAXIMIZE SUM(P.protein)`, maxRows: 3, oracle: true},
 	}
-	for trial := 0; trial < 24; trial++ {
+	for trial := 0; trial < 4*len(queries); trial++ {
+		q := queries[trial%len(queries)]
 		n := 5 + rng.Intn(5)
+		if q.maxRows > 0 {
+			n = 1 + rng.Intn(q.maxRows)
+		}
 		rows := make([]schema.Row, n)
 		for i := range rows {
 			rows[i] = mkRow(i, float64(100+rng.Intn(9)*100), float64(rng.Intn(50)),
 				[]string{"meal", "snack"}[rng.Intn(2)])
 		}
-		src := queries[trial%len(queries)]
+		src := q.src
 		inst := instance(t, src, rows)
 		brute, err := BruteForce(inst, Options{Limit: 1000000})
 		if err != nil {
@@ -155,12 +169,46 @@ func TestPrunedMatchesBruteExactly(t *testing.T) {
 				t.Fatalf("trial %d: pruning lost package %s", trial, k)
 			}
 		}
+		if q.oracle {
+			if want := satisfyingKeys(t, inst); !maps.Equal(want, pKeys) {
+				t.Fatalf("trial %d (%s): paql.Satisfies accepts %d packages, pruned returned %d",
+					trial, src, len(want), len(pKeys))
+			}
+		}
 		// pruning must not explore more nodes than brute force leaves
 		if pruned.Examined > brute.Examined*2 {
 			t.Errorf("trial %d: pruned examined %d > 2x brute %d",
 				trial, pruned.Examined, brute.Examined)
 		}
 	}
+}
+
+// satisfyingKeys enumerates every multiplicity vector of the instance
+// and keeps those paql.Satisfies accepts.
+func satisfyingKeys(t *testing.T, inst *Instance) map[string]bool {
+	t.Helper()
+	keys := map[string]bool{}
+	mult := make([]int, len(inst.Rows))
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(mult) {
+			ok, err := inst.Validate(mult)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				keys[Pkg{Mult: mult}.Key()] = true
+			}
+			return
+		}
+		for m := 0; m <= inst.MaxMult; m++ {
+			mult[i] = m
+			rec(i + 1)
+		}
+		mult[i] = 0
+	}
+	rec(0)
+	return keys
 }
 
 func TestPrunedObjectiveBoundKeepsOptimum(t *testing.T) {

@@ -12,49 +12,32 @@ import (
 	"repro/internal/value"
 )
 
-// Partitioning is the offline output of the partitioner: the candidate
-// tuples split into size-bounded groups over the query's numeric
-// attributes, plus one representative tuple per group.
-type Partitioning struct {
-	Attrs  []int        // column ordinals the splitter used
-	Groups [][]int      // candidate indexes per partition, each sorted
-	Reps   []schema.Row // one representative tuple per partition
-	Tau    int          // effective partition size bound
-}
-
-// Partition splits the instance's candidates into groups of at most τ
-// tuples by recursive median splits on the query's numeric attributes
-// (the attribute with the widest normalized spread is split first), and
-// builds a representative tuple per group: the mean for numeric
-// columns, the mode for categorical ones. The procedure is
-// deterministic under a fixed seed and any Options.Parallelism: the
-// workers only divide the splits and representative scans, never the
-// outcome. When Options.Ctx is canceled mid-way the result has no
-// groups at all.
-func Partition(inst *search.Instance, opts Options) *Partitioning {
-	return partition(inst, search.Lower(inst.Rows, nil, opts.stopHook()), opts)
-}
-
-// partition is Partition over an existing lowering of inst.Rows (nil
-// when the lowering was canceled).
-func partition(inst *search.Instance, cols *search.Columns, opts Options) *Partitioning {
-	n := len(inst.Rows)
-	part := &Partitioning{Attrs: partitionAttrs(inst), Tau: opts.tau()}
-	if n == 0 || cols == nil {
-		return part
-	}
+// leafNodes is the offline partitioner: it splits the n lowered
+// candidates (cols; nil when the lowering was canceled) into groups of
+// at most τ tuples by recursive median splits on attrs (the attribute
+// with the widest normalized spread is split first) and returns one leaf
+// Node per group — its tuples, a representative (the mean for numeric
+// columns, the mode for categorical ones) and its min/max envelope. The
+// procedure is deterministic under a fixed seed and any
+// Options.Parallelism: the workers only divide the splits and the
+// per-leaf scans, never the outcome. When Options.Ctx is canceled
+// mid-way there are no leaves at all.
+func leafNodes(cols *search.Columns, n int, attrs []int, opts Options) []Node {
 	w := opts.workers()
-	groups := medianSplit(cols, 0, n, shuffledAttrs(part.Attrs, opts.Seed), part.Tau, w, opts.stopHook())
-	if opts.stopped() {
-		return part
+	var groups [][]int
+	if n > 0 && cols != nil {
+		groups = medianSplit(cols, 0, n, shuffledAttrs(attrs, opts.Seed), opts.tau(), w, opts.stopHook())
 	}
-	part.Groups = groups
-	part.Reps = make([]schema.Row, len(groups))
+	if opts.stopped() {
+		groups = nil
+	}
+	leaves := make([]Node, len(groups))
 	modes := make([]modeScratch, max(w, 1))
 	parallelForWorker(w, len(groups), func(wi, i int) {
-		part.Reps[i] = representative(cols, groups[i], &modes[wi])
+		leaves[i] = Node{Tuples: groups[i], Rep: representative(cols, groups[i], &modes[wi])}
+		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = envelope(cols, groups[i], attrs)
 	})
-	return part
+	return leaves
 }
 
 // shuffledAttrs copies attrs in a seed-dependent order: the seed only

@@ -34,15 +34,15 @@ const maxSweeps = 3
 // coordinate-descent passes — each re-solve seeing every earlier
 // partition's real tuples — to absorb representative and
 // cross-partition error.
-func refine(inst *search.Instance, part *Partitioning, atoms, repAtoms []*translate.LinearAtom, y []int, pins map[int]bool, opts Options, deadline time.Time, res *Result) {
+func refine(inst *search.Instance, leaves []Node, attrs []int, atoms, repAtoms []*translate.LinearAtom, y []int, pins map[int]bool, opts Options, deadline time.Time, res *Result) {
 	n := len(inst.Rows)
 	mult := make([]int, n)
 
 	// grpSum[g][k]: partition g's current contribution to atom k —
 	// representative-based until g is refined, real afterwards.
-	grpSum := make([][]float64, len(part.Groups))
+	grpSum := make([][]float64, len(leaves))
 	cur := make([]float64, len(atoms))
-	for g := range part.Groups {
+	for g := range leaves {
 		grpSum[g] = make([]float64, len(atoms))
 		if y[g] == 0 {
 			continue
@@ -72,16 +72,16 @@ func refine(inst *search.Instance, part *Partitioning, atoms, repAtoms []*transl
 	var scales []float64
 	repair := func(g int) {
 		if scales == nil {
-			scales = attrScales(inst, part.Attrs)
+			scales = attrScales(inst, attrs)
 		}
-		greedyRepair(inst, part, g, y[g], mult, pins, scales)
+		greedyRepair(inst, &leaves[g], attrs, y[g], mult, pins, scales)
 	}
 	// syncGroup swaps g's tracked contribution from representative to
 	// real tuples.
 	syncGroup := func(g int) {
 		for k := range atoms {
 			s := 0.0
-			for _, i := range part.Groups[g] {
+			for _, i := range leaves[g].Tuples {
 				if mult[i] != 0 {
 					s += atoms[k].W[i] * float64(mult[i])
 				}
@@ -94,7 +94,7 @@ func refine(inst *search.Instance, part *Partitioning, atoms, repAtoms []*transl
 	// Sweep 0: the concurrent wave. Partitions are disjoint, so each
 	// solve writes only its own mult entries; the repair fallback and
 	// the contribution bookkeeping run in the deterministic merge loop.
-	oks := solveWave(inst, active, func(g int) []int { return part.Groups[g] },
+	oks := solveWave(inst, active, func(g int) []int { return leaves[g].Tuples },
 		tupleBound(inst, pins), atoms, inst.ObjW, cur, grpSum, mult, opts, deadline, res)
 	for ai, g := range active {
 		if oks[ai] {
@@ -121,7 +121,7 @@ func refine(inst *search.Instance, part *Partitioning, atoms, repAtoms []*transl
 			for k := range atoms {
 				residual[k] = atoms[k].RHS - (cur[k] - grpSum[g][k])
 			}
-			if !residualSolve(inst, part.Groups[g], tupleBound(inst, pins), atoms, inst.ObjW, residual, mult, opts, deadline, res) {
+			if !residualSolve(inst, leaves[g].Tuples, tupleBound(inst, pins), atoms, inst.ObjW, residual, mult, opts, deadline, res) {
 				repair(g)
 			}
 			syncGroup(g)
@@ -275,9 +275,7 @@ func tupleBound(inst *search.Instance, pins map[int]bool) func(int) (float64, fl
 // first, then the remaining units the sketch owes are assigned
 // round-robin to the partition's tuples nearest the representative in
 // normalized attribute space.
-func greedyRepair(inst *search.Instance, part *Partitioning, g, units int, mult []int, pins map[int]bool, scales []float64) {
-	members := part.Groups[g]
-	rep := part.Reps[g]
+func greedyRepair(inst *search.Instance, leaf *Node, attrs []int, units int, mult []int, pins map[int]bool, scales []float64) {
 	floor := func(i int) int {
 		if pins[i] {
 			return 1
@@ -292,13 +290,13 @@ func greedyRepair(inst *search.Instance, part *Partitioning, g, units int, mult 
 	}
 	dist := func(i int) float64 {
 		d := 0.0
-		for ai, a := range part.Attrs {
-			diff := (numAt(inst.Rows[i], a) - numAt(rep, a)) / scales[ai]
+		for ai, a := range attrs {
+			diff := (numAt(inst.Rows[i], a) - numAt(leaf.Rep, a)) / scales[ai]
 			d += diff * diff
 		}
 		return d
 	}
-	allocate(members, units, floor, capacity, dist, mult)
+	allocate(leaf.Tuples, units, floor, capacity, dist, mult)
 }
 
 // allocate distributes units across members: every member first takes

@@ -643,13 +643,13 @@ func solveBranch(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 			res.Notes = append(res.Notes, "sketch solver hit its limits without an incumbent")
 			return nil
 		}
-		refine(inst, tree.leafPartitioning(), fullAtoms, leafAtoms, y, pins, opts, deadline, res)
+		refine(inst, tree.Leaves(), tree.Attrs, fullAtoms, leafAtoms, y, pins, opts, deadline, res)
 		return nil
 	}
 }
 
-// exclusionAtoms converts excluded multiplicity vectors into tuple-level
-// linear atoms (Σ_{i∈S} x_i − Σ_{i∉S} x_i ≤ |S|−1).
+// exclusionAtoms converts excluded multiplicity vectors into the
+// solver's tuple-level cut atoms (translate.ExclusionAtom).
 func exclusionAtoms(inst *search.Instance, exclude [][]int) ([]*translate.LinearAtom, error) {
 	if len(exclude) == 0 {
 		return nil, nil
@@ -662,17 +662,7 @@ func exclusionAtoms(inst *search.Instance, exclude [][]int) ([]*translate.Linear
 		if len(mult) != len(inst.Rows) {
 			return nil, fmt.Errorf("sketch: exclusion cut has %d entries for %d candidates", len(mult), len(inst.Rows))
 		}
-		w := make([]float64, len(mult))
-		in := 0
-		for i, m := range mult {
-			if m > 0 {
-				w[i] = 1
-				in++
-			} else {
-				w[i] = -1
-			}
-		}
-		atoms = append(atoms, &translate.LinearAtom{W: w, Op: lp.LE, RHS: float64(in - 1), Source: "exclusion cut"})
+		atoms = append(atoms, translate.ExclusionAtom(mult))
 	}
 	return atoms, nil
 }

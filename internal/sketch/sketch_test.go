@@ -35,14 +35,18 @@ func recipesPrep(t *testing.T, n int) *core.Prepared {
 func TestPartitionSizeBoundAndCover(t *testing.T) {
 	prep := recipesPrep(t, 300)
 	inst := prep.Instance
-	part := sketch.Partition(inst, sketch.Options{MaxPartitionSize: 16, Seed: 7})
-	if part.Tau != 16 {
-		t.Fatalf("tau = %d", part.Tau)
+	tree := sketch.BuildTree(inst, sketch.Options{MaxPartitionSize: 16, Seed: 7})
+	if tree.Tau != 16 {
+		t.Fatalf("tau = %d", tree.Tau)
 	}
 	seen := map[int]bool{}
-	for _, g := range part.Groups {
+	for _, leaf := range tree.Leaves() {
+		g := leaf.Tuples
 		if len(g) == 0 || len(g) > 16 {
 			t.Fatalf("group size %d outside (0, 16]", len(g))
+		}
+		if leaf.Rep == nil {
+			t.Fatal("leaf without a representative")
 		}
 		for _, i := range g {
 			if seen[i] {
@@ -54,23 +58,25 @@ func TestPartitionSizeBoundAndCover(t *testing.T) {
 	if len(seen) != len(inst.Rows) {
 		t.Fatalf("partitions cover %d of %d candidates", len(seen), len(inst.Rows))
 	}
-	if len(part.Reps) != len(part.Groups) {
-		t.Fatalf("%d reps for %d groups", len(part.Reps), len(part.Groups))
-	}
-	if len(part.Attrs) == 0 {
+	if len(tree.Attrs) == 0 {
 		t.Fatal("no partition attributes chosen")
 	}
 }
 
 func TestPartitionDeterministicUnderSeed(t *testing.T) {
 	prep := recipesPrep(t, 250)
-	a := sketch.Partition(prep.Instance, sketch.Options{MaxPartitionSize: 10, Seed: 99})
-	b := sketch.Partition(prep.Instance, sketch.Options{MaxPartitionSize: 10, Seed: 99})
-	if !reflect.DeepEqual(a.Groups, b.Groups) {
+	a := sketch.BuildTree(prep.Instance, sketch.Options{MaxPartitionSize: 10, Seed: 99}).Leaves()
+	b := sketch.BuildTree(prep.Instance, sketch.Options{MaxPartitionSize: 10, Seed: 99}).Leaves()
+	if len(a) != len(b) {
 		t.Fatal("same seed produced different partitionings")
 	}
-	if !reflect.DeepEqual(a.Reps, b.Reps) {
-		t.Fatal("same seed produced different representatives")
+	for i := range a {
+		if !reflect.DeepEqual(a[i].Tuples, b[i].Tuples) {
+			t.Fatal("same seed produced different partitionings")
+		}
+		if !reflect.DeepEqual(a[i].Rep, b[i].Rep) {
+			t.Fatal("same seed produced different representatives")
+		}
 	}
 }
 

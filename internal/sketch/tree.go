@@ -64,18 +64,6 @@ func (t *Tree) flatten() *Tree {
 	return &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: 1, Levels: [][]Node{t.Leaves()}, Patched: t.Patched}
 }
 
-// leafPartitioning adapts the leaf level to the flat Partitioning view
-// the refine step consumes.
-func (t *Tree) leafPartitioning() *Partitioning {
-	leaves := t.Leaves()
-	p := &Partitioning{Attrs: t.Attrs, Tau: t.Tau}
-	for i := range leaves {
-		p.Groups = append(p.Groups, leaves[i].Tuples)
-		p.Reps = append(p.Reps, leaves[i].Rep)
-	}
-	return p
-}
-
 // BuildTree partitions the candidates into τ-bounded leaves and stacks
 // up to depth-1 grouping levels on top. Each grouping step runs the
 // same median splitter over the child representatives with a fanout of
@@ -93,13 +81,8 @@ func (t *Tree) leafPartitioning() *Partitioning {
 // path (acquireTree) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
 	cols := search.Lower(inst.Rows, nil, opts.stopHook())
-	base := partition(inst, cols, opts)
-	t := &Tree{Attrs: base.Attrs, Tau: base.Tau, Depth: 1}
-	leaves := make([]Node, len(base.Groups))
-	parallelFor(opts.workers(), len(base.Groups), func(i int) {
-		leaves[i] = Node{Tuples: base.Groups[i], Rep: base.Reps[i]}
-		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = envelope(cols, base.Groups[i], base.Attrs)
-	})
+	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1}
+	leaves := leafNodes(cols, len(inst.Rows), t.Attrs, opts)
 	t.Levels = [][]Node{leaves}
 	depth := opts.depth()
 	if depth <= 1 || len(leaves) == 0 || opts.stopped() {

@@ -48,16 +48,18 @@ func (la *LinearAtom) CheckSum(s float64) bool {
 // appear as top-level conjuncts of the query's SUCH THAT formula,
 // weighted over the given candidates. The boolean result reports
 // whether the atoms are EXACTLY the formula (pure): when false (the
-// formula also has disjunctions, AVG/MIN/MAX atoms, or non-linear
-// parts), the atoms are still necessary conditions usable for sound
-// pruning, but candidates must be re-validated with paql.Satisfies.
+// formula also has disjunctions, AVG/MIN/MAX atoms, non-linear parts,
+// or a strict comparison), the atoms are still necessary conditions
+// usable for sound pruning, but candidates must be re-validated with
+// paql.Satisfies.
 //
-// Strict comparisons relax to their closed forms (sound for pruning).
+// Strict comparisons relax to their closed forms (sound for pruning);
+// the closed row admits the boundary the comparison excludes, so a
+// relaxed atom is never pure.
 func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom, bool, error) {
 	if a.Query.SuchThat == nil {
 		return nil, true, nil
 	}
-	m := &Model{Candidates: candidates, NumTupleVars: len(candidates)}
 	pure := true
 	var atoms []*LinearAtom
 	var visit func(n bnode)
@@ -70,67 +72,26 @@ func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom,
 		case *bOr:
 			pure = false
 		case *bAtom:
-			la, ok := m.linearAtom(node.e)
-			if !ok {
+			// AVG/MIN/MAX rewrites are not usable for incremental sums.
+			lowered, err := lowerAtom(node.e)
+			if err != nil || lowered[0].Kind != SketchLinear {
 				pure = false
 				return
 			}
-			atoms = append(atoms, la...)
+			at := lowered[0]
+			rows, err := at.linearRows(candidates, true)
+			if err != nil {
+				pure = false
+				return
+			}
+			if at.op == expr.OpLt || at.op == expr.OpGt {
+				pure = false
+			}
+			atoms = append(atoms, rows...)
 		}
 	}
 	visit(nnf(a.Query.SuchThat, false))
 	return atoms, pure, nil
-}
-
-// linearAtom converts one comparison into linear atoms (an equality
-// yields LE+GE). ok=false for shapes with no (closed) linear form.
-func (m *Model) linearAtom(e expr.Expr) ([]*LinearAtom, bool) {
-	b, isCmp := e.(*expr.Binary)
-	if !isCmp || !b.Op.Comparison() {
-		return nil, false
-	}
-	// AVG/MIN/MAX atoms are not usable for incremental sums; skip.
-	if agg, _, _, ok, _ := m.specialAtom(b); ok && agg != nil {
-		return nil, false
-	}
-	l, err := m.affineForm(b.L)
-	if err != nil {
-		return nil, false
-	}
-	r, err := m.affineForm(b.R)
-	if err != nil {
-		return nil, false
-	}
-	diff := newAffine()
-	diff.addScaled(l, 1)
-	diff.addScaled(r, -1)
-	w := make([]float64, m.NumTupleVars)
-	for key, coef := range diff.coeffs {
-		if coef == 0 {
-			continue
-		}
-		aw, err := m.aggWeights(diff.aggs[key])
-		if err != nil {
-			return nil, false
-		}
-		for i, wi := range aw {
-			w[i] += coef * wi
-		}
-	}
-	rhs := -diff.konst
-	src := e.String()
-	switch b.Op {
-	case expr.OpLe, expr.OpLt:
-		return []*LinearAtom{{W: w, Op: lp.LE, RHS: rhs, Source: src}}, true
-	case expr.OpGe, expr.OpGt:
-		return []*LinearAtom{{W: w, Op: lp.GE, RHS: rhs, Source: src}}, true
-	case expr.OpEq:
-		return []*LinearAtom{
-			{W: w, Op: lp.LE, RHS: rhs, Source: src},
-			{W: w, Op: lp.GE, RHS: rhs, Source: src},
-		}, true
-	}
-	return nil, false
 }
 
 // ObjectiveWeights linearizes the query objective over the candidates:
@@ -140,20 +101,28 @@ func ObjectiveWeights(a *paql.Analysis, candidates []schema.Row) (w []float64, k
 	if a.Query.Objective == nil {
 		return make([]float64, len(candidates)), 0, nil
 	}
-	m := &Model{Candidates: candidates, NumTupleVars: len(candidates)}
-	form, err := m.affineForm(a.Query.Objective.Expr)
+	form, err := affineForm(a.Query.Objective.Expr)
 	if err != nil {
 		return nil, 0, fmt.Errorf("translate: objective: %w", err)
 	}
-	w = make([]float64, len(candidates))
-	for key, coef := range form.coeffs {
-		aw, err := m.aggWeights(form.aggs[key])
-		if err != nil {
-			return nil, 0, err
-		}
-		for i, wi := range aw {
-			w[i] += coef * wi
-		}
+	if w, err = weigh(form, candidates); err != nil {
+		return nil, 0, err
 	}
 	return w, form.konst, nil
+}
+
+// ExclusionAtom is the §5 cut that forbids one exact 0/1 package:
+// Σ_{i∈S} x_i − Σ_{i∉S} x_i ≤ |S| − 1, S the tuples mult selects.
+func ExclusionAtom(mult []int) *LinearAtom {
+	w := make([]float64, len(mult))
+	in := 0
+	for i, m := range mult {
+		if m > 0 {
+			w[i] = 1
+			in++
+		} else {
+			w[i] = -1
+		}
+	}
+	return &LinearAtom{W: w, Op: lp.LE, RHS: float64(in - 1), Source: "exclusion cut"}
 }

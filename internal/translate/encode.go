@@ -7,6 +7,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lp"
 	"repro/internal/paql"
+	"repro/internal/schema"
 )
 
 // bnode is a negation-normal-form boolean tree over comparison atoms.
@@ -114,7 +115,9 @@ func negate(cs []lp.Coef) []lp.Coef {
 	return out
 }
 
-// encodeAtom emits rows for one comparison (or constant boolean).
+// encodeAtom emits rows for one comparison (or constant boolean). The
+// constant case and addRow's indicator linking are the exact path's own;
+// every other row is the shared lowering's, weighed over the candidates.
 func (m *Model) encodeAtom(e expr.Expr, ind int) error {
 	// Constant TRUE/FALSE (possibly under NOT).
 	if v, ok := constBool(e); ok {
@@ -130,65 +133,22 @@ func (m *Model) encodeAtom(e expr.Expr, ind int) error {
 		_, err := m.lpp.AddConstraint([]lp.Coef{{Var: ind, Val: 1}}, lp.LE, 0)
 		return err
 	}
-	b, ok := e.(*expr.Binary)
-	if !ok || !b.Op.Comparison() {
-		return fmt.Errorf("translate: unsupported global atom %s", e)
-	}
-	// Special aggregate on one side vs a constant on the other?
-	if agg, c, op, ok, err := m.specialAtom(b); err != nil {
-		return err
-	} else if ok {
-		switch agg.Fn {
-		case "AVG":
-			return m.encodeAvg(agg, op, c, ind)
-		case "MIN", "MAX":
-			return m.encodeMinMax(agg, op, c, ind)
-		}
-	}
-	// Affine comparison: L - R ⋛ 0.
-	l, err := m.affineForm(b.L)
+	atoms, err := lowerAtom(e)
 	if err != nil {
-		return err
+		return fmt.Errorf("translate: atom %s: %w", e, err)
 	}
-	r, err := m.affineForm(b.R)
-	if err != nil {
-		return err
-	}
-	diff := newAffine()
-	diff.addScaled(l, 1)
-	diff.addScaled(r, -1)
-	w := make([]float64, m.NumTupleVars)
-	for key, coef := range diff.coeffs {
-		if coef == 0 {
-			continue
-		}
-		aw, err := m.aggWeights(diff.aggs[key])
+	for _, at := range atoms {
+		rows, err := at.Weigh(m.Candidates)
 		if err != nil {
 			return err
 		}
-		for i, wi := range aw {
-			w[i] += coef * wi
+		for _, row := range rows {
+			if err := m.addRow(row.W, row.Op, row.RHS, ind); err != nil {
+				return err
+			}
 		}
 	}
-	rhs := -diff.konst // Σ w·x + konst ⋛ 0  →  Σ w·x ⋛ −konst
-	switch b.Op {
-	case expr.OpLe:
-		return m.addRow(w, lp.LE, rhs, ind)
-	case expr.OpLt:
-		return m.addRow(w, lp.LE, rhs-eps(rhs), ind)
-	case expr.OpGe:
-		return m.addRow(w, lp.GE, rhs, ind)
-	case expr.OpGt:
-		return m.addRow(w, lp.GE, rhs+eps(rhs), ind)
-	case expr.OpEq:
-		if err := m.addRow(w, lp.LE, rhs, ind); err != nil {
-			return err
-		}
-		return m.addRow(w, lp.GE, rhs, ind)
-	case expr.OpNe:
-		return fmt.Errorf("translate: <> over aggregates has no exact linear form")
-	}
-	return fmt.Errorf("translate: unsupported comparison %s", b.Op)
+	return nil
 }
 
 func constBool(e expr.Expr) (bool, bool) {
@@ -209,16 +169,16 @@ func constBool(e expr.Expr) (bool, bool) {
 // specialAtom detects `AVG/MIN/MAX(arg) op const` (either orientation),
 // returning the aggregate, the constant, and the op oriented with the
 // aggregate on the left.
-func (m *Model) specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
+func specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
 	if a, ok := b.L.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := m.constSide(b.R)
+		c, err := constSide(b.R)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
 		return a, c, b.Op, true, nil
 	}
 	if a, ok := b.R.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := m.constSide(b.L)
+		c, err := constSide(b.L)
 		if err != nil {
 			return nil, 0, 0, false, err
 		}
@@ -227,8 +187,8 @@ func (m *Model) specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, boo
 	return nil, 0, 0, false, nil
 }
 
-func (m *Model) constSide(e expr.Expr) (float64, error) {
-	f, err := m.affineForm(e)
+func constSide(e expr.Expr) (float64, error) {
+	f, err := affineForm(e)
 	if err != nil {
 		return 0, err
 	}
@@ -238,115 +198,11 @@ func (m *Model) constSide(e expr.Expr) (float64, error) {
 	return f.konst, nil
 }
 
-// encodeAvg emits SUM(arg·w) − c·N ⋛ 0 plus the non-empty guard N ≥ 1,
-// where N counts tuples entering the average.
-func (m *Model) encodeAvg(a *paql.Agg, op expr.BinOp, c float64, ind int) error {
-	sum := &paql.Agg{Fn: "SUM", Arg: a.Arg, Filter: a.Filter}
-	sw, err := m.aggWeights(sum)
-	if err != nil {
-		return err
-	}
-	cnt := &paql.Agg{Fn: "COUNT", Arg: a.Arg, Filter: a.Filter}
-	cw, err := m.aggWeights(cnt)
-	if err != nil {
-		return err
-	}
-	w := make([]float64, m.NumTupleVars)
-	for i := range w {
-		w[i] = sw[i] - c*cw[i]
-	}
-	switch op {
-	case expr.OpLe:
-		err = m.addRow(w, lp.LE, 0, ind)
-	case expr.OpLt:
-		err = m.addRow(w, lp.LE, -eps(c), ind)
-	case expr.OpGe:
-		err = m.addRow(w, lp.GE, 0, ind)
-	case expr.OpGt:
-		err = m.addRow(w, lp.GE, eps(c), ind)
-	default:
-		return fmt.Errorf("translate: AVG %s has no exact linear form", op)
-	}
-	if err != nil {
-		return err
-	}
-	// guard: the average exists
-	return m.addRow(cw, lp.GE, 1, ind)
-}
-
-// encodeMinMax rewrites MIN/MAX comparisons into elimination and
-// at-least-one rows (the package comment states the rewrite).
-func (m *Model) encodeMinMax(a *paql.Agg, op expr.BinOp, c float64, ind int) error {
-	// present_i: tuple contributes to the aggregate at all
-	present, err := m.filterPresence(a)
-	if err != nil {
-		return err
-	}
-	vals := make([]float64, m.NumTupleVars)
-	for i, row := range m.Candidates {
-		if !present[i] {
-			continue
-		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return err
-		}
-		f, _ := v.AsFloat()
-		vals[i] = f
-	}
-	selector := func(pred func(float64) bool) []float64 {
-		w := make([]float64, m.NumTupleVars)
-		for i := range w {
-			if present[i] && pred(vals[i]) {
-				w[i] = 1
-			}
-		}
-		return w
-	}
-	presentW := selector(func(float64) bool { return true })
-
-	isMin := a.Fn == "MIN"
-	switch {
-	case (isMin && (op == expr.OpGe || op == expr.OpGt)) || (!isMin && (op == expr.OpLe || op == expr.OpLt)):
-		// Eliminate violating tuples; require a survivor.
-		var bad []float64
-		switch {
-		case isMin && op == expr.OpGe:
-			bad = selector(func(v float64) bool { return v < c })
-		case isMin && op == expr.OpGt:
-			bad = selector(func(v float64) bool { return v <= c })
-		case !isMin && op == expr.OpLe:
-			bad = selector(func(v float64) bool { return v > c })
-		default: // MAX <
-			bad = selector(func(v float64) bool { return v >= c })
-		}
-		if err := m.addRow(bad, lp.LE, 0, ind); err != nil {
-			return err
-		}
-		return m.addRow(presentW, lp.GE, 1, ind)
-	case (isMin && (op == expr.OpLe || op == expr.OpLt)) || (!isMin && (op == expr.OpGe || op == expr.OpGt)):
-		// At least one tuple on the right side of the threshold.
-		var good []float64
-		switch {
-		case isMin && op == expr.OpLe:
-			good = selector(func(v float64) bool { return v <= c })
-		case isMin && op == expr.OpLt:
-			good = selector(func(v float64) bool { return v < c })
-		case !isMin && op == expr.OpGe:
-			good = selector(func(v float64) bool { return v >= c })
-		default: // MAX >
-			good = selector(func(v float64) bool { return v > c })
-		}
-		return m.addRow(good, lp.GE, 1, ind)
-	}
-	return fmt.Errorf("translate: %s %s has no exact linear form", a.Fn, op)
-}
-
 // filterPresence marks candidates whose argument is non-NULL and whose
 // filter passes.
-func (m *Model) filterPresence(a *paql.Agg) ([]bool, error) {
-	out := make([]bool, m.NumTupleVars)
-	for i, row := range m.Candidates {
+func filterPresence(rows []schema.Row, a *paql.Agg) ([]bool, error) {
+	out := make([]bool, len(rows))
+	for i, row := range rows {
 		if a.Filter != nil {
 			ok, err := expr.EvalBool(a.Filter, row)
 			if err != nil {

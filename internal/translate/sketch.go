@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/expr"
@@ -36,22 +37,23 @@ const (
 	SketchAtLeast
 )
 
-// SketchAtom is one atom of a sketch branch, lowered far enough that it
-// weighs to exact linear rows over any candidate set. The same atom
-// weighs over real tuples (refine) and over representative rows (the
-// sketch levels); selector kinds (SketchElim/SketchAtLeast) are instead
-// re-weighted over partition nodes from subtree envelopes, which is why
-// they expose their predicate through Selector.
+// SketchAtom is one compiled atom: a comparison lowered far enough that
+// it weighs to exact linear rows over any candidate set. The same atom
+// weighs over real tuples (the exact MILP, refine) and over
+// representative rows (the sketch levels); selector kinds
+// (SketchElim/SketchAtLeast) are instead re-weighted over partition
+// nodes from subtree envelopes, which is why they expose their predicate
+// through Selector.
 type SketchAtom struct {
 	// Kind drives how the atom is weighted at each level.
 	Kind SketchAtomKind
 
-	cmp *expr.Binary // SketchLinear: the source comparison
-	agg *paql.Agg    // SketchAvg/SketchElim/SketchAtLeast: the aggregate
-	op  expr.BinOp   // SketchAvg: comparison op; selectors: predicate op
-	c   float64      // threshold constant (aggregate on the left)
-	all bool         // SketchAtLeast: select every present tuple (guard)
-	src string       // rendered source atom, for rows and diagnostics
+	form *affine    // SketchLinear: L − R, compared against 0
+	agg  *paql.Agg  // SketchAvg/SketchElim/SketchAtLeast: the aggregate
+	op   expr.BinOp // SketchLinear/SketchAvg: comparison op; selectors: predicate op
+	c    float64    // threshold constant (aggregate on the left)
+	all  bool       // SketchAtLeast: select every present tuple (guard)
+	src  string     // rendered source atom, for rows and diagnostics
 }
 
 // Source returns the rendered source atom the lowering came from.
@@ -95,21 +97,23 @@ func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, 
 	if err != nil {
 		return nil, 0, err
 	}
-	probe := &Model{}
 	rewritten := map[*bAtom]bool{}
 	for _, rb := range raw {
 		atoms := make([]*SketchAtom, 0, len(rb))
 		drop := false
 		for _, ba := range rb {
-			lowered, dropBranch, wasRewrite, err := lowerSketchAtom(probe, ba.e)
+			if v, ok := constBool(ba.e); ok {
+				if !v {
+					drop = true // constant false: the branch is unsatisfiable
+					break
+				}
+				continue
+			}
+			lowered, err := lowerAtom(ba.e)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, fmt.Errorf("atom %s blocks SketchRefine: %w", ba.e, err)
 			}
-			if dropBranch {
-				drop = true
-				break
-			}
-			if wasRewrite && !rewritten[ba] {
+			if lowered[0].Kind != SketchLinear && !rewritten[ba] {
 				rewritten[ba] = true
 				rewrites++
 			}
@@ -166,52 +170,52 @@ func dnfBranches(n bnode, cap int) ([][]*bAtom, error) {
 	return nil, fmt.Errorf("unknown formula node %T", n)
 }
 
-// lowerSketchAtom lowers one comparison (or constant boolean) into
-// sketch atoms. dropBranch reports a constant-false atom (the branch is
-// unsatisfiable); wasRewrite reports an AVG/MIN/MAX rewrite. Errors
-// name the offending atom.
-func lowerSketchAtom(probe *Model, e expr.Expr) (atoms []*SketchAtom, dropBranch, wasRewrite bool, err error) {
-	if v, ok := constBool(e); ok {
-		return nil, !v, false, nil
-	}
+// lowerAtom lowers one comparison of the NNF formula into compiled atoms
+// — the one translation every strategy's rows come from: an affine
+// SUM/COUNT comparison keeps its form L − R, AVG is linearized with a
+// non-empty guard, MIN/MAX become selector rows (a first atom of any kind
+// but SketchLinear marks such a rewrite). The check is by shape only;
+// nothing is weighed before Weigh. Errors say why there is no linear form
+// and leave naming the atom to the caller.
+func lowerAtom(e expr.Expr) ([]*SketchAtom, error) {
 	b, ok := e.(*expr.Binary)
 	if !ok || !b.Op.Comparison() {
-		return nil, false, false, fmt.Errorf("atom %s is not a comparison over aggregates", e)
+		return nil, errors.New("not a comparison over aggregates")
 	}
-	agg, c, op, special, err := probe.specialAtom(b)
+	agg, c, op, special, err := specialAtom(b)
 	if err != nil {
-		return nil, false, false, fmt.Errorf("atom %s blocks SketchRefine: %w", e, err)
+		return nil, err
 	}
 	src := e.String()
 	if special {
-		switch agg.Fn {
-		case "AVG":
-			switch op {
-			case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
-			default:
-				return nil, false, false, fmt.Errorf("atom %s blocks SketchRefine: AVG with %s has no exact linear form", e, op)
-			}
-			return []*SketchAtom{
-				{Kind: SketchAvg, agg: agg, op: op, c: c, src: src},
-				{Kind: SketchAtLeast, agg: agg, all: true, src: src + " [non-empty guard]"},
-			}, false, true, nil
-		case "MIN", "MAX":
-			return lowerMinMax(agg, op, c, e, src)
+		if agg.Fn != "AVG" {
+			return lowerMinMax(agg, op, c, src)
 		}
+		switch op {
+		case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
+		default:
+			return nil, fmt.Errorf("AVG with %s has no exact linear form", op)
+		}
+		return []*SketchAtom{
+			{Kind: SketchAvg, agg: agg, op: op, c: c, src: src},
+			{Kind: SketchAtLeast, agg: agg, all: true, src: src + " [non-empty guard]"},
+		}, nil
 	}
-	if _, ok := probe.linearAtom(b); !ok {
-		return nil, false, false, fmt.Errorf("atom %s is not an affine SUM/COUNT comparison (no linear form)", e)
+	if b.Op == expr.OpNe {
+		return nil, errors.New("<> over aggregates has no exact linear form")
 	}
-	return []*SketchAtom{{Kind: SketchLinear, cmp: b, src: src}}, false, false, nil
+	diff, err := affineForm(&expr.Binary{Op: expr.OpSub, L: b.L, R: b.R})
+	if err != nil {
+		return nil, fmt.Errorf("not an affine SUM/COUNT comparison: %w", err)
+	}
+	return []*SketchAtom{{Kind: SketchLinear, form: diff, op: b.Op, src: src}}, nil
 }
 
-// lowerMinMax lowers a MIN/MAX comparison into selector atoms, the
-// same elimination + at-least-one scheme the exact MILP uses
-// (encodeMinMax): bounds that constrain every package member eliminate
-// the violating tuples and require a surviving witness; bounds that
-// only need one witness require a tuple on the right side of the
-// threshold.
-func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, e expr.Expr, src string) ([]*SketchAtom, bool, bool, error) {
+// lowerMinMax lowers a MIN/MAX comparison into selector atoms: bounds
+// that constrain every package member eliminate the violating tuples and
+// require a surviving witness; bounds that only need one witness require
+// a tuple on the right side of the threshold.
+func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, src string) ([]*SketchAtom, error) {
 	isMin := agg.Fn == "MIN"
 	switch {
 	case (isMin && (op == expr.OpGe || op == expr.OpGt)) || (!isMin && (op == expr.OpLe || op == expr.OpLt)):
@@ -229,43 +233,39 @@ func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, e expr.Expr, src strin
 		return []*SketchAtom{
 			{Kind: SketchElim, agg: agg, op: badOp, c: c, src: src},
 			{Kind: SketchAtLeast, agg: agg, all: true, src: src + " [witness guard]"},
-		}, false, true, nil
+		}, nil
 	case (isMin && (op == expr.OpLe || op == expr.OpLt)) || (!isMin && (op == expr.OpGe || op == expr.OpGt)):
 		return []*SketchAtom{
 			{Kind: SketchAtLeast, agg: agg, op: op, c: c, src: src},
-		}, false, true, nil
+		}, nil
 	}
-	return nil, false, false, fmt.Errorf("atom %s blocks SketchRefine: %s with %s has no exact linear form", e, agg.Fn, op)
+	return nil, fmt.Errorf("%s with %s has no exact linear form", agg.Fn, op)
 }
 
 // Weigh compiles the atom into exact linear rows over the given
 // candidate rows. Calling it with the instance's real tuples yields the
-// rows the refine MILPs and the final feasibility check enforce;
-// calling it with representative rows yields a sketch level's
+// rows the exact MILP, the refine MILPs and the final feasibility check
+// enforce; calling it with representative rows yields a sketch level's
 // approximation for the non-selector kinds (selector kinds weigh their
 // 0/1 predicate over whatever rows they are given — partition levels
 // should re-weight them from subtree envelopes instead).
 func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
-	m := &Model{Candidates: cands, NumTupleVars: len(cands)}
 	switch at.Kind {
 	case SketchLinear:
-		return m.sketchLinearRows(at.cmp)
+		return at.linearRows(cands, false)
 	case SketchAvg:
-		sum := &paql.Agg{Fn: "SUM", Arg: at.agg.Arg, Filter: at.agg.Filter}
-		sw, err := m.aggWeights(sum)
+		sw, err := aggWeights(cands, &paql.Agg{Fn: "SUM", Arg: at.agg.Arg, Filter: at.agg.Filter})
 		if err != nil {
 			return nil, err
 		}
-		// COUNT over the argument, exactly like encodeAvg: a NULL
-		// argument contributes to neither the sum nor the count, so its
-		// weight must be 0 — COUNT(*) weights would let NULL tuples
-		// shift the rewritten average.
-		cnt := &paql.Agg{Fn: "COUNT", Arg: at.agg.Arg, Filter: at.agg.Filter}
-		cw, err := m.aggWeights(cnt)
+		// COUNT over the argument: a NULL argument contributes to neither
+		// the sum nor the count, so its weight must be 0 — COUNT(*)
+		// weights would let NULL tuples shift the rewritten average.
+		cw, err := aggWeights(cands, &paql.Agg{Fn: "COUNT", Arg: at.agg.Arg, Filter: at.agg.Filter})
 		if err != nil {
 			return nil, err
 		}
-		w := make([]float64, m.NumTupleVars)
+		w := make([]float64, len(cands))
 		for i := range w {
 			w[i] = sw[i] - at.c*cw[i]
 		}
@@ -293,23 +293,37 @@ func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 	return nil, fmt.Errorf("unknown sketch atom kind %d", at.Kind)
 }
 
-// sketchLinearRows is linearAtom with strict comparisons tightened by
-// the shared epsilon instead of relaxed to their closed forms: sketch
-// branches need sufficient conditions (a package passing the rows must
-// satisfy the formula), where ConjunctiveAtoms only needs necessary
-// ones.
-func (m *Model) sketchLinearRows(b *expr.Binary) ([]*LinearAtom, error) {
-	rows, ok := m.linearAtom(b)
-	if !ok {
-		return nil, fmt.Errorf("atom %s is not an affine SUM/COUNT comparison", b)
+// linearRows weighs a SketchLinear atom into Σ w·x ⋛ −konst (an equality
+// yields LE+GE over one weight vector). A strict comparison is tightened
+// by the shared epsilon — a sufficient condition, what the MILP and the
+// sketch branches need — unless closed, which relaxes it to its closed
+// form: the necessary condition ConjunctiveAtoms prunes with.
+func (at *SketchAtom) linearRows(cands []schema.Row, closed bool) ([]*LinearAtom, error) {
+	w, err := weigh(at.form, cands)
+	if err != nil {
+		return nil, err
 	}
-	switch b.Op {
-	case expr.OpLt:
-		rows[0].RHS -= eps(rows[0].RHS)
-	case expr.OpGt:
-		rows[0].RHS += eps(rows[0].RHS)
+	rhs := -at.form.konst // Σ w·x + konst ⋛ 0  →  Σ w·x ⋛ −konst
+	if !closed {
+		switch at.op {
+		case expr.OpLt:
+			rhs -= eps(rhs)
+		case expr.OpGt:
+			rhs += eps(rhs)
+		}
 	}
-	return rows, nil
+	switch at.op {
+	case expr.OpLe, expr.OpLt:
+		return []*LinearAtom{{W: w, Op: lp.LE, RHS: rhs, Source: at.src}}, nil
+	case expr.OpGe, expr.OpGt:
+		return []*LinearAtom{{W: w, Op: lp.GE, RHS: rhs, Source: at.src}}, nil
+	case expr.OpEq:
+		return []*LinearAtom{
+			{W: w, Op: lp.LE, RHS: rhs, Source: at.src},
+			{W: w, Op: lp.GE, RHS: rhs, Source: at.src},
+		}, nil
+	}
+	return nil, fmt.Errorf("comparison %s has no exact linear form", at.op)
 }
 
 // Selector is the per-candidate view of a selector atom
@@ -336,8 +350,7 @@ func (at *SketchAtom) Selector(cands []schema.Row) (*Selector, error) {
 	if !at.IsSelector() {
 		return nil, fmt.Errorf("atom %s is not a selector", at.src)
 	}
-	m := &Model{Candidates: cands, NumTupleVars: len(cands)}
-	present, err := m.filterPresence(at.agg)
+	present, err := filterPresence(cands, at.agg)
 	if err != nil {
 		return nil, err
 	}
@@ -387,8 +400,7 @@ func (s *Selector) Match(v float64) bool {
 }
 
 // TupleAtom is the exact tuple-level row of the selector: Σ_bad x ≤ 0
-// for eliminations, Σ_good x ≥ 1 for at-least-one rows — the same rows
-// the exact MILP enforces for MIN/MAX atoms and AVG guards.
+// for eliminations, Σ_good x ≥ 1 for at-least-one rows.
 func (s *Selector) TupleAtom() *LinearAtom {
 	w := make([]float64, len(s.Present))
 	for i := range w {

@@ -2,21 +2,38 @@
 // linear programs, the paper's §7 "PaQL query is translated into a
 // linear program and then solved using existing constraint solvers".
 //
-// The translation introduces one integer variable x_i per candidate
-// tuple (its multiplicity in the package, bounded by REPEAT+1) and maps
-// global constraints to linear rows:
+// There is one translation, and every strategy's linear rows come out of
+// it: SUCH THAT formula → negation normal form (nnf: NOT pushed into the
+// comparisons, BETWEEN expanded) → comparison atoms → compiled SketchAtoms
+// (lowerAtom) → Weigh over a set of rows → LinearAtoms Σ W[i]·x_i ⋚ RHS,
+// x_i the multiplicity of tuple i (bounded by REPEAT+1). The lowering:
 //
-//   - affine SUM/COUNT constraints become a single row;
+//   - an affine SUM/COUNT comparison keeps its form L − R ⋚ 0: one row
+//     (two for an equality);
 //   - AVG(x) ⋚ c becomes SUM(x·w) − c·COUNT_w ⋚ 0 plus a non-empty
 //     guard (AVG over an empty package is NULL, which fails the atom);
 //   - MIN(x) ≥ c eliminates tuples below c and requires one survivor;
 //     MIN(x) ≤ c requires at least one tuple at or below c (MAX is
 //     symmetric);
-//   - disjunctions get one 0/1 indicator per atom with big-M linking
-//     and implication rows (OR: y ≤ y_a + y_b; AND: y ≤ y_a, y ≤ y_b),
-//     sound and complete because only the root must hold;
-//   - strict comparisons use a small epsilon scaled to the constant
-//     (eps in encode.go).
+//   - strict comparisons are tightened by a small epsilon scaled to the
+//     constant (eps in encode.go).
+//
+// Who consumes the rows, and how:
+//
+//   - Translate (the exact MILP) walks the NNF tree and adds each atom's
+//     rows weighed over the candidates; under a disjunction addRow links
+//     them by big-M to one 0/1 indicator per branch with implication rows
+//     (OR: y ≤ y_a + y_b), sound and complete because only the root must
+//     hold;
+//   - ConjunctiveAtoms (search.Instance.Atoms) keeps the top-level affine
+//     conjuncts with strict comparisons closed instead of tightened:
+//     necessary conditions for pruning, pure only when nothing was
+//     relaxed or left out;
+//   - CompileSketch (SketchRefine, the certified bound) expands the tree
+//     to DNF branches of the same atoms, which internal/sketch weighs
+//     over real tuples for refine and the final check, over
+//     representative rows at each sketch level, and — for the MIN/MAX
+//     selector kinds — re-weights over partition nodes from envelopes.
 package translate
 
 import (
@@ -85,22 +102,14 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 	}
 	// Unused indicator slots are pinned to zero at the end.
 
-	// Objective.
+	// Objective: the tuple weights, widened over the indicator slots.
 	if q.Objective != nil {
-		form, err := m.affineForm(q.Objective.Expr)
+		w, _, err := ObjectiveWeights(a, candidates)
 		if err != nil {
-			return nil, fmt.Errorf("translate: objective: %w", err)
+			return nil, err
 		}
 		obj := make([]float64, p.NumVars())
-		for key, coef := range form.coeffs {
-			w, err := m.aggWeights(form.aggs[key])
-			if err != nil {
-				return nil, err
-			}
-			for i, wi := range w {
-				obj[i] += coef * wi
-			}
-		}
+		copy(obj, w)
 		sense := lp.Maximize
 		if q.Objective.Sense == paql.Minimize {
 			sense = lp.Minimize
@@ -176,19 +185,8 @@ func (m *Model) AddExclusionCut(mult []int) error {
 	if len(mult) != m.NumTupleVars {
 		return fmt.Errorf("translate: cut has %d entries for %d tuple variables", len(mult), m.NumTupleVars)
 	}
-	var coefs []lp.Coef
-	inCount := 0
-	for i, v := range mult {
-		if v > 0 {
-			coefs = append(coefs, lp.Coef{Var: i, Val: 1})
-			inCount++
-		} else {
-			coefs = append(coefs, lp.Coef{Var: i, Val: -1})
-		}
-	}
-	// Σ_{i∈S} x_i − Σ_{i∉S} x_i ≤ |S| − 1
-	_, err := m.lpp.AddConstraint(coefs, lp.LE, float64(inCount-1))
-	return err
+	cut := ExclusionAtom(mult)
+	return m.addRow(cut.W, cut.Op, cut.RHS, -1)
 }
 
 // --- affine forms -------------------------------------------------------------
@@ -223,7 +221,7 @@ func (f *affine) isConst() bool {
 // affineForm decomposes a numeric global expression into Σ coef·agg +
 // const. Only COUNT and SUM aggregates may appear (AVG/MIN/MAX are
 // handled at the comparison level).
-func (m *Model) affineForm(e expr.Expr) (*affine, error) {
+func affineForm(e expr.Expr) (*affine, error) {
 	switch n := e.(type) {
 	case *expr.Const:
 		f := newAffine()
@@ -246,7 +244,7 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 		f.aggs[key] = n
 		return f, nil
 	case *expr.Neg:
-		f, err := m.affineForm(n.X)
+		f, err := affineForm(n.X)
 		if err != nil {
 			return nil, err
 		}
@@ -254,11 +252,11 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 		out.addScaled(f, -1)
 		return out, nil
 	case *expr.Binary:
-		l, err := m.affineForm(n.L)
+		l, err := affineForm(n.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := m.affineForm(n.R)
+		r, err := affineForm(n.R)
 		if err != nil {
 			return nil, err
 		}
@@ -310,12 +308,32 @@ func (m *Model) affineForm(e expr.Expr) (*affine, error) {
 	return nil, fmt.Errorf("translate: expression %s is not affine", e)
 }
 
+// weigh evaluates the aggregate part of an affine form per candidate:
+// w[i] = Σ coef·aggWeights(agg)[i], the coefficient of x_i in every row
+// and objective the form appears in.
+func weigh(f *affine, rows []schema.Row) ([]float64, error) {
+	w := make([]float64, len(rows))
+	for key, coef := range f.coeffs {
+		if coef == 0 {
+			continue
+		}
+		aw, err := aggWeights(rows, f.aggs[key])
+		if err != nil {
+			return nil, err
+		}
+		for i, wi := range aw {
+			w[i] += coef * wi
+		}
+	}
+	return w, nil
+}
+
 // aggWeights computes the per-candidate contribution of a SUM/COUNT
 // aggregate: 0 when the filter rejects the tuple or the argument is
 // NULL, otherwise 1 (COUNT) or the argument value (SUM).
-func (m *Model) aggWeights(a *paql.Agg) ([]float64, error) {
-	w := make([]float64, m.NumTupleVars)
-	for i, row := range m.Candidates {
+func aggWeights(rows []schema.Row, a *paql.Agg) ([]float64, error) {
+	w := make([]float64, len(rows))
+	for i, row := range rows {
 		if a.Filter != nil {
 			ok, err := expr.EvalBool(a.Filter, row)
 			if err != nil {
@@ -347,11 +365,4 @@ func (m *Model) aggWeights(a *paql.Agg) ([]float64, error) {
 		w[i] = f
 	}
 	return w, nil
-}
-
-// filterWeights is aggWeights for the COUNT(*) of an aggregate's filter
-// (used by AVG and MIN/MAX guards).
-func (m *Model) filterWeights(a *paql.Agg) ([]float64, error) {
-	count := &paql.Agg{Fn: "COUNT", Star: true, Filter: a.Filter}
-	return m.aggWeights(count)
 }

@@ -408,27 +408,53 @@ func TestFeasibilityOnlyQuery(t *testing.T) {
 	verify(t, a, rows, res)
 }
 
-// Property: random linear queries over random data agree with brute force.
+// Property: random linear queries over random data agree with brute
+// force. %L/%H/%S are multiples of 100 like the calories they bound, so
+// strict comparisons and MIN/MAX thresholds land on attained values.
+// Every template keeps each SUM's selection non-empty: SUM over no tuple
+// is NULL to paql.Satisfies and 0 to a linear row.
 func TestPropTranslateMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	templates := []string{
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = %K AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(P.calories) BETWEEN %A AND %B MINIMIZE SUM(P.price)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) <= %K AND SUM(P.calories) >= %A MAXIMIZE SUM(P.protein) - SUM(P.price)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = %K OR SUM(P.calories) <= %A MAXIMIZE SUM(P.calories)`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 1 SUCH THAT COUNT(*) = %K AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`,
+	const head = `SELECT PACKAGE(R) AS P FROM Recipes R `
+	templates := []struct {
+		src     string
+		maxRows int // 0 = the default 4..8 rows
+	}{
+		{src: head + `SUCH THAT COUNT(*) = %K AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT SUM(P.calories) BETWEEN %A AND %B MINIMIZE SUM(P.price)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND SUM(P.calories) >= %A MAXIMIZE SUM(P.protein) - SUM(P.price)`},
+		{src: head + `SUCH THAT COUNT(*) = %K OR SUM(P.calories) <= %A MAXIMIZE SUM(P.calories)`},
+		{src: head + `REPEAT 1 SUCH THAT COUNT(*) = %K AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) = %K AND AVG(P.calories) < %H MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND AVG(P.calories) >= %H MINIMIZE SUM(P.price)`},
+		{src: head + `SUCH THAT COUNT(*) = %K AND MIN(P.calories) >= %L AND MAX(P.calories) <= %H MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) BETWEEN 2 AND 3 AND MIN(P.calories) <= %L AND MAX(P.calories) >= %H MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND SUM(P.calories) > %L AND SUM(P.calories) < %S MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) >= 1 AND NOT (COUNT(*) > %K OR SUM(P.calories) >= %S) MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) = %K AND COUNT(* WHERE P.kind = 'meal') >= 1 AND SUM(P.calories WHERE P.kind = 'meal') <= %S MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) = %K AND %H > AVG(P.calories) AND %L <= MIN(P.calories) MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT (COUNT(*) = %K AND (SUM(P.calories) <= %A OR SUM(P.calories) >= %B)) OR COUNT(*) = 1 MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND 2 * SUM(P.protein) - SUM(P.price) / 2 >= 20 AND -SUM(P.calories) >= -%B MINIMIZE SUM(P.price)`},
+		{src: head + `REPEAT 10 SUCH THAT COUNT(*) BETWEEN 1 AND 11 AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`, maxRows: 3},
 	}
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 6*len(templates); trial++ {
+		tpl := templates[trial%len(templates)]
 		n := 4 + rng.Intn(5)
+		if tpl.maxRows > 0 {
+			n = 1 + rng.Intn(tpl.maxRows)
+		}
 		rows := make([]schema.Row, n)
 		for i := range rows {
 			rows[i] = mkRow(i, float64(100+rng.Intn(9)*100), float64(rng.Intn(50)),
 				[]string{"meal", "snack"}[rng.Intn(2)], float64(1+rng.Intn(20)))
 		}
-		src := templates[trial%len(templates)]
+		src := tpl.src
 		src = replaceAll(src, "%K", itoa(1+rng.Intn(3)))
 		src = replaceAll(src, "%A", itoa(300+rng.Intn(800)))
 		src = replaceAll(src, "%B", itoa(1200+rng.Intn(1500)))
+		src = replaceAll(src, "%L", itoa(100*(2+rng.Intn(4))))
+		src = replaceAll(src, "%H", itoa(100*(5+rng.Intn(5))))
+		src = replaceAll(src, "%S", itoa(100*(5+rng.Intn(12))))
 		a := analyze(t, src)
 		want, feasible := bruteBest(t, a.Query, rows)
 		ids := make([]int, n)
@@ -455,6 +481,79 @@ func TestPropTranslateMatchesBruteForce(t *testing.T) {
 		}
 		if math.Abs(res.Solution.Objective-want) > 1e-5 {
 			t.Fatalf("trial %d (%s): milp %g, brute %g", trial, src, res.Solution.Objective, want)
+		}
+	}
+}
+
+// TestTranslateRowsAreTheCompiledAtoms pins the one lowering: restricted
+// to the tuple variables (indicator linking undone), the constraint rows
+// of Translate's LP are, in order, the rows the compiled atoms of
+// CompileSketch weigh over the same candidates — the benchmark's T0–T4
+// shapes and one disjunction. A second encoder cannot come back unseen.
+func TestTranslateRowsAreTheCompiledAtoms(t *testing.T) {
+	rows := testRows()
+	n := len(rows)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	cases := []struct{ name, suchThat string }{
+		{"T0", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700`},
+		{"T1", `COUNT(*) = 5 AND AVG(P.calories) <= 450`},
+		{"T2", `COUNT(*) = 5 AND MIN(P.protein) >= 5 AND MAX(P.calories) <= 700 AND SUM(P.calories) BETWEEN 1500 AND 2500`},
+		{"T3", `COUNT(*) BETWEEN 4 AND 8 AND SUM(P.price) <= 60.005 AND SUM(P.calories) <= 3200`},
+		{"T4", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700 AND SUM(P.price) BETWEEN 20 AND 200`},
+		{"disjunction", `COUNT(*) = 2 AND (AVG(P.calories) < 500 OR MAX(P.protein) <= 30 AND SUM(P.price) > 9)`},
+	}
+	for _, tc := range cases {
+		a := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT `+tc.suchThat+` MAXIMIZE SUM(P.protein)`)
+		m, err := Translate(a, rows, ids)
+		if err != nil {
+			t.Fatalf("%s: translate: %v", tc.name, err)
+		}
+		var got []*LinearAtom
+		for i := 0; i < m.MILP.LP.NumRows(); i++ {
+			r := m.MILP.LP.Row(i)
+			at := &LinearAtom{W: make([]float64, n), Op: r.Op, RHS: r.RHS}
+			tuples := 0
+			for _, c := range r.Coefs {
+				if c.Var < n {
+					at.W[c.Var] = c.Val
+					tuples++
+				} else {
+					at.RHS -= c.Val // addRow linked the row as rhs ± M with ±M on the indicator
+				}
+			}
+			if tuples > 0 { // the rest is OR plumbing over indicators only
+				got = append(got, at)
+			}
+		}
+		branches, _, err := CompileSketch(a, 0)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", tc.name, err)
+		}
+		// The MILP walks the formula once; the DNF repeats the conjuncts
+		// before the OR in every branch.
+		want := sketchRows(t, branches[0], rows)
+		for _, br := range branches[1:] {
+			shared := 0
+			for shared < len(br.Atoms) && br.Atoms[shared].Source() == branches[0].Atoms[shared].Source() {
+				shared++
+			}
+			want = append(want, sketchRows(t, SketchBranch{Atoms: br.Atoms[shared:]}, rows)...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d MILP rows over tuples, %d compiled rows", tc.name, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].Op != want[k].Op || math.Abs(got[k].RHS-want[k].RHS) > 1e-9*(1+math.Abs(want[k].RHS)) {
+				t.Errorf("%s row %d (%s): got (%v, %g), want (%v, %g)", tc.name, k, want[k].Source, got[k].Op, got[k].RHS, want[k].Op, want[k].RHS)
+			}
+			for i := range want[k].W {
+				if got[k].W[i] != want[k].W[i] {
+					t.Errorf("%s row %d (%s) weight %d: got %g, want %g", tc.name, k, want[k].Source, i, got[k].W[i], want[k].W[i])
+				}
+			}
 		}
 	}
 }
