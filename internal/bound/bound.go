@@ -183,9 +183,11 @@ func Relax(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, groups
 type relaxation struct {
 	groups []Group
 	// lo[i][g] and hi[i][g] are the minimum and maximum of atom i's
-	// tuple coefficients over group g.
-	lo, hi [][]float64
-	p      *lp.Problem
+	// tuple coefficients over group g; objLo[g] and objHi[g] the
+	// objective's.
+	lo, hi       [][]float64
+	objLo, objHi []float64
+	p            *lp.Problem
 	// row[i] is atom i's first LP row; an equality atom owns two, the ≤
 	// row over lo[i] and then the ≥ row over hi[i].
 	row []int
@@ -210,11 +212,12 @@ func newRelaxation(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense
 			return nil, err
 		}
 	}
-	objLo, objHi := envelope(objW, groups)
+	r.objLo, r.objHi = envelope(objW, groups)
+	optimistic := r.objLo
 	if sense == lp.Maximize {
-		objLo = objHi
+		optimistic = r.objHi
 	}
-	if err := r.p.SetObjective(objLo, sense); err != nil {
+	if err := r.p.SetObjective(optimistic, sense); err != nil {
 		return nil, err
 	}
 	coefs := make([]lp.Coef, 0, len(groups))
@@ -271,22 +274,6 @@ func envelope(w []float64, groups []Group) (lo, hi []float64) {
 		lo[g], hi[g] = mn, mx
 	}
 	return lo, hi
-}
-
-// groupCoef reduces a weight vector over a group's tuples to its
-// maximum (wantMax) or minimum; an empty group contributes zero.
-func groupCoef(w []float64, tuples []int, wantMax bool) float64 {
-	if len(w) == 0 || len(tuples) == 0 {
-		return 0
-	}
-	c := w[tuples[0]]
-	for _, t := range tuples[1:] {
-		v := w[t]
-		if wantMax && v > c || !wantMax && v < c {
-			c = v
-		}
-	}
-	return c
 }
 
 // cancelOf adapts a context to the simplex's per-iteration poll (nil

@@ -12,22 +12,28 @@ package bound
 // coefficient, and every constraint row's coefficient range shrinks to
 // the per-segment range.
 //
-// Stage 2 — Lagrangian tightening (part of RunPipeline): the rows the
-// grouped LP leaves tight or violated — in practice the band (BETWEEN
-// and =) rows whose [min,max] envelopes the relaxation exploits — are
-// dualized with sign-correct multipliers. For any valid multiplier
+// Stage 2 — Lagrangian tightening (part of RunPipeline): every row whose
+// coefficient varies over the tuples — the band (BETWEEN and =) rows
+// whose [min,max] envelopes the grouped relaxation exploits above all —
+// is priced with a sign-correct multiplier. For any valid multiplier
 // vector y the Lagrangian
 //
-//	L(y) = opt_{x ∈ X} [ (c − Σᵢ yᵢaᵢ)·x ] + Σᵢ yᵢbᵢ
+//	L(y) = opt_{m ∈ X} [ (c − Σᵢ yᵢaᵢ)·m ] + Σᵢ yᵢbᵢ
 //
-// is a true dual bound (weak duality, with X the grouped relaxation of
-// the remaining rows), because the adjusted objective c − Σ yᵢaᵢ is
-// computed per tuple and only then extremized per group: the dualized
-// rows can no longer be cheated by picking different tuples for the
-// objective and for the row. A few subgradient rounds (one internal/lp
-// solve each) search for a good y; every evaluated y yields a valid
-// bound, so the best one is kept and an unconverged search loses
-// nothing.
+// is a true dual bound (weak duality: a feasible package satisfies the
+// priced rows, so with valid signs the terms added to its objective
+// never count against it), whatever y is. X is what the unpriced rows
+// leave, and those are the rows with one coefficient on every tuple —
+// COUNT rows and guards — so X is the tuple box tupleLo ≤ mₜ ≤ tupleHi
+// cut by a band on Σmₜ. That is an interval matrix, and the LP over X is
+// solved exactly by a selection — the forced units, then the
+// best-adjusted tuples while they help or the band needs them — with no
+// simplex and no grouping. The adjusted objective is read per tuple, so
+// a priced row cannot be cheated by picking different tuples for the
+// objective and for the row. A few subgradient rounds (one pass over the
+// tuples each) search for a good y, started at the grouped LP's own row
+// prices; every evaluated y yields a valid bound, so the best one is
+// kept and an unconverged search loses nothing.
 //
 // Stage 3 — adaptive one-level descent (also RunPipeline): when the
 // bound is still wider than the caller's target, the groups that
@@ -44,6 +50,7 @@ package bound
 
 import (
 	"cmp"
+	"container/heap"
 	"context"
 	"math"
 	"slices"
@@ -51,6 +58,7 @@ import (
 	"sync"
 
 	"repro/internal/lp"
+	"repro/internal/search"
 	"repro/internal/translate"
 )
 
@@ -79,25 +87,14 @@ func StageRank(stage string) int {
 	return slices.Index([]string{StageRawLP, StageTreeLP, StageTightened, StageDescend}, stage)
 }
 
-// Pipeline defaults, exported so callers and benchmarks agree on what
-// "the stock pipeline" means.
-const (
-	// DefaultTightenRounds bounds the subgradient Lagrangian rounds (one
-	// grouped LP solve each).
-	DefaultTightenRounds = 4
-	// maxDualRows bounds how many rows a tightening round dualizes;
-	// beyond a handful the adjusted-objective scans dominate the solve.
-	maxDualRows = 4
-	// innerTopK is how many extreme-adjusted tuples per group become
-	// singleton columns in each Lagrangian inner solve (see
-	// innerSegments). The inner LP keeps almost no rows, so the extra
-	// columns cost little even over thousands of groups.
-	innerTopK = 4
-)
+// DefaultTightenRounds bounds the subgradient Lagrangian rounds (one
+// selection pass over the tuples each). Exported so callers and
+// benchmarks agree on what "the stock pipeline" means.
+const DefaultTightenRounds = 4
 
 // PipelineOptions configures RunPipeline.
 type PipelineOptions struct {
-	// Ctx cancels the LP solves cooperatively (nil = never).
+	// Ctx cancels the LP solves and the rounds cooperatively (nil = never).
 	Ctx context.Context
 	// Atoms are the branch's tuple-level rows (including any exclusion
 	// cuts); ObjW/Konst the affine objective; Sense its direction.
@@ -134,7 +131,8 @@ type PipelineResult struct {
 	Outcome
 	// Stage is the deepest pipeline stage that ran.
 	Stage string
-	// Rounds counts the Lagrangian rounds executed (inner LP solves).
+	// Rounds counts the Lagrangian rounds completed (selection passes
+	// over the tuples; no LP is solved in them).
 	Rounds int
 	// Vars is the variable count of the largest relaxation solved.
 	Vars int
@@ -253,42 +251,33 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 // an uncertified or infeasible base solve short-circuits.
 func RunPipeline(groups []Group, po PipelineOptions) PipelineResult {
 	pl := pipelines.Get().(*pipeline)
-	pl.po, pl.cancel, pl.solves, pl.perTuple = &po, cancelOf(po.Ctx), 0, false
+	pl.po, pl.cancel, pl.solves, pl.boxed = &po, cancelOf(po.Ctx), 0, false
 	pr := pl.run(groups)
 	pl.po, pl.cancel = nil, nil
 	pipelines.Put(pl) // a pass that panicked is simply not recycled
 	return pr
 }
 
-// pipelines recycles the working state between calls: a pass over 50,000
-// tuples sizes some 12 MB of scratch, and a server answers one banded
-// query after another.
+// pipelines recycles the working state between calls: the simplex
+// workspace of an 8,192-column relaxation and one float per tuple, and a
+// server answers one banded query after another.
 var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
 
-// pipeline is one RunPipeline call's working state: the LP workspace
-// every solve shares and the scratch the Lagrangian rounds reuse. Each
-// grouping is relaxed and solved once; that solve's row prices seed the
-// multipliers and its primal point scores the descent.
+// pipeline is one RunPipeline call's working state: the LP workspace the
+// groupings' solves share and the scratch the Lagrangian rounds reuse.
+// Each grouping is relaxed and solved once — the only LPs of the pass;
+// that solve's row prices seed the multipliers and its primal point
+// scores the descent.
 type pipeline struct {
 	po     *PipelineOptions
 	cancel func() bool
 	ws     lp.Workspace
 	solves int // LP solves performed
 
-	perTuple     bool       // tupLo, tupHi hold this call's tuple bounds
-	tupLo, tupHi []float64  // per tuple: PipelineOptions.TupleLo/TupleHi
-	adj          []float64  // per tuple: objective adjusted by the priced rows
-	tuples       []int      // inner segments' tuple lists, back to back
-	inner        []Group    // inner segments of the running round
-	innerLP      lp.Problem // the running round's relaxation
-	dense        []float64  // per inner segment: one row (or the objective)
-	arg          []int      // per inner segment: the tuple attaining dense
-	coefs        []lp.Coef
-}
-
-func (pl *pipeline) solve(p *lp.Problem) *lp.Solution {
-	pl.solves++
-	return pl.ws.Solve(p, lp.Options{Cancel: pl.cancel})
+	boxed  bool      // room and forced hold this call's tuple box
+	room   []float64 // per tuple: tupleHi − tupleLo; 0 when no group holds it
+	forced []pick    // the tuples with tupleLo > 0, and their tupleLo units
+	best   shortlist // the running round's candidates
 }
 
 // solveGrouped builds and solves the relaxation of one grouping.
@@ -298,7 +287,8 @@ func (pl *pipeline) solveGrouped(groups []Group) (*relaxation, *lp.Solution, Out
 	if err != nil {
 		return nil, nil, Outcome{}
 	}
-	sol := pl.solve(r.p)
+	pl.solves++
+	sol := pl.ws.Solve(r.p, lp.Options{Cancel: pl.cancel})
 	return r, sol, outcomeOf(sol, po.Sense, po.Konst)
 }
 
@@ -326,23 +316,19 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 	if maxRank < 0 {
 		maxRank = StageRank(StageDescend) // unknown or empty cap: run everything
 	}
-	if maxRank >= StageRank(StageTightened) && po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
-		b, rounds, iters, inf := pl.tighten(base, sol.Duals)
-		pr.Rounds += rounds
-		pr.Iterations += iters
-		if inf {
+	if maxRank >= StageRank(StageTightened) {
+		inf := pl.tighten(base, sol.Duals, &pr)
+		if inf || pr.Rounds > 0 {
 			pr.Stage = StageTightened
-			return infeasible()
 		}
-		if rounds > 0 {
-			pr.Stage = StageTightened
-			pr.Bound = tighter(po.Sense, pr.Bound, b)
+		if inf {
+			return infeasible()
 		}
 	}
 	if maxRank < StageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
 		return pr
 	}
-	refined := descendWorst(groups, sol.X, po)
+	refined := descendWorst(base, sol.X, po)
 	if len(refined) <= len(groups) {
 		return pr
 	}
@@ -361,16 +347,8 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 	pr.Stage = StageDescend
 	pr.Vars = len(refined)
 	pr.Bound = tighter(po.Sense, pr.Bound, out2.Bound)
-	if po.TightenRounds > 0 && !po.withinTarget(pr.Bound) {
-		b, rounds, iters, inf := pl.tighten(fine, sol2.Duals)
-		pr.Rounds += rounds
-		pr.Iterations += iters
-		if inf {
-			return infeasible()
-		}
-		if rounds > 0 {
-			pr.Bound = tighter(po.Sense, pr.Bound, b)
-		}
+	if pl.tighten(fine, sol2.Duals, &pr) {
+		return infeasible()
 	}
 	return pr
 }
@@ -380,7 +358,8 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 // (a group at zero or with uniform coefficients cannot be cheated), and
 // the worst groups are split one level down — for a leaf group, its
 // children are its tuples — until the extra-variable budget runs out.
-func descendWorst(groups []Group, x []float64, po *PipelineOptions) []Group {
+func descendWorst(r *relaxation, x []float64, po *PipelineOptions) []Group {
+	groups := r.groups
 	if len(po.ObjW) == 0 {
 		return groups
 	}
@@ -393,9 +372,7 @@ func descendWorst(groups []Group, x []float64, po *PipelineOptions) []Group {
 		if len(grp.Tuples) < 2 || g >= len(x) || x[g] <= 0 {
 			continue
 		}
-		lo := groupCoef(po.ObjW, grp.Tuples, false)
-		hi := groupCoef(po.ObjW, grp.Tuples, true)
-		if spread := (hi - lo) * x[g]; spread > 0 {
+		if spread := (r.objHi[g] - r.objLo[g]) * x[g]; spread > 0 {
 			cand = append(cand, scored{g, spread})
 		}
 	}
@@ -432,11 +409,13 @@ func descendWorst(groups []Group, x []float64, po *PipelineOptions) []Group {
 	return out
 }
 
-// dualRow is one dualized constraint row of the Lagrangian: the atom,
-// the multiplier's valid sign for the sense (+1: y ≥ 0, −1: y ≤ 0, 0:
-// free, for equality rows), and the current multiplier.
+// dualRow is one priced constraint row of the Lagrangian: the atom's
+// tuple coefficients and right-hand side, the multiplier's valid sign for
+// the sense (+1: y ≥ 0, −1: y ≤ 0, 0: free, for equality rows), and the
+// current multiplier.
 type dualRow struct {
-	atom *translate.LinearAtom
+	w    []float64
+	rhs  float64
 	sign int
 	y    float64
 }
@@ -451,34 +430,29 @@ func (d *dualRow) clamp() {
 	}
 }
 
+// feasTol is the simplex's phase-1 tolerance: a cardinality band missed
+// by no more than this is feasible to internal/lp too, so the selection
+// and a grouping's LP agree on which branches are infeasible.
+const feasTol = 1e-6
+
 // tighten runs the subgradient Lagrangian rounds over one solved
-// relaxation: pick the rows whose envelope spread lets the grouped LP
-// cheat, dualize them with sign-correct multipliers started at the
-// solve's own row prices, and take a few subgradient steps, keeping the
-// best (tightest) of the valid bounds every evaluated multiplier
-// yields. Returns the best bound, the rounds executed, the simplex
-// iterations spent, and whether an inner relaxation proved the branch
-// infeasible.
-func (pl *pipeline) tighten(r *relaxation, prices []float64) (best float64, rounds, iters int, infeasible bool) {
+// relaxation: fold the cardinality rows into a band on the package size,
+// price every other row with a sign-correct multiplier started at the
+// solve's own row price, and take a few subgradient steps. Every
+// evaluated multiplier yields a valid bound, so each completed round is
+// counted in pr and pr.Bound keeps the tightest. Reports whether the
+// tuple box and the band alone prove the branch infeasible. A canceled
+// round ends the search at once with what the finished rounds proved.
+func (pl *pipeline) tighten(r *relaxation, prices []float64, pr *PipelineResult) (infeasible bool) {
 	po := pl.po
-	if len(po.ObjW) == 0 {
-		return 0, 0, 0, false
+	if len(po.ObjW) == 0 || len(r.groups) == 0 || po.TightenRounds <= 0 || po.withinTarget(pr.Bound) {
+		return false
 	}
-	duals, inner := pickDualRows(po, r, prices)
-	if len(duals) == 0 {
-		return 0, 0, 0, false
+	rows, cLo, cHi, ok := priceRows(po, r, prices)
+	if !ok || len(rows) == 0 {
+		return !ok
 	}
-	if !pl.perTuple {
-		n := len(po.ObjW)
-		if cap(pl.adj) < n {
-			pl.adj, pl.tupLo, pl.tupHi = make([]float64, n), make([]float64, n), make([]float64, n)
-		}
-		pl.adj, pl.tupLo, pl.tupHi = pl.adj[:n], pl.tupLo[:n], pl.tupHi[:n]
-		for t := range pl.adj {
-			pl.tupLo[t], pl.tupHi[t] = po.tupleLo(t), po.tupleHi(t)
-		}
-		pl.perTuple = true
-	}
+	pl.box(r.groups)
 	// dir: subgradient direction that improves the bound — minimize L(y)
 	// for a maximization (upper bound shrinks), maximize it for a
 	// minimization.
@@ -486,37 +460,33 @@ func (pl *pipeline) tighten(r *relaxation, prices []float64) (best float64, roun
 	if po.Sense == lp.Minimize {
 		dir = -1.0
 	}
-	haveBest := false
 	step := 1.0
-	act := make([]float64, len(duals))
+	act := make([]float64, len(rows))
 	for t := 0; t < po.TightenRounds; t++ {
-		L, its, status := pl.lagrangianEval(r.groups, inner, duals, act)
-		iters += its
-		if status == lp.StatusInfeasible {
-			return 0, rounds, iters, true
-		}
-		if status != lp.StatusOptimal {
-			// An unbounded or interrupted inner solve proves nothing for
-			// this multiplier; shrink toward zero and retry.
-			for i := range duals {
-				duals[i].y *= 0.25
+		L, status := pl.lagrangianEval(rows, cLo, cHi, act)
+		switch status {
+		case lp.StatusInfeasible:
+			return true
+		case lp.StatusIterLimit:
+			return false
+		case lp.StatusUnbounded:
+			// This multiplier proves nothing; shrink toward zero and retry.
+			for i := range rows {
+				rows[i].y *= 0.25
 			}
 			step /= 2
 			continue
 		}
-		rounds++
-		b := Pad(L+po.Konst, po.Sense)
-		if !haveBest || tighter(po.Sense, best, b) == b {
-			best, haveBest = b, true
-		}
-		if po.withinTarget(best) {
+		pr.Rounds++
+		pr.Bound = tighter(po.Sense, pr.Bound, Pad(L+po.Konst, po.Sense))
+		if po.withinTarget(pr.Bound) {
 			break
 		}
-		// Subgradient of L at y is (b − a·x̂) per dual row; step toward
+		// Subgradient of L at y is (b − a·x̂) per priced row; step toward
 		// the incumbent when known, by a relative fraction otherwise.
 		norm := 0.0
-		for i := range duals {
-			g := duals[i].atom.RHS - act[i]
+		for i := range rows {
+			g := rows[i].rhs - act[i]
 			norm += g * g
 		}
 		if norm < 1e-12 {
@@ -530,228 +500,244 @@ func (pl *pipeline) tighten(r *relaxation, prices []float64) (best float64, roun
 		if s <= 0 {
 			break
 		}
-		for i := range duals {
-			g := duals[i].atom.RHS - act[i]
-			duals[i].y -= dir * s * g
-			duals[i].clamp()
+		for i := range rows {
+			g := rows[i].rhs - act[i]
+			rows[i].y -= dir * s * g
+			rows[i].clamp()
 		}
 		step *= 0.7
 	}
-	return best, rounds, iters, false
+	return false
 }
 
-// pickDualRows selects up to maxDualRows atoms worth dualizing — the
-// ones whose per-group coefficient spread gives the grouped relaxation
-// room to cheat, band (equality) rows first — and returns them with
-// their valid multiplier signs plus the remaining (inner) atoms.
+// priceRows sorts the branch's atoms into the two kinds a round knows,
+// reading the relaxation's envelopes instead of the tuples. An atom with
+// one coefficient c on every group — on every tuple that can still carry
+// multiplicity, which is not every tuple: a MIN/MAX elimination row is 0
+// on all that SplitGroups kept — is a cardinality row, c·Σmₜ op RHS, and
+// folds into the band cLo ≤ Σmₜ ≤ cHi (c = 0 leaves the constant row
+// 0 op RHS: true, or the branch is infeasible). Every other atom is
+// priced: it gets a multiplier with the sign weak duality needs.
 //
 // Each multiplier starts at the relaxation's own price for its row,
-// ∂bound/∂RHS as the base solve's simplex reports it (an equality
-// atom's two rows move together, so their prices add). Subgradient
-// descent from a cold y = 0 needs many rounds to find the right scale
-// (the price of a calorie in units of objective, say); started at the
-// LP's prices it converges in the few rounds the pipeline budgets. Any
-// start is safe: every multiplier with valid signs yields a true bound.
-func pickDualRows(po *PipelineOptions, r *relaxation, prices []float64) ([]dualRow, []*translate.LinearAtom) {
-	type scored struct {
-		idx    int
-		spread float64
-	}
-	var cand []scored
+// ∂bound/∂RHS as the grouping's simplex reports it (an equality atom's
+// two rows move together, so their prices add). Subgradient descent from
+// a cold y = 0 needs many rounds to find the right scale (the price of a
+// calorie in units of objective, say); started at the LP's prices it
+// converges in the few rounds the pipeline budgets. Any start is safe:
+// every multiplier with valid signs yields a true bound. ok is false
+// when the cardinality rows contradict each other.
+func priceRows(po *PipelineOptions, r *relaxation, prices []float64) (rows []dualRow, cLo, cHi float64, ok bool) {
+	cHi = lp.Inf
 	for i, at := range po.Atoms {
-		spread := 0.0
-		for g, lo := range r.lo[i] {
-			if d := r.hi[i][g] - lo; d > spread {
-				spread = d
+		c := r.lo[i][0]
+		differs := func(v float64) bool { return v != c }
+		if slices.ContainsFunc(r.lo[i], differs) || slices.ContainsFunc(r.hi[i], differs) {
+			d := dualRow{w: at.W, rhs: at.RHS, y: prices[r.row[i]]}
+			switch at.Op {
+			case lp.LE:
+				d.sign = 1
+			case lp.GE:
+				d.sign = -1
+			case lp.EQ:
+				d.y += prices[r.row[i]+1]
 			}
-		}
-		if spread <= 0 {
+			if po.Sense == lp.Minimize {
+				d.sign = -d.sign
+			}
+			d.clamp()
+			rows = append(rows, d)
 			continue
 		}
-		if at.Op == lp.EQ {
-			spread *= 4 // band rows are where the envelope bound leaks most
+		if c == 0 {
+			if at.Op != lp.GE && at.RHS < -feasTol || at.Op != lp.LE && at.RHS > feasTol {
+				return nil, 0, 0, false
+			}
+			continue
 		}
-		cand = append(cand, scored{i, spread})
-	}
-	if len(cand) == 0 {
-		return nil, nil
-	}
-	sort.SliceStable(cand, func(a, b int) bool { return cand[a].spread > cand[b].spread })
-	if len(cand) > maxDualRows {
-		cand = cand[:maxDualRows]
-	}
-	take := make(map[int]bool, len(cand))
-	var duals []dualRow
-	for _, c := range cand {
-		at := po.Atoms[c.idx]
-		d := dualRow{atom: at, y: prices[r.row[c.idx]]}
-		switch at.Op {
-		case lp.LE:
-			d.sign = 1
-		case lp.GE:
-			d.sign = -1
-		case lp.EQ:
-			d.y += prices[r.row[c.idx]+1]
+		// Dividing by a negative c turns the row's ≤ into ≥ and back.
+		if at.Op == lp.EQ || (at.Op == lp.LE) == (c > 0) {
+			cHi = math.Min(cHi, at.RHS/c)
 		}
-		if po.Sense == lp.Minimize {
-			d.sign = -d.sign
-		}
-		d.clamp()
-		duals = append(duals, d)
-		take[c.idx] = true
-	}
-	inner := make([]*translate.LinearAtom, 0, len(po.Atoms)-len(duals))
-	for i, at := range po.Atoms {
-		if !take[i] {
-			inner = append(inner, at)
+		if at.Op == lp.EQ || (at.Op == lp.GE) == (c > 0) {
+			cLo = math.Max(cLo, at.RHS/c)
 		}
 	}
-	return duals, inner
+	return rows, cLo, cHi, cLo <= cHi+feasTol
 }
 
-// innerSegments refines the grouping for one Lagrangian inner solve
-// around the round's adjusted objective: each group's innerTopK most
-// extreme-adjusted tuples become singleton columns (so their per-tuple
-// multiplicity caps bind), the rest stay one residual column. With the
-// dualized rows priced into the objective, the inner problem is mostly
-// cardinality-driven, and its optimum wants exactly those extreme
-// tuples — left inside a wide group, the relaxation could take the
-// whole group's capacity at the single best tuple's adjusted value.
-// The refinement is a pure sound split (same argument as SplitGroups):
-// every feasible package maps onto the refined columns within their
-// [Σ tupleLo, Σ tupleHi] bounds. The segments live in pl.inner and
-// index into pl.tuples until the next call.
-func (pl *pipeline) innerSegments(groups []Group, wantMax bool) []Group {
-	adj := pl.adj
-	total := 0
+// box fills the per-tuple columns the rounds read, once per pass (a
+// refined grouping covers the same tuples): room[t] = tupleHi − tupleLo
+// for a tuple some group holds and 0 for one SplitGroups dropped, and
+// the few tuples whose tupleLo forces units into every package.
+func (pl *pipeline) box(groups []Group) {
+	if pl.boxed {
+		return
+	}
+	pl.boxed = true
+	pl.room = append(pl.room[:0], make([]float64, len(pl.po.ObjW))...)
+	pl.forced = pl.forced[:0]
 	for _, g := range groups {
-		total += len(g.Tuples)
-	}
-	if cap(pl.tuples) < total {
-		pl.tuples = make([]int, total)
-	}
-	if pl.inner == nil {
-		pl.inner = make([]Group, 0, len(groups)*(innerTopK+1))
-	}
-	out := pl.inner[:0]
-	single := func(ts []int) Group {
-		return Group{Tuples: ts, Lo: pl.tupLo[ts[0]], Hi: pl.tupHi[ts[0]]}
-	}
-	next := 0
-	for _, g := range groups {
-		ts := pl.tuples[next : next+len(g.Tuples) : next+len(g.Tuples)]
-		next += len(g.Tuples)
-		copy(ts, g.Tuples)
-		if len(ts) <= innerTopK+1 {
-			for i := range ts {
-				out = append(out, single(ts[i:i+1]))
+		for _, t := range g.Tuples {
+			lo := pl.po.tupleLo(t)
+			pl.room[t] = math.Max(0, pl.po.tupleHi(t)-lo)
+			if lo > 0 {
+				pl.forced = append(pl.forced, pick{t: t, units: lo})
 			}
-			continue
 		}
-		// Partial selection: innerTopK passes, each pulling the next
-		// extreme tuple to the front.
-		for k := 0; k < innerTopK; k++ {
-			best := k
-			for j := k + 1; j < len(ts); j++ {
-				if wantMax && adj[ts[j]] > adj[ts[best]] || !wantMax && adj[ts[j]] < adj[ts[best]] {
-					best = j
-				}
-			}
-			ts[k], ts[best] = ts[best], ts[k]
-			out = append(out, single(ts[k:k+1]))
-		}
-		rest := Group{Tuples: ts[innerTopK:]}
-		for _, t := range rest.Tuples {
-			rest.Lo += pl.tupLo[t]
-			rest.Hi += pl.tupHi[t]
-		}
-		out = append(out, rest)
 	}
-	pl.inner = out
-	return out
 }
 
-// lagrangianEval solves one inner relaxation: the grouped LP over the
-// non-dualized rows with the per-tuple adjusted objective c − Σ yᵢaᵢ
-// extremized per group (the groups first refined by innerSegments so
-// the extreme tuples' own caps bind). Returns the Lagrangian value
-// L(y) (a valid dual bound before the affine constant), the simplex
-// iterations and the solve status; act receives the dualized rows'
-// activities at the inner optimum's implicit tuple choice (the
-// subgradient input).
-func (pl *pipeline) lagrangianEval(groups []Group, inner []*translate.LinearAtom, duals []dualRow, act []float64) (L float64, iters int, status lp.Status) {
-	po, adj := pl.po, pl.adj
-	copy(adj, po.ObjW)
-	konst := 0.0
-	for _, d := range duals {
-		if d.y == 0 {
-			continue
-		}
-		for t, w := range d.atom.W[:min(len(adj), len(d.atom.W))] {
-			adj[t] -= d.y * w
-		}
-		konst += d.y * d.atom.RHS
-	}
-	wantMax := po.Sense == lp.Maximize
-	groups = pl.innerSegments(groups, wantMax)
-	if cap(pl.dense) < len(groups) {
-		pl.dense = make([]float64, len(groups))
-		pl.arg = make([]int, len(groups))
-		pl.coefs = make([]lp.Coef, 0, len(groups))
-	}
-	dense, arg := pl.dense[:len(groups)], pl.arg[:len(groups)]
-	p := &pl.innerLP
-	p.Reset(len(groups))
-	for g, grp := range groups {
-		if err := p.SetBounds(g, grp.Lo, grp.Hi); err != nil {
-			return 0, 0, lp.StatusIterLimit
-		}
-		dense[g], arg[g] = extTuple(adj, grp.Tuples, wantMax)
-	}
-	if err := p.SetObjective(dense, po.Sense); err != nil {
-		return 0, 0, lp.StatusIterLimit
-	}
-	for _, at := range inner {
-		for _, op := range [...]lp.Op{lp.LE, lp.GE} {
-			if at.Op != op && at.Op != lp.EQ {
-				continue
-			}
-			for g, grp := range groups {
-				dense[g] = groupCoef(at.W, grp.Tuples, op == lp.GE)
-			}
-			addRow(p, pl.coefs, dense, op, at.RHS)
-		}
-	}
-	sol := pl.solve(p)
-	if sol.Status != lp.StatusOptimal {
-		return 0, sol.Iterations, sol.Status
-	}
-	for i, d := range duals {
-		a := 0.0
-		for g, x := range sol.X {
-			if x == 0 || arg[g] < 0 {
-				continue
-			}
-			a += d.atom.W[arg[g]] * x
-		}
-		act[i] = a
-	}
-	return sol.Objective + konst, sol.Iterations, sol.Status
+// pick is some units of one tuple's multiplicity; v is what a unit is
+// worth in the round's adjusted objective, signed so larger is better.
+type pick struct {
+	t        int
+	v, units float64
 }
 
-// extTuple returns the extreme value of a dense weight vector over a
-// group's tuples together with the tuple attaining it (-1 for an empty
-// group).
-func extTuple(w []float64, tuples []int, wantMax bool) (float64, int) {
-	if len(tuples) == 0 {
-		return 0, -1
+// before orders picks best first. Ties go to the lower tuple index, so a
+// round's selection is a function of its multipliers alone.
+func (p pick) before(q pick) bool { return p.v > q.v || p.v == q.v && p.t < q.t }
+
+// shortlist is a heap (container/heap) of the best picks offered so far,
+// the worst on top, trimmed to the fewest that still cover keep units.
+// Picks must be offered in tuple order: once the list is full, floor is
+// the value a later tuple has to beat, a tie being lost to the earlier
+// one.
+type shortlist struct {
+	s                  []pick
+	keep, units, floor float64 // units = Σ s[i].units
+}
+
+func (h *shortlist) Len() int           { return len(h.s) }
+func (h *shortlist) Less(i, j int) bool { return h.s[j].before(h.s[i]) }
+func (h *shortlist) Swap(i, j int)      { h.s[i], h.s[j] = h.s[j], h.s[i] }
+func (h *shortlist) Push(p any)         { h.s = append(h.s, p.(pick)) }
+func (h *shortlist) Pop() any {
+	last := h.s[len(h.s)-1]
+	h.s = h.s[:len(h.s)-1]
+	return last
+}
+
+// reset empties the list for a round that can use keep units — of picks
+// worth more than nothing, or of any picks when the band needs filling.
+func (h *shortlist) reset(keep float64, fill bool) {
+	*h = shortlist{s: h.s[:0], keep: keep}
+	switch {
+	case keep <= 0:
+		h.floor = math.Inf(1)
+	case fill:
+		h.floor = math.Inf(-1)
 	}
-	best, arg := w[tuples[0]], tuples[0]
-	for _, t := range tuples[1:] {
-		v := w[t]
-		if wantMax && v > best || !wantMax && v < best {
-			best, arg = v, t
+}
+
+// offer is the per-tuple test, small enough to inline; add does the work
+// for the few picks that pass it.
+func (h *shortlist) offer(p pick) {
+	if p.v > h.floor {
+		h.add(p)
+	}
+}
+
+func (h *shortlist) add(p pick) {
+	p.units = math.Min(p.units, h.keep)
+	h.units += p.units
+	heap.Push(h, p)
+	for len(h.s) > 1 && h.units-h.s[0].units >= h.keep {
+		h.units -= heap.Pop(h).(pick).units
+	}
+	if h.units >= h.keep {
+		h.floor = h.s[0].v
+	}
+}
+
+// lagrangianEval evaluates the Lagrangian at the rows' multipliers by
+// the selection the file comment derives: charge the forced units, then
+// the tuples best in the adjusted objective vₜ = cₜ − Σᵢ yᵢaᵢₜ while one
+// still helps and the band cLo ≤ Σmₜ ≤ cHi has room, or its lower end
+// still needs units. One pass in tuple order computes v and shortlists
+// the candidates, polling the cancel hook every search.PollRows tuples.
+//
+// Returns L(y), a valid dual bound before the affine constant, with
+// act[i] = Σₜ aᵢₜmₜ at the optimum (the subgradient input), under
+// lp.StatusOptimal; StatusInfeasible when box and band do not meet,
+// StatusUnbounded when an uncapped tuple helps under an open band, and
+// StatusIterLimit when canceled.
+func (pl *pipeline) lagrangianEval(rows []dualRow, cLo, cHi float64, act []float64) (float64, lp.Status) {
+	objW := pl.po.ObjW
+	sgn := 1.0
+	if pl.po.Sense == lp.Minimize {
+		sgn = -1
+	}
+	adjusted := func(t int) float64 {
+		v := objW[t]
+		for i := range rows {
+			v -= rows[i].y * rows[i].w[t]
+		}
+		return v
+	}
+	L, used := 0.0, 0.0
+	clear(act)
+	for _, d := range rows {
+		L += d.y * d.rhs
+	}
+	take := func(t int, v, units float64) {
+		L += v * units
+		used += units
+		for i := range rows {
+			act[i] += rows[i].w[t] * units
 		}
 	}
-	return best, arg
+	for _, f := range pl.forced {
+		take(f.t, adjusted(f.t), f.units)
+	}
+	// left is the room under the band's upper end, need what its lower
+	// end still asks for. Under an open band every tuple that helps is
+	// taken as it passes and the shortlist holds the least harmful of the
+	// rest, in case the lower end needs them.
+	left, need := cHi-used, math.Max(0, cLo-used)
+	if left < -feasTol {
+		return 0, lp.StatusInfeasible
+	}
+	left = math.Max(0, left)
+	open := math.IsInf(left, 1)
+	if open {
+		pl.best.reset(need, true)
+	} else {
+		pl.best.reset(left, need > 0)
+	}
+	for t, room := range pl.room {
+		if t%search.PollRows == 0 && pl.cancel != nil && pl.cancel() {
+			return 0, lp.StatusIterLimit
+		}
+		if room == 0 {
+			continue
+		}
+		v := adjusted(t)
+		if open && sgn*v > 0 {
+			if math.IsInf(room, 1) {
+				return 0, lp.StatusUnbounded
+			}
+			take(t, v, room)
+			continue
+		}
+		pl.best.offer(pick{t: t, v: sgn * v, units: room})
+	}
+	need = math.Max(0, cLo-used)
+	sort.Sort(sort.Reverse(&pl.best)) // the heap's order is worst first
+	for _, p := range pl.best.s {
+		units := math.Min(p.units, left)
+		if p.v <= 0 {
+			units = math.Min(units, need)
+		}
+		if units <= 0 {
+			break
+		}
+		take(p.t, sgn*p.v, units)
+		left, need = left-units, need-units
+	}
+	if need > feasTol {
+		return 0, lp.StatusInfeasible
+	}
+	return L, lp.StatusOptimal
 }

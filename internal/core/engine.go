@@ -213,7 +213,7 @@ type Stats struct {
 	Strategy           Strategy     // strategy actually used
 	Exact              bool         // result is provably optimal/complete
 	Nodes              int64        // search nodes or MILP B&B nodes
-	LPIters            int          // simplex iterations (solver)
+	LPIters            int          // simplex iterations (solver; sketch-refine's MILPs and bound relaxations — its Lagrangian rounds run no simplex)
 	SQLQueries         int          // replacement queries (local search)
 	Restarts           int          // local-search restarts
 	Partitions         int          // leaf partitions built (sketch-refine)

@@ -248,7 +248,7 @@ type Result struct {
 	Refined      int   // partitions refined via their sub-MILP
 	Repaired     int   // partitions that fell back to greedy repair
 	Nodes        int64 // branch-and-bound nodes across all solves
-	LPIters      int   // simplex iterations across all solves
+	LPIters      int   // simplex iterations across all solves (the bound pass's Lagrangian rounds run no simplex and add none)
 	Notes        []string
 	// Degraded lists the degradation-ladder rungs this solve took, one
 	// "subsystem: detail" entry per event — an optional tier (cache,
