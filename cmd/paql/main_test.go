@@ -89,6 +89,28 @@ func TestOutcomeParity(t *testing.T) {
 	}
 }
 
+// TestTypeErrorExitsOne: a numeric comparison over a text column is
+// refused by the analyzer, naming the atom, before any strategy runs —
+// exit code 1 under every -strategy (pruned-enum used to answer it while
+// the solver proved it infeasible).
+func TestTypeErrorExitsOne(t *testing.T) {
+	sys := testSystem(t)
+	for _, strategy := range []string{"auto", "solver", "pruned-enum", "local-search", "sketch"} {
+		opts, err := buildOpts(cliOpts{strategy: strategy, seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, qerr := sys.QueryContext(context.Background(), `SELECT PACKAGE(R) AS P FROM recipes R
+			SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`, opts...)
+		if qerr == nil || !strings.Contains(qerr.Error(), "MIN(R.name) >= 1") {
+			t.Fatalf("-strategy %s: %v, want an error naming the atom", strategy, qerr)
+		}
+		if code, label := outcome(qerr); code != 1 || label != "error" {
+			t.Fatalf("-strategy %s would report (%d, %q), want (1, \"error\")", strategy, code, label)
+		}
+	}
+}
+
 // TestReplBudgetErrorLabeled drives the real REPL statement path under a
 // tiny memory budget: the failure must surface with the same "budget"
 // label the one-shot path exits 4 on.

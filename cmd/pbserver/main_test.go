@@ -414,6 +414,11 @@ func TestTypedErrorStatuses(t *testing.T) {
 	if body["code"] != "infeasible" {
 		t.Errorf("code = %q, want infeasible", body["code"])
 	}
+	// A type error the analyzer names is the client's: plain 400.
+	typed := `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`
+	if rec, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(typed)+`}`); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "MIN(R.name)") {
+		t.Errorf("type error: status %d, body %s; want 400 naming the atom", rec.Code, rec.Body)
+	}
 	// Memory budget refusal: 422 / budget.
 	s.memBudget = 1
 	rec2, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`}`)

@@ -8,122 +8,6 @@ import (
 	"repro/internal/value"
 )
 
-// aggState accumulates one aggregate over one group.
-type aggState interface {
-	add(v value.V) error
-	result() value.V
-}
-
-type countState struct {
-	star bool
-	n    int64
-}
-
-func (s *countState) add(v value.V) error {
-	if s.star || !v.IsNull() {
-		s.n++
-	}
-	return nil
-}
-func (s *countState) result() value.V { return value.Int(s.n) }
-
-type sumState struct {
-	sum   float64
-	isInt bool
-	any   bool
-}
-
-func (s *sumState) add(v value.V) error {
-	if v.IsNull() {
-		return nil
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("minidb: SUM over non-numeric value %s", v)
-	}
-	if !s.any {
-		s.isInt = v.Kind() == value.KindInt
-	} else if v.Kind() != value.KindInt {
-		s.isInt = false
-	}
-	s.sum += f
-	s.any = true
-	return nil
-}
-
-func (s *sumState) result() value.V {
-	if !s.any {
-		return value.Null()
-	}
-	if s.isInt {
-		return value.Int(int64(s.sum))
-	}
-	return value.Float(s.sum)
-}
-
-type avgState struct {
-	sum float64
-	n   int64
-}
-
-func (s *avgState) add(v value.V) error {
-	if v.IsNull() {
-		return nil
-	}
-	f, ok := v.AsFloat()
-	if !ok {
-		return fmt.Errorf("minidb: AVG over non-numeric value %s", v)
-	}
-	s.sum += f
-	s.n++
-	return nil
-}
-
-func (s *avgState) result() value.V {
-	if s.n == 0 {
-		return value.Null()
-	}
-	return value.Float(s.sum / float64(s.n))
-}
-
-type minMaxState struct {
-	max  bool
-	best value.V
-}
-
-func (s *minMaxState) add(v value.V) error {
-	if v.IsNull() {
-		return nil
-	}
-	if s.best.IsNull() {
-		s.best = v
-		return nil
-	}
-	cmp, _ := v.Compare(s.best)
-	if (s.max && cmp > 0) || (!s.max && cmp < 0) {
-		s.best = v
-	}
-	return nil
-}
-
-func (s *minMaxState) result() value.V { return s.best }
-
-func newAggState(fn string, star bool) (aggState, error) {
-	switch fn {
-	case "COUNT":
-		return &countState{star: star}, nil
-	case "SUM":
-		return &sumState{}, nil
-	case "AVG":
-		return &avgState{}, nil
-	case "MIN":
-		return &minMaxState{}, nil
-	case "MAX":
-		return &minMaxState{max: true}, nil
-	}
-	return nil, fmt.Errorf("minidb: unknown aggregate %q", fn)
-}
-
 // aggOp computes hash aggregation. Output rows are
 // [groupVals..., aggVals...]; with no GROUP BY there is exactly one
 // output row (aggregates over the whole input, even when empty).
@@ -169,10 +53,23 @@ func (a *aggOp) open() error {
 	defer a.child.close()
 	type group struct {
 		keys   schema.Row
-		states []aggState
+		states []expr.AggState
 	}
 	groups := map[string]*group{}
 	var order []string // deterministic output: first-seen order
+	addGroup := func(k string, keys schema.Row) (*group, error) {
+		grp := &group{keys: keys}
+		for _, agg := range a.aggs {
+			st, err := expr.NewAggState(agg.Fn, agg.Star)
+			if err != nil {
+				return nil, err
+			}
+			grp.states = append(grp.states, st)
+		}
+		groups[k] = grp
+		order = append(order, k)
+		return grp, nil
+	}
 	for {
 		row, ok, err := a.child.next()
 		if err != nil {
@@ -194,21 +91,14 @@ func (a *aggOp) open() error {
 		k := string(keyBytes)
 		grp := groups[k]
 		if grp == nil {
-			grp = &group{keys: keyVals}
-			for _, agg := range a.aggs {
-				st, err := newAggState(agg.Fn, agg.Star)
-				if err != nil {
-					return err
-				}
-				grp.states = append(grp.states, st)
+			if grp, err = addGroup(k, keyVals); err != nil {
+				return err
 			}
-			groups[k] = grp
-			order = append(order, k)
 		}
 		for i, agg := range a.aggs {
 			var v value.V
 			if agg.Star {
-				v = value.Int(1) // ignored by countState with star
+				v = value.Int(1) // COUNT(*) counts the row whatever it holds
 			} else {
 				var err error
 				v, err = agg.Arg.Eval(row)
@@ -216,23 +106,16 @@ func (a *aggOp) open() error {
 					return err
 				}
 			}
-			if err := grp.states[i].add(v); err != nil {
+			if err := grp.states[i].Add(v); err != nil {
 				return err
 			}
 		}
 	}
 	// Global aggregation over empty input still yields one row.
 	if len(a.groupBy) == 0 && len(groups) == 0 {
-		grp := &group{}
-		for _, agg := range a.aggs {
-			st, err := newAggState(agg.Fn, agg.Star)
-			if err != nil {
-				return err
-			}
-			grp.states = append(grp.states, st)
+		if _, err := addGroup("", nil); err != nil {
+			return err
 		}
-		groups[""] = grp
-		order = append(order, "")
 	}
 	a.out = a.out[:0]
 	for _, k := range order {
@@ -240,7 +123,7 @@ func (a *aggOp) open() error {
 		row := make(schema.Row, 0, len(grp.keys)+len(grp.states))
 		row = append(row, grp.keys...)
 		for _, st := range grp.states {
-			row = append(row, st.result())
+			row = append(row, st.Result())
 		}
 		a.out = append(a.out, row)
 	}

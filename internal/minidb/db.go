@@ -180,50 +180,6 @@ func (t *Table) Index(col string) (*btree.Tree, bool) {
 	return idx, ok
 }
 
-// ColStats summarizes a numeric column: MIN, MAX (as floats) and the
-// count of non-NULL values. It uses an index when available, otherwise a
-// scan. The §4.1 pruning rules consume these statistics.
-func (t *Table) ColStats(col string) (min, max float64, n int, err error) {
-	ord, err := t.Schema.IndexOf("", col)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if !t.Schema.Cols[ord].Type.Numeric() {
-		return 0, 0, 0, fmt.Errorf("minidb: ColStats on non-numeric column %s.%s", t.Name, col)
-	}
-	if idx, ok := t.indexes[strings.ToLower(col)]; ok {
-		lo, okMin := idx.Min()
-		hi, okMax := idx.Max()
-		if !okMin || !okMax {
-			return 0, 0, 0, nil
-		}
-		mn, _ := lo.AsFloat()
-		mx, _ := hi.AsFloat()
-		return mn, mx, idx.Len(), nil
-	}
-	first := true
-	for _, row := range t.Rows {
-		v := row[ord]
-		if v.IsNull() {
-			continue
-		}
-		f, _ := v.AsFloat()
-		if first {
-			min, max = f, f
-			first = false
-		} else {
-			if f < min {
-				min = f
-			}
-			if f > max {
-				max = f
-			}
-		}
-		n++
-	}
-	return min, max, n, nil
-}
-
 // LoadCSV reads CSV with a header into a new table. Header cells may be
 // "name" (type inferred from the data) or "name:type". An existing table
 // with the same name is an error.

@@ -376,27 +376,6 @@ func TestIndexScanMatchesHeapScan(t *testing.T) {
 	}
 }
 
-func TestColStats(t *testing.T) {
-	db := newTestDB(t)
-	tab, _ := db.Table("recipes")
-	mn, mx, n, err := tab.ColStats("calories")
-	if err != nil || mn != 150 || mx != 800 || n != 8 {
-		t.Errorf("stats = %v %v %v %v", mn, mx, n, err)
-	}
-	// identical through an index
-	mustExec(t, db, `CREATE INDEX ON recipes (calories)`)
-	mn2, mx2, n2, err := tab.ColStats("calories")
-	if err != nil || mn2 != mn || mx2 != mx || n2 != n {
-		t.Errorf("indexed stats = %v %v %v %v", mn2, mx2, n2, err)
-	}
-	if _, _, _, err := tab.ColStats("name"); err == nil {
-		t.Error("stats on text column should fail")
-	}
-	if _, _, _, err := tab.ColStats("nope"); err == nil {
-		t.Error("stats on unknown column should fail")
-	}
-}
-
 func TestLoadCSV(t *testing.T) {
 	db := New()
 	csvData := `id:int,name,price:float,organic

@@ -1,6 +1,7 @@
 package paql
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -79,24 +80,16 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 					firstErr = fmt.Errorf("paql: %s: aggregate %s lacks an argument", clause, node.Fn)
 					return
 				}
-				if node.Arg != nil {
-					if len(Aggregates(node.Arg)) > 0 {
-						firstErr = fmt.Errorf("paql: %s: nested aggregate in %s", clause, node)
+				for _, part := range []expr.Expr{node.Arg, node.Filter} {
+					if part == nil {
+						continue
+					}
+					if len(Aggregates(part)) > 0 {
+						firstErr = fmt.Errorf("paql: %s: aggregate nested inside %s", clause, node)
 						return
 					}
-					normalize(node.Arg)
-					if err := expr.Bind(node.Arg, qualified); err != nil {
-						firstErr = fmt.Errorf("paql: %s: %w", clause, err)
-						return
-					}
-				}
-				if node.Filter != nil {
-					if len(Aggregates(node.Filter)) > 0 {
-						firstErr = fmt.Errorf("paql: %s: aggregate inside filter of %s", clause, node)
-						return
-					}
-					normalize(node.Filter)
-					if err := expr.Bind(node.Filter, qualified); err != nil {
+					normalize(part)
+					if err := expr.Bind(part, qualified); err != nil {
 						firstErr = fmt.Errorf("paql: %s: %w", clause, err)
 						return
 					}
@@ -115,31 +108,25 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 		if err := bindGlobal("SUCH THAT", q.SuchThat); err != nil {
 			return nil, err
 		}
+		if err := checkArgTypes("SUCH THAT", q.SuchThat, qualified); err != nil {
+			return nil, err
+		}
 	}
 	if q.Objective != nil {
 		if err := bindGlobal(q.Objective.Sense.String(), q.Objective.Expr); err != nil {
 			return nil, err
 		}
-	}
-
-	// Aggregate inventory.
-	if q.SuchThat != nil {
-		a.Aggs = append(a.Aggs, Aggregates(q.SuchThat)...)
-	}
-	if q.Objective != nil {
-		for _, agg := range Aggregates(q.Objective.Expr) {
-			dup := false
-			for _, have := range a.Aggs {
-				if have.String() == agg.String() {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				a.Aggs = append(a.Aggs, agg)
-			}
+		if err := checkArgTypes(q.Objective.Sense.String(), q.Objective.Expr, qualified); err != nil {
+			return nil, err
 		}
 	}
+
+	// Aggregate inventory: SUCH THAT's, then what only the objective adds.
+	inventory := q.SuchThat
+	if q.Objective != nil {
+		inventory = expr.AndAll(q.SuchThat, q.Objective.Expr)
+	}
+	a.Aggs = Aggregates(inventory)
 
 	// Linearity.
 	a.Linear = true
@@ -154,6 +141,27 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 		}
 	}
 	return a, nil
+}
+
+// checkArgTypes rejects, naming the atom, SUM, AVG, MIN or MAX over a
+// column whose declared type is not numeric: global constraints compare
+// aggregates with numbers and objectives optimize one. COUNT takes any
+// argument. e is a bound SUCH THAT formula or objective expression.
+func checkArgTypes(clause string, e expr.Expr, s schema.Schema) error {
+	switch n := e.(type) {
+	case *expr.Binary:
+		if n.Op == expr.OpAnd || n.Op == expr.OpOr {
+			return cmp.Or(checkArgTypes(clause, n.L, s), checkArgTypes(clause, n.R, s))
+		}
+	case *expr.Not:
+		return checkArgTypes(clause, n.X, s)
+	}
+	for _, a := range Aggregates(e) {
+		if c, bare := a.Arg.(*expr.Col); bare && a.Fn != "COUNT" && !s.Cols[c.Idx].Type.Numeric() {
+			return fmt.Errorf("paql: %s: %s: %s needs a numeric argument, %s is %s", clause, e, a.Fn, c, s.Cols[c.Idx].Type)
+		}
+	}
+	return nil
 }
 
 // insideAgg reports whether the column node appears within some
@@ -309,8 +317,6 @@ func checkFormulaLinear(e expr.Expr, neg bool, a *Analysis) {
 		// TRUE/FALSE literal: fine.
 	case *Agg:
 		fail("aggregate %s used as a boolean", n)
-	case *expr.InList, *expr.Like, *expr.IsNull, *expr.Neg, *expr.Col, *expr.Call:
-		fail("global constraint %s has no linear form", e)
 	default:
 		fail("global constraint %s has no linear form", e)
 	}

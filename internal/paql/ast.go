@@ -34,10 +34,11 @@ import (
 type Sense int
 
 const (
-	Maximize Sense = iota
-	Minimize
+	Maximize Sense = iota // MAXIMIZE
+	Minimize              // MINIMIZE
 )
 
+// String renders the sense as its PaQL keyword.
 func (s Sense) String() string {
 	if s == Minimize {
 		return "MINIMIZE"
@@ -114,6 +115,24 @@ type Agg struct {
 // EvalGlobal or by the evaluation strategies.
 func (a *Agg) Eval(schema.Row) (value.V, error) {
 	return value.Null(), fmt.Errorf("paql: aggregate %s evaluated outside a package context", a)
+}
+
+// Term is the aggregate's view of one tuple, and the only place its
+// filter, argument and NULL rule are applied: present reports that the
+// filter passes and (COUNT(*) aside) the argument is not NULL — the tuple
+// belongs to the aggregate's selection — and v is then the argument's
+// value (1 for COUNT(*)). Every evaluator is a fold over it.
+func (a *Agg) Term(row schema.Row) (v value.V, present bool, err error) {
+	if a.Filter != nil {
+		if ok, err := expr.EvalBool(a.Filter, row); err != nil || !ok {
+			return value.Null(), false, err
+		}
+	}
+	if a.Star {
+		return value.Int(1), true, nil
+	}
+	v, err = a.Arg.Eval(row)
+	return v, err == nil && !v.IsNull(), err
 }
 
 // String renders the aggregate in PaQL syntax.

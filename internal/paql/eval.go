@@ -9,74 +9,28 @@ import (
 )
 
 // EvalAgg computes a single aggregate over the package's tuples (a
-// multiset: repeated tuples appear once per multiplicity). Aggregate
-// arguments and filters must be bound to the relation schema.
+// multiset: repeated tuples appear once per multiplicity) by feeding
+// each tuple's Term to the SQL accumulator minidb uses. Arguments and
+// filters must be bound to the relation schema. What each function
+// answers over nothing is the table in semantics_test.go.
 func EvalAgg(a *Agg, rows []schema.Row) (value.V, error) {
-	count := int64(0)
-	sum := 0.0
-	sawNum := false
-	best := value.Null()
+	st, err := expr.NewAggState(a.Fn, a.Star)
+	if err != nil {
+		return value.Null(), fmt.Errorf("paql: %w", err)
+	}
 	for _, row := range rows {
-		if a.Filter != nil {
-			ok, err := expr.EvalBool(a.Filter, row)
-			if err != nil {
-				return value.Null(), err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if a.Star {
-			count++
-			continue
-		}
-		v, err := a.Arg.Eval(row)
+		v, present, err := a.Term(row)
 		if err != nil {
 			return value.Null(), err
 		}
-		if v.IsNull() {
+		if !present {
 			continue
 		}
-		count++
-		switch a.Fn {
-		case "SUM", "AVG":
-			f, ok := v.AsFloat()
-			if !ok {
-				return value.Null(), fmt.Errorf("paql: %s over non-numeric value %s", a.Fn, v)
-			}
-			sum += f
-			sawNum = true
-		case "MIN":
-			if best.IsNull() {
-				best = v
-			} else if cmp, _ := v.Compare(best); cmp < 0 {
-				best = v
-			}
-		case "MAX":
-			if best.IsNull() {
-				best = v
-			} else if cmp, _ := v.Compare(best); cmp > 0 {
-				best = v
-			}
+		if err := st.Add(v); err != nil {
+			return value.Null(), fmt.Errorf("paql: %s: %w", a, err)
 		}
 	}
-	switch a.Fn {
-	case "COUNT":
-		return value.Int(count), nil
-	case "SUM":
-		if !sawNum {
-			return value.Null(), nil
-		}
-		return value.Float(sum), nil
-	case "AVG":
-		if count == 0 {
-			return value.Null(), nil
-		}
-		return value.Float(sum / float64(count)), nil
-	case "MIN", "MAX":
-		return best, nil
-	}
-	return value.Null(), fmt.Errorf("paql: unknown aggregate %s", a.Fn)
+	return st.Result(), nil
 }
 
 // EvalGlobal evaluates a global expression (a SUCH THAT formula or an
@@ -108,9 +62,10 @@ func EvalGlobal(e expr.Expr, rows []schema.Row) (value.V, error) {
 	return folded.Eval(nil)
 }
 
-// Satisfies reports whether a package satisfies the SUCH THAT formula
-// (NULL counts as false, per SQL semantics). A nil formula is satisfied
-// by every package.
+// Satisfies reports whether a package satisfies the SUCH THAT formula.
+// A comparison with a NULL aggregate is unknown and unknown counts as
+// false (the "atom" column of the table in semantics_test.go). A nil
+// formula is satisfied by every package.
 func Satisfies(f expr.Expr, rows []schema.Row) (bool, error) {
 	if f == nil {
 		return true, nil
@@ -124,7 +79,9 @@ func Satisfies(f expr.Expr, rows []schema.Row) (bool, error) {
 }
 
 // ObjectiveValue evaluates the objective for a package; a nil objective
-// yields 0 so packages compare equal.
+// yields 0 so packages compare equal. A NULL objective is an error: such
+// a package is not an answer (the table's "objective" column), which
+// every strategy lowers to a guard row.
 func ObjectiveValue(o *Objective, rows []schema.Row) (float64, error) {
 	if o == nil {
 		return 0, nil

@@ -214,6 +214,9 @@ func TestLinearityClassification(t *testing.T) {
 		`SUCH THAT NOT (SUM(P.calories) > 2500)`,
 		`SUCH THAT AVG(P.calories) BETWEEN 100 AND 500`,
 		`SUCH THAT COUNT(* WHERE P.kind = 'car') >= 1`,
+		`SUCH THAT -SUM(P.calories) >= -2500 AND 100 <= MAX(P.calories)`,
+		`SUCH THAT SUM(P.calories) * (2 + 3) / (4 - 2) <= ABS(-100) + 1`,
+		`SUCH THAT 500 >= AVG(P.calories) AND TRUE`,
 	}
 	nonlinear := []string{
 		`SUCH THAT SUM(P.calories) * SUM(P.protein) <= 100`,
@@ -222,6 +225,11 @@ func TestLinearityClassification(t *testing.T) {
 		`SUCH THAT MIN(P.calories) = 100`,
 		`SUCH THAT SUM(P.calories) <> 100`,
 		`SUCH THAT AVG(P.calories) = 500`,
+		`SUCH THAT ABS(SUM(P.calories)) <= 100`,
+		`SUCH THAT -AVG(P.calories) <= 100 OR SUM(P.calories) / SUM(P.protein) <= 2`,
+		`SUCH THAT SUM(P.calories) BETWEEN COUNT(*) AND 100`,
+		`SUCH THAT MIN(P.calories) * 2 BETWEEN 1 AND 100`,
+		`SUCH THAT SUM(P.calories)`,
 	}
 	for _, clause := range linear {
 		_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R `+clause)

@@ -18,6 +18,7 @@
 //	SUM(x) ≥ a, a>0, maxX≤0 ->  infeasible
 //	SUM(x) ≤ b, minX>0      ->  [0, ⌊b/minX⌋]   (sum ≥ k·minX)
 //	SUM(x) ≤ b<0, minX≥0    ->  infeasible
+//	SUM/AVG/MIN/MAX ⋚ c     ->  [1, ∞)          (NULL over nothing fails the atom)
 //
 // Filtered aggregates (COUNT(* WHERE p), SUM(x WHERE p)) bound only the
 // filtered sub-multiset, which still lower-bounds the package size but
@@ -83,9 +84,10 @@ func (b Bounds) String() string {
 
 // StatsProvider supplies candidate-tuple statistics for an aggregate:
 // MIN and MAX of the aggregate's argument over the candidate relation
-// (restricted to the aggregate's filter, when present) and the number of
-// candidates passing the filter. ok=false means statistics are
-// unavailable (non-numeric argument), which yields trivial bounds.
+// (restricted to the aggregate's filter, when present) and the number n
+// of candidates in its selection (filter passes, argument not NULL).
+// ok=false means statistics are unavailable (non-numeric argument),
+// which yields trivial bounds.
 type StatsProvider interface {
 	AggStats(a *paql.Agg) (minVal, maxVal float64, n int, ok bool)
 }
@@ -172,23 +174,25 @@ func derive(f expr.Expr, neg bool, sp StatsProvider) Bounds {
 func compareBounds(l expr.Expr, op expr.BinOp, r expr.Expr, sp StatsProvider) Bounds {
 	agg, okL := l.(*paql.Agg)
 	c, okR := constValue(r)
-	if !okL || !okR {
-		// try the flipped orientation
-		agg2, okR2 := r.(*paql.Agg)
-		c2, okL2 := constValue(l)
-		if !okR2 || !okL2 {
+	if !okL || !okR { // try the flipped orientation
+		if agg, okL = r.(*paql.Agg); okL {
+			c, okR = constValue(l)
+		}
+		if !okL || !okR {
 			return Trivial()
 		}
-		agg, c = agg2, c2
 		op = op.Flip()
 	}
+	// Every aggregate but COUNT is NULL over an empty selection and NULL
+	// fails a comparison (the table in internal/paql/semantics_test.go).
+	nonEmpty := Bounds{Lo: 1, Hi: Unbounded}
 	switch agg.Fn {
 	case "COUNT":
 		return countBounds(agg, op, c)
 	case "SUM":
-		return sumBounds(agg, op, c, sp)
+		return sumBounds(agg, op, c, sp).Intersect(nonEmpty)
 	}
-	return Trivial()
+	return nonEmpty
 }
 
 func constValue(e expr.Expr) (float64, bool) {
@@ -238,13 +242,19 @@ func countBounds(agg *paql.Agg, op expr.BinOp, c float64) Bounds {
 	return Trivial()
 }
 
+// sumBounds bounds the package size from SUM(x) op c by the extremes of x
+// over the candidates; an empty selection leaves the SUM NULL whatever
+// the package (same table), so the atom cannot hold.
 func sumBounds(agg *paql.Agg, op expr.BinOp, c float64, sp StatsProvider) Bounds {
 	if sp == nil {
 		return Trivial()
 	}
-	minX, maxX, _, ok := sp.AggStats(agg)
+	minX, maxX, n, ok := sp.AggStats(agg)
 	if !ok {
 		return Trivial()
+	}
+	if n == 0 {
+		return Infeasible()
 	}
 	filtered := agg.Filter != nil
 	switch op {

@@ -87,20 +87,23 @@ func TestSumBoundsEdgeCases(t *testing.T) {
 		wantHi   int
 		infeasOK bool
 	}{
-		// negative minimum: no upper bound from <=
-		{`SUM(P.calories) <= 100`, fakeStats{min: -5, max: 50, n: 10, ok: true}, 1, 0, 10, false},
+		// negative minimum: no upper bound from <= (a SUM comparison needs
+		// one tuple: SUM over nothing is NULL, so Lo is never 0)
+		{`SUM(P.calories) <= 100`, fakeStats{min: -5, max: 50, n: 10, ok: true}, 1, 1, 10, false},
+		// no candidate in the selection: the SUM is NULL for every package
+		{`SUM(P.calories) <= 100`, fakeStats{n: 0, ok: true}, 1, 0, 0, true},
 		// all-nonpositive max with positive demand: infeasible
 		{`SUM(P.calories) >= 10`, fakeStats{min: -5, max: 0, n: 10, ok: true}, 1, 0, 0, true},
 		// negative rhs with nonnegative contributions: infeasible
 		{`SUM(P.calories) <= -1`, fakeStats{min: 0, max: 50, n: 10, ok: true}, 1, 0, 0, true},
 		// equality combines both sides
 		{`SUM(P.calories) = 300`, fakeStats{min: 100, max: 100, n: 10, ok: true}, 1, 3, 3, false},
-		// stats unavailable: trivial
-		{`SUM(P.calories) <= 100`, fakeStats{n: 10, ok: false}, 1, 0, 10, false},
+		// stats unavailable: only the non-empty floor
+		{`SUM(P.calories) <= 100`, fakeStats{n: 10, ok: false}, 1, 1, 10, false},
 		// REPEAT widens the clamp: n*mult
 		{`SUM(P.calories) >= 200`, fakeStats{min: 10, max: 100, n: 3, ok: true}, 2, 2, 6, false},
-		// demand <= 0 is trivially satisfiable in any size
-		{`SUM(P.calories) >= -5`, fakeStats{min: 10, max: 100, n: 10, ok: true}, 1, 0, 10, false},
+		// demand <= 0 is satisfiable in any non-empty size
+		{`SUM(P.calories) >= -5`, fakeStats{min: 10, max: 100, n: 10, ok: true}, 1, 1, 10, false},
 	}
 	for _, tc := range cases {
 		q := formula(t, tc.clause)
@@ -164,9 +167,9 @@ func TestNilFormulaAndUnknownShapes(t *testing.T) {
 	if got := Derive(nil, sp, 5, 1); got.Lo != 0 || got.Hi != 5 {
 		t.Errorf("nil formula -> %v", got)
 	}
-	// AVG gives no cardinality info
+	// AVG only says the package is not empty (AVG over nothing is NULL)
 	q := formula(t, `AVG(P.calories) <= 100`)
-	if got := Derive(q.SuchThat, sp, 5, 1); got.Lo != 0 || got.Hi != 5 {
+	if got := Derive(q.SuchThat, sp, 5, 1); got.Lo != 1 || got.Hi != 5 {
 		t.Errorf("AVG -> %v", got)
 	}
 	// affine-but-not-bare aggregate comparisons stay trivial

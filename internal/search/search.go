@@ -14,13 +14,13 @@ package search
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/paql"
 	"repro/internal/prune"
 	"repro/internal/schema"
@@ -35,7 +35,7 @@ type Instance struct {
 	MaxMult  int          // per-tuple multiplicity cap (≥1 for enumerators)
 
 	Atoms  []*translate.LinearAtom // top-level conjunctive linear atoms
-	Pure   bool                    // Atoms are exactly the formula: none missing, none relaxed from a strict comparison
+	Pure   bool                    // passing Atoms is being an answer: the formula holds and the objective is not NULL (none missing, none relaxed)
 	ObjW   []float64               // linear objective weights (nil if non-affine)
 	ObjK   float64                 // objective constant term
 	Bounds prune.Bounds            // §4.1 cardinality bounds
@@ -53,62 +53,42 @@ func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, err
 		IDs:      ids,
 		MaxMult:  a.Query.MaxMultiplicity(),
 	}
-	atoms, pure, err := translate.ConjunctiveAtoms(a, rows)
-	if err != nil {
+	var err error // a non-affine objective leaves ObjW nil: full evaluation per package
+	if inst.Atoms, inst.Pure, inst.ObjW, inst.ObjK, err = translate.ConjunctiveAtoms(a, rows); err != nil {
 		return nil, err
 	}
-	inst.Atoms, inst.Pure = atoms, pure
-	if w, k, err := translate.ObjectiveWeights(a, rows); err == nil {
-		inst.ObjW, inst.ObjK = w, k
-	} // non-affine objectives fall back to full evaluation
-	inst.Bounds = prune.Derive(a.Query.SuchThat, rowStats{inst}, len(rows), inst.MaxMult)
+	inst.Bounds = prune.Derive(a.Query.SuchThat, &rowStats{inst: inst}, len(rows), inst.MaxMult)
 	return inst, nil
 }
 
-// rowStats adapts candidate rows to prune.StatsProvider.
-type rowStats struct{ inst *Instance }
+// rowStats adapts candidate rows to prune.StatsProvider. It keeps its
+// last answer: both comparisons of a BETWEEN ask about the same aggregate.
+type rowStats struct {
+	inst   *Instance
+	last   *paql.Agg
+	lo, hi float64
+	n      int
+	ok     bool
+}
 
-// AggStats scans the candidates for MIN/MAX of the aggregate argument.
-func (rs rowStats) AggStats(a *paql.Agg) (minVal, maxVal float64, n int, ok bool) {
-	if a.Arg == nil {
-		return 0, 0, len(rs.inst.Rows), true
-	}
-	first := true
-	for _, row := range rs.inst.Rows {
-		if a.Filter != nil {
-			pass, err := expr.EvalBool(a.Filter, row)
-			if err != nil || !pass {
-				continue
+// AggStats folds the aggregate's terms over the candidates: the MIN and
+// MAX of its argument (±Inf over nothing) and the size n of its selection.
+// ok is false when the argument cannot be read as a number.
+func (rs *rowStats) AggStats(a *paql.Agg) (lo, hi float64, n int, ok bool) {
+	if a != rs.last {
+		*rs = rowStats{inst: rs.inst, last: a, lo: math.Inf(1), hi: math.Inf(-1), ok: true}
+		for _, row := range rs.inst.Rows {
+			v, present, err := a.Term(row)
+			f, isNum := v.AsFloat()
+			if rs.ok = err == nil && (isNum || !present); !rs.ok {
+				break
+			}
+			if present {
+				rs.lo, rs.hi, rs.n = min(rs.lo, f), max(rs.hi, f), rs.n+1
 			}
 		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return 0, 0, 0, false
-		}
-		if v.IsNull() {
-			continue
-		}
-		f, isNum := v.AsFloat()
-		if !isNum {
-			return 0, 0, 0, false
-		}
-		if first {
-			minVal, maxVal = f, f
-			first = false
-		} else {
-			if f < minVal {
-				minVal = f
-			}
-			if f > maxVal {
-				maxVal = f
-			}
-		}
-		n++
 	}
-	if first {
-		return 0, 0, 0, false // no numeric values at all
-	}
-	return minVal, maxVal, n, true
+	return rs.lo, rs.hi, rs.n, rs.ok
 }
 
 // Pkg is a package: multiplicities over the instance's candidates.
@@ -150,9 +130,18 @@ func (inst *Instance) Materialize(mult []int) []schema.Row {
 	return out
 }
 
-// Validate checks the full SUCH THAT formula for a package.
+// Validate reports whether a package is an answer: the full SUCH THAT
+// formula holds and the objective is not NULL (an affine objective's NULL
+// cases are guard rows among Atoms; any other is evaluated here).
 func (inst *Instance) Validate(mult []int) (bool, error) {
-	return paql.Satisfies(inst.Analysis.Query.SuchThat, inst.Materialize(mult))
+	q := inst.Analysis.Query
+	rows := inst.Materialize(mult)
+	ok, err := paql.Satisfies(q.SuchThat, rows)
+	if err != nil || !ok || q.Objective == nil || inst.ObjW != nil {
+		return ok, err
+	}
+	v, err := paql.EvalGlobal(q.Objective.Expr, rows)
+	return err == nil && !v.IsNull(), err
 }
 
 // CheckAtoms evaluates only the conjunctive linear atoms: a necessary

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/expr"
-	"repro/internal/lifecycle"
 	"repro/internal/lp"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -27,50 +26,43 @@ type branchAtoms struct {
 	branch translate.SketchBranch
 	tuple  []*translate.LinearAtom     // exact rows over the instance's candidates
 	sels   map[int]*translate.Selector // selector view per branch-atom index
-	// admissible[i] reports that candidate i survives every elimination
-	// row of the branch — only such tuples can enter a feasible
-	// package. nil when the branch has no eliminations.
-	admissible []bool
+	// eliminated[i] reports that some elimination row of the branch
+	// excludes candidate i — such a tuple can enter no feasible package.
+	// nil when the branch has no eliminations.
+	eliminated []bool
 }
 
-// newBranchAtoms weighs a compiled branch over the instance's
-// candidates. Each atom's weighing is linear in the candidates, so the
-// context is checked between atoms — at 1M rows a single weigh runs
-// low hundreds of milliseconds, the longest remaining stretch a
-// canceled solve can sit out here.
+// newBranchAtoms weighs a compiled branch over the instance's candidates
+// as one conjunction (translate.SketchBranch.Weigh): the guards another
+// row implies are dropped there, so ba.branch is what the descent
+// carries. At 1M rows one atom's weighing is low hundreds of milliseconds;
+// Weigh checks the context between atoms.
 func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.SketchBranch) (*branchAtoms, error) {
-	ba := &branchAtoms{branch: br, sels: map[int]*translate.Selector{}}
-	for i, at := range br.Atoms {
-		if err := lifecycle.ContextErr(ctx); err != nil {
-			return nil, err
-		}
-		if at.IsSelector() {
-			sel, err := at.Selector(inst.Rows)
-			if err != nil {
-				return nil, err
-			}
-			ba.sels[i] = sel
-			ba.tuple = append(ba.tuple, sel.TupleAtom())
-			if sel.Kind == translate.SketchElim {
-				if ba.admissible == nil {
-					ba.admissible = make([]bool, len(inst.Rows))
-					for j := range ba.admissible {
-						ba.admissible[j] = true
-					}
-				}
-				for j := range inst.Rows {
-					if sel.Present[j] && sel.Match(sel.Vals[j]) {
-						ba.admissible[j] = false
-					}
-				}
-			}
+	kept, rows, err := br.Weigh(ctx, inst.Rows)
+	if err != nil {
+		return nil, err
+	}
+	ba := &branchAtoms{branch: kept, sels: map[int]*translate.Selector{}}
+	for i, at := range kept.Atoms {
+		ba.tuple = append(ba.tuple, rows[i]...)
+		if !at.IsSelector() {
 			continue
 		}
-		rows, err := at.Weigh(inst.Rows)
+		sel, err := at.Selector(inst.Rows)
 		if err != nil {
 			return nil, err
 		}
-		ba.tuple = append(ba.tuple, rows...)
+		ba.sels[i] = sel
+		if sel.Kind == translate.SketchElim {
+			if ba.eliminated == nil {
+				ba.eliminated = make([]bool, len(inst.Rows))
+			}
+			for j, bad := range rows[i][0].W {
+				if bad != 0 {
+					ba.eliminated[j] = true
+				}
+			}
+		}
 	}
 	return ba, nil
 }
@@ -83,14 +75,14 @@ func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.Ske
 // routes more units into a subtree than its refine MILP could place).
 // nil when the branch has no eliminations.
 func (ba *branchAtoms) admissibleCounts(nodes []Node) []int {
-	if ba.admissible == nil {
+	if ba.eliminated == nil {
 		return nil
 	}
 	out := make([]int, len(nodes))
 	for g := range nodes {
 		c := 0
 		for _, i := range nodes[g].Tuples {
-			if ba.admissible[i] {
+			if !ba.eliminated[i] {
 				c++
 			}
 		}
@@ -181,20 +173,11 @@ func nodeEntirelySelected(sel *translate.Selector, n *Node, ai int) bool {
 		if n.NonNull[ai] != len(n.Tuples) {
 			return false // a NULL tuple is never present, so never bad
 		}
-		if sel.All {
-			return true
+		// Every value is selected when the far end of the envelope is.
+		if sel.Op == expr.OpLe || sel.Op == expr.OpLt {
+			return sel.Match(n.Hi[ai])
 		}
-		switch sel.Op {
-		case expr.OpLe:
-			return n.Hi[ai] <= sel.C
-		case expr.OpLt:
-			return n.Hi[ai] < sel.C
-		case expr.OpGe:
-			return n.Lo[ai] >= sel.C
-		case expr.OpGt:
-			return n.Lo[ai] > sel.C
-		}
-		return false
+		return sel.Match(n.Lo[ai])
 	}
 	for _, i := range n.Tuples {
 		if !sel.Present[i] || !sel.Match(sel.Vals[i]) {
@@ -212,20 +195,11 @@ func nodeAnySelected(sel *translate.Selector, n *Node, ai int) bool {
 		if n.NonNull[ai] == 0 {
 			return false
 		}
-		if sel.All {
-			return true
+		// Some value is selected when the near end of the envelope is.
+		if sel.Op == expr.OpLe || sel.Op == expr.OpLt {
+			return sel.Match(n.Lo[ai])
 		}
-		switch sel.Op {
-		case expr.OpLe:
-			return n.Lo[ai] <= sel.C
-		case expr.OpLt:
-			return n.Lo[ai] < sel.C
-		case expr.OpGe:
-			return n.Hi[ai] >= sel.C
-		case expr.OpGt:
-			return n.Hi[ai] > sel.C
-		}
-		return false
+		return sel.Match(n.Hi[ai])
 	}
 	for _, i := range n.Tuples {
 		if sel.Present[i] && sel.Match(sel.Vals[i]) {

@@ -84,7 +84,7 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		return 0
 	}
 	tupleHi := func(i int) float64 {
-		if ba.admissible != nil && !ba.admissible[i] {
+		if ba.eliminated != nil && ba.eliminated[i] {
 			return 0
 		}
 		if inst.MaxMult > 0 {

@@ -94,7 +94,6 @@ type chaosStats struct {
 	withWrites int // cases whose faulted run saw a patched-lineage table
 	answers    int // faulted runs that returned an answer
 	typedErrs  int // faulted runs that returned lifecycle.ErrInternal
-	nullObj    int // pre-existing empty-package quirk, fault-independent
 	degraded   int // faulted answers that reported at least one rung
 }
 
@@ -165,11 +164,9 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// produce exactly what a bare sketch.Solve produces, undegraded.
 	warm, err := prep.Run(clean.opts)
 	if err != nil {
-		if nullObjective(err) {
-			return false
-		}
 		t.Fatalf("healthy warm-up: %v\n%s", err, gc.queryText)
 	}
+	noLensSplit(t, warm.Stats.Notes, gc.queryText)
 	if warm.Stats.Degraded || len(warm.Stats.DegradedReasons) != 0 {
 		t.Fatalf("healthy run reported degraded (%v)\n%s", warm.Stats.DegradedReasons, gc.queryText)
 	}
@@ -211,17 +208,16 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// two trees, so they bracket all acceptable faulted outcomes.
 	cres, err := prep.Run(clean.opts)
 	if err != nil {
-		if nullObjective(err) {
-			return false
-		}
 		t.Fatalf("clean reference: %v\n%s", err, ctx)
 	}
+	noLensSplit(t, cres.Stats.Notes, ctx)
 	rres, err := sketch.Solve(prep.Instance, sketch.Options{
 		MaxPartitionSize: tau, Depth: depth, Seed: seed,
 	})
 	if err != nil {
 		t.Fatalf("rebuilt reference: %v\n%s", err, ctx)
 	}
+	noLensSplit(t, rres.Notes, ctx)
 	cleanFeas := len(cres.Packages) > 0
 
 	inj := fault.NewInjector(seed, rules...)
@@ -238,17 +234,13 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 		switch {
 		case errors.Is(ferr, lifecycle.ErrInternal):
 			cs.typedErrs++
-		case nullObjective(ferr):
-			// The empty-package quirk pre-dates fault injection and can
-			// surface on whichever tree the ladder landed on; it is not
-			// a fault-induced untyped error.
-			cs.nullObj++
 		default:
 			t.Fatalf("UNTYPED ERROR under faults: %v\n%s", ferr, ctx)
 		}
 		return true
 	}
 	cs.answers++
+	noLensSplit(t, fres.Stats.Notes, ctx)
 	for _, reason := range fres.Stats.DegradedReasons {
 		sub, _, ok := strings.Cut(reason, ": ")
 		if !ok || sub == "" {
@@ -329,8 +321,8 @@ func TestChaosFaultedCorpus(t *testing.T) {
 		chaosOne(t, g, rules, int64(attempts+1), cs, cov, rungs)
 	}
 
-	t.Logf("chaos corpus: %d cases (%d with writes), %d answers (%d degraded), %d typed internal errors, %d null-objective skips",
-		cs.cases, cs.withWrites, cs.answers, cs.degraded, cs.typedErrs, cs.nullObj)
+	t.Logf("chaos corpus: %d cases (%d with writes), %d answers (%d degraded), %d typed internal errors",
+		cs.cases, cs.withWrites, cs.answers, cs.degraded, cs.typedErrs)
 	t.Logf("rungs observed: %v", rungs)
 
 	// Site coverage: every registered fault site must have been both

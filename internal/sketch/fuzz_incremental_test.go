@@ -54,12 +54,17 @@ type incrStats struct {
 	certRebuilt            int       // certified intervals from from-scratch rebuilds
 }
 
-// nullObjective recognizes the engine's long-standing empty-package
-// quirk: a feasible empty package with a SUM objective materializes a
-// NULL objective, which core reports as an error. Those cases say
-// nothing about incremental maintenance, so the harness skips them.
-func nullObjective(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "NULL for this package")
+// noLensSplit fails the case when a result carries refine's own tripwire:
+// a branch's rows accepted a package the validator rejects (or the
+// reverse), i.e. some lowering and paql.Satisfies read an aggregate
+// differently. Every corpus asserts it on every solve.
+func noLensSplit(t *testing.T, notes []string, ctx string) {
+	t.Helper()
+	for _, n := range notes {
+		if strings.Contains(n, "atom check and full validation disagree") {
+			t.Fatalf("LENS/ORACLE SPLIT: %s\n%s", n, ctx)
+		}
+	}
 }
 
 // incrWrite applies one random write batch to table t, returning the
@@ -122,9 +127,6 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		SketchIncremental:   true,
 	}
 	if _, err := prep.Run(copts); err != nil {
-		if nullObjective(err) {
-			return false // empty-package optimum: core cannot materialize it
-		}
 		t.Fatalf("warm-up eval: %v\n%s", err, gc.queryText)
 	}
 
@@ -147,11 +149,9 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		// hard-errors if a claimed-feasible package fails validation.
 		pres, err := prep.Run(copts)
 		if err != nil {
-			if nullObjective(err) {
-				break // empty-package optimum: core cannot materialize it
-			}
 			t.Fatalf("patched eval: %v\n%s", err, ctx)
 		}
+		noLensSplit(t, pres.Stats.Notes, ctx)
 		if pres.Stats.Strategy != core.SketchRefineStrategy {
 			break // fell back (e.g. applicability changed); next case
 		}
@@ -162,6 +162,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		if err != nil {
 			t.Fatalf("rebuilt eval: %v\n%s", err, ctx)
 		}
+		noLensSplit(t, rres.Notes, ctx)
 		st.rounds++
 		ran = true
 		if pres.Stats.SketchTreePatched {

@@ -214,6 +214,7 @@ func diffOne(t *testing.T, g *qgen, st *diffStats) (*genCase, bool) {
 	if err != nil {
 		t.Fatalf("sketch.Solve: %v\n%s", err, gc.queryText)
 	}
+	noLensSplit(t, skres.Notes, gc.queryText)
 	st.ran++
 	if exactOptimal || sol.Status == milp.StatusFeasible {
 		st.exFeasible++

@@ -325,9 +325,9 @@ func Solve(inst *search.Instance, opts Options) (*Result, error) {
 		return nil, err
 	}
 	if n == 0 {
-		// The empty package, judged under the linear lens (empty sums
-		// are 0): feasible when some branch's rows accept the zero
-		// vector and the cardinality bounds allow an empty package.
+		// The empty package is the only one: an answer when some branch's
+		// rows — non-empty guards included — accept the zero vector and
+		// the cardinality bounds allow an empty package.
 		res.Mult = []int{}
 		for _, br := range branches {
 			ba, err := newBranchAtoms(opts.Ctx, inst, br)

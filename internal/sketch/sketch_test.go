@@ -209,20 +209,25 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 	}
 }
 
+// Over an empty relation the empty package is the only package: COUNT of
+// nothing is 0, so a COUNT bound accepts it; SUM of nothing is NULL, so
+// a SUM comparison does not (internal/paql/semantics_test.go).
 func TestSketchTrivialEmptyCandidates(t *testing.T) {
 	db := minidb.New()
 	if _, err := db.Exec("CREATE TABLE t (x INT)"); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := core.Prepare(db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT SUM(P.x) <= 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sketch.Solve(prep.Instance, sketch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Feasible || len(res.Mult) != 0 {
-		t.Fatalf("empty relation should yield the empty package, got %+v", res)
+	for suchThat, feasible := range map[string]bool{`COUNT(*) <= 10`: true, `SUM(P.x) <= 10`: false} {
+		prep, err := core.Prepare(db, `SELECT PACKAGE(T) AS P FROM t T SUCH THAT `+suchThat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sketch.Solve(prep.Instance, sketch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Feasible != feasible || len(res.Mult) != 0 {
+			t.Fatalf("%s over an empty relation: feasible=%v, want %v (%+v)", suchThat, res.Feasible, feasible, res)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/lp"
@@ -45,70 +46,92 @@ func (la *LinearAtom) CheckSum(s float64) bool {
 }
 
 // ConjunctiveAtoms extracts the linear SUM/COUNT comparison atoms that
-// appear as top-level conjuncts of the query's SUCH THAT formula,
-// weighted over the given candidates. The boolean result reports
-// whether the atoms are EXACTLY the formula (pure): when false (the
-// formula also has disjunctions, AVG/MIN/MAX atoms, non-linear parts,
-// or a strict comparison), the atoms are still necessary conditions
-// usable for sound pruning, but candidates must be re-validated with
+// appear as top-level conjuncts of the query's SUCH THAT formula, with
+// the guards they and the objective imply, weighted over the candidates
+// as one conjunction — and, from the same passes, the objective's weights
+// (value(pkg) = Σ objW[i]·mult[i] + objK; nil when it is not affine). pure
+// reports that the atoms are EXACTLY the query: a package passes them if
+// and only if it satisfies the formula and its objective is not NULL.
+// Otherwise (disjunctions, AVG/MIN/MAX atoms, non-linear parts, or a
+// strict comparison, which relaxes to its closed form and so admits the
+// boundary it excludes) the atoms are still necessary conditions usable
+// for sound pruning, but candidates must be re-validated with
 // paql.Satisfies.
-//
-// Strict comparisons relax to their closed forms (sound for pruning);
-// the closed row admits the boundary the comparison excludes, so a
-// relaxed atom is never pure.
-func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) ([]*LinearAtom, bool, error) {
-	if a.Query.SuchThat == nil {
-		return nil, true, nil
+func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) (atoms []*LinearAtom, pure bool, objW []float64, objK float64, err error) {
+	sels := selections{}
+	objective, objGuards, err := compileObjective(a, sels)
+	if pure = err == nil; pure { // a non-affine objective is evaluated per package
+		if objW, err = objective.weigh(candidates); err != nil {
+			return nil, false, nil, 0, err
+		}
+		objK = objective.konst
 	}
-	pure := true
-	var atoms []*LinearAtom
-	var visit func(n bnode)
-	visit = func(n bnode) {
-		switch node := n.(type) {
-		case *bAnd:
-			for _, k := range node.kids {
-				visit(k)
-			}
-		case *bOr:
-			pure = false
-		case *bAtom:
+	var conj []*SketchAtom
+	if a.Query.SuchThat != nil {
+		for _, e := range topAtoms(nnf(a.Query.SuchThat, false), &pure) {
 			// AVG/MIN/MAX rewrites are not usable for incremental sums.
-			lowered, err := lowerAtom(node.e)
+			lowered, err := lowerAtom(e, sels)
 			if err != nil || lowered[0].Kind != SketchLinear {
 				pure = false
-				return
+				continue
 			}
-			at := lowered[0]
-			rows, err := at.linearRows(candidates, true)
-			if err != nil {
-				pure = false
-				return
-			}
-			if at.op == expr.OpLt || at.op == expr.OpGt {
+			if op := lowered[0].op; op == expr.OpLt || op == expr.OpGt {
 				pure = false
 			}
-			atoms = append(atoms, rows...)
+			conj = conjoin(conj, lowered)
 		}
 	}
-	visit(nnf(a.Query.SuchThat, false))
-	return atoms, pure, nil
+	_, rows, err := weighConjunction(nil, conjoin(conj, objGuards), candidates, true)
+	return slices.Concat(rows...), pure, objW, objK, err
+}
+
+// topAtoms returns the comparisons that must hold unconditionally: the
+// atoms of the NNF tree not under any disjunction, in formula order
+// (constants aside — Translate and CompileSketch read those themselves).
+// whole is cleared when the tree holds anything else.
+func topAtoms(n bnode, whole *bool) []expr.Expr {
+	switch node := n.(type) {
+	case *bAnd:
+		var out []expr.Expr
+		for _, k := range node.kids {
+			out = append(out, topAtoms(k, whole)...)
+		}
+		return out
+	case *bAtom:
+		if _, isConst := constBool(node.e); !isConst {
+			return []expr.Expr{node.e}
+		}
+	}
+	*whole = false
+	return nil
+}
+
+// compileObjective compiles the query objective's affine form over sels
+// (the zero form without an objective) and, with it, the guards a
+// package needs for that objective not to be NULL.
+func compileObjective(a *paql.Analysis, sels selections) (*linear, []*SketchAtom, error) {
+	o := a.Query.Objective
+	if o == nil {
+		return &linear{}, nil, nil
+	}
+	form, err := affineForm(o.Expr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("translate: objective: %w", err)
+	}
+	lin := sels.compile(form)
+	return lin, lin.guards(o.Sense.String() + " " + o.Expr.String()), nil
 }
 
 // ObjectiveWeights linearizes the query objective over the candidates:
 // value(pkg) = Σ W[i]·mult[i] + Const. An error is returned for
 // non-affine objectives.
 func ObjectiveWeights(a *paql.Analysis, candidates []schema.Row) (w []float64, konst float64, err error) {
-	if a.Query.Objective == nil {
-		return make([]float64, len(candidates)), 0, nil
-	}
-	form, err := affineForm(a.Query.Objective.Expr)
+	lin, _, err := compileObjective(a, selections{})
 	if err != nil {
-		return nil, 0, fmt.Errorf("translate: objective: %w", err)
-	}
-	if w, err = weigh(form, candidates); err != nil {
 		return nil, 0, err
 	}
-	return w, form.konst, nil
+	w, err = lin.weigh(candidates)
+	return w, lin.konst, err
 }
 
 // ExclusionAtom is the §5 cut that forbids one exact 0/1 package:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/lp"
 	"repro/internal/milp"
+	"repro/internal/schema"
 )
 
 func TestConjunctiveAtomsExtraction(t *testing.T) {
@@ -14,7 +15,7 @@ func TestConjunctiveAtomsExtraction(t *testing.T) {
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 		MAXIMIZE SUM(P.protein)`)
 	rows := testRows()
-	atoms, pure, err := ConjunctiveAtoms(a, rows)
+	atoms, pure, _, _, err := ConjunctiveAtoms(a, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND (SUM(P.calories) <= 600 OR SUM(P.calories) >= 1800)`)
-	atoms, pure, err := ConjunctiveAtoms(a, testRows())
+	atoms, pure, _, _, err := ConjunctiveAtoms(a, testRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a2 := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND AVG(P.calories) <= 500`)
-	atoms2, pure2, err := ConjunctiveAtoms(a2, testRows())
+	atoms2, pure2, _, _, err := ConjunctiveAtoms(a2, testRows())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	}
 	// nil formula
 	a3 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R`)
-	atoms3, pure3, err := ConjunctiveAtoms(a3, testRows())
+	atoms3, pure3, _, _, err := ConjunctiveAtoms(a3, testRows())
 	if err != nil || !pure3 || atoms3 != nil {
 		t.Errorf("nil formula: %v %v %v", atoms3, pure3, err)
 	}
@@ -136,6 +137,32 @@ func TestObjectiveWeights(t *testing.T) {
 	a3 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE SUM(P.protein) / COUNT(*)`)
 	if _, _, err := ObjectiveWeights(a3, rows); err == nil {
 		t.Error("ratio objective should fail")
+	}
+}
+
+// A weight is a floating-point sum over the form's aggregates, and
+// (0.1 + 0.2) + 0.3 ≠ 0.1 + (0.2 + 0.3): summed in Go's map order, the
+// same form weighed twice could differ in the last bit, and a last bit
+// decides simplex ties. Terms are summed in the order of their text.
+func TestWeighIsOrderIndependent(t *testing.T) {
+	a := analyze(t, `
+		SELECT PACKAGE(R) AS P FROM Recipes R
+		MAXIMIZE SUM(P.calories) + SUM(P.protein) + SUM(P.price)`)
+	rows := []schema.Row{mkRow(1, 0.1, 0.2, "a", 0.3), mkRow(2, 0.7, 0.1, "b", 0.2)}
+	first, _, err := ObjectiveWeights(a, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		w, _, err := ObjectiveWeights(a, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range w {
+			if math.Float64bits(w[j]) != math.Float64bits(first[j]) {
+				t.Fatalf("weighing %d: w[%d] = %v, first was %v", i, j, w[j], first[j])
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lp"
 	"repro/internal/paql"
-	"repro/internal/schema"
 )
 
 // bnode is a negation-normal-form boolean tree over comparison atoms.
@@ -71,11 +70,11 @@ func nnf(e expr.Expr, neg bool) bnode {
 
 // encodeFormula emits rows for node. ind == -1 means the node must hold
 // unconditionally; otherwise its rows activate when indicator ind is 1.
-func (m *Model) encodeFormula(node bnode, ind int) error {
+func (m *Model) encodeFormula(node bnode, ind int, sels selections) error {
 	switch n := node.(type) {
 	case *bAnd:
 		for _, k := range n.kids {
-			if err := m.encodeFormula(k, ind); err != nil {
+			if err := m.encodeFormula(k, ind, sels); err != nil {
 				return err
 			}
 		}
@@ -88,7 +87,7 @@ func (m *Model) encodeFormula(node bnode, ind int) error {
 				return err
 			}
 			kidInds = append(kidInds, lp.Coef{Var: y, Val: 1})
-			if err := m.encodeFormula(k, y); err != nil {
+			if err := m.encodeFormula(k, y, sels); err != nil {
 				return err
 			}
 		}
@@ -98,27 +97,24 @@ func (m *Model) encodeFormula(node bnode, ind int) error {
 			return err
 		}
 		// y ≤ Σ y_k
-		coefs := append([]lp.Coef{{Var: ind, Val: 1}}, negate(kidInds)...)
+		coefs := []lp.Coef{{Var: ind, Val: 1}}
+		for _, c := range kidInds {
+			coefs = append(coefs, lp.Coef{Var: c.Var, Val: -1})
+		}
 		_, err := m.lpp.AddConstraint(coefs, lp.LE, 0)
 		return err
 	case *bAtom:
-		return m.encodeAtom(n.e, ind)
+		return m.encodeAtom(n.e, ind, sels)
 	}
 	return fmt.Errorf("translate: unknown formula node %T", node)
-}
-
-func negate(cs []lp.Coef) []lp.Coef {
-	out := make([]lp.Coef, len(cs))
-	for i, c := range cs {
-		out[i] = lp.Coef{Var: c.Var, Val: -c.Val}
-	}
-	return out
 }
 
 // encodeAtom emits rows for one comparison (or constant boolean). The
 // constant case and addRow's indicator linking are the exact path's own;
 // every other row is the shared lowering's, weighed over the candidates.
-func (m *Model) encodeAtom(e expr.Expr, ind int) error {
+// An unconditional comparison has no rows here (Translate weighed it with
+// its conjunction); one under an indicator keeps every row, guards too.
+func (m *Model) encodeAtom(e expr.Expr, ind int, sels selections) error {
 	// Constant TRUE/FALSE (possibly under NOT).
 	if v, ok := constBool(e); ok {
 		if v {
@@ -133,7 +129,10 @@ func (m *Model) encodeAtom(e expr.Expr, ind int) error {
 		_, err := m.lpp.AddConstraint([]lp.Coef{{Var: ind, Val: 1}}, lp.LE, 0)
 		return err
 	}
-	atoms, err := lowerAtom(e)
+	if ind < 0 {
+		return nil
+	}
+	atoms, err := lowerAtom(e, sels)
 	if err != nil {
 		return fmt.Errorf("translate: atom %s: %w", e, err)
 	}
@@ -170,19 +169,14 @@ func constBool(e expr.Expr) (bool, bool) {
 // returning the aggregate, the constant, and the op oriented with the
 // aggregate on the left.
 func specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
-	if a, ok := b.L.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := constSide(b.R)
-		if err != nil {
-			return nil, 0, 0, false, err
+	for _, side := range []struct {
+		agg, other expr.Expr
+		op         expr.BinOp
+	}{{b.L, b.R, b.Op}, {b.R, b.L, b.Op.Flip()}} {
+		if a, ok := side.agg.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
+			c, err := constSide(side.other)
+			return a, c, side.op, err == nil, err
 		}
-		return a, c, b.Op, true, nil
-	}
-	if a, ok := b.R.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
-		c, err := constSide(b.L)
-		if err != nil {
-			return nil, 0, 0, false, err
-		}
-		return a, c, b.Op.Flip(), true, nil
 	}
 	return nil, 0, 0, false, nil
 }
@@ -196,34 +190,6 @@ func constSide(e expr.Expr) (float64, error) {
 		return 0, fmt.Errorf("translate: %s must be constant opposite an AVG/MIN/MAX aggregate", e)
 	}
 	return f.konst, nil
-}
-
-// filterPresence marks candidates whose argument is non-NULL and whose
-// filter passes.
-func filterPresence(rows []schema.Row, a *paql.Agg) ([]bool, error) {
-	out := make([]bool, len(rows))
-	for i, row := range rows {
-		if a.Filter != nil {
-			ok, err := expr.EvalBool(a.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if a.Arg != nil {
-			v, err := a.Arg.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				continue
-			}
-		}
-		out[i] = true
-	}
-	return out, nil
 }
 
 // addRow emits Σ w·x (op) rhs, optionally big-M-linked to an indicator.
@@ -246,24 +212,14 @@ func (m *Model) addRow(w []float64, op lp.Op, rhs float64, ind int) error {
 		M += math.Abs(c.Val) * float64(m.MaxMult)
 	}
 	switch op {
-	case lp.LE:
-		coefs = append(coefs, lp.Coef{Var: ind, Val: M})
-		_, err := m.lpp.AddConstraint(coefs, lp.LE, rhs+M)
-		return err
-	case lp.GE:
-		coefs = append(coefs, lp.Coef{Var: ind, Val: -M})
-		_, err := m.lpp.AddConstraint(coefs, lp.GE, rhs-M)
-		return err
-	case lp.EQ:
-		le := append(append([]lp.Coef{}, coefs...), lp.Coef{Var: ind, Val: M})
-		if _, err := m.lpp.AddConstraint(le, lp.LE, rhs+M); err != nil {
-			return err
-		}
-		ge := append(coefs, lp.Coef{Var: ind, Val: -M})
-		_, err := m.lpp.AddConstraint(ge, lp.GE, rhs-M)
-		return err
+	case lp.LE: // Σ w·x + M·y ≤ rhs + M
+	case lp.GE: // Σ w·x − M·y ≥ rhs − M
+		M = -M
+	default: // an equality arrives as its LE and GE rows (linearRows)
+		return fmt.Errorf("translate: unknown op %v", op)
 	}
-	return fmt.Errorf("translate: unknown op %v", op)
+	_, err := m.lpp.AddConstraint(append(coefs, lp.Coef{Var: ind, Val: M}), op, rhs+M)
+	return err
 }
 
 // newIndicator allocates a fresh 0/1 indicator variable.

@@ -1,10 +1,13 @@
 package translate
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
+	"repro/internal/lifecycle"
 	"repro/internal/lp"
 	"repro/internal/paql"
 	"repro/internal/schema"
@@ -48,13 +51,17 @@ type SketchAtom struct {
 	// Kind drives how the atom is weighted at each level.
 	Kind SketchAtomKind
 
-	form *affine    // SketchLinear: L − R, compared against 0
-	agg  *paql.Agg  // SketchAvg/SketchElim/SketchAtLeast: the aggregate
-	op   expr.BinOp // SketchLinear/SketchAvg: comparison op; selectors: predicate op
-	c    float64    // threshold constant (aggregate on the left)
-	all  bool       // SketchAtLeast: select every present tuple (guard)
-	src  string     // rendered source atom, for rows and diagnostics
+	lin *linear    // SketchLinear: L − R; SketchAvg: SUM − c·COUNT; compared against 0
+	sel *selection // SketchElim/SketchAtLeast: the aggregate's (argument, filter)
+	op  expr.BinOp // SketchLinear/SketchAvg: comparison op; selectors: predicate op
+	c   float64    // threshold constant (aggregate on the left)
+	all bool       // SketchAtLeast: select every present tuple (guard)
+	src string     // rendered source atom, for rows and diagnostics
 }
+
+// isGuard reports whether the atom is a non-empty guard: the one kind of
+// row a conjunction may drop when another row already implies it.
+func (at *SketchAtom) isGuard() bool { return at.Kind == SketchAtLeast && at.all }
 
 // Source returns the rendered source atom the lowering came from.
 func (at *SketchAtom) Source() string { return at.src }
@@ -68,38 +75,116 @@ func (at *SketchAtom) IsSelector() bool {
 
 // SketchBranch is one DNF branch: a conjunction of sketch atoms. A
 // package satisfying every atom of any branch satisfies the SUCH THAT
-// formula.
+// formula and has a non-NULL objective.
 type SketchBranch struct {
-	// Atoms is the branch's conjunction, in formula order.
+	// Atoms is the branch's conjunction, in formula order, then the
+	// objective's guards.
 	Atoms []*SketchAtom
 }
 
+// Weigh compiles the branch over real candidate tuples as one conjunction
+// (weighConjunction): the atoms kept — a guard another row implies is
+// dropped — and, per kept atom, its exact rows. Each atom's weighing is
+// linear in the candidates; ctx is checked between atoms.
+func (br SketchBranch) Weigh(ctx context.Context, cands []schema.Row) (SketchBranch, [][]*LinearAtom, error) {
+	atoms, rows, err := weighConjunction(ctx, br.Atoms, cands, false)
+	return SketchBranch{Atoms: atoms}, rows, err
+}
+
+// conjoin appends lowered atoms to a conjunction, a guard only the first
+// time one of its atoms asks for that selection's.
+func conjoin(conj, lowered []*SketchAtom) []*SketchAtom {
+	for _, at := range lowered {
+		if !at.isGuard() || !slices.ContainsFunc(conj, func(c *SketchAtom) bool { return c.isGuard() && c.sel == at.sel }) {
+			conj = append(conj, at)
+		}
+	}
+	return conj
+}
+
+// weighConjunction weighs one conjunction over real candidate tuples —
+// where every consumer's rows are assembled: a DNF branch, the exact
+// MILP's unconditional rows, the search atoms (closed, see linearRows) —
+// and applies the one rule for guards: a guard Σ_present x ≥ 1 is dropped
+// when another row Σ w·x ≥ b of the conjunction, b ≥ 1, has w ≤ b on the
+// guard's present tuples and w ≤ 0 on the rest, since then Σ_present x ≥
+// Σ w·x / b ≥ 1 for every x ≥ 0: the LP relaxation, hence every bound and
+// every answer, is unchanged. Only the rows' own weights decide. A guard
+// falls to an earlier kept guard, never a later one, so two equal guards
+// do not drop each other.
+func weighConjunction(ctx context.Context, atoms []*SketchAtom, cands []schema.Row, closed bool) (kept []*SketchAtom, keptRows [][]*LinearAtom, err error) {
+	rows := make([][]*LinearAtom, len(atoms)) // a guard's stay nil unless it is kept
+	for i, at := range atoms {
+		if err = lifecycle.ContextErr(ctx); err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case at.isGuard():
+			_, _, err = at.sel.pass(cands, false) // judged below, from its presence alone
+		case at.Kind == SketchLinear:
+			rows[i], err = at.linearRows(cands, closed)
+		default:
+			rows[i], err = at.Weigh(cands)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	for i, at := range atoms {
+		if at.isGuard() {
+			_, present, _ := at.sel.pass(cands, false)
+			if slices.ContainsFunc(slices.Concat(rows...), func(r *LinearAtom) bool { return implies(r, present) }) {
+				continue
+			}
+			if rows[i], err = at.Weigh(cands); err != nil {
+				return nil, nil, err
+			}
+		}
+		kept, keptRows = append(kept, at), append(keptRows, rows[i])
+	}
+	return kept, keptRows, nil
+}
+
+// implies reports whether row r forces Σ_present x ≥ 1 for every x ≥ 0.
+func implies(r *LinearAtom, present []bool) bool {
+	if r.Op != lp.GE || r.RHS < 1 {
+		return false
+	}
+	for i, w := range r.W {
+		if w > 0 && (!present[i] || w > r.RHS) {
+			return false
+		}
+	}
+	return true
+}
+
 // CompileSketch lowers the query's SUCH THAT formula into
-// disjunctive-normal-form branches of sketch atoms, the form
-// SketchRefine descends one branch at a time: affine SUM/COUNT
-// comparisons stay single rows, AVG atoms are linearized as
-// SUM − c·COUNT plus a non-empty guard, and MIN/MAX atoms lower to
-// elimination and at-least-one selector rows. maxBranches caps the DNF
-// expansion (0 = DefaultMaxSketchBranches). rewrites counts the
-// AVG/MIN/MAX source atoms that were rewritten.
+// disjunctive-normal-form branches of sketch atoms (see lowerAtom), the
+// form SketchRefine descends one branch at a time; every branch ends
+// with the objective's guards. maxBranches caps the DNF expansion (0 =
+// DefaultMaxSketchBranches). rewrites counts the AVG/MIN/MAX source
+// atoms that were rewritten.
 //
-// A nil SUCH THAT yields one empty branch (everything is feasible); a
-// constant-false formula yields zero branches. Errors name the atom
-// that blocks sketch evaluation.
+// A nil SUCH THAT yields one branch of the objective's guards alone; a
+// constant-false formula yields zero branches. Errors name the atom that
+// blocks sketch evaluation.
 func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, rewrites int, err error) {
 	if maxBranches <= 0 {
 		maxBranches = DefaultMaxSketchBranches
 	}
-	if a.Query.SuchThat == nil {
-		return []SketchBranch{{}}, 0, nil
-	}
-	raw, err := dnfBranches(nnf(a.Query.SuchThat, false), maxBranches)
-	if err != nil {
-		return nil, 0, err
+	sels := selections{}
+	// A non-affine objective has no guards to give; whoever runs the
+	// branches rejects it (sketch.lower).
+	_, objGuards, _ := compileObjective(a, sels)
+	raw := [][]*bAtom{nil}
+	if a.Query.SuchThat != nil {
+		if raw, err = dnfBranches(nnf(a.Query.SuchThat, false), maxBranches); err != nil {
+			return nil, 0, err
+		}
 	}
 	rewritten := map[*bAtom]bool{}
 	for _, rb := range raw {
-		atoms := make([]*SketchAtom, 0, len(rb))
+		var conj []*SketchAtom
 		drop := false
 		for _, ba := range rb {
 			if v, ok := constBool(ba.e); ok {
@@ -109,7 +194,7 @@ func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, 
 				}
 				continue
 			}
-			lowered, err := lowerAtom(ba.e)
+			lowered, err := lowerAtom(ba.e, sels)
 			if err != nil {
 				return nil, 0, fmt.Errorf("atom %s blocks SketchRefine: %w", ba.e, err)
 			}
@@ -117,10 +202,10 @@ func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, 
 				rewritten[ba] = true
 				rewrites++
 			}
-			atoms = append(atoms, lowered...)
+			conj = conjoin(conj, lowered)
 		}
 		if !drop {
-			branches = append(branches, SketchBranch{Atoms: atoms})
+			branches = append(branches, SketchBranch{Atoms: conjoin(conj, objGuards)})
 		}
 	}
 	return branches, rewrites, nil
@@ -172,12 +257,14 @@ func dnfBranches(n bnode, cap int) ([][]*bAtom, error) {
 
 // lowerAtom lowers one comparison of the NNF formula into compiled atoms
 // — the one translation every strategy's rows come from: an affine
-// SUM/COUNT comparison keeps its form L − R, AVG is linearized with a
-// non-empty guard, MIN/MAX become selector rows (a first atom of any kind
-// but SketchLinear marks such a rewrite). The check is by shape only;
-// nothing is weighed before Weigh. Errors say why there is no linear form
-// and leave naming the atom to the caller.
-func lowerAtom(e expr.Expr) ([]*SketchAtom, error) {
+// SUM/COUNT comparison keeps its form L − R, AVG is linearized, MIN/MAX
+// become selector rows (a first atom of any kind but SketchLinear marks
+// such a rewrite), each followed by the non-empty guards of the
+// selections whose emptiness would make it NULL. Atoms lowered over one
+// sels share their passes. The check is by shape only; nothing is weighed
+// before Weigh. Errors say why there is no linear form and leave naming
+// the atom to the caller.
+func lowerAtom(e expr.Expr, sels selections) ([]*SketchAtom, error) {
 	b, ok := e.(*expr.Binary)
 	if !ok || !b.Op.Comparison() {
 		return nil, errors.New("not a comparison over aggregates")
@@ -188,18 +275,25 @@ func lowerAtom(e expr.Expr) ([]*SketchAtom, error) {
 	}
 	src := e.String()
 	if special {
-		if agg.Fn != "AVG" {
-			return lowerMinMax(agg, op, c, src)
+		sel := sels.of(agg)
+		guard := &SketchAtom{Kind: SketchAtLeast, sel: sel, all: true, src: src + " [non-empty guard]"}
+		switch lower := op == expr.OpGe || op == expr.OpGt; {
+		case op == expr.OpEq || op == expr.OpNe:
+			return nil, fmt.Errorf("%s with %s has no exact linear form", agg.Fn, op)
+		case agg.Fn == "AVG":
+			// SUM − c·COUNT over the argument: a tuple outside the selection
+			// (filtered out, or a NULL argument) adds to neither, so it
+			// weighs 0 and cannot shift the rewritten average.
+			lin := &linear{terms: []term{{coef: -c, count: true, sel: sel}, {coef: 1, sel: sel}}}
+			return []*SketchAtom{{Kind: SketchAvg, lin: lin, op: op, c: c, src: src}, guard}, nil
+		case (agg.Fn == "MIN") == lower:
+			// MIN ≥ c, MAX ≤ c: no member may sit on the other side, and
+			// one must be there (the guard).
+			bad, _ := op.Negate()
+			return []*SketchAtom{{Kind: SketchElim, sel: sel, op: bad, c: c, src: src}, guard}, nil
 		}
-		switch op {
-		case expr.OpLe, expr.OpLt, expr.OpGe, expr.OpGt:
-		default:
-			return nil, fmt.Errorf("AVG with %s has no exact linear form", op)
-		}
-		return []*SketchAtom{
-			{Kind: SketchAvg, agg: agg, op: op, c: c, src: src},
-			{Kind: SketchAtLeast, agg: agg, all: true, src: src + " [non-empty guard]"},
-		}, nil
+		// MIN ≤ c, MAX ≥ c: one member must reach the threshold.
+		return []*SketchAtom{{Kind: SketchAtLeast, sel: sel, op: op, c: c, src: src}}, nil
 	}
 	if b.Op == expr.OpNe {
 		return nil, errors.New("<> over aggregates has no exact linear form")
@@ -208,38 +302,8 @@ func lowerAtom(e expr.Expr) ([]*SketchAtom, error) {
 	if err != nil {
 		return nil, fmt.Errorf("not an affine SUM/COUNT comparison: %w", err)
 	}
-	return []*SketchAtom{{Kind: SketchLinear, form: diff, op: b.Op, src: src}}, nil
-}
-
-// lowerMinMax lowers a MIN/MAX comparison into selector atoms: bounds
-// that constrain every package member eliminate the violating tuples and
-// require a surviving witness; bounds that only need one witness require
-// a tuple on the right side of the threshold.
-func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, src string) ([]*SketchAtom, error) {
-	isMin := agg.Fn == "MIN"
-	switch {
-	case (isMin && (op == expr.OpGe || op == expr.OpGt)) || (!isMin && (op == expr.OpLe || op == expr.OpLt)):
-		var badOp expr.BinOp
-		switch {
-		case isMin && op == expr.OpGe:
-			badOp = expr.OpLt
-		case isMin && op == expr.OpGt:
-			badOp = expr.OpLe
-		case !isMin && op == expr.OpLe:
-			badOp = expr.OpGt
-		default: // MAX <
-			badOp = expr.OpGe
-		}
-		return []*SketchAtom{
-			{Kind: SketchElim, agg: agg, op: badOp, c: c, src: src},
-			{Kind: SketchAtLeast, agg: agg, all: true, src: src + " [witness guard]"},
-		}, nil
-	case (isMin && (op == expr.OpLe || op == expr.OpLt)) || (!isMin && (op == expr.OpGe || op == expr.OpGt)):
-		return []*SketchAtom{
-			{Kind: SketchAtLeast, agg: agg, op: op, c: c, src: src},
-		}, nil
-	}
-	return nil, fmt.Errorf("%s with %s has no exact linear form", agg.Fn, op)
+	lin := sels.compile(diff)
+	return append([]*SketchAtom{{Kind: SketchLinear, lin: lin, op: b.Op, src: src}}, lin.guards(src)...), nil
 }
 
 // Weigh compiles the atom into exact linear rows over the given
@@ -251,38 +315,8 @@ func lowerMinMax(agg *paql.Agg, op expr.BinOp, c float64, src string) ([]*Sketch
 // should re-weight them from subtree envelopes instead).
 func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 	switch at.Kind {
-	case SketchLinear:
+	case SketchLinear, SketchAvg:
 		return at.linearRows(cands, false)
-	case SketchAvg:
-		sw, err := aggWeights(cands, &paql.Agg{Fn: "SUM", Arg: at.agg.Arg, Filter: at.agg.Filter})
-		if err != nil {
-			return nil, err
-		}
-		// COUNT over the argument: a NULL argument contributes to neither
-		// the sum nor the count, so its weight must be 0 — COUNT(*)
-		// weights would let NULL tuples shift the rewritten average.
-		cw, err := aggWeights(cands, &paql.Agg{Fn: "COUNT", Arg: at.agg.Arg, Filter: at.agg.Filter})
-		if err != nil {
-			return nil, err
-		}
-		w := make([]float64, len(cands))
-		for i := range w {
-			w[i] = sw[i] - at.c*cw[i]
-		}
-		row := &LinearAtom{W: w, Source: at.src}
-		switch at.op {
-		case expr.OpLe:
-			row.Op, row.RHS = lp.LE, 0
-		case expr.OpLt:
-			row.Op, row.RHS = lp.LE, -eps(at.c)
-		case expr.OpGe:
-			row.Op, row.RHS = lp.GE, 0
-		case expr.OpGt:
-			row.Op, row.RHS = lp.GE, eps(at.c)
-		default:
-			return nil, fmt.Errorf("AVG with %s has no exact linear form", at.op)
-		}
-		return []*LinearAtom{row}, nil
 	case SketchElim, SketchAtLeast:
 		sel, err := at.Selector(cands)
 		if err != nil {
@@ -293,23 +327,28 @@ func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 	return nil, fmt.Errorf("unknown sketch atom kind %d", at.Kind)
 }
 
-// linearRows weighs a SketchLinear atom into Σ w·x ⋛ −konst (an equality
-// yields LE+GE over one weight vector). A strict comparison is tightened
-// by the shared epsilon — a sufficient condition, what the MILP and the
-// sketch branches need — unless closed, which relaxes it to its closed
-// form: the necessary condition ConjunctiveAtoms prunes with.
+// linearRows weighs a SketchLinear or SketchAvg atom into Σ w·x ⋛ −konst
+// (an equality yields LE+GE over one weight vector). A strict comparison
+// is tightened by the shared epsilon, scaled to the constant the source
+// atom names — a sufficient condition, what the MILP and the sketch
+// branches need — unless closed, which relaxes it to its closed form: the
+// necessary condition ConjunctiveAtoms prunes with.
 func (at *SketchAtom) linearRows(cands []schema.Row, closed bool) ([]*LinearAtom, error) {
-	w, err := weigh(at.form, cands)
+	w, err := at.lin.weigh(cands)
 	if err != nil {
 		return nil, err
 	}
-	rhs := -at.form.konst // Σ w·x + konst ⋛ 0  →  Σ w·x ⋛ −konst
+	rhs := -at.lin.konst // Σ w·x + konst ⋛ 0  →  Σ w·x ⋛ −konst
 	if !closed {
+		e := eps(rhs)
+		if at.Kind == SketchAvg {
+			e = eps(at.c)
+		}
 		switch at.op {
 		case expr.OpLt:
-			rhs -= eps(rhs)
+			rhs -= e
 		case expr.OpGt:
-			rhs += eps(rhs)
+			rhs += e
 		}
 	}
 	switch at.op {
@@ -332,7 +371,8 @@ func (at *SketchAtom) linearRows(cands []schema.Row, closed bool) ([]*LinearAtom
 // selects them (bad tuples for an elimination row, good tuples for an
 // at-least-one row). Partition levels use it to re-weight the atom over
 // nodes from subtree envelopes; Col names the bare unfiltered argument
-// column when the envelope fast path applies (-1 otherwise).
+// column when the envelope fast path applies (-1 otherwise). Present and
+// Vals are the selection's own: read-only.
 type Selector struct {
 	Kind    SketchAtomKind
 	Present []bool    // filter passes and the argument is non-NULL
@@ -345,34 +385,18 @@ type Selector struct {
 }
 
 // Selector computes the selector view of the atom over the candidates.
-// It errors on non-selector kinds.
+// It errors on non-selector kinds and on a threshold over a non-number.
 func (at *SketchAtom) Selector(cands []schema.Row) (*Selector, error) {
 	if !at.IsSelector() {
 		return nil, fmt.Errorf("atom %s is not a selector", at.src)
 	}
-	present, err := filterPresence(cands, at.agg)
+	vals, present, err := at.sel.pass(cands, !at.all)
 	if err != nil {
 		return nil, err
 	}
-	vals := make([]float64, len(cands))
-	if at.agg.Arg != nil {
-		for i, row := range cands {
-			if !present[i] {
-				continue
-			}
-			v, err := at.agg.Arg.Eval(row)
-			if err != nil {
-				return nil, err
-			}
-			f, _ := v.AsFloat()
-			vals[i] = f
-		}
-	}
 	col := -1
-	if at.agg.Filter == nil && at.agg.Arg != nil {
-		if c, ok := at.agg.Arg.(*expr.Col); ok {
-			col = c.Idx
-		}
+	if c, ok := at.sel.agg.Arg.(*expr.Col); ok && at.sel.agg.Filter == nil {
+		col = c.Idx
 	}
 	return &Selector{
 		Kind: at.Kind, Present: present, Vals: vals, Col: col,

@@ -9,36 +9,49 @@
 // x_i the multiplicity of tuple i (bounded by REPEAT+1). The lowering:
 //
 //   - an affine SUM/COUNT comparison keeps its form L − R ⋚ 0: one row
-//     (two for an equality);
-//   - AVG(x) ⋚ c becomes SUM(x·w) − c·COUNT_w ⋚ 0 plus a non-empty
-//     guard (AVG over an empty package is NULL, which fails the atom);
-//   - MIN(x) ≥ c eliminates tuples below c and requires one survivor;
-//     MIN(x) ≤ c requires at least one tuple at or below c (MAX is
-//     symmetric);
+//     (two for an equality), plus a non-empty guard Σ_present x ≥ 1 per
+//     SUM (SUM over an empty selection is NULL, which fails the atom); the
+//     objective's SUMs bring the same (a NULL objective is not an answer);
+//   - AVG(x) ⋚ c becomes SUM(x·w) − c·COUNT_w ⋚ 0 plus the same guard;
+//   - MIN(x) ≥ c eliminates tuples below c and requires one survivor (the
+//     guard again); MIN(x) ≤ c requires at least one tuple at or below c
+//     (MAX is symmetric);
 //   - strict comparisons are tightened by a small epsilon scaled to the
 //     constant (eps in encode.go).
 //
+// What each aggregate answers over nothing is the table in
+// internal/paql/semantics_test.go; tuples reach an aggregate only through
+// paql.Agg.Term. Guards are one per (argument, filter) selection and
+// conjunction, and where a conjunction's rows are assembled
+// (weighConjunction) a guard is dropped when another ≥ row of the
+// conjunction implies it for every x ≥ 0 — LP-safe by construction, so no
+// relaxation loosens and a query with COUNT(*) = k pays no row for them.
+//
 // Who consumes the rows, and how:
 //
-//   - Translate (the exact MILP) walks the NNF tree and adds each atom's
-//     rows weighed over the candidates; under a disjunction addRow links
-//     them by big-M to one 0/1 indicator per branch with implication rows
-//     (OR: y ≤ y_a + y_b), sound and complete because only the root must
-//     hold;
+//   - Translate (the exact MILP) weighs the unconditional comparisons and
+//     the objective's guards as one conjunction, then walks the NNF tree
+//     for the disjunctions: addRow links each disjunct's rows (guards
+//     kept) by big-M to one 0/1 indicator per branch with implication
+//     rows (OR: y ≤ y_a + y_b), sound and complete because only the root
+//     must hold;
 //   - ConjunctiveAtoms (search.Instance.Atoms) keeps the top-level affine
-//     conjuncts with strict comparisons closed instead of tightened:
-//     necessary conditions for pruning, pure only when nothing was
-//     relaxed or left out;
+//     conjuncts and their guards with strict comparisons closed instead
+//     of tightened: necessary conditions for pruning, pure only when
+//     nothing was relaxed or left out;
 //   - CompileSketch (SketchRefine, the certified bound) expands the tree
 //     to DNF branches of the same atoms, which internal/sketch weighs
-//     over real tuples for refine and the final check, over
-//     representative rows at each sketch level, and — for the MIN/MAX
+//     over real tuples (SketchBranch.Weigh) for refine and the final
+//     check, over representative rows at each sketch level, and — for the
 //     selector kinds — re-weights over partition nodes from envelopes.
 package translate
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/lp"
@@ -75,10 +88,8 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 	maxMult := q.MaxMultiplicity()
 	n := len(candidates)
 
-	// Count the indicator variables needed: one per atom plus one per
-	// internal AND/OR node under a disjunction. We discover them during
-	// encoding, so build the LP in two passes: first count, then emit.
-	// Simpler: over-allocate by counting formula nodes.
+	// Indicator variables (one per disjunct) are discovered during
+	// encoding: over-allocate by counting formula nodes.
 	extra := 0
 	if q.SuchThat != nil {
 		expr.Walk(q.SuchThat, func(expr.Expr) { extra++ })
@@ -100,11 +111,14 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 		}
 		m.MILP.SetInteger(i)
 	}
-	// Unused indicator slots are pinned to zero at the end.
-
 	// Objective: the tuple weights, widened over the indicator slots.
+	sels := selections{}
+	objective, objGuards, err := compileObjective(a, sels)
+	if err != nil {
+		return nil, err
+	}
 	if q.Objective != nil {
-		w, _, err := ObjectiveWeights(a, candidates)
+		w, err := objective.weigh(candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -119,11 +133,32 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 		}
 	}
 
-	// Constraints.
+	// Constraints: the comparisons that hold unconditionally and the
+	// objective's guards are one conjunction, weighed together; what sits
+	// under a disjunction follows, linked to indicators.
+	var root bnode = &bAnd{}
 	if q.SuchThat != nil {
-		if err := m.encodeFormula(nnf(q.SuchThat, false), -1); err != nil {
+		root = nnf(q.SuchThat, false)
+	}
+	var conj []*SketchAtom
+	for _, e := range topAtoms(root, new(bool)) {
+		lowered, err := lowerAtom(e, sels)
+		if err != nil {
+			return nil, fmt.Errorf("translate: atom %s: %w", e, err)
+		}
+		conj = conjoin(conj, lowered)
+	}
+	_, rows, err := weighConjunction(nil, conjoin(conj, objGuards), candidates, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range slices.Concat(rows...) {
+		if err := m.addRow(row.W, row.Op, row.RHS, -1); err != nil {
 			return nil, err
 		}
+	}
+	if err := m.encodeFormula(root, -1, sels); err != nil {
+		return nil, err
 	}
 	// Pin unused indicator slots.
 	for j := n + m.indicators; j < p.NumVars(); j++ {
@@ -308,61 +343,129 @@ func affineForm(e expr.Expr) (*affine, error) {
 	return nil, fmt.Errorf("translate: expression %s is not affine", e)
 }
 
-// weigh evaluates the aggregate part of an affine form per candidate:
-// w[i] = Σ coef·aggWeights(agg)[i], the coefficient of x_i in every row
-// and objective the form appears in.
-func weigh(f *affine, rows []schema.Row) ([]float64, error) {
+// selection is one (argument, filter) pair of a compiled query: the
+// tuples an aggregate ranges over, whatever its function. Every atom
+// lowered from the pair — a SUM row, its guard, both rows of a BETWEEN —
+// shares one, and the pass over the candidate set last weighed is kept:
+// they cost one fold over paql.Agg.Term between them, a guard's presence
+// being its aggregate's by-product. Candidate sets are told apart by
+// identity; nobody edits rows between weighings.
+type selection struct {
+	agg *paql.Agg // Fn is not read
+
+	mu      sync.Mutex
+	over    []schema.Row
+	num     []float64 // the term's number (0 when absent or non-numeric)
+	present []bool
+	nonNum  error // first non-numeric present value, reported to whoever needs numbers
+}
+
+// selections interns the selections of one compilation by rendered text.
+type selections map[string]*selection
+
+func (ss selections) of(a *paql.Agg) *selection {
+	key := a.String()[len(a.Fn):]
+	if ss[key] == nil {
+		ss[key] = &selection{agg: a}
+	}
+	return ss[key]
+}
+
+// pass folds Term over the candidates: per tuple, whether it is in the
+// selection and the number its argument contributes. numeric asks for the
+// numbers and so fails on an argument that is present and not a number.
+func (s *selection) pass(rows []schema.Row, numeric bool) (num []float64, present []bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(rows) == 0 || len(rows) != len(s.over) || &rows[0] != &s.over[0] {
+		num, present := make([]float64, len(rows)), make([]bool, len(rows))
+		s.over, s.nonNum = nil, nil
+		for i, row := range rows {
+			v, ok, err := s.agg.Term(row)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
+			}
+			present[i] = true
+			if f, isNum := v.AsFloat(); isNum {
+				num[i] = f
+			} else if s.nonNum == nil {
+				s.nonNum = fmt.Errorf("translate: non-numeric value %s under %s", v, s.agg)
+			}
+		}
+		s.over, s.num, s.present = rows, num, present
+	}
+	if numeric && s.nonNum != nil {
+		return nil, nil, s.nonNum
+	}
+	return s.num, s.present, nil
+}
+
+// linear is a compiled affine form Σ coef·agg + konst: its aggregates
+// resolved to selections, in the order of their rendered text so that
+// the floating-point sum of a weight does not depend on map iteration.
+type linear struct {
+	terms []term
+	konst float64
+}
+
+type term struct {
+	coef  float64
+	count bool // COUNT: the term weighs 1 per present tuple, SUM its number
+	sel   *selection
+}
+
+func (ss selections) compile(f *affine) *linear {
+	l := &linear{konst: f.konst}
+	for _, k := range slices.Sorted(maps.Keys(f.coeffs)) {
+		l.terms = append(l.terms, term{coef: f.coeffs[k], count: f.aggs[k].Fn == "COUNT", sel: ss.of(f.aggs[k])})
+	}
+	return l
+}
+
+// weigh evaluates the form's aggregate part per candidate: w[i] is the
+// coefficient of x_i in every row and objective the form appears in —
+// per term, SUM → the term's number, COUNT → 1, absent → 0.
+func (l *linear) weigh(rows []schema.Row) ([]float64, error) {
 	w := make([]float64, len(rows))
-	for key, coef := range f.coeffs {
-		if coef == 0 {
+	for _, t := range l.terms {
+		if t.coef == 0 {
 			continue
 		}
-		aw, err := aggWeights(rows, f.aggs[key])
+		if t.count && t.sel.agg.Star && t.sel.agg.Filter == nil { // COUNT(*): nothing to evaluate
+			for i := range w {
+				w[i] += t.coef
+			}
+			continue
+		}
+		num, present, err := t.sel.pass(rows, !t.count)
 		if err != nil {
 			return nil, err
 		}
-		for i, wi := range aw {
-			w[i] += coef * wi
+		for i := range w {
+			if t.count {
+				if present[i] {
+					w[i] += t.coef
+				}
+			} else {
+				w[i] += t.coef * num[i]
+			}
 		}
 	}
 	return w, nil
 }
 
-// aggWeights computes the per-candidate contribution of a SUM/COUNT
-// aggregate: 0 when the filter rejects the tuple or the argument is
-// NULL, otherwise 1 (COUNT) or the argument value (SUM).
-func aggWeights(rows []schema.Row, a *paql.Agg) ([]float64, error) {
-	w := make([]float64, len(rows))
-	for i, row := range rows {
-		if a.Filter != nil {
-			ok, err := expr.EvalBool(a.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+// guards returns one non-empty guard per SUM of the form: SUM over an
+// empty selection is NULL, which fails a comparison and disqualifies an
+// objective (a zero coefficient does not un-NULL it).
+func (l *linear) guards(src string) []*SketchAtom {
+	var out []*SketchAtom
+	for _, t := range l.terms {
+		if !t.count {
+			out = append(out, &SketchAtom{Kind: SketchAtLeast, sel: t.sel, all: true, src: src + " [non-empty guard]"})
 		}
-		if a.Star {
-			w[i] = 1
-			continue
-		}
-		v, err := a.Arg.Eval(row)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if a.Fn == "COUNT" {
-			w[i] = 1
-			continue
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return nil, fmt.Errorf("translate: non-numeric value %s under %s", v, a)
-		}
-		w[i] = f
 	}
-	return w, nil
+	return out
 }

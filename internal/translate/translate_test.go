@@ -3,6 +3,8 @@ package translate
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/milp"
@@ -39,7 +41,8 @@ func analyze(t *testing.T, src string) *paql.Analysis {
 }
 
 // bruteBest enumerates every multiplicity vector up to maxMult and
-// returns the best objective among satisfying packages.
+// returns the best objective among the answers: packages that satisfy
+// SUCH THAT and whose objective is not NULL.
 func bruteBest(t *testing.T, q *paql.Query, rows []schema.Row) (float64, bool) {
 	t.Helper()
 	maxMult := q.MaxMultiplicity()
@@ -68,10 +71,14 @@ func bruteBest(t *testing.T, q *paql.Query, rows []schema.Row) (float64, bool) {
 			}
 			obj := 0.0
 			if q.Objective != nil {
-				obj, err = paql.ObjectiveValue(q.Objective, pkg)
+				v, err := paql.EvalGlobal(q.Objective.Expr, pkg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if v.IsNull() {
+					return
+				}
+				obj, _ = v.AsFloat()
 			}
 			if !found || paql.Better(q.Objective, obj, best) {
 				best = obj
@@ -410,9 +417,12 @@ func TestFeasibilityOnlyQuery(t *testing.T) {
 
 // Property: random linear queries over random data agree with brute
 // force. %L/%H/%S are multiples of 100 like the calories they bound, so
-// strict comparisons and MIN/MAX thresholds land on attained values.
-// Every template keeps each SUM's selection non-empty: SUM over no tuple
-// is NULL to paql.Satisfies and 0 to a linear row.
+// strict comparisons and MIN/MAX thresholds land on attained values. The
+// last seven templates are the NULL cells: a SUM with no COUNT beside it
+// (the empty package passed the old linear rows), a SUM filtered to
+// nothing, objectives over a filtered selection, REPEAT under a filtered
+// guard, and disjunctions one branch of which is NULL on the empty
+// package (with an objective that is and one that is not).
 func TestPropTranslateMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	const head = `SELECT PACKAGE(R) AS P FROM Recipes R `
@@ -436,6 +446,13 @@ func TestPropTranslateMatchesBruteForce(t *testing.T) {
 		{src: head + `SUCH THAT (COUNT(*) = %K AND (SUM(P.calories) <= %A OR SUM(P.calories) >= %B)) OR COUNT(*) = 1 MAXIMIZE SUM(P.protein)`},
 		{src: head + `SUCH THAT COUNT(*) <= %K AND 2 * SUM(P.protein) - SUM(P.price) / 2 >= 20 AND -SUM(P.calories) >= -%B MINIMIZE SUM(P.price)`},
 		{src: head + `REPEAT 10 SUCH THAT COUNT(*) BETWEEN 1 AND 11 AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein)`, maxRows: 3},
+		{src: head + `SUCH THAT SUM(P.calories) <= %B MINIMIZE SUM(P.price)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND SUM(P.calories WHERE P.kind = 'none') <= %B MAXIMIZE SUM(P.protein)`},
+		{src: head + `SUCH THAT COUNT(*) <= %K MINIMIZE SUM(P.price WHERE P.kind = 'meal')`},
+		{src: head + `SUCH THAT COUNT(*) <= %K AND SUM(P.calories) <= %B MAXIMIZE SUM(P.protein WHERE P.kind = 'snack') - COUNT(*)`},
+		{src: head + `REPEAT 2 SUCH THAT COUNT(*) BETWEEN 1 AND 4 AND SUM(P.calories WHERE P.kind = 'snack') <= %B MINIMIZE SUM(P.price)`, maxRows: 3},
+		{src: head + `SUCH THAT (SUM(P.calories) <= %A OR COUNT(*) = 0) AND COUNT(*) <= %K MINIMIZE COUNT(*)`},
+		{src: head + `SUCH THAT (SUM(P.calories) <= %A OR COUNT(*) = 0) AND COUNT(*) <= %K MINIMIZE SUM(P.price)`},
 	}
 	for trial := 0; trial < 6*len(templates); trial++ {
 		tpl := templates[trial%len(templates)]
@@ -485,11 +502,21 @@ func TestPropTranslateMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTranslateRowsAreTheCompiledAtoms pins the one lowering: restricted
-// to the tuple variables (indicator linking undone), the constraint rows
-// of Translate's LP are, in order, the rows the compiled atoms of
-// CompileSketch weigh over the same candidates — the benchmark's T0–T4
-// shapes and one disjunction. A second encoder cannot come back unseen.
+// TestTranslateRowsAreTheCompiledAtoms pins the one lowering and the one
+// conjunction assembly: restricted to the tuple variables (indicator
+// linking undone), the constraint rows of Translate's LP are, in order,
+// the rows weighConjunction keeps of the unconditional atoms plus the
+// objective's guards, then every row of every atom under a disjunction
+// (guards kept: nothing outside an indicator stands in for them) — the
+// benchmark's T0–T4 shapes and one disjunction. A second encoder cannot
+// come back unseen.
+//
+// It also pins what the guards cost the benchmark's models: nothing.
+// COUNT(*) = k over NULL-free columns implies every guard, so T0, T3 and
+// T4 keep exactly the rows they had before SUM comparisons and the
+// objective brought guards (no guard row survives), T1 loses the AVG
+// guard it used to carry and T2 its MIN and MAX guards — lostGuards names
+// them.
 func TestTranslateRowsAreTheCompiledAtoms(t *testing.T) {
 	rows := testRows()
 	n := len(rows)
@@ -497,13 +524,18 @@ func TestTranslateRowsAreTheCompiledAtoms(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	cases := []struct{ name, suchThat string }{
-		{"T0", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700`},
-		{"T1", `COUNT(*) = 5 AND AVG(P.calories) <= 450`},
-		{"T2", `COUNT(*) = 5 AND MIN(P.protein) >= 5 AND MAX(P.calories) <= 700 AND SUM(P.calories) BETWEEN 1500 AND 2500`},
-		{"T3", `COUNT(*) BETWEEN 4 AND 8 AND SUM(P.price) <= 60.005 AND SUM(P.calories) <= 3200`},
-		{"T4", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700 AND SUM(P.price) BETWEEN 20 AND 200`},
-		{"disjunction", `COUNT(*) = 2 AND (AVG(P.calories) < 500 OR MAX(P.protein) <= 30 AND SUM(P.price) > 9)`},
+	cases := []struct {
+		name, suchThat string
+		rows           int      // constraint rows of the model
+		lostGuards     []string // AVG/MIN/MAX guards the conjunction drops
+	}{
+		{"T0", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700`, 4, nil},
+		{"T1", `COUNT(*) = 5 AND AVG(P.calories) <= 450`, 3, []string{"(AVG(R.calories) <= 450) [non-empty guard]"}},
+		{"T2", `COUNT(*) = 5 AND MIN(P.protein) >= 5 AND MAX(P.calories) <= 700 AND SUM(P.calories) BETWEEN 1500 AND 2500`, 6,
+			[]string{"(MIN(R.protein) >= 5) [non-empty guard]", "(MAX(R.calories) <= 700) [non-empty guard]"}},
+		{"T3", `COUNT(*) BETWEEN 4 AND 8 AND SUM(P.price) <= 60.005 AND SUM(P.calories) <= 3200`, 4, nil},
+		{"T4", `COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1200 AND 1700 AND SUM(P.price) BETWEEN 20 AND 200`, 6, nil},
+		{"disjunction", `COUNT(*) = 2 AND (AVG(P.calories) < 500 OR MAX(P.protein) <= 30 AND SUM(P.price) > 9)`, 8, nil},
 	}
 	for _, tc := range cases {
 		a := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT `+tc.suchThat+` MAXIMIZE SUM(P.protein)`)
@@ -532,18 +564,57 @@ func TestTranslateRowsAreTheCompiledAtoms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", tc.name, err)
 		}
-		// The MILP walks the formula once; the DNF repeats the conjuncts
-		// before the OR in every branch.
-		want := sketchRows(t, branches[0], rows)
+		// The DNF repeats the conjuncts before the OR in every branch and
+		// closes each branch with the objective's guards; the MILP walks
+		// the formula once: the shared conjuncts and the objective's
+		// guards as one conjunction, then each branch's own atoms whole.
+		shared := len(branches[0].Atoms)
 		for _, br := range branches[1:] {
-			shared := 0
-			for shared < len(br.Atoms) && br.Atoms[shared].Source() == branches[0].Atoms[shared].Source() {
-				shared++
+			k := 0
+			for k < shared && k < len(br.Atoms) && br.Atoms[k].Source() == branches[0].Atoms[k].Source() {
+				k++
 			}
-			want = append(want, sketchRows(t, SketchBranch{Atoms: br.Atoms[shared:]}, rows)...)
+			shared = k
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d MILP rows over tuples, %d compiled rows", tc.name, len(got), len(want))
+		_, objGuards, err := compileObjective(a, selections{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conj := conjoin(conjoin(nil, branches[0].Atoms[:shared]), objGuards)
+		kept, wantRows, err := weighConjunction(nil, conj, rows, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Concat(wantRows...)
+		if len(branches) > 1 {
+			for _, br := range branches {
+				for _, at := range br.Atoms[shared:] {
+					if strings.HasPrefix(at.Source(), "MAXIMIZE") {
+						continue // already in the unconditional conjunction
+					}
+					r, err := at.Weigh(rows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = append(want, r...)
+				}
+			}
+		} else {
+			var lost []string
+			for _, at := range conj {
+				if at.isGuard() && slices.Contains(kept, at) {
+					t.Errorf("%s: guard %s survives COUNT(*) = k; the model gained a row", tc.name, at.Source())
+				}
+				if at.isGuard() && !strings.HasPrefix(at.Source(), "(SUM") && !strings.HasPrefix(at.Source(), "MAXIMIZE") {
+					lost = append(lost, at.Source())
+				}
+			}
+			if !slices.Equal(lost, tc.lostGuards) {
+				t.Errorf("%s: lost guards %q, want %q", tc.name, lost, tc.lostGuards)
+			}
+		}
+		if len(got) != len(want) || len(got) != tc.rows {
+			t.Fatalf("%s: %d MILP rows over tuples, %d compiled rows, want %d", tc.name, len(got), len(want), tc.rows)
 		}
 		for k := range want {
 			if got[k].Op != want[k].Op || math.Abs(got[k].RHS-want[k].RHS) > 1e-9*(1+math.Abs(want[k].RHS)) {
