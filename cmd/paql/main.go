@@ -77,7 +77,6 @@ import (
 
 	pb "repro"
 	"repro/internal/dataset"
-	"repro/internal/sketch"
 )
 
 type multiFlag []string
@@ -133,13 +132,8 @@ func main() {
 	}
 
 	if cli.sketchDir != "" {
-		// Constructing the store sweeps orphaned temp files a crashed
-		// earlier run may have left behind, so they never block saves.
-		st := sketch.NewStore(cli.sketchDir)
-		if n, err := st.SweepResult(); err != nil {
-			fmt.Fprintf(os.Stderr, "paql: sketch-dir sweep: %v\n", err)
-		} else if n > 0 {
-			fmt.Fprintf(os.Stderr, "paql: swept %d orphaned temp file(s) from %s\n", n, cli.sketchDir)
+		if msg := sys.SweepSketchDir(cli.sketchDir); msg != "" {
+			fmt.Fprintf(os.Stderr, "paql: %s\n", msg)
 		}
 	}
 

@@ -26,41 +26,26 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bound"
-	"repro/internal/catalog"
-	"repro/internal/core"
+	pb "repro"
 	"repro/internal/dataset"
 	"repro/internal/explore"
 	"repro/internal/lifecycle"
-	"repro/internal/minidb"
-	"repro/internal/sketch"
-	"repro/internal/viz"
 )
 
 // maxBodyBytes bounds request bodies so a client cannot stream an
 // unbounded payload into the JSON decoder.
 const maxBodyBytes = 1 << 20
 
-// server holds the demo state. The database is read-only after startup
-// and safe for concurrent readers; mu guards only the mutable
-// exploration session (the booth-kiosk state), taken for reading by
-// handlers that render it and for writing by handlers that swap or
+// server holds the demo state: a client of one packagebuilder.System,
+// which owns the database (read-only after startup and safe for
+// concurrent readers), the partition-tree cache and fingerprint memo
+// every request shares, and the planner's catalog. mu guards only the
+// mutable exploration session (the booth-kiosk state), taken for reading
+// by handlers that render it and for writing by handlers that swap or
 // mutate it. Query evaluation itself runs outside the lock, so
 // concurrent /api/query requests proceed in parallel.
-//
-// cache is the engine-level SketchRefine partition-tree cache, shared
-// across all requests: repeated sketch evaluations over the unchanged
-// demo data skip the offline partitioning step (the cache is its own
-// lock domain and safe for concurrent use).
 type server struct {
-	db    *minidb.DB
-	cache *sketch.Cache
-	// memo is the engine-level candidate-fingerprint memo shared with
-	// cache: warm sketch evaluations over unchanged data hash zero
-	// candidate rows, and after writes the delta lineage it tracks lets
-	// the cached tree be patched in place (incremental maintenance,
-	// -sketch-incr).
-	memo *core.FingerprintMemo
+	sys *pb.System
 	// persistDir, when non-empty, backs the cache with an on-disk tree
 	// store (-sketch-dir): a server restart then skips the offline
 	// partitioning step. It is a server flag, never request data — a
@@ -70,9 +55,6 @@ type server struct {
 	// patch-vs-rebuild to the planner, false forces rebuilds. A
 	// request's sketchIncr field overrides it per query.
 	incremental bool
-	// cat is the table-statistics catalog the cost-based planner reads:
-	// row counts, attribute stats and write rates from the delta log.
-	cat *catalog.Catalog
 	// adm bounds concurrent solves: excess requests queue FIFO, then
 	// shed with 429 + Retry-After once the queue is full or the server
 	// is draining. Cheap handlers (pin, suggest, index) bypass it.
@@ -123,24 +105,22 @@ func requestID(r *http.Request) string {
 	return newRequestID()
 }
 
-// newServer builds a server over a loaded database with an empty
-// partition-tree cache and fingerprint memo, persisting trees under
-// persistDir when set. The admission controller starts with the flag
-// defaults; main overrides it from -max-inflight/-max-queue.
-func newServer(db *minidb.DB, persistDir string, incremental bool) *server {
-	return &server{db: db, cache: sketch.NewCache(0), memo: core.NewFingerprintMemo(),
-		persistDir: persistDir, incremental: incremental, cat: catalog.New(db),
+// newServer builds a server over a loaded system, persisting trees
+// under persistDir when set. The admission controller starts with the
+// flag defaults; main overrides it from -max-inflight/-max-queue.
+func newServer(sys *pb.System, persistDir string, incremental bool) *server {
+	return &server{sys: sys, persistDir: persistDir, incremental: incremental,
 		adm: lifecycle.NewController(4, 16), health: lifecycle.NewHealth()}
 }
 
-// options returns the server-wide evaluation options every solve starts
-// from: the shared tree tiers and catalog, the -sketch-incr default, and
-// the per-query lifecycle limits (the soft time budget, whose hard ctx
-// deadline trails it, and the memory-admission gate).
-func (s *server) options() core.Options {
-	return core.Options{Seed: 1, SketchCache: s.cache, SketchMemo: s.memo,
-		SketchPersistDir: s.persistDir, SketchIncremental: s.incremental,
-		Catalog: s.cat, Timeout: s.timeout, MemoryBudget: s.memBudget}
+// options returns the evaluation options every solve starts from — the
+// tree directory, the -sketch-incr default, and the per-query lifecycle
+// limits (the soft time budget, whose hard ctx deadline trails it, and
+// the memory-admission gate) — followed by the request's own.
+func (s *server) options(request ...pb.Option) []pb.Option {
+	return append([]pb.Option{pb.WithSeed(1), pb.WithSketchPersistDir(s.persistDir),
+		pb.WithSketchIncremental(s.incremental), pb.WithTimeout(s.timeout),
+		pb.WithMemoryBudget(s.memBudget)}, request...)
 }
 
 // withRequest is the outermost middleware: it mints the request ID,
@@ -164,7 +144,7 @@ func (s *server) withRequest(next http.Handler) http.Handler {
 // "subsystem: detail" degradation reason marks its subsystem not-OK,
 // and a fully clean solve clears the whole board (one healthy
 // end-to-end query exercises the main path).
-func (s *server) noteHealth(stats *core.Stats) {
+func (s *server) noteHealth(stats *pb.Stats) {
 	if stats == nil {
 		return
 	}
@@ -205,22 +185,17 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window on SIGTERM/SIGINT")
 	flag.Parse()
 
-	db := minidb.New()
-	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
+	sys := pb.New()
+	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
 		log.Fatal(err)
 	}
-	s := newServer(db, *sketchDir, *sketchIncr)
+	s := newServer(sys, *sketchDir, *sketchIncr)
 	s.adm = lifecycle.NewController(*maxInFlight, *maxQueue)
 	s.memBudget = *memBudget
 	s.timeout = *timeout
 	if *sketchDir != "" {
-		// Constructing the store sweeps orphaned temp files a previous
-		// crashed process may have left in the directory.
-		st := sketch.NewStore(*sketchDir)
-		if n, err := st.SweepResult(); err != nil {
-			log.Printf("pbserver: sketch-dir sweep: %v", err)
-		} else if n > 0 {
-			log.Printf("pbserver: swept %d orphaned temp file(s) from %s", n, *sketchDir)
+		if msg := sys.SweepSketchDir(*sketchDir); msg != "" {
+			log.Printf("pbserver: %s", msg)
 		}
 	}
 
@@ -288,8 +263,42 @@ type pkgJSON struct {
 	RowIDs    []int             `json:"rowIds"`
 	Aggs      map[string]string `json:"aggregates"`
 	Objective float64           `json:"objective"`
-	Stats     map[string]any    `json:"stats"`
+	Stats     *statsJSON        `json:"stats"`
 	Pinned    []int             `json:"pinned"`
+}
+
+// statsJSON is the "stats" object of a package response: the
+// evaluation's own figures, the lifetime traffic of the tiers sketch
+// queries share, the certificate when there is one, and — for a
+// sketch-refine answer — the solver's record itself, flattened in under
+// its own struct tags.
+type statsJSON struct {
+	Strategy        string  `json:"strategy"`
+	Exact           bool    `json:"exact"`
+	Candidates      int     `json:"candidates"`
+	Bounds          string  `json:"bounds"`
+	ElapsedMs       float64 `json:"elapsedMs"`
+	MemoryEstimate  int64   `json:"memoryEstimate,omitempty"`
+	PlannedStrategy string  `json:"plannedStrategy,omitempty"`
+	Degraded        bool    `json:"degraded"`
+	DegradedReason  string  `json:"degradedReason,omitempty"`
+	CacheHits       int64   `json:"sketchCacheHits"`
+	CacheMisses     int64   `json:"sketchCacheMisses"`
+	FPRowsHashed    int64   `json:"sketchFPRowsHashed"`
+	*certJSON
+	*pb.SketchStats
+}
+
+// certJSON is the certified interval. CertifiedText is the line every
+// surface prints (Stats.CertifiedLine); GapText the gap alone, rendered
+// by the same helper, for clients that lay the interval out themselves.
+type certJSON struct {
+	Certified     bool    `json:"certified"`
+	BoundValue    float64 `json:"boundValue"`
+	Gap           float64 `json:"gap"`
+	GapText       string  `json:"gapText"`
+	BoundStage    string  `json:"boundStage,omitempty"`
+	CertifiedText string  `json:"certifiedText"`
 }
 
 // pinnedRowIDs reports the session's pins as base-table row ids — what
@@ -302,9 +311,9 @@ func pinnedRowIDs(ses *explore.Session) []int {
 	return out
 }
 
-func (s *server) packageJSON(ses *explore.Session, p *core.Package, stats *core.Stats) *pkgJSON {
-	tab, _ := s.db.Table(ses.Query().Table)
-	out := &pkgJSON{Aggs: map[string]string{}, Stats: map[string]any{}}
+func (s *server) packageJSON(ses *explore.Session, p *pb.Package, stats *pb.Stats) *pkgJSON {
+	tab, _ := s.sys.DB().Table(ses.Query().Table)
+	out := &pkgJSON{Aggs: map[string]string{}}
 	for _, c := range tab.Schema.Cols {
 		out.Columns = append(out.Columns, c.Name)
 	}
@@ -321,56 +330,31 @@ func (s *server) packageJSON(ses *explore.Session, p *core.Package, stats *core.
 	}
 	out.Objective = p.Objective
 	out.Pinned = pinnedRowIDs(ses)
-	if stats != nil {
-		out.Stats["strategy"] = stats.Strategy.String()
-		out.Stats["exact"] = stats.Exact
-		out.Stats["candidates"] = stats.Candidates
-		out.Stats["bounds"] = stats.Bounds.String()
-		out.Stats["elapsedMs"] = float64(stats.Elapsed.Microseconds()) / 1000
-		if stats.Certified {
-			out.Stats["certified"] = true
-			out.Stats["boundValue"] = stats.BoundValue
-			out.Stats["gap"] = stats.Gap
-			// gapText is the server-rendered figure via the shared
-			// bound.Interval helper, so the UI shows the same rounding
-			// (and the |objective| < 1 clamp note) as the CLI surfaces.
-			iv := bound.Interval{Found: p.Objective, Bound: stats.BoundValue, Certified: true}
-			out.Stats["gapText"] = iv.FormatGap()
-			if stats.BoundStage != "" {
-				out.Stats["boundStage"] = stats.BoundStage
-			}
-			if stats.BoundTightenRounds > 0 {
-				out.Stats["boundTightenRounds"] = stats.BoundTightenRounds
-			}
-		}
-		if stats.MemoryEstimate > 0 {
-			out.Stats["memoryEstimate"] = stats.MemoryEstimate
-		}
-		if stats.Partitions > 0 {
-			out.Stats["sketchCoalesced"] = stats.SketchCoalesced
-			out.Stats["partitions"] = stats.Partitions
-			out.Stats["sketchLevels"] = stats.SketchLevels
-			out.Stats["sketchTopVars"] = stats.SketchTopVars
-			out.Stats["sketchBranches"] = stats.SketchBranches
-			out.Stats["sketchAtomRewrites"] = stats.SketchAtomRewrites
-			out.Stats["sketchCacheHit"] = stats.SketchCacheHit
-			out.Stats["sketchTreeLoaded"] = stats.SketchTreeLoaded
-			out.Stats["sketchTreePatched"] = stats.SketchTreePatched
-			out.Stats["sketchDeltaApplied"] = stats.SketchDeltaApplied
-			out.Stats["sketchWorkers"] = stats.SketchWorkers
-			cs := s.cache.Stats()
-			out.Stats["sketchCacheHits"] = cs.Hits
-			out.Stats["sketchCacheMisses"] = cs.Misses
-			ms := s.memo.Stats()
-			out.Stats["sketchFPRowsHashed"] = ms.RowsHashed
-		}
-		if stats.Plan != nil {
-			out.Stats["plannedStrategy"] = stats.Plan.Strategy
-		}
-		out.Stats["degraded"] = stats.Degraded
-		if stats.Degraded {
-			out.Stats["degradedReason"] = strings.Join(stats.DegradedReasons, "; ")
-		}
+	if stats == nil {
+		return out
+	}
+	cs, ms := s.sys.SketchCache().Stats(), s.sys.SketchMemo().Stats()
+	out.Stats = &statsJSON{
+		Strategy:       stats.Strategy.String(),
+		Exact:          stats.Exact,
+		Candidates:     stats.Candidates,
+		Bounds:         stats.Bounds.String(),
+		ElapsedMs:      float64(stats.Elapsed.Microseconds()) / 1000,
+		MemoryEstimate: stats.MemoryEstimate,
+		Degraded:       stats.Degraded,
+		DegradedReason: strings.Join(stats.DegradedReasons, "; "),
+		CacheHits:      cs.Hits,
+		CacheMisses:    cs.Misses,
+		FPRowsHashed:   ms.RowsHashed,
+		SketchStats:    stats.Sketch,
+	}
+	if stats.Certified {
+		out.Stats.certJSON = &certJSON{Certified: true, BoundValue: stats.BoundValue, Gap: stats.Gap,
+			GapText: stats.Interval(p.Objective).FormatGap(), BoundStage: stats.BoundStage,
+			CertifiedText: stats.CertifiedLine(p.Objective)}
+	}
+	if stats.Plan != nil {
+		out.Stats.PlannedStrategy = stats.Plan.Strategy
 	}
 	return out
 }
@@ -407,28 +391,24 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.httpErr(w, r, err)
 		return
 	}
-	opts := s.options()
-	opts.SketchDepth, opts.SketchParallelism = req.SketchDepth, req.SketchPar
+	opts := s.options(pb.WithSketchDepth(req.SketchDepth), pb.WithSketchParallelism(req.SketchPar))
 	if req.SketchIncr != nil {
-		opts.SketchIncremental = *req.SketchIncr
+		opts = append(opts, pb.WithSketchIncremental(*req.SketchIncr))
 	}
 	if req.Strategy != "" {
-		st, err := core.ParseStrategy(req.Strategy)
+		st, err := pb.ParseStrategy(req.Strategy)
 		if err != nil {
 			s.httpErr(w, r, err)
 			return
 		}
-		opts.Strategy = st
+		opts = append(opts, pb.WithStrategy(st))
 	}
 	if req.Explain {
-		prep, err := core.PrepareContext(r.Context(), s.db, req.Query)
+		qp, err := s.sys.ExplainContext(r.Context(), req.Query, opts...)
 		if err != nil {
 			s.httpErr(w, r, err)
 			return
 		}
-		prep.SketchCache = s.cache
-		prep.SketchMemo = s.memo
-		qp := prep.Plan(opts)
 		writeJSON(w, map[string]any{"plan": qp, "explain": qp.Explain()})
 		return
 	}
@@ -441,7 +421,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ses, err := explore.NewSessionContext(r.Context(), s.db, req.Query, opts)
+	ses, err := s.sys.ExploreContext(r.Context(), req.Query, opts...)
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
@@ -584,17 +564,15 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	prep := ses.Prepared()
 	s.mu.RUnlock()
-	// prep.RunContext is a pure read over the prepared query and the
-	// database; it needs no lock, so summaries render concurrently too.
-	opts := s.options()
-	opts.Limit = 9
-	res, err := prep.RunContext(r.Context(), opts)
+	// Running a prepared query is a pure read over it and the database;
+	// it needs no lock, so summaries render concurrently too.
+	res, err := s.sys.RunContext(r.Context(), prep, s.options(pb.WithLimit(9))...)
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
 	}
 	s.noteHealth(&res.Stats)
-	sum, err := viz.Summarize(prep, res.Packages, 0, !res.Stats.Exact)
+	sum, err := s.sys.Summarize(prep, res.Packages, 0, !res.Stats.Exact)
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
@@ -722,14 +700,7 @@ function render(p) {
     }
     stats = '\nstrategy: ' + p.stats.strategy + sk +
       '  candidates: ' + p.stats.candidates + '  ' + p.stats.elapsedMs + 'ms';
-    if (p.stats.certified) {
-      const lo = Math.min(p.objective, p.stats.boundValue);
-      const hi = Math.max(p.objective, p.stats.boundValue);
-      stats += '\ncertified: objective in [' + lo + ', ' + hi + ']  gap ' +
-        (p.stats.gapText || (100 * p.stats.gap).toFixed(2) + '%');
-      if (p.stats.boundStage) stats += '  via ' + p.stats.boundStage +
-        (p.stats.boundTightenRounds ? ' (' + p.stats.boundTightenRounds + ' tightening rounds)' : '');
-    }
+    if (p.stats.certified) stats += '\ncertified: ' + p.stats.certifiedText;
     if (p.stats.plannedStrategy) stats += '\nplanned: ' + p.stats.plannedStrategy;
     if (p.stats.degraded) stats += '\ndegraded: ' + p.stats.degradedReason;
   }

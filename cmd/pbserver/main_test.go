@@ -10,19 +10,19 @@ import (
 	"sync"
 	"testing"
 
+	pb "repro"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
-	"repro/internal/minidb"
 )
 
 func testServer(t *testing.T) *server {
 	t.Helper()
-	db := minidb.New()
-	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 80, Seed: 42}); err != nil {
+	sys := pb.New()
+	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: 80, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(db, "", true)
+	return newServer(sys, "", true)
 }
 
 const demoQuery = `SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'
@@ -635,11 +635,12 @@ func TestHealthyRunReportsNotDegraded(t *testing.T) {
 // write rebuilds its tree and the plan says so as forced; a request's
 // "sketchIncr": true hands patch-vs-rebuild back to the planner.
 func TestSketchIncrServerDefaultOffForcesRebuild(t *testing.T) {
-	db := minidb.New()
+	sys := pb.New()
+	db := sys.DB()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 400, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(db, "", false)
+	s := newServer(sys, "", false)
 	query := func(extra string) map[string]any {
 		t.Helper()
 		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
@@ -672,5 +673,48 @@ func TestSketchIncrServerDefaultOffForcesRebuild(t *testing.T) {
 	insert(90002)
 	if stats := query(`, "sketchIncr": true`); stats["sketchTreePatched"] != true {
 		t.Errorf(`"sketchIncr": true did not re-enable patching: patched=%v`, stats["sketchTreePatched"])
+	}
+}
+
+// TestStatsSketchIsTheSolversRecord: the "stats" object of a sketch
+// answer carries the solver's record itself — the very pointer
+// Stats.Sketch holds, marshalled by its own struct tags — so every tagged
+// field of sketch.Result is a wire key with the record's value, and the
+// certificate line is the one the CLI prints.
+func TestStatsSketchIsTheSolversRecord(t *testing.T) {
+	s := testServer(t)
+	rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"}`)
+	if rec.Code != 200 {
+		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
+	}
+	st := s.ses.Stats()
+	if st.Sketch == nil {
+		t.Fatal("a sketch-refine answer left no Stats.Sketch")
+	}
+	if js := s.packageJSON(s.ses, s.ses.Current(), st); js.Stats.SketchStats != st.Sketch {
+		t.Error("the handler marshals a copy of the sketch record, not the record")
+	}
+	var wire, record map[string]any
+	_ = json.Unmarshal(out["stats"], &wire)
+	flat, _ := json.Marshal(st.Sketch)
+	_ = json.Unmarshal(flat, &record)
+	for _, key := range []string{"partitions", "sketchLevels", "sketchTopVars", "sketchBranches", "sketchAtomRewrites", "sketchCacheHit",
+		"sketchTreeLoaded", "sketchTreePatched", "sketchDeltaApplied", "sketchCoalesced", "sketchWorkers"} {
+		if _, ok := record[key]; !ok {
+			t.Errorf("sketch.Result lost its %q tag", key)
+		}
+	}
+	for key, v := range record {
+		if wire[key] != v {
+			t.Errorf("stats.%s = %v, the record says %v", key, wire[key], v)
+		}
+	}
+	if want := st.CertifiedLine(s.ses.Current().Objective); want == "" || wire["certifiedText"] != want {
+		t.Errorf("stats.certifiedText = %v, want %q", wire["certifiedText"], want)
+	}
+	for _, key := range []string{"certified", "boundValue", "gap", "gapText", "boundStage", "sketchCacheHits", "sketchCacheMisses", "sketchFPRowsHashed", "memoryEstimate"} {
+		if _, ok := wire[key]; !ok {
+			t.Errorf("stats.%s is gone from the wire", key)
+		}
 	}
 }

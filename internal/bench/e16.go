@@ -124,7 +124,7 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 		o := base
 		o.BoundMode = mode
 		start := time.Now()
-		res, err := sketch.Solve(prep.Instance, o)
+		res, err := prep.Sketch.Solve(o)
 		elapsed := time.Since(start)
 		if err != nil {
 			return nil, 0, fmt.Errorf("e16: n=%d %s: %w", n, name, err)
@@ -209,7 +209,7 @@ func runE16Anytime(cfg Config, tw interface{ Write([]byte) (int, error) }, n int
 		o := base
 		o.GapTolerance = tol
 		start := time.Now()
-		res, err := sketch.Solve(prep.Instance, o)
+		res, err := prep.Sketch.Solve(o)
 		elapsed := time.Since(start)
 		if err != nil {
 			return false, fmt.Errorf("e16: n=%d anytime tol=%g: %w", n, tol, err)

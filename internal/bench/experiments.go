@@ -511,7 +511,7 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 		}
 		if len(res.Packages) == 0 {
 			fmt.Fprintf(tw, "%d\t%s\t%s\t(no package)\t%d\t-\t-\n",
-				n, v.name, ms(elapsed), res.Stats.SketchWorkers)
+				n, v.name, ms(elapsed), res.Stats.Sketch.Workers)
 			continue
 		}
 		if v.name == "serial" {
@@ -521,7 +521,7 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 			return fmt.Errorf("n=%d %s: package diverged from serial", n, v.name)
 		}
 		tree := "built"
-		if res.Stats.SketchTreeLoaded {
+		if res.Stats.Sketch.TreeLoaded {
 			tree = "loaded"
 		}
 		speedup := "-"
@@ -530,7 +530,7 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 		}
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%d\t%s\t%s\n",
 			n, v.name, ms(elapsed), res.Packages[0].Objective,
-			res.Stats.SketchWorkers, tree, speedup)
+			res.Stats.Sketch.Workers, tree, speedup)
 	}
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/bound"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/lifecycle"
@@ -205,37 +206,32 @@ func (p *Package) Size() int {
 
 // Stats describes how an evaluation went.
 type Stats struct {
-	Candidates         int          // tuples passing base constraints
-	Bounds             prune.Bounds // §4.1 cardinality bounds
-	SpacePruned        *big.Int     // Σ C(n,k) within bounds (nil unless computed)
-	SpaceFull          *big.Int     // 2^n (nil unless computed)
-	Linear             bool         // MILP-translatable
-	Strategy           Strategy     // strategy actually used
-	Exact              bool         // result is provably optimal/complete
-	Nodes              int64        // search nodes or MILP B&B nodes
-	LPIters            int          // simplex iterations (solver; sketch-refine's MILPs and bound relaxations — its Lagrangian rounds run no simplex)
-	SQLQueries         int          // replacement queries (local search)
-	Restarts           int          // local-search restarts
-	Partitions         int          // leaf partitions built (sketch-refine)
-	Repaired           int          // partitions greedily repaired (sketch-refine)
-	SketchLevels       int          // partition-tree levels used (sketch-refine; 1 = flat)
-	SketchTopVars      int          // variables in the top-level sketch MILP (sketch-refine)
-	SketchBranches     int          // DNF branches descended (sketch-refine; 1 = conjunctive)
-	SketchAtomRewrites int          // AVG/MIN/MAX atoms rewritten into sketchable rows (sketch-refine)
-	SketchCacheHit     bool         // partition tree served from the shared cache
-	SketchTreeLoaded   bool         // partition tree loaded from the on-disk store
-	SketchTreePatched  bool         // stale partition tree patched in place (incremental maintenance)
-	SketchDeltaApplied int          // tuples the tree patch inserted plus deleted
-	SketchCoalesced    bool         // tree acquisition joined another query's in-flight build
-	SketchWorkers      int          // workers the sketch-refine parallel phases used
-	MemoryEstimate     int64        // planner-predicted peak working set, bytes
-	BoundValue         float64      // certified dual bound on the objective (valid when Certified)
-	Gap                float64      // certified relative gap |objective − BoundValue| / max(1, |objective|)
-	Certified          bool         // BoundValue provably brackets the exact optimum (internal/bound)
-	BoundStage         string       // deepest bound-pipeline stage that produced BoundValue (raw-lp, tree-lp, tree-lp+tighten, descend-1, milp-dual)
-	BoundTightenRounds int          // Lagrangian tightening rounds the bound pipeline spent
-	Elapsed            time.Duration
-	Notes              []string // strategy decisions, fallbacks, caveats
+	Candidates  int          // tuples passing base constraints
+	Bounds      prune.Bounds // §4.1 cardinality bounds
+	SpacePruned *big.Int     // Σ C(n,k) within bounds (nil unless computed)
+	SpaceFull   *big.Int     // 2^n (nil unless computed)
+	Linear      bool         // MILP-translatable
+	Strategy    Strategy     // strategy actually used
+	Exact       bool         // result is provably optimal/complete
+	Nodes       int64        // search nodes or MILP B&B nodes
+	LPIters     int          // simplex iterations (solver; sketch-refine's MILPs and bound relaxations — its Lagrangian rounds run no simplex)
+	SQLQueries  int          // replacement queries (local search)
+	// Sketch is the SketchRefine solver's own record of the evaluation's
+	// first solve — tree shape and origin, branches, rewrites, workers,
+	// refine tallies, bound rounds — exactly as sketch.Solve returned it;
+	// nil under any other strategy.
+	Sketch *sketch.Result
+	// SketchTreePatched is Sketch.TreePatched, false without a Sketch:
+	// the one field of the record kept beside it, because the benchmark
+	// harness fills in a Stats of its own and sets it.
+	SketchTreePatched bool
+	MemoryEstimate    int64   // planner-predicted peak working set, bytes
+	BoundValue        float64 // certified dual bound on the objective (valid when Certified)
+	Gap               float64 // certified relative gap |objective − BoundValue| / max(1, |objective|)
+	Certified         bool    // BoundValue provably brackets the exact optimum (internal/bound)
+	BoundStage        string  // deepest bound-pipeline stage that produced BoundValue (raw-lp, tree-lp, tree-lp+tighten, descend-1, milp-dual)
+	Elapsed           time.Duration
+	Notes             []string // strategy decisions, fallbacks, caveats
 	// Degraded reports that at least one optional subsystem (cache,
 	// disk store, delta patch, bound pass, catalog, …) failed during
 	// this evaluation and the engine continued one rung down the
@@ -248,6 +244,29 @@ type Stats struct {
 	// evaluation (strategy, knobs, costs, reasons). Always set by Run;
 	// EXPLAIN surfaces render it.
 	Plan *plan.Plan
+}
+
+// Interval is the certified interval around a best objective of found.
+func (st *Stats) Interval(found float64) bound.Interval {
+	return bound.Interval{Found: found, Bound: st.BoundValue, Certified: st.Certified}
+}
+
+// CertifiedLine renders the certificate as every surface prints it —
+// "objective ∈ [lo, hi] (gap g) via stage, n tightening round(s)" — for
+// an answer whose best objective is found; "" when the evaluation
+// certified nothing.
+func (st *Stats) CertifiedLine(found float64) string {
+	if !st.Certified {
+		return ""
+	}
+	line := st.Interval(found).FormatInterval()
+	if st.BoundStage != "" {
+		line += " via " + st.BoundStage
+		if st.Sketch != nil && st.Sketch.BoundRounds > 0 {
+			line += fmt.Sprintf(", %d tightening round(s)", st.Sketch.BoundRounds)
+		}
+	}
+	return line
 }
 
 // Result is the evaluation outcome.
@@ -277,6 +296,10 @@ type Prepared struct {
 	// TableVersion is the table's write version at Prepare time; the
 	// fingerprint memo keys its candidate snapshot on it.
 	TableVersion uint64
+	// Sketch is the query compiled for SketchRefine, once: the planner's
+	// applicability probe and every sketch solve of every Run read it, so
+	// each DNF branch is weighed over the candidates at most once.
+	Sketch *sketch.Compiled
 }
 
 // Prepare parses, folds sub-queries, analyzes, and computes candidates.
@@ -334,7 +357,7 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 		return nil, err
 	}
 	return &Prepared{DB: db, Query: q, Analysis: analysis, Table: table, Instance: inst,
-		TableVersion: table.Version()}, nil
+		TableVersion: table.Version(), Sketch: sketch.Compile(inst)}, nil
 }
 
 // foldSubqueries evaluates scalar SQL sub-queries in SUCH THAT and the

@@ -104,7 +104,7 @@ func TestConcurrentInvalidationRacingDeltaPatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gen %d warm verify: %v", gen, err)
 		}
-		if !warm.Stats.SketchCacheHit {
+		if !warm.Stats.Sketch.CacheHit {
 			t.Fatalf("gen %d: no tree cached under the post-write fingerprint", gen)
 		}
 		match := false

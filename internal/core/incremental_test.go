@@ -63,7 +63,7 @@ func TestWarmEvaluationHashesNothing(t *testing.T) {
 		t.Fatalf("cold run hashed %d rows for %d candidates", afterCold.RowsHashed, cold.Stats.Candidates)
 	}
 	warm := run()
-	if !warm.Stats.SketchCacheHit {
+	if !warm.Stats.Sketch.CacheHit {
 		t.Fatal("warm run must hit the tree cache")
 	}
 	afterWarm := memo.Stats()
@@ -114,14 +114,14 @@ func TestIncrementalInsertPatchesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SketchCacheHit {
+	if res.Stats.Sketch.CacheHit {
 		t.Fatal("stale tree served after a write")
 	}
 	if !res.Stats.SketchTreePatched {
 		t.Fatalf("tree was rebuilt, not patched; notes: %v", res.Stats.Notes)
 	}
-	if res.Stats.SketchDeltaApplied != inserted {
-		t.Fatalf("DeltaApplied = %d, want %d", res.Stats.SketchDeltaApplied, inserted)
+	if res.Stats.Sketch.DeltaApplied != inserted {
+		t.Fatalf("DeltaApplied = %d, want %d", res.Stats.Sketch.DeltaApplied, inserted)
 	}
 	after := memo.Stats()
 	if hashed := after.RowsHashed - before.RowsHashed; hashed != int64(inserted) {
@@ -174,14 +174,14 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SketchCacheHit {
+	if res.Stats.Sketch.CacheHit {
 		t.Fatal("stale tree served after a delete")
 	}
 	if !res.Stats.SketchTreePatched {
 		t.Fatalf("tree was rebuilt, not patched; notes: %v", res.Stats.Notes)
 	}
-	if res.Stats.SketchDeltaApplied != removed {
-		t.Fatalf("DeltaApplied = %d, want %d", res.Stats.SketchDeltaApplied, removed)
+	if res.Stats.Sketch.DeltaApplied != removed {
+		t.Fatalf("DeltaApplied = %d, want %d", res.Stats.Sketch.DeltaApplied, removed)
 	}
 	after := memo.Stats()
 	if after.RowsHashed != before.RowsHashed {
@@ -199,7 +199,7 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Stats.SketchCacheHit {
+	if !warm.Stats.Sketch.CacheHit {
 		t.Fatal("patched tree not cached under the new fingerprint")
 	}
 	if memo.Stats().RowsHashed != after.RowsHashed {
@@ -243,7 +243,7 @@ func TestIncrementalDisabledRebuilds(t *testing.T) {
 	if res.Stats.SketchTreePatched {
 		t.Fatal("patching ran with SketchIncremental disabled")
 	}
-	if res.Stats.SketchCacheHit {
+	if res.Stats.Sketch.CacheHit {
 		t.Fatal("stale tree served")
 	}
 }

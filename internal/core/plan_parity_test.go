@@ -241,24 +241,32 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 	if !slices.Equal(got, want) {
 		fail("forced decisions %v, want %v", got, want)
 	}
+	sk := st.Sketch
 	if !sketched {
-		if st.Partitions != 0 || st.SketchLevels != 0 {
-			fail("sketch stats on a %s run: %d partitions, %d levels", qp.Strategy, st.Partitions, st.SketchLevels)
+		if sk != nil {
+			fail("sketch stats on a %s run: %d partitions, %d levels", qp.Strategy, sk.Partitions, sk.Levels)
 		}
 		return
 	}
-	if st.SketchLevels != qp.Depth {
-		fail("descended %d levels, planned depth %d", st.SketchLevels, qp.Depth)
+	if sk == nil {
+		fail("a sketch-refine run left no sketch record")
+		return
 	}
-	if st.SketchWorkers != qp.Parallelism {
-		fail("%d workers, planned %d", st.SketchWorkers, qp.Parallelism)
+	if sk.Levels != qp.Depth {
+		fail("descended %d levels, planned depth %d", sk.Levels, qp.Depth)
+	}
+	if sk.Workers != qp.Parallelism {
+		fail("%d workers, planned %d", sk.Workers, qp.Parallelism)
 	}
 	// Median splits leave every leaf between τ/2 and τ tuples.
-	if least := (st.Candidates + qp.Tau - 1) / qp.Tau; st.Partitions < least || st.Partitions > 2*least+1 {
-		fail("%d leaf partitions over %d candidates do not fit τ = %d", st.Partitions, st.Candidates, qp.Tau)
+	if least := (st.Candidates + qp.Tau - 1) / qp.Tau; sk.Partitions < least || sk.Partitions > 2*least+1 {
+		fail("%d leaf partitions over %d candidates do not fit τ = %d", sk.Partitions, st.Candidates, qp.Tau)
 	}
 	if !st.Certified || slices.Index(boundStageOrder, st.BoundStage) > slices.Index(boundStageOrder, qp.Bound) {
 		fail("certified=%v at stage %q, planned %q", st.Certified, st.BoundStage, qp.Bound)
+	}
+	if st.SketchTreePatched != sk.TreePatched {
+		fail("Stats.SketchTreePatched = %v beside a record that says %v", st.SketchTreePatched, sk.TreePatched)
 	}
 	if st.SketchTreePatched && !qp.Incremental {
 		fail("patched a tree under maintenance = %s", qp.Maintenance)
@@ -268,9 +276,9 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 	}
 	source := plan.SourceBuild
 	switch {
-	case st.SketchCacheHit:
+	case sk.CacheHit:
 		source = plan.SourceCache
-	case st.SketchTreeLoaded:
+	case sk.TreeLoaded:
 		source = plan.SourceDisk
 	case st.SketchTreePatched:
 		source = plan.SourcePatch

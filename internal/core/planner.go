@@ -25,7 +25,7 @@ func (p *Prepared) Plan(opts Options) *plan.Plan {
 
 // planInput snapshots everything the execution planner looks at.
 func (p *Prepared) planInput(opts Options) plan.Input {
-	branches, sketchErr := sketch.Applicable(p.Instance)
+	branches, sketchErr := p.Sketch.Applicable()
 	in := plan.Input{
 		N:       len(p.Instance.Rows),
 		MaxMult: p.Instance.MaxMult,

@@ -272,7 +272,6 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 	}
 	res.Stats.Nodes = sres.Examined
 	res.Stats.SQLQueries = sres.Queries
-	res.Stats.Restarts = sres.Restarts
 	res.Stats.Exact = false
 	res.Stats.Notes = append(res.Stats.Notes, "local search is heuristic: packages may be suboptimal and the set incomplete")
 	var mults [][]int
@@ -321,47 +320,24 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 			base.Patch = patch
 		}
 	}
-	sres, err := sketch.Solve(p.Instance, base)
+	sres, err := p.Sketch.Solve(base)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Partitions = sres.Partitions
-	res.Stats.Repaired = sres.Repaired
-	res.Stats.SketchLevels = sres.Levels
-	res.Stats.SketchTopVars = sres.TopVars
-	res.Stats.SketchBranches = sres.Branches
-	res.Stats.SketchAtomRewrites = sres.AtomRewrites
-	res.Stats.SketchCacheHit = sres.CacheHit
-	res.Stats.SketchTreeLoaded = sres.TreeLoaded
-	res.Stats.SketchTreePatched = sres.TreePatched
-	res.Stats.SketchDeltaApplied = sres.DeltaApplied
-	res.Stats.SketchCoalesced = sres.Coalesced
-	res.Stats.SketchWorkers = sres.Workers
-	res.Stats.Nodes += sres.Nodes
-	res.Stats.LPIters += sres.LPIters
-	res.Stats.Exact = false
-	res.Stats.BoundValue = sres.Bound
-	res.Stats.Gap = sres.Gap
-	res.Stats.Certified = sres.Certified
-	res.Stats.BoundStage = sres.BoundStage
-	res.Stats.BoundTightenRounds = sres.BoundRounds
-	res.Stats.Notes = append(res.Stats.Notes, sres.Notes...)
-	if len(sres.Degraded) > 0 {
-		res.Stats.DegradedReasons = append(res.Stats.DegradedReasons, sres.Degraded...)
-		res.Stats.Degraded = true
-	}
+	st := &res.Stats
+	st.Sketch, st.SketchTreePatched = sres, sres.TreePatched
+	st.Nodes += sres.Nodes
+	st.LPIters += sres.LPIters
+	st.Exact = false
+	st.BoundValue, st.Gap, st.Certified, st.BoundStage = sres.Bound, sres.Gap, sres.Certified, sres.BoundStage
+	st.Notes = append(st.Notes, sres.Notes...)
+	st.DegradedReasons = append(st.DegradedReasons, sres.Degraded...)
+	st.Degraded = st.Degraded || len(sres.Degraded) > 0
 	gapNote := "; objective gap unproven"
 	if sres.Certified {
-		iv := bound.Interval{Found: sres.Objective, Bound: sres.Bound, Certified: true}
-		gapNote = "; certified " + iv.FormatInterval()
-		if sres.BoundStage != "" {
-			gapNote += fmt.Sprintf(" via %s", sres.BoundStage)
-			if sres.BoundRounds > 0 {
-				gapNote += fmt.Sprintf(", %d tightening round(s)", sres.BoundRounds)
-			}
-		}
+		gapNote = "; certified " + st.CertifiedLine(sres.Objective)
 	}
-	res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf(
+	st.Notes = append(st.Notes, fmt.Sprintf(
 		"sketch-refine: %d leaf partitions (τ bound), %d levels, %d top-level vars%s%s, %d active, %d refined, %d repaired%s",
 		sres.Partitions, sres.Levels, sres.TopVars, cacheNote(sres.CacheHit, sres.TreeLoaded, sres.TreePatched),
 		branchNote(sres.Branches, sres.AtomRewrites), sres.Active, sres.Refined, sres.Repaired, gapNote))
@@ -405,7 +381,7 @@ func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start ti
 		// re-partitioning.
 		extra.Exclude = [][]int{first}
 		for len(mults) < fetch && !outOfTime() {
-			alt, err := sketch.Solve(p.Instance, extra)
+			alt, err := p.Sketch.Solve(extra)
 			if err != nil {
 				res.Stats.Notes = append(res.Stats.Notes,
 					fmt.Sprintf("sketch-refine: exclusion-cut solve failed: %v", err))
@@ -434,7 +410,7 @@ func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start ti
 		for attempt := int64(1); len(mults) < fetch && attempt <= 2*int64(fetch) && !outOfTime(); attempt++ {
 			extra.MaxPartitionSize = base.MaxPartitionSize + int(attempt)
 			extra.Seed = base.Seed + attempt
-			alt, err := sketch.Solve(p.Instance, extra)
+			alt, err := p.Sketch.Solve(extra)
 			if err != nil {
 				// Deterministic errors would repeat across attempts;
 				// stop instead of re-partitioning 2*fetch times.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +12,7 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/plan"
 	"repro/internal/search"
+	"repro/internal/sketch"
 )
 
 func TestStrategyString(t *testing.T) {
@@ -109,7 +114,7 @@ func TestSketchStrategyThroughEngine(t *testing.T) {
 	if res.Stats.Strategy != SketchRefineStrategy {
 		t.Fatalf("strategy = %v", res.Stats.Strategy)
 	}
-	if res.Stats.Partitions == 0 {
+	if res.Stats.Sketch.Partitions == 0 {
 		t.Error("stats should report the partition count")
 	}
 	if len(res.Packages) != 1 {
@@ -264,14 +269,14 @@ func TestSketchCoversAvgMinMaxNoFallback(t *testing.T) {
 		if res.Stats.Strategy != SketchRefineStrategy {
 			t.Fatalf("%s: fell back to %v", q.tail, res.Stats.Strategy)
 		}
-		if res.Stats.SketchLevels < 1 {
-			t.Errorf("%s: SketchLevels = %d, want >= 1 (the sketch really ran)", q.tail, res.Stats.SketchLevels)
+		if res.Stats.Sketch.Levels < 1 {
+			t.Errorf("%s: SketchLevels = %d, want >= 1 (the sketch really ran)", q.tail, res.Stats.Sketch.Levels)
 		}
-		if res.Stats.SketchBranches != q.wantBranches {
-			t.Errorf("%s: SketchBranches = %d, want %d", q.tail, res.Stats.SketchBranches, q.wantBranches)
+		if res.Stats.Sketch.Branches != q.wantBranches {
+			t.Errorf("%s: SketchBranches = %d, want %d", q.tail, res.Stats.Sketch.Branches, q.wantBranches)
 		}
-		if res.Stats.SketchAtomRewrites != q.wantRewrites {
-			t.Errorf("%s: SketchAtomRewrites = %d, want %d", q.tail, res.Stats.SketchAtomRewrites, q.wantRewrites)
+		if res.Stats.Sketch.AtomRewrites != q.wantRewrites {
+			t.Errorf("%s: SketchAtomRewrites = %d, want %d", q.tail, res.Stats.Sketch.AtomRewrites, q.wantRewrites)
 		}
 		if len(res.Packages) == 0 {
 			t.Fatalf("%s: no package", q.tail)
@@ -311,5 +316,49 @@ func TestSketchRequestedForUnsupportedFallsBack(t *testing.T) {
 	}
 	if len(res.Packages) == 0 {
 		t.Fatal("fallback returned no package")
+	}
+}
+
+// TestStatsSketchIsTheSolversRecord: Stats.Sketch is the record the
+// solver wrote, not a copy of some of it. The run's record equals, field
+// for field and unexported ones included, what the same compiled query
+// solved under the plan's knobs returns — so a field added to
+// sketch.Result reaches every surface without a line here — and the one
+// field kept beside it agrees with it.
+func TestStatsSketchIsTheSolversRecord(t *testing.T) {
+	prep, err := Prepare(lcDB(t, 6000), lcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(Options{Strategy: SketchRefineStrategy, Seed: 1, SketchNoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, qp := res.Stats, res.Stats.Plan
+	if st.Sketch == nil {
+		t.Fatal("a sketch-refine run left no Stats.Sketch")
+	}
+	want, err := prep.Sketch.Solve(sketch.Options{Ctx: context.Background(), MaxPartitionSize: qp.Tau,
+		Depth: qp.Depth, Parallelism: qp.Parallelism, BoundMode: qp.Bound, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := *st.Sketch
+	got.BoundTime, want.BoundTime = 0, 0
+	if !reflect.DeepEqual(&got, want) {
+		t.Errorf("Stats.Sketch = %+v\nthe solver returns %+v", got, *want)
+	}
+	if got.Partitions == 0 || got.Refined == 0 || !got.Certified || got.BoundRounds == 0 || got.Nodes == 0 {
+		t.Errorf("the record is missing what the solve did: %+v", got)
+	}
+	if st.SketchTreePatched != got.TreePatched || st.BoundValue != got.Bound || st.BoundStage != got.BoundStage || st.Nodes != got.Nodes {
+		t.Errorf("Stats disagrees with its own sketch record: %+v beside %+v", st, got)
+	}
+	if line := st.CertifiedLine(got.Objective); !strings.Contains(line, fmt.Sprintf("via %s, %d tightening round(s)", got.BoundStage, got.BoundRounds)) ||
+		!slices.ContainsFunc(st.Notes, func(n string) bool { return strings.HasSuffix(n, "; certified "+line) }) {
+		t.Errorf("the note does not end in the certificate line %q: %v", line, st.Notes)
+	}
+	if solver, err := prep.Run(Options{Strategy: Solver}); err != nil || solver.Stats.Sketch != nil {
+		t.Errorf("a solver run carries a sketch record (err %v)", err)
 	}
 }

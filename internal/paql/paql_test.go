@@ -120,21 +120,23 @@ func TestParseSubquery(t *testing.T) {
 	}
 }
 
+// badQueries are texts Parse must refuse; FuzzParse seeds from them too.
+var badQueries = []string{
+	``,
+	`SELECT * FROM Recipes`,
+	`SELECT PACKAGE(R) FROM Recipes S`, // alias mismatch
+	`SELECT PACKAGE(R) FROM Recipes`,   // missing alias
+	`SELECT PACKAGE(R) AS P FROM Recipes R REPEAT -1`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R LIMIT 0`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH COUNT(*) = 1`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(*) > 1`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 1 trailing`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(P.cal <= 3`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT (SELECT MAX(x) FROM t`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		``,
-		`SELECT * FROM Recipes`,
-		`SELECT PACKAGE(R) FROM Recipes S`, // alias mismatch
-		`SELECT PACKAGE(R) FROM Recipes`,   // missing alias
-		`SELECT PACKAGE(R) AS P FROM Recipes R REPEAT -1`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R LIMIT 0`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH COUNT(*) = 1`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(*) > 1`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 1 trailing`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(P.cal <= 3`,
-		`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT (SELECT MAX(x) FROM t`,
-	}
-	for _, src := range bad {
+	for _, src := range badQueries {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
@@ -202,42 +204,45 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
+// linearClauses and nonlinearClauses are SUCH THAT clauses on either side
+// of the MILP-translatable line; FuzzParse seeds from them too.
+var linearClauses = []string{
+	`SUCH THAT COUNT(*) = 3`,
+	`SUCH THAT SUM(P.calories) BETWEEN 100 AND 200`,
+	`SUCH THAT 2 * SUM(P.calories) - COUNT(*) <= 100`,
+	`SUCH THAT SUM(P.calories) / 2 <= 100`,
+	`SUCH THAT AVG(P.calories) <= 500`,
+	`SUCH THAT MIN(P.calories) >= 100 AND MAX(P.calories) <= 700`,
+	`SUCH THAT COUNT(*) = 3 OR SUM(P.calories) >= 1000`,
+	`SUCH THAT NOT (SUM(P.calories) > 2500)`,
+	`SUCH THAT AVG(P.calories) BETWEEN 100 AND 500`,
+	`SUCH THAT COUNT(* WHERE P.kind = 'car') >= 1`,
+	`SUCH THAT -SUM(P.calories) >= -2500 AND 100 <= MAX(P.calories)`,
+	`SUCH THAT SUM(P.calories) * (2 + 3) / (4 - 2) <= ABS(-100) + 1`,
+	`SUCH THAT 500 >= AVG(P.calories) AND TRUE`,
+}
+var nonlinearClauses = []string{
+	`SUCH THAT SUM(P.calories) * SUM(P.protein) <= 100`,
+	`SUCH THAT SUM(P.calories) / COUNT(*) <= 100 AND SUM(P.protein) / SUM(P.calories) > 1`,
+	`SUCH THAT AVG(P.calories) + SUM(P.protein) <= 100`,
+	`SUCH THAT MIN(P.calories) = 100`,
+	`SUCH THAT SUM(P.calories) <> 100`,
+	`SUCH THAT AVG(P.calories) = 500`,
+	`SUCH THAT ABS(SUM(P.calories)) <= 100`,
+	`SUCH THAT -AVG(P.calories) <= 100 OR SUM(P.calories) / SUM(P.protein) <= 2`,
+	`SUCH THAT SUM(P.calories) BETWEEN COUNT(*) AND 100`,
+	`SUCH THAT MIN(P.calories) * 2 BETWEEN 1 AND 100`,
+	`SUCH THAT SUM(P.calories)`,
+}
+
 func TestLinearityClassification(t *testing.T) {
-	linear := []string{
-		`SUCH THAT COUNT(*) = 3`,
-		`SUCH THAT SUM(P.calories) BETWEEN 100 AND 200`,
-		`SUCH THAT 2 * SUM(P.calories) - COUNT(*) <= 100`,
-		`SUCH THAT SUM(P.calories) / 2 <= 100`,
-		`SUCH THAT AVG(P.calories) <= 500`,
-		`SUCH THAT MIN(P.calories) >= 100 AND MAX(P.calories) <= 700`,
-		`SUCH THAT COUNT(*) = 3 OR SUM(P.calories) >= 1000`,
-		`SUCH THAT NOT (SUM(P.calories) > 2500)`,
-		`SUCH THAT AVG(P.calories) BETWEEN 100 AND 500`,
-		`SUCH THAT COUNT(* WHERE P.kind = 'car') >= 1`,
-		`SUCH THAT -SUM(P.calories) >= -2500 AND 100 <= MAX(P.calories)`,
-		`SUCH THAT SUM(P.calories) * (2 + 3) / (4 - 2) <= ABS(-100) + 1`,
-		`SUCH THAT 500 >= AVG(P.calories) AND TRUE`,
-	}
-	nonlinear := []string{
-		`SUCH THAT SUM(P.calories) * SUM(P.protein) <= 100`,
-		`SUCH THAT SUM(P.calories) / COUNT(*) <= 100 AND SUM(P.protein) / SUM(P.calories) > 1`,
-		`SUCH THAT AVG(P.calories) + SUM(P.protein) <= 100`,
-		`SUCH THAT MIN(P.calories) = 100`,
-		`SUCH THAT SUM(P.calories) <> 100`,
-		`SUCH THAT AVG(P.calories) = 500`,
-		`SUCH THAT ABS(SUM(P.calories)) <= 100`,
-		`SUCH THAT -AVG(P.calories) <= 100 OR SUM(P.calories) / SUM(P.protein) <= 2`,
-		`SUCH THAT SUM(P.calories) BETWEEN COUNT(*) AND 100`,
-		`SUCH THAT MIN(P.calories) * 2 BETWEEN 1 AND 100`,
-		`SUCH THAT SUM(P.calories)`,
-	}
-	for _, clause := range linear {
+	for _, clause := range linearClauses {
 		_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R `+clause)
 		if !a.Linear {
 			t.Errorf("%q should be linear: %v", clause, a.NonlinearReasons)
 		}
 	}
-	for _, clause := range nonlinear {
+	for _, clause := range nonlinearClauses {
 		_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R `+clause)
 		if a.Linear {
 			t.Errorf("%q should be non-linear", clause)

@@ -197,6 +197,37 @@ func TestAggregateSemantics(t *testing.T) {
 	}
 }
 
+// objectiveBounds is the table's consequence for the §4.1 cardinality
+// bounds: an affine objective over a SUM is NULL for the empty package
+// ("not an answer" above), so no answer is empty and the bounds say so,
+// whatever SUCH THAT alone allows. COUNT is never NULL, and an objective
+// that is not affine (AVG, MIN, MAX) is judged package by package.
+var objectiveBounds = []struct {
+	tail   string
+	lo, hi int
+}{
+	{"SUCH THAT COUNT(*) <= 2", 0, 2},
+	{"SUCH THAT COUNT(*) <= 2 MINIMIZE SUM(P.x)", 1, 2},
+	{"SUCH THAT COUNT(*) <= 2 MINIMIZE SUM(P.x WHERE P.k = 'none')", 1, 2},
+	{"SUCH THAT COUNT(*) <= 2 MINIMIZE COUNT(P.x) + 2 * SUM(P.x)", 1, 2},
+	{"SUCH THAT COUNT(*) <= 2 MINIMIZE COUNT(P.x)", 0, 2},
+	{"SUCH THAT COUNT(*) <= 2 MAXIMIZE AVG(P.x)", 0, 2},
+	{"SUCH THAT COUNT(*) = 0 MINIMIZE SUM(P.x)", 1, 0}, // contradictory: no package
+}
+
+func TestObjectiveGuardReachesTheBounds(t *testing.T) {
+	db := semDB(t, "t", semRows)
+	for _, c := range objectiveBounds {
+		prep, err := core.Prepare(db, "SELECT PACKAGE(T) AS P FROM t T "+c.tail)
+		if err != nil {
+			t.Fatalf("%s: %v", c.tail, err)
+		}
+		if b := prep.Instance.Bounds; b.Lo != c.lo || b.Hi != c.hi {
+			t.Errorf("%s: bounds %s, want [%d, %d]", c.tail, b, c.lo, c.hi)
+		}
+	}
+}
+
 func analyzeSem(query string) (*paql.Analysis, error) {
 	q, err := paql.Parse(query)
 	if err != nil {

@@ -455,6 +455,36 @@ func TestCostModelMonotone(t *testing.T) {
 	}
 }
 
+// TestSketchEstimateUndercutsSolverPastTheBudget is why costStrategy has
+// no "sketch estimate exceeds the exact MILP" arm: past SketchThreshold
+// the cold sketch estimate is under half the solver's at every leaf bound
+// and every branch count the sketch compiler admits (8,
+// translate.DefaultMaxSketchBranches) — 0.453 at n = 4,097, τ = 1, eight
+// branches, and falling with n — so the planner picks the sketch there.
+func TestSketchEstimateUndercutsSolverPastTheBudget(t *testing.T) {
+	const maxBranches = 8
+	worst := 0.0
+	for _, n := range []int{SketchThreshold + 1, 5000, 10_000, 100_000, 1_000_000, 10_000_000} {
+		for _, tau := range []int{1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
+			for branches := 1; branches <= maxBranches; branches++ {
+				ratio := SketchCost(n, tau, branches, false) / SolverCost(n)
+				worst = max(worst, ratio)
+				if ratio >= 0.5 {
+					t.Errorf("n=%d τ=%d branches=%d: cold sketch estimate is %.3f of the solver's, want < 0.5", n, tau, branches, ratio)
+				}
+				in := baseInput(n)
+				in.Forced.Tau, in.Mix.Branches = tau, branches
+				if p := New(in); p.Strategy != StrategySketch {
+					t.Errorf("n=%d τ=%d branches=%d: planned %s, want %s", n, tau, branches, p.Strategy, StrategySketch)
+				}
+			}
+		}
+	}
+	if worst < 0.45 || worst > 0.46 {
+		t.Errorf("worst ratio %.3f, want the 0.453 of n = %d, τ = 1, %d branches", worst, SketchThreshold+1, maxBranches)
+	}
+}
+
 // TestMemoryEstimate pins the admission-control memory model: every
 // plan carries a strategy-matched estimate, and the formulas scale with
 // the variables the real allocations depend on.

@@ -337,24 +337,22 @@ func costStrategy(in Input, tau int, cs CacheState) Decision {
 	}
 	warm := cs.InCache || cs.OnDisk || cs.Patchable
 	sketchC := SketchCost(n, tau, in.Mix.Branches, warm)
-	switch {
-	case solverC <= ExactBudget():
+	if solverC <= ExactBudget() {
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, SketchThreshold)
 		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
-	case sketchC < solverC:
-		d.Value, d.Cost = StrategySketch, sketchC
-		why := "cold tree priced in"
-		if warm {
-			why = "warm tree available"
-		}
-		d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, SketchThreshold, why)
-		d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
-	default:
-		d.Value, d.Cost = StrategySolver, solverC
-		d.Reason = fmt.Sprintf("linear query: sketch estimate exceeds the exact MILP (%d DNF branches)", in.Mix.Branches)
-		d.Alternatives = []Alternative{{Value: StrategySketch, Cost: sketchC}}
+		return d
 	}
+	// Past the budget the sketch is always the cheaper of the two: even
+	// cold, at τ = 1 and the full eight DNF branches, its estimate is under
+	// half the solver's (TestSketchEstimateUndercutsSolverPastTheBudget).
+	d.Value, d.Cost = StrategySketch, sketchC
+	why := "cold tree priced in"
+	if warm {
+		why = "warm tree available"
+	}
+	d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, SketchThreshold, why)
+	d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
 	return d
 }
 

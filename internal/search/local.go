@@ -59,7 +59,6 @@ func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
 		if opt.stop(deadline) {
 			break
 		}
-		res.Restarts++
 		var cur Pkg
 		if r == 0 {
 			cur = Greedy(inst, nil)

@@ -58,6 +58,10 @@ func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, err
 		return nil, err
 	}
 	inst.Bounds = prune.Derive(a.Query.SuchThat, &rowStats{inst: inst}, len(rows), inst.MaxMult)
+	if translate.ObjectiveNeedsTuple(a) {
+		// Derive reads SUCH THAT only; the objective's guard is a constraint too.
+		inst.Bounds = inst.Bounds.Intersect(prune.Bounds{Lo: 1, Hi: prune.Unbounded})
+	}
 	return inst, nil
 }
 
@@ -224,7 +228,6 @@ type Result struct {
 	Examined int64 // search nodes / candidates examined
 	Complete bool  // the search space was exhausted (result is exact)
 	Queries  int   // SQL queries issued (local search)
-	Restarts int   // restarts performed (local search)
 	Elapsed  time.Duration
 }
 

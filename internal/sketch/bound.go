@@ -1,13 +1,15 @@
 package sketch
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/bound"
+	"repro/internal/lifecycle"
 	"repro/internal/lp"
 	"repro/internal/plan"
-	"repro/internal/search"
-	"repro/internal/translate"
 )
 
 // maxBoundVars caps the segmented tree relaxation: SplitGroups spends
@@ -38,15 +40,13 @@ const maxBoundVars = 2 * plan.SketchThreshold
 // their −1 cut coefficients contribute nothing (see
 // TestExclusionCutTreeBoundSound).
 //
-// incumbent, when hasIncumbent, is the best feasible objective found
-// so far: the pipeline stops escalating stages once the gap against it
-// is within opts.GapTolerance (or runs every allowed stage when the
-// tolerance is 0).
-func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.LinearAtom, pins map[int]bool, trees *treeSource, opts Options, incumbent float64, hasIncumbent bool) (bound.PipelineResult, error) {
-	atoms := ba.tuple
-	if len(exAtoms) > 0 {
-		atoms = append(append([]*translate.LinearAtom{}, ba.tuple...), exAtoms...)
-	}
+// best, when non-nil, is the best feasible descent so far: the pipeline
+// stops escalating stages once the gap against its objective is within
+// Options.GapTolerance (or runs every allowed stage when the tolerance
+// is 0).
+func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResult, error) {
+	inst, opts, pins := s.inst, s.opts, s.pins
+	atoms := s.fullAtoms(ba)
 	n := len(inst.Rows)
 	sense := objSense(inst)
 	if n <= plan.SketchThreshold {
@@ -63,19 +63,15 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		out := bound.Solve(opts.Ctx, p, inst.ObjK)
 		return bound.PipelineResult{Outcome: out, Stage: bound.StageRawLP, Vars: n}, nil
 	}
-	tree, err := trees.get(opts.tau(), opts.depth())
+	tree, err := s.tree(opts.tau(), opts.depth())
 	if err != nil {
 		return bound.PipelineResult{}, err
 	}
-	leaves := tree.Leaves()
-	adm := ba.admissibleCounts(leaves)
-	groups := make([]bound.Group, len(leaves))
-	for g := range leaves {
-		groups[g] = bound.Group{
-			Tuples: leaves[g].Tuples,
-			Lo:     float64(pinCount(leaves[g].Tuples, pins)),
-			Hi:     nodeCap(inst, &leaves[g], adm, g),
-		}
+	leaves := &level{nodes: tree.Leaves(), adm: ba.admissibleCounts(tree.Leaves())}
+	groups := make([]bound.Group, len(leaves.nodes))
+	for g := range groups {
+		groups[g].Tuples = leaves.nodes[g].Tuples
+		groups[g].Lo, groups[g].Hi = s.nodeBound(leaves, g)
 	}
 	tupleLo := func(i int) float64 {
 		if pins[i] {
@@ -93,9 +89,7 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		return lp.Inf
 	}
 	stage, rounds, budget := boundStagePlan(opts)
-	// Segmented columns are stage-1 tightening, applied on every tree path.
-	groups = bound.SplitGroups(groups, inst.ObjW, sense, maxBoundVars, tupleLo, tupleHi)
-	return bound.RunPipeline(groups, bound.PipelineOptions{
+	po := bound.PipelineOptions{
 		Ctx:           opts.Ctx,
 		Atoms:         atoms,
 		ObjW:          inst.ObjW,
@@ -104,12 +98,59 @@ func branchBound(inst *search.Instance, ba *branchAtoms, exAtoms []*translate.Li
 		MaxStage:      stage,
 		TightenRounds: rounds,
 		DescendBudget: budget,
-		Incumbent:     incumbent,
-		HasIncumbent:  hasIncumbent,
+		Incumbent:     math.NaN(),
 		GapTarget:     opts.GapTolerance,
 		TupleLo:       tupleLo,
 		TupleHi:       tupleHi,
-	}), nil
+	}
+	if best != nil {
+		po.Incumbent, po.HasIncumbent = best.Objective, true
+	}
+	// Segmented columns are stage-1 tightening, applied on every tree path.
+	groups = bound.SplitGroups(groups, inst.ObjW, sense, maxBoundVars, tupleLo, tupleHi)
+	return bound.RunPipeline(groups, po), nil
+}
+
+// boundPass runs the certified-bound pass for one branch: the one place
+// the pass is timed, its result kept for recordBound, and its failure
+// classified. Cancellation propagates (the caller gave up, not the
+// subsystem); any other failure is the certification rung of the
+// degradation ladder — the pass is optional, so the answer goes
+// uncertified, no further branch is bounded, and the descent continues.
+func (s *solver) boundPass(ba *branchAtoms, best *descent) error {
+	start := time.Now()
+	pr, err := s.branchBound(ba, best)
+	s.res.BoundTime += time.Since(start)
+	switch {
+	case err == nil:
+		s.prs = append(s.prs, pr)
+		return nil
+	case errors.Is(err, lifecycle.ErrCanceled):
+		return err
+	}
+	if cerr := lifecycle.ContextErr(s.opts.Ctx); cerr != nil {
+		return cerr
+	}
+	s.res.degrade("bound", fmt.Sprintf("certification pass failed (%v); answer uncertified", err))
+	s.wantBound, s.prs = false, nil
+	return nil
+}
+
+// recordBound folds the pass's per-branch pipeline results into the
+// union bound — the union's optimum cannot beat the best branch
+// relaxation; it backs both the reported interval and the anytime early
+// exit — and into the record: the deepest stage seen, and the rounds
+// spent, cumulative across the parity retry like nodes and pivots.
+func (s *solver) recordBound() {
+	outs := make([]bound.Outcome, len(s.prs))
+	for i, pr := range s.prs {
+		outs[i] = pr.Outcome
+		s.res.BoundRounds += pr.Rounds
+		if bound.StageRank(pr.Stage) > bound.StageRank(s.res.BoundStage) {
+			s.res.BoundStage = pr.Stage
+		}
+	}
+	s.merged = bound.Best(objSense(s.inst), outs)
 }
 
 // boundStagePlan maps Options.BoundMode (the planner's bound decision)
@@ -125,23 +166,3 @@ func boundStagePlan(opts Options) (stage string, rounds, budget int) {
 		return bound.StageDescend, bound.DefaultTightenRounds, plan.DescendBudget
 	}
 }
-
-// mergeBranchBounds folds per-branch pipeline results into the solve's
-// bound stats: Best-merged outcome, deepest stage, summed rounds.
-func mergeBranchBounds(sense lp.Sense, prs []bound.PipelineResult) (bound.Outcome, string, int) {
-	outs := make([]bound.Outcome, len(prs))
-	stage := ""
-	rounds := 0
-	for i, pr := range prs {
-		outs[i] = pr.Outcome
-		rounds += pr.Rounds
-		if bound.StageRank(pr.Stage) > bound.StageRank(stage) {
-			stage = pr.Stage
-		}
-	}
-	return bound.Best(sense, outs), stage, rounds
-}
-
-// nanIncumbent is the "no incumbent yet" placeholder for branchBound
-// callers.
-var nanIncumbent = math.NaN()

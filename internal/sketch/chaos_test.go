@@ -151,7 +151,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	if err != nil {
 		return false
 	}
-	if _, err := sketch.Applicable(prep.Instance); err != nil {
+	if _, err := prep.Sketch.Applicable(); err != nil {
 		return false
 	}
 	tau := 4 + g.intn(8)

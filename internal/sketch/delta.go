@@ -111,16 +111,12 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	if !ok {
 		return nil, false
 	}
-	width := 0
-	if len(rows) > 0 {
-		width = len(rows[0])
-	}
 	// The structural backstop: a patch that silently broke coverage or
 	// an envelope must surface as a rebuild, never as a corrupt tree.
 	if err := out.validateStructure(); err != nil {
 		return nil, false
 	}
-	if err := out.validateAgainst(n, width); err != nil {
+	if err := out.validateAgainst(rows); err != nil {
 		return nil, false
 	}
 	return out, true
@@ -145,7 +141,7 @@ type patcher struct {
 	// parent's index at level Depth-2 (unused for flat trees).
 	newByParent map[int][]int
 	parentOf    []int // leaf index -> parent index at Depth-2 (nil when flat)
-	scales      []float64
+	near        *metric
 	// firstNew is the first inserted candidate index (== the survivor
 	// count): leaf tuple suffixes at or above it are this patch's
 	// inserts.
@@ -222,9 +218,7 @@ func (p *patcher) remapLeaves() {
 func (p *patcher) routeInserts(firstNew int) {
 	t := p.tree
 	p.firstNew = firstNew
-	if p.scales == nil {
-		p.scales = rowScales(p.rows, t.Attrs)
-	}
+	p.near = &metric{rows: p.rows, attrs: t.Attrs}
 	leafLevel := t.Depth - 1
 	// Fresh tuple slices for leaves that receive inserts: the copied
 	// node still shares its backing array with the source tree.
@@ -251,12 +245,7 @@ func (p *patcher) routeInserts(firstNew int) {
 func (p *patcher) nearest(nodes []Node, idxs []int, j int) int {
 	best, bestD := -1, math.Inf(1)
 	consider := func(ci int) {
-		d := 0.0
-		for ai, a := range p.tree.Attrs {
-			diff := (numAt(nodes[ci].Rep, a) - numAt(p.rows[j], a)) / p.scales[ai]
-			d += diff * diff
-		}
-		if d < bestD {
+		if d := p.near.dist(nodes[ci].Rep, p.rows[j]); d < bestD {
 			best, bestD = ci, d
 		}
 	}
@@ -357,7 +346,7 @@ func (p *patcher) resplit(cols *search.Columns, tuples []int, lo, hi int) []Node
 	if p.splitAttrs == nil {
 		p.splitAttrs = shuffledAttrs(t.Attrs, p.opts.Seed)
 	}
-	groups := medianSplit(cols, lo, hi, p.splitAttrs, t.Tau, 1, nil)
+	groups := (&splitter{tau: t.Tau}).medianSplit(cols, lo, hi, p.splitAttrs)
 	leaves := make([]Node, len(groups))
 	for gi, g := range groups {
 		leaf := Node{Tuples: make([]int, len(g)), Rep: representative(cols, g, &p.modes)}

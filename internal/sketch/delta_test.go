@@ -234,15 +234,13 @@ func TestApplyDeltaRejectsOversizedDelta(t *testing.T) {
 	}
 }
 
-// TestPatchedProvenanceTriggersRebuildRetry pins the safety net across
-// solves: a patched-born tree served from the CACHE (not patched in
-// this call) that yields no feasible package must still trigger the
-// rebuild-from-scratch retry — the Patched provenance flag travels
-// with the tree. The fixture tree lies: its representatives promise a
-// sum its real tuples cannot deliver, and it omits the only feasible
-// pair, so the descent refines into an invalid package; only a rebuild
-// finds {60, 40}.
-func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
+// lyingPrep is the six-row query whose only package is {60, 40}, and
+// lyingTree a τ = 2 tree over its candidates that lies: its
+// representatives promise a sum its real tuples cannot deliver, and it
+// omits the only feasible pair, so a descent over it refines into an
+// invalid package and only a rebuild finds the answer.
+func lyingPrep(t *testing.T) *core.Prepared {
+	t.Helper()
 	db := minidb.New()
 	for _, stmt := range []string{
 		"CREATE TABLE t (a INT)",
@@ -258,15 +256,29 @@ func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prep
+}
+
+func lyingTree(patched bool) *sketch.Tree {
+	rep := schema.Row{value.Float(50)}
+	return &sketch.Tree{Attrs: []int{0}, Tau: 2, Depth: 1, Patched: patched,
+		Levels: [][]sketch.Node{{
+			{Tuples: []int{2, 3}, Rep: rep, Lo: []float64{10}, Hi: []float64{11}, NonNull: []int{2}},
+			{Tuples: []int{4, 5}, Rep: rep, Lo: []float64{12}, Hi: []float64{13}, NonNull: []int{2}},
+		}}}
+}
+
+// TestPatchedProvenanceTriggersRebuildRetry pins the safety net across
+// solves: a patched-born tree served from the CACHE (not patched in
+// this call) that yields no feasible package must still trigger the
+// rebuild-from-scratch retry — the Patched provenance flag travels
+// with the tree. The fixture tree lies: its representatives promise a
+// sum its real tuples cannot deliver, and it omits the only feasible
+// pair, so the descent refines into an invalid package; only a rebuild
+// finds {60, 40}.
+func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
+	prep := lyingPrep(t)
 	opts := sketch.Options{MaxPartitionSize: 2, Seed: 1}
-	lyingTree := func(patched bool) *sketch.Tree {
-		rep := func(v float64) schema.Row { return schema.Row{value.Float(v)} }
-		return &sketch.Tree{Attrs: []int{0}, Tau: 2, Depth: 1, Patched: patched,
-			Levels: [][]sketch.Node{{
-				{Tuples: []int{2, 3}, Rep: rep(50), Lo: []float64{10}, Hi: []float64{11}, NonNull: []int{2}},
-				{Tuples: []int{4, 5}, Rep: rep(50), Lo: []float64{12}, Hi: []float64{13}, NonNull: []int{2}},
-			}}}
-	}
 
 	// Patched provenance: the cache-served tree fails, the engine must
 	// rebuild and find the package.

@@ -1,11 +1,14 @@
 package sketch
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"time"
 
 	"repro/internal/bound"
 	"repro/internal/search"
-	"repro/internal/translate"
 )
 
 // ParallelForTest exposes the scheduling helper to the external test
@@ -17,11 +20,11 @@ var ParallelForTest = parallelFor
 // plan.SketchThreshold — the tightness yardstick the bound tests compare the
 // tree pipeline against.
 func RawLPBoundForTest(inst *search.Instance) (bound.Outcome, error) {
-	branches, _, err := translate.CompileSketch(inst.Analysis, MaxBranches)
-	if err != nil {
-		return bound.Outcome{}, err
+	q := Compile(inst)
+	if q.err != nil {
+		return bound.Outcome{}, q.err
 	}
-	ba, err := newBranchAtoms(nil, inst, branches[0])
+	ba, err := q.branch(nil, 0)
 	if err != nil {
 		return bound.Outcome{}, err
 	}
@@ -51,4 +54,43 @@ func SetStoreRetryForTest(attempts int, base, cap time.Duration) (restore func()
 	oa, ob, oc := storeRetryAttempts, storeRetryBase, storeRetryCap
 	storeRetryAttempts, storeRetryBase, storeRetryCap = attempts, base, cap
 	return func() { storeRetryAttempts, storeRetryBase, storeRetryCap = oa, ob, oc }
+}
+
+// EncodePayloadForTest is the persisted form of t under k without its
+// trailing checksum: the bytes FuzzDecodeTree mutates.
+func EncodePayloadForTest(k Key, t *Tree) []byte {
+	var buf bytes.Buffer
+	enc := &treeEncoder{w: bufio.NewWriter(&buf)}
+	enc.encode(k, t)
+	if err := enc.flush(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// DecodePayloadForTest checksums a payload and decodes it under whatever
+// key its own header names, so a fuzzer's mutations get past the two
+// cheap rejections — checksum and key — and into the decoder proper. The
+// tree it returns has passed validateStructure; the second result says
+// whether it still does.
+func DecodePayloadForTest(payload []byte) (*Tree, error, error) {
+	var k Key
+	d := &treeDecoder{data: payload}
+	if _, err := d.bytes(len(persistMagic)); err == nil {
+		d.uvarint()
+		if fp, err := d.bytes(8); err == nil {
+			k.Fingerprint = binary.LittleEndian.Uint64(fp)
+		}
+		n, _ := d.count()
+		attrs, _ := d.bytes(n)
+		tau, _ := d.uvarint()
+		depth, _ := d.uvarint()
+		k.Attrs, k.Tau, k.Depth = string(attrs), int(tau), int(depth)
+		k.Seed, _ = d.varint()
+	}
+	t, err := decodeTree(binary.LittleEndian.AppendUint32(payload[:len(payload):len(payload)], crc32.ChecksumIEEE(payload)), k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return t, t.validateStructure(), nil
 }

@@ -112,7 +112,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 	if err != nil {
 		return false
 	}
-	if _, err := sketch.Applicable(prep.Instance); err != nil {
+	if _, err := prep.Sketch.Applicable(); err != nil {
 		return false
 	}
 	tau := 4 + g.intn(8)

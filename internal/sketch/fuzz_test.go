@@ -183,7 +183,7 @@ func diffOne(t *testing.T, g *qgen, st *diffStats) (*genCase, bool) {
 		return &gc, false // e.g. analyzer rejections; nothing to compare
 	}
 	inst := prep.Instance
-	if _, err := sketch.Applicable(inst); err != nil {
+	if _, err := sketch.Compile(inst).Applicable(); err != nil {
 		return &gc, false
 	}
 	var pins []int

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -26,7 +27,8 @@ func leafNodes(cols *search.Columns, n int, attrs []int, opts Options) []Node {
 	w := opts.workers()
 	var groups [][]int
 	if n > 0 && cols != nil {
-		groups = medianSplit(cols, 0, n, shuffledAttrs(attrs, opts.Seed), opts.tau(), w, opts.stopHook())
+		s := &splitter{tau: opts.tau(), lim: newLimiter(w), stop: opts.stopHook()}
+		groups = s.medianSplit(cols, 0, n, shuffledAttrs(attrs, opts.Seed))
 	}
 	if opts.stopped() {
 		groups = nil
@@ -52,7 +54,7 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 }
 
 // medianSplit splits positions lo … hi-1 of cols into groups of at
-// most tau elements by recursive median splits on attrs (the attribute
+// most s.tau elements by recursive median splits on attrs (the attribute
 // with the widest normalized spread within the group is split first). The returned groups are each sorted ascending and appear in
 // in-order traversal order. The partitioner uses it over the candidate
 // tuples; the tree builder reuses it over the representative rows of a
@@ -66,20 +68,20 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 // the one a full sort at every level would have produced. All levels
 // share one pair buffer, allocated here.
 //
-// With workers > 1 the two halves of a split recurse concurrently
-// (bounded by a semaphore, staying serial below plan.ParallelMinRows) —
+// With a limiter (s.lim) the two halves of a split recurse concurrently
+// (bounded by that semaphore, staying serial below plan.ParallelMinRows) —
 // the halves operate on disjoint subslices and their group lists are
 // concatenated in traversal order, so the result is identical at any
 // worker count.
 //
-// stop, when non-nil, is the cooperative-cancellation poll, consulted
+// s.stop, when non-nil, is the cooperative-cancellation poll, consulted
 // at least once per pollRows rows of any pass: once it returns true the
 // recursion unwinds immediately, returning each remaining group unsplit
 // (and unsorted) as a single oversized leaf. The output is then
 // structurally a partitioning but not THE partitioning — callers on the
 // cancellation path discard it.
-func medianSplit(cols *search.Columns, lo, hi int, attrs []int, tau, workers int, stop func() bool) [][]int {
-	s := &splitter{attrs: make([][]float64, len(attrs)), tau: tau, lim: newLimiter(workers), stop: stop}
+func (s *splitter) medianSplit(cols *search.Columns, lo, hi int, attrs []int) [][]int {
+	s.attrs = make([][]float64, len(attrs))
 	for ai, a := range attrs {
 		s.attrs[ai] = cols.Cols[a].Num
 	}
@@ -90,7 +92,8 @@ func medianSplit(cols *search.Columns, lo, hi int, attrs []int, tau, workers int
 	return s.split(g)
 }
 
-// splitter is the state one medianSplit recursion shares.
+// splitter is the state one medianSplit recursion shares; its caller
+// sets tau, lim and stop.
 type splitter struct {
 	attrs [][]float64 // the split attributes' columns, in tie-break order
 	tau   int
@@ -181,7 +184,7 @@ func (s *splitter) widest(g []keyed) (best []float64, ok bool) {
 				}
 			}
 		}
-		scale := 1 + abs(lo) + abs(hi)
+		scale := 1 + math.Abs(lo) + math.Abs(hi)
 		if spread := (hi - lo) / scale; spread > bestSpread {
 			bestSpread, best = spread, col
 		}
@@ -348,11 +351,4 @@ func (sc *modeScratch) mode(col *search.Column, g []int) value.V {
 		}
 	}
 	return best
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

@@ -685,7 +685,11 @@ func (t *Tree) validateStructure() error {
 // make a mismatch impossible; this is the backstop that turns a
 // fingerprint collision or a tampered store file into a rebuild
 // instead of an out-of-range panic inside a solve.
-func (t *Tree) validateAgainst(n, width int) error {
+func (t *Tree) validateAgainst(rows []schema.Row) error {
+	n, width := len(rows), 0
+	if n > 0 {
+		width = len(rows[0])
+	}
 	for _, a := range t.Attrs {
 		if a >= width {
 			return fmt.Errorf("attribute ordinal %d outside %d-column rows", a, width)

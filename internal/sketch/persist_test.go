@@ -231,7 +231,7 @@ func TestCorePersistTreeLoadedStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.SketchTreeLoaded {
+	if cold.Stats.Sketch.TreeLoaded {
 		t.Fatal("cold start must build, not load")
 	}
 	if len(cold.Packages) == 0 {
@@ -244,10 +244,10 @@ func TestCorePersistTreeLoadedStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Stats.SketchTreeLoaded {
+	if !warm.Stats.Sketch.TreeLoaded {
 		t.Fatalf("disk-warm cold start must load the tree: %v", warm.Stats.Notes)
 	}
-	if warm.Stats.SketchCacheHit {
+	if warm.Stats.Sketch.CacheHit {
 		t.Fatal("no in-memory cache was configured")
 	}
 	if !reflect.DeepEqual(cold.Packages[0].Mult, warm.Packages[0].Mult) {

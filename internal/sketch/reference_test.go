@@ -109,7 +109,7 @@ func refWidestAttr(rows []schema.Row, g []int, attrs []int) int {
 				hi = v
 			}
 		}
-		scale := 1 + abs(lo) + abs(hi)
+		scale := 1 + math.Abs(lo) + math.Abs(hi)
 		if spread := (hi - lo) / scale; spread > bestSpread {
 			bestSpread, best = spread, a
 		}

@@ -1,14 +1,12 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"repro/internal/lp"
 	"repro/internal/milp"
-	"repro/internal/search"
 	"repro/internal/translate"
 )
 
@@ -34,74 +32,53 @@ const maxSweeps = 3
 // coordinate-descent passes — each re-solve seeing every earlier
 // partition's real tuples — to absorb representative and
 // cross-partition error.
-func refine(inst *search.Instance, leaves []Node, attrs []int, atoms, repAtoms []*translate.LinearAtom, y []int, pins map[int]bool, opts Options, deadline time.Time, res *Result) {
-	n := len(inst.Rows)
-	mult := make([]int, n)
+//
+// The atoms enforced are the branch's tuple-level rows plus one
+// synthetic atom per exclusion cut; repAtoms is the same list weighed
+// over the leaves' representatives, y the leaves' sketch multiplicities.
+func (s *solver) refine(d *descent, tree *Tree, ba *branchAtoms, repAtoms []*translate.LinearAtom, y []int) {
+	inst, leaves := s.inst, tree.Leaves()
+	atoms := s.fullAtoms(ba)
+	mult := make([]int, len(inst.Rows))
+	sub := &residual{bound: s.tupleBound, atoms: atoms, objW: inst.ObjW, out: mult}
 
 	// grpSum[g][k]: partition g's current contribution to atom k —
 	// representative-based until g is refined, real afterwards.
-	grpSum := make([][]float64, len(leaves))
-	cur := make([]float64, len(atoms))
-	for g := range leaves {
-		grpSum[g] = make([]float64, len(atoms))
-		if y[g] == 0 {
-			continue
-		}
-		for k := range atoms {
-			grpSum[g][k] = repAtoms[k].W[g] * float64(y[g])
-			cur[k] += grpSum[g][k]
-		}
-	}
+	cur, grpSum := contributions(repAtoms, y)
+	active := activeGroups(y)
+	d.Active = len(active)
 
-	var active []int
-	for g, m := range y {
-		if m > 0 {
-			active = append(active, g)
-		}
-	}
-	sort.SliceStable(active, func(i, j int) bool {
-		if y[active[i]] != y[active[j]] {
-			return y[active[i]] > y[active[j]]
-		}
-		return active[i] < active[j]
-	})
-	res.Active = len(active)
-
-	// Scales feed only the greedy fallback's distance metric, and cost a
-	// full candidate scan — computed on first use.
-	var scales []float64
+	near := &metric{rows: inst.Rows, attrs: tree.Attrs}
+	// repair approximates the representative's contribution with the
+	// real tuples nearest it.
 	repair := func(g int) {
-		if scales == nil {
-			scales = attrScales(inst, attrs)
-		}
-		greedyRepair(inst, &leaves[g], attrs, y[g], mult, pins, scales)
+		sub.greedyFill(leaves[g].Tuples, y[g], func(i int) float64 { return near.dist(inst.Rows[i], leaves[g].Rep) })
 	}
 	// syncGroup swaps g's tracked contribution from representative to
 	// real tuples.
 	syncGroup := func(g int) {
 		for k := range atoms {
-			s := 0.0
+			sum := 0.0
 			for _, i := range leaves[g].Tuples {
 				if mult[i] != 0 {
-					s += atoms[k].W[i] * float64(mult[i])
+					sum += atoms[k].W[i] * float64(mult[i])
 				}
 			}
-			cur[k] += s - grpSum[g][k]
-			grpSum[g][k] = s
+			cur[k] += sum - grpSum[g][k]
+			grpSum[g][k] = sum
 		}
 	}
 
 	// Sweep 0: the concurrent wave. Partitions are disjoint, so each
 	// solve writes only its own mult entries; the repair fallback and
 	// the contribution bookkeeping run in the deterministic merge loop.
-	oks := solveWave(inst, active, func(g int) []int { return leaves[g].Tuples },
-		tupleBound(inst, pins), atoms, inst.ObjW, cur, grpSum, mult, opts, deadline, res)
+	oks := s.solveWave(sub, active, func(g int) []int { return leaves[g].Tuples }, cur, grpSum)
 	for ai, g := range active {
 		if oks[ai] {
-			res.Refined++
+			d.Refined++
 		} else {
 			repair(g)
-			res.Repaired++
+			d.Repaired++
 		}
 		syncGroup(g)
 	}
@@ -114,14 +91,12 @@ func refine(inst *search.Instance, leaves []Node, attrs []int, atoms, repAtoms [
 	// violates a constraint.
 	for sweep := 1; !valid && sweep < maxSweeps; sweep++ {
 		if sweep == 1 {
-			res.Notes = append(res.Notes, "refined package violates a constraint; running repair sweeps")
+			d.note("refined package violates a constraint; running repair sweeps")
 		}
 		for _, g := range active {
-			residual := make([]float64, len(atoms))
-			for k := range atoms {
-				residual[k] = atoms[k].RHS - (cur[k] - grpSum[g][k])
-			}
-			if !residualSolve(inst, leaves[g].Tuples, tupleBound(inst, pins), atoms, inst.ObjW, residual, mult, opts, deadline, res) {
+			ok, t := s.residualSolve(sub, leaves[g].Tuples, residualRHS(atoms, cur, grpSum[g]))
+			s.res.tally.merge(t)
+			if !ok {
 				repair(g)
 			}
 			syncGroup(g)
@@ -129,14 +104,14 @@ func refine(inst *search.Instance, leaves []Node, attrs []int, atoms, repAtoms [
 		valid = checkAtoms(atoms, cur)
 	}
 
-	res.Mult = mult
+	d.Mult = mult
 	if obj, err := inst.Objective(mult); err == nil {
-		res.Objective = obj
+		d.Objective = obj
 	}
-	for i := range pins {
+	for i := range s.pins {
 		if valid && mult[i] == 0 {
 			valid = false
-			res.Notes = append(res.Notes, "internal: a pinned tuple fell out of the refined package")
+			d.note("internal: a pinned tuple fell out of the refined package")
 		}
 	}
 	if valid {
@@ -146,54 +121,84 @@ func refine(inst *search.Instance, leaves []Node, attrs []int, atoms, repAtoms [
 		full, err := inst.Validate(mult)
 		valid = err == nil && full
 		if !valid {
-			res.Notes = append(res.Notes, "internal: atom check and full validation disagree")
+			d.note("internal: atom check and full validation disagree")
 		}
 	}
-	res.Feasible = valid
+	d.Feasible = valid
 	if !valid {
-		res.Notes = append(res.Notes,
-			fmt.Sprintf("refine could not reach a feasible package within %d sweeps", maxSweeps))
+		d.note("refine could not reach a feasible package within %d sweeps", maxSweeps)
 	}
 }
 
-// residualSolve runs one residual sub-MILP shared by the refine step
-// (members are partition tuples) and the hierarchical push-down
-// (members are a level's nodes): variables are the members'
-// multiplicities with caller-supplied bounds, constraints the atoms —
-// weighted per member — against residual right-hand sides, objective
-// the affine objective restricted to the members. Atoms the members
-// cannot influence (all-zero weights) are skipped: their violation, if
-// any, is another group's to repair. The solution lands in out, indexed
-// by member id. Returns false when the MILP is infeasible, hits its
-// limits without an incumbent, or the budget is spent.
-func residualSolve(inst *search.Instance, members []int, bound func(id int) (lo, up float64), atoms []*translate.LinearAtom, objW []float64, residual []float64, out []int, opts Options, deadline time.Time, res *Result) bool {
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return false
+// fullAtoms is the working atom set of a branch: its tuple-level rows
+// plus one synthetic atom per exclusion cut. Everything downstream — the
+// per-level sketch MILPs, the refine residuals, the final check, the
+// bound relaxation — enforces this extended set.
+func (s *solver) fullAtoms(ba *branchAtoms) []*translate.LinearAtom {
+	if len(s.exAtoms) == 0 {
+		return ba.tuple
 	}
-	if opts.stopped() {
+	return append(append([]*translate.LinearAtom{}, ba.tuple...), s.exAtoms...)
+}
+
+// residual is the sub-problem a wave solves once per group: variables
+// are a group's members with bound's limits, constraints the atoms
+// weighted per member, objective the affine objective restricted to the
+// members. Members index atoms' weights, objW and out alike — tuples for
+// the refine step, a level's nodes for the push-down.
+type residual struct {
+	bound func(id int) (lo, up float64)
+	atoms []*translate.LinearAtom
+	objW  []float64
+	out   []int
+}
+
+// residualRHS is the atoms' right-hand sides minus every group's current
+// contribution but own's.
+func residualRHS(atoms []*translate.LinearAtom, cur, own []float64) []float64 {
+	rhs := make([]float64, len(atoms))
+	for k := range atoms {
+		rhs[k] = atoms[k].RHS - (cur[k] - own[k])
+	}
+	return rhs
+}
+
+// residualSolve runs one residual sub-MILP over members against the
+// given right-hand sides. Atoms the members cannot influence (all-zero
+// weights) are skipped: their violation, if any, is another group's to
+// repair. The solution lands in sub.out, indexed by member id. Returns
+// false when the MILP is infeasible, hits its limits without an
+// incumbent, or the budget is spent — and the work it cost either way,
+// for the caller to merge in its own deterministic order.
+func (s *solver) residualSolve(sub *residual, members []int, rhs []float64) (bool, tally) {
+	var t tally
+	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		return false, t
+	}
+	if s.opts.stopped() {
 		// Canceled: report failure so the wave's merge loop falls back
 		// to the (cheap) greedy path and the caller's own checkpoint
 		// surfaces the cancellation.
-		return false
+		return false, t
 	}
 	m := len(members)
 	p := lp.NewProblem(m)
 	for j, id := range members {
-		lo, up := bound(id)
+		lo, up := sub.bound(id)
 		if err := p.SetBounds(j, lo, up); err != nil {
-			return false
+			return false, t
 		}
 	}
-	if inst.ObjW != nil && objW != nil {
+	if s.inst.ObjW != nil && sub.objW != nil {
 		obj := make([]float64, m)
 		for j, id := range members {
-			obj[j] = objW[id]
+			obj[j] = sub.objW[id]
 		}
-		if err := p.SetObjective(obj, objSense(inst)); err != nil {
-			return false
+		if err := p.SetObjective(obj, objSense(s.inst)); err != nil {
+			return false, t
 		}
 	}
-	for k, at := range atoms {
+	for k, at := range sub.atoms {
 		var coefs []lp.Coef
 		for j, id := range members {
 			if at.W[id] != 0 {
@@ -203,100 +208,76 @@ func residualSolve(inst *search.Instance, members []int, bound func(id int) (lo,
 		if len(coefs) == 0 {
 			continue
 		}
-		if _, err := p.AddConstraint(coefs, at.Op, residual[k]); err != nil {
-			return false
+		if _, err := p.AddConstraint(coefs, at.Op, rhs[k]); err != nil {
+			return false, t
 		}
 	}
 	mp := milp.NewProblem(p)
 	for j := 0; j < m; j++ {
 		mp.SetInteger(j)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(deadline, 4), Ctx: opts.Ctx})
-	res.Nodes += int64(sol.Nodes)
-	res.LPIters += sol.LPIters
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(s.deadline, 4), Ctx: s.opts.Ctx})
+	t.merge(tally{int64(sol.Nodes), sol.LPIters})
 	if sol.X == nil || (sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {
-		return false
+		return false, t
 	}
 	for j, id := range members {
-		out[id] = int(math.Round(sol.X[j]))
+		sub.out[id] = int(math.Round(sol.X[j]))
 	}
-	return true
+	return true, t
 }
 
 // solveWave runs one residual sub-MILP per group in order concurrently,
 // every residual taken against the same cur/grpSum snapshot (each
 // group's own contribution subtracted back out). Groups own disjoint
-// entries of out, so the solves are independent and their results are
-// deterministic regardless of scheduling; per-solve node/iteration
-// counters are accumulated into res in group order. Both waves — the
+// entries of sub.out, so the solves are independent and their results
+// are deterministic regardless of scheduling; per-solve node/iteration
+// counts are merged into the record in group order. Both waves — the
 // per-leaf refine and the hierarchical per-parent push-down — share it.
 // Returns one success flag per group; the caller applies fallbacks and
 // contribution updates in its own deterministic merge loop.
-func solveWave(inst *search.Instance, order []int, members func(g int) []int, bound func(int) (float64, float64), atoms []*translate.LinearAtom, objW []float64, cur []float64, grpSum [][]float64, out []int, opts Options, deadline time.Time, res *Result) []bool {
+func (s *solver) solveWave(sub *residual, order []int, members func(g int) []int, cur []float64, grpSum [][]float64) []bool {
 	oks := make([]bool, len(order))
-	subs := make([]Result, len(order))
-	residuals := make([][]float64, len(order))
+	work := make([]tally, len(order))
+	rhs := make([][]float64, len(order))
 	for ai, g := range order {
-		r := make([]float64, len(atoms))
-		for k := range atoms {
-			r[k] = atoms[k].RHS - (cur[k] - grpSum[g][k])
-		}
-		residuals[ai] = r
+		rhs[ai] = residualRHS(sub.atoms, cur, grpSum[g])
 	}
-	parallelFor(opts.workers(), len(order), func(ai int) {
-		g := order[ai]
-		oks[ai] = residualSolve(inst, members(g), bound, atoms, objW, residuals[ai], out, opts, deadline, &subs[ai])
+	parallelFor(s.opts.workers(), len(order), func(ai int) {
+		oks[ai], work[ai] = s.residualSolve(sub, members(order[ai]), rhs[ai])
 	})
-	for ai := range order {
-		res.Nodes += subs[ai].Nodes
-		res.LPIters += subs[ai].LPIters
+	for _, t := range work {
+		s.res.tally.merge(t)
 	}
 	return oks
 }
 
 // tupleBound is the refine step's bound function: pinned tuples floored
 // at 1, capped at the query's REPEAT bound.
-func tupleBound(inst *search.Instance, pins map[int]bool) func(int) (float64, float64) {
-	return func(i int) (float64, float64) {
-		lo := 0.0
-		if pins[i] {
-			lo = 1
-		}
-		up := lp.Inf
-		if inst.MaxMult > 0 {
-			up = float64(inst.MaxMult)
-		}
-		return lo, up
+func (s *solver) tupleBound(i int) (lo, up float64) {
+	if s.pins[i] {
+		lo = 1
 	}
+	if s.inst.MaxMult > 0 {
+		return lo, float64(s.inst.MaxMult)
+	}
+	return lo, lp.Inf
 }
 
-// greedyRepair approximates the representative's contribution with real
-// tuples when the sub-MILP fails: pinned tuples receive their unit
-// first, then the remaining units the sketch owes are assigned
-// round-robin to the partition's tuples nearest the representative in
-// normalized attribute space.
-func greedyRepair(inst *search.Instance, leaf *Node, attrs []int, units int, mult []int, pins map[int]bool, scales []float64) {
-	floor := func(i int) int {
-		if pins[i] {
-			return 1
-		}
-		return 0
-	}
-	capacity := func(int) int {
-		if inst.MaxMult > 0 {
-			return inst.MaxMult
+// greedyFill stands in for a residual sub-MILP that failed: every member
+// first takes its lower bound (a pinned tuple its unit, a node its pinned
+// count), then the remaining units the level above owes go round-robin
+// to the members nearest by dist, each up to its upper bound (to the
+// units themselves under an unbounded REPEAT).
+func (sub *residual) greedyFill(members []int, units int, dist func(id int) float64) {
+	floor := func(id int) int { lo, _ := sub.bound(id); return int(lo) }
+	capacity := func(id int) int {
+		if _, up := sub.bound(id); up < lp.Inf {
+			return int(up)
 		}
 		return max(units, 1)
 	}
-	dist := func(i int) float64 {
-		d := 0.0
-		for ai, a := range attrs {
-			diff := (numAt(inst.Rows[i], a) - numAt(leaf.Rep, a)) / scales[ai]
-			d += diff * diff
-		}
-		return d
-	}
-	allocate(leaf.Tuples, units, floor, capacity, dist, mult)
+	allocate(members, units, floor, capacity, dist, sub.out)
 }
 
 // allocate distributes units across members: every member first takes
@@ -339,12 +320,6 @@ func allocate(members []int, units int, floor, capacity func(id int) int, dist f
 			break // capacity exhausted
 		}
 	}
-}
-
-// attrScales normalizes each partition attribute by its spread across
-// all candidates (1 for constant columns).
-func attrScales(inst *search.Instance, attrs []int) []float64 {
-	return rowScales(inst.Rows, attrs)
 }
 
 // checkAtoms verifies every atom against the tracked sums.

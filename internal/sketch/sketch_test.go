@@ -19,7 +19,7 @@ const mealQuery = `
 	SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 	MAXIMIZE SUM(P.protein)`
 
-func recipesPrep(t *testing.T, n int) *core.Prepared {
+func recipesPrep(t testing.TB, n int) *core.Prepared {
 	t.Helper()
 	db := minidb.New()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
@@ -178,7 +178,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sketch.Applicable(prep.Instance); err != nil {
+		if _, err := prep.Sketch.Applicable(); err != nil {
 			t.Errorf("%s should be sketch-applicable, got: %v", clause, err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestApplicableCoversFullAtomGrammar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = sketch.Applicable(prep.Instance)
+		_, err = prep.Sketch.Applicable()
 		if err == nil {
 			t.Errorf("%s should not be sketch-applicable", tc.clause)
 			continue

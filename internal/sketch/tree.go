@@ -78,7 +78,7 @@ func (t *Tree) flatten() *Tree {
 // When Options.Ctx is canceled mid-build the function returns early
 // with whatever levels are complete so far (none, if the leaves were
 // not); such a tree is incomplete and every caller on the cancellation
-// path (acquireTree) discards it before it can reach a cache tier.
+// path (solver.buildFresh) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
 	cols := search.Lower(inst.Rows, nil, opts.stopHook())
 	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1}
@@ -126,7 +126,8 @@ func groupLevel(cols *search.Columns, children []Node, attrs []int, fanout int, 
 		return nil
 	}
 	workers := opts.workers()
-	groups := medianSplit(repCols, 0, len(children), shuffledAttrs(attrs, opts.Seed), fanout, workers, stop)
+	split := &splitter{tau: fanout, lim: newLimiter(workers), stop: stop}
+	groups := split.medianSplit(repCols, 0, len(children), shuffledAttrs(attrs, opts.Seed))
 	if opts.stopped() {
 		return nil
 	}

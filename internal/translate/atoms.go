@@ -122,6 +122,14 @@ func compileObjective(a *paql.Analysis, sels selections) (*linear, []*SketchAtom
 	return lin, lin.guards(o.Sense.String() + " " + o.Expr.String()), nil
 }
 
+// ObjectiveNeedsTuple reports whether the query's affine objective is
+// NULL over the empty package — it brings a non-empty guard — so that no
+// answer is empty, whatever SUCH THAT allows.
+func ObjectiveNeedsTuple(a *paql.Analysis) bool {
+	_, guards, err := compileObjective(a, selections{})
+	return err == nil && len(guards) > 0
+}
+
 // ObjectiveWeights linearizes the query objective over the candidates:
 // value(pkg) = Σ W[i]·mult[i] + Const. An error is returned for
 // non-affine objectives.

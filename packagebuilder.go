@@ -55,19 +55,17 @@
 // SketchRefine covers the full PaQL atom grammar, not just conjunctive
 // SUM/COUNT comparisons: AVG atoms are linearized as SUM − c·COUNT with
 // a non-empty guard, MIN/MAX atoms are enforced through per-node
-// min/max envelopes carried by the partition tree (exactly at the
-// leaves, as sound pruning at every sketch level), and disjunctions
+// min/max envelopes carried by the partition tree, and disjunctions
 // expand to DNF with one sketch descent per branch — the best feasible
-// branch wins. Stats report the branch and rewrite counts
-// (SketchBranches / SketchAtomRewrites).
+// branch wins. Stats.Sketch is the solver's own record of all of it.
 //
 // Answers with an objective come with a certificate: alongside the best
 // package found, the engine proves an LP-relaxation dual bound over the
 // search space (internal/bound), so Stats report a certified
-// objective ∈ [bound, found] interval and relative gap rather than an
-// unquantified "approximate" answer. WithGapTolerance(tol) turns the
-// certificate into an anytime mode — SketchRefine stops descending as
-// soon as the proven gap drops within tol.
+// objective ∈ [bound, found] interval (Stats.CertifiedLine renders it)
+// rather than an unquantified "approximate" answer.
+// WithGapTolerance(tol) turns the certificate into an anytime mode —
+// SketchRefine stops descending as soon as the proven gap is within tol.
 //
 // Every evaluation surface has a context-aware variant — QueryContext,
 // ExplainContext, ExploreContext, ExecSQLContext, and RunContext on a
@@ -98,7 +96,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bound"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/explore"
@@ -224,6 +221,13 @@ type Result = core.Result
 
 // Package is one evaluated package. Re-exported from core.
 type Package = core.Package
+
+// Stats describes how an evaluation went. Re-exported from core.
+type Stats = core.Stats
+
+// SketchStats is the SketchRefine solver's own record of a solve, which
+// Stats carries as Stats.Sketch. Re-exported from internal/sketch.
+type SketchStats = sketch.Result
 
 // Option tunes query evaluation.
 type Option func(*core.Options)
@@ -381,6 +385,27 @@ func (s *System) PrepareContext(ctx context.Context, paqlText string) (*core.Pre
 	return prep, nil
 }
 
+// RunContext evaluates an already prepared query under the system's
+// options — its shared tree cache, fingerprint memo and catalog — with
+// prep.RunContext's typed-error contract.
+func (s *System) RunContext(ctx context.Context, prep *core.Prepared, opts ...Option) (*Result, error) {
+	return prep.RunContext(ctx, s.buildOptions(opts))
+}
+
+// SweepSketchDir removes the temp files a crashed earlier process may
+// have left in a partition-tree directory (WithSketchPersistDir), so
+// they never block saves, and returns the line a front end should log
+// about it: "" when there was nothing to remove.
+func (s *System) SweepSketchDir(dir string) string {
+	switch n, err := sketch.NewStore(dir).SweepResult(); {
+	case err != nil:
+		return fmt.Sprintf("sketch-dir sweep: %v", err)
+	case n > 0:
+		return fmt.Sprintf("swept %d orphaned temp file(s) from %s", n, dir)
+	}
+	return ""
+}
+
 // Parse parses PaQL without evaluating it.
 func (s *System) Parse(paqlText string) (*paql.Query, error) {
 	return paql.Parse(paqlText)
@@ -462,19 +487,7 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 		fmt.Fprintf(w, "degraded: %s\n", strings.Join(st.DegradedReasons, "; "))
 	}
 	if st.Certified && len(res.Packages) > 0 && res.Query.Objective != nil {
-		// bound.Interval.FormatInterval is the one shared gap renderer
-		// (the CLI and the HTTP server reuse it), so every surface rounds
-		// — and handles the |objective| < 1 denominator clamp — the same
-		// way.
-		iv := bound.Interval{Found: res.Packages[0].Objective, Bound: st.BoundValue, Certified: true}
-		fmt.Fprintf(w, "certified: %s", iv.FormatInterval())
-		if st.BoundStage != "" {
-			fmt.Fprintf(w, " via %s", st.BoundStage)
-			if st.BoundTightenRounds > 0 {
-				fmt.Fprintf(w, ", %d tightening round(s)", st.BoundTightenRounds)
-			}
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "certified: %s\n", st.CertifiedLine(res.Packages[0].Objective))
 	}
 	if st.SpaceFull != nil && st.SpacePruned != nil {
 		fmt.Fprintf(w, "search space: %s of %s candidate packages after §4.1 pruning\n",

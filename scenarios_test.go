@@ -252,8 +252,8 @@ func TestScenarioAtomStrategyMatrix(t *testing.T) {
 						if res.Stats.Strategy != pb.SketchRefine {
 							t.Fatalf("sketch fell back to %v (notes: %v)", res.Stats.Strategy, res.Stats.Notes)
 						}
-						if res.Stats.SketchLevels < 1 {
-							t.Errorf("SketchLevels = %d, want >= 1", res.Stats.SketchLevels)
+						if res.Stats.Sketch.Levels < 1 {
+							t.Errorf("SketchLevels = %d, want >= 1", res.Stats.Sketch.Levels)
 						}
 					}
 					if mode.name == "require" && p.Mult[pin] < 1 {

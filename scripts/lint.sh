@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# The repository's lint, one script for CI's lint job and the dev
+# container: gofmt, go vet, staticcheck when it is installed and
+# otherwise the check PRs 19-20 ran by hand in its place — an unexported
+# function whose name appears nowhere but in its own declaration is dead
+# code — and the shape of the checked-in measurement records.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+out=$(gofmt -l .)
+if [ -n "$out" ]; then
+  echo "files need gofmt:" && echo "$out" && exit 1
+fi
+
+go vet ./...
+
+if command -v staticcheck > /dev/null; then
+  staticcheck ./...
+else
+  echo "staticcheck not installed: grepping for uncalled unexported functions instead"
+  # Every identifier in the tree with its number of occurrences, against
+  # the unexported functions and methods the non-test files declare. One
+  # occurrence is the declaration itself. main and init are called by
+  # the runtime.
+  dead=$(
+    grep -rhoE --include='*.go' '[A-Za-z_][A-Za-z0-9_]*' . | sort | uniq -c |
+      awk 'NR == FNR { seen[$2] = $1; next } seen[$1] < 2 && $1 != "main" && $1 != "init"' - <(
+        grep -rhoE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?[a-z][A-Za-z0-9_]*' . |
+          sed -E 's/^func (\([^)]*\) )?//' | sort -u
+      )
+  )
+  if [ -n "$dead" ]; then
+    echo "unexported functions nothing calls:" && echo "$dead" && exit 1
+  fi
+fi
+
+# ROADMAP house rule (i): a PR that claims a number commits its runs. A
+# record that does not parse, or lacks what a reader needs to check the
+# claim (who against whom, what was claimed, the medians, every run),
+# fails here rather than in review.
+if command -v jq > /dev/null; then
+  for f in BENCH_*.json; do
+    jq -e 'has("pr") and has("parent") and has("claim") and has("end_to_end") and has("runs")' "$f" > /dev/null ||
+      { echo "$f: not JSON, or missing one of pr, parent, claim, end_to_end, runs"; exit 1; }
+  done
+else
+  echo "jq not installed: BENCH_*.json records not checked"
+fi
+echo "lint ok"
