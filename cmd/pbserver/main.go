@@ -276,6 +276,8 @@ type statsJSON struct {
 	Strategy        string  `json:"strategy"`
 	Exact           bool    `json:"exact"`
 	Candidates      int     `json:"candidates"`
+	RowsScanned     int     `json:"rowsScanned"`
+	SnapshotHit     bool    `json:"snapshotHit"`
 	Bounds          string  `json:"bounds"`
 	ElapsedMs       float64 `json:"elapsedMs"`
 	MemoryEstimate  int64   `json:"memoryEstimate,omitempty"`
@@ -338,6 +340,8 @@ func (s *server) packageJSON(ses *explore.Session, p *pb.Package, stats *pb.Stat
 		Strategy:       stats.Strategy.String(),
 		Exact:          stats.Exact,
 		Candidates:     stats.Candidates,
+		RowsScanned:    stats.RowsScanned,
+		SnapshotHit:    stats.SnapshotHit,
 		Bounds:         stats.Bounds.String(),
 		ElapsedMs:      float64(stats.Elapsed.Microseconds()) / 1000,
 		MemoryEstimate: stats.MemoryEstimate,
@@ -699,7 +703,7 @@ function render(p) {
       sk += ')';
     }
     stats = '\nstrategy: ' + p.stats.strategy + sk +
-      '  candidates: ' + p.stats.candidates + '  ' + p.stats.elapsedMs + 'ms';
+      '  candidates: ' + p.stats.candidates + ' (' + p.stats.rowsScanned + ' rows scanned)  ' + p.stats.elapsedMs + 'ms';
     if (p.stats.certified) stats += '\ncertified: ' + p.stats.certifiedText;
     if (p.stats.plannedStrategy) stats += '\nplanned: ' + p.stats.plannedStrategy;
     if (p.stats.degraded) stats += '\ndegraded: ' + p.stats.degradedReason;

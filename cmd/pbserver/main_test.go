@@ -361,6 +361,32 @@ func TestPlannedStrategyStat(t *testing.T) {
 	}
 }
 
+// TestSnapshotStats: the response says how the candidates were found —
+// scanned for on the first POST of a query, served by the table's
+// candidate snapshot on a repeat.
+func TestSnapshotStats(t *testing.T) {
+	s := testServer(t)
+	for i, want := range []struct {
+		hit     bool
+		scanned bool
+	}{{false, true}, {true, false}} {
+		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`}`)
+		if rec.Code != 200 {
+			t.Fatalf("query status %d: %s", rec.Code, rec.Body)
+		}
+		var stats struct {
+			RowsScanned *int  `json:"rowsScanned"`
+			SnapshotHit *bool `json:"snapshotHit"`
+		}
+		if err := json.Unmarshal(out["stats"], &stats); err != nil || stats.RowsScanned == nil || stats.SnapshotHit == nil {
+			t.Fatalf("POST %d: stats lack rowsScanned/snapshotHit: %s", i+1, out["stats"])
+		}
+		if *stats.SnapshotHit != want.hit || (*stats.RowsScanned > 0) != want.scanned {
+			t.Errorf("POST %d: snapshotHit=%v rowsScanned=%d", i+1, *stats.SnapshotHit, *stats.RowsScanned)
+		}
+	}
+}
+
 // TestAdmissionShedding saturates a 1-slot/0-queue controller and
 // checks the shed response: 429, a Retry-After hint, and the machine
 // code "admission".

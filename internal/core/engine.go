@@ -27,7 +27,6 @@ import (
 	"repro/internal/bound"
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/lifecycle"
 	"repro/internal/minidb"
 	"repro/internal/paql"
 	"repro/internal/plan"
@@ -207,6 +206,8 @@ func (p *Package) Size() int {
 // Stats describes how an evaluation went.
 type Stats struct {
 	Candidates  int          // tuples passing base constraints
+	RowsScanned int          // table rows the base constraints were evaluated on to find them
+	SnapshotHit bool         // the table's candidate snapshot served them: nothing scanned, earlier queries' selection passes shared
 	Bounds      prune.Bounds // §4.1 cardinality bounds
 	SpacePruned *big.Int     // Σ C(n,k) within bounds (nil unless computed)
 	SpaceFull   *big.Int     // 2^n (nil unless computed)
@@ -294,12 +295,19 @@ type Prepared struct {
 	// shared memo, so repeated prep.Run calls skip candidate rehashing).
 	SketchMemo *FingerprintMemo
 	// TableVersion is the table's write version at Prepare time; the
-	// fingerprint memo keys its candidate snapshot on it.
+	// candidate snapshot and the fingerprint memo key on it.
 	TableVersion uint64
 	// Sketch is the query compiled for SketchRefine, once: the planner's
 	// applicability probe and every sketch solve of every Run read it, so
 	// each DNF branch is weighed over the candidates at most once.
 	Sketch *sketch.Compiled
+	// RowsScanned is how many table rows the base constraints were
+	// evaluated on to find the candidates, and SnapshotHit whether the
+	// table's candidate snapshot of (table, WHERE) served them instead —
+	// then no row was scanned, and the selection passes earlier queries
+	// folded over the same candidates are this query's too.
+	RowsScanned int
+	SnapshotHit bool
 }
 
 // Prepare parses, folds sub-queries, analyzes, and computes candidates.
@@ -307,9 +315,10 @@ func Prepare(db *minidb.DB, queryText string) (*Prepared, error) {
 	return PrepareContext(context.Background(), db, queryText)
 }
 
-// PrepareContext is Prepare under a context: the candidate scan — the
-// only phase linear in the table — checks for cancellation periodically
-// and returns lifecycle.ErrCanceled instead of finishing the scan.
+// PrepareContext is Prepare under a context: the phases linear in the
+// table — the candidate scan and the selection passes — check for
+// cancellation periodically and return lifecycle.ErrCanceled instead of
+// finishing.
 func PrepareContext(ctx context.Context, db *minidb.DB, queryText string) (*Prepared, error) {
 	q, err := paql.Parse(queryText)
 	if err != nil {
@@ -331,33 +340,19 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	// Candidate tuples: those satisfying the base constraints (WHERE).
-	var rows []schema.Row
-	var ids []int
-	for rid, row := range table.Rows {
-		if rid&8191 == 0 {
-			if err := lifecycle.ContextErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if q.Where != nil {
-			ok, err := expr.EvalBool(q.Where, row)
-			if err != nil {
-				return nil, fmt.Errorf("engine: base constraint: %w", err)
-			}
-			if !ok {
-				continue
-			}
-		}
-		rows = append(rows, row)
-		ids = append(ids, rid)
+	// Candidate tuples: those satisfying the base constraints (WHERE) —
+	// evaluated once per table version, by whichever query came first.
+	cands, err := candidatesOf(ctx, table, q)
+	if err != nil {
+		return nil, err
 	}
-	inst, err := search.NewInstance(analysis, rows, ids)
+	inst, err := search.NewInstance(ctx, analysis, cands.passes, cands.ids)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{DB: db, Query: q, Analysis: analysis, Table: table, Instance: inst,
-		TableVersion: table.Version(), Sketch: sketch.Compile(inst)}, nil
+		TableVersion: table.Version(), Sketch: sketch.Compile(inst),
+		RowsScanned: cands.scanned, SnapshotHit: cands.hit}, nil
 }
 
 // foldSubqueries evaluates scalar SQL sub-queries in SUCH THAT and the

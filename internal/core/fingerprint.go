@@ -1,73 +1,42 @@
 package core
 
 import (
-	"fmt"
-	"sync"
+	"sync/atomic"
 
-	"repro/internal/minidb"
-	"repro/internal/paql"
 	"repro/internal/sketch"
 )
 
 // FingerprintMemo makes the SketchRefine candidate fingerprint
 // incremental. The sketch cache keys on a hash of every candidate
 // cell, so a naive evaluation pays an O(n) rehash even on a fully warm
-// cache. The memo stores, per (table, WHERE) pair, the table version
-// it last saw together with one RowHash per candidate; on the next
-// evaluation it asks minidb for the delta since that version and:
+// cache. The table's candidate snapshot of a (table, WHERE) pair
+// (candidateStore) carries, once a sketch evaluation has asked, the table
+// version the fingerprint was last advanced to together with one RowHash
+// per candidate; on the next evaluation Advance asks minidb for the delta
+// since that version and:
 //
-//   - unchanged table → the memoized fingerprint is returned outright,
+//   - unchanged table → the kept fingerprint is returned outright,
 //     with zero candidate hashing;
 //   - small write batch → only the appended rows are hashed, deleted
-//     candidates are dropped from the cached hash list, and the
+//     candidates are dropped from the kept hash list, and the
 //     fingerprint is recombined from per-row hashes (never re-reading
 //     a cell) — along with a sketch.PatchSpec relating the new
 //     candidates to the old fingerprint, the lineage the sketch engine
 //     uses to patch its cached partition tree in place;
 //   - anything the delta log cannot explain → full rehash, as before.
 //
-// Safe for concurrent use. Share one memo per System/server, next to
-// the partition-tree cache.
+// The memo itself is a view: it holds the counters of the evaluations
+// that went through it and no state of its own, so two memos over one
+// table see the same snapshots. Safe for concurrent use. Share one memo
+// per System/server, next to the partition-tree cache.
 type FingerprintMemo struct {
-	mu         sync.Mutex
-	entries    map[memoKey]*memoEntry
-	lookups    int64
-	hits       int64
-	rowsHashed int64
+	lookups    atomic.Int64
+	hits       atomic.Int64
+	rowsHashed atomic.Int64
 }
 
-// memoMaxEntries bounds the entry count and memoMaxRows the total
-// candidate rows retained across entries (each candidate costs two
-// machine words — an id and a row hash — so the row bound caps memo
-// memory at ~64 MB regardless of how many distinct queries hit
-// million-row tables).
-const (
-	memoMaxEntries = 32
-	memoMaxRows    = 4 << 20
-)
-
-// memoKey identifies a snapshot by table NAME, not pointer: keying on
-// the pointer would pin a dropped or replaced table (and every row it
-// holds) in the map until eviction. The entry keeps the pointer only
-// as an identity check — a recreated table under the same name fails
-// it and overwrites the entry, releasing the old rows.
-type memoKey struct {
-	table string
-	where string
-}
-
-type memoEntry struct {
-	table     *minidb.Table // identity check: the table the snapshot describes
-	version   uint64        // table version the snapshot was taken at
-	ids       []int         // candidate row ids (positions) at that version
-	rowHashes []uint64      // RowHash per candidate, parallel to ids
-	fp        uint64        // CombineRowHashes(rowHashes)
-}
-
-// NewFingerprintMemo returns an empty memo.
-func NewFingerprintMemo() *FingerprintMemo {
-	return &FingerprintMemo{entries: map[memoKey]*memoEntry{}}
-}
+// NewFingerprintMemo returns a memo with its counters at zero.
+func NewFingerprintMemo() *FingerprintMemo { return &FingerprintMemo{} }
 
 // FingerprintMemoStats snapshots memo effectiveness: Hits counts
 // evaluations that returned a fingerprint with zero hashing, and
@@ -82,31 +51,31 @@ type FingerprintMemoStats struct {
 
 // Stats snapshots the lookup/hit/hash counters.
 func (m *FingerprintMemo) Stats() FingerprintMemoStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return FingerprintMemoStats{Lookups: m.lookups, Hits: m.hits, RowsHashed: m.rowsHashed}
+	return FingerprintMemoStats{Lookups: m.lookups.Load(), Hits: m.hits.Load(), RowsHashed: m.rowsHashed.Load()}
 }
 
 // Advance returns the fingerprint of prep's candidate rows, hashing
-// only what changed since the memo last saw this (table, WHERE) pair,
-// and updates the snapshot to the current version. When the candidates
-// evolved from the previous snapshot by a log-explained delta, the
-// returned PatchSpec carries the lineage for in-place partition-tree
-// patching (nil when nothing changed or no lineage exists).
+// only what changed since the snapshot of this (table, WHERE) pair was
+// last advanced, and moves its fingerprint to prep's version. When the
+// candidates evolved from the previous fingerprint by a log-explained
+// delta, the returned PatchSpec carries the lineage for in-place
+// partition-tree patching (nil when nothing changed or no lineage exists).
 func (m *FingerprintMemo) Advance(prep *Prepared) (uint64, *sketch.PatchSpec) {
 	if prep.Table == nil {
 		return sketch.Fingerprint(prep.Instance.Rows), nil
 	}
-	key := memoKey{table: prep.Table.Name, where: whereKey(prep.Query)}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lookups++
-	if e, ok := m.entries[key]; ok && e.table == prep.Table {
-		if e.version == prep.TableVersion && len(e.ids) == len(prep.Instance.IDs) {
-			m.hits++
-			return e.fp, nil
+	store := snapshotsOf(prep.Table)
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	m.lookups.Add(1)
+	e := store.entry(whereKey(prep.Query))
+	defer store.evict(e)
+	if e.fp != nil {
+		if e.fp.version == prep.TableVersion && len(e.fp.ids) == len(prep.Instance.IDs) {
+			m.hits.Add(1)
+			return e.fp.fp, nil
 		}
-		if fp, patch, ok := m.step(e, prep); ok {
+		if fp, patch, ok := m.step(e.fp, prep); ok {
 			return fp, patch
 		}
 	}
@@ -116,25 +85,23 @@ func (m *FingerprintMemo) Advance(prep *Prepared) (uint64, *sketch.PatchSpec) {
 	for i, row := range prep.Instance.Rows {
 		hs[i] = sketch.RowHash(row)
 	}
-	m.rowsHashed += int64(len(hs))
-	fp := sketch.CombineRowHashes(hs)
-	m.put(key, &memoEntry{table: prep.Table, version: prep.TableVersion,
-		ids: prep.Instance.IDs, rowHashes: hs, fp: fp})
-	return fp, nil
+	m.rowsHashed.Add(int64(len(hs)))
+	e.fp = &fingerprint{version: prep.TableVersion, ids: prep.Instance.IDs, rowHashes: hs, fp: sketch.CombineRowHashes(hs)}
+	return e.fp.fp, nil
 }
 
 // step advances an existing snapshot by the table's delta log and
 // commits the replayed state into the entry. ok is false when the
 // delta aged out of the log or the observed candidates contradict the
 // replayed delta (the caller falls back to a full rehash).
-func (m *FingerprintMemo) step(e *memoEntry, prep *Prepared) (uint64, *sketch.PatchSpec, bool) {
+func (m *FingerprintMemo) step(e *fingerprint, prep *Prepared) (uint64, *sketch.PatchSpec, bool) {
 	fp, newHashes, patch, hashed, ok := replayDelta(e, prep)
 	if !ok {
 		return 0, nil, false
 	}
-	m.rowsHashed += int64(hashed)
+	m.rowsHashed.Add(int64(hashed))
 	if patch == nil {
-		m.hits++ // writes missed the candidates entirely: still zero-rehash warm
+		m.hits.Add(1) // writes missed the candidates entirely: still zero-rehash warm
 	}
 	e.version = prep.TableVersion
 	e.ids = prep.Instance.IDs
@@ -150,7 +117,7 @@ func (m *FingerprintMemo) step(e *memoEntry, prep *Prepared) (uint64, *sketch.Pa
 // candidates are unchanged). ok is false when the delta aged out of the
 // log or the observed candidates contradict the replayed delta. Shared
 // by step (which commits the result) and Probe (which discards it).
-func replayDelta(e *memoEntry, prep *Prepared) (fp uint64, newHashes []uint64, patch *sketch.PatchSpec, hashed int, ok bool) {
+func replayDelta(e *fingerprint, prep *Prepared) (fp uint64, newHashes []uint64, patch *sketch.PatchSpec, hashed int, ok bool) {
 	delta, dok := prep.Table.DeltaSince(e.version)
 	if !dok || delta.Current != prep.TableVersion {
 		return 0, nil, nil, 0, false
@@ -218,11 +185,14 @@ func (m *FingerprintMemo) Probe(prep *Prepared) ProbeResult {
 	if prep.Table == nil {
 		return ProbeResult{}
 	}
-	key := memoKey{table: prep.Table.Name, where: whereKey(prep.Query)}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok || e.table != prep.Table {
+	store := snapshotsOf(prep.Table)
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	var e *fingerprint
+	if snap := store.entries[whereKey(prep.Query)]; snap != nil {
+		e = snap.fp
+	}
+	if e == nil {
 		return ProbeResult{}
 	}
 	if e.version == prep.TableVersion && len(e.ids) == len(prep.Instance.IDs) {
@@ -248,39 +218,4 @@ func (m *FingerprintMemo) Probe(prep *Prepared) ProbeResult {
 		}
 	}
 	return pr
-}
-
-func (m *FingerprintMemo) put(k memoKey, e *memoEntry) {
-	m.entries[k] = e
-	// Evict arbitrary entries beyond either bound: the memo is a
-	// bounded snapshot store, not an LRU — a wrong eviction only costs
-	// one rehash. The freshly-inserted entry is spared so the caller's
-	// own snapshot always lands.
-	for victim := range m.entries {
-		if len(m.entries) <= memoMaxEntries && m.retainedRows() <= memoMaxRows {
-			break
-		}
-		if victim == k {
-			continue
-		}
-		delete(m.entries, victim)
-	}
-}
-
-// retainedRows sums the candidate rows snapshotted across entries.
-func (m *FingerprintMemo) retainedRows() int {
-	total := 0
-	for _, e := range m.entries {
-		total += len(e.rowHashes)
-	}
-	return total
-}
-
-// whereKey renders the base predicate into the memo key: candidate
-// sets differ per WHERE clause even over one table.
-func whereKey(q *paql.Query) string {
-	if q == nil || q.Where == nil {
-		return ""
-	}
-	return fmt.Sprintf("%v", q.Where)
 }

@@ -258,6 +258,40 @@ func TestCanceled1MReturnsPromptly(t *testing.T) {
 		}
 		t.Logf("fireAt=%d of %d: %d polls after firing, cancel-to-return %v", fireAt, total, ctx.afterFire.Load(), returned.Sub(ctx.firedAt))
 	}
+	// A firing point inside the weighing, which the warm Prepared above did
+	// once and kept: a query over the same tree with a selection no query
+	// has folded yet, so that its branch weighing folds a million terms —
+	// some 120 polls — under the solve's context. The cancel lands in the
+	// fold; the fold ends there and is not kept, nor is the weighing.
+	weigh, err := Prepare(db, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND AVG(P.calories + 1) <= 900 AND SUM(P.calories) BETWEEN 2000 AND 2500
+		MAXIMIZE SUM(P.protein)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weigh.SketchCache = cache
+	folds := weigh.Instance.Passes.Folds()
+	ctx := newPollCountingCtx(60)
+	_, err = weigh.RunContext(ctx, opts)
+	returned := time.Now()
+	if !errors.Is(err, lifecycle.ErrCanceled) {
+		t.Errorf("cancel inside the weighing: err = %v, want ErrCanceled", err)
+	}
+	if got := weigh.Instance.Passes.Folds() - folds; got != 1 || weigh.Sketch.Weighed() != 0 {
+		t.Errorf("the 60th poll fell outside the weighing's fold: %d folds begun, %d branches weighed", got, weigh.Sketch.Weighed())
+	}
+	if after := ctx.afterFire.Load(); after > maxPollsAfterCancel {
+		t.Errorf("cancel inside the weighing: %d polls after the cancel fired (limit %d)", after, maxPollsAfterCancel)
+	}
+	t.Logf("cancel inside the weighing: %d polls after firing, cancel-to-return %v", ctx.afterFire.Load(), returned.Sub(ctx.firedAt))
+	if res, err := weigh.RunContext(context.Background(), opts); err != nil || len(res.Packages) == 0 {
+		t.Fatalf("solve after the canceled weighing: err=%v", err)
+	}
+	if got := weigh.Instance.Passes.Folds() - folds; got != 2 || weigh.Sketch.Weighed() != 1 {
+		t.Errorf("after a canceled and a clean solve: %d folds of the new selection, %d branches weighed; want 2 (the canceled fold is not kept) and 1", got, weigh.Sketch.Weighed())
+	}
+
 	// The warm tree survived the cancels.
 	hits := cache.Stats().Hits
 	if res, err := solve(context.Background()); err != nil || len(res.Packages) == 0 {

@@ -27,12 +27,14 @@ func (p *Prepared) Plan(opts Options) *plan.Plan {
 func (p *Prepared) planInput(opts Options) plan.Input {
 	branches, sketchErr := p.Sketch.Applicable()
 	in := plan.Input{
-		N:       len(p.Instance.Rows),
-		MaxMult: p.Instance.MaxMult,
-		Mix:     plan.AnalyzeAtoms(p.Analysis, branches, sketchErr),
-		Procs:   runtime.GOMAXPROCS(0),
-		Forced:  opts.forcedKnobs(),
-		Probe:   p.cacheProbe(opts),
+		N:           len(p.Instance.Rows),
+		RowsScanned: p.RowsScanned,
+		SnapshotHit: p.SnapshotHit,
+		MaxMult:     p.Instance.MaxMult,
+		Mix:         plan.AnalyzeAtoms(p.Analysis, branches, sketchErr),
+		Procs:       runtime.GOMAXPROCS(0),
+		Forced:      opts.forcedKnobs(),
+		Probe:       p.cacheProbe(opts),
 	}
 	if p.Query != nil {
 		in.Query = p.Query.Raw

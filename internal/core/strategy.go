@@ -17,7 +17,6 @@ import (
 	"repro/internal/prune"
 	"repro/internal/search"
 	"repro/internal/sketch"
-	"repro/internal/translate"
 )
 
 // timeoutGrace is how far the hard context deadline RunContext derives
@@ -116,6 +115,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	inst := p.Instance
 	res = &Result{Query: p.Query}
 	res.Stats.Candidates = len(inst.Rows)
+	res.Stats.RowsScanned, res.Stats.SnapshotHit = p.RowsScanned, p.SnapshotHit
 	res.Stats.Bounds = inst.Bounds
 	res.Stats.Linear = p.Analysis.Linear
 	limit := p.limit(opts)
@@ -484,7 +484,7 @@ func cacheNote(hit, loaded, patched bool) string {
 }
 
 func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
-	model, err := translate.Translate(p.Analysis, p.Instance.Rows, p.Instance.IDs)
+	model, err := p.Instance.Passes.Translate(ctx, p.Analysis, p.Instance.IDs)
 	if err != nil {
 		return nil, err
 	}

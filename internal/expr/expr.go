@@ -707,6 +707,25 @@ func Walk(e Expr, fn func(Expr)) {
 	}
 }
 
+// Key renders the expression for use as a map key: its text, then the
+// kind of every constant in walk order. The text alone does not tell two
+// expressions apart — a float literal with an integral value renders as
+// the integer ("2.0" prints "2") — and the two need not evaluate alike (%
+// takes integers only, integer arithmetic wraps where floats round). Text
+// is fully parenthesized and strings are quoted, so equal keys mean equal
+// trees up to the spelling of column references.
+func Key(e Expr) string {
+	var b strings.Builder
+	b.WriteString(e.String())
+	b.WriteByte('|')
+	Walk(e, func(n Expr) {
+		if c, ok := n.(*Const); ok {
+			b.WriteByte('0' + byte(c.Val.Kind()))
+		}
+	})
+	return b.String()
+}
+
 // Columns returns the distinct column references in the expression, in
 // first-appearance order.
 func Columns(e Expr) []*Col {

@@ -51,6 +51,20 @@ type Table struct {
 	// serves (see delta.go).
 	version uint64
 	log     []deltaEntry
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns the table's one slot for state a higher layer derives
+// from its rows and keys on its version — the engine's candidate
+// snapshots — made by mk on first use. Hanging the state here, rather
+// than in a map keyed by table, is what gives it the table's lifetime: a
+// dropped table takes everything derived from it along. Safe for
+// concurrent use.
+func (t *Table) Derived(mk func() any) any {
+	t.derivedOnce.Do(func() { t.derived = mk() })
+	return t.derived
 }
 
 // CreateTable registers a new, empty table. Column qualifiers in the

@@ -270,6 +270,11 @@ type Input struct {
 	Table catalog.TableStats `json:"table"`
 	// N is the candidate count after the WHERE filter.
 	N int `json:"candidates"`
+	// RowsScanned is how many table rows the WHERE filter was evaluated
+	// on to find them, and SnapshotHit whether the table's candidate
+	// snapshot served them instead (display only).
+	RowsScanned int  `json:"rowsScanned"`
+	SnapshotHit bool `json:"snapshotHit"`
 	// MaxMult is the per-tuple multiplicity bound (≤0 = unbounded).
 	MaxMult int `json:"maxMult"`
 	// Mix is the query-planner half's atom classification.
@@ -316,8 +321,11 @@ type Plan struct {
 	Query string `json:"query,omitempty"`
 	// Table echoes the catalog snapshot the plan was made against.
 	Table catalog.TableStats `json:"table"`
-	// Candidates is the candidate count after the WHERE filter.
-	Candidates int `json:"candidates"`
+	// Candidates is the candidate count after the WHERE filter;
+	// RowsScanned and SnapshotHit echo how the preparation found them.
+	Candidates  int  `json:"candidates"`
+	RowsScanned int  `json:"rowsScanned"`
+	SnapshotHit bool `json:"snapshotHit"`
 	// Mix is the atom classification.
 	Mix AtomMix `json:"atomMix"`
 	// Strategy is the chosen strategy name (core.ParseStrategy spelling).

@@ -341,10 +341,12 @@ func TestGoldenExplain(t *testing.T) {
 		Mix:     linearMix(),
 		Procs:   8,
 		Probe:   patchable(0.01),
+
+		RowsScanned: 100_000,
 	}
 	got := New(in).Explain()
 	want := `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
-table t: 100000 rows, 2.50 writes/s
+table t: 100000 rows, 2.50 writes/s; 100000 rows scanned (candidate snapshot miss)
 atoms: linear; 2 sum/count; 1 branch
 ├─ strategy = sketch-refine  [cost ≈ 1.02e+05]
 │      linear query, 100000 candidates > 4096: partitioned sketch is cheapest (warm tree available)

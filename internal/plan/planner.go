@@ -19,10 +19,12 @@ func New(in Input) *Plan {
 		procs = 1
 	}
 	p := &Plan{
-		Query:      in.Query,
-		Table:      in.Table,
-		Candidates: n,
-		Mix:        in.Mix,
+		Query:       in.Query,
+		Table:       in.Table,
+		Candidates:  n,
+		RowsScanned: in.RowsScanned,
+		SnapshotHit: in.SnapshotHit,
+		Mix:         in.Mix,
 	}
 
 	// Knobs first: τ and depth are functions of size and atom mix

@@ -7,6 +7,7 @@ import (
 	"repro/internal/prune"
 	"repro/internal/schema"
 	"repro/internal/search"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -30,7 +31,7 @@ func TestObjectiveGuardTightensInstanceBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := search.NewInstance(a, rows, []int{0, 1, 2})
+	inst, err := search.NewInstance(nil, a, translate.NewPasses(rows), []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestObjectiveGuardTightensInstanceBounds(t *testing.T) {
 		t.Errorf("instance bounds %s, want [1, 2]", inst.Bounds)
 	}
 	q.Objective = nil
-	if inst, err = search.NewInstance(a, rows, []int{0, 1, 2}); err != nil {
+	if inst, err = search.NewInstance(nil, a, translate.NewPasses(rows), []int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if inst.Bounds != (prune.Bounds{Lo: 0, Hi: 2}) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/schema"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -45,9 +46,10 @@ func (c *Column) IsNull(i int) bool {
 }
 
 // PollRows is the most rows a loop over candidates handles between two
-// polls of its cooperative-cancellation hook: Lower's, and the
-// tree-build loops that run over its columns.
-const PollRows = 8192
+// polls of its cooperative-cancellation hook: Lower's, the tree-build
+// loops that run over its columns, and — where the constant is declared,
+// below this package — translate's pass fold.
+const PollRows = translate.PollRows
 
 // Lower builds the columnar view of rows[idx[0]], rows[idx[1]], … (of
 // every row, in order, when idx is nil); position j of each column is

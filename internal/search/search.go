@@ -14,13 +14,13 @@ package search
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/lifecycle"
 	"repro/internal/paql"
 	"repro/internal/prune"
 	"repro/internal/schema"
@@ -33,6 +33,13 @@ type Instance struct {
 	Rows     []schema.Row // candidate tuples (post-WHERE)
 	IDs      []int        // base-table row ids, parallel to Rows
 	MaxMult  int          // per-tuple multiplicity cap (≥1 for enumerators)
+	// Passes is the pass store of Rows: every linear row any strategy
+	// weighs over the candidates — the atoms below, the exact MILP, the
+	// sketch branches — and the pruning statistics are compiled against it,
+	// so they share one fold per (argument, filter) selection, with every
+	// other instance over the same candidates when the store is a
+	// snapshot's.
+	Passes *translate.Passes
 
 	Atoms  []*translate.LinearAtom // top-level conjunctive linear atoms
 	Pure   bool                    // passing Atoms is being an answer: the formula holds and the objective is not NULL (none missing, none relaxed)
@@ -41,9 +48,12 @@ type Instance struct {
 	Bounds prune.Bounds            // §4.1 cardinality bounds
 }
 
-// NewInstance prepares an instance: extracts atoms, objective weights
-// and cardinality bounds.
-func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, error) {
+// NewInstance prepares an instance over the candidates of a pass store:
+// extracts atoms, objective weights and cardinality bounds. ids are the
+// candidates' base-table row ids. ctx, which may be nil, cancels the folds
+// over the candidates that the store has not made yet.
+func NewInstance(ctx context.Context, a *paql.Analysis, passes *translate.Passes, ids []int) (*Instance, error) {
+	rows := passes.Rows()
 	if len(rows) != len(ids) {
 		return nil, fmt.Errorf("search: %d rows but %d ids", len(rows), len(ids))
 	}
@@ -52,12 +62,16 @@ func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, err
 		Rows:     rows,
 		IDs:      ids,
 		MaxMult:  a.Query.MaxMultiplicity(),
+		Passes:   passes,
 	}
 	var err error // a non-affine objective leaves ObjW nil: full evaluation per package
-	if inst.Atoms, inst.Pure, inst.ObjW, inst.ObjK, err = translate.ConjunctiveAtoms(a, rows); err != nil {
+	if inst.Atoms, inst.Pure, inst.ObjW, inst.ObjK, err = passes.ConjunctiveAtoms(ctx, a); err != nil {
 		return nil, err
 	}
-	inst.Bounds = prune.Derive(a.Query.SuchThat, &rowStats{inst: inst}, len(rows), inst.MaxMult)
+	inst.Bounds = prune.Derive(a.Query.SuchThat, passStats{ctx, passes}, len(rows), inst.MaxMult)
+	if err := lifecycle.ContextErr(ctx); err != nil {
+		return nil, err // a canceled fold answered Derive "no statistics"
+	}
 	if translate.ObjectiveNeedsTuple(a) {
 		// Derive reads SUCH THAT only; the objective's guard is a constraint too.
 		inst.Bounds = inst.Bounds.Intersect(prune.Bounds{Lo: 1, Hi: prune.Unbounded})
@@ -65,34 +79,14 @@ func NewInstance(a *paql.Analysis, rows []schema.Row, ids []int) (*Instance, err
 	return inst, nil
 }
 
-// rowStats adapts candidate rows to prune.StatsProvider. It keeps its
-// last answer: both comparisons of a BETWEEN ask about the same aggregate.
-type rowStats struct {
-	inst   *Instance
-	last   *paql.Agg
-	lo, hi float64
-	n      int
-	ok     bool
+// passStats adapts a pass store to prune.StatsProvider.
+type passStats struct {
+	ctx    context.Context
+	passes *translate.Passes
 }
 
-// AggStats folds the aggregate's terms over the candidates: the MIN and
-// MAX of its argument (±Inf over nothing) and the size n of its selection.
-// ok is false when the argument cannot be read as a number.
-func (rs *rowStats) AggStats(a *paql.Agg) (lo, hi float64, n int, ok bool) {
-	if a != rs.last {
-		*rs = rowStats{inst: rs.inst, last: a, lo: math.Inf(1), hi: math.Inf(-1), ok: true}
-		for _, row := range rs.inst.Rows {
-			v, present, err := a.Term(row)
-			f, isNum := v.AsFloat()
-			if rs.ok = err == nil && (isNum || !present); !rs.ok {
-				break
-			}
-			if present {
-				rs.lo, rs.hi, rs.n = min(rs.lo, f), max(rs.hi, f), rs.n+1
-			}
-		}
-	}
-	return rs.lo, rs.hi, rs.n, rs.ok
+func (s passStats) AggStats(a *paql.Agg) (lo, hi float64, n int, ok bool) {
+	return s.passes.AggStats(s.ctx, a)
 }
 
 // Pkg is a package: multiplicities over the instance's candidates.

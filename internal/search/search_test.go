@@ -9,6 +9,7 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/paql"
 	"repro/internal/schema"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -52,7 +53,7 @@ func instance(t *testing.T, src string, rows []schema.Row) *Instance {
 	for i := range ids {
 		ids[i] = i
 	}
-	inst, err := NewInstance(a, rows, ids)
+	inst, err := NewInstance(nil, a, translate.NewPasses(rows), ids)
 	if err != nil {
 		t.Fatal(err)
 	}

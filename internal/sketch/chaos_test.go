@@ -97,16 +97,32 @@ type chaosStats struct {
 	degraded   int // faulted answers that reported at least one rung
 }
 
-// chaosStack is one full incremental evaluation stack; the clean and
-// faulted runs each get their own so the faulted run's lineage is an
-// exact replica of the clean run's.
+// chaosStack is one full incremental evaluation stack over a database of
+// its own; the clean and faulted runs each get one, loaded and written
+// alike, so the faulted run's lineage is an exact replica of the clean
+// run's. (A table's candidate snapshot carries the fingerprint lineage,
+// so two stacks over one table would share it: whichever ran first after
+// a write would take the patch and leave the other a rebuild.)
 type chaosStack struct {
+	db   *minidb.DB
 	opts core.Options
+}
+
+// chaosDB loads one replica of a generated table.
+func chaosDB(t *testing.T, ddl []string) *minidb.DB {
+	t.Helper()
+	db := minidb.New()
+	for _, stmt := range ddl {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatalf("ddl %q: %v", stmt, err)
+		}
+	}
+	return db
 }
 
 func newChaosStack(t *testing.T, db *minidb.DB, tau, depth int, seed int64) *chaosStack {
 	t.Helper()
-	return &chaosStack{opts: core.Options{
+	return &chaosStack{db: db, opts: core.Options{
 		Strategy:            core.SketchRefineStrategy,
 		Seed:                seed,
 		SketchPartitionSize: tau,
@@ -141,12 +157,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	cs *chaosStats, cov fault.Coverage, rungs map[string]int) bool {
 	t.Helper()
 	ddl, gc := genQuery(g)
-	db := minidb.New()
-	for _, stmt := range ddl {
-		if _, err := db.Exec(stmt); err != nil {
-			t.Fatalf("ddl %q: %v", stmt, err)
-		}
-	}
+	db := chaosDB(t, ddl)
 	prep, err := core.Prepare(db, gc.queryText)
 	if err != nil {
 		return false
@@ -157,7 +168,11 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	tau := 4 + g.intn(8)
 	depth := 1 + g.intn(2)
 	clean := newChaosStack(t, db, tau, depth, seed)
-	faulty := newChaosStack(t, db, tau, depth, seed)
+	faulty := newChaosStack(t, chaosDB(t, ddl), tau, depth, seed)
+	fprep, err := core.Prepare(faulty.db, gc.queryText)
+	if err != nil {
+		t.Fatalf("prepare on the faulted stack's replica: %v\n%s", err, gc.queryText)
+	}
 
 	// Healthy warm-up on both stacks (identical by determinism), plus
 	// the byte-identical gate: the full stack with no faults must
@@ -184,7 +199,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 		t.Fatalf("healthy run multiplicities differ from bare solve\n full=%v\n bare=%v\n%s",
 			warm.Packages[0].Mult, bare.Mult, gc.queryText)
 	}
-	if _, err := prep.Run(faulty.opts); err != nil {
+	if _, err := fprep.Run(faulty.opts); err != nil {
 		t.Fatalf("faulted-stack warm-up (no injector yet): %v\n%s", err, gc.queryText)
 	}
 
@@ -193,12 +208,20 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 	// stay cold for them).
 	writes := incrWrite(g, db)
 	if len(writes) > 0 {
+		for _, stmt := range writes {
+			if _, err := faulty.db.Exec(stmt); err != nil {
+				t.Fatalf("replaying %q on the faulted stack's replica: %v", stmt, err)
+			}
+		}
 		prep, err = core.Prepare(db, gc.queryText)
 		if err != nil {
 			t.Fatalf("re-prepare after %v: %v", writes, err)
 		}
 		if len(prep.Instance.Rows) == 0 {
 			return false
+		}
+		if fprep, err = core.Prepare(faulty.db, gc.queryText); err != nil {
+			t.Fatalf("re-prepare on the faulted stack's replica after %v: %v", writes, err)
 		}
 	}
 	ctx := fmt.Sprintf("%s\nwrites=%v rules=%+v seed=%d", gc.queryText, writes, rules, seed)
@@ -222,7 +245,7 @@ func chaosOne(t *testing.T, g *qgen, rules []fault.Rule, seed int64,
 
 	inj := fault.NewInjector(seed, rules...)
 	restore := fault.Enable(inj)
-	fres, ferr := prep.Run(faulty.opts)
+	fres, ferr := fprep.Run(faulty.opts)
 	restore()
 	mergeCoverage(cov, inj.Coverage())
 

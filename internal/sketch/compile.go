@@ -3,8 +3,9 @@ package sketch
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
+	"repro/internal/lifecycle"
 	"repro/internal/search"
 	"repro/internal/translate"
 )
@@ -26,16 +27,17 @@ const MaxBranches = translate.DefaultMaxSketchBranches
 // solve, its parity pass, the anytime pre-bound and every exclusion-cut
 // or perturbation re-solve read the same Compiled, so a query is lowered
 // once and each of its branches weighed at most once however many solves
-// it takes. Safe for concurrent Solve calls.
+// it takes — and weighed against the instance's pass store, so what a
+// weighing folds over the candidates is only what no earlier query over
+// the same candidate snapshot has. Safe for concurrent Solve calls.
 type Compiled struct {
 	inst     *search.Instance
 	branches []translate.SketchBranch
 	rewrites int   // AVG/MIN/MAX source atoms rewritten into sketchable rows
 	err      error // why SketchRefine cannot run the query; nil when it can
 
-	mu      sync.Mutex
-	weighed []*branchAtoms // per branch; nil until first use
-	weighs  int
+	weighed []lifecycle.Once[branchAtoms] // per branch
+	weighs  atomic.Int64
 }
 
 // Compile lowers the instance's query for SketchRefine. It always
@@ -48,12 +50,12 @@ func Compile(inst *search.Instance) *Compiled {
 		return q
 	}
 	var err error
-	if q.branches, q.rewrites, err = translate.CompileSketch(inst.Analysis, MaxBranches); err != nil {
+	if q.branches, q.rewrites, err = inst.Passes.CompileSketch(inst.Analysis, MaxBranches); err != nil {
 		q.err = fmt.Errorf("sketch: %w", err)
 	} else if inst.Analysis.Query.Objective != nil && inst.ObjW == nil {
 		q.err = fmt.Errorf("sketch: objective is not affine")
 	}
-	q.weighed = make([]*branchAtoms, len(q.branches))
+	q.weighed = make([]lifecycle.Once[branchAtoms], len(q.branches))
 	return q
 }
 
@@ -70,27 +72,21 @@ func (q *Compiled) Applicable() (branches int, err error) {
 
 // Weighed reports how many branch weighings the query has performed;
 // never more than it has branches.
-func (q *Compiled) Weighed() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.weighs
-}
+func (q *Compiled) Weighed() int { return int(q.weighs.Load()) }
 
 // branch returns branch bi weighed over the candidates, weighing it on
 // first use. Concurrent solves wait for one weighing rather than repeat
-// it. A failed weighing — in practice a canceled one — is not kept: the
-// next solve starts it over.
+// it, each only as long as its own context lasts: no lock is held across
+// the weighing. A failed weighing — in practice a canceled one — is not
+// kept: the next solve starts it over.
 func (q *Compiled) branch(ctx context.Context, bi int) (*branchAtoms, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.weighed[bi] == nil {
+	return q.weighed[bi].Get(ctx, func() (*branchAtoms, error) {
 		ba, err := newBranchAtoms(ctx, q.inst, q.branches[bi])
-		if err != nil {
-			return nil, err
+		if err == nil {
+			q.weighs.Add(1)
 		}
-		q.weighed[bi], q.weighs = ba, q.weighs+1
-	}
-	return q.weighed[bi], nil
+		return ba, err
+	})
 }
 
 // Solve is Compile(inst).Solve(opts): one evaluation of a query nobody

@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -87,6 +88,48 @@ func TestSolveWeighsEachBranchOnce(t *testing.T) {
 		}
 		if got := prep.Sketch.Weighed(); got != 1 {
 			t.Errorf("%d branches weighed over two passes, want 1", got)
+		}
+	})
+
+	t.Run("across queries", func(t *testing.T) {
+		// Three queries of one shape that differ in a constant, over one
+		// table version. The first scans and folds for itself; the second
+		// is the snapshot's promotion, and folds into the store it makes;
+		// the third weighs its branch once, like the others, and folds
+		// nothing: every selection it names is already in the store.
+		shape := `SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'
+			SUCH THAT COUNT(*) = 3 AND AVG(P.fat) <= %d AND SUM(P.calories) BETWEEN 2000 AND 2500
+			MAXIMIZE SUM(P.protein)`
+		var preps []*core.Prepared
+		for _, c := range []int{40, 45, 50} {
+			prep, err := core.Prepare(db, fmt.Sprintf(shape, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := prep.Instance.Passes.Folds()
+			if res, err := prep.Sketch.Solve(sketch.Options{Seed: 1}); err != nil || !res.Feasible {
+				t.Fatalf("solve: feasible=%v err=%v", res != nil && res.Feasible, err)
+			}
+			if got := prep.Sketch.Weighed(); got != 1 {
+				t.Errorf("constant %d: %d branches weighed, want 1", c, got)
+			}
+			if len(preps) == 2 {
+				if prep.Instance.Passes != preps[1].Instance.Passes {
+					t.Fatal("the third query did not get the snapshot's pass store")
+				}
+				if before != preps[1].Instance.Passes.Folds() || prep.Instance.Passes.Folds() != before {
+					t.Errorf("the third query of the shape folded: %d folds in the store before its prepare, %d after its solve",
+						preps[1].Instance.Passes.Folds(), prep.Instance.Passes.Folds())
+				}
+			}
+			preps = append(preps, prep)
+		}
+		// calories, protein and fat, once each, by the second query alone.
+		if got := preps[1].Instance.Passes.Folds(); got != 3 {
+			t.Errorf("the snapshot's store made %d folds for three selections", got)
+		}
+		if !preps[2].SnapshotHit || preps[2].RowsScanned != 0 {
+			t.Errorf("third prepare: SnapshotHit=%v RowsScanned=%d", preps[2].SnapshotHit, preps[2].RowsScanned)
 		}
 	})
 

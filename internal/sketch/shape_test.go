@@ -62,7 +62,8 @@ func TestNoFunctionTakesMoreThanSixParameters(t *testing.T) {
 }
 
 // callSites counts, over the non-test files of dir, the calls of
-// pkg.name — of the bare name when pkg is "".
+// pkg.name — of the bare name when pkg is "", of name as a method of
+// anything but a package (x.y.name) when pkg is ".".
 func callSites(t *testing.T, dir, pkg, name string) int {
 	t.Helper()
 	n := 0
@@ -78,7 +79,12 @@ func callSites(t *testing.T, dir, pkg, name string) int {
 					n++
 				}
 			case *ast.SelectorExpr:
-				if x, ok := fn.X.(*ast.Ident); ok && x.Name == pkg && fn.Sel.Name == name {
+				if fn.Sel.Name != name {
+					break
+				}
+				if x, ok := fn.X.(*ast.Ident); ok && x.Name == pkg {
+					n++
+				} else if _, deep := fn.X.(*ast.SelectorExpr); deep && pkg == "." {
 					n++
 				}
 			}
@@ -89,20 +95,29 @@ func callSites(t *testing.T, dir, pkg, name string) int {
 }
 
 // TestOneLoweringOneWeighingSite holds the structure that makes "once"
-// true by construction: the formula is lowered in Compile and nowhere
-// else, a branch is weighed in (*Compiled).branch and nowhere else, and
-// core compiles in PrepareQueryContext and reaches SketchRefine through
-// that Compiled only.
+// true by construction. Within a query: the formula is lowered in Compile
+// and nowhere else, a branch is weighed in (*Compiled).branch and nowhere
+// else, and core compiles in PrepareQueryContext and reaches SketchRefine
+// through that Compiled only. Across queries: the engine's every
+// compilation is bound to the instance's pass store — the store's
+// CompileSketch and Translate methods, never the package functions, which
+// fold for themselves — and core makes a query's candidates, its pass
+// store and its instance in one place each.
 func TestOneLoweringOneWeighingSite(t *testing.T) {
 	for _, c := range []struct {
 		dir, pkg, name string
 		want           int
 	}{
-		{".", "translate", "CompileSketch", 1},
+		{".", ".", "CompileSketch", 1},
+		{".", "translate", "CompileSketch", 0},
 		{".", "", "newBranchAtoms", 1},
 		{"../core", "sketch", "Compile", 1},
 		{"../core", "sketch", "Solve", 0},
 		{"../core", "sketch", "Applicable", 0},
+		{"../core", ".", "Translate", 1},
+		{"../core", "translate", "Translate", 0},
+		{"../core", "", "candidatesOf", 1},
+		{"../core", "search", "NewInstance", 1},
 	} {
 		if got := callSites(t, c.dir, c.pkg, c.name); got != c.want {
 			t.Errorf("%s: %d call sites of %s.%s, want %d", c.dir, got, c.pkg, c.name, c.want)

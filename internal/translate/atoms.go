@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -47,21 +48,21 @@ func (la *LinearAtom) CheckSum(s float64) bool {
 
 // ConjunctiveAtoms extracts the linear SUM/COUNT comparison atoms that
 // appear as top-level conjuncts of the query's SUCH THAT formula, with
-// the guards they and the objective imply, weighted over the candidates
-// as one conjunction — and, from the same passes, the objective's weights
-// (value(pkg) = Σ objW[i]·mult[i] + objK; nil when it is not affine). pure
-// reports that the atoms are EXACTLY the query: a package passes them if
-// and only if it satisfies the formula and its objective is not NULL.
-// Otherwise (disjunctions, AVG/MIN/MAX atoms, non-linear parts, or a
-// strict comparison, which relaxes to its closed form and so admits the
-// boundary it excludes) the atoms are still necessary conditions usable
-// for sound pruning, but candidates must be re-validated with
-// paql.Satisfies.
-func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) (atoms []*LinearAtom, pure bool, objW []float64, objK float64, err error) {
-	sels := selections{}
+// the guards they and the objective imply, weighted over the store's
+// candidates as one conjunction — and, from the same passes, the
+// objective's weights (value(pkg) = Σ objW[i]·mult[i] + objK; nil when it
+// is not affine). pure reports that the atoms are EXACTLY the query: a
+// package passes them if and only if it satisfies the formula and its
+// objective is not NULL. Otherwise (disjunctions, AVG/MIN/MAX atoms,
+// non-linear parts, or a strict comparison, which relaxes to its closed
+// form and so admits the boundary it excludes) the atoms are still
+// necessary conditions usable for sound pruning, but candidates must be
+// re-validated with paql.Satisfies. ctx, which may be nil, cancels a fold.
+func (ps *Passes) ConjunctiveAtoms(ctx context.Context, a *paql.Analysis) (atoms []*LinearAtom, pure bool, objW []float64, objK float64, err error) {
+	sels := newSelections(ps)
 	objective, objGuards, err := compileObjective(a, sels)
 	if pure = err == nil; pure { // a non-affine objective is evaluated per package
-		if objW, err = objective.weigh(candidates); err != nil {
+		if objW, err = objective.weigh(ctx, ps.rows); err != nil {
 			return nil, false, nil, 0, err
 		}
 		objK = objective.konst
@@ -81,7 +82,7 @@ func ConjunctiveAtoms(a *paql.Analysis, candidates []schema.Row) (atoms []*Linea
 			conj = conjoin(conj, lowered)
 		}
 	}
-	_, rows, err := weighConjunction(nil, conjoin(conj, objGuards), candidates, true)
+	_, rows, err := weighConjunction(ctx, conjoin(conj, objGuards), ps.rows, true)
 	return slices.Concat(rows...), pure, objW, objK, err
 }
 
@@ -126,7 +127,7 @@ func compileObjective(a *paql.Analysis, sels selections) (*linear, []*SketchAtom
 // NULL over the empty package — it brings a non-empty guard — so that no
 // answer is empty, whatever SUCH THAT allows.
 func ObjectiveNeedsTuple(a *paql.Analysis) bool {
-	_, guards, err := compileObjective(a, selections{})
+	_, guards, err := compileObjective(a, newSelections(nil))
 	return err == nil && len(guards) > 0
 }
 
@@ -134,11 +135,11 @@ func ObjectiveNeedsTuple(a *paql.Analysis) bool {
 // value(pkg) = Σ W[i]·mult[i] + Const. An error is returned for
 // non-affine objectives.
 func ObjectiveWeights(a *paql.Analysis, candidates []schema.Row) (w []float64, konst float64, err error) {
-	lin, _, err := compileObjective(a, selections{})
+	lin, _, err := compileObjective(a, newSelections(nil))
 	if err != nil {
 		return nil, 0, err
 	}
-	w, err = lin.weigh(candidates)
+	w, err = lin.weigh(nil, candidates)
 	return w, lin.konst, err
 }
 

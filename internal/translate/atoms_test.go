@@ -15,7 +15,7 @@ func TestConjunctiveAtomsExtraction(t *testing.T) {
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
 		MAXIMIZE SUM(P.protein)`)
 	rows := testRows()
-	atoms, pure, _, _, err := ConjunctiveAtoms(a, rows)
+	atoms, pure, _, _, err := NewPasses(rows).ConjunctiveAtoms(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND (SUM(P.calories) <= 600 OR SUM(P.calories) >= 1800)`)
-	atoms, pure, _, _, err := ConjunctiveAtoms(a, testRows())
+	atoms, pure, _, _, err := NewPasses(testRows()).ConjunctiveAtoms(nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	a2 := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM Recipes R
 		SUCH THAT COUNT(*) = 2 AND AVG(P.calories) <= 500`)
-	atoms2, pure2, _, _, err := ConjunctiveAtoms(a2, testRows())
+	atoms2, pure2, _, _, err := NewPasses(testRows()).ConjunctiveAtoms(nil, a2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestConjunctiveAtomsImpure(t *testing.T) {
 	}
 	// nil formula
 	a3 := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R`)
-	atoms3, pure3, _, _, err := ConjunctiveAtoms(a3, testRows())
+	atoms3, pure3, _, _, err := NewPasses(testRows()).ConjunctiveAtoms(nil, a3)
 	if err != nil || !pure3 || atoms3 != nil {
 		t.Errorf("nil formula: %v %v %v", atoms3, pure3, err)
 	}

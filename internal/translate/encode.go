@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -70,11 +71,11 @@ func nnf(e expr.Expr, neg bool) bnode {
 
 // encodeFormula emits rows for node. ind == -1 means the node must hold
 // unconditionally; otherwise its rows activate when indicator ind is 1.
-func (m *Model) encodeFormula(node bnode, ind int, sels selections) error {
+func (m *Model) encodeFormula(ctx context.Context, node bnode, ind int, sels selections) error {
 	switch n := node.(type) {
 	case *bAnd:
 		for _, k := range n.kids {
-			if err := m.encodeFormula(k, ind, sels); err != nil {
+			if err := m.encodeFormula(ctx, k, ind, sels); err != nil {
 				return err
 			}
 		}
@@ -87,7 +88,7 @@ func (m *Model) encodeFormula(node bnode, ind int, sels selections) error {
 				return err
 			}
 			kidInds = append(kidInds, lp.Coef{Var: y, Val: 1})
-			if err := m.encodeFormula(k, y, sels); err != nil {
+			if err := m.encodeFormula(ctx, k, y, sels); err != nil {
 				return err
 			}
 		}
@@ -104,7 +105,7 @@ func (m *Model) encodeFormula(node bnode, ind int, sels selections) error {
 		_, err := m.lpp.AddConstraint(coefs, lp.LE, 0)
 		return err
 	case *bAtom:
-		return m.encodeAtom(n.e, ind, sels)
+		return m.encodeAtom(ctx, n.e, ind, sels)
 	}
 	return fmt.Errorf("translate: unknown formula node %T", node)
 }
@@ -114,7 +115,7 @@ func (m *Model) encodeFormula(node bnode, ind int, sels selections) error {
 // every other row is the shared lowering's, weighed over the candidates.
 // An unconditional comparison has no rows here (Translate weighed it with
 // its conjunction); one under an indicator keeps every row, guards too.
-func (m *Model) encodeAtom(e expr.Expr, ind int, sels selections) error {
+func (m *Model) encodeAtom(ctx context.Context, e expr.Expr, ind int, sels selections) error {
 	// Constant TRUE/FALSE (possibly under NOT).
 	if v, ok := constBool(e); ok {
 		if v {

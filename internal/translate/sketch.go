@@ -120,11 +120,11 @@ func weighConjunction(ctx context.Context, atoms []*SketchAtom, cands []schema.R
 		}
 		switch {
 		case at.isGuard():
-			_, _, err = at.sel.pass(cands, false) // judged below, from its presence alone
+			_, _, err = at.sel.pass(ctx, cands, false) // judged below, from its presence alone
 		case at.Kind == SketchLinear:
-			rows[i], err = at.linearRows(cands, closed)
+			rows[i], err = at.linearRows(ctx, cands, closed)
 		default:
-			rows[i], err = at.Weigh(cands)
+			rows[i], err = at.weigh(ctx, cands)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -132,11 +132,14 @@ func weighConjunction(ctx context.Context, atoms []*SketchAtom, cands []schema.R
 	}
 	for i, at := range atoms {
 		if at.isGuard() {
-			_, present, _ := at.sel.pass(cands, false)
+			_, present, err := at.sel.pass(ctx, cands, false)
+			if err != nil {
+				return nil, nil, err
+			}
 			if slices.ContainsFunc(slices.Concat(rows...), func(r *LinearAtom) bool { return implies(r, present) }) {
 				continue
 			}
-			if rows[i], err = at.Weigh(cands); err != nil {
+			if rows[i], err = at.weigh(ctx, cands); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -168,11 +171,23 @@ func implies(r *LinearAtom, present []bool) bool {
 // A nil SUCH THAT yields one branch of the objective's guards alone; a
 // constant-false formula yields zero branches. Errors name the atom that
 // blocks sketch evaluation.
+//
+// The branches' passes are their own: each selection keeps the pass of the
+// rows last weighed and nothing outlives the branches. A query whose
+// candidates have a pass store compiles through (*Passes).CompileSketch.
 func CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, rewrites int, err error) {
+	return (*Passes)(nil).CompileSketch(a, maxBranches)
+}
+
+// CompileSketch is the package's CompileSketch with the branches bound to
+// the store: weighed over the store's candidates they fold only the
+// selections no earlier compilation against it has, and share every fold
+// they make; weighed over other rows they behave as unbound ones.
+func (ps *Passes) CompileSketch(a *paql.Analysis, maxBranches int) (branches []SketchBranch, rewrites int, err error) {
 	if maxBranches <= 0 {
 		maxBranches = DefaultMaxSketchBranches
 	}
-	sels := selections{}
+	sels := newSelections(ps)
 	// A non-affine objective has no guards to give; whoever runs the
 	// branches rejects it (sketch.lower).
 	_, objGuards, _ := compileObjective(a, sels)
@@ -314,11 +329,16 @@ func lowerAtom(e expr.Expr, sels selections) ([]*SketchAtom, error) {
 // 0/1 predicate over whatever rows they are given — partition levels
 // should re-weight them from subtree envelopes instead).
 func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
+	return at.weigh(nil, cands)
+}
+
+// weigh is Weigh under a context, which cancels a fold over the rows.
+func (at *SketchAtom) weigh(ctx context.Context, cands []schema.Row) ([]*LinearAtom, error) {
 	switch at.Kind {
 	case SketchLinear, SketchAvg:
-		return at.linearRows(cands, false)
+		return at.linearRows(ctx, cands, false)
 	case SketchElim, SketchAtLeast:
-		sel, err := at.Selector(cands)
+		sel, err := at.selector(ctx, cands)
 		if err != nil {
 			return nil, err
 		}
@@ -333,8 +353,8 @@ func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 // atom names — a sufficient condition, what the MILP and the sketch
 // branches need — unless closed, which relaxes it to its closed form: the
 // necessary condition ConjunctiveAtoms prunes with.
-func (at *SketchAtom) linearRows(cands []schema.Row, closed bool) ([]*LinearAtom, error) {
-	w, err := at.lin.weigh(cands)
+func (at *SketchAtom) linearRows(ctx context.Context, cands []schema.Row, closed bool) ([]*LinearAtom, error) {
+	w, err := at.lin.weigh(ctx, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -387,10 +407,14 @@ type Selector struct {
 // Selector computes the selector view of the atom over the candidates.
 // It errors on non-selector kinds and on a threshold over a non-number.
 func (at *SketchAtom) Selector(cands []schema.Row) (*Selector, error) {
+	return at.selector(nil, cands)
+}
+
+func (at *SketchAtom) selector(ctx context.Context, cands []schema.Row) (*Selector, error) {
 	if !at.IsSelector() {
 		return nil, fmt.Errorf("atom %s is not a selector", at.src)
 	}
-	vals, present, err := at.sel.pass(cands, !at.all)
+	vals, present, err := at.sel.pass(ctx, cands, !at.all)
 	if err != nil {
 		return nil, err
 	}

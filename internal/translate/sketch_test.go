@@ -39,7 +39,7 @@ func TestCompileSketchPureConjunctionMatchesConjunctiveAtoms(t *testing.T) {
 		t.Fatalf("branches=%d rewrites=%d, want 1 and 0", len(branches), rewrites)
 	}
 	got := sketchRows(t, branches[0], cands)
-	want, pure, _, _, err := ConjunctiveAtoms(a, cands)
+	want, pure, _, _, err := NewPasses(cands).ConjunctiveAtoms(nil, a)
 	if err != nil || !pure {
 		t.Fatalf("ConjunctiveAtoms pure=%v err=%v", pure, err)
 	}

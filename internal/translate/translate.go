@@ -44,9 +44,17 @@
 //     over real tuples (SketchBranch.Weigh) for refine and the final
 //     check, over representative rows at each sketch level, and — for the
 //     selector kinds — re-weights over partition nodes from envelopes.
+//
+// What all three read of the candidates is a selection's pass — per
+// (argument, filter) pair, one fold of paql.Agg.Term over the rows — and
+// a Passes store keeps those per candidate set: the three are its methods,
+// so one query's compilations share each fold, and so do all the queries
+// the engine prepares over one candidate snapshot. The package-level
+// Translate and CompileSketch compile with passes of their own.
 package translate
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math"
@@ -76,8 +84,18 @@ type Model struct {
 // Translate compiles an analyzed, linear query over the given candidate
 // tuples. candidates[i] must be full relation rows (aggregate arguments
 // are bound against the relation schema). ids are the matching
-// base-table row ids.
+// base-table row ids. Its passes are its own; a query whose candidates
+// have a pass store translates through (*Passes).Translate.
 func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, error) {
+	return NewPasses(candidates).Translate(nil, a, ids)
+}
+
+// Translate compiles an analyzed, linear query over the store's
+// candidates into the exact MILP, folding only the selections no earlier
+// compilation against the store has. ids are the candidates' base-table
+// row ids; ctx, which may be nil, cancels a fold.
+func (ps *Passes) Translate(ctx context.Context, a *paql.Analysis, ids []int) (*Model, error) {
+	candidates := ps.rows
 	if !a.Linear {
 		return nil, fmt.Errorf("translate: query is not linear: %v", a.NonlinearReasons)
 	}
@@ -112,13 +130,13 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 		m.MILP.SetInteger(i)
 	}
 	// Objective: the tuple weights, widened over the indicator slots.
-	sels := selections{}
+	sels := newSelections(ps)
 	objective, objGuards, err := compileObjective(a, sels)
 	if err != nil {
 		return nil, err
 	}
 	if q.Objective != nil {
-		w, err := objective.weigh(candidates)
+		w, err := objective.weigh(ctx, candidates)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +166,7 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 		}
 		conj = conjoin(conj, lowered)
 	}
-	_, rows, err := weighConjunction(nil, conjoin(conj, objGuards), candidates, false)
+	_, rows, err := weighConjunction(ctx, conjoin(conj, objGuards), candidates, false)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +175,7 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 			return nil, err
 		}
 	}
-	if err := m.encodeFormula(root, -1, sels); err != nil {
+	if err := m.encodeFormula(ctx, root, -1, sels); err != nil {
 		return nil, err
 	}
 	// Pin unused indicator slots.
@@ -346,61 +364,70 @@ func affineForm(e expr.Expr) (*affine, error) {
 // selection is one (argument, filter) pair of a compiled query: the
 // tuples an aggregate ranges over, whatever its function. Every atom
 // lowered from the pair — a SUM row, its guard, both rows of a BETWEEN —
-// shares one, and the pass over the candidate set last weighed is kept:
-// they cost one fold over paql.Agg.Term between them, a guard's presence
-// being its aggregate's by-product. Candidate sets are told apart by
+// shares one, and so shares its pass: they cost one fold over
+// paql.Agg.Term between them, a guard's presence being its aggregate's
+// by-product. Over the candidate set of the compilation's pass store the
+// fold is the store's, made once for every query compiled against it;
+// over any other rows (a sketch level's representatives) the selection
+// keeps the pass of the set last weighed. Candidate sets are told apart by
 // identity; nobody edits rows between weighings.
 type selection struct {
-	agg *paql.Agg // Fn is not read
+	agg    *paql.Agg // Fn is not read
+	key    string
+	shared *Passes // nil: nothing outlives the compilation
 
-	mu      sync.Mutex
-	over    []schema.Row
-	num     []float64 // the term's number (0 when absent or non-numeric)
-	present []bool
-	nonNum  error // first non-numeric present value, reported to whoever needs numbers
+	mu   sync.Mutex
+	over []schema.Row
+	last *pass
 }
 
-// selections interns the selections of one compilation by rendered text.
-type selections map[string]*selection
+// selectionKey renders an aggregate's (argument, filter) pair, the name
+// its pass is kept under: the aggregate's key without its function.
+func selectionKey(a *paql.Agg) string { return expr.Key(a)[len(a.Fn):] }
+
+// selections interns the selections of one compilation by key, each bound
+// to the pass store the compilation weighs against.
+type selections struct {
+	shared *Passes
+	byKey  map[string]*selection
+}
+
+func newSelections(shared *Passes) selections {
+	return selections{shared: shared, byKey: map[string]*selection{}}
+}
 
 func (ss selections) of(a *paql.Agg) *selection {
-	key := a.String()[len(a.Fn):]
-	if ss[key] == nil {
-		ss[key] = &selection{agg: a}
+	key := selectionKey(a)
+	if ss.byKey[key] == nil {
+		ss.byKey[key] = &selection{agg: a, key: key, shared: ss.shared}
 	}
-	return ss[key]
+	return ss.byKey[key]
 }
 
 // pass folds Term over the candidates: per tuple, whether it is in the
 // selection and the number its argument contributes. numeric asks for the
 // numbers and so fails on an argument that is present and not a number.
-func (s *selection) pass(rows []schema.Row, numeric bool) (num []float64, present []bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(rows) == 0 || len(rows) != len(s.over) || &rows[0] != &s.over[0] {
-		num, present := make([]float64, len(rows)), make([]bool, len(rows))
-		s.over, s.nonNum = nil, nil
-		for i, row := range rows {
-			v, ok, err := s.agg.Term(row)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-			present[i] = true
-			if f, isNum := v.AsFloat(); isNum {
-				num[i] = f
-			} else if s.nonNum == nil {
-				s.nonNum = fmt.Errorf("translate: non-numeric value %s under %s", v, s.agg)
+// The slices are shared: read-only.
+func (s *selection) pass(ctx context.Context, rows []schema.Row, numeric bool) (num []float64, present []bool, err error) {
+	var p *pass
+	if s.shared.over(rows) {
+		p, err = s.shared.pass(ctx, s.key, s.agg)
+	} else {
+		s.mu.Lock()
+		if p = s.last; p == nil || !sameRows(rows, s.over) {
+			if p, err = foldTerms(ctx, s.agg, rows); err == nil {
+				s.over, s.last = rows, p
 			}
 		}
-		s.over, s.num, s.present = rows, num, present
+		s.mu.Unlock()
 	}
-	if numeric && s.nonNum != nil {
-		return nil, nil, s.nonNum
+	if err != nil {
+		return nil, nil, err
 	}
-	return s.num, s.present, nil
+	if numeric && p.nonNum != nil {
+		return nil, nil, p.nonNum
+	}
+	return p.num, p.present, nil
 }
 
 // linear is a compiled affine form Σ coef·agg + konst: its aggregates
@@ -428,7 +455,7 @@ func (ss selections) compile(f *affine) *linear {
 // weigh evaluates the form's aggregate part per candidate: w[i] is the
 // coefficient of x_i in every row and objective the form appears in —
 // per term, SUM → the term's number, COUNT → 1, absent → 0.
-func (l *linear) weigh(rows []schema.Row) ([]float64, error) {
+func (l *linear) weigh(ctx context.Context, rows []schema.Row) ([]float64, error) {
 	w := make([]float64, len(rows))
 	for _, t := range l.terms {
 		if t.coef == 0 {
@@ -440,7 +467,7 @@ func (l *linear) weigh(rows []schema.Row) ([]float64, error) {
 			}
 			continue
 		}
-		num, present, err := t.sel.pass(rows, !t.count)
+		num, present, err := t.sel.pass(ctx, rows, !t.count)
 		if err != nil {
 			return nil, err
 		}

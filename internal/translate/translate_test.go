@@ -576,7 +576,7 @@ func TestTranslateRowsAreTheCompiledAtoms(t *testing.T) {
 			}
 			shared = k
 		}
-		_, objGuards, err := compileObjective(a, selections{})
+		_, objGuards, err := compileObjective(a, newSelections(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

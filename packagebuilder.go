@@ -481,8 +481,8 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 		fmt.Fprintln(w)
 	}
 	st := res.Stats
-	fmt.Fprintf(w, "strategy=%s exact=%v candidates=%d bounds=%s elapsed=%s\n",
-		st.Strategy, st.Exact, st.Candidates, st.Bounds, st.Elapsed.Round(time.Microsecond))
+	fmt.Fprintf(w, "strategy=%s exact=%v candidates=%d scanned=%d snapshot-hit=%v bounds=%s elapsed=%s\n",
+		st.Strategy, st.Exact, st.Candidates, st.RowsScanned, st.SnapshotHit, st.Bounds, st.Elapsed.Round(time.Microsecond))
 	if st.Degraded {
 		fmt.Fprintf(w, "degraded: %s\n", strings.Join(st.DegradedReasons, "; "))
 	}

@@ -3,7 +3,8 @@
 # container: gofmt, go vet, staticcheck when it is installed and
 # otherwise the check PRs 19-20 ran by hand in its place — an unexported
 # function whose name appears nowhere but in its own declaration is dead
-# code — and the shape of the checked-in measurement records.
+# code — then that no tracked file but a measurement record is over 1 MB,
+# and the shape of those records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +33,15 @@ else
   if [ -n "$dead" ]; then
     echo "unexported functions nothing calls:" && echo "$dead" && exit 1
   fi
+fi
+
+# A build product committed by accident (PR 22's 7.7 MB sketch.test) rides
+# along in every clone from then on. The measurement records are the one
+# kind of large file that belongs in the tree.
+big=$(git ls-files -z | xargs -0 -r ls -l 2> /dev/null |
+  awk '$5 > 1048576 && $NF !~ /^BENCH_[^\/]*\.json$/ { print $NF " (" $5 " bytes)" }')
+if [ -n "$big" ]; then
+  echo "tracked files over 1 MB that are not BENCH_*.json:" && echo "$big" && exit 1
 fi
 
 # ROADMAP house rule (i): a PR that claims a number commits its runs. A
