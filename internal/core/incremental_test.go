@@ -275,12 +275,14 @@ func writeBatch(t *testing.T, db *minidb.DB, nextID, ins, delFrom, del int) {
 }
 
 // TestMaintenanceFollowsTreeLineage pins the clock patch-vs-rebuild is
-// decided on: the delta between the stale tree and now, which is what
-// Tree.ApplyDelta enforces — not the writes the table has seen in total.
-// Sixty 1 % write steps (60 % cumulative) each leave the cached tree 1 %
-// stale, so each is planned as a patch and patched; one 30 % batch is
-// past the budget, so it is planned as a rebuild and the engine never
-// reaches the patch path.
+// decided on: the tree's own — the delta between the stale tree and now
+// plus the drift that tree carries since its last full build, which is
+// what Tree.ApplyDelta enforces — not the writes the table has seen in
+// total. Sixty 1 % write steps each leave the cached tree 1 % stale, so
+// each is a patch until the tree's drift would pass 25 %: that step is
+// planned as a rebuild, and the chain starts over from the fresh tree.
+// One 30 % batch is past the budget on its own, so it is planned as a
+// rebuild and the engine never reaches the patch path.
 func TestMaintenanceFollowsTreeLineage(t *testing.T) {
 	db := lcDB(t, 6000)
 	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
@@ -300,15 +302,31 @@ func TestMaintenanceFollowsTreeLineage(t *testing.T) {
 		t.Fatalf("cold query planned\n%s", cold.Stats.Plan.Explain())
 	}
 	nextID, delFrom := 100_000, 1 // recipe ids start at 1
+	drift, rebuilds := 0, 0
 	for step := 1; step <= 60; step++ {
 		writeBatch(t, db, nextID, 40, delFrom, 20)
 		nextID, delFrom = nextID+40, delFrom+20
 		res := run()
 		qp := res.Stats.Plan
-		if qp.Maintenance != plan.MaintainPatch || qp.TreeSource != plan.SourcePatch || !res.Stats.SketchTreePatched {
-			t.Fatalf("write step %d (%d rows written in total, this tree 1%% stale): patched=%v, planned\n%s",
-				step, 60*step, res.Stats.SketchTreePatched, qp.Explain())
+		fits := plan.PatchFits(drift, 60, res.Stats.Candidates)
+		switch {
+		case fits && (qp.Maintenance != plan.MaintainPatch || qp.TreeSource != plan.SourcePatch || !res.Stats.SketchTreePatched):
+			t.Fatalf("write step %d (this tree 1%% stale, %d drift): patched=%v, planned\n%s",
+				step, drift, res.Stats.SketchTreePatched, qp.Explain())
+		case !fits && (qp.Maintenance != plan.MaintainRebuild || qp.TreeSource != plan.SourceBuild || res.Stats.SketchTreePatched ||
+			!strings.Contains(qp.Decision("maintenance").Reason, "since the last full build > 25% budget")):
+			t.Fatalf("write step %d (1%% stale on top of %d drift, past the budget): patched=%v, planned\n%s",
+				step, drift, res.Stats.SketchTreePatched, qp.Explain())
+		case fits:
+			drift += 60
+		default:
+			drift = 0
+			rebuilds++
 		}
+	}
+	// 60 % written in 1 % steps: the drift budget rebuilt the tree twice.
+	if rebuilds != 2 {
+		t.Fatalf("%d drift rebuilds over 60 one-percent steps, want 2", rebuilds)
 	}
 
 	// One batch of 30 % (2,400 rows against the 8,000 it leaves): past the

@@ -129,7 +129,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			if c.field != "" {
 				forced[optionDecision[c.field]] = true
 			}
-			run := func(shape, query, wantSource string) {
+			run := func(shape, query, wantSource string) *Result {
 				t.Helper()
 				prep, err := Prepare(db, query)
 				if err != nil {
@@ -143,6 +143,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 					t.Fatalf("%s: no package: %v", shape, res.Stats.Notes)
 				}
 				checkFollowsPlan(t, shape, res, forced, wantSource)
+				return res
 			}
 			// Under 4,096 candidates the planner answers exactly unless the
 			// strategy is forced; over them it sketches: cold, then warm,
@@ -158,11 +159,23 @@ func TestExecutionFollowsPlan(t *testing.T) {
 				postWrite = plan.SourceBuild
 			}
 			run("post-write", lcQuery, postWrite)
-			// After many writes: three 10 % batches take the table's total
-			// past the patch budget, yet each leaves the tree 10 % stale.
+			// After many writes: three 10 % batches. Each leaves the tree
+			// 10 % stale, but the third would take its drift since the last
+			// full build past the 25 % budget: that one is planned as a
+			// rebuild — exactly where ApplyDelta would refuse — and built.
+			drift := 1
 			for i := 0; i < 3; i++ {
 				writeBatch(t, db, 100_000+400*i, 400, 1+200*i, 200)
-				run(fmt.Sprintf("post-write-after-many-writes/%d", i+1), lcQuery, postWrite)
+				shape := fmt.Sprintf("post-write-after-many-writes/%d", i+1)
+				if !opts.SketchIncremental || plan.PatchFits(drift, 600, 6001+200*(i+1)) {
+					run(shape, lcQuery, postWrite)
+					drift += 600
+					continue
+				}
+				if res := run(shape, lcQuery, plan.SourceBuild); res.Stats.Plan.Maintenance != plan.MaintainRebuild {
+					t.Errorf("%s: a 10%% step on %d drift planned maintenance = %s", shape, drift, res.Stats.Plan.Maintenance)
+				}
+				drift = 0
 			}
 		})
 	}
@@ -332,5 +345,58 @@ func TestSketchLimitKBoundsOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, golden) {
 		t.Errorf("LIMIT 5 packages = %v, want %v", got, golden)
+	}
+}
+
+// TestPlanRebuildsExactlyWhenApplyDeltaRefuses acquires each tree the way
+// the benchmark's frozen trace does — plan, Advance, the base tree out of
+// the cache, ApplyDelta, else a build — over appends that walk a tree's
+// drift up to the budget exactly and one tuple past it: the plan says
+// patch exactly where ApplyDelta patches and rebuild exactly where it
+// refuses.
+func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
+	db := lcDB(t, 6000)
+	cache, memo := sketch.NewCache(0), NewFingerprintMemo()
+	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo, Catalog: catalog.New(db)}
+	// 6,000 → 7,000 → 8,000 rows: 1,000 + 1,000 is 25 % of 8,000 exactly,
+	// one row more is past it, and the rebuilt tree patches again.
+	nextID := 100_000
+	for i, step := range []struct {
+		appends int
+		want    string
+	}{{0, plan.MaintainNone}, {1000, plan.MaintainPatch}, {1000, plan.MaintainPatch}, {1, plan.MaintainRebuild}, {1, plan.MaintainPatch}} {
+		if step.appends > 0 {
+			writeBatch(t, db, nextID, step.appends, 0, 0)
+			nextID += step.appends
+		}
+		prep, err := Prepare(db, lcQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp := prep.Plan(opts)
+		if qp.Strategy != plan.StrategySketch {
+			t.Fatalf("step %d planned %s", i, qp.Strategy)
+		}
+		fp, patch := memo.Advance(prep)
+		so := sketch.Options{MaxPartitionSize: qp.Tau, Depth: qp.Depth, Seed: opts.Seed, Fingerprint: &fp}
+		key := sketch.KeyFor(prep.Instance, so)
+		var tree *sketch.Tree
+		patched := false
+		if patch != nil {
+			baseKey := key
+			baseKey.Fingerprint = patch.BaseFingerprint
+			base, ok := cache.Peek(baseKey)
+			if !ok {
+				t.Fatalf("step %d: the lineage names a base tree the cache does not hold", i)
+			}
+			tree, patched = base.ApplyDelta(prep.Instance.Rows, patch.Remap, so)
+		}
+		if qp.Maintenance != step.want || patched != (qp.Maintenance == plan.MaintainPatch) {
+			t.Fatalf("step %d (%d candidates): ApplyDelta patched=%v, planned\n%s", i, len(prep.Instance.Rows), patched, qp.Explain())
+		}
+		if !patched {
+			tree = sketch.BuildTree(prep.Instance, so)
+		}
+		cache.Put(key, tree)
 	}
 }

@@ -116,7 +116,12 @@ func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState
 		if !pr.Known {
 			return cs
 		}
+		// Changed candidates have no fingerprint yet (Advance folds it), so
+		// the key probed is the base tree's, the one a patch starts from.
 		fp := pr.Fingerprint
+		if pr.Patchable {
+			fp = pr.Base
+		}
 		key := sketch.KeyFor(p.Instance, sketch.Options{
 			MaxPartitionSize: tau,
 			Depth:            depth,
@@ -127,29 +132,21 @@ func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState
 		if opts.SketchPersistDir != "" {
 			store = sketch.NewStore(opts.SketchPersistDir)
 		}
+		var warm *sketch.Tree
 		if cache != nil {
-			if _, ok := cache.Peek(key); ok {
-				cs.InCache = true
-				return cs
-			}
+			warm, _ = cache.Peek(key)
 		}
-		if store != nil && store.Contains(key) {
-			cs.OnDisk = true
-			return cs
-		}
-		if pr.Patchable {
-			base := key
-			base.Fingerprint = pr.Base
-			warmBase := false
-			if cache != nil {
-				_, warmBase = cache.Peek(base)
-			}
-			if !warmBase && store != nil {
-				warmBase = store.Contains(base)
-			}
-			if warmBase {
-				cs.Patchable = true
-				cs.PatchFrac = pr.DeltaFrac
+		onDisk := func() bool { return store != nil && store.Contains(key) }
+		switch {
+		case !pr.Patchable:
+			cs.InCache = warm != nil
+			cs.OnDisk = !cs.InCache && onDisk()
+		case warm != nil || onDisk():
+			// A base only on disk is not read for its drift: the plan
+			// predicts a patch, and ApplyDelta still refuses past the budget.
+			cs.Patchable, cs.Delta = true, pr.Delta
+			if warm != nil {
+				cs.Drift = warm.Drift
 			}
 		}
 		return cs

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/expr"
@@ -23,8 +24,9 @@ import (
 //
 // Three tiers answer a package query before any solver runs, in this
 // order: this snapshot (whose tuples pass WHERE, and their selection
-// passes), the fingerprint it carries for FingerprintMemo (which tree
-// those tuples hash to), and sketch.Cache (the tree).
+// passes), the fingerprint lineage it carries per tree shape for
+// FingerprintMemo (which tree those tuples hash to, and which earlier
+// tree of that shape a patch starts from), and sketch.Cache (the tree).
 type candidateStore struct {
 	mu      sync.Mutex
 	entries map[string]*snapshot // by whereKey
@@ -35,7 +37,8 @@ type candidateStore struct {
 // memoMaxEntries bounds a store's entry count and memoMaxRows the
 // candidates its entries describe in total. An entry costs two machine
 // words per candidate at first sight (an id and, once a sketch evaluation
-// asked, a row hash); a promoted one also holds a row header and a number
+// asked, a row hash — one more per tree shape whose lineage has diverged
+// from its siblings'); a promoted one also holds a row header and a number
 // and a flag per selection folded.
 const (
 	memoMaxEntries = 32
@@ -49,8 +52,8 @@ const (
 // version: from then on a preparation evaluates no predicate and folds no
 // selection an earlier one folded. A write moves the table's version, and
 // the first preparation to notice drops every entry's rows and passes; the
-// fingerprint half keeps its own version, which is what lets
-// FingerprintMemo replay the delta between the two.
+// fingerprint half keeps a version per tree shape, which is what lets
+// FingerprintMemo replay the delta between each shape's version and now.
 type snapshot struct {
 	used    uint64
 	sighted bool   // a scan has filled version and ids in
@@ -58,17 +61,36 @@ type snapshot struct {
 	ids     []int  // candidate row ids (positions) at that version
 	rows    []schema.Row
 	passes  *translate.Passes // over rows; nil until promoted
-	fp      *fingerprint      // nil until a sketch evaluation asked
+	// lineage is FingerprintMemo's half: one record per tree shape
+	// (sketch.AttrsOf), empty until a sketch evaluation asked.
+	lineage map[string]*fingerprint
 }
 
-// fingerprint is FingerprintMemo's half of a snapshot: the candidates'
-// row hashes at the version they were last advanced to, which trails the
-// snapshot's by the writes Advance has not replayed yet.
+// fingerprint is one tree shape's write lineage: the candidates' row
+// hashes at the version that shape's trees were last advanced to, which
+// trails the snapshot's by the writes its Advance has not replayed yet.
+// A record never changes its slices — an advance makes a new one — so a
+// shape first seen where a sibling stands holds the sibling's record.
 type fingerprint struct {
 	version   uint64
 	ids       []int    // candidate row ids at that version
 	rowHashes []uint64 // RowHash per candidate, parallel to ids
 	fp        uint64   // CombineRowHashes(rowHashes)
+	probed    *replay  // Probe's replay of this record to a newer version, for Advance to commit
+}
+
+// replay is what the table's delta log says happened to a lineage
+// record's candidates up to a newer version: which positions were
+// deleted, how many of them were candidates, and — the rest of the
+// candidates at that version — what was appended. It is the delta alone,
+// read without walking the record, so Probe can keep one beside the
+// record for Advance to apply.
+type replay struct {
+	version  uint64
+	ids      []int // candidate row ids at version
+	deleted  []int // the table positions deleted since the record's version, ascending
+	dropped  int   // how many of them were the record's candidates
+	appended int   // candidates at version past the survivors: the rows to hash
 }
 
 // snapshotsOf returns the table's candidate store.
@@ -205,7 +227,7 @@ func (s *candidateStore) evict(keep *snapshot) {
 		total, victim := 0, ""
 		var oldest *snapshot
 		for k, e := range s.entries {
-			total += max(len(e.ids), e.fp.len())
+			total += e.size()
 			if e != keep && (oldest == nil || e.used < oldest.used) {
 				victim, oldest = k, e
 			}
@@ -217,12 +239,35 @@ func (s *candidateStore) evict(keep *snapshot) {
 	}
 }
 
-// len is the number of candidates the fingerprint describes, 0 for none.
-func (f *fingerprint) len() int {
-	if f == nil {
-		return 0
+// size is the number of candidates the entry describes: its ids, or the
+// row hashes its lineage holds when they are more, a hash slice that
+// several records share counted once.
+func (e *snapshot) size() int {
+	var seen []*uint64 // first element of each slice counted; a shape or two
+	hashes := 0
+	for _, f := range e.lineage {
+		if hs := f.rowHashes; len(hs) > 0 && !slices.Contains(seen, &hs[0]) {
+			seen = append(seen, &hs[0])
+			hashes += len(hs)
+		}
 	}
-	return len(f.rowHashes)
+	return max(len(e.ids), hashes)
+}
+
+// lineageFor returns shape's lineage record, or for a shape not seen yet
+// the newest a sibling shape holds, which it starts from: at the same
+// version that hashes nothing, behind it only the writes in between.
+func (e *snapshot) lineageFor(shape string) *fingerprint {
+	if f := e.lineage[shape]; f != nil {
+		return f
+	}
+	var newest *fingerprint
+	for _, f := range e.lineage {
+		if newest == nil || f.version > newest.version {
+			newest = f
+		}
+	}
+	return newest
 }
 
 // retained counts what the store holds beyond ids and hashes: candidate

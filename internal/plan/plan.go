@@ -75,15 +75,24 @@ const (
 	// the win: the planner stays serial under it, and so does the tree
 	// builder's median splitter for any group smaller than it.
 	ParallelMinRows = 2048
-	// PatchMaxFrac is the largest delta (inserts + deletes, as a fraction
-	// of the current candidates) worth patching a stale tree for; past it
-	// patching would touch most of the tree anyway and a rebuild is both
-	// faster and higher-fidelity. Tree.ApplyDelta refuses beyond it.
+	// PatchMaxFrac is the largest drift (inserts + deletes since a tree's
+	// last full build, as a fraction of the current candidates) a patched
+	// tree may carry; past it patching would have touched most of the tree
+	// and a rebuild is both faster and higher-fidelity. Tree.ApplyDelta
+	// refuses beyond it (PatchFits).
 	PatchMaxFrac = 0.25
 	// DescendBudget is the extra singleton variables the bound pipeline's
 	// adaptive one-level descent may spend re-bounding the loosest leaves.
 	DescendBudget = 4096
 )
+
+// PatchFits reports whether a tree that has drifted by drift tuples since
+// its last full build can absorb a step of step more over n current
+// candidates: the one size check Tree.ApplyDelta makes, and the one
+// pickMaintenance predicts it with.
+func PatchFits(drift, step, n int) bool {
+	return float64(drift+step) <= PatchMaxFrac*float64(n)
+}
 
 // Strategy names a plan can choose (core.ParseStrategy's spellings).
 const (
@@ -232,9 +241,12 @@ type CacheState struct {
 	// Patchable: a base tree plus delta lineage exist, so the stale
 	// tree could be patched instead of rebuilt.
 	Patchable bool `json:"patchable"`
-	// PatchFrac is the lineage delta as a fraction of the candidates
-	// (meaningful only when Patchable).
-	PatchFrac float64 `json:"patchFrac,omitempty"`
+	// Delta is the lineage delta in tuples (deleted + appended since the
+	// base tree's version) and Drift the base tree's own since its last
+	// full build (meaningful only when Patchable): ApplyDelta patches
+	// while PatchFits(Drift, Delta, N).
+	Delta int `json:"delta,omitempty"`
+	Drift int `json:"drift,omitempty"`
 	// ProbeFailed: the probe itself failed, so the state above is
 	// unknown and the planner assumes cold. Plans are predictions — a
 	// failed probe degrades the prediction, never the query.

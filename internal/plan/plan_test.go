@@ -106,17 +106,27 @@ func TestDecisionMatrix(t *testing.T) {
 		}(), map[string]string{"maintenance": MaintainNone}},
 		{"writes/modest", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(0.01)
+			in.Probe = patchable(1_000, 0)
 			return in
 		}(), map[string]string{"maintenance": MaintainPatch}},
 		{"writes/heavy", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(0.4)
+			in.Probe = patchable(40_000, 0)
 			return in
 		}(), map[string]string{"maintenance": MaintainRebuild}},
+		{"writes/drift-at-budget", func() Input {
+			in := baseInput(100_000)
+			in.Probe = patchable(1_000, 24_000) // 1 % + 24 % = 25 %: still inside
+			return in
+		}(), map[string]string{"maintenance": MaintainPatch}},
+		{"writes/drifted", func() Input {
+			in := baseInput(100_000)
+			in.Probe = patchable(1_000, 24_001) // a 1 % step past a chain of small ones
+			return in
+		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
 		{"writes/forced-off", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(0.01)
+			in.Probe = patchable(1_000, 0)
 			in.Forced.Incremental = new(bool)
 			return in
 		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
@@ -138,12 +148,12 @@ func TestDecisionMatrix(t *testing.T) {
 		}(), map[string]string{"tree-source": SourceDisk}},
 		{"cache/patchable", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(0.001)
+			in.Probe = patchable(100, 0)
 			return in
 		}(), map[string]string{"tree-source": SourcePatch, "maintenance": MaintainPatch}},
 		{"cache/patchable-but-rebuilding", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(0.5)
+			in.Probe = patchable(50_000, 0)
 			return in
 		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainRebuild}},
 		{"cache/probe-failed", func() Input {
@@ -247,7 +257,7 @@ func TestEachInputChangesADecision(t *testing.T) {
 		{"atom-mix", func(in *Input) {
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"nonlinear"}}
 		}},
-		{"write-lineage", func(in *Input) { in.Probe = patchable(0.4) }},
+		{"write-lineage", func(in *Input) { in.Probe = patchable(40_000, 0) }},
 		{"cache-state", func(in *Input) {
 			in.Probe = func(tau, depth int) CacheState { return CacheState{InCache: true} }
 		}},
@@ -265,9 +275,10 @@ func TestEachInputChangesADecision(t *testing.T) {
 }
 
 // patchable is the probe of a query whose stale tree sits in the cache
-// with write lineage covering frac of the candidates.
-func patchable(frac float64) func(tau, depth int) CacheState {
-	return func(tau, depth int) CacheState { return CacheState{Patchable: true, PatchFrac: frac} }
+// with write lineage of delta tuples, on top of drift since that tree's
+// last full build (the matrix's inputs have 100,000 candidates).
+func patchable(delta, drift int) func(tau, depth int) CacheState {
+	return func(tau, depth int) CacheState { return CacheState{Patchable: true, Delta: delta, Drift: drift} }
 }
 
 func decisionValues(p *Plan) string {
@@ -340,7 +351,7 @@ func TestGoldenExplain(t *testing.T) {
 		MaxMult: 1,
 		Mix:     linearMix(),
 		Procs:   8,
-		Probe:   patchable(0.01),
+		Probe:   patchable(1_000, 14_200),
 
 		RowsScanned: 100_000,
 	}
@@ -358,9 +369,9 @@ atoms: linear; 2 sum/count; 1 branch
 ├─ parallelism = 8
 │      100000 candidates ≥ 2048: fan out across 8 workers
 ├─ maintenance = patch
-│      lineage delta 1.0% of the candidates ≤ 25% budget: patch the stale tree in place
+│      lineage delta 1.0% + drift 14.2% since the last full build ≤ 25% budget: patch the stale tree in place
 ├─ tree-source = patch
-│      stale base tree plus write lineage (delta 1.0% of candidates): patch instead of rebuild
+│      stale base tree plus write lineage (delta 1.0% + drift 14.2% since the last full build): patch instead of rebuild
 ├─ bound = tree-lp  [cost ≈ 1.56e+03]
 │      LP relaxation over ~1563 partition leaves (objective-sorted segments), 1 branch(es); no band atoms to tighten
 │      rejected: tree-lp+tighten ≈ 7.82e+03

@@ -53,7 +53,7 @@ func New(in Input) *Plan {
 	}
 	if sketchy {
 		pickMaintenance(p, in, cs)
-		pickTreeSource(p, cs)
+		pickTreeSource(p, in, cs)
 	} else {
 		p.Incremental = true
 		// The knob decisions explain values that will not be used; keep
@@ -359,9 +359,10 @@ func costStrategy(in Input, tau int, cs CacheState) Decision {
 }
 
 // pickMaintenance decides patch-vs-rebuild on the probed tree's own
-// clock: cs reports the write lineage between the stale tree and now —
-// the same (deleted + appended) / n that Tree.ApplyDelta holds against
-// PatchMaxFrac — so the plan patches exactly when the engine would.
+// clock: cs reports the write lineage between the stale tree and now and
+// the drift that tree carries since its last full build — the same step
+// and drift Tree.ApplyDelta holds against PatchMaxFrac (PatchFits) — so
+// the plan patches exactly when the engine would.
 func pickMaintenance(p *Plan, in Input, cs CacheState) {
 	d := Decision{Name: "maintenance"}
 	switch {
@@ -375,24 +376,34 @@ func pickMaintenance(p *Plan, in Input, cs CacheState) {
 	case !cs.Patchable:
 		d.Value = MaintainNone
 		d.Reason = "no stale tree with write lineage: nothing to patch or rebuild"
-	case cs.PatchFrac <= PatchMaxFrac:
+	case PatchFits(cs.Drift, cs.Delta, in.N):
 		d.Value = MaintainPatch
-		d.Reason = fmt.Sprintf("lineage delta %.1f%% of the candidates ≤ %.0f%% budget: patch the stale tree in place",
-			100*cs.PatchFrac, 100*PatchMaxFrac)
+		d.Reason = fmt.Sprintf("lineage %s ≤ %.0f%% budget: patch the stale tree in place", lineage(cs, in.N), 100*PatchMaxFrac)
 	default:
 		d.Value = MaintainRebuild
-		d.Reason = fmt.Sprintf("lineage delta %.1f%% of the candidates > %.0f%% budget: rebuilding beats patching",
-			100*cs.PatchFrac, 100*PatchMaxFrac)
+		d.Reason = fmt.Sprintf("lineage %s > %.0f%% budget: rebuilding beats patching", lineage(cs, in.N), 100*PatchMaxFrac)
 	}
 	p.Maintenance = d.Value
 	p.Incremental = d.Value != MaintainRebuild
 	p.Decisions = append(p.Decisions, d)
 }
 
+// lineage renders a patch's step beside the drift it adds to, both as a
+// share of the n candidates.
+func lineage(cs CacheState, n int) string {
+	pct := func(k int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return 100 * float64(k) / float64(n)
+	}
+	return fmt.Sprintf("delta %.1f%% + drift %.1f%% since the last full build", pct(cs.Delta), pct(cs.Drift))
+}
+
 // pickTreeSource predicts where the partition tree will come from,
 // mirroring the engine's acquisition order: memory cache, then the
 // on-disk store, then patching a stale base, then a full build.
-func pickTreeSource(p *Plan, cs CacheState) {
+func pickTreeSource(p *Plan, in Input, cs CacheState) {
 	d := Decision{Name: "tree-source"}
 	switch {
 	case cs.InCache:
@@ -403,7 +414,10 @@ func pickTreeSource(p *Plan, cs CacheState) {
 		d.Reason = "persisted tree for this fingerprint can be loaded from the store"
 	case cs.Patchable && p.Incremental:
 		d.Value = SourcePatch
-		d.Reason = fmt.Sprintf("stale base tree plus write lineage (delta %.1f%% of candidates): patch instead of rebuild", 100*cs.PatchFrac)
+		d.Reason = fmt.Sprintf("stale base tree plus write lineage (%s): patch instead of rebuild", lineage(cs, in.N))
+	case cs.Patchable:
+		d.Value = SourceBuild
+		d.Reason = fmt.Sprintf("stale base tree not patched (%s; maintenance = %s): full offline build", lineage(cs, in.N), p.Maintenance)
 	case cs.ProbeFailed:
 		d.Value = SourceBuild
 		d.Reason = "cache probe failed; assuming cold and planning a full offline build"

@@ -41,7 +41,7 @@ func (s *solver) tree(tau, depth int) (*Tree, error) {
 	// Patched provenance is sticky across acquisitions — whether
 	// ApplyDelta ran here or a patched-born tree arrived via the cache or
 	// the store — because the parity retry keys on it.
-	s.patchedAny = s.patchedAny || t.Patched
+	s.patchedAny = s.patchedAny || t.Drift > 0
 	if s.trees == nil {
 		s.trees = map[[2]int]*Tree{}
 	}
@@ -215,7 +215,9 @@ func (s *solver) patchStale(o Options, key Key, store *Store) (t *Tree, delta in
 	baseKey.Fingerprint = o.Patch.BaseFingerprint
 	var base *Tree
 	if o.Cache != nil {
-		base, _ = o.Cache.Get(baseKey)
+		// Peek, not Get: the base is an input to the patch, not the tree
+		// this query is served; the acquisition's one miss already counted.
+		base, _ = o.Cache.Peek(baseKey)
 	}
 	if base == nil && store != nil {
 		base, _ = store.Load(baseKey)
@@ -264,14 +266,19 @@ func keyForCtx(inst *search.Instance, opts Options) (Key, error) {
 	}
 	return Key{
 		Fingerprint: fp,
-		Attrs:       attrsKey(partitionAttrs(inst)),
+		Attrs:       AttrsOf(inst),
 		Tau:         opts.tau(),
 		Depth:       opts.depth(),
 		Seed:        opts.Seed,
 	}, nil
 }
 
-func attrsKey(attrs []int) string {
+// AttrsOf is the shape of the trees built over inst: its partition
+// attributes, encoded as Key.Attrs. core's fingerprint memo keeps one
+// write lineage per shape, so each tree walks the writes since its own
+// version.
+func AttrsOf(inst *search.Instance) string {
+	attrs := partitionAttrs(inst)
 	parts := make([]string, len(attrs))
 	for i, a := range attrs {
 		parts[i] = strconv.Itoa(a)

@@ -19,8 +19,9 @@ import (
 // touched paths only. Leaves that outgrow τ are split locally; a parent
 // whose fanout degrades past its build-time shape gets its leaf group
 // rebuilt in place (a scoped subtree rebuild); anything the local rules
-// cannot absorb — a too-large delta, a degraded upper level, a broken
-// invariant — falls back to a full rebuild, which is always correct.
+// cannot absorb — a drift past the patch budget, a degraded upper level,
+// a broken invariant — falls back to a full rebuild, which is always
+// correct.
 //
 // Patched trees are approximations of a from-scratch rebuild: leaf
 // membership may differ (inserted tuples go to the nearest existing
@@ -57,10 +58,12 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 }
 
 // ApplyDelta returns a copy of the tree patched to cover rows, the
-// current candidate set, given remap (see PatchSpec.Remap). The
-// original tree is never mutated — cached trees are shared across
-// concurrent evaluations. ok is false when the delta is too large
-// (plan.PatchMaxFrac), when local repair would break a structural
+// current candidate set, given remap (see PatchSpec.Remap); its Drift is
+// the tree's plus the delta. The original tree is never mutated — cached
+// trees are shared across concurrent evaluations. ok is false when that
+// drift would exceed the budget (plan.PatchFits) — however small each
+// step of the chain was, a tree is rebuilt once the patches since its
+// last full build add up — when local repair would break a structural
 // invariant above the leaf-parent level, or when patching empties the
 // tree; the caller must then rebuild from scratch.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
@@ -76,7 +79,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	}
 	deletes := len(remap) - surv
 	inserts := n - surv
-	if inserts < 0 || float64(inserts+deletes) > plan.PatchMaxFrac*float64(n) {
+	if inserts < 0 || !plan.PatchFits(t.Drift, inserts+deletes, n) {
 		return nil, false
 	}
 
@@ -111,6 +114,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	if !ok {
 		return nil, false
 	}
+	out.Drift = t.Drift + inserts + deletes
 	// The structural backstop: a patch that silently broke coverage or
 	// an envelope must surface as a rebuild, never as a corrupt tree.
 	if err := out.validateStructure(); err != nil {
@@ -525,7 +529,7 @@ func (p *patcher) rebuildLeafGroup(children []int) []int {
 // assembles the patched tree. ok is false when a whole level died.
 func (p *patcher) compact() (*Tree, bool) {
 	t := p.tree
-	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth, Patched: true}
+	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth}
 	out.Levels = make([][]Node, t.Depth)
 	for l := t.Depth - 1; l >= 0; l-- {
 		idxMap := make([]int, len(p.levels[l]))

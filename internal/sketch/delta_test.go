@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/minidb"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sketch"
 	"repro/internal/value"
@@ -132,8 +133,9 @@ func TestApplyDeltaInsertAndDelete(t *testing.T) {
 	if patched.Depth != base.Depth || patched.Tau != base.Tau {
 		t.Fatalf("patched shape %d/%d, want %d/%d", patched.Depth, patched.Tau, base.Depth, base.Tau)
 	}
-	if !patched.Patched || base.Patched {
-		t.Fatalf("provenance flags wrong: patched=%v base=%v", patched.Patched, base.Patched)
+	step := (&sketch.PatchSpec{Remap: remap}).DeltaSize(len(prep2.Instance.Rows))
+	if patched.Drift != step || base.Drift != 0 {
+		t.Fatalf("drift: patched %d (want the %d-tuple step), base %d (want 0)", patched.Drift, step, base.Drift)
 	}
 	checkTree(t, patched, prep2.Instance.Rows)
 
@@ -234,6 +236,71 @@ func TestApplyDeltaRejectsOversizedDelta(t *testing.T) {
 	}
 }
 
+// TestPatchChainRebuildsPastTheBudget: a tree patched batch after batch
+// carries the sum of the batches as its drift, and the batch that would
+// take that drift past plan.PatchMaxFrac of the candidates — each batch
+// alone far inside it — is a rebuild, whose tree starts over at drift 0.
+func TestPatchChainRebuildsPastTheBudget(t *testing.T) {
+	db, prev := deltaFixture(t, 800)
+	cache := sketch.NewCache(0)
+	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1, Cache: cache}
+	if _, err := sketch.Solve(prev.Instance, opts); err != nil {
+		t.Fatal(err)
+	}
+	drift, patches := 0, 0
+	for step := 1; ; step++ {
+		if step > 20 {
+			t.Fatalf("20 batches of ~5%% and the tree never rebuilt (drift %d)", drift)
+		}
+		// ~5 % of the candidates per batch: 16 inserted, 6 deleted.
+		for i := 0; i < 16; i++ {
+			id := 90000 + 100*step + i
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO recipes VALUES (%d, 'c%d', 'fusion', 'dinner', 'free', %d, %d, 10, 50, 9.5, 4.5)",
+				id, id, 500+40*i, 20+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.Exec(fmt.Sprintf("DELETE FROM recipes WHERE id >= %d AND id < %d", 10*step, 10*step+6)); err != nil {
+			t.Fatal(err)
+		}
+		next, err := core.Prepare(db, mealQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(next.Instance.Rows)
+		o := opts
+		fp := sketch.Fingerprint(next.Instance.Rows)
+		o.Fingerprint = &fp
+		o.Patch = &sketch.PatchSpec{BaseFingerprint: sketch.Fingerprint(prev.Instance.Rows), Remap: remapByID(prev.Instance.Rows, next.Instance.Rows)}
+		res, err := sketch.Solve(next.Instance, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := o.Patch.DeltaSize(n)
+		fits := plan.PatchFits(drift, delta, n)
+		if res.TreePatched != fits {
+			t.Fatalf("batch %d (delta %d, drift %d, %d candidates): patched=%v, budget says %v", step, delta, drift, n, res.TreePatched, fits)
+		}
+		tree, ok := cache.Peek(sketch.KeyFor(next.Instance, o))
+		if !ok {
+			t.Fatalf("batch %d: no tree cached under the new fingerprint", step)
+		}
+		if !fits {
+			if tree.Drift != 0 || patches < 2 {
+				t.Fatalf("rebuilt at batch %d after %d patches: drift %d, want 0 after at least 2 patches", step, patches, tree.Drift)
+			}
+			t.Logf("rebuilt at batch %d: drift %d + delta %d over %d candidates", step, drift, delta, n)
+			return
+		}
+		drift += delta
+		patches++
+		if tree.Drift != drift {
+			t.Fatalf("batch %d: patched tree drift %d, want %d", step, tree.Drift, drift)
+		}
+		prev = next
+	}
+}
+
 // lyingPrep is the six-row query whose only package is {60, 40}, and
 // lyingTree a τ = 2 tree over its candidates that lies: its
 // representatives promise a sum its real tuples cannot deliver, and it
@@ -259,9 +326,9 @@ func lyingPrep(t *testing.T) *core.Prepared {
 	return prep
 }
 
-func lyingTree(patched bool) *sketch.Tree {
+func lyingTree(drift int) *sketch.Tree {
 	rep := schema.Row{value.Float(50)}
-	return &sketch.Tree{Attrs: []int{0}, Tau: 2, Depth: 1, Patched: patched,
+	return &sketch.Tree{Attrs: []int{0}, Tau: 2, Depth: 1, Drift: drift,
 		Levels: [][]sketch.Node{{
 			{Tuples: []int{2, 3}, Rep: rep, Lo: []float64{10}, Hi: []float64{11}, NonNull: []int{2}},
 			{Tuples: []int{4, 5}, Rep: rep, Lo: []float64{12}, Hi: []float64{13}, NonNull: []int{2}},
@@ -271,8 +338,8 @@ func lyingTree(patched bool) *sketch.Tree {
 // TestPatchedProvenanceTriggersRebuildRetry pins the safety net across
 // solves: a patched-born tree served from the CACHE (not patched in
 // this call) that yields no feasible package must still trigger the
-// rebuild-from-scratch retry — the Patched provenance flag travels
-// with the tree. The fixture tree lies: its representatives promise a
+// rebuild-from-scratch retry — the drift since the last full build
+// travels with the tree. The fixture tree lies: its representatives promise a
 // sum its real tuples cannot deliver, and it omits the only feasible
 // pair, so the descent refines into an invalid package; only a rebuild
 // finds {60, 40}.
@@ -283,7 +350,7 @@ func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
 	// Patched provenance: the cache-served tree fails, the engine must
 	// rebuild and find the package.
 	cache := sketch.NewCache(0)
-	cache.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(true))
+	cache.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(1))
 	withCache := opts
 	withCache.Cache = cache
 	res, err := sketch.Solve(prep.Instance, withCache)
@@ -297,10 +364,10 @@ func TestPatchedProvenanceTriggersRebuildRetry(t *testing.T) {
 		t.Fatalf("mult = %v, want the {60, 40} pair", res.Mult)
 	}
 
-	// Same lying tree without provenance: no retry, documenting that
-	// the Patched flag is what arms the safety net.
+	// Same lying tree with no drift: no retry, documenting that a drift
+	// above 0 is what arms the safety net.
 	cache2 := sketch.NewCache(0)
-	cache2.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(false))
+	cache2.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(0))
 	withCache.Cache = cache2
 	res2, err := sketch.Solve(prep.Instance, withCache)
 	if err != nil {

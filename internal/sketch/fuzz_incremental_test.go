@@ -5,7 +5,9 @@ package sketch_test
 // held to the same standard as a from-scratch rebuild. Each case
 // generates a random table and query (the same generator the main
 // harness uses), evaluates once to warm the tree cache, then applies
-// 1-3 random INSERT/DELETE batches; after every batch the query is
+// 1-3 random INSERT/DELETE batches — or, in the chain corpus, a dozen
+// one-row batches, so a tree is patched batch after batch until its drift
+// reaches the budget and it is rebuilt; after every batch the query is
 // evaluated twice — through the shared cache+memo with incremental
 // maintenance on (the patched path) and by rebuilding the partition
 // tree from scratch — and both are cross-checked against the exact
@@ -39,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/milp"
 	"repro/internal/minidb"
+	"repro/internal/plan"
 	"repro/internal/sketch"
 	"repro/internal/translate"
 )
@@ -52,6 +55,8 @@ type incrStats struct {
 	worse                  int       // rounds where the patched gap exceeded rebuilt by >25 points
 	certPatched            int       // certified intervals computed from patched envelopes
 	certRebuilt            int       // certified intervals from from-scratch rebuilds
+	longest                int       // most consecutive patched rounds of one case
+	budgetRebuilds         int       // rounds the planner rebuilt because the drift reached the budget
 }
 
 // noLensSplit fails the case when a result carries refine's own tripwire:
@@ -97,9 +102,25 @@ func incrWrite(g *qgen, db *minidb.DB) []string {
 	return stmts
 }
 
-// incrOne runs one interleaved-write differential case. It reports
-// false when the generated query never reached a head-to-head round.
-func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
+// chainWrite is one small batch of a chain: an INSERT, and every third
+// round a DELETE of the rows holding one value of a.
+func chainWrite(g *qgen, db *minidb.DB, round int) []string {
+	stmts := []string{fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d)", g.intn(100)-10, g.intn(60), g.intn(100)-10)}
+	if round%3 == 2 {
+		stmts = append(stmts, fmt.Sprintf("DELETE FROM t WHERE a = %d", g.intn(100)-10))
+	}
+	for _, s := range stmts {
+		if _, err := db.Exec(s); err != nil {
+			panic(fmt.Sprintf("generated write %q: %v", s, err))
+		}
+	}
+	return stmts
+}
+
+// incrOne runs one interleaved-write differential case: 1-3 random
+// batches, or — chain > 0 — chain one-row batches. It reports false when
+// the generated query never reached a head-to-head round.
+func incrOne(t *testing.T, g *qgen, st *incrStats, chain int) bool {
 	t.Helper()
 	ddl, gc := genQuery(g)
 	db := minidb.New()
@@ -130,10 +151,16 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		t.Fatalf("warm-up eval: %v\n%s", err, gc.queryText)
 	}
 
-	ran := false
-	for round, rounds := 0, 1+g.intn(3); round < rounds; round++ {
-		writes := incrWrite(g, db)
-		if len(writes) == 0 {
+	ran, run := false, 0
+	rounds := chain
+	if chain == 0 {
+		rounds = 1 + g.intn(3)
+	}
+	for round := 0; round < rounds; round++ {
+		var writes []string
+		if chain > 0 {
+			writes = chainWrite(g, db, round)
+		} else if writes = incrWrite(g, db); len(writes) == 0 {
 			continue
 		}
 		prep, err = core.Prepare(db, gc.queryText)
@@ -167,6 +194,13 @@ func incrOne(t *testing.T, g *qgen, st *incrStats) bool {
 		ran = true
 		if pres.Stats.SketchTreePatched {
 			st.patched++
+			run++
+			st.longest = max(st.longest, run)
+		} else {
+			run = 0
+		}
+		if pres.Stats.Plan.Maintenance == plan.MaintainRebuild {
+			st.budgetRebuilds++
 		}
 		pFeasible := len(pres.Packages) > 0
 		if !pFeasible && rres.Feasible {
@@ -245,7 +279,7 @@ func FuzzIncrementalSketchVsExact(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 0, 17, 34, 51, 68, 85})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st incrStats
-		incrOne(t, &qgen{data: data}, &st)
+		incrOne(t, &qgen{data: data}, &st, 0)
 	})
 }
 
@@ -264,17 +298,49 @@ func TestIncrementalVsRebuildCorpus(t *testing.T) {
 	if testing.Short() {
 		target = 50
 	}
+	st := incrCorpus(t, 20260729, target, 0)
+	checkIncrCorpus(t, st, target)
+}
+
+// TestIncrementalVsRebuildChains is the corpus of patch chains: twelve
+// one-row batches per case over tables of 12-41 rows, so a tree is
+// patched batch after batch — each step far inside the budget — until
+// the drift since its last full build reaches plan.PatchMaxFrac and the
+// planner rebuilds it. Every round of a chain is held to the single-step
+// corpus's standards: no lost package, no unsound bound, the same gap
+// gates.
+func TestIncrementalVsRebuildChains(t *testing.T) {
+	target := 60
+	if testing.Short() {
+		target = 20
+	}
+	st := incrCorpus(t, 20261015, target, 12)
+	if st.longest < 4 {
+		t.Errorf("the longest chain of patched rounds is %d; the corpus no longer chains patches", st.longest)
+	}
+	if st.budgetRebuilds == 0 {
+		t.Error("no chain reached the drift budget; the rebuild it forces went untested")
+	}
+	checkIncrCorpus(t, st, target)
+}
+
+// incrCorpus replays target cases drawn from seed through incrOne.
+func incrCorpus(t *testing.T, seed int64, target, chain int) incrStats {
 	var st incrStats
-	rng := rand.New(rand.NewSource(20260729))
-	attempts := 0
-	for st.cases < target && attempts < 6*target {
-		attempts++
+	rng := rand.New(rand.NewSource(seed))
+	for attempts := 0; st.cases < target && attempts < 6*target; attempts++ {
 		data := make([]byte, 96)
 		rng.Read(data)
-		incrOne(t, &qgen{data: data}, &st)
+		incrOne(t, &qgen{data: data}, &st, chain)
 	}
-	t.Logf("cases=%d rounds=%d patched=%d feasible=%d bonus=%d optima=%d worse-than-rebuilt=%d cert-patched=%d cert-rebuilt=%d",
-		st.cases, st.rounds, st.patched, st.feasible, st.bonus, len(st.gapPatched), st.worse, st.certPatched, st.certRebuilt)
+	t.Logf("cases=%d rounds=%d patched=%d feasible=%d bonus=%d optima=%d worse-than-rebuilt=%d cert-patched=%d cert-rebuilt=%d longest-chain=%d budget-rebuilds=%d",
+		st.cases, st.rounds, st.patched, st.feasible, st.bonus, len(st.gapPatched), st.worse, st.certPatched, st.certRebuilt, st.longest, st.budgetRebuilds)
+	return st
+}
+
+// checkIncrCorpus holds a corpus to the patched-vs-rebuilt standards.
+func checkIncrCorpus(t *testing.T, st incrStats, target int) {
+	t.Helper()
 	if st.certPatched == 0 {
 		t.Error("no certified interval ever came from a patched tree; write-path bound coverage is gone")
 	}
@@ -285,7 +351,7 @@ func TestIncrementalVsRebuildCorpus(t *testing.T) {
 		t.Errorf("patched trees out-recalled rebuilds in %d/%d rounds; the comparison is no longer apples-to-apples", st.bonus, st.rounds)
 	}
 	if st.cases < target {
-		t.Fatalf("only %d of %d cases reached a head-to-head round (%d attempts)", st.cases, target, attempts)
+		t.Fatalf("only %d of %d cases reached a head-to-head round", st.cases, target)
 	}
 	if st.patched == 0 {
 		t.Fatal("no round exercised tree patching; the harness lost its purpose")

@@ -78,7 +78,7 @@ func TestSolveWeighsEachBranchOnce(t *testing.T) {
 		// (TestPatchedProvenanceTriggersRebuildRetry's fixture).
 		prep := lyingPrep(t)
 		opts := sketch.Options{MaxPartitionSize: 2, Seed: 1, Cache: sketch.NewCache(0)}
-		opts.Cache.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(true))
+		opts.Cache.Put(sketch.KeyFor(prep.Instance, opts), lyingTree(1))
 		res, err := prep.Sketch.Solve(opts)
 		if err != nil || !res.Feasible {
 			t.Fatalf("solve: feasible=%v err=%v", res != nil && res.Feasible, err)

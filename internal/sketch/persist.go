@@ -37,9 +37,12 @@ import (
 //	   collision — old files fail the version check and rebuild
 //	   cleanly instead), and the tree header gains the Patched
 //	   provenance flag ApplyDelta sets
+//	4  the flag byte becomes a uvarint Drift (tuples inserted plus
+//	   deleted since the last full build), so the patch budget holds
+//	   across a restart
 const (
 	persistMagic   = "PBTREE"
-	persistVersion = 3
+	persistVersion = 4
 )
 
 // Store is the on-disk tier of the partition-tree cache: one file per
@@ -359,11 +362,7 @@ func (e *treeEncoder) encode(k Key, t *Tree) {
 	e.deltaInts(t.Attrs)
 	e.uvarint(uint64(t.Tau))
 	e.uvarint(uint64(t.Depth))
-	patched := uint64(0)
-	if t.Patched {
-		patched = 1
-	}
-	e.uvarint(patched)
+	e.uvarint(uint64(t.Drift))
 	for _, nodes := range t.Levels {
 		e.uvarint(uint64(len(nodes)))
 		for i := range nodes {
@@ -576,14 +575,16 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 	if t.Depth < 1 || t.Depth > plan.MaxDepth {
 		return nil, fmt.Errorf("sketch: persisted tree: implausible depth %d", t.Depth)
 	}
-	patched, err := d.uvarint()
+	drift, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("sketch: persisted tree: %w", err)
 	}
-	if patched > 1 {
-		return nil, fmt.Errorf("sketch: persisted tree: implausible patched flag %d", patched)
+	// A drift past the candidates only makes the next patch a rebuild;
+	// one past int32 could overflow the budget's sum into a negative.
+	if drift > math.MaxInt32 {
+		return nil, fmt.Errorf("sketch: persisted tree: implausible drift %d", drift)
 	}
-	t.Patched = patched == 1
+	t.Drift = int(drift)
 	t.Levels = make([][]Node, t.Depth)
 	for l := range t.Levels {
 		n, err := d.count()

@@ -9,7 +9,9 @@ import (
 )
 
 // treePayloads are real trees — flat, hierarchical, patched — in their
-// persisted form, checksum aside: what the decoder tests start from.
+// persisted form, checksum aside: what the decoder tests start from. The
+// last one has drifted by more tuples than it covers, which only makes
+// its next patch a rebuild.
 func treePayloads(t testing.TB) [][]byte {
 	prep := recipesPrep(t, 60)
 	var out [][]byte
@@ -20,8 +22,12 @@ func treePayloads(t testing.TB) [][]byte {
 	} {
 		tree := sketch.BuildTree(prep.Instance, opts)
 		out = append(out, sketch.EncodePayloadForTest(sketch.KeyFor(prep.Instance, opts), tree))
-		tree.Patched = true
+		tree.Drift = 9
 		out = append(out, sketch.EncodePayloadForTest(sketch.KeyFor(prep.Instance, opts), tree))
+		tree.Drift = 1000 * len(prep.Instance.Rows)
+		if opts.Depth == 2 {
+			out = append(out, sketch.EncodePayloadForTest(sketch.KeyFor(prep.Instance, opts), tree))
+		}
 	}
 	return out
 }

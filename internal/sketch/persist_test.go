@@ -13,11 +13,14 @@ import (
 	"repro/internal/sketch"
 )
 
-// TestPersistRoundTrip saves a tree and loads it back byte-exact.
+// TestPersistRoundTrip saves a tree and loads it back byte-exact, its
+// drift since the last full build included: the patch budget holds
+// across a restart.
 func TestPersistRoundTrip(t *testing.T) {
 	prep := recipesPrep(t, 2000)
 	opts := sketch.Options{MaxPartitionSize: 16, Depth: 3, Seed: 7}
 	tree := sketch.BuildTree(prep.Instance, opts)
+	tree.Drift = 437
 	key := sketch.Key{
 		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
 		Attrs:       "1,2", Tau: 16, Depth: 3, Seed: 7,

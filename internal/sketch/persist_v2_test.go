@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,9 +13,10 @@ import (
 )
 
 // TestPersistOldVersionTriggersRebuild rewrites a persisted tree as a
-// format-version-1 file (the pre-envelope encoding) and checks the
-// loader reports it as unusable — the caller rebuilds — rather than
-// misreading envelope-free nodes.
+// format-version-1 file (the pre-envelope encoding) and as a version-3
+// file (a patched flag where v4 keeps the drift), and checks the loader
+// reports each as unusable — the caller rebuilds — rather than misreading
+// it.
 func TestPersistOldVersionTriggersRebuild(t *testing.T) {
 	prep := recipesPrep(t, 1000)
 	dir := t.TempDir()
@@ -28,39 +30,40 @@ func TestPersistOldVersionTriggersRebuild(t *testing.T) {
 		t.Fatalf("want exactly one persisted file, got %d (%v)", len(files), err)
 	}
 	path := filepath.Join(dir, files[0].Name())
-	// The version uvarint follows the 6-byte magic; 1 is the
-	// pre-envelope format.
-	corrupt(t, path, true, func(b []byte) []byte {
-		b[6] = 1
-		return b
-	})
-	res, err := sketch.Solve(prep.Instance, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TreeLoaded {
-		t.Fatal("an old-version file must not be loaded")
-	}
-	found := false
-	for _, n := range res.Notes {
-		if strings.Contains(n, "format version 1") {
-			found = true
+	for _, old := range []byte{1, 3} {
+		// The version uvarint follows the 6-byte magic.
+		corrupt(t, path, true, func(b []byte) []byte {
+			b[6] = old
+			return b
+		})
+		res, err := sketch.Solve(prep.Instance, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatalf("notes should report the version mismatch, got %v", res.Notes)
-	}
-	if !reflect.DeepEqual(fresh.Mult, res.Mult) {
-		t.Fatal("rebuild after version mismatch produced a different package")
-	}
-	// The rebuild overwrote the file with the current version; the next
-	// cold start loads it.
-	again, err := sketch.Solve(prep.Instance, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.TreeLoaded {
-		t.Fatal("rebuild should have replaced the old-version file")
+		if res.TreeLoaded {
+			t.Fatalf("a version-%d file must not be loaded", old)
+		}
+		found := false
+		for _, n := range res.Notes {
+			if strings.Contains(n, fmt.Sprintf("format version %d", old)) {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("notes should report the version mismatch, got %v", res.Notes)
+		}
+		if !reflect.DeepEqual(fresh.Mult, res.Mult) {
+			t.Fatal("rebuild after version mismatch produced a different package")
+		}
+		// The rebuild overwrote the file with the current version; the next
+		// cold start loads it.
+		again, err := sketch.Solve(prep.Instance, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.TreeLoaded {
+			t.Fatal("rebuild should have replaced the old-version file")
+		}
 	}
 }
 

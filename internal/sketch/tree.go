@@ -45,12 +45,15 @@ type Tree struct {
 	Tau    int      // leaf size bound
 	Depth  int      // number of levels (== len(Levels)); 1 = flat
 	Levels [][]Node // Levels[0] = roots … Levels[Depth-1] = leaves
-	// Patched records that the tree came out of ApplyDelta rather than
-	// a full build. Patched trees are approximations (merged internal
-	// representatives, nearest-leaf insert routing); Solve uses the
-	// flag — which survives caching and persistence — to rebuild from
-	// scratch before ever declaring a query infeasible on one.
-	Patched bool
+	// Drift counts the tuples inserted plus deleted since the tree's last
+	// full build: 0 for a built tree, the patches' deltas summed for one
+	// that came out of ApplyDelta, which refuses a patch that would take
+	// it past plan.PatchMaxFrac of the candidates. Patched trees (Drift >
+	// 0) are approximations (merged internal representatives,
+	// nearest-leaf insert routing); Solve reads the drift — which survives
+	// caching and persistence — to rebuild from scratch before ever
+	// declaring a query infeasible on one.
+	Drift int
 }
 
 // Leaves returns the deepest level: the τ-bounded partitions.
@@ -61,7 +64,7 @@ func (t *Tree) Leaves() []Node { return t.Levels[t.Depth-1] }
 // infeasible-retry path uses it to fall back from hierarchical to flat
 // without re-running the offline partitioning.
 func (t *Tree) flatten() *Tree {
-	return &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: 1, Levels: [][]Node{t.Leaves()}, Patched: t.Patched}
+	return &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: 1, Levels: [][]Node{t.Leaves()}, Drift: t.Drift}
 }
 
 // BuildTree partitions the candidates into τ-bounded leaves and stacks
