@@ -98,7 +98,6 @@ func main() {
 	flag.IntVar(&cli.sketchSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
 	flag.IntVar(&cli.sketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
 	flag.BoolVar(&cli.sketchCache, "sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
-	flag.IntVar(&cli.sketchPar, "sketch-par", 0, "sketch-refine worker count (0 = one per CPU, 1 = serial)")
 	flag.StringVar(&cli.sketchDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
 	flag.BoolVar(&cli.sketchIncr, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
 	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
@@ -173,7 +172,6 @@ type cliOpts struct {
 	sketchSize  int
 	sketchDepth int
 	sketchCache bool
-	sketchPar   int
 	sketchDir   string
 	sketchIncr  bool
 	explain     bool
@@ -276,8 +274,8 @@ func buildOpts(cli cliOpts) ([]pb.Option, error) {
 	// through as they are.
 	opts := []pb.Option{pb.WithStrategy(st), pb.WithSeed(cli.seed), pb.WithLimit(cli.limit),
 		pb.WithSketchPartitionSize(cli.sketchSize), pb.WithSketchDepth(cli.sketchDepth),
-		pb.WithSketchParallelism(cli.sketchPar), pb.WithSketchPersistDir(cli.sketchDir),
-		pb.WithSketchCache(cli.sketchCache), pb.WithSketchIncremental(cli.sketchIncr),
+		pb.WithSketchPersistDir(cli.sketchDir), pb.WithSketchCache(cli.sketchCache),
+		pb.WithSketchIncremental(cli.sketchIncr),
 		pb.WithTimeout(cli.timeout), pb.WithMemoryBudget(cli.memBudget), pb.WithGapTolerance(cli.maxGap)}
 	if cli.diverse {
 		opts = append(opts, pb.WithDiverse())

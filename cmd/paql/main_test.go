@@ -135,7 +135,7 @@ func TestReplBudgetErrorLabeled(t *testing.T) {
 func TestRunExplainForcedFlags(t *testing.T) {
 	sys := testSystem(t)
 	cli := cliOpts{strategy: "sketch-refine", seed: 1, sketchSize: 32, sketchDepth: 2,
-		sketchPar: 3, sketchIncr: false}
+		sketchIncr: false}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
@@ -143,11 +143,12 @@ func TestRunExplainForcedFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if n := strings.Count(out, "[forced]"); n < 5 {
-		t.Errorf("want >= 5 forced decisions (strategy, tau, depth, parallelism, maintenance), got %d:\n%s", n, out)
+	if n := strings.Count(out, "[forced]"); n != 4 {
+		t.Errorf("want 4 forced decisions (strategy, tau, depth, maintenance), got %d:\n%s", n, out)
 	}
-	for _, want := range []string{"strategy = sketch-refine", "tau = 32", "depth = 2",
-		"parallelism = 3", "maintenance = rebuild"} {
+	// With those four marked, the parallelism decision is the planner's.
+	for _, want := range []string{"strategy = sketch-refine  [forced]", "tau = 32  [forced]",
+		"depth = 2  [forced]", "maintenance = rebuild  [forced]", "parallelism = "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

@@ -38,12 +38,12 @@ const maxBodyBytes = 1 << 20
 
 // server holds the demo state: a client of one packagebuilder.System,
 // which owns the database (read-only after startup and safe for
-// concurrent readers), the partition-tree cache and fingerprint memo
-// every request shares, and the planner's catalog. mu guards only the
-// mutable exploration session (the booth-kiosk state), taken for reading
-// by handlers that render it and for writing by handlers that swap or
-// mutate it. Query evaluation itself runs outside the lock, so
-// concurrent /api/query requests proceed in parallel.
+// concurrent readers) and the partition-tree cache and fingerprint memo
+// every request shares. mu guards only the mutable exploration session
+// (the booth-kiosk state), taken for reading by handlers that render it
+// and for writing by handlers that swap or mutate it. Query evaluation
+// itself runs outside the lock, so concurrent /api/query requests proceed
+// in parallel.
 type server struct {
 	sys *pb.System
 	// persistDir, when non-empty, backs the cache with an on-disk tree
@@ -387,7 +387,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Query       string `json:"query"`
 		Strategy    string `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
 		SketchDepth int    `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
-		SketchPar   int    `json:"sketchPar"`   // sketch workers: 0 = one per CPU, 1 = serial
 		SketchIncr  *bool  `json:"sketchIncr"`  // tree patching after writes; nil = server default
 		Explain     bool   `json:"explain"`     // plan only: return the decision trail, don't execute
 	}
@@ -395,7 +394,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.httpErr(w, r, err)
 		return
 	}
-	opts := s.options(pb.WithSketchDepth(req.SketchDepth), pb.WithSketchParallelism(req.SketchPar))
+	opts := s.options(pb.WithSketchDepth(req.SketchDepth))
 	if req.SketchIncr != nil {
 		opts = append(opts, pb.WithSketchIncremental(*req.SketchIncr))
 	}

@@ -317,31 +317,36 @@ func TestHandleExplain(t *testing.T) {
 		t.Error("explain created a session")
 	}
 
-	// A forced strategy shows up as forced in the plan.
-	rec2, out2 := postJSON(t, s.handleQuery,
-		`{"query": `+mustJSON(demoQuery)+`, "explain": true, "strategy": "solver"}`)
+	// Each knob a request can pin — strategy, sketchDepth, sketchIncr —
+	// comes back forced; the worker count stays the planner's decision.
+	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+
+		`, "explain": true, "strategy": "sketch-refine", "sketchDepth": 2, "sketchIncr": false}`)
 	if rec2.Code != 200 {
 		t.Fatalf("forced explain status %d: %s", rec2.Code, rec2.Body)
 	}
 	var qp2 struct {
-		Strategy  string `json:"strategy"`
 		Decisions []struct {
 			Name   string `json:"name"`
+			Value  string `json:"value"`
 			Forced bool   `json:"forced"`
 		} `json:"decisions"`
 	}
 	_ = json.Unmarshal(out2["plan"], &qp2)
-	if qp2.Strategy != "solver" {
-		t.Errorf("forced strategy = %q", qp2.Strategy)
-	}
-	forced := false
+	want := map[string]string{"strategy": "sketch-refine", "depth": "2", "maintenance": "rebuild"}
+	var forced []string
+	sawWorkers := false
 	for _, d := range qp2.Decisions {
-		if d.Name == "strategy" && d.Forced {
-			forced = true
+		sawWorkers = sawWorkers || d.Name == "parallelism"
+		if !d.Forced {
+			continue
+		}
+		forced = append(forced, d.Name)
+		if d.Value != want[d.Name] {
+			t.Errorf("forced %s = %q, want %q", d.Name, d.Value, want[d.Name])
 		}
 	}
-	if !forced {
-		t.Errorf("strategy decision not marked forced: %s", out2["plan"])
+	if len(forced) != len(want) || !sawWorkers {
+		t.Errorf("forced decisions %v (parallelism present: %v), want exactly %v: %s", forced, sawWorkers, want, out2["plan"])
 	}
 }
 

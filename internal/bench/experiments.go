@@ -486,26 +486,29 @@ func runE10Size(cfg Config, tw io.Writer, n, tau, workers int) error {
 	defer os.RemoveAll(dir)
 	base := core.Options{Strategy: core.SketchRefineStrategy, Seed: cfg.seed(),
 		SketchPartitionSize: tau, SketchDepth: 2}
+	// The serial arm runs under GOMAXPROCS(1), the one way to bound the
+	// planner's worker count; procs 0 leaves the scheduler as it is.
 	type variant struct {
-		name string
-		opts core.Options
+		name  string
+		procs int
+		opts  core.Options
 	}
-	serial, parallel, cold, warm := base, base, base, base
-	serial.SketchParallelism = 1
-	cold.SketchPersistDir = dir
-	warm.SketchPersistDir = dir
+	persisted := base
+	persisted.SketchPersistDir = dir
 	variants := []variant{
-		{"serial", serial},
-		{fmt.Sprintf("parallel ×%d", workers), parallel},
-		{"parallel + persist (cold)", cold},
-		{"disk-warm cold start", warm},
+		{"serial", 1, base},
+		{fmt.Sprintf("parallel ×%d", workers), 0, base},
+		{"parallel + persist (cold)", 0, persisted},
+		{"disk-warm cold start", 0, persisted},
 	}
 	var serialTime time.Duration
 	var serialMult []int
 	for _, v := range variants {
+		prev := runtime.GOMAXPROCS(v.procs)
 		start := time.Now()
 		res, err := prep.Run(v.opts)
 		elapsed := time.Since(start)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return fmt.Errorf("n=%d %s: %w", n, v.name, err)
 		}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/bound"
-	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/minidb"
 	"repro/internal/paql"
@@ -93,10 +92,10 @@ func ParseStrategy(name string) (Strategy, error) {
 // Options tunes evaluation.
 type Options struct {
 	Strategy Strategy
-	// Catalog, when set, feeds the planner the table's row count and
-	// write rate. Without one the planner sees a minimal row-count-only
-	// snapshot.
-	Catalog *catalog.Catalog
+	// Catalog is never read by the engine: the planner takes the table's
+	// statistics from the Prepared's own table. The field stays only as
+	// the signature the benchmark's layer trace compiles against.
+	Catalog *Catalog
 	// Limit overrides the query's LIMIT (number of packages).
 	Limit int
 	// Timeout bounds the whole evaluation. Under RunContext it is sugar
@@ -129,8 +128,9 @@ type Options struct {
 	// skips the offline partitioning step. System and pbserver share
 	// one cache across queries.
 	SketchCache *sketch.Cache
-	// SketchNoCache suppresses the engine-level shared cache injection
-	// (ablation / -sketch-cache=false).
+	// SketchNoCache suppresses the partition-tree cache and the
+	// fingerprint memo for this evaluation, whether the options or the
+	// Prepared supply them (ablation / -sketch-cache=false).
 	SketchNoCache bool
 	// SketchMemo, when set, memoizes candidate fingerprints per
 	// (table, WHERE) across evaluations: warm sketch queries over an
@@ -148,10 +148,6 @@ type Options struct {
 	// default) leaves patch-vs-rebuild to the planner; false forces a
 	// rebuild after every write, and the plan records it as forced.
 	SketchIncremental bool
-	// SketchParallelism caps the workers SketchRefine's offline
-	// partitioning and per-partition solves fan out across: 0 = one per
-	// CPU, 1 = fully serial. Results are identical at every setting.
-	SketchParallelism int
 	// SketchPersistDir, when non-empty, persists SketchRefine partition
 	// trees to this directory as an on-disk tier under the in-memory
 	// cache: trees are saved after every build and loaded on a cache
@@ -234,7 +230,7 @@ type Stats struct {
 	Elapsed           time.Duration
 	Notes             []string // strategy decisions, fallbacks, caveats
 	// Degraded reports that at least one optional subsystem (cache,
-	// disk store, delta patch, bound pass, catalog, …) failed during
+	// disk store, delta patch, bound pass, planner probe, …) failed during
 	// this evaluation and the engine continued one rung down the
 	// degradation ladder instead of failing the query.
 	Degraded bool

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/minidb"
@@ -286,7 +285,7 @@ func writeBatch(t *testing.T, db *minidb.DB, nextID, ins, delFrom, del int) {
 func TestMaintenanceFollowsTreeLineage(t *testing.T) {
 	db := lcDB(t, 6000)
 	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
-		SketchMemo: NewFingerprintMemo(), Catalog: catalog.New(db)}
+		SketchMemo: NewFingerprintMemo()}
 	run := func() *Result {
 		t.Helper()
 		res, err := Evaluate(db, lcQuery, opts)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/plan"
 	"repro/internal/sketch"
@@ -15,8 +14,8 @@ import (
 
 // optionDecision says, for every field of Options, which plan decision
 // setting it forces. The empty string marks what the planner does not
-// decide: the handles an evaluation runs against (Catalog, SketchCache,
-// SketchMemo, Require, Limit) and the budgets, seeds,
+// decide: the handles an evaluation runs against (SketchCache, SketchMemo,
+// Require, Limit), the Catalog nothing reads, and the budgets, seeds,
 // ablations and tier settings that pass straight to the runners. A new
 // Options field has to be entered here — and, when it names a decision,
 // in parityCases below — before TestExecutionFollowsPlan passes again.
@@ -24,7 +23,6 @@ var optionDecision = map[string]string{
 	"Strategy":            "strategy",
 	"SketchPartitionSize": "tau",
 	"SketchDepth":         "depth",
-	"SketchParallelism":   "parallelism",
 	"SketchIncremental":   "maintenance",
 	"GapTolerance":        "bound",
 
@@ -41,14 +39,13 @@ type parityCase struct {
 
 // parityCases force one Options field each (none, for the planner's own
 // choices) to a value the planner would not pick over 6,000 candidates
-// (τ 64, depth 2, one worker). SketchIncremental is the one knob whose
+// (τ 64, depth 2). SketchIncremental is the one knob whose
 // forcing value is false.
 var parityCases = []parityCase{
 	{"", func(*Options) {}},
 	{"Strategy", func(o *Options) { o.Strategy = SketchRefineStrategy }},
 	{"SketchPartitionSize", func(o *Options) { o.SketchPartitionSize = 40 }},
 	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
-	{"SketchParallelism", func(o *Options) { o.SketchParallelism = 3 }},
 	{"SketchIncremental", func(o *Options) { o.SketchIncremental = false }},
 	{"GapTolerance", func(o *Options) { o.GapTolerance = 0.05 }},
 }
@@ -123,7 +120,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db := lcDB(t, 6000)
 			opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
-				SketchMemo: NewFingerprintMemo(), Catalog: catalog.New(db)}
+				SketchMemo: NewFingerprintMemo()}
 			c.set(&opts)
 			forced := map[string]bool{}
 			if c.field != "" {
@@ -357,7 +354,7 @@ func TestSketchLimitKBoundsOnce(t *testing.T) {
 func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
 	db := lcDB(t, 6000)
 	cache, memo := sketch.NewCache(0), NewFingerprintMemo()
-	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo, Catalog: catalog.New(db)}
+	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo}
 	// 6,000 → 7,000 → 8,000 rows: 1,000 + 1,000 is 25 % of 8,000 exactly,
 	// one row more is past it, and the rebuilt tree patches again.
 	nextID := 100_000

@@ -3,15 +3,15 @@ package core
 import (
 	"runtime"
 
-	"repro/internal/catalog"
 	"repro/internal/fault"
+	"repro/internal/minidb"
 	"repro/internal/plan"
 	"repro/internal/sketch"
 )
 
 // This file is the one resolve step between a query's options and its
 // execution: it snapshots a Prepared query plus its Options into a
-// plan.Input (table statistics from the catalog, atom mix from the query
+// plan.Input (the table's size and version, atom mix from the query
 // planner, forced knobs from explicit options, cache state from a live
 // probe). The resulting plan.Plan is what the strategy runners execute —
 // decided knobs never travel back into Options.
@@ -27,6 +27,7 @@ func (p *Prepared) Plan(opts Options) *plan.Plan {
 func (p *Prepared) planInput(opts Options) plan.Input {
 	branches, sketchErr := p.Sketch.Applicable()
 	in := plan.Input{
+		Table:       tableStats(p.Table),
 		N:           len(p.Instance.Rows),
 		RowsScanned: p.RowsScanned,
 		SnapshotHit: p.SnapshotHit,
@@ -39,27 +40,28 @@ func (p *Prepared) planInput(opts Options) plan.Input {
 	if p.Query != nil {
 		in.Query = p.Query.Raw
 	}
-	in.Table = p.tableStats(opts)
 	return in
 }
 
-// tableStats resolves the catalog snapshot for the queried table,
-// falling back to a minimal row-count-only view when the evaluation
-// runs without a catalog.
-func (p *Prepared) tableStats(opts Options) catalog.TableStats {
-	if p.Table == nil {
-		return catalog.TableStats{Rows: len(p.Instance.Rows)}
+// tableStats is what the planner echoes about a table: its declared
+// name, row count and delta-log version — a length and a version read.
+func tableStats(t *minidb.Table) plan.TableStats {
+	return plan.TableStats{Table: t.Name, Rows: len(t.Rows), Version: t.Version()}
+}
+
+// Catalog is a stateless view of a database's table statistics, kept as
+// the signature the benchmark's layer trace calls. The engine reads
+// Prepared.Table instead and never consults Options.Catalog.
+type Catalog struct{ DB *minidb.DB }
+
+// Stats returns the named table's statistics (case-insensitive); ok is
+// false for an unknown table.
+func (c *Catalog) Stats(name string) (plan.TableStats, bool) {
+	t, ok := c.DB.Table(name)
+	if !ok {
+		return plan.TableStats{}, false
 	}
-	if opts.Catalog != nil {
-		if ts, ok := opts.Catalog.Stats(p.Table.Name); ok {
-			return ts
-		}
-	}
-	return catalog.TableStats{
-		Table:   p.Table.Name,
-		Rows:    len(p.Table.Rows),
-		Version: p.TableVersion,
-	}
+	return tableStats(t), true
 }
 
 // forcedKnobs lifts explicitly-set options into the plan's forced set,
@@ -68,30 +70,27 @@ func (o Options) forcedKnobs() plan.Forced {
 	f := plan.Forced{
 		Tau:          o.SketchPartitionSize,
 		Depth:        o.SketchDepth,
-		Parallelism:  o.SketchParallelism,
+		Rebuild:      !o.SketchIncremental, // on leaves the choice to the planner
 		GapTolerance: o.GapTolerance,
 	}
 	if o.Strategy != Auto {
 		f.Strategy = o.Strategy.String()
-	}
-	if !o.SketchIncremental {
-		f.Incremental = new(bool) // forced off; on leaves the choice to the planner
 	}
 	return f
 }
 
 // sketchTiers resolves the partition-tree cache and fingerprint memo an
 // evaluation uses: the options' own, else the Prepared's defaults, with
-// SketchNoCache suppressing the cache. The cache probe and the sketch
-// runner both resolve through here, so the plan is made against the
-// tiers the execution reads.
+// SketchNoCache suppressing both — the one place that opt-out is
+// honoured. The cache probe and the sketch runner both resolve through
+// here, so the plan is made against the tiers the execution reads.
 func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
+	if opts.SketchNoCache {
+		return nil, nil
+	}
 	cache, memo := opts.SketchCache, opts.SketchMemo
 	if cache == nil {
 		cache = p.SketchCache
-	}
-	if opts.SketchNoCache {
-		cache = nil
 	}
 	if memo == nil {
 		memo = p.SketchMemo

@@ -58,15 +58,6 @@ func (db *DB) Query(sql string) (*Result, error) {
 	return db.runSelect(sel)
 }
 
-// RunSelectStmt executes an already-parsed SELECT (used by engine
-// components that build statements programmatically). The caller must
-// not hold the database lock.
-func (db *DB) RunSelectStmt(st *SelectStmt) (*Result, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.runSelect(st)
-}
-
 // runSelect plans and drains a SELECT. Callers hold at least a read lock.
 func (db *DB) runSelect(st *SelectStmt) (*Result, error) {
 	op, err := db.planSelect(st)

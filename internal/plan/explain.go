@@ -21,8 +21,8 @@ func (p *Plan) Explain() string {
 	if p.SnapshotHit {
 		snapshot = "hit"
 	}
-	fmt.Fprintf(&b, "table %s: %d rows, %.2f writes/s; %d rows scanned (candidate snapshot %s)\n",
-		p.Table.Table, p.Table.Rows, p.Table.WriteRate, p.RowsScanned, snapshot)
+	fmt.Fprintf(&b, "table %s: %d rows; %d rows scanned (candidate snapshot %s)\n",
+		p.Table.Table, p.Table.Rows, p.RowsScanned, snapshot)
 	fmt.Fprintf(&b, "atoms: %s\n", p.Mix.describe())
 	for i, d := range p.Decisions {
 		branch, cont := "├─", "│ "

@@ -23,18 +23,17 @@
 // The thresholds below are declared here once and read from here by the
 // engines that enforce them (internal/sketch, internal/core), so a plan
 // cannot promise what the execution will not do. The package imports
-// internal/catalog for the table snapshot it echoes and internal/bound
-// for the certified-bound pipeline's stage names and round budget, which
-// the pipeline owns; it imports neither engine, and cache/persist state
-// arrives through an injected probe — so planning stays a pure function
-// of an Input snapshot, which is what makes the decision matrix testable.
+// internal/bound for the certified-bound pipeline's stage names and round
+// budget, which the pipeline owns; it imports neither engine, the table
+// arrives as a TableStats value and cache/persist state through an
+// injected probe — so planning stays a pure function of an Input
+// snapshot, which is what makes the decision matrix testable.
 package plan
 
 import (
 	"math"
 
 	"repro/internal/bound"
-	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/paql"
 )
@@ -253,8 +252,20 @@ type CacheState struct {
 	ProbeFailed bool `json:"probeFailed,omitempty"`
 }
 
-// Forced carries the knobs the user pinned explicitly; zero values
-// (nil for Incremental) mean "planner's choice".
+// TableStats is what the planner knows about the queried table without
+// touching its rows. No decision reads it: plan.New echoes it into the
+// Plan and EXPLAIN prints it in its header.
+type TableStats struct {
+	// Table is the table's declared name.
+	Table string `json:"table"`
+	// Rows is the current row count.
+	Rows int `json:"rows"`
+	// Version is the table's delta-log version the snapshot describes.
+	Version uint64 `json:"version"`
+}
+
+// Forced carries the knobs the user pinned explicitly; zero values mean
+// "planner's choice".
 type Forced struct {
 	// Strategy is the explicit strategy name, or "". It wins unless the
 	// atom mix rules it out (see pickStrategy).
@@ -263,10 +274,9 @@ type Forced struct {
 	Tau int `json:"tau,omitempty"`
 	// Depth is the explicit tree depth, or 0.
 	Depth int `json:"depth,omitempty"`
-	// Parallelism is the explicit worker bound, or 0.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Incremental is the explicit patch-vs-rebuild choice, or nil.
-	Incremental *bool `json:"incremental,omitempty"`
+	// Rebuild forces a full rebuild over patching a stale tree; false
+	// leaves patch-vs-rebuild to the planner.
+	Rebuild bool `json:"rebuild,omitempty"`
 	// GapTolerance is the explicit anytime gap tolerance (fractional,
 	// e.g. 0.05 = stop once provably within 5% of optimal), or 0.
 	GapTolerance float64 `json:"gapTolerance,omitempty"`
@@ -278,8 +288,8 @@ type Forced struct {
 type Input struct {
 	// Query is the raw query text (display only).
 	Query string `json:"query,omitempty"`
-	// Table is the catalog snapshot for the queried table.
-	Table catalog.TableStats `json:"table"`
+	// Table describes the queried table (display only).
+	Table TableStats `json:"table"`
 	// N is the candidate count after the WHERE filter.
 	N int `json:"candidates"`
 	// RowsScanned is how many table rows the WHERE filter was evaluated
@@ -291,7 +301,8 @@ type Input struct {
 	MaxMult int `json:"maxMult"`
 	// Mix is the query-planner half's atom classification.
 	Mix AtomMix `json:"atomMix"`
-	// Procs is the scheduler's GOMAXPROCS.
+	// Procs is the scheduler's GOMAXPROCS: with N, the parallelism
+	// decision's only input.
 	Procs int `json:"procs"`
 	// Forced carries explicitly pinned knobs.
 	Forced Forced `json:"forced"`
@@ -331,8 +342,8 @@ type Decision struct {
 type Plan struct {
 	// Query echoes the planned query text.
 	Query string `json:"query,omitempty"`
-	// Table echoes the catalog snapshot the plan was made against.
-	Table catalog.TableStats `json:"table"`
+	// Table echoes the table snapshot the plan was made against.
+	Table TableStats `json:"table"`
 	// Candidates is the candidate count after the WHERE filter;
 	// RowsScanned and SnapshotHit echo how the preparation found them.
 	Candidates  int  `json:"candidates"`

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/paql"
 	"repro/internal/schema"
 	"repro/internal/translate"
@@ -19,7 +18,7 @@ func linearMix() AtomMix {
 func baseInput(n int) Input {
 	return Input{
 		Query:   "SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
-		Table:   catalog.TableStats{Table: "t", Rows: n},
+		Table:   TableStats{Table: "t", Rows: n},
 		N:       n,
 		MaxMult: 1,
 		Mix:     linearMix(),
@@ -93,15 +92,9 @@ func TestDecisionMatrix(t *testing.T) {
 			return in
 		}(), map[string]string{"depth": "3"}},
 
-		// --- write-lineage axis: the probed tree's own delta, whatever
-		// the table's write rate says ---
+		// --- write-lineage axis: the probed tree's own delta ---
 		{"writes/read-only", func() Input {
 			in := baseInput(100_000)
-			return in
-		}(), map[string]string{"maintenance": MaintainNone}},
-		{"writes/hot-table-no-lineage", func() Input {
-			in := baseInput(100_000)
-			in.Table.WriteRate = 50
 			return in
 		}(), map[string]string{"maintenance": MaintainNone}},
 		{"writes/modest", func() Input {
@@ -127,7 +120,7 @@ func TestDecisionMatrix(t *testing.T) {
 		{"writes/forced-off", func() Input {
 			in := baseInput(100_000)
 			in.Probe = patchable(1_000, 0)
-			in.Forced.Incremental = new(bool)
+			in.Forced.Rebuild = true
 			return in
 		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
 
@@ -292,22 +285,19 @@ func decisionValues(p *Plan) string {
 // TestForcedKnobsWin pins the satellite regression: every explicit knob
 // overrides the planner and is marked forced.
 func TestForcedKnobsWin(t *testing.T) {
-	yes := true
 	in := baseInput(100) // planner alone would pick solver/serial here
 	in.Forced = Forced{
-		Strategy:    StrategySketch,
-		Tau:         32,
-		Depth:       4,
-		Parallelism: 3,
-		Incremental: &yes,
+		Strategy: StrategySketch,
+		Tau:      32,
+		Depth:    4,
+		Rebuild:  true,
 	}
 	p := New(in)
 	want := map[string]string{
 		"strategy":    StrategySketch,
 		"tau":         "32",
 		"depth":       "4",
-		"parallelism": "3",
-		"maintenance": MaintainPatch,
+		"maintenance": MaintainRebuild,
 	}
 	for name, val := range want {
 		d := p.Decision(name)
@@ -315,12 +305,15 @@ func TestForcedKnobsWin(t *testing.T) {
 			t.Fatalf("decision %q = %+v, want forced %q", name, d, val)
 		}
 	}
-	if p.Tau != 32 || p.Depth != 4 || p.Parallelism != 3 || !p.Incremental {
+	if d := p.Decision("parallelism"); d == nil || d.Value != "1" || d.Forced {
+		t.Fatalf("parallelism = %+v, want the planner's unforced 1", d)
+	}
+	if p.Tau != 32 || p.Depth != 4 || p.Parallelism != 1 || p.Incremental {
 		t.Fatalf("plan knobs: %+v", p)
 	}
 	out := p.Explain()
-	if strings.Count(out, "[forced]") != 5 {
-		t.Fatalf("expected 5 [forced] markers:\n%s", out)
+	if strings.Count(out, "[forced]") != 4 {
+		t.Fatalf("expected 4 [forced] markers:\n%s", out)
 	}
 }
 
@@ -346,7 +339,7 @@ func TestForcedKnobSurvivesSolverPlan(t *testing.T) {
 func TestGoldenExplain(t *testing.T) {
 	in := Input{
 		Query:   "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
-		Table:   catalog.TableStats{Table: "t", Rows: 100_000, Version: 7, WriteRate: 2.5},
+		Table:   TableStats{Table: "t", Rows: 100_000, Version: 7},
 		N:       100_000,
 		MaxMult: 1,
 		Mix:     linearMix(),
@@ -357,7 +350,7 @@ func TestGoldenExplain(t *testing.T) {
 	}
 	got := New(in).Explain()
 	want := `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
-table t: 100000 rows, 2.50 writes/s; 100000 rows scanned (candidate snapshot miss)
+table t: 100000 rows; 100000 rows scanned (candidate snapshot miss)
 atoms: linear; 2 sum/count; 1 branch
 ├─ strategy = sketch-refine  [cost ≈ 1.02e+05]
 │      linear query, 100000 candidates > 4096: partitioned sketch is cheapest (warm tree available)

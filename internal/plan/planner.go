@@ -48,10 +48,8 @@ func New(in Input) *Plan {
 	if sketchy || in.Forced.Depth > 0 {
 		p.Depth = depth
 	}
-	if sketchy || in.Forced.Parallelism > 0 {
-		p.Parallelism = par
-	}
 	if sketchy {
+		p.Parallelism = par
 		pickMaintenance(p, in, cs)
 		pickTreeSource(p, in, cs)
 	} else {
@@ -259,15 +257,10 @@ func pickDepth(p *Plan, in Input, tau int) int {
 
 // pickParallelism fans the build and refine waves across all procs once
 // the table clears the builder's serial cutoff; below it goroutine
-// overhead eats the win.
+// overhead eats the win. No option forces it: the worker count never
+// changes an answer, so GOMAXPROCS is the one way to bound it.
 func pickParallelism(p *Plan, in Input, procs int) int {
 	d := Decision{Name: "parallelism"}
-	if in.Forced.Parallelism > 0 {
-		d.Value, d.Forced = strconv.Itoa(in.Forced.Parallelism), true
-		d.Reason = "explicit parallelism flag"
-		p.Decisions = append(p.Decisions, d)
-		return in.Forced.Parallelism
-	}
 	par := 1
 	d.Reason = fmt.Sprintf("%d candidates < %d: serial avoids fan-out overhead", in.N, ParallelMinRows)
 	if in.N >= ParallelMinRows {
@@ -366,12 +359,8 @@ func costStrategy(in Input, tau int, cs CacheState) Decision {
 func pickMaintenance(p *Plan, in Input, cs CacheState) {
 	d := Decision{Name: "maintenance"}
 	switch {
-	case in.Forced.Incremental != nil:
-		d.Forced = true
-		d.Value = MaintainRebuild
-		if *in.Forced.Incremental {
-			d.Value = MaintainPatch
-		}
+	case in.Forced.Rebuild:
+		d.Value, d.Forced = MaintainRebuild, true
 		d.Reason = "explicit incremental flag"
 	case !cs.Patchable:
 		d.Value = MaintainNone

@@ -261,12 +261,3 @@ func (c *Cache) do(ctx context.Context, k Key, fn func() (*Tree, error)) (*Tree,
 		return f.tree, false, f.err
 	}
 }
-
-// Clear drops every entry (counters are kept: they describe lifetime
-// effectiveness, not contents).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.entries = map[Key]*list.Element{}
-}

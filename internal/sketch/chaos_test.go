@@ -4,8 +4,8 @@ package sketch_test
 // graceful-degradation ladder. Every corpus case is the same randomized
 // query + write workload the differential harnesses use, evaluated
 // three ways — a clean run through the full incremental stack (cache +
-// memo + on-disk store + catalog), a from-scratch rebuild, and a run
-// under injected faults — and the faulted run is held to the ladder's
+// memo + on-disk store), a from-scratch rebuild, and a run under
+// injected faults — and the faulted run is held to the ladder's
 // contract:
 //
 //  1. no single subsystem failure fails the query: a faulted run must
@@ -38,7 +38,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
@@ -68,7 +67,6 @@ func chaosRuleSets() [][]fault.Rule {
 		{{Site: "sketch.tree.patch", Kind: fault.KindPanic, Limit: 1}},
 		{{Site: "bound.relax", Kind: fault.KindError}},
 		{{Site: "minidb.delta", Kind: fault.KindError}},
-		{{Site: "catalog.refresh", Kind: fault.KindError}},
 		{{Site: "plan.probe", Kind: fault.KindError}},
 		{{Site: "core.solve", Kind: fault.KindError, Limit: 1}},
 		{{Site: "core.solve", Kind: fault.KindPanic, Limit: 1}},
@@ -77,7 +75,6 @@ func chaosRuleSets() [][]fault.Rule {
 		{
 			{Site: "sketch.*", Kind: fault.KindError, Prob: 0.4},
 			{Site: "minidb.delta", Kind: fault.KindError, Prob: 0.5},
-			{Site: "catalog.refresh", Kind: fault.KindError, Prob: 0.5},
 			{Site: "plan.probe", Kind: fault.KindError, Prob: 0.5},
 		},
 		{
@@ -131,7 +128,6 @@ func newChaosStack(t *testing.T, db *minidb.DB, tau, depth int, seed int64) *cha
 		SketchMemo:          core.NewFingerprintMemo(),
 		SketchIncremental:   true,
 		SketchPersistDir:    t.TempDir(),
-		Catalog:             catalog.New(db),
 	}}
 }
 
@@ -355,7 +351,7 @@ func TestChaosFaultedCorpus(t *testing.T) {
 		"sketch.cache.get", "sketch.cache.put",
 		"sketch.store.load", "sketch.store.save",
 		"sketch.tree.patch",
-		"bound.relax", "minidb.delta", "catalog.refresh", "plan.probe",
+		"bound.relax", "minidb.delta", "plan.probe",
 	}
 	for _, site := range required {
 		if s := cov[site]; s.Visits == 0 || s.Fires == 0 {

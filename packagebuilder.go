@@ -41,8 +41,8 @@
 // System's shared LRU (keyed by a fingerprint of the candidate rows, so
 // writes invalidate automatically); WithSketchCache(false) opts out.
 // The offline partitioning and the per-partition solves fan out across
-// the machine's cores (WithSketchParallelism tunes or disables this;
-// results are identical at any worker count), and
+// GOMAXPROCS workers once the candidates clear a serial cutoff (results
+// are identical at any worker count, so there is no option for it), and
 // WithSketchPersistDir(dir) adds an on-disk tier under the LRU so a new
 // process skips the offline step as well. Both tiers are maintained
 // incrementally: a shared fingerprint memo makes warm evaluations over
@@ -96,7 +96,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/lifecycle"
@@ -146,23 +145,20 @@ type System struct {
 	db          *minidb.DB
 	sketchCache *sketch.Cache
 	sketchMemo  *core.FingerprintMemo
-	catalog     *catalog.Catalog
 }
 
 // New creates an empty system.
 func New() *System {
-	db := minidb.New()
-	return &System{db: db, sketchCache: sketch.NewCache(0),
-		sketchMemo: core.NewFingerprintMemo(), catalog: catalog.New(db)}
+	return &System{db: minidb.New(), sketchCache: sketch.NewCache(0),
+		sketchMemo: core.NewFingerprintMemo()}
 }
 
-// Catalog exposes the system's table-statistics catalog: per-table row
-// counts and write rates derived from the delta log — the planner's
-// input.
-func (s *System) Catalog() *catalog.Catalog { return s.catalog }
+// Catalog is a stateless view of each table's row count and delta-log
+// version — what EXPLAIN's header prints, read off the table itself.
+func (s *System) Catalog() *core.Catalog { return &core.Catalog{DB: s.db} }
 
 // SketchCache exposes the system's shared partition-tree cache (for
-// stats inspection and explicit clearing).
+// stats inspection).
 func (s *System) SketchCache() *sketch.Cache { return s.sketchCache }
 
 // SketchMemo exposes the system's shared candidate-fingerprint memo:
@@ -294,14 +290,6 @@ func WithSketchCache(enabled bool) Option {
 	return func(o *core.Options) { o.SketchNoCache = !enabled }
 }
 
-// WithSketchParallelism caps the workers SketchRefine's offline
-// partitioning and per-partition solves fan out across: 0 = one per
-// CPU (the default), 1 = fully serial. Results are identical at every
-// setting — parallelism only divides the work.
-func WithSketchParallelism(n int) Option {
-	return func(o *core.Options) { o.SketchParallelism = n }
-}
-
 // WithSketchPersistDir persists SketchRefine partition trees to dir as
 // an on-disk tier under the in-memory cache, so a cold start (new
 // process) skips the offline partitioning step too. Stale or corrupted
@@ -327,6 +315,10 @@ func WithSketchIncremental(enabled bool) Option {
 // reasons. Render it with its Explain method.
 type QueryPlan = plan.Plan
 
+// buildOptions resolves a query's options over the system's shared
+// tree cache and fingerprint memo (WithSketchCache(false) suppresses both
+// inside the engine). It sets no Catalog: the planner reads the prepared
+// query's own table.
 func (s *System) buildOptions(opts []Option) core.Options {
 	// Patch-vs-rebuild is the planner's call by default at the System
 	// surface; WithSketchIncremental(false) forces rebuilds per query.
@@ -334,14 +326,11 @@ func (s *System) buildOptions(opts []Option) core.Options {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.SketchCache == nil && !o.SketchNoCache {
+	if o.SketchCache == nil {
 		o.SketchCache = s.sketchCache
 	}
-	if o.SketchMemo == nil && !o.SketchNoCache {
+	if o.SketchMemo == nil {
 		o.SketchMemo = s.sketchMemo
-	}
-	if o.Catalog == nil {
-		o.Catalog = s.catalog
 	}
 	return o
 }
@@ -386,7 +375,7 @@ func (s *System) PrepareContext(ctx context.Context, paqlText string) (*core.Pre
 }
 
 // RunContext evaluates an already prepared query under the system's
-// options — its shared tree cache, fingerprint memo and catalog — with
+// options — its shared tree cache and fingerprint memo — with
 // prep.RunContext's typed-error contract.
 func (s *System) RunContext(ctx context.Context, prep *core.Prepared, opts ...Option) (*Result, error) {
 	return prep.RunContext(ctx, s.buildOptions(opts))

@@ -1,6 +1,8 @@
 package packagebuilder_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -231,23 +233,109 @@ func TestPublicAPIExplainForcedOptions(t *testing.T) {
 	sys := newSystem(t, 200)
 	qp, err := sys.Explain(mealQuery,
 		pb.WithStrategy(pb.SketchRefine), pb.WithSketchPartitionSize(32),
-		pb.WithSketchDepth(2), pb.WithSketchParallelism(3),
-		pb.WithSketchIncremental(false))
+		pb.WithSketchDepth(2), pb.WithSketchIncremental(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"strategy", "tau", "depth", "parallelism", "maintenance"} {
+	for _, name := range []string{"strategy", "tau", "depth", "maintenance"} {
 		d := qp.Decision(name)
 		if d == nil || !d.Forced {
 			t.Errorf("decision %s not forced: %+v", name, d)
 		}
 	}
-	if qp.Strategy != "sketch-refine" || qp.Tau != 32 || qp.Depth != 2 || qp.Parallelism != 3 {
+	if d := qp.Decision("parallelism"); d == nil || d.Forced {
+		t.Errorf("parallelism must be the planner's own decision: %+v", d)
+	}
+	if qp.Strategy != "sketch-refine" || qp.Tau != 32 || qp.Depth != 2 {
 		t.Errorf("forced knobs not honored: %+v", qp)
 	}
 	if qp.Maintenance != "rebuild" || qp.Incremental {
 		t.Errorf("WithSketchIncremental(false) not forced: maintenance=%s incremental=%v",
 			qp.Maintenance, qp.Incremental)
+	}
+}
+
+// TestNoCacheRunSkipsPreparedTiers: WithSketchCache(false) opts a run out
+// of the fingerprint memo as well as the tree cache, even for a query
+// System.Prepare handed both — nothing of its candidates is hashed into
+// or looked up in the shared tiers.
+func TestNoCacheRunSkipsPreparedTiers(t *testing.T) {
+	sys := newSystem(t, 200)
+	prep, err := sys.Prepare(mealQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, cache := sys.SketchMemo().Stats(), sys.SketchCache().Stats()
+	res, err := sys.RunContext(context.Background(), prep, pb.WithStrategy(pb.SketchRefine), pb.WithSketchCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Strategy != pb.SketchRefine {
+		t.Fatalf("ran %v, want a forced sketch-refine run", res.Stats.Strategy)
+	}
+	if got := sys.SketchMemo().Stats(); got.Lookups != memo.Lookups {
+		t.Errorf("memo lookups %d → %d under WithSketchCache(false)", memo.Lookups, got.Lookups)
+	}
+	if got := sys.SketchCache().Stats(); got != cache {
+		t.Errorf("tree cache %+v → %+v under WithSketchCache(false)", cache, got)
+	}
+}
+
+// TestCatalogView: System.Catalog is a stateless view over the tables,
+// so every read reflects the table as it is now.
+func TestCatalogView(t *testing.T) {
+	newT := func(t *testing.T, n int) *pb.System {
+		t.Helper()
+		sys := pb.New()
+		mustSQL(t, sys, "CREATE TABLE t (id INTEGER, v FLOAT)")
+		for i := 0; i < n; i++ {
+			mustSQL(t, sys, fmt.Sprintf("INSERT INTO t VALUES (%d, %d.5)", i, i))
+		}
+		return sys
+	}
+	t.Run("case-insensitive", func(t *testing.T) {
+		sys := newT(t, 30)
+		ts, ok := sys.Catalog().Stats("T")
+		tab, _ := sys.DB().Table("t")
+		if !ok || ts.Table != "t" || ts.Rows != 30 || ts.Version != tab.Version() {
+			t.Fatalf("Stats(\"T\") = %+v, %v (table at version %d)", ts, ok, tab.Version())
+		}
+	})
+	t.Run("unknown-table", func(t *testing.T) {
+		if _, ok := pb.New().Catalog().Stats("nope"); ok {
+			t.Fatal("an unknown table reported ok")
+		}
+	})
+	t.Run("follows-writes", func(t *testing.T) {
+		sys := newT(t, 20)
+		before, _ := sys.Catalog().Stats("t")
+		mustSQL(t, sys, "INSERT INTO t VALUES (100, 999.5)")
+		after, _ := sys.Catalog().Stats("t")
+		if after.Rows != 21 || after.Version != before.Version+1 {
+			t.Fatalf("after insert: %+v (before %+v)", after, before)
+		}
+		mustSQL(t, sys, "DELETE FROM t WHERE id >= 10")
+		gone, _ := sys.Catalog().Stats("t")
+		if gone.Rows != 10 || gone.Version != after.Version+1 {
+			t.Fatalf("after delete: %+v (before %+v)", gone, after)
+		}
+	})
+	t.Run("dropped-table", func(t *testing.T) {
+		sys := newT(t, 3)
+		sys.Catalog().Stats("t")
+		if err := sys.DB().DropTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := sys.Catalog().Stats("t"); ok {
+			t.Fatal("a dropped table reported ok")
+		}
+	})
+}
+
+func mustSQL(t *testing.T, sys *pb.System, sql string) {
+	t.Helper()
+	if _, err := sys.ExecSQL(sql); err != nil {
+		t.Fatalf("%s: %v", sql, err)
 	}
 }
 
