@@ -73,7 +73,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	pb "repro"
 	"repro/internal/dataset"
@@ -91,19 +90,19 @@ func main() {
 	query := flag.String("q", "", "PaQL query text")
 	file := flag.String("f", "", "file containing the PaQL query")
 	var cli cliOpts
-	flag.StringVar(&cli.strategy, "strategy", "auto", "auto | solver | sketch-refine | pruned-enum | local-search")
-	flag.IntVar(&cli.limit, "limit", 0, "number of packages (overrides query LIMIT)")
-	flag.BoolVar(&cli.diverse, "diverse", false, "return diverse packages instead of top-k")
-	flag.Int64Var(&cli.seed, "seed", 1, "randomized strategy seed")
-	flag.IntVar(&cli.sketchSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
-	flag.IntVar(&cli.sketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
-	flag.BoolVar(&cli.sketchCache, "sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
-	flag.StringVar(&cli.sketchDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	flag.BoolVar(&cli.sketchIncr, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
+	flag.TextVar(&cli.Strategy, "strategy", pb.Auto, "auto | solver | sketch-refine | pruned-enum | local-search")
+	flag.IntVar(&cli.Limit, "limit", 0, "number of packages (overrides query LIMIT)")
+	flag.BoolVar(&cli.Diverse, "diverse", false, "return diverse packages instead of top-k")
+	flag.Int64Var(&cli.Seed, "seed", 1, "randomized strategy seed")
+	flag.IntVar(&cli.SketchPartitionSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
+	flag.IntVar(&cli.SketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
+	sketchCache := flag.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
+	flag.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
+	flag.BoolVar(&cli.SketchIncremental, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
 	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
-	flag.DurationVar(&cli.timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
-	flag.Int64Var(&cli.memBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	flag.Float64Var(&cli.maxGap, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
+	flag.DurationVar(&cli.Timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
+	flag.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
+	flag.Float64Var(&cli.GapTolerance, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintln(out, "usage: paql [flags]")
@@ -111,6 +110,7 @@ func main() {
 		fmt.Fprint(out, exitCodeTable)
 	}
 	flag.Parse()
+	cli.SketchNoCache = !*sketchCache
 
 	sys := pb.New()
 	for _, spec := range csvs {
@@ -130,8 +130,8 @@ func main() {
 		}
 	}
 
-	if cli.sketchDir != "" {
-		if msg := sys.SweepSketchDir(cli.sketchDir); msg != "" {
+	if cli.SketchPersistDir != "" {
+		if msg := sys.SweepSketchDir(cli.SketchPersistDir); msg != "" {
 			fmt.Fprintf(os.Stderr, "paql: %s\n", msg)
 		}
 	}
@@ -154,7 +154,7 @@ func main() {
 	// surprise. Both stay off — except persistence when the user named
 	// a directory with -sketch-dir, which is exactly the ask to reuse
 	// the tree across one-shot runs.
-	cli.sketchCache = false
+	cli.SketchNoCache = true
 	// Ctrl-C / SIGTERM cancels the solve cooperatively: partial work is
 	// discarded and the process exits with the canceled exit code (3).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -162,22 +162,12 @@ func main() {
 	runQuery(ctx, sys, text, cli)
 }
 
-// cliOpts carries the evaluation flags shared by one-shot and REPL use;
-// main binds each flag straight into its field.
+// cliOpts carries the evaluation flags shared by one-shot and REPL use:
+// main binds each flag straight into the options record, and every
+// query passes it whole (pb.With).
 type cliOpts struct {
-	strategy    string
-	limit       int
-	diverse     bool
-	seed        int64
-	sketchSize  int
-	sketchDepth int
-	sketchCache bool
-	sketchDir   string
-	sketchIncr  bool
-	explain     bool
-	timeout     time.Duration
-	memBudget   int64
-	maxGap      float64
+	pb.Options
+	explain bool
 }
 
 func runQuery(ctx context.Context, sys *pb.System, text string, cli cliOpts) {
@@ -187,11 +177,7 @@ func runQuery(ctx context.Context, sys *pb.System, text string, cli cliOpts) {
 		}
 		return
 	}
-	opts, err := buildOpts(cli)
-	if err != nil {
-		failErr(err)
-	}
-	res, err := sys.QueryContext(ctx, text, opts...)
+	res, err := sys.QueryContext(ctx, text, pb.With(cli.Options))
 	if err != nil {
 		failErr(err)
 	}
@@ -253,34 +239,12 @@ func isExplain(text string) bool {
 // runExplain plans the query without executing it and prints the
 // planner's decision trail.
 func runExplain(ctx context.Context, sys *pb.System, w io.Writer, text string, cli cliOpts) error {
-	opts, err := buildOpts(cli)
-	if err != nil {
-		return err
-	}
-	qp, err := sys.ExplainContext(ctx, text, opts...)
+	qp, err := sys.ExplainContext(ctx, text, pb.With(cli.Options))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, qp.Explain())
 	return nil
-}
-
-func buildOpts(cli cliOpts) ([]pb.Option, error) {
-	st, err := pb.ParseStrategy(cli.strategy)
-	if err != nil {
-		return nil, err
-	}
-	// Every option reads its zero value as "unset", so the flags pass
-	// through as they are.
-	opts := []pb.Option{pb.WithStrategy(st), pb.WithSeed(cli.seed), pb.WithLimit(cli.limit),
-		pb.WithSketchPartitionSize(cli.sketchSize), pb.WithSketchDepth(cli.sketchDepth),
-		pb.WithSketchPersistDir(cli.sketchDir), pb.WithSketchCache(cli.sketchCache),
-		pb.WithSketchIncremental(cli.sketchIncr),
-		pb.WithTimeout(cli.timeout), pb.WithMemoryBudget(cli.memBudget), pb.WithGapTolerance(cli.maxGap)}
-	if cli.diverse {
-		opts = append(opts, pb.WithDiverse())
-	}
-	return opts, nil
 }
 
 func generate(sys *pb.System, spec string) error {
@@ -356,12 +320,7 @@ func execStmt(sys *pb.System, stmt string, cli cliOpts) {
 		return
 	}
 	if strings.HasPrefix(upper, "SELECT PACKAGE") {
-		opts, err := buildOpts(cli)
-		if err != nil {
-			replErr(err)
-			return
-		}
-		res, err := sys.QueryContext(ctx, stmt, opts...)
+		res, err := sys.QueryContext(ctx, stmt, pb.With(cli.Options))
 		if err != nil {
 			replErr(err)
 			return

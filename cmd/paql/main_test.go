@@ -43,7 +43,7 @@ func TestIsExplain(t *testing.T) {
 // does not execute the query.
 func TestRunExplainPrintsPlan(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{strategy: "auto", seed: 1, sketchIncr: true}
+	cli := cliOpts{Options: pb.Options{Seed: 1, SketchIncremental: true}}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
@@ -95,13 +95,10 @@ func TestOutcomeParity(t *testing.T) {
 // the solver proved it infeasible).
 func TestTypeErrorExitsOne(t *testing.T) {
 	sys := testSystem(t)
-	for _, strategy := range []string{"auto", "solver", "pruned-enum", "local-search", "sketch"} {
-		opts, err := buildOpts(cliOpts{strategy: strategy, seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, strategy := range []pb.Strategy{pb.Auto, pb.Solver, pb.PrunedEnum, pb.LocalSearch, pb.SketchRefine} {
+		cli := cliOpts{Options: pb.Options{Strategy: strategy, Seed: 1}}
 		_, qerr := sys.QueryContext(context.Background(), `SELECT PACKAGE(R) AS P FROM recipes R
-			SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`, opts...)
+			SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`, pb.With(cli.Options))
 		if qerr == nil || !strings.Contains(qerr.Error(), "MIN(R.name) >= 1") {
 			t.Fatalf("-strategy %s: %v, want an error naming the atom", strategy, qerr)
 		}
@@ -116,12 +113,9 @@ func TestTypeErrorExitsOne(t *testing.T) {
 // label the one-shot path exits 4 on.
 func TestReplBudgetErrorLabeled(t *testing.T) {
 	sys := testSystem(t)
-	opts, err := buildOpts(cliOpts{strategy: "auto", seed: 1, memBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := cliOpts{Options: pb.Options{Seed: 1, MemoryBudget: 1}}
 	_, qerr := sys.QueryContext(context.Background(), `SELECT PACKAGE(R) AS P FROM recipes R
-		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, opts...)
+		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, pb.With(cli.Options))
 	if !errors.Is(qerr, pb.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded under a 1-byte budget, got %v", qerr)
 	}
@@ -134,8 +128,8 @@ func TestReplBudgetErrorLabeled(t *testing.T) {
 // decisions in the plan instead of planner picks.
 func TestRunExplainForcedFlags(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{strategy: "sketch-refine", seed: 1, sketchSize: 32, sketchDepth: 2,
-		sketchIncr: false}
+	cli := cliOpts{Options: pb.Options{Strategy: pb.SketchRefine, Seed: 1, SketchPartitionSize: 32, SketchDepth: 2,
+		SketchIncremental: false}}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)

@@ -46,30 +46,26 @@ const maxBodyBytes = 1 << 20
 // in parallel.
 type server struct {
 	sys *pb.System
-	// persistDir, when non-empty, backs the cache with an on-disk tree
-	// store (-sketch-dir): a server restart then skips the offline
-	// partitioning step. It is a server flag, never request data — a
-	// client must not choose where the server writes.
-	persistDir string
-	// incremental is the -sketch-incr server default: true leaves
-	// patch-vs-rebuild to the planner, false forces rebuilds. A
-	// request's sketchIncr field overrides it per query.
-	incremental bool
+	// base is the options record every solve starts from, bound by the
+	// server flags: the seed, the tree directory (-sketch-dir — a server
+	// flag, never request data, since a client must not choose where the
+	// server writes), the -sketch-incr default, and the per-query
+	// lifecycle limits (-mem-budget, and -timeout, whose hard ctx
+	// deadline trails the soft budget). A request overlays only the
+	// fields handleQuery names.
+	base pb.Options
 	// adm bounds concurrent solves: excess requests queue FIFO, then
 	// shed with 429 + Retry-After once the queue is full or the server
 	// is draining. Cheap handlers (pin, suggest, index) bypass it.
 	adm *lifecycle.Controller
-	// memBudget and timeout are per-query lifecycle limits applied to
-	// every solve (-mem-budget, -timeout); zero disables each.
-	memBudget int64
-	timeout   time.Duration
 	// health is the per-subsystem degradation registry behind /healthz:
 	// solves that took a degradation-ladder rung report the subsystem,
 	// a fully clean solve clears the board.
 	health *lifecycle.Health
 
-	mu  sync.RWMutex
-	ses *explore.Session // one demo session, like the booth kiosk
+	mu      sync.RWMutex
+	ses     *explore.Session // one demo session, like the booth kiosk
+	sesOpts pb.Options       // the options ses was opened under
 }
 
 // Request IDs: a per-process salt plus an atomic counter, echoed in the
@@ -103,24 +99,6 @@ func requestID(r *http.Request) string {
 		return id
 	}
 	return newRequestID()
-}
-
-// newServer builds a server over a loaded system, persisting trees
-// under persistDir when set. The admission controller starts with the
-// flag defaults; main overrides it from -max-inflight/-max-queue.
-func newServer(sys *pb.System, persistDir string, incremental bool) *server {
-	return &server{sys: sys, persistDir: persistDir, incremental: incremental,
-		adm: lifecycle.NewController(4, 16), health: lifecycle.NewHealth()}
-}
-
-// options returns the evaluation options every solve starts from — the
-// tree directory, the -sketch-incr default, and the per-query lifecycle
-// limits (the soft time budget, whose hard ctx deadline trails it, and
-// the memory-admission gate) — followed by the request's own.
-func (s *server) options(request ...pb.Option) []pb.Option {
-	return append([]pb.Option{pb.WithSeed(1), pb.WithSketchPersistDir(s.persistDir),
-		pb.WithSketchIncremental(s.incremental), pb.WithTimeout(s.timeout),
-		pb.WithMemoryBudget(s.memBudget)}, request...)
 }
 
 // withRequest is the outermost middleware: it mints the request ID,
@@ -161,40 +139,37 @@ func (s *server) noteHealth(stats *pb.Stats) {
 	}
 }
 
-// session returns the current exploration session or an error when no
-// query has been run yet.
-func (s *server) session() (*explore.Session, error) {
+// session returns the current exploration session and the options it
+// was opened under, or an error when no query has been run yet.
+func (s *server) session() (*explore.Session, pb.Options, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.ses == nil {
-		return nil, fmt.Errorf("no active query")
+		return nil, pb.Options{}, fmt.Errorf("no active query")
 	}
-	return s.ses, nil
+	return s.ses, s.sesOpts, nil
 }
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	n := flag.Int("n", 500, "recipe count")
 	seed := flag.Int64("seed", 42, "dataset seed")
-	sketchDir := flag.String("sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
-	sketchIncr := flag.Bool("sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after writes; =false forces rebuilds")
+	s := &server{sys: pb.New(), base: pb.Options{Seed: 1}, health: lifecycle.NewHealth()}
+	flag.StringVar(&s.base.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
+	flag.BoolVar(&s.base.SketchIncremental, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after writes; =false forces rebuilds")
 	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
 	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
-	memBudget := flag.Int64("mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	timeout := flag.Duration("timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
+	flag.Int64Var(&s.base.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
+	flag.DurationVar(&s.base.Timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window on SIGTERM/SIGINT")
 	flag.Parse()
 
-	sys := pb.New()
-	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
+	if err := dataset.LoadRecipes(s.sys.DB(), "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
 		log.Fatal(err)
 	}
-	s := newServer(sys, *sketchDir, *sketchIncr)
 	s.adm = lifecycle.NewController(*maxInFlight, *maxQueue)
-	s.memBudget = *memBudget
-	s.timeout = *timeout
-	if *sketchDir != "" {
-		if msg := sys.SweepSketchDir(*sketchDir); msg != "" {
+	if dir := s.base.SketchPersistDir; dir != "" {
+		if msg := s.sys.SweepSketchDir(dir); msg != "" {
 			log.Printf("pbserver: %s", msg)
 		}
 	}
@@ -246,7 +221,7 @@ func main() {
 		if grace := min(*drain/5, 2*time.Second); grace > 0 {
 			time.Sleep(grace)
 		}
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
+		shutCtx, cancel := context.WithDeadline(context.Background(), time.Now().Add(*drain))
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			log.Printf("pbserver: drain window expired (%v); closing", err)
@@ -383,31 +358,27 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	// The request names its five fields one by one and never embeds
+	// pb.Options: the tree directory and the lifecycle limits stay the
+	// server's.
 	var req struct {
-		Query       string `json:"query"`
-		Strategy    string `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
-		SketchDepth int    `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
-		SketchIncr  *bool  `json:"sketchIncr"`  // tree patching after writes; nil = server default
-		Explain     bool   `json:"explain"`     // plan only: return the decision trail, don't execute
+		Query       string      `json:"query"`
+		Strategy    pb.Strategy `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
+		SketchDepth int         `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
+		SketchIncr  *bool       `json:"sketchIncr"`  // tree patching after writes; nil = server default
+		Explain     bool        `json:"explain"`     // plan only: return the decision trail, don't execute
 	}
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.httpErr(w, r, err)
 		return
 	}
-	opts := s.options(pb.WithSketchDepth(req.SketchDepth))
+	opts := s.base
+	opts.Strategy, opts.SketchDepth = req.Strategy, req.SketchDepth
 	if req.SketchIncr != nil {
-		opts = append(opts, pb.WithSketchIncremental(*req.SketchIncr))
-	}
-	if req.Strategy != "" {
-		st, err := pb.ParseStrategy(req.Strategy)
-		if err != nil {
-			s.httpErr(w, r, err)
-			return
-		}
-		opts = append(opts, pb.WithStrategy(st))
+		opts.SketchIncremental = *req.SketchIncr
 	}
 	if req.Explain {
-		qp, err := s.sys.ExplainContext(r.Context(), req.Query, opts...)
+		qp, err := s.sys.ExplainContext(r.Context(), req.Query, pb.With(opts))
 		if err != nil {
 			s.httpErr(w, r, err)
 			return
@@ -424,7 +395,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ses, err := s.sys.ExploreContext(r.Context(), req.Query, opts...)
+	ses, err := s.sys.ExploreContext(r.Context(), req.Query, pb.With(opts))
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
@@ -439,7 +410,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// read lock-free after this point.
 	out := s.packageJSON(ses, ses.Current(), ses.Stats())
 	s.mu.Lock()
-	s.ses = ses
+	s.ses, s.sesOpts = ses, opts
 	s.mu.Unlock()
 	writeJSON(w, out)
 }
@@ -493,7 +464,7 @@ func (s *server) handlePin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	ses, err := s.session()
+	ses, _, err := s.session()
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
@@ -554,7 +525,7 @@ func (s *server) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	ses, err := s.session()
+	ses, opts, err := s.session()
 	if err != nil {
 		s.httpErr(w, r, err)
 		return
@@ -564,12 +535,12 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.mu.RLock()
-	prep := ses.Prepared()
-	s.mu.RUnlock()
 	// Running a prepared query is a pure read over it and the database;
-	// it needs no lock, so summaries render concurrently too.
-	res, err := s.sys.RunContext(r.Context(), prep, s.options(pb.WithLimit(9))...)
+	// it needs no lock, so summaries render concurrently too. It runs
+	// under the options the session was opened with, so the nine
+	// packages come from the session's own plan.
+	prep := ses.Prepared()
+	res, err := s.sys.RunContext(r.Context(), prep, pb.With(opts), pb.WithLimit(9))
 	if err != nil {
 		s.httpErr(w, r, err)
 		return

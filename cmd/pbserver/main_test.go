@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -18,11 +19,18 @@ import (
 
 func testServer(t *testing.T) *server {
 	t.Helper()
+	return newTestServer(t, 80, pb.Options{Seed: 1, SketchIncremental: true})
+}
+
+// newTestServer loads n recipes and serves them under base, with main's
+// default admission limits.
+func newTestServer(t *testing.T, n int, base pb.Options) *server {
+	t.Helper()
 	sys := pb.New()
-	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: 80, Seed: 42}); err != nil {
+	if err := dataset.LoadRecipes(sys.DB(), "recipes", dataset.RecipesConfig{N: n, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(sys, "", true)
+	return &server{sys: sys, base: base, adm: lifecycle.NewController(4, 16), health: lifecycle.NewHealth()}
 }
 
 const demoQuery = `SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'
@@ -122,7 +130,7 @@ func TestPinnedAreRowIDs(t *testing.T) {
 	// row id: the last one.
 	rowIDs := ints(out["rowIds"])
 	id := rowIDs[len(rowIDs)-1]
-	ses, _ := s.session()
+	ses, _, _ := s.session()
 	if idx := slices.Index(ses.Prepared().Instance.IDs, id); idx == id {
 		t.Fatalf("row %d is candidate %d: the WHERE filtered nothing before it", id, idx)
 	}
@@ -313,7 +321,7 @@ func TestHandleExplain(t *testing.T) {
 		t.Errorf("explain text = %q", text)
 	}
 	// Explaining must not publish a session.
-	if _, err := s.session(); err == nil {
+	if _, _, err := s.session(); err == nil {
 		t.Error("explain created a session")
 	}
 
@@ -451,7 +459,7 @@ func TestTypedErrorStatuses(t *testing.T) {
 		t.Errorf("type error: status %d, body %s; want 400 naming the atom", rec.Code, rec.Body)
 	}
 	// Memory budget refusal: 422 / budget.
-	s.memBudget = 1
+	s.base.MemoryBudget = 1
 	rec2, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`}`)
 	if rec2.Code != http.StatusUnprocessableEntity {
 		t.Errorf("budget status = %d: %s", rec2.Code, rec2.Body)
@@ -460,7 +468,7 @@ func TestTypedErrorStatuses(t *testing.T) {
 	if body["code"] != "budget" {
 		t.Errorf("code = %q, want budget", body["code"])
 	}
-	s.memBudget = 0
+	s.base.MemoryBudget = 0
 	// Dead request context: 408 / canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -554,7 +562,7 @@ func TestRequestIDsUnique(t *testing.T) {
 // clears it. /readyz flips to 503 on drain.
 func TestHealthEndpoints(t *testing.T) {
 	s := testServer(t)
-	s.persistDir = t.TempDir()
+	s.base.SketchPersistDir = t.TempDir()
 	get := func(h http.HandlerFunc, path string) (*httptest.ResponseRecorder, map[string]json.RawMessage) {
 		req := httptest.NewRequest("GET", path, nil)
 		rec := httptest.NewRecorder()
@@ -666,12 +674,8 @@ func TestHealthyRunReportsNotDegraded(t *testing.T) {
 // write rebuilds its tree and the plan says so as forced; a request's
 // "sketchIncr": true hands patch-vs-rebuild back to the planner.
 func TestSketchIncrServerDefaultOffForcesRebuild(t *testing.T) {
-	sys := pb.New()
-	db := sys.DB()
-	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 400, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(sys, "", false)
+	s := newTestServer(t, 400, pb.Options{Seed: 1})
+	db := s.sys.DB()
 	query := func(extra string) map[string]any {
 		t.Helper()
 		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
@@ -747,5 +751,57 @@ func TestStatsSketchIsTheSolversRecord(t *testing.T) {
 		if _, ok := wire[key]; !ok {
 			t.Errorf("stats.%s is gone from the wire", key)
 		}
+	}
+}
+
+// TestSummaryRunsUnderSessionOptions: /api/summary re-runs the session's
+// query under the options the session was opened with. After a forced
+// sketch-refine query the summary's run is sketch-refine too, so it is
+// served from the tree that query cached.
+func TestSummaryRunsUnderSessionOptions(t *testing.T) {
+	s := testServer(t)
+	if rec, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"}`); rec.Code != 200 {
+		t.Fatalf("query: %s", rec.Body)
+	}
+	before := s.sys.SketchCache().Stats()
+	rec := httptest.NewRecorder()
+	s.handleSummary(rec, httptest.NewRequest("GET", "/api/summary", nil))
+	if rec.Code != 200 {
+		t.Fatalf("summary: %d %s", rec.Code, rec.Body)
+	}
+	if after := s.sys.SketchCache().Stats(); after.Hits <= before.Hits {
+		t.Errorf("summary left the tree cache untouched (hits %d -> %d): it ran another plan than the session's", before.Hits, after.Hits)
+	}
+}
+
+// TestRequestCannotSetServerOptions: the request struct names its five
+// fields and embeds nothing, so keys that spell the server's own options
+// — where it writes trees, its memory budget, its time budget — are
+// ignored: no file is written and the answer is the plain query's.
+func TestRequestCannotSetServerOptions(t *testing.T) {
+	s := testServer(t)
+	dir := t.TempDir()
+	answer := func(extra string) (string, string, string) {
+		t.Helper()
+		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
+		if rec.Code != 200 {
+			t.Fatalf("query%s: %d %s", extra, rec.Code, rec.Body)
+		}
+		var stats struct {
+			Strategy        string `json:"strategy"`
+			PlannedStrategy string `json:"plannedStrategy"`
+		}
+		_ = json.Unmarshal(out["stats"], &stats)
+		return stats.Strategy, stats.PlannedStrategy, string(out["rowIds"])
+	}
+	wantStrategy, wantPlanned, wantRows := answer("")
+	gotStrategy, gotPlanned, gotRows := answer(`, "SketchPersistDir": ` + mustJSON(dir) + `, "sketchDir": ` + mustJSON(dir) +
+		`, "MemoryBudget": 1, "timeout": 1`)
+	if gotStrategy != wantStrategy || gotPlanned != wantPlanned || gotRows != wantRows {
+		t.Errorf("extra keys changed the answer: %s (planned %s) %s, want %s (planned %s) %s",
+			gotStrategy, gotPlanned, gotRows, wantStrategy, wantPlanned, wantRows)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("a request key made the server write %d file(s) under %s", len(files), dir)
 	}
 }

@@ -89,6 +89,16 @@ func ParseStrategy(name string) (Strategy, error) {
 	return Auto, fmt.Errorf("core: unknown strategy %q (auto, solver, sketch-refine, pruned-enum, local-search)", name)
 }
 
+// MarshalText spells the strategy by its String name, so a Strategy binds
+// to a flag (flag.TextVar) or a JSON string field as it is.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText accepts every name ParseStrategy does.
+func (s *Strategy) UnmarshalText(text []byte) (err error) {
+	*s, err = ParseStrategy(string(text))
+	return err
+}
+
 // Options tunes evaluation.
 type Options struct {
 	Strategy Strategy

@@ -99,6 +99,42 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
+// TestStrategyTextRoundTrip: a Strategy read back from its own text, or
+// from any alias ParseStrategy accepts, is the same Strategy — what the
+// -strategy flag and pbserver's "strategy" field rely on.
+func TestStrategyTextRoundTrip(t *testing.T) {
+	for _, s := range []Strategy{Auto, PrunedEnum, LocalSearchStrategy, Solver, SketchRefineStrategy} {
+		text, err := s.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Strategy
+		if err := got.UnmarshalText(text); err != nil || got != s {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, got, err, s)
+		}
+	}
+	aliases := map[string]Strategy{
+		"": Auto, "auto": Auto, "pruned-enum": PrunedEnum, "pruned": PrunedEnum,
+		"local-search": LocalSearchStrategy, "local": LocalSearchStrategy, "solver": Solver, "milp": Solver,
+		"sketch-refine": SketchRefineStrategy, "sketch": SketchRefineStrategy, " Sketch ": SketchRefineStrategy,
+	}
+	for name, want := range aliases {
+		var got Strategy
+		if err := got.UnmarshalText([]byte(name)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		text, _ := got.MarshalText()
+		var again Strategy
+		if err := again.UnmarshalText(text); err != nil || again != want {
+			t.Errorf("round trip of alias %q through %q = %v, %v", name, text, again, err)
+		}
+	}
+	var s Strategy
+	if err := s.UnmarshalText([]byte("warp-drive")); err == nil {
+		t.Error("UnmarshalText should reject unknown names")
+	}
+}
+
 func TestSketchStrategyThroughEngine(t *testing.T) {
 	db := minidb.New()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 300, Seed: 7}); err != nil {

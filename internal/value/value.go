@@ -432,7 +432,10 @@ func DecodeKey(src []byte) (V, []byte, error) {
 		if len(rest) < 1 {
 			return Null(), nil, fmt.Errorf("value: truncated boolean key")
 		}
-		return Bool(rest[0] != 0), rest[1:], nil
+		if rest[0] > 1 {
+			return Null(), nil, fmt.Errorf("value: boolean key byte %d is neither 0 nor 1", rest[0])
+		}
+		return Bool(rest[0] == 1), rest[1:], nil
 	case KindInt:
 		u, rest, err := takeUint64(rest, "integer")
 		if err != nil {

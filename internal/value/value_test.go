@@ -499,13 +499,14 @@ func TestDecodeKeyRoundTrip(t *testing.T) {
 
 func TestDecodeKeyRejectsCorruptInput(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":            {},
-		"unknown kind":     {99},
-		"truncated bool":   {byte(KindBool)},
-		"truncated int":    {byte(KindInt), 1, 2, 3},
-		"truncated float":  {byte(KindFloat), 1},
-		"truncated strlen": {byte(KindString), 0, 0},
-		"string overrun":   Str("hello").EncodeKey(nil)[:10],
+		"empty":             {},
+		"unknown kind":      {99},
+		"truncated bool":    {byte(KindBool)},
+		"bool byte not 0/1": {byte(KindBool), 0x30},
+		"truncated int":     {byte(KindInt), 1, 2, 3},
+		"truncated float":   {byte(KindFloat), 1},
+		"truncated strlen":  {byte(KindString), 0, 0},
+		"string overrun":    Str("hello").EncodeKey(nil)[:10],
 	}
 	for name, in := range cases {
 		if _, _, err := DecodeKey(in); err == nil {

@@ -79,6 +79,12 @@
 // exceeds a byte budget. The context-free methods (Query, Explore, ...)
 // evaluate under context.Background() with the original contracts.
 //
+// Every With* helper edits one field of a single record, Options.
+// Front ends that already hold a whole record — the paql flags and
+// pbserver's server flags bind straight into one — pass it with
+// With(opts); start it from Options{SketchIncremental: true}, since that
+// field's zero value forces tree rebuilds.
+//
 // Typical use:
 //
 //	sys := packagebuilder.New()
@@ -208,10 +214,6 @@ const (
 	SketchRefine = core.SketchRefineStrategy
 )
 
-// ParseStrategy resolves a strategy name ("auto", "solver",
-// "sketch-refine", ...) to its Strategy value.
-func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(name) }
-
 // Result is a query evaluation outcome. Re-exported from core.
 type Result = core.Result
 
@@ -225,8 +227,20 @@ type Stats = core.Stats
 // Stats carries as Stats.Sketch. Re-exported from internal/sketch.
 type SketchStats = sketch.Result
 
+// Options is the whole evaluation record every Option edits.
+// Re-exported from core.
+type Options = core.Options
+
 // Option tunes query evaluation.
 type Option func(*core.Options)
+
+// With replaces the whole options record — for front ends that bind
+// their flags or request fields straight into one Options. Its zero
+// SketchIncremental forces tree rebuilds after writes (the With*
+// helpers start from the planner's choice), so start from
+// Options{SketchIncremental: true}. Nil SketchCache and SketchMemo still
+// fall back to the System's.
+func With(o Options) Option { return func(dst *core.Options) { *dst = o } }
 
 // WithStrategy forces an evaluation strategy.
 func WithStrategy(st Strategy) Option { return func(o *core.Options) { o.Strategy = st } }
@@ -265,9 +279,6 @@ func WithSeed(seed int64) Option { return func(o *core.Options) { o.Seed = seed 
 
 // WithDiverse returns a diverse package set instead of the top-k.
 func WithDiverse() Option { return func(o *core.Options) { o.Diverse = true } }
-
-// WithRestarts sets local-search restarts.
-func WithRestarts(n int) Option { return func(o *core.Options) { o.Restarts = n } }
 
 // WithRequire pins candidate indexes into every package.
 func WithRequire(idx ...int) Option { return func(o *core.Options) { o.Require = idx } }

@@ -54,9 +54,8 @@ func TestPublicAPIQuery(t *testing.T) {
 
 func TestPublicAPIOptions(t *testing.T) {
 	sys := newSystem(t, 60)
-	res, err := sys.Query(mealQuery,
-		pb.WithStrategy(pb.LocalSearch), pb.WithSeed(3), pb.WithRestarts(6),
-		pb.WithLimit(2), pb.WithTimeout(5*time.Second))
+	res, err := sys.Query(mealQuery, pb.With(pb.Options{Strategy: pb.LocalSearch, Seed: 3, Restarts: 6,
+		Limit: 2, Timeout: 5 * time.Second, SketchIncremental: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
