@@ -4,8 +4,9 @@ package bound
 // the machinery that turns the single coefficient-range envelope per
 // partition leaf into a certificate tight enough to act on.
 //
-// Stage 1 — segmented columns (SplitGroups): each leaf group is split
-// into contiguous segments of its objective-sorted tuple list, with
+// Stage 1 — segmented columns (SortByObjective, then Segment; SplitGroups
+// does both): each leaf group is split into contiguous segments of its
+// objective-sorted tuple list, with
 // per-tuple multiplicity caps summed per segment. A leaf's objective
 // contribution is then bounded by a best-k prefix over its segments (a
 // piecewise-linear column) instead of Hi × its single most optimistic
@@ -171,29 +172,75 @@ func tighter(sense lp.Sense, a, b float64) float64 {
 	return math.Max(a, b)
 }
 
-// SplitGroups refines a grouping into objective-sorted segments: each
-// group's tuples are ordered best-objective-first for the sense and cut
-// into contiguous chunks, one refined Group per chunk, with Lo/Hi
-// summed from the per-tuple bounds (tupleLo/tupleHi; nil = [0, +inf)).
-// maxVars caps the total group count; at or below it the grouping is
-// returned unchanged.
-//
-// The refinement is sound on both sides. Splitting: any feasible
-// integral package's per-tuple multiplicities sum within each chunk's
-// [ΣtupleLo, ΣtupleHi], so the package maps to a feasible point of the
-// refined relaxation, and each chunk's min/max coefficient range is a
-// subset of its parent group's. Dropping a tuple with tupleHi ≤ 0 is
-// exact, not a relaxation: such a tuple (eliminated by the branch's
-// MIN/MAX rows) has multiplicity 0 in every feasible package of the
-// branch, so no feasible point is lost.
+// SplitGroups refines a grouping into objective-sorted segments: a copy
+// of each group's tuples is ordered best objective first for the sense
+// (SortByObjective) and cut into contiguous chunks (Segment). It never
+// mutates its input; maxVars caps the total group count, and a grouping
+// Splits rejects is returned unchanged. The engine keeps each tree's
+// orders and calls Segment on them itself; this is the one-off form, for
+// callers that hold nothing to reuse.
 func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tupleLo, tupleHi func(int) float64) []Group {
-	if len(groups) == 0 || maxVars <= len(groups) {
+	if !Splits(len(groups), maxVars) {
 		return groups
 	}
-	segs := maxVars / len(groups)
-	if segs > 32 {
-		segs = 32
+	ordered := make([]Group, len(groups))
+	for i, g := range groups {
+		ordered[i] = g
+		ordered[i].Tuples = slices.Clone(g.Tuples)
+		SortByObjective(ordered[i].Tuples, objW, sense)
 	}
+	return Segment(ordered, maxVars, tupleLo, tupleHi)
+}
+
+// SortByObjective stable-sorts tuples in place, best objective first for
+// the sense; without an objective it leaves them as they are.
+func SortByObjective(tuples []int, objW []float64, sense lp.Sense) {
+	if len(objW) == 0 {
+		return
+	}
+	slices.SortStableFunc(tuples, func(a, b int) int {
+		if sense == lp.Maximize {
+			a, b = b, a
+		}
+		return cmp.Compare(objW[a], objW[b])
+	})
+}
+
+// segmentsPer is how many segments Segment cuts each of n groups into
+// under maxVars: up to 32, and below 2 when it leaves them whole.
+func segmentsPer(n, maxVars int) int {
+	if n == 0 || maxVars <= n {
+		return 0
+	}
+	return min(maxVars/n, 32)
+}
+
+// Splits reports whether Segment cuts a grouping of n groups under
+// maxVars; when it does not, the grouping goes on as it is, and the order
+// of each group's tuples is what a one-level descent's singleton columns
+// follow.
+func Splits(n, maxVars int) bool { return segmentsPer(n, maxVars) >= 2 }
+
+// Segment cuts each group's tuples, in the order given, into contiguous
+// chunks, one refined Group per chunk, with Lo/Hi summed from the
+// per-tuple bounds (tupleLo/tupleHi; nil = [0, +inf)), dropping the
+// tuples no package can carry. Given tuples ordered by SortByObjective the
+// chunks are objective-sorted segments: a leaf's objective contribution
+// is then bounded by a best-k prefix over its segments. A grouping Splits
+// rejects is returned unchanged. Each chunk is a capacity-clipped window,
+// of the group's own slice when the group drops nothing and of a filtered
+// copy otherwise, so the chunks are as read-only as the input.
+//
+// The refinement is sound on both sides, whatever the order. Splitting:
+// any feasible integral package's per-tuple multiplicities sum within
+// each chunk's [ΣtupleLo, ΣtupleHi], so the package maps to a feasible
+// point of the refined relaxation, and each chunk's min/max coefficient
+// range is a subset of its parent group's. Dropping a tuple with tupleHi
+// ≤ 0 is exact, not a relaxation: such a tuple (eliminated by the
+// branch's MIN/MAX rows) has multiplicity 0 in every feasible package of
+// the branch, so no feasible point is lost.
+func Segment(groups []Group, maxVars int, tupleLo, tupleHi func(int) float64) []Group {
+	segs := segmentsPer(len(groups), maxVars)
 	if segs < 2 {
 		return groups
 	}
@@ -205,11 +252,19 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 	}
 	out := make([]Group, 0, len(groups)*segs)
 	for _, g := range groups {
-		kept := make([]int, 0, len(g.Tuples))
-		for _, t := range g.Tuples {
-			if tupleHi(t) > 0 || tupleLo(t) > 0 {
-				kept = append(kept, t)
+		var kept []int // nil until a tuple is dropped
+		for i, t := range g.Tuples {
+			switch {
+			case tupleHi(t) > 0 || tupleLo(t) > 0:
+				if kept != nil {
+					kept = append(kept, t)
+				}
+			case kept == nil:
+				kept = append(make([]int, 0, len(g.Tuples)), g.Tuples[:i]...)
 			}
+		}
+		if kept == nil {
+			kept = g.Tuples
 		}
 		if len(kept) == 0 {
 			if g.Lo > 0 {
@@ -219,21 +274,10 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 			}
 			continue
 		}
-		if len(objW) > 0 {
-			slices.SortStableFunc(kept, func(a, b int) int {
-				if sense == lp.Maximize {
-					a, b = b, a
-				}
-				return cmp.Compare(objW[a], objW[b])
-			})
-		}
-		parts := segs
-		if parts > len(kept) {
-			parts = len(kept)
-		}
+		parts := min(segs, len(kept))
 		for s := 0; s < parts; s++ {
 			a, b := s*len(kept)/parts, (s+1)*len(kept)/parts
-			seg := Group{Tuples: append([]int(nil), kept[a:b]...)}
+			seg := Group{Tuples: kept[a:b:b]}
 			for _, t := range seg.Tuples {
 				seg.Lo += tupleLo(t)
 				seg.Hi += tupleHi(t)
@@ -245,7 +289,7 @@ func SplitGroups(groups []Group, objW []float64, sense lp.Sense, maxVars int, tu
 }
 
 // RunPipeline runs the staged tightening pipeline over a grouped
-// relaxation (typically SplitGroups output) and returns the tightest
+// relaxation (typically Segment or SplitGroups output) and returns the tightest
 // certified bound any stage proved. Stages only run while the result is
 // not yet within GapTarget of the incumbent and MaxStage allows them;
 // an uncertified or infeasible base solve short-circuits.
@@ -514,7 +558,7 @@ func (pl *pipeline) tighten(r *relaxation, prices []float64, pr *PipelineResult)
 // reading the relaxation's envelopes instead of the tuples. An atom with
 // one coefficient c on every group — on every tuple that can still carry
 // multiplicity, which is not every tuple: a MIN/MAX elimination row is 0
-// on all that SplitGroups kept — is a cardinality row, c·Σmₜ op RHS, and
+// on all that Segment kept — is a cardinality row, c·Σmₜ op RHS, and
 // folds into the band cLo ≤ Σmₜ ≤ cHi (c = 0 leaves the constant row
 // 0 op RHS: true, or the branch is infeasible). Every other atom is
 // priced: it gets a multiplier with the sign weak duality needs.
@@ -568,7 +612,7 @@ func priceRows(po *PipelineOptions, r *relaxation, prices []float64) (rows []dua
 
 // box fills the per-tuple columns the rounds read, once per pass (a
 // refined grouping covers the same tuples): room[t] = tupleHi − tupleLo
-// for a tuple some group holds and 0 for one SplitGroups dropped, and
+// for a tuple some group holds and 0 for one Segment dropped, and
 // the few tuples whose tupleLo forces units into every package.
 func (pl *pipeline) box(groups []Group) {
 	if pl.boxed {

@@ -4,15 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/bound"
+	"repro/internal/expr"
 	"repro/internal/lifecycle"
 	"repro/internal/lp"
+	"repro/internal/paql"
 	"repro/internal/plan"
 )
 
-// maxBoundVars caps the segmented tree relaxation: SplitGroups spends
+// maxBoundVars caps the segmented tree relaxation: bound.Segment spends
 // up to this many variables cutting each leaf into objective-sorted
 // segments (piecewise-linear columns). Twice the candidate count at
 // which the bound leaves the raw LP for the tree, so even τ=256 leaves
@@ -106,9 +110,37 @@ func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResu
 	if best != nil {
 		po.Incumbent, po.HasIncumbent = best.Objective, true
 	}
-	// Segmented columns are stage-1 tightening, applied on every tree path.
-	groups = bound.SplitGroups(groups, inst.ObjW, sense, maxBoundVars, tupleLo, tupleHi)
+	// Segmented columns are stage-1 tightening, applied on every tree path:
+	// each leaf in objective order, which the tree keeps per objective, cut
+	// into segments. A grouping too wide to segment keeps its leaf order,
+	// the order a one-level descent's singleton columns follow.
+	if bound.Splits(len(groups), maxBoundVars) {
+		orders, err := tree.leafOrder(opts.Ctx, objectiveKey(inst.Analysis.Query.Objective), inst.ObjW, sense)
+		if err != nil {
+			return bound.PipelineResult{}, err
+		}
+		for g := range groups {
+			groups[g].Tuples = orders[g]
+		}
+		groups = bound.Segment(groups, maxBoundVars, tupleLo, tupleHi)
+	}
 	return bound.RunPipeline(groups, po), nil
+}
+
+// objectiveKey names an objective in a tree's order memo: its sense, its
+// rendered expression and the column ordinals it reads. Over one tree's
+// candidates two objectives with one key weigh every tuple alike.
+func objectiveKey(o *paql.Objective) string {
+	var b strings.Builder
+	b.WriteString(o.Sense.String())
+	b.WriteByte(' ')
+	b.WriteString(expr.Key(o.Expr))
+	expr.Walk(o.Expr, func(n expr.Expr) {
+		if c, ok := n.(*expr.Col); ok {
+			b.WriteString("|" + strconv.Itoa(c.Idx))
+		}
+	})
+	return b.String()
 }
 
 // boundPass runs the certified-bound pass for one branch: the one place

@@ -529,7 +529,7 @@ func (p *patcher) rebuildLeafGroup(children []int) []int {
 // assembles the patched tree. ok is false when a whole level died.
 func (p *patcher) compact() (*Tree, bool) {
 	t := p.tree
-	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth}
+	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth, orders: new(leafOrders)}
 	out.Levels = make([][]Node, t.Depth)
 	for l := t.Depth - 1; l >= 0; l-- {
 		idxMap := make([]int, len(p.levels[l]))

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"maps"
 	"time"
 
 	"repro/internal/bound"
@@ -34,6 +36,27 @@ func RawLPBoundForTest(inst *search.Instance) (bound.Outcome, error) {
 		return bound.Outcome{}, err
 	}
 	return bound.Solve(nil, p, inst.ObjK), nil
+}
+
+// KeptOrdersForTest returns the leaf orders the tree keeps, by objective
+// key; an objective asked for once, or whose sort failed, has none.
+func KeptOrdersForTest(t *Tree) map[string][][]int {
+	kept := map[string][][]int{}
+	if t.orders == nil {
+		return kept
+	}
+	t.orders.mu.Lock()
+	slots := maps.Clone(t.orders.slots)
+	t.orders.mu.Unlock()
+	for key, slot := range slots {
+		if slot == nil {
+			continue
+		}
+		if o, err := slot.Get(nil, func() (*[][]int, error) { return nil, errors.New("not kept") }); err == nil {
+			kept[key] = *o
+		}
+	}
+	return kept
 }
 
 // SetRenameHook swaps the store's rename step for fault injection

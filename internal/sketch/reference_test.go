@@ -22,7 +22,7 @@ import (
 // it, serially.
 func ReferenceBuildTree(inst *search.Instance, opts Options) *Tree {
 	n := len(inst.Rows)
-	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1}
+	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1, orders: new(leafOrders)}
 	var groups [][]int
 	if n > 0 {
 		all := make([]int, n)

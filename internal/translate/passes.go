@@ -65,24 +65,30 @@ func foldTerms(ctx context.Context, agg *paql.Agg, rows []schema.Row) (*pass, er
 // Passes is the pass store of one candidate set: per distinct (argument,
 // filter) selection, the fold of paql.Agg.Term over the set, made the
 // first time any compilation against the store asks and kept for all of
-// them. A query compiled against it (its Translate, ConjunctiveAtoms and
-// CompileSketch methods) and §4.1 pruning (AggStats) share one fold per
-// selection; queries over the same candidates — the same table version
-// and WHERE — share the store itself, so the second query of a shape folds
-// nothing. What a query makes of the shared columns (its weight vectors,
-// composed term by term) is its own. Safe for concurrent use; the rows and
-// every slice handed out are read-only.
+// them; and per distinct compiled form — an affine comparison's or an
+// objective's Σ coef·agg, keyed by its rendered terms — the weight vector
+// composed from those folds. A query compiled against it (its Translate,
+// ConjunctiveAtoms and CompileSketch methods) and §4.1 pruning (AggStats)
+// share one fold per selection and one vector per form; queries over the
+// same candidates — the same table version and WHERE — share the store
+// itself, so the second query of a shape folds and weighs nothing: a
+// query's constants land in its rows' right-hand sides, not in the
+// vectors. What a constant does reach — an AVG rewrite's −c·COUNT, a
+// selector row's threshold — is weighed per query. Safe for concurrent
+// use; the rows and every slice handed out are read-only.
 type Passes struct {
 	rows []schema.Row
 
-	mu    sync.Mutex
-	slots map[string]*lifecycle.Once[pass]
-	folds atomic.Int64
+	mu     sync.Mutex
+	slots  map[string]*lifecycle.Once[pass]
+	forms  map[string]*lifecycle.Once[[]float64]
+	folds  atomic.Int64
+	weighs atomic.Int64
 }
 
 // NewPasses returns an empty pass store over the candidate rows.
 func NewPasses(rows []schema.Row) *Passes {
-	return &Passes{rows: rows, slots: map[string]*lifecycle.Once[pass]{}}
+	return &Passes{rows: rows, slots: map[string]*lifecycle.Once[pass]{}, forms: map[string]*lifecycle.Once[[]float64]{}}
 }
 
 // Rows returns the candidate set the store's passes range over.
@@ -91,6 +97,11 @@ func (ps *Passes) Rows() []schema.Row { return ps.rows }
 // Folds reports how many folds over the candidates the store has made:
 // one per distinct selection asked about, however many queries asked.
 func (ps *Passes) Folds() int { return int(ps.folds.Load()) }
+
+// Weighed reports how many weight vectors over the candidates the store
+// has composed: one per distinct form asked about, however many queries
+// asked.
+func (ps *Passes) Weighed() int { return int(ps.weighs.Load()) }
 
 // over reports whether rows is the store's own candidate set; a nil store
 // is over nothing.
@@ -109,17 +120,38 @@ func sameRows(a, b []schema.Row) bool {
 // kept, and a caller waiting on another query's fold stops waiting when
 // its own ctx ends.
 func (ps *Passes) pass(ctx context.Context, key string, agg *paql.Agg) (*pass, error) {
-	ps.mu.Lock()
-	slot := ps.slots[key]
-	if slot == nil {
-		slot = new(lifecycle.Once[pass])
-		ps.slots[key] = slot
-	}
-	ps.mu.Unlock()
-	return slot.Get(ctx, func() (*pass, error) {
+	return slotOf(&ps.mu, ps.slots, key).Get(ctx, func() (*pass, error) {
 		ps.folds.Add(1)
 		return foldTerms(ctx, agg, ps.rows)
 	})
+}
+
+// weights returns the form's weight vector over the store's candidates,
+// composing it on first use; like a fold, a failed composition is not
+// kept.
+func (ps *Passes) weights(ctx context.Context, l *linear) ([]float64, error) {
+	w, err := slotOf(&ps.mu, ps.forms, l.key).Get(ctx, func() (*[]float64, error) {
+		ps.weighs.Add(1)
+		w, err := l.compose(ctx, ps.rows)
+		return &w, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return *w, nil
+}
+
+// slotOf returns key's slot in a store map guarded by mu, adding an empty
+// one.
+func slotOf[T any](mu *sync.Mutex, slots map[string]*lifecycle.Once[T], key string) *lifecycle.Once[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	slot := slots[key]
+	if slot == nil {
+		slot = new(lifecycle.Once[T])
+		slots[key] = slot
+	}
+	return slot
 }
 
 // AggStats answers §4.1 pruning's question about an aggregate from its

@@ -3,6 +3,7 @@ package translate
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -74,6 +75,72 @@ func TestPassStoreFoldsEachSelectionOnce(t *testing.T) {
 		if bound.ObjectiveCoef(j) != free.ObjectiveCoef(j) {
 			t.Errorf("objective coefficient %d: %g vs %g", j, bound.ObjectiveCoef(j), free.ObjectiveCoef(j))
 		}
+	}
+}
+
+// The store keeps one weight vector per compiled form: every compilation
+// of a shape — the search atoms, the exact MILP, the sketch branches, of
+// this query and of the next with other constants — reads the same one,
+// the constants landing in the right-hand sides. A lone SUM with
+// coefficient 1 is its selection's numbers, uncopied. What a constant
+// reaches — AVG's −c·COUNT, a selector's threshold — is weighed per query.
+func TestPassStoreWeighsEachFormOnce(t *testing.T) {
+	rows := testRows()
+	ps := NewPasses(rows)
+	shape := `SELECT PACKAGE(R) AS P FROM Recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN %d AND 2500 AND SUM(P.calories) - 2 * SUM(P.protein) <= %d
+		AND AVG(P.price) <= %d AND MIN(P.price) >= %d
+		MAXIMIZE SUM(P.protein)`
+	var objW, calW, avgW []float64
+	for i, k := range []int{2, 3} {
+		a := analyze(t, replaceAll(replaceAll(shape, "%d", itoa(700*k)), "\t", " "))
+		atoms, _, w, _, err := ps.ConjunctiveAtoms(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ps.Translate(nil, a, make([]int, len(rows))); err != nil {
+			t.Fatal(err)
+		}
+		branches, _, err := ps.CompileSketch(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rowsOf, err := branches[0].Weigh(nil, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// COUNT(*), SUM(calories), SUM(calories) − 2·SUM(protein), SUM(protein).
+		if got := ps.Weighed(); got != 4 {
+			t.Fatalf("query %d: the store has composed %d weight vectors, want 4 in all", i+1, got)
+		}
+		between := slices.Concat(rowsOf[1], rowsOf[2]) // SUM(calories) ≥ k, ≤ 2500; COUNT(*) = 3 implies every guard
+		if &between[0].W[0] != &between[1].W[0] || &between[0].W[0] != &atoms[2].W[0] || atoms[2].Source != between[0].Source {
+			t.Errorf("query %d: the two rows of one BETWEEN and its search atom weigh with different vectors", i+1)
+		}
+		if i == 0 {
+			objW, calW, avgW = w, between[0].W, rowsOf[4][0].W
+			continue
+		}
+		if &w[0] != &objW[0] || &between[0].W[0] != &calW[0] {
+			t.Error("the second query of the shape composed its weights again")
+		}
+		if &rowsOf[4][0].W[0] == &avgW[0] || rowsOf[4][0].Source != "(AVG(R.price) <= 2100)" {
+			t.Errorf("the AVG rewrite %s kept its weights across constants", rowsOf[4][0].Source)
+		}
+	}
+	sum := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE SUM(P.protein)`).Aggs[0]
+	protein, err := ps.pass(nil, selectionKey(sum), sum)
+	if err != nil || &protein.num[0] != &objW[0] {
+		t.Errorf("the objective SUM(protein) is a copy of its selection's numbers (err %v)", err)
+	}
+
+	// −0 is the one number 0 + 1·v changes: a selection holding one is
+	// composed, so the weights are what the arithmetic gives.
+	negZero := NewPasses([]schema.Row{mkRow(1, math.Copysign(0, -1), 1, "meal", 1), mkRow(2, 5, 1, "meal", 1)})
+	a := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE SUM(P.calories)`)
+	_, _, w, _, err := negZero.ConjunctiveAtoms(nil, a)
+	if err != nil || math.Signbit(w[0]) || w[1] != 5 {
+		t.Errorf("weights over a −0 cell: %v (err %v), want +0 and 5", w, err)
 	}
 }
 

@@ -47,10 +47,12 @@
 //
 // What all three read of the candidates is a selection's pass — per
 // (argument, filter) pair, one fold of paql.Agg.Term over the rows — and
-// a Passes store keeps those per candidate set: the three are its methods,
-// so one query's compilations share each fold, and so do all the queries
-// the engine prepares over one candidate snapshot. The package-level
-// Translate and CompileSketch compile with passes of their own.
+// the weight vector of each affine form composed from those passes. A
+// Passes store keeps both per candidate set: the three are its methods,
+// so one query's compilations share each fold and each vector, and so do
+// all the queries the engine prepares over one candidate snapshot. The
+// package-level Translate and CompileSketch compile with passes of their
+// own.
 package translate
 
 import (
@@ -59,6 +61,8 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/expr"
@@ -436,6 +440,13 @@ func (s *selection) pass(ctx context.Context, rows []schema.Row, numeric bool) (
 type linear struct {
 	terms []term
 	konst float64
+	// key renders the terms — coefficient, function and selection each —
+	// when the form came out of selections.compile: the name its weight
+	// vector is kept under in the compilation's pass store (shared). A
+	// form built around a query's constant (AVG's −c·COUNT) has none and
+	// is composed per weighing.
+	key    string
+	shared *Passes
 }
 
 type term struct {
@@ -445,17 +456,38 @@ type term struct {
 }
 
 func (ss selections) compile(f *affine) *linear {
-	l := &linear{konst: f.konst}
+	l := &linear{konst: f.konst, shared: ss.shared}
+	var key strings.Builder
 	for _, k := range slices.Sorted(maps.Keys(f.coeffs)) {
-		l.terms = append(l.terms, term{coef: f.coeffs[k], count: f.aggs[k].Fn == "COUNT", sel: ss.of(f.aggs[k])})
+		agg := f.aggs[k]
+		l.terms = append(l.terms, term{coef: f.coeffs[k], count: agg.Fn == "COUNT", sel: ss.of(agg)})
+		fmt.Fprintf(&key, "%s*%s;", strconv.FormatFloat(f.coeffs[k], 'g', -1, 64), expr.Key(agg))
 	}
+	l.key = key.String()
 	return l
 }
 
 // weigh evaluates the form's aggregate part per candidate: w[i] is the
 // coefficient of x_i in every row and objective the form appears in —
-// per term, SUM → the term's number, COUNT → 1, absent → 0.
+// per term, SUM → the term's number, COUNT → 1, absent → 0. Over the
+// store's own candidates a compiled form's vector is the store's, shared
+// by every query over them: read-only, like every weight vector.
 func (l *linear) weigh(ctx context.Context, rows []schema.Row) ([]float64, error) {
+	if l.key != "" && l.shared.over(rows) {
+		return l.shared.weights(ctx, l)
+	}
+	return l.compose(ctx, rows)
+}
+
+// compose is weigh's arithmetic. A lone SUM with coefficient 1 is its
+// selection's numbers as they are: 0 + 1·v is v for every v but −0.
+func (l *linear) compose(ctx context.Context, rows []schema.Row) ([]float64, error) {
+	if len(l.terms) == 1 && l.terms[0].coef == 1 && !l.terms[0].count {
+		num, _, err := l.terms[0].sel.pass(ctx, rows, true)
+		if err != nil || !slices.ContainsFunc(num, func(v float64) bool { return v == 0 && math.Signbit(v) }) {
+			return num, err
+		}
+	}
 	w := make([]float64, len(rows))
 	for _, t := range l.terms {
 		if t.coef == 0 {

@@ -277,6 +277,89 @@ func TestWarmQueryScansNothing(t *testing.T) {
 	}
 }
 
+// workDigest is resultDigest plus what the solves did to get there: the
+// certificate's Lagrangian rounds and every solve's nodes and pivots.
+func workDigest(st *pb.Stats) string {
+	rounds := 0
+	if st.Sketch != nil {
+		rounds = st.Sketch.BoundRounds
+	}
+	return fmt.Sprintf("stage=%s rounds=%d nodes=%d pivots=%d", st.BoundStage, rounds, st.Nodes, st.LPIters)
+}
+
+// TestWarmShapesMatchFreshSystem is what every shape-level memo must keep:
+// a query answered on a System whose snapshot keeps the shape's weight
+// vectors and whose trees keep the objective's leaf order is the query
+// answered cold. The five benchmark templates (T2's eliminations among
+// them) run with several constants each, under REPEAT and under LIMIT 3,
+// and an explore session pins a tuple and asks for a replacement; every
+// answer — packages, certified interval, bound stage and rounds, nodes
+// and pivots — must be a fresh System's, byte for byte.
+func TestWarmShapesMatchFreshSystem(t *testing.T) {
+	sys := newSystem(t, 4500)
+	opt := pb.WithSeed(1)
+	var queries []string
+	for _, k := range []int{0, 7, 19} {
+		for tmpl := 0; tmpl < 5; tmpl++ {
+			queries = append(queries, templateQuery(tmpl, k, ""))
+		}
+		queries = append(queries,
+			templateQuery(0, k, " REPEAT 1"), templateQuery(3, k, " REPEAT 1"),
+			templateQuery(4, k, "")+" LIMIT 3")
+	}
+	tree := 0
+	for i, q := range queries {
+		got, err := sys.Query(q, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := freshSystem(t, sys).Query(q, opt)
+		if err != nil {
+			t.Fatalf("fresh system: %s: %v", q, err)
+		}
+		if got.Stats.Strategy != pb.SketchRefine {
+			t.Fatalf("%s ran %s; the memos are sketch-refine's", q, got.Stats.Strategy)
+		}
+		if got.Stats.BoundStage != "raw-lp" {
+			tree++
+		}
+		g := resultDigest(got) + workDigest(&got.Stats)
+		if w := resultDigest(want) + workDigest(&want.Stats); g != w {
+			t.Fatalf("query %d: %s\non the warm system:\n%s\non a fresh one:\n%s", i, q, g, w)
+		}
+	}
+	if tree < len(queries)/2 {
+		t.Errorf("only %d of %d answers were certified over tree leaves", tree, len(queries))
+	}
+
+	explore := func(s *pb.System) string {
+		ses, err := s.Explore(templateQuery(2, 3, ""), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		cur, err := ses.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Pin(slices.IndexFunc(cur.Mult, func(m int) bool { return m > 0 })); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			p, err := ses.Replace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "ids=%v objective=%x %s certified=%v bound=%x\n", p.TupleIDs(), math.Float64bits(p.Objective),
+				workDigest(ses.Stats()), ses.Stats().Certified, math.Float64bits(ses.Stats().BoundValue))
+		}
+		return b.String()
+	}
+	if g, w := explore(sys), explore(freshSystem(t, sys)); g != w {
+		t.Errorf("a pinned session's replacements on the warm system:\n%s\non a fresh one:\n%s", g, w)
+	}
+}
+
 // A System nobody holds is garbage, tables, snapshots, trees and all:
 // nothing of the engine's caches lives in a package-level variable.
 func TestDiscardedSystemIsCollectable(t *testing.T) {
