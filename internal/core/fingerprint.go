@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -160,30 +161,23 @@ func replayDelta(f *fingerprint, prep *Prepared) (*replay, bool) {
 }
 
 // apply advances the record by the replay, rows being the candidates at
-// its version: deleted candidates drop out of the hash list, appended ones
+// its version: the survivor remap the candidate snapshot advances by
+// (survivors) drops deleted candidates out of the hash list, appended ones
 // are the only rows hashed, the fingerprint is refolded from the hashes
-// (never re-reading any other cell), and the remap tying the record's
-// candidate indexes to the new ones becomes the patch spec — nil when the
-// fingerprint did not move. ok is false when the fresh candidate scan
-// contradicts the log: every survivor must sit where the deletions before
+// (never re-reading any other cell), and the remap becomes the patch spec
+// — nil when the fingerprint did not move. ok is false when the candidates
+// contradict the log: every survivor must sit where the deletions before
 // it shifted it.
 func (r *replay) apply(f *fingerprint, rows []schema.Row) (*fingerprint, *sketch.PatchSpec, bool) {
-	remap := make([]int, len(f.ids))
-	hs := make([]uint64, 0, len(r.ids))
-	di := 0
-	for i, id := range f.ids {
-		for di < len(r.deleted) && r.deleted[di] < id {
-			di++
+	remap, kept := survivors(f.ids, r.deleted, 0)
+	if len(kept) > len(r.ids) || !slices.Equal(kept, r.ids[:len(kept)]) {
+		return nil, nil, false
+	}
+	hs := make([]uint64, len(kept), len(r.ids))
+	for i, j := range remap {
+		if j >= 0 {
+			hs[j] = f.rowHashes[i]
 		}
-		if di < len(r.deleted) && r.deleted[di] == id {
-			remap[i] = -1
-			continue
-		}
-		if len(hs) >= len(r.ids) || r.ids[len(hs)] != id-di {
-			return nil, nil, false
-		}
-		remap[i] = len(hs)
-		hs = append(hs, f.rowHashes[i])
 	}
 	for _, row := range rows[len(hs):] {
 		hs = append(hs, sketch.RowHash(row))

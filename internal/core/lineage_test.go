@@ -89,7 +89,8 @@ func TestAlternatingShapesEachPatchTheirOwnTree(t *testing.T) {
 	if f0 == nil || f4 != f0 || f3 == nil || f3 == f0 {
 		t.Fatalf("lineage records T0 %p, T3 %p, T4 %p: want T4 on T0's and T3 on its own", f0, f3, f4)
 	}
-	if got, want := e.size(), len(f0.rowHashes)+len(f3.rowHashes); got != want {
+	pinned := len(e.ids) + len(e.rows)*(1+e.passes.Kept())
+	if got, want := e.size(), pinned+len(f0.rowHashes)+len(f3.rowHashes); got != want {
 		t.Fatalf("entry size %d, want %d: the slice T0 and T4 share counted once", got, want)
 	}
 }

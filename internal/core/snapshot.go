@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -31,15 +32,15 @@ type candidateStore struct {
 	mu      sync.Mutex
 	entries map[string]*snapshot // by whereKey
 	clock   uint64               // ticks once per use; the least recently used entry is evicted first
-	seen    uint64               // newest table version a preparation has come in at
 }
 
-// memoMaxEntries bounds a store's entry count and memoMaxRows the
-// candidates its entries describe in total. An entry costs two machine
-// words per candidate at first sight (an id and, once a sketch evaluation
-// asked, a row hash — one more per tree shape whose lineage has diverged
-// from its siblings'); a promoted one also holds a row header and a number
-// and a flag per selection folded.
+// memoMaxEntries bounds a store's entry count and memoMaxRows what its
+// entries pin in total, counted in candidate-length slots (snapshot.size):
+// an id per candidate at first sight and, once a sketch evaluation asked, a
+// row hash — one more per tree shape whose lineage has diverged from its
+// siblings'; a promoted entry also a row header per candidate and one slot
+// per candidate for each vector its pass store keeps. Entries the table
+// has moved past keep theirs until asked again or evicted.
 const (
 	memoMaxEntries = 32
 	memoMaxRows    = 4 << 20
@@ -48,12 +49,14 @@ const (
 // snapshot is what one (table, WHERE) pair keeps. It is made at first
 // sight with what costs two words a candidate — a WHERE nobody repeats
 // leaves nothing else behind — and promoted to hold the candidate rows
-// and their pass store when the same pair comes in again at the same
-// version: from then on a preparation evaluates no predicate and folds no
-// selection an earlier one folded. A write moves the table's version, and
-// the first preparation to notice drops every entry's rows and passes; the
-// fingerprint half keeps a version per tree shape, which is what lets
-// FingerprintMemo replay the delta between each shape's version and now.
+// and their pass store when the same pair comes in again: from then on a
+// preparation evaluates no predicate and folds no selection an earlier one
+// folded. A write moves the table's version; the next preparation of the
+// pair advances the entry along the table's delta log (advance), which
+// evaluates the predicate on the appended rows only and carries every
+// fold. The fingerprint half keeps a version per tree shape, which is what
+// lets FingerprintMemo replay the delta between each shape's version and
+// now.
 type snapshot struct {
 	used    uint64
 	sighted bool   // a scan has filled version and ids in
@@ -61,10 +64,31 @@ type snapshot struct {
 	ids     []int  // candidate row ids (positions) at that version
 	rows    []schema.Row
 	passes  *translate.Passes // over rows; nil until promoted
+	next    *advance          // the advance in flight to a newer version, if any
 	// lineage is FingerprintMemo's half: one record per tree shape
 	// (sketch.AttrsOf), empty until a sketch evaluation asked.
 	lineage map[string]*fingerprint
 }
+
+// advance moves one snapshot from its version to a newer one along the
+// table's delta log: the survivors of its candidates, shifted down by the
+// deletions before them (survivors), followed by the appended rows that
+// pass WHERE, with the pass store carried (translate.Passes.Advance) — or,
+// for an entry that held ids only, made: a second sight at any version the
+// log reaches promotes. Concurrent preparations at the target version
+// share one; a failed one, a canceled one included, is not kept.
+type advance struct {
+	e        *snapshot
+	from, to uint64
+	ids      []int
+	passes   *translate.Passes          // nil: the entry is promoted by this advance
+	once     lifecycle.Once[candidates] // scanned: the appended rows the predicate was evaluated on
+}
+
+// errNoDelta reports that the delta log cannot take a snapshot to the
+// table's version — it aged out, or its read failed — so the candidates
+// are scanned for.
+var errNoDelta = errors.New("engine: the delta log does not reach the snapshot's version")
 
 // fingerprint is one tree shape's write lineage: the candidates' row
 // hashes at the version that shape's trees were last advanced to, which
@@ -119,86 +143,172 @@ type candidates struct {
 
 // candidatesOf returns the tuples of the table that satisfy the query's
 // base constraints, at the table's current version: from the snapshot of
-// (table, WHERE) when it stands at that version, else by a scan, which
-// leaves the snapshot its ids. Like every read of Table.Rows it must not
-// race a write.
+// (table, WHERE) when it stands at that version, advanced to it when it
+// trails, else by a scan, which leaves the snapshot its ids. Like every
+// read of Table.Rows it must not race a write.
 func candidatesOf(ctx context.Context, table *minidb.Table, q *paql.Query) (candidates, error) {
 	store, key, version := snapshotsOf(table), whereKey(q), table.Version()
-	if c, ok := store.lookup(key, version, table.Rows); ok {
+	c, step, ok := store.lookup(key, version, table.Rows)
+	if ok {
 		return c, nil
 	}
-	var rows []schema.Row
-	var ids []int
-	for rid, row := range table.Rows {
-		if rid%translate.PollRows == 0 {
+	if step != nil {
+		c, err := step.once.Get(ctx, func() (*candidates, error) { return step.run(ctx, table, q.Where) })
+		if err == nil {
+			store.install(key, step, c)
+			return *c, nil
+		}
+		if !errors.Is(err, errNoDelta) {
+			return candidates{}, err
+		}
+	}
+	ids, err := matching(ctx, q.Where, table.Rows, 0, nil)
+	if err != nil {
+		return candidates{}, err
+	}
+	store.sight(key, version, ids)
+	return candidates{passes: translate.NewPasses(gather(table.Rows, ids)), ids: ids, scanned: len(table.Rows)}, nil
+}
+
+// matching appends to ids the positions, counted from first, of the rows
+// that satisfy where (every row when there is none), looking at ctx every
+// PollRows rows.
+func matching(ctx context.Context, where expr.Expr, rows []schema.Row, first int, ids []int) ([]int, error) {
+	for i, row := range rows {
+		if i%translate.PollRows == 0 {
 			if err := lifecycle.ContextErr(ctx); err != nil {
-				return candidates{}, err
+				return nil, err
 			}
 		}
-		if q.Where != nil {
-			ok, err := expr.EvalBool(q.Where, row)
+		if where != nil {
+			ok, err := expr.EvalBool(where, row)
 			if err != nil {
-				return candidates{}, fmt.Errorf("engine: base constraint: %w", err)
+				return nil, fmt.Errorf("engine: base constraint: %w", err)
 			}
 			if !ok {
 				continue
 			}
 		}
-		rows = append(rows, row)
-		ids = append(ids, rid)
+		ids = append(ids, first+i)
 	}
-	store.sight(key, version, ids)
-	return candidates{passes: translate.NewPasses(rows), ids: ids, scanned: len(table.Rows)}, nil
+	return ids, nil
 }
 
 // lookup serves the candidates of key at version from its snapshot,
 // promoting it on second sight: the rows are gathered by id, not scanned
-// for, and get the pass store every later preparation will share.
-func (s *candidateStore) lookup(key string, version uint64, table []schema.Row) (candidates, bool) {
+// for, and get the pass store every later preparation will share. A
+// snapshot that trails version is not served: lookup hands back the
+// advance that takes it there, the one in flight when there is one.
+func (s *candidateStore) lookup(key string, version uint64, table []schema.Row) (candidates, *advance, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advance(version)
 	e := s.entries[key]
-	if e == nil || !e.sighted || e.version != version {
-		return candidates{}, false
+	if e == nil || !e.sighted || e.version > version {
+		return candidates{}, nil, false
 	}
 	s.touch(e)
-	if e.passes == nil {
-		if len(e.ids) > 0 {
-			e.rows = make([]schema.Row, len(e.ids))
-			for i, id := range e.ids {
-				e.rows[i] = table[id]
-			}
+	if e.version < version {
+		if e.next == nil || e.next.to != version {
+			e.next = &advance{e: e, from: e.version, to: version, ids: e.ids, passes: e.passes}
 		}
+		return candidates{}, e.next, false
+	}
+	if e.passes == nil {
+		e.rows = gather(table, e.ids)
 		e.passes = translate.NewPasses(e.rows)
 	}
-	return candidates{passes: e.passes, ids: e.ids, hit: true}, true
+	return candidates{passes: e.passes, ids: e.ids, hit: true}, nil, true
 }
 
-// sight records what a scan found: the first sight of key, or its first
-// since a write. A concurrent preparation that got there first stands.
-func (s *candidateStore) sight(key string, version uint64, ids []int) {
+// run reads the table's delta log from the advance's version to the
+// table's and replays it on the candidates. The caller holds the table
+// still, as for a scan.
+func (a *advance) run(ctx context.Context, table *minidb.Table, where expr.Expr) (*candidates, error) {
+	delta, ok := table.DeltaSince(a.from)
+	if !ok || delta.Current != a.to {
+		return nil, errNoDelta
+	}
+	appended := table.Rows[delta.AppendedStart:]
+	remap, ids := survivors(a.ids, delta.Deleted, len(appended))
+	ids, err := matching(ctx, where, appended, delta.AppendedStart, ids)
+	if err != nil {
+		return nil, err
+	}
+	got, rows := &candidates{ids: ids, scanned: len(appended)}, gather(table.Rows, ids)
+	if a.passes == nil {
+		got.passes = translate.NewPasses(rows)
+		return got, nil
+	}
+	if got.passes, err = a.passes.Advance(ctx, rows, remap); err != nil {
+		return nil, err
+	}
+	return got, nil
+}
+
+// install moves the advance's entry to what it found, unless the entry was
+// evicted meanwhile or already stands at (or past) its version.
+func (s *candidateStore) install(key string, a *advance, got *candidates) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advance(version)
-	e := s.entry(key)
-	if !e.sighted || e.version != version {
-		e.sighted, e.version, e.ids, e.rows, e.passes = true, version, ids, nil, nil
+	e := a.e
+	if e.next == a {
+		e.next = nil
 	}
+	if s.entries[key] != e || e.version >= a.to {
+		return
+	}
+	e.version, e.ids, e.rows, e.passes = a.to, got.ids, got.passes.Rows(), got.passes
 	s.evict(e)
 }
 
-// advance notes the table version a preparation came in at; the first one
-// past a write drops the rows and passes every entry holds for the old
-// version, whether or not its WHERE is ever asked again.
-func (s *candidateStore) advance(version uint64) {
-	if version <= s.seen {
-		return
+// survivors replays a delta's deletions on the candidate ids of its base
+// version: deleted holds the table positions gone since, ascending, in that
+// version's coordinates (minidb.TableDelta.Deleted). remap[i] is candidate
+// i's index among the survivors, or −1 when it was deleted, and kept holds
+// the survivors' ids now — each shifted down by the deletions before it —
+// with room to append more. The candidate snapshot and every fingerprint
+// lineage record advance by it.
+func survivors(ids, deleted []int, room int) (remap, kept []int) {
+	remap = make([]int, len(ids))
+	kept = make([]int, 0, len(ids)+room)
+	di := 0
+	for i, id := range ids {
+		for di < len(deleted) && deleted[di] < id {
+			di++
+		}
+		if di < len(deleted) && deleted[di] == id {
+			remap[i] = -1
+			continue
+		}
+		remap[i] = len(kept)
+		kept = append(kept, id-di)
 	}
-	s.seen = version
-	for _, e := range s.entries {
-		e.rows, e.passes = nil, nil
+	return remap, kept
+}
+
+// gather returns the table's rows at ids, nil for none.
+func gather(table []schema.Row, ids []int) []schema.Row {
+	if len(ids) == 0 {
+		return nil
 	}
+	rows := make([]schema.Row, len(ids))
+	for i, id := range ids {
+		rows[i] = table[id]
+	}
+	return rows
+}
+
+// sight records what a scan found: the first sight of key, or its first
+// at a version the entry had no advance to. A concurrent preparation that
+// got there first stands.
+func (s *candidateStore) sight(key string, version uint64, ids []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entry(key)
+	if !e.sighted || e.version < version {
+		e.sighted, e.version, e.ids, e.rows, e.passes, e.next = true, version, ids, nil, nil, nil
+	}
+	s.evict(e)
 }
 
 // entry returns key's snapshot, an empty one when there is none, marked
@@ -239,19 +349,23 @@ func (s *candidateStore) evict(keep *snapshot) {
 	}
 }
 
-// size is the number of candidates the entry describes: its ids, or the
-// row hashes its lineage holds when they are more, a hash slice that
-// several records share counted once.
+// size is what the entry pins, in candidate-length slots: its ids, the row
+// hashes its lineage holds — a hash slice several records share counted
+// once — and, promoted, a row header and one slot per vector its pass
+// store keeps for each candidate.
 func (e *snapshot) size() int {
 	var seen []*uint64 // first element of each slice counted; a shape or two
-	hashes := 0
+	n := len(e.ids)
 	for _, f := range e.lineage {
 		if hs := f.rowHashes; len(hs) > 0 && !slices.Contains(seen, &hs[0]) {
 			seen = append(seen, &hs[0])
-			hashes += len(hs)
+			n += len(hs)
 		}
 	}
-	return max(len(e.ids), hashes)
+	if e.passes != nil {
+		n += len(e.rows) * (1 + e.passes.Kept())
+	}
+	return n
 }
 
 // lineageFor returns shape's lineage record, or for a shape not seen yet

@@ -42,9 +42,12 @@ func scanIDs(t *testing.T, tab *minidb.Table, queryText string) ([]int, error) {
 	}
 	var ids []int
 	for rid, row := range tab.Rows {
-		ok, err := expr.EvalBool(q.Where, row)
-		if err != nil {
-			return nil, err
+		ok := q.Where == nil
+		if !ok {
+			var err error
+			if ok, err = expr.EvalBool(q.Where, row); err != nil {
+				return nil, err
+			}
 		}
 		if ok {
 			ids = append(ids, rid)
@@ -185,13 +188,18 @@ func TestHotSnapshotSurvivesColdStream(t *testing.T) {
 	}
 }
 
-// A write moves the table's version: the first preparation after it drops
-// the rows and passes of every snapshot — also of a WHERE that is never
-// asked again — and scans; the one after that is a hit again.
-func TestWriteDropsRowsAndPasses(t *testing.T) {
+// A write moves the table's version, and the next preparation of a WHERE
+// advances its snapshot along the delta log: it evaluates the predicate on
+// the k appended rows alone (RowsScanned = k, not a hit), drops the m
+// deleted ones, and carries every selection the old version's queries
+// folded, so its store folds nothing that query asks. A snapshot whose
+// WHERE is not asked keeps its old version until it is, and advances then
+// over every write since; the preparation after an advance is a hit.
+func TestWriteAdvancesRowsAndPasses(t *testing.T) {
 	db := lcDB(t, 600)
 	store := snapshotsOf(recipesTable(t, db))
-	for _, where := range []string{"R.gluten = 'free'", "R.calories >= 300"} {
+	wheres := []string{"R.gluten = 'free'", "R.calories >= 300"}
+	for _, where := range wheres {
 		for i := 0; i < 2; i++ {
 			if _, err := Prepare(db, snapQuery(where)); err != nil {
 				t.Fatal(err)
@@ -201,21 +209,37 @@ func TestWriteDropsRowsAndPasses(t *testing.T) {
 	if _, stores := store.retained(); stores != 2 {
 		t.Fatalf("%d promoted snapshots, want 2", stores)
 	}
-	if _, err := db.Exec("DELETE FROM recipes WHERE id >= 10 AND id < 20"); err != nil {
-		t.Fatal(err)
+	const k = 25
+	for step := 0; step < 2; step++ {
+		writeBatch(t, db, 90_000+100*step, k, 10+10*step, 10)
+		prep, err := Prepare(db, snapQuery(wheres[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prep.SnapshotHit || prep.RowsScanned != k {
+			t.Errorf("step %d: first preparation after the write: SnapshotHit=%v RowsScanned=%d, want an advance over %d rows",
+				step, prep.SnapshotHit, prep.RowsScanned, k)
+		}
+		if got := prep.Instance.Passes.Folds(); got != 0 {
+			t.Errorf("step %d: the advanced store folded %d selections; every one the query asks was carried", step, got)
+		}
+		if want, _ := scanIDs(t, recipesTable(t, db), snapQuery(wheres[0])); !slices.Equal(prep.Instance.IDs, want) {
+			t.Errorf("step %d: the advanced snapshot holds %d candidates, a scan finds %d", step, len(prep.Instance.IDs), len(want))
+		}
+		if _, stores := store.retained(); stores != 2 {
+			t.Errorf("step %d: %d pass stores; the unasked WHERE keeps its own", step, stores)
+		}
+		if prep, err = Prepare(db, snapQuery(wheres[0])); err != nil || !prep.SnapshotHit || prep.RowsScanned != 0 {
+			t.Errorf("step %d: second preparation after the write: SnapshotHit=%v err=%v", step, prep != nil && prep.SnapshotHit, err)
+		}
 	}
-	prep, err := Prepare(db, snapQuery("R.gluten = 'free'"))
+	prep, err := Prepare(db, snapQuery(wheres[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.SnapshotHit || prep.RowsScanned != 590 {
-		t.Errorf("first preparation after the write: SnapshotHit=%v RowsScanned=%d", prep.SnapshotHit, prep.RowsScanned)
-	}
-	if rows, stores := store.retained(); rows != 0 || stores != 0 {
-		t.Errorf("after the write the store still holds %d rows and %d pass stores", rows, stores)
-	}
-	if prep, err = Prepare(db, snapQuery("R.gluten = 'free'")); err != nil || !prep.SnapshotHit {
-		t.Errorf("second preparation after the write: SnapshotHit=%v err=%v", prep != nil && prep.SnapshotHit, err)
+	if prep.SnapshotHit || prep.RowsScanned != 2*k || prep.Instance.Passes.Folds() != 0 {
+		t.Errorf("a snapshot two writes behind: SnapshotHit=%v RowsScanned=%d folds=%d, want an advance over %d rows folding nothing",
+			prep.SnapshotHit, prep.RowsScanned, prep.Instance.Passes.Folds(), 2*k)
 	}
 }
 

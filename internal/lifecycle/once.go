@@ -47,6 +47,14 @@ func (o *Once[T]) Get(ctx context.Context, compute func() (*T, error)) (*T, erro
 	}
 }
 
+// Peek returns the kept value, or nil while none is kept — a computation
+// in flight included. It never computes.
+func (o *Once[T]) Peek() *T {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.val
+}
+
 // run computes the value with the in-flight marker up and takes the marker
 // down however compute ends, a panic included, so no waiter is stranded.
 func (o *Once[T]) run(busy chan struct{}, compute func() (*T, error)) (v *T, err error) {

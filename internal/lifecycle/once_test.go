@@ -65,6 +65,9 @@ func TestOnceWaiterGivesUpOnItsOwnContext(t *testing.T) {
 		})
 	}()
 	<-started
+	if o.Peek() != nil {
+		t.Error("Peek saw a value while its computation was in flight")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := o.Get(ctx, func() (*int, error) { t.Error("the waiter computed"); return nil, nil }); !errors.Is(err, ErrCanceled) {
@@ -72,6 +75,9 @@ func TestOnceWaiterGivesUpOnItsOwnContext(t *testing.T) {
 	}
 	close(release)
 	<-done
+	if v := o.Peek(); v == nil || *v != 1 {
+		t.Fatalf("Peek after the computation ended = %v", v)
+	}
 	if v, err := o.Get(nil, func() (*int, error) { t.Error("computed again"); return nil, nil }); err != nil || *v != 1 {
 		t.Fatalf("Get after the computation ended = %v, %v", v, err)
 	}

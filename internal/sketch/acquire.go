@@ -182,8 +182,9 @@ func (s *solver) publish(c *Cache, key Key, t *Tree) {
 
 // patchStale attempts incremental maintenance on an exact-key miss: the
 // tree cached (or persisted) for the pre-write dataset — the base
-// fingerprint in Options.Patch — is patched via ApplyDelta to cover the
-// current candidates, stored under the new key, and re-persisted
+// fingerprint in Options.Patch — is patched to cover the current
+// candidates (ApplyDelta over the instance's pass store, whose folds
+// give the insert router its scales), stored under the new key, and re-persisted
 // atomically. Returns the patched tree and the tuples the patch touched,
 // or nil when there is no lineage, no base tree, or the delta cannot be
 // absorbed locally (the caller then rebuilds).
@@ -225,7 +226,7 @@ func (s *solver) patchStale(o Options, key Key, store *Store) (t *Tree, delta in
 	if base == nil {
 		return nil, 0
 	}
-	patched, ok := base.ApplyDelta(s.inst.Rows, o.Patch.Remap, o)
+	patched, ok := base.patch(s.inst.Passes, o.Patch.Remap, o)
 	if !ok {
 		s.note("stale partition tree not locally patchable; rebuilding")
 		return nil, 0

@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -64,9 +65,18 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 // drift would exceed the budget (plan.PatchFits) — however small each
 // step of the chain was, a tree is rebuilt once the patches since its
 // last full build add up — when local repair would break a structural
-// invariant above the leaf-parent level, or when patching empties the
-// tree; the caller must then rebuild from scratch.
+// invariant above the leaf-parent level, when patching empties the tree,
+// or when opts.Ctx ends it; the caller must then rebuild from scratch.
+// The distance that routes inserts scales each attribute by its spread
+// over rows, which ApplyDelta folds for itself; a solve patches over its
+// instance's pass store instead (patch), whose folds a query has made.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
+	return t.patch(translate.NewPasses(rows), remap, opts)
+}
+
+// patch is ApplyDelta over the candidates' pass store.
+func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree, bool) {
+	rows := passes.Rows()
 	n := len(rows)
 	if n == 0 || t.Depth < 1 {
 		return nil, false
@@ -86,6 +96,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	p := &patcher{
 		tree:   t,
 		rows:   rows,
+		passes: passes,
 		remap:  remap,
 		opts:   opts,
 		levels: make([][]Node, t.Depth),
@@ -103,8 +114,8 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 	if deletes > 0 {
 		p.remapLeaves()
 	}
-	if inserts > 0 {
-		p.routeInserts(surv)
+	if inserts > 0 && p.routeInserts(surv) != nil {
+		return nil, false
 	}
 	p.repairLeaves()
 	if !p.patchParents(deletes > 0) {
@@ -133,6 +144,7 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 type patcher struct {
 	tree   *Tree
 	rows   []schema.Row
+	passes *translate.Passes // over rows
 	remap  []int
 	opts   Options
 	levels [][]Node
@@ -218,11 +230,15 @@ func (p *patcher) remapLeaves() {
 // representative in normalized attribute space at every level, the
 // same metric greedy repair uses — and appends it to the chosen leaf.
 // Inserted indexes exceed every survivor index, so appends keep the
-// tuple lists sorted.
-func (p *patcher) routeInserts(firstNew int) {
+// tuple lists sorted. It fails only when the context ends the read of the
+// metric's scales.
+func (p *patcher) routeInserts(firstNew int) error {
 	t := p.tree
 	p.firstNew = firstNew
-	p.near = &metric{rows: p.rows, attrs: t.Attrs}
+	p.near = &metric{ctx: p.opts.Ctx, passes: p.passes, attrs: t.Attrs}
+	if err := p.near.spreads(); err != nil {
+		return err
+	}
 	leafLevel := t.Depth - 1
 	// Fresh tuple slices for leaves that receive inserts: the copied
 	// node still shares its backing array with the source tree.
@@ -241,6 +257,7 @@ func (p *patcher) routeInserts(firstNew int) {
 		leaf.Tuples = append(leaf.Tuples, j)
 		p.dirty[leafLevel][cur] = true
 	}
+	return nil
 }
 
 // nearest picks the candidate node (all of nodes, or the subset named
@@ -643,23 +660,4 @@ func childModeValue(children []Node, group []int, c int) value.V {
 		}
 	}
 	return best
-}
-
-// rowScales is attrScales over a bare row slice: each attribute's
-// spread across all rows (1 for constant columns), normalizing the
-// routing distance.
-func rowScales(rows []schema.Row, attrs []int) []float64 {
-	scales := make([]float64, len(attrs))
-	for ai, a := range attrs {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, row := range rows {
-			v := numAt(row, a)
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		scales[ai] = 1
-		if hi > lo {
-			scales[ai] = hi - lo
-		}
-	}
-	return scales
 }

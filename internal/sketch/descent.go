@@ -1,8 +1,10 @@
 package sketch
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/lifecycle"
@@ -299,7 +301,7 @@ func (s *solver) pushLevel(attrs []int, up, down *level, parentMult []int) []int
 
 	cur, grpSum := contributions(up.atoms, parentMult)
 	oks := s.solveWave(sub, active, func(g int) []int { return parents[g].Children }, cur, grpSum)
-	near := &metric{rows: s.inst.Rows, attrs: attrs}
+	near := &metric{ctx: s.opts.Ctx, passes: s.inst.Passes, attrs: attrs}
 	for ai, g := range active {
 		if !oks[ai] {
 			// Nearest representative to the parent's first.
@@ -370,18 +372,40 @@ func (s *solver) nodeBound(lv *level, g int) (lo, up float64) {
 	return lo, lp.Inf
 }
 
-// metric is the greedy fallbacks' distance: squared distance in attribute
-// space, each attribute normalized by its spread over all candidates — a
-// full candidate scan that only a fallback needs, so made on first use.
+// metric is the greedy fallbacks' and the insert router's distance:
+// squared distance in attribute space, each attribute normalized by its
+// spread over the candidates, read off their pass store
+// ((*translate.Passes).Spread) on first use — the fold of the attribute's
+// plain SUM selection, which a query summing it has already made.
 type metric struct {
-	rows   []schema.Row
+	ctx    context.Context
+	passes *translate.Passes
 	attrs  []int
 	scales []float64
 }
 
+// spreads reads every attribute's scale, ending with the context's error
+// when a fold it needs is canceled.
+func (m *metric) spreads() error {
+	if m.scales != nil {
+		return nil
+	}
+	scales := make([]float64, len(m.attrs))
+	for ai, col := range m.attrs {
+		var err error
+		if scales[ai], err = m.passes.Spread(m.ctx, col); err != nil {
+			return err
+		}
+	}
+	m.scales = scales
+	return nil
+}
+
 func (m *metric) dist(a, b schema.Row) float64 {
-	if m.scales == nil {
-		m.scales = rowScales(m.rows, m.attrs)
+	if m.spreads() != nil {
+		// Canceled: the solve this distance steers ends at its next poll,
+		// and any scale serves until then.
+		m.scales = slices.Repeat([]float64{1}, len(m.attrs))
 	}
 	d := 0.0
 	for ai, col := range m.attrs {

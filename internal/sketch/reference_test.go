@@ -191,6 +191,27 @@ func refEnvelope(rows []schema.Row, tuples, attrs []int) (lo, hi []float64, nonN
 	return lo, hi, nonNull
 }
 
+// rowScales is the distance scales as the patcher and the greedy
+// fallbacks read them until the pass store did: each attribute's spread
+// across all rows through numAt's lens (1 for constant columns), one boxed
+// min/max pass per attribute — the oracle (*translate.Passes).Spread must
+// equal bit for bit (TestSpreadIsRowScales).
+func rowScales(rows []schema.Row, attrs []int) []float64 {
+	scales := make([]float64, len(attrs))
+	for ai, a := range attrs {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, row := range rows {
+			v := numAt(row, a)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		}
+		scales[ai] = 1
+		if hi > lo {
+			scales[ai] = hi - lo
+		}
+	}
+	return scales
+}
+
 // EncodeTreeForTest returns the persisted payload Store.Save streams
 // for the tree (everything before the trailing checksum).
 func EncodeTreeForTest(k Key, t *Tree) []byte {

@@ -48,7 +48,7 @@ func (s *solver) refine(d *descent, tree *Tree, ba *branchAtoms, repAtoms []*tra
 	active := activeGroups(y)
 	d.Active = len(active)
 
-	near := &metric{rows: inst.Rows, attrs: tree.Attrs}
+	near := &metric{ctx: s.opts.Ctx, passes: inst.Passes, attrs: tree.Attrs}
 	// repair approximates the representative's contribution with the
 	// real tuples nearest it.
 	repair := func(g int) {

@@ -386,8 +386,19 @@ type selection struct {
 }
 
 // selectionKey renders an aggregate's (argument, filter) pair, the name
-// its pass is kept under: the aggregate's key without its function.
-func selectionKey(a *paql.Agg) string { return expr.Key(a)[len(a.Fn):] }
+// its pass is kept under: the aggregate's key without its function, or
+// for a bare column with no filter the column's ordinal, which is how
+// Spread asks for the same pass.
+func selectionKey(a *paql.Agg) string {
+	if c, ok := a.Arg.(*expr.Col); ok && a.Filter == nil && c.Idx >= 0 {
+		return columnKey(c.Idx)
+	}
+	return expr.Key(a)[len(a.Fn):]
+}
+
+// columnKey names a bare column's selection. A rendered key starts with
+// "(", so the two never meet.
+func columnKey(col int) string { return "#" + strconv.Itoa(col) }
 
 // selections interns the selections of one compilation by key, each bound
 // to the pass store the compilation weighs against.
@@ -429,7 +440,7 @@ func (s *selection) pass(ctx context.Context, rows []schema.Row, numeric bool) (
 		return nil, nil, err
 	}
 	if numeric && p.nonNum != nil {
-		return nil, nil, p.nonNum
+		return nil, nil, fmt.Errorf("%w under %s", p.nonNum, s.agg)
 	}
 	return p.num, p.present, nil
 }

@@ -277,6 +277,74 @@ func TestWarmQueryScansNothing(t *testing.T) {
 	}
 }
 
+// TestWriteStepScansWhatItAppended: a write step costs the next query what
+// it changed. After INSERT k + DELETE m, the first query of each WHERE
+// reports k rows scanned — WHERE evaluated on the appended rows alone —
+// and no snapshot hit, in its Stats and its footer, and answers as a fresh
+// System does; the store it advanced to carried every selection the five
+// templates fold, so running all of them over it folds none again.
+func TestWriteStepScansWhatItAppended(t *testing.T) {
+	sys := newSystem(t, 4500)
+	const k, m = 40, 15
+	// Trees are rebuilt after the write on both sides, as in
+	// TestInterleavedWritesMatchFreshSystem: the answer is the rows'.
+	opts := []pb.Option{pb.WithSketchIncremental(false), pb.WithSeed(1)}
+	for _, where := range []string{"", snapshotWhere} {
+		for round := 0; round < 2; round++ {
+			for tmpl := 0; tmpl < 5; tmpl++ {
+				if _, err := sys.Query(templateQuery(tmpl, round, where), opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rows := dataset.Recipes(dataset.RecipesConfig{N: k, Seed: 29})
+	for j, r := range rows {
+		r[0] = value.Int(int64(90001 + j))
+	}
+	if _, err := sys.ExecSQL(insertSQL(rows)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ExecSQL(fmt.Sprintf("DELETE FROM recipes WHERE id >= 100 AND id < %d", 100+m)); err != nil {
+		t.Fatal(err)
+	}
+	for _, where := range []string{"", snapshotWhere} {
+		for tmpl := 0; tmpl < 5; tmpl++ {
+			q := templateQuery(tmpl, 7, where)
+			res, err := sys.Query(q, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tmpl > 0 {
+				if !res.Stats.SnapshotHit || res.Stats.RowsScanned != 0 {
+					t.Errorf("T%d, WHERE %q: SnapshotHit=%v RowsScanned=%d after the advance, want a hit", tmpl, where, res.Stats.SnapshotHit, res.Stats.RowsScanned)
+				}
+				continue
+			}
+			if res.Stats.SnapshotHit || res.Stats.RowsScanned != k {
+				t.Errorf("WHERE %q: SnapshotHit=%v RowsScanned=%d after INSERT %d + DELETE %d, want an advance over %d rows",
+					where, res.Stats.SnapshotHit, res.Stats.RowsScanned, k, m, k)
+			}
+			var out bytes.Buffer
+			pb.FormatResult(&out, sys, res)
+			if want := fmt.Sprintf(" scanned=%d snapshot-hit=false ", k); !strings.Contains(out.String(), want) {
+				t.Errorf("WHERE %q: the footer does not say %q:\n%s", where, want, out.String())
+			}
+			if want, err := freshSystem(t, sys).Query(q, opts...); err != nil || resultDigest(want) != resultDigest(res) {
+				t.Errorf("WHERE %q: the advanced snapshot's answer is not a fresh System's (err %v)", where, err)
+			}
+		}
+		prep, err := sys.Prepare(templateQuery(0, 7, where))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !prep.SnapshotHit || prep.Instance.Passes.Folds() != 0 {
+			t.Errorf("WHERE %q: the advanced store folded %d selections over the five templates; every one was carried",
+				where, prep.Instance.Passes.Folds())
+		}
+	}
+}
+
 // workDigest is resultDigest plus what the solves did to get there: the
 // certificate's Lagrangian rounds and every solve's nodes and pivots.
 func workDigest(st *pb.Stats) string {
