@@ -37,10 +37,11 @@
 // entirely.
 //
 // With no explicit strategy or knob flags, a cost-based planner picks
-// the strategy, partition size, tree depth, parallelism and
-// maintenance mode per query from table statistics. Prefix a query
-// with EXPLAIN (or pass -explain) to print the decision trail without
-// executing:
+// the strategy, partition size, tree depth and parallelism per query
+// from the candidate count and the atom mix; whether a stale tree is
+// patched or rebuilt is decided when the query runs, and the result
+// notes say which. Prefix a query with EXPLAIN (or pass -explain) to
+// print the decision trail without executing:
 //
 //	paql -gen recipes:100000:1 -q "EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
 //	     SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)"

@@ -155,8 +155,10 @@ type Options struct {
 	// overgrown leaves split, representatives and envelopes refreshed
 	// bottom-up — instead of rebuilt from scratch, and the persisted
 	// tree is re-saved atomically. True (the System, CLI and server
-	// default) leaves patch-vs-rebuild to the planner; false forces a
-	// rebuild after every write, and the plan records it as forced.
+	// default) leaves patch-vs-rebuild to tree acquisition, which
+	// patches while the tree's drift fits plan.PatchMaxFrac; false
+	// forces a rebuild after every write, and the plan records it as
+	// forced.
 	SketchIncremental bool
 	// SketchPersistDir, when non-empty, persists SketchRefine partition
 	// trees to this directory as an on-disk tier under the in-memory
@@ -240,7 +242,7 @@ type Stats struct {
 	Elapsed           time.Duration
 	Notes             []string // strategy decisions, fallbacks, caveats
 	// Degraded reports that at least one optional subsystem (cache,
-	// disk store, delta patch, bound pass, planner probe, …) failed during
+	// disk store, delta patch, bound pass, …) failed during
 	// this evaluation and the engine continued one rung down the
 	// degradation ladder instead of failing the query.
 	Degraded bool

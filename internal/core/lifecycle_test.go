@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/lifecycle"
 	"repro/internal/minidb"
+	"repro/internal/sketch"
 )
 
 func lcDB(t *testing.T, n int) *minidb.DB {
@@ -187,5 +189,35 @@ func TestErrorsAreExclusive(t *testing.T) {
 				t.Errorf("errors.Is(%v, %v) = %v", e, s, got)
 			}
 		}
+	}
+}
+
+// TestPanickedAcquisitionReleasesItsKey: a panic inside tree acquisition
+// (here the publish after a build) is typed by the solve's recovery, and
+// the next query of the same key builds and answers. Before the flight
+// ended in a defer, it stayed open: the next query waited out its whole
+// deadline on it, and without one waited forever.
+func TestPanickedAcquisitionReleasesItsKey(t *testing.T) {
+	prep, err := Prepare(lcDB(t, 300), lcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchIncremental: true,
+		SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
+	restore := fault.Enable(fault.NewInjector(1, fault.Rule{Site: "sketch.cache.put", Kind: fault.KindPanic, Limit: 1}))
+	_, err = prep.Run(opts)
+	restore()
+	if !errors.Is(err, lifecycle.ErrInternal) {
+		t.Fatalf("panicking publish = %v, want ErrInternal", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := prep.RunContext(ctx, opts)
+	if err != nil || len(res.Packages) == 0 {
+		t.Fatalf("query after the panic: err %v after %v", err, time.Since(start))
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("query after the panic took %v", el)
 	}
 }

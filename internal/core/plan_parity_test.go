@@ -146,20 +146,20 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			// strategy is forced; over them it sketches: cold, then warm,
 			// then after a write, then after many.
 			run("solver", solverQuery, "")
-			run("sketch-cold", lcQuery, plan.SourceBuild)
-			run("sketch-warm", lcQuery, plan.SourceCache)
+			run("sketch-cold", lcQuery, "build")
+			run("sketch-warm", lcQuery, "cache")
 			if _, err := db.Exec("INSERT INTO recipes VALUES (90001, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)"); err != nil {
 				t.Fatal(err)
 			}
-			postWrite := plan.SourcePatch
+			postWrite := "patch"
 			if !opts.SketchIncremental {
-				postWrite = plan.SourceBuild
+				postWrite = "build"
 			}
 			run("post-write", lcQuery, postWrite)
 			// After many writes: three 10 % batches. Each leaves the tree
 			// 10 % stale, but the third would take its drift since the last
-			// full build past the 25 % budget: that one is planned as a
-			// rebuild — exactly where ApplyDelta would refuse — and built.
+			// full build past the 25 % budget: ApplyDelta refuses it, the
+			// run notes why, and the tree is built.
 			drift := 1
 			for i := 0; i < 3; i++ {
 				writeBatch(t, db, 100_000+400*i, 400, 1+200*i, 200)
@@ -169,8 +169,8 @@ func TestExecutionFollowsPlan(t *testing.T) {
 					drift += 600
 					continue
 				}
-				if res := run(shape, lcQuery, plan.SourceBuild); res.Stats.Plan.Maintenance != plan.MaintainRebuild {
-					t.Errorf("%s: a 10%% step on %d drift planned maintenance = %s", shape, drift, res.Stats.Plan.Maintenance)
+				if res := run(shape, lcQuery, "build"); budgetNote(res.Stats.Notes) == "" {
+					t.Errorf("%s: a 10%% step on %d drift rebuilt without the budget note: %q", shape, drift, res.Stats.Notes)
 				}
 				drift = 0
 			}
@@ -199,7 +199,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			}
 			// Every later decision is made for the strategy that runs:
 			// no sketch knobs, that strategy's bound and memory estimate.
-			for _, name := range []string{"tau", "depth", "parallelism", "maintenance", "tree-source"} {
+			for _, name := range []string{"tau", "depth", "parallelism", "maintenance"} {
 				if d := qp.Decision(name); d != nil {
 					t.Errorf("%s plan carries a %s decision (%s)\n%s", qp.Strategy, name, d.Value, qp.Explain())
 				}
@@ -219,7 +219,8 @@ func TestExecutionFollowsPlan(t *testing.T) {
 }
 
 // checkFollowsPlan compares what one evaluation reports having done
-// with the plan it carries.
+// with the plan it carries, and where its partition tree came from — the
+// run's record, which no plan predicts — with wantSource.
 func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string]bool, wantSource string) {
 	t.Helper()
 	st, qp := res.Stats, res.Stats.Plan
@@ -284,17 +285,17 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 	if wantSource == "" {
 		return
 	}
-	source := plan.SourceBuild
+	source := "build"
 	switch {
 	case sk.CacheHit:
-		source = plan.SourceCache
+		source = "cache"
 	case sk.TreeLoaded:
-		source = plan.SourceDisk
+		source = "disk"
 	case st.SketchTreePatched:
-		source = plan.SourcePatch
+		source = "patch"
 	}
-	if source != qp.TreeSource || source != wantSource {
-		fail("tree came from %s, planned %s, want %s", source, qp.TreeSource, wantSource)
+	if source != wantSource {
+		fail("tree came from %s, want %s", source, wantSource)
 	}
 }
 
@@ -345,55 +346,73 @@ func TestSketchLimitKBoundsOnce(t *testing.T) {
 	}
 }
 
-// TestPlanRebuildsExactlyWhenApplyDeltaRefuses acquires each tree the way
-// the benchmark's frozen trace does — plan, Advance, the base tree out of
-// the cache, ApplyDelta, else a build — over appends that walk a tree's
-// drift up to the budget exactly and one tuple past it: the plan says
-// patch exactly where ApplyDelta patches and rebuild exactly where it
-// refuses.
+// TestPlanRebuildsExactlyWhenApplyDeltaRefuses holds the benchmark's
+// frozen trace to the engine: over appends that walk a tree's drift up to
+// the budget exactly and one tuple past it, the trace's spelled-out
+// acquisition — plan, Advance, the base tree out of the cache,
+// ApplyDelta, else a build — patches on exactly the steps a query through
+// the engine patches, and both answer the same package. Each side runs
+// over a table of its own, since a table carries its fingerprint lineage.
 func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
-	db := lcDB(t, 6000)
+	engineDB, traceDB := lcDB(t, 6000), lcDB(t, 6000)
+	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
 	cache, memo := sketch.NewCache(0), NewFingerprintMemo()
-	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo}
 	// 6,000 → 7,000 → 8,000 rows: 1,000 + 1,000 is 25 % of 8,000 exactly,
 	// one row more is past it, and the rebuilt tree patches again.
 	nextID := 100_000
 	for i, step := range []struct {
 		appends int
-		want    string
-	}{{0, plan.MaintainNone}, {1000, plan.MaintainPatch}, {1000, plan.MaintainPatch}, {1, plan.MaintainRebuild}, {1, plan.MaintainPatch}} {
+		patched bool
+	}{{0, false}, {1000, true}, {1000, true}, {1, false}, {1, true}} {
 		if step.appends > 0 {
-			writeBatch(t, db, nextID, step.appends, 0, 0)
+			writeBatch(t, engineDB, nextID, step.appends, 0, 0)
+			writeBatch(t, traceDB, nextID, step.appends, 0, 0)
 			nextID += step.appends
 		}
-		prep, err := Prepare(db, lcQuery)
+		res, err := Evaluate(engineDB, lcQuery, opts)
+		if err != nil || len(res.Packages) == 0 {
+			t.Fatalf("step %d: engine query: err %v, no package", i, err)
+		}
+
+		prep, err := Prepare(traceDB, lcQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qp := prep.Plan(opts)
-		if qp.Strategy != plan.StrategySketch {
-			t.Fatalf("step %d planned %s", i, qp.Strategy)
+		qp := prep.Plan(Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo})
+		if qp.Strategy != plan.StrategySketch || !qp.Incremental {
+			t.Fatalf("step %d planned %s, incremental %v", i, qp.Strategy, qp.Incremental)
 		}
 		fp, patch := memo.Advance(prep)
-		so := sketch.Options{MaxPartitionSize: qp.Tau, Depth: qp.Depth, Seed: opts.Seed, Fingerprint: &fp}
+		so := sketch.Options{MaxPartitionSize: qp.Tau, Depth: qp.Depth, Parallelism: qp.Parallelism,
+			BoundMode: qp.Bound, Seed: 1, Cache: cache, Fingerprint: &fp, Patch: patch}
 		key := sketch.KeyFor(prep.Instance, so)
-		var tree *sketch.Tree
+		tree, cached := cache.Peek(key)
 		patched := false
-		if patch != nil {
+		if !cached && patch != nil {
 			baseKey := key
 			baseKey.Fingerprint = patch.BaseFingerprint
-			base, ok := cache.Peek(baseKey)
+			base, ok := cache.Get(baseKey)
 			if !ok {
 				t.Fatalf("step %d: the lineage names a base tree the cache does not hold", i)
 			}
 			tree, patched = base.ApplyDelta(prep.Instance.Rows, patch.Remap, so)
+			cached = patched
 		}
-		if qp.Maintenance != step.want || patched != (qp.Maintenance == plan.MaintainPatch) {
-			t.Fatalf("step %d (%d candidates): ApplyDelta patched=%v, planned\n%s", i, len(prep.Instance.Rows), patched, qp.Explain())
-		}
-		if !patched {
+		if !cached {
 			tree = sketch.BuildTree(prep.Instance, so)
 		}
 		cache.Put(key, tree)
+		sres, err := sketch.Solve(prep.Instance, so)
+		if err != nil || !sres.CacheHit || !sres.Feasible {
+			t.Fatalf("step %d: trace solve: err %v, cache hit %v, feasible %v", i, err, sres.CacheHit, sres.Feasible)
+		}
+
+		if patched != res.Stats.SketchTreePatched || patched != step.patched {
+			t.Fatalf("step %d (%d candidates): the trace patched=%v, the engine %v, want %v",
+				i, len(prep.Instance.Rows), patched, res.Stats.SketchTreePatched, step.patched)
+		}
+		if !slices.Equal(sres.Mult, res.Packages[0].Mult) {
+			t.Fatalf("step %d: the trace answered %v, the engine %v", i, sres.Mult, res.Packages[0].Mult)
+		}
 	}
 }

@@ -3,18 +3,18 @@ package core
 import (
 	"runtime"
 
-	"repro/internal/fault"
 	"repro/internal/minidb"
 	"repro/internal/plan"
-	"repro/internal/sketch"
 )
 
 // This file is the one resolve step between a query's options and its
-// execution: it snapshots a Prepared query plus its Options into a
-// plan.Input (the table's size and version, atom mix from the query
-// planner, forced knobs from explicit options, cache state from a live
-// probe). The resulting plan.Plan is what the strategy runners execute —
-// decided knobs never travel back into Options.
+// execution: it reads a Prepared query plus its Options into a plan.Input
+// (the candidate count, the table's size and version, atom mix from the
+// query planner, forced knobs from explicit options) — values only, no
+// look at the tree tiers. The resulting plan.Plan is what the strategy
+// runners execute — decided knobs never travel back into Options — and
+// where the partition tree came from is the run's to record
+// (sketch.Result), not the plan's to predict.
 
 // Plan runs the cost-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
@@ -23,7 +23,7 @@ func (p *Prepared) Plan(opts Options) *plan.Plan {
 	return plan.New(p.planInput(opts))
 }
 
-// planInput snapshots everything the execution planner looks at.
+// planInput reads everything the execution planner looks at.
 func (p *Prepared) planInput(opts Options) plan.Input {
 	branches, sketchErr := p.Sketch.Applicable()
 	in := plan.Input{
@@ -35,7 +35,6 @@ func (p *Prepared) planInput(opts Options) plan.Input {
 		Mix:         plan.AnalyzeAtoms(p.Analysis, branches, sketchErr),
 		Procs:       runtime.GOMAXPROCS(0),
 		Forced:      opts.forcedKnobs(),
-		Probe:       p.cacheProbe(opts),
 	}
 	if p.Query != nil {
 		in.Query = p.Query.Raw
@@ -70,98 +69,11 @@ func (o Options) forcedKnobs() plan.Forced {
 	f := plan.Forced{
 		Tau:          o.SketchPartitionSize,
 		Depth:        o.SketchDepth,
-		Rebuild:      !o.SketchIncremental, // on leaves the choice to the planner
+		Rebuild:      !o.SketchIncremental, // on leaves the choice to tree acquisition
 		GapTolerance: o.GapTolerance,
 	}
 	if o.Strategy != Auto {
 		f.Strategy = o.Strategy.String()
 	}
 	return f
-}
-
-// sketchTiers resolves the partition-tree cache and fingerprint memo an
-// evaluation uses: the options' own, else the Prepared's defaults, with
-// SketchNoCache suppressing both — the one place that opt-out is
-// honoured. The cache probe and the sketch runner both resolve through
-// here, so the plan is made against the tiers the execution reads.
-func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
-	if opts.SketchNoCache {
-		return nil, nil
-	}
-	cache, memo := opts.SketchCache, opts.SketchMemo
-	if cache == nil {
-		cache = p.SketchCache
-	}
-	if memo == nil {
-		memo = p.SketchMemo
-	}
-	return cache, memo
-}
-
-// cacheProbe builds the planner's cache-state probe: given the (τ,
-// depth) the planner intends, report whether a tree for the resulting
-// key is warm in memory, persisted on disk, or patchable from lineage.
-// Nil (assume cold) when no cache, store, or memo is in play — without
-// a memoized fingerprint the probe would cost an O(n) hash, which a
-// plan must never do.
-func (p *Prepared) cacheProbe(opts Options) func(tau, depth int) plan.CacheState {
-	cache, memo := p.sketchTiers(opts)
-	if memo == nil || (cache == nil && opts.SketchPersistDir == "") {
-		return nil
-	}
-	probe := func(tau, depth int) plan.CacheState {
-		var cs plan.CacheState
-		pr := memo.Probe(p)
-		if !pr.Known {
-			return cs
-		}
-		// Changed candidates have no fingerprint yet (Advance folds it), so
-		// the key probed is the base tree's, the one a patch starts from.
-		fp := pr.Fingerprint
-		if pr.Patchable {
-			fp = pr.Base
-		}
-		key := sketch.KeyFor(p.Instance, sketch.Options{
-			MaxPartitionSize: tau,
-			Depth:            depth,
-			Seed:             opts.Seed,
-			Fingerprint:      &fp,
-		})
-		var store *sketch.Store
-		if opts.SketchPersistDir != "" {
-			store = sketch.NewStore(opts.SketchPersistDir)
-		}
-		var warm *sketch.Tree
-		if cache != nil {
-			warm, _ = cache.Peek(key)
-		}
-		onDisk := func() bool { return store != nil && store.Contains(key) }
-		switch {
-		case !pr.Patchable:
-			cs.InCache = warm != nil
-			cs.OnDisk = !cs.InCache && onDisk()
-		case warm != nil || onDisk():
-			// A base only on disk is not read for its drift: the plan
-			// predicts a patch, and ApplyDelta still refuses past the budget.
-			cs.Patchable, cs.Delta = true, pr.Delta
-			if warm != nil {
-				cs.Drift = warm.Drift
-			}
-		}
-		return cs
-	}
-	// Probe rung of the degradation ladder: a probe that fails (or
-	// panics) yields "assume cold" — the plan degrades to predicting a
-	// full build, the query itself is untouched.
-	return func(tau, depth int) (cs plan.CacheState) {
-		defer func() {
-			if recover() != nil {
-				cs = plan.CacheState{ProbeFailed: true}
-			}
-		}()
-		if fault.Check("plan.probe") != nil {
-			return plan.CacheState{ProbeFailed: true}
-		}
-		return probe(tau, depth)
-	}
 }

@@ -100,21 +100,6 @@ type fingerprint struct {
 	ids       []int    // candidate row ids at that version
 	rowHashes []uint64 // RowHash per candidate, parallel to ids
 	fp        uint64   // CombineRowHashes(rowHashes)
-	probed    *replay  // Probe's replay of this record to a newer version, for Advance to commit
-}
-
-// replay is what the table's delta log says happened to a lineage
-// record's candidates up to a newer version: which positions were
-// deleted, how many of them were candidates, and — the rest of the
-// candidates at that version — what was appended. It is the delta alone,
-// read without walking the record, so Probe can keep one beside the
-// record for Advance to apply.
-type replay struct {
-	version  uint64
-	ids      []int // candidate row ids at version
-	deleted  []int // the table positions deleted since the record's version, ascending
-	dropped  int   // how many of them were the record's candidates
-	appended int   // candidates at version past the survivors: the rows to hash
 }
 
 // snapshotsOf returns the table's candidate store.

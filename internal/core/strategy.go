@@ -281,10 +281,29 @@ func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetc
 	return mults, nil
 }
 
+// sketchTiers resolves the partition-tree cache and fingerprint memo an
+// evaluation uses: the options' own, else the Prepared's defaults, with
+// SketchNoCache suppressing both — the one place that opt-out is
+// honoured.
+func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
+	if opts.SketchNoCache {
+		return nil, nil
+	}
+	cache, memo := opts.SketchCache, opts.SketchMemo
+	if cache == nil {
+		cache = p.SketchCache
+	}
+	if memo == nil {
+		memo = p.SketchMemo
+	}
+	return cache, memo
+}
+
 // runSketch executes a sketch-refine plan: qp carries every decided knob
-// (τ, depth, workers, bound stage, patch-vs-rebuild); opts contributes
+// (τ, depth, workers, bound stage) and a forced rebuild; opts contributes
 // only what the planner does not decide — seed, budget, pins, gap
-// tolerance and the tree tiers.
+// tolerance and the tree tiers. Whether a stale tree is patched is the
+// solve's tree acquisition to decide, and its record (sres) says so.
 func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, fetch int) ([][]int, error) {
 	start := time.Now()
 	cache, memo := p.sketchTiers(opts)
@@ -310,9 +329,8 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 	}
 	// Fingerprint memo: resolve the candidate fingerprint incrementally
 	// (zero hashing on an unchanged table, delta-only after writes) and,
-	// when the plan maintains trees incrementally, pick up the lineage
-	// that lets a stale cached tree be patched in place instead of
-	// rebuilt.
+	// unless the plan forces rebuilds, pick up the lineage that lets a
+	// stale cached tree be patched in place instead of rebuilt.
 	if memo != nil {
 		fp, patch := memo.Advance(p)
 		base.Fingerprint = &fp

@@ -8,11 +8,15 @@
 //     sketch engine's applicability verdict and branch count;
 //   - the execution-planner half (New) costs the alternatives (exact
 //     MILP vs flat vs hierarchical SketchRefine), sizes τ and tree depth
-//     to the table, picks parallelism from size and GOMAXPROCS, decides
-//     patch-vs-rebuild from the probed tree's own write lineage, and
-//     predicts the tree source from the current cache and persist state
-//     — emitting a typed Plan whose every Decision carries a cost
-//     estimate and a human-readable reason.
+//     to the table, and picks parallelism from size and GOMAXPROCS —
+//     emitting a typed Plan whose every Decision carries a cost estimate
+//     and a human-readable reason.
+//
+// Where the partition tree comes from — memory, disk, a patch of a stale
+// tree, or a build — is not a plan decision: tree acquisition in
+// internal/sketch decides it when the query runs, against the drift
+// budget Tree.ApplyDelta holds (PatchFits), and the run's result records
+// what happened. The plan only carries a rebuild the user forced.
 //
 // Explicit user knobs win: they enter as Input.Forced and come back out
 // in the Plan marked forced, so EXPLAIN shows exactly which choices the
@@ -24,10 +28,10 @@
 // engines that enforce them (internal/sketch, internal/core), so a plan
 // cannot promise what the execution will not do. The package imports
 // internal/bound for the certified-bound pipeline's stage names and round
-// budget, which the pipeline owns; it imports neither engine, the table
-// arrives as a TableStats value and cache/persist state through an
-// injected probe — so planning stays a pure function of an Input
-// snapshot, which is what makes the decision matrix testable.
+// budget, which the pipeline owns; it imports neither engine, and the
+// table arrives as a TableStats value — so Input is plain data and
+// planning a pure function of it, which is what makes the decision
+// matrix testable.
 package plan
 
 import (
@@ -87,8 +91,7 @@ const (
 
 // PatchFits reports whether a tree that has drifted by drift tuples since
 // its last full build can absorb a step of step more over n current
-// candidates: the one size check Tree.ApplyDelta makes, and the one
-// pickMaintenance predicts it with.
+// candidates: the one size check Tree.ApplyDelta makes.
 func PatchFits(drift, step, n int) bool {
 	return float64(drift+step) <= PatchMaxFrac*float64(n)
 }
@@ -106,31 +109,9 @@ const (
 	StrategyLocalSearch = "local-search"
 )
 
-// Maintenance values for the patch-vs-rebuild decision.
-const (
-	// MaintainNone: no stale tree with write lineage — a cached tree, if
-	// there is one, is exact.
-	MaintainNone = "none"
-	// MaintainPatch: the delta is within budget — patch the stale tree
-	// in place instead of rebuilding.
-	MaintainPatch = "patch"
-	// MaintainRebuild: the delta outgrew the patch budget — rebuild the
-	// tree from scratch.
-	MaintainRebuild = "rebuild"
-)
-
-// Tree-source values: where the sketch expects to get its partition
-// tree from, in acquisition order.
-const (
-	// SourceCache: a warm tree sits in the in-memory LRU.
-	SourceCache = "cache"
-	// SourceDisk: a persisted tree can be loaded from the store.
-	SourceDisk = "disk"
-	// SourcePatch: a stale base tree plus delta lineage can be patched.
-	SourcePatch = "patch"
-	// SourceBuild: nothing reusable — a full offline build.
-	SourceBuild = "build"
-)
+// MaintainRebuild is the maintenance decision's one value: the user
+// forced a rebuild of every stale tree instead of patching it.
+const MaintainRebuild = "rebuild"
 
 // Bound values: which dual-bound pass certifies the objective interval
 // the evaluation returns. The four pipeline rungs are internal/bound's
@@ -230,28 +211,6 @@ func AnalyzeAtoms(a *paql.Analysis, branches int, sketchErr error) AtomMix {
 	return m
 }
 
-// CacheState is the probed cache/persist situation for one candidate
-// fingerprint at a specific (τ, depth) key.
-type CacheState struct {
-	// InCache: an exact tree for the key is in the in-memory LRU.
-	InCache bool `json:"inCache"`
-	// OnDisk: a persisted tree for the key exists in the store.
-	OnDisk bool `json:"onDisk"`
-	// Patchable: a base tree plus delta lineage exist, so the stale
-	// tree could be patched instead of rebuilt.
-	Patchable bool `json:"patchable"`
-	// Delta is the lineage delta in tuples (deleted + appended since the
-	// base tree's version) and Drift the base tree's own since its last
-	// full build (meaningful only when Patchable): ApplyDelta patches
-	// while PatchFits(Drift, Delta, N).
-	Delta int `json:"delta,omitempty"`
-	Drift int `json:"drift,omitempty"`
-	// ProbeFailed: the probe itself failed, so the state above is
-	// unknown and the planner assumes cold. Plans are predictions — a
-	// failed probe degrades the prediction, never the query.
-	ProbeFailed bool `json:"probeFailed,omitempty"`
-}
-
 // TableStats is what the planner knows about the queried table without
 // touching its rows. No decision reads it: plan.New echoes it into the
 // Plan and EXPLAIN prints it in its header.
@@ -275,16 +234,16 @@ type Forced struct {
 	// Depth is the explicit tree depth, or 0.
 	Depth int `json:"depth,omitempty"`
 	// Rebuild forces a full rebuild over patching a stale tree; false
-	// leaves patch-vs-rebuild to the planner.
+	// leaves patch-vs-rebuild to tree acquisition.
 	Rebuild bool `json:"rebuild,omitempty"`
 	// GapTolerance is the explicit anytime gap tolerance (fractional,
 	// e.g. 0.05 = stop once provably within 5% of optimal), or 0.
 	GapTolerance float64 `json:"gapTolerance,omitempty"`
 }
 
-// Input is everything the execution planner looks at — a snapshot, so
-// planning is a pure function and the decision matrix can enumerate
-// cells without a live engine.
+// Input is everything the execution planner looks at — plain data, so
+// planning is a pure function of a value and the decision matrix can
+// enumerate cells without a live engine.
 type Input struct {
 	// Query is the raw query text (display only).
 	Query string `json:"query,omitempty"`
@@ -306,9 +265,6 @@ type Input struct {
 	Procs int `json:"procs"`
 	// Forced carries explicitly pinned knobs.
 	Forced Forced `json:"forced"`
-	// Probe reports the cache/persist state for a (τ, depth) key; nil
-	// means assume cold.
-	Probe func(tau, depth int) CacheState `json:"-"`
 }
 
 // Alternative is a costed option the planner considered and rejected.
@@ -322,7 +278,7 @@ type Alternative struct {
 // Decision is one planner choice with its justification.
 type Decision struct {
 	// Name identifies the decision: strategy, tau, depth, parallelism,
-	// maintenance, tree-source.
+	// maintenance, bound, memory.
 	Name string `json:"name"`
 	// Value is the chosen value, rendered as a string.
 	Value string `json:"value"`
@@ -358,13 +314,12 @@ type Plan struct {
 	Tau         int `json:"tau,omitempty"`
 	Depth       int `json:"depth,omitempty"`
 	Parallelism int `json:"parallelism,omitempty"`
-	// Maintenance is the patch-vs-rebuild choice.
+	// Maintenance is MaintainRebuild when the user forced rebuilds, else
+	// empty: tree acquisition decides patch-vs-rebuild when it runs.
 	Maintenance string `json:"maintenance,omitempty"`
-	// Incremental is Maintenance folded to the engine's boolean knob:
-	// false only when the planner wants a rebuild.
+	// Incremental is the engine's boolean knob: false only when a sketch
+	// plan carries a forced rebuild.
 	Incremental bool `json:"incremental"`
-	// TreeSource predicts where the partition tree will come from.
-	TreeSource string `json:"treeSource,omitempty"`
 	// MemoryBytes is the predicted peak working set of the chosen
 	// strategy (MemoryEstimate); engines gate admission on it
 	// against a per-query memory budget.
@@ -401,9 +356,11 @@ func SolverCost(n int) float64 {
 
 // SketchCost estimates SketchRefine over n candidates with leaf bound
 // tau and the given DNF branch count: per branch one descent over the
-// leaves plus a refine pass bounded by n, and — unless a warm tree
-// exists — an offline build at n·(log₂(leaves)+1).
-func SketchCost(n, tau, branches int, warm bool) float64 {
+// leaves plus a refine pass bounded by n, and an offline build at
+// n·(log₂(leaves)+1). The build is always priced: whether a tree is warm
+// is acquisition's to find out, and past the exact budget the sketch wins
+// either way.
+func SketchCost(n, tau, branches int) float64 {
 	if tau < 1 {
 		tau = 1
 	}
@@ -414,11 +371,7 @@ func SketchCost(n, tau, branches int, warm bool) float64 {
 	if leaves < 1 {
 		leaves = 1
 	}
-	cost := float64(branches) * (leaves + float64(n))
-	if !warm {
-		cost += float64(n) * (math.Log2(leaves) + 1)
-	}
-	return cost
+	return float64(branches)*(leaves+float64(n)) + float64(n)*(math.Log2(leaves)+1)
 }
 
 // MemoryEstimate predicts the peak working set a strategy allocates on

@@ -31,129 +31,95 @@ func nonlinearMix() AtomMix {
 		SketchErr: "sketch: query is not linear", SumCount: 2, Objective: true}
 }
 
-// TestDecisionMatrix is the satellite's size × atom-mix × write-lineage ×
-// cache-state matrix: every input dimension must flip at least one
-// decision relative to its row's neighbor. The forced/ rows are the
-// strategies the atom mix rules out: each must plan exactly what its
+// TestDecisionMatrix is the size × atom-mix matrix: every input
+// dimension must flip at least one decision relative to its row's
+// neighbor. The writes/ and cache/ rows are a stale tree's write lineage,
+// which reaches no plan decision: its delta and drift meet the budget in
+// Tree.ApplyDelta when the query runs (PatchFits, checked here at the
+// cell), and only a forced rebuild shows in the plan. The forced/ rows are
+// the strategies the atom mix rules out: each must plan exactly what its
 // unforced neighbor plans, with the override named in the reason.
 func TestDecisionMatrix(t *testing.T) {
 	cases := []struct {
-		name string
-		in   Input
-		want map[string]string // decision name → value; "" = must be absent
+		name    string
+		in      Input
+		want    map[string]string // decision name → value; "" = must be absent
+		lineage *lineageCell      // a stale tree's delta and drift over in.N, and whether it patches
 	}{
 		// --- size axis ---
 		{"size/small-linear", baseInput(100),
-			map[string]string{"strategy": StrategySolver}},
+			map[string]string{"strategy": StrategySolver}, nil},
 		{"size/large-linear", baseInput(100_000),
-			map[string]string{"strategy": StrategySketch, "tau": "64", "depth": "2", "parallelism": "8"}},
+			map[string]string{"strategy": StrategySketch, "tau": "64", "depth": "2", "parallelism": "8"}, nil},
 		{"size/huge-linear", baseInput(1_000_000),
-			map[string]string{"strategy": StrategySketch, "tau": "256", "depth": "2"}},
+			map[string]string{"strategy": StrategySketch, "tau": "256", "depth": "2"}, nil},
 		{"size/borderline-serial", func() Input {
 			in := baseInput(5000)
 			return in
-		}(), map[string]string{"strategy": StrategySketch, "depth": "2", "parallelism": "8"}},
+		}(), map[string]string{"strategy": StrategySketch, "depth": "2", "parallelism": "8"}, nil},
 		{"size/tiny-parallelism", func() Input {
 			in := baseInput(100)
 			in.Forced.Strategy = StrategySketch // pin sketch so knob decisions surface
 			return in
-		}(), map[string]string{"parallelism": "1", "depth": "1"}},
+		}(), map[string]string{"parallelism": "1", "depth": "1"}, nil},
 
 		// --- atom-mix axis ---
 		{"mix/nonlinear-small", func() Input {
 			in := baseInput(10)
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"objective multiplies aggregates"}}
 			return in
-		}(), map[string]string{"strategy": StrategyPrunedEnum}},
+		}(), map[string]string{"strategy": StrategyPrunedEnum}, nil},
 		{"mix/nonlinear-large", func() Input {
 			in := baseInput(1000)
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"objective multiplies aggregates"}}
 			return in
-		}(), map[string]string{"strategy": StrategyLocalSearch}},
+		}(), map[string]string{"strategy": StrategyLocalSearch}, nil},
 		{"mix/nonlinear-unbounded", func() Input {
 			in := baseInput(10)
 			in.MaxMult = 0
 			in.Mix = AtomMix{Linear: false}
 			return in
-		}(), map[string]string{"strategy": StrategyLocalSearch}},
+		}(), map[string]string{"strategy": StrategyLocalSearch}, nil},
 		{"mix/sketch-inapplicable", func() Input {
 			in := baseInput(100_000)
 			in.Mix.SketchOK = false
 			in.Mix.SketchErr = "subquery atom"
 			return in
-		}(), map[string]string{"strategy": StrategySolver}},
+		}(), map[string]string{"strategy": StrategySolver}, nil},
 		{"mix/minmax-caps-depth", func() Input {
 			in := baseInput(3_000_000) // τ=256 → 11719 leaves → depth 3 if unconstrained
 			in.Mix.MinMax = 1
 			return in
-		}(), map[string]string{"strategy": StrategySketch, "depth": "2"}},
+		}(), map[string]string{"strategy": StrategySketch, "depth": "2"}, nil},
 		{"mix/linear-deep", func() Input {
 			in := baseInput(3_000_000)
 			return in
-		}(), map[string]string{"depth": "3"}},
+		}(), map[string]string{"depth": "3"}, nil},
 
-		// --- write-lineage axis: the probed tree's own delta ---
-		{"writes/read-only", func() Input {
-			in := baseInput(100_000)
-			return in
-		}(), map[string]string{"maintenance": MaintainNone}},
-		{"writes/modest", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(1_000, 0)
-			return in
-		}(), map[string]string{"maintenance": MaintainPatch}},
-		{"writes/heavy", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(40_000, 0)
-			return in
-		}(), map[string]string{"maintenance": MaintainRebuild}},
-		{"writes/drift-at-budget", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(1_000, 24_000) // 1 % + 24 % = 25 %: still inside
-			return in
-		}(), map[string]string{"maintenance": MaintainPatch}},
-		{"writes/drifted", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(1_000, 24_001) // a 1 % step past a chain of small ones
-			return in
-		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
+		// --- write-lineage axis: the stale tree's own delta, which the
+		// engine weighs and the plan does not ---
+		{"writes/read-only", baseInput(100_000), map[string]string{"maintenance": ""}, nil},
+		{"writes/modest", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 1_000, fits: true}},
+		{"writes/heavy", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 40_000}},
+		{"writes/drift-at-budget", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 1_000, drift: 24_000, fits: true}}, // 1 % + 24 % = 25 %: still inside
+		{"writes/drifted", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 1_000, drift: 24_001}}, // a 1 % step past a chain of small ones
 		{"writes/forced-off", func() Input {
 			in := baseInput(100_000)
-			in.Probe = patchable(1_000, 0)
 			in.Forced.Rebuild = true
 			return in
-		}(), map[string]string{"maintenance": MaintainRebuild, "tree-source": SourceBuild}},
+		}(), map[string]string{"maintenance": MaintainRebuild}, nil},
 
-		// --- cache-state axis ---
-		{"cache/cold", func() Input {
-			in := baseInput(100_000)
-			return in
-		}(), map[string]string{"tree-source": SourceBuild}},
-		{"cache/warm-memory", func() Input {
-			in := baseInput(100_000)
-			in.Probe = func(tau, depth int) CacheState { return CacheState{InCache: true} }
-			return in
-		}(), map[string]string{"tree-source": SourceCache}},
-		{"cache/on-disk", func() Input {
-			in := baseInput(100_000)
-			in.Probe = func(tau, depth int) CacheState { return CacheState{OnDisk: true} }
-			return in
-		}(), map[string]string{"tree-source": SourceDisk}},
-		{"cache/patchable", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(100, 0)
-			return in
-		}(), map[string]string{"tree-source": SourcePatch, "maintenance": MaintainPatch}},
-		{"cache/patchable-but-rebuilding", func() Input {
-			in := baseInput(100_000)
-			in.Probe = patchable(50_000, 0)
-			return in
-		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainRebuild}},
-		{"cache/probe-failed", func() Input {
-			in := baseInput(100_000)
-			in.Probe = func(tau, depth int) CacheState { return CacheState{ProbeFailed: true} }
-			return in
-		}(), map[string]string{"tree-source": SourceBuild, "maintenance": MaintainNone}},
+		// --- cache-state axis: where the tree comes from is the run's
+		// record, never a plan line ---
+		{"cache/cold", baseInput(100_000), map[string]string{"strategy": StrategySketch, "maintenance": ""}, nil},
+		{"cache/patchable", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 100, fits: true}},
+		{"cache/patchable-but-rebuilding", baseInput(100_000), map[string]string{"maintenance": ""},
+			&lineageCell{delta: 50_000}},
 
 		// --- forced strategy × the atom mix that rules it out ---
 		{"forced/solver-nonlinear-small", func() Input {
@@ -161,13 +127,13 @@ func TestDecisionMatrix(t *testing.T) {
 			in.Mix = nonlinearMix()
 			in.Forced.Strategy = StrategySolver
 			return in
-		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual}},
+		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual}, nil},
 		{"forced/solver-nonlinear-large", func() Input {
 			in := baseInput(1000)
 			in.Mix = nonlinearMix()
 			in.Forced.Strategy = StrategySolver
 			return in
-		}(), map[string]string{"strategy": StrategyLocalSearch, "bound": BoundNone}},
+		}(), map[string]string{"strategy": StrategyLocalSearch, "bound": BoundNone}, nil},
 		{"forced/sketch-inapplicable", func() Input {
 			in := baseInput(100_000)
 			in.Mix.SketchOK = false
@@ -175,20 +141,26 @@ func TestDecisionMatrix(t *testing.T) {
 			in.Forced.Strategy = StrategySketch
 			return in
 		}(), map[string]string{"strategy": StrategySolver, "bound": BoundMILPDual,
-			"tau": "", "depth": "", "parallelism": "", "maintenance": "", "tree-source": ""}},
+			"tau": "", "depth": "", "parallelism": "", "maintenance": ""}, nil},
 		{"forced/sketch-nonlinear", func() Input {
 			in := baseInput(10)
 			in.Mix = nonlinearMix()
 			in.Forced.Strategy = StrategySketch
 			return in
 		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual,
-			"tau": "", "depth": "", "maintenance": "", "tree-source": ""}},
+			"tau": "", "depth": "", "maintenance": ""}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(tc.in)
 			if forced := tc.in.Forced.Strategy; forced != "" && forced != p.Strategy {
 				checkOverride(t, tc.in, p)
+			}
+			if l := tc.lineage; l != nil && PatchFits(l.drift, l.delta, tc.in.N) != l.fits {
+				t.Fatalf("PatchFits(drift %d, delta %d, %d candidates) != %v", l.drift, l.delta, tc.in.N, l.fits)
+			}
+			if p.Incremental == tc.in.Forced.Rebuild {
+				t.Fatalf("Incremental = %v under Forced.Rebuild = %v", p.Incremental, tc.in.Forced.Rebuild)
 			}
 			for name, want := range tc.want {
 				d := p.Decision(name)
@@ -237,6 +209,14 @@ func checkOverride(t *testing.T, in Input, got *Plan) {
 	}
 }
 
+// lineageCell is a stale tree's write lineage over a matrix cell's
+// candidates: the delta since it was built or last patched, the drift it
+// carries since its last full build, and whether a patch fits the budget.
+type lineageCell struct {
+	delta, drift int
+	fits         bool
+}
+
 // TestEachInputChangesADecision pins the acceptance criterion directly:
 // flipping any one input dimension of a reference cell changes at
 // least one decision value.
@@ -250,10 +230,6 @@ func TestEachInputChangesADecision(t *testing.T) {
 		{"atom-mix", func(in *Input) {
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"nonlinear"}}
 		}},
-		{"write-lineage", func(in *Input) { in.Probe = patchable(40_000, 0) }},
-		{"cache-state", func(in *Input) {
-			in.Probe = func(tau, depth int) CacheState { return CacheState{InCache: true} }
-		}},
 	}
 	for _, f := range flips {
 		t.Run(f.name, func(t *testing.T) {
@@ -265,13 +241,6 @@ func TestEachInputChangesADecision(t *testing.T) {
 			}
 		})
 	}
-}
-
-// patchable is the probe of a query whose stale tree sits in the cache
-// with write lineage of delta tuples, on top of drift since that tree's
-// last full build (the matrix's inputs have 100,000 candidates).
-func patchable(delta, drift int) func(tau, depth int) CacheState {
-	return func(tau, depth int) CacheState { return CacheState{Patchable: true, Delta: delta, Drift: drift} }
 }
 
 func decisionValues(p *Plan) string {
@@ -344,7 +313,6 @@ func TestGoldenExplain(t *testing.T) {
 		MaxMult: 1,
 		Mix:     linearMix(),
 		Procs:   8,
-		Probe:   patchable(1_000, 14_200),
 
 		RowsScanned: 100_000,
 	}
@@ -352,8 +320,8 @@ func TestGoldenExplain(t *testing.T) {
 	want := `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
 table t: 100000 rows; 100000 rows scanned (candidate snapshot miss)
 atoms: linear; 2 sum/count; 1 branch
-├─ strategy = sketch-refine  [cost ≈ 1.02e+05]
-│      linear query, 100000 candidates > 4096: partitioned sketch is cheapest (warm tree available)
+├─ strategy = sketch-refine  [cost ≈ 1.26e+06]
+│      linear query, 100000 candidates > 4096: partitioned sketch is cheapest
 │      rejected: solver ≈ 3.16e+07
 ├─ tau = 64
 │      100000 candidates ≤ 100000: default leaf size
@@ -361,10 +329,6 @@ atoms: linear; 2 sum/count; 1 branch
 │      1563 leaves > 64 top-level vars: 2 levels keep the root small
 ├─ parallelism = 8
 │      100000 candidates ≥ 2048: fan out across 8 workers
-├─ maintenance = patch
-│      lineage delta 1.0% + drift 14.2% since the last full build ≤ 25% budget: patch the stale tree in place
-├─ tree-source = patch
-│      stale base tree plus write lineage (delta 1.0% + drift 14.2% since the last full build): patch instead of rebuild
 ├─ bound = tree-lp  [cost ≈ 1.56e+03]
 │      LP relaxation over ~1563 partition leaves (objective-sorted segments), 1 branch(es); no band atoms to tighten
 │      rejected: tree-lp+tighten ≈ 7.82e+03
@@ -447,10 +411,10 @@ func TestCostModelMonotone(t *testing.T) {
 	if SolverCost(1000) >= SolverCost(10_000) {
 		t.Fatal("solver cost must grow with n")
 	}
-	if w, c := SketchCost(100_000, 64, 1, true), SketchCost(100_000, 64, 1, false); w >= c {
-		t.Fatal("warm sketch must be cheaper than cold")
+	if small, large := SketchCost(10_000, 64, 1), SketchCost(100_000, 64, 1); small >= large {
+		t.Fatal("sketch cost must grow with n")
 	}
-	if one, eight := SketchCost(100_000, 64, 1, false), SketchCost(100_000, 64, 8, false); one >= eight {
+	if one, eight := SketchCost(100_000, 64, 1), SketchCost(100_000, 64, 8); one >= eight {
 		t.Fatal("branches must raise sketch cost")
 	}
 	if EnumCost(50) != EnumCost(41) {
@@ -463,7 +427,7 @@ func TestCostModelMonotone(t *testing.T) {
 
 // TestSketchEstimateUndercutsSolverPastTheBudget is why costStrategy has
 // no "sketch estimate exceeds the exact MILP" arm: past SketchThreshold
-// the cold sketch estimate is under half the solver's at every leaf bound
+// the sketch estimate, build priced in, is under half the solver's at every leaf bound
 // and every branch count the sketch compiler admits (8,
 // translate.DefaultMaxSketchBranches) — 0.453 at n = 4,097, τ = 1, eight
 // branches, and falling with n — so the planner picks the sketch there.
@@ -473,10 +437,10 @@ func TestSketchEstimateUndercutsSolverPastTheBudget(t *testing.T) {
 	for _, n := range []int{SketchThreshold + 1, 5000, 10_000, 100_000, 1_000_000, 10_000_000} {
 		for _, tau := range []int{1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
 			for branches := 1; branches <= maxBranches; branches++ {
-				ratio := SketchCost(n, tau, branches, false) / SolverCost(n)
+				ratio := SketchCost(n, tau, branches) / SolverCost(n)
 				worst = max(worst, ratio)
 				if ratio >= 0.5 {
-					t.Errorf("n=%d τ=%d branches=%d: cold sketch estimate is %.3f of the solver's, want < 0.5", n, tau, branches, ratio)
+					t.Errorf("n=%d τ=%d branches=%d: sketch estimate is %.3f of the solver's, want < 0.5", n, tau, branches, ratio)
 				}
 				in := baseInput(n)
 				in.Forced.Tau, in.Mix.Branches = tau, branches

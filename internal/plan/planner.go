@@ -9,9 +9,9 @@ import (
 	"repro/internal/bound"
 )
 
-// New runs the execution planner over one input snapshot and returns
-// the decision trail. It is a pure function of the input: same
-// snapshot, same plan.
+// New runs the execution planner over one input and returns the
+// decision trail. It is a pure function of the input: same input, same
+// plan.
 func New(in Input) *Plan {
 	n := in.N
 	procs := in.Procs
@@ -28,17 +28,12 @@ func New(in Input) *Plan {
 	}
 
 	// Knobs first: τ and depth are functions of size and atom mix
-	// alone, and the cache key the probe needs depends on them.
+	// alone, and the sketch's cost estimate reads τ.
 	tau := pickTau(p, in)
 	depth := pickDepth(p, in, tau)
 	par := pickParallelism(p, in, procs)
 
-	var cs CacheState
-	if in.Probe != nil {
-		cs = in.Probe(tau, depth)
-	}
-
-	strat := pickStrategy(p, in, tau, cs)
+	strat := pickStrategy(p, in, tau)
 	p.Strategy = strat
 
 	sketchy := strat == StrategySketch
@@ -50,8 +45,7 @@ func New(in Input) *Plan {
 	}
 	if sketchy {
 		p.Parallelism = par
-		pickMaintenance(p, in, cs)
-		pickTreeSource(p, in, cs)
+		pickMaintenance(p, in)
 	} else {
 		p.Incremental = true
 		// The knob decisions explain values that will not be used; keep
@@ -183,7 +177,7 @@ func formatBytes(b int64) string {
 func orderDecisions(p *Plan) {
 	rank := map[string]int{
 		"strategy": 0, "tau": 1, "depth": 2, "parallelism": 3,
-		"maintenance": 4, "tree-source": 5, "bound": 6, "memory": 7,
+		"maintenance": 4, "bound": 5, "memory": 6,
 	}
 	out := make([]Decision, 0, len(p.Decisions))
 	for r := 0; r < len(rank); r++ {
@@ -278,12 +272,12 @@ func pickParallelism(p *Plan, in Input, procs int) int {
 // query is decided exactly as if nothing had been forced, and the
 // reason names the override, so every later decision (knobs, bound,
 // memory) is made for the strategy that will run.
-func pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
+func pickStrategy(p *Plan, in Input, tau int) string {
 	forced := in.Forced.Strategy
 	ruledOut := (forced == StrategySolver && !in.Mix.Linear) || (forced == StrategySketch && !in.Mix.SketchOK)
 	d := Decision{Value: forced, Forced: true, Reason: "explicit strategy flag"}
 	if forced == "" || ruledOut {
-		d = costStrategy(in, tau, cs)
+		d = costStrategy(in, tau)
 	}
 	if ruledOut {
 		// A linear query the sketch cannot run names its own obstruction
@@ -304,7 +298,7 @@ func pickStrategy(p *Plan, in Input, tau int, cs CacheState) string {
 // weigh the exact MILP against SketchRefine — exact wins while its
 // estimate stays under the affordability budget, the cheaper of the two
 // wins beyond it.
-func costStrategy(in Input, tau int, cs CacheState) Decision {
+func costStrategy(in Input, tau int) Decision {
 	n := in.N
 	var d Decision
 	if !in.Mix.Linear {
@@ -330,8 +324,7 @@ func costStrategy(in Input, tau int, cs CacheState) Decision {
 		d.Reason = fmt.Sprintf("linear query but sketch inapplicable (%s): exact MILP", in.Mix.SketchErr)
 		return d
 	}
-	warm := cs.InCache || cs.OnDisk || cs.Patchable
-	sketchC := SketchCost(n, tau, in.Mix.Branches, warm)
+	sketchC := SketchCost(n, tau, in.Mix.Branches)
 	if solverC <= ExactBudget() {
 		d.Value, d.Cost = StrategySolver, solverC
 		d.Reason = fmt.Sprintf("linear query, %d candidates ≤ %d: exact MILP is affordable", n, SketchThreshold)
@@ -339,81 +332,26 @@ func costStrategy(in Input, tau int, cs CacheState) Decision {
 		return d
 	}
 	// Past the budget the sketch is always the cheaper of the two: even
-	// cold, at τ = 1 and the full eight DNF branches, its estimate is under
-	// half the solver's (TestSketchEstimateUndercutsSolverPastTheBudget).
+	// with its build priced in, at τ = 1 and the full eight DNF branches,
+	// its estimate is under half the solver's
+	// (TestSketchEstimateUndercutsSolverPastTheBudget).
 	d.Value, d.Cost = StrategySketch, sketchC
-	why := "cold tree priced in"
-	if warm {
-		why = "warm tree available"
-	}
-	d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest (%s)", n, SketchThreshold, why)
+	d.Reason = fmt.Sprintf("linear query, %d candidates > %d: partitioned sketch is cheapest", n, SketchThreshold)
 	d.Alternatives = []Alternative{{Value: StrategySolver, Cost: solverC}}
 	return d
 }
 
-// pickMaintenance decides patch-vs-rebuild on the probed tree's own
-// clock: cs reports the write lineage between the stale tree and now and
-// the drift that tree carries since its last full build — the same step
-// and drift Tree.ApplyDelta holds against PatchMaxFrac (PatchFits) — so
-// the plan patches exactly when the engine would.
-func pickMaintenance(p *Plan, in Input, cs CacheState) {
-	d := Decision{Name: "maintenance"}
-	switch {
-	case in.Forced.Rebuild:
-		d.Value, d.Forced = MaintainRebuild, true
-		d.Reason = "explicit incremental flag"
-	case !cs.Patchable:
-		d.Value = MaintainNone
-		d.Reason = "no stale tree with write lineage: nothing to patch or rebuild"
-	case PatchFits(cs.Drift, cs.Delta, in.N):
-		d.Value = MaintainPatch
-		d.Reason = fmt.Sprintf("lineage %s ≤ %.0f%% budget: patch the stale tree in place", lineage(cs, in.N), 100*PatchMaxFrac)
-	default:
-		d.Value = MaintainRebuild
-		d.Reason = fmt.Sprintf("lineage %s > %.0f%% budget: rebuilding beats patching", lineage(cs, in.N), 100*PatchMaxFrac)
+// pickMaintenance records a rebuild the user forced. Otherwise there is
+// no decision to make before the run: tree acquisition patches a stale
+// tree while its drift since the last full build fits the budget
+// (PatchFits, which Tree.ApplyDelta checks) and rebuilds past it, and the
+// run's record says which it did.
+func pickMaintenance(p *Plan, in Input) {
+	p.Incremental = !in.Forced.Rebuild
+	if !in.Forced.Rebuild {
+		return
 	}
-	p.Maintenance = d.Value
-	p.Incremental = d.Value != MaintainRebuild
-	p.Decisions = append(p.Decisions, d)
-}
-
-// lineage renders a patch's step beside the drift it adds to, both as a
-// share of the n candidates.
-func lineage(cs CacheState, n int) string {
-	pct := func(k int) float64 {
-		if n == 0 {
-			return 0
-		}
-		return 100 * float64(k) / float64(n)
-	}
-	return fmt.Sprintf("delta %.1f%% + drift %.1f%% since the last full build", pct(cs.Delta), pct(cs.Drift))
-}
-
-// pickTreeSource predicts where the partition tree will come from,
-// mirroring the engine's acquisition order: memory cache, then the
-// on-disk store, then patching a stale base, then a full build.
-func pickTreeSource(p *Plan, in Input, cs CacheState) {
-	d := Decision{Name: "tree-source"}
-	switch {
-	case cs.InCache:
-		d.Value = SourceCache
-		d.Reason = "exact tree for this fingerprint is warm in the in-memory LRU"
-	case cs.OnDisk:
-		d.Value = SourceDisk
-		d.Reason = "persisted tree for this fingerprint can be loaded from the store"
-	case cs.Patchable && p.Incremental:
-		d.Value = SourcePatch
-		d.Reason = fmt.Sprintf("stale base tree plus write lineage (%s): patch instead of rebuild", lineage(cs, in.N))
-	case cs.Patchable:
-		d.Value = SourceBuild
-		d.Reason = fmt.Sprintf("stale base tree not patched (%s; maintenance = %s): full offline build", lineage(cs, in.N), p.Maintenance)
-	case cs.ProbeFailed:
-		d.Value = SourceBuild
-		d.Reason = "cache probe failed; assuming cold and planning a full offline build"
-	default:
-		d.Value = SourceBuild
-		d.Reason = "no cached, persisted, or patchable tree: full offline build"
-	}
-	p.TreeSource = d.Value
-	p.Decisions = append(p.Decisions, d)
+	p.Maintenance = MaintainRebuild
+	p.Decisions = append(p.Decisions, Decision{Name: "maintenance", Value: MaintainRebuild, Forced: true,
+		Reason: "explicit incremental flag"})
 }

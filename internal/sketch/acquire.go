@@ -186,8 +186,10 @@ func (s *solver) publish(c *Cache, key Key, t *Tree) {
 // candidates (ApplyDelta over the instance's pass store, whose folds
 // give the insert router its scales), stored under the new key, and re-persisted
 // atomically. Returns the patched tree and the tuples the patch touched,
-// or nil when there is no lineage, no base tree, or the delta cannot be
-// absorbed locally (the caller then rebuilds).
+// or nil when there is no lineage, no base tree, or the patch refuses —
+// past the tree's drift budget, or a delta it cannot absorb locally — and
+// the caller then rebuilds. A refusal is noted with its reason: this is
+// the one place patch-vs-rebuild is decided, so the note is the record.
 //
 // Patching is the first rung above a rebuild, so every failure mode —
 // an injected fault, or a panic out of ApplyDelta on a tree that
@@ -226,9 +228,9 @@ func (s *solver) patchStale(o Options, key Key, store *Store) (t *Tree, delta in
 	if base == nil {
 		return nil, 0
 	}
-	patched, ok := base.patch(s.inst.Passes, o.Patch.Remap, o)
-	if !ok {
-		s.note("stale partition tree not locally patchable; rebuilding")
+	patched, err := base.patch(s.inst.Passes, o.Patch.Remap, o)
+	if err != nil {
+		s.note("stale partition tree %v; rebuilding", err)
 		return nil, 0
 	}
 	s.publish(o.Cache, key, patched)

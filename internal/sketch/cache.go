@@ -3,6 +3,7 @@ package sketch
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -133,6 +134,11 @@ type flight struct {
 	err  error
 }
 
+// errFlightPanicked is a flight's error until its acquisition returns: a
+// builder that panics leaves it, so its joiners retry rather than share
+// a tree that does not exist.
+var errFlightPanicked = errors.New("sketch: tree acquisition panicked")
+
 type cacheEntry struct {
 	key  Key
 	tree *Tree
@@ -166,10 +172,11 @@ func (c *Cache) Get(k Key) (*Tree, bool) {
 	return el.Value.(*cacheEntry).tree, true
 }
 
-// Peek reports whether a tree for the key is cached without touching
-// the hit/miss counters or the LRU order. The planner uses it to cost
-// warm-vs-cold alternatives — a probe must not masquerade as cache
-// traffic or promote an entry nobody used.
+// Peek returns the cached tree for the key without touching the hit/miss
+// counters or the LRU order. Acquisition reads a patch's base tree and
+// re-checks a coalesced miss with it: a lookup that does not serve the
+// query must not masquerade as cache traffic or promote an entry nobody
+// used.
 func (c *Cache) Peek(k Key) (*Tree, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -250,14 +257,16 @@ func (c *Cache) do(ctx context.Context, k Key, fn func() (*Tree, error)) (*Tree,
 				return nil, false, ctx.Err()
 			}
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), err: errFlightPanicked}
 		c.flights[k] = f
 		c.mu.Unlock()
+		defer func() {
+			c.mu.Lock()
+			delete(c.flights, k)
+			c.mu.Unlock()
+			close(f.done)
+		}()
 		f.tree, f.err = fn()
-		c.mu.Lock()
-		delete(c.flights, k)
-		c.mu.Unlock()
-		close(f.done)
 		return f.tree, false, f.err
 	}
 }

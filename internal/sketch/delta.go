@@ -1,6 +1,8 @@
 package sketch
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -71,15 +73,22 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 // over rows, which ApplyDelta folds for itself; a solve patches over its
 // instance's pass store instead (patch), whose folds a query has made.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
-	return t.patch(translate.NewPasses(rows), remap, opts)
+	out, err := t.patch(translate.NewPasses(rows), remap, opts)
+	return out, err == nil
 }
 
-// patch is ApplyDelta over the candidates' pass store.
-func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree, bool) {
+// errNotPatchable is patch's refusal for every reason but the drift
+// budget: the delta cannot be absorbed locally.
+var errNotPatchable = errors.New("not locally patchable")
+
+// patch is ApplyDelta over the candidates' pass store. Its error says why
+// it refused: the drift budget, with both numbers it weighed, or
+// errNotPatchable.
+func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree, error) {
 	rows := passes.Rows()
 	n := len(rows)
 	if n == 0 || t.Depth < 1 {
-		return nil, false
+		return nil, errNotPatchable
 	}
 	surv := 0
 	for _, v := range remap {
@@ -89,8 +98,13 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 	}
 	deletes := len(remap) - surv
 	inserts := n - surv
-	if inserts < 0 || !plan.PatchFits(t.Drift, inserts+deletes, n) {
-		return nil, false
+	if inserts < 0 {
+		return nil, errNotPatchable
+	}
+	if !plan.PatchFits(t.Drift, inserts+deletes, n) {
+		pct := func(k int) float64 { return 100 * float64(k) / float64(n) }
+		return nil, fmt.Errorf("past its drift budget (delta %.1f%% + drift %.1f%% since the last full build > %.0f%%)",
+			pct(inserts+deletes), pct(t.Drift), 100*plan.PatchMaxFrac)
 	}
 
 	p := &patcher{
@@ -115,26 +129,23 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 		p.remapLeaves()
 	}
 	if inserts > 0 && p.routeInserts(surv) != nil {
-		return nil, false
+		return nil, errNotPatchable
 	}
 	p.repairLeaves()
 	if !p.patchParents(deletes > 0) {
-		return nil, false
+		return nil, errNotPatchable
 	}
 	out, ok := p.compact()
 	if !ok {
-		return nil, false
+		return nil, errNotPatchable
 	}
 	out.Drift = t.Drift + inserts + deletes
 	// The structural backstop: a patch that silently broke coverage or
 	// an envelope must surface as a rebuild, never as a corrupt tree.
-	if err := out.validateStructure(); err != nil {
-		return nil, false
+	if out.validateStructure() != nil || out.validateAgainst(rows) != nil {
+		return nil, errNotPatchable
 	}
-	if err := out.validateAgainst(rows); err != nil {
-		return nil, false
-	}
-	return out, true
+	return out, nil
 }
 
 // patcher carries ApplyDelta's working state: copied levels plus

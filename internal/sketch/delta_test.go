@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -288,6 +289,12 @@ func TestPatchChainRebuildsPastTheBudget(t *testing.T) {
 		if !fits {
 			if tree.Drift != 0 || patches < 2 {
 				t.Fatalf("rebuilt at batch %d after %d patches: drift %d, want 0 after at least 2 patches", step, patches, tree.Drift)
+			}
+			// The refusal is the run's record, with both numbers it weighed.
+			note := fmt.Sprintf("stale partition tree past its drift budget (delta %.1f%% + drift %.1f%% since the last full build > 25%%); rebuilding",
+				100*float64(delta)/float64(n), 100*float64(drift)/float64(n))
+			if !slices.Contains(res.Notes, note) {
+				t.Fatalf("batch %d: no budget note %q in %q", step, note, res.Notes)
 			}
 			t.Logf("rebuilt at batch %d: drift %d + delta %d over %d candidates", step, drift, delta, n)
 			return

@@ -239,16 +239,6 @@ func (s *Store) saveOnce(k Key, t *Tree) error {
 	return err
 }
 
-// Contains reports whether a file for the key exists, without reading
-// or validating it — the planner's cheap "could the tree come from
-// disk?" probe. A corrupt file makes Contains optimistic; the engine's
-// Load still falls back to a rebuild, so the plan is a prediction, not
-// a promise.
-func (s *Store) Contains(k Key) bool {
-	fi, err := s.fs.Stat(s.Path(k))
-	return err == nil && !fi.IsDir()
-}
-
 // Load reads the tree persisted for the key. A missing file is a clean
 // miss (nil, nil); transient read errors are retried with backoff; a
 // file that is truncated, corrupted, carries another format version, or

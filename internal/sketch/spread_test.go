@@ -136,8 +136,8 @@ func TestPatchReadsTheStoresFolds(t *testing.T) {
 	if !ok {
 		t.Fatal("ApplyDelta refused a 3% delta")
 	}
-	got, ok := base.patch(inst.Passes, remap, opts)
-	if !ok || !reflect.DeepEqual(got, want) {
+	got, err := base.patch(inst.Passes, remap, opts)
+	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatal("the patch over the instance's store is not ApplyDelta's tree")
 	}
 	if inst.Passes.Folds() != folds {

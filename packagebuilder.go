@@ -310,20 +310,22 @@ func WithSketchPersistDir(dir string) Option {
 }
 
 // WithSketchIncremental allows or forbids incremental partition-tree
-// maintenance. Allowed (the default), the planner decides per query
-// whether, after INSERTs or DELETEs, the cached tree for the pre-write
-// data is patched in place — deletions tombstoned, insertions routed to
-// their leaves, overgrown leaves split locally — or rebuilt from
-// scratch. WithSketchIncremental(false) forces the rebuild; EXPLAIN
-// then marks the maintenance decision forced. Either way warm
-// evaluations hash only the written rows rather than every candidate.
+// maintenance. Allowed (the default), after INSERTs or DELETEs the
+// cached tree for the pre-write data is patched in place — deletions
+// tombstoned, insertions routed to their leaves, overgrown leaves split
+// locally — while its drift since the last full build fits the 25 %
+// budget, and rebuilt from scratch past it; the result's notes and
+// sketch record say which happened. WithSketchIncremental(false) forces
+// the rebuild; EXPLAIN then shows a forced maintenance decision. Either
+// way warm evaluations hash only the written rows rather than every
+// candidate.
 func WithSketchIncremental(enabled bool) Option {
 	return func(o *core.Options) { o.SketchIncremental = enabled }
 }
 
 // QueryPlan is the cost-based planner's decision trail: strategy, knobs,
-// maintenance and tree-source choices, each with alternatives and
-// reasons. Render it with its Explain method.
+// bound and memory, plus a forced maintenance choice, each with
+// alternatives and reasons. Render it with its Explain method.
 type QueryPlan = plan.Plan
 
 // buildOptions resolves a query's options over the system's shared
@@ -331,7 +333,7 @@ type QueryPlan = plan.Plan
 // inside the engine). It sets no Catalog: the planner reads the prepared
 // query's own table.
 func (s *System) buildOptions(opts []Option) core.Options {
-	// Patch-vs-rebuild is the planner's call by default at the System
+	// Patch-vs-rebuild is tree acquisition's call by default at the System
 	// surface; WithSketchIncremental(false) forces rebuilds per query.
 	o := core.Options{SketchIncremental: true}
 	for _, fn := range opts {
@@ -412,9 +414,11 @@ func (s *System) Parse(paqlText string) (*paql.Query, error) {
 }
 
 // Explain plans a PaQL query without executing it, returning the
-// planner's decision trail (strategy, SketchRefine knobs, maintenance,
-// tree source — each with cost estimates and reasons). A leading
-// EXPLAIN keyword in the text is accepted and ignored.
+// planner's decision trail (strategy, SketchRefine knobs, bound, memory
+// and a forced maintenance choice — each with cost estimates and
+// reasons). Where the partition tree comes from is not planned: a run
+// records it (Stats.Sketch). A leading EXPLAIN keyword in the text is
+// accepted and ignored.
 func (s *System) Explain(paqlText string, opts ...Option) (*QueryPlan, error) {
 	return s.ExplainContext(context.Background(), paqlText, opts...)
 }

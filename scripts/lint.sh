@@ -3,7 +3,8 @@
 # container: gofmt, go vet, staticcheck when it is installed and
 # otherwise the check PRs 19-20 ran by hand in its place — an unexported
 # function whose name appears nowhere but in its own declaration is dead
-# code — then that no tracked file but a measurement record is over 1 MB,
+# code — then that the chaos corpus requires exactly the fault sites the
+# code checks, that no tracked file but a measurement record is over 1 MB,
 # and the shape of those records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +34,21 @@ else
   if [ -n "$dead" ]; then
     echo "unexported functions nothing calls:" && echo "$dead" && exit 1
   fi
+fi
+
+# The chaos corpus (TestChaosFaultedCorpus) must require exactly the fault
+# sites the code checks: a rung added without a corpus entry goes
+# unexercised, and a deleted one leaves the corpus asking for a site
+# nothing visits. The sketch.store.fs.* family is registered through
+# fault.FSFor, not fault.Check, and the corpus checks it by operation.
+sites=$(grep -rhoE --include='*.go' --exclude='*_test.go' 'fault\.Check\("[^"]+"\)' . |
+  sed -E 's/^fault\.Check\("(.*)"\)$/\1/' | grep -v '^sketch\.store\.fs\.' | sort -u)
+required=$(awk '/required := \[\]string\{/ { on = 1; next } on && /^\t\}/ { exit } on' internal/sketch/chaos_test.go |
+  grep -oE '"[^"]+"' | tr -d '"' | grep -v '^sketch\.store\.fs\.' | sort -u)
+if [ -z "$sites" ] || [ "$sites" != "$required" ]; then
+  echo "fault.Check sites in the code differ from the chaos corpus's required list (< code, > corpus):"
+  diff <(echo "$sites") <(echo "$required") || true
+  exit 1
 fi
 
 # A build product committed by accident (PR 22's 7.7 MB sketch.test) rides
