@@ -6,8 +6,7 @@
 //
 // Strategies:
 //   - Solver: translate to MILP and branch-and-bound (§7); multiple
-//     packages via exclusion cuts (§5 "solver limitations"); optionally
-//     warm-started with a local-search incumbent (hybrid).
+//     packages via exclusion cuts (§5 "solver limitations").
 //   - PrunedEnum: exact enumeration within cardinality bounds (§4.1).
 //   - LocalSearchStrategy: SQL-join k-replacement hill climbing (§4.2).
 //   - SketchRefineStrategy: the follow-up papers' partition-based
@@ -364,7 +363,8 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 }
 
 // foldSubqueries evaluates scalar SQL sub-queries in SUCH THAT and the
-// objective against the DBMS and replaces them with constants.
+// objective against the DBMS and replaces them with constants, under
+// the rule SQL's own sub-queries follow (minidb.Result.Scalar).
 func foldSubqueries(db *minidb.DB, q *paql.Query) error {
 	var firstErr error
 	fold := func(e expr.Expr) expr.Expr {
@@ -383,16 +383,11 @@ func foldSubqueries(db *minidb.DB, q *paql.Query) error {
 				}
 				return &expr.Const{Val: value.Null()}
 			}
-			if res.Schema.Len() != 1 || len(res.Rows) > 1 {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("engine: sub-query (%s) must return one scalar", sq.SQL)
-				}
-				return &expr.Const{Val: value.Null()}
+			v, err := res.Scalar()
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
-			if len(res.Rows) == 0 {
-				return &expr.Const{Val: value.Null()}
-			}
-			return &expr.Const{Val: res.Rows[0][0]}
+			return &expr.Const{Val: v}
 		})
 	}
 	q.SuchThat = fold(q.SuchThat)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -312,6 +311,36 @@ func TestSubqueryFolding(t *testing.T) {
 	}
 }
 
+// TestPaQLSubqueriesFollowSQLsRule: a sub-query in SUCH THAT is held to
+// the rule a sub-query inside SQL is — one column, at most one row, zero
+// rows fold to NULL — and breaks it with the same error.
+func TestPaQLSubqueriesFollowSQLsRule(t *testing.T) {
+	db := testDB(t)
+	for _, c := range []struct{ name, sub, err string }{
+		{"two columns", "SELECT id, calories FROM recipes", "must return one column, got 2"},
+		{"two rows", "SELECT calories FROM recipes WHERE id <= 2", "must return at most one row, got 2"},
+		{"zero rows", "SELECT calories FROM recipes WHERE id = 999", ""},
+	} {
+		sqlRes, sqlErr := db.Query("SELECT (" + c.sub + ") FROM recipes WHERE id = 1")
+		prep, paqlErr := Prepare(db, "SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 AND SUM(P.calories) <= ("+c.sub+")")
+		if c.err != "" {
+			if sqlErr == nil || paqlErr == nil {
+				t.Fatalf("%s: SQL error %v, PaQL error %v; want both to fail", c.name, sqlErr, paqlErr)
+			}
+			if sqlErr.Error() != paqlErr.Error() || !strings.Contains(sqlErr.Error(), c.err) {
+				t.Errorf("%s: SQL says %q, PaQL says %q; want the same error, containing %q", c.name, sqlErr, paqlErr, c.err)
+			}
+			continue
+		}
+		if sqlErr != nil || paqlErr != nil {
+			t.Fatalf("%s: SQL error %v, PaQL error %v", c.name, sqlErr, paqlErr)
+		}
+		if !sqlRes.Rows[0][0].IsNull() || !strings.Contains(prep.Query.SuchThat.String(), "<= NULL") {
+			t.Errorf("%s: SQL folded to %v, PaQL to %s; want NULL in both", c.name, sqlRes.Rows[0][0], prep.Query.SuchThat)
+		}
+	}
+}
+
 func TestInfeasibleQueryReturnsEmpty(t *testing.T) {
 	db := testDB(t)
 	q := `
@@ -449,25 +478,50 @@ func TestDiverseSelectHelpers(t *testing.T) {
 	}
 }
 
-// TestHybridSeedAblation: the solver's local-search warm start must not
-// change the optimum. The unseeded side of the comparison is exact
-// enumeration, which takes no incumbent at all.
-func TestHybridSeedAblation(t *testing.T) {
+// TestSolverMatchesPrunedEnumeration: branch-and-bound and exact
+// enumeration, two exact strategies that share no search code, reach the
+// same optimum.
+func TestSolverMatchesPrunedEnumeration(t *testing.T) {
 	db := testDB(t)
-	seeded, err := Evaluate(db, mealQuery, Options{Strategy: Solver})
+	solved, err := Evaluate(db, mealQuery, Options{Strategy: Solver})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(seeded.Stats.Notes, "solver warm-started with a local-search incumbent") {
-		t.Fatalf("the solver run was not warm-started: %v", seeded.Stats.Notes)
-	}
-	unseeded, err := Evaluate(db, mealQuery, Options{Strategy: PrunedEnum})
+	enum, err := Evaluate(db, mealQuery, Options{Strategy: PrunedEnum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(seeded.Packages[0].Objective-unseeded.Packages[0].Objective) > 1e-9 {
-		t.Errorf("warm-started solver optimum %g != pruned enumeration's %g",
-			seeded.Packages[0].Objective, unseeded.Packages[0].Objective)
+	if math.Abs(solved.Packages[0].Objective-enum.Packages[0].Objective) > 1e-9 {
+		t.Errorf("solver optimum %g != pruned enumeration's %g",
+			solved.Packages[0].Objective, enum.Packages[0].Objective)
+	}
+}
+
+// TestExactEvaluationIssuesNoSQL: the exact strategy hands its MILP to
+// branch-and-bound and nothing else. It runs no SQL against the user's
+// database and leaves no table behind: scratch tables belong to the
+// local-search strategy alone.
+func TestExactEvaluationIssuesNoSQL(t *testing.T) {
+	db := testDB(t)
+	for _, q := range []string{mealQuery, mealQuery + " LIMIT 3"} {
+		res, err := Evaluate(db, q, Options{Strategy: Solver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Packages) == 0 || !res.Stats.Exact {
+			t.Fatalf("%d packages, exact=%v", len(res.Packages), res.Stats.Exact)
+		}
+		if res.Stats.SQLQueries != 0 {
+			t.Errorf("exact evaluation issued %d SQL queries", res.Stats.SQLQueries)
+		}
+		for _, n := range res.Stats.Notes {
+			if strings.Contains(n, "warm-start") || strings.Contains(n, "local-search") {
+				t.Errorf("exact evaluation ran a local search: %q", n)
+			}
+		}
+	}
+	if names := db.TableNames(); len(names) != 1 {
+		t.Errorf("tables after exact evaluation: %v", names)
 	}
 }
 

@@ -512,24 +512,6 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 		}
 	}
 	mopts := milp.Options{TimeLimit: opts.Timeout, Ctx: ctx}
-	// Hybrid warm start: hand the solver a local-search incumbent so
-	// bound pruning bites immediately. Only valid when the model has no
-	// indicator variables (their values are not part of a package).
-	if model.NumIndicators() == 0 && p.Query.Objective != nil && p.Instance.MaxMult > 0 {
-		ls, err := search.LocalSearch(p.Instance, p.DB, search.Options{
-			Ctx: ctx, Limit: 1, Seed: opts.Seed, Restarts: 2, MaxK: 1,
-			Timeout: 200 * time.Millisecond, Require: opts.Require,
-		})
-		if err == nil && len(ls.Packages) > 0 {
-			seed := make([]float64, model.MILP.LP.NumVars())
-			for i, m := range ls.Packages[0].Mult {
-				seed[i] = float64(m)
-			}
-			mopts.InitialIncumbent = seed
-			res.Stats.SQLQueries += ls.Queries
-			res.Stats.Notes = append(res.Stats.Notes, "solver warm-started with a local-search incumbent")
-		}
-	}
 	exact := true
 	var mults [][]int
 	for k := 0; k < fetch; k++ {
@@ -585,8 +567,6 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 					fmt.Sprintf("multiple packages unavailable: %v", err))
 				break
 			}
-			// The warm-start incumbent is excluded by the cut now.
-			mopts.InitialIncumbent = nil
 		}
 	}
 	res.Stats.Exact = exact

@@ -19,8 +19,6 @@ type FS interface {
 	Remove(name string) error
 	// MkdirAll creates the directory path with any missing parents.
 	MkdirAll(path string, perm fs.FileMode) error
-	// Stat returns file metadata.
-	Stat(name string) (fs.FileInfo, error)
 	// ReadDir lists a directory.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// WriteFile writes data to the named file, creating it if needed.
@@ -49,7 +47,6 @@ func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
-func (osFS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
 func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
@@ -118,13 +115,6 @@ func (f injectFS) MkdirAll(path string, perm fs.FileMode) error {
 		return err
 	}
 	return f.base.MkdirAll(path, perm)
-}
-
-func (f injectFS) Stat(name string) (fs.FileInfo, error) {
-	if err := Check(f.site("stat")); err != nil {
-		return nil, err
-	}
-	return f.base.Stat(name)
 }
 
 func (f injectFS) ReadDir(name string) ([]fs.DirEntry, error) {

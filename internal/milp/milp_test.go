@@ -192,21 +192,37 @@ func TestNodeLimitReturnsFeasible(t *testing.T) {
 	}
 }
 
+// TestTimeLimit: a solve stopped by its time limit returns what the limit
+// promises — StatusFeasible, an integral incumbent that satisfies every
+// row, and a dual bound on the right side of it. Every weight is even and
+// the capacity odd, so every node whose relaxation can fill the knapsack
+// bounds at the capacity, which no integer point reaches: the tree has
+// about 2⁴⁰ nodes, and only the clock can stop it, on any machine.
 func TestTimeLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 40
-	v := make([]float64, n)
 	w := make([]float64, n)
-	for i := range v {
-		v[i] = float64(rng.Intn(1000) + 1)
-		w[i] = float64(rng.Intn(1000) + 1)
+	sum := 0.0
+	for i := range w {
+		w[i] = float64(2 * (rng.Intn(1000) + 1))
+		sum += w[i]
 	}
-	mp := buildKnapsack(v, w, 5000)
-	start := time.Now()
-	_ = Solve(mp, Options{TimeLimit: 10 * time.Millisecond})
-	if time.Since(start) > 2*time.Second {
-		t.Error("time limit ignored")
+	capacity := 2*math.Floor(sum/4) + 1
+	mp := buildKnapsack(w, w, capacity)
+	s := Solve(mp, Options{TimeLimit: 20 * time.Millisecond, MaxNodes: math.MaxInt})
+	if s.Status != StatusFeasible || s.Canceled {
+		t.Fatalf("status %v (canceled %v) after %d nodes; want %v", s.Status, s.Canceled, s.Nodes, StatusFeasible)
 	}
+	if s.X == nil || mostFractional(mp, s.X, 0) != -1 || !mp.LP.Feasible(s.X, 0) {
+		t.Fatalf("incumbent %v is not an integral point inside the rows", s.X)
+	}
+	// The bound is a relaxation's optimum, so it may sit a rounding above
+	// the capacity.
+	if s.Objective >= capacity || s.Bound < s.Objective || s.Bound > capacity+1e-6 {
+		t.Errorf("incumbent %g, bound %g; want incumbent < %g and incumbent <= bound <= %g (± round-off)",
+			s.Objective, s.Bound, capacity, capacity)
+	}
+	t.Logf("stopped after %d nodes, %v: incumbent %g, bound %g", s.Nodes, s.WallTime, s.Objective, s.Bound)
 }
 
 func TestInitialIncumbentPrunes(t *testing.T) {

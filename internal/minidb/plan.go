@@ -361,9 +361,8 @@ func (db *DB) planSelect(st *SelectStmt) (operator, error) {
 }
 
 // foldSubqueries replaces scalar sub-queries in every expression
-// position with their computed constant value. Sub-queries must be
-// uncorrelated and return at most one row of one column; zero rows fold
-// to NULL.
+// position with their computed constant value (see Result.Scalar).
+// Sub-queries must be uncorrelated.
 func (db *DB) foldSubqueries(st *SelectStmt) (*SelectStmt, error) {
 	var firstErr error
 	fold := func(e expr.Expr) expr.Expr {
@@ -382,22 +381,11 @@ func (db *DB) foldSubqueries(st *SelectStmt) (*SelectStmt, error) {
 				}
 				return &expr.Const{Val: value.Null()}
 			}
-			if res.Schema.Len() != 1 {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("minidb: scalar sub-query must return one column, got %d", res.Schema.Len())
-				}
-				return &expr.Const{Val: value.Null()}
+			v, err := res.Scalar()
+			if err != nil && firstErr == nil {
+				firstErr = err
 			}
-			if len(res.Rows) > 1 {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("minidb: scalar sub-query returned %d rows", len(res.Rows))
-				}
-				return &expr.Const{Val: value.Null()}
-			}
-			if len(res.Rows) == 0 {
-				return &expr.Const{Val: value.Null()}
-			}
-			return &expr.Const{Val: res.Rows[0][0]}
+			return &expr.Const{Val: v}
 		})
 	}
 	out := *st

@@ -19,6 +19,22 @@ type Result struct {
 	Affected int
 }
 
+// Scalar reads a SELECT's result as the value of a scalar sub-query, the
+// one rule SQL and PaQL sub-queries share: one column, at most one row,
+// and zero rows fold to NULL.
+func (r *Result) Scalar() (value.V, error) {
+	if n := r.Schema.Len(); n != 1 {
+		return value.Null(), fmt.Errorf("minidb: scalar sub-query must return one column, got %d", n)
+	}
+	switch len(r.Rows) {
+	case 0:
+		return value.Null(), nil
+	case 1:
+		return r.Rows[0][0], nil
+	}
+	return value.Null(), fmt.Errorf("minidb: scalar sub-query must return at most one row, got %d", len(r.Rows))
+}
+
 // Exec parses and runs a single SQL statement.
 func (db *DB) Exec(sql string) (*Result, error) {
 	st, err := ParseStmt(sql)

@@ -194,8 +194,8 @@ func TestRequireTuple(t *testing.T) {
 	if err := m.RequireTuple(99); err == nil {
 		t.Error("out-of-range require should fail")
 	}
-	if m.NumIndicators() != 0 {
-		t.Errorf("conjunctive model should have 0 indicators, got %d", m.NumIndicators())
+	if m.indicators != 0 {
+		t.Errorf("conjunctive model should have 0 indicators, got %d", m.indicators)
 	}
 }
 

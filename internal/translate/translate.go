@@ -207,10 +207,6 @@ type Result struct {
 	Multiplicities []int // per candidate index
 }
 
-// NumIndicators returns the number of 0/1 indicator variables the
-// formula encoding allocated (0 for purely conjunctive queries).
-func (m *Model) NumIndicators() int { return m.indicators }
-
 // RequireTuple forces candidate i into every solution (multiplicity ≥ 1)
 // — the solver side of §3.3 adaptive exploration, where the user pins
 // the tuples they want to keep.

@@ -4,8 +4,9 @@
 # otherwise the check PRs 19-20 ran by hand in its place — an unexported
 # function whose name appears nowhere but in its own declaration is dead
 # code — then that the chaos corpus requires exactly the fault sites the
-# code checks, that no tracked file but a measurement record is over 1 MB,
-# and the shape of those records.
+# code checks, that the trace-only surface has not grown, that no tracked
+# file but a measurement record is over 1 MB, and the shape of those
+# records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +51,13 @@ if [ -z "$sites" ] || [ "$sites" != "$required" ]; then
   diff <(echo "$sites") <(echo "$required") || true
   exit 1
 fi
+
+# ROADMAP item 17(a): the exported surface that only benchmark/ and
+# internal/bench call from outside its package is held to the baseline in
+# scripts/trace_only_surface.txt, so no change adds trace-only surface
+# unnoticed. The check type-checks both modules with the standard library
+# alone; on failure it prints the list as it stands.
+go test -count=1 -run '^TestTraceOnlySurface$' ./scripts
 
 # A build product committed by accident (PR 22's 7.7 MB sketch.test) rides
 # along in every clone from then on. The measurement records are the one

@@ -38,8 +38,7 @@ func templateQuery(tmpl, k int, where string) string {
 }
 
 // snapshotWhere leaves about a hundred of 4,500 recipes: few enough that
-// the exact solver answers, and that its local-search warm start never
-// comes near its wall-clock budget.
+// the planner picks the exact solver.
 const snapshotWhere = " WHERE R.gluten = 'free' AND R.cuisine = 'thai' AND R.mealtype = 'dinner'"
 
 // resultDigest renders everything of an answer that must not depend on
