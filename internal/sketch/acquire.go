@@ -280,8 +280,10 @@ func keyForCtx(inst *search.Instance, opts Options) (Key, error) {
 // attributes, encoded as Key.Attrs. core's fingerprint memo keeps one
 // write lineage per shape, so each tree walks the writes since its own
 // version.
-func AttrsOf(inst *search.Instance) string {
-	attrs := partitionAttrs(inst)
+func AttrsOf(inst *search.Instance) string { return joinAttrs(partitionAttrs(inst)) }
+
+// joinAttrs renders split attributes as Key.Attrs: comma-joined ordinals.
+func joinAttrs(attrs []int) string {
 	parts := make([]string, len(attrs))
 	for i, a := range attrs {
 		parts[i] = strconv.Itoa(a)

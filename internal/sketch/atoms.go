@@ -3,7 +3,6 @@ package sketch
 import (
 	"context"
 
-	"repro/internal/expr"
 	"repro/internal/lp"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -20,8 +19,9 @@ import (
 // Selector atoms (MIN/MAX eliminations, at-least-one witnesses, AVG
 // guards) carry 0/1 tuple weights a representative cannot express — a
 // mean row says nothing about whether ANY tuple in the subtree crosses
-// a threshold — so they are re-weighted per node from the subtree
-// min/max envelopes instead (see selectorNodeAtom).
+// a threshold — so they are re-weighted per node from how many of its
+// covered tuples they select, counted at the leaves and folded up
+// (see nodeFacts and selectorNodeAtom).
 type branchAtoms struct {
 	branch translate.SketchBranch
 	tuple  []*translate.LinearAtom     // exact rows over the instance's candidates
@@ -67,39 +67,120 @@ func newBranchAtoms(ctx context.Context, inst *search.Instance, br translate.Ske
 	return ba, nil
 }
 
-// admissibleCounts returns, per node, how many covered tuples survive
-// every elimination row of the branch — the node's true supply of
-// package-admissible tuples, which caps its multiplicity at every
-// sketch level (a node whose whole subtree is eliminated gets 0: the
-// envelope prune expressed as a bound, and the reason the sketch never
-// routes more units into a subtree than its refine MILP could place).
-// nil when the branch has no eliminations.
-func (ba *branchAtoms) admissibleCounts(nodes []Node) []int {
-	if ba.eliminated == nil {
-		return nil
+// nodeFacts is what a sketch level knows of each node's covered tuples:
+// how many there are, how many are pinned, how many survive every
+// elimination row of the branch (the admissible supply, which caps the
+// node's multiplicity, so the sketch never routes more units into a
+// subtree than its refine MILP could place), how many each selector
+// selects, and each exclusion cut's weight sum over them. The leaves'
+// facts are a scan of their tuples (leafFacts); a level above folds its
+// children's (fold). Every fact is a count or a sum of ±1 weights, so
+// the fold adds up exactly what a scan of the node's covered tuples
+// would, in any order: each level's atoms, bounds and MILPs are the
+// scan's, bit for bit.
+type nodeFacts struct {
+	size []int
+	pins []int         // nil without pins
+	adm  []int         // nil when the branch eliminates nothing
+	sel  map[int][]int // per selector (branch-atom index); nil in the bound pass's facts
+	ex   [][]float64   // per exclusion cut; nil in the bound pass's facts
+}
+
+// treeFacts computes every level's facts for the branch: one scan of the
+// leaves, folded up level by level.
+func (s *solver) treeFacts(ba *branchAtoms, tree *Tree) []*nodeFacts {
+	facts := make([]*nodeFacts, tree.Depth)
+	facts[tree.Depth-1] = s.leafFacts(ba, tree.Leaves(), true)
+	for l := tree.Depth - 2; l >= 0; l-- {
+		facts[l] = facts[l+1].fold(tree.Levels[l])
 	}
-	out := make([]int, len(nodes))
-	for g := range nodes {
-		c := 0
-		for _, i := range nodes[g].Tuples {
-			if !ba.eliminated[i] {
-				c++
+	return facts
+}
+
+// leafFacts scans each leaf's tuples. The bound pass reads only the
+// supply (size, pins, admissible count); withAtoms adds the selector
+// counts and exclusion sums the descent's level atoms read.
+func (s *solver) leafFacts(ba *branchAtoms, leaves []Node, withAtoms bool) *nodeFacts {
+	f := &nodeFacts{size: make([]int, len(leaves))}
+	for g := range leaves {
+		f.size[g] = len(leaves[g].Tuples)
+	}
+	if len(s.pins) > 0 {
+		f.pins = countLeaves(leaves, func(i int) bool { return s.pins[i] })
+	}
+	if ba.eliminated != nil {
+		f.adm = countLeaves(leaves, func(i int) bool { return !ba.eliminated[i] })
+	}
+	if !withAtoms {
+		return f
+	}
+	f.sel = make(map[int][]int, len(ba.sels))
+	for k, sel := range ba.sels {
+		f.sel[k] = countLeaves(leaves, func(i int) bool { return sel.Present[i] && sel.Match(sel.Vals[i]) })
+	}
+	for _, ex := range s.exAtoms {
+		sum := make([]float64, len(leaves))
+		for g := range leaves {
+			for _, i := range leaves[g].Tuples {
+				sum[g] += ex.W[i]
 			}
 		}
-		out[g] = c
+		f.ex = append(f.ex, sum)
+	}
+	return f
+}
+
+// countLeaves counts, per leaf, the tuples pred holds for.
+func countLeaves(leaves []Node, pred func(i int) bool) []int {
+	out := make([]int, len(leaves))
+	for g := range leaves {
+		for _, i := range leaves[g].Tuples {
+			if pred(i) {
+				out[g]++
+			}
+		}
+	}
+	return out
+}
+
+// fold returns the facts of the parents whose children these are.
+func (f *nodeFacts) fold(parents []Node) *nodeFacts {
+	up := &nodeFacts{size: foldSum(f.size, parents), pins: foldSum(f.pins, parents), adm: foldSum(f.adm, parents)}
+	if f.sel != nil {
+		up.sel = make(map[int][]int, len(f.sel))
+		for k, c := range f.sel {
+			up.sel[k] = foldSum(c, parents)
+		}
+	}
+	for _, w := range f.ex {
+		up.ex = append(up.ex, foldSum(w, parents))
+	}
+	return up
+}
+
+// foldSum sums each parent's children's values; nil folds to nil.
+func foldSum[T int | float64](xs []T, parents []Node) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(parents))
+	for g := range parents {
+		for _, c := range parents[g].Children {
+			out[g] += xs[c]
+		}
 	}
 	return out
 }
 
 // levelAtoms weighs the branch over one level of the partition tree:
-// representative rows for the non-selector atoms, envelope relaxations
-// for the selectors. The returned slice is ordered like tuple, so
-// residual bookkeeping lines up across levels.
-func (ba *branchAtoms) levelAtoms(nodes []Node, attrs []int, reps []schema.Row) ([]*translate.LinearAtom, error) {
+// representative rows for the non-selector atoms, relaxations from the
+// level's facts for the selectors. The returned slice is ordered like
+// tuple, so residual bookkeeping lines up across levels.
+func (ba *branchAtoms) levelAtoms(reps []schema.Row, f *nodeFacts) ([]*translate.LinearAtom, error) {
 	out := make([]*translate.LinearAtom, 0, len(ba.tuple))
 	for i, at := range ba.branch.Atoms {
 		if sel := ba.sels[i]; sel != nil {
-			out = append(out, selectorNodeAtom(sel, nodes, attrIndex(attrs, sel.Col)))
+			out = append(out, selectorNodeAtom(sel, f.size, f.sel[i]))
 			continue
 		}
 		rows, err := at.Weigh(reps)
@@ -111,22 +192,10 @@ func (ba *branchAtoms) levelAtoms(nodes []Node, attrs []int, reps []schema.Row) 
 	return out, nil
 }
 
-// attrIndex locates a column ordinal within the tree's split
-// attributes; -1 disables the envelope fast path for that selector.
-func attrIndex(attrs []int, col int) int {
-	if col < 0 {
-		return -1
-	}
-	for ai, a := range attrs {
-		if a == col {
-			return ai
-		}
-	}
-	return -1
-}
-
-// selectorNodeAtom relaxes a selector atom over a level's nodes, the
-// envelope-pruning step of the billion-tuple follow-up:
+// selectorNodeAtom relaxes a selector atom over a level's nodes — the
+// hierarchical pruning step of the billion-tuple follow-up — from how
+// many of each node's covered tuples are present under the selector and
+// match its predicate (selected) out of how many it covers (size):
 //
 //   - an elimination row (Σ_bad x ≤ 0 over tuples) gives weight 1 to
 //     exactly the nodes whose every covered tuple is present and
@@ -141,70 +210,18 @@ func attrIndex(attrs []int, col int) int {
 //
 // Both directions are relaxations of the tuple-level row (they never
 // exclude a refinable descent), and both are exact set statements about
-// the subtree: the per-attribute envelopes answer them in O(1) for
-// bare-column aggregates, the per-tuple scan covers filtered or
-// compound arguments.
-func selectorNodeAtom(sel *translate.Selector, nodes []Node, ai int) *translate.LinearAtom {
-	w := make([]float64, len(nodes))
-	for g := range nodes {
-		switch sel.Kind {
-		case translate.SketchElim:
-			if nodeEntirelySelected(sel, &nodes[g], ai) {
-				w[g] = 1
-			}
-		case translate.SketchAtLeast:
-			if nodeAnySelected(sel, &nodes[g], ai) {
-				w[g] = 1
-			}
+// the subtree.
+func selectorNodeAtom(sel *translate.Selector, size, selected []int) *translate.LinearAtom {
+	w := make([]float64, len(size))
+	for g := range size {
+		switch {
+		case sel.Kind == translate.SketchElim && selected[g] == size[g],
+			sel.Kind == translate.SketchAtLeast && selected[g] > 0:
+			w[g] = 1
 		}
 	}
 	if sel.Kind == translate.SketchElim {
 		return &translate.LinearAtom{W: w, Op: lp.LE, RHS: 0, Source: sel.Source}
 	}
 	return &translate.LinearAtom{W: w, Op: lp.GE, RHS: 1, Source: sel.Source}
-}
-
-// nodeEntirelySelected reports whether every tuple the node covers is
-// present under the selector and matches its predicate — for an
-// elimination row, the whole subtree is inadmissible and can be pruned
-// from the sketch MILP.
-func nodeEntirelySelected(sel *translate.Selector, n *Node, ai int) bool {
-	if ai >= 0 {
-		if n.NonNull[ai] != len(n.Tuples) {
-			return false // a NULL tuple is never present, so never bad
-		}
-		// Every value is selected when the far end of the envelope is.
-		if sel.Op == expr.OpLe || sel.Op == expr.OpLt {
-			return sel.Match(n.Hi[ai])
-		}
-		return sel.Match(n.Lo[ai])
-	}
-	for _, i := range n.Tuples {
-		if !sel.Present[i] || !sel.Match(sel.Vals[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// nodeAnySelected reports whether some tuple the node covers is present
-// and matches the predicate — for an at-least-one row, the subtree can
-// supply a witness.
-func nodeAnySelected(sel *translate.Selector, n *Node, ai int) bool {
-	if ai >= 0 {
-		if n.NonNull[ai] == 0 {
-			return false
-		}
-		// Some value is selected when the near end of the envelope is.
-		if sel.Op == expr.OpLe || sel.Op == expr.OpLt {
-			return sel.Match(n.Lo[ai])
-		}
-		return sel.Match(n.Hi[ai])
-	}
-	for _, i := range n.Tuples {
-		if sel.Present[i] && sel.Match(sel.Vals[i]) {
-			return true
-		}
-	}
-	return false
 }

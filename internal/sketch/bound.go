@@ -71,7 +71,7 @@ func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResu
 	if err != nil {
 		return bound.PipelineResult{}, err
 	}
-	leaves := &level{nodes: tree.Leaves(), adm: ba.admissibleCounts(tree.Leaves())}
+	leaves := &level{nodes: tree.Leaves(), facts: s.leafFacts(ba, tree.Leaves(), false)}
 	groups := make([]bound.Group, len(leaves.nodes))
 	for g := range groups {
 		groups[g].Tuples = leaves.nodes[g].Tuples

@@ -20,7 +20,7 @@ const MaxBranches = translate.DefaultMaxSketchBranches
 // query and its candidates and on no Options value: the SUCH THAT
 // formula lowered once into the DNF branches every solve descends (AVG
 // atoms linearized as SUM − c·COUNT, MIN/MAX atoms lowered to
-// envelope-prunable selector rows) — or the reason SketchRefine cannot
+// prunable selector rows) — or the reason SketchRefine cannot
 // run the query — and each branch's tuple-level rows, selectors and
 // elimination mask, weighed over the candidates the first time a solve
 // needs them and kept. The planner's applicability probe, the first

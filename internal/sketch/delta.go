@@ -17,9 +17,10 @@ import (
 // Incremental partition-tree maintenance: instead of discarding a tree
 // whenever the backing rows change, ApplyDelta patches it — deleted
 // tuples are tombstoned out of their leaves, inserted tuples are routed
-// down the existing structure to the nearest leaf, and representatives,
-// counts, and min/max envelopes are recomputed bottom-up along the
-// touched paths only. Leaves that outgrow τ are split locally; a parent
+// down the existing structure to the nearest leaf, and representatives
+// are recomputed bottom-up along the touched paths only. Only the leaves
+// hold tuples, so only their lists are renumbered after a delete.
+// Leaves that outgrow τ are split locally; a parent
 // whose fanout degrades past its build-time shape gets its leaf group
 // rebuilt in place (a scoped subtree rebuild); anything the local rules
 // cannot absorb — a drift past the patch budget, a degraded upper level,
@@ -30,9 +31,10 @@ import (
 // membership may differ (inserted tuples go to the nearest existing
 // leaf rather than re-running the global median splits) and internal
 // representatives are child-weighted merges rather than exact scans.
-// Both only steer the sketch; leaf representatives and envelopes are
-// recomputed exactly, so envelope pruning stays sound and the refine
-// step keeps its guarantees. The differential fuzz harness
+// Both only steer the sketch; leaf tuple lists are exact, and every
+// count the descent prunes by is folded up from them, so selector
+// pruning stays sound and the refine step keeps its guarantees. The
+// differential fuzz harness
 // (TestIncrementalVsRebuild*) holds patched trees to the same
 // feasibility and gap standards as rebuilt ones.
 
@@ -132,7 +134,7 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 		return nil, errNotPatchable
 	}
 	p.repairLeaves()
-	if !p.patchParents(deletes > 0) {
+	if !p.patchParents() {
 		return nil, errNotPatchable
 	}
 	out, ok := p.compact()
@@ -141,7 +143,7 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 	}
 	out.Drift = t.Drift + inserts + deletes
 	// The structural backstop: a patch that silently broke coverage or
-	// an envelope must surface as a rebuild, never as a corrupt tree.
+	// the tree's shape must surface as a rebuild, never as a corrupt tree.
 	if out.validateStructure() != nil || out.validateAgainst(rows) != nil {
 		return nil, errNotPatchable
 	}
@@ -174,13 +176,9 @@ type patcher struct {
 	// inserts.
 	firstNew int
 	// delDirty marks leaves whose membership shrank via deletions —
-	// those need exact representative/envelope rescans, while
-	// insert-only leaves update incrementally.
+	// those need exact representative rescans, while insert-only leaves
+	// update incrementally.
 	delDirty []bool
-	// pend[l][node] lists inserted tuple indexes routed through an
-	// internal node at level l, in ascending order; parent tuple lists
-	// are rebuilt as remap(old)+pend without any sorting.
-	pend []map[int][]int
 	// splitAttrs is the build's seed-shuffled attribute order, drawn on
 	// the first resplit (seeding the shuffle costs more than splitting a
 	// leaf).
@@ -210,10 +208,6 @@ func (p *patcher) fanLimits() {
 	}
 	p.newByParent = map[int][]int{}
 	p.delDirty = make([]bool, len(t.Levels[t.Depth-1]))
-	p.pend = make([]map[int][]int, t.Depth-1)
-	for l := range p.pend {
-		p.pend[l] = map[int][]int{}
-	}
 }
 
 // remapLeaves renumbers every leaf's tuple list under the remap,
@@ -257,7 +251,6 @@ func (p *patcher) routeInserts(firstNew int) error {
 	for j := firstNew; j < len(p.rows); j++ {
 		cur := p.nearest(p.levels[0], nil, j)
 		for l := 0; l < leafLevel; l++ {
-			p.pend[l][cur] = append(p.pend[l][cur], j)
 			cur = p.nearest(p.levels[l+1], p.levels[l][cur].Children, j)
 		}
 		leaf := &p.levels[leafLevel][cur]
@@ -295,10 +288,10 @@ func (p *patcher) nearest(nodes []Node, idxs []int, j int) int {
 
 // repairLeaves finishes the leaf level: empty leaves are tombstoned,
 // overgrown leaves are re-split locally (the new leaves join the same
-// parent), and every touched leaf gets its representative and envelope
-// refreshed — exactly rescanned where deletions changed membership or
-// a split regrouped it, incrementally extended where the only change
-// was appended inserts (the common case, and exact for envelopes).
+// parent), and every touched leaf gets its representative refreshed —
+// exactly rescanned where deletions changed membership or a split
+// regrouped it, incrementally extended where the only change was
+// appended inserts (the common case).
 //
 // The leaves that need an exact rescan are lowered together, their
 // tuple lists back to back: one columnar view per patch over just
@@ -329,7 +322,7 @@ func (p *patcher) repairLeaves() {
 			tuples = append(tuples, leaf.Tuples...)
 			continue
 		}
-		p.extendLeaf(leaf, survivors)
+		leaf.Rep = insertedRepresentative(p.rows, leaf.Rep, survivors, leaf.Tuples[survivors:])
 	}
 	if len(exact) == 0 {
 		return
@@ -372,7 +365,7 @@ func (p *patcher) appendLeaf(leaf Node) int {
 // resplit forms τ-bounded leaves, from scratch, over the tuple set at
 // positions lo … hi-1 of cols, a lowering in which position j is
 // candidate tuples[j]: median splits as in the offline build, and each
-// leaf's representative and envelope from a full scan.
+// leaf's representative from a full scan.
 func (p *patcher) resplit(cols *search.Columns, tuples []int, lo, hi int) []Node {
 	t := p.tree
 	if p.splitAttrs == nil {
@@ -385,48 +378,18 @@ func (p *patcher) resplit(cols *search.Columns, tuples []int, lo, hi int) []Node
 		for j, q := range g {
 			leaf.Tuples[j] = tuples[q]
 		}
-		leaf.Lo, leaf.Hi, leaf.NonNull = envelope(cols, g, t.Attrs)
 		leaves[gi] = leaf
 	}
 	return leaves
 }
 
-// extendLeaf extends an insert-only leaf without rescanning it — its
-// first survivors tuples are the prior membership, the rest this
-// patch's inserts: the envelope grows by exactly the inserted values
-// (no deletions means no shrink — the result is identical to a full
-// rescan) and the representative's numeric means fold the inserts in,
-// weighted by the prior tuple count. Mode (categorical) columns keep
-// their prior value; like the merged internal representatives, that is
-// a steering approximation the fuzz harness holds to rebuilt-tree
-// standards.
-func (p *patcher) extendLeaf(leaf *Node, survivors int) {
-	ins := leaf.Tuples[survivors:]
-	leaf.Rep = insertedRepresentative(p.rows, leaf.Rep, survivors, ins)
-	lo := append([]float64(nil), leaf.Lo...)
-	hi := append([]float64(nil), leaf.Hi...)
-	nn := append([]int(nil), leaf.NonNull...)
-	for ai, a := range p.tree.Attrs {
-		for _, j := range ins {
-			if a >= len(p.rows[j]) || p.rows[j][a].IsNull() {
-				continue
-			}
-			v, _ := p.rows[j][a].AsFloat()
-			if nn[ai] == 0 || v < lo[ai] {
-				lo[ai] = v
-			}
-			if nn[ai] == 0 || v > hi[ai] {
-				hi[ai] = v
-			}
-			nn[ai]++
-		}
-	}
-	leaf.Lo, leaf.Hi, leaf.NonNull = lo, hi, nn
-}
-
-// insertedRepresentative folds inserted tuples into an existing
-// representative: numeric columns take the count-weighted mean of the
-// old mean and the inserted values; other columns keep the old value.
+// insertedRepresentative extends an insert-only leaf's representative
+// without rescanning the leaf — its first oldCount tuples are the prior
+// membership, ins this patch's inserts: numeric columns take the
+// count-weighted mean of the old mean and the inserted values; other
+// (mode) columns keep the old value, which, like the merged internal
+// representatives, is a steering approximation the fuzz harness holds
+// to rebuilt-tree standards.
 // The old mean is weighted by the survivor count, not the (unstored)
 // non-NULL count, so columns with NULLs drift from an exact rescan —
 // a steering-only bias, bounded by the fuzz harness's gap gates and
@@ -462,13 +425,20 @@ func insertedRepresentative(rows []schema.Row, oldRep schema.Row, oldCount int, 
 }
 
 // patchParents walks the internal levels bottom-up: dead children are
-// dropped, split-born leaves adopted, tuple lists renumbered, and
-// dirty nodes get merged representatives and envelopes. A leaf-parent
+// dropped, split-born leaves adopted, and dirty nodes get their
+// children's representatives merged, each weighted by its subtree size —
+// the leaves' tuple counts folded up through Children. A leaf-parent
 // whose fanout degrades past the build-time shape has its leaf group
 // rebuilt in place; degradation higher up aborts the patch.
-func (p *patcher) patchParents(renumber bool) bool {
+func (p *patcher) patchParents() bool {
 	t := p.tree
-	for l := t.Depth - 2; l >= 0; l-- {
+	ll := t.Depth - 1
+	size := make([]int, len(p.levels[ll])) // subtree sizes of the level below, by node
+	for i := range size {
+		size[i] = len(p.levels[ll][i].Tuples)
+	}
+	for l := ll - 1; l >= 0; l-- {
+		up := make([]int, len(p.levels[l]))
 		for pi := range p.levels[l] {
 			node := &p.levels[l][pi]
 			changed := false
@@ -483,7 +453,7 @@ func (p *patcher) patchParents(renumber bool) bool {
 				}
 				keep = append(keep, ci)
 			}
-			if l == t.Depth-2 {
+			if l == ll-1 {
 				if add := p.newByParent[pi]; len(add) > 0 {
 					keep = append(keep, add...)
 					changed = true
@@ -494,45 +464,26 @@ func (p *patcher) patchParents(renumber bool) bool {
 				continue
 			}
 			if changed && len(keep) > p.limit[l] {
-				if l != t.Depth-2 {
+				if l != ll-1 {
 					return false // upper-level degradation: full rebuild
 				}
 				keep = p.rebuildLeafGroup(keep)
+				for len(size) < len(p.levels[ll]) {
+					size = append(size, len(p.levels[ll][len(size)].Tuples))
+				}
 			}
-			if changed || renumber {
-				// The node's tuple set after the patch is exactly its old
-				// set remapped (deletions drop out) plus the inserts routed
-				// through it — both ascending, inserts strictly above every
-				// survivor, so concatenation stays sorted with no merge.
-				node.Tuples = p.remapWithInserts(node.Tuples, p.pend[l][pi], renumber)
+			for _, ci := range keep {
+				up[pi] += size[ci]
 			}
 			if changed {
 				p.dirty[l][pi] = true
-				node.Rep = mergedRepresentative(p.levels[l+1], keep)
-				node.Lo, node.Hi, node.NonNull = mergeEnvelopes(p.levels[l+1], keep, len(t.Attrs))
+				node.Rep = mergedRepresentative(p.levels[l+1], size, keep)
 			}
 			node.Children = keep
 		}
+		size = up
 	}
 	return true
-}
-
-// remapWithInserts rewrites an internal node's tuple list: survivors
-// renumbered in order (when deletions occurred), then the pending
-// inserts appended. Both parts are ascending and disjoint by
-// construction, so the result is sorted without a merge.
-func (p *patcher) remapWithInserts(old, ins []int, renumber bool) []int {
-	out := make([]int, 0, len(old)+len(ins))
-	if renumber {
-		for _, x := range old {
-			if x < len(p.remap) && p.remap[x] >= 0 {
-				out = append(out, p.remap[x])
-			}
-		}
-	} else {
-		out = append(out, old...)
-	}
-	return append(out, ins...)
 }
 
 // rebuildLeafGroup is the scoped subtree rebuild: the parent's leaves
@@ -541,10 +492,12 @@ func (p *patcher) remapWithInserts(old, ins []int, renumber bool) []int {
 // touching the rest of the tree. Returns the new child indexes.
 func (p *patcher) rebuildLeafGroup(children []int) []int {
 	ll := p.tree.Depth - 1
-	tuples := mergeChildTuples(p.levels[ll], children)
+	var tuples []int
 	for _, ci := range children {
+		tuples = append(tuples, p.levels[ll][ci].Tuples...)
 		p.dead[ll][ci] = true
 	}
+	slices.Sort(tuples)
 	leaves := p.resplit(search.Lower(p.rows, tuples, nil), tuples, 0, len(tuples))
 	out := make([]int, len(leaves))
 	for i, leaf := range leaves {
@@ -590,28 +543,13 @@ func (p *patcher) compact() (*Tree, bool) {
 	return out, true
 }
 
-// mergeChildTuples unions the (sorted, disjoint) tuple lists of the
-// given children into one sorted list.
-func mergeChildTuples(children []Node, group []int) []int {
-	total := 0
-	for _, ci := range group {
-		total += len(children[ci].Tuples)
-	}
-	out := make([]int, 0, total)
-	for _, ci := range group {
-		out = append(out, children[ci].Tuples...)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // mergedRepresentative folds child representatives into a parent's:
-// numeric columns take the subtree-size-weighted mean, others the
-// subtree-size-weighted mode over child representatives. A cheaper
-// stand-in for the exact union scan the offline build performs — the
-// representative only steers the sketch, and the fuzz harness holds
+// numeric columns take the mean weighted by subtree size (size, by child
+// index), others the size-weighted mode over child representatives. A
+// cheaper stand-in for the exact union scan the offline build performs —
+// the representative only steers the sketch, and the fuzz harness holds
 // patched trees to the same gap standards as rebuilt ones.
-func mergedRepresentative(children []Node, group []int) schema.Row {
+func mergedRepresentative(children []Node, size, group []int) schema.Row {
 	width := len(children[group[0]].Rep)
 	rep := make(schema.Row, width)
 	for c := 0; c < width; c++ {
@@ -627,7 +565,7 @@ func mergedRepresentative(children []Node, group []int) schema.Row {
 				numeric = false
 				break
 			}
-			w := len(children[ci].Tuples)
+			w := size[ci]
 			sum += f * float64(w)
 			cnt += w
 		}
@@ -635,7 +573,7 @@ func mergedRepresentative(children []Node, group []int) schema.Row {
 			rep[c] = value.Float(sum / float64(cnt))
 			continue
 		}
-		rep[c] = childModeValue(children, group, c)
+		rep[c] = childModeValue(children, size, group, c)
 	}
 	return rep
 }
@@ -644,7 +582,7 @@ func mergedRepresentative(children []Node, group []int) schema.Row {
 // representative value, ties toward the SortLess-smallest. Values are
 // told apart by identity (kind and payload), never by how they print:
 // NULL and the string 'NULL' are two values.
-func childModeValue(children []Node, group []int, c int) value.V {
+func childModeValue(children []Node, size, group []int, c int) value.V {
 	type tally struct {
 		v value.V
 		n int
@@ -661,7 +599,7 @@ func childModeValue(children []Node, group []int, c int) value.V {
 			ti = len(tallies)
 			tallies = append(tallies, tally{v: v})
 		}
-		tallies[ti].n += len(children[ci].Tuples)
+		tallies[ti].n += size[ci]
 	}
 	var best value.V
 	bestN := -1

@@ -49,20 +49,23 @@ func remapByID(oldRows, newRows []schema.Row) []int {
 }
 
 // checkTree verifies the structural invariants a patched tree must
-// keep: exact coverage at every level, children partitioning parents,
-// leaf sizes within τ, and exact leaf envelopes.
+// keep: exact coverage at every level (a node's tuples gathered from its
+// leaves), tuples held by the leaves alone, exactly one parent for every
+// node below the roots, and leaf sizes within τ.
 func checkTree(t *testing.T, tree *sketch.Tree, rows []schema.Row) {
 	t.Helper()
 	n := len(rows)
-	for l, nodes := range tree.Levels {
+	for l, nodes := range sketch.CoveredTuples(tree) {
 		seen := map[int]bool{}
-		for ni := range nodes {
-			nd := &nodes[ni]
-			if len(nd.Tuples) == 0 {
+		for ni, tuples := range nodes {
+			if l < tree.Depth-1 && tree.Levels[l][ni].Tuples != nil {
+				t.Fatalf("level %d node %d above the leaves holds tuples", l, ni)
+			}
+			if len(tuples) == 0 {
 				t.Fatalf("level %d node %d empty", l, ni)
 			}
 			prev := -1
-			for _, i := range nd.Tuples {
+			for _, i := range tuples {
 				if i <= prev {
 					t.Fatalf("level %d node %d tuples not strictly ascending", l, ni)
 				}
@@ -81,14 +84,15 @@ func checkTree(t *testing.T, tree *sketch.Tree, rows []schema.Row) {
 		}
 	}
 	for l := 0; l < tree.Depth-1; l++ {
-		for ni := range tree.Levels[l] {
-			covered := 0
-			for _, ci := range tree.Levels[l][ni].Children {
-				covered += len(tree.Levels[l+1][ci].Tuples)
+		parents := make([]int, len(tree.Levels[l+1]))
+		for _, nd := range tree.Levels[l] {
+			for _, ci := range nd.Children {
+				parents[ci]++
 			}
-			if covered != len(tree.Levels[l][ni].Tuples) {
-				t.Fatalf("level %d node %d: %d tuples vs %d under children",
-					l, ni, len(tree.Levels[l][ni].Tuples), covered)
+		}
+		for ci, np := range parents {
+			if np != 1 {
+				t.Fatalf("level %d node %d has %d parents", l+1, ci, np)
 			}
 		}
 	}
@@ -337,8 +341,8 @@ func lyingTree(drift int) *sketch.Tree {
 	rep := schema.Row{value.Float(50)}
 	return &sketch.Tree{Attrs: []int{0}, Tau: 2, Depth: 1, Drift: drift,
 		Levels: [][]sketch.Node{{
-			{Tuples: []int{2, 3}, Rep: rep, Lo: []float64{10}, Hi: []float64{11}, NonNull: []int{2}},
-			{Tuples: []int{4, 5}, Rep: rep, Lo: []float64{12}, Hi: []float64{13}, NonNull: []int{2}},
+			{Tuples: []int{2, 3}, Rep: rep},
+			{Tuples: []int{4, 5}, Rep: rep},
 		}}}
 }
 

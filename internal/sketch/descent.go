@@ -116,45 +116,26 @@ func (s *solver) solveBranch(ba *branchAtoms) (*descent, error) {
 // over a level's nodes: a node's weight is its subtree's mean tuple
 // weight, the same per-unit approximation the representative carries for
 // SUM atoms.
-func (s *solver) nodeExclusionAtoms(nodes []Node) []*translate.LinearAtom {
+func (s *solver) nodeExclusionAtoms(f *nodeFacts) []*translate.LinearAtom {
 	out := make([]*translate.LinearAtom, len(s.exAtoms))
 	for k, ex := range s.exAtoms {
-		w := make([]float64, len(nodes))
-		for g := range nodes {
-			sum := 0.0
-			for _, i := range nodes[g].Tuples {
-				sum += ex.W[i]
-			}
-			w[g] = sum / float64(len(nodes[g].Tuples))
+		w := make([]float64, len(f.size))
+		for g := range w {
+			w[g] = f.ex[k][g] / float64(f.size[g])
 		}
 		out[k] = &translate.LinearAtom{W: w, Op: ex.Op, RHS: ex.RHS, Source: ex.Source}
 	}
 	return out
 }
 
-// pinCount counts the pinned candidates a node's subtree covers: the
-// node's multiplicity lower bound at every sketch level.
-func (s *solver) pinCount(tuples []int) int {
-	if len(s.pins) == 0 {
-		return 0
-	}
-	c := 0
-	for _, i := range tuples {
-		if s.pins[i] {
-			c++
-		}
-	}
-	return c
-}
-
 // level is one tree level as the sketch MILPs see it: the branch's atoms
-// and the objective weighed over the level's nodes, and each node's
-// admissible tuple supply (nil when the branch eliminates nothing).
+// and the objective weighed over the level's nodes, and what the level
+// knows of each node's covered tuples.
 type level struct {
 	nodes []Node
 	atoms []*translate.LinearAtom
 	objW  []float64
-	adm   []int
+	facts *nodeFacts
 }
 
 // descend runs the sketch at every level of the tree: one MILP over the
@@ -165,15 +146,17 @@ type level struct {
 // chosen at the level above are descended into. Returns the leaf
 // multiplicities together with the branch atoms weighted over the leaf
 // level (what refine consumes): representative rows for affine and AVG
-// atoms, envelope relaxations for the MIN/MAX selector rows.
+// atoms, relaxations from the leaves' folded selector counts for the
+// MIN/MAX selector rows.
 func (s *solver) descend(tree *Tree, ba *branchAtoms) (y []int, leafAtoms []*translate.LinearAtom, infeasible bool, err error) {
 	levels := make([]level, tree.Depth)
+	facts := s.treeFacts(ba, tree)
 	for l, nodes := range tree.Levels {
 		reps := make([]schema.Row, len(nodes))
 		for i := range nodes {
 			reps[i] = nodes[i].Rep
 		}
-		atoms, err := ba.levelAtoms(nodes, tree.Attrs, reps)
+		atoms, err := ba.levelAtoms(reps, facts[l])
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -181,7 +164,7 @@ func (s *solver) descend(tree *Tree, ba *branchAtoms) (y []int, leafAtoms []*tra
 		if err != nil {
 			return nil, nil, false, err
 		}
-		levels[l] = level{nodes, append(atoms, s.nodeExclusionAtoms(nodes)...), w, ba.admissibleCounts(nodes)}
+		levels[l] = level{nodes, append(atoms, s.nodeExclusionAtoms(facts[l])...), w, facts[l]}
 	}
 	y, infeasible, err = s.rootSolve(&levels[0])
 	if err != nil || infeasible || y == nil {
@@ -356,12 +339,15 @@ func contributions(atoms []*translate.LinearAtom, mult []int) (cur []float64, gr
 // the REPEAT cap, shrunk to the admissible supply when the branch
 // carries elimination rows — units the refine MILP could never place
 // must not be promised by the sketch. A node whose whole subtree is
-// eliminated caps at 0 (the envelope prune as a bound).
+// eliminated caps at 0 (the selector prune as a bound).
 func (s *solver) nodeBound(lv *level, g int) (lo, up float64) {
-	lo = float64(s.pinCount(lv.nodes[g].Tuples))
-	tuples := len(lv.nodes[g].Tuples)
-	if lv.adm != nil && lv.adm[g] < tuples {
-		tuples = lv.adm[g]
+	f := lv.facts
+	if f.pins != nil {
+		lo = float64(f.pins[g])
+	}
+	tuples := f.size[g]
+	if f.adm != nil && f.adm[g] < tuples {
+		tuples = f.adm[g]
 	}
 	switch {
 	case tuples == 0:

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bound"
+	"repro/internal/schema"
 	"repro/internal/search"
 )
 
@@ -90,6 +91,10 @@ func EncodePayloadForTest(k Key, t *Tree) []byte {
 	}
 	return buf.Bytes()
 }
+
+// ValidateAgainstForTest is the check a loaded tree passes before it
+// serves the instance whose candidates are rows.
+func ValidateAgainstForTest(t *Tree, rows []schema.Row) error { return t.validateAgainst(rows) }
 
 // DecodePayloadForTest checksums a payload and decodes it under whatever
 // key its own header names, so a fuzzer's mutations get past the two

@@ -53,7 +53,7 @@ type incrStats struct {
 	bonus                  int       // patched feasible where the rebuilt heuristic missed
 	gapPatched, gapRebuilt []float64 // parallel, per proven optimum with both sides feasible
 	worse                  int       // rounds where the patched gap exceeded rebuilt by >25 points
-	certPatched            int       // certified intervals computed from patched envelopes
+	certPatched            int       // certified intervals computed over patched trees
 	certRebuilt            int       // certified intervals from from-scratch rebuilds
 	longest                int       // most consecutive patched rounds of one case
 	budgetRebuilds         int       // rounds whose patch refused for the drift budget, by the run's note
@@ -241,7 +241,7 @@ func incrOne(t *testing.T, g *qgen, st *incrStats, chain int) bool {
 				st.worse++
 			}
 			// Bound soundness under writes: a certified interval whose
-			// envelopes came from ApplyDelta patches must remain valid
+			// tree came from ApplyDelta patches must remain valid
 			// against the post-write exact optimum, exactly like one
 			// from a from-scratch rebuild.
 			tol := 1e-6 * (1 + math.Abs(exactObj))

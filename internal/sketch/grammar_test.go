@@ -1,7 +1,7 @@
 package sketch_test
 
 // End-to-end coverage of the full PaQL atom grammar through
-// sketch.Solve: AVG rewrites, MIN/MAX envelope pruning, disjunctive
+// sketch.Solve: AVG rewrites, MIN/MAX selector pruning, disjunctive
 // branches, and their interaction with REPEAT and pinned tuples. Each
 // test cross-checks against the exact MILP solver where it is cheap.
 
@@ -133,11 +133,13 @@ func TestSketchDisjunctionDescendsBothBranches(t *testing.T) {
 	}
 }
 
-// TestSketchEnvelopePruneForcesCluster builds two well-separated value
+// TestSketchSelectorPruneForcesCluster builds two well-separated value
 // clusters that land in different partitions and checks the MIN bound
-// prunes the low cluster at the sketch level already: every chosen
-// tuple comes from the admissible cluster, with no repair pass needed.
-func TestSketchEnvelopePruneForcesCluster(t *testing.T) {
+// prunes the low cluster at the sketch level already (every covered
+// tuple selected by the elimination, counted at the leaves and folded
+// up): every chosen tuple comes from the admissible cluster, with no
+// repair pass needed.
+func TestSketchSelectorPruneForcesCluster(t *testing.T) {
 	db := minidb.New()
 	if _, err := db.Exec("CREATE TABLE t (x INT, y INT)"); err != nil {
 		t.Fatal(err)
@@ -171,7 +173,7 @@ func TestSketchEnvelopePruneForcesCluster(t *testing.T) {
 				}
 				x, _ := prep.Instance.Rows[i][0].AsFloat()
 				if x < 100 {
-					t.Errorf("tuple with x=%g slipped past the MIN envelope prune", x)
+					t.Errorf("tuple with x=%g slipped past the MIN selector prune", x)
 				}
 			}
 			// Optimum picks the four largest y values in the high

@@ -11,8 +11,10 @@ import (
 )
 
 // TestTreeInvariants checks the partition-tree shape: every level
-// covers every candidate exactly once, each internal node's children
-// partition its covered tuples, and level sizes shrink root-ward.
+// covers every candidate exactly once (a node's tuples gathered from its
+// leaves), only the leaves hold tuples, every node below the roots has
+// exactly one parent, every node a representative, and level sizes
+// shrink root-ward.
 func TestTreeInvariants(t *testing.T) {
 	prep := recipesPrep(t, 2000)
 	tree := sketch.BuildTree(prep.Instance, sketch.Options{MaxPartitionSize: 16, Depth: 3, Seed: 7})
@@ -22,48 +24,16 @@ func TestTreeInvariants(t *testing.T) {
 	if len(tree.Levels) != tree.Depth {
 		t.Fatalf("%d levels for depth %d", len(tree.Levels), tree.Depth)
 	}
-	n := len(prep.Instance.Rows)
+	checkTree(t, tree, prep.Instance.Rows)
 	for l, nodes := range tree.Levels {
-		seen := map[int]bool{}
 		for _, nd := range nodes {
-			if len(nd.Tuples) == 0 {
-				t.Fatalf("level %d has an empty node", l)
-			}
-			for _, i := range nd.Tuples {
-				if seen[i] {
-					t.Fatalf("level %d covers candidate %d twice", l, i)
-				}
-				seen[i] = true
-			}
 			if nd.Rep == nil {
 				t.Fatalf("level %d node without representative", l)
 			}
 		}
-		if len(seen) != n {
-			t.Fatalf("level %d covers %d of %d candidates", l, len(seen), n)
-		}
 		if l > 0 && len(nodes) < len(tree.Levels[l-1]) {
 			t.Fatalf("level %d (%d nodes) smaller than level %d (%d nodes)",
 				l, len(nodes), l-1, len(tree.Levels[l-1]))
-		}
-	}
-	// Children partition the parent's covered tuples.
-	for l := 0; l < tree.Depth-1; l++ {
-		for _, nd := range tree.Levels[l] {
-			covered := 0
-			for _, ci := range nd.Children {
-				covered += len(tree.Levels[l+1][ci].Tuples)
-			}
-			if covered != len(nd.Tuples) {
-				t.Fatalf("level %d node covers %d tuples but its children cover %d",
-					l, len(nd.Tuples), covered)
-			}
-		}
-	}
-	// Leaves respect τ.
-	for _, nd := range tree.Leaves() {
-		if len(nd.Tuples) > 16 {
-			t.Fatalf("leaf size %d > τ=16", len(nd.Tuples))
 		}
 	}
 }

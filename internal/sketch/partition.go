@@ -17,8 +17,8 @@ import (
 // candidates (cols; nil when the lowering was canceled) into groups of
 // at most τ tuples by recursive median splits on attrs (the attribute
 // with the widest normalized spread is split first) and returns one leaf
-// Node per group — its tuples, a representative (the mean for numeric
-// columns, the mode for categorical ones) and its min/max envelope. The
+// Node per group — its tuples and a representative (the mean for
+// numeric columns, the mode for categorical ones). The
 // procedure is deterministic under a fixed seed and any
 // Options.Parallelism: the workers only divide the splits and the
 // per-leaf scans, never the outcome. When Options.Ctx is canceled
@@ -37,7 +37,6 @@ func leafNodes(cols *search.Columns, n int, attrs []int, opts Options) []Node {
 	modes := make([]modeScratch, max(w, 1))
 	parallelForWorker(w, len(groups), func(wi, i int) {
 		leaves[i] = Node{Tuples: groups[i], Rep: representative(cols, groups[i], &modes[wi])}
-		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = envelope(cols, groups[i], attrs)
 	})
 	return leaves
 }

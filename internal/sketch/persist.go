@@ -28,8 +28,8 @@ import (
 // Version history:
 //
 //	1  children/tuples + representative row per node
-//	2  adds the per-attribute min/max envelope (Lo/Hi/NonNull) each
-//	   node carries for MIN/MAX atom pruning
+//	2  adds a per-attribute min/max envelope to every node, for
+//	   MIN/MAX atom pruning
 //	3  the key fingerprint switched to the per-row-hash composition
 //	   (RowHash/CombineRowHashes) incremental maintenance recombines
 //	   (a v2 file's fingerprint was computed under the old mixing
@@ -40,9 +40,13 @@ import (
 //	4  the flag byte becomes a uvarint Drift (tuples inserted plus
 //	   deleted since the last full build), so the patch budget holds
 //	   across a restart
+//	5  the leaves alone carry tuples: an internal node is its children
+//	   and representative, a leaf its tuples and representative, and the
+//	   envelopes are gone (selector pruning folds leaf counts up); the
+//	   tree header's τ and attributes must match the key
 const (
 	persistMagic   = "PBTREE"
-	persistVersion = 4
+	persistVersion = 5
 )
 
 // Store is the on-disk tier of the partition-tree cache: one file per
@@ -292,9 +296,9 @@ func (s *Store) quarantine(path string, cause error) error {
 }
 
 // treeEncoder streams the versioned binary encoding: magic, version,
-// the full key, then the tree — per level, per node: children and
-// tuples as delta-compressed uvarints (both are sorted ascending) and
-// the representative row via value.EncodeKey.
+// the full key, then the tree — per level, per node: an internal node's
+// children or a leaf's tuples as delta-compressed uvarints (both are
+// sorted ascending) and the representative row via value.EncodeKey.
 type treeEncoder struct {
 	w   *bufio.Writer
 	buf [binary.MaxVarintLen64]byte
@@ -353,27 +357,16 @@ func (e *treeEncoder) encode(k Key, t *Tree) {
 	e.uvarint(uint64(t.Tau))
 	e.uvarint(uint64(t.Depth))
 	e.uvarint(uint64(t.Drift))
-	for _, nodes := range t.Levels {
+	for l, nodes := range t.Levels {
 		e.uvarint(uint64(len(nodes)))
 		for i := range nodes {
-			e.deltaInts(nodes[i].Children)
-			e.deltaInts(nodes[i].Tuples)
+			if l == len(t.Levels)-1 {
+				e.deltaInts(nodes[i].Tuples)
+			} else {
+				e.deltaInts(nodes[i].Children)
+			}
 			e.row(nodes[i].Rep)
-			e.envelope(&nodes[i], len(t.Attrs))
 		}
-	}
-}
-
-// envelope writes a node's per-attribute min/max envelope: Lo and Hi as
-// raw float64 bits (bit-for-bit round-trip, no text formatting loss)
-// and NonNull as a uvarint, one triple per split attribute.
-func (e *treeEncoder) envelope(n *Node, nAttrs int) {
-	for ai := 0; ai < nAttrs; ai++ {
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(n.Lo[ai]))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(n.Hi[ai]))
-		e.bytes(b[:])
-		e.uvarint(uint64(n.NonNull[ai]))
 	}
 }
 
@@ -474,28 +467,6 @@ func (d *treeDecoder) row() (schema.Row, error) {
 	return r, nil
 }
 
-// envelope reads a node's per-attribute min/max envelope (the inverse
-// of treeEncoder.envelope).
-func (d *treeDecoder) envelope(n *Node, nAttrs int) error {
-	n.Lo = make([]float64, nAttrs)
-	n.Hi = make([]float64, nAttrs)
-	n.NonNull = make([]int, nAttrs)
-	for ai := 0; ai < nAttrs; ai++ {
-		b, err := d.bytes(16)
-		if err != nil {
-			return err
-		}
-		n.Lo[ai] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		n.Hi[ai] = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-		u, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		n.NonNull[ai] = int(u)
-	}
-	return nil
-}
-
 // decodeTree parses and verifies one persisted tree against the key the
 // caller asked for.
 func decodeTree(data []byte, k Key) (*Tree, error) {
@@ -557,6 +528,15 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 		return nil, fmt.Errorf("sketch: persisted tree: %w", err)
 	}
 	t.Tau = int(treeTau)
+	// The header must be the tree the key names: a τ of 0 never ends a
+	// patch's re-split, and attributes the key does not name split and
+	// route on other columns than the query's.
+	if t.Tau < 1 || t.Tau != k.Tau {
+		return nil, fmt.Errorf("sketch: persisted tree: leaf bound τ = %d under a key for τ = %d", t.Tau, k.Tau)
+	}
+	if attrs := joinAttrs(t.Attrs); attrs != k.Attrs {
+		return nil, fmt.Errorf("sketch: persisted tree splits on attributes %q under a key for %q", attrs, k.Attrs)
+	}
 	treeDepth, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("sketch: persisted tree: %w", err)
@@ -583,17 +563,17 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 		}
 		nodes := make([]Node, n)
 		for i := range nodes {
-			if nodes[i].Children, err = d.deltaInts(); err != nil {
-				return nil, fmt.Errorf("sketch: persisted tree: level %d node %d children: %w", l, i, err)
+			list, err := d.deltaInts()
+			if err != nil {
+				return nil, fmt.Errorf("sketch: persisted tree: level %d node %d children or tuples: %w", l, i, err)
 			}
-			if nodes[i].Tuples, err = d.deltaInts(); err != nil {
-				return nil, fmt.Errorf("sketch: persisted tree: level %d node %d tuples: %w", l, i, err)
+			if l == t.Depth-1 {
+				nodes[i].Tuples = list
+			} else {
+				nodes[i].Children = list
 			}
 			if nodes[i].Rep, err = d.row(); err != nil {
 				return nil, fmt.Errorf("sketch: persisted tree: level %d node %d rep: %w", l, i, err)
-			}
-			if err = d.envelope(&nodes[i], len(t.Attrs)); err != nil {
-				return nil, fmt.Errorf("sketch: persisted tree: level %d node %d envelope: %w", l, i, err)
 			}
 		}
 		t.Levels[l] = nodes
@@ -611,9 +591,12 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 // internally inconsistent — the checksum guards against accidental
 // damage, this guards against files whose payload was altered and
 // re-checksummed (or a fingerprint collision): nothing a Load returns
-// may panic the solver downstream. Instance-dependent checks (tuple
-// indexes vs the candidate count, attrs vs the row width) live in
-// validateAgainst.
+// may panic the solver downstream. Every node below the roots has
+// exactly one parent and every internal node at least one child — the
+// premises of folding leaf facts up through Children — and only the
+// leaves hold tuples, strictly ascending. Instance-dependent checks
+// (tuple indexes vs the candidate count, attrs and representatives vs
+// the row width) live in validateAgainst.
 func (t *Tree) validateStructure() error {
 	if t.Depth != len(t.Levels) {
 		return fmt.Errorf("depth %d but %d levels", t.Depth, len(t.Levels))
@@ -627,43 +610,46 @@ func (t *Tree) validateStructure() error {
 		if len(nodes) == 0 {
 			return fmt.Errorf("level %d is empty", l)
 		}
+		leaf := l == t.Depth-1
+		var parents []int // per node of the level below, how many nodes list it
+		if !leaf {
+			parents = make([]int, len(t.Levels[l+1]))
+		}
 		for i := range nodes {
-			if len(nodes[i].Tuples) == 0 {
-				return fmt.Errorf("level %d node %d covers no tuples", l, i)
-			}
-			for _, x := range nodes[i].Tuples {
-				if x < 0 {
-					return fmt.Errorf("level %d node %d: negative tuple index %d", l, i, x)
-				}
-			}
-			if nodes[i].Rep == nil {
+			n := &nodes[i]
+			if n.Rep == nil {
 				return fmt.Errorf("level %d node %d has no representative", l, i)
 			}
-			if len(nodes[i].Lo) != len(t.Attrs) || len(nodes[i].Hi) != len(t.Attrs) || len(nodes[i].NonNull) != len(t.Attrs) {
-				return fmt.Errorf("level %d node %d: envelope covers %d/%d/%d of %d attributes",
-					l, i, len(nodes[i].Lo), len(nodes[i].Hi), len(nodes[i].NonNull), len(t.Attrs))
-			}
-			for ai := range t.Attrs {
-				if nodes[i].NonNull[ai] < 0 || nodes[i].NonNull[ai] > len(nodes[i].Tuples) {
-					return fmt.Errorf("level %d node %d attr %d: %d non-NULL values for %d tuples",
-						l, i, ai, nodes[i].NonNull[ai], len(nodes[i].Tuples))
-				}
-				if nodes[i].NonNull[ai] > 0 && !(nodes[i].Lo[ai] <= nodes[i].Hi[ai]) {
-					return fmt.Errorf("level %d node %d attr %d: envelope lo %g above hi %g",
-						l, i, ai, nodes[i].Lo[ai], nodes[i].Hi[ai])
-				}
-			}
-			if l == t.Depth-1 {
-				if len(nodes[i].Children) != 0 {
+			if leaf {
+				if len(n.Children) != 0 {
 					return fmt.Errorf("leaf node %d has children", i)
+				}
+				if len(n.Tuples) == 0 {
+					return fmt.Errorf("leaf node %d covers no tuples", i)
+				}
+				for j, x := range n.Tuples {
+					if x < 0 || (j > 0 && x <= n.Tuples[j-1]) {
+						return fmt.Errorf("leaf node %d: tuple index %d negative or out of order", i, x)
+					}
 				}
 				continue
 			}
-			below := len(t.Levels[l+1])
-			for _, ci := range nodes[i].Children {
-				if ci < 0 || ci >= below {
-					return fmt.Errorf("level %d node %d: child index %d outside level %d (%d nodes)", l, i, ci, l+1, below)
+			if len(n.Tuples) != 0 {
+				return fmt.Errorf("level %d node %d above the leaves holds tuples", l, i)
+			}
+			if len(n.Children) == 0 {
+				return fmt.Errorf("level %d node %d has no children", l, i)
+			}
+			for _, ci := range n.Children {
+				if ci < 0 || ci >= len(parents) {
+					return fmt.Errorf("level %d node %d: child index %d outside level %d (%d nodes)", l, i, ci, l+1, len(parents))
 				}
+				parents[ci]++
+			}
+		}
+		for ci, np := range parents {
+			if np != 1 {
+				return fmt.Errorf("level %d node %d has %d parents", l+1, ci, np)
 			}
 		}
 	}
@@ -671,8 +657,9 @@ func (t *Tree) validateStructure() error {
 }
 
 // validateAgainst checks the tree fits the instance it is about to
-// serve: every leaf tuple index in range and covered exactly once, and
-// every split attribute a real column. The partition cache key should
+// serve: every leaf tuple index in range and covered exactly once, every
+// split attribute a real column and every representative a full row
+// (patching reads representatives cell by cell). The partition cache key should
 // make a mismatch impossible; this is the backstop that turns a
 // fingerprint collision or a tampered store file into a rebuild
 // instead of an out-of-range panic inside a solve.
@@ -684,6 +671,13 @@ func (t *Tree) validateAgainst(rows []schema.Row) error {
 	for _, a := range t.Attrs {
 		if a >= width {
 			return fmt.Errorf("attribute ordinal %d outside %d-column rows", a, width)
+		}
+	}
+	for l, nodes := range t.Levels {
+		for i := range nodes {
+			if len(nodes[i].Rep) != width {
+				return fmt.Errorf("level %d node %d: %d-column representative for %d-column rows", l, i, len(nodes[i].Rep), width)
+			}
 		}
 	}
 	seen := make([]bool, n)

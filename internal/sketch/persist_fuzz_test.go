@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime/metrics"
 	"testing"
+	"time"
 
 	"repro/internal/sketch"
 )
@@ -36,8 +37,11 @@ func treePayloads(t testing.TB) [][]byte {
 // arbitrary bytes — a tree file is whatever is on the disk: an error, or
 // a tree that passes validateStructure (nothing Load returns may panic
 // the solver downstream) and holds no more elements than the file has
-// bytes; never a panic. The harness re-checksums every mutation and
-// reads the key off its header, so mutations reach the decoder proper.
+// bytes; never a panic. A decoded tree that also fits the seeds'
+// candidates (validateAgainst) must survive the next write's patch: one
+// ApplyDelta step that deletes a candidate returns within 2 s without a
+// panic. The harness re-checksums every mutation and reads the key off
+// its header, so mutations reach the decoder proper.
 // What a decode allocates on the way to an error is measured by
 // TestDecodeAllocatesNoMoreThanTheFileBacks instead: the heap counters
 // are the process's, and under the fuzzing engine its own goroutines
@@ -50,6 +54,11 @@ func FuzzDecodeTree(f *testing.F) {
 	}
 	f.Add([]byte("PBTREE"))
 	f.Add([]byte{})
+	rows := recipesPrep(f, 60).Instance.Rows
+	remap := make([]int, len(rows)) // the first candidate deleted
+	for i := range remap {
+		remap[i] = i - 1
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tree, invalid, err := sketch.DecodePayloadForTest(payload)
 		if (tree == nil) == (err == nil) {
@@ -64,11 +73,27 @@ func FuzzDecodeTree(f *testing.F) {
 		elems := len(tree.Attrs)
 		for _, nodes := range tree.Levels {
 			for i := range nodes {
-				elems += 1 + len(nodes[i].Children) + len(nodes[i].Tuples) + len(nodes[i].Rep) + len(nodes[i].Lo)
+				elems += 1 + len(nodes[i].Children) + len(nodes[i].Tuples) + len(nodes[i].Rep)
 			}
 		}
 		if elems > len(payload) {
 			t.Fatalf("decoded %d elements out of %d bytes", elems, len(payload))
+		}
+		if sketch.ValidateAgainstForTest(tree, rows) != nil {
+			return
+		}
+		panicked := make(chan any, 1)
+		go func() {
+			defer func() { panicked <- recover() }()
+			tree.ApplyDelta(rows[1:], remap, sketch.Options{Seed: 1})
+		}()
+		select {
+		case p := <-panicked:
+			if p != nil {
+				t.Fatalf("ApplyDelta over a decoded tree panicked: %v", p)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("ApplyDelta over a decoded tree did not return within 2 s")
 		}
 	})
 }

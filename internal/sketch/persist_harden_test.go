@@ -21,7 +21,7 @@ func hardenFixture(t *testing.T) (*sketch.Store, sketch.Key, string) {
 	tree := sketch.BuildTree(prep.Instance, opts)
 	key := sketch.Key{
 		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
-		Attrs:       "1,2", Tau: 16, Depth: 2, Seed: 3,
+		Attrs:       "5,6", Tau: 16, Depth: 2, Seed: 3,
 	}
 	store := sketch.NewStore(t.TempDir())
 	if err := store.Save(key, tree); err != nil {
@@ -205,7 +205,7 @@ func TestSaveRetriesPartialWrite(t *testing.T) {
 	tree := sketch.BuildTree(prep.Instance, opts)
 	key := sketch.Key{
 		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
-		Attrs:       "1,2", Tau: 16, Depth: 2, Seed: 3,
+		Attrs:       "5,6", Tau: 16, Depth: 2, Seed: 3,
 	}
 	dir := t.TempDir()
 

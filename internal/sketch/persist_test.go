@@ -5,9 +5,11 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sketch"
@@ -23,7 +25,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	tree.Drift = 437
 	key := sketch.Key{
 		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
-		Attrs:       "1,2", Tau: 16, Depth: 3, Seed: 7,
+		Attrs:       "5,6", Tau: 16, Depth: 3, Seed: 7,
 	}
 	store := sketch.NewStore(t.TempDir())
 	if err := store.Save(key, tree); err != nil {
@@ -218,6 +220,86 @@ func TestPersistForeignTreeRejected(t *testing.T) {
 	if !rejected {
 		t.Fatalf("expected a rejection note (did the store key drift?): %v", res.Notes)
 	}
+}
+
+// TestPersistTreeHeaderMatchesKey: a file whose tree header disagrees
+// with the key it sits under — τ = 0, or split attributes naming another
+// column — re-checksummed so only the header is wrong, is an unusable
+// file and a rebuild with the usual note, never a loaded tree. As a patch
+// base the τ-0 file must not hang the write's query either: a re-split
+// chopping a group by τ = 0 never advanced.
+func TestPersistTreeHeaderMatchesKey(t *testing.T) {
+	db, prep := deltaFixture(t, 1000)
+	for _, tc := range []struct {
+		name   string
+		tamper func(*sketch.Tree)
+	}{
+		{"tau-0", func(tr *sketch.Tree) { tr.Tau = 0 }},
+		{"other-attrs", func(tr *sketch.Tree) { tr.Attrs = []int{5, 7} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1, PersistDir: dir}
+			want, err := sketch.Solve(prep.Instance, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := sketch.BuildTree(prep.Instance, opts)
+			tc.tamper(bad)
+			if err := sketch.NewStore(dir).Save(sketch.KeyFor(prep.Instance, opts), bad); err != nil {
+				t.Fatal(err)
+			}
+			got, err := sketch.Solve(prep.Instance, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.TreeLoaded || !slices.ContainsFunc(got.Notes, func(n string) bool {
+				return strings.Contains(n, "persisted partition tree unusable") && strings.Contains(n, "rebuilding")
+			}) {
+				t.Fatalf("a tampered header was loaded (TreeLoaded=%v): %v", got.TreeLoaded, got.Notes)
+			}
+			if !reflect.DeepEqual(want.Mult, got.Mult) {
+				t.Fatal("the rebuild answered differently")
+			}
+		})
+	}
+
+	t.Run("tau-0-patch-base", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1, PersistDir: dir}
+		bad := sketch.BuildTree(prep.Instance, opts)
+		bad.Tau = 0
+		if err := sketch.NewStore(dir).Save(sketch.KeyFor(prep.Instance, opts), bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Exec("DELETE FROM recipes WHERE id >= 40 AND id < 55"); err != nil {
+			t.Fatal(err)
+		}
+		next, err := core.Prepare(db, mealQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		fp := sketch.Fingerprint(next.Instance.Rows)
+		o.Fingerprint = &fp
+		o.Patch = &sketch.PatchSpec{BaseFingerprint: sketch.Fingerprint(prep.Instance.Rows), Remap: remapByID(prep.Instance.Rows, next.Instance.Rows)}
+		done := make(chan *sketch.Result, 1)
+		go func() {
+			res, err := sketch.Solve(next.Instance, o)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- res
+		}()
+		select {
+		case res := <-done:
+			if res != nil && (res.TreePatched || !res.Feasible) {
+				t.Fatalf("patched=%v feasible=%v over a τ-0 base: %v", res.TreePatched, res.Feasible, res.Notes)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the query over a τ-0 patch base did not return within 10 s")
+		}
+	})
 }
 
 // TestCorePersistTreeLoadedStat drives persistence through the engine:

@@ -1,11 +1,12 @@
 package sketch_test
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 )
 
 // TestPersistOldVersionTriggersRebuild rewrites a persisted tree as a
-// format-version-1 file (the pre-envelope encoding) and as a version-3
-// file (a patched flag where v4 keeps the drift), and checks the loader
-// reports each as unusable — the caller rebuilds — rather than misreading
-// it.
+// format-version-1 file (the pre-envelope encoding), a version-3 file (a
+// patched flag where later versions keep the drift) and a version-4 file
+// (tuple lists on every node and per-node envelopes), and checks the
+// loader reports each as unusable — the caller rebuilds — rather than
+// misreading it.
 func TestPersistOldVersionTriggersRebuild(t *testing.T) {
 	prep := recipesPrep(t, 1000)
 	dir := t.TempDir()
@@ -30,7 +32,7 @@ func TestPersistOldVersionTriggersRebuild(t *testing.T) {
 		t.Fatalf("want exactly one persisted file, got %d (%v)", len(files), err)
 	}
 	path := filepath.Join(dir, files[0].Name())
-	for _, old := range []byte{1, 3} {
+	for _, old := range []byte{1, 3, 4} {
 		// The version uvarint follows the 6-byte magic.
 		corrupt(t, path, true, func(b []byte) []byte {
 			b[6] = old
@@ -67,16 +69,16 @@ func TestPersistOldVersionTriggersRebuild(t *testing.T) {
 	}
 }
 
-// TestPersistEnvelopeRoundTripBitForBit proves the per-node envelopes
-// survive save/load exactly: same float bits, same counts, at every
-// level of a depth-3 tree.
-func TestPersistEnvelopeRoundTripBitForBit(t *testing.T) {
+// TestPersistRoundTripBitForBit proves a depth-3 tree survives save/load
+// exactly: every representative cell re-encodes to the same bytes (float
+// bits included, which reflect.DeepEqual cannot tell apart for NaN or
+// −0), every leaf keeps its tuples and every internal node its children,
+// and no node above the leaves comes back holding tuples.
+func TestPersistRoundTripBitForBit(t *testing.T) {
 	prep := recipesPrep(t, 3000)
-	tree := sketch.BuildTree(prep.Instance, sketch.Options{MaxPartitionSize: 16, Depth: 3, Seed: 11})
-	key := sketch.Key{
-		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
-		Attrs:       "1,2", Tau: 16, Depth: 3, Seed: 11,
-	}
+	opts := sketch.Options{MaxPartitionSize: 16, Depth: 3, Seed: 11}
+	tree := sketch.BuildTree(prep.Instance, opts)
+	key := sketch.KeyFor(prep.Instance, opts)
 	store := sketch.NewStore(t.TempDir())
 	if err := store.Save(key, tree); err != nil {
 		t.Fatal(err)
@@ -85,45 +87,43 @@ func TestPersistEnvelopeRoundTripBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded == nil {
-		t.Fatal("saved tree did not load")
+	if loaded == nil || loaded.Depth != 3 {
+		t.Fatalf("saved depth-3 tree did not load as one: %v", loaded)
 	}
-	envelopes := 0
+	cells := 0
 	for l, nodes := range tree.Levels {
 		for i := range nodes {
 			got, want := &loaded.Levels[l][i], &nodes[i]
-			if len(want.Lo) == 0 {
-				t.Fatalf("level %d node %d has no envelope to round-trip", l, i)
+			if !slices.Equal(got.Tuples, want.Tuples) || !slices.Equal(got.Children, want.Children) {
+				t.Fatalf("level %d node %d: tuples or children changed", l, i)
 			}
-			for ai := range want.Lo {
-				if math.Float64bits(got.Lo[ai]) != math.Float64bits(want.Lo[ai]) ||
-					math.Float64bits(got.Hi[ai]) != math.Float64bits(want.Hi[ai]) {
-					t.Fatalf("level %d node %d attr %d: envelope bits changed: (%g,%g) != (%g,%g)",
-						l, i, ai, got.Lo[ai], got.Hi[ai], want.Lo[ai], want.Hi[ai])
+			if l < loaded.Depth-1 && got.Tuples != nil {
+				t.Fatalf("level %d node %d above the leaves came back holding tuples", l, i)
+			}
+			if len(got.Rep) != len(want.Rep) {
+				t.Fatalf("level %d node %d: representative width %d != %d", l, i, len(got.Rep), len(want.Rep))
+			}
+			for c := range want.Rep {
+				if !bytes.Equal(got.Rep[c].EncodeKey(nil), want.Rep[c].EncodeKey(nil)) {
+					t.Fatalf("level %d node %d column %d: representative %v != %v", l, i, c, got.Rep[c], want.Rep[c])
 				}
-				if got.NonNull[ai] != want.NonNull[ai] {
-					t.Fatalf("level %d node %d attr %d: NonNull %d != %d", l, i, ai, got.NonNull[ai], want.NonNull[ai])
-				}
-				envelopes++
+				cells++
 			}
 		}
 	}
-	if envelopes == 0 {
-		t.Fatal("no envelopes compared")
+	if cells == 0 {
+		t.Fatal("no representative cells compared")
 	}
 }
 
-// TestPersistEnvelopeBitFlip flips a bit inside the envelope section
-// (the trailing bytes of the last node record) and checks the checksum
-// catches it; a structurally inconsistent envelope that re-checksums
-// cleanly is caught by the structure validator instead.
+// TestPersistEnvelopeBitFlip damages the last node records of a
+// persisted tree: a flipped bit fails the checksum, and a structurally
+// inconsistent tree that re-checksums cleanly — a node listed by two
+// parents, or by none — is caught by the structure validator instead.
 func TestPersistEnvelopeBitFlip(t *testing.T) {
 	prep := recipesPrep(t, 500)
-	key := sketch.Key{
-		Fingerprint: sketch.Fingerprint(prep.Instance.Rows),
-		Attrs:       "1,2", Tau: 16, Depth: 2, Seed: 5,
-	}
 	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 5}
+	key := sketch.KeyFor(prep.Instance, opts)
 
 	t.Run("checksum-catches-flip", func(t *testing.T) {
 		store := sketch.NewStore(t.TempDir())
@@ -131,49 +131,53 @@ func TestPersistEnvelopeBitFlip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The last payload bytes before the 4-byte CRC belong to the
-		// final node's envelope triple.
+		// final leaf's representative.
 		corrupt(t, store.Path(key), false, func(b []byte) []byte {
 			b[len(b)-5] ^= 0x10
 			return b
 		})
 		if _, err := store.Load(key); err == nil || !strings.Contains(err.Error(), "checksum") {
-			t.Fatalf("flipped envelope bit should fail the checksum, got %v", err)
+			t.Fatalf("flipped bit should fail the checksum, got %v", err)
 		}
 	})
 
-	t.Run("validator-catches-inverted-envelope", func(t *testing.T) {
+	// tampered saves a copy of the tree whose top level tamper altered.
+	tampered := func(t *testing.T, tamper func(top []sketch.Node)) error {
 		store := sketch.NewStore(t.TempDir())
 		tree := sketch.BuildTree(prep.Instance, opts)
-		bad := *tree // shallow copy; deep-copy the node we tamper with
-		bad.Levels = append([][]sketch.Node{}, tree.Levels...)
-		bad.Levels[0] = append([]sketch.Node{}, tree.Levels[0]...)
-		n := bad.Levels[0][0]
-		n.Lo = append([]float64{}, n.Lo...)
-		n.Lo[0] = n.Hi[0] + 5 // lo above hi with NonNull > 0
-		bad.Levels[0][0] = n
-		if err := store.Save(key, &bad); err != nil {
-			t.Fatal(err)
+		if tree.Depth != 2 || len(tree.Levels[0]) < 2 {
+			t.Fatalf("want a depth-2 tree with two roots or more, got depth %d", tree.Depth)
 		}
-		if _, err := store.Load(key); err == nil || !strings.Contains(err.Error(), "envelope") {
-			t.Fatalf("inverted envelope should fail structure validation, got %v", err)
-		}
-	})
-
-	t.Run("validator-catches-overcount", func(t *testing.T) {
-		store := sketch.NewStore(t.TempDir())
-		tree := sketch.BuildTree(prep.Instance, opts)
 		bad := *tree
-		bad.Levels = append([][]sketch.Node{}, tree.Levels...)
-		bad.Levels[0] = append([]sketch.Node{}, tree.Levels[0]...)
-		n := bad.Levels[0][0]
-		n.NonNull = append([]int{}, n.NonNull...)
-		n.NonNull[0] = len(n.Tuples) + 1
-		bad.Levels[0][0] = n
+		bad.Levels = slices.Clone(tree.Levels)
+		bad.Levels[0] = slices.Clone(tree.Levels[0])
+		for i := range bad.Levels[0] {
+			bad.Levels[0][i].Children = slices.Clone(bad.Levels[0][i].Children)
+		}
+		tamper(bad.Levels[0])
 		if err := store.Save(key, &bad); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.Load(key); err == nil || !strings.Contains(err.Error(), "non-NULL") {
-			t.Fatalf("implausible NonNull should fail structure validation, got %v", err)
+		_, err := store.Load(key)
+		return err
+	}
+	t.Run("validator-catches-second-parent", func(t *testing.T) {
+		err := tampered(t, func(top []sketch.Node) { top[0].Children = append(top[0].Children, top[1].Children[0]) })
+		if err == nil || !strings.Contains(err.Error(), "2 parents") {
+			t.Fatalf("a node listed by two parents should fail structure validation, got %v", err)
+		}
+	})
+	t.Run("validator-catches-orphan", func(t *testing.T) {
+		err := tampered(t, func(top []sketch.Node) {
+			for i := range top {
+				if len(top[i].Children) > 1 {
+					top[i].Children = top[i].Children[:len(top[i].Children)-1]
+					return
+				}
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "0 parents") {
+			t.Fatalf("a node no parent lists should fail structure validation, got %v", err)
 		}
 	})
 }

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/schema"
 	"repro/internal/search"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -34,7 +36,6 @@ func ReferenceBuildTree(inst *search.Instance, opts Options) *Tree {
 	leaves := make([]Node, len(groups))
 	for i, g := range groups {
 		leaves[i] = Node{Tuples: g, Rep: refRepresentative(inst.Rows, g)}
-		leaves[i].Lo, leaves[i].Hi, leaves[i].NonNull = refEnvelope(inst.Rows, g, t.Attrs)
 	}
 	t.Levels = [][]Node{leaves}
 	depth := opts.depth()
@@ -45,6 +46,7 @@ func ReferenceBuildTree(inst *search.Instance, opts Options) *Tree {
 	if fanout < 2 {
 		fanout = 2
 	}
+	covered := groups // the top level's covered tuples, per node
 	for t.Depth < depth && len(t.Levels[0]) > fanout {
 		children := t.Levels[0]
 		repRows := make([]schema.Row, len(children))
@@ -55,19 +57,99 @@ func ReferenceBuildTree(inst *search.Instance, opts Options) *Tree {
 		}
 		groups := refSplitRec(repRows, all, shuffledAttrs(t.Attrs, opts.Seed), fanout)
 		parents := make([]Node, len(groups))
+		unions := make([][]int, len(groups))
 		for pi, g := range groups {
-			var tuples []int
 			for _, ci := range g {
-				tuples = append(tuples, children[ci].Tuples...)
+				unions[pi] = append(unions[pi], covered[ci]...)
 			}
-			sort.Ints(tuples)
-			parents[pi] = Node{Children: g, Tuples: tuples, Rep: refRepresentative(inst.Rows, tuples)}
-			parents[pi].Lo, parents[pi].Hi, parents[pi].NonNull = mergeEnvelopes(children, g, len(t.Attrs))
+			sort.Ints(unions[pi])
+			parents[pi] = Node{Children: g, Rep: refRepresentative(inst.Rows, unions[pi])}
 		}
 		t.Levels = append([][]Node{parents}, t.Levels...)
 		t.Depth++
+		covered = unions
 	}
 	return t
+}
+
+// CoveredTuples gathers, per level and node, the candidate tuples the
+// node covers from its leaves, sorted ascending: the per-node tuple
+// lists the tree keeps only at its leaves, for the tests that scan them.
+func CoveredTuples(t *Tree) [][][]int {
+	out := make([][][]int, t.Depth)
+	leaves := t.Leaves()
+	out[t.Depth-1] = make([][]int, len(leaves))
+	for g := range leaves {
+		out[t.Depth-1][g] = slices.Clone(leaves[g].Tuples)
+	}
+	for l := t.Depth - 2; l >= 0; l-- {
+		out[l] = make([][]int, len(t.Levels[l]))
+		for g, n := range t.Levels[l] {
+			for _, c := range n.Children {
+				out[l][g] = append(out[l][g], out[l+1][c]...)
+			}
+			slices.Sort(out[l][g])
+		}
+	}
+	return out
+}
+
+// refLevel is what the descent read of one level's nodes when every node
+// kept its covered tuples — a scan of them per node: the size, the pinned
+// and admissible counts, each selector's node weight (every covered tuple
+// selected for an elimination, some for an at-least-one) and each
+// exclusion cut's mean weight. The oracle the folded facts must equal at
+// every level (TestFoldedFactsMatchTheScan).
+type refLevel struct {
+	size, pins, adm []int
+	sel             map[int][]float64
+	ex              [][]float64
+}
+
+// refLevelFacts scans covered, one node's covered tuples per entry.
+func (s *solver) refLevelFacts(ba *branchAtoms, covered [][]int) refLevel {
+	r := refLevel{size: make([]int, len(covered)), sel: map[int][]float64{}, ex: make([][]float64, len(s.exAtoms))}
+	if len(s.pins) > 0 {
+		r.pins = make([]int, len(covered))
+	}
+	if ba.eliminated != nil {
+		r.adm = make([]int, len(covered))
+	}
+	for k := range ba.sels {
+		r.sel[k] = make([]float64, len(covered))
+	}
+	for k := range r.ex {
+		r.ex[k] = make([]float64, len(covered))
+	}
+	for g, tuples := range covered {
+		r.size[g] = len(tuples)
+		for _, i := range tuples {
+			if r.pins != nil && s.pins[i] {
+				r.pins[g]++
+			}
+			if r.adm != nil && !ba.eliminated[i] {
+				r.adm[g]++
+			}
+		}
+		for k, sel := range ba.sels {
+			every, some := true, false
+			for _, i := range tuples {
+				hit := sel.Present[i] && sel.Match(sel.Vals[i])
+				every, some = every && hit, some || hit
+			}
+			if (sel.Kind == translate.SketchElim && every) || (sel.Kind == translate.SketchAtLeast && some) {
+				r.sel[k][g] = 1
+			}
+		}
+		for k, ex := range s.exAtoms {
+			sum := 0.0
+			for _, i := range tuples {
+				sum += ex.W[i]
+			}
+			r.ex[k][g] = sum / float64(len(tuples))
+		}
+	}
+	return r
 }
 
 func refSplitRec(rows []schema.Row, g []int, attrs []int, tau int) [][]int {
@@ -169,28 +251,6 @@ func refModeValue(rows []schema.Row, g []int, c int) value.V {
 	return best
 }
 
-func refEnvelope(rows []schema.Row, tuples, attrs []int) (lo, hi []float64, nonNull []int) {
-	lo = make([]float64, len(attrs))
-	hi = make([]float64, len(attrs))
-	nonNull = make([]int, len(attrs))
-	for ai, a := range attrs {
-		for _, i := range tuples {
-			if a >= len(rows[i]) || rows[i][a].IsNull() {
-				continue
-			}
-			v, _ := rows[i][a].AsFloat()
-			if nonNull[ai] == 0 || v < lo[ai] {
-				lo[ai] = v
-			}
-			if nonNull[ai] == 0 || v > hi[ai] {
-				hi[ai] = v
-			}
-			nonNull[ai]++
-		}
-	}
-	return lo, hi, nonNull
-}
-
 // rowScales is the distance scales as the patcher and the greedy
 // fallbacks read them until the pass store did: each attribute's spread
 // across all rows through numAt's lens (1 for constant columns), one boxed
@@ -228,7 +288,7 @@ func EncodeTreeForTest(k Key, t *Tree) []byte {
 func PartitionAttrsForTest(inst *search.Instance) []int { return partitionAttrs(inst) }
 
 // ChildModeValueForTest exposes the patched-tree mode over child
-// representatives.
-func ChildModeValueForTest(children []Node, group []int, c int) value.V {
-	return childModeValue(children, group, c)
+// representatives, each weighted by its subtree size.
+func ChildModeValueForTest(children []Node, size, group []int, c int) value.V {
+	return childModeValue(children, size, group, c)
 }

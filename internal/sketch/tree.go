@@ -3,6 +3,7 @@ package sketch
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,21 +20,14 @@ import (
 // and carries a representative over them (mean for numeric columns,
 // mode otherwise), so a sketch MILP can run at any level of the tree.
 //
-// Besides the representative, every node carries a per-attribute
-// min/max envelope over its subtree (the billion-tuple follow-up's
-// soundness device for hierarchical pruning): Lo/Hi/NonNull are
-// parallel to Tree.Attrs and record, per split attribute, the smallest
-// and largest non-NULL value any covered tuple holds and how many
-// tuples are non-NULL. MIN/MAX atom relaxation reads them to decide in
-// O(1) whether a whole subtree violates a bound (prune it from the
-// sketch MILP) or can still supply a witness.
+// The leaves are the only place a tree holds per-tuple data: an internal
+// node covers its leaves' tuples, and whatever a sketch level needs to
+// know of them — sizes, pins, admissible supply, selector matches — is
+// scanned at the leaves and folded up through Children (see nodeFacts).
 type Node struct {
 	Children []int      // indexes into the next-deeper level; nil for leaves
-	Tuples   []int      // covered candidate indexes, sorted ascending
-	Rep      schema.Row // representative tuple over Tuples
-	Lo       []float64  // per-attr subtree minimum over non-NULL values
-	Hi       []float64  // per-attr subtree maximum over non-NULL values
-	NonNull  []int      // per-attr count of non-NULL values in the subtree
+	Tuples   []int      // a leaf's candidate indexes, sorted ascending; nil above the leaves
+	Rep      schema.Row // representative tuple over the covered tuples
 }
 
 // Tree is a hierarchical partitioning of the candidates (the PVLDB 2023
@@ -173,8 +167,8 @@ func (t *Tree) flatten() *Tree {
 //
 // The candidates are lowered to flat columns once, up front
 // (search.Lower), and every per-row loop of the build — split
-// selection, representatives, envelopes — is a pass over those columns;
-// the lowering is dropped when the build returns.
+// selection, representatives — is a pass over those columns; the
+// lowering is dropped when the build returns.
 //
 // When Options.Ctx is canceled mid-build the function returns early
 // with whatever levels are complete so far (none, if the leaves were
@@ -197,26 +191,34 @@ func BuildTree(inst *search.Instance, opts Options) *Tree {
 	if fanout < 2 {
 		fanout = 2
 	}
+	covered := make([][]int, len(leaves)) // the top level's covered tuples, per node
+	for i := range leaves {
+		covered[i] = leaves[i].Tuples
+	}
 	for t.Depth < depth && len(t.Levels[0]) > fanout && !opts.stopped() {
-		parents := groupLevel(cols, t.Levels[0], t.Attrs, fanout, opts)
+		parents, unions := groupLevel(cols, t.Levels[0], covered, t.Attrs, fanout, opts)
 		if parents == nil {
 			break // canceled mid-level
 		}
 		t.Levels = append([][]Node{parents}, t.Levels...)
 		t.Depth++
+		covered = unions
 	}
 	return t
 }
 
-// groupLevel builds one level of internal nodes over children: the
-// children's representatives are median-split into groups of at most
-// fanout, and each group becomes a parent whose representative is
-// recomputed over the union of covered tuples (a tuple-weighted mean,
-// more faithful than averaging child representatives). Parents are
+// groupLevel builds one level of internal nodes over children, whose
+// covered tuples are covered[ci]: the children's representatives are
+// median-split into groups of at most fanout, and each group becomes a
+// parent whose representative is recomputed over the sorted union of
+// its children's covered tuples (a tuple-weighted mean, more faithful
+// than averaging child representatives). A parent keeps only its
+// children; the unions are returned beside the parents for the level
+// above and are scratch, dropped with the build. Parents are
 // independent, so their unions and representatives are computed across
 // workers. cols is the lowering of the candidates; nil is returned when
 // the build was canceled.
-func groupLevel(cols *search.Columns, children []Node, attrs []int, fanout int, opts Options) []Node {
+func groupLevel(cols *search.Columns, children []Node, covered [][]int, attrs []int, fanout int, opts Options) ([]Node, [][]int) {
 	repRows := make([]schema.Row, len(children))
 	for i := range children {
 		repRows[i] = children[i].Rep
@@ -224,74 +226,35 @@ func groupLevel(cols *search.Columns, children []Node, attrs []int, fanout int, 
 	stop := opts.stopHook()
 	repCols := search.Lower(repRows, nil, stop)
 	if repCols == nil {
-		return nil
+		return nil, nil
 	}
 	workers := opts.workers()
 	split := &splitter{tau: fanout, lim: newLimiter(workers), stop: stop}
 	groups := split.medianSplit(repCols, 0, len(children), shuffledAttrs(attrs, opts.Seed))
 	if opts.stopped() {
-		return nil
+		return nil, nil
 	}
 	parents := make([]Node, len(groups))
+	unions := make([][]int, len(groups))
 	modes := make([]modeScratch, max(workers, 1))
 	parallelForWorker(workers, len(groups), func(w, pi int) {
-		g := groups[pi]
-		tuples := mergeChildTuples(children, g)
-		parents[pi] = Node{Children: g, Tuples: tuples, Rep: representative(cols, tuples, &modes[w])}
-		parents[pi].Lo, parents[pi].Hi, parents[pi].NonNull = mergeEnvelopes(children, g, len(attrs))
+		unions[pi] = mergeChildTuples(covered, groups[pi])
+		parents[pi] = Node{Children: groups[pi], Rep: representative(cols, unions[pi], &modes[w])}
 	})
-	return parents
+	return parents, unions
 }
 
-// envelope scans a tuple set and returns its per-attribute min/max
-// envelope: for each split attribute, the smallest and largest value
-// among non-NULL cells (non-numeric cells count as 0, matching the
-// selector-atom value lens) and the non-NULL count. Constant (0, 0)
-// bounds mark attributes with no non-NULL value.
-func envelope(cols *search.Columns, tuples, attrs []int) (lo, hi []float64, nonNull []int) {
-	lo = make([]float64, len(attrs))
-	hi = make([]float64, len(attrs))
-	nonNull = make([]int, len(attrs))
-	for ai, a := range attrs {
-		col := &cols.Cols[a]
-		for _, i := range tuples {
-			if col.IsNull(i) {
-				continue
-			}
-			v := col.Num[i]
-			if nonNull[ai] == 0 || v < lo[ai] {
-				lo[ai] = v
-			}
-			if nonNull[ai] == 0 || v > hi[ai] {
-				hi[ai] = v
-			}
-			nonNull[ai]++
-		}
+// mergeChildTuples unions the (sorted, disjoint) covered tuple lists of
+// a group's children into one sorted list.
+func mergeChildTuples(covered [][]int, group []int) []int {
+	total := 0
+	for _, ci := range group {
+		total += len(covered[ci])
 	}
-	return lo, hi, nonNull
-}
-
-// mergeEnvelopes folds the envelopes of a parent's children (disjoint
-// tuple sets) into the parent's — exactly the envelope a fresh scan of
-// the tuple union would produce, at a fraction of the cost.
-func mergeEnvelopes(children []Node, group []int, nAttrs int) (lo, hi []float64, nonNull []int) {
-	lo = make([]float64, nAttrs)
-	hi = make([]float64, nAttrs)
-	nonNull = make([]int, nAttrs)
-	for ai := 0; ai < nAttrs; ai++ {
-		for _, ci := range group {
-			c := &children[ci]
-			if c.NonNull[ai] == 0 {
-				continue
-			}
-			if nonNull[ai] == 0 || c.Lo[ai] < lo[ai] {
-				lo[ai] = c.Lo[ai]
-			}
-			if nonNull[ai] == 0 || c.Hi[ai] > hi[ai] {
-				hi[ai] = c.Hi[ai]
-			}
-			nonNull[ai] += c.NonNull[ai]
-		}
+	out := make([]int, 0, total)
+	for _, ci := range group {
+		out = append(out, covered[ci]...)
 	}
-	return lo, hi, nonNull
+	slices.Sort(out)
+	return out
 }

@@ -390,14 +390,12 @@ func (at *SketchAtom) linearRows(ctx context.Context, cands []schema.Row, closed
 // aggregate's filter, their argument values, and the predicate that
 // selects them (bad tuples for an elimination row, good tuples for an
 // at-least-one row). Partition levels use it to re-weight the atom over
-// nodes from subtree envelopes; Col names the bare unfiltered argument
-// column when the envelope fast path applies (-1 otherwise). Present and
+// nodes from how many of each node's tuples it selects. Present and
 // Vals are the selection's own: read-only.
 type Selector struct {
 	Kind    SketchAtomKind
 	Present []bool    // filter passes and the argument is non-NULL
 	Vals    []float64 // argument value per candidate (0 when absent)
-	Col     int       // bare argument column ordinal, or -1
 	All     bool      // predicate selects every present tuple (guards)
 	Op      expr.BinOp
 	C       float64
@@ -418,12 +416,8 @@ func (at *SketchAtom) selector(ctx context.Context, cands []schema.Row) (*Select
 	if err != nil {
 		return nil, err
 	}
-	col := -1
-	if c, ok := at.sel.agg.Arg.(*expr.Col); ok && at.sel.agg.Filter == nil {
-		col = c.Idx
-	}
 	return &Selector{
-		Kind: at.Kind, Present: present, Vals: vals, Col: col,
+		Kind: at.Kind, Present: present, Vals: vals,
 		All: at.all, Op: at.op, C: at.c, Source: at.src,
 	}, nil
 }

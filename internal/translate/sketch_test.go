@@ -242,7 +242,10 @@ func TestCompileSketchErrorNamesAtom(t *testing.T) {
 	}
 }
 
-func TestSelectorEnvelopeFastPathMetadata(t *testing.T) {
+// TestSelectorViewMetadata: a MIN/MAX atom's selector view names every
+// candidate's presence under the aggregate's filter and its value, and
+// the predicate the partition levels count tuples by.
+func TestSelectorViewMetadata(t *testing.T) {
 	a := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT MIN(P.calories) >= 600 AND MAX(P.protein WHERE P.kind = 'a') <= 25`)
@@ -264,17 +267,16 @@ func TestSelectorEnvelopeFastPathMetadata(t *testing.T) {
 	if len(sels) != 4 {
 		t.Fatalf("%d selectors, want 4 (elim + guard for each MIN/MAX atom)", len(sels))
 	}
-	if sels[0].Col != 1 {
-		t.Errorf("bare-column MIN selector should expose col 1, got %d", sels[0].Col)
+	if bare := sels[0]; !bare.Present[0] || !bare.Present[1] || bare.Vals[0] != 700 || bare.Vals[1] != 900 {
+		t.Errorf("bare-column MIN selector: present %v, vals %v", bare.Present, bare.Vals)
+	}
+	if !sels[0].Match(599) || sels[0].Match(600) {
+		t.Error("MIN >= 600 elimination predicate should select values below 600")
 	}
 	if !sels[1].All {
 		t.Error("witness guard should select every present tuple")
 	}
-	// The filtered MAX atom cannot use the envelope fast path.
 	filtered := sels[2]
-	if filtered.Col != -1 {
-		t.Errorf("filtered selector must disable the envelope fast path, got col %d", filtered.Col)
-	}
 	if !filtered.Present[0] || filtered.Present[1] {
 		t.Errorf("filter presence wrong: %v", filtered.Present)
 	}
