@@ -26,9 +26,9 @@
 //	     MAXIMIZE SUM(P.protein)"      # full atom grammar stays on the sketch path
 //
 // SketchRefine covers the full PaQL atom grammar: AVG atoms are
-// linearized, MIN/MAX atoms are enforced via partition envelopes, and
-// disjunctions descend one DNF branch each (the result notes report the
-// branch and rewrite counts).
+// linearized, MIN/MAX atoms prune partition nodes by how many of their
+// leaves' tuples qualify, and disjunctions descend one DNF branch each
+// (the result notes report the branch and rewrite counts).
 //
 // In the REPL, INSERT/DELETE statements between package queries patch
 // the cached partition tree in place instead of forcing a rebuild
@@ -36,9 +36,10 @@
 // queries over unchanged tables skip candidate fingerprint hashing
 // entirely.
 //
-// With no explicit strategy or knob flags, a cost-based planner picks
+// With no explicit strategy or knob flags, a rule-based planner picks
 // the strategy, partition size, tree depth and parallelism per query
-// from the candidate count and the atom mix; whether a stale tree is
+// from the candidate count and the atom mix (exact MILP up to 4,096
+// linear candidates, SketchRefine beyond); whether a stale tree is
 // patched or rebuilt is decided when the query runs, and the result
 // notes say which. Prefix a query with EXPLAIN (or pass -explain) to
 // print the decision trail without executing:

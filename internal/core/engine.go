@@ -151,9 +151,9 @@ type Options struct {
 	// (requires SketchMemo): after writes, the cached tree for the
 	// pre-write data is patched in place via sketch.ApplyDelta —
 	// deletions tombstoned, insertions routed to their leaves,
-	// overgrown leaves split, representatives and envelopes refreshed
-	// bottom-up — instead of rebuilt from scratch, and the persisted
-	// tree is re-saved atomically. True (the System, CLI and server
+	// overgrown leaves split, representatives refreshed bottom-up —
+	// instead of rebuilt from scratch, and the persisted tree is re-saved
+	// atomically. True (the System, CLI and server
 	// default) leaves patch-vs-rebuild to tree acquisition, which
 	// patches while the tree's drift fits plan.PatchMaxFrac; false
 	// forces a rebuild after every write, and the plan records it as
@@ -248,9 +248,9 @@ type Stats struct {
 	// DegradedReasons lists the rungs taken, one "subsystem: detail"
 	// entry per degradation event, in the order they happened.
 	DegradedReasons []string
-	// Plan is the cost-based planner's decision trail for this
-	// evaluation (strategy, knobs, costs, reasons). Always set by Run;
-	// EXPLAIN surfaces render it.
+	// Plan is the planner's decision trail for this evaluation
+	// (strategy, knobs, bound, memory, each with its reason). Always set
+	// by Run; EXPLAIN surfaces render it.
 	Plan *plan.Plan
 }
 

@@ -209,7 +209,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 				wantBound = plan.BoundNone
 			}
 			atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
-			wantMem := plan.MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, 0, atoms)
+			wantMem := plan.MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, atoms)
 			if qp.Bound != wantBound || qp.MemoryBytes != wantMem || res.Stats.MemoryEstimate != wantMem {
 				t.Errorf("bound %s, memory %d B (stats %d B); want %s, %d B\n%s",
 					qp.Bound, qp.MemoryBytes, res.Stats.MemoryEstimate, wantBound, wantMem, qp.Explain())
@@ -280,7 +280,7 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 		fail("Stats.SketchTreePatched = %v beside a record that says %v", st.SketchTreePatched, sk.TreePatched)
 	}
 	if st.SketchTreePatched && !qp.Incremental {
-		fail("patched a tree under maintenance = %s", qp.Maintenance)
+		fail("patched a tree under a forced rebuild")
 	}
 	if wantSource == "" {
 		return
@@ -414,5 +414,28 @@ func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
 		if !slices.Equal(sres.Mult, res.Packages[0].Mult) {
 			t.Fatalf("step %d: the trace answered %v, the engine %v", i, sres.Mult, res.Packages[0].Mult)
 		}
+	}
+}
+
+// TestForcedDepthPastMaxDepthPlansTheBuiltTree: a forced depth past
+// plan.MaxDepth (a pbserver request may send sketchDepth 50) is planned
+// at the depth the sketch engine clamps it to, so Stats.Plan, EXPLAIN and
+// the memory estimate admission reads describe the tree that is built.
+func TestForcedDepthPastMaxDepthPlansTheBuiltTree(t *testing.T) {
+	prep, err := Prepare(lcDB(t, 6000), lcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Run(Options{Seed: 1, SketchIncremental: true, SketchDepth: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, sk := res.Stats.Plan, res.Stats.Sketch
+	if qp.Depth != plan.MaxDepth || sk == nil || sk.Levels > plan.MaxDepth {
+		t.Fatalf("planned depth %d, built %+v; want %d planned and at most %d built\n%s", qp.Depth, sk, plan.MaxDepth, plan.MaxDepth, qp.Explain())
+	}
+	atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
+	if want := plan.MemoryEstimate(plan.StrategySketch, res.Stats.Candidates, plan.MaxDepth, atoms); res.Stats.MemoryEstimate != want {
+		t.Fatalf("memory estimate %d B, want %d B for %d levels", res.Stats.MemoryEstimate, want, plan.MaxDepth)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // where the partition tree came from is the run's to record
 // (sketch.Result), not the plan's to predict.
 
-// Plan runs the cost-based planner over the prepared query under the
+// Plan runs the rule-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
 // anything. EXPLAIN on every surface bottoms out here.
 func (p *Prepared) Plan(opts Options) *plan.Plan {

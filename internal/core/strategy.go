@@ -30,7 +30,7 @@ const timeoutGrace = 250 * time.Millisecond
 const diverseOverFetch = 4
 
 // Run evaluates the prepared query under the given options: the
-// cost-based planner (internal/plan) resolves them into one plan.Plan —
+// rule-based planner (internal/plan) resolves them into one plan.Plan —
 // explicitly-set options enter as forced and win, except a strategy the
 // query's atoms rule out — and the strategy runners execute that plan.
 //
@@ -113,6 +113,13 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		return nil, err
 	}
 	inst := p.Instance
+	// A pin outside the candidates is the caller's error under every
+	// strategy, so it is refused here, once, before anything is planned.
+	for _, i := range opts.Require {
+		if i < 0 || i >= len(inst.Rows) {
+			return nil, fmt.Errorf("core: pinned candidate %d out of range [0,%d)", i, len(inst.Rows))
+		}
+	}
 	res = &Result{Query: p.Query}
 	res.Stats.Candidates = len(inst.Rows)
 	res.Stats.RowsScanned, res.Stats.SnapshotHit = p.RowsScanned, p.SnapshotHit

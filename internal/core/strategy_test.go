@@ -398,3 +398,22 @@ func TestStatsSketchIsTheSolversRecord(t *testing.T) {
 		t.Errorf("a solver run carries a sketch record (err %v)", err)
 	}
 }
+
+// TestOutOfRangePinFailsUnderEveryStrategy: a pin outside the candidate
+// set is refused with one error whichever strategy the plan runs. The
+// enumerators used to drop it and answer a package without the pin.
+func TestOutOfRangePinFailsUnderEveryStrategy(t *testing.T) {
+	prep, err := Prepare(lcDB(t, 20), lcQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(prep.Instance.Rows)
+	for _, strat := range []Strategy{PrunedEnum, LocalSearchStrategy, Solver, SketchRefineStrategy} {
+		for _, pin := range []int{-1, n, n + 7} {
+			_, err := prep.Run(Options{Seed: 1, Strategy: strat, SketchIncremental: true, Require: []int{0, pin}})
+			if want := fmt.Sprintf("core: pinned candidate %d out of range [0,%d)", pin, n); err == nil || err.Error() != want {
+				t.Errorf("%s, pin %d: err %v, want %q", strat, pin, err, want)
+			}
+		}
+	}
+}

@@ -58,7 +58,7 @@ type Query struct {
 	Limit     int        // number of packages requested; 0 means 1
 	Raw       string     // original query text
 	// Explain marks an EXPLAIN-prefixed query: the engine plans it (the
-	// cost-based strategy/knob decision trail) but does not execute it.
+	// decision trail, a reason per decision) but does not execute it.
 	Explain bool
 }
 

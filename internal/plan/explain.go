@@ -7,8 +7,7 @@ import (
 
 // Explain renders the plan as the tree EXPLAIN prints: a header with
 // the query, table statistics and atom mix, then one branch per
-// decision with its value, cost estimate, forced marker, reason, and
-// rejected alternatives.
+// decision with its value, forced marker and reason.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	q := collapse(p.Query)
@@ -33,19 +32,8 @@ func (p *Plan) Explain() string {
 		if d.Forced {
 			forced = "  [forced]"
 		}
-		cost := ""
-		if d.Cost > 0 {
-			cost = fmt.Sprintf("  [cost ≈ %.3g]", d.Cost)
-		}
-		fmt.Fprintf(&b, "%s %s = %s%s%s\n", branch, d.Name, d.Value, cost, forced)
+		fmt.Fprintf(&b, "%s %s = %s%s\n", branch, d.Name, d.Value, forced)
 		fmt.Fprintf(&b, "%s     %s\n", cont, d.Reason)
-		if len(d.Alternatives) > 0 {
-			alts := make([]string, len(d.Alternatives))
-			for j, a := range d.Alternatives {
-				alts[j] = fmt.Sprintf("%s ≈ %.3g", a.Value, a.Cost)
-			}
-			fmt.Fprintf(&b, "%s     rejected: %s\n", cont, strings.Join(alts, ", "))
-		}
 	}
 	return b.String()
 }

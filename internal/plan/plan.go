@@ -1,16 +1,20 @@
-// Package plan is the cost-based strategy planner: the single place
-// that turns "what does this query look like and how big is its table"
-// into "which strategy and which knobs". It follows the classic
-// query-planner / execution-planner split:
+// Package plan is the rule-based strategy planner: the single place
+// that turns "what does this query look like and how many candidates
+// does it have" into "which strategy and which knobs". It follows the
+// classic query-planner / execution-planner split:
 //
 //   - the query-planner half (AnalyzeAtoms) classifies the atom mix of a
 //     PaQL analysis — linear, AVG, MIN/MAX, disjunctive — given the
 //     sketch engine's applicability verdict and branch count;
-//   - the execution-planner half (New) costs the alternatives (exact
-//     MILP vs flat vs hierarchical SketchRefine), sizes τ and tree depth
-//     to the table, and picks parallelism from size and GOMAXPROCS —
-//     emitting a typed Plan whose every Decision carries a cost estimate
-//     and a human-readable reason.
+//   - the execution-planner half (New) applies threshold rules: exact
+//     MILP for a linear query up to SketchThreshold candidates and
+//     SketchRefine beyond, pruned enumeration for a non-linear one up to
+//     ExactEnumMax candidates under bounded REPEAT and local search
+//     otherwise; it sizes τ and tree depth to the candidates, picks
+//     parallelism from size and GOMAXPROCS and the bound stage from the
+//     band atoms, and predicts the working set (MemoryEstimate) —
+//     emitting a typed Plan whose every Decision carries a human-readable
+//     reason.
 //
 // Where the partition tree comes from — memory, disk, a patch of a stale
 // tree, or a build — is not a plan decision: tree acquisition in
@@ -35,8 +39,6 @@
 package plan
 
 import (
-	"math"
-
 	"repro/internal/bound"
 	"repro/internal/expr"
 	"repro/internal/paql"
@@ -70,9 +72,12 @@ const (
 	// only add representative error. The sketch engine clamps requested
 	// depths to it and rejects persisted trees deeper than it.
 	MaxDepth = 8
-	// MinMaxDepthCap caps depth for queries with MIN/MAX atoms: the
-	// envelope relaxation loosens per level, so deep trees cost
-	// feasibility more than they save solve time.
+	// MinMaxDepthCap caps depth for queries with MIN/MAX atoms. A sketch
+	// level relaxes their selector rows over whole subtrees from counts
+	// folded up from the leaves: an elimination row excludes only a node
+	// whose every tuple violates it, an at-least-one row admits a node
+	// holding any witness. Every level above the leaves is looser, so
+	// deep trees cost feasibility more than they save solve time.
 	MinMaxDepthCap = 2
 	// ParallelMinRows is the row count below which fan-out overhead beats
 	// the win: the planner stays serial under it, and so does the tree
@@ -231,7 +236,8 @@ type Forced struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Tau is the explicit leaf-size bound, or 0.
 	Tau int `json:"tau,omitempty"`
-	// Depth is the explicit tree depth, or 0.
+	// Depth is the explicit tree depth, or 0; one past MaxDepth is
+	// planned at MaxDepth, the deepest tree the sketch engine builds.
 	Depth int `json:"depth,omitempty"`
 	// Rebuild forces a full rebuild over patching a stale tree; false
 	// leaves patch-vs-rebuild to tree acquisition.
@@ -267,14 +273,6 @@ type Input struct {
 	Forced Forced `json:"forced"`
 }
 
-// Alternative is a costed option the planner considered and rejected.
-type Alternative struct {
-	// Value is the option's value.
-	Value string `json:"value"`
-	// Cost is its estimate in the same abstract units as Decision.Cost.
-	Cost float64 `json:"cost"`
-}
-
 // Decision is one planner choice with its justification.
 type Decision struct {
 	// Name identifies the decision: strategy, tau, depth, parallelism,
@@ -284,13 +282,8 @@ type Decision struct {
 	Value string `json:"value"`
 	// Forced reports that the user pinned this value explicitly.
 	Forced bool `json:"forced,omitempty"`
-	// Cost is the estimate for the chosen value in abstract work units
-	// (0 when the decision is not cost-driven).
-	Cost float64 `json:"cost,omitempty"`
 	// Reason explains the choice in one human-readable sentence.
 	Reason string `json:"reason"`
-	// Alternatives lists the costed options not taken.
-	Alternatives []Alternative `json:"alternatives,omitempty"`
 }
 
 // Plan is the planner's typed output: the chosen strategy and knobs
@@ -314,11 +307,9 @@ type Plan struct {
 	Tau         int `json:"tau,omitempty"`
 	Depth       int `json:"depth,omitempty"`
 	Parallelism int `json:"parallelism,omitempty"`
-	// Maintenance is MaintainRebuild when the user forced rebuilds, else
-	// empty: tree acquisition decides patch-vs-rebuild when it runs.
-	Maintenance string `json:"maintenance,omitempty"`
 	// Incremental is the engine's boolean knob: false only when a sketch
-	// plan carries a forced rebuild.
+	// plan carries a forced rebuild (the maintenance decision); true
+	// leaves patch-vs-rebuild to tree acquisition when it runs.
 	Incremental bool `json:"incremental"`
 	// MemoryBytes is the predicted peak working set of the chosen
 	// strategy (MemoryEstimate); engines gate admission on it
@@ -344,36 +335,6 @@ func (p *Plan) Decision(name string) *Decision {
 	return nil
 }
 
-// The cost formulas. Costs are abstract work units (roughly
-// candidate-cell touches) — only their ratios matter.
-
-// SolverCost estimates an exact MILP over n candidates: n·√n, the
-// empirical super-linear growth of the bounded LP-dive solver.
-func SolverCost(n int) float64 {
-	f := float64(n)
-	return f * math.Sqrt(f)
-}
-
-// SketchCost estimates SketchRefine over n candidates with leaf bound
-// tau and the given DNF branch count: per branch one descent over the
-// leaves plus a refine pass bounded by n, and an offline build at
-// n·(log₂(leaves)+1). The build is always priced: whether a tree is warm
-// is acquisition's to find out, and past the exact budget the sketch wins
-// either way.
-func SketchCost(n, tau, branches int) float64 {
-	if tau < 1 {
-		tau = 1
-	}
-	if branches < 1 {
-		branches = 1
-	}
-	leaves := float64((n + tau - 1) / tau)
-	if leaves < 1 {
-		leaves = 1
-	}
-	return float64(branches)*(leaves+float64(n)) + float64(n)*(math.Log2(leaves)+1)
-}
-
 // MemoryEstimate predicts the peak working set a strategy allocates on
 // top of the candidate rows, in bytes. The formulas are deliberately
 // rough — order-of-magnitude allocation models, not measurements — but
@@ -383,16 +344,16 @@ func SketchCost(n, tau, branches int) float64 {
 //   - solver: one flat simplex working matrix of (atoms+2)·n float64 cells
 //     plus branch-and-bound node state (~48 bytes/candidate of bound
 //     vectors and incumbents);
-//   - sketch-refine: the partition tree stores every tuple index once
-//     per level (8·n·depth) plus representatives/envelopes (~16n), and
-//     each residual sub-MILP is bounded by the leaf size (negligible
-//     next to the tree at scale);
+//   - sketch-refine: one 8-byte tuple index per candidate per tree level
+//     (8·n·depth) — an upper bound, since only the leaves hold tuple
+//     indexes — plus representatives (~16n); each residual sub-MILP is
+//     bounded by the leaf size (negligible next to the tree at scale);
 //   - enumeration and local search: multiplicity vectors and bookkeeping
 //     linear in n (~32 bytes/candidate).
 //
 // Engines compare the estimate against Options.MemoryBudget before
 // dispatch and refuse with a typed budget error instead of thrashing.
-func MemoryEstimate(strategy string, n, tau, depth, atoms int) int64 {
+func MemoryEstimate(strategy string, n, depth, atoms int) int64 {
 	if n < 1 {
 		return 0
 	}
@@ -409,23 +370,3 @@ func MemoryEstimate(strategy string, n, tau, depth, atoms int) int64 {
 		return f * 32
 	}
 }
-
-// EnumCost estimates exact branch-and-bound enumeration: exponential in
-// n, saturating so the estimate stays finite.
-func EnumCost(n int) float64 {
-	if n > 40 {
-		n = 40
-	}
-	return math.Exp2(float64(n))
-}
-
-// LocalSearchCost estimates the greedy + local-search heuristic:
-// linear with a constant for the repair sweeps.
-func LocalSearchCost(n int) float64 { return float64(n) * 64 }
-
-// ExactBudget is the largest solver cost still considered affordable:
-// below it the planner prefers the exact answer even when the sketch
-// estimate is lower, because exactness is worth the margin. It derives
-// from SketchThreshold so the classic 4096-candidate switchover falls
-// out of the model.
-func ExactBudget() float64 { return SolverCost(SketchThreshold) }

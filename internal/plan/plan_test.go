@@ -3,6 +3,9 @@ package plan
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -304,9 +307,13 @@ func TestForcedKnobSurvivesSolverPlan(t *testing.T) {
 	}
 }
 
-// TestGoldenExplain pins the EXPLAIN text format.
+// TestGoldenExplain pins the EXPLAIN text format, one plan per
+// strategy. Together they pin that a knob line appears only when its knob
+// runs or was forced: the solver plan keeps its forced τ and depth and
+// drops the forced rebuild no solver performs, the enumeration and local
+// search plans carry no knob lines at all.
 func TestGoldenExplain(t *testing.T) {
-	in := Input{
+	sketchIn := Input{
 		Query:   "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
 		Table:   TableStats{Table: "t", Rows: 100_000, Version: 7},
 		N:       100_000,
@@ -316,27 +323,76 @@ func TestGoldenExplain(t *testing.T) {
 
 		RowsScanned: 100_000,
 	}
-	got := New(in).Explain()
-	want := `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
+	solverIn := baseInput(100)
+	solverIn.SnapshotHit = true
+	solverIn.Forced = Forced{Tau: 32, Depth: 4, Rebuild: true}
+	enumIn := baseInput(10)
+	enumIn.Mix = nonlinearMix()
+	localIn := baseInput(1000)
+	localIn.Mix = nonlinearMix()
+	localIn.Forced.Rebuild = true
+	cases := []struct {
+		name string
+		in   Input
+		want string
+	}{
+		{"sketch", sketchIn, `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
 table t: 100000 rows; 100000 rows scanned (candidate snapshot miss)
 atoms: linear; 2 sum/count; 1 branch
-├─ strategy = sketch-refine  [cost ≈ 1.26e+06]
+├─ strategy = sketch-refine
 │      linear query, 100000 candidates > 4096: partitioned sketch is cheapest
-│      rejected: solver ≈ 3.16e+07
 ├─ tau = 64
 │      100000 candidates ≤ 100000: default leaf size
 ├─ depth = 2
 │      1563 leaves > 64 top-level vars: 2 levels keep the root small
 ├─ parallelism = 8
 │      100000 candidates ≥ 2048: fan out across 8 workers
-├─ bound = tree-lp  [cost ≈ 1.56e+03]
+├─ bound = tree-lp
 │      LP relaxation over ~1563 partition leaves (objective-sorted segments), 1 branch(es); no band atoms to tighten
-│      rejected: tree-lp+tighten ≈ 7.82e+03
 └─ memory = 3.1 MB
        predicted peak working set for sketch-refine over 100000 candidates (2 atoms)
-`
-	if got != want {
-		t.Fatalf("golden mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+`},
+		{"solver-forced-knobs", solverIn, `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
+table t: 100 rows; 0 rows scanned (candidate snapshot hit)
+atoms: linear; 2 sum/count; 1 branch
+├─ strategy = solver
+│      linear query, 100 candidates ≤ 4096: exact MILP is affordable
+├─ tau = 32  [forced]
+│      explicit partition-size flag
+├─ depth = 4  [forced]
+│      explicit depth flag
+├─ bound = milp-dual
+│      exact strategy: the search proves its own dual bound (gap 0 at optimality)
+└─ memory = 10.9 KB
+       predicted peak working set for solver over 100 candidates (2 atoms)
+`},
+		{"pruned-enum", enumIn, `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
+table t: 10 rows; 0 rows scanned (candidate snapshot miss)
+atoms: non-linear (objective multiplies aggregates); 2 sum/count; sketch inapplicable (sketch: query is not linear)
+├─ strategy = pruned-enum
+│      non-linear query, 10 candidates ≤ 22: exact pruned enumeration is affordable
+├─ bound = milp-dual
+│      exact strategy: the search proves its own dual bound (gap 0 at optimality)
+└─ memory = 320 B
+       predicted peak working set for pruned-enum over 10 candidates (2 atoms)
+`},
+		{"local-search", localIn, `plan for: SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)
+table t: 1000 rows; 0 rows scanned (candidate snapshot miss)
+atoms: non-linear (objective multiplies aggregates); 2 sum/count; sketch inapplicable (sketch: query is not linear)
+├─ strategy = local-search
+│      non-linear query (1000 candidates > 22): local search is the only tractable option
+├─ bound = none
+│      local-search has no relaxation to certify against: gap stays unproven
+└─ memory = 31.2 KB
+       predicted peak working set for local-search over 1000 candidates (2 atoms)
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := New(tc.in).Explain(); got != tc.want {
+				t.Fatalf("golden mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -386,9 +442,13 @@ func TestAnalyzeAtoms(t *testing.T) {
 }
 
 // TestPlanJSONRoundTrip: pbserver serves plans as JSON; the typed plan
-// must survive a round trip.
+// must survive a round trip, and it carries values and reasons only — no
+// cost estimates, rejected alternatives or a maintenance field beside
+// Incremental.
 func TestPlanJSONRoundTrip(t *testing.T) {
-	p := New(baseInput(100_000))
+	in := baseInput(100_000)
+	in.Forced.Rebuild = true
+	p := New(in)
 	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
@@ -397,61 +457,99 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Strategy != p.Strategy || len(back.Decisions) != len(p.Decisions) {
-		t.Fatalf("round trip lost data: %+v", back)
+	if !reflect.DeepEqual(&back, p) {
+		t.Fatalf("round trip lost data:\n got %+v\nwant %+v", back, *p)
 	}
-	if back.Decision("strategy").Cost <= 0 {
-		t.Fatal("cost lost in round trip")
-	}
-}
-
-// TestCostModelMonotone sanity-checks the cost formulas the decisions
-// rest on.
-func TestCostModelMonotone(t *testing.T) {
-	if SolverCost(1000) >= SolverCost(10_000) {
-		t.Fatal("solver cost must grow with n")
-	}
-	if small, large := SketchCost(10_000, 64, 1), SketchCost(100_000, 64, 1); small >= large {
-		t.Fatal("sketch cost must grow with n")
-	}
-	if one, eight := SketchCost(100_000, 64, 1), SketchCost(100_000, 64, 8); one >= eight {
-		t.Fatal("branches must raise sketch cost")
-	}
-	if EnumCost(50) != EnumCost(41) {
-		t.Fatal("enum cost must saturate")
-	}
-	if ExactBudget() != SolverCost(SketchThreshold) {
-		t.Fatal("budget must derive from the sketch threshold")
+	for _, key := range []string{`"cost":`, `"alternatives":`, `"maintenance":`} {
+		if strings.Contains(string(raw), key) {
+			t.Errorf("plan JSON carries %s: %s", key, raw)
+		}
 	}
 }
 
-// TestSketchEstimateUndercutsSolverPastTheBudget is why costStrategy has
-// no "sketch estimate exceeds the exact MILP" arm: past SketchThreshold
-// the sketch estimate, build priced in, is under half the solver's at every leaf bound
-// and every branch count the sketch compiler admits (8,
-// translate.DefaultMaxSketchBranches) — 0.453 at n = 4,097, τ = 1, eight
-// branches, and falling with n — so the planner picks the sketch there.
-func TestSketchEstimateUndercutsSolverPastTheBudget(t *testing.T) {
-	const maxBranches = 8
-	worst := 0.0
-	for _, n := range []int{SketchThreshold + 1, 5000, 10_000, 100_000, 1_000_000, 10_000_000} {
-		for _, tau := range []int{1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
-			for branches := 1; branches <= maxBranches; branches++ {
-				ratio := SketchCost(n, tau, branches) / SolverCost(n)
-				worst = max(worst, ratio)
-				if ratio >= 0.5 {
-					t.Errorf("n=%d τ=%d branches=%d: sketch estimate is %.3f of the solver's, want < 0.5", n, tau, branches, ratio)
-				}
-				in := baseInput(n)
-				in.Forced.Tau, in.Mix.Branches = tau, branches
-				if p := New(in); p.Strategy != StrategySketch {
-					t.Errorf("n=%d τ=%d branches=%d: planned %s, want %s", n, tau, branches, p.Strategy, StrategySketch)
+// TestStrategyRule holds the strategy decision to the rule the planner
+// states: a non-linear query enumerates exactly at n ≤ ExactEnumMax under
+// bounded REPEAT and local-searches otherwise; a linear one runs the
+// exact MILP when the sketch cannot lower it or n ≤ SketchThreshold, and
+// SketchRefine beyond. The sweep crosses both thresholds' edges with
+// every leaf bound and DNF branch count the sketch compiler admits, and
+// checks that a knob line appears only for a sketch plan or when forced,
+// in display order.
+func TestStrategyRule(t *testing.T) {
+	order := []string{"strategy", "tau", "depth", "parallelism", "maintenance", "bound", "memory"}
+	for _, n := range []int{0, ExactEnumMax, ExactEnumMax + 1, SketchThreshold - 1, SketchThreshold, SketchThreshold + 1, 1_000_000} {
+		for _, linear := range []bool{true, false} {
+			for _, maxMult := range []int{0, 1} {
+				for _, sketchOK := range []bool{true, false} {
+					want := StrategySketch
+					switch {
+					case !linear && n <= ExactEnumMax && maxMult > 0:
+						want = StrategyPrunedEnum
+					case !linear:
+						want = StrategyLocalSearch
+					case !sketchOK || n <= SketchThreshold:
+						want = StrategySolver
+					}
+					for _, tau := range []int{0, 1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
+						for branches := 1; branches <= translate.DefaultMaxSketchBranches; branches++ {
+							for _, rebuild := range []bool{false, true} {
+								in := baseInput(n)
+								in.MaxMult = maxMult
+								in.Mix.Linear, in.Mix.SketchOK, in.Mix.Branches = linear, sketchOK, branches
+								in.Forced.Tau, in.Forced.Rebuild = tau, rebuild
+								p := New(in)
+								cell := fmt.Sprintf("n=%d linear=%v REPEAT=%d sketchOK=%v τ=%d branches=%d rebuild=%v", n, linear, maxMult, sketchOK, tau, branches, rebuild)
+								if p.Strategy != want {
+									t.Fatalf("%s: planned %s, want %s", cell, p.Strategy, want)
+								}
+								sketchy := want == StrategySketch
+								present := map[string]bool{
+									"tau": sketchy || tau > 0, "depth": sketchy, "parallelism": sketchy,
+									"maintenance": sketchy && rebuild,
+								}
+								for name, on := range present {
+									if (p.Decision(name) != nil) != on {
+										t.Fatalf("%s: %s line present = %v, want %v:\n%s", cell, name, !on, on, p.Explain())
+									}
+								}
+								next := 0
+								for _, d := range p.Decisions {
+									for next < len(order) && order[next] != d.Name {
+										next++
+									}
+									if next == len(order) {
+										t.Fatalf("%s: decisions out of display order:\n%s", cell, p.Explain())
+									}
+								}
+							}
+						}
+					}
 				}
 			}
 		}
 	}
-	if worst < 0.45 || worst > 0.46 {
-		t.Errorf("worst ratio %.3f, want the 0.453 of n = %d, τ = 1, %d branches", worst, SketchThreshold+1, maxBranches)
+}
+
+// TestForcedDepthIsClamped: a forced depth past MaxDepth plans the tree
+// the sketch engine builds — MaxDepth levels, still marked forced, with
+// the memory estimate sized for it — and says so in the reason.
+func TestForcedDepthIsClamped(t *testing.T) {
+	in := baseInput(100_000)
+	in.Forced.Depth = 50
+	p := New(in)
+	d := p.Decision("depth")
+	if p.Depth != MaxDepth || d == nil || d.Value != strconv.Itoa(MaxDepth) || !d.Forced {
+		t.Fatalf("forced depth 50 planned as %d (%+v), want %d forced", p.Depth, d, MaxDepth)
+	}
+	if !strings.Contains(d.Reason, "50") || !strings.Contains(d.Reason, "clamped") {
+		t.Fatalf("depth reason %q does not name the clamp", d.Reason)
+	}
+	if want := MemoryEstimate(StrategySketch, in.N, MaxDepth, 2); p.MemoryBytes != want {
+		t.Fatalf("memory %d B, want %d B for %d levels", p.MemoryBytes, want, MaxDepth)
+	}
+	in.Forced.Depth = MaxDepth
+	if d := New(in).Decision("depth"); d.Reason != "explicit depth flag" {
+		t.Fatalf("depth at the cap reads %q", d.Reason)
 	}
 }
 
@@ -459,20 +557,20 @@ func TestSketchEstimateUndercutsSolverPastTheBudget(t *testing.T) {
 // plan carries a strategy-matched estimate, and the formulas scale with
 // the variables the real allocations depend on.
 func TestMemoryEstimate(t *testing.T) {
-	if got := MemoryEstimate(StrategySolver, 1000, 0, 0, 3); got != 1000*5*16+1000*48 {
+	if got := MemoryEstimate(StrategySolver, 1000, 0, 3); got != 1000*5*16+1000*48 {
 		t.Fatalf("solver estimate = %d", got)
 	}
-	if got := MemoryEstimate(StrategySketch, 1000, 64, 3, 3); got != 1000*3*8+1000*16 {
+	if got := MemoryEstimate(StrategySketch, 1000, 3, 3); got != 1000*3*8+1000*16 {
 		t.Fatalf("sketch estimate = %d", got)
 	}
 	// depth 0 is treated as a flat (depth-1) tree.
-	if MemoryEstimate(StrategySketch, 1000, 64, 0, 3) != MemoryEstimate(StrategySketch, 1000, 64, 1, 3) {
+	if MemoryEstimate(StrategySketch, 1000, 0, 3) != MemoryEstimate(StrategySketch, 1000, 1, 3) {
 		t.Fatal("depth 0 and depth 1 should match")
 	}
-	if got := MemoryEstimate(StrategyLocalSearch, 1000, 0, 0, 3); got != 32000 {
+	if got := MemoryEstimate(StrategyLocalSearch, 1000, 0, 3); got != 32000 {
 		t.Fatalf("linear-strategy estimate = %d", got)
 	}
-	if MemoryEstimate(StrategySolver, 0, 0, 0, 3) != 0 {
+	if MemoryEstimate(StrategySolver, 0, 0, 3) != 0 {
 		t.Fatal("no candidates, no memory")
 	}
 

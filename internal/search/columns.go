@@ -20,9 +20,9 @@ type Columns struct {
 }
 
 // Column is one lowered column. Every column carries the numeric lens
-// the splitter and the envelopes read cells through; a column holding
-// at least one non-numeric, non-NULL cell is dictionary-coded as well,
-// so modes are counted over small integers.
+// the splitter and the representatives read cells through; a column
+// holding at least one non-numeric, non-NULL cell is dictionary-coded as
+// well, so modes are counted over small integers.
 type Column struct {
 	// Num reads each cell as a float64: a numeric cell's value, 0 for
 	// NULL and for non-numeric cells.

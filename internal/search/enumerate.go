@@ -22,7 +22,10 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 	deadline := opt.deadline()
 	limit := opt.limit()
 	n := len(inst.Rows)
-	required := opt.requireSet(n)
+	required, err := opt.requireSet(n)
+	if err != nil {
+		return nil, err
+	}
 	mult := make([]int, n)
 	sums := make([]float64, len(inst.Atoms))
 	objSum := inst.ObjK
@@ -106,7 +109,7 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 		mult[i] = 0
 		return nil
 	}
-	err := rec(0)
+	err = rec(0)
 	res.Elapsed = time.Since(start)
 	return res, err
 }
@@ -133,7 +136,10 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 	deadline := opt.deadline()
 	limit := opt.limit()
 	n := len(inst.Rows)
-	required := opt.requireSet(n)
+	required, err := opt.requireSet(n)
+	if err != nil {
+		return nil, err
+	}
 
 	bounds := inst.Bounds
 	if bounds.IsInfeasible() {
@@ -290,7 +296,7 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 		mult[i] = 0
 		return nil
 	}
-	err := rec(0)
+	err = rec(0)
 	res.Elapsed = time.Since(start)
 	return res, err
 }

@@ -45,10 +45,14 @@ func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
 		maxK = 3
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	required, err := opt.requireSet(len(inst.Rows))
+	if err != nil {
+		return nil, err
+	}
 
 	ls := &localState{inst: inst, db: db, res: res, opt: opt,
 		candTable: fmt.Sprintf("pb_cand_%d", tableSeq.Add(1)),
-		required:  opt.requireSet(len(inst.Rows)),
+		required:  required,
 	}
 	if err := ls.createCandidateTable(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -156,6 +157,19 @@ func TestRequireInEnumerators(t *testing.T) {
 	for _, p := range res.Packages {
 		if p.Mult[2] == 0 {
 			t.Errorf("local search dropped the pinned tuple: %v", p.Mult)
+		}
+	}
+	// A pin outside the candidates is an error, never dropped.
+	n := len(inst.Rows)
+	bad := Options{Require: []int{2, n}}
+	want := fmt.Sprintf("search: pinned candidate %d out of range [0,%d)", n, n)
+	for name, run := range map[string]func() (*Result, error){
+		"brute":  func() (*Result, error) { return BruteForce(inst, bad) },
+		"pruned": func() (*Result, error) { return PrunedEnumerate(inst, bad) },
+		"local":  func() (*Result, error) { return LocalSearch(inst, db, bad) },
+	} {
+		if _, err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", name, err, want)
 		}
 	}
 }

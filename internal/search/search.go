@@ -195,18 +195,20 @@ type Options struct {
 	Require []int
 }
 
-// requireSet normalizes Require into a lookup.
-func (o Options) requireSet(n int) map[int]bool {
+// requireSet validates Require against n candidates into a lookup; a pin
+// outside [0, n) is an error, never dropped.
+func (o Options) requireSet(n int) (map[int]bool, error) {
 	if len(o.Require) == 0 {
-		return nil
+		return nil, nil
 	}
 	set := make(map[int]bool, len(o.Require))
 	for _, i := range o.Require {
-		if i >= 0 && i < n {
-			set[i] = true
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("search: pinned candidate %d out of range [0,%d)", i, n)
 		}
+		set[i] = true
 	}
-	return set
+	return set, nil
 }
 
 func (o Options) limit() int {

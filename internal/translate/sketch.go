@@ -32,7 +32,8 @@ const (
 	SketchAvg
 	// SketchElim is a MIN/MAX elimination row: tuples violating the
 	// bound may not enter the package (Σ_bad x ≤ 0). Exact over real
-	// tuples; relaxed over partition nodes via min/max envelopes.
+	// tuples; relaxed over partition nodes to the nodes whose every
+	// tuple violates the bound.
 	SketchElim
 	// SketchAtLeast is an at-least-one row (Σ_good x ≥ 1): the
 	// MIN/MAX witness requirement and the AVG/MIN/MAX non-empty
@@ -45,8 +46,8 @@ const (
 // weighs over real tuples (the exact MILP, refine) and over
 // representative rows (the sketch levels); selector kinds
 // (SketchElim/SketchAtLeast) are instead re-weighted over partition
-// nodes from subtree envelopes, which is why they expose their predicate
-// through Selector.
+// nodes from how many of each subtree's tuples they select, which is why
+// they expose their predicate through Selector.
 type SketchAtom struct {
 	// Kind drives how the atom is weighted at each level.
 	Kind SketchAtomKind
@@ -68,7 +69,8 @@ func (at *SketchAtom) Source() string { return at.src }
 
 // IsSelector reports whether the atom carries 0/1 selector weights
 // (SketchElim/SketchAtLeast) that partition levels must re-weight from
-// subtree envelopes rather than from representative rows.
+// their subtrees' selected-tuple counts rather than from representative
+// rows.
 func (at *SketchAtom) IsSelector() bool {
 	return at.Kind == SketchElim || at.Kind == SketchAtLeast
 }
@@ -327,7 +329,8 @@ func lowerAtom(e expr.Expr, sels selections) ([]*SketchAtom, error) {
 // enforce; calling it with representative rows yields a sketch level's
 // approximation for the non-selector kinds (selector kinds weigh their
 // 0/1 predicate over whatever rows they are given — partition levels
-// should re-weight them from subtree envelopes instead).
+// should re-weight them from their subtrees' selected-tuple counts
+// instead).
 func (at *SketchAtom) Weigh(cands []schema.Row) ([]*LinearAtom, error) {
 	return at.weigh(nil, cands)
 }

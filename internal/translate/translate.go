@@ -43,7 +43,8 @@
 //     to DNF branches of the same atoms, which internal/sketch weighs
 //     over real tuples (SketchBranch.Weigh) for refine and the final
 //     check, over representative rows at each sketch level, and — for the
-//     selector kinds — re-weights over partition nodes from envelopes.
+//     selector kinds — re-weights over partition nodes from how many of
+//     each node's tuples the selector selects.
 //
 // What all three read of the candidates is a selection's pass — per
 // (argument, filter) pair, one fold of paql.Agg.Term over the rows — and

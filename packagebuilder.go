@@ -47,15 +47,16 @@
 // process skips the offline step as well. Both tiers are maintained
 // incrementally: a shared fingerprint memo makes warm evaluations over
 // unchanged tables hash zero candidate rows, and after INSERTs or
-// DELETEs the planner decides per query whether the stale tree is
+// DELETEs tree acquisition decides per query whether the stale tree is
 // patched in place — the write batch routed or tombstoned through the
-// existing structure — or rebuilt from scratch
-// (WithSketchIncremental(false) forces the rebuild).
+// existing structure — or rebuilt from scratch, by the tree's drift
+// since its last full build (WithSketchIncremental(false) forces the
+// rebuild).
 //
 // SketchRefine covers the full PaQL atom grammar, not just conjunctive
 // SUM/COUNT comparisons: AVG atoms are linearized as SUM − c·COUNT with
-// a non-empty guard, MIN/MAX atoms are enforced through per-node
-// min/max envelopes carried by the partition tree, and disjunctions
+// a non-empty guard, MIN/MAX atoms prune partition nodes by counts of
+// qualifying tuples folded up from the tree's leaves, and disjunctions
 // expand to DNF with one sketch descent per branch — the best feasible
 // branch wins. Stats.Sketch is the solver's own record of all of it.
 //
@@ -323,9 +324,9 @@ func WithSketchIncremental(enabled bool) Option {
 	return func(o *core.Options) { o.SketchIncremental = enabled }
 }
 
-// QueryPlan is the cost-based planner's decision trail: strategy, knobs,
-// bound and memory, plus a forced maintenance choice, each with
-// alternatives and reasons. Render it with its Explain method.
+// QueryPlan is the planner's decision trail: strategy, knobs, bound and
+// memory, plus a forced maintenance choice, each with the rule's reason.
+// Render it with its Explain method.
 type QueryPlan = plan.Plan
 
 // buildOptions resolves a query's options over the system's shared
@@ -415,9 +416,9 @@ func (s *System) Parse(paqlText string) (*paql.Query, error) {
 
 // Explain plans a PaQL query without executing it, returning the
 // planner's decision trail (strategy, SketchRefine knobs, bound, memory
-// and a forced maintenance choice — each with cost estimates and
-// reasons). Where the partition tree comes from is not planned: a run
-// records it (Stats.Sketch). A leading EXPLAIN keyword in the text is
+// and a forced maintenance choice — each with its reason). Where the
+// partition tree comes from is not planned: a run records it
+// (Stats.Sketch). A leading EXPLAIN keyword in the text is
 // accepted and ignored.
 func (s *System) Explain(paqlText string, opts ...Option) (*QueryPlan, error) {
 	return s.ExplainContext(context.Background(), paqlText, opts...)

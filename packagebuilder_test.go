@@ -248,9 +248,9 @@ func TestPublicAPIExplainForcedOptions(t *testing.T) {
 	if qp.Strategy != "sketch-refine" || qp.Tau != 32 || qp.Depth != 2 {
 		t.Errorf("forced knobs not honored: %+v", qp)
 	}
-	if qp.Maintenance != "rebuild" || qp.Incremental {
-		t.Errorf("WithSketchIncremental(false) not forced: maintenance=%s incremental=%v",
-			qp.Maintenance, qp.Incremental)
+	if d := qp.Decision("maintenance"); d == nil || d.Value != "rebuild" || qp.Incremental {
+		t.Errorf("WithSketchIncremental(false) not forced: maintenance=%+v incremental=%v",
+			d, qp.Incremental)
 	}
 }
 
