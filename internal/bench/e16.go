@@ -160,18 +160,22 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 	// not a clock: one grouping (bound.TestPipelineSolvesEachGroupingOnce
 	// pins one LP solve for it) of a bounded number of columns, and a
 	// bounded number of rounds that are each one pass over the tuples.
-	pr := boundPass(prep.Instance, base)
-	if pr.Stage != bound.StageTightened || pr.Vars > 2*plan.SketchThreshold || pr.Rounds > bound.DefaultTightenRounds {
+	pr, columns, err := boundPass(prep.Instance, base)
+	if err != nil {
+		return fmt.Errorf("e16: n=%d: bound pass: %w", n, err)
+	}
+	if pr.Stage != bound.StageTightened || columns > 2*plan.SketchThreshold || pr.Rounds > bound.DefaultTightenRounds {
 		return fmt.Errorf("e16: n=%d: the bound pass ran %s over %d columns in %d rounds (budget: %s, ≤ %d columns, ≤ %d rounds)",
-			n, pr.Stage, pr.Vars, pr.Rounds, bound.StageTightened, 2*plan.SketchThreshold, bound.DefaultTightenRounds)
+			n, pr.Stage, columns, pr.Rounds, bound.StageTightened, 2*plan.SketchThreshold, bound.DefaultTightenRounds)
 	}
 	return nil
 }
 
 // boundPass runs the band query's tightened bound pass from outside, as
 // sketch.Solve runs it inside (one group per tree leaf, segmented, then
-// the pipeline), for the PipelineResult the engine's stats fold away.
-func boundPass(inst *search.Instance, o sketch.Options) bound.PipelineResult {
+// the pipeline), for the PipelineResult the engine's stats fold away and
+// the column count of the one relaxation it solves.
+func boundPass(inst *search.Instance, o sketch.Options) (bound.PipelineResult, int, error) {
 	leaves := sketch.BuildTree(inst, o).Leaves()
 	groups := make([]bound.Group, len(leaves))
 	for g := range leaves {
@@ -179,10 +183,11 @@ func boundPass(inst *search.Instance, o sketch.Options) bound.PipelineResult {
 	}
 	tupleHi := func(int) float64 { return float64(inst.MaxMult) }
 	groups = bound.SplitGroups(groups, inst.ObjW, lp.Maximize, 2*plan.SketchThreshold, nil, tupleHi)
-	return bound.RunPipeline(groups, bound.PipelineOptions{
+	pr, err := bound.RunPipeline(groups, bound.PipelineOptions{
 		Atoms: inst.Atoms, ObjW: inst.ObjW, Konst: inst.ObjK, Sense: lp.Maximize,
 		MaxStage: bound.StageTightened, TightenRounds: bound.DefaultTightenRounds, TupleHi: tupleHi,
 	})
+	return pr, len(groups), err
 }
 
 // runE16Anytime runs the disjunctive band query with the tolerance off

@@ -225,7 +225,7 @@ func RunE3(cfg Config) error {
 		for _, i := range heavy {
 			mult[i] = 1
 		}
-		_, neigh, elapsed, err := search.ReplacementProbe(inst, db, mult, pt.k)
+		_, neigh, elapsed, err := search.ReplacementProbe(inst, mult, pt.k)
 		if err != nil {
 			return err
 		}

@@ -8,12 +8,15 @@
 // none can undercut it — so the true optimum provably lies between
 // the bound and any feasible incumbent's objective.
 //
-// The engine works over *groups* of candidates so the same machinery
-// covers two regimes:
+// The engine works over *groups* of candidates so the same machinery —
+// RunPipeline, the one entry, which builds each grouping's relaxation and
+// solves it — covers two regimes:
 //
-//   - Raw candidates: one singleton group per tuple. The relaxation is
-//     the exact LP relaxation of the query's MILP — the tightest bound
-//     an LP can give.
+//   - Raw candidates: one singleton group per tuple (Candidates). The
+//     relaxation is the exact LP relaxation of the query's MILP — the
+//     tightest bound an LP can give — so the pipeline is capped at its
+//     first stage, StageTreeLP, and the sketch engine reports it as
+//     StageRawLP.
 //   - Partition-tree leaves: one group per leaf, with the leaf's tuple
 //     set as members. Constraint coefficients collapse to the safe end
 //     of the group's coefficient range (per-group minimum for ≤ rows,
@@ -36,7 +39,6 @@
 package bound
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -161,21 +163,6 @@ func Candidates(n, maxMult int, pins map[int]bool) []Group {
 	return groups
 }
 
-// Relax builds the grouped LP relaxation of a conjunction of linear
-// atoms: one continuous variable per group bounded by [Lo, Hi], each ≤
-// row taking the per-group minimum tuple coefficient, each ≥ row the
-// maximum, equality rows split into both, and the objective taking the
-// optimistic end for the sense (maximum for Maximize, minimum for
-// Minimize). objW holds one objective weight per candidate tuple; nil
-// means a zero objective.
-func Relax(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, groups []Group) (*lp.Problem, error) {
-	r, err := newRelaxation(atoms, objW, sense, groups)
-	if err != nil {
-		return nil, err
-	}
-	return r.p, nil
-}
-
 // relaxation is one grouping's LP relaxation together with the
 // reductions it was assembled from, so the pipeline stages that follow
 // the base solve (dual-row selection, multiplier seeding) read them
@@ -274,32 +261,6 @@ func envelope(w []float64, groups []Group) (lo, hi []float64) {
 		lo[g], hi[g] = mn, mx
 	}
 	return lo, hi
-}
-
-// cancelOf adapts a context to the simplex's per-iteration poll (nil
-// context = never canceled).
-func cancelOf(ctx context.Context) func() bool {
-	if ctx == nil {
-		return nil
-	}
-	return func() bool {
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
-}
-
-// Solve optimizes a relaxation built by Relax and classifies the
-// result. konst is the affine objective constant the relaxation's
-// rows omit (the query objective is konst + Σ w·m); it is added to
-// the LP optimum before padding. A canceled or iteration-limited
-// solve returns an uncertified outcome — an interrupted simplex
-// proves nothing.
-func Solve(ctx context.Context, p *lp.Problem, konst float64) Outcome {
-	return outcomeOf(lp.Solve(p, lp.Options{Cancel: cancelOf(ctx)}), p.Sense(), konst)
 }
 
 // outcomeOf classifies one relaxation solve.

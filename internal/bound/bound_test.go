@@ -69,6 +69,16 @@ func TestCandidatesGrouping(t *testing.T) {
 	}
 }
 
+// rawLP certifies a grouping with the pipeline capped at its first
+// stage: one relaxation, one solve — the certificate the sketch engine
+// ships over raw candidates.
+func rawLP(ctx context.Context, atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, konst float64, groups []bound.Group) (bound.Outcome, error) {
+	pr, err := bound.RunPipeline(groups, bound.PipelineOptions{
+		Ctx: ctx, Atoms: atoms, ObjW: objW, Konst: konst, Sense: sense, MaxStage: bound.StageTreeLP,
+	})
+	return pr.Outcome, err
+}
+
 // TestRelaxSingletonKnapsack pins the exact-relaxation regime on a
 // hand-checked knapsack: maximize 6m0+5m1+4m2 s.t. 5m0+4m1+3m2 ≤ 10,
 // 0 ≤ m ≤ 1. Density ordering fills m2 = 1, m1 = 1 and 3/5 of m0, so
@@ -77,11 +87,10 @@ func TestCandidatesGrouping(t *testing.T) {
 func TestRelaxSingletonKnapsack(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{5, 4, 3}, Op: lp.LE, RHS: 10}}
 	objW := []float64{6, 5, 4}
-	p, err := bound.Relax(atoms, objW, lp.Maximize, bound.Candidates(3, 1, nil))
+	out, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, bound.Candidates(3, 1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := bound.Solve(context.Background(), p, 0)
 	if !out.Certified {
 		t.Fatalf("knapsack relaxation must certify: %+v", out)
 	}
@@ -101,19 +110,17 @@ func TestRelaxSingletonKnapsack(t *testing.T) {
 func TestRelaxGroupedEnvelope(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{2, 8, 3, 9}, Op: lp.LE, RHS: 12}}
 	objW := []float64{1, 7, 2, 6}
-	fine, err := bound.Relax(atoms, objW, lp.Maximize, bound.Candidates(4, 1, nil))
+	fo, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, bound.Candidates(4, 1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := bound.Relax(atoms, objW, lp.Maximize, []bound.Group{
+	co, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, []bound.Group{
 		{Tuples: []int{0, 1}, Hi: 2},
 		{Tuples: []int{2, 3}, Hi: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := bound.Solve(context.Background(), fine, 0)
-	co := bound.Solve(context.Background(), coarse, 0)
 	if !fo.Certified || !co.Certified {
 		t.Fatalf("both relaxations must certify: %+v %+v", fo, co)
 	}
@@ -125,11 +132,10 @@ func TestRelaxGroupedEnvelope(t *testing.T) {
 // TestSolveKonst: the affine objective constant dropped by the
 // translation must come back in the certified bound.
 func TestSolveKonst(t *testing.T) {
-	p, err := bound.Relax(nil, []float64{1}, lp.Maximize, bound.Candidates(1, 1, nil))
+	out, err := rawLP(context.Background(), nil, []float64{1}, lp.Maximize, 41, bound.Candidates(1, 1, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := bound.Solve(context.Background(), p, 41)
 	if !out.Certified || out.Bound < 42 {
 		t.Fatalf("konst not added: %+v", out)
 	}
@@ -139,13 +145,13 @@ func TestSolveKonst(t *testing.T) {
 // canceled context must never yield a certified outcome.
 func TestSolveCanceled(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{1, 2, 1, 3}, Op: lp.LE, RHS: 5}}
-	p, err := bound.Relax(atoms, []float64{3, 5, 4, 7}, lp.Maximize, bound.Candidates(4, 0, nil))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := rawLP(ctx, atoms, []float64{3, 5, 4, 7}, lp.Maximize, 0, bound.Candidates(4, 0, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if out := bound.Solve(ctx, p, 0); out.Certified {
+	if out.Certified {
 		t.Fatalf("canceled solve certified a bound: %+v", out)
 	}
 }
@@ -379,11 +385,11 @@ func exactBranch(c boundCase, atoms []*translate.LinearAtom) (obj float64, feasi
 func groupBound(c boundCase, groups []bound.Group) (bound.Outcome, error) {
 	outs := make([]bound.Outcome, 0, len(c.branches))
 	for _, br := range c.branches {
-		p, err := bound.Relax(br, c.objW, c.sense, groups)
+		out, err := rawLP(context.Background(), br, c.objW, c.sense, c.konst, groups)
 		if err != nil {
 			return bound.Outcome{}, err
 		}
-		outs = append(outs, bound.Solve(context.Background(), p, c.konst))
+		outs = append(outs, out)
 	}
 	return bound.Best(c.sense, outs), nil
 }
@@ -403,7 +409,7 @@ func pipelineBound(c boundCase, coarse []bound.Group) bound.Outcome {
 	outs := make([]bound.Outcome, 0, len(c.branches))
 	for _, br := range c.branches {
 		split := bound.SplitGroups(coarse, c.objW, c.sense, 4*len(coarse), tupleLo, tupleHi)
-		pr := bound.RunPipeline(split, bound.PipelineOptions{
+		pr, _ := bound.RunPipeline(split, bound.PipelineOptions{
 			Ctx:           context.Background(),
 			Atoms:         br,
 			ObjW:          c.objW,

@@ -58,6 +58,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/lifecycle"
 	"repro/internal/lp"
 	"repro/internal/search"
 	"repro/internal/translate"
@@ -135,8 +136,6 @@ type PipelineResult struct {
 	// Rounds counts the Lagrangian rounds completed (selection passes
 	// over the tuples; no LP is solved in them).
 	Rounds int
-	// Vars is the variable count of the largest relaxation solved.
-	Vars int
 }
 
 func (po *PipelineOptions) tupleLo(i int) float64 {
@@ -288,18 +287,23 @@ func Segment(groups []Group, maxVars int, tupleLo, tupleHi func(int) float64) []
 	return out
 }
 
-// RunPipeline runs the staged tightening pipeline over a grouped
-// relaxation (typically Segment or SplitGroups output) and returns the tightest
+// RunPipeline is the one certified-bound entry: it relaxes a grouping —
+// raw-candidate singletons (Candidates), or tree leaves, typically
+// Segment or SplitGroups output — solves it, and returns the tightest
 // certified bound any stage proved. Stages only run while the result is
-// not yet within GapTarget of the incumbent and MaxStage allows them;
-// an uncertified or infeasible base solve short-circuits.
-func RunPipeline(groups []Group, po PipelineOptions) PipelineResult {
+// not yet within GapTarget of the incumbent and MaxStage allows them; an
+// uncertified or infeasible base solve short-circuits, and a canceled or
+// iteration-limited solve proves nothing (an uncertified outcome). The
+// error reports that the base relaxation could not be built; a later
+// stage that cannot build its relaxation only stops the pipeline, which
+// keeps what the earlier stages proved.
+func RunPipeline(groups []Group, po PipelineOptions) (PipelineResult, error) {
 	pl := pipelines.Get().(*pipeline)
-	pl.po, pl.cancel, pl.solves, pl.boxed = &po, cancelOf(po.Ctx), 0, false
-	pr := pl.run(groups)
+	pl.po, pl.cancel, pl.solves, pl.boxed = &po, lifecycle.Poll(po.Ctx), 0, false
+	pr, err := pl.run(groups)
 	pl.po, pl.cancel = nil, nil
 	pipelines.Put(pl) // a pass that panicked is simply not recycled
-	return pr
+	return pr, err
 }
 
 // pipelines recycles the working state between calls: the simplex
@@ -324,37 +328,42 @@ type pipeline struct {
 	best   shortlist // the running round's candidates
 }
 
-// solveGrouped builds and solves the relaxation of one grouping.
-func (pl *pipeline) solveGrouped(groups []Group) (*relaxation, *lp.Solution, Outcome) {
+// solveGrouped builds and solves the relaxation of one grouping. The
+// konst the relaxation's rows omit (the query objective is konst + Σ w·m)
+// is added to the LP optimum before padding.
+func (pl *pipeline) solveGrouped(groups []Group) (*relaxation, *lp.Solution, Outcome, error) {
 	po := pl.po
 	r, err := newRelaxation(po.Atoms, po.ObjW, po.Sense, groups)
 	if err != nil {
-		return nil, nil, Outcome{}
+		return nil, nil, Outcome{}, err
 	}
 	pl.solves++
 	sol := pl.ws.Solve(r.p, lp.Options{Cancel: pl.cancel})
-	return r, sol, outcomeOf(sol, po.Sense, po.Konst)
+	return r, sol, outcomeOf(sol, po.Sense, po.Konst), nil
 }
 
-func (pl *pipeline) run(groups []Group) PipelineResult {
+func (pl *pipeline) run(groups []Group) (PipelineResult, error) {
 	po := pl.po
-	pr := PipelineResult{Stage: StageTreeLP, Vars: len(groups)}
+	pr := PipelineResult{Stage: StageTreeLP}
 	for _, g := range groups {
 		if g.Lo > g.Hi {
 			pr.Infeasible = true
-			return pr
+			return pr, nil
 		}
 	}
-	base, sol, out := pl.solveGrouped(groups)
+	base, sol, out, err := pl.solveGrouped(groups)
+	if err != nil {
+		return pr, err
+	}
 	pr.Outcome = out
 	if !out.Certified {
-		return pr
+		return pr, nil
 	}
 	// infeasible folds a later stage's proof that the branch has no
 	// feasible package into the result.
-	infeasible := func() PipelineResult {
+	infeasible := func() (PipelineResult, error) {
 		pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
-		return pr
+		return pr, nil
 	}
 	maxRank := StageRank(po.MaxStage)
 	if maxRank < 0 {
@@ -370,31 +379,31 @@ func (pl *pipeline) run(groups []Group) PipelineResult {
 		}
 	}
 	if maxRank < StageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
-		return pr
+		return pr, nil
 	}
 	refined := descendWorst(base, sol.X, po)
 	if len(refined) <= len(groups) {
-		return pr
+		return pr, nil
 	}
-	fine, sol2, out2 := pl.solveGrouped(refined)
+	// A refinement that cannot be relaxed comes back uncertified, and
+	// the base's bound stands.
+	fine, sol2, out2, _ := pl.solveGrouped(refined)
 	pr.Iterations += out2.Iterations
 	if out2.Infeasible {
 		// A refined relaxation still contains every feasible integral
 		// package, so its infeasibility is the branch's.
 		pr.Stage = StageDescend
-		pr.Vars = len(refined)
 		return infeasible()
 	}
 	if !out2.Certified {
-		return pr
+		return pr, nil
 	}
 	pr.Stage = StageDescend
-	pr.Vars = len(refined)
 	pr.Bound = tighter(po.Sense, pr.Bound, out2.Bound)
 	if pl.tighten(fine, sol2.Duals, &pr) {
 		return infeasible()
 	}
-	return pr
+	return pr, nil
 }
 
 // descendWorst refines the groups contributing most looseness into

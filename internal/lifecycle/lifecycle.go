@@ -1,6 +1,7 @@
 // Package lifecycle is the query-lifecycle layer: the typed error
-// taxonomy every surface reports through, and the admission controller
-// that bounds concurrent solves on a serving front end.
+// taxonomy every surface reports through, the one cancellation poll the
+// solver layers share, and the admission controller that bounds
+// concurrent solves on a serving front end.
 //
 // The package sits below internal/core and above nothing — it imports
 // only the standard library, so the solver layers (milp, sketch,
@@ -115,6 +116,26 @@ func ContextErr(ctx context.Context) error {
 		return Canceled(err)
 	}
 	return nil
+}
+
+// Poll is the one non-blocking cancellation poll: the function it returns
+// reports whether ctx is done, reading ctx.Done() once per call. A nil
+// context gives a nil poll, so a hot loop can skip polling altogether.
+// Every cooperative checkpoint in the solver layers polls through it —
+// the simplex's per-iteration hook, branch-and-bound's node loop, the
+// tree build, the bound pass's rounds and the search strategies.
+func Poll(ctx context.Context) func() bool {
+	if ctx == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-ctx.Done():
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // FormatBytes renders a byte count with a binary-ish human unit, for

@@ -65,6 +65,39 @@ func TestBudgetExceededMessage(t *testing.T) {
 	}
 }
 
+// doneCounter counts Done calls, the unit the poll-cadence tests of the
+// solver layers count in.
+type doneCounter struct {
+	context.Context
+	calls int
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls++
+	return c.Context.Done()
+}
+
+// TestPoll: no context is no poll; otherwise each poll reads Done once
+// and reports the cancellation as soon as it happens.
+func TestPoll(t *testing.T) {
+	if Poll(nil) != nil {
+		t.Fatal("a nil context must give a nil poll")
+	}
+	inner, cancel := context.WithCancel(context.Background())
+	ctx := &doneCounter{Context: inner}
+	poll := Poll(ctx)
+	if poll() || poll() {
+		t.Fatal("poll reported a live context done")
+	}
+	cancel()
+	if !poll() {
+		t.Fatal("poll missed the cancellation")
+	}
+	if ctx.calls != 3 {
+		t.Fatalf("3 polls called Done %d times, want once each", ctx.calls)
+	}
+}
+
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
 		512:     "512 B",

@@ -13,6 +13,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/lifecycle"
 	"repro/internal/lp"
 )
 
@@ -46,6 +47,9 @@ const (
 	StatusLimit
 )
 
+// String names the status as logs and test failures print it:
+// "optimal", "infeasible", "unbounded", "feasible(limit)" (an incumbent
+// without a proof) or "limit" (no incumbent).
 func (s Status) String() string {
 	switch s {
 	case StatusOptimal:
@@ -135,20 +139,8 @@ func Solve(p *Problem, opts ...Options) *Solution {
 	start := time.Now()
 	maximize := p.LP.Sense() == lp.Maximize
 	sol := &Solution{Status: StatusLimit}
-	// Non-blocking context poll, shared with the per-iteration hook of
-	// every node's LP relaxation.
-	var cancelPoll func() bool
-	if opt.Ctx != nil {
-		ctx := opt.Ctx
-		cancelPoll = func() bool {
-			select {
-			case <-ctx.Done():
-				return true
-			default:
-				return false
-			}
-		}
-	}
+	// One poll for the node loop and every node relaxation's simplex.
+	cancelPoll := lifecycle.Poll(opt.Ctx)
 	better := func(a, b float64) bool {
 		if maximize {
 			return a > b+1e-9

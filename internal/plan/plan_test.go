@@ -586,18 +586,3 @@ func TestMemoryEstimate(t *testing.T) {
 		}
 	}
 }
-
-// TestFormatBytes covers the unit breakpoints the trail renders.
-func TestFormatBytesUnits(t *testing.T) {
-	cases := map[int64]string{
-		512:     "512 B",
-		2 << 10: "2.0 KB",
-		3 << 20: "3.0 MB",
-		5 << 30: "5.0 GB",
-	}
-	for in, want := range cases {
-		if got := formatBytes(in); got != want {
-			t.Fatalf("formatBytes(%d) = %q, want %q", in, got, want)
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/bound"
+	"repro/internal/lifecycle"
 )
 
 // New runs the execution planner over one input and returns the
@@ -238,22 +239,8 @@ func pickMemory(p *Plan, in Input) {
 	p.MemoryBytes = MemoryEstimate(p.Strategy, in.N, p.Depth, atoms)
 	p.Decisions = append(p.Decisions, Decision{
 		Name:  "memory",
-		Value: formatBytes(p.MemoryBytes),
+		Value: lifecycle.FormatBytes(p.MemoryBytes),
 		Reason: fmt.Sprintf("predicted peak working set for %s over %d candidates (%d atoms)",
 			p.Strategy, in.N, atoms),
 	})
-}
-
-// formatBytes renders a byte count with a binary-ish unit for the
-// decision trail (the same rendering lifecycle's budget errors use).
-func formatBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1f GB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KB", float64(b)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", b)
 }

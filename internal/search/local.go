@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lp"
@@ -14,18 +13,27 @@ import (
 	"repro/internal/value"
 )
 
-// tableSeq disambiguates the scratch tables of concurrent searches.
-var tableSeq atomic.Int64
+// Scratch table names. They live in a private database per search, so
+// they can never meet a caller's table.
+const (
+	candTable = "cand"
+	pkgTable  = "pkg"
+)
 
 // LocalSearch is the paper's §4.2 heuristic: starting from a candidate
 // package, find k-tuple replacements leading to a valid (then better)
 // package, where the replacement neighbourhood is computed by a single
-// SQL join query against the DBMS — a 2k-way join between the current
-// package and the candidate relation. Additions and removals repair
-// cardinality; swaps repair sums and improve the objective. Restarts
-// diversify; as the paper notes, "there is no guarantee that all valid
-// solutions will be found".
-func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
+// SQL join query — a 2k-way join between the current package and the
+// candidate relation. Additions and removals repair cardinality; swaps
+// repair sums and improve the objective. Restarts diversify; as the
+// paper notes, "there is no guarantee that all valid solutions will be
+// found".
+//
+// The joins run in a private minidb.DB the search creates, fills and
+// drops with itself, so a query never writes into, locks or collides
+// with the caller's database. The db parameter is never read: it stays
+// only as the signature the benchmark's layer trace compiles against.
+func LocalSearch(inst *Instance, _ *minidb.DB, opt Options) (*Result, error) {
 	if inst.MaxMult <= 0 {
 		return nil, fmt.Errorf("search: local search requires bounded multiplicity (REPEAT)")
 	}
@@ -50,14 +58,10 @@ func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	ls := &localState{inst: inst, db: db, res: res, opt: opt,
-		candTable: fmt.Sprintf("pb_cand_%d", tableSeq.Add(1)),
-		required:  required,
-	}
+	ls := &localState{inst: inst, db: minidb.New(), res: res, opt: opt, required: required}
 	if err := ls.createCandidateTable(); err != nil {
 		return nil, err
 	}
-	defer func() { _ = db.DropTable(ls.candTable) }()
 
 	for r := 0; r < restarts; r++ {
 		if opt.stop(deadline) {
@@ -77,7 +81,6 @@ func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
 			}
 		}
 		if err := ls.climb(cur, maxK, limit, deadline); err != nil {
-			_ = db.DropTable(ls.pkgTable())
 			return nil, err
 		}
 		if limit == 1 && len(res.Packages) > 0 && inst.Analysis.Query.Objective == nil {
@@ -89,17 +92,11 @@ func LocalSearch(inst *Instance, db *minidb.DB, opt Options) (*Result, error) {
 }
 
 type localState struct {
-	inst      *Instance
-	db        *minidb.DB
-	res       *Result
-	opt       Options
-	candTable string
-	pkgSeq    int
-	required  map[int]bool // pinned candidates (adaptive exploration)
-}
-
-func (ls *localState) pkgTable() string {
-	return fmt.Sprintf("%s_pkg%d", ls.candTable, ls.pkgSeq)
+	inst     *Instance
+	db       *minidb.DB // private: the scratch tables and nothing else
+	res      *Result
+	opt      Options
+	required map[int]bool // pinned candidates (adaptive exploration)
 }
 
 // createCandidateTable materializes the candidates with per-atom weight
@@ -112,7 +109,7 @@ func (ls *localState) createCandidateTable() error {
 	for k := range ls.inst.Atoms {
 		cols = append(cols, schema.Column{Name: fmt.Sprintf("w%d", k), Type: schema.TFloat})
 	}
-	if _, err := ls.db.CreateTable(ls.candTable, schema.Schema{Cols: cols}); err != nil {
+	if _, err := ls.db.CreateTable(candTable, schema.Schema{Cols: cols}); err != nil {
 		return err
 	}
 	rows := make([]schema.Row, len(ls.inst.Rows))
@@ -125,16 +122,13 @@ func (ls *localState) createCandidateTable() error {
 		}
 		rows[i] = row
 	}
-	return ls.db.InsertRows(ls.candTable, rows)
+	return ls.db.InsertRows(candTable, rows)
 }
 
 // syncPackageTable (re)materializes the current package, one row per
 // multiplicity unit: idx (slot), rid, obj, w0..wk.
 func (ls *localState) syncPackageTable(mult []int) ([]int, error) {
-	old := ls.pkgTable()
-	_ = ls.db.DropTable(old)
-	ls.pkgSeq++
-	name := ls.pkgTable()
+	_ = ls.db.DropTable(pkgTable)
 	cols := []schema.Column{
 		{Name: "idx", Type: schema.TInt},
 		{Name: "rid", Type: schema.TInt},
@@ -143,7 +137,7 @@ func (ls *localState) syncPackageTable(mult []int) ([]int, error) {
 	for k := range ls.inst.Atoms {
 		cols = append(cols, schema.Column{Name: fmt.Sprintf("w%d", k), Type: schema.TFloat})
 	}
-	if _, err := ls.db.CreateTable(name, schema.Schema{Cols: cols}); err != nil {
+	if _, err := ls.db.CreateTable(pkgTable, schema.Schema{Cols: cols}); err != nil {
 		return nil, err
 	}
 	var rows []schema.Row
@@ -168,7 +162,7 @@ func (ls *localState) syncPackageTable(mult []int) ([]int, error) {
 		}
 	}
 	if len(rows) > 0 {
-		if err := ls.db.InsertRows(name, rows); err != nil {
+		if err := ls.db.InsertRows(pkgTable, rows); err != nil {
 			return nil, err
 		}
 	}
@@ -191,11 +185,11 @@ func (ls *localState) swapQuery(k int, sums []float64, maxed []int, improving, m
 	var selects []string
 	var conds []string
 	for j := 1; j <= k; j++ {
-		from = append(from, fmt.Sprintf("%s p%d", ls.pkgTable(), j))
+		from = append(from, fmt.Sprintf("%s p%d", pkgTable, j))
 		selects = append(selects, fmt.Sprintf("p%d.idx", j))
 	}
 	for j := 1; j <= k; j++ {
-		from = append(from, fmt.Sprintf("%s c%d", ls.candTable, j))
+		from = append(from, fmt.Sprintf("%s c%d", candTable, j))
 		selects = append(selects, fmt.Sprintf("c%d.rid", j))
 	}
 	for j := 1; j < k; j++ {
@@ -511,7 +505,6 @@ func (ls *localState) trySwaps(mult []int, sums []float64, k int, improving, max
 	if err != nil {
 		return false, err
 	}
-	defer func() { _ = ls.db.DropTable(ls.pkgTable()) }()
 	if len(slots) < k {
 		return false, nil
 	}

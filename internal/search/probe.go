@@ -10,26 +10,23 @@ import (
 
 // ReplacementProbe measures one §4.2 k-replacement neighbourhood query
 // without applying any move: it materializes the package and candidate
-// scratch tables, runs the 2k-way join that enumerates every valid
-// k-swap, and reports the generated SQL, the neighbourhood size, and
-// the join's wall time. The E3 experiment uses this to reproduce the
-// paper's claim that "for k replacements this method would require a
-// 2k-way join, which quickly becomes intractable".
-func ReplacementProbe(inst *Instance, db *minidb.DB, mult []int, k int) (sql string, neighbourhood int, elapsed time.Duration, err error) {
+// scratch tables in a private database, as LocalSearch does, runs the
+// 2k-way join that enumerates every valid k-swap, and reports the
+// generated SQL, the neighbourhood size, and the join's wall time. The
+// E3 experiment uses this to reproduce the paper's claim that "for k
+// replacements this method would require a 2k-way join, which quickly
+// becomes intractable".
+func ReplacementProbe(inst *Instance, mult []int, k int) (sql string, neighbourhood int, elapsed time.Duration, err error) {
 	if k < 1 || k > 3 {
 		return "", 0, 0, fmt.Errorf("search: probe supports k in 1..3, got %d", k)
 	}
-	ls := &localState{inst: inst, db: db, res: &Result{},
-		candTable: fmt.Sprintf("pb_probe_%d", tableSeq.Add(1)),
-	}
+	ls := &localState{inst: inst, db: minidb.New(), res: &Result{}}
 	if err := ls.createCandidateTable(); err != nil {
 		return "", 0, 0, err
 	}
-	defer func() { _ = db.DropTable(ls.candTable) }()
 	if _, err := ls.syncPackageTable(mult); err != nil {
 		return "", 0, 0, err
 	}
-	defer func() { _ = db.DropTable(ls.pkgTable()) }()
 
 	sums := ls.atomSums(mult)
 	var maxed []int
@@ -44,7 +41,7 @@ func ReplacementProbe(inst *Instance, db *minidb.DB, mult []int, k int) (sql str
 	q = stripSuffixClause(q, " ORDER BY ")
 	q = stripSuffixClause(q, " LIMIT ")
 	start := time.Now()
-	res, err := db.Query(q)
+	res, err := ls.db.Query(q)
 	elapsed = time.Since(start)
 	if err != nil {
 		return q, 0, elapsed, fmt.Errorf("search: probe query: %w\n%s", err, q)

@@ -11,11 +11,10 @@ import (
 func TestReplacementProbe(t *testing.T) {
 	rows := testRows()
 	inst := instance(t, mealSrc, rows)
-	db := minidb.New()
 	// P0 = three heaviest tuples (550+800+650 = 2000: on the boundary).
 	mult := make([]int, len(rows))
 	mult[1], mult[4], mult[7] = 1, 1, 1
-	sql, neigh, elapsed, err := ReplacementProbe(inst, db, mult, 1)
+	sql, neigh, elapsed, err := ReplacementProbe(inst, mult, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,19 +54,15 @@ func TestReplacementProbe(t *testing.T) {
 		t.Errorf("neighbourhood = %d, oracle = %d", neigh, want)
 	}
 	// k=2 also runs
-	if _, _, _, err := ReplacementProbe(inst, db, mult, 2); err != nil {
+	if _, _, _, err := ReplacementProbe(inst, mult, 2); err != nil {
 		t.Fatal(err)
 	}
 	// bad k rejected
-	if _, _, _, err := ReplacementProbe(inst, db, mult, 0); err == nil {
+	if _, _, _, err := ReplacementProbe(inst, mult, 0); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, _, _, err := ReplacementProbe(inst, db, mult, 4); err == nil {
+	if _, _, _, err := ReplacementProbe(inst, mult, 4); err == nil {
 		t.Error("k=4 should fail")
-	}
-	// scratch tables cleaned
-	if n := len(db.TableNames()); n != 0 {
-		t.Errorf("%d leftover tables", n)
 	}
 }
 

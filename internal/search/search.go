@@ -263,12 +263,8 @@ func expired(deadline time.Time) bool {
 // both identically — finish the current node, keep what was found,
 // and return with Complete=false.
 func (o Options) stop(deadline time.Time) bool {
-	if o.Ctx != nil {
-		select {
-		case <-o.Ctx.Done():
-			return true
-		default:
-		}
+	if poll := lifecycle.Poll(o.Ctx); poll != nil && poll() {
+		return true
 	}
 	return expired(deadline)
 }

@@ -6,12 +6,16 @@ package sketch_test
 // certified interval when it does.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/minidb"
+	"repro/internal/plan"
 	"repro/internal/sketch"
 )
 
@@ -92,5 +96,46 @@ func TestAnytimeOffDescendsAllBranches(t *testing.T) {
 		if strings.Contains(n, "anytime:") {
 			t.Fatalf("tolerance 0 must never early-exit: %v", res.Notes)
 		}
+	}
+}
+
+// TestBoundTimeHoldsOnlyThePass: Result.BoundTime clocks the certified-
+// bound pass and nothing else. The anytime pre-pass bounds every branch
+// before any descent, so it is the first phase to need the partition
+// tree; acquiring it — here a cache probe slowed by 300 ms — is tree
+// time, and must stay off the bound clock. The query is E16's
+// disjunctive shape (bench.E16Disjunctive) over more candidates than the
+// raw-candidate cap, so the pass reads the tree. The tolerance-0 control
+// bounds after each descent, which acquires the tree first.
+func TestBoundTimeHoldsOnlyThePass(t *testing.T) {
+	const latency = 300 * time.Millisecond
+	const query = `
+		SELECT PACKAGE(R) AS P
+		FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND (SUM(P.protein) >= 0 OR SUM(P.calories) BETWEEN 2000 AND 2500)
+		MAXIMIZE SUM(P.protein)`
+	prep := boundPrep(t, 5000, query)
+	if n := len(prep.Instance.Rows); n <= plan.SketchThreshold {
+		t.Fatalf("%d candidates: need > %d so the bound pass reads the tree", n, plan.SketchThreshold)
+	}
+	for _, tol := range []float64{0.05, 0} {
+		t.Run(fmt.Sprintf("tolerance=%g", tol), func(t *testing.T) {
+			inj := fault.NewInjector(1, fault.Rule{Site: "sketch.cache.get", Kind: fault.KindLatency, Latency: latency})
+			restore := fault.Enable(inj)
+			res, err := prep.Sketch.Solve(sketch.Options{Seed: 1, GapTolerance: tol, Cache: sketch.NewCache(0)})
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inj.Coverage()["sketch.cache.get"].Fires == 0 {
+				t.Fatal("the tree acquisition never probed the cache: no latency was injected")
+			}
+			if !res.Feasible || !res.Certified {
+				t.Fatalf("want a certified package: feasible=%v certified=%v", res.Feasible, res.Certified)
+			}
+			if res.BoundTime >= latency {
+				t.Errorf("BoundTime %v includes the %v tree acquisition", res.BoundTime, latency)
+			}
+		})
 	}
 }

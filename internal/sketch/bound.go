@@ -26,11 +26,11 @@ const maxBoundVars = 2 * plan.SketchThreshold
 // branchBound computes the certified dual bound for one DNF branch via
 // the staged tightening pipeline (internal/bound): the branch's exact
 // tuple-level rows (plus any exclusion cuts) relaxed over singleton
-// groups when the candidates are few, or — when they are many — over
-// objective-sorted segments of the shared partition tree's leaves,
-// tightened by Lagrangian rounds on the band rows and, adaptively, a
-// one-level descent into the loosest leaves. The tree is the same one
-// the descent uses (memoized by trees), so the bound adds no
+// groups when the candidates are few (tree is nil), or — when they are
+// many — over objective-sorted segments of the shared partition tree's
+// leaves, tightened by Lagrangian rounds on the band rows and,
+// adaptively, a one-level descent into the loosest leaves. The tree is
+// the same one the descent uses (memoized by trees), so the bound adds no
 // partitioning work.
 //
 // Exclusion cuts ride the same relaxation soundly: a cut is a valid
@@ -48,28 +48,32 @@ const maxBoundVars = 2 * plan.SketchThreshold
 // stops escalating stages once the gap against its objective is within
 // Options.GapTolerance (or runs every allowed stage when the tolerance
 // is 0).
-func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResult, error) {
+func (s *solver) branchBound(ba *branchAtoms, tree *Tree, best *descent) (bound.PipelineResult, error) {
 	inst, opts, pins := s.inst, s.opts, s.pins
-	atoms := s.fullAtoms(ba)
-	n := len(inst.Rows)
 	sense := objSense(inst)
-	if n <= plan.SketchThreshold {
+	po := bound.PipelineOptions{
+		Ctx:       opts.Ctx,
+		Atoms:     s.fullAtoms(ba),
+		ObjW:      inst.ObjW,
+		Konst:     inst.ObjK,
+		Sense:     sense,
+		Incumbent: math.NaN(),
+		GapTarget: opts.GapTolerance,
+	}
+	if best != nil {
+		po.Incumbent, po.HasIncumbent = best.Objective, true
+	}
+	if tree == nil {
 		// Few enough candidates that the planner would have answered
 		// exactly: bound over the raw candidates, the exact LP relaxation
-		// of the query's MILP and the tightest bound an LP can give. Above
-		// the threshold the bound runs over the partition-tree leaves, one
-		// LP variable per leaf segment, so the pass stays tiny at any scale.
-		groups := bound.Candidates(n, inst.MaxMult, pins)
-		p, err := bound.Relax(atoms, inst.ObjW, sense, groups)
-		if err != nil {
-			return bound.PipelineResult{}, err
-		}
-		out := bound.Solve(opts.Ctx, p, inst.ObjK)
-		return bound.PipelineResult{Outcome: out, Stage: bound.StageRawLP, Vars: n}, nil
-	}
-	tree, err := s.tree(opts.tau(), opts.depth())
-	if err != nil {
-		return bound.PipelineResult{}, err
+		// of the query's MILP and the tightest bound an LP can give, so
+		// the pipeline stops at its first stage. Above the threshold the
+		// bound runs over the partition-tree leaves, one LP variable per
+		// leaf segment, so the pass stays tiny at any scale.
+		po.MaxStage = bound.StageTreeLP
+		pr, err := bound.RunPipeline(bound.Candidates(len(inst.Rows), inst.MaxMult, pins), po)
+		pr.Stage = bound.StageRawLP
+		return pr, err
 	}
 	leaves := &level{nodes: tree.Leaves(), facts: s.leafFacts(ba, tree.Leaves(), false)}
 	groups := make([]bound.Group, len(leaves.nodes))
@@ -77,13 +81,13 @@ func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResu
 		groups[g].Tuples = leaves.nodes[g].Tuples
 		groups[g].Lo, groups[g].Hi = s.nodeBound(leaves, g)
 	}
-	tupleLo := func(i int) float64 {
+	po.TupleLo = func(i int) float64 {
 		if pins[i] {
 			return 1
 		}
 		return 0
 	}
-	tupleHi := func(i int) float64 {
+	po.TupleHi = func(i int) float64 {
 		if ba.eliminated != nil && ba.eliminated[i] {
 			return 0
 		}
@@ -92,24 +96,7 @@ func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResu
 		}
 		return lp.Inf
 	}
-	stage, rounds, budget := boundStagePlan(opts)
-	po := bound.PipelineOptions{
-		Ctx:           opts.Ctx,
-		Atoms:         atoms,
-		ObjW:          inst.ObjW,
-		Konst:         inst.ObjK,
-		Sense:         sense,
-		MaxStage:      stage,
-		TightenRounds: rounds,
-		DescendBudget: budget,
-		Incumbent:     math.NaN(),
-		GapTarget:     opts.GapTolerance,
-		TupleLo:       tupleLo,
-		TupleHi:       tupleHi,
-	}
-	if best != nil {
-		po.Incumbent, po.HasIncumbent = best.Objective, true
-	}
+	po.MaxStage, po.TightenRounds, po.DescendBudget = boundStagePlan(opts)
 	// Segmented columns are stage-1 tightening, applied on every tree path:
 	// each leaf in objective order, which the tree keeps per objective, cut
 	// into segments. A grouping too wide to segment keeps its leaf order,
@@ -122,9 +109,9 @@ func (s *solver) branchBound(ba *branchAtoms, best *descent) (bound.PipelineResu
 		for g := range groups {
 			groups[g].Tuples = orders[g]
 		}
-		groups = bound.Segment(groups, maxBoundVars, tupleLo, tupleHi)
+		groups = bound.Segment(groups, maxBoundVars, po.TupleLo, po.TupleHi)
 	}
-	return bound.RunPipeline(groups, po), nil
+	return bound.RunPipeline(groups, po)
 }
 
 // objectiveKey names an objective in a tree's order memo: its sense, its
@@ -149,10 +136,24 @@ func objectiveKey(o *paql.Objective) string {
 // subsystem); any other failure is the certification rung of the
 // degradation ladder — the pass is optional, so the answer goes
 // uncertified, no further branch is bounded, and the descent continues.
+//
+// Above the raw-candidate cap the pass reads the descent's partition
+// tree. Acquiring it is tree work, timed as such, so it happens before
+// the clock starts: the anytime pre-pass bounds every branch before any
+// descent has acquired the tree, and would otherwise count a cache
+// probe, a disk load or a whole build as bound time.
 func (s *solver) boundPass(ba *branchAtoms, best *descent) error {
-	start := time.Now()
-	pr, err := s.branchBound(ba, best)
-	s.res.BoundTime += time.Since(start)
+	var tree *Tree
+	var err error
+	if len(s.inst.Rows) > plan.SketchThreshold {
+		tree, err = s.tree(s.opts.tau(), s.opts.depth())
+	}
+	var pr bound.PipelineResult
+	if err == nil {
+		start := time.Now()
+		pr, err = s.branchBound(ba, tree, best)
+		s.res.BoundTime += time.Since(start)
+	}
 	switch {
 	case err == nil:
 		s.prs = append(s.prs, pr)

@@ -7,12 +7,16 @@ package sketch_test
 // bound on BETWEEN-heavy queries, which is the whole point of the stages).
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/minidb"
 	"repro/internal/sketch"
 )
@@ -131,5 +135,46 @@ func TestBetweenBoundTightenedVsEnvelope(t *testing.T) {
 	// be ≤ 10%.
 	if tight.Gap > 0.10 {
 		t.Fatalf("pipeline certified gap %.2f%% still above 10%%", 100*tight.Gap)
+	}
+}
+
+// TestRelaxFaultDegradesOnBothPaths: a certificate relaxation that cannot
+// be built is the bound rung of the degradation ladder whichever
+// grouping the pass relaxes — raw candidates or tree leaves, one
+// bound.RunPipeline entry for both — so the answer is the unfaulted one,
+// uncertified, with a "bound: " reason.
+func TestRelaxFaultDegradesOnBothPaths(t *testing.T) {
+	const q = `
+		SELECT PACKAGE(R) AS P
+		FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
+		MAXIMIZE SUM(P.protein)`
+	for _, n := range []int{400, 6000} { // raw candidates, then tree leaves
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			inst := boundPrep(t, n, q).Instance
+			if len(inst.Rows) != n {
+				t.Fatalf("%d candidates from %d rows: the case misses its bound path", len(inst.Rows), n)
+			}
+			clean, err := sketch.Solve(inst, sketch.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := fault.NewInjector(1, fault.Rule{Site: "bound.relax", Kind: fault.KindError})
+			restore := fault.Enable(inj)
+			res, err := sketch.Solve(inst, sketch.Options{Seed: 1})
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !clean.Certified || !res.Feasible || !slices.Equal(res.Mult, clean.Mult) {
+				t.Fatalf("faulted answer (feasible %v) differs from the clean one (certified %v)", res.Feasible, clean.Certified)
+			}
+			if res.Certified {
+				t.Fatal("a relaxation that was never built certified a bound")
+			}
+			if len(res.Degraded) != 1 || !strings.HasPrefix(res.Degraded[0], "bound: ") {
+				t.Fatalf("degraded reasons %q, want one bound rung", res.Degraded)
+			}
+		})
 	}
 }

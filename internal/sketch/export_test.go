@@ -31,12 +31,10 @@ func RawLPBoundForTest(inst *search.Instance) (bound.Outcome, error) {
 	if err != nil {
 		return bound.Outcome{}, err
 	}
-	groups := bound.Candidates(len(inst.Rows), inst.MaxMult, nil)
-	p, err := bound.Relax(ba.tuple, inst.ObjW, objSense(inst), groups)
-	if err != nil {
-		return bound.Outcome{}, err
-	}
-	return bound.Solve(nil, p, inst.ObjK), nil
+	pr, err := bound.RunPipeline(bound.Candidates(len(inst.Rows), inst.MaxMult, nil), bound.PipelineOptions{
+		Atoms: ba.tuple, ObjW: inst.ObjW, Konst: inst.ObjK, Sense: objSense(inst), MaxStage: bound.StageTreeLP,
+	})
+	return pr.Outcome, err
 }
 
 // KeptOrdersForTest returns the leaf orders the tree keeps, by objective

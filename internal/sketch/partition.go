@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/expr"
+	"repro/internal/lifecycle"
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/search"
@@ -27,7 +28,7 @@ func leafNodes(cols *search.Columns, n int, attrs []int, opts Options) []Node {
 	w := opts.workers()
 	var groups [][]int
 	if n > 0 && cols != nil {
-		s := &splitter{tau: opts.tau(), lim: newLimiter(w), stop: opts.stopHook()}
+		s := &splitter{tau: opts.tau(), lim: newLimiter(w), stop: lifecycle.Poll(opts.Ctx)}
 		groups = s.medianSplit(cols, 0, n, shuffledAttrs(attrs, opts.Seed))
 	}
 	if opts.stopped() {

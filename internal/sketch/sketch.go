@@ -39,6 +39,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/lifecycle"
 	"repro/internal/lp"
 	"repro/internal/paql"
 	"repro/internal/plan"
@@ -128,27 +129,12 @@ type Options struct {
 	BoundMode string
 }
 
-// stopped is the non-blocking poll behind every cooperative
-// cancellation checkpoint in the package.
+// stopped polls Ctx once at a cooperative cancellation checkpoint
+// between phases. The build's inner loops take lifecycle.Poll(Ctx)
+// itself, nil without a context, so they skip the poll altogether.
 func (o Options) stopped() bool {
-	if o.Ctx == nil {
-		return false
-	}
-	select {
-	case <-o.Ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
-// stopHook is stopped in the form the build's inner loops take: nil
-// when there is no context, so they skip the poll altogether.
-func (o Options) stopHook() func() bool {
-	if o.Ctx == nil {
-		return nil
-	}
-	return o.stopped
+	poll := lifecycle.Poll(o.Ctx)
+	return poll != nil && poll()
 }
 
 // tau resolves the leaf size bound: MaxPartitionSize, else the planner's

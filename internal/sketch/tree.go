@@ -175,7 +175,7 @@ func (t *Tree) flatten() *Tree {
 // not); such a tree is incomplete and every caller on the cancellation
 // path (solver.buildFresh) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
-	cols := search.Lower(inst.Rows, nil, opts.stopHook())
+	cols := search.Lower(inst.Rows, nil, lifecycle.Poll(opts.Ctx))
 	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1, orders: new(leafOrders)}
 	leaves := leafNodes(cols, len(inst.Rows), t.Attrs, opts)
 	t.Levels = [][]Node{leaves}
@@ -223,7 +223,7 @@ func groupLevel(cols *search.Columns, children []Node, covered [][]int, attrs []
 	for i := range children {
 		repRows[i] = children[i].Rep
 	}
-	stop := opts.stopHook()
+	stop := lifecycle.Poll(opts.Ctx)
 	repCols := search.Lower(repRows, nil, stop)
 	if repCols == nil {
 		return nil, nil

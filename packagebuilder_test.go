@@ -3,6 +3,7 @@ package packagebuilder_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,38 @@ func TestPublicAPIOptions(t *testing.T) {
 	}
 	if len(div.Packages) == 0 {
 		t.Error("diverse query found nothing")
+	}
+}
+
+// TestLocalSearchLeavesTheCallersTablesAlone: local search runs its §4.2
+// joins over scratch tables of its own, so a caller's table that shares
+// a scratch table's name cannot fail the query, and the caller's
+// database holds the same tables before and after. The names cover the
+// scratch tables' current spelling and the sequence-numbered one a
+// query used to create in the caller's database, where a
+// "pb_cand_2" failed a process's second local-search query with "table
+// already exists".
+func TestLocalSearchLeavesTheCallersTablesAlone(t *testing.T) {
+	sys := newSystem(t, 60)
+	names := []string{"cand", "pkg"}
+	for i := 1; i <= 64; i++ {
+		names = append(names, fmt.Sprintf("pb_cand_%d", i), fmt.Sprintf("pb_cand_%d_pkg1", i))
+	}
+	for _, name := range names {
+		mustSQL(t, sys, "CREATE TABLE "+name+" (id INTEGER)")
+	}
+	before := sys.DB().TableNames()
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := sys.Query(mealQuery, pb.With(pb.Options{Strategy: pb.LocalSearch, Seed: seed, Restarts: 2}))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Stats.SQLQueries == 0 {
+			t.Fatalf("seed %d: local search issued no replacement query", seed)
+		}
+	}
+	if after := sys.DB().TableNames(); !slices.Equal(before, after) {
+		t.Fatalf("caller's tables changed across local-search queries:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

@@ -4,7 +4,8 @@
 # otherwise the check PRs 19-20 ran by hand in its place — an unexported
 # function whose name appears nowhere but in its own declaration is dead
 # code — then that the chaos corpus requires exactly the fault sites the
-# code checks, that the trace-only surface has not grown, that no tracked
+# code checks, that no package under internal/ but lifecycle polls a
+# context by hand, that the trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -50,6 +51,14 @@ if [ -z "$sites" ] || [ "$sites" != "$required" ]; then
   echo "fault.Check sites in the code differ from the chaos corpus's required list (< code, > corpus):"
   diff <(echo "$sites") <(echo "$required") || true
   exit 1
+fi
+
+# A context has one poll, lifecycle.Poll (one Done() call per poll, nil
+# for a nil context): a `case <-ctx.Done():` anywhere else under
+# internal/ is a second copy growing back.
+polls=$(grep -rnE --include='*.go' 'case <-[A-Za-z_.]*Done\(\):' internal | grep -v '^internal/lifecycle/' || true)
+if [ -n "$polls" ]; then
+  echo "context polls outside internal/lifecycle (call lifecycle.Poll instead):" && echo "$polls" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
