@@ -377,6 +377,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.SketchIncr != nil {
 		opts.SketchIncremental = *req.SketchIncr
 	}
+	// Planning parses, scans the candidates and lowers the query, and
+	// evaluation solves it: both need an admission slot, and run without
+	// the lock so concurrent queries don't serialize behind one another.
+	// The request context cancels the work when the client disconnects.
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	defer release()
 	if req.Explain {
 		qp, err := s.sys.ExplainContext(r.Context(), req.Query, pb.With(opts))
 		if err != nil {
@@ -386,15 +395,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"plan": qp, "explain": qp.Explain()})
 		return
 	}
-	// Evaluation is the expensive part; it needs an admission slot and
-	// runs without the lock so concurrent queries don't serialize
-	// behind one another. The request context cancels the solve when
-	// the client disconnects.
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
 	ses, err := s.sys.ExploreContext(r.Context(), req.Query, pb.With(opts))
 	if err != nil {
 		s.httpErr(w, r, err)

@@ -506,6 +506,53 @@ func TestLifecycleEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainIsAdmitted: EXPLAIN parses, scans and plans, so it takes an
+// admission slot like a query: with every slot held it is shed, and once
+// it has run its slot is free again.
+func TestExplainIsAdmitted(t *testing.T) {
+	s := testServer(t)
+	s.adm = lifecycle.NewController(1, 0)
+	release, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explain := `{"query": ` + mustJSON(demoQuery) + `, "explain": true}`
+	if rec, _ := postJSON(t, s.handleQuery, explain); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("explain with every slot held: status %d, want 429: %s", rec.Code, rec.Body)
+	}
+	release()
+	if rec, _ := postJSON(t, s.handleQuery, explain); rec.Code != 200 {
+		t.Fatalf("explain with a free slot: status %d: %s", rec.Code, rec.Body)
+	}
+	rec := httptest.NewRecorder()
+	s.handleLifecycle(rec, httptest.NewRequest("GET", "/api/lifecycle", nil))
+	var st struct {
+		InFlight int    `json:"inFlight"`
+		Admitted uint64 `json:"admitted"`
+		Shed     uint64 `json:"shed"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.InFlight != 0 || st.Admitted != 2 || st.Shed != 1 {
+		t.Errorf("lifecycle after a shed and an admitted explain = %+v, want in-flight 0, admitted 2, shed 1", st)
+	}
+}
+
+// TestDeepQueryIsABadRequest: a formula nested past the parser's depth cap
+// is the client's error, refused before anything recurses through it.
+func TestDeepQueryIsABadRequest(t *testing.T) {
+	s := testServer(t)
+	deep := `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT ` +
+		strings.Repeat("(", 400000) + "COUNT(*) = 1" + strings.Repeat(")", 400000)
+	for _, explain := range []string{"false", "true"} {
+		rec, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(deep)+`, "explain": `+explain+`}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "nests too deeply") {
+			t.Errorf("explain %s: status %d, body %.200s; want 400 naming the depth cap", explain, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestBodyLimitRejectsHugePayload(t *testing.T) {
 	s := testServer(t)
 	huge := strings.Repeat("x", maxBodyBytes+1024)

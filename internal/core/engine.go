@@ -32,6 +32,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/search"
 	"repro/internal/sketch"
+	"repro/internal/translate"
 	"repro/internal/value"
 )
 
@@ -218,7 +219,7 @@ type Stats struct {
 	Bounds      prune.Bounds // §4.1 cardinality bounds
 	SpacePruned *big.Int     // Σ C(n,k) within bounds (nil unless computed)
 	SpaceFull   *big.Int     // 2^n (nil unless computed)
-	Linear      bool         // MILP-translatable
+	Linear      bool         // the exact MILP translation can encode the query (Prepared.Nonlinear is nil)
 	Strategy    Strategy     // strategy actually used
 	Exact       bool         // result is provably optimal/complete
 	Nodes       int64        // search nodes or MILP B&B nodes
@@ -293,6 +294,10 @@ type Prepared struct {
 	Analysis *paql.Analysis
 	Table    *minidb.Table
 	Instance *search.Instance
+	// Nonlinear is the query's linearity verdict (translate.Nonlinear):
+	// why the exact MILP translation cannot encode it, nil when it can.
+	// The planner routes by it and Stats.Linear reports it.
+	Nonlinear []string
 	// SketchCache is the default partition-tree cache for Run when the
 	// options carry none (System.Prepare points it at the engine-level
 	// shared cache, so repeated prep.Run calls skip re-partitioning).
@@ -358,7 +363,7 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 		return nil, err
 	}
 	return &Prepared{DB: db, Query: q, Analysis: analysis, Table: table, Instance: inst,
-		TableVersion: table.Version(), Sketch: sketch.Compile(inst),
+		Nonlinear: translate.Nonlinear(analysis), TableVersion: table.Version(), Sketch: sketch.Compile(inst),
 		RowsScanned: cands.scanned, SnapshotHit: cands.hit}, nil
 }
 

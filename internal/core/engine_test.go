@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/lifecycle"
 	"repro/internal/minidb"
 	"repro/internal/search"
 	"repro/internal/value"
@@ -203,6 +205,64 @@ func TestAutoFallsBackForNonlinear(t *testing.T) {
 	prot, _ := p.AggValues["SUM(R.protein)"].AsFloat()
 	if cal*prot > 50000+1e-6 {
 		t.Errorf("nonlinear constraint violated: %g * %g", cal, prot)
+	}
+}
+
+// TestDisputedLinearityAnswersAlike: a comparison against a constant with
+// no number in it has no linear form, and an aggregate BETWEEN bound is
+// affine; the planner routes both by what Translate can encode, so Auto
+// answers each as forced pruned enumeration does — same feasibility, same
+// optimum — and plans BETWEEN as its two-comparison spelling.
+func TestDisputedLinearityAnswersAlike(t *testing.T) {
+	db := minidb.New()
+	if _, err := db.Exec(`CREATE TABLE recipes (id INT, calories FLOAT, protein FLOAT)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 18; i++ {
+		stmt := fmt.Sprintf(`INSERT INTO recipes VALUES (%d, %d, %d)`, i, 150+(i*137)%700, 4+(i*11)%41)
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const head = `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 3 AND `
+	cases := []struct {
+		atom string
+		auto Strategy
+	}{
+		{`SUM(P.calories) <= NULL`, PrunedEnum},
+		{`SUM(P.calories) <= 'abc'`, PrunedEnum},
+		{`SUM(P.calories) <= 1/0`, PrunedEnum},
+		{`SUM(P.calories) BETWEEN 10 * SUM(P.protein) AND 1500`, Solver},
+		{`(SUM(P.calories) >= 10 * SUM(P.protein) AND SUM(P.calories) <= 1500)`, Solver},
+		{`SUM(P.protein) BETWEEN 15 * COUNT(*) AND 60`, Solver},
+	}
+	answer := func(q string, s Strategy) (*Result, bool, float64) {
+		t.Helper()
+		res, err := Evaluate(db, q, Options{Strategy: s})
+		if errors.Is(err, lifecycle.ErrInfeasible) {
+			return res, false, 0
+		}
+		if err != nil {
+			t.Fatalf("%s under %v: %v", q, s, err)
+		}
+		if len(res.Packages) == 0 {
+			return res, false, 0
+		}
+		return res, true, res.Packages[0].Objective
+	}
+	for _, c := range cases {
+		q := head + c.atom + ` MAXIMIZE SUM(P.protein)`
+		auto, autoOK, autoObj := answer(q, Auto)
+		_, enumOK, enumObj := answer(q, PrunedEnum)
+		if autoOK != enumOK || autoObj != enumObj {
+			t.Errorf("%s: auto (feasible %v, objective %g) and pruned-enum (feasible %v, objective %g) disagree", c.atom, autoOK, autoObj, enumOK, enumObj)
+		}
+		if got := auto.Stats.Strategy; got != c.auto {
+			t.Errorf("%s: auto ran %v, want %v", c.atom, got, c.auto)
+		}
+		if linear := c.auto == Solver; auto.Stats.Linear != linear {
+			t.Errorf("%s: Stats.Linear = %v, want %v", c.atom, auto.Stats.Linear, linear)
+		}
 	}
 }
 

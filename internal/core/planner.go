@@ -32,7 +32,7 @@ func (p *Prepared) planInput(opts Options) plan.Input {
 		RowsScanned: p.RowsScanned,
 		SnapshotHit: p.SnapshotHit,
 		MaxMult:     p.Instance.MaxMult,
-		Mix:         plan.AnalyzeAtoms(p.Analysis, branches, sketchErr),
+		Mix:         plan.AnalyzeAtoms(p.Analysis, p.Nonlinear, branches, sketchErr),
 		Procs:       runtime.GOMAXPROCS(0),
 		Forced:      opts.forcedKnobs(),
 	}

@@ -124,7 +124,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	res.Stats.Candidates = len(inst.Rows)
 	res.Stats.RowsScanned, res.Stats.SnapshotHit = p.RowsScanned, p.SnapshotHit
 	res.Stats.Bounds = inst.Bounds
-	res.Stats.Linear = p.Analysis.Linear
+	res.Stats.Linear = p.Nonlinear == nil
 	limit := p.limit(opts)
 	fetch := limit
 	if opts.Diverse {

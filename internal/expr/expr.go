@@ -674,35 +674,55 @@ func Walk(e Expr, fn func(Expr)) {
 		return
 	}
 	fn(e)
+	eachChild(e, func(c Expr) { Walk(c, fn) })
+}
+
+// Deeper reports whether the tree rooted at e is more than limit nodes
+// tall. It stops descending at the limit, so it recurses at most limit
+// deep itself however tall e is.
+func Deeper(e Expr, limit int) bool {
+	if e == nil {
+		return false
+	}
+	if limit <= 0 {
+		return true
+	}
+	deeper := false
+	eachChild(e, func(c Expr) { deeper = deeper || Deeper(c, limit-1) })
+	return deeper
+}
+
+// eachChild calls fn on each direct sub-expression of e, in order.
+func eachChild(e Expr, fn func(Expr)) {
 	switch n := e.(type) {
 	case *Binary:
-		Walk(n.L, fn)
-		Walk(n.R, fn)
+		fn(n.L)
+		fn(n.R)
 	case *Not:
-		Walk(n.X, fn)
+		fn(n.X)
 	case *Neg:
-		Walk(n.X, fn)
+		fn(n.X)
 	case *Between:
-		Walk(n.X, fn)
-		Walk(n.Lo, fn)
-		Walk(n.Hi, fn)
+		fn(n.X)
+		fn(n.Lo)
+		fn(n.Hi)
 	case *InList:
-		Walk(n.X, fn)
+		fn(n.X)
 		for _, it := range n.List {
-			Walk(it, fn)
+			fn(it)
 		}
 	case *IsNull:
-		Walk(n.X, fn)
+		fn(n.X)
 	case *Like:
-		Walk(n.X, fn)
-		Walk(n.Pattern, fn)
+		fn(n.X)
+		fn(n.Pattern)
 	case *Call:
 		for _, a := range n.Args {
-			Walk(a, fn)
+			fn(a)
 		}
 	case Container:
 		for _, c := range n.Children() {
-			Walk(c, fn)
+			fn(c)
 		}
 	}
 }

@@ -19,6 +19,11 @@
 //   - scalar SQL sub-queries in SUCH THAT (mentioned in §2), evaluated
 //     against the backing DBMS and folded to constants;
 //   - LIMIT n requesting n distinct packages (§5 "solver limitations").
+//
+// The package parses, analyzes (Analyze) and evaluates a formula over a
+// concrete package (Satisfies, EvalGlobal). Whether a query is linear —
+// which strategies may run it — is not an analysis result: the PaQL→ILP
+// lowering in internal/translate decides it (translate.Nonlinear).
 package paql
 
 import (

@@ -1,6 +1,11 @@
 package paql
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/parse"
+)
 
 // FuzzParse holds the parser to its contract on arbitrary text — PaQL
 // arrives from the CLI, the REPL and HTTP bodies: an error or a query,
@@ -12,12 +17,12 @@ func FuzzParse(f *testing.F) {
 	for _, q := range badQueries {
 		f.Add(q)
 	}
-	for _, clauses := range [][]string{linearClauses, nonlinearClauses} {
-		for _, c := range clauses {
-			f.Add("SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 2 WHERE R.kind <> 'x' " + c + " MINIMIZE SUM(P.price) LIMIT 3")
-		}
+	for _, c := range globalClauses {
+		f.Add("SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 2 WHERE R.kind <> 'x' " + c + " MINIMIZE SUM(P.price) LIMIT 3")
 	}
 	f.Add("EXPLAIN SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) = (SELECT MAX(id) FROM t)")
+	// One level past the parser's depth cap.
+	f.Add("SELECT PACKAGE(R) AS P FROM t R SUCH THAT " + strings.Repeat("(", parse.MaxDepth) + "COUNT(*) = 1" + strings.Repeat(")", parse.MaxDepth))
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := Parse(text)
 		if (q == nil) == (err == nil) {

@@ -157,9 +157,6 @@ func TestQueryStringRoundTrip(t *testing.T) {
 
 func TestAnalyzeBindsAndNormalizes(t *testing.T) {
 	q, a := mustAnalyze(t, mealQuery)
-	if !a.Linear {
-		t.Errorf("meal query should be linear: %v", a.NonlinearReasons)
-	}
 	if len(a.Aggs) != 3 { // COUNT(*), SUM(cal), SUM(protein)
 		t.Errorf("aggs = %d", len(a.Aggs))
 	}
@@ -204,9 +201,11 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-// linearClauses and nonlinearClauses are SUCH THAT clauses on either side
-// of the MILP-translatable line; FuzzParse seeds from them too.
-var linearClauses = []string{
+// globalClauses are SUCH THAT clauses of every shape the grammar takes —
+// affine, AVG/MIN/MAX, disjunctive, filtered, non-linear; FuzzParse seeds
+// from them. Which of them the MILP translation can encode is
+// internal/translate's TestLinearityClassification.
+var globalClauses = []string{
 	`SUCH THAT COUNT(*) = 3`,
 	`SUCH THAT SUM(P.calories) BETWEEN 100 AND 200`,
 	`SUCH THAT 2 * SUM(P.calories) - COUNT(*) <= 100`,
@@ -220,8 +219,7 @@ var linearClauses = []string{
 	`SUCH THAT -SUM(P.calories) >= -2500 AND 100 <= MAX(P.calories)`,
 	`SUCH THAT SUM(P.calories) * (2 + 3) / (4 - 2) <= ABS(-100) + 1`,
 	`SUCH THAT 500 >= AVG(P.calories) AND TRUE`,
-}
-var nonlinearClauses = []string{
+	`SUCH THAT SUM(P.calories) BETWEEN COUNT(*) AND 100`,
 	`SUCH THAT SUM(P.calories) * SUM(P.protein) <= 100`,
 	`SUCH THAT SUM(P.calories) / COUNT(*) <= 100 AND SUM(P.protein) / SUM(P.calories) > 1`,
 	`SUCH THAT AVG(P.calories) + SUM(P.protein) <= 100`,
@@ -230,33 +228,8 @@ var nonlinearClauses = []string{
 	`SUCH THAT AVG(P.calories) = 500`,
 	`SUCH THAT ABS(SUM(P.calories)) <= 100`,
 	`SUCH THAT -AVG(P.calories) <= 100 OR SUM(P.calories) / SUM(P.protein) <= 2`,
-	`SUCH THAT SUM(P.calories) BETWEEN COUNT(*) AND 100`,
 	`SUCH THAT MIN(P.calories) * 2 BETWEEN 1 AND 100`,
 	`SUCH THAT SUM(P.calories)`,
-}
-
-func TestLinearityClassification(t *testing.T) {
-	for _, clause := range linearClauses {
-		_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R `+clause)
-		if !a.Linear {
-			t.Errorf("%q should be linear: %v", clause, a.NonlinearReasons)
-		}
-	}
-	for _, clause := range nonlinearClauses {
-		_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R `+clause)
-		if a.Linear {
-			t.Errorf("%q should be non-linear", clause)
-		}
-	}
-	// nonlinear objective
-	_, a := mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MAXIMIZE SUM(P.protein) / COUNT(*)`)
-	if a.Linear {
-		t.Error("ratio objective should be non-linear")
-	}
-	_, a = mustAnalyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R MINIMIZE SUM(P.price) - 2 * COUNT(*)`)
-	if !a.Linear {
-		t.Errorf("affine objective should be linear: %v", a.NonlinearReasons)
-	}
 }
 
 func packageRows() []schema.Row {

@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -276,5 +277,50 @@ func TestKeywordsNotSwallowedByExpr(t *testing.T) {
 	}
 	if !p.PeekKeyword("FROM") {
 		t.Errorf("parser should stop at FROM, at %v", p.Peek())
+	}
+}
+
+// TestNestingDepthIsCapped: past MaxDepth the parser answers ErrTooDeep —
+// for its own recursion (parentheses, NOT, unary minus, function
+// arguments) and for a returned tree that tall (a left-deep chain) — and
+// at the cap it still parses.
+func TestNestingDepthIsCapped(t *testing.T) {
+	nest := func(open, core, close string, k int) string {
+		return strings.Repeat(open, k) + core + strings.Repeat(close, k)
+	}
+	chain := func(op string, operands int) string {
+		return strings.TrimSuffix(strings.Repeat("x = 1 "+op+" ", operands), " "+op+" ")
+	}
+	cases := []struct {
+		name     string
+		at, past string
+	}{
+		// ParseExpr counts its own level, so k parentheses take k+1.
+		{"parentheses", nest("(", "x = 1", ")", MaxDepth-1), nest("(", "x = 1", ")", MaxDepth)},
+		{"function arguments", nest("ABS(", "1", ")", MaxDepth-1), nest("ABS(", "1", ")", MaxDepth)},
+		{"NOT", nest("NOT ", "x", "", MaxDepth-1), nest("NOT ", "x", "", MaxDepth)},
+		{"unary minus", nest("- ", "1", "", MaxDepth-1), nest("- ", "1", "", MaxDepth)},
+		// n operands x = 1 stand n+1 nodes tall.
+		{"AND chain", chain("AND", MaxDepth-1), chain("AND", MaxDepth)},
+		{"+ chain", strings.Repeat("1 + ", MaxDepth-1) + "1", strings.Repeat("1 + ", MaxDepth) + "1"},
+	}
+	for _, c := range cases {
+		if _, err := ParseExprString(c.at); err != nil {
+			t.Errorf("%s at the cap: %v", c.name, err)
+		}
+		if _, err := ParseExprString(c.past); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s past the cap: err %v, want ErrTooDeep", c.name, err)
+		}
+	}
+	// A refusal leaves no level counted.
+	p, err := NewParser(nest("(", "1", ")", 5*MaxDepth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ParseExpr(); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("deep expression: err %v, want ErrTooDeep", err)
+	}
+	if p.depth != 0 {
+		t.Fatalf("depth %d left counted after a refusal", p.depth)
 	}
 }

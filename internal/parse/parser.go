@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,12 +10,26 @@ import (
 	"repro/internal/value"
 )
 
+// MaxDepth caps how deeply an expression may nest. It bounds the parser's
+// own recursion — parentheses, NOT, unary minus, function arguments — and
+// the height of every tree ParseExpr returns, left-deep AND/OR/+/* chains
+// included, so every later walk over a parsed expression (expr.Walk,
+// translate's normal form and linearity verdict) recurses at most about
+// this deep. The tallest query in the test corpora, the examples and the
+// benchmark templates stands 9 nodes tall.
+const MaxDepth = 1000
+
+// ErrTooDeep is the error, under errors.Is, for an expression that nests
+// past MaxDepth: the parser refuses it instead of recursing further.
+var ErrTooDeep = errors.New("parse: expression nests too deeply")
+
 // Parser is a token-stream cursor with the shared scalar-expression
 // grammar. Statement-level grammars (SQL, PaQL) are built on top of it.
 type Parser struct {
-	src  string
-	toks []Token
-	pos  int
+	src   string
+	toks  []Token
+	pos   int
+	depth int // ParseExpr, NOT and unary-minus recursion in progress
 
 	// PrimaryHook, when set, is consulted first in the primary
 	// production. It lets front-ends inject productions such as scalar
@@ -157,9 +172,33 @@ func (p *Parser) ParseInt() (int64, error) {
 //	primary   := hook | literal | func '(' args ')' | ident ['.' ident]
 //	           | '(' expr ')'
 
-// ParseExpr parses a full scalar expression.
+// ParseExpr parses a full scalar expression, refusing with ErrTooDeep
+// one that nests past MaxDepth.
 func (p *Parser) ParseExpr() (expr.Expr, error) {
-	return p.parseOr()
+	defer p.leave()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	if err == nil && p.depth == 1 && expr.Deeper(e, MaxDepth) {
+		return nil, p.tooDeep()
+	}
+	return e, err
+}
+
+// enter counts one level of recursion, refusing past MaxDepth; every
+// enter is paired with a deferred leave.
+func (p *Parser) enter() error {
+	if p.depth++; p.depth > MaxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
+
+func (p *Parser) tooDeep() error {
+	return fmt.Errorf("%w: more than %d levels (offset %d)", ErrTooDeep, MaxDepth, p.Peek().Pos)
 }
 
 func (p *Parser) parseOr() (expr.Expr, error) {
@@ -194,6 +233,10 @@ func (p *Parser) parseAnd() (expr.Expr, error) {
 
 func (p *Parser) parseNot() (expr.Expr, error) {
 	if p.AcceptKeyword("NOT") {
+		defer p.leave()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -350,6 +393,10 @@ func (p *Parser) parseMul() (expr.Expr, error) {
 
 func (p *Parser) parseUnary() (expr.Expr, error) {
 	if p.AcceptPunct("-") {
+		defer p.leave()
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@
 //
 //   - the query-planner half (AnalyzeAtoms) classifies the atom mix of a
 //     PaQL analysis — linear, AVG, MIN/MAX, disjunctive — given the
+//     translation's linearity verdict (translate.Nonlinear) and the
 //     sketch engine's applicability verdict and branch count;
 //   - the execution-planner half (New) applies threshold rules: exact
 //     MILP for a linear query up to SketchThreshold candidates and
@@ -152,7 +153,8 @@ const (
 // AtomMix classifies a query's constraint atoms — the query-planner
 // half's output.
 type AtomMix struct {
-	// Linear reports whether constraints and objective are all affine.
+	// Linear reports whether the exact MILP translation can encode the
+	// query (translate.Nonlinear is empty).
 	Linear bool `json:"linear"`
 	// NonlinearReasons lists the linearity obstructions when not.
 	NonlinearReasons []string `json:"nonlinearReasons,omitempty"`
@@ -178,12 +180,14 @@ type AtomMix struct {
 	Objective bool `json:"objective,omitempty"`
 }
 
-// AnalyzeAtoms binds an analyzed query into an atom mix. branches and
-// sketchErr are the sketch engine's applicability verdict for the same
-// query (sketch.Applicable): the DNF branches it will descend, or why it
-// cannot run the query at all.
-func AnalyzeAtoms(a *paql.Analysis, branches int, sketchErr error) AtomMix {
-	m := AtomMix{Linear: a.Linear, NonlinearReasons: a.NonlinearReasons,
+// AnalyzeAtoms binds an analyzed query into an atom mix. nonlinear is
+// the query's linearity verdict (translate.Nonlinear: why the exact MILP
+// translation cannot encode it, nil when it can); branches and sketchErr
+// are the sketch engine's applicability verdict for the same query
+// (sketch.Applicable): the DNF branches it will descend, or why it cannot
+// run the query at all.
+func AnalyzeAtoms(a *paql.Analysis, nonlinear []string, branches int, sketchErr error) AtomMix {
+	m := AtomMix{Linear: len(nonlinear) == 0, NonlinearReasons: nonlinear,
 		Objective: a.Query != nil && a.Query.Objective != nil}
 	if a.Query != nil && a.Query.SuchThat != nil {
 		expr.Walk(a.Query.SuchThat, func(e expr.Expr) {

@@ -422,7 +422,7 @@ func TestAnalyzeAtoms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
-		return AnalyzeAtoms(a, len(br), sketchErr)
+		return AnalyzeAtoms(a, translate.Nonlinear(a), len(br), sketchErr)
 	}
 	lin := analyze("SELECT PACKAGE(R) FROM t R REPEAT 0 SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(w)", nil)
 	if !lin.Linear || !lin.SketchOK || lin.SumCount != 2 || lin.Branches != 1 {

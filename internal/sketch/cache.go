@@ -3,7 +3,6 @@ package sketch
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -120,24 +119,12 @@ type Cache struct {
 	capacity  int
 	order     *list.List // front = most recently used; values are *cacheEntry
 	entries   map[Key]*list.Element
-	flights   map[Key]*flight // in-flight tree acquisitions, for coalescing
+	flights   map[Key]*lifecycle.Once[Tree] // in-flight tree acquisitions, for coalescing
 	hits      int64
 	misses    int64
 	evictions int64
 	coalesced int64
 }
-
-// flight is one in-progress tree acquisition other callers can join.
-type flight struct {
-	done chan struct{} // closed once tree/err are set
-	tree *Tree
-	err  error
-}
-
-// errFlightPanicked is a flight's error until its acquisition returns: a
-// builder that panics leaves it, so its joiners retry rather than share
-// a tree that does not exist.
-var errFlightPanicked = errors.New("sketch: tree acquisition panicked")
 
 type cacheEntry struct {
 	key  Key
@@ -221,52 +208,44 @@ func (c *Cache) Stats() CacheStats {
 		Coalesced: c.coalesced, Entries: c.order.Len()}
 }
 
-// do coalesces concurrent acquisitions of the same key onto one fn
-// call: the first caller becomes the builder and runs fn; the rest
-// park on the flight and share its tree. A joiner's context can cancel
-// its wait without affecting the builder. When the builder fails (for
-// example its own context was canceled), waiting joiners loop and the
-// next one retries as the builder — one caller's cancellation never
-// poisons another's query. Returns the tree, whether this caller
-// joined someone else's flight, and the error.
+// do coalesces concurrent acquisitions of the same key onto one fn call,
+// on a lifecycle.Once per key in flight: the first caller runs fn and the
+// rest share its tree, each waiting only as long as its own context lasts.
+// A failed or panicking fn keeps nothing, so a waiter starts it over — one
+// caller's cancellation never poisons another's query. The key's Once
+// leaves the map when its fn returns, so a later acquisition looks at the
+// cache tiers again. Returns the tree, whether this caller joined someone
+// else's flight, and the error.
 func (c *Cache) do(ctx context.Context, k Key, fn func() (*Tree, error)) (*Tree, bool, error) {
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
+	c.mu.Lock()
+	if c.flights == nil {
+		c.flights = map[Key]*lifecycle.Once[Tree]{}
 	}
-	for {
-		c.mu.Lock()
-		if c.flights == nil {
-			c.flights = map[Key]*flight{}
-		}
-		if f, ok := c.flights[k]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					c.mu.Lock()
-					c.coalesced++
-					c.mu.Unlock()
-					return f.tree, true, nil
-				}
-				if ctx != nil && ctx.Err() != nil {
-					return nil, false, ctx.Err()
-				}
-				continue // builder failed; retry, possibly as builder
-			case <-ctxDone:
-				return nil, false, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{}), err: errFlightPanicked}
+	f := c.flights[k]
+	if f == nil {
+		f = new(lifecycle.Once[Tree])
 		c.flights[k] = f
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	built := false
+	t, err := f.Get(ctx, func() (*Tree, error) {
+		built = true
 		defer func() {
 			c.mu.Lock()
-			delete(c.flights, k)
+			if c.flights[k] == f {
+				delete(c.flights, k)
+			}
 			c.mu.Unlock()
-			close(f.done)
 		}()
-		f.tree, f.err = fn()
-		return f.tree, false, f.err
+		return fn()
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	if !built {
+		c.mu.Lock()
+		c.coalesced++
+		c.mu.Unlock()
+	}
+	return t, !built, nil
 }

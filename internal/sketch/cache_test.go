@@ -75,9 +75,9 @@ func TestPanickingAcquisitionEndsItsFlight(t *testing.T) {
 	}
 }
 
-// parkedInDo matches a goroutine blocked in do's select: a joiner waiting
-// on someone else's flight.
-var parkedInDo = regexp.MustCompile(`goroutine \d+ \[select[^\]]*\]:\nrepro/internal/sketch\.\(\*Cache\)\.do\(`)
+// parkedInDo matches a goroutine blocked in a select under do — the
+// flight's lifecycle.Once wait: a joiner waiting on someone else's flight.
+var parkedInDo = regexp.MustCompile(`goroutine \d+ \[select[^\]]*\]:\n(?:.+\n\t.+\n)*?repro/internal/sketch\.\(\*Cache\)\.do\(`)
 
 // waitParked returns once some goroutine is parked on a flight in do.
 func waitParked(t *testing.T) {

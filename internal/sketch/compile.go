@@ -45,15 +45,9 @@ type Compiled struct {
 // and Solve. Nothing linear in the candidates happens here.
 func Compile(inst *search.Instance) *Compiled {
 	q := &Compiled{inst: inst}
-	if !inst.Analysis.Linear {
-		q.err = fmt.Errorf("sketch: query is not linear: %v", inst.Analysis.NonlinearReasons)
-		return q
-	}
 	var err error
 	if q.branches, q.rewrites, err = inst.Passes.CompileSketch(inst.Analysis, MaxBranches); err != nil {
 		q.err = fmt.Errorf("sketch: %w", err)
-	} else if inst.Analysis.Query.Objective != nil && inst.ObjW == nil {
-		q.err = fmt.Errorf("sketch: objective is not affine")
 	}
 	q.weighed = make([]lifecycle.Once[branchAtoms], len(q.branches))
 	return q

@@ -123,6 +123,50 @@ func compileObjective(a *paql.Analysis, sels selections) (*linear, []*SketchAtom
 	return lin, lin.guards(o.Sense.String() + " " + o.Expr.String()), nil
 }
 
+// Nonlinear is the linearity verdict: why Translate cannot encode the
+// analyzed query, one reason per obstruction in the lowering's own words,
+// or nil when it can. It lowers what Translate lowers — every comparison
+// of SUCH THAT's negation normal form through lowerAtom, constants through
+// constBool, the objective through compileObjective — symbolically: no
+// candidate is read and nothing is folded. The planner routes by it and
+// core.Stats.Linear reports it; CompileSketch lowers the same atoms, so a
+// query SketchRefine can run is linear too.
+func Nonlinear(a *paql.Analysis) []string {
+	sels := newSelections(nil)
+	var reasons []string
+	var walk func(bnode)
+	walk = func(n bnode) {
+		var kids []bnode
+		switch node := n.(type) {
+		case *bAnd:
+			kids = node.kids
+		case *bOr:
+			kids = node.kids
+		case *bAtom:
+			if _, isConst := constBool(node.e); !isConst {
+				if _, err := lowerAtom(node.e, sels); err != nil {
+					reasons = append(reasons, atomError(node.e, err).Error())
+				}
+			}
+		}
+		for _, k := range kids {
+			walk(k)
+		}
+	}
+	if a.Query.SuchThat != nil {
+		walk(nnf(a.Query.SuchThat, false))
+	}
+	if _, _, err := compileObjective(a, sels); err != nil {
+		reasons = append(reasons, err.Error())
+	}
+	return reasons
+}
+
+// atomError names the comparison a lowering error came from.
+func atomError(e expr.Expr, err error) error {
+	return fmt.Errorf("translate: atom %s: %w", e, err)
+}
+
 // ObjectiveNeedsTuple reports whether the query's affine objective is
 // NULL over the empty package — it brings a non-empty guard — so that no
 // answer is empty, whatever SUCH THAT allows.

@@ -61,8 +61,8 @@ func nnf(e expr.Expr, neg bool) bnode {
 		}
 		return &bAnd{kids: []bnode{&bAtom{e: ge}, &bAtom{e: le}}}
 	}
-	// constants and anything else (the analyzer rejects non-linear
-	// shapes before translation)
+	// constants and anything else: constBool reads the constants, and
+	// lowerAtom refuses the rest, which is what makes a query non-linear
 	if neg {
 		return &bAtom{e: &expr.Not{X: e}}
 	}
@@ -135,7 +135,7 @@ func (m *Model) encodeAtom(ctx context.Context, e expr.Expr, ind int, sels selec
 	}
 	atoms, err := lowerAtom(e, sels)
 	if err != nil {
-		return fmt.Errorf("translate: atom %s: %w", e, err)
+		return atomError(e, err)
 	}
 	for _, at := range atoms {
 		rows, err := at.Weigh(m.Candidates)

@@ -171,8 +171,10 @@ func implies(r *LinearAtom, present []bool) bool {
 // atoms that were rewritten.
 //
 // A nil SUCH THAT yields one branch of the objective's guards alone; a
-// constant-false formula yields zero branches. Errors name the atom that
-// blocks sketch evaluation.
+// constant-false formula yields zero branches. Every atom is lowered, a
+// dropped branch's too, so the query compiles exactly when it is linear
+// (Nonlinear) and its DNF fits under maxBranches; errors name the atom, or
+// the objective, that blocks sketch evaluation.
 //
 // The branches' passes are their own: each selection keeps the pass of the
 // rows last weighed and nothing outlives the branches. A query whose
@@ -190,9 +192,10 @@ func (ps *Passes) CompileSketch(a *paql.Analysis, maxBranches int) (branches []S
 		maxBranches = DefaultMaxSketchBranches
 	}
 	sels := newSelections(ps)
-	// A non-affine objective has no guards to give; whoever runs the
-	// branches rejects it (sketch.lower).
-	_, objGuards, _ := compileObjective(a, sels)
+	_, objGuards, err := compileObjective(a, sels)
+	if err != nil {
+		return nil, 0, fmt.Errorf("objective blocks SketchRefine: %w", err)
+	}
 	raw := [][]*bAtom{nil}
 	if a.Query.SuchThat != nil {
 		if raw, err = dnfBranches(nnf(a.Query.SuchThat, false), maxBranches); err != nil {
@@ -205,17 +208,14 @@ func (ps *Passes) CompileSketch(a *paql.Analysis, maxBranches int) (branches []S
 		drop := false
 		for _, ba := range rb {
 			if v, ok := constBool(ba.e); ok {
-				if !v {
-					drop = true // constant false: the branch is unsatisfiable
-					break
-				}
+				drop = drop || !v // constant false: the branch is unsatisfiable
 				continue
 			}
 			lowered, err := lowerAtom(ba.e, sels)
 			if err != nil {
 				return nil, 0, fmt.Errorf("atom %s blocks SketchRefine: %w", ba.e, err)
 			}
-			if lowered[0].Kind != SketchLinear && !rewritten[ba] {
+			if lowered[0].Kind != SketchLinear && !drop && !rewritten[ba] {
 				rewritten[ba] = true
 				rewrites++
 			}

@@ -228,7 +228,7 @@ func TestCompileSketchBranchCap(t *testing.T) {
 }
 
 func TestCompileSketchErrorNamesAtom(t *testing.T) {
-	// Analyze accepts MIN = c (it only flags it non-linear); the sketch
+	// Analyze accepts MIN = c, which has no linear form; the sketch
 	// compiler must name the atom it cannot lower.
 	a := analyze(t, `
 		SELECT PACKAGE(R) AS P FROM recipes R

@@ -29,6 +29,10 @@
 //
 // Who consumes the rows, and how:
 //
+//   - Nonlinear (the linearity verdict the planner routes by) lowers every
+//     comparison and the objective and weighs nothing: a query is linear
+//     exactly when the lowering — so Translate — can encode it, and each
+//     obstruction is reported in the lowering's own words;
 //   - Translate (the exact MILP) weighs the unconditional comparisons and
 //     the objective's guards as one conjunction, then walks the NNF tree
 //     for the disjunctions: addRow links each disjunct's rows (guards
@@ -46,7 +50,7 @@
 //     selector kinds — re-weights over partition nodes from how many of
 //     each node's tuples the selector selects.
 //
-// What all three read of the candidates is a selection's pass — per
+// What the last three read of the candidates is a selection's pass — per
 // (argument, filter) pair, one fold of paql.Agg.Term over the rows — and
 // the weight vector of each affine form composed from those passes. A
 // Passes store keeps both per candidate set: the three are its methods,
@@ -101,9 +105,6 @@ func Translate(a *paql.Analysis, candidates []schema.Row, ids []int) (*Model, er
 // row ids; ctx, which may be nil, cancels a fold.
 func (ps *Passes) Translate(ctx context.Context, a *paql.Analysis, ids []int) (*Model, error) {
 	candidates := ps.rows
-	if !a.Linear {
-		return nil, fmt.Errorf("translate: query is not linear: %v", a.NonlinearReasons)
-	}
 	if len(ids) != len(candidates) {
 		return nil, fmt.Errorf("translate: %d candidates but %d ids", len(candidates), len(ids))
 	}
@@ -167,7 +168,7 @@ func (ps *Passes) Translate(ctx context.Context, a *paql.Analysis, ids []int) (*
 	for _, e := range topAtoms(root, new(bool)) {
 		lowered, err := lowerAtom(e, sels)
 		if err != nil {
-			return nil, fmt.Errorf("translate: atom %s: %w", e, err)
+			return nil, atomError(e, err)
 		}
 		conj = conjoin(conj, lowered)
 	}
@@ -346,10 +347,11 @@ func affineForm(e expr.Expr) (*affine, error) {
 		}
 		return nil, fmt.Errorf("translate: operator %s is not affine", n.Op)
 	case *expr.Call:
-		// constant-only calls were folded by classify; evaluate.
+		// A scalar function of constants is a constant; of an aggregate,
+		// it has no value to evaluate and so no affine form.
 		v, err := n.Eval(nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("translate: %s has no affine form: %w", n, err)
 		}
 		f := newAffine()
 		fv, ok := v.AsFloat()

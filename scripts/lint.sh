@@ -54,11 +54,13 @@ if [ -z "$sites" ] || [ "$sites" != "$required" ]; then
 fi
 
 # A context has one poll, lifecycle.Poll (one Done() call per poll, nil
-# for a nil context): a `case <-ctx.Done():` anywhere else under
-# internal/ is a second copy growing back.
-polls=$(grep -rnE --include='*.go' 'case <-[A-Za-z_.]*Done\(\):' internal | grep -v '^internal/lifecycle/' || true)
+# for a nil context), and one wait, lifecycle.Once: a `case <-….Done():`
+# or any ctx.Done() / Ctx.Done() reference — a channel kept in a variable
+# for a select to read later included — anywhere else under internal/ is a
+# second copy growing back.
+polls=$(grep -rnE --include='*.go' 'case <-[A-Za-z_.]*Done\(\):|[cC]tx\.Done\(\)' internal | grep -v '^internal/lifecycle/' || true)
 if [ -n "$polls" ]; then
-  echo "context polls outside internal/lifecycle (call lifecycle.Poll instead):" && echo "$polls" && exit 1
+  echo "context polls or waits outside internal/lifecycle (call lifecycle.Poll or use lifecycle.Once instead):" && echo "$polls" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
