@@ -102,7 +102,7 @@ func main() {
 	flag.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
 	flag.BoolVar(&cli.SketchIncremental, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
 	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
-	flag.DurationVar(&cli.Timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
+	flag.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
 	flag.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
 	flag.Float64Var(&cli.GapTolerance, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
 	flag.Usage = func() {

@@ -36,6 +36,10 @@ import (
 // unbounded payload into the JSON decoder.
 const maxBodyBytes = 1 << 20
 
+// defaultTimeout, the -timeout default, stays below writeTimeout: a
+// query still solving when the write times out answers nobody.
+const writeTimeout, defaultTimeout = 60 * time.Second, 30 * time.Second
+
 // server holds the demo state: a client of one packagebuilder.System,
 // which owns the database (read-only after startup and safe for
 // concurrent readers) and the partition-tree cache and fingerprint memo
@@ -160,7 +164,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
 	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
 	flag.Int64Var(&s.base.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	flag.DurationVar(&s.base.Timeout, "timeout", 0, "per-query soft time budget; best-effort packages at expiry (0 = none)")
+	flag.DurationVar(&s.base.Timeout, "timeout", defaultTimeout, "per-query time budget over every package the query, LIMIT, diverse retrieval or Replace asks for; best-effort packages at expiry (0 = none)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window on SIGTERM/SIGINT")
 	flag.Parse()
 
@@ -193,7 +197,7 @@ func main() {
 		Handler:           s.withRequest(http.MaxBytesHandler(mux, maxBodyBytes)),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      60 * time.Second,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       120 * time.Second,
 		MaxHeaderBytes:    1 << 20,
 	}

@@ -108,10 +108,10 @@ type Options struct {
 	Catalog *Catalog
 	// Limit overrides the query's LIMIT (number of packages).
 	Limit int
-	// Timeout bounds the whole evaluation. Under RunContext it is sugar
-	// for a derived context deadline (plus a short grace) and doubles as
-	// the soft budget the strategies check so best-effort results beat
-	// hard cancellation.
+	// Timeout bounds the whole evaluation, every package LIMIT, Diverse
+	// or a Replace asks for included: packages found before it are the
+	// answer. Under RunContext a hard context deadline trails it by a
+	// short grace, the backstop for any path that ignores it.
 	Timeout time.Duration
 	// MemoryBudget, when positive, caps the planner-predicted peak
 	// working set (plan.MemoryEstimate) a query may allocate:

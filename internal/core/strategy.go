@@ -92,6 +92,15 @@ func (p *Prepared) RunContext(ctx context.Context, opts Options) (*Result, error
 	return p.run(ctx, opts)
 }
 
+// searchTimeout is the time left before deadline, at least a nanosecond
+// so a spent budget never reads as search's "0 = unlimited".
+func searchTimeout(deadline time.Time) time.Duration {
+	if deadline.IsZero() {
+		return 0
+	}
+	return max(time.Until(deadline), time.Nanosecond)
+}
+
 // run is the shared evaluation body behind Run and RunContext. It
 // returns typed lifecycle errors; the legacy wrapper downgrades the
 // ones its contract predates.
@@ -109,6 +118,12 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		return nil, lifecycle.Internal(ferr)
 	}
 	start := time.Now()
+	// The one instant the budget ends (zero = none): every solve below
+	// reads it, and none restarts a clock of its own.
+	var deadline time.Time
+	if opts.Timeout > 0 {
+		deadline = start.Add(opts.Timeout)
+	}
 	if err := lifecycle.ContextErr(ctx); err != nil {
 		return nil, err
 	}
@@ -179,13 +194,13 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	var mults [][]int
 	switch strat {
 	case PrunedEnum:
-		mults, err = p.runEnum(ctx, res, opts, fetch)
+		mults, err = p.runEnum(ctx, res, opts, deadline, fetch)
 	case LocalSearchStrategy:
-		mults, err = p.runLocal(ctx, res, opts, fetch)
+		mults, err = p.runLocal(ctx, res, opts, deadline, fetch)
 	case Solver:
-		mults, err = p.runSolver(ctx, res, opts, fetch)
+		mults, err = p.runSolver(ctx, res, opts, deadline, fetch)
 	case SketchRefineStrategy:
-		mults, err = p.runSketch(ctx, res, opts, qplan, fetch)
+		mults, err = p.runSketch(ctx, res, opts, qplan, deadline, fetch)
 	default:
 		err = fmt.Errorf("engine: unknown strategy %v", strat)
 	}
@@ -242,11 +257,11 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	return res, nil
 }
 
-func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, deadline time.Time, fetch int) ([][]int, error) {
 	sres, err := search.PrunedEnumerate(p.Instance, search.Options{
 		Ctx:     ctx,
 		Limit:   fetch,
-		Timeout: opts.Timeout,
+		Timeout: searchTimeout(deadline),
 		Seed:    opts.Seed,
 		Require: opts.Require,
 	})
@@ -265,11 +280,11 @@ func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, fetch
 	return mults, nil
 }
 
-func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, deadline time.Time, fetch int) ([][]int, error) {
 	sres, err := search.LocalSearch(p.Instance, p.DB, search.Options{
 		Ctx:      ctx,
 		Limit:    fetch,
-		Timeout:  opts.Timeout,
+		Timeout:  searchTimeout(deadline),
 		Seed:     opts.Seed,
 		Restarts: opts.Restarts,
 		Require:  opts.Require,
@@ -308,11 +323,11 @@ func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
 
 // runSketch executes a sketch-refine plan: qp carries every decided knob
 // (τ, depth, workers, bound stage) and a forced rebuild; opts contributes
-// only what the planner does not decide — seed, budget, pins, gap
-// tolerance and the tree tiers. Whether a stale tree is patched is the
-// solve's tree acquisition to decide, and its record (sres) says so.
-func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, fetch int) ([][]int, error) {
-	start := time.Now()
+// only what the planner does not decide — seed, pins, gap tolerance and
+// the tree tiers — and every solve reads the evaluation's deadline.
+// Whether a stale tree is patched is the solve's tree acquisition to
+// decide, and its record (sres) says so.
+func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, deadline time.Time, fetch int) ([][]int, error) {
 	cache, memo := p.sketchTiers(opts)
 	if cache == nil && fetch > 1 && p.Instance.MaxMult == 1 {
 		// Evaluation-scoped cache: the exclusion-cut re-solves below
@@ -328,7 +343,7 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 		Parallelism:      qp.Parallelism,
 		BoundMode:        qp.Bound,
 		Seed:             opts.Seed,
-		Timeout:          opts.Timeout,
+		Deadline:         deadline,
 		Cache:            cache,
 		PersistDir:       opts.SketchPersistDir,
 		Require:          opts.Require,
@@ -374,27 +389,22 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 	if fetch == 1 {
 		return [][]int{sres.Mult}, nil
 	}
-	return p.moreSketchPackages(res, base, start, sres.Mult, fetch), nil
+	return p.moreSketchPackages(res, base, sres.Mult, fetch), nil
 }
 
 // moreSketchPackages gathers up to fetch distinct packages, best first,
-// starting from the one the base solve found at start. One sketch solve
-// yields one deterministic package; additional ones (top-k, diverse
-// sets, adaptive exploration's Replace) come from re-solving copies of
-// the base options. The certificate belongs to the first package, so
-// the re-solves run no bound pass.
-func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, start time.Time, first []int, fetch int) [][]int {
+// starting from the one the base solve found. One sketch solve yields
+// one deterministic package; additional ones (top-k, diverse sets,
+// adaptive exploration's Replace) come from re-solving copies of the
+// base options, deadline included. The certificate belongs to the first
+// package, so the re-solves run no bound pass.
+func (p *Prepared) moreSketchPackages(res *Result, base sketch.Options, first []int, fetch int) [][]int {
 	mults := [][]int{first}
 	extra := base
 	extra.BoundMode = plan.BoundNone
-	// Options.Timeout bounds the whole evaluation: outOfTime hands the
-	// next re-solve whatever budget the earlier solves left over, and
-	// says so when that is nothing.
+	// No re-solve starts once the evaluation's deadline has passed.
 	outOfTime := func() bool {
-		if base.Timeout <= 0 {
-			return false
-		}
-		if extra.Timeout = base.Timeout - time.Since(start); extra.Timeout > 0 {
+		if d := base.Deadline; d.IsZero() || time.Now().Before(d) {
 			return false
 		}
 		res.Stats.Notes = append(res.Stats.Notes, "sketch-refine: timeout reached before all requested packages")
@@ -508,7 +518,7 @@ func cacheNote(hit, loaded, patched bool) string {
 	return ""
 }
 
-func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fetch int) ([][]int, error) {
+func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, deadline time.Time, fetch int) ([][]int, error) {
 	model, err := p.Instance.Passes.Translate(ctx, p.Analysis, p.Instance.IDs)
 	if err != nil {
 		return nil, err
@@ -518,7 +528,9 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, fet
 			return nil, err
 		}
 	}
-	mopts := milp.Options{TimeLimit: opts.Timeout, Ctx: ctx}
+	// Every package's solve reads the one deadline, so a LIMIT or
+	// DIVERSE over-fetch shares the budget.
+	mopts := milp.Options{Deadline: deadline, Ctx: ctx}
 	exact := true
 	var mults [][]int
 	for k := 0; k < fetch; k++ {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/minidb"
@@ -74,6 +75,49 @@ func TestTimeoutIsRespected(t *testing.T) {
 	}
 	if res.Stats.Exact {
 		t.Error("budget-starved enumeration must not claim exactness")
+	}
+}
+
+// TestLimitSharesOneDeadline: Timeout bounds the whole evaluation, so
+// the exact solver's LIMIT and DIVERSE over-fetch solves share one
+// deadline instead of each getting the full budget. Every solve of this
+// knapsack runs past the budget, so a solver that restarted its clock per
+// package would overrun it about threefold under Run, and under
+// RunContext the hard backstop, not the budget, would stop it.
+func TestLimitSharesOneDeadline(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 1500, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 300 * time.Millisecond
+	const query = `SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 12 AND SUM(P.calories) <= 7001 AND SUM(P.fat) <= 201 AND SUM(P.carbs) <= 501
+		MAXIMIZE SUM(P.protein) `
+	for _, c := range []struct {
+		limit   string
+		diverse bool
+	}{{"LIMIT 3", false}, {"LIMIT 1", true}} {
+		prep, err := Prepare(db, query+c.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Strategy: Solver, Timeout: timeout, Diverse: c.diverse}
+		start := time.Now()
+		res, err := prep.Run(opts)
+		if elapsed := time.Since(start); elapsed > 2*timeout {
+			t.Errorf("%s (diverse %v): Run took %v under a %v budget", c.limit, c.diverse, elapsed, timeout)
+		}
+		if err != nil || len(res.Packages) == 0 {
+			t.Fatalf("%s (diverse %v): Run returned %d packages, err %v", c.limit, c.diverse, len(res.Packages), err)
+		}
+		res, err = prep.RunContext(context.Background(), opts)
+		if err != nil {
+			t.Fatalf("%s (diverse %v): RunContext: %v", c.limit, c.diverse, err)
+		}
+		if slices.Contains(res.Stats.Notes, "deadline exceeded; best-effort packages returned") {
+			t.Errorf("%s (diverse %v): the hard backstop stopped RunContext before the budget did: %q",
+				c.limit, c.diverse, res.Stats.Notes)
+		}
 	}
 }
 

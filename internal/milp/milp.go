@@ -66,11 +66,17 @@ func (s Status) String() string {
 	return "unknown"
 }
 
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol = 1e-6
+
 // Options tunes the search.
 type Options struct {
-	MaxNodes  int           // 0 = default (200000)
-	TimeLimit time.Duration // 0 = none
-	IntTol    float64       // integrality tolerance, default 1e-6
+	MaxNodes int // 0 = default (200000)
+	// Deadline, when non-zero, stops the search before any node starts
+	// after it; callers solving under one budget pass each solve the
+	// same instant.
+	Deadline time.Time
 	// InitialIncumbent, when non-nil, seeds the search with a known
 	// integer-feasible point (e.g. from local search), enabling pruning
 	// from the first node.
@@ -85,16 +91,13 @@ type Options struct {
 
 // Solution is the result of a MILP solve.
 type Solution struct {
-	Status     Status
-	X          []float64
-	Objective  float64
-	Bound      float64 // best proven dual bound (in the problem's sense)
-	Nodes      int
-	LPIters    int
-	WallTime   time.Duration
-	GapClosed  bool
-	Incumbents int  // number of improving incumbents found
-	Canceled   bool // the search stopped because Options.Ctx was done
+	Status    Status
+	X         []float64
+	Objective float64
+	Bound     float64 // best proven dual bound (in the problem's sense)
+	Nodes     int
+	LPIters   int
+	Canceled  bool // the search stopped because Options.Ctx was done
 }
 
 type node struct {
@@ -133,10 +136,6 @@ func Solve(p *Problem, opts ...Options) *Solution {
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 200000
 	}
-	if opt.IntTol <= 0 {
-		opt.IntTol = 1e-6
-	}
-	start := time.Now()
 	maximize := p.LP.Sense() == lp.Maximize
 	sol := &Solution{Status: StatusLimit}
 	// One poll for the node loop and every node relaxation's simplex.
@@ -177,11 +176,10 @@ func Solve(p *Problem, opts ...Options) *Solution {
 			incumbent = x
 			incObj = obj
 			haveIncumbent = true
-			sol.Incumbents++
 		}
 		return true
 	}
-	if x := opt.InitialIncumbent; len(x) == n && mostFractional(p, x, opt.IntTol) == -1 {
+	if x := opt.InitialIncumbent; len(x) == n && mostFractional(p, x, intTol) == -1 {
 		accept(snapped(p, x))
 	}
 
@@ -191,13 +189,12 @@ func Solve(p *Problem, opts ...Options) *Solution {
 		rootLo[j], rootUp[j] = p.LP.Bounds(j)
 		// Integer variables get integral bounds up front.
 		if p.Integer[j] {
-			rootLo[j] = math.Ceil(rootLo[j] - opt.IntTol)
+			rootLo[j] = math.Ceil(rootLo[j] - intTol)
 			if !math.IsInf(rootUp[j], 1) {
-				rootUp[j] = math.Floor(rootUp[j] + opt.IntTol)
+				rootUp[j] = math.Floor(rootUp[j] + intTol)
 			}
 			if rootLo[j] > rootUp[j] {
 				sol.Status = StatusInfeasible
-				sol.WallTime = time.Since(start)
 				return sol
 			}
 		}
@@ -219,7 +216,7 @@ func Solve(p *Problem, opts ...Options) *Solution {
 		if sol.Nodes >= opt.MaxNodes {
 			break
 		}
-		if opt.TimeLimit > 0 && time.Since(start) > opt.TimeLimit {
+		if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) {
 			break
 		}
 		nd := heap.Pop(q).(*node)
@@ -243,7 +240,6 @@ func Solve(p *Problem, opts ...Options) *Solution {
 			case lp.StatusUnbounded:
 				if firstNode {
 					sol.Status = StatusUnbounded
-					sol.WallTime = time.Since(start)
 					return sol
 				}
 				goto nextNode
@@ -258,10 +254,10 @@ func Solve(p *Problem, opts ...Options) *Solution {
 				goto nextNode // dominated
 			}
 			// Branch on the most fractional variable: down to ⌊v⌋, up to ⌈v⌉.
-			frac := mostFractional(p, res.X, opt.IntTol)
+			frac := mostFractional(p, res.X, intTol)
 			if frac >= 0 {
 				// Rounding heuristic: snap to nearest in-bounds integers.
-				accept(roundCandidate(p, res.X, nd.lo, nd.up, opt.IntTol))
+				accept(roundCandidate(p, res.X, nd.lo, nd.up, intTol))
 			} else {
 				if accept(snapped(p, res.X)) {
 					goto nextNode
@@ -293,7 +289,6 @@ func Solve(p *Problem, opts ...Options) *Solution {
 		}
 	nextNode:
 	}
-	sol.WallTime = time.Since(start)
 	// With open nodes remaining, the best open node's parent bound is
 	// the tightest proven dual bound (the heap root, by construction).
 	if q.Len() > 0 {
@@ -323,7 +318,6 @@ func Solve(p *Problem, opts ...Options) *Solution {
 	if haveIncumbent {
 		sol.X = incumbent
 		sol.Objective = incObj
-		sol.GapClosed = sol.Status == StatusOptimal
 	}
 	return sol
 }

@@ -192,24 +192,29 @@ func TestNodeLimitReturnsFeasible(t *testing.T) {
 	}
 }
 
-// TestTimeLimit: a solve stopped by its time limit returns what the limit
-// promises — StatusFeasible, an integral incumbent that satisfies every
-// row, and a dual bound on the right side of it. Every weight is even and
-// the capacity odd, so every node whose relaxation can fill the knapsack
-// bounds at the capacity, which no integer point reaches: the tree has
-// about 2⁴⁰ nodes, and only the clock can stop it, on any machine.
-func TestTimeLimit(t *testing.T) {
+// oddCapacityKnapsack is a 40-item knapsack no search finishes: every
+// weight is even and the capacity odd, so every node whose relaxation
+// can fill the knapsack bounds at the capacity, which no integer point
+// reaches. The tree has about 2⁴⁰ nodes, and only a deadline stops it,
+// on any machine.
+func oddCapacityKnapsack() (mp *Problem, capacity float64) {
 	rng := rand.New(rand.NewSource(5))
-	n := 40
-	w := make([]float64, n)
+	w := make([]float64, 40)
 	sum := 0.0
 	for i := range w {
 		w[i] = float64(2 * (rng.Intn(1000) + 1))
 		sum += w[i]
 	}
-	capacity := 2*math.Floor(sum/4) + 1
-	mp := buildKnapsack(w, w, capacity)
-	s := Solve(mp, Options{TimeLimit: 20 * time.Millisecond, MaxNodes: math.MaxInt})
+	capacity = 2*math.Floor(sum/4) + 1
+	return buildKnapsack(w, w, capacity), capacity
+}
+
+// TestTimeLimit: a solve stopped by its Deadline returns what the
+// deadline promises — StatusFeasible, an integral incumbent that
+// satisfies every row, and a dual bound on the right side of it.
+func TestTimeLimit(t *testing.T) {
+	mp, capacity := oddCapacityKnapsack()
+	s := Solve(mp, Options{Deadline: time.Now().Add(20 * time.Millisecond), MaxNodes: math.MaxInt})
 	if s.Status != StatusFeasible || s.Canceled {
 		t.Fatalf("status %v (canceled %v) after %d nodes; want %v", s.Status, s.Canceled, s.Nodes, StatusFeasible)
 	}
@@ -222,7 +227,20 @@ func TestTimeLimit(t *testing.T) {
 		t.Errorf("incumbent %g, bound %g; want incumbent < %g and incumbent <= bound <= %g (± round-off)",
 			s.Objective, s.Bound, capacity, capacity)
 	}
-	t.Logf("stopped after %d nodes, %v: incumbent %g, bound %g", s.Nodes, s.WallTime, s.Objective, s.Bound)
+	t.Logf("stopped after %d nodes: incumbent %g, bound %g", s.Nodes, s.Objective, s.Bound)
+}
+
+// TestPastDeadlineSolvesNoNode: a deadline that has already passed
+// stops the search before its first node, so the solve proves nothing
+// and has no incumbent. The instant is long gone, so no clock reading
+// can make the case pass or fail.
+func TestPastDeadlineSolvesNoNode(t *testing.T) {
+	mp, _ := oddCapacityKnapsack()
+	s := Solve(mp, Options{Deadline: time.Unix(1, 0), MaxNodes: math.MaxInt})
+	if s.Nodes != 0 || s.Status != StatusLimit || s.X != nil || s.Canceled {
+		t.Fatalf("nodes %d, status %v, x %v, canceled %v; want 0 nodes, %v, no incumbent",
+			s.Nodes, s.Status, s.X, s.Canceled, StatusLimit)
+	}
 }
 
 func TestInitialIncumbentPrunes(t *testing.T) {

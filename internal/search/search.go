@@ -179,12 +179,12 @@ func (inst *Instance) Better(a, b float64) bool {
 // Options tunes search strategies.
 type Options struct {
 	// Ctx, when non-nil, cancels the search cooperatively: strategies
-	// poll it at the same cadence as the Timeout deadline and return
-	// their best-so-far result promptly when it is done.
+	// poll it wherever they check Timeout and return their best-so-far
+	// result promptly when it is done.
 	Ctx         context.Context
 	Limit       int           // packages to return (default 1)
 	MaxExamined int64         // node budget; 0 = unlimited
-	Timeout     time.Duration // wall-clock budget; 0 = unlimited
+	Timeout     time.Duration // wall-clock budget from the call; 0 = unlimited
 	Seed        int64         // randomness seed (local search, greedy ties)
 	Restarts    int           // local-search restarts (default 4)
 	MaxK        int           // max replacement size (default 2)
@@ -254,10 +254,6 @@ func (o Options) deadline() time.Time {
 	return time.Now().Add(o.Timeout)
 }
 
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && time.Now().After(deadline)
-}
-
 // stop reports whether a strategy should abandon the search: its
 // context is done or the soft deadline has passed. Strategies treat
 // both identically — finish the current node, keep what was found,
@@ -266,5 +262,5 @@ func (o Options) stop(deadline time.Time) bool {
 	if poll := lifecycle.Poll(o.Ctx); poll != nil && poll() {
 		return true
 	}
-	return expired(deadline)
+	return !deadline.IsZero() && time.Now().After(deadline)
 }

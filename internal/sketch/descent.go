@@ -219,7 +219,7 @@ func (s *solver) rootSolve(top *level) (y []int, infeasible bool, err error) {
 	for g := 0; g < G; g++ {
 		mp.SetInteger(g)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(s.deadline, 2), Ctx: s.opts.Ctx})
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, Deadline: timeShare(s.opts.Deadline, 2), Ctx: s.opts.Ctx})
 	s.res.tally.merge(tally{int64(sol.Nodes), sol.LPIters})
 	switch sol.Status {
 	case milp.StatusInfeasible:

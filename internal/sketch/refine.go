@@ -172,7 +172,7 @@ func residualRHS(atoms []*translate.LinearAtom, cur, own []float64) []float64 {
 // for the caller to merge in its own deterministic order.
 func (s *solver) residualSolve(sub *residual, members []int, rhs []float64) (bool, tally) {
 	var t tally
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+	if d := s.opts.Deadline; !d.IsZero() && time.Now().After(d) {
 		return false, t
 	}
 	if s.opts.stopped() {
@@ -216,7 +216,7 @@ func (s *solver) residualSolve(sub *residual, members []int, rhs []float64) (boo
 	for j := 0; j < m; j++ {
 		mp.SetInteger(j)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, TimeLimit: timeShare(s.deadline, 4), Ctx: s.opts.Ctx})
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, Deadline: timeShare(s.opts.Deadline, 4), Ctx: s.opts.Ctx})
 	t.merge(tally{int64(sol.Nodes), sol.LPIters})
 	if sol.X == nil || (sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {
 		return false, t

@@ -64,9 +64,10 @@ type Options struct {
 	Depth int
 	// Seed drives partitioning tie-breaks (deterministic per seed).
 	Seed int64
-	// Timeout bounds the whole evaluation; refine falls back to greedy
-	// repair once it expires.
-	Timeout time.Duration
+	// Deadline, when non-zero, ends the evaluation's budget: sub-MILPs
+	// get shares of what is left, and refine falls back to greedy repair
+	// once it passes.
+	Deadline time.Time
 	// Cache, when non-nil, caches partition trees across evaluations,
 	// keyed by a fingerprint of the candidate rows plus the
 	// partitioning knobs; a hit skips the offline partitioning step
@@ -89,9 +90,9 @@ type Options struct {
 	// per-level push-down wave, and the per-leaf refine wave fan out
 	// across: 0 = one worker per CPU (GOMAXPROCS), 1 = fully serial.
 	// Results are byte-identical at every setting (workers only divide
-	// the work, never reorder the merge); under a Timeout the per-solve
-	// time slices depend on wall clock, so only timeout-free runs are
-	// reproducible across machines.
+	// the work, never reorder the merge); under a Deadline the
+	// per-solve time slices depend on wall clock, so only runs without
+	// one are reproducible across machines.
 	Parallelism int
 	// PersistDir, when non-empty, names a directory used as an on-disk
 	// second tier under Cache: trees are saved after every build and
@@ -206,16 +207,13 @@ func objSense(inst *search.Instance) lp.Sense {
 	return lp.Minimize
 }
 
-// timeShare splits the remaining budget into parts (0 = no limit).
-func timeShare(deadline time.Time, parts int) time.Duration {
+// timeShare is the deadline of a sub-MILP allowed 1/parts of what is
+// left before deadline (zero = none). A spent budget still hands it a
+// token millisecond, so it bails out quickly rather than not solving.
+func timeShare(deadline time.Time, parts int) time.Time {
 	if deadline.IsZero() {
-		return 0
+		return deadline
 	}
-	left := time.Until(deadline)
-	if left <= 0 {
-		// The budget is spent; hand solves a token slice so they bail
-		// out quickly rather than running unbounded.
-		return time.Millisecond
-	}
-	return left / time.Duration(max(parts, 1))
+	now := time.Now()
+	return now.Add(max(deadline.Sub(now)/time.Duration(parts), time.Millisecond))
 }

@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/bound"
 	"repro/internal/lifecycle"
@@ -18,13 +17,12 @@ import (
 // descent, refine, bound — and Solve below is the only place that
 // strings them together.
 type solver struct {
-	q        *Compiled
-	inst     *search.Instance
-	opts     Options
-	pins     map[int]bool
-	exAtoms  []*translate.LinearAtom // one tuple-level cut per Options.Exclude entry
-	deadline time.Time               // zero without Options.Timeout
-	res      *Result
+	q       *Compiled
+	inst    *search.Instance
+	opts    Options
+	pins    map[int]bool
+	exAtoms []*translate.LinearAtom // one tuple-level cut per Options.Exclude entry
+	res     *Result
 
 	trees      map[[2]int]*Tree // (τ, depth) → tree acquired this run
 	patchedAny bool             // some tree descended carries patched provenance
@@ -49,7 +47,6 @@ func (s *solver) note(format string, args ...any) {
 // faithful) before giving up. Solves of one Compiled may run
 // concurrently; they share its weighed branches and nothing else.
 func (q *Compiled) Solve(opts Options) (*Result, error) {
-	start := time.Now()
 	if q.err != nil {
 		return nil, q.err
 	}
@@ -69,9 +66,6 @@ func (q *Compiled) Solve(opts Options) (*Result, error) {
 	if len(q.branches) == 0 {
 		s.note("SUCH THAT is constant false; no package can satisfy the query")
 		return s.res, nil
-	}
-	if opts.Timeout > 0 {
-		s.deadline = start.Add(opts.Timeout)
 	}
 	s.wantBound = inst.Analysis.Query.Objective != nil && inst.ObjW != nil && opts.BoundMode != plan.BoundNone
 	pick, err := s.pass()

@@ -249,11 +249,12 @@ func WithStrategy(st Strategy) Option { return func(o *core.Options) { o.Strateg
 // WithLimit requests n packages (overrides the query's LIMIT).
 func WithLimit(n int) Option { return func(o *core.Options) { o.Limit = n } }
 
-// WithTimeout bounds evaluation time. Under the context-aware surfaces
-// it is sugar for a derived context deadline: the strategies treat it as
-// a soft budget first (best-effort packages beat an error) with hard
-// cancellation trailing as the backstop; symmetrically, a context
-// deadline with no WithTimeout becomes the soft budget.
+// WithTimeout bounds evaluation time: one deadline, fixed when the query
+// starts, covers every package WithLimit, WithDiverse or a Replace asks
+// for. The strategies treat it as a soft budget first (packages found
+// before it beat an error) with hard cancellation trailing as the
+// backstop; symmetrically, a context deadline with no WithTimeout
+// becomes the soft budget.
 func WithTimeout(d time.Duration) Option { return func(o *core.Options) { o.Timeout = d } }
 
 // WithMemoryBudget caps the planner-predicted peak working set (bytes) a

@@ -5,7 +5,8 @@
 # function whose name appears nowhere but in its own declaration is dead
 # code — then that the chaos corpus requires exactly the fault sites the
 # code checks, that no package under internal/ but lifecycle polls a
-# context by hand, that the trace-only surface has not grown, that no tracked
+# context by hand, that no layer below core takes a duration budget, that
+# the trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -61,6 +62,18 @@ fi
 polls=$(grep -rnE --include='*.go' 'case <-[A-Za-z_.]*Done\(\):|[cC]tx\.Done\(\)' internal | grep -v '^internal/lifecycle/' || true)
 if [ -n "$polls" ]; then
   echo "context polls or waits outside internal/lifecycle (call lifecycle.Poll or use lifecycle.Once instead):" && echo "$polls" && exit 1
+fi
+
+# A query has one deadline: core fixes the instant once from the user's
+# Options.Timeout (internal/core/engine.go), and every solve below it
+# reads that instant. A TimeLimit or a `Timeout time.Duration` field
+# anywhere else under internal/ is a layer restarting its own clock.
+# search.Options keeps its Timeout because the frozen benchmark trace sets
+# it; core hands it the time left before the deadline.
+budgets=$(grep -rnE --include='*.go' '\bTimeLimit\b|^[[:space:]]*Timeout[[:space:]]+time\.Duration' internal |
+  grep -vE '^internal/(core/engine|search/search)\.go:' || true)
+if [ -n "$budgets" ]; then
+  echo "duration budgets below core (take a deadline, time.Time, instead):" && echo "$budgets" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
