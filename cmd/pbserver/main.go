@@ -390,6 +390,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	// An EXPLAIN statement asks what "explain": true does.
+	if !req.Explain {
+		q, err := s.sys.Parse(req.Query)
+		if err != nil {
+			s.httpErr(w, r, err)
+			return
+		}
+		req.Explain = q.Explain
+	}
 	if req.Explain {
 		qp, err := s.sys.ExplainContext(r.Context(), req.Query, pb.With(opts))
 		if err != nil {

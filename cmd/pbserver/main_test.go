@@ -539,6 +539,24 @@ func TestExplainIsAdmitted(t *testing.T) {
 	}
 }
 
+// TestExplainStatementAnswersWithPlan: an EXPLAIN statement in the query
+// text is answered as "explain": true is, with the plan, and is not
+// executed.
+func TestExplainStatementAnswersWithPlan(t *testing.T) {
+	s := testServer(t)
+	rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON("EXPLAIN "+demoQuery)+`}`)
+	if rec.Code != 200 || out["plan"] == nil {
+		t.Fatalf("EXPLAIN statement: status %d, body %.300s; want 200 with the plan", rec.Code, rec.Body)
+	}
+	var explain string
+	if err := json.Unmarshal(out["explain"], &explain); err != nil || !strings.HasPrefix(explain, "plan for: ") {
+		t.Errorf("EXPLAIN statement: explain = %.200q, %v; want the rendered plan", explain, err)
+	}
+	if out["stats"] != nil || s.ses != nil {
+		t.Errorf("EXPLAIN statement was executed: %.300s", rec.Body)
+	}
+}
+
 // TestDeepQueryIsABadRequest: a formula nested past the parser's depth cap
 // is the client's error, refused before anything recurses through it.
 func TestDeepQueryIsABadRequest(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/bound"
-	"repro/internal/expr"
 	"repro/internal/minidb"
 	"repro/internal/paql"
 	"repro/internal/plan"
@@ -345,8 +344,15 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	if !ok {
 		return nil, fmt.Errorf("engine: relation %q does not exist", q.Table)
 	}
-	if err := foldSubqueries(db, q); err != nil {
+	// Scalar sub-queries fold to constants under SQL's own rule.
+	var err error
+	if q.SuchThat, err = db.FoldSubqueries(q.SuchThat); err != nil {
 		return nil, err
+	}
+	if q.Objective != nil {
+		if q.Objective.Expr, err = db.FoldSubqueries(q.Objective.Expr); err != nil {
+			return nil, err
+		}
 	}
 	analysis, err := paql.Analyze(q, table.Schema)
 	if err != nil {
@@ -365,41 +371,6 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	return &Prepared{DB: db, Query: q, Analysis: analysis, Table: table, Instance: inst,
 		Nonlinear: translate.Nonlinear(analysis), TableVersion: table.Version(), Sketch: sketch.Compile(inst),
 		RowsScanned: cands.scanned, SnapshotHit: cands.hit}, nil
-}
-
-// foldSubqueries evaluates scalar SQL sub-queries in SUCH THAT and the
-// objective against the DBMS and replaces them with constants, under
-// the rule SQL's own sub-queries follow (minidb.Result.Scalar).
-func foldSubqueries(db *minidb.DB, q *paql.Query) error {
-	var firstErr error
-	fold := func(e expr.Expr) expr.Expr {
-		if e == nil {
-			return nil
-		}
-		return expr.Transform(e, func(n expr.Expr) expr.Expr {
-			sq, ok := n.(*paql.Subquery)
-			if !ok {
-				return nil
-			}
-			res, err := db.Query(sq.SQL)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("engine: sub-query (%s): %w", sq.SQL, err)
-				}
-				return &expr.Const{Val: value.Null()}
-			}
-			v, err := res.Scalar()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			return &expr.Const{Val: v}
-		})
-	}
-	q.SuchThat = fold(q.SuchThat)
-	if q.Objective != nil {
-		q.Objective.Expr = fold(q.Objective.Expr)
-	}
-	return firstErr
 }
 
 // Evaluate runs a PaQL query end to end (legacy contract; see Run).

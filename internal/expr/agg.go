@@ -3,8 +3,102 @@ package expr
 import (
 	"fmt"
 
+	"repro/internal/schema"
 	"repro/internal/value"
 )
+
+// Agg is an aggregate call, the one node SQL and PaQL share: COUNT(*),
+// COUNT/SUM/AVG/MIN/MAX(arg), optionally with a per-tuple filter
+// (COUNT(* WHERE pred), SUM(P.x WHERE pred)) that only PaQL evaluates.
+// It cannot be evaluated per row: minidb's planner rewrites it into a
+// column of its aggregation output, and PaQL folds it over a package.
+// Traversal descends into Arg and Filter (Container).
+type Agg struct {
+	Fn     string // COUNT, SUM, AVG, MIN, MAX (canonical upper case)
+	Star   bool   // COUNT(*)
+	Arg    Expr   // nil when Star
+	Filter Expr   // optional per-tuple predicate
+}
+
+// Eval reports an error: an aggregate has a value per group or package,
+// never per row.
+func (a *Agg) Eval(schema.Row) (value.V, error) {
+	return value.Null(), fmt.Errorf("expr: aggregate %s used outside an aggregation context", a)
+}
+
+// Term is the aggregate's view of one tuple, and the only place its
+// filter, argument and NULL rule are applied: present reports that the
+// filter passes and (COUNT(*) aside) the argument is not NULL — the tuple
+// belongs to the aggregate's selection — and v is then the argument's
+// value (1 for COUNT(*)). Every evaluator is a fold over it.
+func (a *Agg) Term(row schema.Row) (v value.V, present bool, err error) {
+	if a.Filter != nil {
+		if ok, err := EvalBool(a.Filter, row); err != nil || !ok {
+			return value.Null(), false, err
+		}
+	}
+	if a.Star {
+		return value.Int(1), true, nil
+	}
+	v, err = a.Arg.Eval(row)
+	return v, err == nil && !v.IsNull(), err
+}
+
+// String renders the aggregate: FN(arg), COUNT(*), FN(arg WHERE pred).
+func (a *Agg) String() string {
+	inner := "*"
+	if !a.Star {
+		inner = a.Arg.String()
+	}
+	if a.Filter != nil {
+		inner += " WHERE " + a.Filter.String()
+	}
+	return a.Fn + "(" + inner + ")"
+}
+
+// Children implements Container.
+func (a *Agg) Children() []Expr {
+	var out []Expr
+	if a.Arg != nil {
+		out = append(out, a.Arg)
+	}
+	if a.Filter != nil {
+		out = append(out, a.Filter)
+	}
+	return out
+}
+
+// CloneWith implements Container.
+func (a *Agg) CloneWith(children []Expr) Expr {
+	c := &Agg{Fn: a.Fn, Star: a.Star}
+	i := 0
+	if a.Arg != nil {
+		c.Arg = children[i]
+		i++
+	}
+	if a.Filter != nil {
+		c.Filter = children[i]
+	}
+	return c
+}
+
+// Aggregates returns the distinct aggregates (by rendered text) in the
+// expressions, in first-appearance order.
+func Aggregates(es ...Expr) []*Agg {
+	var out []*Agg
+	seen := map[string]bool{}
+	for _, e := range es {
+		Walk(e, func(n Expr) {
+			if a, ok := n.(*Agg); ok {
+				if k := a.String(); !seen[k] {
+					seen[k] = true
+					out = append(out, a)
+				}
+			}
+		})
+	}
+	return out
+}
 
 // AggState accumulates one SQL aggregate over one group of values: the
 // single statement of what COUNT, SUM, AVG, MIN and MAX answer — NULL

@@ -128,6 +128,31 @@ func TestContainerTraversal(t *testing.T) {
 	}
 }
 
+func TestAggNodeShape(t *testing.T) {
+	// String/Children/CloneWith/Eval-error
+	agg := &Agg{Fn: "SUM", Arg: NewCol("t", "x")}
+	if agg.String() != "SUM(t.x)" {
+		t.Errorf("agg string = %q", agg.String())
+	}
+	if len(agg.Children()) != 1 {
+		t.Error("agg children")
+	}
+	clone := agg.CloneWith([]Expr{NewCol("u", "y")}).(*Agg)
+	if clone.String() != "SUM(u.y)" {
+		t.Errorf("clone = %q", clone.String())
+	}
+	if _, err := agg.Eval(nil); err == nil {
+		t.Error("bare Agg.Eval must error")
+	}
+	star := &Agg{Fn: "COUNT", Star: true}
+	if star.String() != "COUNT(*)" || len(star.Children()) != 0 {
+		t.Error("star agg shape")
+	}
+	if star.CloneWith(nil).String() != "COUNT(*)" {
+		t.Error("star clone")
+	}
+}
+
 func TestTransformAllNodeTypes(t *testing.T) {
 	src := &Binary{Op: OpOr,
 		L: &Between{X: NewCol("", "a"), Lo: &Const{Val: value.Int(1)}, Hi: &Const{Val: value.Int(9)}},

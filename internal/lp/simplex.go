@@ -10,11 +10,10 @@ const (
 	pivTol  = 1e-9 // minimum pivot magnitude
 )
 
-// Options tunes the solver.
+// Options tunes the solver. Each phase stops after 2000 + 50·(m+n)
+// iterations with StatusIterLimit, for m rows and n columns (slacks and
+// artificials included).
 type Options struct {
-	// MaxIters bounds simplex iterations per phase; 0 selects an
-	// automatic limit based on problem size.
-	MaxIters int
 	// Cancel, when non-nil, is polled once per simplex iteration; a
 	// true return stops the solve with StatusIterLimit. An iteration is
 	// one pricing pass over the columns plus, when a basic variable
@@ -94,10 +93,7 @@ func (w *Workspace) Solve(p *Problem, opts ...Options) *Solution {
 // held a problem of p's shape it allocates nothing.
 func (w *Workspace) run(p *Problem, opt Options) (Status, int) {
 	w.load(p)
-	maxIters := opt.MaxIters
-	if maxIters <= 0 {
-		maxIters = 2000 + 50*(w.m+w.n)
-	}
+	maxIters := 2000 + 50*(w.m+w.n)
 	iters := 0
 	// Phase 1: minimize the sum of artificial variables.
 	if w.needPhase1 {

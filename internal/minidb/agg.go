@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/schema"
-	"repro/internal/value"
 )
 
 // aggOp computes hash aggregation. Output rows are
@@ -14,14 +13,14 @@ import (
 type aggOp struct {
 	child   operator
 	groupBy []expr.Expr // bound to child schema
-	aggs    []*AggCall  // args bound to child schema
+	aggs    []*expr.Agg // args bound to child schema
 	sch     schema.Schema
 
 	out []schema.Row
 	pos int
 }
 
-func newAggOp(child operator, groupBy []expr.Expr, aggs []*AggCall) *aggOp {
+func newAggOp(child operator, groupBy []expr.Expr, aggs []*expr.Agg) *aggOp {
 	cols := make([]schema.Column, 0, len(groupBy)+len(aggs))
 	for i, g := range groupBy {
 		name := fmt.Sprintf("group%d", i)
@@ -96,15 +95,12 @@ func (a *aggOp) open() error {
 			}
 		}
 		for i, agg := range a.aggs {
-			var v value.V
-			if agg.Star {
-				v = value.Int(1) // COUNT(*) counts the row whatever it holds
-			} else {
-				var err error
-				v, err = agg.Arg.Eval(row)
-				if err != nil {
-					return err
-				}
+			v, present, err := agg.Term(row)
+			if err != nil {
+				return err
+			}
+			if !present {
+				continue
 			}
 			if err := grp.states[i].Add(v); err != nil {
 				return err

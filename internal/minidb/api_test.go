@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -55,28 +54,6 @@ func TestLoadCSVFile(t *testing.T) {
 }
 
 func TestAstNodeInterfaces(t *testing.T) {
-	// AggCall: String/Children/CloneWith/Eval-error
-	agg := &AggCall{Fn: "SUM", Arg: expr.NewCol("t", "x")}
-	if agg.String() != "SUM(t.x)" {
-		t.Errorf("agg string = %q", agg.String())
-	}
-	if len(agg.Children()) != 1 {
-		t.Error("agg children")
-	}
-	clone := agg.CloneWith([]expr.Expr{expr.NewCol("u", "y")}).(*AggCall)
-	if clone.String() != "SUM(u.y)" {
-		t.Errorf("clone = %q", clone.String())
-	}
-	if _, err := agg.Eval(nil); err == nil {
-		t.Error("bare AggCall.Eval must error")
-	}
-	star := &AggCall{Fn: "COUNT", Star: true}
-	if star.String() != "COUNT(*)" || len(star.Children()) != 0 {
-		t.Error("star agg shape")
-	}
-	if star.CloneWith(nil).String() != "COUNT(*)" {
-		t.Error("star clone")
-	}
 	// Subquery
 	sq := &Subquery{Text: "SELECT 1"}
 	if sq.String() != "(SELECT 1)" || len(sq.Children()) != 0 {

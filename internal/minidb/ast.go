@@ -92,49 +92,9 @@ func (*InsertStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 
-// AggCall is an aggregate invocation appearing in SELECT/HAVING/ORDER
-// BY. It implements expr.Expr but cannot be evaluated directly: the
-// planner rewrites every AggCall into a column reference over the
-// aggregation output. It implements expr.Container so generic
-// expression traversal descends into the argument.
-type AggCall struct {
-	Fn   string // COUNT, SUM, AVG, MIN, MAX (canonical upper case)
-	Arg  expr.Expr
-	Star bool // COUNT(*)
-}
-
-// Eval reports an error: aggregates are handled by the planner.
-func (a *AggCall) Eval(schema.Row) (value.V, error) {
-	return value.Null(), fmt.Errorf("minidb: aggregate %s used outside an aggregation context", a.String())
-}
-
-// String renders "FN(arg)" or "COUNT(*)".
-func (a *AggCall) String() string {
-	if a.Star {
-		return a.Fn + "(*)"
-	}
-	return a.Fn + "(" + a.Arg.String() + ")"
-}
-
-// Children implements expr.Container.
-func (a *AggCall) Children() []expr.Expr {
-	if a.Star {
-		return nil
-	}
-	return []expr.Expr{a.Arg}
-}
-
-// CloneWith implements expr.Container.
-func (a *AggCall) CloneWith(children []expr.Expr) expr.Expr {
-	c := &AggCall{Fn: a.Fn, Star: a.Star}
-	if len(children) > 0 {
-		c.Arg = children[0]
-	}
-	return c
-}
-
-// Subquery is an uncorrelated scalar sub-query in an expression. The
-// planner evaluates it once and substitutes its single value.
+// Subquery is an uncorrelated scalar sub-query in an expression, SQL's
+// or PaQL's. It is evaluated once and replaced by its single value:
+// by the planner in SQL, by FoldSubqueries for PaQL.
 type Subquery struct {
 	Stmt *SelectStmt
 	Text string // original text, for rendering

@@ -10,6 +10,12 @@
 // cases PackageBuilder stresses: the §4.2 local-search replacement
 // query is a k-way self-join, which streams through nested loops or
 // hash joins without materializing the cross product.
+//
+// minidb also owns the expression vocabulary SQL and PaQL share: the
+// grammar extension for aggregate calls (expr.Agg) and scalar sub-queries
+// (Subquery) is InstallHook, which PaQL's parser installs too, and
+// DB.FoldSubqueries folds a PaQL clause's sub-queries as the planner
+// folds SQL's.
 package minidb
 
 import (

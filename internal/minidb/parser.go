@@ -16,7 +16,7 @@ func ParseStmt(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	installSQLHook(p)
+	InstallHook(p)
 	st, err := parseStmt(p)
 	if err != nil {
 		return nil, err
@@ -28,41 +28,63 @@ func ParseStmt(src string) (Stmt, error) {
 	return st, nil
 }
 
-// installSQLHook extends the shared expression grammar with aggregate
-// calls and scalar sub-queries.
-func installSQLHook(p *parse.Parser) {
+// InstallHook extends p's expression grammar with the productions SQL
+// and PaQL share: aggregate calls (expr.Agg) and scalar sub-queries
+// (Subquery). It is the one grammar extension, so one rule holds in both
+// languages:
+//   - COUNT(*) is the only star aggregate;
+//   - an aggregate's argument or filter holds no aggregate;
+//   - a sub-query may stand wherever an expression can, aggregate
+//     arguments included;
+//   - an aggregate may carry a per-tuple filter, FN(arg WHERE pred),
+//     which PaQL evaluates and the SQL planner refuses.
+func InstallHook(p *parse.Parser) {
+	inAgg := false // parsing an aggregate's argument or filter
 	p.PrimaryHook = func(p *parse.Parser) (expr.Expr, bool, error) {
 		t := p.Peek()
-		// Aggregate call: COUNT/SUM/AVG/MIN/MAX followed by '('.
 		if t.Kind == parse.TIdent && p.PeekAt(1).Kind == parse.TPunct && p.PeekAt(1).Text == "(" {
 			fn := strings.ToUpper(t.Text)
 			switch fn {
 			case "COUNT", "SUM", "AVG", "MIN", "MAX":
+				if inAgg {
+					return nil, true, p.Errf("aggregate %s nested inside another aggregate", fn)
+				}
 				p.Next() // fn
 				p.Next() // (
-				if fn == "COUNT" && p.AcceptPunct("*") {
-					if err := p.ExpectPunct(")"); err != nil {
+				inAgg = true
+				defer func() { inAgg = false }()
+				agg := &expr.Agg{Fn: fn}
+				var err error
+				if p.AcceptPunct("*") {
+					if fn != "COUNT" {
+						return nil, true, p.Errf("%s(*) is not valid; only COUNT(*)", fn)
+					}
+					agg.Star = true
+				} else if agg.Arg, err = p.ParseExpr(); err != nil {
+					return nil, true, err
+				}
+				if p.AcceptKeyword("WHERE") {
+					if agg.Filter, err = p.ParseExpr(); err != nil {
 						return nil, true, err
 					}
-					return &AggCall{Fn: "COUNT", Star: true}, true, nil
-				}
-				arg, err := p.ParseExpr()
-				if err != nil {
-					return nil, true, err
 				}
 				if err := p.ExpectPunct(")"); err != nil {
 					return nil, true, err
 				}
-				return &AggCall{Fn: fn, Arg: arg}, true, nil
+				return agg, true, nil
 			}
 		}
-		// Scalar sub-query: '(' SELECT ...
+		// Scalar sub-query: '(' SELECT ... — its own statement, where
+		// aggregates are allowed again.
 		if t.Kind == parse.TPunct && t.Text == "(" {
 			nxt := p.PeekAt(1)
 			if nxt.Kind == parse.TIdent && strings.EqualFold(nxt.Text, "SELECT") {
 				p.Next() // (
 				start := p.Peek().Pos
+				outer := inAgg
+				inAgg = false
 				sub, err := parseSelect(p)
+				inAgg = outer
 				if err != nil {
 					return nil, true, err
 				}

@@ -218,17 +218,11 @@ func (db *DB) planSelect(st *SelectStmt) (operator, error) {
 			}
 		}
 		for _, a := range aggs {
+			if a.Filter != nil {
+				return nil, fmt.Errorf("minidb: %s: an aggregate filter is PaQL's; SQL filters rows with WHERE", a)
+			}
 			if a.Star {
 				continue
-			}
-			nested := false
-			expr.Walk(a.Arg, func(n expr.Expr) {
-				if _, ok := n.(*AggCall); ok {
-					nested = true
-				}
-			})
-			if nested {
-				return nil, fmt.Errorf("minidb: nested aggregate in %s", a)
 			}
 			if err := expr.Bind(a.Arg, joined); err != nil {
 				return nil, err
@@ -360,33 +354,50 @@ func (db *DB) planSelect(st *SelectStmt) (operator, error) {
 	return top, nil
 }
 
-// foldSubqueries replaces scalar sub-queries in every expression
-// position with their computed constant value (see Result.Scalar).
-// Sub-queries must be uncorrelated.
+// FoldSubqueries replaces every scalar sub-query in e with the value it
+// computes, under the one rule SQL's and PaQL's sub-queries share
+// (Result.Scalar). Sub-queries must be uncorrelated. The engine folds
+// PaQL's SUCH THAT and objective with it; a nil e folds to nil.
+func (db *DB) FoldSubqueries(e expr.Expr) (expr.Expr, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.fold(e)
+}
+
+// fold is FoldSubqueries under the caller's lock.
+func (db *DB) fold(e expr.Expr) (expr.Expr, error) {
+	var firstErr error
+	out := expr.Transform(e, func(n expr.Expr) expr.Expr {
+		sq, ok := n.(*Subquery)
+		if !ok {
+			return nil
+		}
+		res, err := db.runSelect(sq.Stmt)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("minidb: scalar sub-query: %w", err)
+			}
+			return &expr.Const{Val: value.Null()}
+		}
+		v, err := res.Scalar()
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return &expr.Const{Val: v}
+	})
+	return out, firstErr
+}
+
+// foldSubqueries folds the scalar sub-queries in every expression
+// position of st, returning a folded copy.
 func (db *DB) foldSubqueries(st *SelectStmt) (*SelectStmt, error) {
 	var firstErr error
 	fold := func(e expr.Expr) expr.Expr {
-		if e == nil {
-			return nil
+		out, err := db.fold(e)
+		if firstErr == nil {
+			firstErr = err
 		}
-		return expr.Transform(e, func(n expr.Expr) expr.Expr {
-			sq, ok := n.(*Subquery)
-			if !ok {
-				return nil
-			}
-			res, err := db.runSelect(sq.Stmt)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("minidb: scalar sub-query: %w", err)
-				}
-				return &expr.Const{Val: value.Null()}
-			}
-			v, err := res.Scalar()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			return &expr.Const{Val: v}
-		})
+		return out
 	}
 	out := *st
 	out.Where = fold(st.Where)
@@ -528,40 +539,23 @@ func considerIndex(sc *scanOp, e expr.Expr) {
 
 // collectAggs gathers the distinct aggregate calls (by rendered text)
 // appearing in SELECT items, HAVING and ORDER BY.
-func collectAggs(st *SelectStmt) []*AggCall {
-	var aggs []*AggCall
-	seen := map[string]bool{}
-	visit := func(e expr.Expr) {
-		if e == nil {
-			return
-		}
-		expr.Walk(e, func(n expr.Expr) {
-			if a, ok := n.(*AggCall); ok {
-				key := a.String()
-				if !seen[key] {
-					seen[key] = true
-					aggs = append(aggs, a)
-				}
-			}
-		})
-	}
+func collectAggs(st *SelectStmt) []*expr.Agg {
+	var es []expr.Expr
 	for _, it := range st.Items {
-		if !it.Star {
-			visit(it.Expr)
-		}
+		es = append(es, it.Expr) // nil for a star item
 	}
-	visit(st.Having)
+	es = append(es, st.Having)
 	for _, o := range st.OrderBy {
-		visit(o.E)
+		es = append(es, o.E)
 	}
-	return aggs
+	return expr.Aggregates(es...)
 }
 
 // rewriteAggExpr rewrites an expression for evaluation over aggregation
 // output: group-by expressions become references to the leading output
 // columns, aggregate calls become references to the trailing ones. Any
 // remaining raw column reference is an error (not grouped).
-func rewriteAggExpr(e expr.Expr, groupBy []expr.Expr, aggs []*AggCall, joined schema.Schema) (expr.Expr, error) {
+func rewriteAggExpr(e expr.Expr, groupBy []expr.Expr, aggs []*expr.Agg, joined schema.Schema) (expr.Expr, error) {
 	gStrs := make([]string, len(groupBy))
 	for i, g := range groupBy {
 		gStrs[i] = g.String()
@@ -594,7 +588,7 @@ func rewriteAggExpr(e expr.Expr, groupBy []expr.Expr, aggs []*AggCall, joined sc
 				}
 			}
 		}
-		if a, ok := n.(*AggCall); ok {
+		if a, ok := n.(*expr.Agg); ok {
 			as := a.String()
 			for i, s := range aStrs {
 				if as == s {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/minidb"
 	"repro/internal/schema"
 )
 
@@ -17,15 +18,16 @@ import (
 type Analysis struct {
 	Query  *Query
 	Schema schema.Schema // relation schema qualified by the relation variable
-	Aggs   []*Agg        // distinct aggregates across SUCH THAT and objective
+	Aggs   []*expr.Agg   // distinct aggregates across SUCH THAT and objective
 }
 
 // Analyze validates and binds q against the relation schema (columns
 // must be unqualified, as stored in the minidb catalog). It rewrites
 // package-variable qualifiers (P.col) to the relation variable, binds
-// every column reference, and verifies aggregate shapes and argument
-// types. Sub-queries must already be folded to constants (see
-// FoldSubqueries in the engine); any remaining Subquery is an error.
+// every column reference, and verifies aggregate argument types. The
+// aggregates' shapes are the grammar's (minidb.InstallHook). Sub-queries
+// must already be folded to constants (the engine folds them with
+// minidb.DB.FoldSubqueries); any remaining sub-query is an error.
 func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 	qualified := relSchema.WithQualifier(q.RelVar)
 	a := &Analysis{Query: q, Schema: qualified}
@@ -42,7 +44,7 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 
 	// Base constraints: plain tuple predicates, no aggregates.
 	if q.Where != nil {
-		if len(Aggregates(q.Where)) > 0 {
+		if len(expr.Aggregates(q.Where)) > 0 {
 			return nil, fmt.Errorf("paql: WHERE holds base constraints; aggregates belong in SUCH THAT")
 		}
 		if len(Subqueries(q.Where)) > 0 {
@@ -61,27 +63,10 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 				return
 			}
 			switch node := n.(type) {
-			case *Subquery:
+			case *minidb.Subquery:
 				firstErr = fmt.Errorf("paql: %s: sub-query not folded: %s", clause, node)
-			case *Agg:
-				switch node.Fn {
-				case "COUNT", "SUM", "MIN", "MAX", "AVG":
-				default:
-					firstErr = fmt.Errorf("paql: %s: unknown aggregate %s", clause, node.Fn)
-					return
-				}
-				if !node.Star && node.Arg == nil {
-					firstErr = fmt.Errorf("paql: %s: aggregate %s lacks an argument", clause, node.Fn)
-					return
-				}
-				for _, part := range []expr.Expr{node.Arg, node.Filter} {
-					if part == nil {
-						continue
-					}
-					if len(Aggregates(part)) > 0 {
-						firstErr = fmt.Errorf("paql: %s: aggregate nested inside %s", clause, node)
-						return
-					}
+			case *expr.Agg:
+				for _, part := range node.Children() {
 					normalize(part)
 					if err := expr.Bind(part, qualified); err != nil {
 						firstErr = fmt.Errorf("paql: %s: %w", clause, err)
@@ -116,11 +101,11 @@ func Analyze(q *Query, relSchema schema.Schema) (*Analysis, error) {
 	}
 
 	// Aggregate inventory: SUCH THAT's, then what only the objective adds.
-	inventory := q.SuchThat
+	var objective expr.Expr
 	if q.Objective != nil {
-		inventory = expr.AndAll(q.SuchThat, q.Objective.Expr)
+		objective = q.Objective.Expr
 	}
-	a.Aggs = Aggregates(inventory)
+	a.Aggs = expr.Aggregates(q.SuchThat, objective)
 	return a, nil
 }
 
@@ -137,7 +122,7 @@ func checkArgTypes(clause string, e expr.Expr, s schema.Schema) error {
 	case *expr.Not:
 		return checkArgTypes(clause, n.X, s)
 	}
-	for _, a := range Aggregates(e) {
+	for _, a := range expr.Aggregates(e) {
 		if c, bare := a.Arg.(*expr.Col); bare && a.Fn != "COUNT" && !s.Cols[c.Idx].Type.Numeric() {
 			return fmt.Errorf("paql: %s: %s: %s needs a numeric argument, %s is %s", clause, e, a.Fn, c, s.Cols[c.Idx].Type)
 		}
@@ -150,7 +135,7 @@ func checkArgTypes(clause string, e expr.Expr, s schema.Schema) error {
 func insideAgg(e expr.Expr, target *expr.Col) bool {
 	found := false
 	expr.Walk(e, func(n expr.Expr) {
-		if a, ok := n.(*Agg); ok {
+		if a, ok := n.(*expr.Agg); ok {
 			for _, child := range a.Children() {
 				expr.Walk(child, func(m expr.Expr) {
 					if m == expr.Expr(target) {

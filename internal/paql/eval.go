@@ -13,7 +13,7 @@ import (
 // each tuple's Term to the SQL accumulator minidb uses. Arguments and
 // filters must be bound to the relation schema. What each function
 // answers over nothing is the table in semantics_test.go.
-func EvalAgg(a *Agg, rows []schema.Row) (value.V, error) {
+func EvalAgg(a *expr.Agg, rows []schema.Row) (value.V, error) {
 	st, err := expr.NewAggState(a.Fn, a.Star)
 	if err != nil {
 		return value.Null(), fmt.Errorf("paql: %w", err)
@@ -40,7 +40,7 @@ func EvalGlobal(e expr.Expr, rows []schema.Row) (value.V, error) {
 	memo := map[string]value.V{}
 	var evalErr error
 	folded := expr.Transform(e, func(n expr.Expr) expr.Expr {
-		a, ok := n.(*Agg)
+		a, ok := n.(*expr.Agg)
 		if !ok {
 			return nil
 		}

@@ -21,6 +21,7 @@ func FuzzParse(f *testing.F) {
 		f.Add("SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 2 WHERE R.kind <> 'x' " + c + " MINIMIZE SUM(P.price) LIMIT 3")
 	}
 	f.Add("EXPLAIN SELECT PACKAGE(R) AS P FROM t R SUCH THAT COUNT(*) = (SELECT MAX(id) FROM t)")
+	f.Add("SELECT PACKAGE(R) AS P FROM t R SUCH THAT SUM(P.x * (SELECT COUNT(*) FROM t) WHERE P.id > (SELECT MIN(id) FROM t)) <= 9")
 	// One level past the parser's depth cap.
 	f.Add("SELECT PACKAGE(R) AS P FROM t R SUCH THAT " + strings.Repeat("(", parse.MaxDepth) + "COUNT(*) = 1" + strings.Repeat(")", parse.MaxDepth))
 	f.Fuzz(func(t *testing.T, text string) {

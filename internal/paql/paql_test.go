@@ -61,7 +61,7 @@ func TestParseMealQuery(t *testing.T) {
 	if q.Objective.Sense != Maximize {
 		t.Errorf("sense = %v", q.Objective.Sense)
 	}
-	aggs := Aggregates(q.SuchThat)
+	aggs := expr.Aggregates(q.SuchThat)
 	if len(aggs) != 2 {
 		t.Fatalf("aggs = %v", aggs)
 	}
@@ -98,7 +98,7 @@ func TestParseFilteredAggregates(t *testing.T) {
 		SELECT PACKAGE(V) AS P FROM Items V
 		SUCH THAT SUM(P.price) <= 2000 AND
 		          (MAX(P.price WHERE P.kind = 'hotel') <= 1 OR COUNT(* WHERE P.kind = 'car') >= 1)`)
-	aggs := Aggregates(q.SuchThat)
+	aggs := expr.Aggregates(q.SuchThat)
 	if len(aggs) != 3 {
 		t.Fatalf("aggs = %d", len(aggs))
 	}
@@ -115,8 +115,8 @@ func TestParseSubquery(t *testing.T) {
 	if len(subs) != 1 {
 		t.Fatalf("subqueries = %d", len(subs))
 	}
-	if subs[0].SQL != "SELECT MAX(calories) FROM Recipes" {
-		t.Errorf("sql = %q", subs[0].SQL)
+	if subs[0].Text != "SELECT MAX(calories) FROM Recipes" {
+		t.Errorf("sql = %q", subs[0].Text)
 	}
 }
 
@@ -133,6 +133,8 @@ var badQueries = []string{
 	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 1 trailing`,
 	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(P.cal <= 3`,
 	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT (SELECT MAX(x) FROM t`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(*) = 3 AND SUM(P.calories) <= (SELECT FROM WHERE)`,
+	`SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT SUM(SUM(P.calories)) <= 3`,
 }
 
 func TestParseErrors(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/expr"
+	"repro/internal/minidb"
 	"repro/internal/parse"
 )
 
@@ -14,6 +14,9 @@ func Parse(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Aggregates and sub-queries are SQL's productions (minidb's
+	// grammar): a sub-query is parsed here, as SQL, not at evaluation.
+	minidb.InstallHook(p)
 	q := &Query{Raw: strings.TrimSpace(src), Repeat: 0}
 	// [EXPLAIN] SELECT PACKAGE(R) [AS P]
 	if p.AcceptKeyword("EXPLAIN") {
@@ -79,16 +82,14 @@ func Parse(src string) (*Query, error) {
 		}
 		q.Repeat = int(n)
 	}
-	// WHERE <base constraints>. Aggregates and sub-queries are accepted
-	// by the grammar here so that Analyze can reject them with a
-	// targeted message ("aggregates belong in SUCH THAT").
+	// WHERE <base constraints>. Aggregates and sub-queries parse here
+	// too, so that Analyze can reject them with a targeted message
+	// ("aggregates belong in SUCH THAT").
 	if p.AcceptKeyword("WHERE") {
-		installGlobalHook(p)
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
 		}
-		p.PrimaryHook = nil
 		q.Where = e
 	}
 	// SUCH THAT <global formula> — aggregate-bearing expressions.
@@ -97,7 +98,6 @@ func Parse(src string) (*Query, error) {
 		if err := p.ExpectKeyword("THAT"); err != nil {
 			return nil, err
 		}
-		installGlobalHook(p)
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
@@ -112,7 +112,6 @@ func Parse(src string) (*Query, error) {
 		} else {
 			p.Next()
 		}
-		installGlobalHook(p)
 		e, err := p.ParseExpr()
 		if err != nil {
 			return nil, err
@@ -142,84 +141,4 @@ func isPaqlKeyword(s string) bool {
 		return true
 	}
 	return false
-}
-
-// installGlobalHook extends the expression grammar with package
-// aggregates and scalar SQL sub-queries for SUCH THAT / objectives.
-func installGlobalHook(p *parse.Parser) {
-	p.PrimaryHook = func(p *parse.Parser) (expr.Expr, bool, error) {
-		t := p.Peek()
-		if t.Kind == parse.TIdent && p.PeekAt(1).Kind == parse.TPunct && p.PeekAt(1).Text == "(" {
-			fn := strings.ToUpper(t.Text)
-			switch fn {
-			case "COUNT", "SUM", "MIN", "MAX", "AVG":
-				p.Next() // fn
-				p.Next() // (
-				agg := &Agg{Fn: fn}
-				if p.AcceptPunct("*") {
-					if fn != "COUNT" {
-						return nil, true, p.Errf("%s(*) is not valid; only COUNT(*)", fn)
-					}
-					agg.Star = true
-				} else {
-					// Aggregate arguments are plain scalar expressions
-					// over the relation; suspend the hook so nested
-					// aggregates are rejected cleanly later.
-					saved := p.PrimaryHook
-					p.PrimaryHook = nil
-					arg, err := p.ParseExpr()
-					p.PrimaryHook = saved
-					if err != nil {
-						return nil, true, err
-					}
-					agg.Arg = arg
-				}
-				if p.AcceptKeyword("WHERE") {
-					saved := p.PrimaryHook
-					p.PrimaryHook = nil
-					f, err := p.ParseExpr()
-					p.PrimaryHook = saved
-					if err != nil {
-						return nil, true, err
-					}
-					agg.Filter = f
-				}
-				if err := p.ExpectPunct(")"); err != nil {
-					return nil, true, err
-				}
-				return agg, true, nil
-			}
-		}
-		// '(' SELECT ... ')' — capture the raw SQL of the sub-query.
-		if t.Kind == parse.TPunct && t.Text == "(" {
-			nxt := p.PeekAt(1)
-			if nxt.Kind == parse.TIdent && strings.EqualFold(nxt.Text, "SELECT") {
-				p.Next() // (
-				start := p.Peek().Pos
-				depth := 1
-				end := start
-				for {
-					tok := p.Next()
-					if tok.Kind == parse.TEOF {
-						return nil, true, p.Errf("unterminated sub-query")
-					}
-					if tok.Kind == parse.TPunct {
-						switch tok.Text {
-						case "(":
-							depth++
-						case ")":
-							depth--
-							if depth == 0 {
-								end = tok.Pos
-								goto done
-							}
-						}
-					}
-				}
-			done:
-				return &Subquery{SQL: strings.TrimSpace(p.Src()[start:end])}, true, nil
-			}
-		}
-		return nil, false, nil
-	}
 }

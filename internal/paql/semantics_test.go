@@ -4,8 +4,10 @@ package paql_test
 // an SQL aggregate over the package, so what COUNT, SUM, AVG, MIN and MAX
 // answer over an empty package, an emptied selection, an all-NULL
 // argument or a repeated tuple is SQL's answer, and this file is where it
-// is stated: the cells of semantics below. Every evaluator is held to
-// them — paql.EvalAgg, minidb's SELECT fn(col), paql.Satisfies and
+// is stated: the cells of semantics below. SQL's SELECT fn(col) and
+// PaQL's fn(P.col) parse to the same node, expr.Agg, folded over its Term
+// by the same accumulator, expr.AggState. Every evaluator is held to the
+// cells — paql.EvalAgg, minidb's SELECT fn(col), paql.Satisfies and
 // ObjectiveValue, search.BruteForce, and the four strategies through
 // core — and README.md's table is rendered from them.
 

@@ -245,17 +245,20 @@ func TestParserHelpers(t *testing.T) {
 	}
 }
 
+// magicHook reads the keyword MAGIC as 41.
+func magicHook(p *Parser) (expr.Expr, bool, error) {
+	if p.AcceptKeyword("MAGIC") {
+		return &expr.Const{Val: value.Int(41)}, true, nil
+	}
+	return nil, false, nil
+}
+
 func TestPrimaryHook(t *testing.T) {
 	p, err := NewParser("MAGIC + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.PrimaryHook = func(p *Parser) (expr.Expr, bool, error) {
-		if p.AcceptKeyword("MAGIC") {
-			return &expr.Const{Val: value.Int(41)}, true, nil
-		}
-		return nil, false, nil
-	}
+	p.PrimaryHook = magicHook
 	e, err := p.ParseExpr()
 	if err != nil {
 		t.Fatal(err)

@@ -32,9 +32,10 @@ type Parser struct {
 	depth int // ParseExpr, NOT and unary-minus recursion in progress
 
 	// PrimaryHook, when set, is consulted first in the primary
-	// production. It lets front-ends inject productions such as scalar
-	// sub-queries (SQL) or package aggregates (PaQL). Returning
-	// handled=false falls through to the standard primaries.
+	// production. It lets a front-end inject productions: SQL and PaQL
+	// share one, minidb.InstallHook (aggregate calls and scalar
+	// sub-queries). Returning handled=false falls through to the
+	// standard primaries.
 	PrimaryHook func(p *Parser) (e expr.Expr, handled bool, err error)
 }
 

@@ -33,7 +33,6 @@ import (
 	"math/big"
 
 	"repro/internal/expr"
-	"repro/internal/paql"
 )
 
 // Unbounded marks an upper bound of "no limit".
@@ -89,7 +88,7 @@ func (b Bounds) String() string {
 // ok=false means statistics are unavailable (non-numeric argument),
 // which yields trivial bounds.
 type StatsProvider interface {
-	AggStats(a *paql.Agg) (minVal, maxVal float64, n int, ok bool)
+	AggStats(a *expr.Agg) (minVal, maxVal float64, n int, ok bool)
 }
 
 // Derive computes cardinality bounds for a SUCH THAT formula. n is the
@@ -172,10 +171,10 @@ func derive(f expr.Expr, neg bool, sp StatsProvider) Bounds {
 // compareBounds handles one comparison atom. Only `Agg cmp const` and
 // `const cmp Agg` shapes carry information; everything else is trivial.
 func compareBounds(l expr.Expr, op expr.BinOp, r expr.Expr, sp StatsProvider) Bounds {
-	agg, okL := l.(*paql.Agg)
+	agg, okL := l.(*expr.Agg)
 	c, okR := constValue(r)
 	if !okL || !okR { // try the flipped orientation
-		if agg, okL = r.(*paql.Agg); okL {
+		if agg, okL = r.(*expr.Agg); okL {
 			c, okR = constValue(l)
 		}
 		if !okL || !okR {
@@ -204,7 +203,7 @@ func constValue(e expr.Expr) (float64, bool) {
 	return f, ok
 }
 
-func countBounds(agg *paql.Agg, op expr.BinOp, c float64) Bounds {
+func countBounds(agg *expr.Agg, op expr.BinOp, c float64) Bounds {
 	filtered := agg.Filter != nil
 	switch op {
 	case expr.OpEq:
@@ -245,7 +244,7 @@ func countBounds(agg *paql.Agg, op expr.BinOp, c float64) Bounds {
 // sumBounds bounds the package size from SUM(x) op c by the extremes of x
 // over the candidates; an empty selection leaves the SUM NULL whatever
 // the package (same table), so the atom cannot hold.
-func sumBounds(agg *paql.Agg, op expr.BinOp, c float64, sp StatsProvider) Bounds {
+func sumBounds(agg *expr.Agg, op expr.BinOp, c float64, sp StatsProvider) Bounds {
 	if sp == nil {
 		return Trivial()
 	}

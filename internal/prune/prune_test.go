@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/paql"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -17,7 +18,7 @@ type fakeStats struct {
 	ok       bool
 }
 
-func (f fakeStats) AggStats(*paql.Agg) (float64, float64, int, bool) {
+func (f fakeStats) AggStats(*expr.Agg) (float64, float64, int, bool) {
 	return f.min, f.max, f.n, f.ok
 }
 

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/lifecycle"
 	"repro/internal/paql"
 	"repro/internal/prune"
@@ -85,7 +86,7 @@ type passStats struct {
 	passes *translate.Passes
 }
 
-func (s passStats) AggStats(a *paql.Agg) (lo, hi float64, n int, ok bool) {
+func (s passStats) AggStats(a *expr.Agg) (lo, hi float64, n int, ok bool) {
 	return s.passes.AggStats(s.ctx, a)
 }
 

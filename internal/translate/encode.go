@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lp"
-	"repro/internal/paql"
 )
 
 // bnode is a negation-normal-form boolean tree over comparison atoms.
@@ -169,12 +168,12 @@ func constBool(e expr.Expr) (bool, bool) {
 // specialAtom detects `AVG/MIN/MAX(arg) op const` (either orientation),
 // returning the aggregate, the constant, and the op oriented with the
 // aggregate on the left.
-func specialAtom(b *expr.Binary) (*paql.Agg, float64, expr.BinOp, bool, error) {
+func specialAtom(b *expr.Binary) (*expr.Agg, float64, expr.BinOp, bool, error) {
 	for _, side := range []struct {
 		agg, other expr.Expr
 		op         expr.BinOp
 	}{{b.L, b.R, b.Op}, {b.R, b.L, b.Op.Flip()}} {
-		if a, ok := side.agg.(*paql.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
+		if a, ok := side.agg.(*expr.Agg); ok && (a.Fn == "AVG" || a.Fn == "MIN" || a.Fn == "MAX") {
 			c, err := constSide(side.other)
 			return a, c, side.op, err == nil, err
 		}

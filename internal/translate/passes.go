@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lifecycle"
-	"repro/internal/paql"
 	"repro/internal/schema"
 )
 
@@ -27,7 +26,7 @@ const PollRows = 8192
 // §4.1 pruning asks about a SUM. agg is the aggregate that folded it, the
 // one an advance folds the appended rows with.
 type pass struct {
-	agg     *paql.Agg
+	agg     *expr.Agg
 	num     []float64
 	present []bool
 	nonNum  error
@@ -35,7 +34,7 @@ type pass struct {
 	n       int
 }
 
-func newPass(agg *paql.Agg, n int) *pass {
+func newPass(agg *expr.Agg, n int) *pass {
 	return &pass{agg: agg, num: make([]float64, n), present: make([]bool, n), lo: math.Inf(1), hi: math.Inf(-1)}
 }
 
@@ -43,7 +42,7 @@ func newPass(agg *paql.Agg, n int) *pass {
 // evaluates an aggregate's filter and argument per tuple. It looks at ctx
 // every PollRows rows and ends with its error; nothing of a canceled fold
 // is returned.
-func foldTerms(ctx context.Context, agg *paql.Agg, rows []schema.Row) (*pass, error) {
+func foldTerms(ctx context.Context, agg *expr.Agg, rows []schema.Row) (*pass, error) {
 	p := newPass(agg, len(rows))
 	if err := p.fold(ctx, rows, 0); err != nil {
 		return nil, err
@@ -166,7 +165,7 @@ func (p *pass) carry(ctx context.Context, rows []schema.Row, s survivorRuns) (*p
 }
 
 // Passes is the pass store of one candidate set: per distinct (argument,
-// filter) selection, the fold of paql.Agg.Term over the set, made the
+// filter) selection, the fold of expr.Agg.Term over the set, made the
 // first time any compilation against the store asks and kept for all of
 // them; and per distinct compiled form — an affine comparison's or an
 // objective's Σ coef·agg, keyed by its rendered terms — the weight vector
@@ -225,7 +224,7 @@ func sameRows(a, b []schema.Row) bool {
 // on first use. A fold that fails — in practice a canceled one — is not
 // kept, and a caller waiting on another query's fold stops waiting when
 // its own ctx ends.
-func (ps *Passes) pass(ctx context.Context, key string, agg *paql.Agg) (*pass, error) {
+func (ps *Passes) pass(ctx context.Context, key string, agg *expr.Agg) (*pass, error) {
 	return slotOf(&ps.mu, ps.slots, key).Get(ctx, func() (*pass, error) {
 		ps.folds.Add(1)
 		return foldTerms(ctx, agg, ps.rows)
@@ -320,7 +319,7 @@ func (ps *Passes) Advance(ctx context.Context, rows []schema.Row, remap []int) (
 // selection's pass: the MIN and MAX of the argument over the candidates
 // (±Inf over nothing) and the size n of the selection. ok is false when
 // the argument cannot be read as a number, or the fold was canceled.
-func (ps *Passes) AggStats(ctx context.Context, a *paql.Agg) (lo, hi float64, n int, ok bool) {
+func (ps *Passes) AggStats(ctx context.Context, a *expr.Agg) (lo, hi float64, n int, ok bool) {
 	p, err := ps.pass(ctx, selectionKey(a), a)
 	if err != nil || p.nonNum != nil {
 		return 0, 0, 0, false
@@ -338,7 +337,7 @@ func (ps *Passes) AggStats(ctx context.Context, a *paql.Agg) (lo, hi float64, n 
 // makes the fold's minimum NaN where math.Min lets an infinity win, so
 // then the numbers — 0 where a cell is not one — are read again.
 func (ps *Passes) Spread(ctx context.Context, col int) (float64, error) {
-	p, err := ps.pass(ctx, columnKey(col), &paql.Agg{Fn: "SUM", Arg: &expr.Col{Name: columnKey(col), Idx: col}})
+	p, err := ps.pass(ctx, columnKey(col), &expr.Agg{Fn: "SUM", Arg: &expr.Col{Name: columnKey(col), Idx: col}})
 	if err != nil {
 		return 0, err
 	}

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/lifecycle"
-	"repro/internal/paql"
 	"repro/internal/schema"
 )
 
@@ -234,7 +234,7 @@ func TestPassFoldPollsStop(t *testing.T) {
 // parentheses, a constant — must get distinct keys or identical passes.
 func TestSelectionKeysAreInjective(t *testing.T) {
 	rows := append(testRows(), mkRow(9, 500, 20, "it's", 7), mkRow(10, 500, 20, "it", 8))
-	agg := func(text string) *paql.Agg {
+	agg := func(text string) *expr.Agg {
 		t.Helper()
 		a := analyze(t, `SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT `+text+` >= 0`)
 		if len(a.Aggs) != 1 {
@@ -242,7 +242,7 @@ func TestSelectionKeysAreInjective(t *testing.T) {
 		}
 		return a.Aggs[0]
 	}
-	fold := func(a *paql.Agg) (*pass, error) { return foldTerms(nil, a, rows) }
+	fold := func(a *expr.Agg) (*pass, error) { return foldTerms(nil, a, rows) }
 	same := func(p, q *pass) bool {
 		return slices.Equal(p.num, q.num) && slices.Equal(p.present, q.present) && (p.nonNum == nil) == (q.nonNum == nil)
 	}

@@ -21,7 +21,7 @@
 //
 // What each aggregate answers over nothing is the table in
 // internal/paql/semantics_test.go; tuples reach an aggregate only through
-// paql.Agg.Term. Guards are one per (argument, filter) selection and
+// expr.Agg.Term. Guards are one per (argument, filter) selection and
 // conjunction, and where a conjunction's rows are assembled
 // (weighConjunction) a guard is dropped when another ≥ row of the
 // conjunction implies it for every x ≥ 0 — LP-safe by construction, so no
@@ -51,7 +51,7 @@
 //     each node's tuples the selector selects.
 //
 // What the last three read of the candidates is a selection's pass — per
-// (argument, filter) pair, one fold of paql.Agg.Term over the rows — and
+// (argument, filter) pair, one fold of expr.Agg.Term over the rows — and
 // the weight vector of each affine form composed from those passes. A
 // Passes store keeps both per candidate set: the three are its methods,
 // so one query's compilations share each fold and each vector, and so do
@@ -248,12 +248,12 @@ func (m *Model) AddExclusionCut(mult []int) error {
 
 type affine struct {
 	coeffs map[string]float64
-	aggs   map[string]*paql.Agg
+	aggs   map[string]*expr.Agg
 	konst  float64
 }
 
 func newAffine() *affine {
-	return &affine{coeffs: map[string]float64{}, aggs: map[string]*paql.Agg{}}
+	return &affine{coeffs: map[string]float64{}, aggs: map[string]*expr.Agg{}}
 }
 
 func (f *affine) addScaled(o *affine, s float64) {
@@ -289,7 +289,7 @@ func affineForm(e expr.Expr) (*affine, error) {
 		}
 		f.konst = v
 		return f, nil
-	case *paql.Agg:
+	case *expr.Agg:
 		if n.Fn != "COUNT" && n.Fn != "SUM" {
 			return nil, fmt.Errorf("translate: %s cannot appear inside arithmetic (only SUM/COUNT)", n)
 		}
@@ -368,14 +368,14 @@ func affineForm(e expr.Expr) (*affine, error) {
 // tuples an aggregate ranges over, whatever its function. Every atom
 // lowered from the pair — a SUM row, its guard, both rows of a BETWEEN —
 // shares one, and so shares its pass: they cost one fold over
-// paql.Agg.Term between them, a guard's presence being its aggregate's
+// expr.Agg.Term between them, a guard's presence being its aggregate's
 // by-product. Over the candidate set of the compilation's pass store the
 // fold is the store's, made once for every query compiled against it;
 // over any other rows (a sketch level's representatives) the selection
 // keeps the pass of the set last weighed. Candidate sets are told apart by
 // identity; nobody edits rows between weighings.
 type selection struct {
-	agg    *paql.Agg // Fn is not read
+	agg    *expr.Agg // Fn is not read
 	key    string
 	shared *Passes // nil: nothing outlives the compilation
 
@@ -388,7 +388,7 @@ type selection struct {
 // its pass is kept under: the aggregate's key without its function, or
 // for a bare column with no filter the column's ordinal, which is how
 // Spread asks for the same pass.
-func selectionKey(a *paql.Agg) string {
+func selectionKey(a *expr.Agg) string {
 	if c, ok := a.Arg.(*expr.Col); ok && a.Filter == nil && c.Idx >= 0 {
 		return columnKey(c.Idx)
 	}
@@ -410,7 +410,7 @@ func newSelections(shared *Passes) selections {
 	return selections{shared: shared, byKey: map[string]*selection{}}
 }
 
-func (ss selections) of(a *paql.Agg) *selection {
+func (ss selections) of(a *expr.Agg) *selection {
 	key := selectionKey(a)
 	if ss.byKey[key] == nil {
 		ss.byKey[key] = &selection{agg: a, key: key, shared: ss.shared}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/paql"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -83,10 +84,10 @@ func Summarize(prep *core.Prepared, pkgs []*core.Package, currentIdx int, runnin
 // candidateDims gathers aggregate dimensions: the query's own
 // aggregates first (most meaningful to the user), then SUMs over the
 // relation's numeric columns.
-func candidateDims(prep *core.Prepared) []*paql.Agg {
-	var dims []*paql.Agg
+func candidateDims(prep *core.Prepared) []*expr.Agg {
+	var dims []*expr.Agg
 	seen := map[string]bool{}
-	add := func(a *paql.Agg) {
+	add := func(a *expr.Agg) {
 		k := a.String()
 		if !seen[k] {
 			seen[k] = true
@@ -104,7 +105,7 @@ func candidateDims(prep *core.Prepared) []*paql.Agg {
 		if !c.Type.Numeric() || keyLike(c.Name) {
 			continue
 		}
-		col := &paql.Agg{Fn: "SUM", Arg: boundCol(prep, rv, c)}
+		col := &expr.Agg{Fn: "SUM", Arg: boundCol(prep, rv, c)}
 		add(col)
 	}
 	return dims

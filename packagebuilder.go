@@ -462,14 +462,18 @@ func (s *System) Summarize(prep *core.Prepared, pkgs []*Package, currentIdx int,
 }
 
 // FormatResult renders an evaluation result: each package as a table of
-// its tuples plus aggregate values, then the evaluation statistics.
+// its tuples plus aggregate values — for an EXPLAIN statement, the plan
+// instead — then the evaluation statistics.
 func FormatResult(w io.Writer, sys *System, res *Result) {
 	tab, ok := sys.db.Table(res.Query.Table)
 	if !ok {
 		fmt.Fprintf(w, "(relation %s vanished)\n", res.Query.Table)
 		return
 	}
-	if len(res.Packages) == 0 {
+	switch {
+	case res.Query.Explain && res.Stats.Plan != nil:
+		fmt.Fprint(w, res.Stats.Plan.Explain())
+	case len(res.Packages) == 0:
 		fmt.Fprintln(w, "no package satisfies the query")
 	}
 	for i, p := range res.Packages {

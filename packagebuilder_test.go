@@ -397,6 +397,26 @@ func TestFormatResultOutput(t *testing.T) {
 	}
 }
 
+// TestFormatResultRendersExplain: System.Query plans an EXPLAIN statement
+// without executing it, and FormatResult prints that plan, not an empty
+// answer.
+func TestFormatResultRendersExplain(t *testing.T) {
+	sys := newSystem(t, 80)
+	res, err := sys.Query("EXPLAIN " + mealQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Plan == nil {
+		t.Fatal("an EXPLAIN statement's result carries no plan")
+	}
+	var sb strings.Builder
+	pb.FormatResult(&sb, sys, res)
+	out := sb.String()
+	if !strings.Contains(out, res.Stats.Plan.Explain()) || strings.Contains(out, "no package") {
+		t.Errorf("FormatResult of an EXPLAIN statement does not print its plan:\n%s", out)
+	}
+}
+
 // TestPaperRunningExampleEndToEnd is the paper's §2 query, verified
 // end-to-end across all strategies on a fixed dataset.
 func TestPaperRunningExampleEndToEnd(t *testing.T) {

@@ -6,7 +6,8 @@
 # code — then that the chaos corpus requires exactly the fault sites the
 # code checks, that no package under internal/ but lifecycle polls a
 # context by hand, that no layer below core takes a duration budget, that
-# the trace-only surface has not grown, that no tracked
+# the expression grammar has one extension, that the trace-only surface
+# has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -74,6 +75,15 @@ budgets=$(grep -rnE --include='*.go' '\bTimeLimit\b|^[[:space:]]*Timeout[[:space
   grep -vE '^internal/(core/engine|search/search)\.go:' || true)
 if [ -n "$budgets" ]; then
   echo "duration budgets below core (take a deadline, time.Time, instead):" && echo "$budgets" && exit 1
+fi
+
+# SQL and PaQL share one expression vocabulary, so the shared grammar has
+# one extension: minidb.InstallHook, whose aggregate and sub-query
+# productions PaQL installs too. A `PrimaryHook = func` literal anywhere
+# else under internal/ is a second dialect growing back.
+hooks=$(grep -rnE --include='*.go' 'PrimaryHook[[:space:]]*=[[:space:]]*func' internal | grep -v '^internal/minidb/parser\.go:' || true)
+if [ -n "$hooks" ]; then
+  echo "grammar hooks outside internal/minidb/parser.go (install minidb.InstallHook instead):" && echo "$hooks" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
