@@ -28,7 +28,6 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 	}
 	mult := make([]int, n)
 	sums := make([]float64, len(inst.Atoms))
-	objSum := inst.ObjK
 
 	var best float64
 	haveBest := false
@@ -36,10 +35,6 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 
 	var rec func(i int) error
 	rec = func(i int) error {
-		if opt.MaxExamined > 0 && res.Examined >= opt.MaxExamined {
-			res.Complete = false
-			return nil
-		}
 		if res.Examined%4096 == 0 && opt.stop(deadline) {
 			res.Complete = false
 			return nil
@@ -88,7 +83,6 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 				for k, at := range inst.Atoms {
 					sums[k] += at.W[i]
 				}
-				objSum += objWeight(inst, i)
 			}
 			mult[i] = m
 			if m >= lowM {
@@ -104,7 +98,6 @@ func BruteForce(inst *Instance, opt Options) (*Result, error) {
 			for k, at := range inst.Atoms {
 				sums[k] -= at.W[i]
 			}
-			objSum -= objWeight(inst, i)
 		}
 		mult[i] = 0
 		return nil
@@ -192,10 +185,6 @@ func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
 
 	var rec func(i int) error
 	rec = func(i int) error {
-		if opt.MaxExamined > 0 && res.Examined >= opt.MaxExamined {
-			res.Complete = false
-			return nil
-		}
 		if res.Examined%4096 == 0 && opt.stop(deadline) {
 			res.Complete = false
 			return nil

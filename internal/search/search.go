@@ -182,14 +182,13 @@ type Options struct {
 	// Ctx, when non-nil, cancels the search cooperatively: strategies
 	// poll it wherever they check Timeout and return their best-so-far
 	// result promptly when it is done.
-	Ctx         context.Context
-	Limit       int           // packages to return (default 1)
-	MaxExamined int64         // node budget; 0 = unlimited
-	Timeout     time.Duration // wall-clock budget from the call; 0 = unlimited
-	Seed        int64         // randomness seed (local search, greedy ties)
-	Restarts    int           // local-search restarts (default 4)
-	MaxK        int           // max replacement size (default 2)
-	NoObjBound  bool          // ablation: objective-based pruning off
+	Ctx        context.Context
+	Limit      int           // packages to return (default 1)
+	Timeout    time.Duration // wall-clock budget from the call; 0 = unlimited
+	Seed       int64         // randomness seed (local search, greedy ties)
+	Restarts   int           // local-search restarts (default 4)
+	MaxK       int           // max replacement size (default 2)
+	NoObjBound bool          // ablation: objective-based pruning off
 	// Require lists candidate indexes that must appear in every
 	// returned package with multiplicity ≥ 1 (adaptive exploration §3.3
 	// pins tuples the user wants to keep).

@@ -3,7 +3,6 @@ package sketch
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -176,83 +175,40 @@ func (s *solver) descend(tree *Tree, ba *branchAtoms) (y []int, leafAtoms []*tra
 	return y, levels[tree.Depth-1].atoms, false, nil
 }
 
-// jointCap bounds the variable count of a joint per-level MILP (the
-// union of all active nodes' children); beyond it pushLevel falls back
-// to per-parent residual solves, which stay tiny regardless of how
-// many nodes the level above selected.
-const jointCap = 4096
-
-// rootSolve builds and solves the top-level sketch MILP: one integer
-// variable per root node (the representative's multiplicity, capped at
-// the subtree's tuple capacity and floored at the subtree's pinned
-// count), the query's linear atoms re-weighted over the root
-// representatives, and the affine objective likewise.
+// rootSolve solves the top-level sketch MILP: one integer variable per
+// root node (the representative's multiplicity, capped at the subtree's
+// tuple capacity and floored at the subtree's pinned count), the query's
+// linear atoms re-weighted over the root representatives, and the affine
+// objective likewise.
 func (s *solver) rootSolve(top *level) (y []int, infeasible bool, err error) {
-	G := len(top.nodes)
-	p := lp.NewProblem(G)
-	for g := 0; g < G; g++ {
-		lo, up := s.nodeBound(top, g)
-		if lo > up {
-			// A pinned tuple inside a fully-eliminated subtree: no
-			// package on this branch can honor both.
-			return nil, true, nil
-		}
-		if err := p.SetBounds(g, lo, up); err != nil {
-			return nil, false, err
-		}
+	y = make([]int, len(top.nodes))
+	sub := &residual{
+		bound: func(g int) (float64, float64) { return s.nodeBound(top, g) },
+		atoms: top.atoms, objW: top.objW, out: y,
 	}
-	if err := p.SetObjective(top.objW, objSense(s.inst)); err != nil {
+	st, t, err := s.subMILP(sub, allMembers(len(y)), atomRHS(top.atoms), true)
+	s.res.tally.merge(t)
+	switch {
+	case err != nil:
 		return nil, false, err
-	}
-	for _, at := range top.atoms {
-		var coefs []lp.Coef
-		for g, w := range at.W {
-			if w != 0 {
-				coefs = append(coefs, lp.Coef{Var: g, Val: w})
-			}
-		}
-		if _, err := p.AddConstraint(coefs, at.Op, at.RHS); err != nil {
-			return nil, false, err
-		}
-	}
-	mp := milp.NewProblem(p)
-	for g := 0; g < G; g++ {
-		mp.SetInteger(g)
-	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, Deadline: timeShare(s.opts.Deadline, 2), Ctx: s.opts.Ctx})
-	s.res.tally.merge(tally{int64(sol.Nodes), sol.LPIters})
-	switch sol.Status {
-	case milp.StatusInfeasible:
+	case st == milp.StatusInfeasible:
 		return nil, true, nil
-	case milp.StatusUnbounded:
+	case st == milp.StatusUnbounded:
 		return nil, false, fmt.Errorf("sketch: objective is unbounded over representatives (add constraints or REPEAT)")
-	}
-	if sol.X == nil {
+	case !solved(st):
 		return nil, false, nil
-	}
-	y = make([]int, G)
-	for g := 0; g < G; g++ {
-		y[g] = int(math.Round(sol.X[g]))
 	}
 	return y, false, nil
 }
 
 // pushLevel distributes the multiplicities chosen over the parents one
-// level down, descending only into subtrees the level above selected. It
-// first attempts one joint MILP over the union of every active parent's
-// children against the full constraints — the highest-quality push-down,
-// and still tiny because the union is bounded by the active count times
-// the fanout. When that union exceeds jointCap or the joint solve fails,
-// the active parents are pushed down as a concurrent wave (see
-// solveWave): each parent gets its own MILP over its children whose
-// constraint right-hand sides are the query atoms minus every other
-// parent's representative contribution, the solves fan out across
-// workers (parents own disjoint child sets), and the merge walks the
-// parents in fixed order (largest multiplicity first). A parent whose
-// sub-MILP fails falls back to a greedy spread over its children (see
-// greedyFill), nearest representative first, honoring pinned lower bounds.
-// Cross-parent error left by the shared snapshot is absorbed a level
-// deeper — ultimately by refine's validation and repair sweeps.
+// level down, descending only into subtrees the level above selected:
+// one joint MILP over the union of every active parent's children
+// against the full constraints, whatever the union's size. When it
+// fails, every active parent's multiplicity is spread greedily over its
+// children (see greedyFill), nearest representative first, honoring
+// pinned lower bounds. Error left by the representatives is absorbed a
+// level deeper — ultimately by refine's validation and repair sweep.
 func (s *solver) pushLevel(attrs []int, up, down *level, parentMult []int) []int {
 	parents := up.nodes
 	childMult := make([]int, len(down.nodes))
@@ -260,78 +216,28 @@ func (s *solver) pushLevel(attrs []int, up, down *level, parentMult []int) []int
 		bound: func(ci int) (float64, float64) { return s.nodeBound(down, ci) },
 		atoms: down.atoms, objW: down.objW, out: childMult,
 	}
-
-	active := activeGroups(parentMult)
 	var union []int
-	for _, g := range active {
-		union = append(union, parents[g].Children...)
-	}
-	if len(union) <= jointCap {
-		sort.Ints(union)
-		rhs := make([]float64, len(down.atoms))
-		for k, at := range down.atoms {
-			rhs[k] = at.RHS
-		}
-		ok, t := s.residualSolve(sub, union, rhs)
-		s.res.tally.merge(t)
-		if ok {
-			return childMult
-		}
-		for _, ci := range union {
-			childMult[ci] = 0
+	for g, m := range parentMult {
+		if m > 0 {
+			union = append(union, parents[g].Children...)
 		}
 	}
-
-	cur, grpSum := contributions(up.atoms, parentMult)
-	oks := s.solveWave(sub, active, func(g int) []int { return parents[g].Children }, cur, grpSum)
+	sort.Ints(union)
+	st, t, err := s.subMILP(sub, union, atomRHS(down.atoms), false)
+	s.res.tally.merge(t)
+	if err == nil && solved(st) {
+		return childMult
+	}
 	near := &metric{ctx: s.opts.Ctx, passes: s.inst.Passes, attrs: attrs}
-	for ai, g := range active {
-		if !oks[ai] {
+	for g, m := range parentMult {
+		if m > 0 {
 			// Nearest representative to the parent's first.
-			sub.greedyFill(parents[g].Children, parentMult[g], func(ci int) float64 {
+			sub.greedyFill(parents[g].Children, m, func(ci int) float64 {
 				return near.dist(down.nodes[ci].Rep, parents[g].Rep)
 			})
 		}
 	}
 	return childMult
-}
-
-// activeGroups lists the groups with a positive multiplicity in the
-// order every wave and merge walks them: largest multiplicity first,
-// group id on ties.
-func activeGroups(mult []int) []int {
-	var active []int
-	for g, m := range mult {
-		if m > 0 {
-			active = append(active, g)
-		}
-	}
-	sort.SliceStable(active, func(i, j int) bool {
-		if mult[active[i]] != mult[active[j]] {
-			return mult[active[i]] > mult[active[j]]
-		}
-		return active[i] < active[j]
-	})
-	return active
-}
-
-// contributions is the shared snapshot a wave's residuals are taken
-// against: grpSum[g][k] is what group g, at its representative and its
-// multiplicity, adds to atom k, and cur[k] the sum over every group.
-func contributions(atoms []*translate.LinearAtom, mult []int) (cur []float64, grpSum [][]float64) {
-	cur = make([]float64, len(atoms))
-	grpSum = make([][]float64, len(mult))
-	for g, m := range mult {
-		grpSum[g] = make([]float64, len(atoms))
-		if m == 0 {
-			continue
-		}
-		for k := range atoms {
-			grpSum[g][k] = atoms[k].W[g] * float64(m)
-			cur[k] += grpSum[g][k]
-		}
-	}
-	return cur, grpSum
 }
 
 // nodeBound bounds node g's multiplicity at a sketch level: floored at

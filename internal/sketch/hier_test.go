@@ -2,6 +2,7 @@ package sketch_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -265,6 +266,62 @@ func TestSketchHonorsPinnedTuples(t *testing.T) {
 	// Out-of-range pins are an error, not a silent drop.
 	if _, err := sketch.Solve(inst, sketch.Options{Require: []int{len(inst.Rows)}}); err == nil {
 		t.Fatal("out-of-range pin should be rejected")
+	}
+}
+
+// TestPushDownOverManyParents pins one tuple under each of 40 distinct
+// roots of a depth-2 tree whose leaves hold at most two tuples, so the
+// push-down from the roots runs over more than 4,096 children at once.
+// The package must be feasible, hold every pin, come from the
+// hierarchical descent (not the flat retry) and be the same at every
+// worker count.
+func TestPushDownOverManyParents(t *testing.T) {
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 15000, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := core.Prepare(db, `SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) BETWEEN 40 AND 60 AND SUM(P.calories) <= 40000
+		MAXIMIZE SUM(P.protein)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := prep.Instance
+	opts := sketch.Options{MaxPartitionSize: 2, Depth: 2, Seed: 1}
+	tree := sketch.BuildTree(inst, opts)
+	if tree.Depth != 2 || len(tree.Levels[0]) < 40 {
+		t.Fatalf("tree has depth %d and %d roots; the case needs depth 2 and 40 roots", tree.Depth, len(tree.Levels[0]))
+	}
+	var pins []int
+	children := 0
+	for _, root := range tree.Levels[0][:40] {
+		pins = append(pins, tree.Levels[1][root.Children[0]].Tuples[0])
+		children += len(root.Children)
+	}
+	if children <= 4096 {
+		t.Fatalf("the pinned roots hold %d children; the case needs more than 4,096", children)
+	}
+	opts.Require = pins
+	var first *sketch.Result
+	for _, workers := range []int{1, 0} {
+		opts.Parallelism = workers
+		res, err := sketch.Solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Feasible || res.Levels != 2 {
+			t.Fatalf("parallelism %d: feasible %v at %d levels: %v", workers, res.Feasible, res.Levels, res.Notes)
+		}
+		for _, i := range pins {
+			if res.Mult[i] < 1 {
+				t.Fatalf("parallelism %d: pinned candidate %d has multiplicity %d", workers, i, res.Mult[i])
+			}
+		}
+		if first == nil {
+			first = res
+		} else if !slices.Equal(res.Mult, first.Mult) || math.Float64bits(res.Objective) != math.Float64bits(first.Objective) {
+			t.Fatalf("parallelism %d: package differs from the serial run's (objective %v vs %v)", workers, res.Objective, first.Objective)
+		}
 	}
 }
 

@@ -10,12 +10,6 @@ import (
 	"repro/internal/translate"
 )
 
-// maxSweeps bounds the re-refinement passes after the first refine:
-// each extra sweep re-solves every active partition against the real
-// (no longer representative) contributions of the others, a coordinate
-// descent that repairs cross-partition approximation error.
-const maxSweeps = 3
-
 // refine replaces each sketch-chosen representative with real tuples
 // from its partition. The first pass is a concurrent wave: every active
 // partition gets a sub-MILP over its own tuples whose constraint
@@ -27,11 +21,11 @@ const maxSweeps = 3
 // over-budget sub-problems fall back to a greedy repair that picks the
 // tuples nearest the representative. Pinned tuples keep multiplicity
 // ≥ 1 throughout: the sub-MILP floors their variables and the repair
-// assigns them first. The final package is validated against the full
-// formula (and the pins), with up to maxSweeps-1 sequential
-// coordinate-descent passes — each re-solve seeing every earlier
-// partition's real tuples — to absorb representative and
-// cross-partition error.
+// assigns them first. The package is checked against the atoms, and
+// when it violates one, a single sequential repair sweep re-solves each
+// partition in the same order against every other partition's real
+// contribution, absorbing representative and cross-partition error.
+// The result is validated against the full formula (and the pins).
 //
 // The atoms enforced are the branch's tuple-level rows plus one
 // synthetic atom per exclusion cut; repAtoms is the same list weighed
@@ -69,10 +63,10 @@ func (s *solver) refine(d *descent, tree *Tree, ba *branchAtoms, repAtoms []*tra
 		}
 	}
 
-	// Sweep 0: the concurrent wave. Partitions are disjoint, so each
-	// solve writes only its own mult entries; the repair fallback and
-	// the contribution bookkeeping run in the deterministic merge loop.
-	oks := s.solveWave(sub, active, func(g int) []int { return leaves[g].Tuples }, cur, grpSum)
+	// The concurrent wave. Partitions are disjoint, so each solve writes
+	// only its own mult entries; the repair fallback and the
+	// contribution bookkeeping run in the deterministic merge loop.
+	oks := s.solveWave(sub, leaves, active, cur, grpSum)
 	for ai, g := range active {
 		if oks[ai] {
 			d.Refined++
@@ -84,19 +78,17 @@ func (s *solver) refine(d *descent, tree *Tree, ba *branchAtoms, repAtoms []*tra
 	}
 	valid := checkAtoms(atoms, cur)
 
-	// Repair sweeps are sequential coordinate descent: each re-solve
+	// The repair sweep is sequential coordinate descent: each re-solve
 	// sees every earlier partition's real tuples (order-dependent state
-	// keeps them serial), so the last feasible solve enforces the full
-	// formula. They only run when the wave's shared-snapshot result
+	// keeps it serial), so the last feasible solve enforces the full
+	// formula. It only runs when the wave's shared-snapshot result
 	// violates a constraint.
-	for sweep := 1; !valid && sweep < maxSweeps; sweep++ {
-		if sweep == 1 {
-			d.note("refined package violates a constraint; running repair sweeps")
-		}
+	if !valid {
+		d.note("refined package violates a constraint; running a repair sweep")
 		for _, g := range active {
-			ok, t := s.residualSolve(sub, leaves[g].Tuples, residualRHS(atoms, cur, grpSum[g]))
+			st, t, err := s.subMILP(sub, leaves[g].Tuples, residualRHS(atoms, cur, grpSum[g]), false)
 			s.res.tally.merge(t)
-			if !ok {
+			if err != nil || !solved(st) {
 				repair(g)
 			}
 			syncGroup(g)
@@ -126,7 +118,7 @@ func (s *solver) refine(d *descent, tree *Tree, ba *branchAtoms, repAtoms []*tra
 	}
 	d.Feasible = valid
 	if !valid {
-		d.note("refine could not reach a feasible package within %d sweeps", maxSweeps)
+		d.note("refine could not reach a feasible package")
 	}
 }
 
@@ -141,16 +133,27 @@ func (s *solver) fullAtoms(ba *branchAtoms) []*translate.LinearAtom {
 	return append(append([]*translate.LinearAtom{}, ba.tuple...), s.exAtoms...)
 }
 
-// residual is the sub-problem a wave solves once per group: variables
-// are a group's members with bound's limits, constraints the atoms
-// weighted per member, objective the affine objective restricted to the
-// members. Members index atoms' weights, objW and out alike — tuples for
-// the refine step, a level's nodes for the push-down.
+// residual is one sketch MILP's data, which subMILP solves over a list
+// of members: variables are members with bound's limits, constraints
+// the atoms weighted per member, objective objW restricted to the
+// members. Members index atoms' weights, objW and out alike — a level's
+// nodes for the root solve and the push-down, tuples for the refine
+// wave and the repair sweep.
 type residual struct {
 	bound func(id int) (lo, up float64)
 	atoms []*translate.LinearAtom
 	objW  []float64
 	out   []int
+}
+
+// atomRHS is the atoms' own right-hand sides: the residual of a solve no
+// other group contributes to.
+func atomRHS(atoms []*translate.LinearAtom) []float64 {
+	rhs := make([]float64, len(atoms))
+	for k, at := range atoms {
+		rhs[k] = at.RHS
+	}
+	return rhs
 }
 
 // residualRHS is the atoms' right-hand sides minus every group's current
@@ -163,40 +166,58 @@ func residualRHS(atoms []*translate.LinearAtom, cur, own []float64) []float64 {
 	return rhs
 }
 
-// residualSolve runs one residual sub-MILP over members against the
-// given right-hand sides. Atoms the members cannot influence (all-zero
-// weights) are skipped: their violation, if any, is another group's to
-// repair. The solution lands in sub.out, indexed by member id. Returns
-// false when the MILP is infeasible, hits its limits without an
-// incumbent, or the budget is spent — and the work it cost either way,
-// for the caller to merge in its own deterministic order.
-func (s *solver) residualSolve(sub *residual, members []int, rhs []float64) (bool, tally) {
-	var t tally
-	if d := s.opts.Deadline; !d.IsZero() && time.Now().After(d) {
-		return false, t
+// allMembers lists ids 0..n-1.
+func allMembers(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	if s.opts.stopped() {
-		// Canceled: report failure so the wave's merge loop falls back
-		// to the (cheap) greedy path and the caller's own checkpoint
-		// surfaces the cancellation.
-		return false, t
+	return ids
+}
+
+// solved reports whether a sketch MILP's status carries a solution.
+func solved(st milp.Status) bool {
+	return st == milp.StatusOptimal || st == milp.StatusFeasible
+}
+
+// subMILP builds and solves one sketch MILP — the root solve, the
+// push-down, a refine-wave or a repair-sweep solve — over members
+// against the given right-hand sides; the solution lands in sub.out,
+// indexed by member id, when the status is solved. The root solve keeps
+// rows no member can move (their constant side decides infeasibility
+// there) and gets half of what is left of the deadline. Every other
+// solve skips such rows, since their violation is another group's to
+// repair, gets a quarter, and is not started once the deadline has
+// passed or the run is canceled (StatusLimit): its caller falls back to
+// the cheap greedy path, and the caller's own checkpoint surfaces the
+// cancellation. Crossed bounds on a member are StatusInfeasible without
+// a solve, and a problem the LP layer refuses is StatusLimit with its
+// error. Returns the work the solve cost, for the caller to merge in its
+// own deterministic order.
+func (s *solver) subMILP(sub *residual, members []int, rhs []float64, root bool) (milp.Status, tally, error) {
+	var t tally
+	if !root && (s.opts.stopped() || (!s.opts.Deadline.IsZero() && time.Now().After(s.opts.Deadline))) {
+		return milp.StatusLimit, t, nil
 	}
 	m := len(members)
 	p := lp.NewProblem(m)
 	for j, id := range members {
 		lo, up := sub.bound(id)
+		if lo > up {
+			// A pinned tuple inside a fully-eliminated subtree: nothing
+			// over these members can honor both.
+			return milp.StatusInfeasible, t, nil
+		}
 		if err := p.SetBounds(j, lo, up); err != nil {
-			return false, t
+			return milp.StatusLimit, t, err
 		}
 	}
-	if s.inst.ObjW != nil && sub.objW != nil {
-		obj := make([]float64, m)
-		for j, id := range members {
-			obj[j] = sub.objW[id]
-		}
-		if err := p.SetObjective(obj, objSense(s.inst)); err != nil {
-			return false, t
-		}
+	obj := make([]float64, m)
+	for j, id := range members {
+		obj[j] = sub.objW[id]
+	}
+	if err := p.SetObjective(obj, objSense(s.inst)); err != nil {
+		return milp.StatusLimit, t, err
 	}
 	for k, at := range sub.atoms {
 		var coefs []lp.Coef
@@ -205,38 +226,41 @@ func (s *solver) residualSolve(sub *residual, members []int, rhs []float64) (boo
 				coefs = append(coefs, lp.Coef{Var: j, Val: at.W[id]})
 			}
 		}
-		if len(coefs) == 0 {
+		if len(coefs) == 0 && !root {
 			continue
 		}
 		if _, err := p.AddConstraint(coefs, at.Op, rhs[k]); err != nil {
-			return false, t
+			return milp.StatusLimit, t, err
 		}
 	}
 	mp := milp.NewProblem(p)
 	for j := 0; j < m; j++ {
 		mp.SetInteger(j)
 	}
-	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, Deadline: timeShare(s.opts.Deadline, 4), Ctx: s.opts.Ctx})
+	share := 4
+	if root {
+		share = 2
+	}
+	sol := milp.Solve(mp, milp.Options{MaxNodes: subMILPNodes, Deadline: timeShare(s.opts.Deadline, share), Ctx: s.opts.Ctx})
 	t.merge(tally{int64(sol.Nodes), sol.LPIters})
-	if sol.X == nil || (sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible) {
-		return false, t
+	if solved(sol.Status) {
+		for j, id := range members {
+			sub.out[id] = int(math.Round(sol.X[j]))
+		}
 	}
-	for j, id := range members {
-		sub.out[id] = int(math.Round(sol.X[j]))
-	}
-	return true, t
+	return sol.Status, t, nil
 }
 
-// solveWave runs one residual sub-MILP per group in order concurrently,
-// every residual taken against the same cur/grpSum snapshot (each
-// group's own contribution subtracted back out). Groups own disjoint
-// entries of sub.out, so the solves are independent and their results
-// are deterministic regardless of scheduling; per-solve node/iteration
-// counts are merged into the record in group order. Both waves — the
-// per-leaf refine and the hierarchical per-parent push-down — share it.
-// Returns one success flag per group; the caller applies fallbacks and
-// contribution updates in its own deterministic merge loop.
-func (s *solver) solveWave(sub *residual, order []int, members func(g int) []int, cur []float64, grpSum [][]float64) []bool {
+// solveWave runs the refine wave: one sub-MILP per partition in order,
+// concurrently, every residual taken against the same cur/grpSum
+// snapshot (each partition's own contribution subtracted back out).
+// Partitions own disjoint entries of sub.out, so the solves are
+// independent and their results are deterministic regardless of
+// scheduling; per-solve node/iteration counts are merged into the
+// record in partition order. Returns one success flag per partition;
+// refine applies the repair fallback and contribution updates in its
+// own deterministic merge loop.
+func (s *solver) solveWave(sub *residual, leaves []Node, order []int, cur []float64, grpSum [][]float64) []bool {
 	oks := make([]bool, len(order))
 	work := make([]tally, len(order))
 	rhs := make([][]float64, len(order))
@@ -244,12 +268,52 @@ func (s *solver) solveWave(sub *residual, order []int, members func(g int) []int
 		rhs[ai] = residualRHS(sub.atoms, cur, grpSum[g])
 	}
 	parallelFor(s.opts.workers(), len(order), func(ai int) {
-		oks[ai], work[ai] = s.residualSolve(sub, members(order[ai]), rhs[ai])
+		st, t, err := s.subMILP(sub, leaves[order[ai]].Tuples, rhs[ai], false)
+		oks[ai], work[ai] = err == nil && solved(st), t
 	})
 	for _, t := range work {
 		s.res.tally.merge(t)
 	}
 	return oks
+}
+
+// activeGroups lists the partitions with a positive sketch multiplicity
+// in the order the refine wave merges them and the repair sweep walks
+// them: largest multiplicity first, partition id on ties.
+func activeGroups(mult []int) []int {
+	var active []int
+	for g, m := range mult {
+		if m > 0 {
+			active = append(active, g)
+		}
+	}
+	sort.SliceStable(active, func(i, j int) bool {
+		if mult[active[i]] != mult[active[j]] {
+			return mult[active[i]] > mult[active[j]]
+		}
+		return active[i] < active[j]
+	})
+	return active
+}
+
+// contributions is the shared snapshot the refine wave's residuals are
+// taken against: grpSum[g][k] is what partition g, at its representative
+// and its multiplicity, adds to atom k, and cur[k] the sum over every
+// partition.
+func contributions(atoms []*translate.LinearAtom, mult []int) (cur []float64, grpSum [][]float64) {
+	cur = make([]float64, len(atoms))
+	grpSum = make([][]float64, len(mult))
+	for g, m := range mult {
+		grpSum[g] = make([]float64, len(atoms))
+		if m == 0 {
+			continue
+		}
+		for k := range atoms {
+			grpSum[g][k] = atoms[k].W[g] * float64(m)
+			cur[k] += grpSum[g][k]
+		}
+	}
+	return cur, grpSum
 }
 
 // tupleBound is the refine step's bound function: pinned tuples floored

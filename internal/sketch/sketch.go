@@ -22,7 +22,7 @@
 //	compile.go   the lowering and the lazy per-branch weighing (translate.weigh)
 //	acquire.go   the partition tree: cache, disk store, delta patch, build (sketch.build, sketch.patch)
 //	descent.go   sketch MILP over the roots, push-down level by level (sketch.descent)
-//	refine.go    leaves into real tuples, greedy repair, validation sweeps
+//	refine.go    leaves into real tuples, greedy repair, one repair sweep
 //	bound.go     the certified dual bound per branch (bound.pass)
 //	solve.go     the branch loop, the anytime exit, the parity retry (sketch.solve)
 //
@@ -86,9 +86,9 @@ type Options struct {
 	// every sketch level via per-node mean weights and exactly during
 	// refine. Requires 0/1 multiplicities (no REPEAT).
 	Exclude [][]int
-	// Parallelism caps the workers the offline partitioning, the
-	// per-level push-down wave, and the per-leaf refine wave fan out
-	// across: 0 = one worker per CPU (GOMAXPROCS), 1 = fully serial.
+	// Parallelism caps the workers the offline partitioning and the
+	// per-leaf refine wave fan out across: 0 = one worker per CPU
+	// (GOMAXPROCS), 1 = fully serial.
 	// Results are byte-identical at every setting (workers only divide
 	// the work, never reorder the merge); under a Deadline the
 	// per-solve time slices depend on wall clock, so only runs without

@@ -146,7 +146,7 @@ func TestRefineFallbackInfeasiblePartition(t *testing.T) {
 		t.Fatalf("expected at least one greedy-repaired partition, got refine stats %+v", res)
 	}
 	if !res.Feasible {
-		t.Fatalf("repair sweeps did not reach a feasible package: %+v", res)
+		t.Fatalf("the repair sweep did not reach a feasible package: %+v", res)
 	}
 	sum, count := 0, 0
 	for i, m := range res.Mult {

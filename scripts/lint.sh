@@ -11,6 +11,8 @@
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
+# A step that fails without a message of its own still names itself.
+trap 'echo "lint: failed at line $LINENO: $BASH_COMMAND" >&2' ERR
 cd "$(dirname "$0")/.."
 
 out=$(gofmt -l .)
@@ -95,9 +97,14 @@ go test -count=1 -run '^TestTraceOnlySurface$' ./scripts
 
 # A build product committed by accident (PR 22's 7.7 MB sketch.test) rides
 # along in every clone from then on. The measurement records are the one
-# kind of large file that belongs in the tree.
-big=$(git ls-files -z | xargs -0 -r ls -l 2> /dev/null |
-  awk '$5 > 1048576 && $NF !~ /^BENCH_[^\/]*\.json$/ { print $NF " (" $5 " bytes)" }')
+# kind of large file that belongs in the tree. A tracked file deleted from
+# the work tree has no size to check.
+big=$(git ls-files -z | while IFS= read -r -d '' f; do
+  if [ -f "$f" ] && [[ ! $f =~ ^BENCH_[^/]*\.json$ ]]; then
+    size=$(stat -c %s -- "$f")
+    if [ "$size" -gt 1048576 ]; then echo "$f ($size bytes)"; fi
+  fi
+done)
 if [ -n "$big" ]; then
   echo "tracked files over 1 MB that are not BENCH_*.json:" && echo "$big" && exit 1
 fi
