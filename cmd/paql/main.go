@@ -31,10 +31,9 @@
 // (the result notes report the branch and rewrite counts).
 //
 // In the REPL, INSERT/DELETE statements between package queries patch
-// the cached partition tree in place instead of forcing a rebuild
-// (-sketch-incr, on by default; =false forces rebuilds), and repeat
-// queries over unchanged tables skip candidate fingerprint hashing
-// entirely.
+// the cached partition tree in place while its drift since the last full
+// build fits the budget, and rebuild it past that; repeat queries over
+// unchanged tables skip candidate fingerprint hashing entirely.
 //
 // With no explicit strategy or knob flags, a rule-based planner picks
 // the strategy, partition size, tree depth and parallelism per query
@@ -100,7 +99,6 @@ func main() {
 	flag.IntVar(&cli.SketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
 	sketchCache := flag.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
 	flag.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	flag.BoolVar(&cli.SketchIncremental, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after INSERT/DELETE (REPL sessions); =false forces rebuilds")
 	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
 	flag.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
 	flag.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")

@@ -43,7 +43,7 @@ func TestIsExplain(t *testing.T) {
 // does not execute the query.
 func TestRunExplainPrintsPlan(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{Options: pb.Options{Seed: 1, SketchIncremental: true}}
+	cli := cliOpts{Options: pb.Options{Seed: 1}}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
@@ -128,8 +128,7 @@ func TestReplBudgetErrorLabeled(t *testing.T) {
 // decisions in the plan instead of planner picks.
 func TestRunExplainForcedFlags(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{Options: pb.Options{Strategy: pb.SketchRefine, Seed: 1, SketchPartitionSize: 32, SketchDepth: 2,
-		SketchIncremental: false}}
+	cli := cliOpts{Options: pb.Options{Strategy: pb.SketchRefine, Seed: 1, SketchPartitionSize: 32, SketchDepth: 2}}
 	var buf strings.Builder
 	err := runExplain(context.Background(), sys, &buf, `SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
@@ -137,12 +136,12 @@ func TestRunExplainForcedFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if n := strings.Count(out, "[forced]"); n != 4 {
-		t.Errorf("want 4 forced decisions (strategy, tau, depth, maintenance), got %d:\n%s", n, out)
+	if n := strings.Count(out, "[forced]"); n != 3 {
+		t.Errorf("want 3 forced decisions (strategy, tau, depth), got %d:\n%s", n, out)
 	}
-	// With those four marked, the parallelism decision is the planner's.
+	// With those three marked, the parallelism decision is the planner's.
 	for _, want := range []string{"strategy = sketch-refine  [forced]", "tau = 32  [forced]",
-		"depth = 2  [forced]", "maintenance = rebuild  [forced]", "parallelism = "} {
+		"depth = 2  [forced]", "parallelism = "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

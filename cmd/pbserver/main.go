@@ -53,10 +53,9 @@ type server struct {
 	// base is the options record every solve starts from, bound by the
 	// server flags: the seed, the tree directory (-sketch-dir — a server
 	// flag, never request data, since a client must not choose where the
-	// server writes), the -sketch-incr default, and the per-query
-	// lifecycle limits (-mem-budget, and -timeout, whose hard ctx
-	// deadline trails the soft budget). A request overlays only the
-	// fields handleQuery names.
+	// server writes), and the per-query lifecycle limits (-mem-budget,
+	// and -timeout, whose hard ctx deadline trails the soft budget). A
+	// request overlays only the fields handleQuery names.
 	base pb.Options
 	// adm bounds concurrent solves: excess requests queue FIFO, then
 	// shed with 429 + Retry-After once the queue is full or the server
@@ -160,7 +159,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "dataset seed")
 	s := &server{sys: pb.New(), base: pb.Options{Seed: 1}, health: lifecycle.NewHealth()}
 	flag.StringVar(&s.base.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
-	flag.BoolVar(&s.base.SketchIncremental, "sketch-incr", true, "let the planner patch cached sketch-refine partition trees in place after writes; =false forces rebuilds")
 	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
 	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
 	flag.Int64Var(&s.base.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
@@ -362,14 +360,13 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// The request names its five fields one by one and never embeds
+	// The request names its four fields one by one and never embeds
 	// pb.Options: the tree directory and the lifecycle limits stay the
 	// server's.
 	var req struct {
 		Query       string      `json:"query"`
 		Strategy    pb.Strategy `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
 		SketchDepth int         `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
-		SketchIncr  *bool       `json:"sketchIncr"`  // tree patching after writes; nil = server default
 		Explain     bool        `json:"explain"`     // plan only: return the decision trail, don't execute
 	}
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -378,9 +375,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.base
 	opts.Strategy, opts.SketchDepth = req.Strategy, req.SketchDepth
-	if req.SketchIncr != nil {
-		opts.SketchIncremental = *req.SketchIncr
-	}
 	// Planning parses, scans the candidates and lowers the query, and
 	// evaluation solves it: both need an admission slot, and run without
 	// the lock so concurrent queries don't serialize behind one another.

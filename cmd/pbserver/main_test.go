@@ -19,7 +19,7 @@ import (
 
 func testServer(t *testing.T) *server {
 	t.Helper()
-	return newTestServer(t, 80, pb.Options{Seed: 1, SketchIncremental: true})
+	return newTestServer(t, 80, pb.Options{Seed: 1})
 }
 
 // newTestServer loads n recipes and serves them under base, with main's
@@ -325,8 +325,9 @@ func TestHandleExplain(t *testing.T) {
 		t.Error("explain created a session")
 	}
 
-	// Each knob a request can pin — strategy, sketchDepth, sketchIncr —
-	// comes back forced; the worker count stays the planner's decision.
+	// Each knob a request can pin — strategy, sketchDepth — comes back
+	// forced; the worker count stays the planner's decision, and a
+	// sketchIncr key from an older client is an unknown field, ignored.
 	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+
 		`, "explain": true, "strategy": "sketch-refine", "sketchDepth": 2, "sketchIncr": false}`)
 	if rec2.Code != 200 {
@@ -340,7 +341,7 @@ func TestHandleExplain(t *testing.T) {
 		} `json:"decisions"`
 	}
 	_ = json.Unmarshal(out2["plan"], &qp2)
-	want := map[string]string{"strategy": "sketch-refine", "depth": "2", "maintenance": "rebuild"}
+	want := map[string]string{"strategy": "sketch-refine", "depth": "2"}
 	var forced []string
 	sawWorkers := false
 	for _, d := range qp2.Decisions {
@@ -647,7 +648,7 @@ func TestHealthEndpoints(t *testing.T) {
 	// Inject a store-load fault: the solve degrades, health flips.
 	restore := fault.Enable(fault.NewInjector(1,
 		fault.Rule{Site: "sketch.store.load", Kind: fault.KindError}))
-	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine", "sketchIncr": false}`)
+	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"}`)
 	restore()
 	if rec2.Code != 200 {
 		t.Fatalf("degraded query status %d: %s", rec2.Code, rec2.Body)
@@ -731,48 +732,6 @@ func TestHealthyRunReportsNotDegraded(t *testing.T) {
 	}
 	if _, present := stats["degradedReason"]; present {
 		t.Error("degradedReason present on a healthy run")
-	}
-}
-
-// TestSketchIncrServerDefaultOffForcesRebuild pins the -sketch-incr
-// server flag as an honest switch: with the default off, a query after a
-// write rebuilds its tree and the plan says so as forced; a request's
-// "sketchIncr": true hands patch-vs-rebuild back to the planner.
-func TestSketchIncrServerDefaultOffForcesRebuild(t *testing.T) {
-	s := newTestServer(t, 400, pb.Options{Seed: 1})
-	db := s.sys.DB()
-	query := func(extra string) map[string]any {
-		t.Helper()
-		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
-		if rec.Code != 200 {
-			t.Fatalf("query status %d: %s", rec.Code, rec.Body)
-		}
-		var stats map[string]any
-		_ = json.Unmarshal(out["stats"], &stats)
-		return stats
-	}
-	insert := func(id int) {
-		t.Helper()
-		if _, err := db.Exec(`INSERT INTO recipes VALUES (` + itoa(id) + `, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)`); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	query("")
-	insert(90001)
-	if stats := query(""); stats["sketchTreePatched"] != false || stats["sketchCacheHit"] != false {
-		t.Errorf("server default off: patched=%v cacheHit=%v after a write, want a rebuild", stats["sketchTreePatched"], stats["sketchCacheHit"])
-	}
-	_, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine", "explain": true}`)
-	var text string
-	_ = json.Unmarshal(out["explain"], &text)
-	if !strings.Contains(text, "maintenance = rebuild  [forced]") {
-		t.Errorf("server default off is not a forced rebuild in the plan:\n%s", text)
-	}
-
-	insert(90002)
-	if stats := query(`, "sketchIncr": true`); stats["sketchTreePatched"] != true {
-		t.Errorf(`"sketchIncr": true did not re-enable patching: patched=%v`, stats["sketchTreePatched"])
 	}
 }
 

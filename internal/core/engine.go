@@ -147,17 +147,11 @@ type Options struct {
 	// only the delta is hashed. System and pbserver share one memo
 	// across queries, next to the partition-tree cache.
 	SketchMemo *FingerprintMemo
-	// SketchIncremental allows incremental partition-tree maintenance
-	// (requires SketchMemo): after writes, the cached tree for the
-	// pre-write data is patched in place via sketch.ApplyDelta —
-	// deletions tombstoned, insertions routed to their leaves,
-	// overgrown leaves split, representatives refreshed bottom-up —
-	// instead of rebuilt from scratch, and the persisted tree is re-saved
-	// atomically. True (the System, CLI and server
-	// default) leaves patch-vs-rebuild to tree acquisition, which
-	// patches while the tree's drift fits plan.PatchMaxFrac; false
-	// forces a rebuild after every write, and the plan records it as
-	// forced.
+	// SketchIncremental is never read by the engine: with a SketchMemo,
+	// tree acquisition patches a stale tree in place after writes while
+	// its drift fits plan.PatchMaxFrac and rebuilds it past that, whatever
+	// the options say. The field stays only as the signature the
+	// benchmark's layer trace compiles against.
 	SketchIncremental bool
 	// SketchPersistDir, when non-empty, persists SketchRefine partition
 	// trees to this directory as an on-disk tier under the in-memory

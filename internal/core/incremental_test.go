@@ -27,7 +27,6 @@ func incrOptions(cache *sketch.Cache, memo *FingerprintMemo) Options {
 		SketchDepth:         2,
 		SketchCache:         cache,
 		SketchMemo:          memo,
-		SketchIncremental:   true,
 	}
 }
 
@@ -206,21 +205,15 @@ func TestIncrementalDeletePatchesTree(t *testing.T) {
 	}
 }
 
-// TestIncrementalDisabledRebuilds pins the ablation: with
-// SketchIncremental off the memo still kills rehashing, but a write
-// forces a full rebuild (no patching).
-func TestIncrementalDisabledRebuilds(t *testing.T) {
+// TestZeroOptionsPatchAfterWrite: an Options literal that names only the
+// strategy and the tree tiers gets what System.Query gets — after a write
+// the stale tree is patched in place, and no plan line decides it.
+func TestZeroOptionsPatchAfterWrite(t *testing.T) {
 	db := minidb.New()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 300, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	cache := sketch.NewCache(0)
-	memo := NewFingerprintMemo()
-	opts := incrOptions(cache, memo)
-	// "Off" is forced: it must survive the planner's patch-vs-rebuild
-	// decision.
-	opts.SketchIncremental = false
-
+	opts := Options{Strategy: SketchRefineStrategy, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
 	prep, err := Prepare(db, incrQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +232,11 @@ func TestIncrementalDisabledRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.SketchTreePatched {
-		t.Fatal("patching ran with SketchIncremental disabled")
+	if !res.Stats.SketchTreePatched {
+		t.Errorf("zero-valued knobs rebuilt the stale tree after a one-row write: %v", res.Stats.Notes)
 	}
-	if res.Stats.Sketch.CacheHit {
-		t.Fatal("stale tree served")
+	if d := res.Stats.Plan.Decision("maintenance"); d != nil {
+		t.Errorf("plan decided maintenance = %s\n%s", d.Value, res.Stats.Plan.Explain())
 	}
 }
 
@@ -285,8 +278,7 @@ func writeBatch(t *testing.T, db *minidb.DB, nextID, ins, delFrom, del int) {
 // publishes no patched tree. No plan decides any of it.
 func TestMaintenanceFollowsTreeLineage(t *testing.T) {
 	db := lcDB(t, 6000)
-	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
-		SketchMemo: NewFingerprintMemo()}
+	opts := Options{Seed: 1, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
 	run := func() (*Result, string) {
 		t.Helper()
 		res, err := Evaluate(db, lcQuery, opts)

@@ -202,8 +202,8 @@ func TestPanickedAcquisitionReleasesItsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchIncremental: true,
-		SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
+	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchCache: sketch.NewCache(0),
+		SketchMemo: NewFingerprintMemo()}
 	restore := fault.Enable(fault.NewInjector(1, fault.Rule{Site: "sketch.cache.put", Kind: fault.KindPanic, Limit: 1}))
 	_, err = prep.Run(opts)
 	restore()

@@ -30,8 +30,8 @@ const (
 func TestAlternatingShapesEachPatchTheirOwnTree(t *testing.T) {
 	db := lcDB(t, 6000)
 	memo := NewFingerprintMemo()
-	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchIncremental: true,
-		SketchCache: sketch.NewCache(0), SketchMemo: memo}
+	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchCache: sketch.NewCache(0),
+		SketchMemo: memo}
 	run := func(query string) *Result {
 		t.Helper()
 		res, err := Evaluate(db, query, opts)
@@ -125,8 +125,8 @@ func TestEvictionCountsSharedLineageOnce(t *testing.T) {
 func TestRowsBackAsTheyWereHitTheCache(t *testing.T) {
 	db := lcDB(t, 6000)
 	memo := NewFingerprintMemo()
-	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchIncremental: true,
-		SketchCache: sketch.NewCache(0), SketchMemo: memo}
+	opts := Options{Strategy: SketchRefineStrategy, Seed: 1, SketchCache: sketch.NewCache(0),
+		SketchMemo: memo}
 	exec := func(stmt string) {
 		t.Helper()
 		if _, err := db.Exec(stmt); err != nil {

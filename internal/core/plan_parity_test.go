@@ -15,18 +15,18 @@ import (
 // optionDecision says, for every field of Options, which plan decision
 // setting it forces. The empty string marks what the planner does not
 // decide: the handles an evaluation runs against (SketchCache, SketchMemo,
-// Require, Limit), the Catalog nothing reads, and the budgets, seeds,
-// ablations and tier settings that pass straight to the runners. A new
-// Options field has to be entered here — and, when it names a decision,
-// in parityCases below — before TestExecutionFollowsPlan passes again.
+// Require, Limit), the Catalog and SketchIncremental nothing reads, and
+// the budgets, seeds, ablations and tier settings that pass straight to
+// the runners. A new Options field has to be entered here — and, when it
+// names a decision, in parityCases below — before TestExecutionFollowsPlan
+// passes again.
 var optionDecision = map[string]string{
 	"Strategy":            "strategy",
 	"SketchPartitionSize": "tau",
 	"SketchDepth":         "depth",
-	"SketchIncremental":   "maintenance",
 	"GapTolerance":        "bound",
 
-	"Catalog": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
+	"Catalog": "", "SketchIncremental": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
 
 	"Timeout": "", "MemoryBudget": "", "Seed": "", "Restarts": "", "Diverse": "",
 	"SketchNoCache": "", "SketchPersistDir": "",
@@ -39,14 +39,12 @@ type parityCase struct {
 
 // parityCases force one Options field each (none, for the planner's own
 // choices) to a value the planner would not pick over 6,000 candidates
-// (τ 64, depth 2). SketchIncremental is the one knob whose
-// forcing value is false.
+// (τ 64, depth 2).
 var parityCases = []parityCase{
 	{"", func(*Options) {}},
 	{"Strategy", func(o *Options) { o.Strategy = SketchRefineStrategy }},
 	{"SketchPartitionSize", func(o *Options) { o.SketchPartitionSize = 40 }},
 	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
-	{"SketchIncremental", func(o *Options) { o.SketchIncremental = false }},
 	{"GapTolerance", func(o *Options) { o.GapTolerance = 0.05 }},
 }
 
@@ -119,8 +117,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			db := lcDB(t, 6000)
-			opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0),
-				SketchMemo: NewFingerprintMemo()}
+			opts := Options{Seed: 1, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
 			c.set(&opts)
 			forced := map[string]bool{}
 			if c.field != "" {
@@ -151,11 +148,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			if _, err := db.Exec("INSERT INTO recipes VALUES (90001, 'x', 'fusion', 'dinner', 'free', 700, 30, 10, 50, 9.5, 4.5)"); err != nil {
 				t.Fatal(err)
 			}
-			postWrite := "patch"
-			if !opts.SketchIncremental {
-				postWrite = "build"
-			}
-			run("post-write", lcQuery, postWrite)
+			run("post-write", lcQuery, "patch")
 			// After many writes: three 10 % batches. Each leaves the tree
 			// 10 % stale, but the third would take its drift since the last
 			// full build past the 25 % budget: ApplyDelta refuses it, the
@@ -164,8 +157,8 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				writeBatch(t, db, 100_000+400*i, 400, 1+200*i, 200)
 				shape := fmt.Sprintf("post-write-after-many-writes/%d", i+1)
-				if !opts.SketchIncremental || plan.PatchFits(drift, 600, 6001+200*(i+1)) {
-					run(shape, lcQuery, postWrite)
+				if plan.PatchFits(drift, 600, 6001+200*(i+1)) {
+					run(shape, lcQuery, "patch")
 					drift += 600
 					continue
 				}
@@ -199,7 +192,7 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			}
 			// Every later decision is made for the strategy that runs:
 			// no sketch knobs, that strategy's bound and memory estimate.
-			for _, name := range []string{"tau", "depth", "parallelism", "maintenance"} {
+			for _, name := range []string{"tau", "depth", "parallelism"} {
 				if d := qp.Decision(name); d != nil {
 					t.Errorf("%s plan carries a %s decision (%s)\n%s", qp.Strategy, name, d.Value, qp.Explain())
 				}
@@ -242,10 +235,7 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 		}
 	}
 	for name := range forced {
-		// Only sketch plans decide maintenance.
-		if name != "maintenance" || sketched {
-			want = append(want, name)
-		}
+		want = append(want, name)
 	}
 	slices.Sort(got)
 	slices.Sort(want)
@@ -278,9 +268,6 @@ func checkFollowsPlan(t *testing.T, shape string, res *Result, forced map[string
 	}
 	if st.SketchTreePatched != sk.TreePatched {
 		fail("Stats.SketchTreePatched = %v beside a record that says %v", st.SketchTreePatched, sk.TreePatched)
-	}
-	if st.SketchTreePatched && !qp.Incremental {
-		fail("patched a tree under a forced rebuild")
 	}
 	if wantSource == "" {
 		return
@@ -355,7 +342,7 @@ func TestSketchLimitKBoundsOnce(t *testing.T) {
 // over a table of its own, since a table carries its fingerprint lineage.
 func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
 	engineDB, traceDB := lcDB(t, 6000), lcDB(t, 6000)
-	opts := Options{Seed: 1, SketchIncremental: true, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
+	opts := Options{Seed: 1, SketchCache: sketch.NewCache(0), SketchMemo: NewFingerprintMemo()}
 	cache, memo := sketch.NewCache(0), NewFingerprintMemo()
 	// 6,000 → 7,000 → 8,000 rows: 1,000 + 1,000 is 25 % of 8,000 exactly,
 	// one row more is past it, and the rebuilt tree patches again.
@@ -378,7 +365,7 @@ func TestPlanRebuildsExactlyWhenApplyDeltaRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qp := prep.Plan(Options{Seed: 1, SketchIncremental: true, SketchCache: cache, SketchMemo: memo})
+		qp := prep.Plan(Options{Seed: 1, SketchCache: cache, SketchMemo: memo})
 		if qp.Strategy != plan.StrategySketch || !qp.Incremental {
 			t.Fatalf("step %d planned %s, incremental %v", i, qp.Strategy, qp.Incremental)
 		}
@@ -426,7 +413,7 @@ func TestForcedDepthPastMaxDepthPlansTheBuiltTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.Run(Options{Seed: 1, SketchIncremental: true, SketchDepth: 50})
+	res, err := prep.Run(Options{Seed: 1, SketchDepth: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ func (p *Prepared) planInput(opts Options) plan.Input {
 		N:           len(p.Instance.Rows),
 		RowsScanned: p.RowsScanned,
 		SnapshotHit: p.SnapshotHit,
-		MaxMult:     p.Instance.MaxMult,
 		Mix:         plan.AnalyzeAtoms(p.Analysis, p.Nonlinear, branches, sketchErr),
 		Procs:       runtime.GOMAXPROCS(0),
 		Forced:      opts.forcedKnobs(),
@@ -69,7 +68,6 @@ func (o Options) forcedKnobs() plan.Forced {
 	f := plan.Forced{
 		Tau:          o.SketchPartitionSize,
 		Depth:        o.SketchDepth,
-		Rebuild:      !o.SketchIncremental, // on leaves the choice to tree acquisition
 		GapTolerance: o.GapTolerance,
 	}
 	if o.Strategy != Auto {

@@ -145,7 +145,7 @@ func TestNeverRepeatedWheresRetainNothing(t *testing.T) {
 		if prep.SnapshotHit || prep.RowsScanned != 600 {
 			t.Fatalf("WHERE %d: SnapshotHit=%v RowsScanned=%d on first sight", i, prep.SnapshotHit, prep.RowsScanned)
 		}
-		if _, err := prep.Run(Options{Strategy: SketchRefineStrategy, SketchMemo: NewFingerprintMemo(), SketchIncremental: true}); err != nil {
+		if _, err := prep.Run(Options{Strategy: SketchRefineStrategy, SketchMemo: NewFingerprintMemo()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestDroppedTableIsCollectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prep.Run(Options{SketchMemo: NewFingerprintMemo(), SketchIncremental: true}); err != nil {
+		if _, err := prep.Run(Options{SketchMemo: NewFingerprintMemo()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -322,9 +322,9 @@ func (p *Prepared) sketchTiers(opts Options) (*sketch.Cache, *FingerprintMemo) {
 }
 
 // runSketch executes a sketch-refine plan: qp carries every decided knob
-// (τ, depth, workers, bound stage) and a forced rebuild; opts contributes
-// only what the planner does not decide — seed, pins, gap tolerance and
-// the tree tiers — and every solve reads the evaluation's deadline.
+// (τ, depth, workers, bound stage); opts contributes only what the
+// planner does not decide — seed, pins, gap tolerance and the tree tiers
+// — and every solve reads the evaluation's deadline.
 // Whether a stale tree is patched is the solve's tree acquisition to
 // decide, and its record (sres) says so.
 func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp *plan.Plan, deadline time.Time, fetch int) ([][]int, error) {
@@ -350,15 +350,12 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 		GapTolerance:     opts.GapTolerance,
 	}
 	// Fingerprint memo: resolve the candidate fingerprint incrementally
-	// (zero hashing on an unchanged table, delta-only after writes) and,
-	// unless the plan forces rebuilds, pick up the lineage that lets a
-	// stale cached tree be patched in place instead of rebuilt.
+	// (zero hashing on an unchanged table, delta-only after writes) and
+	// pick up the lineage that lets a stale cached tree be patched in
+	// place instead of rebuilt.
 	if memo != nil {
 		fp, patch := memo.Advance(p)
-		base.Fingerprint = &fp
-		if qp.Incremental {
-			base.Patch = patch
-		}
+		base.Fingerprint, base.Patch = &fp, patch
 	}
 	sres, err := p.Sketch.Solve(base)
 	if err != nil {

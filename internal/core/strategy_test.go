@@ -454,7 +454,7 @@ func TestOutOfRangePinFailsUnderEveryStrategy(t *testing.T) {
 	n := len(prep.Instance.Rows)
 	for _, strat := range []Strategy{PrunedEnum, LocalSearchStrategy, Solver, SketchRefineStrategy} {
 		for _, pin := range []int{-1, n, n + 7} {
-			_, err := prep.Run(Options{Seed: 1, Strategy: strat, SketchIncremental: true, Require: []int{0, pin}})
+			_, err := prep.Run(Options{Seed: 1, Strategy: strat, Require: []int{0, pin}})
 			if want := fmt.Sprintf("core: pinned candidate %d out of range [0,%d)", pin, n); err == nil || err.Error() != want {
 				t.Errorf("%s, pin %d: err %v, want %q", strat, pin, err, want)
 			}

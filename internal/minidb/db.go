@@ -184,13 +184,7 @@ func (db *DB) CreateIndex(table, col string) error {
 	if _, exists := t.indexes[key]; exists {
 		return fmt.Errorf("minidb: index on %s(%s) already exists", table, col)
 	}
-	tree := btree.New()
-	for rid, row := range t.Rows {
-		if !row[ord].IsNull() {
-			_ = tree.Insert(row[ord], int32(rid))
-		}
-	}
-	t.indexes[key] = tree
+	t.indexes[key] = newIndexOver(t, ord)
 	return nil
 }
 

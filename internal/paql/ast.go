@@ -59,7 +59,7 @@ type Query struct {
 	PkgVar    string     // package variable (AS P); defaults to "P"
 	RelVar    string     // relation binding in FROM (e.g. R)
 	Table     string     // base relation name
-	Repeat    int        // allowed repetitions per tuple: multiplicity ≤ Repeat+1; -1 = unlimited
+	Repeat    int        // allowed repetitions per tuple (≥ 0): multiplicity ≤ Repeat+1
 	Where     expr.Expr  // base constraints (may be nil)
 	SuchThat  expr.Expr  // global constraint formula with expr.Agg leaves (may be nil)
 	Objective *Objective // may be nil
@@ -77,21 +77,14 @@ type Objective struct {
 }
 
 // MaxMultiplicity returns the maximum number of times one tuple may
-// appear in the package (Repeat+1), or 0 for unlimited.
-func (q *Query) MaxMultiplicity() int {
-	if q.Repeat < 0 {
-		return 0
-	}
-	return q.Repeat + 1
-}
+// appear in the package: Repeat+1, so 1 for a query without REPEAT.
+func (q *Query) MaxMultiplicity() int { return q.Repeat + 1 }
 
 // String renders the query as PaQL text.
 func (q *Query) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SELECT PACKAGE(%s) AS %s\nFROM %s %s", q.RelVar, q.PkgVar, q.Table, q.RelVar)
-	if q.Repeat >= 0 {
-		fmt.Fprintf(&b, " REPEAT %d", q.Repeat)
-	}
+	fmt.Fprintf(&b, " REPEAT %d", q.Repeat)
 	if q.Where != nil {
 		fmt.Fprintf(&b, "\nWHERE %s", q.Where)
 	}

@@ -10,18 +10,17 @@
 //   - the execution-planner half (New) applies threshold rules: exact
 //     MILP for a linear query up to SketchThreshold candidates and
 //     SketchRefine beyond, pruned enumeration for a non-linear one up to
-//     ExactEnumMax candidates under bounded REPEAT and local search
-//     otherwise; it sizes τ and tree depth to the candidates, picks
-//     parallelism from size and GOMAXPROCS and the bound stage from the
-//     band atoms, and predicts the working set (MemoryEstimate) —
-//     emitting a typed Plan whose every Decision carries a human-readable
-//     reason.
+//     ExactEnumMax candidates and local search otherwise; it sizes τ
+//     and tree depth to the candidates, picks parallelism from size and
+//     GOMAXPROCS and the bound stage from the band atoms, and predicts
+//     the working set (MemoryEstimate) — emitting a typed Plan whose
+//     every Decision carries a human-readable reason.
 //
 // Where the partition tree comes from — memory, disk, a patch of a stale
 // tree, or a build — is not a plan decision: tree acquisition in
 // internal/sketch decides it when the query runs, against the drift
 // budget Tree.ApplyDelta holds (PatchFits), and the run's result records
-// what happened. The plan only carries a rebuild the user forced.
+// what happened; no option overrides it.
 //
 // Explicit user knobs win: they enter as Input.Forced and come back out
 // in the Plan marked forced, so EXPLAIN shows exactly which choices the
@@ -114,10 +113,6 @@ const (
 	// StrategyLocalSearch is the greedy + local-search heuristic.
 	StrategyLocalSearch = "local-search"
 )
-
-// MaintainRebuild is the maintenance decision's one value: the user
-// forced a rebuild of every stale tree instead of patching it.
-const MaintainRebuild = "rebuild"
 
 // Bound values: which dual-bound pass certifies the objective interval
 // the evaluation returns. The four pipeline rungs are internal/bound's
@@ -243,9 +238,6 @@ type Forced struct {
 	// Depth is the explicit tree depth, or 0; one past MaxDepth is
 	// planned at MaxDepth, the deepest tree the sketch engine builds.
 	Depth int `json:"depth,omitempty"`
-	// Rebuild forces a full rebuild over patching a stale tree; false
-	// leaves patch-vs-rebuild to tree acquisition.
-	Rebuild bool `json:"rebuild,omitempty"`
 	// GapTolerance is the explicit anytime gap tolerance (fractional,
 	// e.g. 0.05 = stop once provably within 5% of optimal), or 0.
 	GapTolerance float64 `json:"gapTolerance,omitempty"`
@@ -266,8 +258,6 @@ type Input struct {
 	// snapshot served them instead (display only).
 	RowsScanned int  `json:"rowsScanned"`
 	SnapshotHit bool `json:"snapshotHit"`
-	// MaxMult is the per-tuple multiplicity bound (≤0 = unbounded).
-	MaxMult int `json:"maxMult"`
 	// Mix is the query-planner half's atom classification.
 	Mix AtomMix `json:"atomMix"`
 	// Procs is the scheduler's GOMAXPROCS: with N, the parallelism
@@ -280,7 +270,7 @@ type Input struct {
 // Decision is one planner choice with its justification.
 type Decision struct {
 	// Name identifies the decision: strategy, tau, depth, parallelism,
-	// maintenance, bound, memory.
+	// bound, memory.
 	Name string `json:"name"`
 	// Value is the chosen value, rendered as a string.
 	Value string `json:"value"`
@@ -311,10 +301,12 @@ type Plan struct {
 	Tau         int `json:"tau,omitempty"`
 	Depth       int `json:"depth,omitempty"`
 	Parallelism int `json:"parallelism,omitempty"`
-	// Incremental is the engine's boolean knob: false only when a sketch
-	// plan carries a forced rebuild (the maintenance decision); true
-	// leaves patch-vs-rebuild to tree acquisition when it runs.
-	Incremental bool `json:"incremental"`
+	// Incremental is always true and never read by the engine, nor sent
+	// on the wire: whether a stale tree is patched is tree acquisition's
+	// call (PatchFits), and the run's record says which it did. The field
+	// stays only as the signature the benchmark's layer trace compiles
+	// against.
+	Incremental bool `json:"-"`
 	// MemoryBytes is the predicted peak working set of the chosen
 	// strategy (MemoryEstimate); engines gate admission on it
 	// against a per-query memory budget.

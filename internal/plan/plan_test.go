@@ -20,12 +20,11 @@ func linearMix() AtomMix {
 
 func baseInput(n int) Input {
 	return Input{
-		Query:   "SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
-		Table:   TableStats{Table: "t", Rows: n},
-		N:       n,
-		MaxMult: 1,
-		Mix:     linearMix(),
-		Procs:   8,
+		Query: "SELECT PACKAGE(R) FROM t R SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
+		Table: TableStats{Table: "t", Rows: n},
+		N:     n,
+		Mix:   linearMix(),
+		Procs: 8,
 	}
 }
 
@@ -39,7 +38,7 @@ func nonlinearMix() AtomMix {
 // neighbor. The writes/ and cache/ rows are a stale tree's write lineage,
 // which reaches no plan decision: its delta and drift meet the budget in
 // Tree.ApplyDelta when the query runs (PatchFits, checked here at the
-// cell), and only a forced rebuild shows in the plan. The forced/ rows are
+// cell), and no plan carries a maintenance line. The forced/ rows are
 // the strategies the atom mix rules out: each must plan exactly what its
 // unforced neighbor plans, with the override named in the reason.
 func TestDecisionMatrix(t *testing.T) {
@@ -77,12 +76,6 @@ func TestDecisionMatrix(t *testing.T) {
 			in.Mix = AtomMix{Linear: false, NonlinearReasons: []string{"objective multiplies aggregates"}}
 			return in
 		}(), map[string]string{"strategy": StrategyLocalSearch}, nil},
-		{"mix/nonlinear-unbounded", func() Input {
-			in := baseInput(10)
-			in.MaxMult = 0
-			in.Mix = AtomMix{Linear: false}
-			return in
-		}(), map[string]string{"strategy": StrategyLocalSearch}, nil},
 		{"mix/sketch-inapplicable", func() Input {
 			in := baseInput(100_000)
 			in.Mix.SketchOK = false
@@ -110,11 +103,6 @@ func TestDecisionMatrix(t *testing.T) {
 			&lineageCell{delta: 1_000, drift: 24_000, fits: true}}, // 1 % + 24 % = 25 %: still inside
 		{"writes/drifted", baseInput(100_000), map[string]string{"maintenance": ""},
 			&lineageCell{delta: 1_000, drift: 24_001}}, // a 1 % step past a chain of small ones
-		{"writes/forced-off", func() Input {
-			in := baseInput(100_000)
-			in.Forced.Rebuild = true
-			return in
-		}(), map[string]string{"maintenance": MaintainRebuild}, nil},
 
 		// --- cache-state axis: where the tree comes from is the run's
 		// record, never a plan line ---
@@ -162,8 +150,8 @@ func TestDecisionMatrix(t *testing.T) {
 			if l := tc.lineage; l != nil && PatchFits(l.drift, l.delta, tc.in.N) != l.fits {
 				t.Fatalf("PatchFits(drift %d, delta %d, %d candidates) != %v", l.drift, l.delta, tc.in.N, l.fits)
 			}
-			if p.Incremental == tc.in.Forced.Rebuild {
-				t.Fatalf("Incremental = %v under Forced.Rebuild = %v", p.Incremental, tc.in.Forced.Rebuild)
+			if !p.Incremental {
+				t.Fatal("Incremental = false: every plan leaves patch-vs-rebuild to tree acquisition")
 			}
 			for name, want := range tc.want {
 				d := p.Decision(name)
@@ -262,14 +250,12 @@ func TestForcedKnobsWin(t *testing.T) {
 		Strategy: StrategySketch,
 		Tau:      32,
 		Depth:    4,
-		Rebuild:  true,
 	}
 	p := New(in)
 	want := map[string]string{
-		"strategy":    StrategySketch,
-		"tau":         "32",
-		"depth":       "4",
-		"maintenance": MaintainRebuild,
+		"strategy": StrategySketch,
+		"tau":      "32",
+		"depth":    "4",
 	}
 	for name, val := range want {
 		d := p.Decision(name)
@@ -280,12 +266,12 @@ func TestForcedKnobsWin(t *testing.T) {
 	if d := p.Decision("parallelism"); d == nil || d.Value != "1" || d.Forced {
 		t.Fatalf("parallelism = %+v, want the planner's unforced 1", d)
 	}
-	if p.Tau != 32 || p.Depth != 4 || p.Parallelism != 1 || p.Incremental {
+	if p.Tau != 32 || p.Depth != 4 || p.Parallelism != 1 {
 		t.Fatalf("plan knobs: %+v", p)
 	}
 	out := p.Explain()
-	if strings.Count(out, "[forced]") != 4 {
-		t.Fatalf("expected 4 [forced] markers:\n%s", out)
+	if strings.Count(out, "[forced]") != 3 {
+		t.Fatalf("expected 3 [forced] markers:\n%s", out)
 	}
 }
 
@@ -309,28 +295,25 @@ func TestForcedKnobSurvivesSolverPlan(t *testing.T) {
 
 // TestGoldenExplain pins the EXPLAIN text format, one plan per
 // strategy. Together they pin that a knob line appears only when its knob
-// runs or was forced: the solver plan keeps its forced τ and depth and
-// drops the forced rebuild no solver performs, the enumeration and local
-// search plans carry no knob lines at all.
+// runs or was forced: the solver plan keeps its forced τ and depth, the
+// enumeration and local search plans carry no knob lines at all.
 func TestGoldenExplain(t *testing.T) {
 	sketchIn := Input{
-		Query:   "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
-		Table:   TableStats{Table: "t", Rows: 100_000, Version: 7},
-		N:       100_000,
-		MaxMult: 1,
-		Mix:     linearMix(),
-		Procs:   8,
+		Query: "SELECT PACKAGE(R) FROM t R\n  SUCH THAT SUM(v) <= 10 MAXIMIZE SUM(v)",
+		Table: TableStats{Table: "t", Rows: 100_000, Version: 7},
+		N:     100_000,
+		Mix:   linearMix(),
+		Procs: 8,
 
 		RowsScanned: 100_000,
 	}
 	solverIn := baseInput(100)
 	solverIn.SnapshotHit = true
-	solverIn.Forced = Forced{Tau: 32, Depth: 4, Rebuild: true}
+	solverIn.Forced = Forced{Tau: 32, Depth: 4}
 	enumIn := baseInput(10)
 	enumIn.Mix = nonlinearMix()
 	localIn := baseInput(1000)
 	localIn.Mix = nonlinearMix()
-	localIn.Forced.Rebuild = true
 	cases := []struct {
 		name string
 		in   Input
@@ -443,12 +426,10 @@ func TestAnalyzeAtoms(t *testing.T) {
 
 // TestPlanJSONRoundTrip: pbserver serves plans as JSON; the typed plan
 // must survive a round trip, and it carries values and reasons only — no
-// cost estimates, rejected alternatives or a maintenance field beside
-// Incremental.
+// cost estimates, rejected alternatives, maintenance field or the
+// constant Incremental, which the decoded plan gets back as false.
 func TestPlanJSONRoundTrip(t *testing.T) {
-	in := baseInput(100_000)
-	in.Forced.Rebuild = true
-	p := New(in)
+	p := New(baseInput(100_000))
 	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
@@ -457,10 +438,14 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
+	if back.Incremental {
+		t.Fatal("Incremental came back over the wire")
+	}
+	back.Incremental = true
 	if !reflect.DeepEqual(&back, p) {
 		t.Fatalf("round trip lost data:\n got %+v\nwant %+v", back, *p)
 	}
-	for _, key := range []string{`"cost":`, `"alternatives":`, `"maintenance":`} {
+	for _, key := range []string{`"cost":`, `"alternatives":`, `"maintenance":`, `"incremental":`} {
 		if strings.Contains(string(raw), key) {
 			t.Errorf("plan JSON carries %s: %s", key, raw)
 		}
@@ -468,59 +453,53 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 }
 
 // TestStrategyRule holds the strategy decision to the rule the planner
-// states: a non-linear query enumerates exactly at n ≤ ExactEnumMax under
-// bounded REPEAT and local-searches otherwise; a linear one runs the
-// exact MILP when the sketch cannot lower it or n ≤ SketchThreshold, and
-// SketchRefine beyond. The sweep crosses both thresholds' edges with
-// every leaf bound and DNF branch count the sketch compiler admits, and
-// checks that a knob line appears only for a sketch plan or when forced,
-// in display order.
+// states: a non-linear query enumerates exactly at n ≤ ExactEnumMax and
+// local-searches otherwise; a linear one runs the exact MILP when the
+// sketch cannot lower it or n ≤ SketchThreshold, and SketchRefine
+// beyond. The sweep crosses both thresholds' edges with every leaf bound
+// and DNF branch count the sketch compiler admits, and checks that a knob
+// line appears only for a sketch plan or when forced, that no plan
+// carries a maintenance line, and that the lines come in display order.
 func TestStrategyRule(t *testing.T) {
-	order := []string{"strategy", "tau", "depth", "parallelism", "maintenance", "bound", "memory"}
+	order := []string{"strategy", "tau", "depth", "parallelism", "bound", "memory"}
 	for _, n := range []int{0, ExactEnumMax, ExactEnumMax + 1, SketchThreshold - 1, SketchThreshold, SketchThreshold + 1, 1_000_000} {
 		for _, linear := range []bool{true, false} {
-			for _, maxMult := range []int{0, 1} {
-				for _, sketchOK := range []bool{true, false} {
-					want := StrategySketch
-					switch {
-					case !linear && n <= ExactEnumMax && maxMult > 0:
-						want = StrategyPrunedEnum
-					case !linear:
-						want = StrategyLocalSearch
-					case !sketchOK || n <= SketchThreshold:
-						want = StrategySolver
-					}
-					for _, tau := range []int{0, 1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
-						for branches := 1; branches <= translate.DefaultMaxSketchBranches; branches++ {
-							for _, rebuild := range []bool{false, true} {
-								in := baseInput(n)
-								in.MaxMult = maxMult
-								in.Mix.Linear, in.Mix.SketchOK, in.Mix.Branches = linear, sketchOK, branches
-								in.Forced.Tau, in.Forced.Rebuild = tau, rebuild
-								p := New(in)
-								cell := fmt.Sprintf("n=%d linear=%v REPEAT=%d sketchOK=%v τ=%d branches=%d rebuild=%v", n, linear, maxMult, sketchOK, tau, branches, rebuild)
-								if p.Strategy != want {
-									t.Fatalf("%s: planned %s, want %s", cell, p.Strategy, want)
-								}
-								sketchy := want == StrategySketch
-								present := map[string]bool{
-									"tau": sketchy || tau > 0, "depth": sketchy, "parallelism": sketchy,
-									"maintenance": sketchy && rebuild,
-								}
-								for name, on := range present {
-									if (p.Decision(name) != nil) != on {
-										t.Fatalf("%s: %s line present = %v, want %v:\n%s", cell, name, !on, on, p.Explain())
-									}
-								}
-								next := 0
-								for _, d := range p.Decisions {
-									for next < len(order) && order[next] != d.Name {
-										next++
-									}
-									if next == len(order) {
-										t.Fatalf("%s: decisions out of display order:\n%s", cell, p.Explain())
-									}
-								}
+			for _, sketchOK := range []bool{true, false} {
+				want := StrategySketch
+				switch {
+				case !linear && n <= ExactEnumMax:
+					want = StrategyPrunedEnum
+				case !linear:
+					want = StrategyLocalSearch
+				case !sketchOK || n <= SketchThreshold:
+					want = StrategySolver
+				}
+				for _, tau := range []int{0, 1, 2, 16, DefaultTau, LargeTau, SketchThreshold, n} {
+					for branches := 1; branches <= translate.DefaultMaxSketchBranches; branches++ {
+						in := baseInput(n)
+						in.Mix.Linear, in.Mix.SketchOK, in.Mix.Branches = linear, sketchOK, branches
+						in.Forced.Tau = tau
+						p := New(in)
+						cell := fmt.Sprintf("n=%d linear=%v sketchOK=%v τ=%d branches=%d", n, linear, sketchOK, tau, branches)
+						if p.Strategy != want {
+							t.Fatalf("%s: planned %s, want %s", cell, p.Strategy, want)
+						}
+						sketchy := want == StrategySketch
+						present := map[string]bool{
+							"tau": sketchy || tau > 0, "depth": sketchy, "parallelism": sketchy, "maintenance": false,
+						}
+						for name, on := range present {
+							if (p.Decision(name) != nil) != on {
+								t.Fatalf("%s: %s line present = %v, want %v:\n%s", cell, name, !on, on, p.Explain())
+							}
+						}
+						next := 0
+						for _, d := range p.Decisions {
+							for next < len(order) && order[next] != d.Name {
+								next++
+							}
+							if next == len(order) {
+								t.Fatalf("%s: decisions out of display order:\n%s", cell, p.Explain())
 							}
 						}
 					}

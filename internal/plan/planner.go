@@ -24,6 +24,7 @@ func New(in Input) *Plan {
 		RowsScanned: in.RowsScanned,
 		SnapshotHit: in.SnapshotHit,
 		Mix:         in.Mix,
+		Incremental: true,
 	}
 	p.Strategy = pickStrategy(p, in)
 	sketchy := p.Strategy == StrategySketch
@@ -35,15 +36,6 @@ func New(in Input) *Plan {
 	}
 	if sketchy {
 		p.Parallelism = pickParallelism(p, in)
-	}
-	// A forced rebuild is the only maintenance decision. Otherwise tree
-	// acquisition patches a stale tree while its drift since the last full
-	// build fits the budget (PatchFits, which Tree.ApplyDelta checks) and
-	// rebuilds past it, and the run's record says which it did.
-	p.Incremental = !sketchy || !in.Forced.Rebuild
-	if !p.Incremental {
-		p.Decisions = append(p.Decisions, Decision{Name: "maintenance", Value: MaintainRebuild, Forced: true,
-			Reason: "explicit incremental flag"})
 	}
 	pickBound(p, in)
 	pickMemory(p, in)
@@ -78,25 +70,20 @@ func pickStrategy(p *Plan, in Input) string {
 }
 
 // strategyRule is the planner's strategy rule. Non-linear queries
-// enumerate exactly while the candidates are at most ExactEnumMax and
-// REPEAT bounds the multiplicity, and local-search otherwise. Linear
-// queries solve the exact MILP when the sketch compiler cannot lower
-// them or the candidates are at most SketchThreshold, and SketchRefine
-// beyond it.
+// enumerate exactly while the candidates are at most ExactEnumMax, and
+// local-search otherwise. Linear queries solve the exact MILP when the
+// sketch compiler cannot lower them or the candidates are at most
+// SketchThreshold, and SketchRefine beyond it.
 func strategyRule(in Input) Decision {
 	n := in.N
 	var d Decision
 	switch {
-	case !in.Mix.Linear && n <= ExactEnumMax && in.MaxMult > 0:
+	case !in.Mix.Linear && n <= ExactEnumMax:
 		d.Value = StrategyPrunedEnum
 		d.Reason = fmt.Sprintf("non-linear query, %d candidates ≤ %d: exact pruned enumeration is affordable", n, ExactEnumMax)
 	case !in.Mix.Linear:
 		d.Value = StrategyLocalSearch
-		why := fmt.Sprintf("%d candidates > %d", n, ExactEnumMax)
-		if in.MaxMult <= 0 {
-			why = "unbounded multiplicity"
-		}
-		d.Reason = fmt.Sprintf("non-linear query (%s): local search is the only tractable option", why)
+		d.Reason = fmt.Sprintf("non-linear query (%d candidates > %d): local search is the only tractable option", n, ExactEnumMax)
 	case !in.Mix.SketchOK:
 		d.Value = StrategySolver
 		d.Reason = fmt.Sprintf("linear query but sketch inapplicable (%s): exact MILP", in.Mix.SketchErr)

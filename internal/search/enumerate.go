@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/lp"
@@ -14,9 +13,6 @@ import (
 // impractical"). It exists as the ground-truth oracle and as the E1/E2
 // comparison baseline.
 func BruteForce(inst *Instance, opt Options) (*Result, error) {
-	if inst.MaxMult <= 0 {
-		return nil, fmt.Errorf("search: brute force requires bounded multiplicity (REPEAT)")
-	}
 	start := time.Now()
 	res := &Result{Complete: true}
 	deadline := opt.deadline()
@@ -121,9 +117,6 @@ func objWeight(inst *Instance, i int) float64 {
 // on the objective. Completeness is preserved: no valid package is
 // skipped.
 func PrunedEnumerate(inst *Instance, opt Options) (*Result, error) {
-	if inst.MaxMult <= 0 {
-		return nil, fmt.Errorf("search: enumeration requires bounded multiplicity (REPEAT)")
-	}
 	start := time.Now()
 	res := &Result{Complete: true}
 	deadline := opt.deadline()

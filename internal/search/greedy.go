@@ -67,7 +67,7 @@ func Greedy(inst *Instance, rng *rand.Rand) Pkg {
 	}
 	// Phase 2: repair violated GE atoms by adding the tuple with the
 	// largest positive contribution that still fits.
-	for pass := 0; pass < n*maxMultOr1(inst); pass++ {
+	for pass := 0; pass < n*inst.MaxMult; pass++ {
 		worstK := -1
 		worstGap := 1e-9
 		for k, at := range inst.Atoms {
@@ -134,11 +134,4 @@ func RandomStart(inst *Instance, rng *rand.Rand) Pkg {
 		obj = 0
 	}
 	return Pkg{Mult: mult, Obj: obj}
-}
-
-func maxMultOr1(inst *Instance) int {
-	if inst.MaxMult > 0 {
-		return inst.MaxMult
-	}
-	return 1
 }

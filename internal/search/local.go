@@ -34,9 +34,6 @@ const (
 // with the caller's database. The db parameter is never read: it stays
 // only as the signature the benchmark's layer trace compiles against.
 func LocalSearch(inst *Instance, _ *minidb.DB, opt Options) (*Result, error) {
-	if inst.MaxMult <= 0 {
-		return nil, fmt.Errorf("search: local search requires bounded multiplicity (REPEAT)")
-	}
 	start := time.Now()
 	res := &Result{}
 	deadline := opt.deadline()

@@ -31,7 +31,7 @@ func ReplacementProbe(inst *Instance, mult []int, k int) (sql string, neighbourh
 	sums := ls.atomSums(mult)
 	var maxed []int
 	for i, m := range mult {
-		if inst.MaxMult > 0 && m >= inst.MaxMult {
+		if m >= inst.MaxMult {
 			maxed = append(maxed, i)
 		}
 	}

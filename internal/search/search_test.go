@@ -434,19 +434,3 @@ func TestBudgetLimits(t *testing.T) {
 		t.Error("canceled brute force should be incomplete")
 	}
 }
-
-func TestUnboundedMultiplicityErrors(t *testing.T) {
-	// REPEAT-less queries default to multiplicity 1 in PaQL, so force
-	// the unlimited case through the instance.
-	inst := instance(t, mealSrc, testRows())
-	inst.MaxMult = 0
-	if _, err := BruteForce(inst, Options{}); err == nil {
-		t.Error("brute force should require bounded multiplicity")
-	}
-	if _, err := PrunedEnumerate(inst, Options{}); err == nil {
-		t.Error("pruned enumeration should require bounded multiplicity")
-	}
-	if _, err := LocalSearch(inst, minidb.New(), Options{}); err == nil {
-		t.Error("local search should require bounded multiplicity")
-	}
-}

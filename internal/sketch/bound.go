@@ -11,7 +11,6 @@ import (
 	"repro/internal/bound"
 	"repro/internal/expr"
 	"repro/internal/lifecycle"
-	"repro/internal/lp"
 	"repro/internal/paql"
 	"repro/internal/plan"
 )
@@ -91,10 +90,7 @@ func (s *solver) branchBound(ba *branchAtoms, tree *Tree, best *descent) (bound.
 		if ba.eliminated != nil && ba.eliminated[i] {
 			return 0
 		}
-		if inst.MaxMult > 0 {
-			return float64(inst.MaxMult)
-		}
-		return lp.Inf
+		return float64(inst.MaxMult)
 	}
 	po.MaxStage, po.TightenRounds, po.DescendBudget = boundStagePlan(opts)
 	// Segmented columns are stage-1 tightening, applied on every tree path:

@@ -124,7 +124,6 @@ func newChaosStack(t *testing.T, db *minidb.DB, tau, depth int, seed int64) *cha
 		SketchDepth:         depth,
 		SketchCache:         sketch.NewCache(0),
 		SketchMemo:          core.NewFingerprintMemo(),
-		SketchIncremental:   true,
 		SketchPersistDir:    t.TempDir(),
 	}}
 }

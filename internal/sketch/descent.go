@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/lifecycle"
-	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/schema"
 	"repro/internal/translate"
@@ -255,13 +254,7 @@ func (s *solver) nodeBound(lv *level, g int) (lo, up float64) {
 	if f.adm != nil && f.adm[g] < tuples {
 		tuples = f.adm[g]
 	}
-	switch {
-	case tuples == 0:
-		return lo, 0
-	case s.inst.MaxMult > 0:
-		return lo, float64(tuples * s.inst.MaxMult)
-	}
-	return lo, lp.Inf
+	return lo, float64(tuples * s.inst.MaxMult)
 }
 
 // metric is the greedy fallbacks' and the insert router's distance:

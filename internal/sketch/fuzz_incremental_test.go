@@ -145,7 +145,6 @@ func incrOne(t *testing.T, g *qgen, st *incrStats, chain int) bool {
 		SketchDepth:         depth,
 		SketchCache:         sketch.NewCache(0),
 		SketchMemo:          core.NewFingerprintMemo(),
-		SketchIncremental:   true,
 	}
 	if _, err := prep.Run(copts); err != nil {
 		t.Fatalf("warm-up eval: %v\n%s", err, gc.queryText)

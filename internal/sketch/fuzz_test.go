@@ -229,7 +229,7 @@ func diffOne(t *testing.T, g *qgen, st *diffStats) (*genCase, bool) {
 				ok, verr, gc.queryText, skres.Mult)
 		}
 		for i, m := range skres.Mult {
-			if m < 0 || (inst.MaxMult > 0 && m > inst.MaxMult) {
+			if m < 0 || m > inst.MaxMult {
 				t.Fatalf("multiplicity %d of tuple %d outside [0, %d]\n%s", m, i, inst.MaxMult, gc.queryText)
 			}
 		}

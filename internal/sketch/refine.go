@@ -322,25 +322,16 @@ func (s *solver) tupleBound(i int) (lo, up float64) {
 	if s.pins[i] {
 		lo = 1
 	}
-	if s.inst.MaxMult > 0 {
-		return lo, float64(s.inst.MaxMult)
-	}
-	return lo, lp.Inf
+	return lo, float64(s.inst.MaxMult)
 }
 
 // greedyFill stands in for a residual sub-MILP that failed: every member
 // first takes its lower bound (a pinned tuple its unit, a node its pinned
 // count), then the remaining units the level above owes go round-robin
-// to the members nearest by dist, each up to its upper bound (to the
-// units themselves under an unbounded REPEAT).
+// to the members nearest by dist, each up to its upper bound.
 func (sub *residual) greedyFill(members []int, units int, dist func(id int) float64) {
 	floor := func(id int) int { lo, _ := sub.bound(id); return int(lo) }
-	capacity := func(id int) int {
-		if _, up := sub.bound(id); up < lp.Inf {
-			return int(up)
-		}
-		return max(units, 1)
-	}
+	capacity := func(id int) int { _, up := sub.bound(id); return int(up) }
 	allocate(members, units, floor, capacity, dist, sub.out)
 }
 

@@ -24,7 +24,7 @@ type Template struct {
 	Table  string
 	RelVar string
 	PkgVar string
-	Repeat int // -1 = unlimited, 0 = no duplicates, k = up to k repeats
+	Repeat int // 0 = no duplicates, k = up to k repeats
 
 	Base    []string // base constraint slots (PaQL expressions over the relation)
 	Globals []string // global constraint slots (aggregate comparisons)

@@ -204,9 +204,6 @@ func (m *Model) addRow(w []float64, op lp.Op, rhs float64, ind int) error {
 		_, err := m.lpp.AddConstraint(coefs, op, rhs)
 		return err
 	}
-	if m.MaxMult <= 0 {
-		return fmt.Errorf("translate: disjunctive constraints need bounded multiplicity (add REPEAT)")
-	}
 	M := math.Abs(rhs) + 1
 	for _, c := range coefs {
 		M += math.Abs(c.Val) * float64(m.MaxMult)

@@ -84,7 +84,7 @@ type Model struct {
 	Candidates   []schema.Row // candidate tuples (those passing WHERE)
 	CandidateIDs []int        // base-table row ids, parallel to Candidates
 	NumTupleVars int          // tuple variables come first; indicators follow
-	MaxMult      int          // per-tuple multiplicity cap (0 = unlimited)
+	MaxMult      int          // per-tuple multiplicity cap (REPEAT + 1)
 
 	lpp        *lp.Problem
 	indicators int
@@ -126,11 +126,7 @@ func (ps *Passes) Translate(ctx context.Context, a *paql.Analysis, ids []int) (*
 		NumTupleVars: n, MaxMult: maxMult, lpp: p,
 	}
 	for i := 0; i < n; i++ {
-		up := lp.Inf
-		if maxMult > 0 {
-			up = float64(maxMult)
-		}
-		if err := p.SetBounds(i, 0, up); err != nil {
+		if err := p.SetBounds(i, 0, float64(maxMult)); err != nil {
 			return nil, err
 		}
 		m.MILP.SetInteger(i)

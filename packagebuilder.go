@@ -50,8 +50,7 @@
 // DELETEs tree acquisition decides per query whether the stale tree is
 // patched in place — the write batch routed or tombstoned through the
 // existing structure — or rebuilt from scratch, by the tree's drift
-// since its last full build (WithSketchIncremental(false) forces the
-// rebuild).
+// since its last full build. No option overrides that choice.
 //
 // SketchRefine covers the full PaQL atom grammar, not just conjunctive
 // SUM/COUNT comparisons: AVG atoms are linearized as SUM − c·COUNT with
@@ -83,8 +82,7 @@
 // Every With* helper edits one field of a single record, Options.
 // Front ends that already hold a whole record — the paql flags and
 // pbserver's server flags bind straight into one — pass it with
-// With(opts); start it from Options{SketchIncremental: true}, since that
-// field's zero value forces tree rebuilds.
+// With(opts); its zero value is the planner's choice of everything.
 //
 // Typical use:
 //
@@ -236,11 +234,8 @@ type Options = core.Options
 type Option func(*core.Options)
 
 // With replaces the whole options record — for front ends that bind
-// their flags or request fields straight into one Options. Its zero
-// SketchIncremental forces tree rebuilds after writes (the With*
-// helpers start from the planner's choice), so start from
-// Options{SketchIncremental: true}. Nil SketchCache and SketchMemo still
-// fall back to the System's.
+// their flags or request fields straight into one Options. Nil
+// SketchCache and SketchMemo still fall back to the System's.
 func With(o Options) Option { return func(dst *core.Options) { *dst = o } }
 
 // WithStrategy forces an evaluation strategy.
@@ -311,22 +306,8 @@ func WithSketchPersistDir(dir string) Option {
 	return func(o *core.Options) { o.SketchPersistDir = dir }
 }
 
-// WithSketchIncremental allows or forbids incremental partition-tree
-// maintenance. Allowed (the default), after INSERTs or DELETEs the
-// cached tree for the pre-write data is patched in place — deletions
-// tombstoned, insertions routed to their leaves, overgrown leaves split
-// locally — while its drift since the last full build fits the 25 %
-// budget, and rebuilt from scratch past it; the result's notes and
-// sketch record say which happened. WithSketchIncremental(false) forces
-// the rebuild; EXPLAIN then shows a forced maintenance decision. Either
-// way warm evaluations hash only the written rows rather than every
-// candidate.
-func WithSketchIncremental(enabled bool) Option {
-	return func(o *core.Options) { o.SketchIncremental = enabled }
-}
-
 // QueryPlan is the planner's decision trail: strategy, knobs, bound and
-// memory, plus a forced maintenance choice, each with the rule's reason.
+// memory, each with the rule's reason.
 // Render it with its Explain method.
 type QueryPlan = plan.Plan
 
@@ -335,9 +316,7 @@ type QueryPlan = plan.Plan
 // inside the engine). It sets no Catalog: the planner reads the prepared
 // query's own table.
 func (s *System) buildOptions(opts []Option) core.Options {
-	// Patch-vs-rebuild is tree acquisition's call by default at the System
-	// surface; WithSketchIncremental(false) forces rebuilds per query.
-	o := core.Options{SketchIncremental: true}
+	var o core.Options
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -416,8 +395,8 @@ func (s *System) Parse(paqlText string) (*paql.Query, error) {
 }
 
 // Explain plans a PaQL query without executing it, returning the
-// planner's decision trail (strategy, SketchRefine knobs, bound, memory
-// and a forced maintenance choice — each with its reason). Where the
+// planner's decision trail (strategy, SketchRefine knobs, bound and
+// memory — each with its reason). Where the
 // partition tree comes from is not planned: a run records it
 // (Stats.Sketch). A leading EXPLAIN keyword in the text is
 // accepted and ignored.

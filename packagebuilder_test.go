@@ -56,7 +56,7 @@ func TestPublicAPIQuery(t *testing.T) {
 func TestPublicAPIOptions(t *testing.T) {
 	sys := newSystem(t, 60)
 	res, err := sys.Query(mealQuery, pb.With(pb.Options{Strategy: pb.LocalSearch, Seed: 3, Restarts: 6,
-		Limit: 2, Timeout: 5 * time.Second, SketchIncremental: true}))
+		Limit: 2, Timeout: 5 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestPublicAPIExplainForcedOptions(t *testing.T) {
 	sys := newSystem(t, 200)
 	qp, err := sys.Explain(mealQuery,
 		pb.WithStrategy(pb.SketchRefine), pb.WithSketchPartitionSize(32),
-		pb.WithSketchDepth(2), pb.WithSketchIncremental(false))
+		pb.WithSketchDepth(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"strategy", "tau", "depth", "maintenance"} {
+	for _, name := range []string{"strategy", "tau", "depth"} {
 		d := qp.Decision(name)
 		if d == nil || !d.Forced {
 			t.Errorf("decision %s not forced: %+v", name, d)
@@ -280,10 +280,6 @@ func TestPublicAPIExplainForcedOptions(t *testing.T) {
 	}
 	if qp.Strategy != "sketch-refine" || qp.Tau != 32 || qp.Depth != 2 {
 		t.Errorf("forced knobs not honored: %+v", qp)
-	}
-	if d := qp.Decision("maintenance"); d == nil || d.Value != "rebuild" || qp.Incremental {
-		t.Errorf("WithSketchIncremental(false) not forced: maintenance=%+v incremental=%v",
-			d, qp.Incremental)
 	}
 }
 

@@ -6,8 +6,8 @@
 # code — then that the chaos corpus requires exactly the fault sites the
 # code checks, that no package under internal/ but lifecycle polls a
 # context by hand, that no layer below core takes a duration budget, that
-# the expression grammar has one extension, that the trace-only surface
-# has not grown, that no tracked
+# the expression grammar has one extension, that no forced-rebuild knob
+# grows back, that the trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -86,6 +86,19 @@ fi
 hooks=$(grep -rnE --include='*.go' 'PrimaryHook[[:space:]]*=[[:space:]]*func' internal | grep -v '^internal/minidb/parser\.go:' || true)
 if [ -n "$hooks" ]; then
   echo "grammar hooks outside internal/minidb/parser.go (install minidb.InstallHook instead):" && echo "$hooks" && exit 1
+fi
+
+# Tree maintenance has one decider: tree acquisition patches a stale tree
+# while its drift fits plan.PatchFits and rebuilds it past that. The
+# forced-rebuild knob that used to override it (plan's Forced.Rebuild and
+# MaintainRebuild, the -sketch-incr flags, pbserver's sketchIncr field)
+# must not grow back, and core.Options.SketchIncremental, kept only as a
+# field the frozen benchmark trace sets, is named nowhere outside
+# benchmark/ but at its declaration.
+knob=$(grep -rnE --include='*.go' --exclude='*_test.go' 'SketchIncremental|Forced\.Rebuild|MaintainRebuild|sketch-incr|sketchIncr' . |
+  grep -v '^\./benchmark/' | grep -vE '^\./internal/core/engine\.go:[0-9]+:[[:space:]]*(// )?SketchIncremental[[:space:]]' || true)
+if [ -n "$knob" ]; then
+  echo "the forced-rebuild knob outside its one vestigial declaration:" && echo "$knob" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and

@@ -102,9 +102,9 @@ func insertSQL(rows []schema.Row) string {
 // interleaving of INSERTs, DELETEs and the five benchmark templates with
 // and without WHERE, four of them at a time from concurrent readers — each
 // query returns the bytes a fresh System loaded with the same rows
-// returns. Trees are rebuilt after a write on both sides (a patched tree
-// is a different, equally valid tree), so the answer is a function of the
-// rows alone.
+// returns. Both sides run without the tree tiers, so every tree is built
+// fresh (a patched tree is a different, equally valid tree) and the answer
+// is a function of the rows alone.
 func TestInterleavedWritesMatchFreshSystem(t *testing.T) {
 	steps := 14
 	if testing.Short() {
@@ -114,7 +114,7 @@ func TestInterleavedWritesMatchFreshSystem(t *testing.T) {
 	sys := newSystem(t, 4500)
 	rng := rand.New(rand.NewSource(24))
 	nextID, oldest := 4501, 4501
-	opts := []pb.Option{pb.WithSketchIncremental(false), pb.WithSeed(1)}
+	opts := []pb.Option{pb.WithSketchCache(false), pb.WithSeed(1)}
 	hits, strategies := 0, map[pb.Strategy]int{}
 	for step := 0; step < steps; step++ {
 		switch w := rng.Intn(4); {
@@ -285,9 +285,9 @@ func TestWarmQueryScansNothing(t *testing.T) {
 func TestWriteStepScansWhatItAppended(t *testing.T) {
 	sys := newSystem(t, 4500)
 	const k, m = 40, 15
-	// Trees are rebuilt after the write on both sides, as in
+	// Trees are built fresh on both sides, as in
 	// TestInterleavedWritesMatchFreshSystem: the answer is the rows'.
-	opts := []pb.Option{pb.WithSketchIncremental(false), pb.WithSeed(1)}
+	opts := []pb.Option{pb.WithSketchCache(false), pb.WithSeed(1)}
 	for _, where := range []string{"", snapshotWhere} {
 		for round := 0; round < 2; round++ {
 			for tmpl := 0; tmpl < 5; tmpl++ {
