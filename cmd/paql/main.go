@@ -85,54 +85,70 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, loads the data, and answers
+// one query or a REPL session read from stdin, returning the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("paql", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var csvs, gens multiFlag
-	flag.Var(&csvs, "csv", "table=path.csv (repeatable)")
-	flag.Var(&gens, "gen", "kind:n:seed synthetic table (kinds: recipes, vacation, stocks)")
-	query := flag.String("q", "", "PaQL query text")
-	file := flag.String("f", "", "file containing the PaQL query")
+	flags.Var(&csvs, "csv", "table=path.csv (repeatable)")
+	flags.Var(&gens, "gen", "kind:n:seed synthetic table (kinds: recipes, vacation, stocks)")
+	query := flags.String("q", "", "PaQL query text")
+	file := flags.String("f", "", "file containing the PaQL query")
 	var cli cliOpts
-	flag.TextVar(&cli.Strategy, "strategy", pb.Auto, "auto | solver | sketch-refine | pruned-enum | local-search")
-	flag.IntVar(&cli.Limit, "limit", 0, "number of packages (overrides query LIMIT)")
-	flag.BoolVar(&cli.Diverse, "diverse", false, "return diverse packages instead of top-k")
-	flag.Int64Var(&cli.Seed, "seed", 1, "randomized strategy seed")
-	flag.IntVar(&cli.SketchPartitionSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
-	flag.IntVar(&cli.SketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
-	sketchCache := flag.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
-	flag.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	flag.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
-	flag.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
-	flag.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	flag.Float64Var(&cli.GapTolerance, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
-	flag.Usage = func() {
-		out := flag.CommandLine.Output()
-		fmt.Fprintln(out, "usage: paql [flags]")
-		flag.PrintDefaults()
-		fmt.Fprint(out, exitCodeTable)
+	flags.TextVar(&cli.Strategy, "strategy", pb.Auto, "auto | solver | sketch-refine | pruned-enum | local-search")
+	flags.IntVar(&cli.Limit, "limit", 0, "number of packages (overrides query LIMIT)")
+	flags.BoolVar(&cli.Diverse, "diverse", false, "return diverse packages instead of top-k")
+	flags.Int64Var(&cli.Seed, "seed", 1, "randomized strategy seed")
+	flags.IntVar(&cli.SketchPartitionSize, "sketch-size", 0, "sketch-refine partition size bound (0 = default)")
+	flags.IntVar(&cli.SketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
+	sketchCache := flags.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
+	flags.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
+	flags.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
+	flags.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
+	flags.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
+	flags.Float64Var(&cli.GapTolerance, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
+	flags.Usage = func() {
+		fmt.Fprintln(stderr, "usage: paql [flags]")
+		flags.PrintDefaults()
+		fmt.Fprint(stderr, exitCodeTable)
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	cli.SketchNoCache = !*sketchCache
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "paql: "+format+"\n", a...)
+		return 1
+	}
 
 	sys := pb.New()
 	for _, spec := range csvs {
 		name, path, ok := strings.Cut(spec, "=")
 		if !ok {
-			fail("bad -csv %q (want table=path.csv)", spec)
+			return fail("bad -csv %q (want table=path.csv)", spec)
 		}
 		n, err := sys.LoadCSVFile(name, path)
 		if err != nil {
-			fail("load %s: %v", spec, err)
+			return fail("load %s: %v", spec, err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded %d rows into %s\n", n, name)
+		fmt.Fprintf(stderr, "loaded %d rows into %s\n", n, name)
 	}
 	for _, spec := range gens {
 		if err := generate(sys, spec); err != nil {
-			fail("generate %s: %v", spec, err)
+			return fail("generate %s: %v", spec, err)
 		}
 	}
 
 	if cli.SketchPersistDir != "" {
 		if msg := sys.SweepSketchDir(cli.SketchPersistDir); msg != "" {
-			fmt.Fprintf(os.Stderr, "paql: %s\n", msg)
+			fmt.Fprintf(stderr, "paql: %s\n", msg)
 		}
 	}
 
@@ -140,13 +156,13 @@ func main() {
 	if *file != "" {
 		raw, err := os.ReadFile(*file)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		text = string(raw)
 	}
 	if text == "" {
-		repl(sys, cli)
-		return
+		repl(sys, cli, stdin, stdout, stderr)
+		return 0
 	}
 	// One-shot runs exit after a single query: fingerprinting and
 	// storing a partition tree would be pure overhead, and writing tree
@@ -159,7 +175,14 @@ func main() {
 	// discarded and the process exits with the canceled exit code (3).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	runQuery(ctx, sys, text, cli)
+	answer := runQuery
+	if cli.explain || isExplain(text) {
+		answer = runExplain
+	}
+	if err := answer(ctx, sys, stdout, text, cli); err != nil {
+		return reportErr(stderr, err)
+	}
+	return 0
 }
 
 // cliOpts carries the evaluation flags shared by one-shot and REPL use:
@@ -170,18 +193,14 @@ type cliOpts struct {
 	explain bool
 }
 
-func runQuery(ctx context.Context, sys *pb.System, text string, cli cliOpts) {
-	if cli.explain || isExplain(text) {
-		if err := runExplain(ctx, sys, os.Stdout, text, cli); err != nil {
-			failErr(err)
-		}
-		return
-	}
+// runQuery evaluates a PaQL query and prints its packages.
+func runQuery(ctx context.Context, sys *pb.System, w io.Writer, text string, cli cliOpts) error {
 	res, err := sys.QueryContext(ctx, text, pb.With(cli.Options))
 	if err != nil {
-		failErr(err)
+		return err
 	}
-	pb.FormatResult(os.Stdout, sys, res)
+	pb.FormatResult(w, sys, res)
+	return nil
 }
 
 // exitCodeTable is the one-shot outcome → exit-code pairing appended to
@@ -215,18 +234,13 @@ func outcome(err error) (int, string) {
 	return 1, "error"
 }
 
-// failErr prints the classified error and exits with its outcome code.
-func failErr(err error) {
+// reportErr prints a failed statement's error under its outcome label
+// and returns the label's exit code: a one-shot run exits with it, the
+// REPL prints the same line and keeps going.
+func reportErr(w io.Writer, err error) int {
 	code, label := outcome(err)
-	fmt.Fprintf(os.Stderr, "paql: %s: %v\n", label, err)
-	os.Exit(code)
-}
-
-// replErr reports a failed statement without leaving the REPL, printing
-// the identical outcome label the one-shot exit code would map to.
-func replErr(err error) {
-	_, label := outcome(err)
-	fmt.Fprintf(os.Stderr, "paql: %s: %v\n", label, err)
+	fmt.Fprintf(w, "paql: %s: %v\n", label, err)
+	return code
 }
 
 // isExplain reports whether the statement starts with the EXPLAIN
@@ -278,13 +292,14 @@ func generate(sys *pb.System, spec string) error {
 	return fmt.Errorf("unknown kind %q (recipes, vacation, stocks)", kind)
 }
 
-// repl reads ';'-terminated statements: PaQL (SELECT PACKAGE...) or SQL.
-func repl(sys *pb.System, cli cliOpts) {
-	fmt.Println("PackageBuilder REPL — PaQL or SQL, ';' terminated, \\q to quit")
-	scanner := bufio.NewScanner(os.Stdin)
+// repl reads ';'-terminated statements from in: PaQL (SELECT
+// PACKAGE...), EXPLAIN, or SQL.
+func repl(sys *pb.System, cli cliOpts, in io.Reader, out, errOut io.Writer) {
+	fmt.Fprintln(out, "PackageBuilder REPL — PaQL or SQL, ';' terminated, \\q to quit")
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() { fmt.Print("paql> ") }
+	prompt := func() { fmt.Fprint(out, "paql> ") }
 	prompt()
 	for scanner.Scan() {
 		line := scanner.Text()
@@ -294,49 +309,37 @@ func repl(sys *pb.System, cli cliOpts) {
 		buf.WriteString(line)
 		buf.WriteByte('\n')
 		if !strings.Contains(line, ";") {
-			fmt.Print("   -> ")
+			fmt.Fprint(out, "   -> ")
 			continue
 		}
 		stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
 		buf.Reset()
 		if stmt != "" {
-			execStmt(sys, stmt, cli)
+			if err := execStmt(sys, out, stmt, cli); err != nil {
+				reportErr(errOut, err)
+			}
 		}
 		prompt()
 	}
 }
 
-func execStmt(sys *pb.System, stmt string, cli cliOpts) {
+// execStmt runs one REPL statement, writing its answer to w.
+func execStmt(sys *pb.System, w io.Writer, stmt string, cli cliOpts) error {
 	// Arm a per-statement signal context: Ctrl-C during a long solve
 	// cancels just that query (the REPL prints the error and prompts
 	// again); at the prompt the default handler still quits the REPL.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	upper := strings.ToUpper(stmt)
 	if isExplain(stmt) {
-		if err := runExplain(ctx, sys, os.Stdout, stmt, cli); err != nil {
-			replErr(err)
-		}
-		return
+		return runExplain(ctx, sys, w, stmt, cli)
 	}
-	if strings.HasPrefix(upper, "SELECT PACKAGE") {
-		res, err := sys.QueryContext(ctx, stmt, pb.With(cli.Options))
-		if err != nil {
-			replErr(err)
-			return
-		}
-		pb.FormatResult(os.Stdout, sys, res)
-		return
+	if strings.HasPrefix(strings.ToUpper(stmt), "SELECT PACKAGE") {
+		return runQuery(ctx, sys, w, stmt, cli)
 	}
 	res, err := sys.ExecSQLContext(ctx, stmt)
 	if err != nil {
-		replErr(err)
-		return
+		return err
 	}
-	res.Format(os.Stdout)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paql: "+format+"\n", args...)
-	os.Exit(1)
+	res.Format(w)
+	return nil
 }

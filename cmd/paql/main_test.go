@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -145,5 +147,132 @@ func TestRunExplainForcedFlags(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// runCLI runs the command in-process over stdin, returning its exit code
+// and what it wrote to stdout and stderr.
+func runCLI(t *testing.T, stdin string, args ...string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	code := run(args, strings.NewReader(stdin), &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+const mealQuery = `SELECT PACKAGE(R) AS P FROM recipes R WHERE R.gluten = 'free'
+	SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
+	MAXIMIZE SUM(P.protein)`
+
+// TestRunExitCodes drives the whole command in-process: flag errors exit
+// 2 with the usage, load errors 1, a one-shot answer 0 and a provably
+// infeasible query 2, each with what it prints.
+func TestRunExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "t.csv")
+	if err := os.WriteFile(csvPath, []byte("id:int,x:float\n1,10\n2,20\n3,30\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	queryPath := filepath.Join(dir, "q.paql")
+	if err := os.WriteFile(queryPath, []byte(`SELECT PACKAGE(T) AS P FROM t T SUCH THAT COUNT(*) = 2 MAXIMIZE SUM(P.x)`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name      string
+		args      []string
+		code      int
+		stdout    []string
+		stderr    []string
+		notStdout []string
+	}{
+		{name: "unknown flag", args: []string{"-nope"}, code: 2,
+			stderr: []string{"flag provided but not defined: -nope", "usage: paql [flags]", "4  budget"}},
+		{name: "-sketch-incr is gone", args: []string{"-sketch-incr=false", "-gen", "recipes:200:1", "-q", mealQuery}, code: 2,
+			stderr: []string{"flag provided but not defined: -sketch-incr", "usage: paql [flags]"}},
+		{name: "unknown strategy", args: []string{"-strategy", "magic"}, code: 2,
+			stderr: []string{`invalid value "magic" for flag -strategy`}},
+		{name: "help", args: []string{"-h"}, code: 0, stderr: []string{"usage: paql [flags]", "exit codes"}},
+		{name: "one-shot answer", args: []string{"-gen", "recipes:200:1", "-q", mealQuery}, code: 0,
+			stdout: []string{"strategy=solver", "certified:"}},
+		{name: "provably infeasible", args: []string{"-gen", "recipes:200:1", "-q",
+			`SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 2`}, code: 2,
+			stderr: []string{"paql: infeasible: "}},
+		{name: "over budget", args: []string{"-gen", "recipes:200:1", "-mem-budget", "1", "-q", mealQuery}, code: 4,
+			stderr: []string{"paql: budget: "}},
+		{name: "-explain", args: []string{"-gen", "recipes:200:1", "-explain", "-strategy", "sketch-refine", "-q", mealQuery}, code: 0,
+			stdout: []string{"plan for:", "table recipes: 200 rows", "strategy = sketch-refine  [forced]"}, notStdout: []string{"certified:"}},
+		{name: "-csv and -f", args: []string{"-csv", "t=" + csvPath, "-f", queryPath}, code: 0,
+			stdout: []string{"objective"}, stderr: []string{"loaded 3 rows into t"}},
+		{name: "-sketch-dir", args: []string{"-gen", "recipes:200:1", "-strategy", "sketch-refine", "-sketch-dir", dir, "-q", mealQuery}, code: 0,
+			stdout: []string{"strategy=sketch-refine"}},
+		{name: "bad -csv", args: []string{"-csv", "t"}, code: 1, stderr: []string{`paql: bad -csv "t" (want table=path.csv)`}},
+		{name: "missing -csv file", args: []string{"-csv", "t=" + filepath.Join(dir, "none.csv")}, code: 1, stderr: []string{"paql: load t="}},
+		{name: "missing -f file", args: []string{"-f", filepath.Join(dir, "none.paql")}, code: 1, stderr: []string{"none.paql"}},
+		{name: "unknown -gen kind", args: []string{"-gen", "planets"}, code: 1, stderr: []string{`unknown kind "planets" (recipes, vacation, stocks)`}},
+		{name: "bad -gen size", args: []string{"-gen", "recipes:many"}, code: 1, stderr: []string{`bad size "many"`}},
+		{name: "bad -gen seed", args: []string{"-gen", "recipes:10:x"}, code: 1, stderr: []string{`bad seed "x"`}},
+		{name: "every -gen kind", args: []string{"-gen", "vacation:30:1", "-gen", "stocks:30:1", "-gen", "recipes",
+			"-q", "SELECT PACKAGE(S) AS P FROM stocks S SUCH THAT COUNT(*) = 2"}, code: 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, "", c.args...)
+			if code != c.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.code, stdout, stderr)
+			}
+			for _, want := range c.stdout {
+				if !strings.Contains(stdout, want) {
+					t.Errorf("stdout lacks %q:\n%s", want, stdout)
+				}
+			}
+			for _, want := range c.notStdout {
+				if strings.Contains(stdout, want) {
+					t.Errorf("stdout has %q:\n%s", want, stdout)
+				}
+			}
+			for _, want := range c.stderr {
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr lacks %q:\n%s", want, stderr)
+				}
+			}
+		})
+	}
+}
+
+// TestREPLSession reads a whole session from stdin: SQL and PaQL
+// statements interleaved, one spread over two lines, an EXPLAIN, a
+// failing statement that leaves the session running, and \q.
+func TestREPLSession(t *testing.T) {
+	session := strings.Join([]string{
+		"SELECT COUNT(*) FROM recipes;",
+		mealQuery + ";",
+		"INSERT INTO recipes VALUES (99001, 'x', 'fusion', 'dinner', 'free', 820, 45, 10, 50, 9.5, 4.5);",
+		"SELECT name FROM recipes",
+		"  WHERE id = 99001;",
+		"EXPLAIN " + mealQuery + ";",
+		"SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 2;",
+		"SELECT nothing FROM nowhere;",
+		";",
+		`\q`,
+		"SELECT id FROM recipes WHERE id = 99001;",
+	}, "\n")
+	code, stdout, stderr := runCLI(t, session, "-gen", "recipes:200:1")
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
+	}
+	for _, want := range []string{"PackageBuilder REPL", "paql> ", "   -> ", "200", "strategy=solver", "x", "plan for:"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+	if n := strings.Count(stdout, "paql> "); n != 9 {
+		t.Errorf("%d prompts, want 9 (one per statement, the blank one included, and the first):\n%s", n, stdout)
+	}
+	for _, want := range []string{"paql: infeasible: ", "paql: error: "} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stdout, "99001") {
+		t.Errorf("a statement after \\q ran:\n%s", stdout)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -153,21 +154,36 @@ func (s *server) session() (*explore.Session, pb.Options, error) {
 	return s.ses, s.sesOpts, nil
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	n := flag.Int("n", 500, "recipe count")
-	seed := flag.Int64("seed", 42, "dataset seed")
-	s := &server{sys: pb.New(), base: pb.Options{Seed: 1}, health: lifecycle.NewHealth()}
-	flag.StringVar(&s.base.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
-	maxInFlight := flag.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
-	maxQueue := flag.Int("max-queue", 16, "queued solves before shedding with 429")
-	flag.Int64Var(&s.base.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	flag.DurationVar(&s.base.Timeout, "timeout", defaultTimeout, "per-query time budget over every package the query, LIMIT, diverse retrieval or Replace asks for; best-effort packages at expiry (0 = none)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window on SIGTERM/SIGINT")
-	flag.Parse()
+// errUsage marks a command line the flag set refused; the flag set has
+// already printed why, with the usage.
+var errUsage = errors.New("pbserver: bad command line")
+
+// newServer is everything the command does before it listens: it parses
+// the server flags in args, loads the demo table, and wires the routes
+// into the returned http.Server. drain is the -drain window. Usage and
+// the startup banner go to errOut.
+func newServer(args []string, errOut io.Writer) (s *server, srv *http.Server, drain time.Duration, err error) {
+	flags := flag.NewFlagSet("pbserver", flag.ContinueOnError)
+	flags.SetOutput(errOut)
+	addr := flags.String("addr", ":8080", "listen address")
+	n := flags.Int("n", 500, "recipe count")
+	seed := flags.Int64("seed", 42, "dataset seed")
+	s = &server{sys: pb.New(), base: pb.Options{Seed: 1}, health: lifecycle.NewHealth()}
+	flags.StringVar(&s.base.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (survives restarts)")
+	maxInFlight := flags.Int("max-inflight", 4, "concurrent solves admitted; excess requests queue")
+	maxQueue := flags.Int("max-queue", 16, "queued solves before shedding with 429")
+	flags.Int64Var(&s.base.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
+	flags.DurationVar(&s.base.Timeout, "timeout", defaultTimeout, "per-query time budget over every package the query, LIMIT, diverse retrieval or Replace asks for; best-effort packages at expiry (0 = none)")
+	flags.DurationVar(&drain, "drain", 10*time.Second, "graceful-shutdown drain window on SIGTERM/SIGINT")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, nil, 0, err
+		}
+		return nil, nil, 0, errUsage
+	}
 
 	if err := dataset.LoadRecipes(s.sys.DB(), "recipes", dataset.RecipesConfig{N: *n, Seed: *seed}); err != nil {
-		log.Fatal(err)
+		return nil, nil, 0, err
 	}
 	s.adm = lifecycle.NewController(*maxInFlight, *maxQueue)
 	if dir := s.base.SketchPersistDir; dir != "" {
@@ -186,11 +202,11 @@ func main() {
 	mux.HandleFunc("/api/lifecycle", s.handleLifecycle)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	fmt.Fprintf(os.Stderr, "PackageBuilder meal planner on http://localhost%s (%d recipes)\n", *addr, *n)
+	fmt.Fprintf(errOut, "PackageBuilder meal planner on http://localhost%s (%d recipes)\n", *addr, *n)
 	// A hardened server: a slow or hostile client cannot hold a
 	// connection (and its handler goroutine) open indefinitely, and
 	// request bodies are capped before they reach the JSON decoders.
-	srv := &http.Server{
+	srv = &http.Server{
 		Addr:              *addr,
 		Handler:           s.withRequest(http.MaxBytesHandler(mux, maxBodyBytes)),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -198,6 +214,19 @@ func main() {
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       120 * time.Second,
 		MaxHeaderBytes:    1 << 20,
+	}
+	return s, srv, drain, nil
+}
+
+func main() {
+	s, srv, drain, err := newServer(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		log.Fatal(err)
 	}
 
 	// Graceful shutdown: the first SIGTERM/SIGINT stops admission (new
@@ -213,17 +242,17 @@ func main() {
 		log.Fatal(err)
 	case <-ctx.Done():
 		stop() // restore default signal behavior: second signal kills
-		log.Printf("pbserver: shutdown signal — draining for up to %s", *drain)
+		log.Printf("pbserver: shutdown signal — draining for up to %s", drain)
 		s.adm.BeginDrain()
 		// Readiness grace: Shutdown closes the listener (and idle
 		// keep-alives) immediately, so /readyz could never serve its
 		// 503. Keep the listener up briefly — admission is already
 		// shedding solves — so load-balancer readiness probes observe
 		// not-ready and stop routing before connections start failing.
-		if grace := min(*drain/5, 2*time.Second); grace > 0 {
+		if grace := min(drain/5, 2*time.Second); grace > 0 {
 			time.Sleep(grace)
 		}
-		shutCtx, cancel := context.WithDeadline(context.Background(), time.Now().Add(*drain))
+		shutCtx, cancel := context.WithDeadline(context.Background(), time.Now().Add(drain))
 		defer cancel()
 		if err := srv.Shutdown(shutCtx); err != nil {
 			log.Printf("pbserver: drain window expired (%v); closing", err)

@@ -3,13 +3,18 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	pb "repro"
 	"repro/internal/dataset"
@@ -827,5 +832,118 @@ func TestRequestCannotSetServerOptions(t *testing.T) {
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
 		t.Errorf("a request key made the server write %d file(s) under %s", len(files), dir)
+	}
+}
+
+// TestNewServerWiresFlagsAndRoutes runs the command's whole set-up in
+// process: the flags land in the server's options, admission and drain
+// window, the table is loaded, and every route answers through the
+// middleware with a request ID.
+func TestNewServerWiresFlagsAndRoutes(t *testing.T) {
+	dir := t.TempDir()
+	orphan := filepath.Join(dir, ".pbtree-123456789")
+	if err := os.WriteFile(orphan, []byte("half a tree"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var errOut strings.Builder
+	s, srv, drain, err := newServer([]string{"-addr", "127.0.0.1:0", "-n", "60", "-seed", "7", "-sketch-dir", dir,
+		"-max-inflight", "1", "-max-queue", "0", "-mem-budget", "1000000000", "-timeout", "5s", "-drain", "3s"}, &errOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Addr != "127.0.0.1:0" || drain != 3*time.Second {
+		t.Fatalf("addr %q, drain %s", srv.Addr, drain)
+	}
+	if s.base.SketchPersistDir != dir || s.base.MemoryBudget != 1e9 || s.base.Timeout != 5*time.Second || s.base.Seed != 1 {
+		t.Fatalf("server options %+v", s.base)
+	}
+	if !strings.Contains(errOut.String(), "(60 recipes)") {
+		t.Fatalf("banner %q", errOut.String())
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("startup sweep left the orphan: %v", err)
+	}
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Header().Get("X-Request-Id") == "" {
+			t.Errorf("%s %s: no X-Request-Id", method, path)
+		}
+		return rec
+	}
+	if rec := serve("GET", "/", ""); rec.Code != 200 || !strings.Contains(rec.Body.String(), "PackageBuilder") {
+		t.Fatalf("index: %d", rec.Code)
+	}
+	rec := serve("POST", "/api/query", `{"query": `+mustJSON(demoQuery)+`}`)
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"candidates":`) {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body)
+	}
+	for _, path := range []string{"/api/summary", "/api/suggest?column=fat", "/api/lifecycle", "/healthz", "/readyz"} {
+		if rec := serve("GET", path, ""); rec.Code != 200 {
+			t.Errorf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for _, path := range []string{"/api/replace", "/api/pin"} {
+		if rec := serve("POST", path, `{}`); rec.Code == http.StatusNotFound {
+			t.Errorf("POST %s is not routed", path)
+		}
+	}
+	// -max-inflight 1 -max-queue 0: with the one slot held, a query sheds.
+	release, err := s.adm.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := serve("POST", "/api/query", `{"query": `+mustJSON(demoQuery)+`}`); rec.Code != http.StatusTooManyRequests {
+		t.Errorf("query past the admission limits: %d", rec.Code)
+	}
+	release()
+	if rec := serve("POST", "/api/query", `{"query": `+mustJSON(strings.Repeat(" ", maxBodyBytes))+`}`); rec.Code != http.StatusBadRequest {
+		t.Errorf("a body past the cap: %d", rec.Code)
+	}
+}
+
+// TestNewServerRefusesABadCommandLine: an unknown flag, the removed
+// -sketch-incr among them, stops the set-up with the usage; -h asks for
+// the usage alone.
+func TestNewServerRefusesABadCommandLine(t *testing.T) {
+	for _, args := range [][]string{{"-nope"}, {"-sketch-incr=false"}, {"-max-queue", "many"}} {
+		var errOut strings.Builder
+		if _, _, _, err := newServer(args, &errOut); !errors.Is(err, errUsage) {
+			t.Fatalf("%v: err %v, want errUsage", args, err)
+		}
+		if !strings.Contains(errOut.String(), "Usage of pbserver") || !strings.Contains(errOut.String(), "-max-inflight") {
+			t.Fatalf("%v: no usage in %q", args, errOut.String())
+		}
+	}
+	if _, _, _, err := newServer([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err %v, want flag.ErrHelp", err)
+	}
+}
+
+// TestPanickingHandlerIsATyped500: a handler that panics below the
+// middleware answers a typed 500 whose body and X-Request-Id header
+// carry the same request ID, instead of a dropped connection.
+func TestPanickingHandlerIsATyped500(t *testing.T) {
+	s := testServer(t)
+	var seen string
+	h := s.withRequest(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = requestID(r)
+		panic("boom")
+	}))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/summary", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q: %v", rec.Body, err)
+	}
+	id := rec.Header().Get("X-Request-Id")
+	if id == "" || body["requestId"] != id || seen != id {
+		t.Fatalf("header id %q, body id %q, handler's id %q: want one ID", id, body["requestId"], seen)
+	}
+	if body["code"] != "internal" || !strings.Contains(body["error"], "panic: boom") {
+		t.Fatalf("body %v, want code internal naming the panic", body)
 	}
 }

@@ -52,9 +52,6 @@ func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
 
-// OS returns the real-filesystem FS.
-func OS() FS { return osFS{} }
-
 // FSFor returns the FS a subsystem should use for the given site
 // prefix: the plain os-backed FS when no injector is installed, or an
 // injecting wrapper that visits "<prefix>.<op>" fault sites around each

@@ -17,7 +17,6 @@ import (
 type Health struct {
 	mu   sync.Mutex
 	subs map[string]*SubsystemHealth
-	now  func() time.Time // test hook
 }
 
 // SubsystemHealth is the point-in-time state of one subsystem.
@@ -36,14 +35,7 @@ type SubsystemHealth struct {
 
 // NewHealth builds an empty health registry.
 func NewHealth() *Health {
-	return &Health{subs: make(map[string]*SubsystemHealth), now: time.Now}
-}
-
-// SetClock overrides the registry's time source (tests).
-func (h *Health) SetClock(now func() time.Time) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.now = now
+	return &Health{subs: make(map[string]*SubsystemHealth)}
 }
 
 // Report records a degradation event for subsystem sub with a detail
@@ -53,11 +45,11 @@ func (h *Health) Report(sub, reason string) {
 	defer h.mu.Unlock()
 	s := h.subs[sub]
 	if s == nil {
-		s = &SubsystemHealth{OK: true, Since: h.now()}
+		s = &SubsystemHealth{OK: true, Since: time.Now()}
 		h.subs[sub] = s
 	}
 	if s.OK {
-		s.Since = h.now()
+		s.Since = time.Now()
 	}
 	s.OK = false
 	s.Reason = reason
@@ -73,7 +65,7 @@ func (h *Health) ClearAll() {
 		if !s.OK {
 			s.OK = true
 			s.Reason = ""
-			s.Since = h.now()
+			s.Since = time.Now()
 		}
 	}
 }

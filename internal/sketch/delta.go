@@ -20,12 +20,11 @@ import (
 // down the existing structure to the nearest leaf, and representatives
 // are recomputed bottom-up along the touched paths only. Only the leaves
 // hold tuples, so only their lists are renumbered after a delete.
-// Leaves that outgrow τ are split locally; a parent
-// whose fanout degrades past its build-time shape gets its leaf group
-// rebuilt in place (a scoped subtree rebuild); anything the local rules
-// cannot absorb — a drift past the patch budget, a degraded upper level,
-// a broken invariant — falls back to a full rebuild, which is always
-// correct.
+// Leaves that outgrow τ are split locally. Anything the local rules
+// cannot absorb — a drift past the patch budget, a node at any level
+// whose fanout degrades past its build-time shape, a broken invariant —
+// falls back to a full rebuild, which is always correct (SketchRefine
+// likewise answers a degraded partitioning by partitioning again).
 //
 // Patched trees are approximations of a from-scratch rebuild: leaf
 // membership may differ (inserted tuples go to the nearest existing
@@ -68,9 +67,10 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 // trees are shared across concurrent evaluations. ok is false when that
 // drift would exceed the budget (plan.PatchFits) — however small each
 // step of the chain was, a tree is rebuilt once the patches since its
-// last full build add up — when local repair would break a structural
-// invariant above the leaf-parent level, when patching empties the tree,
-// or when opts.Ctx ends it; the caller must then rebuild from scratch.
+// last full build add up — when a changed node's fanout would pass its
+// bound (twice the widest fanout its level had at build time, plus two),
+// when patching empties the tree or breaks a structural invariant, or
+// when opts.Ctx ends it; the caller must then rebuild from scratch.
 // The distance that routes inserts scales each attribute by its spread
 // over rows, which ApplyDelta folds for itself; a solve patches over its
 // instance's pass store instead (patch), whose folds a query has made.
@@ -84,8 +84,8 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 var errNotPatchable = errors.New("not locally patchable")
 
 // patch is ApplyDelta over the candidates' pass store. Its error says why
-// it refused: the drift budget, with both numbers it weighed, or
-// errNotPatchable.
+// it refused: the drift budget or the fanout bound, each with both
+// numbers it weighed, or errNotPatchable.
 func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree, error) {
 	rows := passes.Rows()
 	n := len(rows)
@@ -134,8 +134,8 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 		return nil, errNotPatchable
 	}
 	p.repairLeaves()
-	if !p.patchParents() {
-		return nil, errNotPatchable
+	if err := p.patchParents(); err != nil {
+		return nil, err
 	}
 	out, ok := p.compact()
 	if !ok {
@@ -163,13 +163,13 @@ type patcher struct {
 	levels [][]Node
 	dead   [][]bool
 	dirty  [][]bool
-	// limit[l] bounds an internal node's fanout at level l before its
-	// subtree is considered degraded (twice the build-time maximum).
+	// limit[l] bounds an internal node's fanout at level l before the
+	// tree is considered degraded (twice the build-time maximum, plus two).
 	limit []int
 	// newByParent collects leaves created by splits, keyed by their
 	// parent's index at level Depth-2 (unused for flat trees).
 	newByParent map[int][]int
-	parentOf    []int // leaf index -> parent index at Depth-2 (nil when flat)
+	parentOf    []int // source leaf index -> parent index at Depth-2 (nil when flat)
 	near        *metric
 	// firstNew is the first inserted candidate index (== the survivor
 	// count): leaf tuple suffixes at or above it are this patch's
@@ -341,25 +341,17 @@ func (p *patcher) repairLeaves() {
 }
 
 // addLeaf appends a fully-formed new leaf, attached to the same parent
-// as sibling (when the tree is hierarchical).
+// as sibling (when the tree is hierarchical). Split-born leaves are
+// formed from a full scan, so repairLeaves never revisits them.
 func (p *patcher) addLeaf(leaf Node, sibling int) {
-	idx := p.appendLeaf(leaf)
-	if p.tree.Depth >= 2 {
-		parent := p.parentOf[sibling]
-		p.parentOf = append(p.parentOf, parent)
-		p.newByParent[parent] = append(p.newByParent[parent], idx)
-	}
-}
-
-// appendLeaf adds a fully-formed leaf to the working leaf level and
-// returns its index.
-func (p *patcher) appendLeaf(leaf Node) int {
 	ll := p.tree.Depth - 1
 	p.levels[ll] = append(p.levels[ll], leaf)
 	p.dead[ll] = append(p.dead[ll], false)
 	p.dirty[ll] = append(p.dirty[ll], true)
-	p.delDirty = append(p.delDirty, true) // mixed regrouping: exact refresh only
-	return len(p.levels[ll]) - 1
+	if p.tree.Depth >= 2 {
+		parent := p.parentOf[sibling]
+		p.newByParent[parent] = append(p.newByParent[parent], len(p.levels[ll])-1)
+	}
 }
 
 // resplit forms τ-bounded leaves, from scratch, over the tuple set at
@@ -427,10 +419,11 @@ func insertedRepresentative(rows []schema.Row, oldRep schema.Row, oldCount int, 
 // patchParents walks the internal levels bottom-up: dead children are
 // dropped, split-born leaves adopted, and dirty nodes get their
 // children's representatives merged, each weighted by its subtree size —
-// the leaves' tuple counts folded up through Children. A leaf-parent
-// whose fanout degrades past the build-time shape has its leaf group
-// rebuilt in place; degradation higher up aborts the patch.
-func (p *patcher) patchParents() bool {
+// the leaves' tuple counts folded up through Children. A changed node
+// whose fanout passes its level's bound refuses the patch, naming the
+// level and both numbers: the tree has degraded past its build-time
+// shape, and only a full rebuild restores it.
+func (p *patcher) patchParents() error {
 	t := p.tree
 	ll := t.Depth - 1
 	size := make([]int, len(p.levels[ll])) // subtree sizes of the level below, by node
@@ -464,13 +457,7 @@ func (p *patcher) patchParents() bool {
 				continue
 			}
 			if changed && len(keep) > p.limit[l] {
-				if l != ll-1 {
-					return false // upper-level degradation: full rebuild
-				}
-				keep = p.rebuildLeafGroup(keep)
-				for len(size) < len(p.levels[ll]) {
-					size = append(size, len(p.levels[ll][len(size)].Tuples))
-				}
+				return fmt.Errorf("past its fanout bound at level %d (%d children > %d)", l, len(keep), p.limit[l])
 			}
 			for _, ci := range keep {
 				up[pi] += size[ci]
@@ -483,27 +470,7 @@ func (p *patcher) patchParents() bool {
 		}
 		size = up
 	}
-	return true
-}
-
-// rebuildLeafGroup is the scoped subtree rebuild: the parent's leaves
-// are merged and re-split from scratch — local median splits over just
-// this subtree's tuples — restoring the build-time shape without
-// touching the rest of the tree. Returns the new child indexes.
-func (p *patcher) rebuildLeafGroup(children []int) []int {
-	ll := p.tree.Depth - 1
-	var tuples []int
-	for _, ci := range children {
-		tuples = append(tuples, p.levels[ll][ci].Tuples...)
-		p.dead[ll][ci] = true
-	}
-	slices.Sort(tuples)
-	leaves := p.resplit(search.Lower(p.rows, tuples, nil), tuples, 0, len(tuples))
-	out := make([]int, len(leaves))
-	for i, leaf := range leaves {
-		out[i] = p.appendLeaf(leaf)
-	}
-	return out
+	return nil
 }
 
 // compact drops tombstoned nodes, renumbers child references, and

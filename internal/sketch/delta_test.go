@@ -2,7 +2,10 @@ package sketch_test
 
 import (
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -400,4 +403,130 @@ func TestApplyDeltaEmptyingTreeRebuilds(t *testing.T) {
 	if _, ok := base.ApplyDelta(nil, remap, opts); ok {
 		t.Fatal("deleting every candidate must force a rebuild")
 	}
+}
+
+// TestSkewedAppendsPastTheFanoutBoundRebuild: appends that copy three
+// candidates pile into the few leaves nearest them, whose splits widen
+// one leaf-parent past its fanout bound (twice its level's build-time
+// maximum, plus two) while the delta stays inside the drift budget. The
+// patch refuses and names the level and both numbers, and the solve
+// rebuilds: the same package a fresh solve finds.
+func TestSkewedAppendsPastTheFanoutBoundRebuild(t *testing.T) {
+	db, prep := deltaFixture(t, 4000)
+	opts := sketch.Options{MaxPartitionSize: 16, Depth: 3, Seed: 1}
+	rows := prep.Instance.Rows
+	n := len(rows)
+	var stmt strings.Builder
+	stmt.WriteString("INSERT INTO recipes VALUES ")
+	for i := 0; i < n/5; i++ {
+		if i > 0 {
+			stmt.WriteString(", ")
+		}
+		src := rows[i%3]
+		fmt.Fprintf(&stmt, "(%d", 900000+i)
+		for _, v := range src[1:] {
+			stmt.WriteString(", " + v.SQLString())
+		}
+		stmt.WriteString(")")
+	}
+	if _, err := db.Exec(stmt.String()); err != nil {
+		t.Fatal(err)
+	}
+	next, err := core.Prepare(db, mealQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remap := remapByID(rows, next.Instance.Rows)
+	spec := &sketch.PatchSpec{BaseFingerprint: sketch.Fingerprint(rows), Remap: remap}
+	delta, m := spec.DeltaSize(len(next.Instance.Rows)), len(next.Instance.Rows)
+	if !plan.PatchFits(0, delta, m) {
+		t.Fatalf("fixture: a %d-tuple delta over %d candidates is past the drift budget", delta, m)
+	}
+	if _, ok := sketch.BuildTree(prep.Instance, opts).ApplyDelta(next.Instance.Rows, remap, opts); ok {
+		t.Fatal("ApplyDelta absorbed appends that widen a leaf-parent past its fanout bound")
+	}
+
+	cache := sketch.NewCache(0)
+	warm := opts
+	warm.Cache = cache
+	if _, err := sketch.Solve(prep.Instance, warm); err != nil {
+		t.Fatal(err)
+	}
+	fp := sketch.Fingerprint(next.Instance.Rows)
+	warm.Fingerprint = &fp
+	warm.Patch = spec
+	res, err := sketch.Solve(next.Instance, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TreePatched {
+		t.Fatal("the solve served a patched tree past its fanout bound")
+	}
+	refusal := regexp.MustCompile(`^stale partition tree past its fanout bound at level (\d+) \((\d+) children > (\d+)\); rebuilding$`)
+	var note []string
+	for _, s := range res.Notes {
+		if note = refusal.FindStringSubmatch(s); note != nil {
+			break
+		}
+	}
+	if note == nil {
+		t.Fatalf("no fanout refusal in the notes: %q", res.Notes)
+	}
+	if got, bound := atoi(t, note[2]), atoi(t, note[3]); got <= bound || atoi(t, note[1]) >= opts.Depth-1 {
+		t.Fatalf("refusal %q: want an internal level and children past the bound", note[0])
+	}
+	fresh, err := sketch.Solve(next.Instance, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Feasible != fresh.Feasible || !slices.Equal(res.Mult, fresh.Mult) {
+		t.Fatalf("rebuilt answer (feasible %v, %v) differs from a fresh solve's (feasible %v, %v)",
+			res.Feasible, res.Mult, fresh.Feasible, fresh.Mult)
+	}
+	t.Logf("%s; %d appended to %d candidates", note[0], n/5, n)
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestApplyDeltaDropsADeadRoot: deleting every candidate under one root
+// of a depth-2 tree, inside the drift budget, empties its leaves and so
+// the root itself; the patch drops it and keeps the rest intact.
+func TestApplyDeltaDropsADeadRoot(t *testing.T) {
+	_, prep := deltaFixture(t, 4000)
+	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1}
+	base := sketch.BuildTree(prep.Instance, opts)
+	gone := map[int]bool{}
+	for _, ci := range base.Levels[0][0].Children {
+		for _, i := range base.Levels[1][ci].Tuples {
+			gone[i] = true
+		}
+	}
+	var rows []schema.Row
+	remap := make([]int, len(prep.Instance.Rows))
+	for i, row := range prep.Instance.Rows {
+		remap[i] = -1
+		if !gone[i] {
+			remap[i] = len(rows)
+			rows = append(rows, row)
+		}
+	}
+	if !plan.PatchFits(0, len(gone), len(rows)) {
+		t.Fatalf("fixture: deleting root 0's %d candidates of %d is past the drift budget", len(gone), len(remap))
+	}
+	patched, ok := base.ApplyDelta(rows, remap, opts)
+	if !ok {
+		t.Fatalf("ApplyDelta refused to drop root 0 (%d of %d candidates)", len(gone), len(remap))
+	}
+	if got, want := len(patched.Levels[0]), len(base.Levels[0])-1; got != want {
+		t.Fatalf("patched tree has %d roots, want %d", got, want)
+	}
+	checkTree(t, patched, rows)
+	t.Logf("dropped root 0: %d of %d candidates, %d roots left", len(gone), len(remap), len(patched.Levels[0]))
 }

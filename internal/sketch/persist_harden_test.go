@@ -70,6 +70,40 @@ func TestQuarantineCorruptFile(t *testing.T) {
 	}
 }
 
+// TestQuarantineOutlivesAFailedReasonWrite: the .reason note is best
+// effort. With the sketch.store.fs.writefile site failing while Load
+// quarantines a corrupt file, the load still reports a miss, the bytes
+// still move aside to .quarantine, and the next save of the key lands.
+func TestQuarantineOutlivesAFailedReasonWrite(t *testing.T) {
+	store, key, path := hardenFixture(t)
+	corrupt(t, path, false, func(b []byte) []byte { b[len(b)/2] ^= 0x20; return b })
+
+	inj := fault.NewInjector(5, fault.Rule{Site: "sketch.store.fs.writefile", Kind: fault.KindError})
+	restoreInj := fault.Enable(inj)
+	defer restoreInj()
+	injected := sketch.NewStore(store.Dir()) // constructed while enabled: FS is injected
+	if tr, err := injected.Load(key); tr != nil || err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("load of a corrupt file: got (%v, %v), want a miss that names the quarantine", tr, err)
+	}
+	if v := inj.Coverage()["sketch.store.fs.writefile"].Visits; v != 1 {
+		t.Fatalf("reason write visited %d times, want 1", v)
+	}
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Fatalf("quarantine file missing: %v", err)
+	}
+	if _, err := os.Stat(path + ".quarantine.reason"); !os.IsNotExist(err) {
+		t.Fatalf("reason file written through a failing site: %v", err)
+	}
+	prep := recipesPrep(t, 500)
+	tree := sketch.BuildTree(prep.Instance, sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 3})
+	if err := injected.Save(key, tree); err != nil {
+		t.Fatalf("save after the quarantine: %v", err)
+	}
+	if loaded, err := injected.Load(key); err != nil || loaded == nil {
+		t.Fatalf("reload after re-save: (%v, %v)", loaded, err)
+	}
+}
+
 // TestOrphanSweepOnNewStore plants crash debris — an orphaned save temp
 // — and checks the first NewStore for the directory removes it while
 // leaving real tree files (and quarantined files) alone.

@@ -2,7 +2,10 @@ package packagebuilder_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -144,6 +147,119 @@ func TestPublicAPISQLAndCSV(t *testing.T) {
 	}
 	if pkg.Packages[0].Objective != 30 {
 		t.Errorf("objective = %g, want 30 (10+20)", pkg.Packages[0].Objective)
+	}
+}
+
+// TestPublicHelpersDoWhatTheyName: one row per exported helper, each
+// showing the helper change the plan line, Stats field, file or error it
+// names.
+func TestPublicHelpersDoWhatTheyName(t *testing.T) {
+	cases := []struct {
+		helper string
+		check  func(t *testing.T, sys *pb.System)
+	}{
+		{"WithTimeout", func(t *testing.T, sys *pb.System) {
+			res, err := sys.Query(mealQuery, pb.WithStrategy(pb.Solver), pb.WithTimeout(time.Nanosecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Packages) != 0 || !slices.Contains(res.Stats.Notes, "solver hit its limits without an incumbent") {
+				t.Fatalf("a spent budget answered %d packages, notes %q", len(res.Packages), res.Stats.Notes)
+			}
+			if res, err := sys.Query(mealQuery, pb.WithStrategy(pb.Solver)); err != nil || len(res.Packages) != 1 {
+				t.Fatalf("without the timeout: %v, %v", res, err)
+			}
+		}},
+		{"WithMemoryBudget", func(t *testing.T, sys *pb.System) {
+			res, err := sys.QueryContext(context.Background(), mealQuery, pb.WithMemoryBudget(1))
+			if !errors.Is(err, pb.ErrBudgetExceeded) {
+				t.Fatalf("a 1-byte budget: err %v, want ErrBudgetExceeded", err)
+			}
+			if res == nil || res.Stats.MemoryEstimate <= 1 {
+				t.Fatalf("refusal carries no estimate past the budget: %+v", res)
+			}
+		}},
+		{"WithGapTolerance", func(t *testing.T, sys *pb.System) {
+			qp, err := sys.Explain(mealQuery, pb.WithStrategy(pb.SketchRefine), pb.WithGapTolerance(0.05))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := qp.Decision("bound"); d == nil || !d.Forced || !strings.Contains(d.Reason, "within 5.0% of optimal") {
+				t.Fatalf("bound decision %+v, want a forced one naming the tolerance", d)
+			}
+			if !strings.Contains(qp.Explain(), "[forced]") {
+				t.Fatalf("EXPLAIN marks nothing forced:\n%s", qp.Explain())
+			}
+		}},
+		{"WithSketchPersistDir", func(t *testing.T, sys *pb.System) {
+			dir := t.TempDir()
+			if _, err := sys.Query(mealQuery, pb.WithStrategy(pb.SketchRefine), pb.WithSketchPersistDir(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if trees, _ := filepath.Glob(filepath.Join(dir, "*.pbtree")); len(trees) == 0 {
+				t.Fatal("persist dir holds no tree file")
+			}
+			// A new system over the same rows, as a new process would be,
+			// loads the tree instead of building it.
+			res, err := newSystem(t, 200).Query(mealQuery, pb.WithStrategy(pb.SketchRefine), pb.WithSketchPersistDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Sketch == nil || !res.Stats.Sketch.TreeLoaded {
+				t.Fatalf("a fresh system did not load the persisted tree: %+v", res.Stats.Sketch)
+			}
+		}},
+		{"SweepSketchDir", func(t *testing.T, sys *pb.System) {
+			dir := t.TempDir()
+			orphan := filepath.Join(dir, ".pbtree-123456789")
+			if err := os.WriteFile(orphan, []byte("half a tree"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := sys.SweepSketchDir(dir), "swept 1 orphaned temp file(s) from "+dir; got != want {
+				t.Fatalf("sweep line %q, want %q", got, want)
+			}
+			if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+				t.Fatalf("orphan survived the sweep: %v", err)
+			}
+			if got := sys.SweepSketchDir(t.TempDir()); got != "" {
+				t.Fatalf("a clean directory's sweep line %q, want none", got)
+			}
+		}},
+		{"LoadCSVFile", func(t *testing.T, sys *pb.System) {
+			path := filepath.Join(t.TempDir(), "t.csv")
+			if err := os.WriteFile(path, []byte("id:int,x:float\n1,10\n2,20\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := sys.LoadCSVFile("fromfile", path); err != nil || n != 2 {
+				t.Fatalf("LoadCSVFile = %d, %v", n, err)
+			}
+			res, err := sys.ExecSQL("SELECT SUM(x) FROM fromfile")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f, _ := res.Rows[0][0].AsFloat(); f != 30 {
+				t.Fatalf("sum over the loaded file = %g, want 30", f)
+			}
+		}},
+		{"ExecSQLContext", func(t *testing.T, sys *pb.System) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := sys.ExecSQLContext(ctx, "CREATE TABLE never (id INTEGER)"); !errors.Is(err, pb.ErrCanceled) {
+				t.Fatalf("dead context: err %v, want ErrCanceled", err)
+			}
+			if slices.Contains(sys.DB().TableNames(), "never") {
+				t.Fatal("a dead context touched the database")
+			}
+			if _, err := sys.ExecSQLContext(context.Background(), "CREATE TABLE live (id INTEGER)"); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(sys.DB().TableNames(), "live") {
+				t.Fatal("a live context's statement did not run")
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.helper, func(t *testing.T) { c.check(t, newSystem(t, 200)) })
 	}
 }
 
