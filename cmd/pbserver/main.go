@@ -369,10 +369,21 @@ func (s *server) packageJSON(ses *explore.Session, p *pb.Package, stats *pb.Stat
 	return out
 }
 
-// decodeJSON parses a body-limited JSON request.
+// decodeJSON parses a body-limited JSON request: one JSON value whose
+// fields v names. An unknown field or bytes after the value are refused,
+// so a client never has input silently ignored (a field the server no
+// longer reads among them).
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	return json.NewDecoder(r.Body).Decode(v)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("pbserver: request body continues after its JSON value")
+	}
+	return nil
 }
 
 // admit gates a handler's solve work through the admission controller.

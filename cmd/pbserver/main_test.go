@@ -331,10 +331,9 @@ func TestHandleExplain(t *testing.T) {
 	}
 
 	// Each knob a request can pin — strategy, sketchDepth — comes back
-	// forced; the worker count stays the planner's decision, and a
-	// sketchIncr key from an older client is an unknown field, ignored.
+	// forced; the worker count stays the planner's decision.
 	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+
-		`, "explain": true, "strategy": "sketch-refine", "sketchDepth": 2, "sketchIncr": false}`)
+		`, "explain": true, "strategy": "sketch-refine", "sketchDepth": 2}`)
 	if rec2.Code != 200 {
 		t.Fatalf("forced explain status %d: %s", rec2.Code, rec2.Body)
 	}
@@ -361,6 +360,22 @@ func TestHandleExplain(t *testing.T) {
 	}
 	if len(forced) != len(want) || !sawWorkers {
 		t.Errorf("forced decisions %v (parallelism present: %v), want exactly %v: %s", forced, sawWorkers, want, out2["plan"])
+	}
+
+	// A sketchIncr key from an older client names a field the server no
+	// longer reads, and a second value after the request is input no
+	// handler reads either: each is a 400, not silently ignored.
+	for body, names := range map[string]string{
+		`{"query": ` + mustJSON(demoQuery) + `, "explain": true, "sketchIncr": false}`: `"sketchIncr"`,
+		`{"query": ` + mustJSON(demoQuery) + `, "explain": true} {"sketchDepth": 2}`:   "continues after its JSON value",
+	} {
+		rec3, out3 := postJSON(t, s.handleQuery, body)
+		var code, msg string
+		_ = json.Unmarshal(out3["code"], &code)
+		_ = json.Unmarshal(out3["error"], &msg)
+		if rec3.Code != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, names) {
+			t.Errorf("%s: status %d, body %s; want a 400 bad_request naming %s", body, rec3.Code, rec3.Body, names)
+		}
 	}
 }
 
@@ -803,32 +818,22 @@ func TestSummaryRunsUnderSessionOptions(t *testing.T) {
 	}
 }
 
-// TestRequestCannotSetServerOptions: the request struct names its five
-// fields and embeds nothing, so keys that spell the server's own options
-// — where it writes trees, its memory budget, its time budget — are
-// ignored: no file is written and the answer is the plain query's.
+// TestRequestCannotSetServerOptions: the request struct names its four
+// fields and embeds nothing, so a key that spells one of the server's own
+// options — where it writes trees, its memory budget, its time budget —
+// is an unknown field: the request is refused with a 400 naming it, and
+// no file is written.
 func TestRequestCannotSetServerOptions(t *testing.T) {
 	s := testServer(t)
 	dir := t.TempDir()
-	answer := func(extra string) (string, string, string) {
-		t.Helper()
-		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine"`+extra+`}`)
-		if rec.Code != 200 {
-			t.Fatalf("query%s: %d %s", extra, rec.Code, rec.Body)
+	for _, extra := range []string{`"SketchPersistDir": ` + mustJSON(dir), `"sketchDir": ` + mustJSON(dir),
+		`"MemoryBudget": 1`, `"timeout": 1`} {
+		rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`, "strategy": "sketch-refine", `+extra+`}`)
+		var msg string
+		_ = json.Unmarshal(out["error"], &msg)
+		if name, _, _ := strings.Cut(extra, ":"); rec.Code != http.StatusBadRequest || !strings.Contains(msg, name) {
+			t.Errorf("query with %s: %d %s, want a 400 naming %s", extra, rec.Code, rec.Body, name)
 		}
-		var stats struct {
-			Strategy        string `json:"strategy"`
-			PlannedStrategy string `json:"plannedStrategy"`
-		}
-		_ = json.Unmarshal(out["stats"], &stats)
-		return stats.Strategy, stats.PlannedStrategy, string(out["rowIds"])
-	}
-	wantStrategy, wantPlanned, wantRows := answer("")
-	gotStrategy, gotPlanned, gotRows := answer(`, "SketchPersistDir": ` + mustJSON(dir) + `, "sketchDir": ` + mustJSON(dir) +
-		`, "MemoryBudget": 1, "timeout": 1`)
-	if gotStrategy != wantStrategy || gotPlanned != wantPlanned || gotRows != wantRows {
-		t.Errorf("extra keys changed the answer: %s (planned %s) %s, want %s (planned %s) %s",
-			gotStrategy, gotPlanned, gotRows, wantStrategy, wantPlanned, wantRows)
 	}
 	if files, _ := os.ReadDir(dir); len(files) != 0 {
 		t.Errorf("a request key made the server write %d file(s) under %s", len(files), dir)

@@ -18,13 +18,6 @@ type CreateTableStmt struct {
 	Schema schema.Schema
 }
 
-// CreateIndexStmt is CREATE INDEX [name] ON table (col).
-type CreateIndexStmt struct {
-	Name  string
-	Table string
-	Col   string
-}
-
 // InsertStmt is INSERT INTO table [(cols)] VALUES (...), (...).
 // Value expressions must be constant (no column references).
 type InsertStmt struct {
@@ -87,20 +80,20 @@ type OrderItem struct {
 }
 
 func (*CreateTableStmt) stmt() {}
-func (*CreateIndexStmt) stmt() {}
 func (*InsertStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 func (*SelectStmt) stmt()      {}
 
 // Subquery is an uncorrelated scalar sub-query in an expression, SQL's
-// or PaQL's. It is evaluated once and replaced by its single value:
-// by the planner in SQL, by FoldSubqueries for PaQL.
+// or PaQL's. It is evaluated once and replaced by its single value: by
+// the planner in a SELECT, by INSERT and DELETE before they write, by
+// FoldSubqueries for PaQL.
 type Subquery struct {
 	Stmt *SelectStmt
 	Text string // original text, for rendering
 }
 
-// Eval reports an error: sub-queries are folded by the planner.
+// Eval reports an error: sub-queries are folded before evaluation.
 func (s *Subquery) Eval(schema.Row) (value.V, error) {
 	return value.Null(), fmt.Errorf("minidb: scalar sub-query used outside a planning context")
 }

@@ -2,14 +2,14 @@
 // The paper's system is "an external module which communicates with the
 // DBMS, where the data resides, via SQL"; minidb plays the DBMS role:
 // an embedded, in-memory engine with a SQL subset (CREATE TABLE /
-// CREATE INDEX / INSERT / DELETE / SELECT with joins, grouping,
-// aggregates, ORDER BY and LIMIT), a volcano-style streaming executor,
-// predicate pushdown, hash joins, and B+-tree secondary indexes.
+// INSERT / DELETE / SELECT with joins, grouping, aggregates, ORDER BY
+// and LIMIT), a volcano-style streaming executor and predicate pushdown
+// into heap scans.
 //
 // The engine favours clarity over raw speed but is careful about the
-// cases PackageBuilder stresses: the §4.2 local-search replacement
-// query is a k-way self-join, which streams through nested loops or
-// hash joins without materializing the cross product.
+// case PackageBuilder stresses: the §4.2 local-search replacement query
+// is a k-way self-join under theta conditions, which streams through
+// nested loops without materializing the cross product.
 //
 // minidb also owns the expression vocabulary SQL and PaQL share: the
 // grammar extension for aggregate calls (expr.Agg) and scalar sub-queries
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/btree"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -44,14 +43,12 @@ func New() *DB {
 	return &DB{tables: map[string]*Table{}}
 }
 
-// Table is a heap of rows plus optional secondary indexes. The schema's
-// columns are unqualified; scans qualify them with the table name or
-// alias.
+// Table is a heap of rows. The schema's columns are unqualified; scans
+// qualify them with the table name or alias.
 type Table struct {
-	Name    string
-	Schema  schema.Schema
-	Rows    []schema.Row
-	indexes map[string]*btree.Tree // keyed by lower-case column name
+	Name   string
+	Schema schema.Schema
+	Rows   []schema.Row
 
 	// version and log implement the per-table write tracking DeltaSince
 	// serves (see delta.go).
@@ -92,7 +89,7 @@ func (db *DB) CreateTable(name string, sc schema.Schema) (*Table, error) {
 		seen[lc] = true
 		cols[i] = schema.Column{Name: c.Name, Type: c.Type}
 	}
-	t := &Table{Name: name, Schema: schema.Schema{Cols: cols}, indexes: map[string]*btree.Tree{}}
+	t := &Table{Name: name, Schema: schema.Schema{Cols: cols}}
 	db.tables[key] = t
 	return t, nil
 }
@@ -129,8 +126,8 @@ func (db *DB) TableNames() []string {
 	return out
 }
 
-// InsertRows validates and appends rows to a table, maintaining its
-// indexes. Rows are validated against the schema (ints widen to floats).
+// InsertRows validates and appends rows to a table. Rows are validated
+// against the schema (ints widen to floats).
 func (db *DB) InsertRows(table string, rows []schema.Row) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -155,43 +152,10 @@ func (t *Table) insert(rows []schema.Row) error {
 		if err != nil {
 			return fmt.Errorf("minidb: insert into %s: %w", t.Name, err)
 		}
-		rid := int32(len(t.Rows))
 		t.Rows = append(t.Rows, vr)
 		appended++
-		for col, idx := range t.indexes {
-			ord, _ := t.Schema.IndexOf("", col)
-			if !vr[ord].IsNull() {
-				_ = idx.Insert(vr[ord], rid)
-			}
-		}
 	}
 	return nil
-}
-
-// CreateIndex builds a B+-tree index over one column. NULLs are skipped.
-func (db *DB) CreateIndex(table, col string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(table)]
-	if !ok {
-		return fmt.Errorf("minidb: table %q does not exist", table)
-	}
-	ord, err := t.Schema.IndexOf("", col)
-	if err != nil {
-		return fmt.Errorf("minidb: create index: %w", err)
-	}
-	key := strings.ToLower(col)
-	if _, exists := t.indexes[key]; exists {
-		return fmt.Errorf("minidb: index on %s(%s) already exists", table, col)
-	}
-	t.indexes[key] = newIndexOver(t, ord)
-	return nil
-}
-
-// Index returns the index on col, if any.
-func (t *Table) Index(col string) (*btree.Tree, bool) {
-	idx, ok := t.indexes[strings.ToLower(col)]
-	return idx, ok
 }
 
 // LoadCSV reads CSV with a header into a new table. Header cells may be

@@ -1,13 +1,10 @@
 package minidb
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/expr"
 	"repro/internal/schema"
-	"repro/internal/value"
 )
 
 // operator is a volcano-style iterator. Schemas are fixed at plan time;
@@ -21,80 +18,25 @@ type operator interface {
 
 // --- scan -------------------------------------------------------------------
 
-// indexRange describes an index-driven scan: rows whose key falls in
-// [lo, hi] (either bound may be nil).
-type indexRange struct {
-	col    string
-	lo, hi *indexBound
-}
-
-type indexBound struct {
-	key       value.V
-	inclusive bool
-}
-
-// scanOp reads a base table, optionally through an index range, and
-// applies a pushed-down residual filter.
+// scanOp reads a base table in heap order and applies a pushed-down
+// filter.
 type scanOp struct {
-	table   *Table
-	binding string
-	filter  expr.Expr // bound to sch; may be nil
-	idx     *indexRange
-	sch     schema.Schema
-
-	rids []int32 // resolved by index scan; nil = heap order
-	pos  int
+	table  *Table
+	filter expr.Expr // bound to sch; may be nil
+	sch    schema.Schema
+	pos    int
 }
 
 func newScanOp(t *Table, binding string) *scanOp {
-	return &scanOp{table: t, binding: binding, sch: t.Schema.WithQualifier(binding)}
+	return &scanOp{table: t, sch: t.Schema.WithQualifier(binding)}
 }
 
 func (s *scanOp) schema() schema.Schema { return s.sch }
-
-func (s *scanOp) open() error {
-	s.pos = 0
-	s.rids = nil
-	if s.idx == nil {
-		return nil
-	}
-	tree, ok := s.table.Index(s.idx.col)
-	if !ok {
-		return fmt.Errorf("minidb: planned index on %s(%s) disappeared", s.table.Name, s.idx.col)
-	}
-	var lo, hi *btree.Bound
-	if b := s.idx.lo; b != nil {
-		lo = &btree.Bound{Key: b.key, Inclusive: b.inclusive}
-	}
-	if b := s.idx.hi; b != nil {
-		hi = &btree.Bound{Key: b.key, Inclusive: b.inclusive}
-	}
-	// Index scans return at least the matching rows; the residual filter
-	// re-checks every pushed predicate, so over-approximation is safe.
-	tree.AscendRange(lo, hi, func(_ value.V, rids []int32) bool {
-		s.rids = append(s.rids, rids...)
-		return true
-	})
-	if s.rids == nil {
-		s.rids = []int32{} // distinguish "empty index result" from "heap scan"
-	}
-	return nil
-}
+func (s *scanOp) open() error           { s.pos = 0; return nil }
 
 func (s *scanOp) next() (schema.Row, bool, error) {
-	for {
-		var row schema.Row
-		if s.rids != nil {
-			if s.pos >= len(s.rids) {
-				return nil, false, nil
-			}
-			row = s.table.Rows[s.rids[s.pos]]
-		} else {
-			if s.pos >= len(s.table.Rows) {
-				return nil, false, nil
-			}
-			row = s.table.Rows[s.pos]
-		}
+	for s.pos < len(s.table.Rows) {
+		row := s.table.Rows[s.pos]
 		s.pos++
 		if s.filter != nil {
 			ok, err := expr.EvalBool(s.filter, row)
@@ -107,9 +49,10 @@ func (s *scanOp) next() (schema.Row, bool, error) {
 		}
 		return row, true, nil
 	}
+	return nil, false, nil
 }
 
-func (s *scanOp) close() { s.rids = nil }
+func (s *scanOp) close() {}
 
 // --- materialized rows (derived tables) --------------------------------------
 
@@ -188,8 +131,10 @@ func (p *projectOp) close() { p.child.close() }
 
 // nlJoinOp is an inner join that streams the left input and loops over a
 // materialized right input, applying an optional condition. With a nil
-// condition it is a cross join. PackageBuilder's §4.2 replacement query
-// runs through this operator when no equi-key is available.
+// condition it is a cross join. It is the engine's one join: every join
+// step, equi-join or theta join, is a nested loop over that step's
+// conjuncts, and PackageBuilder's §4.2 replacement query streams through
+// it.
 type nlJoinOp struct {
 	left, right operator
 	cond        expr.Expr // bound to concat schema; may be nil
@@ -274,137 +219,6 @@ func (j *nlJoinOp) next() (schema.Row, bool, error) {
 func (j *nlJoinOp) close() {
 	j.left.close()
 	j.rightRows = nil
-}
-
-// --- hash join -------------------------------------------------------------------
-
-// hashJoinOp is an inner equi-join: it builds a hash table on the right
-// input keyed by rightKeys, then probes with the left input. A residual
-// condition covers non-equi conjuncts.
-type hashJoinOp struct {
-	left, right         operator
-	leftKeys, rightKeys []expr.Expr // bound to left/right schemas
-	residual            expr.Expr   // bound to concat schema; may be nil
-	sch                 schema.Schema
-	table               map[uint64][]schema.Row
-	curMatches          []schema.Row
-	curLeft             schema.Row
-	mpos                int
-	leftKeyVals         []value.V
-}
-
-func newHashJoin(l, r operator, lk, rk []expr.Expr, residual expr.Expr) *hashJoinOp {
-	return &hashJoinOp{left: l, right: r, leftKeys: lk, rightKeys: rk,
-		residual: residual, sch: l.schema().Concat(r.schema())}
-}
-
-func (j *hashJoinOp) schema() schema.Schema { return j.sch }
-
-func (j *hashJoinOp) open() error {
-	if err := j.left.open(); err != nil {
-		return err
-	}
-	if err := j.right.open(); err != nil {
-		return err
-	}
-	j.table = make(map[uint64][]schema.Row)
-	for {
-		row, ok, err := j.right.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h, null, err := hashKeys(j.rightKeys, row)
-		if err != nil {
-			return err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		j.table[h] = append(j.table[h], row)
-	}
-	j.right.close()
-	j.curMatches = nil
-	j.mpos = 0
-	return nil
-}
-
-func hashKeys(keys []expr.Expr, row schema.Row) (uint64, bool, error) {
-	var h uint64 = 1469598103934665603
-	for _, k := range keys {
-		v, err := k.Eval(row)
-		if err != nil {
-			return 0, false, err
-		}
-		if v.IsNull() {
-			return 0, true, nil
-		}
-		h = h*1099511628211 + v.Hash()
-	}
-	return h, false, nil
-}
-
-func (j *hashJoinOp) next() (schema.Row, bool, error) {
-	for {
-		for j.mpos < len(j.curMatches) {
-			right := j.curMatches[j.mpos]
-			j.mpos++
-			// Verify key equality (hash collisions) then residual.
-			eq := true
-			for i := range j.leftKeys {
-				rv, err := j.rightKeys[i].Eval(right)
-				if err != nil {
-					return nil, false, err
-				}
-				if !j.leftKeyVals[i].Equal(rv) {
-					eq = false
-					break
-				}
-			}
-			if !eq {
-				continue
-			}
-			out := j.curLeft.Concat(right)
-			if j.residual != nil {
-				pass, err := expr.EvalBool(j.residual, out)
-				if err != nil {
-					return nil, false, err
-				}
-				if !pass {
-					continue
-				}
-			}
-			return out, true, nil
-		}
-		row, ok, err := j.left.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.curLeft = row
-		h, null, err := hashKeys(j.leftKeys, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if null {
-			j.curMatches = nil
-			j.mpos = 0
-			continue
-		}
-		j.leftKeyVals = j.leftKeyVals[:0]
-		for _, k := range j.leftKeys {
-			v, _ := k.Eval(row)
-			j.leftKeyVals = append(j.leftKeyVals, v)
-		}
-		j.curMatches = j.table[h]
-		j.mpos = 0
-	}
-}
-
-func (j *hashJoinOp) close() {
-	j.left.close()
-	j.table = nil
 }
 
 // --- sort, distinct, limit --------------------------------------------------------

@@ -198,7 +198,7 @@ func TestJoins(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE cuisines (rid INT, cuisine TEXT)`)
 	mustExec(t, db, `INSERT INTO cuisines VALUES (1,'US'), (2,'IT'), (3,'US'), (4,'FR'), (99,'XX')`)
 
-	// comma join with equi predicate (hash join path)
+	// comma join with equi predicate
 	res := mustExec(t, db, `
 		SELECT r.name, c.cuisine FROM recipes r, cuisines c
 		WHERE r.id = c.rid ORDER BY r.id`)
@@ -214,7 +214,7 @@ func TestJoins(t *testing.T) {
 	if len(res2.Rows) != len(res.Rows) {
 		t.Errorf("ON join rows = %d, want %d", len(res2.Rows), len(res.Rows))
 	}
-	// non-equi theta join (nested loop path)
+	// non-equi theta join
 	res3 := mustExec(t, db, `
 		SELECT a.name, b.name FROM recipes a, recipes b
 		WHERE a.calories < b.calories AND a.id = 3 AND b.id = 5`)
@@ -331,24 +331,10 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestIndexScanMatchesHeapScan(t *testing.T) {
+// Range and equality probes follow writes: a scan reads the rows INSERT
+// appended and skips the rows DELETE compacted away.
+func TestRangeProbesFollowWrites(t *testing.T) {
 	db := newTestDB(t)
-	run := func(q string) []schema.Row {
-		return mustExec(t, db, q).Rows
-	}
-	q := `SELECT name FROM recipes WHERE calories <= 400 ORDER BY id`
-	before := run(q)
-	mustExec(t, db, `CREATE INDEX ON recipes (calories)`)
-	after := run(q)
-	if len(before) != len(after) {
-		t.Fatalf("index scan changed results: %d vs %d rows", len(before), len(after))
-	}
-	for i := range before {
-		if before[i][0].StrVal() != after[i][0].StrVal() {
-			t.Errorf("row %d: %v vs %v", i, before[i], after[i])
-		}
-	}
-	// equality and lower-bound probes
 	r := mustExec(t, db, `SELECT name FROM recipes WHERE calories = 800`)
 	if len(r.Rows) != 1 || r.Rows[0][0].StrVal() != "Burger" {
 		t.Errorf("eq probe = %v", r.Rows)
@@ -357,7 +343,6 @@ func TestIndexScanMatchesHeapScan(t *testing.T) {
 	if !r.Rows[0][0].Equal(value.Int(4)) {
 		t.Errorf("gt probe = %v", r.Rows[0][0])
 	}
-	// index maintained across insert and delete
 	mustExec(t, db, `INSERT INTO recipes VALUES (10, 'Snack', 'free', 100, 1, 1)`)
 	r = mustExec(t, db, `SELECT COUNT(*) FROM recipes WHERE calories < 200`)
 	if !r.Rows[0][0].Equal(value.Int(2)) {
@@ -368,11 +353,40 @@ func TestIndexScanMatchesHeapScan(t *testing.T) {
 	if !r.Rows[0][0].Equal(value.Int(1)) {
 		t.Errorf("after delete = %v", r.Rows[0][0])
 	}
-	if err := db.CreateIndex("recipes", "calories"); err == nil {
-		t.Error("duplicate index should fail")
+}
+
+// Scalar sub-queries fold in writes as they do in SELECT: DELETE folds
+// its WHERE and INSERT each VALUES expression, against the table as it
+// stands before the write.
+func TestScalarSubqueriesInWrites(t *testing.T) {
+	db := newTestDB(t)
+	// AVG(calories) = 3450/8 = 431.25: Pasta, Burger and Steak go.
+	res := mustExec(t, db, `DELETE FROM recipes WHERE calories > (SELECT AVG(calories) FROM recipes)`)
+	if res.Affected != 3 {
+		t.Errorf("deleted = %d, want 3", res.Affected)
 	}
-	if err := db.CreateIndex("recipes", "nope"); err == nil {
-		t.Error("index on unknown column should fail")
+	// MAX(id) is 7 now, and both rows read it before either lands.
+	mustExec(t, db, `INSERT INTO recipes VALUES
+		((SELECT MAX(id) FROM recipes) + 1, 'Soup', 'free', 120, 5, 3),
+		((SELECT MAX(id) FROM recipes) + 2, 'Stew', 'full', 480, 25, 14)`)
+	res = mustExec(t, db, `SELECT id, name FROM recipes WHERE id > 7 ORDER BY id`)
+	if len(res.Rows) != 2 || !res.Rows[0][0].Equal(value.Int(8)) || res.Rows[0][1].StrVal() != "Soup" ||
+		!res.Rows[1][0].Equal(value.Int(9)) || res.Rows[1][1].StrVal() != "Stew" {
+		t.Errorf("inserted = %v", res.Rows)
+	}
+	// A failing sub-query fails the write before it touches the table.
+	tab, _ := db.Table("recipes")
+	version := tab.Version()
+	for _, q := range []string{
+		`DELETE FROM recipes WHERE calories > (SELECT calories FROM recipes)`,
+		`INSERT INTO recipes VALUES ((SELECT id, name FROM recipes), 'X', 'free', 1, 1, 1)`,
+	} {
+		if _, err := db.Exec(q); err == nil || !strings.Contains(err.Error(), "scalar sub-query") {
+			t.Errorf("Exec(%q) = %v, want a scalar sub-query error", q, err)
+		}
+	}
+	if tab.Version() != version || len(tab.Rows) != 7 {
+		t.Errorf("failed writes moved the table: version %d -> %d, %d rows", version, tab.Version(), len(tab.Rows))
 	}
 }
 
@@ -435,6 +449,7 @@ func TestParseErrorsSurface(t *testing.T) {
 		`SELECT * FROM recipes trailing_token extra`,
 		`INSERT INTO recipes`,
 		`CREATE recipes`,
+		`CREATE INDEX ON recipes (calories)`,
 		`SELECT FROM recipes`,
 	}
 	for _, q := range bad {
@@ -526,7 +541,6 @@ func TestRandomFiltersMatchOracle(t *testing.T) {
 		inserts = append(inserts, fmt.Sprintf("(%d, %g)", r.a, r.b))
 	}
 	mustExec(t, db, "INSERT INTO nums VALUES "+strings.Join(inserts, ","))
-	mustExec(t, db, `CREATE INDEX ON nums (a)`)
 	for trial := 0; trial < 50; trial++ {
 		lo := rng.Intn(100)
 		hi := lo + rng.Intn(40)
@@ -552,25 +566,82 @@ func TestRandomFiltersMatchOracle(t *testing.T) {
 	}
 }
 
-// Join results agree between hash-join (equi) and the nested-loop oracle
-// expressed as a filtered cross product.
+// Joins agree with counts computed in Go: equi-joins, theta joins and
+// their mix, comma-listed or JOIN ... ON, over random keys of which some
+// are NULL and never match.
 func TestJoinStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	db := New()
-	mustExec(t, db, `CREATE TABLE l (k INT, v INT)`)
-	mustExec(t, db, `CREATE TABLE r (k INT, w INT)`)
-	var li, ri []string
-	for i := 0; i < 80; i++ {
-		li = append(li, fmt.Sprintf("(%d, %d)", rng.Intn(20), i))
-		ri = append(ri, fmt.Sprintf("(%d, %d)", rng.Intn(20), i))
+	type row struct {
+		k    int64
+		null bool // k is NULL
+		v    int64
 	}
-	mustExec(t, db, "INSERT INTO l VALUES "+strings.Join(li, ","))
-	mustExec(t, db, "INSERT INTO r VALUES "+strings.Join(ri, ","))
-	// hash-join path
-	hj := mustExec(t, db, `SELECT COUNT(*) FROM l, r WHERE l.k = r.k`)
-	// force nested loop with an always-true non-equi wrapper
-	nl := mustExec(t, db, `SELECT COUNT(*) FROM l, r WHERE l.k <= r.k AND l.k >= r.k`)
-	if hj.Rows[0][0].IntVal() != nl.Rows[0][0].IntVal() {
-		t.Errorf("hash join %v != nested loop %v", hj.Rows[0][0], nl.Rows[0][0])
+	gen := func(n int) ([]row, string) {
+		rows := make([]row, n)
+		lits := make([]string, n)
+		for i := range rows {
+			rows[i] = row{k: int64(rng.Intn(12)), null: rng.Intn(6) == 0, v: int64(rng.Intn(30))}
+			k := fmt.Sprint(rows[i].k)
+			if rows[i].null {
+				k = "NULL"
+			}
+			lits[i] = fmt.Sprintf("(%s, %d)", k, rows[i].v)
+		}
+		return rows, strings.Join(lits, ", ")
+	}
+	eq := func(a, b row, shift int64) bool { return !a.null && !b.null && a.k+shift == b.k }
+	cases := []struct {
+		from, where string
+		match       func(a, b row) bool
+	}{
+		{"l, r", "l.k = r.k", func(a, b row) bool { return eq(a, b, 0) }},
+		{"l JOIN r ON r.k = l.k", "", func(a, b row) bool { return eq(a, b, 0) }},
+		{"l, r", "l.k + 1 = r.k", func(a, b row) bool { return eq(a, b, 1) }},
+		{"l, r", "l.k = r.k AND l.v < r.v", func(a, b row) bool { return eq(a, b, 0) && a.v < b.v }},
+		{"l, r", "l.k < r.k", func(a, b row) bool { return !a.null && !b.null && a.k < b.k }},
+		{"l, r", "l.v + r.v = 30", func(a, b row) bool { return a.v+b.v == 30 }},
+		{"l, r", "l.k = r.k OR l.v = r.v", func(a, b row) bool { return eq(a, b, 0) || a.v == b.v }},
+		{"l, r", "l.k IS NULL AND r.k IS NULL", func(a, b row) bool { return a.null && b.null }},
+	}
+	for trial := 0; trial < 4; trial++ {
+		db := New()
+		mustExec(t, db, `CREATE TABLE l (k INT, v INT)`)
+		mustExec(t, db, `CREATE TABLE r (k INT, v INT)`)
+		l, lits := gen(60)
+		mustExec(t, db, "INSERT INTO l VALUES "+lits)
+		r, lits := gen(60)
+		mustExec(t, db, "INSERT INTO r VALUES "+lits)
+		for _, c := range cases {
+			want := int64(0)
+			for _, a := range l {
+				for _, b := range r {
+					if c.match(a, b) {
+						want++
+					}
+				}
+			}
+			q := "SELECT COUNT(*) FROM " + c.from
+			if c.where != "" {
+				q += " WHERE " + c.where
+			}
+			if got := mustExec(t, db, q).Rows[0][0].IntVal(); got != want {
+				t.Errorf("trial %d: %s = %d, want %d", trial, q, got, want)
+			}
+		}
+		// A three-way chain of equi-joins.
+		want := int64(0)
+		for _, a := range l {
+			for _, b := range r {
+				for _, c := range l {
+					if eq(a, b, 0) && eq(b, c, 0) && c.v > a.v {
+						want++
+					}
+				}
+			}
+		}
+		q := `SELECT COUNT(*) FROM l, r, l l2 WHERE l.k = r.k AND r.k = l2.k AND l2.v > l.v`
+		if got := mustExec(t, db, q).Rows[0][0].IntVal(); got != want {
+			t.Errorf("trial %d: %s = %d, want %d", trial, q, got, want)
+		}
 	}
 }

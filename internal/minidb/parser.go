@@ -125,67 +125,39 @@ func parseStmt(p *parse.Parser) (Stmt, error) {
 
 func parseCreate(p *parse.Parser) (Stmt, error) {
 	_ = p.ExpectKeyword("CREATE")
-	switch {
-	case p.AcceptKeyword("TABLE"):
-		name, err := p.ParseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.ExpectPunct("("); err != nil {
-			return nil, err
-		}
-		var cols []schema.Column
-		for {
-			cn, err := p.ParseIdent()
-			if err != nil {
-				return nil, err
-			}
-			tn, err := p.ParseIdent()
-			if err != nil {
-				return nil, err
-			}
-			ty, err := schema.TypeFromName(tn)
-			if err != nil {
-				return nil, p.Errf("%v", err)
-			}
-			cols = append(cols, schema.Column{Name: cn, Type: ty})
-			if !p.AcceptPunct(",") {
-				break
-			}
-		}
-		if err := p.ExpectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &CreateTableStmt{Name: name, Schema: schema.Schema{Cols: cols}}, nil
-	case p.AcceptKeyword("INDEX"):
-		var idxName string
-		if !p.PeekKeyword("ON") {
-			n, err := p.ParseIdent()
-			if err != nil {
-				return nil, err
-			}
-			idxName = n
-		}
-		if err := p.ExpectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		table, err := p.ParseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.ExpectPunct("("); err != nil {
-			return nil, err
-		}
-		col, err := p.ParseIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.ExpectPunct(")"); err != nil {
-			return nil, err
-		}
-		return &CreateIndexStmt{Name: idxName, Table: table, Col: col}, nil
+	if !p.AcceptKeyword("TABLE") {
+		return nil, p.Errf("expected TABLE after CREATE")
 	}
-	return nil, p.Errf("expected TABLE or INDEX after CREATE")
+	name, err := p.ParseIdent()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ExpectPunct("("); err != nil {
+		return nil, err
+	}
+	var cols []schema.Column
+	for {
+		cn, err := p.ParseIdent()
+		if err != nil {
+			return nil, err
+		}
+		tn, err := p.ParseIdent()
+		if err != nil {
+			return nil, err
+		}
+		ty, err := schema.TypeFromName(tn)
+		if err != nil {
+			return nil, p.Errf("%v", err)
+		}
+		cols = append(cols, schema.Column{Name: cn, Type: ty})
+		if !p.AcceptPunct(",") {
+			break
+		}
+	}
+	if err := p.ExpectPunct(")"); err != nil {
+		return nil, err
+	}
+	return &CreateTableStmt{Name: name, Schema: schema.Schema{Cols: cols}}, nil
 }
 
 func parseInsert(p *parse.Parser) (Stmt, error) {

@@ -12,10 +12,9 @@ import (
 // planSelect compiles a SELECT into an operator tree. The plan is
 // left-deep in FROM order with:
 //   - scalar sub-queries folded to constants,
-//   - single-source WHERE conjuncts pushed down to scans (with index
-//     range selection when an index matches),
-//   - equi-join conjuncts compiled to hash joins, other conjuncts to
-//     nested-loop join conditions,
+//   - single-source WHERE conjuncts pushed down to heap scans,
+//   - every other conjunct at the first join step where it binds, as
+//     that step's nested-loop condition (equi-joins included),
 //   - hash aggregation with HAVING,
 //   - projection, DISTINCT, ORDER BY (output aliases, ordinals, or
 //     hidden input-level keys) and LIMIT/OFFSET.
@@ -145,58 +144,31 @@ func (db *DB) planSelect(st *SelectStmt) (operator, error) {
 				continue
 			}
 			src.scan.filter = expr.AndAll(src.scan.filter, local)
-			considerIndex(src.scan, local)
 			continue
 		}
 		remaining = append(remaining, c)
 	}
 
 	// --- joins -------------------------------------------------------------
-	acc := sources[0].op
-	accWidth := sources[0].sch.Len()
-	// Conjuncts for source 0 that could not be pushed (derived tables).
-	var step0 []expr.Expr
+	// A remaining conjunct runs at the step where its last source joins:
+	// source 0's (a derived table's, which takes no pushdown) as a filter,
+	// a later step's as that step's nested-loop condition. Constant
+	// conjuncts (no column references) filter once on top.
+	steps := make([][]expr.Expr, len(sources))
+	var consts []expr.Expr
 	for _, c := range remaining {
-		if c.maxSource == 0 {
-			step0 = append(step0, c.e)
+		if c.maxSource < 0 {
+			consts = append(consts, c.e)
+		} else {
+			steps[c.maxSource] = append(steps[c.maxSource], c.e)
 		}
 	}
-	if f := expr.AndAll(step0...); f != nil {
+	acc := sources[0].op
+	if f := expr.AndAll(steps[0]...); f != nil {
 		acc = &filterOp{child: acc, pred: f}
 	}
 	for i := 1; i < len(sources); i++ {
-		src := sources[i]
-		var stepConjs []expr.Expr
-		for _, c := range remaining {
-			if c.maxSource == i {
-				stepConjs = append(stepConjs, c.e)
-			}
-		}
-		var leftKeys, rightKeys []expr.Expr
-		var residual []expr.Expr
-		for _, e := range stepConjs {
-			lk, rk, ok := equiKey(e, accWidth, src.sch.Len())
-			if ok {
-				leftKeys = append(leftKeys, lk)
-				rightKeys = append(rightKeys, rk)
-			} else {
-				residual = append(residual, e)
-			}
-		}
-		res := expr.AndAll(residual...)
-		if len(leftKeys) > 0 {
-			acc = newHashJoin(acc, src.op, leftKeys, rightKeys, res)
-		} else {
-			acc = newNLJoin(acc, src.op, res)
-		}
-		accWidth += src.sch.Len()
-	}
-	// Constant conjuncts (no column references) filter once on top.
-	var consts []expr.Expr
-	for _, c := range remaining {
-		if c.maxSource == -1 {
-			consts = append(consts, c.e)
-		}
+		acc = newNLJoin(acc, sources[i].op, expr.AndAll(steps[i]...))
 	}
 	if f := expr.AndAll(consts...); f != nil {
 		acc = &filterOp{child: acc, pred: f}
@@ -432,109 +404,6 @@ func splitAnd(e expr.Expr) []expr.Expr {
 		return append(splitAnd(b.L), splitAnd(b.R)...)
 	}
 	return []expr.Expr{e}
-}
-
-// equiKey recognizes `left = right` conjuncts where one side references
-// only the accumulated prefix (ordinals < accWidth) and the other side
-// only the new source (ordinals in [accWidth, accWidth+srcWidth)). It
-// returns the prefix-side key (valid against prefix rows as-is) and the
-// source-side key shifted to the source's local ordinals.
-func equiKey(e expr.Expr, accWidth, srcWidth int) (expr.Expr, expr.Expr, bool) {
-	b, ok := e.(*expr.Binary)
-	if !ok || b.Op != expr.OpEq {
-		return nil, nil, false
-	}
-	side := func(x expr.Expr) int { // 0=prefix, 1=source, -1=mixed/constant
-		cols := expr.Columns(x)
-		if len(cols) == 0 {
-			return -1
-		}
-		s := -2
-		for _, c := range cols {
-			var cs int
-			switch {
-			case c.Idx >= 0 && c.Idx < accWidth:
-				cs = 0
-			case c.Idx >= accWidth && c.Idx < accWidth+srcWidth:
-				cs = 1
-			default:
-				return -1
-			}
-			if s == -2 {
-				s = cs
-			} else if s != cs {
-				return -1
-			}
-		}
-		return s
-	}
-	ls, rs := side(b.L), side(b.R)
-	var pre, src expr.Expr
-	switch {
-	case ls == 0 && rs == 1:
-		pre, src = b.L, b.R
-	case ls == 1 && rs == 0:
-		pre, src = b.R, b.L
-	default:
-		return nil, nil, false
-	}
-	local := expr.Clone(src)
-	expr.Walk(local, func(n expr.Expr) {
-		if c, ok := n.(*expr.Col); ok {
-			c.Idx -= accWidth
-		}
-	})
-	return pre, local, true
-}
-
-// considerIndex inspects a pushed-down conjunct for a `col cmp const`
-// shape matching an existing index, installing an index range on the
-// scan. All pushed conjuncts remain in the residual filter, so the range
-// only needs to over-approximate.
-func considerIndex(sc *scanOp, e expr.Expr) {
-	if sc.idx != nil {
-		return
-	}
-	b, ok := e.(*expr.Binary)
-	if !ok || !b.Op.Comparison() || b.Op == expr.OpNe {
-		return
-	}
-	col, cok := b.L.(*expr.Col)
-	con, vok := b.R.(*expr.Const)
-	op := b.Op
-	if !cok || !vok {
-		// try const cmp col
-		con2, vok2 := b.L.(*expr.Const)
-		col2, cok2 := b.R.(*expr.Col)
-		if !cok2 || !vok2 {
-			return
-		}
-		col, con = col2, con2
-		op = b.Op.Flip()
-	}
-	if con.Val.IsNull() {
-		return
-	}
-	if _, ok := sc.table.Index(col.Name); !ok {
-		return
-	}
-	r := &indexRange{col: col.Name}
-	switch op {
-	case expr.OpEq:
-		r.lo = &indexBound{key: con.Val, inclusive: true}
-		r.hi = &indexBound{key: con.Val, inclusive: true}
-	case expr.OpLt:
-		r.hi = &indexBound{key: con.Val, inclusive: false}
-	case expr.OpLe:
-		r.hi = &indexBound{key: con.Val, inclusive: true}
-	case expr.OpGt:
-		r.lo = &indexBound{key: con.Val, inclusive: false}
-	case expr.OpGe:
-		r.lo = &indexBound{key: con.Val, inclusive: true}
-	default:
-		return
-	}
-	sc.idx = r
 }
 
 // collectAggs gathers the distinct aggregate calls (by rendered text)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/btree"
 	"repro/internal/expr"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -49,8 +48,6 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	case *CreateTableStmt:
 		_, err := db.CreateTable(s.Name, s.Schema)
 		return &Result{}, err
-	case *CreateIndexStmt:
-		return &Result{}, db.CreateIndex(s.Table, s.Col)
 	case *InsertStmt:
 		return db.runInsert(s)
 	case *DeleteStmt:
@@ -130,6 +127,11 @@ func (db *DB) runInsert(s *InsertStmt) (*Result, error) {
 			row[i] = value.Null()
 		}
 		for i, e := range exprRow {
+			// A sub-query reads the table as it stands before the write.
+			e, err := db.fold(e)
+			if err != nil {
+				return nil, err
+			}
 			if len(expr.Columns(e)) > 0 {
 				return nil, fmt.Errorf("minidb: INSERT values must be constant expressions, got %s", e)
 			}
@@ -160,7 +162,12 @@ func (db *DB) runDelete(s *DeleteStmt) (*Result, error) {
 	}
 	var pred expr.Expr
 	if s.Where != nil {
-		pred = expr.Clone(s.Where)
+		// A sub-query reads the table as it stands before the write.
+		folded, err := db.fold(s.Where)
+		if err != nil {
+			return nil, err
+		}
+		pred = expr.Clone(folded)
 		// Accept both bare and table-qualified column references.
 		sch := t.Schema.WithQualifier(t.Name)
 		if err := expr.Bind(pred, sch); err != nil {
@@ -187,12 +194,6 @@ func (db *DB) runDelete(s *DeleteStmt) (*Result, error) {
 	t.Rows = kept
 	if len(deleted) > 0 {
 		t.logWrite(0, deleted)
-	}
-	// Row ids shifted; rebuild every index.
-	for col := range t.indexes {
-		ord, _ := t.Schema.IndexOf("", col)
-		tree := newIndexOver(t, ord)
-		t.indexes[col] = tree
 	}
 	return &Result{Affected: len(deleted)}, nil
 }
@@ -239,15 +240,4 @@ func (r *Result) Format(w io.Writer) {
 		line(row)
 	}
 	fmt.Fprintf(w, "(%d rows)\n", len(r.Rows))
-}
-
-// newIndexOver builds a fresh index over column ordinal ord.
-func newIndexOver(t *Table, ord int) *btree.Tree {
-	tree := btree.New()
-	for rid, row := range t.Rows {
-		if !row[ord].IsNull() {
-			_ = tree.Insert(row[ord], int32(rid))
-		}
-	}
-	return tree
 }

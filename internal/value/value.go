@@ -480,9 +480,9 @@ func appendUint64(dst []byte, u uint64) []byte {
 // bytes EncodeKey appends), computed as straight-line arithmetic: no
 // hash object, no buffer, no allocation — the sketch fingerprint calls
 // it once per candidate cell. Numeric datums that compare equal across
-// kinds (Int(2) vs Float(2)) hash equal, so hash joins and group-by can
-// mix them safely: exact integers are canonicalized to the float
-// encoding first.
+// kinds (Int(2) vs Float(2)) hash equal, so a fingerprint does not
+// depend on which kind a column's value was written as: exact integers
+// are canonicalized to the float encoding first.
 func (v V) Hash() uint64 {
 	switch v.k {
 	case KindBool:

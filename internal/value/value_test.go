@@ -331,7 +331,7 @@ func TestEncodeKeyDistinct(t *testing.T) {
 
 func TestHashNumericCanonicalization(t *testing.T) {
 	if Int(2).Hash() != Float(2).Hash() {
-		t.Error("Int(2) and Float(2) must hash equal for hash joins")
+		t.Error("Int(2) and Float(2) must hash equal")
 	}
 	if Int(2).Hash() == Int(3).Hash() {
 		t.Error("suspicious hash collision 2 vs 3")

@@ -2,6 +2,7 @@
 # The coverage census and its floor, for CI's coverage job.
 #
 #   bash scripts/coverage.sh [check|write] [profile]
+#   bash scripts/coverage.sh traffic
 #
 # The census is `go test -count=1 -coverpkg=./... ./...`: a statement
 # counts as reached when the tests of any package reach it, so a CLI's
@@ -14,6 +15,11 @@
 # CHANGES.md — the line the change appends — does not name the package
 # (e.g. internal/sketch, or packagebuilder for the root package). write
 # rewrites the record from the census.
+#
+# traffic runs the census one package's tests at a time and prints, per
+# package, the share of its statements that the tests of other packages
+# reach: code only its own tests reach is code no caller drives. It
+# reports and never fails on a share; CI does not run it.
 set -euo pipefail
 trap 'echo "coverage: failed at line $LINENO: $BASH_COMMAND" >&2' ERR
 cd "$(dirname "$0")/.."
@@ -21,10 +27,40 @@ cd "$(dirname "$0")/.."
 mode=${1:-check}
 profile=${2:-}
 record=scripts/coverage.txt
-if [ "$mode" != check ] && [ "$mode" != write ]; then
-  echo "usage: bash scripts/coverage.sh [check|write] [profile]" >&2
+case $mode in
+check | write) ;;
+traffic)
+  dir=$(mktemp -d)
+  trap 'rm -rf "$dir"' EXIT
+  # One profile per test binary, each line tagged with the package whose
+  # tests wrote it.
+  go list ./... | while read -r pkg; do
+    out="$dir/$(tr / _ <<<"$pkg").out"
+    go test -count=1 -coverpkg=./... -coverprofile="$out" "$pkg" > /dev/null
+    [ -f "$out" ] || continue # no test files
+    awk -v p="$pkg" 'NR > 1 { print p, $0 }' "$out" >> "$dir/all"
+  done
+  awk '
+    {
+      n[$2] = $3
+      pkg = $2; sub(/:.*/, "", pkg); sub(/\/[^\/]*$/, "", pkg); owner[$2] = pkg
+      if ($4 > 0 && $1 != pkg) other[$2] = 1
+    }
+    END {
+      for (b in n) {
+        total[owner[b]] += n[b]; all += n[b]
+        if (b in other) { reached[owner[b]] += n[b]; hit += n[b] }
+      }
+      for (p in total) printf "%s %.1f%% (%d of %d statements)\n", p, 100 * reached[p] / total[p], reached[p], total[p]
+      printf "module %.1f%% (%d of %d statements)\n", 100 * hit / all, hit, all
+    }' "$dir/all" | sort
+  exit 0
+  ;;
+*)
+  echo "usage: bash scripts/coverage.sh [check|write] [profile] | traffic" >&2
   exit 2
-fi
+  ;;
+esac
 if [ -z "$profile" ]; then
   profile=$(mktemp)
   trap 'rm -f "$profile"' EXIT
