@@ -58,8 +58,7 @@
 //
 // Objective queries come back with a certificate: the result footer
 // prints "certified: objective ∈ [bound, found]" with the proven
-// relative gap, and -max-gap 0.05 switches on the anytime mode — the
-// solve stops as soon as the gap is provably within 5%.
+// relative gap.
 package main
 
 import (
@@ -110,7 +109,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	flags.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
 	flags.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
 	flags.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
-	flags.Float64Var(&cli.GapTolerance, "max-gap", 0, "anytime mode: stop once the optimality gap is certified ≤ this fraction, e.g. 0.05 (0 = solve fully; the certified interval is reported either way)")
 	flags.Usage = func() {
 		fmt.Fprintln(stderr, "usage: paql [flags]")
 		flags.PrintDefaults()

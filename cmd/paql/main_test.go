@@ -188,6 +188,8 @@ func TestRunExitCodes(t *testing.T) {
 			stderr: []string{"flag provided but not defined: -nope", "usage: paql [flags]", "4  budget"}},
 		{name: "-sketch-incr is gone", args: []string{"-sketch-incr=false", "-gen", "recipes:200:1", "-q", mealQuery}, code: 2,
 			stderr: []string{"flag provided but not defined: -sketch-incr", "usage: paql [flags]"}},
+		{name: "-max-gap is gone", args: []string{"-max-gap", "0.05", "-gen", "recipes:200:1", "-q", mealQuery}, code: 2,
+			stderr: []string{"flag provided but not defined: -max-gap", "usage: paql [flags]"}},
 		{name: "unknown strategy", args: []string{"-strategy", "magic"}, code: 2,
 			stderr: []string{`invalid value "magic" for flag -strategy`}},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: []string{"usage: paql [flags]", "exit codes"}},

@@ -45,6 +45,7 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(route("/api/query"), `{"query": "garbage", "explain": true}`)
 	f.Add(route("/api/pin"), `{"rowId": 99999}`)
 	f.Add(route("/api/pin"), `{"rowId": 3, "unpin": true}`)
+	f.Add(route("/api/pin"), `{"rowId": 999999, "unpin": true}`)
 	f.Add(route("/api/pin"), `[1, 2]`)
 	f.Add(route("/api/replace"), ``)
 	f.Add(route("/api/summary"), ``)

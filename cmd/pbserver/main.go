@@ -498,10 +498,16 @@ func (s *server) handlePin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Unpin {
+		candidate := false
 		for i, id := range s.ses.Prepared().Instance.IDs {
 			if id == req.RowID {
 				s.ses.Unpin(i)
+				candidate = true
 			}
+		}
+		if !candidate {
+			s.httpErr(w, r, fmt.Errorf("explore: row id %d is not a candidate (check base constraints)", req.RowID))
+			return
 		}
 	} else if err := s.ses.PinRowID(req.RowID); err != nil {
 		s.httpErr(w, r, err)

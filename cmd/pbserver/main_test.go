@@ -99,6 +99,12 @@ func TestHandlePinSuggestSummary(t *testing.T) {
 	if rec3.Code != 200 {
 		t.Fatalf("unpin: %s", rec3.Body)
 	}
+	// unpin a row that is not a candidate: refused as a pin of it is
+	rec3, _ = postJSON(t, s.handlePin, `{"rowId": 999999, "unpin": true}`)
+	if want := "explore: row id 999999 is not a candidate (check base constraints)"; rec3.Code != 400 ||
+		!strings.Contains(rec3.Body.String(), want) || !strings.Contains(rec3.Body.String(), `"bad_request"`) {
+		t.Fatalf("unpin of a non-candidate: %d %s, want 400 bad_request %q", rec3.Code, rec3.Body, want)
+	}
 	// suggest
 	req := httptest.NewRequest("GET", "/api/suggest?column=fat", nil)
 	rec4 := httptest.NewRecorder()

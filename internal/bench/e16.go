@@ -2,24 +2,16 @@ package bench
 
 // E16 measures what the staged bound-tightening pipeline buys on
 // BETWEEN-heavy workloads — the band rows (GE/LE pairs over one weight
-// vector) the grouped relaxation is loosest on:
-//
-//   - the "tree-lp" cells stop the pipeline at stage 1 (segmented leaf
-//     columns, no tightening) and the "pipeline" cells run the stage
-//     the planner picks for band queries (segmented columns +
-//     Lagrangian tightening rounds); the pipeline must be no looser
-//     than stage 1 at every size, reach a ≤5% certified gap at the
-//     largest full-mode size, and stay the size it was designed to be at
-//     any row count — one grouping of at most 2·plan.SketchThreshold
-//     columns, at most bound.DefaultTightenRounds rounds (the share of
-//     the solve it takes is printed, not gated: it is a ratio of two
-//     clocks, and each has been made faster since without the pass
-//     growing);
-//   - the "anytime" cells run a disjunctive band query with
-//     GapTolerance off and at 5%, and check the tolerance run exits
-//     early with a certificate — only possible because the tightened
-//     bound closes the gap at all (anytime mode runs the full ladder
-//     including the adaptive descent stage).
+// vector) the grouped relaxation is loosest on. The "tree-lp" cells stop
+// the pipeline at stage 1 (segmented leaf columns, no tightening) and the
+// "pipeline" cells run the stage the planner picks for band queries
+// (segmented columns + Lagrangian tightening rounds). The pipeline must
+// be no looser than stage 1 at every size, reach a ≤5% certified gap at
+// the largest full-mode size, and stay the size it was designed to be at
+// any row count — one grouping of at most 2·plan.SketchThreshold columns,
+// at most bound.DefaultTightenRounds rounds (the share of the solve it
+// takes is printed, not gated: it is a ratio of two clocks, and each has
+// been made faster since without the pass growing).
 
 import (
 	"fmt"
@@ -45,15 +37,6 @@ const E16Query = `
 		AND SUM(P.fat) BETWEEN 20 AND 200
 	MAXIMIZE SUM(P.protein)`
 
-// E16Disjunctive puts a trivially-feasible high-objective branch first
-// and the band branch second, so a certified-gap early exit can skip
-// the band branch's descent entirely.
-const E16Disjunctive = `
-	SELECT PACKAGE(R) AS P
-	FROM recipes R
-	SUCH THAT COUNT(*) = 3 AND (SUM(P.protein) >= 0 OR SUM(P.calories) BETWEEN 2000 AND 2500)
-	MAXIMIZE SUM(P.protein)`
-
 // e16FullTau and e16FullDepth are the partitioning knobs the full-size
 // cells run under (E10's too): τ=256 depth-2 trees keep the per-leaf
 // segments coarse enough that the tightening stages — not sheer
@@ -63,11 +46,10 @@ const (
 	e16FullDepth = 2
 )
 
-// RunE16 sweeps the stage-1-vs-pipeline and anytime cells. It fails
-// if the pipeline is looser than stage 1 anywhere or its pass outgrows
-// its column and round budget, if the largest full-mode cell misses the
-// ≤5% gap, or if no anytime cell exits early — the tightening work's
-// whole claim.
+// RunE16 sweeps the stage-1-vs-pipeline cells. It fails if the
+// pipeline is looser than stage 1 anywhere or its pass outgrows its
+// column and round budget, or if the largest full-mode cell misses the
+// ≤5% gap — the tightening work's whole claim.
 func RunE16(cfg Config) error {
 	sizes := []int{100000, 1000000}
 	full := true
@@ -76,30 +58,18 @@ func RunE16(cfg Config) error {
 		full = false
 	}
 	fmt.Fprintln(cfg.Out, "== E16: band-aware bound tightening — tree-lp vs pipeline ==")
-	tw := newTable(cfg.Out, "n", "cell", "time", "objective", "bound", "gap", "stage", "rounds", "bound-share", "note")
-	earlyExits := 0
+	tw := newTable(cfg.Out, "n", "cell", "time", "objective", "bound", "gap", "stage", "rounds", "bound-share")
 	for _, n := range sizes {
 		gate := full && n == sizes[len(sizes)-1]
 		if err := runE16Tightening(cfg, tw, n, full, gate); err != nil {
 			tw.Flush() // show the measured rows alongside the gate failure
 			return err
 		}
-		early, err := runE16Anytime(cfg, tw, n, full)
-		if err != nil {
-			tw.Flush()
-			return err
-		}
-		if early {
-			earlyExits++
-		}
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if earlyExits == 0 {
-		return fmt.Errorf("e16: no anytime cell exited early with a certificate; the tightened bound buys nothing")
-	}
-	fmt.Fprintf(cfg.Out, "(claim check: the staged pipeline is no looser than its stage-1 tree-lp bound on every BETWEEN-heavy cell; GapTolerance=5%% exited early on %d of %d cells)\n", earlyExits, len(sizes))
+	fmt.Fprintln(cfg.Out, "(claim check: the staged pipeline is no looser than its stage-1 tree-lp bound on every BETWEEN-heavy cell)")
 	return nil
 }
 
@@ -133,7 +103,7 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 			return nil, 0, fmt.Errorf("e16: n=%d %s: no certified package (feasible=%v certified=%v)", n, name, res.Feasible, res.Certified)
 		}
 		share := float64(res.BoundTime) / float64(elapsed)
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.2f%%\t%s\t%d\t%.1f%%\t\n",
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.2f%%\t%s\t%d\t%.1f%%\n",
 			n, name, ms(elapsed), res.Objective, res.Bound,
 			100*res.Gap, res.BoundStage, res.BoundRounds, 100*share)
 		return res, elapsed, nil
@@ -142,9 +112,8 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 	if err != nil {
 		return err
 	}
-	// The planner's pick for a band query outside anytime mode:
-	// segmented columns plus the Lagrangian rounds (the descent stage
-	// is what anytime mode adds, measured by the cells below).
+	// The planner's pick for a band query: segmented columns plus the
+	// Lagrangian rounds.
 	pipe, _, err := cell("bound/pipeline", bound.StageTightened)
 	if err != nil {
 		return err
@@ -188,55 +157,4 @@ func boundPass(inst *search.Instance, o sketch.Options) (bound.PipelineResult, i
 		MaxStage: bound.StageTightened, TightenRounds: bound.DefaultTightenRounds, TupleHi: tupleHi,
 	})
 	return pr, len(groups), err
-}
-
-// runE16Anytime runs the disjunctive band query with the tolerance off
-// and at 5%, reporting whether the tolerance run certified AND
-// descended fewer branches.
-func runE16Anytime(cfg Config, tw interface{ Write([]byte) (int, error) }, n int, full bool) (bool, error) {
-	db, err := recipesDB(n, cfg.seed())
-	if err != nil {
-		return false, err
-	}
-	prep, err := core.Prepare(db, E16Disjunctive)
-	if err != nil {
-		return false, err
-	}
-	base := sketch.Options{Seed: cfg.seed()}
-	if full {
-		base.MaxPartitionSize = e16FullTau
-		base.Depth = e16FullDepth
-	}
-	var offBranches int
-	var offTime time.Duration
-	early := false
-	for _, tol := range []float64{0, 0.05} {
-		o := base
-		o.GapTolerance = tol
-		start := time.Now()
-		res, err := prep.Sketch.Solve(o)
-		elapsed := time.Since(start)
-		if err != nil {
-			return false, fmt.Errorf("e16: n=%d anytime tol=%g: %w", n, tol, err)
-		}
-		if !res.Feasible {
-			return false, fmt.Errorf("e16: n=%d anytime tol=%g: no package", n, tol)
-		}
-		cell, note := "anytime/off", ""
-		if tol > 0 {
-			cell = "anytime/gap5"
-			if res.Certified && res.Branches < offBranches {
-				early = true
-				note = fmt.Sprintf("early exit: %d of %d branches, %.2fx faster",
-					res.Branches, offBranches, float64(offTime)/float64(elapsed))
-			}
-		} else {
-			offBranches = res.Branches
-			offTime = elapsed
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.2f%%\t%s\t%d\t-\t%s\n",
-			n, cell, ms(elapsed), res.Objective, res.Bound,
-			100*res.Gap, res.BoundStage, res.Branches, note)
-	}
-	return early, nil
 }

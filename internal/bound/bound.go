@@ -170,11 +170,9 @@ func Candidates(n, maxMult int, pins map[int]bool) []Group {
 type relaxation struct {
 	groups []Group
 	// lo[i][g] and hi[i][g] are the minimum and maximum of atom i's
-	// tuple coefficients over group g; objLo[g] and objHi[g] the
-	// objective's.
-	lo, hi       [][]float64
-	objLo, objHi []float64
-	p            *lp.Problem
+	// tuple coefficients over group g.
+	lo, hi [][]float64
+	p      *lp.Problem
 	// row[i] is atom i's first LP row; an equality atom owns two, the ≤
 	// row over lo[i] and then the ≥ row over hi[i].
 	row []int
@@ -199,10 +197,9 @@ func newRelaxation(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense
 			return nil, err
 		}
 	}
-	r.objLo, r.objHi = envelope(objW, groups)
-	optimistic := r.objLo
+	optimistic, objHi := envelope(objW, groups)
 	if sense == lp.Maximize {
-		optimistic = r.objHi
+		optimistic = objHi
 	}
 	if err := r.p.SetObjective(optimistic, sense); err != nil {
 		return nil, err

@@ -12,9 +12,9 @@ package bound_test
 // at-least-one rows, equalities, BETWEEN band pairs, disjunctions,
 // pins, objective constants) against the exact MILP and demands zero
 // violations. The same systems also run through the full tightening
-// pipeline (segment split + Lagrangian rounds + one-level descent)
-// over the coarse groups, with a gap-quantile gate the bare coarse
-// envelope does not meet — the regression tripwire for the stages.
+// pipeline (segment split + Lagrangian rounds) over the coarse groups,
+// with a gap-quantile gate the bare coarse envelope does not meet — the
+// regression tripwire for the stages.
 
 import (
 	"context"
@@ -395,9 +395,9 @@ func groupBound(c boundCase, groups []bound.Group) (bound.Outcome, error) {
 }
 
 // pipelineBound runs the full tightening pipeline (segment split,
-// Lagrangian rounds, one-level descent) per branch over the coarse
-// grouping and merges — the tree-path bound the sketch engine ships
-// above the raw-candidate cap.
+// Lagrangian rounds) per branch over the coarse grouping and merges —
+// the tree-path bound the sketch engine ships above the raw-candidate
+// cap.
 func pipelineBound(c boundCase, coarse []bound.Group) bound.Outcome {
 	tupleLo := func(t int) float64 {
 		if c.pins[t] {
@@ -416,7 +416,6 @@ func pipelineBound(c boundCase, coarse []bound.Group) bound.Outcome {
 			Konst:         c.konst,
 			Sense:         c.sense,
 			TightenRounds: bound.DefaultTightenRounds,
-			DescendBudget: c.n,
 			TupleLo:       tupleLo,
 			TupleHi:       tupleHi,
 		})

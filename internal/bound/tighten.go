@@ -36,18 +36,9 @@ package bound
 // prices; every evaluated y yields a valid bound, so the best one is
 // kept and an unconverged search loses nothing.
 //
-// Stage 3 — adaptive one-level descent (also RunPipeline): when the
-// bound is still wider than the caller's target, the groups that
-// contribute most looseness (large LP value × wide objective spread —
-// the children of a leaf are its tuples) are re-bounded as singleton
-// columns under a variable budget and the relaxation is re-solved.
-// Descending a level is a pure refinement: every integral package
-// feasible for the branch remains feasible for the refined relaxation,
-// so the bound only tightens.
-//
-// All three stages only ever shrink the relaxation's feasible set
-// toward the integral one (or price its rows exactly), so each stage's
-// bound is individually valid and the pipeline reports the tightest.
+// Both stages only ever shrink the relaxation's feasible set toward the
+// integral one (or price its rows exactly), so each stage's bound is
+// individually valid and the pipeline reports the tightest.
 
 import (
 	"cmp"
@@ -76,8 +67,10 @@ const (
 	// StageTightened: StageTreeLP plus subgradient Lagrangian rounds on
 	// the binding rows.
 	StageTightened = "tree-lp+tighten"
-	// StageDescend: StageTightened plus a one-level descent re-solve
-	// over the worst-contributing groups.
+	// StageDescend is never run or reported: StageRank does not know it,
+	// so a pipeline capped at it runs every stage there is. The name
+	// stays only as the signature the benchmark's layer trace compiles
+	// against.
 	StageDescend = "descend-1"
 )
 
@@ -86,7 +79,7 @@ const (
 // stage order: the pipeline caps its depth with it and the sketch engine
 // keeps the deepest stage across DNF branches with it.
 func StageRank(stage string) int {
-	return slices.Index([]string{StageRawLP, StageTreeLP, StageTightened, StageDescend}, stage)
+	return slices.Index([]string{StageRawLP, StageTreeLP, StageTightened}, stage)
 }
 
 // DefaultTightenRounds bounds the subgradient Lagrangian rounds (one
@@ -105,24 +98,20 @@ type PipelineOptions struct {
 	Konst float64
 	Sense lp.Sense
 	// MaxStage caps how deep the pipeline runs (a Stage* constant;
-	// empty = StageDescend, the full pipeline).
+	// empty or unknown = StageTightened, the full pipeline).
 	MaxStage string
 	// TightenRounds bounds the Lagrangian rounds (0 skips stage 2).
 	TightenRounds int
-	// DescendBudget is the extra singleton variables stage 3 may spend
-	// (0 skips it).
+	// DescendBudget is never read. The field stays only as the signature
+	// the benchmark's layer trace compiles against.
 	DescendBudget int
-	// Incumbent, when HasIncumbent, is a feasible objective value: once
-	// the certified gap against it reaches GapTarget, later stages are
-	// skipped — the adaptive part of the pipeline.
+	// Incumbent, when HasIncumbent, is a feasible objective value the
+	// Lagrangian rounds aim their subgradient step at.
 	Incumbent    float64
 	HasIncumbent bool
-	// GapTarget is the relative gap at which tightening may stop early
-	// (0 = keep tightening through every allowed stage).
-	GapTarget float64
 	// TupleLo/TupleHi bound a single tuple's multiplicity (pinned count
-	// and admissible per-tuple cap); nil defaults to [0, +inf). Stage 3
-	// uses them to build singleton columns.
+	// and admissible per-tuple cap); nil defaults to [0, +inf). The
+	// Lagrangian rounds read them as the tuple box.
 	TupleLo func(int) float64
 	TupleHi func(int) float64
 }
@@ -150,15 +139,6 @@ func (po *PipelineOptions) tupleHi(i int) float64 {
 		return lp.Inf
 	}
 	return po.TupleHi(i)
-}
-
-// withinTarget reports that the bound already certifies the incumbent
-// within the caller's gap target, so later stages would buy nothing.
-func (po *PipelineOptions) withinTarget(b float64) bool {
-	if !po.HasIncumbent || po.GapTarget <= 0 {
-		return false
-	}
-	return Interval{Found: po.Incumbent, Bound: b}.Gap() <= po.GapTarget
 }
 
 // tighter returns the tighter of two valid dual bounds for the sense:
@@ -215,9 +195,7 @@ func segmentsPer(n, maxVars int) int {
 }
 
 // Splits reports whether Segment cuts a grouping of n groups under
-// maxVars; when it does not, the grouping goes on as it is, and the order
-// of each group's tuples is what a one-level descent's singleton columns
-// follow.
+// maxVars; when it does not, the grouping goes on as it is.
 func Splits(n, maxVars int) bool { return segmentsPer(n, maxVars) >= 2 }
 
 // Segment cuts each group's tuples, in the order given, into contiguous
@@ -290,16 +268,14 @@ func Segment(groups []Group, maxVars int, tupleLo, tupleHi func(int) float64) []
 // RunPipeline is the one certified-bound entry: it relaxes a grouping —
 // raw-candidate singletons (Candidates), or tree leaves, typically
 // Segment or SplitGroups output — solves it, and returns the tightest
-// certified bound any stage proved. Stages only run while the result is
-// not yet within GapTarget of the incumbent and MaxStage allows them; an
-// uncertified or infeasible base solve short-circuits, and a canceled or
-// iteration-limited solve proves nothing (an uncertified outcome). The
-// error reports that the base relaxation could not be built; a later
-// stage that cannot build its relaxation only stops the pipeline, which
-// keeps what the earlier stages proved.
+// certified bound any stage proved. The Lagrangian rounds run when
+// MaxStage allows them; an uncertified or infeasible base solve
+// short-circuits, and a canceled or iteration-limited solve proves
+// nothing (an uncertified outcome). The error reports that the
+// relaxation could not be built.
 func RunPipeline(groups []Group, po PipelineOptions) (PipelineResult, error) {
 	pl := pipelines.Get().(*pipeline)
-	pl.po, pl.cancel, pl.solves, pl.boxed = &po, lifecycle.Poll(po.Ctx), 0, false
+	pl.po, pl.cancel, pl.solves = &po, lifecycle.Poll(po.Ctx), 0
 	pr, err := pl.run(groups)
 	pl.po, pl.cancel = nil, nil
 	pipelines.Put(pl) // a pass that panicked is simply not recycled
@@ -311,18 +287,16 @@ func RunPipeline(groups []Group, po PipelineOptions) (PipelineResult, error) {
 // server answers one banded query after another.
 var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
 
-// pipeline is one RunPipeline call's working state: the LP workspace the
-// groupings' solves share and the scratch the Lagrangian rounds reuse.
-// Each grouping is relaxed and solved once — the only LPs of the pass;
-// that solve's row prices seed the multipliers and its primal point
-// scores the descent.
+// pipeline is one RunPipeline call's working state: the LP workspace and
+// the scratch the Lagrangian rounds reuse. The grouping is relaxed and
+// solved once — the only LP of the pass — and that solve's row prices
+// seed the multipliers.
 type pipeline struct {
 	po     *PipelineOptions
 	cancel func() bool
 	ws     lp.Workspace
 	solves int // LP solves performed
 
-	boxed  bool      // room and forced hold this call's tuple box
 	room   []float64 // per tuple: tupleHi − tupleLo; 0 when no group holds it
 	forced []pick    // the tuples with tupleLo > 0, and their tupleLo units
 	best   shortlist // the running round's candidates
@@ -343,7 +317,6 @@ func (pl *pipeline) solveGrouped(groups []Group) (*relaxation, *lp.Solution, Out
 }
 
 func (pl *pipeline) run(groups []Group) (PipelineResult, error) {
-	po := pl.po
 	pr := PipelineResult{Stage: StageTreeLP}
 	for _, g := range groups {
 		if g.Lo > g.Hi {
@@ -351,7 +324,7 @@ func (pl *pipeline) run(groups []Group) (PipelineResult, error) {
 			return pr, nil
 		}
 	}
-	base, sol, out, err := pl.solveGrouped(groups)
+	r, sol, out, err := pl.solveGrouped(groups)
 	if err != nil {
 		return pr, err
 	}
@@ -359,107 +332,18 @@ func (pl *pipeline) run(groups []Group) (PipelineResult, error) {
 	if !out.Certified {
 		return pr, nil
 	}
-	// infeasible folds a later stage's proof that the branch has no
-	// feasible package into the result.
-	infeasible := func() (PipelineResult, error) {
+	// An empty or unknown cap runs every stage there is.
+	if rank := StageRank(pl.po.MaxStage); rank >= 0 && rank < StageRank(StageTightened) {
+		return pr, nil
+	}
+	inf := pl.tighten(r, sol.Duals, &pr)
+	if inf || pr.Rounds > 0 {
+		pr.Stage = StageTightened
+	}
+	if inf {
 		pr.Outcome = Outcome{Infeasible: true, Iterations: pr.Iterations}
-		return pr, nil
-	}
-	maxRank := StageRank(po.MaxStage)
-	if maxRank < 0 {
-		maxRank = StageRank(StageDescend) // unknown or empty cap: run everything
-	}
-	if maxRank >= StageRank(StageTightened) {
-		inf := pl.tighten(base, sol.Duals, &pr)
-		if inf || pr.Rounds > 0 {
-			pr.Stage = StageTightened
-		}
-		if inf {
-			return infeasible()
-		}
-	}
-	if maxRank < StageRank(StageDescend) || po.DescendBudget <= 0 || po.withinTarget(pr.Bound) {
-		return pr, nil
-	}
-	refined := descendWorst(base, sol.X, po)
-	if len(refined) <= len(groups) {
-		return pr, nil
-	}
-	// A refinement that cannot be relaxed comes back uncertified, and
-	// the base's bound stands.
-	fine, sol2, out2, _ := pl.solveGrouped(refined)
-	pr.Iterations += out2.Iterations
-	if out2.Infeasible {
-		// A refined relaxation still contains every feasible integral
-		// package, so its infeasibility is the branch's.
-		pr.Stage = StageDescend
-		return infeasible()
-	}
-	if !out2.Certified {
-		return pr, nil
-	}
-	pr.Stage = StageDescend
-	pr.Bound = tighter(po.Sense, pr.Bound, out2.Bound)
-	if pl.tighten(fine, sol2.Duals, &pr) {
-		return infeasible()
 	}
 	return pr, nil
-}
-
-// descendWorst refines the groups contributing most looseness into
-// singleton columns: score = LP activity × objective-coefficient spread
-// (a group at zero or with uniform coefficients cannot be cheated), and
-// the worst groups are split one level down — for a leaf group, its
-// children are its tuples — until the extra-variable budget runs out.
-func descendWorst(r *relaxation, x []float64, po *PipelineOptions) []Group {
-	groups := r.groups
-	if len(po.ObjW) == 0 {
-		return groups
-	}
-	type scored struct {
-		g     int
-		score float64
-	}
-	var cand []scored
-	for g, grp := range groups {
-		if len(grp.Tuples) < 2 || g >= len(x) || x[g] <= 0 {
-			continue
-		}
-		if spread := (r.objHi[g] - r.objLo[g]) * x[g]; spread > 0 {
-			cand = append(cand, scored{g, spread})
-		}
-	}
-	if len(cand) == 0 {
-		return groups
-	}
-	sort.SliceStable(cand, func(i, j int) bool { return cand[i].score > cand[j].score })
-	split := make(map[int]bool)
-	budget := po.DescendBudget
-	for _, c := range cand {
-		extra := len(groups[c.g].Tuples) - 1
-		if extra > budget {
-			continue
-		}
-		split[c.g] = true
-		budget -= extra
-		if budget <= 0 {
-			break
-		}
-	}
-	if len(split) == 0 {
-		return groups
-	}
-	out := make([]Group, 0, len(groups)+po.DescendBudget)
-	for g, grp := range groups {
-		if !split[g] {
-			out = append(out, grp)
-			continue
-		}
-		for _, t := range grp.Tuples {
-			out = append(out, Group{Tuples: []int{t}, Lo: po.tupleLo(t), Hi: po.tupleHi(t)})
-		}
-	}
-	return out
 }
 
 // dualRow is one priced constraint row of the Lagrangian: the atom's
@@ -498,7 +382,7 @@ const feasTol = 1e-6
 // round ends the search at once with what the finished rounds proved.
 func (pl *pipeline) tighten(r *relaxation, prices []float64, pr *PipelineResult) (infeasible bool) {
 	po := pl.po
-	if len(po.ObjW) == 0 || len(r.groups) == 0 || po.TightenRounds <= 0 || po.withinTarget(pr.Bound) {
+	if len(po.ObjW) == 0 || len(r.groups) == 0 || po.TightenRounds <= 0 {
 		return false
 	}
 	rows, cLo, cHi, ok := priceRows(po, r, prices)
@@ -532,9 +416,6 @@ func (pl *pipeline) tighten(r *relaxation, prices []float64, pr *PipelineResult)
 		}
 		pr.Rounds++
 		pr.Bound = tighter(po.Sense, pr.Bound, Pad(L+po.Konst, po.Sense))
-		if po.withinTarget(pr.Bound) {
-			break
-		}
 		// Subgradient of L at y is (b − a·x̂) per priced row; step toward
 		// the incumbent when known, by a relative fraction otherwise.
 		norm := 0.0
@@ -619,15 +500,10 @@ func priceRows(po *PipelineOptions, r *relaxation, prices []float64) (rows []dua
 	return rows, cLo, cHi, cLo <= cHi+feasTol
 }
 
-// box fills the per-tuple columns the rounds read, once per pass (a
-// refined grouping covers the same tuples): room[t] = tupleHi − tupleLo
-// for a tuple some group holds and 0 for one Segment dropped, and
-// the few tuples whose tupleLo forces units into every package.
+// box fills the per-tuple columns the rounds read: room[t] = tupleHi −
+// tupleLo for a tuple some group holds and 0 for one Segment dropped,
+// and the few tuples whose tupleLo forces units into every package.
 func (pl *pipeline) box(groups []Group) {
-	if pl.boxed {
-		return
-	}
-	pl.boxed = true
 	pl.room = append(pl.room[:0], make([]float64, len(pl.po.ObjW))...)
 	pl.forced = pl.forced[:0]
 	for _, g := range groups {

@@ -164,15 +164,6 @@ type Options struct {
 	// not base-table row ids) that must appear in every package —
 	// adaptive exploration (§3.3) pins kept tuples through this.
 	Require []int
-	// GapTolerance, when positive, switches SketchRefine into its
-	// anytime mode: every evaluation carries a certified dual bound
-	// (Stats.BoundValue), and once a feasible package is provably
-	// within this relative gap of the bound, the remaining DNF branch
-	// descents are skipped — early exit with a proof. Zero keeps the
-	// certified interval without changing what is evaluated. The knob
-	// is threaded to the planner as forced, so EXPLAIN shows it on the
-	// bound decision.
-	GapTolerance float64
 }
 
 // Package is one evaluated package.
@@ -231,7 +222,7 @@ type Stats struct {
 	BoundValue        float64 // certified dual bound on the objective (valid when Certified)
 	Gap               float64 // certified relative gap |objective − BoundValue| / max(1, |objective|)
 	Certified         bool    // BoundValue provably brackets the exact optimum (internal/bound)
-	BoundStage        string  // deepest bound-pipeline stage that produced BoundValue (raw-lp, tree-lp, tree-lp+tighten, descend-1, milp-dual)
+	BoundStage        string  // deepest bound-pipeline stage that produced BoundValue (raw-lp, tree-lp, tree-lp+tighten, milp-dual)
 	Elapsed           time.Duration
 	Notes             []string // strategy decisions, fallbacks, caveats
 	// Degraded reports that at least one optional subsystem (cache,

@@ -24,7 +24,6 @@ var optionDecision = map[string]string{
 	"Strategy":            "strategy",
 	"SketchPartitionSize": "tau",
 	"SketchDepth":         "depth",
-	"GapTolerance":        "bound",
 
 	"Catalog": "", "SketchIncremental": "", "SketchCache": "", "SketchMemo": "", "Require": "", "Limit": "",
 
@@ -45,7 +44,6 @@ var parityCases = []parityCase{
 	{"Strategy", func(o *Options) { o.Strategy = SketchRefineStrategy }},
 	{"SketchPartitionSize", func(o *Options) { o.SketchPartitionSize = 40 }},
 	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
-	{"GapTolerance", func(o *Options) { o.GapTolerance = 0.05 }},
 }
 
 // ruledOutCases force a strategy the query's atom mix rules out: the
@@ -84,7 +82,7 @@ var ruledOutCases = []struct {
 }
 
 // boundStageOrder ranks the sketch path's bound stages, shallowest first.
-var boundStageOrder = []string{plan.BoundNone, plan.BoundRawLP, plan.BoundTreeLP, plan.BoundTreeLPTighten, plan.BoundDescend1}
+var boundStageOrder = []string{plan.BoundNone, plan.BoundRawLP, plan.BoundTreeLP, plan.BoundTreeLPTighten}
 
 // TestExecutionFollowsPlan pins the seam between the options and the
 // strategy runners: whatever the planner chose or the user forced, the

@@ -65,11 +65,7 @@ func (c *Catalog) Stats(name string) (plan.TableStats, bool) {
 // forcedKnobs lifts explicitly-set options into the plan's forced set,
 // so the planner echoes them back marked "forced" instead of deciding.
 func (o Options) forcedKnobs() plan.Forced {
-	f := plan.Forced{
-		Tau:          o.SketchPartitionSize,
-		Depth:        o.SketchDepth,
-		GapTolerance: o.GapTolerance,
-	}
+	f := plan.Forced{Tau: o.SketchPartitionSize, Depth: o.SketchDepth}
 	if o.Strategy != Auto {
 		f.Strategy = o.Strategy.String()
 	}

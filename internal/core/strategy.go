@@ -347,7 +347,6 @@ func (p *Prepared) runSketch(ctx context.Context, res *Result, opts Options, qp 
 		Cache:            cache,
 		PersistDir:       opts.SketchPersistDir,
 		Require:          opts.Require,
-		GapTolerance:     opts.GapTolerance,
 	}
 	// Fingerprint memo: resolve the candidate fingerprint incrementally
 	// (zero hashing on an unchanged table, delta-only after writes) and

@@ -89,9 +89,6 @@ const (
 	// and a rebuild is both faster and higher-fidelity. Tree.ApplyDelta
 	// refuses beyond it (PatchFits).
 	PatchMaxFrac = 0.25
-	// DescendBudget is the extra singleton variables the bound pipeline's
-	// adaptive one-level descent may spend re-bounding the loosest leaves.
-	DescendBudget = 4096
 )
 
 // PatchFits reports whether a tree that has drifted by drift tuples since
@@ -131,11 +128,8 @@ const (
 	// or violated — what band (BETWEEN/equality) rows need, since the
 	// grouped envelope is loosest on paired ≤/≥ rows.
 	BoundTreeLPTighten = bound.StageTightened
-	// BoundDescend1: the full pipeline — the tightened tree relaxation
-	// plus an adaptive one-level descent that re-bounds the
-	// worst-contributing leaves as singleton columns when the gap is
-	// still too wide. The anytime mode's pick: tightest certificate
-	// short of the raw LP.
+	// BoundDescend1 is never planned. The name stays only as the
+	// signature the benchmark's layer trace compiles against.
 	BoundDescend1 = bound.StageDescend
 	// BoundMILPDual: the exact solver's own branch-and-bound dual bound
 	// (gap 0 when it proves optimality).
@@ -238,9 +232,6 @@ type Forced struct {
 	// Depth is the explicit tree depth, or 0; one past MaxDepth is
 	// planned at MaxDepth, the deepest tree the sketch engine builds.
 	Depth int `json:"depth,omitempty"`
-	// GapTolerance is the explicit anytime gap tolerance (fractional,
-	// e.g. 0.05 = stop once provably within 5% of optimal), or 0.
-	GapTolerance float64 `json:"gapTolerance,omitempty"`
 }
 
 // Input is everything the execution planner looks at — plain data, so
@@ -313,7 +304,7 @@ type Plan struct {
 	MemoryBytes int64 `json:"memoryBytes,omitempty"`
 	// Bound names the dual-bound pass the evaluation will run to
 	// certify its objective interval (BoundRawLP, BoundTreeLP,
-	// BoundTreeLPTighten, BoundDescend1, BoundMILPDual, or BoundNone).
+	// BoundTreeLPTighten, BoundMILPDual, or BoundNone).
 	// Sketch evaluations feed it to the bound pipeline as the deepest
 	// stage to run.
 	Bound string `json:"bound,omitempty"`

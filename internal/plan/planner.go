@@ -181,9 +181,7 @@ func pickParallelism(p *Plan, in Input) int {
 // exact LP relaxation over the raw candidates while they are at most
 // SketchThreshold, the segmented tree relaxation beyond that, escalated
 // to Lagrangian tightening when band (BETWEEN or equality) rows are
-// present and to the adaptive one-level descent when the anytime mode
-// needs the tightest certificate it can get. Local search has no
-// relaxation and leaves the gap unproven.
+// present. Local search has no relaxation and leaves the gap unproven.
 func pickBound(p *Plan, in Input) {
 	const rounds = bound.DefaultTightenRounds
 	d := Decision{Name: "bound"}
@@ -200,19 +198,12 @@ func pickBound(p *Plan, in Input) {
 	case in.N <= SketchThreshold:
 		d.Value = BoundRawLP
 		d.Reason = fmt.Sprintf("%d candidates ≤ %d: the exact LP relaxation is affordable and tightest", in.N, SketchThreshold)
-	case in.Forced.GapTolerance > 0:
-		d.Value = BoundDescend1
-		d.Reason = fmt.Sprintf("anytime mode over ~%d leaves: full pipeline (segments, %d Lagrangian rounds, one-level descent) buys the tightest certificate", p.leaves(), rounds)
 	case in.Mix.Bands > 0:
 		d.Value = BoundTreeLPTighten
 		d.Reason = fmt.Sprintf("%d band atom(s) (BETWEEN/equality): %d Lagrangian rounds tighten the paired-row envelopes over ~%d leaves", in.Mix.Bands, rounds, p.leaves())
 	default:
 		d.Value = BoundTreeLP
 		d.Reason = fmt.Sprintf("LP relaxation over ~%d partition leaves (objective-sorted segments), %d branch(es); no band atoms to tighten", p.leaves(), max(in.Mix.Branches, 1))
-	}
-	if in.Forced.GapTolerance > 0 && d.Value != BoundNone {
-		d.Forced = true
-		d.Reason += fmt.Sprintf("; anytime mode stops once provably within %.1f%% of optimal", 100*in.Forced.GapTolerance)
 	}
 	p.Bound = d.Value
 	p.Decisions = append(p.Decisions, d)

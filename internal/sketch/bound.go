@@ -27,8 +27,7 @@ const maxBoundVars = 2 * plan.SketchThreshold
 // tuple-level rows (plus any exclusion cuts) relaxed over singleton
 // groups when the candidates are few (tree is nil), or — when they are
 // many — over objective-sorted segments of the shared partition tree's
-// leaves, tightened by Lagrangian rounds on the band rows and,
-// adaptively, a one-level descent into the loosest leaves. The tree is
+// leaves, tightened by Lagrangian rounds on the band rows. The tree is
 // the same one the descent uses (memoized by trees), so the bound adds no
 // partitioning work.
 //
@@ -43,10 +42,8 @@ const maxBoundVars = 2 * plan.SketchThreshold
 // their −1 cut coefficients contribute nothing (see
 // TestExclusionCutTreeBoundSound).
 //
-// best, when non-nil, is the best feasible descent so far: the pipeline
-// stops escalating stages once the gap against its objective is within
-// Options.GapTolerance (or runs every allowed stage when the tolerance
-// is 0).
+// best, when non-nil, is the best feasible descent so far: its
+// objective is the incumbent the Lagrangian rounds aim their step at.
 func (s *solver) branchBound(ba *branchAtoms, tree *Tree, best *descent) (bound.PipelineResult, error) {
 	inst, opts, pins := s.inst, s.opts, s.pins
 	sense := objSense(inst)
@@ -57,7 +54,6 @@ func (s *solver) branchBound(ba *branchAtoms, tree *Tree, best *descent) (bound.
 		Konst:     inst.ObjK,
 		Sense:     sense,
 		Incumbent: math.NaN(),
-		GapTarget: opts.GapTolerance,
 	}
 	if best != nil {
 		po.Incumbent, po.HasIncumbent = best.Objective, true
@@ -92,11 +88,10 @@ func (s *solver) branchBound(ba *branchAtoms, tree *Tree, best *descent) (bound.
 		}
 		return float64(inst.MaxMult)
 	}
-	po.MaxStage, po.TightenRounds, po.DescendBudget = boundStagePlan(opts)
+	po.MaxStage, po.TightenRounds = boundStagePlan(opts)
 	// Segmented columns are stage-1 tightening, applied on every tree path:
 	// each leaf in objective order, which the tree keeps per objective, cut
-	// into segments. A grouping too wide to segment keeps its leaf order,
-	// the order a one-level descent's singleton columns follow.
+	// into segments. A grouping too wide to segment keeps its leaf order.
 	if bound.Splits(len(groups), maxBoundVars) {
 		orders, err := tree.leafOrder(opts.Ctx, objectiveKey(inst.Analysis.Query.Objective), inst.ObjW, sense)
 		if err != nil {
@@ -135,9 +130,7 @@ func objectiveKey(o *paql.Objective) string {
 //
 // Above the raw-candidate cap the pass reads the descent's partition
 // tree. Acquiring it is tree work, timed as such, so it happens before
-// the clock starts: the anytime pre-pass bounds every branch before any
-// descent has acquired the tree, and would otherwise count a cache
-// probe, a disk load or a whole build as bound time.
+// the clock starts.
 func (s *solver) boundPass(ba *branchAtoms, best *descent) error {
 	var tree *Tree
 	var err error
@@ -167,8 +160,7 @@ func (s *solver) boundPass(ba *branchAtoms, best *descent) error {
 
 // recordBound folds the pass's per-branch pipeline results into the
 // union bound — the union's optimum cannot beat the best branch
-// relaxation; it backs both the reported interval and the anytime early
-// exit — and into the record: the deepest stage seen, and the rounds
+// relaxation; it backs the reported interval — and into the record: the deepest stage seen, and the rounds
 // spent, cumulative across the parity retry like nodes and pivots.
 func (s *solver) recordBound() {
 	outs := make([]bound.Outcome, len(s.prs))
@@ -183,15 +175,13 @@ func (s *solver) recordBound() {
 }
 
 // boundStagePlan maps Options.BoundMode (the planner's bound decision)
-// onto the pipeline knobs: the deepest stage allowed, the Lagrangian
-// round budget, and the descent variable budget.
-func boundStagePlan(opts Options) (stage string, rounds, budget int) {
+// onto the pipeline knobs: the deepest stage allowed and the Lagrangian
+// round budget.
+func boundStagePlan(opts Options) (stage string, rounds int) {
 	switch opts.BoundMode {
 	case bound.StageTreeLP, bound.StageRawLP:
-		return bound.StageTreeLP, 0, 0
-	case bound.StageTightened:
-		return bound.StageTightened, bound.DefaultTightenRounds, 0
-	default: // bound.StageDescend or "" (auto): the full pipeline
-		return bound.StageDescend, bound.DefaultTightenRounds, plan.DescendBudget
+		return bound.StageTreeLP, 0
+	default: // bound.StageTightened or "" (auto): the full pipeline
+		return bound.StageTightened, bound.DefaultTightenRounds
 	}
 }

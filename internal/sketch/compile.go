@@ -24,10 +24,9 @@ const MaxBranches = translate.DefaultMaxSketchBranches
 // run the query — and each branch's tuple-level rows, selectors and
 // elimination mask, weighed over the candidates the first time a solve
 // needs them and kept. The planner's applicability probe, the first
-// solve, its parity pass, the anytime pre-bound and every exclusion-cut
-// or perturbation re-solve read the same Compiled, so a query is lowered
-// once and each of its branches weighed at most once however many solves
-// it takes — and weighed against the instance's pass store, so what a
+// solve, its parity pass and every exclusion-cut or perturbation
+// re-solve read the same Compiled, so a query is lowered once and each
+// of its branches weighed at most once however many solves it takes — and weighed against the instance's pass store, so what a
 // weighing folds over the candidates is only what no earlier query over
 // the same candidate snapshot has. Safe for concurrent Solve calls.
 type Compiled struct {

@@ -14,10 +14,10 @@ import (
 )
 
 // TestSolveWeighsEachBranchOnce: however many times a prepared query is
-// solved — the anytime pre-bound and the descent of one solve, the
-// parity pass after a patched tree fails, the exclusion-cut re-solves
-// behind LIMIT k — every solve reads the Prepared's one Compiled, and
-// that Compiled has weighed each DNF branch exactly once.
+// solved — the descent and the bound pass of one solve, the parity pass
+// after a patched tree fails, the exclusion-cut re-solves behind LIMIT k
+// — every solve reads the Prepared's one Compiled, and that Compiled has
+// weighed each DNF branch exactly once.
 func TestSolveWeighsEachBranchOnce(t *testing.T) {
 	db := minidb.New()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 600, Seed: 7}); err != nil {
@@ -34,15 +34,12 @@ func TestSolveWeighsEachBranchOnce(t *testing.T) {
 		if prep.Sketch.Weighed() != 0 {
 			t.Fatalf("Prepare weighed %d branches; weighing is lazy", prep.Sketch.Weighed())
 		}
-		res, err := prep.Sketch.Solve(sketch.Options{Seed: 1, GapTolerance: 0.5})
+		res, err := prep.Sketch.Solve(sketch.Options{Seed: 1})
 		if err != nil || !res.Feasible {
 			t.Fatalf("solve: feasible=%v err=%v", res != nil && res.Feasible, err)
 		}
-		if !slices.ContainsFunc(res.Notes, func(n string) bool { return strings.HasPrefix(n, "anytime: ") }) {
-			t.Fatalf("the pre-bound did not run to an early exit; notes: %v", res.Notes)
-		}
 		if got := prep.Sketch.Weighed(); got != 2 {
-			t.Errorf("%d branches weighed, want both (the pre-bound reads every branch)", got)
+			t.Errorf("%d branches weighed, want both (each branch is descended and bounded)", got)
 		}
 	})
 

@@ -24,7 +24,7 @@
 //	descent.go   sketch MILP over the roots, push-down level by level (sketch.descent)
 //	refine.go    leaves into real tuples, greedy repair, one repair sweep
 //	bound.go     the certified dual bound per branch (bound.pass)
-//	solve.go     the branch loop, the anytime exit, the parity retry (sketch.solve)
+//	solve.go     the branch loop and the parity retry (sketch.solve)
 //
 // partition.go and tree.go build the tree, delta.go patches it, cache.go
 // and persist.go are its two tiers, atoms.go weighs a branch over a tree
@@ -112,21 +112,14 @@ type Options struct {
 	// their leaves, re-splitting overgrown leaves — instead of
 	// rebuilding from scratch, and re-persists the patched tree.
 	Patch *PatchSpec
-	// GapTolerance, when positive, switches on the anytime mode: once a
-	// feasible package is provably within this relative gap of the
-	// certified dual bound over every DNF branch, the remaining branch
-	// descents are skipped — early exit with a proof. Zero (the
-	// default) still computes and reports the certified interval but
-	// never changes what is descended.
-	GapTolerance float64
 	// BoundMode, when set, pins how deep the certified-bound pipeline
 	// runs on branches above the raw-candidate cap: bound.StageTreeLP
 	// (segmented leaf columns, no tightening), bound.StageTightened
-	// (adds the Lagrangian rounds), bound.StageDescend (adds the
-	// adaptive one-level descent), or plan.BoundNone (no bound pass at
+	// (adds the Lagrangian rounds), or plan.BoundNone (no bound pass at
 	// all: Certified stays false and BoundTime zero — what re-solves
-	// whose certificate nobody reads ask for). Empty runs the full
-	// pipeline. The planner's bound decision feeds this.
+	// whose certificate nobody reads ask for). Empty, or any other
+	// value, runs the full pipeline, bound.StageTightened. The planner's
+	// bound decision feeds this.
 	BoundMode string
 }
 

@@ -166,39 +166,10 @@ func (s *solver) solveEmpty() error {
 func (s *solver) pass() (*descent, error) {
 	branches := s.q.branches
 	s.prs = nil
-	// Anytime pre-pass: with a gap tolerance and several branches, bound
-	// every branch up front (cheap LPs over leaves or raw candidates) so
-	// the loop below can stop as soon as an incumbent is provably within
-	// tolerance of the union bound. No incumbent exists yet, so the
-	// pipeline runs every allowed stage — the tightest certificate it can
-	// produce.
-	prebound := false
-	if s.wantBound && s.opts.GapTolerance > 0 && len(branches) > 1 {
-		for bi := 0; bi < len(branches) && s.wantBound; bi++ {
-			ba, err := s.q.branch(s.opts.Ctx, bi)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.boundPass(ba, nil); err != nil {
-				return nil, err
-			}
-		}
-		if prebound = s.wantBound; prebound {
-			s.recordBound()
-		}
-	}
 	var best, fallback, last *descent
 	for bi := range branches {
 		if err := lifecycle.ContextErr(s.opts.Ctx); err != nil {
 			return nil, err
-		}
-		if prebound && best != nil && s.merged.Certified {
-			iv := bound.Interval{Found: best.Objective, Bound: s.merged.Bound}
-			if iv.Gap() <= s.opts.GapTolerance {
-				s.note("anytime: certified gap %.2f%% ≤ tolerance %.2f%% after %d of %d branches; skipping the rest",
-					100*iv.Gap(), 100*s.opts.GapTolerance, bi, len(branches))
-				break
-			}
 		}
 		ba, err := s.q.branch(s.opts.Ctx, bi)
 		if err != nil {
@@ -226,17 +197,15 @@ func (s *solver) pass() (*descent, error) {
 		} else if fallback == nil && last.Mult != nil {
 			fallback = last
 		}
-		if s.wantBound && !prebound {
+		if s.wantBound {
 			// Bound after the descent, not before: the best objective so
-			// far is an incumbent the pipeline can measure its gap against,
-			// stopping stage escalation as soon as the certificate is tight
-			// enough (Options.GapTolerance).
+			// far is an incumbent the Lagrangian rounds aim their step at.
 			if err := s.boundPass(ba, best); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if s.wantBound && !prebound {
+	if s.wantBound {
 		s.recordBound()
 	}
 	switch {

@@ -64,8 +64,6 @@
 // search space (internal/bound), so Stats report a certified
 // objective ∈ [bound, found] interval (Stats.CertifiedLine renders it)
 // rather than an unquantified "approximate" answer.
-// WithGapTolerance(tol) turns the certificate into an anytime mode —
-// SketchRefine stops descending as soon as the proven gap is within tol.
 //
 // Every evaluation surface has a context-aware variant — QueryContext,
 // ExplainContext, ExploreContext, ExecSQLContext, and RunContext on a
@@ -258,17 +256,6 @@ func WithTimeout(d time.Duration) Option { return func(o *core.Options) { o.Time
 // estimate is the plan's "memory" decision — EXPLAIN shows it.
 func WithMemoryBudget(bytes int64) Option {
 	return func(o *core.Options) { o.MemoryBudget = bytes }
-}
-
-// WithGapTolerance switches on the anytime mode: SketchRefine keeps
-// descending only while the certified relative optimality gap — the
-// distance between the best package found and the LP dual bound proven
-// over the remaining search space — exceeds tol (e.g. 0.05 for 5%).
-// Once within tolerance it stops early and still returns the certified
-// objective ∈ [bound, found] interval. Zero (the default) disables
-// early exit but the interval is computed and reported regardless.
-func WithGapTolerance(tol float64) Option {
-	return func(o *core.Options) { o.GapTolerance = tol }
 }
 
 // WithSeed seeds the randomized strategies.

@@ -179,18 +179,6 @@ func TestPublicHelpersDoWhatTheyName(t *testing.T) {
 				t.Fatalf("refusal carries no estimate past the budget: %+v", res)
 			}
 		}},
-		{"WithGapTolerance", func(t *testing.T, sys *pb.System) {
-			qp, err := sys.Explain(mealQuery, pb.WithStrategy(pb.SketchRefine), pb.WithGapTolerance(0.05))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := qp.Decision("bound"); d == nil || !d.Forced || !strings.Contains(d.Reason, "within 5.0% of optimal") {
-				t.Fatalf("bound decision %+v, want a forced one naming the tolerance", d)
-			}
-			if !strings.Contains(qp.Explain(), "[forced]") {
-				t.Fatalf("EXPLAIN marks nothing forced:\n%s", qp.Explain())
-			}
-		}},
 		{"WithSketchPersistDir", func(t *testing.T, sys *pb.System) {
 			dir := t.TempDir()
 			if _, err := sys.Query(mealQuery, pb.WithStrategy(pb.SketchRefine), pb.WithSketchPersistDir(dir)); err != nil {

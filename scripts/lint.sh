@@ -7,7 +7,8 @@
 # code checks, that no package under internal/ but lifecycle polls a
 # context by hand, that no layer below core takes a duration budget, that
 # the expression grammar has one extension, that no forced-rebuild knob
-# grows back, that the trace-only surface has not grown, that no tracked
+# grows back, nor the anytime mode or its descent stage, that the
+# trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -99,6 +100,23 @@ knob=$(grep -rnE --include='*.go' --exclude='*_test.go' 'SketchIncremental|Force
   grep -v '^\./benchmark/' | grep -vE '^\./internal/core/engine\.go:[0-9]+:[[:space:]]*(// )?SketchIncremental[[:space:]]' || true)
 if [ -n "$knob" ]; then
   echo "the forced-rebuild knob outside its one vestigial declaration:" && echo "$knob" && exit 1
+fi
+
+# The bound pass runs the stage the planner picks. The anytime mode (a
+# gap tolerance on every surface, the pipeline's gap target, the sketch
+# pre-pass) and the one-level descent stage only it planned must not grow
+# back, and bound.StageDescend, plan.BoundDescend1 and
+# bound.PipelineOptions.DescendBudget, kept only as names the frozen
+# benchmark trace compiles against, are named nowhere outside benchmark/
+# but at their declarations.
+anytime=$(grep -rnE --include='*.go' --exclude='*_test.go' 'GapTolerance|GapTarget|withinTarget|descendWorst|max-gap|prebound' . |
+  grep -v '^\./benchmark/' || true)
+descend=$(grep -rnE --include='*.go' --exclude='*_test.go' 'StageDescend|BoundDescend1|DescendBudget' . | grep -v '^\./benchmark/' |
+  grep -vE '^\./internal/bound/tighten\.go:[0-9]+:[[:space:]]*(// )?(StageDescend|DescendBudget)[[:space:]]' |
+  grep -vE '^\./internal/plan/plan\.go:[0-9]+:[[:space:]]*(// )?BoundDescend1[[:space:]]' || true)
+if [ -n "$anytime$descend" ]; then
+  echo "the anytime mode or the descent stage outside the trace's vestigial declarations:"
+  printf '%s\n' "$anytime" "$descend" | sed '/^$/d' && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
