@@ -40,8 +40,8 @@
 // from the candidate count and the atom mix (exact MILP up to 4,096
 // linear candidates, SketchRefine beyond); whether a stale tree is
 // patched or rebuilt is decided when the query runs, and the result
-// notes say which. Prefix a query with EXPLAIN (or pass -explain) to
-// print the decision trail without executing:
+// notes say which. Prefix a query with EXPLAIN to print the decision
+// trail without executing:
 //
 //	paql -gen recipes:100000:1 -q "EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
 //	     SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)"
@@ -97,7 +97,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	flags.Var(&gens, "gen", "kind:n:seed synthetic table (kinds: recipes, vacation, stocks)")
 	query := flags.String("q", "", "PaQL query text")
 	file := flags.String("f", "", "file containing the PaQL query")
-	var cli cliOpts
+	// The evaluation flags bind straight into one options record, which
+	// every query, one-shot or REPL, passes whole (pb.With).
+	var cli pb.Options
 	flags.TextVar(&cli.Strategy, "strategy", pb.Auto, "auto | solver | sketch-refine | pruned-enum | local-search")
 	flags.IntVar(&cli.Limit, "limit", 0, "number of packages (overrides query LIMIT)")
 	flags.BoolVar(&cli.Diverse, "diverse", false, "return diverse packages instead of top-k")
@@ -106,7 +108,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	flags.IntVar(&cli.SketchDepth, "sketch-depth", 0, "sketch-refine partition-tree depth (0/1 = flat, >=2 hierarchical)")
 	sketchCache := flags.Bool("sketch-cache", true, "cache sketch-refine partition trees across REPL queries (one-shot runs never cache)")
 	flags.StringVar(&cli.SketchPersistDir, "sketch-dir", "", "persist sketch-refine partition trees to this directory (cold starts load instead of rebuilding)")
-	flags.BoolVar(&cli.explain, "explain", false, "plan the query — print the strategy and knob decisions — without executing it")
 	flags.DurationVar(&cli.Timeout, "timeout", 0, "per-query time budget over every package the query, -limit or -diverse asks for; best-effort packages at expiry (0 = none)")
 	flags.Int64Var(&cli.MemoryBudget, "mem-budget", 0, "per-query memory budget in bytes, enforced at solve admission (0 = unlimited)")
 	flags.Usage = func() {
@@ -173,27 +174,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// discarded and the process exits with the canceled exit code (3).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	answer := runQuery
-	if cli.explain || isExplain(text) {
-		answer = runExplain
-	}
-	if err := answer(ctx, sys, stdout, text, cli); err != nil {
+	if err := runQuery(ctx, sys, stdout, text, cli); err != nil {
 		return reportErr(stderr, err)
 	}
 	return 0
 }
 
-// cliOpts carries the evaluation flags shared by one-shot and REPL use:
-// main binds each flag straight into the options record, and every
-// query passes it whole (pb.With).
-type cliOpts struct {
-	pb.Options
-	explain bool
-}
-
-// runQuery evaluates a PaQL query and prints its packages.
-func runQuery(ctx context.Context, sys *pb.System, w io.Writer, text string, cli cliOpts) error {
-	res, err := sys.QueryContext(ctx, text, pb.With(cli.Options))
+// runQuery evaluates a PaQL query and prints its packages — or, for an
+// EXPLAIN statement, the plan.
+func runQuery(ctx context.Context, sys *pb.System, w io.Writer, text string, cli pb.Options) error {
+	res, err := sys.QueryContext(ctx, text, pb.With(cli))
 	if err != nil {
 		return err
 	}
@@ -241,24 +231,6 @@ func reportErr(w io.Writer, err error) int {
 	return code
 }
 
-// isExplain reports whether the statement starts with the EXPLAIN
-// keyword (the parser also accepts and strips it).
-func isExplain(text string) bool {
-	f := strings.Fields(strings.ToUpper(text))
-	return len(f) > 0 && f[0] == "EXPLAIN"
-}
-
-// runExplain plans the query without executing it and prints the
-// planner's decision trail.
-func runExplain(ctx context.Context, sys *pb.System, w io.Writer, text string, cli cliOpts) error {
-	qp, err := sys.ExplainContext(ctx, text, pb.With(cli.Options))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, qp.Explain())
-	return nil
-}
-
 func generate(sys *pb.System, spec string) error {
 	parts := strings.Split(spec, ":")
 	kind := parts[0]
@@ -292,7 +264,7 @@ func generate(sys *pb.System, spec string) error {
 
 // repl reads ';'-terminated statements from in: PaQL (SELECT
 // PACKAGE...), EXPLAIN, or SQL.
-func repl(sys *pb.System, cli cliOpts, in io.Reader, out, errOut io.Writer) {
+func repl(sys *pb.System, cli pb.Options, in io.Reader, out, errOut io.Writer) {
 	fmt.Fprintln(out, "PackageBuilder REPL — PaQL or SQL, ';' terminated, \\q to quit")
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -322,16 +294,13 @@ func repl(sys *pb.System, cli cliOpts, in io.Reader, out, errOut io.Writer) {
 }
 
 // execStmt runs one REPL statement, writing its answer to w.
-func execStmt(sys *pb.System, w io.Writer, stmt string, cli cliOpts) error {
+func execStmt(sys *pb.System, w io.Writer, stmt string, cli pb.Options) error {
 	// Arm a per-statement signal context: Ctrl-C during a long solve
 	// cancels just that query (the REPL prints the error and prompts
 	// again); at the prompt the default handler still quits the REPL.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if isExplain(stmt) {
-		return runExplain(ctx, sys, w, stmt, cli)
-	}
-	if strings.HasPrefix(strings.ToUpper(stmt), "SELECT PACKAGE") {
+	if isPaQL(stmt) {
 		return runQuery(ctx, sys, w, stmt, cli)
 	}
 	res, err := sys.ExecSQLContext(ctx, stmt)
@@ -340,4 +309,14 @@ func execStmt(sys *pb.System, w io.Writer, stmt string, cli cliOpts) error {
 	}
 	res.Format(w)
 	return nil
+}
+
+// isPaQL reports whether a REPL statement is PaQL rather than SQL: its
+// first word is EXPLAIN, or it is SELECT followed by PACKAGE, whatever
+// whitespace separates them. It is the one place the CLI reads keywords;
+// the PaQL parser reads everything else.
+func isPaQL(stmt string) bool {
+	f := strings.Fields(stmt)
+	return len(f) > 0 && strings.EqualFold(f[0], "EXPLAIN") ||
+		len(f) > 1 && strings.EqualFold(f[0], "SELECT") && strings.HasPrefix(strings.ToUpper(f[1]), "PACKAGE")
 }

@@ -22,37 +22,22 @@ func testSystem(t *testing.T) *pb.System {
 	return sys
 }
 
-func TestIsExplain(t *testing.T) {
-	cases := []struct {
-		text string
-		want bool
-	}{
-		{"EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R", true},
-		{"  explain\nSELECT PACKAGE(R) AS P FROM recipes R", true},
-		{"SELECT PACKAGE(R) AS P FROM recipes R", false},
-		{"EXPLAINX SELECT", false},
-		{"", false},
-	}
-	for _, c := range cases {
-		if got := isExplain(c.text); got != c.want {
-			t.Errorf("isExplain(%q) = %v, want %v", c.text, got, c.want)
-		}
-	}
-}
-
 // TestRunExplainPrintsPlan drives the CLI explain path end-to-end: an
-// EXPLAIN-prefixed statement prints the planner's decision trail and
-// does not execute the query.
+// EXPLAIN-prefixed statement goes down the query path, prints the
+// planner's decision trail and nothing else, and does not execute the
+// query.
 func TestRunExplainPrintsPlan(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{Options: pb.Options{Seed: 1}}
 	var buf strings.Builder
-	err := runExplain(context.Background(), sys, &buf, `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
-		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
+	err := runQuery(context.Background(), sys, &buf, `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, pb.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	if strings.Contains(out, "strategy=") || strings.Contains(out, "note:") || !strings.HasSuffix(out, "\n") {
+		t.Errorf("explain output is not the plan alone:\n%s", out)
+	}
 	for _, want := range []string{"plan for:", "table recipes: 200 rows", "strategy = "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
@@ -98,9 +83,8 @@ func TestOutcomeParity(t *testing.T) {
 func TestTypeErrorExitsOne(t *testing.T) {
 	sys := testSystem(t)
 	for _, strategy := range []pb.Strategy{pb.Auto, pb.Solver, pb.PrunedEnum, pb.LocalSearch, pb.SketchRefine} {
-		cli := cliOpts{Options: pb.Options{Strategy: strategy, Seed: 1}}
 		_, qerr := sys.QueryContext(context.Background(), `SELECT PACKAGE(R) AS P FROM recipes R
-			SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`, pb.With(cli.Options))
+			SUCH THAT COUNT(*) = 2 AND MIN(P.name) >= 1`, pb.WithStrategy(strategy), pb.WithSeed(1))
 		if qerr == nil || !strings.Contains(qerr.Error(), "MIN(R.name) >= 1") {
 			t.Fatalf("-strategy %s: %v, want an error naming the atom", strategy, qerr)
 		}
@@ -115,9 +99,8 @@ func TestTypeErrorExitsOne(t *testing.T) {
 // label the one-shot path exits 4 on.
 func TestReplBudgetErrorLabeled(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{Options: pb.Options{Seed: 1, MemoryBudget: 1}}
 	_, qerr := sys.QueryContext(context.Background(), `SELECT PACKAGE(R) AS P FROM recipes R
-		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, pb.With(cli.Options))
+		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, pb.WithSeed(1), pb.WithMemoryBudget(1))
 	if !errors.Is(qerr, pb.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded under a 1-byte budget, got %v", qerr)
 	}
@@ -127,13 +110,13 @@ func TestReplBudgetErrorLabeled(t *testing.T) {
 }
 
 // TestRunExplainForcedFlags checks explicit CLI knobs surface as forced
-// decisions in the plan instead of planner picks.
+// decisions in an EXPLAIN statement's plan instead of planner picks.
 func TestRunExplainForcedFlags(t *testing.T) {
 	sys := testSystem(t)
-	cli := cliOpts{Options: pb.Options{Strategy: pb.SketchRefine, Seed: 1, SketchPartitionSize: 32, SketchDepth: 2}}
+	opts := pb.Options{Strategy: pb.SketchRefine, Seed: 1, SketchPartitionSize: 32, SketchDepth: 2}
 	var buf strings.Builder
-	err := runExplain(context.Background(), sys, &buf, `SELECT PACKAGE(R) AS P FROM recipes R
-		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, cli)
+	err := runQuery(context.Background(), sys, &buf, `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 MAXIMIZE SUM(P.protein)`, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +173,8 @@ func TestRunExitCodes(t *testing.T) {
 			stderr: []string{"flag provided but not defined: -sketch-incr", "usage: paql [flags]"}},
 		{name: "-max-gap is gone", args: []string{"-max-gap", "0.05", "-gen", "recipes:200:1", "-q", mealQuery}, code: 2,
 			stderr: []string{"flag provided but not defined: -max-gap", "usage: paql [flags]"}},
+		{name: "-explain is gone", args: []string{"-gen", "recipes:200:1", "-explain", "-q", mealQuery}, code: 2,
+			stderr: []string{"flag provided but not defined: -explain", "usage: paql [flags]"}},
 		{name: "unknown strategy", args: []string{"-strategy", "magic"}, code: 2,
 			stderr: []string{`invalid value "magic" for flag -strategy`}},
 		{name: "help", args: []string{"-h"}, code: 0, stderr: []string{"usage: paql [flags]", "exit codes"}},
@@ -200,7 +185,7 @@ func TestRunExitCodes(t *testing.T) {
 			stderr: []string{"paql: infeasible: "}},
 		{name: "over budget", args: []string{"-gen", "recipes:200:1", "-mem-budget", "1", "-q", mealQuery}, code: 4,
 			stderr: []string{"paql: budget: "}},
-		{name: "-explain", args: []string{"-gen", "recipes:200:1", "-explain", "-strategy", "sketch-refine", "-q", mealQuery}, code: 0,
+		{name: "EXPLAIN", args: []string{"-gen", "recipes:200:1", "-strategy", "sketch-refine", "-q", "EXPLAIN " + mealQuery}, code: 0,
 			stdout: []string{"plan for:", "table recipes: 200 rows", "strategy = sketch-refine  [forced]"}, notStdout: []string{"certified:"}},
 		{name: "-csv and -f", args: []string{"-csv", "t=" + csvPath, "-f", queryPath}, code: 0,
 			stdout: []string{"objective"}, stderr: []string{"loaded 3 rows into t"}},
@@ -241,12 +226,15 @@ func TestRunExitCodes(t *testing.T) {
 }
 
 // TestREPLSession reads a whole session from stdin: SQL and PaQL
-// statements interleaved, one spread over two lines, an EXPLAIN, a
-// failing statement that leaves the session running, and \q.
+// statements interleaved, one of each spread over two lines (the PaQL one
+// with a newline between SELECT and PACKAGE), an EXPLAIN, a failing
+// statement that leaves the session running, and \q.
 func TestREPLSession(t *testing.T) {
 	session := strings.Join([]string{
 		"SELECT COUNT(*) FROM recipes;",
 		mealQuery + ";",
+		"SELECT",
+		"  PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) = 2 MAXIMIZE SUM(P.protein);",
 		"INSERT INTO recipes VALUES (99001, 'x', 'fusion', 'dinner', 'free', 820, 45, 10, 50, 9.5, 4.5);",
 		"SELECT name FROM recipes",
 		"  WHERE id = 99001;",
@@ -266,8 +254,11 @@ func TestREPLSession(t *testing.T) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
 		}
 	}
-	if n := strings.Count(stdout, "paql> "); n != 9 {
-		t.Errorf("%d prompts, want 9 (one per statement, the blank one included, and the first):\n%s", n, stdout)
+	if n := strings.Count(stdout, "paql> "); n != 10 {
+		t.Errorf("%d prompts, want 10 (one per statement, the blank one included, and the first):\n%s", n, stdout)
+	}
+	if n := strings.Count(stdout, "strategy=solver"); n != 2 {
+		t.Errorf("%d package answers, want 2 (the multi-line PaQL statement is PaQL, not SQL):\n%s", n, stdout)
 	}
 	for _, want := range []string{"paql: infeasible: ", "paql: error: "} {
 		if !strings.Contains(stderr, want) {

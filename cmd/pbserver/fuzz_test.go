@@ -42,7 +42,7 @@ func FuzzServerRequest(f *testing.F) {
 	f.Add(route("/api/pin"), `{"rowId": 3}x`)
 	f.Add(route("/api/query"), `{"query": `+mustJSON(strings.Repeat("x", maxBodyBytes))+`}`)
 	f.Add(route("/api/query"), `{"query": "SELECT PACKAGE(R) FROM recipes R SUCH THAT"}`)
-	f.Add(route("/api/query"), `{"query": "garbage", "explain": true}`)
+	f.Add(route("/api/query"), `{"query": "EXPLAIN garbage"}`)
 	f.Add(route("/api/pin"), `{"rowId": 99999}`)
 	f.Add(route("/api/pin"), `{"rowId": 3, "unpin": true}`)
 	f.Add(route("/api/pin"), `{"rowId": 999999, "unpin": true}`)

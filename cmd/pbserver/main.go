@@ -279,20 +279,19 @@ type pkgJSON struct {
 // sketch-refine answer — the solver's record itself, flattened in under
 // its own struct tags.
 type statsJSON struct {
-	Strategy        string  `json:"strategy"`
-	Exact           bool    `json:"exact"`
-	Candidates      int     `json:"candidates"`
-	RowsScanned     int     `json:"rowsScanned"`
-	SnapshotHit     bool    `json:"snapshotHit"`
-	Bounds          string  `json:"bounds"`
-	ElapsedMs       float64 `json:"elapsedMs"`
-	MemoryEstimate  int64   `json:"memoryEstimate,omitempty"`
-	PlannedStrategy string  `json:"plannedStrategy,omitempty"`
-	Degraded        bool    `json:"degraded"`
-	DegradedReason  string  `json:"degradedReason,omitempty"`
-	CacheHits       int64   `json:"sketchCacheHits"`
-	CacheMisses     int64   `json:"sketchCacheMisses"`
-	FPRowsHashed    int64   `json:"sketchFPRowsHashed"`
+	Strategy       string  `json:"strategy"`
+	Exact          bool    `json:"exact"`
+	Candidates     int     `json:"candidates"`
+	RowsScanned    int     `json:"rowsScanned"`
+	SnapshotHit    bool    `json:"snapshotHit"`
+	Bounds         string  `json:"bounds"`
+	ElapsedMs      float64 `json:"elapsedMs"`
+	MemoryEstimate int64   `json:"memoryEstimate,omitempty"`
+	Degraded       bool    `json:"degraded"`
+	DegradedReason string  `json:"degradedReason,omitempty"`
+	CacheHits      int64   `json:"sketchCacheHits"`
+	CacheMisses    int64   `json:"sketchCacheMisses"`
+	FPRowsHashed   int64   `json:"sketchFPRowsHashed"`
 	*certJSON
 	*pb.SketchStats
 }
@@ -346,11 +345,11 @@ func (s *server) packageJSON(ses *explore.Session, p *pb.Package, stats *pb.Stat
 		Strategy:       stats.Strategy.String(),
 		Exact:          stats.Exact,
 		Candidates:     stats.Candidates,
-		RowsScanned:    stats.RowsScanned,
-		SnapshotHit:    stats.SnapshotHit,
+		RowsScanned:    stats.Plan.RowsScanned,
+		SnapshotHit:    stats.Plan.SnapshotHit,
 		Bounds:         stats.Bounds.String(),
 		ElapsedMs:      float64(stats.Elapsed.Microseconds()) / 1000,
-		MemoryEstimate: stats.MemoryEstimate,
+		MemoryEstimate: stats.Plan.MemoryBytes,
 		Degraded:       stats.Degraded,
 		DegradedReason: strings.Join(stats.DegradedReasons, "; "),
 		CacheHits:      cs.Hits,
@@ -362,9 +361,6 @@ func (s *server) packageJSON(ses *explore.Session, p *pb.Package, stats *pb.Stat
 		out.Stats.certJSON = &certJSON{Certified: true, BoundValue: stats.BoundValue, Gap: stats.Gap,
 			GapText: stats.Interval(p.Objective).FormatGap(), BoundStage: stats.BoundStage,
 			CertifiedText: stats.CertifiedLine(p.Objective)}
-	}
-	if stats.Plan != nil {
-		out.Stats.PlannedStrategy = stats.Plan.Strategy
 	}
 	return out
 }
@@ -400,14 +396,13 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// The request names its four fields one by one and never embeds
+	// The request names its three fields one by one and never embeds
 	// pb.Options: the tree directory and the lifecycle limits stay the
 	// server's.
 	var req struct {
 		Query       string      `json:"query"`
 		Strategy    pb.Strategy `json:"strategy"`    // "", "auto", "solver", "sketch-refine", ...
 		SketchDepth int         `json:"sketchDepth"` // 0/1 = flat, >=2 hierarchical
-		Explain     bool        `json:"explain"`     // plan only: return the decision trail, don't execute
 	}
 	if err := decodeJSON(w, r, &req); err != nil {
 		s.httpErr(w, r, err)
@@ -415,36 +410,30 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := s.base
 	opts.Strategy, opts.SketchDepth = req.Strategy, req.SketchDepth
-	// Planning parses, scans the candidates and lowers the query, and
-	// evaluation solves it: both need an admission slot, and run without
-	// the lock so concurrent queries don't serialize behind one another.
-	// The request context cancels the work when the client disconnects.
+	// Preparation parses, scans the candidates and lowers the query, and
+	// the run plans and solves it: both need an admission slot, and run
+	// without the lock so concurrent queries don't serialize behind one
+	// another. The request context cancels the work when the client
+	// disconnects.
 	release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer release()
-	// An EXPLAIN statement asks what "explain": true does.
-	if !req.Explain {
-		q, err := s.sys.Parse(req.Query)
-		if err != nil {
-			s.httpErr(w, r, err)
-			return
-		}
-		req.Explain = q.Explain
-	}
-	if req.Explain {
-		qp, err := s.sys.ExplainContext(r.Context(), req.Query, pb.With(opts))
-		if err != nil {
-			s.httpErr(w, r, err)
-			return
-		}
-		writeJSON(w, map[string]any{"plan": qp, "explain": qp.Explain()})
-		return
-	}
 	ses, err := s.sys.ExploreContext(r.Context(), req.Query, pb.With(opts))
 	if err != nil {
 		s.httpErr(w, r, err)
+		return
+	}
+	// An EXPLAIN statement is answered from its preparation's run with
+	// the plan alone, and publishes no session.
+	if ses.Query().Explain {
+		res, err := s.sys.RunContext(r.Context(), ses.Prepared(), pb.With(opts))
+		if err != nil {
+			s.httpErr(w, r, err)
+			return
+		}
+		writeJSON(w, map[string]any{"plan": res.Stats.Plan, "explain": res.Stats.Plan.Explain()})
 		return
 	}
 	if _, err := ses.RefreshContext(r.Context()); err != nil {
@@ -728,7 +717,6 @@ function render(p) {
     stats = '\nstrategy: ' + p.stats.strategy + sk +
       '  candidates: ' + p.stats.candidates + ' (' + p.stats.rowsScanned + ' rows scanned)  ' + p.stats.elapsedMs + 'ms';
     if (p.stats.certified) stats += '\ncertified: ' + p.stats.certifiedText;
-    if (p.stats.plannedStrategy) stats += '\nplanned: ' + p.stats.plannedStrategy;
     if (p.stats.degraded) stats += '\ndegraded: ' + p.stats.degradedReason;
   }
   document.getElementById('aggs').textContent =
@@ -737,7 +725,7 @@ function render(p) {
 }
 async function run() { render(await post('/api/query', {query: document.getElementById('q').value})); }
 async function explainPlan() {
-  const j = await post('/api/query', {query: document.getElementById('q').value, explain: true});
+  const j = await post('/api/query', {query: 'EXPLAIN ' + document.getElementById('q').value});
   document.getElementById('plan').textContent = j.explain;
 }
 async function replacePkg() { render(await post('/api/replace')); }

@@ -303,13 +303,13 @@ func TestConcurrentQueryTraffic(t *testing.T) {
 	}
 }
 
-// TestHandleExplain exercises the explain request field: the server
-// plans the query without executing it and returns the decision trail
-// as structured JSON plus rendered text.
+// TestHandleExplain exercises an EXPLAIN statement: the server plans the
+// query without executing it and returns the decision trail as
+// structured JSON plus rendered text.
 func TestHandleExplain(t *testing.T) {
 	s := testServer(t)
 	rec, out := postJSON(t, s.handleQuery,
-		`{"query": `+mustJSON(demoQuery)+`, "explain": true}`)
+		`{"query": `+mustJSON("EXPLAIN "+demoQuery)+`}`)
 	if rec.Code != 200 {
 		t.Fatalf("explain status %d: %s", rec.Code, rec.Body)
 	}
@@ -338,8 +338,8 @@ func TestHandleExplain(t *testing.T) {
 
 	// Each knob a request can pin — strategy, sketchDepth — comes back
 	// forced; the worker count stays the planner's decision.
-	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+
-		`, "explain": true, "strategy": "sketch-refine", "sketchDepth": 2}`)
+	rec2, out2 := postJSON(t, s.handleQuery, `{"query": `+mustJSON("EXPLAIN "+demoQuery)+
+		`, "strategy": "sketch-refine", "sketchDepth": 2}`)
 	if rec2.Code != 200 {
 		t.Fatalf("forced explain status %d: %s", rec2.Code, rec2.Body)
 	}
@@ -368,12 +368,13 @@ func TestHandleExplain(t *testing.T) {
 		t.Errorf("forced decisions %v (parallelism present: %v), want exactly %v: %s", forced, sawWorkers, want, out2["plan"])
 	}
 
-	// A sketchIncr key from an older client names a field the server no
-	// longer reads, and a second value after the request is input no
-	// handler reads either: each is a 400, not silently ignored.
+	// A sketchIncr or explain key from an older client names a field the
+	// server no longer reads, and a second value after the request is
+	// input no handler reads either: each is a 400, not silently ignored.
 	for body, names := range map[string]string{
-		`{"query": ` + mustJSON(demoQuery) + `, "explain": true, "sketchIncr": false}`: `"sketchIncr"`,
-		`{"query": ` + mustJSON(demoQuery) + `, "explain": true} {"sketchDepth": 2}`:   "continues after its JSON value",
+		`{"query": ` + mustJSON("EXPLAIN "+demoQuery) + `, "sketchIncr": false}`: `"sketchIncr"`,
+		`{"query": ` + mustJSON(demoQuery) + `, "explain": true}`:                `"explain"`,
+		`{"query": ` + mustJSON("EXPLAIN "+demoQuery) + `} {"sketchDepth": 2}`:   "continues after its JSON value",
 	} {
 		rec3, out3 := postJSON(t, s.handleQuery, body)
 		var code, msg string
@@ -382,22 +383,6 @@ func TestHandleExplain(t *testing.T) {
 		if rec3.Code != http.StatusBadRequest || code != "bad_request" || !strings.Contains(msg, names) {
 			t.Errorf("%s: status %d, body %s; want a 400 bad_request naming %s", body, rec3.Code, rec3.Body, names)
 		}
-	}
-}
-
-// TestPlannedStrategyStat checks every query response reports the
-// planner's pick alongside the executed strategy.
-func TestPlannedStrategyStat(t *testing.T) {
-	s := testServer(t)
-	rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON(demoQuery)+`}`)
-	if rec.Code != 200 {
-		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
-	}
-	var stats map[string]any
-	_ = json.Unmarshal(out["stats"], &stats)
-	ps, _ := stats["plannedStrategy"].(string)
-	if ps == "" {
-		t.Errorf("stats.plannedStrategy missing: %v", stats)
 	}
 }
 
@@ -543,7 +528,7 @@ func TestExplainIsAdmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explain := `{"query": ` + mustJSON(demoQuery) + `, "explain": true}`
+	explain := `{"query": ` + mustJSON("EXPLAIN "+demoQuery) + `}`
 	if rec, _ := postJSON(t, s.handleQuery, explain); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("explain with every slot held: status %d, want 429: %s", rec.Code, rec.Body)
 	}
@@ -567,8 +552,8 @@ func TestExplainIsAdmitted(t *testing.T) {
 }
 
 // TestExplainStatementAnswersWithPlan: an EXPLAIN statement in the query
-// text is answered as "explain": true is, with the plan, and is not
-// executed.
+// text is answered with the plan alone — no stats, no session — and is
+// not executed.
 func TestExplainStatementAnswersWithPlan(t *testing.T) {
 	s := testServer(t)
 	rec, out := postJSON(t, s.handleQuery, `{"query": `+mustJSON("EXPLAIN "+demoQuery)+`}`)
@@ -590,10 +575,10 @@ func TestDeepQueryIsABadRequest(t *testing.T) {
 	s := testServer(t)
 	deep := `SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT ` +
 		strings.Repeat("(", 400000) + "COUNT(*) = 1" + strings.Repeat(")", 400000)
-	for _, explain := range []string{"false", "true"} {
-		rec, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(deep)+`, "explain": `+explain+`}`)
+	for _, prefix := range []string{"", "EXPLAIN "} {
+		rec, _ := postJSON(t, s.handleQuery, `{"query": `+mustJSON(prefix+deep)+`}`)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "nests too deeply") {
-			t.Errorf("explain %s: status %d, body %.200s; want 400 naming the depth cap", explain, rec.Code, rec.Body)
+			t.Errorf("%q: status %d, body %.200s; want 400 naming the depth cap", prefix, rec.Code, rec.Body)
 		}
 	}
 }

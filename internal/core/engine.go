@@ -198,12 +198,9 @@ func (p *Package) Size() int {
 // Stats describes how an evaluation went.
 type Stats struct {
 	Candidates  int          // tuples passing base constraints
-	RowsScanned int          // table rows the base constraints were evaluated on to find them
-	SnapshotHit bool         // the table's candidate snapshot served them: nothing scanned, earlier queries' selection passes shared
 	Bounds      prune.Bounds // §4.1 cardinality bounds
 	SpacePruned *big.Int     // Σ C(n,k) within bounds (nil unless computed)
 	SpaceFull   *big.Int     // 2^n (nil unless computed)
-	Linear      bool         // the exact MILP translation can encode the query (Prepared.Nonlinear is nil)
 	Strategy    Strategy     // strategy actually used
 	Exact       bool         // result is provably optimal/complete
 	Nodes       int64        // search nodes or MILP B&B nodes
@@ -218,7 +215,6 @@ type Stats struct {
 	// the one field of the record kept beside it, because the benchmark
 	// harness fills in a Stats of its own and sets it.
 	SketchTreePatched bool
-	MemoryEstimate    int64   // planner-predicted peak working set, bytes
 	BoundValue        float64 // certified dual bound on the objective (valid when Certified)
 	Gap               float64 // certified relative gap |objective − BoundValue| / max(1, |objective|)
 	Certified         bool    // BoundValue provably brackets the exact optimum (internal/bound)
@@ -234,8 +230,12 @@ type Stats struct {
 	// entry per degradation event, in the order they happened.
 	DegradedReasons []string
 	// Plan is the planner's decision trail for this evaluation
-	// (strategy, knobs, bound, memory, each with its reason). Always set
-	// by Run; EXPLAIN surfaces render it.
+	// (strategy, knobs, bound, memory, each with its reason) and the one
+	// record of what the engine decided: how the candidates were found
+	// (RowsScanned, SnapshotHit), whether the query is linear
+	// (Mix.Linear) and its predicted working set (MemoryBytes). Always
+	// set by Run, and Strategy is its strategy; an EXPLAIN statement's
+	// result is this plan alone.
 	Plan *plan.Plan
 }
 
@@ -273,14 +273,13 @@ type Result struct {
 // multiple times with different options — the bench harness relies on
 // this).
 type Prepared struct {
-	DB       *minidb.DB
 	Query    *paql.Query
 	Analysis *paql.Analysis
 	Table    *minidb.Table
 	Instance *search.Instance
 	// Nonlinear is the query's linearity verdict (translate.Nonlinear):
 	// why the exact MILP translation cannot encode it, nil when it can.
-	// The planner routes by it and Stats.Linear reports it.
+	// The planner routes by it and Stats.Plan.Mix.Linear reports it.
 	Nonlinear []string
 	// SketchCache is the default partition-tree cache for Run when the
 	// options carry none (System.Prepare points it at the engine-level
@@ -353,7 +352,7 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{DB: db, Query: q, Analysis: analysis, Table: table, Instance: inst,
+	return &Prepared{Query: q, Analysis: analysis, Table: table, Instance: inst,
 		Nonlinear: translate.Nonlinear(analysis), TableVersion: table.Version(), Sketch: sketch.Compile(inst),
 		RowsScanned: cands.scanned, SnapshotHit: cands.hit}, nil
 }

@@ -166,7 +166,7 @@ func TestAutoChoosesSolverForLinear(t *testing.T) {
 	if res.Stats.Strategy != Solver {
 		t.Errorf("auto chose %v, want solver", res.Stats.Strategy)
 	}
-	if !res.Stats.Linear {
+	if !res.Stats.Plan.Mix.Linear {
 		t.Error("meal query should be linear")
 	}
 	found := false
@@ -193,7 +193,7 @@ func TestAutoFallsBackForNonlinear(t *testing.T) {
 	if res.Stats.Strategy != PrunedEnum {
 		t.Errorf("auto chose %v for small non-linear query, want pruned-enum", res.Stats.Strategy)
 	}
-	if res.Stats.Linear {
+	if res.Stats.Plan.Mix.Linear {
 		t.Error("query should be non-linear")
 	}
 	if len(res.Packages) != 1 {
@@ -260,8 +260,8 @@ func TestDisputedLinearityAnswersAlike(t *testing.T) {
 		if got := auto.Stats.Strategy; got != c.auto {
 			t.Errorf("%s: auto ran %v, want %v", c.atom, got, c.auto)
 		}
-		if linear := c.auto == Solver; auto.Stats.Linear != linear {
-			t.Errorf("%s: Stats.Linear = %v, want %v", c.atom, auto.Stats.Linear, linear)
+		if linear := c.auto == Solver; auto.Stats.Plan.Mix.Linear != linear {
+			t.Errorf("%s: Stats.Plan.Mix.Linear = %v, want %v", c.atom, auto.Stats.Plan.Mix.Linear, linear)
 		}
 	}
 }

@@ -81,6 +81,35 @@ func TestRunContextInfeasibleTyped(t *testing.T) {
 	if err != nil || lres == nil || len(lres.Packages) != 0 {
 		t.Fatalf("legacy Run: res=%v err=%v, want empty result and nil error", lres, err)
 	}
+	// EXPLAIN answers before the bounds are consulted: the plan, no
+	// packages and no error, on every surface.
+	const explain = `EXPLAIN SELECT PACKAGE(R) AS P FROM recipes R SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 2`
+	eprep, err := Prepare(db, explain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for door, run := range map[string]func() (*Result, error){
+		"Evaluate":        func() (*Result, error) { return Evaluate(db, explain, Options{}) },
+		"EvaluateContext": func() (*Result, error) { return EvaluateContext(context.Background(), db, explain, Options{}) },
+		"RunContext":      func() (*Result, error) { return eprep.RunContext(context.Background(), Options{}) },
+	} {
+		if res, err := run(); err != nil || res == nil || res.Stats.Plan == nil || len(res.Packages) != 0 {
+			t.Errorf("%s(EXPLAIN contradictory) = %v, %v; want the plan, no packages, nil error", door, res, err)
+		}
+	}
+	// The strategy a result reports is its plan's, whatever the bounds
+	// decide and whoever picked it.
+	for _, strat := range []Strategy{Auto, Solver, PrunedEnum, LocalSearchStrategy, SketchRefineStrategy} {
+		for _, p := range []*Prepared{prep, eprep} {
+			res, err := p.RunContext(context.Background(), Options{Strategy: strat})
+			if err != nil && !errors.Is(err, lifecycle.ErrInfeasible) {
+				t.Fatalf("%s: %v", strat, err)
+			}
+			if res.Stats.Strategy.String() != res.Stats.Plan.Strategy {
+				t.Errorf("%s (explain %v): Stats.Strategy %s, plan %s", strat, p.Query.Explain, res.Stats.Strategy, res.Stats.Plan.Strategy)
+			}
+		}
+	}
 
 	// An exact strategy completing empty is also provably infeasible.
 	// Calories are integer-valued, so a fractional SUM target has no
@@ -132,7 +161,7 @@ func TestRunContextMemoryBudget(t *testing.T) {
 	if !errors.Is(err, lifecycle.ErrBudgetExceeded) {
 		t.Fatalf("budget 1B = %v, want ErrBudgetExceeded", err)
 	}
-	if res == nil || res.Stats.MemoryEstimate <= 0 {
+	if res == nil || res.Stats.Plan.MemoryBytes <= 0 {
 		t.Fatal("refusal should report the estimate that tripped it")
 	}
 	// A generous budget admits the query; the estimate is still reported.
@@ -140,8 +169,8 @@ func TestRunContextMemoryBudget(t *testing.T) {
 	if err != nil || len(res.Packages) == 0 {
 		t.Fatalf("generous budget: packages=%d err=%v", len(res.Packages), err)
 	}
-	if res.Stats.MemoryEstimate <= 0 || res.Stats.MemoryEstimate >= 1<<30 {
-		t.Fatalf("estimate = %d", res.Stats.MemoryEstimate)
+	if res.Stats.Plan.MemoryBytes <= 0 || res.Stats.Plan.MemoryBytes >= 1<<30 {
+		t.Fatalf("estimate = %d", res.Stats.Plan.MemoryBytes)
 	}
 	// The legacy surface enforces the (new) knob too — it predates only
 	// the cancellation and infeasibility parts of the taxonomy.

@@ -201,9 +201,9 @@ func TestExecutionFollowsPlan(t *testing.T) {
 			}
 			atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
 			wantMem := plan.MemoryEstimate(qp.Strategy, res.Stats.Candidates, 0, atoms)
-			if qp.Bound != wantBound || qp.MemoryBytes != wantMem || res.Stats.MemoryEstimate != wantMem {
-				t.Errorf("bound %s, memory %d B (stats %d B); want %s, %d B\n%s",
-					qp.Bound, qp.MemoryBytes, res.Stats.MemoryEstimate, wantBound, wantMem, qp.Explain())
+			if qp.Bound != wantBound || qp.MemoryBytes != wantMem {
+				t.Errorf("bound %s, memory %d B; want %s, %d B\n%s",
+					qp.Bound, qp.MemoryBytes, wantBound, wantMem, qp.Explain())
 			}
 		})
 	}
@@ -420,7 +420,7 @@ func TestForcedDepthPastMaxDepthPlansTheBuiltTree(t *testing.T) {
 		t.Fatalf("planned depth %d, built %+v; want %d planned and at most %d built\n%s", qp.Depth, sk, plan.MaxDepth, plan.MaxDepth, qp.Explain())
 	}
 	atoms := qp.Mix.SumCount + qp.Mix.Avg + qp.Mix.MinMax
-	if want := plan.MemoryEstimate(plan.StrategySketch, res.Stats.Candidates, plan.MaxDepth, atoms); res.Stats.MemoryEstimate != want {
-		t.Fatalf("memory estimate %d B, want %d B for %d levels", res.Stats.MemoryEstimate, want, plan.MaxDepth)
+	if want := plan.MemoryEstimate(plan.StrategySketch, res.Stats.Candidates, plan.MaxDepth, atoms); res.Stats.Plan.MemoryBytes != want {
+		t.Fatalf("memory estimate %d B, want %d B for %d levels", res.Stats.Plan.MemoryBytes, want, plan.MaxDepth)
 	}
 }

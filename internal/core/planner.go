@@ -18,7 +18,8 @@ import (
 
 // Plan runs the rule-based planner over the prepared query under the
 // given options and returns the decision trail — without executing
-// anything. EXPLAIN on every surface bottoms out here.
+// anything. Run calls it once per evaluation and answers an EXPLAIN
+// statement with it; the benchmark's layer trace calls it directly.
 func (p *Prepared) Plan(opts Options) *plan.Plan {
 	return plan.New(p.planInput(opts))
 }

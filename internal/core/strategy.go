@@ -137,9 +137,7 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 	}
 	res = &Result{Query: p.Query}
 	res.Stats.Candidates = len(inst.Rows)
-	res.Stats.RowsScanned, res.Stats.SnapshotHit = p.RowsScanned, p.SnapshotHit
 	res.Stats.Bounds = inst.Bounds
-	res.Stats.Linear = p.Nonlinear == nil
 	limit := p.limit(opts)
 	fetch := limit
 	if opts.Diverse {
@@ -150,38 +148,35 @@ func (p *Prepared) run(ctx context.Context, opts Options) (res *Result, err erro
 		res.Stats.SpacePruned, res.Stats.SpaceFull = pr, full
 	}
 
-	// Plan first: the trail is reported even when the bounds check below
-	// exits early, so EXPLAIN always has something to show.
+	// Plan first: the plan is the record of what the engine decided, and
+	// its strategy is the one that runs — a forced strategy is echoed, and
+	// one the atom mix rules out was already decided as the unforced query
+	// would be, with the override in the reason.
 	qplan := p.Plan(opts)
 	res.Stats.Plan = qplan
-	res.Stats.MemoryEstimate = qplan.MemoryBytes
-
-	// Provably-empty space: exact empty answer.
-	if inst.Bounds.IsInfeasible() {
-		res.Stats.Strategy = PrunedEnum
-		res.Stats.Exact = true
-		res.Stats.Notes = append(res.Stats.Notes, "cardinality bounds are contradictory; no package can satisfy the query")
-		res.Stats.Elapsed = time.Since(start)
-		return res, lifecycle.Infeasible("cardinality bounds are contradictory")
-	}
-
-	// The plan's strategy is the one that runs: a forced strategy is
-	// echoed, and one the atom mix rules out was already decided as the
-	// unforced query would be, with the override in the reason.
 	strat, err := ParseStrategy(qplan.Strategy)
 	if err != nil {
 		return nil, err
 	}
+	res.Stats.Strategy = strat
 	if d := qplan.Decision("strategy"); d != nil && !d.Forced {
 		res.Stats.Notes = append(res.Stats.Notes, fmt.Sprintf("planner: %s (%s)", d.Value, d.Reason))
 	}
-	res.Stats.Strategy = strat
 
-	// EXPLAIN: report the plan without executing anything.
+	// EXPLAIN: report the plan without executing anything — on every
+	// surface, whatever the bounds or the budget would answer.
 	if p.Query != nil && p.Query.Explain {
 		res.Stats.Notes = append(res.Stats.Notes, "EXPLAIN: plan only; query not executed")
 		res.Stats.Elapsed = time.Since(start)
 		return res, nil
+	}
+
+	// Provably-empty space: exact empty answer.
+	if inst.Bounds.IsInfeasible() {
+		res.Stats.Exact = true
+		res.Stats.Notes = append(res.Stats.Notes, "cardinality bounds are contradictory; no package can satisfy the query")
+		res.Stats.Elapsed = time.Since(start)
+		return res, lifecycle.Infeasible("cardinality bounds are contradictory")
 	}
 
 	// Admission by memory budget: refuse before allocating anything when
@@ -281,7 +276,7 @@ func (p *Prepared) runEnum(ctx context.Context, res *Result, opts Options, deadl
 }
 
 func (p *Prepared) runLocal(ctx context.Context, res *Result, opts Options, deadline time.Time, fetch int) ([][]int, error) {
-	sres, err := search.LocalSearch(p.Instance, p.DB, search.Options{
+	sres, err := search.LocalSearch(p.Instance, nil, search.Options{
 		Ctx:      ctx,
 		Limit:    fetch,
 		Timeout:  searchTimeout(deadline),

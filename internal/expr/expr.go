@@ -84,9 +84,6 @@ func (op BinOp) String() string {
 // Comparison reports whether the operator is a comparison (=, <>, <, <=, >, >=).
 func (op BinOp) Comparison() bool { return op >= OpEq && op <= OpGe }
 
-// Arithmetic reports whether the operator is numeric arithmetic.
-func (op BinOp) Arithmetic() bool { return op <= OpMod }
-
 // Flip returns the comparison with sides exchanged (a < b  ==>  b > a).
 func (op BinOp) Flip() BinOp {
 	switch op {

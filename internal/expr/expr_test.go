@@ -274,9 +274,6 @@ func TestOpHelpers(t *testing.T) {
 	if !OpEq.Comparison() || OpAdd.Comparison() {
 		t.Error("Comparison() broken")
 	}
-	if !OpAdd.Arithmetic() || OpEq.Arithmetic() {
-		t.Error("Arithmetic() broken")
-	}
 	if OpLt.Flip() != OpGt || OpGe.Flip() != OpLe || OpEq.Flip() != OpEq {
 		t.Error("Flip broken")
 	}

@@ -141,7 +141,8 @@ func (c *Controller) releaseFunc() func() {
 
 // BeginDrain stops admitting: every queued waiter is shed immediately
 // and every future Acquire fails with ErrAdmission. In-flight solves
-// keep their slots; follow with Drain to wait for them.
+// keep their slots until they release them; a server waits for them
+// with http.Server.Shutdown.
 func (c *Controller) BeginDrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,28 +151,6 @@ func (c *Controller) BeginDrain() {
 	}
 	c.draining = true
 	close(c.drainC)
-}
-
-// Drain blocks until every in-flight solve has released its slot or
-// the context expires; it implies BeginDrain. The error is nil on a
-// clean drain and the context's error when the deadline cut it short.
-func (c *Controller) Drain(ctx context.Context) error {
-	c.BeginDrain()
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		c.mu.Lock()
-		idle := c.inFlight == 0
-		c.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
 }
 
 // Retry-After bounds: hints are jittered ±25% and then clamped to

@@ -237,34 +237,13 @@ func TestControllerDrain(t *testing.T) {
 	if _, err := c.Acquire(context.Background()); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("acquire while draining returned %v", err)
 	}
-	// Drain waits for the in-flight solve.
-	drainErr := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		drainErr <- c.Drain(ctx)
-	}()
-	time.Sleep(20 * time.Millisecond)
-	rel()
-	if err := <-drainErr; err != nil {
-		t.Fatalf("drain: %v", err)
+	// The in-flight solve keeps its slot until it releases it.
+	if st := c.Stats(); !st.Draining || st.InFlight != 1 {
+		t.Fatalf("draining stats: %+v", st)
 	}
+	rel()
 	if st := c.Stats(); !st.Draining || st.InFlight != 0 {
 		t.Fatalf("post-drain stats: %+v", st)
-	}
-}
-
-func TestControllerDrainDeadline(t *testing.T) {
-	c := NewController(1, 0)
-	rel, err := c.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := c.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("drain with stuck solve returned %v", err)
 	}
 }
 

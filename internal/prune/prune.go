@@ -306,14 +306,3 @@ func SpaceSize(n int, b Bounds) (pruned, full *big.Int) {
 	}
 	return pruned, full
 }
-
-// ReductionFactor returns full/pruned as a float (∞ when pruned is 0).
-func ReductionFactor(n int, b Bounds) float64 {
-	pruned, full := SpaceSize(n, b)
-	if pruned.Sign() == 0 {
-		return math.Inf(1)
-	}
-	pf, _ := new(big.Float).SetInt(pruned).Float64()
-	ff, _ := new(big.Float).SetInt(full).Float64()
-	return ff / pf
-}

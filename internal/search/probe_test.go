@@ -169,20 +169,6 @@ func TestRequireInEnumerators(t *testing.T) {
 	}
 }
 
-func TestCheckAtomsHelper(t *testing.T) {
-	inst := instance(t, mealSrc, testRows())
-	good := make([]int, len(inst.Rows))
-	good[1], good[4], good[7] = 1, 1, 1 // 2000 cal, count 3
-	if !inst.CheckAtoms(good) {
-		t.Error("CheckAtoms rejects a valid package")
-	}
-	bad := make([]int, len(inst.Rows))
-	bad[0] = 1
-	if inst.CheckAtoms(bad) {
-		t.Error("CheckAtoms accepts an invalid package")
-	}
-}
-
 func TestStripSuffixClause(t *testing.T) {
 	q := "SELECT x FROM t WHERE a ORDER BY b LIMIT 1"
 	q = stripSuffixClause(q, " ORDER BY ")

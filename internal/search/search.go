@@ -143,17 +143,6 @@ func (inst *Instance) Validate(mult []int) (bool, error) {
 	return err == nil && !v.IsNull(), err
 }
 
-// CheckAtoms evaluates only the conjunctive linear atoms: a necessary
-// condition always, and the whole formula when Pure.
-func (inst *Instance) CheckAtoms(mult []int) bool {
-	for _, at := range inst.Atoms {
-		if !at.Check(mult) {
-			return false
-		}
-	}
-	return true
-}
-
 // Objective computes the package objective, via the linear fast path
 // when available.
 func (inst *Instance) Objective(mult []int) (float64, error) {

@@ -178,8 +178,8 @@ func incrOne(t *testing.T, g *qgen, st *incrStats, chain int) bool {
 			t.Fatalf("patched eval: %v\n%s", err, ctx)
 		}
 		noLensSplit(t, pres.Stats.Notes, ctx)
-		if pres.Stats.Strategy != core.SketchRefineStrategy {
-			break // fell back (e.g. applicability changed); next case
+		if pres.Stats.Sketch == nil {
+			break // no sketch solve ran: a fallback (e.g. applicability changed), or bounds that answered first; next case
 		}
 		// Rebuilt path: same knobs, no cache, no lineage.
 		rres, err := sketch.Solve(prep.Instance, sketch.Options{

@@ -152,7 +152,14 @@ func TestHierarchical1MWithin5Percent(t *testing.T) {
 // rows changes the fingerprint so the stale tree is never served.
 func TestPartitionCacheHitAndInvalidation(t *testing.T) {
 	cache := sketch.NewCache(0)
-	prep := recipesPrep(t, 300)
+	db := minidb.New()
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 300, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := core.Prepare(db, mealQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := sketch.Options{MaxPartitionSize: 16, Depth: 2, Seed: 1, Cache: cache}
 	cold, err := sketch.Solve(prep.Instance, opts)
 	if err != nil {
@@ -183,7 +190,6 @@ func TestPartitionCacheHitAndInvalidation(t *testing.T) {
 	}
 	// Write to the backing table: the candidate fingerprint changes, so
 	// the next evaluation must rebuild instead of serving a stale tree.
-	db := prep.DB
 	if _, err := db.Exec("INSERT INTO recipes VALUES (99999, 'new', 'fusion', 'dinner', 'free', 2100, 99, 10, 50, 9.5, 4.5)"); err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func compileObjective(a *paql.Analysis, sels selections) (*linear, []*SketchAtom
 // of SUCH THAT's negation normal form through lowerAtom, constants through
 // constBool, the objective through compileObjective — symbolically: no
 // candidate is read and nothing is folded. The planner routes by it and
-// core.Stats.Linear reports it; CompileSketch lowers the same atoms, so a
-// query SketchRefine can run is linear too.
+// its plan's Mix.Linear reports it; CompileSketch lowers the same atoms,
+// so a query SketchRefine can run is linear too.
 func Nonlinear(a *paql.Analysis) []string {
 	sels := newSelections(nil)
 	var reasons []string

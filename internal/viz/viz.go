@@ -8,7 +8,6 @@
 package viz
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -227,9 +226,6 @@ func (s *Summary) RenderASCII(w io.Writer, width, height int) {
 	fmt.Fprintf(w, "%10s └%s\n", "", strings.Repeat("─", width))
 	fmt.Fprintf(w, "%10s  %-*.4g%*.4g\n", "", width/2, xmin, width-width/2, xmax)
 }
-
-// JSON renders the summary for the web UI.
-func (s *Summary) JSON() ([]byte, error) { return json.Marshal(s) }
 
 func rangeOf(pts []Point, f func(Point) float64) (float64, float64) {
 	lo, hi := f(pts[0]), f(pts[0])

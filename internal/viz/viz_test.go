@@ -99,7 +99,7 @@ func TestRenderEmptyAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := full.JSON()
+	blob, err := json.Marshal(full)
 	if err != nil {
 		t.Fatal(err)
 	}

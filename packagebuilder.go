@@ -66,11 +66,11 @@
 // rather than an unquantified "approximate" answer.
 //
 // Every evaluation surface has a context-aware variant — QueryContext,
-// ExplainContext, ExploreContext, ExecSQLContext, and RunContext on a
-// Prepared — that threads the context cooperatively through candidate
-// scans, MILP branch-and-bound, and SketchRefine's parallel build and
-// refine phases, so cancellation returns promptly even mid-solve over
-// millions of tuples. Outcomes are distinguished by an errors.Is-able
+// ExploreContext, ExecSQLContext, and RunContext on a Prepared — that
+// threads the context cooperatively through candidate scans, MILP
+// branch-and-bound, and SketchRefine's parallel build and refine
+// phases, so cancellation returns promptly even mid-solve over millions
+// of tuples. Outcomes are distinguished by an errors.Is-able
 // taxonomy (ErrInfeasible, ErrCanceled, ErrBudgetExceeded,
 // ErrAdmission); WithTimeout is sugar for a derived context deadline and
 // WithMemoryBudget refuses queries whose planner-predicted working set
@@ -293,9 +293,11 @@ func WithSketchPersistDir(dir string) Option {
 	return func(o *core.Options) { o.SketchPersistDir = dir }
 }
 
-// QueryPlan is the planner's decision trail: strategy, knobs, bound and
-// memory, each with the rule's reason.
-// Render it with its Explain method.
+// QueryPlan is the type of Stats.Plan, the planner's decision trail:
+// strategy, knobs, bound and memory, each with the rule's reason. Every
+// evaluation carries it, and an EXPLAIN statement sent to Query or
+// QueryContext answers with it alone — no package is sought. Render it
+// with its Explain method.
 type QueryPlan = plan.Plan
 
 // buildOptions resolves a query's options over the system's shared
@@ -381,27 +383,6 @@ func (s *System) Parse(paqlText string) (*paql.Query, error) {
 	return paql.Parse(paqlText)
 }
 
-// Explain plans a PaQL query without executing it, returning the
-// planner's decision trail (strategy, SketchRefine knobs, bound and
-// memory — each with its reason). Where the
-// partition tree comes from is not planned: a run records it
-// (Stats.Sketch). A leading EXPLAIN keyword in the text is
-// accepted and ignored.
-func (s *System) Explain(paqlText string, opts ...Option) (*QueryPlan, error) {
-	return s.ExplainContext(context.Background(), paqlText, opts...)
-}
-
-// ExplainContext is Explain under a context. Planning itself is cheap
-// and never blocks; the context governs the preparation scan that
-// precedes it.
-func (s *System) ExplainContext(ctx context.Context, paqlText string, opts ...Option) (*QueryPlan, error) {
-	prep, err := s.PrepareContext(ctx, paqlText)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Plan(s.buildOptions(opts)), nil
-}
-
 // Explore opens an adaptive-exploration session (§3.3): evaluate,
 // pin tuples, request replacements.
 func (s *System) Explore(paqlText string, opts ...Option) (*explore.Session, error) {
@@ -428,18 +409,20 @@ func (s *System) Summarize(prep *core.Prepared, pkgs []*Package, currentIdx int,
 }
 
 // FormatResult renders an evaluation result: each package as a table of
-// its tuples plus aggregate values — for an EXPLAIN statement, the plan
-// instead — then the evaluation statistics.
+// its tuples plus aggregate values, then the evaluation statistics — for
+// an EXPLAIN statement, the rendered plan alone.
 func FormatResult(w io.Writer, sys *System, res *Result) {
+	st := res.Stats
+	if res.Query.Explain {
+		fmt.Fprintln(w, st.Plan.Explain())
+		return
+	}
 	tab, ok := sys.db.Table(res.Query.Table)
 	if !ok {
 		fmt.Fprintf(w, "(relation %s vanished)\n", res.Query.Table)
 		return
 	}
-	switch {
-	case res.Query.Explain && res.Stats.Plan != nil:
-		fmt.Fprint(w, res.Stats.Plan.Explain())
-	case len(res.Packages) == 0:
+	if len(res.Packages) == 0 {
 		fmt.Fprintln(w, "no package satisfies the query")
 	}
 	for i, p := range res.Packages {
@@ -456,9 +439,8 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 		}
 		fmt.Fprintln(w)
 	}
-	st := res.Stats
 	fmt.Fprintf(w, "strategy=%s exact=%v candidates=%d scanned=%d snapshot-hit=%v bounds=%s elapsed=%s\n",
-		st.Strategy, st.Exact, st.Candidates, st.RowsScanned, st.SnapshotHit, st.Bounds, st.Elapsed.Round(time.Microsecond))
+		st.Strategy, st.Exact, st.Candidates, st.Plan.RowsScanned, st.Plan.SnapshotHit, st.Bounds, st.Elapsed.Round(time.Microsecond))
 	if st.Degraded {
 		fmt.Fprintf(w, "degraded: %s\n", strings.Join(st.DegradedReasons, "; "))
 	}

@@ -175,7 +175,7 @@ func TestPublicHelpersDoWhatTheyName(t *testing.T) {
 			if !errors.Is(err, pb.ErrBudgetExceeded) {
 				t.Fatalf("a 1-byte budget: err %v, want ErrBudgetExceeded", err)
 			}
-			if res == nil || res.Stats.MemoryEstimate <= 1 {
+			if res == nil || res.Stats.Plan.MemoryBytes <= 1 {
 				t.Fatalf("refusal carries no estimate past the budget: %+v", res)
 			}
 		}},
@@ -306,15 +306,21 @@ func TestPublicAPIExploreAndTemplate(t *testing.T) {
 }
 
 // TestPublicAPIExplain drives the planner through the library surface:
-// System.Explain returns the decision trail without executing, and an
-// EXPLAIN-prefixed Query plans but returns no packages.
+// an EXPLAIN statement sent down the ordinary query path returns the
+// decision trail without executing — through Query, QueryContext and
+// RunContext alike, even when the bounds alone would prove the query
+// infeasible — and the strategy every result reports is its plan's.
 func TestPublicAPIExplain(t *testing.T) {
 	sys := newSystem(t, 200)
-	qp, err := sys.Explain(mealQuery)
+	res, err := sys.Query("EXPLAIN " + mealQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qp.Strategy == "" || qp.Decision("strategy") == nil {
+	if len(res.Packages) != 0 {
+		t.Errorf("EXPLAIN executed the query: %d packages", len(res.Packages))
+	}
+	qp := res.Stats.Plan
+	if qp == nil || qp.Strategy == "" || qp.Decision("strategy") == nil {
 		t.Fatalf("plan missing strategy: %+v", qp)
 	}
 	if qp.Candidates == 0 {
@@ -326,53 +332,65 @@ func TestPublicAPIExplain(t *testing.T) {
 			t.Errorf("Explain() missing %q:\n%s", want, text)
 		}
 	}
-	// Catalog stats flow into the plan.
+	// The table's statistics flow into the plan.
 	if qp.Table.Rows != 200 {
 		t.Errorf("plan table rows = %d, want 200", qp.Table.Rows)
 	}
-
-	// EXPLAIN-prefixed query: planned, not executed.
-	res, err := sys.Query("EXPLAIN " + mealQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Packages) != 0 {
-		t.Errorf("EXPLAIN executed the query: %d packages", len(res.Packages))
-	}
-	if res.Stats.Plan == nil {
-		t.Error("EXPLAIN result has no plan")
-	}
-	found := false
-	for _, n := range res.Stats.Notes {
-		if strings.Contains(n, "EXPLAIN") {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.ContainsFunc(res.Stats.Notes, func(n string) bool { return strings.Contains(n, "EXPLAIN") }) {
 		t.Errorf("EXPLAIN note missing: %v", res.Stats.Notes)
 	}
 
-	// Plain queries also carry the plan in stats.
-	res2, err := sys.Query(mealQuery)
+	// Contradictory bounds: the plan is still the answer, with no
+	// packages and no error, on every door.
+	const contradictory = `SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) >= 5 AND COUNT(*) <= 3 MAXIMIZE SUM(P.protein)`
+	prep, err := sys.Prepare("EXPLAIN " + contradictory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Stats.Plan == nil || res2.Stats.Plan.Strategy == "" {
-		t.Error("executed query missing stats plan")
+	ctx := context.Background()
+	for door, run := range map[string]func() (*pb.Result, error){
+		"Query":        func() (*pb.Result, error) { return sys.Query("EXPLAIN " + contradictory) },
+		"QueryContext": func() (*pb.Result, error) { return sys.QueryContext(ctx, "EXPLAIN "+contradictory) },
+		"RunContext":   func() (*pb.Result, error) { return sys.RunContext(ctx, prep) },
+	} {
+		res, err := run()
+		if err != nil || res == nil || res.Stats.Plan == nil || len(res.Packages) != 0 {
+			t.Errorf("%s(EXPLAIN contradictory): err %v, result %+v; want the plan alone", door, err, res)
+			continue
+		}
+		if got := res.Stats.Plan.Explain(); !strings.HasPrefix(got, "plan for:") {
+			t.Errorf("%s: not a plan:\n%s", door, got)
+		}
+	}
+
+	// Every result's strategy is its plan's, executed or explained,
+	// feasible or not, planner-picked or forced.
+	for _, strategy := range []pb.Strategy{pb.Auto, pb.Solver, pb.PrunedEnum, pb.LocalSearch, pb.SketchRefine} {
+		for _, q := range []string{mealQuery, contradictory, "EXPLAIN " + mealQuery, "EXPLAIN " + contradictory} {
+			res, err := sys.QueryContext(ctx, q, pb.WithStrategy(strategy), pb.WithSeed(1))
+			if err != nil && !errors.Is(err, pb.ErrInfeasible) {
+				t.Fatalf("%s: %v", strategy, err)
+			}
+			if res.Stats.Strategy.String() != res.Stats.Plan.Strategy {
+				t.Errorf("-strategy %s, %.40q: Stats.Strategy %s, plan %s", strategy, q, res.Stats.Strategy, res.Stats.Plan.Strategy)
+			}
+		}
 	}
 }
 
 // TestPublicAPIExplainForcedOptions is the library-surface forced-flags
 // regression: every explicit knob option overrides the planner and is
-// marked forced in the plan.
+// marked forced in an EXPLAIN statement's plan.
 func TestPublicAPIExplainForcedOptions(t *testing.T) {
 	sys := newSystem(t, 200)
-	qp, err := sys.Explain(mealQuery,
+	res, err := sys.Query("EXPLAIN "+mealQuery,
 		pb.WithStrategy(pb.SketchRefine), pb.WithSketchPartitionSize(32),
 		pb.WithSketchDepth(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	qp := res.Stats.Plan
 	for _, name := range []string{"strategy", "tau", "depth"} {
 		d := qp.Decision(name)
 		if d == nil || !d.Forced {
@@ -498,8 +516,8 @@ func TestFormatResultOutput(t *testing.T) {
 }
 
 // TestFormatResultRendersExplain: System.Query plans an EXPLAIN statement
-// without executing it, and FormatResult prints that plan, not an empty
-// answer.
+// without executing it, and FormatResult prints that plan and nothing
+// else — no empty answer, no statistics footer.
 func TestFormatResultRendersExplain(t *testing.T) {
 	sys := newSystem(t, 80)
 	res, err := sys.Query("EXPLAIN " + mealQuery)
@@ -512,8 +530,8 @@ func TestFormatResultRendersExplain(t *testing.T) {
 	var sb strings.Builder
 	pb.FormatResult(&sb, sys, res)
 	out := sb.String()
-	if !strings.Contains(out, res.Stats.Plan.Explain()) || strings.Contains(out, "no package") {
-		t.Errorf("FormatResult of an EXPLAIN statement does not print its plan:\n%s", out)
+	if out != res.Stats.Plan.Explain()+"\n" {
+		t.Errorf("FormatResult of an EXPLAIN statement prints more or less than its plan:\n%s", out)
 	}
 }
 

@@ -168,9 +168,9 @@ func TestPerTupleProductIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stats.Linear || !res.Stats.Exact {
+	if !res.Stats.Plan.Mix.Linear || !res.Stats.Exact {
 		t.Errorf("per-tuple products should stay solver-friendly: linear=%v exact=%v",
-			res.Stats.Linear, res.Stats.Exact)
+			res.Stats.Plan.Mix.Linear, res.Stats.Exact)
 	}
 }
 

@@ -7,7 +7,8 @@
 # code checks, that no package under internal/ but lifecycle polls a
 # context by hand, that no layer below core takes a duration budget, that
 # the expression grammar has one extension, that no forced-rebuild knob
-# grows back, nor the anytime mode or its descent stage, that the
+# grows back, nor the anytime mode or its descent stage, that EXPLAIN has
+# one door and Stats no copy of a plan field, that the
 # trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
@@ -117,6 +118,21 @@ descend=$(grep -rnE --include='*.go' --exclude='*_test.go' 'StageDescend|BoundDe
 if [ -n "$anytime$descend" ]; then
   echo "the anytime mode or the descent stage outside the trace's vestigial declarations:"
   printf '%s\n' "$anytime" "$descend" | sed '/^$/d' && exit 1
+fi
+
+# EXPLAIN has one door: the engine's run answers an EXPLAIN statement
+# right after planning, and every front end sends `EXPLAIN …` text down
+# its ordinary query path and reads Stats.Plan, the one record of what
+# the engine decided. The second doors (the library's Explain and
+# ExplainContext, paql's -explain with isExplain and runExplain,
+# pbserver's explain field and plannedStrategy key) must not grow back,
+# and no Stats field copies a plan field again.
+doors=$(grep -rnE --include='*.go' --exclude='*_test.go' 'ExplainContext|runExplain|isExplain|plannedStrategy|PlannedStrategy' . |
+  grep -v '^\./benchmark/' || true)
+copies=$(grep -rnE --include='*.go' 'Stats\.(RowsScanned|SnapshotHit|Linear|MemoryEstimate)\b' . | grep -v '^\./benchmark/' || true)
+if [ -n "$doors$copies" ]; then
+  echo "a second EXPLAIN door, or a Stats copy of a plan field (read Stats.Plan instead):"
+  printf '%s\n' "$doors" "$copies" | sed '/^$/d' && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and

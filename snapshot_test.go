@@ -167,15 +167,15 @@ func TestInterleavedWritesMatchFreshSystem(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d: fresh system: %s: %v", step, q, err)
 			}
-			if want.Stats.SnapshotHit {
+			if want.Stats.Plan.SnapshotHit {
 				t.Fatalf("step %d: a fresh system's first query was a snapshot hit", step)
 			}
-			if got[i].Stats.SnapshotHit {
+			if got[i].Stats.Plan.SnapshotHit {
 				hits++
 			}
 			strategies[got[i].Stats.Strategy]++
 			if g, w := resultDigest(got[i]), resultDigest(want); g != w {
-				t.Fatalf("step %d: %s\non the long-lived system (snapshot hit %v):\n%s\non a fresh one:\n%s", step, q, got[i].Stats.SnapshotHit, g, w)
+				t.Fatalf("step %d: %s\non the long-lived system (snapshot hit %v):\n%s\non a fresh one:\n%s", step, q, got[i].Stats.Plan.SnapshotHit, g, w)
 			}
 		}
 	}
@@ -223,9 +223,9 @@ func TestPreparedHeldAcrossWriteKeepsItsVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now.Stats.SnapshotHit || now.Stats.Candidates != before.Stats.Candidates-3 {
+	if now.Stats.Plan.SnapshotHit || now.Stats.Candidates != before.Stats.Candidates-3 {
 		t.Errorf("after the write: SnapshotHit=%v, %d candidates, want a scan that finds %d",
-			now.Stats.SnapshotHit, now.Stats.Candidates, before.Stats.Candidates-3)
+			now.Stats.Plan.SnapshotHit, now.Stats.Candidates, before.Stats.Candidates-3)
 	}
 	if want, err := freshSystem(t, sys).Query(mealQuery); err != nil || resultDigest(now) != resultDigest(want) {
 		t.Errorf("after the write the system and a fresh one disagree (err %v)", err)
@@ -249,12 +249,12 @@ func TestWarmQueryScansNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 				first := round == 0 && tmpl == 0
-				if first && (res.Stats.SnapshotHit || res.Stats.RowsScanned != 4500) {
-					t.Errorf("first sight of WHERE %q: SnapshotHit=%v RowsScanned=%d", where, res.Stats.SnapshotHit, res.Stats.RowsScanned)
+				if first && (res.Stats.Plan.SnapshotHit || res.Stats.Plan.RowsScanned != 4500) {
+					t.Errorf("first sight of WHERE %q: SnapshotHit=%v RowsScanned=%d", where, res.Stats.Plan.SnapshotHit, res.Stats.Plan.RowsScanned)
 				}
-				if !first && (!res.Stats.SnapshotHit || res.Stats.RowsScanned != 0) {
+				if !first && (!res.Stats.Plan.SnapshotHit || res.Stats.Plan.RowsScanned != 0) {
 					t.Errorf("round %d, T%d, WHERE %q: SnapshotHit=%v RowsScanned=%d, want a hit and 0",
-						round, tmpl, where, res.Stats.SnapshotHit, res.Stats.RowsScanned)
+						round, tmpl, where, res.Stats.Plan.SnapshotHit, res.Stats.Plan.RowsScanned)
 				}
 				if round == 0 {
 					continue
@@ -264,12 +264,12 @@ func TestWarmQueryScansNothing(t *testing.T) {
 				if !strings.Contains(out.String(), " scanned=0 snapshot-hit=true ") {
 					t.Errorf("T%d: the footer does not say so:\n%s", tmpl, out.String())
 				}
-				plan, err := sys.Explain(q)
+				ex, err := sys.Query("EXPLAIN " + q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !strings.Contains(plan.Explain(), "; 0 rows scanned (candidate snapshot hit)\n") {
-					t.Errorf("T%d: EXPLAIN's table line does not say so:\n%s", tmpl, plan.Explain())
+				if plan := ex.Stats.Plan.Explain(); !strings.Contains(plan, "; 0 rows scanned (candidate snapshot hit)\n") {
+					t.Errorf("T%d: EXPLAIN's table line does not say so:\n%s", tmpl, plan)
 				}
 			}
 		}
@@ -315,14 +315,14 @@ func TestWriteStepScansWhatItAppended(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tmpl > 0 {
-				if !res.Stats.SnapshotHit || res.Stats.RowsScanned != 0 {
-					t.Errorf("T%d, WHERE %q: SnapshotHit=%v RowsScanned=%d after the advance, want a hit", tmpl, where, res.Stats.SnapshotHit, res.Stats.RowsScanned)
+				if !res.Stats.Plan.SnapshotHit || res.Stats.Plan.RowsScanned != 0 {
+					t.Errorf("T%d, WHERE %q: SnapshotHit=%v RowsScanned=%d after the advance, want a hit", tmpl, where, res.Stats.Plan.SnapshotHit, res.Stats.Plan.RowsScanned)
 				}
 				continue
 			}
-			if res.Stats.SnapshotHit || res.Stats.RowsScanned != k {
+			if res.Stats.Plan.SnapshotHit || res.Stats.Plan.RowsScanned != k {
 				t.Errorf("WHERE %q: SnapshotHit=%v RowsScanned=%d after INSERT %d + DELETE %d, want an advance over %d rows",
-					where, res.Stats.SnapshotHit, res.Stats.RowsScanned, k, m, k)
+					where, res.Stats.Plan.SnapshotHit, res.Stats.Plan.RowsScanned, k, m, k)
 			}
 			var out bytes.Buffer
 			pb.FormatResult(&out, sys, res)
