@@ -103,7 +103,8 @@ func Aggregates(es ...Expr) []*Agg {
 // AggState accumulates one SQL aggregate over one group of values: the
 // single statement of what COUNT, SUM, AVG, MIN and MAX answer — NULL
 // inputs are skipped, COUNT of nothing is 0 and every other aggregate of
-// nothing is NULL — shared by minidb's GROUP BY and PaQL's packages.
+// nothing is NULL — shared by minidb's aggregate queries and PaQL's
+// packages.
 type AggState interface {
 	Add(v value.V) error
 	Result() value.V

@@ -32,17 +32,13 @@ type DeleteStmt struct {
 	Where expr.Expr
 }
 
-// SelectStmt is a SELECT query.
+// SelectStmt is a SELECT query: items over a comma join of base tables,
+// an optional WHERE and an optional LIMIT.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef
-	Where    expr.Expr
-	GroupBy  []expr.Expr
-	Having   expr.Expr
-	OrderBy  []OrderItem
-	Limit    *int64
-	Offset   *int64
+	Items []SelectItem
+	From  []TableRef
+	Where expr.Expr
+	Limit *int64
 }
 
 // SelectItem is one output column: either a star ("*" or "alias.*") or
@@ -54,15 +50,11 @@ type SelectItem struct {
 	Alias    string
 }
 
-// TableRef is one FROM source: a base table or a derived table, with an
-// optional alias. JoinCond, when non-nil, is the ON condition joining
-// this ref to everything to its left (JOIN ... ON syntax); comma-listed
-// refs have nil JoinCond and are cross joins constrained by WHERE.
+// TableRef is one FROM source: a base table with an optional alias.
+// Comma-listed refs are cross joins constrained by WHERE.
 type TableRef struct {
-	Name     string
-	Alias    string
-	Sub      *SelectStmt
-	JoinCond expr.Expr
+	Name  string
+	Alias string
 }
 
 // Binding name for the ref ("alias" falling back to the table name).
@@ -71,12 +63,6 @@ func (r TableRef) Binding() string {
 		return r.Alias
 	}
 	return r.Name
-}
-
-// OrderItem is one ORDER BY key.
-type OrderItem struct {
-	E    expr.Expr
-	Desc bool
 }
 
 func (*CreateTableStmt) stmt() {}

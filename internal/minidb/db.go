@@ -1,10 +1,12 @@
 // Package minidb is the relational substrate PackageBuilder talks to.
 // The paper's system is "an external module which communicates with the
 // DBMS, where the data resides, via SQL"; minidb plays the DBMS role:
-// an embedded, in-memory engine with a SQL subset (CREATE TABLE /
-// INSERT / DELETE / SELECT with joins, grouping, aggregates, ORDER BY
-// and LIMIT), a volcano-style streaming executor and predicate pushdown
-// into heap scans.
+// an embedded, in-memory engine with the SQL subset its callers speak
+// (CREATE TABLE, INSERT, DELETE, and SELECT with WHERE, comma joins,
+// global aggregates, scalar sub-queries and LIMIT), a volcano-style
+// streaming executor and predicate pushdown into heap scans. GROUP BY,
+// HAVING, ORDER BY, DISTINCT, OFFSET, JOIN ... ON and derived tables are
+// refused at parse time by name.
 //
 // The engine favours clarity over raw speed but is careful about the
 // case PackageBuilder stresses: the §4.2 local-search replacement query

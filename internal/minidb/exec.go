@@ -1,8 +1,6 @@
 package minidb
 
 import (
-	"sort"
-
 	"repro/internal/expr"
 	"repro/internal/schema"
 )
@@ -53,52 +51,6 @@ func (s *scanOp) next() (schema.Row, bool, error) {
 }
 
 func (s *scanOp) close() {}
-
-// --- materialized rows (derived tables) --------------------------------------
-
-type valuesOp struct {
-	rows []schema.Row
-	sch  schema.Schema
-	pos  int
-}
-
-func (v *valuesOp) schema() schema.Schema { return v.sch }
-func (v *valuesOp) open() error           { v.pos = 0; return nil }
-func (v *valuesOp) next() (schema.Row, bool, error) {
-	if v.pos >= len(v.rows) {
-		return nil, false, nil
-	}
-	r := v.rows[v.pos]
-	v.pos++
-	return r, true, nil
-}
-func (v *valuesOp) close() {}
-
-// --- filter ------------------------------------------------------------------
-
-type filterOp struct {
-	child operator
-	pred  expr.Expr // bound to child schema
-}
-
-func (f *filterOp) schema() schema.Schema { return f.child.schema() }
-func (f *filterOp) open() error           { return f.child.open() }
-func (f *filterOp) next() (schema.Row, bool, error) {
-	for {
-		row, ok, err := f.child.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pass, err := expr.EvalBool(f.pred, row)
-		if err != nil {
-			return nil, false, err
-		}
-		if pass {
-			return row, true, nil
-		}
-	}
-}
-func (f *filterOp) close() { f.child.close() }
 
 // --- projection ---------------------------------------------------------------
 
@@ -221,131 +173,30 @@ func (j *nlJoinOp) close() {
 	j.rightRows = nil
 }
 
-// --- sort, distinct, limit --------------------------------------------------------
+// --- limit ----------------------------------------------------------------------
 
-type sortOp struct {
-	child operator
-	keys  []OrderItem // bound to child schema
-	rows  []schema.Row
-	pos   int
-}
-
-func (s *sortOp) schema() schema.Schema { return s.child.schema() }
-
-func (s *sortOp) open() error {
-	if err := s.child.open(); err != nil {
-		return err
-	}
-	s.rows = s.rows[:0]
-	for {
-		row, ok, err := s.child.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, row)
-	}
-	s.child.close()
-	var evalErr error
-	sort.SliceStable(s.rows, func(i, k int) bool {
-		for _, key := range s.keys {
-			a, err := key.E.Eval(s.rows[i])
-			if err != nil && evalErr == nil {
-				evalErr = err
-			}
-			b, err := key.E.Eval(s.rows[k])
-			if err != nil && evalErr == nil {
-				evalErr = err
-			}
-			if a.IsNull() && b.IsNull() {
-				continue
-			}
-			less := a.SortLess(b)
-			greater := b.SortLess(a)
-			if !less && !greater {
-				continue
-			}
-			if key.Desc {
-				return greater
-			}
-			return less
-		}
-		return false
-	})
-	s.pos = 0
-	return evalErr
-}
-
-func (s *sortOp) next() (schema.Row, bool, error) {
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, true, nil
-}
-
-func (s *sortOp) close() { s.rows = nil }
-
-type distinctOp struct {
-	child operator
-	seen  map[string]bool
-}
-
-func (d *distinctOp) schema() schema.Schema { return d.child.schema() }
-func (d *distinctOp) open() error {
-	d.seen = make(map[string]bool)
-	return d.child.open()
-}
-func (d *distinctOp) next() (schema.Row, bool, error) {
-	for {
-		row, ok, err := d.child.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		var key []byte
-		for _, v := range row {
-			key = v.EncodeKey(key)
-		}
-		k := string(key)
-		if d.seen[k] {
-			continue
-		}
-		d.seen[k] = true
-		return row, true, nil
-	}
-}
-func (d *distinctOp) close() { d.child.close(); d.seen = nil }
-
+// limitOp stops after limit rows, so a nested-loop join under it stops
+// at its first qualifying combination when limit is 1.
 type limitOp struct {
-	child         operator
-	limit, offset int64
-	emitted       int64
-	skipped       int64
+	child   operator
+	limit   int64
+	emitted int64
 }
 
 func (l *limitOp) schema() schema.Schema { return l.child.schema() }
 func (l *limitOp) open() error {
-	l.emitted, l.skipped = 0, 0
+	l.emitted = 0
 	return l.child.open()
 }
 func (l *limitOp) next() (schema.Row, bool, error) {
-	for {
-		if l.limit >= 0 && l.emitted >= l.limit {
-			return nil, false, nil
-		}
-		row, ok, err := l.child.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if l.skipped < l.offset {
-			l.skipped++
-			continue
-		}
-		l.emitted++
-		return row, true, nil
+	if l.emitted >= l.limit {
+		return nil, false, nil
 	}
+	row, ok, err := l.child.next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	l.emitted++
+	return row, true, nil
 }
 func (l *limitOp) close() { l.child.close() }

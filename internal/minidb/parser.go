@@ -1,7 +1,6 @@
 package minidb
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/expr"
@@ -235,6 +234,8 @@ func parseDelete(p *parse.Parser) (Stmt, error) {
 }
 
 // statement keywords that terminate a select item / table ref alias.
+// The clauses minidb refuses stay reserved too, so none is read as an
+// alias.
 var reservedAfterItem = map[string]bool{
 	"FROM": true, "WHERE": true, "GROUP": true, "HAVING": true,
 	"ORDER": true, "LIMIT": true, "OFFSET": true, "ON": true,
@@ -242,13 +243,25 @@ var reservedAfterItem = map[string]bool{
 	"UNION": true, "BY": true, "AND": true, "OR": true, "NOT": true,
 }
 
+// refused names the SQL clauses minidb does not run that may follow a
+// SELECT's FROM list, by their leading keyword (DISTINCT and derived
+// tables are refused where they stand). No caller's queries use them; a
+// query that does fails at parse time with the clause's name rather
+// than a generic syntax error.
+var refused = map[string]string{
+	"JOIN": "JOIN ... ON", "INNER": "JOIN ... ON", "GROUP": "GROUP BY",
+	"HAVING": "HAVING", "ORDER": "ORDER BY", "OFFSET": "OFFSET",
+}
+
+// parseSelect parses SELECT items FROM ref, ref... [WHERE pred] [LIMIT n].
 func parseSelect(p *parse.Parser) (*SelectStmt, error) {
 	if err := p.ExpectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
+	if p.PeekKeyword("DISTINCT") {
+		return nil, p.Errf("minidb does not support DISTINCT")
+	}
 	st := &SelectStmt{}
-	st.Distinct = p.AcceptKeyword("DISTINCT")
-	// select items
 	for {
 		item, err := parseSelectItem(p)
 		if err != nil {
@@ -262,42 +275,15 @@ func parseSelect(p *parse.Parser) (*SelectStmt, error) {
 	if err := p.ExpectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	// table refs: ref (, ref | JOIN ref ON expr)*
-	ref, err := parseTableRef(p)
-	if err != nil {
-		return nil, err
-	}
-	st.From = append(st.From, ref)
 	for {
-		if p.AcceptPunct(",") {
-			r, err := parseTableRef(p)
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, r)
-			continue
+		r, err := parseTableRef(p)
+		if err != nil {
+			return nil, err
 		}
-		if p.PeekKeyword("INNER") || p.PeekKeyword("JOIN") {
-			p.AcceptKeyword("INNER")
-			if err := p.ExpectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			r, err := parseTableRef(p)
-			if err != nil {
-				return nil, err
-			}
-			if err := p.ExpectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			cond, err := p.ParseExpr()
-			if err != nil {
-				return nil, err
-			}
-			r.JoinCond = cond
-			st.From = append(st.From, r)
-			continue
+		st.From = append(st.From, r)
+		if !p.AcceptPunct(",") {
+			break
 		}
-		break
 	}
 	if p.AcceptKeyword("WHERE") {
 		e, err := p.ParseExpr()
@@ -306,49 +292,6 @@ func parseSelect(p *parse.Parser) (*SelectStmt, error) {
 		}
 		st.Where = e
 	}
-	if p.AcceptKeyword("GROUP") {
-		if err := p.ExpectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.ParseExpr()
-			if err != nil {
-				return nil, err
-			}
-			st.GroupBy = append(st.GroupBy, e)
-			if !p.AcceptPunct(",") {
-				break
-			}
-		}
-	}
-	if p.AcceptKeyword("HAVING") {
-		e, err := p.ParseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Having = e
-	}
-	if p.AcceptKeyword("ORDER") {
-		if err := p.ExpectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.ParseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{E: e}
-			if p.AcceptKeyword("DESC") {
-				item.Desc = true
-			} else {
-				p.AcceptKeyword("ASC")
-			}
-			st.OrderBy = append(st.OrderBy, item)
-			if !p.AcceptPunct(",") {
-				break
-			}
-		}
-	}
 	if p.AcceptKeyword("LIMIT") {
 		n, err := p.ParseInt()
 		if err != nil {
@@ -356,12 +299,10 @@ func parseSelect(p *parse.Parser) (*SelectStmt, error) {
 		}
 		st.Limit = &n
 	}
-	if p.AcceptKeyword("OFFSET") {
-		n, err := p.ParseInt()
-		if err != nil {
-			return nil, err
+	if t := p.Peek(); t.Kind == parse.TIdent {
+		if clause, ok := refused[strings.ToUpper(t.Text)]; ok {
+			return nil, p.Errf("minidb does not support %s", clause)
 		}
-		st.Offset = &n
 	}
 	return st, nil
 }
@@ -398,23 +339,14 @@ func parseSelectItem(p *parse.Parser) (SelectItem, error) {
 }
 
 func parseTableRef(p *parse.Parser) (TableRef, error) {
-	var ref TableRef
-	if p.AcceptPunct("(") {
-		sub, err := parseSelect(p)
-		if err != nil {
-			return ref, err
-		}
-		if err := p.ExpectPunct(")"); err != nil {
-			return ref, err
-		}
-		ref.Sub = sub
-	} else {
-		name, err := p.ParseIdent()
-		if err != nil {
-			return ref, err
-		}
-		ref.Name = name
+	if p.PeekPunct("(") {
+		return TableRef{}, p.Errf("minidb does not support derived tables (FROM (SELECT ...))")
 	}
+	name, err := p.ParseIdent()
+	if err != nil {
+		return TableRef{}, err
+	}
+	ref := TableRef{Name: name}
 	if p.AcceptKeyword("AS") {
 		a, err := p.ParseIdent()
 		if err != nil {
@@ -423,9 +355,6 @@ func parseTableRef(p *parse.Parser) (TableRef, error) {
 		ref.Alias = a
 	} else if t := p.Peek(); t.Kind == parse.TIdent && !reservedAfterItem[strings.ToUpper(t.Text)] {
 		ref.Alias = p.Next().Text
-	}
-	if ref.Sub != nil && ref.Alias == "" {
-		return ref, fmt.Errorf("minidb: derived table requires an alias")
 	}
 	return ref, nil
 }

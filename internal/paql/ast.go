@@ -21,7 +21,7 @@
 //   - LIMIT n requesting n distinct packages (§5 "solver limitations").
 //
 // PaQL is SQL-based in its vocabulary too: aggregates are expr.Agg, the
-// node SQL's GROUP BY uses, and a sub-query is minidb's Subquery, parsed
+// node minidb's aggregate queries use, and a sub-query is minidb's Subquery, parsed
 // by minidb's grammar (minidb.InstallHook) while the PaQL text is.
 //
 // The package parses, analyzes (Analyze) and evaluates a formula over a

@@ -228,12 +228,11 @@ func (ls *localState) swapQuery(k int, sums []float64, maxed []int, improving, m
 			conds = append(conds, fmt.Sprintf("%s < -0.000000001", delta))
 		}
 	}
-	// First-improvement: LIMIT 1 with no ORDER BY lets the streaming
-	// executor stop at the first qualifying replacement instead of
-	// materializing and sorting the whole neighbourhood. Hill climbing
-	// still terminates (the objective strictly improves per move); the
-	// final no-move-exists proof costs one full scan, same as
-	// best-improvement's every iteration.
+	// First-improvement: LIMIT 1 lets the streaming executor stop at the
+	// first qualifying replacement instead of materializing the whole
+	// neighbourhood. Hill climbing still terminates (the objective
+	// strictly improves per move); the final no-move-exists proof costs
+	// one full scan, same as best-improvement's every iteration.
 	return fmt.Sprintf("SELECT %s FROM %s WHERE %s LIMIT 1",
 		strings.Join(selects, ", "), strings.Join(from, ", "),
 		strings.Join(conds, " AND "))

@@ -36,9 +36,8 @@ func ReplacementProbe(inst *Instance, mult []int, k int) (sql string, neighbourh
 		}
 	}
 	q := ls.swapQuery(k, sums, maxed, false, true)
-	// Count the whole neighbourhood: strip LIMIT and ORDER BY so the
-	// measurement covers the full join, not an early-out.
-	q = stripSuffixClause(q, " ORDER BY ")
+	// Count the whole neighbourhood: strip LIMIT so the measurement
+	// covers the full join, not an early-out.
 	q = stripSuffixClause(q, " LIMIT ")
 	start := time.Now()
 	res, err := ls.db.Query(q)

@@ -170,14 +170,9 @@ func TestRequireInEnumerators(t *testing.T) {
 }
 
 func TestStripSuffixClause(t *testing.T) {
-	q := "SELECT x FROM t WHERE a ORDER BY b LIMIT 1"
-	q = stripSuffixClause(q, " ORDER BY ")
-	if strings.Contains(q, "ORDER") {
-		t.Errorf("order not stripped: %s", q)
-	}
-	q2 := stripSuffixClause("SELECT 1 LIMIT 1", " LIMIT ")
-	if strings.Contains(q2, "LIMIT") {
-		t.Errorf("limit not stripped: %s", q2)
+	q := stripSuffixClause("SELECT 1 LIMIT 1", " LIMIT ")
+	if strings.Contains(q, "LIMIT") {
+		t.Errorf("limit not stripped: %s", q)
 	}
 	if got := stripSuffixClause("abc", " LIMIT "); got != "abc" {
 		t.Errorf("no-op strip changed input: %s", got)

@@ -8,8 +8,8 @@
 # context by hand, that no layer below core takes a duration budget, that
 # the expression grammar has one extension, that no forced-rebuild knob
 # grows back, nor the anytime mode or its descent stage, that EXPLAIN has
-# one door and Stats no copy of a plan field, that the
-# trace-only surface has not grown, that no tracked
+# one door and Stats no copy of a plan field, that minidb's refused
+# clauses do not grow back, that the trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -133,6 +133,18 @@ copies=$(grep -rnE --include='*.go' 'Stats\.(RowsScanned|SnapshotHit|Linear|Memo
 if [ -n "$doors$copies" ]; then
   echo "a second EXPLAIN door, or a Stats copy of a plan field (read Stats.Plan instead):"
   printf '%s\n' "$doors" "$copies" | sed '/^$/d' && exit 1
+fi
+
+# minidb keeps the grammar its traffic speaks: CREATE TABLE, INSERT,
+# DELETE, and SELECT with WHERE, comma joins, global aggregates, scalar
+# sub-queries and LIMIT. GROUP BY/HAVING, ORDER BY, DISTINCT, OFFSET,
+# JOIN ... ON and derived tables are parse errors that name the clause;
+# their statement fields and the operators only they built must not grow
+# back in minidb's non-test code.
+grammar=$(grep -rnwE --include='*.go' --exclude='*_test.go' \
+  'GroupBy|OrderBy|Having|Offset|Distinct|JoinCond|OrderItem|sortOp|distinctOp|valuesOp|filterOp|resolveOrderBy' internal/minidb || true)
+if [ -n "$grammar" ]; then
+  echo "a refused SQL clause growing back in internal/minidb (it is a parse error by name):" && echo "$grammar" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
