@@ -81,9 +81,12 @@ func TestTimeoutIsRespected(t *testing.T) {
 // TestLimitSharesOneDeadline: Timeout bounds the whole evaluation, so
 // the exact solver's LIMIT and DIVERSE over-fetch solves share one
 // deadline instead of each getting the full budget. Every solve of this
-// knapsack runs past the budget, so a solver that restarted its clock per
-// package would overrun it about threefold under Run, and under
-// RunContext the hard backstop, not the budget, would stop it.
+// knapsack runs past the budget — every weight 2·calories is even and
+// the budget odd, so the relaxation's bound sits at the budget, which no
+// package reaches, and no search over the 1,500 columns can close the
+// gap — so a solver that restarted its clock per package would overrun
+// it about threefold under Run, and under RunContext the hard backstop,
+// not the budget, would stop it.
 func TestLimitSharesOneDeadline(t *testing.T) {
 	db := minidb.New()
 	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 1500, Seed: 11}); err != nil {
@@ -91,8 +94,8 @@ func TestLimitSharesOneDeadline(t *testing.T) {
 	}
 	const timeout = 300 * time.Millisecond
 	const query = `SELECT PACKAGE(R) AS P FROM recipes R
-		SUCH THAT COUNT(*) = 12 AND SUM(P.calories) <= 7001 AND SUM(P.fat) <= 201 AND SUM(P.carbs) <= 501
-		MAXIMIZE SUM(P.protein) `
+		SUCH THAT COUNT(*) = 12 AND SUM(P.calories * 2) <= 14001
+		MAXIMIZE SUM(P.calories * 2) `
 	for _, c := range []struct {
 		limit   string
 		diverse bool
