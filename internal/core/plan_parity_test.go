@@ -46,9 +46,10 @@ var parityCases = []parityCase{
 	{"SketchDepth", func(o *Options) { o.SketchDepth = 1 }},
 }
 
-// ruledOutCases force a strategy the query's atom mix rules out: the
-// plan must already name the strategy that runs, decided as the
-// unforced query would be, with nothing marked forced.
+// ruledOutCases force a strategy the query rules out — by its atom mix,
+// or pruned enumeration by its candidate count: the plan must already
+// name the strategy that runs, decided as the unforced query would be,
+// with nothing marked forced.
 var ruledOutCases = []struct {
 	name   string
 	forced Strategy
@@ -79,6 +80,16 @@ var ruledOutCases = []struct {
 		SUCH THAT COUNT(*) = 2 AND SUM(P.calories) * SUM(P.protein) <= 500000
 		MAXIMIZE SUM(P.protein)`,
 		PrunedEnum, []string{"forced sketch-refine unavailable (non-linear: "}},
+	{"pruned-enum/linear-large", PrunedEnum, 120, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 1500 AND 2000
+		MAXIMIZE SUM(P.protein)`,
+		Solver, []string{"forced pruned-enum unavailable (120 candidates > 22); ", "exact MILP is affordable"}},
+	{"pruned-enum/non-linear-large", PrunedEnum, 120, `
+		SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) * SUM(P.protein) >= 100000
+		MAXIMIZE SUM(P.protein)`,
+		LocalSearchStrategy, []string{"forced pruned-enum unavailable (120 candidates > 22); ", "local search"}},
 }
 
 // boundStageOrder ranks the sketch path's bound stages, shallowest first.

@@ -157,24 +157,22 @@ func candidatesOf(ctx context.Context, table *minidb.Table, q *paql.Query) (cand
 
 // matching appends to ids the positions, counted from first, of the rows
 // that satisfy where (every row when there is none), looking at ctx every
-// PollRows rows.
+// PollRows rows. where is compiled once for the rows.
 func matching(ctx context.Context, where expr.Expr, rows []schema.Row, first int, ids []int) ([]int, error) {
+	match := expr.CompileWhere(where)
 	for i, row := range rows {
 		if i%translate.PollRows == 0 {
 			if err := lifecycle.ContextErr(ctx); err != nil {
 				return nil, err
 			}
 		}
-		if where != nil {
-			ok, err := expr.EvalBool(where, row)
-			if err != nil {
-				return nil, fmt.Errorf("engine: base constraint: %w", err)
-			}
-			if !ok {
-				continue
-			}
+		ok, err := match(row)
+		if err != nil {
+			return nil, fmt.Errorf("engine: base constraint: %w", err)
 		}
-		ids = append(ids, first+i)
+		if ok {
+			ids = append(ids, first+i)
+		}
 	}
 	return ids, nil
 }

@@ -41,13 +41,11 @@ func scanIDs(t *testing.T, tab *minidb.Table, queryText string) ([]int, error) {
 		t.Fatal(err)
 	}
 	var ids []int
+	match := expr.CompileWhere(q.Where)
 	for rid, row := range tab.Rows {
-		ok := q.Where == nil
-		if !ok {
-			var err error
-			if ok, err = expr.EvalBool(q.Where, row); err != nil {
-				return nil, err
-			}
+		ok, err := match(row)
+		if err != nil {
+			return nil, err
 		}
 		if ok {
 			ids = append(ids, rid)

@@ -26,22 +26,28 @@ func (a *Agg) Eval(schema.Row) (value.V, error) {
 	return value.Null(), fmt.Errorf("expr: aggregate %s used outside an aggregation context", a)
 }
 
-// Term is the aggregate's view of one tuple, and the only place its
-// filter, argument and NULL rule are applied: present reports that the
-// filter passes and (COUNT(*) aside) the argument is not NULL — the tuple
-// belongs to the aggregate's selection — and v is then the argument's
-// value (1 for COUNT(*)). Every evaluator is a fold over it.
-func (a *Agg) Term(row schema.Row) (v value.V, present bool, err error) {
-	if a.Filter != nil {
-		if ok, err := EvalBool(a.Filter, row); err != nil || !ok {
+// Term compiles the aggregate's view of one tuple, the only place its
+// filter, argument and NULL rule are applied: the closure's present
+// reports that the filter passes and (COUNT(*) aside) the argument is not
+// NULL — the tuple belongs to the aggregate's selection — and v is then
+// the argument's value (1 for COUNT(*)). Every evaluator compiles it once
+// and folds it over the rows.
+func (a *Agg) Term() func(row schema.Row) (v value.V, present bool, err error) {
+	pass := CompileWhere(a.Filter)
+	var arg valueFn
+	if !a.Star {
+		arg = Compile(a.Arg)
+	}
+	return func(row schema.Row) (value.V, bool, error) {
+		if ok, err := pass(row); err != nil || !ok {
 			return value.Null(), false, err
 		}
+		if arg == nil {
+			return value.Int(1), true, nil
+		}
+		v, err := arg(row)
+		return v, err == nil && !v.IsNull(), err
 	}
-	if a.Star {
-		return value.Int(1), true, nil
-	}
-	v, err = a.Arg.Eval(row)
-	return v, err == nil && !v.IsNull(), err
 }
 
 // String renders the aggregate: FN(arg), COUNT(*), FN(arg WHERE pred).

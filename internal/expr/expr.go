@@ -5,10 +5,25 @@
 //
 // Expressions are built by the parsers with unresolved column references
 // and then bound to a schema with Bind, which fills in column ordinals.
-// Eval evaluates a bound expression against a row. String renders the
-// expression back to SQL text that the minidb parser accepts — the §4.2
-// local-search strategy relies on this to generate its replacement
-// queries.
+// String renders the expression back to SQL text that the minidb parser
+// accepts — the §4.2 local-search strategy relies on this to generate its
+// replacement queries.
+//
+// Evaluation compiles once and then calls one closure per row. Compile
+// (a value) and CompileWhere (a predicate) turn a bound expression into a
+// tree of closures before a scan: a boolean node answers its truth and
+// NULL-ness without building a value.V, a comparison of a bound column
+// with a constant reads the cell in place, and every other node calls the
+// value helpers (Compare, Add, Neg, ...). Agg.Term compiles an aggregate's
+// view of one tuple the same way. NULL follows SQL: it propagates through
+// arithmetic and comparisons, AND and OR are Kleene's three-valued logic
+// and evaluate an operand only when the ones before it do not decide, and
+// a WHERE counts NULL as false. An error — an unbound or out-of-range
+// column, an operand of the wrong type, an unknown function — is raised
+// by the row that meets it, with the same text on every such row, so a
+// scan over no rows raises none. A node's Eval compiles the node and runs
+// it, for one-off evaluation; a node defined outside this package is
+// compiled as a call to its own Eval.
 package expr
 
 import (
@@ -139,15 +154,7 @@ type Col struct {
 func NewCol(table, name string) *Col { return &Col{Table: table, Name: name, Idx: -1} }
 
 // Eval returns the referenced datum from the row.
-func (c *Col) Eval(row schema.Row) (value.V, error) {
-	if c.Idx < 0 {
-		return value.Null(), fmt.Errorf("expr: unbound column %s", c.String())
-	}
-	if c.Idx >= len(row) {
-		return value.Null(), fmt.Errorf("expr: column %s ordinal %d out of range for %d-wide row", c.String(), c.Idx, len(row))
-	}
-	return row[c.Idx], nil
-}
+func (c *Col) Eval(row schema.Row) (value.V, error) { return Compile(c)(row) }
 
 // String renders "table.name" or "name".
 func (c *Col) String() string {
@@ -165,91 +172,7 @@ type Binary struct {
 
 // Eval applies the operator with SQL semantics: NULL propagates through
 // arithmetic and comparisons; AND/OR use Kleene three-valued logic.
-func (b *Binary) Eval(row schema.Row) (value.V, error) {
-	if b.Op == OpAnd || b.Op == OpOr {
-		return b.evalLogic(row)
-	}
-	l, err := b.L.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	r, err := b.R.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	switch b.Op {
-	case OpAdd:
-		return l.Add(r)
-	case OpSub:
-		return l.Sub(r)
-	case OpMul:
-		return l.Mul(r)
-	case OpDiv:
-		return l.Div(r)
-	case OpMod:
-		return l.Mod(r)
-	}
-	cmp, null := l.Compare(r)
-	if null {
-		return value.Null(), nil
-	}
-	var res bool
-	switch b.Op {
-	case OpEq:
-		res = cmp == 0
-	case OpNe:
-		res = cmp != 0
-	case OpLt:
-		res = cmp < 0
-	case OpLe:
-		res = cmp <= 0
-	case OpGt:
-		res = cmp > 0
-	case OpGe:
-		res = cmp >= 0
-	default:
-		return value.Null(), fmt.Errorf("expr: unknown operator %v", b.Op)
-	}
-	return value.Bool(res), nil
-}
-
-func (b *Binary) evalLogic(row schema.Row) (value.V, error) {
-	l, err := b.L.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	lv, lnull := l.Truthy()
-	// Short-circuit where three-valued logic allows it.
-	if b.Op == OpAnd && !lnull && !lv {
-		return value.Bool(false), nil
-	}
-	if b.Op == OpOr && !lnull && lv {
-		return value.Bool(true), nil
-	}
-	r, err := b.R.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	rv, rnull := r.Truthy()
-	if b.Op == OpAnd {
-		switch {
-		case !rnull && !rv:
-			return value.Bool(false), nil
-		case lnull || rnull:
-			return value.Null(), nil
-		default:
-			return value.Bool(true), nil
-		}
-	}
-	switch {
-	case !rnull && rv:
-		return value.Bool(true), nil
-	case lnull || rnull:
-		return value.Null(), nil
-	default:
-		return value.Bool(false), nil
-	}
-}
+func (b *Binary) Eval(row schema.Row) (value.V, error) { return Compile(b)(row) }
 
 // String renders the operation with parentheses that re-parse correctly.
 func (b *Binary) String() string {
@@ -260,17 +183,7 @@ func (b *Binary) String() string {
 type Not struct{ X Expr }
 
 // Eval negates the operand.
-func (n *Not) Eval(row schema.Row) (value.V, error) {
-	v, err := n.X.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	b, null := v.Truthy()
-	if null {
-		return value.Null(), nil
-	}
-	return value.Bool(!b), nil
-}
+func (n *Not) Eval(row schema.Row) (value.V, error) { return Compile(n)(row) }
 
 // String renders "NOT (x)".
 func (n *Not) String() string { return "(NOT " + n.X.String() + ")" }
@@ -279,13 +192,7 @@ func (n *Not) String() string { return "(NOT " + n.X.String() + ")" }
 type Neg struct{ X Expr }
 
 // Eval negates the numeric operand.
-func (n *Neg) Eval(row schema.Row) (value.V, error) {
-	v, err := n.X.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	return v.Neg()
-}
+func (n *Neg) Eval(row schema.Row) (value.V, error) { return Compile(n)(row) }
 
 // String renders "(-x)".
 func (n *Neg) String() string { return "(-" + n.X.String() + ")" }
@@ -297,22 +204,7 @@ type Between struct {
 }
 
 // Eval implements BETWEEN as (x >= lo AND x <= hi) with NULL semantics.
-func (b *Between) Eval(row schema.Row) (value.V, error) {
-	ge := &Binary{Op: OpGe, L: b.X, R: b.Lo}
-	le := &Binary{Op: OpLe, L: b.X, R: b.Hi}
-	v, err := (&Binary{Op: OpAnd, L: ge, R: le}).Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	if !b.Invert {
-		return v, nil
-	}
-	t, null := v.Truthy()
-	if null {
-		return value.Null(), nil
-	}
-	return value.Bool(!t), nil
-}
+func (b *Between) Eval(row schema.Row) (value.V, error) { return Compile(b)(row) }
 
 // String renders the BETWEEN form.
 func (b *Between) String() string {
@@ -332,39 +224,7 @@ type InList struct {
 
 // Eval implements IN with SQL NULL semantics: if no element matches but
 // some comparison was NULL, the result is NULL.
-func (in *InList) Eval(row schema.Row) (value.V, error) {
-	x, err := in.X.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	sawNull := x.IsNull()
-	found := false
-	if !sawNull {
-		for _, e := range in.List {
-			v, err := e.Eval(row)
-			if err != nil {
-				return value.Null(), err
-			}
-			cmp, null := x.Compare(v)
-			if null {
-				sawNull = true
-				continue
-			}
-			if cmp == 0 {
-				found = true
-				break
-			}
-		}
-	}
-	switch {
-	case found:
-		return value.Bool(!in.Invert), nil
-	case sawNull:
-		return value.Null(), nil
-	default:
-		return value.Bool(in.Invert), nil
-	}
-}
+func (in *InList) Eval(row schema.Row) (value.V, error) { return Compile(in)(row) }
 
 // String renders the IN form.
 func (in *InList) String() string {
@@ -386,16 +246,7 @@ type IsNull struct {
 }
 
 // Eval never returns NULL: IS NULL is a definite predicate.
-func (is *IsNull) Eval(row schema.Row) (value.V, error) {
-	v, err := is.X.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	if is.Invert {
-		return value.Bool(!v.IsNull()), nil
-	}
-	return value.Bool(v.IsNull()), nil
-}
+func (is *IsNull) Eval(row schema.Row) (value.V, error) { return Compile(is)(row) }
 
 // String renders the IS NULL form.
 func (is *IsNull) String() string {
@@ -412,24 +263,7 @@ type Like struct {
 }
 
 // Eval matches the pattern; NULL operands yield NULL.
-func (l *Like) Eval(row schema.Row) (value.V, error) {
-	x, err := l.X.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	p, err := l.Pattern.Eval(row)
-	if err != nil {
-		return value.Null(), err
-	}
-	if x.IsNull() || p.IsNull() {
-		return value.Null(), nil
-	}
-	if x.Kind() != value.KindString || p.Kind() != value.KindString {
-		return value.Null(), fmt.Errorf("expr: LIKE requires string operands")
-	}
-	m := likeMatch([]rune(x.StrVal()), []rune(p.StrVal()))
-	return value.Bool(m != l.Invert), nil
-}
+func (l *Like) Eval(row schema.Row) (value.V, error) { return Compile(l)(row) }
 
 func likeMatch(s, p []rune) bool {
 	// Iterative wildcard matching with backtracking on the last %.
@@ -472,17 +306,7 @@ type Call struct {
 }
 
 // Eval dispatches to the built-in function table.
-func (c *Call) Eval(row schema.Row) (value.V, error) {
-	args := make([]value.V, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(row)
-		if err != nil {
-			return value.Null(), err
-		}
-		args[i] = v
-	}
-	return callBuiltin(c.Name, args)
-}
+func (c *Call) Eval(row schema.Row) (value.V, error) { return Compile(c)(row) }
 
 // String renders "NAME(arg, ...)".
 func (c *Call) String() string {
@@ -853,17 +677,6 @@ func Transform(e Expr, fn func(Expr) Expr) Expr {
 		return n.CloneWith(out)
 	}
 	panic(fmt.Sprintf("expr: Transform: unknown node %T", e))
-}
-
-// EvalBool evaluates a predicate; NULL (unknown) counts as false, per
-// SQL WHERE semantics.
-func EvalBool(e Expr, row schema.Row) (bool, error) {
-	v, err := e.Eval(row)
-	if err != nil {
-		return false, err
-	}
-	b, null := v.Truthy()
-	return b && !null, nil
 }
 
 // AndAll conjoins expressions; nil for an empty list.

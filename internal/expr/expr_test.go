@@ -27,13 +27,34 @@ func mustBind(t *testing.T, e Expr, s schema.Schema) Expr {
 	return e
 }
 
+// evalV evaluates e both ways, compiled (through Eval) and by the
+// interpreter, and fails unless the two agree on a value.
 func evalV(t *testing.T, e Expr, row schema.Row) value.V {
 	t.Helper()
 	v, err := e.Eval(row)
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
+	want, err := interpret(e, row)
+	if err != nil {
+		t.Fatalf("interpret %s: %v", e, err)
+	}
+	if !v.Identical(want) {
+		t.Fatalf("%s: compiled %v, interpreter %v", e, v, want)
+	}
 	return v
+}
+
+// evalErr evaluates e both ways and returns the error, failing unless
+// both raise one with the same text.
+func evalErr(t *testing.T, e Expr, row schema.Row) error {
+	t.Helper()
+	_, err := e.Eval(row)
+	_, want := interpret(e, row)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("%s: compiled error %v, interpreter error %v", e, err, want)
+	}
+	return err
 }
 
 func TestConstAndCol(t *testing.T) {
@@ -47,9 +68,8 @@ func TestConstAndCol(t *testing.T) {
 		t.Errorf("col = %v", v)
 	}
 	// unbound column errors
-	if _, err := NewCol("r", "cal").Eval(row); err == nil {
-		t.Error("unbound column should error")
-	}
+	evalErr(t, NewCol("r", "cal"), row)
+	evalErr(t, &Col{Name: "cal", Idx: 7}, row)
 	// unknown column fails at bind
 	if err := Bind(NewCol("r", "nope"), s); err == nil {
 		t.Error("bind unknown column should fail")
@@ -203,9 +223,7 @@ func TestLike(t *testing.T) {
 		t.Errorf("NULL LIKE %% = %v", v)
 	}
 	bad := &Like{X: &Const{Val: value.Int(3)}, Pattern: &Const{Val: value.Str("%")}}
-	if _, err := bad.Eval(nil); err == nil {
-		t.Error("LIKE on int should error")
-	}
+	evalErr(t, bad, nil)
 }
 
 func TestCalls(t *testing.T) {
@@ -259,12 +277,8 @@ func TestCalls(t *testing.T) {
 	if v := eval1("GREATEST", value.Int(3), value.Float(4.5)); !v.Equal(value.Float(4.5)) {
 		t.Errorf("GREATEST = %v", v)
 	}
-	if _, err := (&Call{Name: "NOPE"}).Eval(nil); err == nil {
-		t.Error("unknown function should error")
-	}
-	if _, err := (&Call{Name: "ABS"}).Eval(nil); err == nil {
-		t.Error("arity error expected")
-	}
+	evalErr(t, &Call{Name: "NOPE"}, nil)
+	evalErr(t, &Call{Name: "ABS"}, nil)
 	if !KnownFunc("abs") || KnownFunc("nope") {
 		t.Error("KnownFunc broken")
 	}
@@ -321,13 +335,20 @@ func TestWalkColumnsClone(t *testing.T) {
 	}
 }
 
-func TestEvalBoolAndAll(t *testing.T) {
+func TestCompileWhereAndAll(t *testing.T) {
 	_, row := testRowSchema()
-	if b, err := EvalBool(&Const{Val: value.Null()}, row); err != nil || b {
-		t.Errorf("EvalBool(NULL) = %v, %v", b, err)
+	for _, c := range []struct {
+		e    Expr
+		want bool
+	}{{&Const{Val: value.Null()}, false}, {&Const{Val: value.Bool(true)}, true}, {&Const{Val: value.Int(1)}, false}} {
+		b, err := CompileWhere(c.e)(row)
+		want, werr := interpretWhere(c.e, row)
+		if err != nil || werr != nil || b != c.want || want != c.want {
+			t.Errorf("WHERE %s = %v, %v; interpreter %v, %v; want %v", c.e, b, err, want, werr, c.want)
+		}
 	}
-	if b, err := EvalBool(&Const{Val: value.Bool(true)}, row); err != nil || !b {
-		t.Errorf("EvalBool(true) = %v, %v", b, err)
+	if b, err := CompileWhere(nil)(row); err != nil || !b {
+		t.Errorf("WHERE with no predicate = %v, %v, want every row", b, err)
 	}
 	if AndAll() != nil {
 		t.Error("AndAll() should be nil")
@@ -337,7 +358,7 @@ func TestEvalBoolAndAll(t *testing.T) {
 		t.Error("AndAll(x) should be x")
 	}
 	both := AndAll(one, &Const{Val: value.Bool(false)})
-	if b, _ := EvalBool(both, nil); b {
+	if b, _ := CompileWhere(both)(nil); b {
 		t.Error("true AND false should be false")
 	}
 	if AndAll(nil, one) != one {
@@ -357,9 +378,11 @@ func TestPropLikeSelfMatch(t *testing.T) {
 		}
 		self := &Like{X: &Const{Val: value.Str(s)}, Pattern: &Const{Val: value.Str(s)}}
 		v1, err1 := self.Eval(nil)
+		w1, _ := interpret(self, nil)
 		pre := &Like{X: &Const{Val: value.Str(s)}, Pattern: &Const{Val: value.Str(s + "%")}}
 		v2, err2 := pre.Eval(nil)
-		return err1 == nil && err2 == nil && v1.Equal(value.Bool(true)) && v2.Equal(value.Bool(true))
+		w2, _ := interpret(pre, nil)
+		return err1 == nil && err2 == nil && v1.Equal(value.Bool(true)) && v2.Equal(value.Bool(true)) && w1.Identical(v1) && w2.Identical(v2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package minidb
 import (
 	"repro/internal/expr"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // aggOp folds every aggregate over its whole input into exactly one
@@ -54,6 +55,10 @@ func (a *aggOp) open() error {
 		return err
 	}
 	defer a.child.close()
+	terms := make([]func(schema.Row) (value.V, bool, error), len(a.aggs))
+	for i, agg := range a.aggs {
+		terms[i] = agg.Term()
+	}
 	for {
 		row, ok, err := a.child.next()
 		if err != nil {
@@ -62,8 +67,8 @@ func (a *aggOp) open() error {
 		if !ok {
 			break
 		}
-		for i, agg := range a.aggs {
-			v, present, err := agg.Term(row)
+		for i, term := range terms {
+			v, present, err := term(row)
 			if err != nil {
 				return err
 			}

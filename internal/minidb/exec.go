@@ -3,6 +3,7 @@ package minidb
 import (
 	"repro/internal/expr"
 	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // operator is a volcano-style iterator. Schemas are fixed at plan time;
@@ -17,11 +18,12 @@ type operator interface {
 // --- scan -------------------------------------------------------------------
 
 // scanOp reads a base table in heap order and applies a pushed-down
-// filter.
+// filter, compiled when the scan opens.
 type scanOp struct {
 	table  *Table
 	filter expr.Expr // bound to sch; may be nil
 	sch    schema.Schema
+	match  func(schema.Row) (bool, error)
 	pos    int
 }
 
@@ -30,22 +32,22 @@ func newScanOp(t *Table, binding string) *scanOp {
 }
 
 func (s *scanOp) schema() schema.Schema { return s.sch }
-func (s *scanOp) open() error           { s.pos = 0; return nil }
+func (s *scanOp) open() error {
+	s.pos, s.match = 0, expr.CompileWhere(s.filter)
+	return nil
+}
 
 func (s *scanOp) next() (schema.Row, bool, error) {
 	for s.pos < len(s.table.Rows) {
 		row := s.table.Rows[s.pos]
 		s.pos++
-		if s.filter != nil {
-			ok, err := expr.EvalBool(s.filter, row)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
+		ok, err := s.match(row)
+		if err != nil {
+			return nil, false, err
 		}
-		return row, true, nil
+		if ok {
+			return row, true, nil
+		}
 	}
 	return nil, false, nil
 }
@@ -58,18 +60,25 @@ type projectOp struct {
 	child operator
 	exprs []expr.Expr // bound to child schema
 	sch   schema.Schema
+	evals []func(schema.Row) (value.V, error) // exprs, compiled when the projection opens
 }
 
 func (p *projectOp) schema() schema.Schema { return p.sch }
-func (p *projectOp) open() error           { return p.child.open() }
+func (p *projectOp) open() error {
+	p.evals = make([]func(schema.Row) (value.V, error), len(p.exprs))
+	for i, e := range p.exprs {
+		p.evals[i] = expr.Compile(e)
+	}
+	return p.child.open()
+}
 func (p *projectOp) next() (schema.Row, bool, error) {
 	row, ok, err := p.child.next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(schema.Row, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := e.Eval(row)
+	out := make(schema.Row, len(p.evals))
+	for i, eval := range p.evals {
+		v, err := eval(row)
 		if err != nil {
 			return nil, false, err
 		}
@@ -91,6 +100,7 @@ type nlJoinOp struct {
 	left, right operator
 	cond        expr.Expr // bound to concat schema; may be nil
 	sch         schema.Schema
+	match       func(schema.Row) (bool, error) // cond, compiled when the join opens
 
 	rightRows []schema.Row
 	curLeft   schema.Row
@@ -126,6 +136,7 @@ func (j *nlJoinOp) open() error {
 		j.rightRows = append(j.rightRows, row)
 	}
 	j.right.close()
+	j.match = expr.CompileWhere(j.cond)
 	j.haveLeft = false
 	j.rpos = 0
 	return nil
@@ -154,7 +165,7 @@ func (j *nlJoinOp) next() (schema.Row, bool, error) {
 			j.rpos++
 			if j.cond != nil {
 				copy(j.scratch[lw:], right)
-				pass, err := expr.EvalBool(j.cond, j.scratch)
+				pass, err := j.match(j.scratch)
 				if err != nil {
 					return nil, false, err
 				}

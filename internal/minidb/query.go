@@ -174,16 +174,16 @@ func (db *DB) runDelete(s *DeleteStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	kept := t.Rows[:0:0]
+	// The survivors get an array of their own, never t.Rows's, which
+	// readers may hold; it is sized by the table's capacity, so one
+	// allocation holds them and the next INSERT's rows fit after them.
+	kept := make([]schema.Row, 0, cap(t.Rows))
+	match := expr.CompileWhere(pred)
 	var deleted []int
 	for pos, row := range t.Rows {
-		del := true
-		if pred != nil {
-			ok, err := expr.EvalBool(pred, row)
-			if err != nil {
-				return nil, err
-			}
-			del = ok
+		del, err := match(row)
+		if err != nil {
+			return nil, err
 		}
 		if del {
 			deleted = append(deleted, pos)

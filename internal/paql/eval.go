@@ -18,8 +18,9 @@ func EvalAgg(a *expr.Agg, rows []schema.Row) (value.V, error) {
 	if err != nil {
 		return value.Null(), fmt.Errorf("paql: %w", err)
 	}
+	term := a.Term()
 	for _, row := range rows {
-		v, present, err := a.Term(row)
+		v, present, err := term(row)
 		if err != nil {
 			return value.Null(), err
 		}

@@ -165,7 +165,7 @@ func TestAnalyzeBindsAndNormalizes(t *testing.T) {
 	// The package-variable qualifier P.calories must now resolve against
 	// the relation schema.
 	row := schema.Row{value.Int(1), value.Str("free"), value.Float(700), value.Float(30), value.Str("x"), value.Float(1)}
-	ok, err := expr.EvalBool(q.Where, row)
+	ok, err := expr.CompileWhere(q.Where)(row)
 	if err != nil || !ok {
 		t.Errorf("where eval = %v, %v", ok, err)
 	}

@@ -158,7 +158,7 @@ func TestExprColumnsBindEval(t *testing.T) {
 	if err := expr.Bind(e, s); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := expr.EvalBool(e, row)
+	ok, err := expr.CompileWhere(e)(row)
 	if err != nil || !ok {
 		t.Errorf("predicate = %v, %v", ok, err)
 	}

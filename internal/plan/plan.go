@@ -25,7 +25,8 @@
 // Explicit user knobs win: they enter as Input.Forced and come back out
 // in the Plan marked forced, so EXPLAIN shows exactly which choices the
 // user pinned and which the planner made. The one exception is a forced
-// strategy the query's atoms rule out: the planner decides it as if
+// strategy the query rules out — by its atoms, or pruned enumeration by
+// more than ExactEnumMax candidates: the planner decides it as if
 // unforced and the reason says so, because the plan is what runs.
 //
 // The thresholds below are declared here once and read from here by the

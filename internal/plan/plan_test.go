@@ -140,6 +140,27 @@ func TestDecisionMatrix(t *testing.T) {
 			return in
 		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual,
 			"tau": "", "depth": "", "maintenance": ""}, nil},
+		{"forced/pruned-enum-at-limit", func() Input {
+			in := baseInput(ExactEnumMax)
+			in.Forced.Strategy = StrategyPrunedEnum
+			return in
+		}(), map[string]string{"strategy": StrategyPrunedEnum, "bound": BoundMILPDual}, nil},
+		{"forced/pruned-enum-linear-large", func() Input {
+			in := baseInput(ExactEnumMax + 1)
+			in.Forced.Strategy = StrategyPrunedEnum
+			return in
+		}(), map[string]string{"strategy": StrategySolver, "bound": BoundMILPDual}, nil},
+		{"forced/pruned-enum-nonlinear-large", func() Input {
+			in := baseInput(1000)
+			in.Mix = nonlinearMix()
+			in.Forced.Strategy = StrategyPrunedEnum
+			return in
+		}(), map[string]string{"strategy": StrategyLocalSearch, "bound": BoundNone}, nil},
+		{"forced/pruned-enum-sketch-size", func() Input {
+			in := baseInput(100_000)
+			in.Forced.Strategy = StrategyPrunedEnum
+			return in
+		}(), map[string]string{"strategy": StrategySketch}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,7 +213,9 @@ func checkOverride(t *testing.T, in Input, got *Plan) {
 		t.Fatalf("overridden strategy still marked forced:\n%s", got.Explain())
 	}
 	prefix := "forced " + forced + " unavailable"
-	if !in.Mix.Linear {
+	if forced == StrategyPrunedEnum {
+		prefix += fmt.Sprintf(" (%d candidates > %d)", in.N, ExactEnumMax)
+	} else if !in.Mix.Linear {
 		prefix += " (non-linear: " + strings.Join(in.Mix.NonlinearReasons, "; ") + ")"
 	}
 	if want := prefix + "; falling back: " + free.Decision("strategy").Reason; d.Reason != want {

@@ -43,14 +43,16 @@ func New(in Input) *Plan {
 }
 
 // pickStrategy records the strategy decision. A forced strategy wins
-// unless the atom mix rules it out — the solver on a non-linear query,
-// sketch-refine on a query the sketch compiler cannot lower. Such a
-// query is decided exactly as if nothing had been forced, and the
-// reason names the override, so every later decision (knobs, bound,
-// memory) is made for the strategy that will run.
+// unless the query rules it out — the solver on a non-linear query,
+// sketch-refine on a query the sketch compiler cannot lower, pruned
+// enumeration over more than ExactEnumMax candidates, whose search space
+// no budget covers. Such a query is decided exactly as if nothing had
+// been forced, and the reason names the override, so every later
+// decision (knobs, bound, memory) is made for the strategy that will run.
 func pickStrategy(p *Plan, in Input) string {
 	forced := in.Forced.Strategy
-	ruledOut := (forced == StrategySolver && !in.Mix.Linear) || (forced == StrategySketch && !in.Mix.SketchOK)
+	tooMany := forced == StrategyPrunedEnum && in.N > ExactEnumMax
+	ruledOut := (forced == StrategySolver && !in.Mix.Linear) || (forced == StrategySketch && !in.Mix.SketchOK) || tooMany
 	d := Decision{Value: forced, Forced: true, Reason: "explicit strategy flag"}
 	if forced == "" || ruledOut {
 		d = strategyRule(in)
@@ -59,7 +61,10 @@ func pickStrategy(p *Plan, in Input) string {
 		// A linear query the sketch cannot run names its own obstruction
 		// in the reason strategyRule gives.
 		why := ""
-		if !in.Mix.Linear {
+		switch {
+		case tooMany:
+			why = fmt.Sprintf(" (%d candidates > %d)", in.N, ExactEnumMax)
+		case !in.Mix.Linear:
 			why = fmt.Sprintf(" (non-linear: %s)", strings.Join(in.Mix.NonlinearReasons, "; "))
 		}
 		d.Reason = fmt.Sprintf("forced %s unavailable%s; falling back: %s", forced, why, d.Reason)

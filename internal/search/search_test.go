@@ -236,6 +236,25 @@ func TestPrunedObjectiveBoundKeepsOptimum(t *testing.T) {
 	}
 }
 
+// TestPrunedStopsWhenCanceled: a canceled context stops the enumeration
+// at its first poll, and the result says the space was not exhausted.
+// The planner runs no enumeration over more than ExactEnumMax
+// candidates, forced or not, so a cancel or the query's deadline is what
+// reaches this path.
+func TestPrunedStopsWhenCanceled(t *testing.T) {
+	inst := instance(t, mealSrc, testRows())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := PrunedEnumerate(inst, Options{Ctx: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Complete || res.Examined != 0 || len(res.Packages) != 0 {
+		t.Fatalf("canceled enumeration: complete %v, %d examined, %d packages; want an incomplete, empty search",
+			res.Complete, res.Examined, len(res.Packages))
+	}
+}
+
 func TestPruningReducesExaminedNodes(t *testing.T) {
 	inst := instance(t, mealSrc, testRows())
 	pruned, err := PrunedEnumerate(inst, Options{})

@@ -50,15 +50,17 @@ func foldTerms(ctx context.Context, agg *expr.Agg, rows []schema.Row) (*pass, er
 	return p, nil
 }
 
-// fold folds Term over rows[from:] into p's slots from on.
+// fold folds Term over rows[from:] into p's slots from on, compiling it
+// once for the rows.
 func (p *pass) fold(ctx context.Context, rows []schema.Row, from int) error {
+	term := p.agg.Term()
 	for i := from; i < len(rows); i++ {
 		if (i-from)%PollRows == 0 {
 			if err := lifecycle.ContextErr(ctx); err != nil {
 				return err
 			}
 		}
-		v, ok, err := p.agg.Term(rows[i])
+		v, ok, err := term(rows[i])
 		if err != nil {
 			return err
 		}

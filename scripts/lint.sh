@@ -9,7 +9,8 @@
 # the expression grammar has one extension, that no forced-rebuild knob
 # grows back, nor the anytime mode or its descent stage, that EXPLAIN has
 # one door and Stats no copy of a plan field, that minidb's refused
-# clauses do not grow back, that the trace-only surface has not grown, that no tracked
+# clauses do not grow back, that expressions are not interpreted per row
+# again, that the trace-only surface has not grown, that no tracked
 # file but a measurement record is over 1 MB, and the shape of those
 # records.
 set -euo pipefail
@@ -145,6 +146,16 @@ grammar=$(grep -rnwE --include='*.go' --exclude='*_test.go' \
   'GroupBy|OrderBy|Having|Offset|Distinct|JoinCond|OrderItem|sortOp|distinctOp|valuesOp|filterOp|resolveOrderBy' internal/minidb || true)
 if [ -n "$grammar" ]; then
   echo "a refused SQL clause growing back in internal/minidb (it is a parse error by name):" && echo "$grammar" && exit 1
+fi
+
+# Evaluation compiles once per scan: expr.Compile and expr.CompileWhere
+# build a closure tree that every per-row loop then calls, and each node's
+# Eval runs its compiled form. EvalBool, the per-row interpreter entry,
+# must not grow back in non-test Go; the interpreter lives on only as the
+# oracle in internal/expr's tests.
+interp=$(grep -rnw --include='*.go' --exclude='*_test.go' 'EvalBool' . || true)
+if [ -n "$interp" ]; then
+  echo "the per-row interpreter entry EvalBool outside tests (compile once with expr.CompileWhere instead):" && echo "$interp" && exit 1
 fi
 
 # ROADMAP item 17(a): the exported surface that only benchmark/ and
