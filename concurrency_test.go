@@ -1,6 +1,7 @@
 package packagebuilder_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -10,37 +11,43 @@ import (
 
 // Concurrent queries against one System must be safe: read-only
 // strategies share the catalog under RLock, and local search's scratch
-// tables carry unique names. Run under -race.
+// tables carry unique names. Run under -race. The table is small enough
+// (20 candidates) for the forced enumeration to run, and each result
+// must come from the strategy its query names.
 func TestConcurrentQueries(t *testing.T) {
-	sys := newSystem(t, 120)
+	sys := newSystem(t, 30)
 	queries := []struct {
 		text string
+		want pb.Strategy
 		opts []pb.Option
 	}{
-		{mealQuery, []pb.Option{pb.WithStrategy(pb.Solver)}},
-		{mealQuery, []pb.Option{pb.WithStrategy(pb.PrunedEnum)}},
-		{mealQuery, []pb.Option{pb.WithStrategy(pb.LocalSearch), pb.WithSeed(1)}},
-		{mealQuery, []pb.Option{pb.WithStrategy(pb.LocalSearch), pb.WithSeed(2)}},
-		{mealQuery, []pb.Option{pb.WithLimit(3)}},
+		{mealQuery, pb.Solver, []pb.Option{pb.WithStrategy(pb.Solver)}},
+		{mealQuery, pb.PrunedEnum, []pb.Option{pb.WithStrategy(pb.PrunedEnum)}},
+		{mealQuery, pb.LocalSearch, []pb.Option{pb.WithStrategy(pb.LocalSearch), pb.WithSeed(1)}},
+		{mealQuery, pb.LocalSearch, []pb.Option{pb.WithStrategy(pb.LocalSearch), pb.WithSeed(2)}},
+		{mealQuery, pb.Auto, []pb.Option{pb.WithLimit(3)}},
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(queries)*4)
 	for round := 0; round < 4; round++ {
 		for _, q := range queries {
 			wg.Add(1)
-			go func(text string, opts []pb.Option) {
+			go func(text string, want pb.Strategy, opts []pb.Option) {
 				defer wg.Done()
 				res, err := sys.Query(text, opts...)
 				if err != nil {
 					errs <- err
 					return
 				}
+				if want != pb.Auto && res.Stats.Strategy != want {
+					errs <- fmt.Errorf("strategy %v, want the forced %v", res.Stats.Strategy, want)
+				}
 				for _, p := range res.Packages {
 					if p.Size() != 3 {
 						errs <- errSize(p.Size())
 					}
 				}
-			}(q.text, q.opts)
+			}(q.text, q.want, q.opts)
 		}
 	}
 	wg.Wait()

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/template"
 	"repro/internal/translate"
@@ -135,8 +136,9 @@ func bigRatio(fullS, prunedS string) float64 {
 }
 
 // RunE2 compares the evaluation strategies across data sizes: brute
-// force collapses quickly, pruned enumeration extends the exact range,
-// the MILP solver scales to thousands of tuples, and local search stays
+// force collapses quickly, pruned enumeration extends the exact range
+// up to plan.ExactEnumMax candidates (past it the planner re-plans a
+// forced enumeration, so the row is skipped), the MILP solver scales to thousands of tuples, and local search stays
 // fast but gives no optimality guarantee. Brute force is no engine
 // strategy: the row calls the search package's 2^n oracle directly.
 func RunE2(cfg Config) error {
@@ -154,11 +156,12 @@ func RunE2(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		prep, err := core.Prepare(db, MealQuery)
+		if err != nil {
+			return err
+		}
+		cands := len(prep.Instance.Rows)
 		if n <= 20 {
-			prep, err := core.Prepare(db, MealQuery)
-			if err != nil {
-				return err
-			}
 			brute, err := search.BruteForce(prep.Instance, search.Options{})
 			if err != nil {
 				return fmt.Errorf("n=%d brute-force: %w", n, err)
@@ -172,8 +175,9 @@ func RunE2(cfg Config) error {
 			fmt.Fprintf(tw, "%d\tbrute-force\t-\t-\t-\t- (skipped: intractable)\n", n)
 		}
 		for _, st := range []core.Strategy{core.PrunedEnum, core.Solver, core.LocalSearchStrategy} {
-			if st == core.PrunedEnum && n > 200 {
-				fmt.Fprintf(tw, "%d\t%s\t-\t-\t-\t- (skipped: intractable)\n", n, st)
+			if st == core.PrunedEnum && cands > plan.ExactEnumMax {
+				// The planner runs no enumeration this large, forced or not.
+				fmt.Fprintf(tw, "%d\t%s\t-\t-\t-\t- (skipped: %d candidates > %d)\n", n, st, cands, plan.ExactEnumMax)
 				continue
 			}
 			res, elapsed, err := evalTimed(db, MealQuery, core.Options{

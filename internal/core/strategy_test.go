@@ -61,17 +61,21 @@ func TestAutoPicksLocalSearchForLargeNonlinear(t *testing.T) {
 
 func TestTimeoutIsRespected(t *testing.T) {
 	db := minidb.New()
-	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 26, Seed: 5}); err != nil {
+	if err := dataset.LoadRecipes(db, "recipes", dataset.RecipesConfig{N: 22, Seed: 5}); err != nil {
 		t.Fatal(err)
 	}
 	// An enumeration with a tiny budget must return promptly and be
-	// flagged inexact.
+	// flagged inexact. The 22 rows are at most ExactEnumMax candidates,
+	// so the forced enumeration is the strategy that runs.
 	res, err := Evaluate(db, `
 		SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 500 AND 5000
 		MAXIMIZE SUM(P.protein)`, Options{Strategy: PrunedEnum, Timeout: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Stats.Strategy != PrunedEnum {
+		t.Fatalf("strategy = %v, want the forced pruned-enum", res.Stats.Strategy)
 	}
 	if res.Stats.Exact {
 		t.Error("budget-starved enumeration must not claim exactness")

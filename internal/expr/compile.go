@@ -298,40 +298,15 @@ func compileColConst(b *Binary, set uint8) testFn {
 		return nil
 	}
 	kv := k.Val
-	// viaCompare compares through Compare, in the comparison's order:
-	// every pair the closures below do not compare in place.
-	viaCompare := func(cell *value.V) (bool, bool, error) {
-		var cmp int
-		var null bool
-		if colLeft {
-			cmp, null = cell.Compare(kv)
-		} else {
-			cmp, null = kv.Compare(*cell)
-		}
-		if null {
-			return false, true, nil
-		}
-		return holds(set, cmp), false, nil
-	}
-	if kv.Kind() == value.KindString && (b.Op == OpEq || b.Op == OpNe) {
-		// Two strings of unequal length are told apart without reading
-		// their bytes.
-		ks, eq := kv.StrVal(), b.Op == OpEq
-		return func(row schema.Row) (bool, bool, error) {
-			if idx >= len(row) {
-				return false, false, col.rangeErr(row)
-			}
-			if cell := &row[idx]; cell.Kind() == value.KindString {
-				return (cell.StrVal() == ks) == eq, false, nil
-			}
-			return viaCompare(&row[idx])
-		}
-	}
 	// Two strings, and a float with a number, are compared in place, with
 	// the column on the left and the result negated when it is on the
-	// right: both orders are antisymmetric.
+	// right: both orders are antisymmetric. Equality with a string needs
+	// no order, so two strings of unequal length are told apart without
+	// reading their bytes. Every other pair is compared through Compare,
+	// in the comparison's order.
 	ks, kstr := kv.StrVal(), kv.Kind() == value.KindString
 	kf, knum := kv.AsFloat()
+	eqOnly := kstr && (b.Op == OpEq || b.Op == OpNe)
 	return func(row schema.Row) (bool, bool, error) {
 		if idx >= len(row) {
 			return false, false, col.rangeErr(row)
@@ -339,29 +314,31 @@ func compileColConst(b *Binary, set uint8) testFn {
 		cell := &row[idx]
 		var cmp int
 		switch kind := cell.Kind(); {
+		case kind == value.KindString && eqOnly:
+			if cell.StrVal() != ks {
+				cmp = 1 // for = and <> any unequal outcome reads the same
+			}
 		case kind == value.KindString && kstr:
 			cmp = strings.Compare(cell.StrVal(), ks)
 		case kind == value.KindFloat && knum:
-			cmp = cmpFloat(cell.FloatVal(), kf)
+			cmp = value.Order(cell.FloatVal(), kf)
 		default:
-			return viaCompare(cell)
+			var null bool
+			if colLeft {
+				cmp, null = cell.Compare(kv)
+			} else {
+				cmp, null = kv.Compare(*cell)
+			}
+			if null {
+				return false, true, nil
+			}
+			return holds(set, cmp), false, nil
 		}
 		if !colLeft {
 			cmp = -cmp
 		}
 		return holds(set, cmp), false, nil
 	}
-}
-
-// cmpFloat orders two floats as Compare does: a NaN is equal to anything.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // compileBetween is x >= lo AND x <= hi, optionally negated: hi is not

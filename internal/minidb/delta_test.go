@@ -145,3 +145,29 @@ func TestDeltaLogBoundsDeletedIDs(t *testing.T) {
 		t.Fatalf("version = %d, want %d", got, base+1)
 	}
 }
+
+// TestDeleteCompactsIntoItsOwnArray: DELETE writes the survivors into a
+// new array, so a reader holding the table's rows from before keeps
+// them as they were, and the new array is sized by the survivors, so a
+// DELETE of most rows gives the memory back.
+func TestDeleteCompactsIntoItsOwnArray(t *testing.T) {
+	db, tab := deltaTable(t, 1000)
+	held := tab.Rows
+	if _, err := db.Exec(`DELETE FROM t WHERE id < 990`); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range held {
+		if id := r[0].IntVal(); id != int64(i) {
+			t.Fatalf("held row %d reads id %d after the DELETE", i, id)
+		}
+	}
+	if len(tab.Rows) != 10 || cap(tab.Rows) >= 100 {
+		t.Fatalf("after deleting 990 of 1000 rows: len %d, cap %d", len(tab.Rows), cap(tab.Rows))
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (5000, 0)`); err != nil {
+		t.Fatal(err)
+	}
+	if held[10][0].IntVal() != 10 {
+		t.Fatalf("an INSERT after the DELETE wrote into the held rows: %v", held[10])
+	}
+}

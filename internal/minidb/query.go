@@ -174,10 +174,6 @@ func (db *DB) runDelete(s *DeleteStmt) (*Result, error) {
 			return nil, err
 		}
 	}
-	// The survivors get an array of their own, never t.Rows's, which
-	// readers may hold; it is sized by the table's capacity, so one
-	// allocation holds them and the next INSERT's rows fit after them.
-	kept := make([]schema.Row, 0, cap(t.Rows))
 	match := expr.CompileWhere(pred)
 	var deleted []int
 	for pos, row := range t.Rows {
@@ -187,9 +183,21 @@ func (db *DB) runDelete(s *DeleteStmt) (*Result, error) {
 		}
 		if del {
 			deleted = append(deleted, pos)
-		} else {
-			kept = append(kept, row)
 		}
+	}
+	// The survivors get an array of their own, never t.Rows's, which
+	// readers may hold. It is allocated once, with a quarter more room
+	// than they fill, as append would grow it: the next INSERT's rows fit
+	// after them, and a DELETE of most rows shrinks the array.
+	survivors := len(t.Rows) - len(deleted)
+	kept := make([]schema.Row, 0, survivors+survivors/4)
+	next := 0
+	for pos, row := range t.Rows {
+		if next < len(deleted) && deleted[next] == pos {
+			next++
+			continue
+		}
+		kept = append(kept, row)
 	}
 	t.Rows = kept
 	if len(deleted) > 0 {

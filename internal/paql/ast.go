@@ -24,10 +24,11 @@
 // node minidb's aggregate queries use, and a sub-query is minidb's Subquery, parsed
 // by minidb's grammar (minidb.InstallHook) while the PaQL text is.
 //
-// The package parses, analyzes (Analyze) and evaluates a formula over a
-// concrete package (Satisfies, EvalGlobal). Whether a query is linear —
-// which strategies may run it — is not an analysis result: the PaQL→ILP
-// lowering in internal/translate decides it (translate.Nonlinear).
+// The package parses, analyzes (Analyze) and evaluates a formula over
+// concrete packages (CompileGlobal once for many; Satisfies and
+// ObjectiveValue for one). Whether a query is linear — which strategies
+// may run it — is not an analysis result: the PaQL→ILP lowering in
+// internal/translate decides it (translate.Nonlinear).
 package paql
 
 import (

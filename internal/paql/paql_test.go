@@ -169,7 +169,7 @@ func TestAnalyzeBindsAndNormalizes(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("where eval = %v, %v", ok, err)
 	}
-	v, err := EvalGlobal(q.SuchThat, []schema.Row{row, row, row})
+	v, err := CompileGlobal(q.SuchThat).Eval([]schema.Row{row, row, row})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,10 @@ type Instance struct {
 	ObjW   []float64               // linear objective weights (nil if non-affine)
 	ObjK   float64                 // objective constant term
 	Bounds prune.Bounds            // §4.1 cardinality bounds
+
+	// suchThat and objective are the query's formula and objective,
+	// compiled once for the packages Validate and Objective evaluate.
+	suchThat, objective *paql.Global
 }
 
 // NewInstance prepares an instance over the candidates of a pass store:
@@ -64,6 +68,10 @@ func NewInstance(ctx context.Context, a *paql.Analysis, passes *translate.Passes
 		IDs:      ids,
 		MaxMult:  a.Query.MaxMultiplicity(),
 		Passes:   passes,
+		suchThat: paql.CompileGlobal(a.Query.SuchThat),
+	}
+	if a.Query.Objective != nil {
+		inst.objective = paql.CompileGlobal(a.Query.Objective.Expr)
 	}
 	var err error // a non-affine objective leaves ObjW nil: full evaluation per package
 	if inst.Atoms, inst.Pure, inst.ObjW, inst.ObjK, err = passes.ConjunctiveAtoms(ctx, a); err != nil {
@@ -133,13 +141,12 @@ func (inst *Instance) Materialize(mult []int) []schema.Row {
 // formula holds and the objective is not NULL (an affine objective's NULL
 // cases are guard rows among Atoms; any other is evaluated here).
 func (inst *Instance) Validate(mult []int) (bool, error) {
-	q := inst.Analysis.Query
 	rows := inst.Materialize(mult)
-	ok, err := paql.Satisfies(q.SuchThat, rows)
-	if err != nil || !ok || q.Objective == nil || inst.ObjW != nil {
+	ok, err := inst.suchThat.Holds(rows)
+	if err != nil || !ok || inst.objective == nil || inst.ObjW != nil {
 		return ok, err
 	}
-	v, err := paql.EvalGlobal(q.Objective.Expr, rows)
+	v, err := inst.objective.Eval(rows)
 	return err == nil && !v.IsNull(), err
 }
 
@@ -158,7 +165,7 @@ func (inst *Instance) Objective(mult []int) (float64, error) {
 		}
 		return s, nil
 	}
-	return paql.ObjectiveValue(inst.Analysis.Query.Objective, inst.Materialize(mult))
+	return inst.objective.Value(inst.Materialize(mult))
 }
 
 // Better reports whether objective a improves on b for this query.

@@ -40,7 +40,7 @@ func testRows() []schema.Row {
 	}
 }
 
-func instance(t *testing.T, src string, rows []schema.Row) *Instance {
+func instance(t testing.TB, src string, rows []schema.Row) *Instance {
 	t.Helper()
 	q, err := paql.Parse(src)
 	if err != nil {

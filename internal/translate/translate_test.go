@@ -71,7 +71,7 @@ func bruteBest(t *testing.T, q *paql.Query, rows []schema.Row) (float64, bool) {
 			}
 			obj := 0.0
 			if q.Objective != nil {
-				v, err := paql.EvalGlobal(q.Objective.Expr, pkg)
+				v, err := paql.CompileGlobal(q.Objective.Expr).Eval(pkg)
 				if err != nil {
 					t.Fatal(err)
 				}

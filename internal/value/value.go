@@ -138,14 +138,14 @@ func (v V) Compare(o V) (cmp int, null bool) {
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.k == KindInt && o.k == KindInt {
-			return cmpOrdered(v.i, o.i), false
+			return Order(v.i, o.i), false
 		}
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
-		return cmpOrdered(a, b), false
+		return Order(a, b), false
 	}
 	if v.k != o.k {
-		return cmpOrdered(v.k, o.k), false
+		return Order(v.k, o.k), false
 	}
 	switch v.k {
 	case KindBool:
@@ -163,7 +163,9 @@ func (v V) Compare(o V) (cmp int, null bool) {
 	return 0, false
 }
 
-func cmpOrdered[T int64 | float64 | Kind](a, b T) int {
+// Order is Compare's ordering of two numbers (or kinds): -1, 0 or 1,
+// with a NaN equal to anything.
+func Order[T int64 | float64 | Kind](a, b T) int {
 	switch {
 	case a < b:
 		return -1

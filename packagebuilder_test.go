@@ -69,14 +69,19 @@ func TestPublicAPIOptions(t *testing.T) {
 	if len(res.Packages) == 0 || len(res.Packages) > 2 {
 		t.Errorf("packages = %d", len(res.Packages))
 	}
-	// exact strategies agree through the public API
-	solver, err := sys.Query(mealQuery, pb.WithStrategy(pb.Solver))
+	// exact strategies agree through the public API, on a table small
+	// enough (20 candidates) for the forced enumeration to run
+	small := newSystem(t, 30)
+	solver, err := small.Query(mealQuery, pb.WithStrategy(pb.Solver))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := sys.Query(mealQuery, pb.WithStrategy(pb.PrunedEnum))
+	pruned, err := small.Query(mealQuery, pb.WithStrategy(pb.PrunedEnum))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if pruned.Stats.Strategy != pb.PrunedEnum {
+		t.Fatalf("strategy = %v, want the forced pruned-enum", pruned.Stats.Strategy)
 	}
 	if solver.Packages[0].Objective != pruned.Packages[0].Objective {
 		t.Errorf("solver %g != pruned %g",
@@ -536,14 +541,18 @@ func TestFormatResultRendersExplain(t *testing.T) {
 }
 
 // TestPaperRunningExampleEndToEnd is the paper's §2 query, verified
-// end-to-end across all strategies on a fixed dataset.
+// end-to-end across all strategies on a fixed dataset, small enough
+// (20 candidates) for exact enumeration to run.
 func TestPaperRunningExampleEndToEnd(t *testing.T) {
-	sys := newSystem(t, 150)
+	sys := newSystem(t, 30)
 	var objectives []float64
 	for _, st := range []pb.Strategy{pb.Solver, pb.PrunedEnum} {
 		res, err := sys.Query(mealQuery, pb.WithStrategy(st))
 		if err != nil {
 			t.Fatalf("%v: %v", st, err)
+		}
+		if res.Stats.Strategy != st {
+			t.Fatalf("strategy = %v, want the forced %v", res.Stats.Strategy, st)
 		}
 		if !res.Stats.Exact {
 			t.Errorf("%v not exact", st)
