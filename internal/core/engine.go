@@ -388,19 +388,20 @@ func (p *Prepared) limit(opts Options) int {
 	return 1
 }
 
-// buildPackage materializes and validates one package.
+// buildPackage materializes and validates one package on the formula
+// and objective the instance compiled once.
 func (p *Prepared) buildPackage(mult []int) (*Package, error) {
 	inst := p.Instance
 	rows := inst.Materialize(mult)
-	ok, err := paql.Satisfies(p.Query.SuchThat, rows)
+	ok, err := inst.Holds(rows)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, fmt.Errorf("engine: internal error: strategy returned an invalid package")
 	}
-	obj, err := paql.ObjectiveValue(p.Query.Objective, rows)
-	if err != nil && p.Query.Objective != nil {
+	obj, err := inst.Value(rows)
+	if err != nil {
 		return nil, err
 	}
 	aggs := map[string]value.V{}

@@ -330,15 +330,20 @@ func TestSketchLimitKBoundsOnce(t *testing.T) {
 			five.Stats.Certified, five.Stats.BoundValue, five.Stats.BoundStage,
 			one.Stats.Certified, one.Stats.BoundValue, one.Stats.BoundStage)
 	}
-	// Recorded at the parent commit, where every re-solve ran (and threw
-	// away) a full descend-1 bound pass.
-	golden := [][]int{{2511, 3348, 5112}, {2511, 2800, 3348}, {417, 2511, 3348}, {2511, 3348, 4452}, {1155, 2511, 3348}}
+	// The packages and their objectives. The last four tie at 140, so
+	// their order is the sub-MILPs' tie choice: it was re-recorded when
+	// branch-and-bound nodes began restarting from their parent's basis
+	// (the objectives did not move).
+	golden := [][]int{{2511, 3348, 5112}, {2511, 2800, 3348}, {2511, 3348, 4452}, {417, 2511, 3348}, {1155, 2511, 3348}}
+	goldenObj := []float64{141, 140, 140, 140, 140}
 	var got [][]int
+	var gotObj []float64
 	for _, p := range five.Packages {
 		got = append(got, p.TupleIDs())
+		gotObj = append(gotObj, p.Objective)
 	}
-	if !reflect.DeepEqual(got, golden) {
-		t.Errorf("LIMIT 5 packages = %v, want %v", got, golden)
+	if !reflect.DeepEqual(got, golden) || !reflect.DeepEqual(gotObj, goldenObj) {
+		t.Errorf("LIMIT 5 packages = %v with objectives %v, want %v with %v", got, gotObj, golden, goldenObj)
 	}
 }
 

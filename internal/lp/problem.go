@@ -1,5 +1,5 @@
 // Package lp implements a bounded-variable, two-phase primal simplex
-// solver for linear programs. It is the foundation of the MILP
+// solver for linear programs, with a bounded dual simplex restart. It is the foundation of the MILP
 // branch-and-bound in internal/milp, which PackageBuilder uses as its
 // "state-of-the-art constraint solver" substitute: PaQL queries are
 // translated to integer programs whose LP relaxations this package
@@ -29,6 +29,15 @@
 // optimality, so the carried quantities never decide the final answer.
 // Optimal solves report the row prices (Solution.Duals) read off the
 // B⁻¹ block.
+//
+// A branch-and-bound child differs from its parent in one bound, so the
+// parent's optimal basis (Workspace.Basis) stays dual feasible for it.
+// Workspace.SolveFrom pivots that basis in (at most one pivot per row),
+// runs the bounded dual simplex until every basic value is inside its
+// bounds, and ends in the primal loop's own optimality test: a child
+// costs a few pivots and no phase 1. The restart reports "infeasible"
+// only on a row whose range over the nonbasic columns' box misses the
+// violated bound; whatever else it cannot settle it solves cold.
 package lp
 
 import (

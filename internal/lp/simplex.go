@@ -70,12 +70,34 @@ const (
 // Solve is the package-level Solve on this workspace's storage. The
 // returned Solution owns its slices; nothing in it aliases w.
 func (w *Workspace) Solve(p *Problem, opts ...Options) *Solution {
+	return w.SolveFrom(p, nil, opts...)
+}
+
+// SolveFrom solves p as Solve does, restarting from b, a Basis taken
+// after an optimal solve of a problem with p's rows and columns and
+// other bounds (a branch-and-bound parent). It installs b, runs the
+// bounded dual simplex until the basic values sit inside their bounds,
+// and ends in the primal simplex's own optimality test. It reports
+// "infeasible" only on a row that proves it; whenever the restart cannot
+// decide (a singular install, a start that is not dual feasible, a
+// leaving row with no entering column and no proof, the iteration
+// limit) it solves cold in the same call. A nil b solves cold.
+// Iterations counts the install, dual and primal pivots, and the cold
+// solve's when it ran.
+func (w *Workspace) SolveFrom(p *Problem, b *Basis, opts ...Options) *Solution {
 	var opt Options
 	if len(opts) > 0 {
 		opt = opts[0]
 	}
 	sol := &Solution{}
-	sol.Status, sol.Iterations = w.run(p, opt)
+	decided := false
+	if b != nil {
+		sol.Status, sol.Iterations, decided = w.warm(p, b, opt)
+	}
+	if !decided {
+		status, n := w.run(p, opt)
+		sol.Status, sol.Iterations = status, sol.Iterations+n
+	}
 	if sol.Status != StatusOptimal {
 		return sol
 	}
@@ -432,14 +454,19 @@ func (w *Workspace) iterate(c []float64, maxIters int, cancel func() bool) (Stat
 		default:
 			w.state[leaving], w.x[leaving] = atLower, w.lo[leaving]
 		}
-		// Carry the reduced costs through the pivot like one more row.
-		if f := w.d[enter]; f != 0 {
-			for j, v := range w.a[leaveRow*n : (leaveRow+1)*n] {
-				w.d[j] -= f * v
-			}
-		}
+		w.carry(leaveRow, enter)
 	}
 	return StatusIterLimit, maxIters
+}
+
+// carry moves the reduced costs through the pivot just made on column
+// enter in row r, as one more row of the tableau.
+func (w *Workspace) carry(r, enter int) {
+	if f := w.d[enter]; f != 0 {
+		for j, v := range w.a[r*w.n : (r+1)*w.n] {
+			w.d[j] -= f * v
+		}
+	}
 }
 
 // pivot performs a Gauss-Jordan pivot: column enter becomes basic in

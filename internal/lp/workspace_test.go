@@ -42,7 +42,8 @@ func boundShape(rows, n int) *Problem {
 // TestWorkspaceReuseAllocatesNothing: once a workspace has held a shape,
 // solving that shape again allocates nothing in load or the iteration
 // loop; the only allocations of a whole Solve are the Solution it hands
-// back (the struct, X and Duals).
+// back (the struct, X and Duals). A restart from a basis (SolveFrom on a
+// branch-and-bound child) allocates no more.
 func TestWorkspaceReuseAllocatesNothing(t *testing.T) {
 	p := boundShape(6, 512)
 	var w Workspace
@@ -60,6 +61,23 @@ func TestWorkspaceReuseAllocatesNothing(t *testing.T) {
 	if again.Iterations != first.Iterations || again.Objective != first.Objective {
 		t.Errorf("reused workspace changed the solve: %d iterations, objective %g; first solve %d, %g",
 			again.Iterations, again.Objective, first.Iterations, first.Objective)
+	}
+	b := w.Basis()
+	child := p.Clone()
+	for j, v := range again.X {
+		if math.Abs(v-math.Round(v)) > 1e-6 {
+			_ = child.SetBounds(j, 0, math.Floor(v))
+			break
+		}
+	}
+	if status, iters, decided := w.warm(child, b, Options{}); status != StatusOptimal || iters == 0 || !decided {
+		t.Fatalf("fixture child must restart: %v after %d iterations, decided %v", status, iters, decided)
+	}
+	if n := testing.AllocsPerRun(10, func() { w.warm(child, b, Options{}) }); n != 0 {
+		t.Errorf("a restart on a reused workspace: %v allocations per solve, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { w.SolveFrom(child, b) }); n > 3 {
+		t.Errorf("SolveFrom on a reused workspace: %v allocations, want at most 3 (Solution, X, Duals)", n)
 	}
 }
 

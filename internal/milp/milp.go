@@ -4,7 +4,9 @@
 // heuristic, and node/time limits. PackageBuilder's translation layer
 // (internal/translate) compiles PaQL package queries into these MILPs;
 // integer variables are tuple multiplicities, so branching tightens
-// variable bounds and never adds rows.
+// variable bounds and never adds rows. A search's root relaxation is
+// solved cold; every other node restarts from its parent's optimal basis
+// with the dual simplex (lp.Workspace.SolveFrom).
 //
 // A problem of at least 200 columns, every one of them integer or
 // pinned (lo = up) and every bound finite, opens with an LP-first root,
@@ -128,9 +130,13 @@ type Solution struct {
 	Canceled  bool // the search stopped because Options.Ctx was done
 }
 
+// node is one open subproblem: its box and its parent's relaxation.
+// A node with a basis re-solves from it with the dual simplex (the box
+// differs from the parent's in one bound); the roots have none.
 type node struct {
 	lo, up []float64 // bounds override (full copies)
 	bound  float64   // parent LP bound (priority)
+	basis  *lp.Basis // the parent's optimal basis, shared by both children
 }
 
 type nodeQueue struct {
@@ -292,7 +298,7 @@ func (s *search) run(root bool) *Solution {
 			}
 		}
 		{
-			res := s.ws.Solve(work, lp.Options{Cancel: s.cancel})
+			res := s.ws.SolveFrom(work, nd.basis, lp.Options{Cancel: s.cancel})
 			sol.LPIters += res.Iterations
 			switch res.Status {
 			case lp.StatusInfeasible:
@@ -310,10 +316,14 @@ func (s *search) run(root bool) *Solution {
 				dropped = true
 				goto nextNode
 			}
+			// The children's restart, taken before anything else loads
+			// the workspace: the LP-first root searches on it.
+			var basis *lp.Basis
 			if firstNode {
 				bestBound = res.Objective
 				firstNode = false
 				if root {
+					basis = s.ws.Basis()
 					if out := s.lpFirst(res, rootLo, rootUp); out != nil {
 						return out
 					}
@@ -345,9 +355,12 @@ func (s *search) run(root bool) *Solution {
 			} else if frac, down, up = splitAt(p, nd, res.X); frac == -1 {
 				goto nextNode // the box is one point, and it breaks a row
 			}
-			left := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective}
+			if basis == nil {
+				basis = s.ws.Basis()
+			}
+			left := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis}
 			left.up[frac] = down
-			right := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective}
+			right := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis}
 			right.lo[frac] = up
 			if left.lo[frac] <= left.up[frac] {
 				heap.Push(q, left)

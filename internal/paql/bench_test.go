@@ -8,8 +8,10 @@ import (
 	"repro/internal/value"
 )
 
-// BenchmarkPackageCheck is the one-shot check of one answer: its formula
-// and its objective, each compiled for the call, over a 3-tuple package.
+// BenchmarkPackageCheck is the check of one answer, its formula and its
+// objective, over a 3-tuple package: one-off, each compiled for the call
+// (Satisfies, ObjectiveValue), and on Globals compiled once, as the
+// engine checks every answer it returns.
 func BenchmarkPackageCheck(b *testing.B) {
 	a, err := analyzeSem(`SELECT PACKAGE(R) AS P FROM t R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.x) BETWEEN 10 AND 100 AND AVG(P.x) >= 5
@@ -23,13 +25,27 @@ func BenchmarkPackageCheck(b *testing.B) {
 		{value.Int(2), value.Float(20), value.Str("b"), value.Str("q")},
 		{value.Int(3), value.Float(31), value.Str("c"), value.Str("p")},
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if ok, err := paql.Satisfies(q.SuchThat, rows); err != nil || !ok {
-			b.Fatal(ok, err)
+	b.Run("per-call", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if ok, err := paql.Satisfies(q.SuchThat, rows); err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+			if _, err := paql.ObjectiveValue(q.Objective, rows); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := paql.ObjectiveValue(q.Objective, rows); err != nil {
-			b.Fatal(err)
+	})
+	b.Run("compiled-once", func(b *testing.B) {
+		suchThat, objective := paql.CompileGlobal(q.SuchThat), paql.CompileGlobal(q.Objective.Expr)
+		b.ReportAllocs()
+		for b.Loop() {
+			if ok, err := suchThat.Holds(rows); err != nil || !ok {
+				b.Fatal(ok, err)
+			}
+			if _, err := objective.Value(rows); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }

@@ -150,6 +150,19 @@ func (inst *Instance) Validate(mult []int) (bool, error) {
 	return err == nil && !v.IsNull(), err
 }
 
+// Holds reports whether a materialized package satisfies the SUCH THAT
+// formula compiled for the instance.
+func (inst *Instance) Holds(rows []schema.Row) (bool, error) {
+	return inst.suchThat.Holds(rows)
+}
+
+// Value evaluates the objective compiled for the instance on a
+// materialized package in full, never by Objective's linear fast path,
+// so it reads what paql's evaluator reads; the absent objective is 0.
+func (inst *Instance) Value(rows []schema.Row) (float64, error) {
+	return inst.objective.Value(rows)
+}
+
 // Objective computes the package objective, via the linear fast path
 // when available.
 func (inst *Instance) Objective(mult []int) (float64, error) {

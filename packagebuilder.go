@@ -95,6 +95,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/big"
 	"slices"
 	"strings"
 	"time"
@@ -449,9 +450,20 @@ func FormatResult(w io.Writer, sys *System, res *Result) {
 	}
 	if st.SpaceFull != nil && st.SpacePruned != nil {
 		fmt.Fprintf(w, "search space: %s of %s candidate packages after §4.1 pruning\n",
-			st.SpacePruned.String(), st.SpaceFull.String())
+			spaceCount(st.SpacePruned), spaceCount(st.SpaceFull))
 	}
 	for _, n := range st.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
+}
+
+// spaceCount renders a search-space size: in full up to 15 digits,
+// past that in scientific notation with its digit count (2^3204 is
+// "3.163e+964 (965 digits)").
+func spaceCount(n *big.Int) string {
+	s := n.String()
+	if len(s) <= 15 {
+		return s
+	}
+	return fmt.Sprintf("%s (%d digits)", new(big.Float).SetInt(n).Text('e', 3), len(s))
 }

@@ -520,6 +520,33 @@ func TestFormatResultOutput(t *testing.T) {
 	}
 }
 
+// TestFormatResultAbbreviatesLargeSpaces: a space past 15 digits prints
+// as a mantissa, an exponent and its digit count. 3,204 candidates make
+// 2^3204 packages, 965 digits in full; COUNT(*) = 3 keeps C(3204, 3).
+func TestFormatResultAbbreviatesLargeSpaces(t *testing.T) {
+	sys := newSystem(t, 3204)
+	res, err := sys.Query(`SELECT PACKAGE(R) AS P FROM recipes R
+		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN 2000 AND 2500
+		MAXIMIZE SUM(P.protein)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Candidates != 3204 {
+		t.Fatalf("%d candidates, want 3204", res.Stats.Candidates)
+	}
+	var sb strings.Builder
+	pb.FormatResult(&sb, sys, res)
+	const want = "search space: 5476707204 of 3.163e+964 (965 digits) candidate packages after §4.1 pruning\n"
+	if !strings.Contains(sb.String(), want) {
+		t.Errorf("FormatResult lacks %q:\n%s", want, sb.String())
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if len(line) > 200 {
+			t.Errorf("a %d-byte line: %.80s…", len(line), line)
+		}
+	}
+}
+
 // TestFormatResultRendersExplain: System.Query plans an EXPLAIN statement
 // without executing it, and FormatResult prints that plan and nothing
 // else — no empty answer, no statistics footer.
