@@ -352,8 +352,16 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	if err != nil {
 		return nil, err
 	}
+	version := table.Version()
+	inst.Image = func(ctx context.Context) (*search.Columns, error) {
+		img, _, err := snapshotsOf(table).imageAt(ctx, table, version, nil)
+		if img == nil {
+			return nil, err
+		}
+		return img.cols, nil
+	}
 	return &Prepared{Query: q, Analysis: analysis, Table: table, Instance: inst,
-		Nonlinear: translate.Nonlinear(analysis), TableVersion: table.Version(), Sketch: sketch.Compile(inst),
+		Nonlinear: translate.Nonlinear(analysis), TableVersion: version, Sketch: sketch.Compile(inst),
 		RowsScanned: cands.scanned, SnapshotHit: cands.hit}, nil
 }
 

@@ -89,32 +89,34 @@ func TestAlternatingShapesEachPatchTheirOwnTree(t *testing.T) {
 	if f0 == nil || f4 != f0 || f3 == nil || f3 == f0 {
 		t.Fatalf("lineage records T0 %p, T3 %p, T4 %p: want T4 on T0's and T3 on its own", f0, f3, f4)
 	}
-	pinned := len(e.ids) + len(e.rows)*(1+e.passes.Kept())
-	if got, want := e.size(), pinned+len(f0.rowHashes)+len(f3.rowHashes); got != want {
-		t.Fatalf("entry size %d, want %d: the slice T0 and T4 share counted once", got, want)
+	if got, want := e.size(), len(e.ids)+len(e.rows)*(1+e.passes.Kept()); got != want {
+		t.Fatalf("entry size %d, want %d: lineage records pin no slot of their own", got, want)
 	}
 }
 
-// TestEvictionCountsSharedLineageOnce: the store's row bound counts a hash
-// slice several shapes share once, so shapes that stand together do not
-// evict a snapshot they fit in; shapes that diverge do count apart.
-func TestEvictionCountsSharedLineageOnce(t *testing.T) {
-	n := memoMaxRows / 3
-	record := func() *fingerprint { return &fingerprint{rowHashes: make([]uint64, n)} }
+// TestLineageRecordsPinNothing: the store's row bound counts a snapshot's
+// ids and promoted rows, never its lineage records, which keep ids the
+// snapshot held and a fingerprint: shapes however many, diverged or not,
+// evict no snapshot the ids fit in.
+func TestLineageRecordsPinNothing(t *testing.T) {
+	n := memoMaxRows / 2
 	s := &candidateStore{entries: map[string]*snapshot{}}
 	a, b := s.entry("a"), s.entry("b")
 	for _, e := range []*snapshot{a, b} {
-		f := record()
-		e.lineage = map[string]*fingerprint{"x": f, "y": f, "z": f}
+		e.ids = make([]int, n)
+		e.lineage = map[string]*fingerprint{}
+		for v, shape := range []string{"x", "y", "z"} {
+			e.lineage[shape] = &fingerprint{version: uint64(v), ids: make([]int, n), fp: uint64(v)}
+		}
 	}
 	s.evict(b)
 	if len(s.entries) != 2 {
-		t.Fatalf("two entries of %d candidates each, three shapes sharing one slice, evicted to %d (bound %d)", n, len(s.entries), memoMaxRows)
+		t.Fatalf("two entries of %d ids each with three diverged lineage records, evicted to %d (bound %d)", n, len(s.entries), memoMaxRows)
 	}
-	a.lineage["y"], a.lineage["z"] = record(), record()
+	a.ids = make([]int, n+1)
 	s.evict(b)
 	if len(s.entries) != 1 || s.entries["b"] != b {
-		t.Fatalf("a's three diverged slices and b's one exceed %d rows, yet the store kept %d entries", memoMaxRows, len(s.entries))
+		t.Fatalf("%d ids exceed the %d-row bound, yet the store kept %d entries", 2*n+1, memoMaxRows, len(s.entries))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/expr"
@@ -12,35 +11,41 @@ import (
 	"repro/internal/minidb"
 	"repro/internal/paql"
 	"repro/internal/schema"
+	"repro/internal/search"
+	"repro/internal/sketch"
 	"repro/internal/translate"
 )
 
-// candidateStore is one table's candidate snapshots, one per WHERE: the
-// single owner of "the candidates of (table, WHERE) at version v" and of
-// everything computed from them that no constant of a query changes. It
-// hangs off the table (minidb.Table.Derived), so every path that resolves
-// the table — System.Query, pbserver, the benchmark's trace — reaches
-// the same store, and a dropped table or a discarded System takes it
-// along; nothing here is package-level.
+// candidateStore is one table's candidate snapshots, one per WHERE, and
+// its image: the single owner of "the candidates of (table, WHERE) at
+// version v" and of everything computed from them or from the table that
+// no constant of a query changes. It hangs off the table
+// (minidb.Table.Derived), so every path that resolves the table —
+// System.Query, pbserver, the benchmark's trace — reaches the same store,
+// and a dropped table or a discarded System takes it along; nothing here
+// is package-level.
 //
 // Three tiers answer a package query before any solver runs, in this
 // order: this snapshot (whose tuples pass WHERE, and their selection
 // passes), the fingerprint lineage it carries per tree shape for
 // FingerprintMemo (which tree those tuples hash to, and which earlier
 // tree of that shape a patch starts from), and sketch.Cache (the tree).
+// The image serves the last two: fingerprints combine its row hashes, and
+// tree builds and patches read its columns.
 type candidateStore struct {
 	mu      sync.Mutex
 	entries map[string]*snapshot // by whereKey
 	clock   uint64               // ticks once per use; the least recently used entry is evicted first
+	img     *image               // the newest image; nil until a sketch evaluation asked
+	imgStep *imageStep           // the making of the next, if any
 }
 
 // memoMaxEntries bounds a store's entry count and memoMaxRows what its
 // entries pin in total, counted in candidate-length slots (snapshot.size):
-// an id per candidate at first sight and, once a sketch evaluation asked, a
-// row hash — one more per tree shape whose lineage has diverged from its
-// siblings'; a promoted entry also a row header per candidate and one slot
-// per candidate for each vector its pass store keeps. Entries the table
-// has moved past keep theirs until asked again or evicted.
+// an id per candidate at first sight; a promoted entry also a row header
+// per candidate and one slot per candidate for each vector its pass store
+// keeps. Entries the table has moved past keep theirs until asked again
+// or evicted. The image is the table's, one per store, and not counted.
 const (
 	memoMaxEntries = 32
 	memoMaxRows    = 4 << 20
@@ -90,16 +95,40 @@ type advance struct {
 // are scanned for.
 var errNoDelta = errors.New("engine: the delta log does not reach the snapshot's version")
 
-// fingerprint is one tree shape's write lineage: the candidates' row
-// hashes at the version that shape's trees were last advanced to, which
-// trails the snapshot's by the writes its Advance has not replayed yet.
-// A record never changes its slices — an advance makes a new one — so a
+// fingerprint is one tree shape's write lineage: the candidates and their
+// fingerprint at the version that shape's trees were last advanced to,
+// which trails the snapshot's by the writes its Advance has not replayed
+// yet. A record is never changed — an advance makes a new one — so a
 // shape first seen where a sibling stands holds the sibling's record.
 type fingerprint struct {
-	version   uint64
-	ids       []int    // candidate row ids at that version
-	rowHashes []uint64 // RowHash per candidate, parallel to ids
-	fp        uint64   // CombineRowHashes(rowHashes)
+	version uint64
+	ids     []int  // candidate row ids at that version
+	fp      uint64 // the fingerprint of those rows
+}
+
+// image is the table at one version, hashed and lowered once for every
+// sketch evaluation at that version: one sketch.RowHash per row, which
+// fingerprints combine at their candidates' ids, and the rows as columns
+// with one table-wide dictionary per text column, which tree builds and
+// patches read by tuple id (search.Instance.Image). The store keeps the
+// newest. It is made at the first sketch evaluation that needs it — an
+// exact-only workload never makes one — and advanced along the delta log
+// after writes: the survivors' hashes and cells are copied, only appended
+// rows are hashed and lowered. A published image is never written.
+type image struct {
+	version uint64
+	hashes  []uint64        // RowHash per table row
+	cols    *search.Columns // the rows lowered
+	hashed  int             // rows its making hashed: the table, or the appended rows
+}
+
+// imageStep makes the store's image at one version, from the image
+// before it when the delta log reaches that one. Concurrent evaluations
+// at the version share it; a failed build, a canceled one, is not kept.
+type imageStep struct {
+	from *image
+	to   uint64
+	once lifecycle.Once[image]
 }
 
 // snapshotsOf returns the table's candidate store.
@@ -249,8 +278,9 @@ func (s *candidateStore) install(key string, a *advance, got *candidates) {
 // version's coordinates (minidb.TableDelta.Deleted). remap[i] is candidate
 // i's index among the survivors, or −1 when it was deleted, and kept holds
 // the survivors' ids now — each shifted down by the deletions before it —
-// with room to append more. The candidate snapshot and every fingerprint
-// lineage record advance by it.
+// with room to append more. The candidate snapshot advances by it, and
+// every fingerprint lineage record relates its candidates to the next
+// version's by it.
 func survivors(ids, deleted []int, room int) (remap, kept []int) {
 	remap = make([]int, len(ids))
 	kept = make([]int, 0, len(ids)+room)
@@ -332,19 +362,12 @@ func (s *candidateStore) evict(keep *snapshot) {
 	}
 }
 
-// size is what the entry pins, in candidate-length slots: its ids, the row
-// hashes its lineage holds — a hash slice several records share counted
-// once — and, promoted, a row header and one slot per vector its pass
-// store keeps for each candidate.
+// size is what the entry pins, in candidate-length slots: its ids and,
+// promoted, a row header and one slot per vector its pass store keeps for
+// each candidate. Lineage records hold ids the snapshot held and a
+// fingerprint.
 func (e *snapshot) size() int {
-	var seen []*uint64 // first element of each slice counted; a shape or two
 	n := len(e.ids)
-	for _, f := range e.lineage {
-		if hs := f.rowHashes; len(hs) > 0 && !slices.Contains(seen, &hs[0]) {
-			seen = append(seen, &hs[0])
-			n += len(hs)
-		}
-	}
 	if e.passes != nil {
 		n += len(e.rows) * (1 + e.passes.Kept())
 	}
@@ -379,4 +402,110 @@ func (s *candidateStore) retained() (rows, stores int) {
 		}
 	}
 	return rows, stores
+}
+
+// imageAt returns the table's image at version, with the rows its making
+// hashed when this call made it: the store's, or one made from it and the
+// table as it stands now. nil (and no error) when the table has moved
+// past version and the store keeps no image at it — the rows at version
+// are gone. Neither the build nor the advance runs under the store's
+// lock. ctx, which may be nil, cancels a build from scratch; an advance
+// runs to its end. read, when not nil, is the caller's read of the delta
+// log, which an advance from its base takes instead of reading the log
+// again.
+func (s *candidateStore) imageAt(ctx context.Context, t *minidb.Table, version uint64, read *logRead) (*image, int, error) {
+	s.mu.Lock()
+	if img := s.img; img != nil && img.version == version {
+		s.mu.Unlock()
+		return img, 0, nil
+	}
+	if t.Version() != version {
+		s.mu.Unlock()
+		return nil, 0, nil
+	}
+	step := s.imgStep
+	if step == nil || step.to != version {
+		step = &imageStep{from: s.img, to: version}
+		s.imgStep = step
+	}
+	s.mu.Unlock()
+	made := false
+	img, err := step.once.Get(ctx, func() (*image, error) {
+		made = true
+		return step.run(ctx, t, read)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	s.mu.Lock()
+	if s.imgStep == step {
+		s.imgStep = nil
+	}
+	if s.img == nil || s.img.version < img.version {
+		s.img = img
+	}
+	s.mu.Unlock()
+	if !made {
+		return img, 0, nil
+	}
+	return img, img.hashed, nil
+}
+
+// run makes the step's image from the table, which stands at the step's
+// version: advanced from the image before it along the delta log, or,
+// when the log cannot explain the gap (aged out, or its read failing) or
+// the columns cannot be advanced (search.Columns.Advance), built afresh.
+func (st *imageStep) run(ctx context.Context, t *minidb.Table, read *logRead) (*image, error) {
+	if f := st.from; f != nil {
+		if d, ok := read.since(t, f.version); ok && d.Current == st.to {
+			if cols := f.cols.Advance(t.Rows, d.Deleted); cols != nil {
+				hs := search.Compacted(f.hashes, d.Deleted, len(t.Rows))
+				for i := d.AppendedStart; i < len(hs); i++ {
+					hs[i] = sketch.RowHash(t.Rows[i])
+				}
+				return &image{version: st.to, hashes: hs, cols: cols, hashed: len(hs) - d.AppendedStart}, nil
+			}
+		}
+	}
+	stop := lifecycle.Poll(ctx)
+	hs := make([]uint64, len(t.Rows))
+	for i, row := range t.Rows {
+		if i%translate.PollRows == 0 {
+			if err := lifecycle.ContextErr(ctx); err != nil {
+				return nil, err
+			}
+		}
+		hs[i] = sketch.RowHash(row)
+	}
+	cols := search.Lower(t.Rows, nil, stop)
+	if cols == nil {
+		return nil, lifecycle.ContextErr(ctx)
+	}
+	cols.Trim()
+	return &image{version: st.to, hashes: hs, cols: cols, hashed: len(hs)}, nil
+}
+
+// logRead is one read of the table's delta log from base: what
+// minidb.Table.DeltaSince returned. A sketch evaluation reads the log
+// once for its fingerprint lineage and hands the read to the image,
+// which usually stands at the same version.
+type logRead struct {
+	base  uint64
+	delta minidb.TableDelta
+	ok    bool
+}
+
+// readLog reads the table's delta log from base.
+func readLog(t *minidb.Table, base uint64) *logRead {
+	d, ok := t.DeltaSince(base)
+	return &logRead{base: base, delta: d, ok: ok}
+}
+
+// since is the delta from base: r's when r was read from there, else a
+// read of its own.
+func (r *logRead) since(t *minidb.Table, base uint64) (minidb.TableDelta, bool) {
+	if r != nil && r.base == base {
+		return r.delta, r.ok
+	}
+	return t.DeltaSince(base)
 }

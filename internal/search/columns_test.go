@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,9 +12,9 @@ import (
 )
 
 // TestLowerMatchesRows: every lowered cell reads back as the boxed cell
-// does — the float lens (numeric value, else 0), the NULL bit, and for
-// coded columns a dictionary code whose datum is the cell, with one
-// code per identity.
+// does — the float lens (numeric value, else 0; no lens on a column
+// without a numeric cell), the NULL bit, and for coded columns a
+// dictionary code whose datum is the cell, with one code per identity.
 func TestLowerMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rows := dataset.Recipes(dataset.RecipesConfig{N: 700, Seed: 9})
@@ -32,6 +33,9 @@ func TestLowerMatchesRows(t *testing.T) {
 		}
 	}
 	rows[3] = rows[3][:4] // a short row reads NULL past its end
+	for _, row := range rows {
+		row[1] = value.Str("only text") // a column without a numeric cell
+	}
 	idx := rng.Perm(len(rows))[:300]
 	for name, sel := range map[string][]int{"all": nil, "subset": idx} {
 		cols := Lower(rows, sel, nil)
@@ -45,6 +49,7 @@ func TestLowerMatchesRows(t *testing.T) {
 		for c := range cols.Cols {
 			col := &cols.Cols[c]
 			byKey := map[string]uint32{}
+			numeric := false
 			for j := 0; j < n; j++ {
 				r := j
 				if sel != nil {
@@ -55,8 +60,13 @@ func TestLowerMatchesRows(t *testing.T) {
 					want = rows[r][c]
 				}
 				f, _ := want.AsFloat()
-				if col.Num[j] != f || col.IsNull(j) != want.IsNull() {
-					t.Fatalf("%s: cell (%d,%d) = %s lowered to num %v null %v", name, r, c, want.SQLString(), col.Num[j], col.IsNull(j))
+				numeric = numeric || want.IsNumeric()
+				got := 0.0
+				if col.Num != nil {
+					got = col.Num[j]
+				}
+				if got != f || col.IsNull(j) != want.IsNull() {
+					t.Fatalf("%s: cell (%d,%d) = %s lowered to num %v null %v", name, r, c, want.SQLString(), got, col.IsNull(j))
 				}
 				if col.Codes == nil {
 					if !want.IsNull() && !want.IsNumeric() {
@@ -74,17 +84,91 @@ func TestLowerMatchesRows(t *testing.T) {
 				}
 				byKey[key] = code
 			}
+			if (col.Num != nil) != numeric || (col.Num != nil && len(col.Num) != n) {
+				t.Fatalf("%s: column %d has a float lens of %d cells; numeric cells: %v", name, c, len(col.Num), numeric)
+			}
 			if len(byKey) != len(col.Dict) {
 				t.Fatalf("%s: column %d has %d dictionary entries for %d distinct datums", name, c, len(col.Dict), len(byKey))
 			}
-			numeric := false
+			dictNumeric := false
 			for _, d := range col.Dict {
-				numeric = numeric || d.IsNumeric()
+				dictNumeric = dictNumeric || d.IsNumeric()
 			}
-			if col.DictNumeric != numeric {
-				t.Fatalf("%s: column %d DictNumeric = %v, dictionary says %v", name, c, col.DictNumeric, numeric)
+			if col.DictNumeric != dictNumeric {
+				t.Fatalf("%s: column %d DictNumeric = %v, dictionary says %v", name, c, col.DictNumeric, dictNumeric)
 			}
 		}
+	}
+}
+
+// TestAdvanceMatchesLower: a lowering advanced past deletions and
+// appends reads as the table lowered afresh — the same float lens, NULL
+// bits and datums, each datum under the code it had — and the lowering it
+// advanced from still reads its own rows. A trimmed lowering advances
+// too.
+func TestAdvanceMatchesLower(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cell := func(i int) schema.Row {
+		kinds := []value.V{value.Null(), value.Int(int64(rng.Intn(5))), value.Float(float64(i) / 3), value.Str([]string{"a", "b"}[rng.Intn(2)])}
+		return schema.Row{value.Int(int64(i)), kinds[rng.Intn(2)], kinds[rng.Intn(4)], value.Str(fmt.Sprintf("u%d", i))}
+	}
+	var rows []schema.Row
+	for i := range 200 {
+		rows = append(rows, cell(i))
+	}
+	cols := Lower(rows, nil, nil)
+	cols.Trim() // as a table's image is kept: the first advance re-indexes the dictionaries
+	for step := range 20 {
+		var deleted []int
+		var next []schema.Row
+		for i, row := range rows {
+			if rng.Intn(25) == 0 {
+				deleted = append(deleted, i)
+				continue
+			}
+			next = append(next, row)
+		}
+		for range rng.Intn(30) {
+			next = append(next, cell(1000*(step+1)+len(next)))
+		}
+		advanced := cols.Advance(next, deleted)
+		if advanced == nil {
+			t.Fatalf("step %d: no advance", step)
+		}
+		if cols.Advance(next, deleted) != nil {
+			t.Fatalf("step %d: a lowering advanced twice", step)
+		}
+		for _, check := range []struct {
+			cols *Columns
+			rows []schema.Row
+		}{{cols, rows}, {advanced, next}} {
+			if check.cols.Len() != len(check.rows) {
+				t.Fatalf("step %d: %d rows lowered for %d", step, check.cols.Len(), len(check.rows))
+			}
+			for j, row := range check.rows {
+				for c, v := range row {
+					col := &check.cols.Cols[c]
+					f, _ := v.AsFloat()
+					got := 0.0
+					if col.Num != nil {
+						got = col.Num[j]
+					}
+					if got != f || col.IsNull(j) != v.IsNull() || (col.Codes != nil && !col.Dict[col.Codes[j]].Identical(v)) {
+						t.Fatalf("step %d: cell (%d,%d) = %s misread", step, j, c, v.SQLString())
+					}
+				}
+			}
+		}
+		cols, rows = advanced, next
+	}
+	// Every row deleted but a few: the unique column's dictionary would
+	// hold more than twice the rows, so the table is lowered afresh.
+	deleted := make([]int, len(rows)-5)
+	for i := range deleted {
+		deleted[i] = i
+	}
+	if cols.Advance(rows[len(rows)-5:], deleted) != nil {
+		t.Fatal("advanced with a dictionary of many times the rows")
 	}
 }
 

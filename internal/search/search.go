@@ -41,6 +41,13 @@ type Instance struct {
 	// other instance over the same candidates when the store is a
 	// snapshot's.
 	Passes *translate.Passes
+	// Image, when set, returns the table the candidates were drawn from,
+	// lowered to columns at the candidates' version — candidate j is row
+	// IDs[j] of it — made by the first caller, whom ctx may cancel. It
+	// returns nil, nil once the table has moved past that version with no
+	// lowering kept at it. The engine sets it on an instance prepared from
+	// a table; nothing reads it until a tree is built or patched.
+	Image func(ctx context.Context) (*Columns, error)
 
 	Atoms  []*translate.LinearAtom // top-level conjunctive linear atoms
 	Pure   bool                    // passing Atoms is being an answer: the formula holds and the objective is not NULL (none missing, none relaxed)

@@ -228,7 +228,7 @@ func (s *solver) patchStale(o Options, key Key, store *Store) (t *Tree, delta in
 	if base == nil {
 		return nil, 0
 	}
-	patched, err := base.patch(s.inst.Passes, o.Patch.Remap, o)
+	patched, err := base.patch(s.inst, o.Patch.Remap, o)
 	if err != nil {
 		s.note("stale partition tree %v; rebuilding", err)
 		return nil, 0

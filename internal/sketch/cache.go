@@ -40,11 +40,10 @@ func fnvMix(h, u uint64) uint64 {
 	return h
 }
 
-// RowHash hashes one candidate row (its width and every cell). The
-// fingerprint memo in core caches one RowHash per candidate so
-// incremental evaluations rehash only rows a write actually touched —
-// CombineRowHashes folds the cached hashes back into a Fingerprint
-// without ever re-reading a cell.
+// RowHash hashes one candidate row (its width and every cell). core's
+// table image keeps one RowHash per table row, hashing only the rows a
+// write appends — CombineRowHashesAt folds the kept hashes of any
+// candidate set into its Fingerprint without ever re-reading a cell.
 func RowHash(row schema.Row) uint64 {
 	h := fnvMix(uint64(fnvOffset64), uint64(len(row)))
 	for _, v := range row {
@@ -64,13 +63,24 @@ func CombineRowHashes(hs []uint64) uint64 {
 	return h
 }
 
+// CombineRowHashesAt is CombineRowHashes over hs[ids[0]], hs[ids[1]],
+// …: the fingerprint of a table's rows at ids, from one RowHash per row
+// of the table.
+func CombineRowHashesAt(hs []uint64, ids []int) uint64 {
+	h := fnvMix(uint64(fnvOffset64), uint64(len(ids)))
+	for _, id := range ids {
+		h = fnvMix(h, hs[id])
+	}
+	return h
+}
+
 // Fingerprint hashes the candidate rows (order-sensitive, every cell)
 // into the cache key. It is linear in the data and not cheap beside the
 // build a cache hit skips — byte-serial FNV-1a over every cell's key
 // encoding runs at under 4M rows/s on 11-column rows, half the time of
-// the columnar tree build over the same candidates — so callers on the
-// warm path avoid it by memoizing RowHash per row and recombining (see
-// core's fingerprint memo), and only a never-seen WHERE pays it in full.
+// the columnar tree build over the same candidates — so the engine
+// combines the RowHash its table image keeps per row instead (see core's
+// fingerprint memo), and only an instance without a table pays it.
 func Fingerprint(rows []schema.Row) uint64 {
 	fp, _ := fingerprintCtx(nil, rows)
 	return fp

@@ -50,7 +50,7 @@ func vacationPrep(t *testing.T) *core.Prepared {
 
 // withRows is the instance over a mutated copy of its candidate rows:
 // mutate edits one cell (row r, column c) at a time and returns the new
-// datum.
+// datum. The copy's rows are no longer its table's, so it has no image.
 func withRows(inst *search.Instance, mutate func(r, c int, v value.V) value.V) *search.Instance {
 	rows := make([]schema.Row, len(inst.Rows))
 	for r, row := range inst.Rows {
@@ -60,7 +60,7 @@ func withRows(inst *search.Instance, mutate func(r, c int, v value.V) value.V) *
 		}
 	}
 	out := *inst
-	out.Rows = rows
+	out.Rows, out.Image = rows, nil
 	return &out
 }
 
@@ -307,6 +307,9 @@ func TestBuildTreePollsStopAndUnwinds(t *testing.T) {
 	prep := cancelPrep(t, n)
 	opts := sketch.Options{MaxPartitionSize: 64, Depth: 2, Seed: 1, Parallelism: 1}
 
+	// The table's image is made once, at the first build, and every build
+	// after it reads the image: the builds below poll what a build does.
+	sketch.BuildTree(prep.Instance, opts)
 	ctx := newPollCountingCtx(0)
 	opts.Ctx = ctx
 	full := sketch.BuildTree(prep.Instance, opts)
@@ -314,9 +317,9 @@ func TestBuildTreePollsStopAndUnwinds(t *testing.T) {
 		t.Fatal("uncanceled build returned no leaves")
 	}
 	total := ctx.polls.Load()
-	// The lowering alone is ⌈n/8192⌉ polls; the root split's min/max pass
-	// over two attributes and its first selection pass poll as often
-	// again, and the next four levels (groups above 8,192 rows) add more.
+	// The root split's min/max pass over two attributes polls 2⌈n/8192⌉
+	// times, its selection passes as often again, and the next four
+	// levels (groups above 8,192 rows) add more.
 	runs := int64((n + 8191) / 8192)
 	if total < 4*runs {
 		t.Fatalf("a %d-row build polled stop %d times, want at least %d (one poll per 8,192 rows of every pass)", n, total, 4*runs)

@@ -75,7 +75,7 @@ func (ps *PatchSpec) DeltaSize(n int) int {
 // over rows, which ApplyDelta folds for itself; a solve patches over its
 // instance's pass store instead (patch), whose folds a query has made.
 func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, bool) {
-	out, err := t.patch(translate.NewPasses(rows), remap, opts)
+	out, err := t.patch(&search.Instance{Rows: rows, Passes: translate.NewPasses(rows)}, remap, opts)
 	return out, err == nil
 }
 
@@ -83,11 +83,12 @@ func (t *Tree) ApplyDelta(rows []schema.Row, remap []int, opts Options) (*Tree, 
 // budget: the delta cannot be absorbed locally.
 var errNotPatchable = errors.New("not locally patchable")
 
-// patch is ApplyDelta over the candidates' pass store. Its error says why
-// it refused: the drift budget or the fanout bound, each with both
-// numbers it weighed, or errNotPatchable.
-func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree, error) {
-	rows := passes.Rows()
+// patch is ApplyDelta over an instance of the current candidates: its
+// pass store, and the table image its rescanned leaves are read from when
+// it has one. Its error says why it refused: the drift budget or the
+// fanout bound, each with both numbers it weighed, or errNotPatchable.
+func (t *Tree) patch(inst *search.Instance, remap []int, opts Options) (*Tree, error) {
+	rows := inst.Rows
 	n := len(rows)
 	if n == 0 || t.Depth < 1 {
 		return nil, errNotPatchable
@@ -111,8 +112,8 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 
 	p := &patcher{
 		tree:   t,
+		inst:   inst,
 		rows:   rows,
-		passes: passes,
 		remap:  remap,
 		opts:   opts,
 		levels: make([][]Node, t.Depth),
@@ -156,8 +157,8 @@ func (t *Tree) patch(passes *translate.Passes, remap []int, opts Options) (*Tree
 // tree.
 type patcher struct {
 	tree   *Tree
-	rows   []schema.Row
-	passes *translate.Passes // over rows
+	inst   *search.Instance // the current candidates
+	rows   []schema.Row     // inst.Rows
 	remap  []int
 	opts   Options
 	levels [][]Node
@@ -240,7 +241,7 @@ func (p *patcher) remapLeaves() {
 func (p *patcher) routeInserts(firstNew int) error {
 	t := p.tree
 	p.firstNew = firstNew
-	p.near = &metric{ctx: p.opts.Ctx, passes: p.passes, attrs: t.Attrs}
+	p.near = &metric{ctx: p.opts.Ctx, passes: p.inst.Passes, attrs: t.Attrs}
 	if err := p.near.spreads(); err != nil {
 		return err
 	}
@@ -293,12 +294,13 @@ func (p *patcher) nearest(nodes []Node, idxs []int, j int) int {
 // regrouped it, incrementally extended where the only change was
 // appended inserts (the common case).
 //
-// The leaves that need an exact rescan are lowered together, their
-// tuple lists back to back: one columnar view per patch over just
-// those tuples — patching one leaf of a large table must not pay for
-// the table — in which every leaf is a run of positions that ascend
-// with its tuple indexes, so the splitter's index tie-breaks fall as
-// they would over the candidates at large.
+// The leaves that need an exact rescan are read together, their tuple
+// lists back to back: from the table's image by tuple id when the
+// instance has one, else from one lowering per patch over just those
+// tuples — patching one leaf of a large table must not pay for the
+// table. Either way every leaf is a run of elements whose rows ascend
+// with its tuple indexes, so the splitter's tie-breaks fall as they
+// would over the candidates at large.
 func (p *patcher) repairLeaves() {
 	t := p.tree
 	ll := t.Depth - 1
@@ -327,11 +329,11 @@ func (p *patcher) repairLeaves() {
 	if len(exact) == 0 {
 		return
 	}
-	cols := search.Lower(p.rows, tuples, nil)
+	cols, at := p.leafColumns(tuples)
 	lo := 0
 	for _, i := range exact {
 		hi := lo + len(p.levels[ll][i].Tuples)
-		leaves := p.resplit(cols, tuples, lo, hi) // a single leaf unless it outgrew τ
+		leaves := p.resplit(cols, at, tuples, lo, hi) // a single leaf unless it outgrew τ
 		p.levels[ll][i] = leaves[0]
 		for _, leaf := range leaves[1:] {
 			p.addLeaf(leaf, i)
@@ -354,20 +356,41 @@ func (p *patcher) addLeaf(leaf Node, sibling int) {
 	}
 }
 
-// resplit forms τ-bounded leaves, from scratch, over the tuple set at
-// positions lo … hi-1 of cols, a lowering in which position j is
-// candidate tuples[j]: median splits as in the offline build, and each
-// leaf's representative from a full scan.
-func (p *patcher) resplit(cols *search.Columns, tuples []int, lo, hi int) []Node {
+// leafColumns returns the columns the candidates tuples are read from
+// and their rows in it: the table's image and the tuples' ids when the
+// instance has an image at its version, else a lowering of just those
+// tuples, in which tuples[j] is row j, and nil.
+func (p *patcher) leafColumns(tuples []int) (*search.Columns, []int) {
+	if p.inst.Image != nil {
+		if img, err := p.inst.Image(p.opts.Ctx); err == nil && img != nil {
+			at := make([]int, len(tuples))
+			for j, q := range tuples {
+				at[j] = p.inst.IDs[q]
+			}
+			return img, at
+		}
+	}
+	return search.Lower(p.rows, tuples, nil), nil
+}
+
+// resplit forms τ-bounded leaves, from scratch, over the tuple set
+// tuples[lo] … tuples[hi-1], which sit at rows at[lo] … at[hi-1] of cols
+// (rows lo … hi-1 when at is nil): median splits as in the offline
+// build, and each leaf's representative from a full scan.
+func (p *patcher) resplit(cols *search.Columns, at, tuples []int, lo, hi int) []Node {
 	t := p.tree
 	if p.splitAttrs == nil {
 		p.splitAttrs = shuffledAttrs(t.Attrs, p.opts.Seed)
 	}
-	groups := (&splitter{tau: t.Tau}).medianSplit(cols, lo, hi, p.splitAttrs)
+	groups := (&splitter{tau: t.Tau}).medianSplit(cols, at, lo, hi, p.splitAttrs)
 	leaves := make([]Node, len(groups))
 	for gi, g := range groups {
 		leaf := Node{Tuples: make([]int, len(g)), Rep: representative(cols, g, &p.modes)}
-		for j, q := range g {
+		for j, r := range g {
+			q := r
+			if at != nil {
+				q = lo + sort.SearchInts(at[lo:hi], r)
+			}
 			leaf.Tuples[j] = tuples[q]
 		}
 		leaves[gi] = leaf

@@ -14,32 +14,52 @@ import (
 	"repro/internal/value"
 )
 
-// leafNodes is the offline partitioner: it splits the n lowered
-// candidates (cols; nil when the lowering was canceled) into groups of
-// at most τ tuples by recursive median splits on attrs (the attribute
-// with the widest normalized spread is split first) and returns one leaf
-// Node per group — its tuples and a representative (the mean for
-// numeric columns, the mode for categorical ones). The
+// leafNodes is the offline partitioner: it splits the n candidates —
+// rows at[0] … at[n-1] of cols, or rows 0 … n-1 when at is nil; cols is
+// nil when their lowering was canceled — into groups of at most τ
+// tuples by recursive median splits on attrs (the attribute with the
+// widest normalized spread is split first) and returns one leaf Node per
+// group — its candidate indexes and a representative (the mean for
+// numeric columns, the mode for categorical ones) — and beside the
+// leaves the groups as rows of cols, which the levels above read. The
 // procedure is deterministic under a fixed seed and any
 // Options.Parallelism: the workers only divide the splits and the
 // per-leaf scans, never the outcome. When Options.Ctx is canceled
 // mid-way there are no leaves at all.
-func leafNodes(cols *search.Columns, n int, attrs []int, opts Options) []Node {
+//
+// The candidates' rows ascend with their indexes, so the splitter's
+// index tie-breaks, a leaf's order and the mode's first-seen order fall
+// as they would over a lowering of the candidates alone.
+func leafNodes(cols *search.Columns, at []int, n int, attrs []int, opts Options) ([]Node, [][]int) {
 	w := opts.workers()
 	var groups [][]int
 	if n > 0 && cols != nil {
 		s := &splitter{tau: opts.tau(), lim: newLimiter(w), stop: lifecycle.Poll(opts.Ctx)}
-		groups = s.medianSplit(cols, 0, n, shuffledAttrs(attrs, opts.Seed))
+		groups = s.medianSplit(cols, at, 0, n, shuffledAttrs(attrs, opts.Seed))
 	}
 	if opts.stopped() {
 		groups = nil
 	}
+	var index []int32 // candidate index by row of cols, at the candidates' rows
+	if at != nil && len(groups) > 0 {
+		index = make([]int32, cols.Len())
+		for j, r := range at {
+			index[r] = int32(j)
+		}
+	}
 	leaves := make([]Node, len(groups))
 	modes := make([]modeScratch, max(w, 1))
 	parallelForWorker(w, len(groups), func(wi, i int) {
-		leaves[i] = Node{Tuples: groups[i], Rep: representative(cols, groups[i], &modes[wi])}
+		tuples := groups[i]
+		if index != nil {
+			tuples = make([]int, len(groups[i]))
+			for j, r := range groups[i] {
+				tuples[j] = int(index[r])
+			}
+		}
+		leaves[i] = Node{Tuples: tuples, Rep: representative(cols, groups[i], &modes[wi])}
 	})
-	return leaves
+	return leaves, groups
 }
 
 // shuffledAttrs copies attrs in a seed-dependent order: the seed only
@@ -53,18 +73,20 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 	return out
 }
 
-// medianSplit splits positions lo … hi-1 of cols into groups of at
-// most s.tau elements by recursive median splits on attrs (the attribute
-// with the widest normalized spread within the group is split first). The returned groups are each sorted ascending and appear in
-// in-order traversal order. The partitioner uses it over the candidate
-// tuples; the tree builder reuses it over the representative rows of a
-// whole level.
+// medianSplit splits the elements lo … hi-1 — rows at[lo] … at[hi-1]
+// of cols, or rows lo … hi-1 when at is nil, which must ascend — into
+// groups of at most s.tau by recursive median splits on attrs (the
+// attribute with the widest normalized spread within the group is split
+// first). The returned groups hold rows of cols, each group sorted
+// ascending, and appear in in-order traversal order. The partitioner
+// uses it over the candidate tuples; the tree builder reuses it over the
+// representative rows of a whole level.
 //
-// A split does not sort its group. The elements are (value, index)
-// pairs under a strict total order, so the lower half is one fixed set
+// A split does not sort its group. The elements are (value, row) pairs
+// under a strict total order, so the lower half is one fixed set
 // however it is found: an in-place selection (selectSmallest) moves it
 // to the front in O(n) per level where a sort pays O(n log n), and
-// since every leaf is index-sorted on the way out, the partitioning is
+// since every leaf is row-sorted on the way out, the partitioning is
 // the one a full sort at every level would have produced. All levels
 // share one pair buffer, allocated here.
 //
@@ -80,14 +102,22 @@ func shuffledAttrs(attrs []int, seed int64) []int {
 // (and unsorted) as a single oversized leaf. The output is then
 // structurally a partitioning but not THE partitioning — callers on the
 // cancellation path discard it.
-func (s *splitter) medianSplit(cols *search.Columns, lo, hi int, attrs []int) [][]int {
-	s.attrs = make([][]float64, len(attrs))
-	for ai, a := range attrs {
-		s.attrs[ai] = cols.Cols[a].Num
+func (s *splitter) medianSplit(cols *search.Columns, at []int, lo, hi int, attrs []int) [][]int {
+	s.attrs = make([][]float64, 0, len(attrs))
+	for _, a := range attrs {
+		// A column without a numeric cell is constant under the float
+		// lens: it never has the widest spread.
+		if num := cols.Cols[a].Num; num != nil {
+			s.attrs = append(s.attrs, num)
+		}
 	}
 	g := make([]keyed, hi-lo)
 	for j := range g {
-		g[j].i = lo + j
+		if at != nil {
+			g[j].i = at[lo+j]
+		} else {
+			g[j].i = lo + j
+		}
 	}
 	return s.split(g)
 }
@@ -103,7 +133,7 @@ type splitter struct {
 
 func (s *splitter) stopped() bool { return s.stop != nil && s.stop() }
 
-// indexes copies the group's candidate indexes out of the pair buffer.
+// indexes copies the group's rows out of the pair buffer.
 func indexes(g []keyed) []int {
 	out := make([]int, len(g))
 	for j := range g {
@@ -129,8 +159,8 @@ func (s *splitter) split(g []keyed) [][]int {
 	}
 	if col == nil {
 		// No attribute separates the group (all values equal): chop it
-		// by index. This is the one place the order inside a group
-		// shows, so put it in index order first.
+		// by row. This is the one place the order inside a group shows,
+		// so put it in row order first.
 		slices.SortFunc(g, func(a, b keyed) int { return a.i - b.i })
 		var groups [][]int
 		for lo := 0; lo < len(g); lo += s.tau {
@@ -261,11 +291,13 @@ func numAt(row schema.Row, idx int) float64 {
 }
 
 // representative builds a group's representative tuple from the
-// lowered columns: numeric columns take the group mean — summed in the
-// group's ascending index order, so the float is the one a row-by-row
-// scan yields — other columns the group mode (ties break toward the
-// SortLess-smallest value, keeping the construction deterministic),
-// counted in sc, the caller's scratch.
+// columns the group's rows (g, ascending) sit in: numeric columns take
+// the group mean — summed in the group's ascending order, so the float
+// is the one a row-by-row scan yields — other columns the group mode
+// (ties break toward the SortLess-smallest value, keeping the
+// construction deterministic), counted in sc, the caller's scratch.
+// Neither reads a datum outside the group, so a table-wide dictionary
+// yields the representative a lowering of the group alone does.
 func representative(cols *search.Columns, g []int, sc *modeScratch) schema.Row {
 	rep := make(schema.Row, len(cols.Cols))
 	for c := range cols.Cols {
@@ -320,7 +352,7 @@ func groupMean(col *search.Column, g []int) (mean float64, ok bool) {
 // modeScratch counts dictionary codes for one group at a time; the
 // counter is as long as the largest dictionary seen and is left zeroed,
 // so reuse costs nothing per group. A build keeps one per worker and
-// drops them with its columns; the zero value is ready to use.
+// drops them when it returns; the zero value is ready to use.
 type modeScratch struct {
 	counts []uint32
 	seen   []uint32 // codes present in the group, in first-seen order

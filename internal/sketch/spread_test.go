@@ -136,7 +136,7 @@ func TestPatchReadsTheStoresFolds(t *testing.T) {
 	if !ok {
 		t.Fatal("ApplyDelta refused a 3% delta")
 	}
-	got, err := base.patch(inst.Passes, remap, opts)
+	got, err := base.patch(inst, remap, opts)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatal("the patch over the instance's store is not ApplyDelta's tree")
 	}

@@ -165,19 +165,20 @@ func (t *Tree) flatten() *Tree {
 // ceil(P^(1/depth)), shrinking the node count by that factor per level;
 // building stops early once another level could not shrink the top.
 //
-// The candidates are lowered to flat columns once, up front
-// (search.Lower), and every per-row loop of the build — split
-// selection, representatives — is a pass over those columns; the
-// lowering is dropped when the build returns.
+// Every per-row loop of the build — split selection, representatives
+// — is a pass over the candidates' columns: the table's image, read by
+// tuple id, for an instance prepared from a table (Instance.Lowered),
+// else a lowering of the candidates made up front and dropped when the
+// build returns.
 //
 // When Options.Ctx is canceled mid-build the function returns early
 // with whatever levels are complete so far (none, if the leaves were
 // not); such a tree is incomplete and every caller on the cancellation
 // path (solver.buildFresh) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
-	cols := search.Lower(inst.Rows, nil, lifecycle.Poll(opts.Ctx))
+	cols, at := inst.Lowered(opts.Ctx)
 	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1, orders: new(leafOrders)}
-	leaves := leafNodes(cols, len(inst.Rows), t.Attrs, opts)
+	leaves, covered := leafNodes(cols, at, len(inst.Rows), t.Attrs, opts)
 	t.Levels = [][]Node{leaves}
 	depth := opts.depth()
 	if depth <= 1 || len(leaves) == 0 || opts.stopped() {
@@ -190,10 +191,6 @@ func BuildTree(inst *search.Instance, opts Options) *Tree {
 	fanout := 2 * int(math.Ceil(math.Pow(float64(len(leaves)), 1/float64(depth))))
 	if fanout < 2 {
 		fanout = 2
-	}
-	covered := make([][]int, len(leaves)) // the top level's covered tuples, per node
-	for i := range leaves {
-		covered[i] = leaves[i].Tuples
 	}
 	for t.Depth < depth && len(t.Levels[0]) > fanout && !opts.stopped() {
 		parents, unions := groupLevel(cols, t.Levels[0], covered, t.Attrs, fanout, opts)
@@ -208,16 +205,16 @@ func BuildTree(inst *search.Instance, opts Options) *Tree {
 }
 
 // groupLevel builds one level of internal nodes over children, whose
-// covered tuples are covered[ci]: the children's representatives are
-// median-split into groups of at most fanout, and each group becomes a
-// parent whose representative is recomputed over the sorted union of
-// its children's covered tuples (a tuple-weighted mean, more faithful
+// covered tuples are the rows covered[ci] of cols: the children's
+// representatives are median-split into groups of at most fanout, and
+// each group becomes a parent whose representative is recomputed over
+// the sorted union of its children's covered tuples (a tuple-weighted mean, more faithful
 // than averaging child representatives). A parent keeps only its
 // children; the unions are returned beside the parents for the level
 // above and are scratch, dropped with the build. Parents are
 // independent, so their unions and representatives are computed across
-// workers. cols is the lowering of the candidates; nil is returned when
-// the build was canceled.
+// workers. cols are the candidates' columns; nil is returned when the
+// build was canceled.
 func groupLevel(cols *search.Columns, children []Node, covered [][]int, attrs []int, fanout int, opts Options) ([]Node, [][]int) {
 	repRows := make([]schema.Row, len(children))
 	for i := range children {
@@ -230,7 +227,7 @@ func groupLevel(cols *search.Columns, children []Node, covered [][]int, attrs []
 	}
 	workers := opts.workers()
 	split := &splitter{tau: fanout, lim: newLimiter(workers), stop: stop}
-	groups := split.medianSplit(repCols, 0, len(children), shuffledAttrs(attrs, opts.Seed))
+	groups := split.medianSplit(repCols, nil, 0, len(children), shuffledAttrs(attrs, opts.Seed))
 	if opts.stopped() {
 		return nil, nil
 	}
