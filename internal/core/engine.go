@@ -354,7 +354,7 @@ func PrepareQueryContext(ctx context.Context, db *minidb.DB, q *paql.Query) (*Pr
 	}
 	version := table.Version()
 	inst.Image = func(ctx context.Context) (*search.Columns, error) {
-		img, _, err := snapshotsOf(table).imageAt(ctx, table, version, nil)
+		img, _, err := snapshotsOf(table).imageAt(ctx, table, version, len(inst.IDs), nil, false)
 		if img == nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/minidb"
 	"repro/internal/sketch"
 )
 
@@ -13,7 +14,11 @@ import (
 // table's image (candidateStore) keeps one RowHash per row, made the
 // first time a sketch evaluation needs it and advanced along the table's
 // delta log — only appended rows are hashed — and a fingerprint combines
-// the kept hashes at its candidates' ids.
+// the kept hashes at its candidates' ids. Candidates too few of the
+// table's rows to make or advance the image (imageShare) read it only
+// where one stands at their version; otherwise their snapshot keeps their
+// hashes, carried across writes for the survivors, so a fingerprint
+// hashes only the candidates a write appended.
 //
 // The candidate snapshot of a (table, WHERE) pair carries, once a
 // sketch evaluation has asked, one lineage record per tree shape
@@ -52,8 +57,9 @@ func NewFingerprintMemo() *FingerprintMemo { return &FingerprintMemo{} }
 // evaluations whose shape's lineage stood where the candidates do — at
 // their version, or moved by writes that missed them — and RowsHashed
 // the rows whose cells were hashed for the lookups: a table's whole
-// image once, then the rows writes appended, and the candidates of a
-// preparation the table has moved past.
+// image once, then the rows writes appended; a selective WHERE's
+// candidates once, then the candidates writes appended; and the
+// candidates of a preparation the table has moved past.
 type FingerprintMemoStats struct {
 	Lookups    int64
 	Hits       int64
@@ -85,12 +91,14 @@ func (m *FingerprintMemo) Advance(prep *Prepared) (uint64, *sketch.PatchSpec) {
 
 	next, patch, warm := f, (*sketch.PatchSpec)(nil), true
 	if f == nil || !f.at(prep) {
-		var read *logRead // the delta since f, read once for the lineage and the image
+		var delta *minidb.TableDelta // since f, read once for the lineage and the image
+		ok := false
 		if f != nil {
-			read = readLog(prep.Table, f.version)
+			d, dok := prep.Table.DeltaSince(f.version)
+			delta, ok = &d, dok
 		}
-		next = &fingerprint{version: prep.TableVersion, ids: prep.Instance.IDs, fp: m.combine(store, prep, read)}
-		patch, warm = replay(f, next, prep, read)
+		next = &fingerprint{version: prep.TableVersion, ids: prep.Instance.IDs, fp: m.combine(store, key, prep, delta, ok)}
+		patch, warm = replay(f, next, prep, delta, ok)
 	}
 	if warm {
 		m.hits.Add(1)
@@ -107,16 +115,20 @@ func (m *FingerprintMemo) Advance(prep *Prepared) (uint64, *sketch.PatchSpec) {
 }
 
 // combine is the fingerprint of prep's candidates: their row hashes in
-// the table's image at prep's version, combined. A preparation the table
-// has moved past has no image; its candidates are hashed here.
-func (m *FingerprintMemo) combine(store *candidateStore, prep *Prepared, read *logRead) uint64 {
-	img, hashed, _ := store.imageAt(nil, prep.Table, prep.TableVersion, read) // no context: nothing cancels it
+// the table's image at prep's version, combined. Without an image — the
+// candidates are too few of the table's rows to make one (imageAt) — the
+// candidates' own hashes, which the snapshot of key keeps
+// (candidateHashes), are combined.
+func (m *FingerprintMemo) combine(store *candidateStore, key string, prep *Prepared, delta *minidb.TableDelta, ok bool) uint64 {
+	ids := prep.Instance.IDs
+	img, hashed, _ := store.imageAt(nil, prep.Table, prep.TableVersion, len(ids), delta, ok) // no context: nothing cancels it
 	if img == nil {
-		m.rowsHashed.Add(int64(len(prep.Instance.Rows)))
-		return sketch.Fingerprint(prep.Instance.Rows)
+		hs, hashed := store.candidateHashes(key, prep)
+		m.rowsHashed.Add(int64(hashed))
+		return sketch.CombineRowHashes(hs)
 	}
 	m.rowsHashed.Add(int64(hashed))
-	return sketch.CombineRowHashesAt(img.hashes, prep.Instance.IDs)
+	return sketch.CombineRowHashesAt(img.hashes, ids)
 }
 
 // at reports that the record stands at prep's version: its fingerprint is
@@ -126,19 +138,16 @@ func (f *fingerprint) at(prep *Prepared) bool {
 }
 
 // replay relates next, prep's record, to f, the shape's record at an
-// earlier version, along the table's delta log read since f: the survivor
+// earlier version, along delta, the table's delta log read since f (ok its
+// success; nil when there is no f): the survivor
 // remap the candidate snapshot advances by (survivors) becomes the patch
 // spec — nil when the fingerprint did not move, which is warm. Both are
 // nil and false when there is no earlier record, the delta aged out of
 // the log, or the candidates contradict it: every survivor must sit where
 // the deletions before it shifted it, and every other candidate must have
 // been appended.
-func replay(f, next *fingerprint, prep *Prepared, read *logRead) (patch *sketch.PatchSpec, warm bool) {
-	if f == nil {
-		return nil, false
-	}
-	delta, ok := read.since(prep.Table, f.version)
-	if !ok || delta.Current != prep.TableVersion {
+func replay(f, next *fingerprint, prep *Prepared, delta *minidb.TableDelta, ok bool) (patch *sketch.PatchSpec, warm bool) {
+	if f == nil || !ok || delta.Current != prep.TableVersion {
 		return nil, false
 	}
 	ids := prep.Instance.IDs

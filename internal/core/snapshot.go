@@ -36,7 +36,8 @@ type candidateStore struct {
 	mu      sync.Mutex
 	entries map[string]*snapshot // by whereKey
 	clock   uint64               // ticks once per use; the least recently used entry is evicted first
-	img     *image               // the newest image; nil until a sketch evaluation asked
+	img     *image               // the newest image; nil until a sketch evaluation asked, and once idle
+	imgRead uint64               // the clock when a sketch evaluation last read img
 	imgStep *imageStep           // the making of the next, if any
 }
 
@@ -44,11 +45,26 @@ type candidateStore struct {
 // entries pin in total, counted in candidate-length slots (snapshot.size):
 // an id per candidate at first sight; a promoted entry also a row header
 // per candidate and one slot per candidate for each vector its pass store
-// keeps. Entries the table has moved past keep theirs until asked again
-// or evicted. The image is the table's, one per store, and not counted.
+// keeps; an entry a fingerprint hashed without an image also a hash per
+// candidate. Entries the table has moved past keep theirs until asked again
+// or evicted.
+//
+// The image is the table's, one per store, and not counted there: its
+// size follows the table, not the candidates. Two bounds hold it instead.
+// Only an evaluation whose candidates are at least 1/imageShare of the
+// table's rows makes or advances it, so making it costs at most imageShare
+// times the hashing and lowering that evaluation would have done over its
+// own candidates; a selective WHERE over a large table lowers its
+// candidates for each build, as a preparation without a table does, keeps
+// their hashes on its snapshot (candidateHashes), and reads an image only
+// when one already stands at its version. And an image no
+// sketch evaluation has read for imageMaxIdle uses of the store is
+// dropped (touch), so a table whose sketch traffic stopped lets it go.
 const (
 	memoMaxEntries = 32
 	memoMaxRows    = 4 << 20
+	imageShare     = 4
+	imageMaxIdle   = 2 * memoMaxEntries
 )
 
 // snapshot is what one (table, WHERE) pair keeps. It is made at first
@@ -69,7 +85,12 @@ type snapshot struct {
 	ids     []int  // candidate row ids (positions) at that version
 	rows    []schema.Row
 	passes  *translate.Passes // over rows; nil until promoted
-	next    *advance          // the advance in flight to a newer version, if any
+	// hashes holds the RowHash of the first len(hashes) candidates, for
+	// fingerprints without an image (candidateHashes): nil until one
+	// asked, and carried across writes for the survivors only, so an
+	// advance hashes nothing and the next fingerprint the appended rows.
+	hashes []uint64
+	next   *advance // the advance in flight to a newer version, if any
 	// lineage is FingerprintMemo's half: one record per tree shape
 	// (sketch.AttrsOf), empty until a sketch evaluation asked.
 	lineage map[string]*fingerprint
@@ -86,6 +107,7 @@ type advance struct {
 	e        *snapshot
 	from, to uint64
 	ids      []int
+	hashes   []uint64                   // the entry's, a prefix of ids'
 	passes   *translate.Passes          // nil: the entry is promoted by this advance
 	once     lifecycle.Once[candidates] // scanned: the appended rows the predicate was evaluated on
 }
@@ -111,10 +133,11 @@ type fingerprint struct {
 // fingerprints combine at their candidates' ids, and the rows as columns
 // with one table-wide dictionary per text column, which tree builds and
 // patches read by tuple id (search.Instance.Image). The store keeps the
-// newest. It is made at the first sketch evaluation that needs it — an
-// exact-only workload never makes one — and advanced along the delta log
-// after writes: the survivors' hashes and cells are copied, only appended
-// rows are hashed and lowered. A published image is never written.
+// newest. It is made at the first sketch evaluation over a large enough
+// share of the table that needs it — an exact-only workload never makes
+// one — and advanced along the delta log after writes: the survivors'
+// hashes and cells are copied, only appended rows are hashed and lowered.
+// A published image is never written.
 type image struct {
 	version uint64
 	hashes  []uint64        // RowHash per table row
@@ -151,8 +174,9 @@ func whereKey(q *paql.Query) string {
 type candidates struct {
 	passes  *translate.Passes // over the candidate rows
 	ids     []int
-	scanned int  // table rows the base constraints were evaluated on
-	hit     bool // served by the snapshot: no predicate evaluated
+	hashes  []uint64 // an advance's: the survivors' kept hashes
+	scanned int      // table rows the base constraints were evaluated on
+	hit     bool     // served by the snapshot: no predicate evaluated
 }
 
 // candidatesOf returns the tuples of the table that satisfy the query's
@@ -221,7 +245,7 @@ func (s *candidateStore) lookup(key string, version uint64, table []schema.Row) 
 	s.touch(e)
 	if e.version < version {
 		if e.next == nil || e.next.to != version {
-			e.next = &advance{e: e, from: e.version, to: version, ids: e.ids, passes: e.passes}
+			e.next = &advance{e: e, from: e.version, to: version, ids: e.ids, hashes: e.hashes, passes: e.passes}
 		}
 		return candidates{}, e.next, false
 	}
@@ -247,6 +271,14 @@ func (a *advance) run(ctx context.Context, table *minidb.Table, where expr.Expr)
 		return nil, err
 	}
 	got, rows := &candidates{ids: ids, scanned: len(appended)}, gather(table.Rows, ids)
+	if a.hashes != nil {
+		got.hashes = make([]uint64, 0, len(ids))
+		for i, h := range a.hashes {
+			if remap[i] >= 0 {
+				got.hashes = append(got.hashes, h)
+			}
+		}
+	}
 	if a.passes == nil {
 		got.passes = translate.NewPasses(rows)
 		return got, nil
@@ -269,7 +301,7 @@ func (s *candidateStore) install(key string, a *advance, got *candidates) {
 	if s.entries[key] != e || e.version >= a.to {
 		return
 	}
-	e.version, e.ids, e.rows, e.passes = a.to, got.ids, got.passes.Rows(), got.passes
+	e.version, e.ids, e.rows, e.passes, e.hashes = a.to, got.ids, got.passes.Rows(), got.passes, got.hashes
 	s.evict(e)
 }
 
@@ -319,7 +351,7 @@ func (s *candidateStore) sight(key string, version uint64, ids []int) {
 	defer s.mu.Unlock()
 	e := s.entry(key)
 	if !e.sighted || e.version < version {
-		e.sighted, e.version, e.ids, e.rows, e.passes, e.next = true, version, ids, nil, nil, nil
+		e.sighted, e.version, e.ids, e.rows, e.passes, e.hashes, e.next = true, version, ids, nil, nil, nil, nil
 	}
 	s.evict(e)
 }
@@ -336,9 +368,14 @@ func (s *candidateStore) entry(key string) *snapshot {
 	return e
 }
 
+// touch marks e used, and drops an image no sketch evaluation has read for
+// imageMaxIdle uses.
 func (s *candidateStore) touch(e *snapshot) {
 	s.clock++
 	e.used = s.clock
+	if s.img != nil && s.clock-s.imgRead > imageMaxIdle {
+		s.img = nil
+	}
 }
 
 // evict drops least recently used entries until the store is within its
@@ -362,12 +399,12 @@ func (s *candidateStore) evict(keep *snapshot) {
 	}
 }
 
-// size is what the entry pins, in candidate-length slots: its ids and,
-// promoted, a row header and one slot per vector its pass store keeps for
-// each candidate. Lineage records hold ids the snapshot held and a
-// fingerprint.
+// size is what the entry pins, in candidate-length slots: its ids, its
+// candidates' hashes and, promoted, a row header and one slot per vector
+// its pass store keeps for each candidate. Lineage records hold ids the
+// snapshot held and a fingerprint.
 func (e *snapshot) size() int {
-	n := len(e.ids)
+	n := len(e.ids) + len(e.hashes)
 	if e.passes != nil {
 		n += len(e.rows) * (1 + e.passes.Kept())
 	}
@@ -390,8 +427,8 @@ func (e *snapshot) lineageFor(shape string) *fingerprint {
 	return newest
 }
 
-// retained counts what the store holds beyond ids and hashes: candidate
-// row headers and pass stores.
+// retained counts what the store holds beyond ids: candidate row headers
+// and pass stores.
 func (s *candidateStore) retained() (rows, stores int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -404,22 +441,57 @@ func (s *candidateStore) retained() (rows, stores int) {
 	return rows, stores
 }
 
-// imageAt returns the table's image at version, with the rows its making
-// hashed when this call made it: the store's, or one made from it and the
-// table as it stands now. nil (and no error) when the table has moved
-// past version and the store keeps no image at it — the rows at version
-// are gone. Neither the build nor the advance runs under the store's
-// lock. ctx, which may be nil, cancels a build from scratch; an advance
-// runs to its end. read, when not nil, is the caller's read of the delta
-// log, which an advance from its base takes instead of reading the log
-// again.
-func (s *candidateStore) imageAt(ctx context.Context, t *minidb.Table, version uint64, read *logRead) (*image, int, error) {
+// candidateHashes returns a RowHash per candidate of prep, which has no
+// image to read, and the rows it hashed: the ones the snapshot of key
+// keeps at prep's version, the rest — the rows appended since the
+// snapshot last kept them, or every row at first — hashed here and kept.
+// A selective WHERE's fingerprint thus hashes its candidates once, and
+// after a write only the candidates the write appended.
+func (s *candidateStore) candidateHashes(key string, prep *Prepared) ([]uint64, int) {
+	rows := prep.Instance.Rows
+	s.mu.Lock()
+	e := s.entries[key]
+	var kept []uint64
+	if e != nil && e.version == prep.TableVersion && len(e.ids) == len(rows) {
+		kept = e.hashes
+	}
+	s.mu.Unlock()
+	if kept != nil && len(kept) == len(rows) {
+		return kept, 0
+	}
+	hs := make([]uint64, len(rows))
+	copy(hs, kept)
+	for i := len(kept); i < len(rows); i++ {
+		hs[i] = sketch.RowHash(rows[i])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e != nil && s.entries[key] == e && e.version == prep.TableVersion && len(e.ids) == len(rows) && len(e.hashes) < len(hs) {
+		e.hashes = hs
+		s.evict(e)
+	}
+	return hs, len(rows) - len(kept)
+}
+
+// imageAt returns the table's image at version to a caller reading n of
+// its rows, with the rows its making hashed when this call made it: the
+// store's, or one made from it and the table as it stands now. nil (and
+// no error) when the store keeps none at version and the caller may not
+// make one: the table has moved past version — the rows at version are
+// gone — or n is under 1/imageShare of the table's rows. Neither the build
+// nor the advance runs under the store's lock. ctx, which may be nil,
+// cancels a build from scratch; an advance runs to its end. delta, when
+// not nil, is the caller's read of the delta log since delta.Base and ok
+// its success, which an advance from there takes instead of reading the
+// log again.
+func (s *candidateStore) imageAt(ctx context.Context, t *minidb.Table, version uint64, n int, delta *minidb.TableDelta, ok bool) (*image, int, error) {
 	s.mu.Lock()
 	if img := s.img; img != nil && img.version == version {
+		s.imgRead = s.clock
 		s.mu.Unlock()
 		return img, 0, nil
 	}
-	if t.Version() != version {
+	if t.Version() != version || n*imageShare < len(t.Rows) {
 		s.mu.Unlock()
 		return nil, 0, nil
 	}
@@ -432,19 +504,20 @@ func (s *candidateStore) imageAt(ctx context.Context, t *minidb.Table, version u
 	made := false
 	img, err := step.once.Get(ctx, func() (*image, error) {
 		made = true
-		return step.run(ctx, t, read)
+		return step.run(ctx, t, delta, ok)
 	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.imgStep == step {
+		s.imgStep = nil // a failed step is not kept either: it would pin the image it started from
+	}
 	if err != nil {
 		return nil, 0, err
-	}
-	s.mu.Lock()
-	if s.imgStep == step {
-		s.imgStep = nil
 	}
 	if s.img == nil || s.img.version < img.version {
 		s.img = img
 	}
-	s.mu.Unlock()
+	s.imgRead = s.clock
 	if !made {
 		return img, 0, nil
 	}
@@ -455,15 +528,20 @@ func (s *candidateStore) imageAt(ctx context.Context, t *minidb.Table, version u
 // version: advanced from the image before it along the delta log, or,
 // when the log cannot explain the gap (aged out, or its read failing) or
 // the columns cannot be advanced (search.Columns.Advance), built afresh.
-func (st *imageStep) run(ctx context.Context, t *minidb.Table, read *logRead) (*image, error) {
+// delta and ok are imageAt's.
+func (st *imageStep) run(ctx context.Context, t *minidb.Table, delta *minidb.TableDelta, ok bool) (*image, error) {
 	if f := st.from; f != nil {
-		if d, ok := read.since(t, f.version); ok && d.Current == st.to {
-			if cols := f.cols.Advance(t.Rows, d.Deleted); cols != nil {
-				hs := search.Compacted(f.hashes, d.Deleted, len(t.Rows))
-				for i := d.AppendedStart; i < len(hs); i++ {
+		if delta == nil || delta.Base != f.version {
+			d, dok := t.DeltaSince(f.version)
+			delta, ok = &d, dok
+		}
+		if ok && delta.Current == st.to {
+			if cols := f.cols.Advance(t.Rows, delta.Deleted); cols != nil {
+				hs := search.Compacted(f.hashes, delta.Deleted, len(t.Rows))
+				for i := delta.AppendedStart; i < len(hs); i++ {
 					hs[i] = sketch.RowHash(t.Rows[i])
 				}
-				return &image{version: st.to, hashes: hs, cols: cols, hashed: len(hs) - d.AppendedStart}, nil
+				return &image{version: st.to, hashes: hs, cols: cols, hashed: len(hs) - delta.AppendedStart}, nil
 			}
 		}
 	}
@@ -483,29 +561,4 @@ func (st *imageStep) run(ctx context.Context, t *minidb.Table, read *logRead) (*
 	}
 	cols.Trim()
 	return &image{version: st.to, hashes: hs, cols: cols, hashed: len(hs)}, nil
-}
-
-// logRead is one read of the table's delta log from base: what
-// minidb.Table.DeltaSince returned. A sketch evaluation reads the log
-// once for its fingerprint lineage and hands the read to the image,
-// which usually stands at the same version.
-type logRead struct {
-	base  uint64
-	delta minidb.TableDelta
-	ok    bool
-}
-
-// readLog reads the table's delta log from base.
-func readLog(t *minidb.Table, base uint64) *logRead {
-	d, ok := t.DeltaSince(base)
-	return &logRead{base: base, delta: d, ok: ok}
-}
-
-// since is the delta from base: r's when r was read from there, else a
-// read of its own.
-func (r *logRead) since(t *minidb.Table, base uint64) (minidb.TableDelta, bool) {
-	if r != nil && r.base == base {
-		return r.delta, r.ok
-	}
-	return t.DeltaSince(base)
 }

@@ -20,7 +20,9 @@ import (
 // lowers each table once, keeps the lowering beside the table, advances
 // it along the table's writes (Advance) and hands it to the instances
 // prepared from the table (Instance.Image), so a build or patch reads
-// its candidates' cells by tuple id and lowers nothing. Every build at
+// its candidates' cells by tuple id and lowers nothing. Candidates too
+// small a share of their table to make or advance the image are lowered
+// by Lower, as a table-less instance's are. Every build at
 // one table version shares that lowering, so it is never written once
 // made. Lower serves what has no table — the candidates of a table-less
 // instance, a level's representative rows — and that lowering is

@@ -44,8 +44,10 @@ type Instance struct {
 	// Image, when set, returns the table the candidates were drawn from,
 	// lowered to columns at the candidates' version — candidate j is row
 	// IDs[j] of it — made by the first caller, whom ctx may cancel. It
-	// returns nil, nil once the table has moved past that version with no
-	// lowering kept at it. The engine sets it on an instance prepared from
+	// returns nil, nil when none is kept at that version and none may be
+	// made: the table has moved past it, or the candidates are too small
+	// a share of the table to lower it whole. The engine sets it on an
+	// instance prepared from
 	// a table; nothing reads it until a tree is built or patched.
 	Image func(ctx context.Context) (*Columns, error)
 
