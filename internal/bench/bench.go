@@ -89,7 +89,7 @@ var experiments = []experiment{
 	{"e7", "§5 diverse package results beat top-k on distance", RunE7},
 	{"e10", "worker fan-out and the on-disk tree tier at 1M–10M rows", RunE10},
 	{"e14", "admission control under concurrent clients: QPS and p50/p95/p99", RunE14},
-	{"e16", "band-aware bound tightening at 1M rows", RunE16},
+	{"e16", "the certified bound on a band query at 1M rows", RunE16},
 }
 
 // List renders the experiments table, one "id  title" line each, for

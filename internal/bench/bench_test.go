@@ -19,7 +19,7 @@ var quickWant = map[string][]string{
 	"e7":  {"selection", "min-distance", "diverse"},
 	"e10": {"parallel", "speedup-vs-serial", "disk-warm cold start", "loaded"},
 	"e14": {"query lifecycle under load", "clients", "shed", "p99", "1/0", "sheds instead of queueing"},
-	"e16": {"band-aware bound tightening", "bound/tree-lp", "bound/pipeline"},
+	"e16": {"the certified bound on a band query", "bound/raw-lp", "master columns"},
 }
 
 // Every experiment in the table must run in quick mode and emit its

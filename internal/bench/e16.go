@@ -1,17 +1,15 @@
 package bench
 
-// E16 measures what the staged bound-tightening pipeline buys on
-// BETWEEN-heavy workloads — the band rows (GE/LE pairs over one weight
-// vector) the grouped relaxation is loosest on. The "tree-lp" cells stop
-// the pipeline at stage 1 (segmented leaf columns, no tightening) and the
-// "pipeline" cells run the stage the planner picks for band queries
-// (segmented columns + Lagrangian tightening rounds). The pipeline must
-// be no looser than stage 1 at every size, reach a ≤5% certified gap at
-// the largest full-mode size, and stay the size it was designed to be at
-// any row count — one grouping of at most 2·plan.SketchThreshold columns,
-// at most bound.DefaultTightenRounds rounds (the share of the solve it
-// takes is printed, not gated: it is a ratio of two clocks, and each has
-// been made faster since without the pass growing).
+// E16 measures the certified bound on a BETWEEN-heavy workload — the
+// band rows (GE/LE pairs over one weight vector) a grouped relaxation was
+// loosest on. One cell per size runs the band query under sketch and
+// reports the certified gap of the one certificate there is, the LP
+// relaxation over the raw candidates (raw-lp), and the size of the pass
+// that found it. It must reach a ≤5% certified gap at the largest
+// full-mode size and stay within its counted caps at every size: at most
+// bound.MaxColumns master columns and bound.MaxRounds pricing rounds.
+// The share of the solve the pass takes is printed, not gated: it is a
+// ratio of two clocks.
 
 import (
 	"fmt"
@@ -20,15 +18,13 @@ import (
 	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/lp"
-	"repro/internal/plan"
 	"repro/internal/search"
 	"repro/internal/sketch"
 )
 
 // E16Query is the BETWEEN-heavy meal workload: two band constraints on
 // correlated columns on top of the COUNT pin. Each band lowers to a
-// GE/LE row pair — exactly the rows the Lagrangian tightening stage
-// dualizes and the old envelope bound ignored almost entirely.
+// GE/LE row pair.
 const E16Query = `
 	SELECT PACKAGE(R) AS P
 	FROM recipes R
@@ -38,18 +34,15 @@ const E16Query = `
 	MAXIMIZE SUM(P.protein)`
 
 // e16FullTau and e16FullDepth are the partitioning knobs the full-size
-// cells run under (E10's too): τ=256 depth-2 trees keep the per-leaf
-// segments coarse enough that the tightening stages — not sheer
-// variable count — have to close the gap.
+// cells run under (E10's too): τ=256 depth-2 trees, so the descent the
+// bound is measured against is the coarse one.
 const (
 	e16FullTau   = 256
 	e16FullDepth = 2
 )
 
-// RunE16 sweeps the stage-1-vs-pipeline cells. It fails if the
-// pipeline is looser than stage 1 anywhere or its pass outgrows its
-// column and round budget, or if the largest full-mode cell misses the
-// ≤5% gap — the tightening work's whole claim.
+// RunE16 runs one cell per size. It fails if a pass outgrows its column
+// or round cap, or if the largest full-mode cell misses the ≤5% gap.
 func RunE16(cfg Config) error {
 	sizes := []int{100000, 1000000}
 	full := true
@@ -57,11 +50,11 @@ func RunE16(cfg Config) error {
 		sizes = []int{5000, 20000}
 		full = false
 	}
-	fmt.Fprintln(cfg.Out, "== E16: band-aware bound tightening — tree-lp vs pipeline ==")
-	tw := newTable(cfg.Out, "n", "cell", "time", "objective", "bound", "gap", "stage", "rounds", "bound-share")
+	fmt.Fprintln(cfg.Out, "== E16: the certified bound on a band query — one LP certificate at every size ==")
+	tw := newTable(cfg.Out, "n", "cell", "time", "objective", "bound", "gap", "stage", "rounds", "columns", "bound-share")
 	for _, n := range sizes {
 		gate := full && n == sizes[len(sizes)-1]
-		if err := runE16Tightening(cfg, tw, n, full, gate); err != nil {
+		if err := runE16Cell(cfg, tw, n, full, gate); err != nil {
 			tw.Flush() // show the measured rows alongside the gate failure
 			return err
 		}
@@ -69,14 +62,14 @@ func RunE16(cfg Config) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(cfg.Out, "(claim check: the staged pipeline is no looser than its stage-1 tree-lp bound on every BETWEEN-heavy cell)")
+	fmt.Fprintf(cfg.Out, "(claim check: every pass within %d master columns and %d pricing rounds; gap ≤ 5%% at the largest full-mode size)\n",
+		bound.MaxColumns, bound.MaxRounds)
 	return nil
 }
 
-// runE16Tightening runs the band query twice at one size — stage 1
-// alone, then the tightened pipeline — and enforces the no-looser gate,
-// the pass's size budget (and, when gate is set, the ≤5% gap).
-func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n int, full, gate bool) error {
+// runE16Cell answers the band query at one size and enforces the pass's
+// caps (and, when gate is set, the ≤5% gap).
+func runE16Cell(cfg Config, tw interface{ Write([]byte) (int, error) }, n int, full, gate bool) error {
 	db, err := recipesDB(n, cfg.seed())
 	if err != nil {
 		return err
@@ -85,76 +78,47 @@ func runE16Tightening(cfg Config, tw interface{ Write([]byte) (int, error) }, n 
 	if err != nil {
 		return err
 	}
-	base := sketch.Options{Seed: cfg.seed()}
+	o := sketch.Options{Seed: cfg.seed()}
 	if full {
-		base.MaxPartitionSize = e16FullTau
-		base.Depth = e16FullDepth
+		o.MaxPartitionSize = e16FullTau
+		o.Depth = e16FullDepth
 	}
-	cell := func(name, mode string) (*sketch.Result, time.Duration, error) {
-		o := base
-		o.BoundMode = mode
-		start := time.Now()
-		res, err := prep.Sketch.Solve(o)
-		elapsed := time.Since(start)
-		if err != nil {
-			return nil, 0, fmt.Errorf("e16: n=%d %s: %w", n, name, err)
-		}
-		if !res.Feasible || !res.Certified {
-			return nil, 0, fmt.Errorf("e16: n=%d %s: no certified package (feasible=%v certified=%v)", n, name, res.Feasible, res.Certified)
-		}
-		share := float64(res.BoundTime) / float64(elapsed)
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.2f%%\t%s\t%d\t%.1f%%\n",
-			n, name, ms(elapsed), res.Objective, res.Bound,
-			100*res.Gap, res.BoundStage, res.BoundRounds, 100*share)
-		return res, elapsed, nil
-	}
-	stage1, _, err := cell("bound/tree-lp", bound.StageTreeLP)
+	start := time.Now()
+	res, err := prep.Sketch.Solve(o)
+	elapsed := time.Since(start)
 	if err != nil {
-		return err
+		return fmt.Errorf("e16: n=%d: %w", n, err)
 	}
-	// The planner's pick for a band query: segmented columns plus the
-	// Lagrangian rounds.
-	pipe, _, err := cell("bound/pipeline", bound.StageTightened)
-	if err != nil {
-		return err
-	}
-	if pipe.Gap > stage1.Gap {
-		return fmt.Errorf("e16: n=%d: pipeline gap %.2f%% is looser than the tree-lp gap %.2f%%; tightening stages regressed",
-			n, 100*pipe.Gap, 100*stage1.Gap)
-	}
-	if gate && pipe.Gap > 0.05 {
-		return fmt.Errorf("e16: n=%d: pipeline certified gap %.2f%% exceeds the 5%% acceptance gate", n, 100*pipe.Gap)
+	if !res.Feasible || !res.Certified {
+		return fmt.Errorf("e16: n=%d: no certified package (feasible=%v certified=%v)", n, res.Feasible, res.Certified)
 	}
 	// What keeps the pass a small part of the solve at any n is its size,
-	// not a clock: one grouping (bound.TestPipelineSolvesEachGroupingOnce
-	// pins one LP solve for it) of a bounded number of columns, and a
-	// bounded number of rounds that are each one pass over the tuples.
-	pr, columns, err := boundPass(prep.Instance, base)
+	// not a clock: a master of a bounded number of columns, and a bounded
+	// number of rounds that are each one master solve and one pass over
+	// the tuples.
+	pr, err := boundPass(prep.Instance)
 	if err != nil {
 		return fmt.Errorf("e16: n=%d: bound pass: %w", n, err)
 	}
-	if pr.Stage != bound.StageTightened || columns > 2*plan.SketchThreshold || pr.Rounds > bound.DefaultTightenRounds {
-		return fmt.Errorf("e16: n=%d: the bound pass ran %s over %d columns in %d rounds (budget: %s, ≤ %d columns, ≤ %d rounds)",
-			n, pr.Stage, columns, pr.Rounds, bound.StageTightened, 2*plan.SketchThreshold, bound.DefaultTightenRounds)
+	fmt.Fprintf(tw, "%d\tbound/%s\t%s\t%.0f\t%.0f\t%.2f%%\t%s\t%d\t%d\t%.1f%%\n",
+		n, res.BoundStage, ms(elapsed), res.Objective, res.Bound, 100*res.Gap,
+		res.BoundStage, pr.Rounds, pr.Columns, 100*float64(res.BoundTime)/float64(elapsed))
+	if pr.Columns > bound.MaxColumns || pr.Rounds > bound.MaxRounds {
+		return fmt.Errorf("e16: n=%d: the bound pass ran %d rounds over %d master columns (caps: %d rounds, %d columns)",
+			n, pr.Rounds, pr.Columns, bound.MaxRounds, bound.MaxColumns)
+	}
+	if gate && res.Gap > 0.05 {
+		return fmt.Errorf("e16: n=%d: certified gap %.2f%% exceeds the 5%% acceptance gate", n, 100*res.Gap)
 	}
 	return nil
 }
 
-// boundPass runs the band query's tightened bound pass from outside, as
-// sketch.Solve runs it inside (one group per tree leaf, segmented, then
-// the pipeline), for the PipelineResult the engine's stats fold away and
-// the column count of the one relaxation it solves.
-func boundPass(inst *search.Instance, o sketch.Options) (bound.PipelineResult, int, error) {
-	leaves := sketch.BuildTree(inst, o).Leaves()
-	groups := make([]bound.Group, len(leaves))
-	for g := range leaves {
-		groups[g] = bound.Group{Tuples: leaves[g].Tuples, Hi: float64(len(leaves[g].Tuples) * inst.MaxMult)}
-	}
-	tupleHi := func(int) float64 { return float64(inst.MaxMult) }
-	groups = bound.SplitGroups(groups, inst.ObjW, lp.Maximize, 2*plan.SketchThreshold, nil, tupleHi)
-	pr, err := bound.RunPipeline(groups, bound.PipelineOptions{
+// boundPass runs the band query's bound pass from outside, as
+// sketch.Solve runs it inside, for the rounds and master size the
+// engine's stats fold away.
+func boundPass(inst *search.Instance) (bound.PipelineResult, error) {
+	return bound.Certify(bound.PipelineOptions{
 		Atoms: inst.Atoms, ObjW: inst.ObjW, Konst: inst.ObjK, Sense: lp.Maximize,
-		MaxStage: bound.StageTightened, TightenRounds: bound.DefaultTightenRounds, TupleHi: tupleHi,
+		TupleHi: func(int) float64 { return float64(inst.MaxMult) },
 	})
-	return pr, len(groups), err
 }

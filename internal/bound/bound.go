@@ -8,23 +8,12 @@
 // none can undercut it — so the true optimum provably lies between
 // the bound and any feasible incumbent's objective.
 //
-// The engine works over *groups* of candidates so the same machinery —
-// RunPipeline, the one entry, which builds each grouping's relaxation and
-// solves it — covers two regimes:
-//
-//   - Raw candidates: one singleton group per tuple (Candidates). The
-//     relaxation is the exact LP relaxation of the query's MILP — the
-//     tightest bound an LP can give — so the pipeline is capped at its
-//     first stage, StageTreeLP, and the sketch engine reports it as
-//     StageRawLP.
-//   - Partition-tree leaves: one group per leaf, with the leaf's tuple
-//     set as members. Constraint coefficients collapse to the safe end
-//     of the group's coefficient range (per-group minimum for ≤ rows,
-//     maximum for ≥ rows; the objective takes the optimistic end), so
-//     the LP has one variable per leaf instead of one per tuple and
-//     stays small at any scale. The proof obligation is one line: with
-//     w_t ≥ lo_g and m_t ≥ 0, lo_g·Σm_t ≤ Σw_t·m_t, so every integral
-//     feasible package maps to a feasible point of the grouped LP.
+// Certify finds that LP by column generation over the tuple columns and
+// certifies it by weak duality (see tighten.go): at any sign-correct
+// row multipliers y the Lagrangian L(y) is a true dual bound, and it is
+// computed under a rounding margin (lp.Lagrangian), so simplex round-off
+// cannot flip a true statement into a false one. There is one regime:
+// the rows, pins and eliminations of a branch at any candidate count.
 //
 // Disjunctive queries bound each DNF branch independently and merge
 // with Best: the union's optimum is bounded by the best branch bound.
@@ -32,52 +21,40 @@
 // infeasible relaxation is never treated as a proof that the original
 // query is infeasible, because the engine's lowering of strict
 // comparisons is epsilon-tightened.
-//
-// All certified bounds are padded by a relative numerical safety
-// margin in the safe direction (see Pad) so simplex round-off cannot
-// flip a true statement into a false one.
 package bound
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/fault"
 	"repro/internal/lp"
-	"repro/internal/translate"
 )
 
-// Group is one variable of the relaxation: a set of candidate tuple
-// indexes whose total multiplicity is relaxed to a single continuous
-// variable bounded by [Lo, Hi].
+// Group is a set of candidate tuples, the unit the benchmark's layer
+// trace hands RunPipeline. Only its tuples are read.
 type Group struct {
-	// Tuples lists the candidate indexes the group covers. Constraint
-	// and objective coefficients for the group are min/max reductions
-	// over these indexes.
+	// Tuples lists the candidate indexes the group covers.
 	Tuples []int
-	// Lo is the least total multiplicity the group must carry — the
-	// number of pinned tuples inside it.
-	Lo float64
-	// Hi caps the group's total multiplicity (tuple count × per-tuple
-	// cap, shrunk to the admissible supply); lp.Inf means uncapped.
+	// Hi is never read. The field stays only as the signature the
+	// benchmark's layer trace compiles against.
 	Hi float64
 }
 
-// Outcome is the result of one relaxation solve.
+// Outcome is the result of one relaxation's certificate.
 type Outcome struct {
 	// Bound is the certified dual bound on the objective, in the
 	// problem's sense: an upper bound for a maximization, a lower
 	// bound for a minimization. Valid only when Certified.
 	Bound float64
-	// Certified reports that the relaxation solved to proven
-	// optimality, so Bound is a true dual bound.
+	// Certified reports that Bound is a true dual bound: an L(y) under
+	// its rounding margin.
 	Certified bool
 	// Infeasible reports that the relaxation itself had no feasible
 	// point. This bounds nothing about the original query (the
 	// lowering of strict comparisons is epsilon-tightened), but for a
 	// DNF branch it means the branch contributes no candidate optimum.
 	Infeasible bool
-	// Iterations counts simplex iterations spent on the solve.
+	// Iterations counts the simplex iterations spent.
 	Iterations int
 }
 
@@ -130,147 +107,6 @@ func (iv Interval) FormatInterval() string {
 		lo, hi = hi, lo
 	}
 	return fmt.Sprintf("objective ∈ [%.6g, %.6g] (gap %s)", lo, hi, iv.FormatGap())
-}
-
-// Pad inflates a dual bound by a relative numerical safety margin in
-// the safe direction for the sense (up for a maximization bound, down
-// for a minimization bound), so floating-point round-off in the solve
-// cannot make the bound claim more than was proven.
-func Pad(b float64, sense lp.Sense) float64 {
-	margin := 1e-7 * (1 + math.Abs(b))
-	if sense == lp.Maximize {
-		return b + margin
-	}
-	return b - margin
-}
-
-// Candidates builds the singleton grouping over n raw candidates: one
-// group per tuple with Lo = 1 for pinned indexes and Hi = maxMult
-// (uncapped when maxMult ≤ 0). The resulting relaxation is the exact
-// LP relaxation of the query's MILP.
-func Candidates(n, maxMult int, pins map[int]bool) []Group {
-	hi := lp.Inf
-	if maxMult > 0 {
-		hi = float64(maxMult)
-	}
-	groups := make([]Group, n)
-	for i := range groups {
-		groups[i] = Group{Tuples: []int{i}, Hi: hi}
-		if pins[i] {
-			groups[i].Lo = 1
-		}
-	}
-	return groups
-}
-
-// relaxation is one grouping's LP relaxation together with the
-// reductions it was assembled from, so the pipeline stages that follow
-// the base solve (dual-row selection, multiplier seeding) read them
-// instead of scanning the tuples again.
-type relaxation struct {
-	groups []Group
-	// lo[i][g] and hi[i][g] are the minimum and maximum of atom i's
-	// tuple coefficients over group g.
-	lo, hi [][]float64
-	p      *lp.Problem
-	// row[i] is atom i's first LP row; an equality atom owns two, the ≤
-	// row over lo[i] and then the ≥ row over hi[i].
-	row []int
-}
-
-func newRelaxation(atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, groups []Group) (*relaxation, error) {
-	if err := fault.Check("bound.relax"); err != nil {
-		// Every certification stage builds its relaxation here, so this
-		// one site lets the chaos harness fail any bound pass; callers
-		// degrade to an uncertified answer, never a failed query.
-		return nil, err
-	}
-	r := &relaxation{
-		groups: groups,
-		lo:     make([][]float64, len(atoms)),
-		hi:     make([][]float64, len(atoms)),
-		p:      lp.NewProblem(len(groups)),
-		row:    make([]int, len(atoms)),
-	}
-	for g, grp := range groups {
-		if err := r.p.SetBounds(g, grp.Lo, grp.Hi); err != nil {
-			return nil, err
-		}
-	}
-	optimistic, objHi := envelope(objW, groups)
-	if sense == lp.Maximize {
-		optimistic = objHi
-	}
-	if err := r.p.SetObjective(optimistic, sense); err != nil {
-		return nil, err
-	}
-	coefs := make([]lp.Coef, 0, len(groups))
-	for i, at := range atoms {
-		r.lo[i], r.hi[i] = envelope(at.W, groups)
-		r.row[i] = r.p.NumRows()
-		// m ≥ 0 makes the min-coefficient sum a lower envelope of the
-		// true row value and the max-coefficient sum an upper envelope,
-		// so an equality is relaxed to the band between them.
-		if at.Op != lp.GE {
-			addRow(r.p, coefs, r.lo[i], lp.LE, at.RHS)
-		}
-		if at.Op != lp.LE {
-			addRow(r.p, coefs, r.hi[i], lp.GE, at.RHS)
-		}
-	}
-	return r, nil
-}
-
-// addRow appends one relaxed constraint row from its dense per-group
-// coefficients. coefs is scratch; the problem keeps its own copy.
-func addRow(p *lp.Problem, coefs []lp.Coef, dense []float64, op lp.Op, rhs float64) {
-	coefs = coefs[:0]
-	for g, c := range dense {
-		if c != 0 {
-			coefs = append(coefs, lp.Coef{Var: g, Val: c})
-		}
-	}
-	p.AddConstraint(coefs, op, rhs)
-}
-
-// envelope reduces a weight vector over every group's tuples to its
-// minimum and maximum in one pass; an empty group (or an empty vector)
-// contributes zero to both.
-func envelope(w []float64, groups []Group) (lo, hi []float64) {
-	both := make([]float64, 2*len(groups))
-	lo, hi = both[:len(groups):len(groups)], both[len(groups):]
-	if len(w) == 0 {
-		return lo, hi
-	}
-	for g, grp := range groups {
-		if len(grp.Tuples) == 0 {
-			continue
-		}
-		mn := w[grp.Tuples[0]]
-		mx := mn
-		for _, t := range grp.Tuples[1:] {
-			if v := w[t]; v < mn {
-				mn = v
-			} else if v > mx {
-				mx = v
-			}
-		}
-		lo[g], hi[g] = mn, mx
-	}
-	return lo, hi
-}
-
-// outcomeOf classifies one relaxation solve.
-func outcomeOf(sol *lp.Solution, sense lp.Sense, konst float64) Outcome {
-	out := Outcome{Iterations: sol.Iterations}
-	switch sol.Status {
-	case lp.StatusOptimal:
-		out.Bound = Pad(sol.Objective+konst, sense)
-		out.Certified = true
-	case lp.StatusInfeasible:
-		out.Infeasible = true
-	}
-	return out
 }
 
 // Best merges per-branch outcomes of a DNF union into one. The union's

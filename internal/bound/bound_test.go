@@ -4,17 +4,13 @@ package bound_test
 // the linear-atom layer: for any conjunction (or DNF union) of linear
 // atoms over integer multiplicities, a certified outcome's Bound must
 // never be beaten by the exact integer optimum — an upper bound for a
-// maximization, a lower bound for a minimization — for BOTH groupings
-// the engine uses (exact singleton relaxation and coarse coefficient-
-// range groups). TestBoundSoundness1000 replays ≥1000 deterministic
-// generated systems spanning the lowered forms of the full atom
-// grammar (SUM/COUNT/AVG/filtered atoms, MIN/MAX exclusion and
-// at-least-one rows, equalities, BETWEEN band pairs, disjunctions,
-// pins, objective constants) against the exact MILP and demands zero
-// violations. The same systems also run through the full tightening
-// pipeline (segment split + Lagrangian rounds) over the coarse groups,
-// with a gap-quantile gate the bare coarse envelope does not meet — the
-// regression tripwire for the stages.
+// maximization, a lower bound for a minimization. TestBoundSoundness1000
+// replays ≥1000 deterministic generated systems spanning the lowered
+// forms of the full atom grammar (SUM/COUNT/AVG/filtered atoms, MIN/MAX
+// exclusion and at-least-one rows, equalities, BETWEEN band pairs,
+// disjunctions, pins, objective constants) against the exact MILP and
+// demands zero violations, with quantile gates on how tight the
+// certificate runs.
 
 import (
 	"context"
@@ -28,15 +24,45 @@ import (
 	"repro/internal/translate"
 )
 
+// certify runs the pass over every tuple, each in [pin, maxMult] (maxMult
+// ≤ 0: uncapped).
+func certify(ctx context.Context, atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, konst float64, maxMult int, pins map[int]bool) (bound.PipelineResult, error) {
+	hi := lp.Inf
+	if maxMult > 0 {
+		hi = float64(maxMult)
+	}
+	return bound.Certify(bound.PipelineOptions{
+		Ctx: ctx, Atoms: atoms, ObjW: objW, Konst: konst, Sense: sense,
+		TupleLo: func(i int) float64 {
+			if pins[i] {
+				return 1
+			}
+			return 0
+		},
+		TupleHi: func(int) float64 { return hi },
+	})
+}
+
+// TestPadDirection: the rounding margin moves a bound the safe way — up
+// for a maximization, down for a minimization — and never past what the
+// arithmetic can be off by. One tuple pinned at 1 with weight 10 has LP
+// optimum 10 in either sense.
 func TestPadDirection(t *testing.T) {
-	if b := bound.Pad(10, lp.Maximize); b <= 10 {
-		t.Fatalf("maximize pad must raise the bound, got %g", b)
-	}
-	if b := bound.Pad(10, lp.Minimize); b >= 10 {
-		t.Fatalf("minimize pad must lower the bound, got %g", b)
-	}
-	if b := bound.Pad(-10, lp.Maximize); b <= -10 {
-		t.Fatalf("pad must move toward +inf for maximize even below zero, got %g", b)
+	for _, c := range []struct {
+		sense lp.Sense
+		konst float64
+	}{{lp.Maximize, 0}, {lp.Minimize, 0}, {lp.Maximize, -20}, {lp.Minimize, -20}} {
+		pr, err := certify(context.Background(), nil, []float64{10}, c.sense, c.konst, 1, map[int]bool{0: true})
+		if err != nil || !pr.Certified {
+			t.Fatalf("%+v: not certified (%v): %+v", c, err, pr)
+		}
+		want := 10 + c.konst
+		if c.sense == lp.Maximize && pr.Bound <= want || c.sense == lp.Minimize && pr.Bound >= want {
+			t.Errorf("%+v: bound %g is not padded away from the optimum %g", c, pr.Bound, want)
+		}
+		if math.Abs(pr.Bound-want) > 1e-12 {
+			t.Errorf("%+v: bound %g padded by more than its margin around %g", c, pr.Bound, want)
+		}
 	}
 }
 
@@ -53,86 +79,59 @@ func TestIntervalGap(t *testing.T) {
 	}
 }
 
-func TestCandidatesGrouping(t *testing.T) {
-	gs := bound.Candidates(3, 2, map[int]bool{1: true})
-	if len(gs) != 3 {
-		t.Fatalf("want 3 singleton groups, got %d", len(gs))
-	}
-	if gs[1].Lo != 1 || gs[0].Lo != 0 {
-		t.Fatalf("pin lower bounds wrong: %+v", gs)
-	}
-	if gs[0].Hi != 2 {
-		t.Fatalf("maxMult cap wrong: %+v", gs[0])
-	}
-	if un := bound.Candidates(1, 0, nil); !math.IsInf(un[0].Hi, 1) {
-		t.Fatalf("maxMult 0 must mean uncapped, got %g", un[0].Hi)
-	}
-}
-
-// rawLP certifies a grouping with the pipeline capped at its first
-// stage: one relaxation, one solve — the certificate the sketch engine
-// ships over raw candidates.
-func rawLP(ctx context.Context, atoms []*translate.LinearAtom, objW []float64, sense lp.Sense, konst float64, groups []bound.Group) (bound.Outcome, error) {
-	pr, err := bound.RunPipeline(groups, bound.PipelineOptions{
-		Ctx: ctx, Atoms: atoms, ObjW: objW, Konst: konst, Sense: sense, MaxStage: bound.StageTreeLP,
-	})
-	return pr.Outcome, err
-}
-
-// TestRelaxSingletonKnapsack pins the exact-relaxation regime on a
-// hand-checked knapsack: maximize 6m0+5m1+4m2 s.t. 5m0+4m1+3m2 ≤ 10,
-// 0 ≤ m ≤ 1. Density ordering fills m2 = 1, m1 = 1 and 3/5 of m0, so
-// the LP optimum is 12.6; the certified bound must be 12.6 plus pad,
-// and the integer optimum 11 must respect it.
+// TestRelaxSingletonKnapsack pins the certificate on a hand-checked
+// knapsack: maximize 6m0+5m1+4m2 s.t. 5m0+4m1+3m2 ≤ 10, 0 ≤ m ≤ 1.
+// Density ordering fills m2 = 1, m1 = 1 and 3/5 of m0, so the LP optimum
+// is 12.6; the certified bound must be 12.6 plus its margin, and the
+// integer optimum 11 must respect it.
 func TestRelaxSingletonKnapsack(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{5, 4, 3}, Op: lp.LE, RHS: 10}}
 	objW := []float64{6, 5, 4}
-	out, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, bound.Candidates(3, 1, nil))
+	out, err := certify(context.Background(), atoms, objW, lp.Maximize, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Certified {
-		t.Fatalf("knapsack relaxation must certify: %+v", out)
+	if !out.Certified || out.Rounds != 1 {
+		t.Fatalf("knapsack certificate: %+v, want certified in one round", out)
 	}
 	lpOpt := 12.6
-	if math.Abs(out.Bound-lpOpt) > 1e-6*lpOpt {
-		t.Fatalf("bound = %g, want LP optimum %g (+pad)", out.Bound, lpOpt)
-	}
-	if out.Bound < 11 {
-		t.Fatalf("bound %g beaten by integer optimum 11", out.Bound)
+	if out.Bound < lpOpt || out.Bound-lpOpt > 1e-12 {
+		t.Fatalf("bound = %g, want LP optimum %g plus its margin", out.Bound, lpOpt)
 	}
 }
 
-// TestRelaxGroupedEnvelope checks the coefficient-range reduction: a ≤
-// row must take each group's minimum weight and the maximize objective
-// its maximum, making the grouped optimum an over-estimate of the
-// singleton one — never an under-estimate.
+// TestRelaxGroupedEnvelope: RunPipeline, the benchmark trace's form,
+// certifies the tuples its groups hold, each within the tuple box — the
+// same certificate as Certify over the same tuples, however they are
+// grouped — and holds every other tuple at zero.
 func TestRelaxGroupedEnvelope(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{2, 8, 3, 9}, Op: lp.LE, RHS: 12}}
 	objW := []float64{1, 7, 2, 6}
-	fo, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, bound.Candidates(4, 1, nil))
+	one := func(int) float64 { return 1 }
+	po := bound.PipelineOptions{Atoms: atoms, ObjW: objW, Sense: lp.Maximize, TupleHi: one}
+	fine, err := bound.Certify(po)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := rawLP(context.Background(), atoms, objW, lp.Maximize, 0, []bound.Group{
-		{Tuples: []int{0, 1}, Hi: 2},
-		{Tuples: []int{2, 3}, Hi: 2},
-	})
+	grouped, err := bound.RunPipeline(bound.SplitGroups([]bound.Group{{Tuples: []int{0, 1}}, {Tuples: []int{2, 3}}}, objW, lp.Maximize, 8, nil, one), po)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fo.Certified || !co.Certified {
-		t.Fatalf("both relaxations must certify: %+v %+v", fo, co)
+	if !fine.Certified || grouped != fine {
+		t.Fatalf("grouped %+v, want Certify's %+v", grouped, fine)
 	}
-	if co.Bound < fo.Bound-1e-9 {
-		t.Fatalf("coarse bound %g below fine bound %g: grouping must only loosen", co.Bound, fo.Bound)
+	// Without tuple 1, m3 = 1 (weight 9) and m2 = 1 (weight 3) fill the
+	// row exactly: LP optimum 8.
+	part, err := bound.RunPipeline([]bound.Group{{Tuples: []int{0}}, {Tuples: []int{2, 3}}}, po)
+	if err != nil || !part.Certified || part.Bound < 8 || part.Bound-8 > 1e-12 {
+		t.Fatalf("tuple 1 held at zero: %+v (%v), want 8 plus its margin", part, err)
 	}
 }
 
 // TestSolveKonst: the affine objective constant dropped by the
 // translation must come back in the certified bound.
 func TestSolveKonst(t *testing.T) {
-	out, err := rawLP(context.Background(), nil, []float64{1}, lp.Maximize, 41, bound.Candidates(1, 1, nil))
+	out, err := certify(context.Background(), nil, []float64{1}, lp.Maximize, 41, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,18 +140,18 @@ func TestSolveKonst(t *testing.T) {
 	}
 }
 
-// TestSolveCanceled: an interrupted simplex proves nothing, so a
-// canceled context must never yield a certified outcome.
+// TestSolveCanceled: an interrupted pass proves nothing, so a canceled
+// context must never yield a certified outcome.
 func TestSolveCanceled(t *testing.T) {
 	atoms := []*translate.LinearAtom{{W: []float64{1, 2, 1, 3}, Op: lp.LE, RHS: 5}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := rawLP(ctx, atoms, []float64{3, 5, 4, 7}, lp.Maximize, 0, bound.Candidates(4, 0, nil))
+	out, err := certify(ctx, atoms, []float64{3, 5, 4, 7}, lp.Maximize, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Certified {
-		t.Fatalf("canceled solve certified a bound: %+v", out)
+		t.Fatalf("canceled pass certified a bound: %+v", out)
 	}
 }
 
@@ -381,69 +380,17 @@ func exactBranch(c boundCase, atoms []*translate.LinearAtom) (obj float64, feasi
 	return 0, false, false
 }
 
-// groupBound relaxes every branch under the given grouping and merges.
-func groupBound(c boundCase, groups []bound.Group) (bound.Outcome, error) {
+// caseBound certifies every branch and merges.
+func caseBound(c boundCase) (bound.Outcome, error) {
 	outs := make([]bound.Outcome, 0, len(c.branches))
 	for _, br := range c.branches {
-		out, err := rawLP(context.Background(), br, c.objW, c.sense, c.konst, groups)
+		pr, err := certify(context.Background(), br, c.objW, c.sense, c.konst, c.maxMult, c.pins)
 		if err != nil {
 			return bound.Outcome{}, err
 		}
-		outs = append(outs, out)
-	}
-	return bound.Best(c.sense, outs), nil
-}
-
-// pipelineBound runs the full tightening pipeline (segment split,
-// Lagrangian rounds) per branch over the coarse grouping and merges —
-// the tree-path bound the sketch engine ships above the raw-candidate
-// cap.
-func pipelineBound(c boundCase, coarse []bound.Group) bound.Outcome {
-	tupleLo := func(t int) float64 {
-		if c.pins[t] {
-			return 1
-		}
-		return 0
-	}
-	tupleHi := func(t int) float64 { return float64(c.maxMult) }
-	outs := make([]bound.Outcome, 0, len(c.branches))
-	for _, br := range c.branches {
-		split := bound.SplitGroups(coarse, c.objW, c.sense, 4*len(coarse), tupleLo, tupleHi)
-		pr, _ := bound.RunPipeline(split, bound.PipelineOptions{
-			Ctx:           context.Background(),
-			Atoms:         br,
-			ObjW:          c.objW,
-			Konst:         c.konst,
-			Sense:         c.sense,
-			TightenRounds: bound.DefaultTightenRounds,
-			TupleLo:       tupleLo,
-			TupleHi:       tupleHi,
-		})
 		outs = append(outs, pr.Outcome)
 	}
-	return bound.Best(c.sense, outs)
-}
-
-// coarseGroups shuffles the candidates into 2-5 groups with Lo = pin
-// count and Hi = member count × maxMult, mimicking tree leaves.
-func coarseGroups(c boundCase, rng *rand.Rand) []bound.Group {
-	perm := rng.Perm(c.n)
-	k := 2 + rng.Intn(4)
-	if k > c.n {
-		k = c.n
-	}
-	groups := make([]bound.Group, k)
-	for i, t := range perm {
-		g := &groups[i%k]
-		g.Tuples = append(g.Tuples, t)
-		if c.pins[t] {
-			g.Lo++
-		}
-	}
-	for i := range groups {
-		groups[i].Hi = float64(len(groups[i].Tuples) * c.maxMult)
-	}
-	return groups
+	return bound.Best(c.sense, outs), nil
 }
 
 // beats reports a violation: the exact optimum strictly beyond the
@@ -457,11 +404,11 @@ func beats(sense lp.Sense, exact, b, tol float64) bool {
 }
 
 // TestBoundSoundness1000 is the deterministic differential corpus: at
-// least 1000 generated systems (a smaller slice under -short) where
-// the exact MILP proves its answer, each checked against BOTH the
-// singleton and the coarse grouped relaxation, with zero bound
-// violations, per-atom-kind coverage, and quantile gates on how tight
-// the exact relaxation runs.
+// least 1000 generated systems (a smaller slice under -short) where the
+// exact MILP proves its answer, each checked against the certificate,
+// with zero bound violations, per-atom-kind coverage, no infeasibility
+// claimed where a package exists, and quantile gates on how tight the
+// certificate runs.
 func TestBoundSoundness1000(t *testing.T) {
 	target := 1000
 	if testing.Short() {
@@ -470,7 +417,7 @@ func TestBoundSoundness1000(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	kinds := map[string]int{}
 	ran, feasible, infeasAgree := 0, 0, 0
-	var gaps, coarseGaps, pipeGaps []float64
+	var gaps []float64
 	for attempts := 0; ran < target && attempts < 4*target; attempts++ {
 		c := genBoundCase(rng)
 
@@ -494,53 +441,27 @@ func TestBoundSoundness1000(t *testing.T) {
 			kinds[k]++
 		}
 
-		fine, err := groupBound(c, bound.Candidates(c.n, c.maxMult, c.pins))
+		cert, err := caseBound(c)
 		if err != nil {
-			t.Fatalf("fine relax: %v", err)
+			t.Fatalf("certify: %v", err)
 		}
-		cg := coarseGroups(c, rng)
-		coarse, err := groupBound(c, cg)
-		if err != nil {
-			t.Fatalf("coarse relax: %v", err)
-		}
-		pipe := pipelineBound(c, cg)
-
 		if exactFeasible {
 			feasible++
 			tol := 1e-6 * (1 + math.Abs(exactObj))
-			if fine.Certified && beats(c.sense, exactObj, fine.Bound, tol) {
-				t.Fatalf("BOUND VIOLATION (singleton): exact %g beats certified bound %g (sense %v, case %d)",
-					exactObj, fine.Bound, c.sense, ran)
-			}
-			if coarse.Certified && beats(c.sense, exactObj, coarse.Bound, tol) {
-				t.Fatalf("BOUND VIOLATION (grouped): exact %g beats certified bound %g (sense %v, case %d)",
-					exactObj, coarse.Bound, c.sense, ran)
-			}
-			if pipe.Certified && beats(c.sense, exactObj, pipe.Bound, tol) {
-				t.Fatalf("BOUND VIOLATION (pipeline): exact %g beats certified bound %g (sense %v, case %d)",
-					exactObj, pipe.Bound, c.sense, ran)
+			if cert.Certified && beats(c.sense, exactObj, cert.Bound, tol) {
+				t.Fatalf("BOUND VIOLATION: exact %g beats certified bound %g (sense %v, case %d)",
+					exactObj, cert.Bound, c.sense, ran)
 			}
 			// At the linear-atom layer the relaxation's feasible set
 			// contains every integral package, so a certified-infeasible
 			// union with an exactly-feasible instance is a soundness bug.
-			// The pipeline's stages only refine, so the same holds for it.
-			if fine.Infeasible || coarse.Infeasible || pipe.Infeasible {
-				t.Fatalf("relaxation claims infeasible but exact found %g (case %d)", exactObj, ran)
+			if cert.Infeasible {
+				t.Fatalf("certificate claims infeasible but exact found %g (case %d)", exactObj, ran)
 			}
-			if fine.Certified {
-				gaps = append(gaps, bound.Interval{Found: exactObj, Bound: fine.Bound}.Gap())
+			if cert.Certified {
+				gaps = append(gaps, bound.Interval{Found: exactObj, Bound: cert.Bound}.Gap())
 			}
-			if coarse.Certified && pipe.Certified {
-				// The pipeline starts from a refinement of the same coarse
-				// grouping, so it may never come back looser.
-				if beats(c.sense, pipe.Bound, coarse.Bound, tol) {
-					t.Fatalf("pipeline bound %g looser than its own coarse envelope %g (sense %v, case %d)",
-						pipe.Bound, coarse.Bound, c.sense, ran)
-				}
-				coarseGaps = append(coarseGaps, bound.Interval{Found: exactObj, Bound: coarse.Bound}.Gap())
-				pipeGaps = append(pipeGaps, bound.Interval{Found: exactObj, Bound: pipe.Bound}.Gap())
-			}
-		} else if fine.Infeasible {
+		} else if cert.Infeasible {
 			infeasAgree++
 		}
 	}
@@ -555,9 +476,8 @@ func TestBoundSoundness1000(t *testing.T) {
 	if feasible == 0 || len(gaps) == 0 {
 		t.Fatal("no feasible certified comparisons; the harness is vacuous")
 	}
-	// Tightness gates on the exact (singleton) relaxation: most small
-	// integer programs have modest LP gaps; a loosening regression
-	// shows up as the quantiles sliding out.
+	// Tightness gates: most small integer programs have modest LP gaps; a
+	// loosening regression shows up as the quantiles sliding out.
 	within10, within50 := 0, 0
 	for _, g := range gaps {
 		if g <= 0.10 {
@@ -570,30 +490,9 @@ func TestBoundSoundness1000(t *testing.T) {
 	t.Logf("ran=%d feasible=%d certified-gaps=%d within10%%=%d within50%%=%d infeas-agree=%d kinds=%v",
 		ran, feasible, len(gaps), within10, within50, infeasAgree, kinds)
 	if frac := float64(within10) / float64(len(gaps)); frac < 0.50 {
-		t.Errorf("only %.0f%% of certified singleton bounds within a 10%% gap (want >= 50%%)", 100*frac)
+		t.Errorf("only %.0f%% of certified bounds within a 10%% gap (want >= 50%%)", 100*frac)
 	}
 	if frac := float64(within50) / float64(len(gaps)); frac < 0.80 {
-		t.Errorf("only %.0f%% of certified singleton bounds within a 50%% gap (want >= 80%%)", 100*frac)
-	}
-	// Pipeline tightness gate, calibrated so the bare coarse envelope
-	// fails it: on the same coarse grouping the staged pipeline must pull
-	// a clear majority of certified gaps under 25%, a quantile the
-	// pre-pipeline envelopes never reached on this corpus.
-	if len(pipeGaps) == 0 {
-		t.Fatal("pipeline never certified a feasible head-to-head case")
-	}
-	cw25, pw25 := 0, 0
-	for i := range pipeGaps {
-		if coarseGaps[i] <= 0.25 {
-			cw25++
-		}
-		if pipeGaps[i] <= 0.25 {
-			pw25++
-		}
-	}
-	t.Logf("coarse-vs-pipeline certified gaps: %d pairs, within25%% coarse=%d pipeline=%d",
-		len(pipeGaps), cw25, pw25)
-	if frac := float64(pw25) / float64(len(pipeGaps)); frac < 0.60 {
-		t.Errorf("only %.0f%% of pipeline bounds within a 25%% gap (want >= 60%%): tightening stages regressed", 100*frac)
+		t.Errorf("only %.0f%% of certified bounds within a 50%% gap (want >= 80%%)", 100*frac)
 	}
 }

@@ -204,7 +204,7 @@ type Stats struct {
 	Strategy    Strategy     // strategy actually used
 	Exact       bool         // result is provably optimal/complete
 	Nodes       int64        // search nodes or MILP B&B nodes
-	LPIters     int          // simplex iterations (solver; sketch-refine's MILPs and bound relaxations — its Lagrangian rounds run no simplex)
+	LPIters     int          // simplex iterations (solver; sketch-refine's MILPs and its bound pass's master LPs)
 	SQLQueries  int          // replacement queries (local search)
 	// Sketch is the SketchRefine solver's own record of the evaluation's
 	// first solve — tree shape and origin, branches, rewrites, workers,
@@ -218,7 +218,7 @@ type Stats struct {
 	BoundValue        float64 // certified dual bound on the objective (valid when Certified)
 	Gap               float64 // certified relative gap |objective − BoundValue| / max(1, |objective|)
 	Certified         bool    // BoundValue provably brackets the exact optimum (internal/bound)
-	BoundStage        string  // deepest bound-pipeline stage that produced BoundValue (raw-lp, tree-lp, tree-lp+tighten, milp-dual)
+	BoundStage        string  // the certificate that produced BoundValue: raw-lp (sketch-refine) or milp-dual (exact strategies)
 	Elapsed           time.Duration
 	Notes             []string // strategy decisions, fallbacks, caveats
 	// Degraded reports that at least one optional subsystem (cache,
@@ -245,7 +245,7 @@ func (st *Stats) Interval(found float64) bound.Interval {
 }
 
 // CertifiedLine renders the certificate as every surface prints it —
-// "objective ∈ [lo, hi] (gap g) via stage, n tightening round(s)" — for
+// "objective ∈ [lo, hi] (gap g) via stage, n pricing round(s)" — for
 // an answer whose best objective is found; "" when the evaluation
 // certified nothing.
 func (st *Stats) CertifiedLine(found float64) string {
@@ -256,7 +256,7 @@ func (st *Stats) CertifiedLine(found float64) string {
 	if st.BoundStage != "" {
 		line += " via " + st.BoundStage
 		if st.Sketch != nil && st.Sketch.BoundRounds > 0 {
-			line += fmt.Sprintf(", %d tightening round(s)", st.Sketch.BoundRounds)
+			line += fmt.Sprintf(", %d pricing round(s)", st.Sketch.BoundRounds)
 		}
 	}
 	return line

@@ -209,8 +209,8 @@ func TestCanceled1MReturnsPromptly(t *testing.T) {
 	cache := sketch.NewCache(0)
 	prep.SketchCache = cache
 	opts := Options{Strategy: SketchRefineStrategy, SketchCache: cache}
-	// Two runs warm it: the first builds the tree, the second — the
-	// objective's second sight on it — sorts the leaves the tree then keeps.
+	// Two runs warm it: the first builds the tree, and the solves below
+	// read it from the cache.
 	for range 2 {
 		if _, err := prep.RunContext(context.Background(), opts); err != nil {
 			t.Fatal(err)

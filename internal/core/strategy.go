@@ -10,9 +10,7 @@ import (
 	"repro/internal/bound"
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
-	"repro/internal/lp"
 	"repro/internal/milp"
-	"repro/internal/paql"
 	"repro/internal/plan"
 	"repro/internal/prune"
 	"repro/internal/search"
@@ -547,24 +545,12 @@ func (p *Prepared) runSolver(ctx context.Context, res *Result, opts Options, dea
 			// path gets for free. A canceled search proves nothing (a node
 			// may have been dropped mid-relaxation), so only uncanceled
 			// solves certify. Translate drops the affine objective
-			// constant, so both sides add it back; the limit-path bound is
-			// clamped to the incumbent (the global dual bound is the
-			// better of the best open node and the incumbent) and padded
-			// against round-off.
-			sense := lp.Minimize
-			if p.Query.Objective.Sense == paql.Maximize {
-				sense = lp.Maximize
-			}
+			// constant, so both sides add it back. milp's bound is the
+			// objective at optimality; on its limits it is certified against
+			// round-off (L(y) under its rounding margin over every node the
+			// search left) and clamped to the incumbent.
 			found := sol.Objective + p.Instance.ObjK
-			if sol.Status == milp.StatusOptimal {
-				res.Stats.BoundValue = found
-			} else {
-				b := sol.Bound + p.Instance.ObjK
-				if sense == lp.Maximize && b < found || sense == lp.Minimize && b > found {
-					b = found
-				}
-				res.Stats.BoundValue = bound.Pad(b, sense)
-			}
+			res.Stats.BoundValue = sol.Bound + p.Instance.ObjK
 			res.Stats.Certified = true
 			res.Stats.Gap = bound.Interval{Found: found, Bound: res.Stats.BoundValue}.Gap()
 			res.Stats.BoundStage = plan.BoundMILPDual

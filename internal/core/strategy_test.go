@@ -441,7 +441,7 @@ func TestStatsSketchIsTheSolversRecord(t *testing.T) {
 	if st.SketchTreePatched != got.TreePatched || st.BoundValue != got.Bound || st.BoundStage != got.BoundStage || st.Nodes != got.Nodes {
 		t.Errorf("Stats disagrees with its own sketch record: %+v beside %+v", st, got)
 	}
-	if line := st.CertifiedLine(got.Objective); !strings.Contains(line, fmt.Sprintf("via %s, %d tightening round(s)", got.BoundStage, got.BoundRounds)) ||
+	if line := st.CertifiedLine(got.Objective); !strings.Contains(line, fmt.Sprintf("via %s, %d pricing round(s)", got.BoundStage, got.BoundRounds)) ||
 		!slices.ContainsFunc(st.Notes, func(n string) bool { return strings.HasSuffix(n, "; certified "+line) }) {
 		t.Errorf("the note does not end in the certificate line %q: %v", line, st.Notes)
 	}

@@ -28,7 +28,9 @@
 // from the matrix when a phase starts and again before it declares
 // optimality, so the carried quantities never decide the final answer.
 // Optimal solves report the row prices (Solution.Duals) read off the
-// B⁻¹ block.
+// B⁻¹ block; Multiplier and Lagrangian turn prices into a weak-duality
+// certificate, L(y) under its rounding margin, for internal/bound's pass
+// and internal/milp's LP-first root and limit-path bound.
 //
 // A branch-and-bound child differs from its parent in one bound, so the
 // parent's optimal basis (Workspace.Basis) stays dual feasible for it.
@@ -115,10 +117,11 @@ func NewProblem(n int) *Problem {
 
 // Reset empties the problem and re-dimensions it to n variables, as
 // NewProblem leaves one, keeping its storage: a caller that assembles a
-// problem of similar shape every round (the Lagrangian rounds of
-// internal/bound) reuses one Problem and allocates nothing. Rows added
-// after a Reset overwrite the old rows' storage, which a Clone taken
-// before it still points into, so such a clone must no longer be used.
+// problem of similar shape every round (the master LPs of
+// internal/bound's pricing rounds) reuses one Problem and allocates
+// nothing. Rows added after a Reset overwrite the old rows' storage,
+// which a Clone taken before it still points into, so such a clone must
+// no longer be used.
 func (p *Problem) Reset(n int) {
 	p.n = n
 	p.obj = resize(p.obj, n)

@@ -33,8 +33,8 @@ func Solve(p *Problem, opts ...Options) *Solution {
 
 // Workspace is the simplex's working storage over the extended variable
 // set [structural | slacks | artificials]. The zero value is ready; a
-// caller that solves many problems (branch-and-bound nodes, Lagrangian
-// rounds) keeps one and reuses it, so only the first solve of a shape
+// caller that solves many problems (branch-and-bound nodes, pricing
+// rounds' master LPs) keeps one and reuses it, so only the first solve of a shape
 // allocates. A Workspace serves one solve at a time.
 type Workspace struct {
 	m, n int // rows, total columns

@@ -132,11 +132,15 @@ type Solution struct {
 
 // node is one open subproblem: its box and its parent's relaxation.
 // A node with a basis re-solves from it with the dual simplex (the box
-// differs from the parent's in one bound); the roots have none.
+// differs from the parent's in one bound); the roots have none. The
+// parent's row prices certify the node's part of the tree when a search
+// ends on its limits (openBound).
 type node struct {
 	lo, up []float64 // bounds override (full copies)
 	bound  float64   // parent LP bound (priority)
 	basis  *lp.Basis // the parent's optimal basis, shared by both children
+	duals  []float64 // the parent's row prices, shared likewise; nil at a root
+	parent int       // the parent's node number: siblings share their duals
 }
 
 type nodeQueue struct {
@@ -268,12 +272,11 @@ func (s *search) run(root bool) *Solution {
 	heap.Push(q, &node{lo: rootLo, up: rootUp, bound: infFor(s.maximize)})
 
 	work := p.LP.Clone()
-	bestBound := infFor(s.maximize)
 	firstNode := true
 	// A node whose relaxation stopped short, cancelled or not, leaves its
 	// part of the tree unsearched: the solve proves nothing, and that
-	// node's parent bound stays in the reported one.
-	dropped, lost := false, 0.0
+	// node's box stays in the reported bound.
+	var lost []*node
 
 	for q.Len() > 0 {
 		if s.cancel != nil && s.cancel() {
@@ -310,17 +313,13 @@ func (s *search) run(root bool) *Solution {
 				}
 				goto nextNode
 			case lp.StatusIterLimit:
-				if !dropped || s.better(nd.bound, lost) {
-					lost = nd.bound
-				}
-				dropped = true
+				lost = append(lost, nd)
 				goto nextNode
 			}
 			// The children's restart, taken before anything else loads
 			// the workspace: the LP-first root searches on it.
 			var basis *lp.Basis
 			if firstNode {
-				bestBound = res.Objective
 				firstNode = false
 				if root {
 					basis = s.ws.Basis()
@@ -358,9 +357,9 @@ func (s *search) run(root bool) *Solution {
 			if basis == nil {
 				basis = s.ws.Basis()
 			}
-			left := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis}
+			left := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis, duals: res.Duals, parent: sol.Nodes}
 			left.up[frac] = down
-			right := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis}
+			right := &node{lo: append([]float64(nil), nd.lo...), up: append([]float64(nil), nd.up...), bound: res.Objective, basis: basis, duals: res.Duals, parent: sol.Nodes}
 			right.lo[frac] = up
 			if left.lo[frac] <= left.up[frac] {
 				heap.Push(q, left)
@@ -371,29 +370,88 @@ func (s *search) run(root bool) *Solution {
 		}
 	nextNode:
 	}
-	// With open nodes remaining, the best open node's parent bound is
-	// the tightest proven dual bound (the heap root, by construction);
-	// a dropped node's parent bound joins it.
-	if q.Len() > 0 {
-		bestBound = q.items[0].bound
-	}
-	if dropped && (q.Len() == 0 || s.better(lost, bestBound)) {
-		bestBound = lost
-	}
 	// The tree is searched to its end only when no node is left open and
 	// none was dropped; a cancelled search proves nothing either.
-	proven := q.Len() == 0 && !dropped && !sol.Canceled
+	proven := q.Len() == 0 && len(lost) == 0 && !sol.Canceled
 	switch {
 	case proven && s.have:
 		return s.result(StatusOptimal, s.incObj)
 	case proven:
 		sol.Status = StatusInfeasible
 		return sol
-	case s.have:
+	}
+	// What the search left is bounded by its open and dropped nodes, each
+	// under its parent's prices; a cancelled search is bounded by nothing.
+	bestBound := infFor(s.maximize)
+	if !sol.Canceled {
+		bestBound = s.openBound(append(q.items, lost...))
+	}
+	if s.have {
+		if s.better(s.incObj, bestBound) {
+			bestBound = s.incObj
+		}
 		return s.result(StatusFeasible, bestBound)
 	}
 	sol.Status, sol.Bound = StatusLimit, bestBound
 	return sol
+}
+
+// openBound is the dual bound a search that ended on its limits proves:
+// the loosest L(y) over the nodes it left, each evaluated at its
+// parent's row prices over its own box (lp.Lagrangian, rounding margin
+// included). A root left open has no prices and bounds nothing. The
+// reduced costs are computed once per parent, since siblings share their
+// prices.
+func (s *search) openBound(open []*node) float64 {
+	p := s.p.LP
+	n, m := p.NumVars(), p.NumRows()
+	sgn := 1.0
+	if !s.maximize {
+		sgn = -1
+	}
+	slices.SortStableFunc(open, func(a, b *node) int { return cmp.Compare(a.parent, b.parent) })
+	y, d, mag := make([]float64, m), make([]float64, n), make([]float64, n)
+	loosest := math.Inf(-1)
+	for k, nd := range open {
+		if nd.duals == nil {
+			return infFor(s.maximize)
+		}
+		if k == 0 || nd.parent != open[k-1].parent {
+			for i := range y {
+				y[i] = lp.Multiplier(p.Row(i).Op, p.Sense(), nd.duals[i])
+			}
+			reducedCosts(p, sgn, y, d, mag)
+		}
+		var g lp.Lagrangian
+		for i, yi := range y {
+			g.Row(yi, p.Row(i).RHS)
+		}
+		for j, dj := range d {
+			g.Column(dj, mag[j], nd.lo[j], nd.up[j])
+		}
+		loosest = max(loosest, g.Bound())
+	}
+	return sgn * loosest
+}
+
+// reducedCosts fills d with dⱼ = sgn·cⱼ − yᵀAⱼ, the reduced costs of the
+// maximizing form at multipliers y, and mag with the magnitude each one's
+// rounding scales with.
+func reducedCosts(p *lp.Problem, sgn float64, y, d, mag []float64) {
+	for j := range d {
+		c := sgn * p.ObjectiveCoef(j)
+		d[j], mag[j] = c, math.Abs(c)
+	}
+	for i, yi := range y {
+		if yi == 0 {
+			continue
+		}
+		for _, c := range p.Row(i).Coefs {
+			t := yi * c.Val
+			d[c.Var] -= t
+			mag[c.Var] += math.Abs(t)
+		}
+	}
 }
 
 // result reports the incumbent under status and bound.
@@ -445,31 +503,11 @@ func (s *search) lpFirst(res *lp.Solution, lo, up []float64) *Solution {
 	// below is a valid bound whatever the simplex's last bits say.
 	y := make([]float64, m)
 	for i := range y {
-		y[i] = sgn * res.Duals[i]
-		switch p.Row(i).Op {
-		case lp.LE:
-			y[i] = max(y[i], 0)
-		case lp.GE:
-			y[i] = min(y[i], 0)
-		}
+		y[i] = lp.Multiplier(p.Row(i).Op, p.Sense(), res.Duals[i])
 	}
 	// dⱼ = sgn·cⱼ − yᵀAⱼ, and the magnitude its rounding scales with.
-	d := make([]float64, n)
-	mag := make([]float64, n)
-	for j := range d {
-		c := sgn * p.ObjectiveCoef(j)
-		d[j], mag[j] = c, math.Abs(c)
-	}
-	for i, yi := range y {
-		if yi == 0 {
-			continue
-		}
-		for _, c := range p.Row(i).Coefs {
-			t := yi * c.Val
-			d[c.Var] -= t
-			mag[c.Var] += math.Abs(t)
-		}
-	}
+	d, mag := make([]float64, n), make([]float64, n)
+	reducedCosts(p, sgn, y, d, mag)
 
 	// S is the LP support (every unpinned column the root puts off zero,
 	// or off the bound it would be held at) and the reducedK other
@@ -504,22 +542,20 @@ func (s *search) lpFirst(res *lp.Solution, lo, up []float64) *Solution {
 	// a column whose value v makes L(y) − max(dⱼloⱼ, dⱼupⱼ) + dⱼv fall
 	// short of the incumbent cannot hold v in a better package. The
 	// margin covers the rounding of L(y), of each dⱼ and of the
-	// incumbent's objective: γ·Σ|terms| (Neumaier and Shcherbina 2004).
-	L, terms := 0.0, 0.0
+	// incumbent's objective.
+	var g lp.Lagrangian
 	for i, yi := range y {
-		t := yi * p.Row(i).RHS
-		L += t
-		terms += math.Abs(t)
+		g.Row(yi, p.Row(i).RHS)
 	}
 	for j, dj := range d {
-		best := max(dj*lo[j], dj*up[j])
-		L += best
-		terms += math.Abs(best) + mag[j]*max(math.Abs(lo[j]), math.Abs(up[j]))
+		g.Column(dj, mag[j], lo[j], up[j])
 	}
+	rootBound := sgn * g.Bound()
 	for j, xj := range s.incumbent {
-		terms += math.Abs(p.ObjectiveCoef(j) * xj)
+		g.Terms += math.Abs(p.ObjectiveCoef(j) * xj)
 	}
-	gap := max(0, L-sgn*s.incObj+2*gamma(n+m+2)*terms)
+	g.K += 2
+	gap := max(0, g.Sum-sgn*s.incObj+g.Margin())
 	fixLo, fixUp := slices.Clone(lo), slices.Clone(up)
 	proven := sub.Status == StatusOptimal && !s.sol.Canceled
 	free := make([]bool, n)
@@ -553,7 +589,7 @@ func (s *search) lpFirst(res *lp.Solution, lo, up []float64) *Solution {
 	if proven {
 		return s.result(StatusOptimal, s.incObj)
 	}
-	bound := res.Objective
+	bound := rootBound
 	if s.better(bound, last.Bound+r.objK) {
 		bound = last.Bound + r.objK
 	}
@@ -561,13 +597,6 @@ func (s *search) lpFirst(res *lp.Solution, lo, up []float64) *Solution {
 		bound = s.incObj
 	}
 	return s.result(StatusFeasible, bound)
-}
-
-// gamma is γₖ = k·u/(1 − k·u), the relative rounding error of a k-term
-// floating-point sum.
-func gamma(k int) float64 {
-	ku := float64(k) * 0x1p-53
-	return ku / (1 - ku)
 }
 
 // restriction is a problem over some of p's columns, every other column

@@ -41,7 +41,6 @@ package plan
 
 import (
 	"repro/internal/bound"
-	"repro/internal/expr"
 	"repro/internal/paql"
 )
 
@@ -113,25 +112,19 @@ const (
 )
 
 // Bound values: which dual-bound pass certifies the objective interval
-// the evaluation returns. The four pipeline rungs are internal/bound's
-// stage names, so what a plan asks for is what Stats.BoundStage reports.
+// the evaluation returns. The sketch path's is internal/bound's stage
+// name, so what a plan asks for is what Stats.BoundStage reports.
 const (
-	// BoundRawLP: LP relaxation over the raw candidates — the exact LP
-	// relaxation of the query's MILP, the tightest bound an LP gives.
+	// BoundRawLP: the LP relaxation over the raw candidates — the exact LP
+	// relaxation of the query's MILP, the tightest bound an LP gives —
+	// found by column generation and certified by L(y) at any candidate
+	// count.
 	BoundRawLP = bound.StageRawLP
-	// BoundTreeLP: LP relaxation over the partition-tree leaves, each
-	// leaf split into objective-sorted segments (piecewise-linear
-	// columns); a handful of variables per leaf keeps the bound pass
-	// tiny at any scale.
-	BoundTreeLP = bound.StageTreeLP
-	// BoundTreeLPTighten: the tree relaxation plus a few rounds of
-	// subgradient Lagrangian tightening on the rows the LP leaves tight
-	// or violated — what band (BETWEEN/equality) rows need, since the
-	// grouped envelope is loosest on paired ≤/≥ rows.
+	// The next three values are never planned. The names stay only as
+	// the signature the benchmark's layer trace compiles against.
+	BoundTreeLP        = bound.StageTreeLP
 	BoundTreeLPTighten = bound.StageTightened
-	// BoundDescend1 is never planned. The name stays only as the
-	// signature the benchmark's layer trace compiles against.
-	BoundDescend1 = bound.StageDescend
+	BoundDescend1      = bound.StageDescend
 	// BoundMILPDual: the exact solver's own branch-and-bound dual bound
 	// (gap 0 when it proves optimality).
 	BoundMILPDual = "milp-dual"
@@ -159,11 +152,6 @@ type AtomMix struct {
 	SumCount int `json:"sumCountAtoms"`
 	Avg      int `json:"avgAtoms"`
 	MinMax   int `json:"minMaxAtoms"`
-	// Bands counts band-shaped SUCH THAT atoms — BETWEEN ranges and
-	// equality comparisons — which lower to paired ≤/≥ rows the grouped
-	// envelope relaxation is loosest on. The bound decision escalates
-	// to the tightening stages when they are present.
-	Bands int `json:"bandAtoms,omitempty"`
 	// Objective reports whether the query optimizes an objective — a
 	// feasibility-only query has nothing to bound, so the bound
 	// decision keys on this.
@@ -179,18 +167,6 @@ type AtomMix struct {
 func AnalyzeAtoms(a *paql.Analysis, nonlinear []string, branches int, sketchErr error) AtomMix {
 	m := AtomMix{Linear: len(nonlinear) == 0, NonlinearReasons: nonlinear,
 		Objective: a.Query != nil && a.Query.Objective != nil}
-	if a.Query != nil && a.Query.SuchThat != nil {
-		expr.Walk(a.Query.SuchThat, func(e expr.Expr) {
-			switch n := e.(type) {
-			case *expr.Between:
-				m.Bands++
-			case *expr.Binary:
-				if n.Op == expr.OpEq {
-					m.Bands++
-				}
-			}
-		})
-	}
 	for _, agg := range a.Aggs {
 		switch agg.Fn {
 		case "AVG":
@@ -304,10 +280,8 @@ type Plan struct {
 	// against a per-query memory budget.
 	MemoryBytes int64 `json:"memoryBytes,omitempty"`
 	// Bound names the dual-bound pass the evaluation will run to
-	// certify its objective interval (BoundRawLP, BoundTreeLP,
-	// BoundTreeLPTighten, BoundMILPDual, or BoundNone).
-	// Sketch evaluations feed it to the bound pipeline as the deepest
-	// stage to run.
+	// certify its objective interval (BoundRawLP, BoundMILPDual, or
+	// BoundNone). Sketch evaluations skip the bound pass on BoundNone.
 	Bound string `json:"bound,omitempty"`
 	// Decisions is the ordered decision trail.
 	Decisions []Decision `json:"decisions"`

@@ -353,8 +353,8 @@ atoms: linear; 2 sum/count; 1 branch
 │      1563 leaves > 64 top-level vars: 2 levels keep the root small
 ├─ parallelism = 8
 │      100000 candidates ≥ 2048: fan out across 8 workers
-├─ bound = tree-lp
-│      LP relaxation over ~1563 partition leaves (objective-sorted segments), 1 branch(es); no band atoms to tighten
+├─ bound = raw-lp
+│      LP relaxation over the 100000 candidates, 1 branch(es): column generation finds it and L(y) certifies it
 └─ memory = 3.1 MB
        predicted peak working set for sketch-refine over 100000 candidates (2 atoms)
 `},

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bound"
 	"repro/internal/lifecycle"
 )
 
@@ -182,13 +181,10 @@ func pickParallelism(p *Plan, in Input) int {
 
 // pickBound records which dual-bound pass will certify the objective
 // interval (internal/bound): the exact strategies prove their own bound;
-// the sketch path runs the staged bound pipeline per DNF branch — the
-// exact LP relaxation over the raw candidates while they are at most
-// SketchThreshold, the segmented tree relaxation beyond that, escalated
-// to Lagrangian tightening when band (BETWEEN or equality) rows are
-// present. Local search has no relaxation and leaves the gap unproven.
+// the sketch path certifies the LP relaxation over the raw candidates per
+// DNF branch, at any candidate count. Local search has no relaxation and
+// leaves the gap unproven.
 func pickBound(p *Plan, in Input) {
-	const rounds = bound.DefaultTightenRounds
 	d := Decision{Name: "bound"}
 	switch {
 	case !in.Mix.Objective:
@@ -200,15 +196,9 @@ func pickBound(p *Plan, in Input) {
 	case p.Strategy != StrategySketch:
 		d.Value = BoundNone
 		d.Reason = fmt.Sprintf("%s has no relaxation to certify against: gap stays unproven", p.Strategy)
-	case in.N <= SketchThreshold:
-		d.Value = BoundRawLP
-		d.Reason = fmt.Sprintf("%d candidates ≤ %d: the exact LP relaxation is affordable and tightest", in.N, SketchThreshold)
-	case in.Mix.Bands > 0:
-		d.Value = BoundTreeLPTighten
-		d.Reason = fmt.Sprintf("%d band atom(s) (BETWEEN/equality): %d Lagrangian rounds tighten the paired-row envelopes over ~%d leaves", in.Mix.Bands, rounds, p.leaves())
 	default:
-		d.Value = BoundTreeLP
-		d.Reason = fmt.Sprintf("LP relaxation over ~%d partition leaves (objective-sorted segments), %d branch(es); no band atoms to tighten", p.leaves(), max(in.Mix.Branches, 1))
+		d.Value = BoundRawLP
+		d.Reason = fmt.Sprintf("LP relaxation over the %d candidates, %d branch(es): column generation finds it and L(y) certifies it", in.N, max(in.Mix.Branches, 1))
 	}
 	p.Bound = d.Value
 	p.Decisions = append(p.Decisions, d)

@@ -500,7 +500,7 @@ func (p *patcher) patchParents() error {
 // assembles the patched tree. ok is false when a whole level died.
 func (p *patcher) compact() (*Tree, bool) {
 	t := p.tree
-	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth, orders: new(leafOrders)}
+	out := &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: t.Depth}
 	out.Levels = make([][]Node, t.Depth)
 	for l := t.Depth - 1; l >= 0; l-- {
 		idxMap := make([]int, len(p.levels[l]))

@@ -4,59 +4,37 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
-	"maps"
 	"time"
 
-	"repro/internal/bound"
 	"repro/internal/schema"
 	"repro/internal/search"
+	"repro/internal/translate"
 )
+
+// BranchForTest returns what the bound pass certifies for the instance's
+// first DNF branch: its rows and each tuple's multiplicity cap (0 for an
+// eliminated tuple).
+func BranchForTest(inst *search.Instance) ([]*translate.LinearAtom, func(int) float64, error) {
+	q := Compile(inst)
+	if q.err != nil {
+		return nil, nil, q.err
+	}
+	ba, err := q.branch(nil, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ba.tuple, func(i int) float64 {
+		if ba.eliminated != nil && ba.eliminated[i] {
+			return 0
+		}
+		return float64(inst.MaxMult)
+	}, nil
+}
 
 // ParallelForTest exposes the scheduling helper to the external test
 // package.
 var ParallelForTest = parallelFor
-
-// RawLPBoundForTest computes the exact LP-relaxation bound over the raw
-// candidates of the instance's first DNF branch, sidestepping
-// plan.SketchThreshold — the tightness yardstick the bound tests compare the
-// tree pipeline against.
-func RawLPBoundForTest(inst *search.Instance) (bound.Outcome, error) {
-	q := Compile(inst)
-	if q.err != nil {
-		return bound.Outcome{}, q.err
-	}
-	ba, err := q.branch(nil, 0)
-	if err != nil {
-		return bound.Outcome{}, err
-	}
-	pr, err := bound.RunPipeline(bound.Candidates(len(inst.Rows), inst.MaxMult, nil), bound.PipelineOptions{
-		Atoms: ba.tuple, ObjW: inst.ObjW, Konst: inst.ObjK, Sense: objSense(inst), MaxStage: bound.StageTreeLP,
-	})
-	return pr.Outcome, err
-}
-
-// KeptOrdersForTest returns the leaf orders the tree keeps, by objective
-// key; an objective asked for once, or whose sort failed, has none.
-func KeptOrdersForTest(t *Tree) map[string][][]int {
-	kept := map[string][][]int{}
-	if t.orders == nil {
-		return kept
-	}
-	t.orders.mu.Lock()
-	slots := maps.Clone(t.orders.slots)
-	t.orders.mu.Unlock()
-	for key, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		if o, err := slot.Get(nil, func() (*[][]int, error) { return nil, errors.New("not kept") }); err == nil {
-			kept[key] = *o
-		}
-	}
-	return kept
-}
 
 // SetRenameHook swaps the store's rename step for fault injection
 // (crash-mid-resave tests); it returns a restore function.

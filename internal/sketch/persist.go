@@ -519,7 +519,7 @@ func decodeTree(data []byte, k Key) (*Tree, error) {
 	if got != k {
 		return nil, fmt.Errorf("sketch: persisted tree is for another key (stale fingerprint or knobs): have %+v, want %+v", got, k)
 	}
-	t := &Tree{orders: new(leafOrders)}
+	t := &Tree{}
 	if t.Attrs, err = d.deltaInts(); err != nil {
 		return nil, fmt.Errorf("sketch: persisted tree: attrs: %w", err)
 	}

@@ -4,24 +4,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/bound"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/explore"
-	"repro/internal/lp"
 	"repro/internal/minidb"
 	"repro/internal/sketch"
 	"repro/internal/translate"
 )
 
-// shapeQuery is the benchmark's T0 with constant k: over 6,000 recipes
-// and no WHERE its bound runs over segmented tree leaves.
+// shapeQuery is the benchmark's T0 with constant k, over 6,000 recipes
+// and no WHERE.
 func shapeQuery(k int) string {
 	return fmt.Sprintf(`SELECT PACKAGE(R) AS P FROM recipes R
 		SUCH THAT COUNT(*) = 3 AND SUM(P.calories) BETWEEN %d AND %d MAXIMIZE SUM(P.protein)`, 900+10*k, 1400+10*k)
@@ -47,7 +44,7 @@ func solveShape(db *minidb.DB, k int, opts sketch.Options) (*core.Prepared, *ske
 	if err != nil {
 		return nil, nil, err
 	}
-	if !res.Feasible || !res.Certified || res.BoundStage == "raw-lp" {
+	if !res.Feasible || !res.Certified || res.BoundStage != "raw-lp" {
 		return nil, nil, fmt.Errorf("k=%d: feasible=%v certified=%v stage=%q", k, res.Feasible, res.Certified, res.BoundStage)
 	}
 	tree, ok := opts.Cache.Peek(sketch.KeyFor(prep.Instance, opts))
@@ -58,46 +55,32 @@ func solveShape(db *minidb.DB, k int, opts sketch.Options) (*core.Prepared, *ske
 }
 
 // TestWarmShapeWeighsAndSortsNothing: what a query of one shape computes
-// that no constant of it reaches is computed once per candidate snapshot
-// (the weight vectors) and once per tree (the leaves' objective order).
-// The first query scans, weighs into its own store and sorts the leaves
-// for itself; the second — the snapshot's promotion, the objective's
-// second sight on the tree — weighs into the store every later query
-// shares and keeps the order; the third and fourth weigh and sort nothing.
+// that no constant of it reaches — the weight vectors — is computed once
+// per candidate snapshot. The first query scans and weighs into its own
+// store; the second — the snapshot's promotion — weighs into the store
+// every later query shares; the third and fourth weigh nothing. The bound
+// pass reads the weight vectors and no per-tree order, so there is
+// nothing of the tree's to sort.
 func TestWarmShapeWeighsAndSortsNothing(t *testing.T) {
 	db := shapeDB(t)
 	opts := sketch.Options{Seed: 1, Cache: sketch.NewCache(0)}
-	var weighs, sorts []int
-	var tree *sketch.Tree
+	var weighs []int
 	for k := 0; k < 4; k++ {
-		sortsBefore := 0
-		if tree != nil {
-			sortsBefore = tree.Sorts()
-		}
-		prep, tr, err := solveShape(db, k, opts)
+		prep, _, err := solveShape(db, k, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree = tr
 		weighs = append(weighs, prep.Instance.Passes.Weighed())
-		sorts = append(sorts, tree.Sorts()-sortsBefore)
 	}
 	// COUNT(*), SUM(calories) and the objective SUM(protein): three forms.
 	if want := []int{3, 3, 3, 3}; !slices.Equal(weighs, want) {
 		t.Errorf("weight vectors in each query's store: %v, want %v (one store per scan, then the snapshot's)", weighs, want)
 	}
-	if want := []int{1, 1, 0, 0}; !slices.Equal(sorts, want) {
-		t.Errorf("leaf sorts per query: %v, want %v", sorts, want)
-	}
-	if kept := sketch.KeptOrdersForTest(tree); len(kept) != 1 {
-		t.Errorf("the tree keeps %d orders, want the one objective's", len(kept))
-	}
 }
 
 // TestConcurrentWarmQueriesSortAndWeighOnce: eight queries of one shape
-// arriving together at a tree that has seen their objective once, and at a
-// snapshot seen once, share one promotion: one sort of the leaves, one
-// weighing per form.
+// arriving together at a snapshot seen once share one promotion: one
+// weighing per form, and the one cached tree.
 func TestConcurrentWarmQueriesSortAndWeighOnce(t *testing.T) {
 	db := shapeDB(t)
 	opts := sketch.Options{Seed: 1, Cache: sketch.NewCache(0), Parallelism: 1}
@@ -105,7 +88,6 @@ func TestConcurrentWarmQueriesSortAndWeighOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortsBefore := tree.Sorts()
 	preps := make([]*core.Prepared, 8)
 	trees := make([]*sketch.Tree, 8)
 	errs := make([]error, 8)
@@ -131,15 +113,12 @@ func TestConcurrentWarmQueriesSortAndWeighOnce(t *testing.T) {
 	if got := preps[0].Instance.Passes.Weighed(); got != 3 {
 		t.Errorf("8 concurrent queries composed %d weight vectors, want one per form (3)", got)
 	}
-	if got := tree.Sorts() - sortsBefore; got != 1 {
-		t.Errorf("8 concurrent queries sorted the leaves %d times, want once", got)
-	}
 }
 
-// TestSharedVectorsAndOrdersAreReadOnly: the vectors a snapshot keeps and
-// the orders a tree keeps are read by every later query, so none may write
-// to them — not the exclusion cuts of LIMIT 3, not the pins and history of
-// an explore session's Replace.
+// TestSharedVectorsAndOrdersAreReadOnly: the vectors a snapshot keeps are
+// read by every later query, so none may write to them — not the
+// exclusion cuts of LIMIT 3, not the pins and history of an explore
+// session's Replace.
 func TestSharedVectorsAndOrdersAreReadOnly(t *testing.T) {
 	db := shapeDB(t)
 	cache := sketch.NewCache(0)
@@ -154,13 +133,8 @@ func TestSharedVectorsAndOrdersAreReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tree, ok := cache.Peek(sketch.KeyFor(prep.Instance, sketch.Options{MaxPartitionSize: 64, Depth: 2, Seed: 1}))
-	if !ok {
-		t.Fatal("the shape's tree is not in the cache")
-	}
-	kept := sketch.KeptOrdersForTest(tree)
-	if len(kept) != 1 || len(prep.Instance.Atoms) == 0 {
-		t.Fatalf("nothing to guard: %d kept orders, %d atoms", len(kept), len(prep.Instance.Atoms))
+	if len(prep.Instance.Atoms) == 0 {
+		t.Fatal("nothing to guard: no atoms")
 	}
 	digest := func() uint64 {
 		h := fnv.New64a()
@@ -173,13 +147,6 @@ func TestSharedVectorsAndOrdersAreReadOnly(t *testing.T) {
 				put(math.Float64bits(w))
 			}
 		}
-		for _, key := range slices.Sorted(maps.Keys(kept)) {
-			for _, leaf := range kept[key] {
-				for _, t := range leaf {
-					put(uint64(t))
-				}
-			}
-		}
 		return h.Sum64()
 	}
 	// What they hold must also be what a cold query computes — a write
@@ -188,15 +155,6 @@ func TestSharedVectorsAndOrdersAreReadOnly(t *testing.T) {
 		_, _, objW, _, err := translate.NewPasses(prep.Instance.Rows).ConjunctiveAtoms(nil, prep.Analysis)
 		if err != nil || !slices.Equal(objW, prep.Instance.ObjW) {
 			t.Fatalf("%s: the kept objective weights are not a cold query's (err %v)", when, err)
-		}
-		for g, leaf := range tree.Leaves() {
-			want := slices.Clone(leaf.Tuples)
-			bound.SortByObjective(want, objW, lp.Maximize)
-			for key, order := range kept {
-				if !slices.Equal(order[g], want) {
-					t.Fatalf("%s: leaf %d's kept order under %s is not its objective order", when, g, key)
-				}
-			}
 		}
 	}
 	cold("warm")
@@ -233,7 +191,7 @@ func TestSharedVectorsAndOrdersAreReadOnly(t *testing.T) {
 		t.Fatal("the session did not run a certified sketch solve over the shared store")
 	}
 	if after := digest(); after != before {
-		t.Errorf("a shared weight vector or a kept order changed under LIMIT 3 and a Replace: %x → %x", before, after)
+		t.Errorf("a shared weight vector changed under LIMIT 3 and a Replace: %x → %x", before, after)
 	}
 	cold("after LIMIT 3 and a Replace")
 }

@@ -112,14 +112,10 @@ type Options struct {
 	// their leaves, re-splitting overgrown leaves — instead of
 	// rebuilding from scratch, and re-persists the patched tree.
 	Patch *PatchSpec
-	// BoundMode, when set, pins how deep the certified-bound pipeline
-	// runs on branches above the raw-candidate cap: bound.StageTreeLP
-	// (segmented leaf columns, no tightening), bound.StageTightened
-	// (adds the Lagrangian rounds), or plan.BoundNone (no bound pass at
-	// all: Certified stays false and BoundTime zero — what re-solves
-	// whose certificate nobody reads ask for). Empty, or any other
-	// value, runs the full pipeline, bound.StageTightened. The planner's
-	// bound decision feeds this.
+	// BoundMode is the planner's bound decision. plan.BoundNone skips the
+	// bound pass (Certified stays false and BoundTime zero — what
+	// re-solves whose certificate nobody reads ask for); any other value
+	// runs it.
 	BoundMode string
 }
 
@@ -162,9 +158,9 @@ type Result struct {
 	Bound      float64 `json:"-"` // certified dual bound on the objective (valid when Certified)
 	Gap        float64 `json:"-"` // certified relative gap |Objective − Bound| / max(1, |Objective|)
 	Certified  bool    `json:"-"` // Bound provably brackets the exact optimum (see internal/bound)
-	BoundStage string  `json:"-"` // deepest bound-pipeline stage reached across branches (bound.Stage*)
-	// BoundRounds counts the Lagrangian tightening rounds spent across
-	// all branch bounds.
+	BoundStage string  `json:"-"` // the certificate's stage, bound.StageRawLP once any branch was bounded
+	// BoundRounds counts the bound pass's pricing rounds (one master LP
+	// and one pass over the tuples each) across all branch bounds.
 	BoundRounds int `json:"boundRounds,omitempty"`
 	// BoundTime is the wall time the certified-bound passes cost (every
 	// boundPass call), so benchmarks can report the bound's share of the

@@ -198,9 +198,9 @@ func (s *solver) pass() (*descent, error) {
 			fallback = last
 		}
 		if s.wantBound {
-			// Bound after the descent, not before: the best objective so
-			// far is an incumbent the Lagrangian rounds aim their step at.
-			if err := s.boundPass(ba, best); err != nil {
+			// Bound after the descent: the bound never steers it, so the
+			// packages do not depend on the certificate.
+			if err := s.boundPass(ba); err != nil {
 				return nil, err
 			}
 		}

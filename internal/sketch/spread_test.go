@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -16,6 +17,20 @@ import (
 	"repro/internal/translate"
 	"repro/internal/value"
 )
+
+// firingCtx counts Err calls and reports cancellation from the fireAt-th on.
+type firingCtx struct {
+	context.Context
+	polls  atomic.Int64
+	fireAt int64
+}
+
+func (c *firingCtx) Err() error {
+	if n := c.polls.Add(1); c.fireAt > 0 && n >= c.fireAt {
+		return context.Canceled
+	}
+	return nil
+}
 
 // The distance scales come off the pass store now: (*translate.Passes).Spread
 // must be rowScales, bit for bit, on columns of every mix of NULL, bool,

@@ -1,15 +1,10 @@
 package sketch
 
 import (
-	"context"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/bound"
 	"repro/internal/lifecycle"
-	"repro/internal/lp"
 	"repro/internal/schema"
 	"repro/internal/search"
 )
@@ -54,109 +49,17 @@ type Tree struct {
 	// caching and persistence — to rebuild from scratch before ever
 	// declaring a query infeasible on one.
 	Drift int
-
-	orders *leafOrders // nil (a tree assembled by hand) keeps nothing; never persisted
-}
-
-// leafOrders is what a tree keeps of the queries run over it: per
-// objective, each leaf's tuples stable-sorted best objective first — the
-// order the bound pass cuts into segments. An objective weighs the same
-// candidates alike on every query of a shape, whatever its constants, so
-// the order is computed once per (tree, objective) — from the second
-// time the objective is asked for on this tree (promote on reuse, as the
-// candidate snapshot does): a tree patched away after one query, or an
-// objective asked once, keeps nothing. Slots are lifecycle.Once, so
-// concurrent queries sort once and a canceled sort is not kept. Shared by
-// the tree and its flattened view; every order handed out is read-only.
-type leafOrders struct {
-	mu    sync.Mutex
-	slots map[string]*lifecycle.Once[[][]int] // by objective key; nil: asked once, nothing kept
-	sorts atomic.Int64
 }
 
 // Leaves returns the deepest level: the τ-bounded partitions.
 func (t *Tree) Leaves() []Node { return t.Levels[t.Depth-1] }
 
-// Sorts reports how many times the tree's leaves have been sorted by an
-// objective, kept or not: a warm query over a tree that keeps its
-// objective's order sorts nothing.
-func (t *Tree) Sorts() int {
-	if t.orders == nil {
-		return 0
-	}
-	return int(t.orders.sorts.Load())
-}
-
-// leafOrder returns, per leaf, its tuples in objective order for the
-// objective named key (weights objW, direction sense), from the tree's
-// memo when it keeps that order. A sort polls ctx every search.PollRows
-// tuples.
-func (t *Tree) leafOrder(ctx context.Context, key string, objW []float64, sense lp.Sense) ([][]int, error) {
-	sortLeaves := func() (*[][]int, error) {
-		if t.orders != nil {
-			t.orders.sorts.Add(1)
-		}
-		leaves := t.Leaves()
-		n := 0
-		for _, leaf := range leaves {
-			n += len(leaf.Tuples)
-		}
-		flat := make([]int, 0, n) // one backing array; each leaf's order is a clipped window
-		out := make([][]int, len(leaves))
-		polled := -search.PollRows
-		for g, leaf := range leaves {
-			if len(flat)-polled >= search.PollRows {
-				if err := lifecycle.ContextErr(ctx); err != nil {
-					return nil, err
-				}
-				polled = len(flat)
-			}
-			a := len(flat)
-			flat = append(flat, leaf.Tuples...)
-			out[g] = flat[a:len(flat):len(flat)]
-			bound.SortByObjective(out[g], objW, sense)
-		}
-		return &out, nil
-	}
-	var out *[][]int
-	var err error
-	if slot := t.orders.slot(key); slot != nil {
-		out, err = slot.Get(ctx, sortLeaves)
-	} else {
-		out, err = sortLeaves()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return *out, nil
-}
-
-// slot returns the kept order of the objective named key, made at the
-// key's second sight; at its first, or on a nil memo, it is nil: the
-// caller sorts for itself and nothing is kept.
-func (m *leafOrders) slot(key string) *lifecycle.Once[[][]int] {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	slot, seen := m.slots[key]
-	if seen && slot == nil {
-		slot = new(lifecycle.Once[[][]int])
-	}
-	if m.slots == nil {
-		m.slots = map[string]*lifecycle.Once[[][]int]{}
-	}
-	m.slots[key] = slot
-	return slot
-}
-
 // flatten returns the single-level view of the tree: the same leaf
-// nodes (shared, not copied — a Tree is immutable) under depth 1, and the
-// same kept orders. The infeasible-retry path uses it to fall back from
+// nodes (shared, not copied — a Tree is immutable) under depth 1. The
+// infeasible-retry path uses it to fall back from
 // hierarchical to flat without re-running the offline partitioning.
 func (t *Tree) flatten() *Tree {
-	return &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: 1, Levels: [][]Node{t.Leaves()}, Drift: t.Drift, orders: t.orders}
+	return &Tree{Attrs: t.Attrs, Tau: t.Tau, Depth: 1, Levels: [][]Node{t.Leaves()}, Drift: t.Drift}
 }
 
 // BuildTree partitions the candidates into τ-bounded leaves and stacks
@@ -177,7 +80,7 @@ func (t *Tree) flatten() *Tree {
 // path (solver.buildFresh) discards it before it can reach a cache tier.
 func BuildTree(inst *search.Instance, opts Options) *Tree {
 	cols, at := inst.Lowered(opts.Ctx)
-	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1, orders: new(leafOrders)}
+	t := &Tree{Attrs: partitionAttrs(inst), Tau: opts.tau(), Depth: 1}
 	leaves, covered := leafNodes(cols, at, len(inst.Rows), t.Attrs, opts)
 	t.Levels = [][]Node{leaves}
 	depth := opts.depth()
